@@ -33,7 +33,7 @@ func stepN(t testing.TB, s *ns.Solver, n int) {
 
 func compareFields(t *testing.T, a, b *ns.Solver, label string) {
 	t.Helper()
-	for c := 0; c < 2; c++ {
+	for c := 0; c < a.Dim(); c++ {
 		ua, ub := a.Velocity(c), b.Velocity(c)
 		for i := range ua {
 			if ua[i] != ub[i] {
@@ -97,7 +97,9 @@ func TestTunedDispatchChannelGolden(t *testing.T) {
 // chunk partition depends on the worker count, so W ∈ {2, 4, 8} exercises
 // distinct element-to-worker maps (including W=8 > K/2 where trailing
 // workers get short or empty chunks). GOMAXPROCS is forced above 1 so the
-// pool actually dispatches instead of taking its serial fallback.
+// pool actually dispatches instead of taking its serial fallback. The 3-D
+// hairpin box adds the mesh that mixes element classes, on which Divergence
+// and GradientT are each one element-parallel pass of a per-element kernel.
 func TestWorkersChannelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the channel case repeatedly")
@@ -109,6 +111,23 @@ func TestWorkersChannelGolden(t *testing.T) {
 		par := channelSolver(t, w)
 		stepN(t, par, 5)
 		compareFields(t, ref, par, fmt.Sprintf("workers=%d", w))
+	}
+
+	hairpin := func(workers int) *ns.Solver {
+		s, err := flowcases.Hairpin(flowcases.HairpinConfig{
+			Nx: 6, Ny: 4, Nz: 3, N: 4, Re: 850, Dt: 0.05, FilterA: 0.1,
+			Workers: workers, Precond: ns.PrecondChebJacobi,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		stepN(t, s, 3)
+		return s
+	}
+	ref = hairpin(1)
+	for _, w := range []int{2, 4} {
+		compareFields(t, ref, hairpin(w), fmt.Sprintf("hairpin workers=%d", w))
 	}
 }
 

@@ -68,6 +68,13 @@ type Mesh struct {
 	// {rx, ry, rz, sx, sy, sz, tx, ty, tz}.
 	RX [][]float64
 
+	// RXPairs[e] has bit a*Dim+c set when the metric RX[a*Dim+c] does not
+	// vanish on element e. The diagonal bits are always set; an undeformed
+	// (axis-aligned) element has no others — the Nek5000 ifdfrm flag, kept
+	// per pair so that an element deformed in one direction only (a lifted
+	// wall) pays for the pairs it has. Set once by Discretize.
+	RXPairs []uint16
+
 	// C0 connectivity.
 	GID     []int64 // global id per local node, len K*Np
 	NGlobal int     // number of distinct global nodes
@@ -192,6 +199,7 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 	if err := m.computeMetrics(); err != nil {
 		return nil, err
 	}
+	m.classifyElements()
 	m.numberGlobally()
 	m.buildCoarseAndAdjacency()
 	m.detectBoundary()
@@ -317,6 +325,37 @@ func (m *Mesh) computeMetrics() error {
 		}
 	}
 	return nil
+}
+
+// rxPairTol is the size of an off-diagonal metric, relative to the element's
+// smallest diagonal one, up to which classifyElements treats it as zero.
+const rxPairTol = 1e-12
+
+// classifyElements sets RXPairs from the metrics: an off-diagonal pair is
+// kept when its largest |dr_a/dx_c| on the element exceeds rxPairTol times
+// the element's smallest diagonal |dr_a/dx_a| (which may itself vary from
+// node to node, as on a graded box, without deforming the element).
+func (m *Mesh) classifyElements() {
+	m.RXPairs = make([]uint16, m.K)
+	off := make([]float64, len(m.RX))
+	for e := range m.RXPairs {
+		diag := math.Inf(1)
+		for k, rx := range m.RX {
+			off[k] = 0
+			for _, v := range rx[e*m.Np : (e+1)*m.Np] {
+				if k/m.Dim == k%m.Dim {
+					diag = math.Min(diag, math.Abs(v))
+				} else {
+					off[k] = math.Max(off[k], math.Abs(v))
+				}
+			}
+		}
+		for k := range m.RX {
+			if k/m.Dim == k%m.Dim || off[k] > rxPairTol*diag {
+				m.RXPairs[e] |= 1 << k
+			}
+		}
+	}
 }
 
 // numberGlobally assigns global ids to the local GLL nodes by geometric

@@ -2,6 +2,8 @@ package mesh
 
 import (
 	"math"
+	"math/bits"
+	"reflect"
 	"testing"
 )
 
@@ -350,4 +352,38 @@ func TestGradedPartition(t *testing.T) {
 			t.Fatal("uniform partition wrong")
 		}
 	}
+}
+
+// The metric pairs the E-apply kernels visit: boxes (graded too) have the
+// Dim diagonal pairs only, the O-grid all Dim², and the hairpin box of the
+// benchmark, whose bump lifts z as a function of (x, y), the diagonal plus
+// dt/dx and dt/dy where the bump reaches.
+func TestClassifyElements(t *testing.T) {
+	pairCounts := func(spec *Spec, n int) map[int]int {
+		t.Helper()
+		m, err := Discretize(spec, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[int]int{}
+		for _, p := range m.RXPairs {
+			counts[bits.OnesCount16(p)]++
+		}
+		return counts
+	}
+	want := func(name string, got, want map[int]int) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: elements by number of non-zero metric pairs = %v, want %v", name, got, want)
+		}
+	}
+	box := Box2D(Box2DSpec{Nx: 5, Ny: 3, X1: 2 * math.Pi, Y0: -1, Y1: 1, GradeY: GeomGrading(3)})
+	want("graded 2-D box", pairCounts(box, 9), map[int]int{2: 15})
+	ogrid := CylinderOGrid(CylinderOGridSpec{NTheta: 16, NLayer: 6, R: 0.5, H: 4, WallRatio: 8})
+	want("O-grid", pairCounts(ogrid, 5), map[int]int{4: 96})
+	hairpin := HemisphereBox(HemisphereBoxSpec{
+		Nx: 6, Ny: 4, Nz: 3, Lx: 12, Ly: 6, Lz: 4,
+		Cx: 3, Cy: 3, Radius: 1, Height: 0.8, WallRatio: 3,
+	})
+	want("hairpin box", pairCounts(hairpin, 5), map[int]int{3: 24, 5: 48})
 }

@@ -146,6 +146,7 @@ type Solver struct {
 	interpPV []float64 // (N+1)x(N-1) Gauss -> GLL prolongation J_pv
 	wJp      []float64 // pressure quadrature weight x |J| per pressure node
 	bAssem   []float64 // assembled velocity mass diagonal
+	invBm    []float64 // maskV / bAssem: the pointwise middle of E
 
 	// Fields.
 	U  [3][]float64   // current velocity components (element-local)
@@ -230,14 +231,20 @@ type Solver struct {
 	restrictLoop func(e, w int)
 	prolongLoop  func(e, w int)
 	gradTLoop    func(e, w int)
+	divLoop      func(e, w int)
 	convLoop     func(e, w int)
 	curP, curV   []float64
 	curOuts      [][]float64
+	curU         [3][]float64
+	elemBlocks   [][][]float64 // per-worker headers over one element's dim blocks
 	curConvOut   []float64
 	curConvV     []float64
 	curConvDiv   []float64
 	curConvC     [3][]float64
 	curConvG     [][]float64
+
+	// Flops of one GradientT and one Divergence over the mesh (EApplyFlops).
+	gradTFlops, divFlops int64
 
 	instr   stepInstr              // per-phase metric handles (zero value = disabled)
 	tracer  *instrument.Tracer     // nil = off; wall spans for step phases + CG
@@ -248,6 +255,7 @@ type Solver struct {
 // no-op while nil, so the zero value is the free disabled default.
 type stepInstr struct {
 	convect, viscous, pressure, filter, scalar *instrument.Timer
+	eapply                                     *instrument.Timer // every E application (CG and Chebyshev)
 	viscousCG, pressureCG, scalarCG            *instrument.Timer
 	viscousIters, pressureIters, scalarIters   *instrument.Counter
 	steps, substeps                            *instrument.Counter
@@ -273,6 +281,7 @@ func (s *Solver) AttachMetrics(reg *instrument.Registry) {
 		pressure:      reg.Timer("ns/pressure"),
 		filter:        reg.Timer("ns/filter"),
 		scalar:        reg.Timer("ns/scalar"),
+		eapply:        reg.Timer("ns/pressure.eapply"),
 		viscousCG:     reg.Timer("solver/viscous.cg"),
 		pressureCG:    reg.Timer("solver/pressure.cg"),
 		scalarCG:      reg.Timer("solver/scalar.cg"),
@@ -404,6 +413,13 @@ func New(cfg Config) (*Solver, error) {
 	s.bAssem = make([]float64, s.n)
 	copy(s.bAssem, m.B)
 	s.D.GS.Apply(s.bAssem, gs.Sum)
+	s.invBm = make([]float64, s.n)
+	for i, b := range s.bAssem {
+		s.invBm[i] = 1 / b
+		if mask != nil {
+			s.invBm[i] = mask[i] / b
+		}
+	}
 
 	for c := 0; c < 3; c++ {
 		s.U[c] = make([]float64, s.n)
@@ -516,7 +532,30 @@ func New(cfg Config) (*Solver, error) {
 	s.prolongLoop = func(e, w int) {
 		s.interpElemPVProlong(s.curV[e*np:(e+1)*np], s.curP[e*npp:(e+1)*npp], s.iwork[w])
 	}
-	s.gradTLoop = func(e, w int) { s.gradTElement(e, s.iwork[w]) }
+	s.elemBlocks = make([][][]float64, cfg.Workers)
+	for w := range s.elemBlocks {
+		s.elemBlocks[w] = make([][]float64, s.dim)
+	}
+	s.gradTLoop = func(e, w int) {
+		blk := s.elemBlocks[w]
+		for c := range blk {
+			blk[c] = s.curOuts[c][e*np : (e+1)*np]
+		}
+		s.GradTElem(blk, s.curP[e*npp:(e+1)*npp], e, s.iwork[w],
+			s.scr[6][e*np:(e+1)*np], s.scr[7][e*np:(e+1)*np])
+	}
+	s.divLoop = func(e, w int) {
+		blk := s.elemBlocks[w]
+		for c := range blk {
+			blk[c] = s.curU[c][e*np : (e+1)*np]
+		}
+		s.DivElem(s.curP[e*npp:(e+1)*npp], blk, e, s.iwork[w])
+	}
+	for e := 0; e < m.K; e++ {
+		gt, dv := s.EApplyFlops(e)
+		s.gradTFlops += gt
+		s.divFlops += dv
+	}
 	s.convLoop = func(e, w int) { s.convectElement(e) }
 	// Force the lazily-built transposed interpolation matrices now: the
 	// element loops that use them run on the worker pool, where a lazy

@@ -28,20 +28,10 @@ func (s *Solver) interpElemPV(out, p, work, vpt []float64) {
 	tensor.Apply3D(out, vpt, vpt, vpt, p, work, s.np1, s.nm1, s.np1, s.nm1, s.np1, s.nm1)
 }
 
-// interpWork3DLen returns a safe scratch length for the interpolation
-// tensor applications.
-func (s *Solver) interpWorkLen() int {
-	a := s.np1 * s.np1 * s.np1
-	b := tensor.Work3DLen(s.nm1, s.np1, s.nm1, s.np1, s.nm1, s.np1)
-	c := tensor.Work3DLen(s.np1, s.nm1, s.np1, s.nm1, s.np1, s.nm1)
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
-}
+// interpWorkLen returns the scratch length of the staggered-grid element
+// kernels: the two fields DivElem holds plus the < 2·Np the interpolation
+// tensor products need beside them.
+func (s *Solver) interpWorkLen() int { return 3 * s.M.Np }
 
 // vpt returns the transposed interpolation matrix (np1 x nm1), cached.
 func (s *Solver) vptMatrix() []float64 {
@@ -99,103 +89,48 @@ func (s *Solver) pvtMatrix() []float64 {
 // D = J_pvᵀ B_v div — the exact weak form ∫ q ∇·u for the degree-(N-2)
 // pressure test functions (the quadrature is exact on affine elements,
 // which is what keeps the P_N–P_{N-2} pair inf-sup compatible discretely).
+// One element-parallel pass of DivElem: per-worker scratch and disjoint
+// output blocks, so any worker count is bitwise identical.
 func (s *Solver) Divergence(out []float64, u [3][]float64) {
-	m := s.M
-	div := s.scr[6]
-	g := s.scr012
-	for i := range div {
-		div[i] = 0
-	}
-	for c := 0; c < s.dim; c++ {
-		s.DN.Grad(g[:s.dim], u[c])
-		gc := g[c]
-		for i := range div {
-			div[i] += gc[i]
-		}
-	}
-	for i := range div {
-		div[i] *= m.B[i]
-	}
-	// Element-parallel restriction to the pressure grid (per-worker scratch,
-	// disjoint output blocks: bitwise independent of the worker count).
-	s.curP, s.curV = out, div
-	s.DN.ForElements(s.restrictLoop)
-	s.curP, s.curV = nil, nil
-	s.D.CountFlops(int64(len(out) + 2*len(div)*s.dim))
+	s.curP, s.curU = out, u
+	s.DN.ForElements(s.divLoop)
+	s.curP, s.curU = nil, [3][]float64{}
+	s.D.CountFlops(s.divFlops)
 }
 
 // GradientT computes the momentum pressure term Dᵀ p: the (unassembled)
 // element-local velocity-grid vector whose plain dot with any velocity u
-// equals pᵀ (D u). outs must hold dim slices of length n.
+// equals pᵀ (D u). outs must hold dim slices of length n. One
+// element-parallel pass of GradTElem, bitwise identical for any worker count.
 func (s *Solver) GradientT(outs [][]float64, p []float64) {
-	for c := 0; c < s.dim; c++ {
-		for i := range outs[c] {
-			outs[c][i] = 0
-		}
-	}
-	// Element-parallel: each element writes only its own blocks of outs and
-	// the shared scratch stacks, so any worker count is bitwise identical.
 	s.curOuts, s.curP = outs, p
 	s.DN.ForElements(s.gradTLoop)
 	s.curOuts, s.curP = nil, nil
-}
-
-// gradTElement computes element e's contribution to Dᵀp using the supplied
-// per-worker scratch (length >= interpWorkLen >= Np).
-func (s *Solver) gradTElement(e int, work []float64) {
-	m := s.M
-	np1 := s.np1
-	tv := s.scr[6][e*m.Np : (e+1)*m.Np]
-	we := s.scr[7][e*m.Np : (e+1)*m.Np]
-	s.interpElemPVProlong(tv, s.curP[e*s.npp:(e+1)*s.npp], work)
-	for l := 0; l < m.Np; l++ {
-		tv[l] *= m.B[e*m.Np+l]
-	}
-	// out_c = Σ_a D_aᵀ (metric_{a,c} · tv).
-	buf := work[:m.Np]
-	for c := 0; c < s.dim; c++ {
-		oc := s.curOuts[c][e*m.Np : (e+1)*m.Np]
-		for a := 0; a < s.dim; a++ {
-			metric := s.M.RX[a*s.dim+c] // a=0: rx/ry, a=1: sx/sy (+tz row in 3D)
-			for l := 0; l < m.Np; l++ {
-				we[l] = metric[e*m.Np+l] * tv[l]
-			}
-			tensor.ApplyDim(buf, s.M.Dt, we, np1, s.dim, a)
-			for l := 0; l < m.Np; l++ {
-				oc[l] += buf[l]
-			}
-		}
-	}
+	s.D.CountFlops(s.gradTFlops)
 }
 
 // applyE applies the consistent pressure Poisson operator
 // E = D (M B̃⁻¹ QQᵀ) Dᵀ (Sec. 4 of the paper). For enclosed domains the
 // constant mode is deflated so CG sees an SPD operator.
 func (s *Solver) applyE(out, p []float64) {
+	t0 := s.instr.eapply.Begin()
 	g := s.scr345
 	s.GradientT(g[:s.dim], p)
 	var u3 [3][]float64
 	for c := 0; c < s.dim; c++ {
-		s.D.GS.Apply(g[c], gs.Sum)
-		if s.maskV != nil {
-			for i, mk := range s.maskV {
-				g[c][i] *= mk
-			}
+		gc := g[c]
+		s.D.GS.Apply(gc, gs.Sum)
+		for i, w := range s.invBm {
+			gc[i] *= w
 		}
-		for i := range g[c] {
-			g[c][i] /= s.bAssem[i]
-		}
-		u3[c] = g[c]
-	}
-	if s.dim == 2 {
-		u3[2] = s.scr[5] // unused zero buffer
+		u3[c] = gc
 	}
 	s.Divergence(out, u3)
 	if s.enclosed {
 		s.deflatePressure(out)
 	}
-	// Count: 2 grads + interp, ~ (4 tensor ops per component + pointwise).
-	s.D.CountFlops(int64(s.dim * 4 * len(p)))
+	s.D.CountFlops(int64(2 * s.dim * s.n)) // direct stiffness sum + multiplier
+	s.instr.eapply.End(t0)
 }
 
 // pressureDot is the plain inner product on the (discontinuous) pressure

@@ -204,28 +204,15 @@ func (s *Solver) pressureDiagE() []float64 {
 		outs[c] = make([]float64, np)
 	}
 	for e := 0; e < m.K; e++ {
-		base := e * np
+		w := s.invBm[e*np : (e+1)*np]
 		for i := 0; i < s.npp; i++ {
-			for j := range pe {
-				pe[j] = 0
-			}
 			pe[i] = 1
-			for c := range outs {
-				oc := outs[c]
-				for l := range oc {
-					oc[l] = 0
-				}
-			}
 			s.GradTElem(outs, pe, e, work, tv, we)
+			pe[i] = 0
 			var v float64
-			for c := 0; c < s.dim; c++ {
-				oc := outs[c]
-				for l := 0; l < np; l++ {
-					mk := 1.0
-					if s.maskV != nil {
-						mk = s.maskV[base+l]
-					}
-					v += oc[l] * oc[l] * mk / s.bAssem[base+l]
+			for _, oc := range outs {
+				for l, g := range oc {
+					v += g * g * w[l]
 				}
 			}
 			if !(v > 0) || math.IsNaN(v) || math.IsInf(v, 0) {

@@ -372,6 +372,7 @@ type nsRank struct {
 	maskLoc   []float64 // velocity Dirichlet mask blocks (nil = none)
 	bLoc      []float64 // quadrature mass blocks
 	bAssemLoc []float64 // assembled mass blocks
+	invBmLoc  []float64 // mask / assembled mass blocks: the pointwise middle of E
 
 	// Fields (rank-local blocks).
 	U     [3][]float64
@@ -427,8 +428,8 @@ type nsRank struct {
 	blArena []float64
 	xxtWork *coarse.SolveWork
 
-	gtBlocks [][]float64 // gradT per-component block headers
-	advFlds  [][]float64 // advectInto field headers
+	elemBlocks [][]float64 // gradT/divergence headers over one element's dim blocks
+	advFlds    [][]float64 // advectInto field headers
 
 	// phaseV accumulates the rank's virtual seconds per stepper phase
 	// (convect, viscous, pressure, filter + step bookkeeping) across all
@@ -444,8 +445,11 @@ type nsRank struct {
 	vIterHist *instrument.Histogram
 	pIterHist *instrument.Histogram
 
-	// Per-element flop charges for the rank's virtual clock.
+	// Flop charges for the rank's virtual clock: per element (stiffness,
+	// gradient, filter) and over the rank's elements (Dᵀ and D, whose cost
+	// depends on the element class: ns.EApplyFlops).
 	stiffF, gradF, filtF int64
+	gradTF, divF         int64
 
 	time float64
 }
@@ -499,6 +503,12 @@ func nsRankBody(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invP
 
 	k.bLoc = k.gatherV(m.B)
 	k.bAssemLoc = k.gatherV(tmpl.BAssem())
+	k.invBmLoc = k.gatherV(tmpl.MaskOverBAssem())
+	for _, e := range mine {
+		gt, dv := tmpl.EApplyFlops(e)
+		k.gradTF += gt
+		k.divF += dv
+	}
 	if mv := tmpl.VelocityMask(); mv != nil {
 		k.maskLoc = k.gatherV(mv)
 	}
@@ -545,7 +555,7 @@ func nsRankBody(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invP
 		k.xxtWork = xxt.NewSolveWork(r.ID)
 	}
 	k.setupPrecond()
-	k.gtBlocks = make([][]float64, k.dim)
+	k.elemBlocks = make([][]float64, k.dim)
 	k.advFlds = make([][]float64, k.dim)
 	if l := tmpl.Cfg.ProjectionL; l > 0 {
 		k.projector = solver.NewProjector(l, k.applyE, k.pressureDot)
@@ -762,59 +772,28 @@ func (k *nsRank) helmDiag(h1, h2 float64) []float64 {
 
 // gradT computes the unassembled momentum pressure term Dᵀp into outs.
 func (k *nsRank) gradT(outs [][]float64, p []float64) {
-	for c := 0; c < k.dim; c++ {
-		for i := range outs[c] {
-			outs[c][i] = 0
-		}
-	}
 	np, npp := k.np, k.npp
-	blocks := k.gtBlocks
+	blocks := k.elemBlocks
 	for li, e := range k.mine {
-		for c := 0; c < k.dim; c++ {
+		for c := range blocks {
 			blocks[c] = outs[c][li*np : (li+1)*np]
 		}
 		k.tmpl.GradTElem(blocks, p[li*npp:(li+1)*npp], e, k.iwork, k.tvWork, k.weWork)
 	}
-	k.r.Compute(int64(k.dim) * 4 * int64(k.nlocP))
+	k.r.Compute(k.gradTF)
 }
 
 // divergence computes the weak divergence D u into the pressure space.
 func (k *nsRank) divergence(out []float64, u [3][]float64) {
 	np, npp := k.np, k.npp
-	div := k.getBuf()
-	g0, g1 := k.getBuf(), k.getBuf()
-	var g2 []float64
-	if k.dim == 3 {
-		g2 = k.getBuf()
-	}
-	g := [3][]float64{g0, g1, g2}
-	for i := range div {
-		div[i] = 0
-	}
-	for c := 0; c < k.dim; c++ {
-		for li, e := range k.mine {
-			var b2 []float64
-			if k.dim == 3 {
-				b2 = g2[li*np : (li+1)*np]
-			}
-			k.d.GradElement(g0[li*np:(li+1)*np], g1[li*np:(li+1)*np], b2, u[c][li*np:(li+1)*np], e)
+	blocks := k.elemBlocks
+	for li, e := range k.mine {
+		for c := range blocks {
+			blocks[c] = u[c][li*np : (li+1)*np]
 		}
-		gc := g[c]
-		for i := range div {
-			div[i] += gc[i]
-		}
+		k.tmpl.DivElem(out[li*npp:(li+1)*npp], blocks, e, k.iwork)
 	}
-	for i := range div {
-		div[i] *= k.bLoc[i]
-	}
-	for li := range k.mine {
-		k.tmpl.RestrictVPElem(out[li*npp:(li+1)*npp], div[li*np:(li+1)*np], k.iwork)
-	}
-	k.r.Compute(int64(k.dim)*(k.gradF*int64(len(k.mine))+2*int64(k.nloc)) + int64(k.nlocP))
-	k.putBuf(div, g0, g1)
-	if g2 != nil {
-		k.putBuf(g2)
-	}
+	k.r.Compute(k.divF)
 }
 
 // applyE applies the consistent pressure Poisson operator E = D B̃⁻¹QQᵀ Dᵀ.
@@ -823,14 +802,14 @@ func (k *nsRank) applyE(out, p []float64) {
 	k.gradT(g[:k.dim], p)
 	var u3 [3][]float64
 	for c := 0; c < k.dim; c++ {
-		k.h.Apply(g[c], gs.Sum)
-		k.applyMask(g[c])
-		for i := range g[c] {
-			g[c][i] /= k.bAssemLoc[i]
+		gc := g[c]
+		k.h.Apply(gc, gs.Sum)
+		for i, w := range k.invBmLoc {
+			gc[i] *= w
 		}
-		u3[c] = g[c]
+		u3[c] = gc
 	}
-	k.r.Compute(int64(k.dim) * 2 * int64(k.nloc))
+	k.r.Compute(int64(k.dim) * int64(k.nloc))
 	k.divergence(out, u3)
 	if k.tmpl.Enclosed() {
 		k.deflate(out)

@@ -3,10 +3,12 @@ package parrun
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/flowcases"
 	"repro/internal/instrument"
 	"repro/internal/mesh"
 	"repro/internal/ns"
@@ -106,6 +108,47 @@ func TestNavierStokesMatchesSerial(t *testing.T) {
 		}
 		if res.VirtualSeconds <= 0 {
 			t.Errorf("P=%d: no modeled virtual time", p)
+		}
+	}
+}
+
+// The same agreement on the hairpin box, the 3-D mesh that mixes undeformed
+// elements with elements deformed in one direction: the rank bodies run the
+// serial loops' GradTElem/DivElem on their own elements, so P = 1 and an odd
+// P must reproduce the serial fields to 1e-8.
+func TestNavierStokesMatchesSerialHairpin(t *testing.T) {
+	cfg, init, err := flowcases.HairpinSpec(flowcases.HairpinConfig{
+		Nx: 4, Ny: 3, Nz: 2, N: 4, Re: 850, Dt: 0.05, FilterA: 0.1, ProjL: 8,
+		Precond: ns.PrecondChebJacobi,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PTol, cfg.VTol = 1e-11, 1e-12
+	var mixed [10]int
+	for _, p := range cfg.Mesh.RXPairs {
+		mixed[bits.OnesCount16(p)]++
+	}
+	if mixed[3] == 0 || mixed[5] == 0 {
+		t.Fatalf("mesh does not mix element classes: %v elements by metric-pair count", mixed)
+	}
+	const steps = 3
+	ser := runSerial(t, cfg, init, steps)
+	for _, p := range []int{1, 3} {
+		res, err := NavierStokes(cfg, NSConfig{P: p, Steps: steps, Init: init})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		if !res.Converged {
+			t.Fatalf("P=%d: %d steps did not converge", p, res.NonconvergedSteps)
+		}
+		for c := 0; c < 3; c++ {
+			if d := maxAbsDiff(res.U[c], ser.Velocity(c)); d > 1e-8 {
+				t.Errorf("P=%d: velocity component %d differs from serial by %g", p, c, d)
+			}
+		}
+		if d := maxAbsDiff(res.Pressure, ser.Pressure()); d > 1e-8 {
+			t.Errorf("P=%d: pressure differs from serial by %g", p, d)
 		}
 	}
 }

@@ -268,10 +268,11 @@ func (m *Manager) depositCheckpoint(j *Job) error {
 	return m.store.Put(j.ID, ArtifactCheckpoint, buf.Bytes())
 }
 
-// finish deposits the job's artifacts, closes its session, and publishes
-// the final state. Failed sessions keep their last checkpoint rather than
-// a post-mortem one; done and cancelled sessions get a final snapshot so
-// they can be resumed (cancelled) or extended (done).
+// finish deposits the job's artifacts (result.json last), closes its
+// session, and only then publishes the final state. Failed sessions keep
+// their last checkpoint rather than a post-mortem one; done and cancelled
+// sessions get a final snapshot so they can be resumed (cancelled) or
+// extended (done).
 func (m *Manager) finish(j *Job, final State, errMsg string) {
 	if final != StateFailed {
 		if err := m.depositCheckpoint(j); err != nil && errMsg == "" {
@@ -294,25 +295,24 @@ func (m *Manager) finish(j *Job, final State, errMsg string) {
 	}
 	j.sess.Close()
 
+	// result.json is in the store before the final state is published: a
+	// client may fetch it the instant it sees the job leave "running".
 	j.mu.Lock()
-	j.state = final
-	j.err = errMsg
-	st := j.sess.Step()
-	j.step, j.time = st, j.sess.Time()
-	status := Status{
-		ID: j.ID, State: j.state, Case: j.Cfg.Case,
-		Step: j.step, TotalSteps: j.Cfg.Steps, Time: j.time,
-		Error: j.err, ResumedFrom: j.resumedFrom,
-		CFL: j.last.CFL, PressureIters: j.last.PressureIters,
-		PressureResFinal: j.last.PressureResFinal,
+	j.step, j.time = j.sess.Step(), j.sess.Time()
+	j.mu.Unlock()
+	status := j.Status()
+	status.State, status.Error = final, errMsg
+	if b, err := json.MarshalIndent(status, "", "  "); err == nil {
+		if err := m.store.Put(j.ID, ArtifactResult, b); err != nil && errMsg == "" {
+			errMsg = fmt.Sprintf("result artifact: %v", err)
+		}
 	}
+	j.mu.Lock()
+	j.state, j.err = final, errMsg
 	j.mu.Unlock()
 	j.sess.updateProgress(ns.StepStats{Step: status.Step, Time: status.Time,
 		CFL: status.CFL, PressureIters: status.PressureIters,
 		PressureResFinal: status.PressureResFinal}, true)
-	if b, err := json.MarshalIndent(status, "", "  "); err == nil {
-		m.store.Put(j.ID, ArtifactResult, b)
-	}
 }
 
 // Get returns a job by id.

@@ -2,8 +2,10 @@ package session
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -362,4 +364,40 @@ func settleGoroutines(t *testing.T, want int) {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// A client that fetches result.json the instant a job's status leaves
+// "running" must find it: finish deposits the result before it publishes the
+// state. 50 small jobs on mem://, one busy poller each.
+func TestResultStoredBeforeStatePublished(t *testing.T) {
+	store, err := OpenStore("mem://")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(store, 2)
+	defer m.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 50; i++ {
+		j, err := m.Submit(Config{Case: "channel", Steps: 1, N: 4, KX: 2, KY: 2, Alpha: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j.Status().State == StateRunning {
+				runtime.Gosched()
+			}
+			b, err := store.Get(j.ID, ArtifactResult)
+			if err != nil {
+				t.Errorf("job %s left running but result.json is not stored: %v", j.ID, err)
+				return
+			}
+			var st Status
+			if err := json.Unmarshal(b, &st); err != nil || st.State != StateDone {
+				t.Errorf("job %s: result.json %q (err %v), want state done", j.ID, b, err)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -93,6 +93,16 @@ func Work3DLen(mr, nr, ms, ns, mt, nt int) int {
 	return mr*ns*nt + mr*ms*nt
 }
 
+// FlopsApplyDim returns the floating point operations of one ApplyDim (and,
+// per field, of ApplyDimStack).
+func FlopsApplyDim(n, dims int) int64 {
+	f := 2 * int64(n) * int64(n) * int64(n)
+	if dims == 3 {
+		f *= int64(n)
+	}
+	return f
+}
+
 // FlopsApply2D returns the floating point operations of Apply2D.
 func FlopsApply2D(mr, nr, ms, ns int) int64 {
 	return 2 * (int64(mr)*int64(nr)*int64(ns) + int64(ms)*int64(ns)*int64(mr))

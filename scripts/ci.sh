@@ -6,6 +6,10 @@
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
 #           sem worker pools, instrument counters) still runs under -race.
+#   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
+#           Go module of its own: the root `go build ./... && go test ./...`
+#           does not reach it, and it calls exported functions of
+#           internal/ns, sem, session and parrun
 #   static  staticcheck over the module (skipped with a note when the
 #           binary is not installed; the workflow installs it)
 #   smoke   build semflow + semflowd + tracecheck + tracepath once, then
@@ -21,7 +25,7 @@
 #           gate on the serial and workers=4 steady-state channel steps
 #           + the preconditioner-selection regression gate on the channel
 #
-# Usage: scripts/ci.sh [tier1|tier2|static|smoke|bench|all]   (default all)
+# Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|bench|all]   (default all)
 #
 # Environment:
 #   SMOKE_OUT          directory to keep the smoke artifacts in (default: a
@@ -54,6 +58,11 @@ tier1() {
 tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
+}
+
+benchmod() {
+    stage "benchmod/vet" sh -c 'cd bench && go vet .'
+    stage "benchmod/test" sh -c 'cd bench && go test .'
 }
 
 static() {
@@ -329,18 +338,20 @@ mode="${1:-all}"
 case "$mode" in
 tier1) tier1 ;;
 tier2) tier2 ;;
+benchmod) benchmod ;;
 static) static ;;
 smoke) smoke ;;
 bench) bench ;;
 all)
     tier1
     tier2
+    benchmod
     static
     smoke
     bench
     ;;
 *)
-    echo "usage: scripts/ci.sh [tier1|tier2|static|smoke|bench|all]" >&2
+    echo "usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|bench|all]" >&2
     exit 2
     ;;
 esac
