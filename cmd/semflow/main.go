@@ -3,13 +3,12 @@
 // boundary layer) with configurable resolution, filter, projection and
 // worker settings, printing per-step solver statistics — the same knobs the
 // paper's production code exposes. With -trace it also emits a Chrome
-// trace-event JSON (open in Perfetto or chrome://tracing) combining the
-// wall-clock spans of the stepper with a per-rank virtual-clock timeline of
-// the distributed Schwarz+XXT pressure-style solve on the same mesh; with
-// -history it writes per-step convergence telemetry as JSONL. With
-// -ranks P the whole time loop instead runs as an SPMD program on the
-// simulated machine (parrun.NavierStokes) and the same artifacts carry the
-// per-rank traffic of every stepper phase.
+// trace-event JSON (open in Perfetto or chrome://tracing) of the stepper's
+// wall-clock spans; with -history it writes per-step convergence telemetry
+// as JSONL. With -ranks P the whole time loop instead runs as an SPMD
+// program on the simulated machine (parrun.NavierStokes) and the trace
+// carries a per-rank virtual-clock track with the traffic of every stepper
+// phase.
 //
 // At scale the observability flags compose: -trace-sample R keeps full
 // span tracks for R deterministically chosen ranks while the merged
@@ -58,8 +57,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
 	statsJSON := flag.Bool("stats-json", false, "like -stats, but emit JSON")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	traceRanks := flag.Int("trace-ranks", 8, "simulated ranks for the traced distributed solve")
-	traceSample := flag.Int("trace-sample", 0, "record full virtual span tracks for only this many evenly spaced ranks (0: all); merged histograms still cover every rank, so large -ranks runs stay traceable without -piters")
+	traceSample := flag.Int("trace-sample", 0, "with -ranks: record full virtual span tracks for only this many evenly spaced ranks (0: all); merged histograms still cover every rank, so large -ranks runs stay traceable without -piters")
 	listen := flag.String("listen", "", "serve /metrics (Prometheus text), /progress (JSON) and /debug/pprof live on this host:port during the run (port 0 picks a free port)")
 	linger := flag.Duration("linger", 0, "with -listen: keep the endpoint up this long after the run completes")
 	ranks := flag.Int("ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
@@ -178,11 +176,6 @@ func main() {
 		Precond: sel.Name, PrecondSource: sel.Source,
 	})
 	tracer := sess.Tracer()
-	if tracer != nil {
-		if picked := strideSample(*traceRanks, *traceSample); picked != nil {
-			tracer.SampleVRanks(picked)
-		}
-	}
 	var obs *instrument.Server
 	if *listen != "" {
 		obs = startServe(*listen, reg, sess.Progress())
@@ -201,21 +194,11 @@ func main() {
 		slog.Warn("pressure solve did not converge on some steps",
 			"nonconverged", nonconverged, "steps", *steps)
 	}
-	fmt.Printf("\nmetered flops (velocity-grid operators): %.3e\n", float64(d.Flops()))
+	fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(d.Flops()))
 
 	if tracer != nil {
 		// The shared-memory stepper gives the wall-clock track; the rank
-		// timeline of Figs. 6/8 comes from running the distributed
-		// Schwarz+XXT-preconditioned solve on the same mesh.
-		res, err := parrun.PoissonSchwarz(s.M, parrun.Config{
-			P: *traceRanks, Registry: reg, Tracer: tracer,
-		})
-		if err != nil {
-			log.Fatalf("traced distributed solve: %v", err)
-		}
-		fmt.Printf("traced distributed solve: P=%d iters=%d res=%.2e virtual=%.3es traffic=%.1fkB/%d msgs\n",
-			res.P, res.Iterations, res.FinalRes, res.VirtualSeconds,
-			float64(res.TotalBytes)/1024, res.TotalMsgs)
+		// timeline of Figs. 6/8 comes from a -ranks run.
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatalf("trace: %v", err)
@@ -296,10 +279,10 @@ type distOpts struct {
 // ownership per rank, distributed gather–scatter assembly, allreduce inner
 // products, and a per-rank virtual-clock trace track for every stepper
 // phase. The same -trace/-history/-stats artifacts come out of the
-// distributed run directly — no separate traced Poisson solve is needed.
-// -faults degrades the simulated machine with a seeded plan, -checkpoint
-// snapshots the stepper every -checkpoint-every steps, and -resume picks up
-// a bitwise-identical continuation from the latest snapshot.
+// distributed run directly. -faults degrades the simulated machine with a
+// seeded plan, -checkpoint snapshots the stepper every -checkpoint-every
+// steps, and -resume picks up a bitwise-identical continuation from the
+// latest snapshot.
 func runDistributed(o distOpts) {
 	var cfg ns.Config
 	var init flowcases.InitFunc
@@ -319,7 +302,9 @@ func runDistributed(o distOpts) {
 			Nx: 6, Ny: 4, Nz: 3, N: o.n, Re: 1600, Dt: 0.05, FilterA: o.alpha,
 		})
 	case "convection":
-		err = fmt.Errorf("case convection carries scalar transport, which the distributed stepper does not support")
+		cfg, err = flowcases.ConvectionSpec(flowcases.ConvectionConfig{
+			Nel: o.nel, N: o.n, Ra: 1e4, Dt: 0.002, ProjectionL: 20,
+		})
 	default:
 		err = fmt.Errorf("unknown case %q", o.caseName)
 	}

@@ -130,39 +130,3 @@ func TestWorkersChannelGolden(t *testing.T) {
 		compareFields(t, ref, hairpin(w), fmt.Sprintf("hairpin workers=%d", w))
 	}
 }
-
-// The batched multi-RHS viscous path (one Helmholtz sweep and one lockstep
-// CG over all velocity components) must be bitwise identical to the
-// per-component reference path: the wide MulABt computes each output row as
-// the same sequential dot product, and CGMulti's per-column arithmetic is
-// exactly CG's.
-func TestBatchedViscousGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the channel case twice")
-	}
-	build := func(unbatched bool) *ns.Solver {
-		cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: 9, Dt: 0.003125, Order: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.UnbatchedViscous = unbatched
-		s, err := ns.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetVelocity(init)
-		return s
-	}
-	ref := build(true)
-	stepN(t, ref, 5)
-	batched := build(false)
-	stepN(t, batched, 5)
-	compareFields(t, ref, batched, "batched viscous")
-	for c := 0; c < 2; c++ {
-		if ref.StepCount() != batched.StepCount() {
-			t.Fatalf("step counts differ")
-		}
-	}
-}

@@ -71,9 +71,10 @@ func main() {
 		}
 		h.Apply(mult, gs.Sum)
 
+		scratch := make([]float64, d.ElemScratchLen())
 		apply := func(out, in []float64) {
 			for li, e := range mine {
-				d.StiffnessElement(out[li*m.Np:(li+1)*m.Np], in[li*m.Np:(li+1)*m.Np], e)
+				d.StiffnessElement(out[li*m.Np:(li+1)*m.Np], in[li*m.Np:(li+1)*m.Np], e, scratch)
 			}
 			h.Apply(out, gs.Sum)
 			for i := range out {

@@ -181,7 +181,7 @@ func ChannelSpec(c ChannelConfig) (ns.Config, InitFunc, *orrsomm.Result, error) 
 		Mesh: m, Re: re, Dt: c.Dt, Order: c.Order, FilterAlpha: c.Filter,
 		Workers: c.Workers, ProjectionL: 20, PTol: 1e-9, VTol: 1e-11,
 		PressurePrecond: c.Precond,
-		DirichletMask: func(x, y, z float64) bool { return true }, // walls
+		DirichletMask:   func(x, y, z float64) bool { return true }, // walls
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
 			return 0, 0, 0
 		},
@@ -256,19 +256,21 @@ type ConvectionConfig struct {
 	Precond     string // pressure preconditioner variant ("" = schwarz)
 }
 
-// Convection builds a closed 2D box heated from below (Boussinesq).
-func Convection(c ConvectionConfig) (*ns.Solver, error) {
+// ConvectionSpec builds the problem definition of a closed 2D box heated
+// from below (Boussinesq) without constructing a solver; the velocity starts
+// at rest.
+func ConvectionSpec(c ConvectionConfig) (ns.Config, error) {
 	spec := mesh.Box2D(mesh.Box2DSpec{Nx: c.Nel, Ny: c.Nel, X0: 0, X1: 2, Y0: 0, Y1: 1})
 	m, err := mesh.Discretize(spec, c.N)
 	if err != nil {
-		return nil, err
+		return ns.Config{}, err
 	}
 	pr := 1.0
-	s, err := ns.New(ns.Config{
+	return ns.Config{
 		Mesh: m, Re: 1 / pr, Dt: c.Dt, Workers: c.Workers,
 		ProjectionL: c.ProjectionL, PTol: 1e-8,
 		PressurePrecond: c.Precond,
-		DirichletMask: func(x, y, z float64) bool { return true },
+		DirichletMask:   func(x, y, z float64) bool { return true },
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
 			return 0, 0, 0
 		},
@@ -289,11 +291,16 @@ func Convection(c ConvectionConfig) (*ns.Solver, error) {
 				return (1 - y) + 0.01*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)
 			},
 		},
-	})
+	}, nil
+}
+
+// Convection builds the convection-cell solver.
+func Convection(c ConvectionConfig) (*ns.Solver, error) {
+	cfg, err := ConvectionSpec(c)
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return ns.New(cfg)
 }
 
 // HairpinConfig is the Figs. 7–8 / Table 4 stand-in: an impulsively started

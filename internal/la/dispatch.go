@@ -262,32 +262,19 @@ func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
 	ops := [][2]int{{np1, np1}, {nm1, np1}, {np1, nm1}}
 	addMul := func(s [3]int) { mulShapes = appendShape(mulShapes, s) }
 	addABt := func(s [3]int) { abtShapes = appendShape(abtShapes, s) }
-	// Multi-RHS batching (sem.StiffnessLocalMulti) stacks bc input columns
-	// along the row dimension of the r-direction MulABt, so batched solves
-	// produce the same ABt shapes with bc times the rows. Only rows inside
-	// the dispatch table are worth tuning; wider calls fall back to the size
-	// heuristic anyway.
-	addABtBatched := func(rows, k, m int) {
-		addABt([3]int{rows, k, m})
-		for bc := 2; bc <= 3; bc++ {
-			if rows*bc < dispatchDim {
-				addABt([3]int{rows * bc, k, m})
-			}
-		}
-	}
 	for _, op := range ops {
 		m, k := op[0], op[1]
 		if dim == 2 {
 			// Apply2D on a k x k field: ApplyR2D -> MulABt(k, k, m);
 			// ApplyS2D on the m x k intermediate -> Mul(m, k, m).
-			addABtBatched(k, k, m)
+			addABt([3]int{k, k, m})
 			addMul([3]int{m, k, m})
 			continue
 		}
 		// Apply3D on a k^3 field: ApplyR3D -> MulABt(k*k, k, m);
 		// ApplyS3D slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
 		// ApplyT3D -> Mul(m, k, m*m).
-		addABtBatched(k*k, k, m)
+		addABt([3]int{k * k, k, m})
 		addMul([3]int{m, k, m})
 		addMul([3]int{m, k, m * m})
 	}

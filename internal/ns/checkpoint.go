@@ -1,17 +1,18 @@
 package ns
 
-// checkpoint.go implements checkpoint/restore for the serial (shared-
-// memory) stepper — the session-migration primitive of the session
-// service. A Checkpoint deep-copies everything the next Step reads that is
-// not a pure function of the configuration: the fields, the BDF/OIFS
-// velocity (and scalar) history, the pressure, the pressure-projection
-// basis, and the cached Helmholtz Jacobi diagonals. Restoring it into a
-// freshly built Solver of the same configuration yields a bitwise-
-// identical continuation: same per-step statistics, same fields.
+// checkpoint.go is the one state codec of the stepper — the session-
+// migration primitive of the session service and, one per rank beside a
+// comm.ClockState, the body of parrun's distributed snapshots. A Checkpoint
+// deep-copies everything the next Step reads that is not a pure function of
+// the configuration, over the elements the solver owns: the fields, the
+// BDF/OIFS velocity (and scalar) history, the pressure, the pressure-
+// projection basis, and the cached Helmholtz Jacobi diagonals. Restoring it
+// into a freshly built (or forked) Solver of the same configuration and
+// element ownership yields a bitwise-identical continuation: same per-step
+// statistics, same fields.
 //
 // Serialization is encoding/gob (float64 round-trips exactly; JSON would
-// not), with a Version field guarding the layout — the same contract as
-// parrun's distributed snapshots.
+// not), with a Version field guarding the layout.
 
 import (
 	"encoding/gob"
@@ -19,8 +20,8 @@ import (
 	"io"
 )
 
-// CheckpointVersion is the serial snapshot layout version; ReadCheckpoint
-// rejects others.
+// CheckpointVersion is the snapshot layout version; ReadCheckpoint rejects
+// others.
 const CheckpointVersion = 1
 
 // Checkpoint is a versioned deep copy of a Solver's time-stepping state
@@ -35,7 +36,7 @@ type Checkpoint struct {
 	K, N, Dim, Np, Npp int
 	Order              int // BDF order (bounds the history length)
 
-	U  [3][]float64   // velocity components (element-local)
+	U  [3][]float64   // velocity components (owned blocks)
 	Uh [][3][]float64 // BDF/OIFS velocity history (newest first)
 	P  []float64      // pressure (Gauss grid)
 	T  []float64      // scalar (nil without Boussinesq transport)
@@ -97,8 +98,9 @@ func (s *Solver) Checkpoint() *Checkpoint {
 }
 
 // Restore replaces the solver's time-stepping state with a deep copy of a
-// snapshot taken from an identically configured solver. The next Step
-// continues bitwise identically to the run the snapshot was taken from.
+// snapshot taken from an identically configured solver owning the same
+// elements. The next Step continues bitwise identically to the run the
+// snapshot was taken from.
 func (s *Solver) Restore(c *Checkpoint) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("ns: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
@@ -115,7 +117,7 @@ func (s *Solver) Restore(c *Checkpoint) error {
 	}
 	for comp := 0; comp < 3; comp++ {
 		if len(c.U[comp]) != s.n {
-			return fmt.Errorf("ns: checkpoint velocity length %d, want %d", len(c.U[comp]), s.n)
+			return fmt.Errorf("ns: checkpoint velocity length %d, want %d (element ownership drift)", len(c.U[comp]), s.n)
 		}
 		copy(s.U[comp], c.U[comp])
 	}

@@ -2,9 +2,8 @@ package ns
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/gs"
-	"repro/internal/sem"
 	"repro/internal/solver"
 )
 
@@ -70,73 +69,62 @@ func (s *Solver) releaseField(c [3][]float64) {
 //
 //	out = -(c·∇)v - skew·½(∇·c)v,
 //
-// where the optional skew correction (Solver.skewWeight, default 0) makes
+// where the optional skew correction (Config.SkewWeight, default 0) makes
 // the operator energy-neutral in exact arithmetic. The default is the
 // plain convective form: for P_N–P_{N-2} fields the *pointwise* divergence
 // of the advecting field is not small (only its weak divergence vanishes),
 // so the skew term injects high-mode noise and is disabled; the
 // once-per-step filter supplies the stabilization (Sec. 2). divc is ∇·c
-// precomputed per stage.
+// precomputed per stage. One element-parallel pass: each element's gradient
+// lands in per-worker scratch and is combined on the spot.
 func (s *Solver) convect(out, v []float64, c [3][]float64, divc []float64) {
-	g := s.gSlices[:s.dim]
-	for d := 0; d < s.dim; d++ {
-		g[d] = s.getBuf()
-	}
-	s.DN.Grad(g, v)
-	// Element-parallel pointwise combine (disjoint output blocks).
-	s.curConvOut, s.curConvV, s.curConvDiv = out, v, divc
-	s.curConvC, s.curConvG = c, g
-	s.DN.ForElements(s.convLoop)
-	s.curConvOut, s.curConvV, s.curConvDiv = nil, nil, nil
-	s.curConvC, s.curConvG = [3][]float64{}, nil
-	s.putBuf(g...)
-	s.D.CountFlops(int64((2*s.dim + 3) * s.n))
+	s.curOut, s.curIn, s.curC, s.curDiv = out, v, c, divc
+	s.mach.ForElements(s.convLoop)
+	s.curOut, s.curIn, s.curC, s.curDiv = nil, nil, [3][]float64{}, nil
+	s.mach.Charge(s.gradF*int64(len(s.elems)) + int64((2*s.dim+3)*s.n))
 }
 
-// convectElement combines the advecting field with the gradient stack on
-// element e's block.
-func (s *Solver) convectElement(e int) {
+// convectElement is convect on local element li.
+func (s *Solver) convectElement(li, w int) {
 	np := s.M.Np
-	i0, i1 := e*np, (e+1)*np
-	out, c, g := s.curConvOut, s.curConvC, s.curConvG
-	sw := s.Cfg.SkewWeight
-	if sw == 0 {
-		for i := i0; i < i1; i++ {
-			var adv float64
-			for d := 0; d < s.dim; d++ {
-				adv += c[d][i] * g[d][i]
-			}
-			out[i] = -adv
-		}
-		return
-	}
-	v, divc := s.curConvV, s.curConvDiv
-	for i := i0; i < i1; i++ {
+	i0 := li * np
+	k := &s.work[w]
+	g := &k.g
+	s.D.GradElement(g[0], g[1], g[2], s.curIn[i0:i0+np], s.elems[li], k.sem)
+	out, c := s.curOut[i0:i0+np], s.curC
+	for l := range out {
 		var adv float64
 		for d := 0; d < s.dim; d++ {
-			adv += c[d][i] * g[d][i]
+			adv += c[d][i0+l] * g[d][l]
 		}
-		out[i] = -adv - sw*0.5*divc[i]*v[i]
+		out[l] = -adv
+	}
+	if sw := s.Cfg.SkewWeight; sw != 0 {
+		v, divc := s.curIn[i0:i0+np], s.curDiv[i0:i0+np]
+		for l := range out {
+			out[l] -= sw * 0.5 * divc[l] * v[l]
+		}
 	}
 }
 
 // divergencePointwise computes ∇·c at the GLL nodes.
 func (s *Solver) divergencePointwise(out []float64, c [3][]float64) {
-	g := s.gSlices[:s.dim]
-	for d := 0; d < s.dim; d++ {
-		g[d] = s.getBuf()
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for d := 0; d < s.dim; d++ {
-		s.DN.Grad(g, c[d])
-		gd := g[d]
-		for i := range out {
-			out[i] += gd[i]
+	np := s.M.Np
+	k := &s.work[0]
+	g := &k.g
+	for li, e := range s.elems {
+		o := out[li*np : (li+1)*np]
+		for l := range o {
+			o[l] = 0
+		}
+		for d := 0; d < s.dim; d++ {
+			s.D.GradElement(g[0], g[1], g[2], c[d][li*np:(li+1)*np], e, k.sem)
+			for l, v := range g[d] {
+				o[l] += v
+			}
 		}
 	}
-	s.putBuf(g...)
+	s.mach.Charge(int64(s.dim) * (s.gradF*int64(len(s.elems)) + int64(s.n)))
 }
 
 // rk4AdvectFields advances the given fields through one RK4 substep of the
@@ -145,10 +133,9 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]
 	c1 := s.advectingField(t0, hist)
 	c2 := s.advectingField(t0+h/2, hist)
 	c4 := s.advectingField(t0+h, hist)
-	d1 := s.getBuf()
-	d2 := s.getBuf()
-	d4 := s.getBuf()
+	var d1, d2, d4 []float64
 	if s.Cfg.SkewWeight != 0 {
+		d1, d2, d4 = s.getBuf(), s.getBuf(), s.getBuf()
 		s.divergencePointwise(d1, c1)
 		s.divergencePointwise(d2, c2)
 		s.divergencePointwise(d4, c4)
@@ -176,83 +163,107 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]
 			f[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 		}
 	}
-	s.putBuf(k1, k2, k3, k4, tmp, d1, d2, d4)
+	s.mach.Charge(int64(10 * s.n * len(fields)))
+	s.putBuf(k1, k2, k3, k4, tmp)
+	if d1 != nil {
+		s.putBuf(d1, d2, d4)
+	}
 	s.releaseField(c1)
 	s.releaseField(c2)
 	s.releaseField(c4)
-	s.D.CountFlops(int64(10 * s.n * len(fields)))
 }
 
 // massAverage projects an element-discontinuous field back onto the C0
 // space by mass-weighted direct-stiffness averaging:
 // v ← B̃⁻¹ QQᵀ (B v).
 func (s *Solver) massAverage(v []float64) {
-	b := s.M.B
+	b := s.b
 	for i := range v {
 		v[i] *= b[i]
 	}
-	s.D.GS.Apply(v, gs.Sum)
+	s.mach.Assemble(v)
 	for i := range v {
-		v[i] /= s.bAssem[i]
+		v[i] /= s.bAssemL[i]
 	}
-	s.D.CountFlops(int64(3 * s.n))
+	s.mach.Charge(int64(3 * s.n))
+}
+
+// substepCount returns the CFL-bounded RK4 substep count for an interval of
+// length tau.
+func substepCount(tau, cflDt float64) int {
+	nsub := 1
+	if !math.IsInf(cflDt, 1) {
+		nsub = int(math.Ceil(tau / cflDt))
+		if nsub < 1 {
+			nsub = 1
+		}
+	}
+	if nsub > 2000 {
+		nsub = 2000
+	}
+	return nsub
+}
+
+// advectInto integrates dv/dt = -(c·∇)v backward-started at the fields u0
+// (velocity components, or the scalar) over an interval of length tau ending
+// at the new time level, using RK4 substeps bounded by the CFL limit, writing
+// the subintegrated fields into v. The advecting field c(τ) is the Lagrange
+// interpolant/extrapolant of the velocity history. Returns the substep count.
+func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][3][]float64) int {
+	nsub := substepCount(tau, cflDt)
+	h := tau / float64(nsub)
+	for c := range v {
+		copy(v[c], u0[c])
+	}
+	// Times of history fields relative to the new time level tNew:
+	// hist[k] is at t = -(k+1)*Dt; the integration runs from -tau to 0.
+	for sub := 0; sub < nsub; sub++ {
+		t0 := -tau + float64(sub)*h
+		s.rk4AdvectFields(v, t0, h, hist)
+		// Keep the fields C0 across element boundaries (mass-weighted
+		// average, the direct-stiffness form of the convective update).
+		for c := range v {
+			s.massAverage(v[c])
+		}
+	}
+	return nsub
 }
 
 // scalarSolve performs the implicit advection–diffusion solve for the
 // scalar field.
 func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float64) (int, error) {
 	cfg := s.Cfg.Scalar
-	m := s.M
-	var d *sem.Disc = s.DS
 	h1 := cfg.Diffusivity
 	h2 := beta / s.Cfg.Dt
+	mask := s.maskSc
 	b := s.bArena
-	for i := 0; i < s.n; i++ {
+	for i := range b {
 		var sum float64
 		for q := range tTil {
 			sum += gamma[q] * tTil[q][i]
 		}
-		b[i] = m.B[i] * sum / s.Cfg.Dt
+		b[i] = s.b[i] * sum / s.Cfg.Dt
 	}
 	if cfg.Forcing != nil {
-		for i := 0; i < s.n; i++ {
-			b[i] += m.B[i] * cfg.Forcing(m.X[i], m.Y[i], m.Zc[i], tNew)
+		for i := range b {
+			b[i] += s.b[i] * cfg.Forcing(s.x[i], s.y[i], s.z[i], tNew)
 		}
 	}
-	d.Assemble(b)
+	s.assemble(b, mask)
 	// Dirichlet lifting.
 	tn := s.T
-	if d.Mask != nil && cfg.DirichletVal != nil {
-		for i, mk := range d.Mask {
+	if cfg.DirichletVal != nil {
+		for i, mk := range mask {
 			if mk == 0 {
-				tn[i] = cfg.DirichletVal(m.X[i], m.Y[i], m.Zc[i], tNew)
+				tn[i] = cfg.DirichletVal(s.x[i], s.y[i], s.z[i], tNew)
 			}
 		}
 	}
-	ht := s.huArena
-	d.Helmholtz(ht, tn, h1, h2)
-	for i := range b {
-		b[i] -= ht[i]
-	}
-	if d.Mask != nil {
-		for i, mk := range d.Mask {
-			b[i] *= mk
-		}
-	}
-	s.helmholtzDiagS(h1, h2)
-	s.curH1S, s.curH2S = h1, h2
-	du := s.duArena
-	for i := range du {
-		du[i] = 0
-	}
-	st := solver.CG(s.helmOpS,
-		d.Dot, du, b, solver.Options{Tol: s.Cfg.VTol, Relative: true, MaxIter: 1000, Precond: s.jacobiS,
-			Time: s.instr.scalarCG, Iters: s.instr.scalarIters, Scratch: s.cgScratch})
+	s.curH1, s.curH2, s.curMask = h1, h2, mask
+	s.helmholtzDiag(&s.helmDiagS, &s.helmH1S, &s.helmH2S, h1, h2, mask)
+	st := s.helmholtzSolve(tn, b, s.jacobiS, solver.Options{Time: s.instr.scalarCG, Iters: s.instr.scalarIters})
 	if !st.Converged && st.FinalRes > 1e-6 {
 		return st.Iterations, fmt.Errorf("ns: scalar Helmholtz solve failed (res %g)", st.FinalRes)
-	}
-	for i := range tn {
-		tn[i] += du[i]
 	}
 	return st.Iterations, nil
 }

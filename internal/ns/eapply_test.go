@@ -220,8 +220,8 @@ func TestEApplyFlopsPerClass(t *testing.T) {
 			und = e
 		}
 	}
-	gtU, dvU := s.EApplyFlops(und)
-	gtD, dvD := s.EApplyFlops(def)
+	gtU, dvU := s.eApplyFlops(und)
+	gtD, dvD := s.eApplyFlops(def)
 	np1, np := int64(s.np1), int64(s.M.Np)
 	deriv := 2 * np1 * np
 	if got, want := gtD-gtU, 2*(deriv+np)+2*np; got != want {
@@ -236,7 +236,7 @@ func TestEApplyFlopsPerClass(t *testing.T) {
 	u, uh := velocityVecs(rng, s)
 	var wantGT, wantDv int64
 	for e := range s.M.RXPairs {
-		g, d := s.EApplyFlops(e)
+		g, d := s.eApplyFlops(e)
 		wantGT += g
 		wantDv += d
 	}

@@ -1,0 +1,124 @@
+package ns
+
+import (
+	"time"
+
+	"repro/internal/gs"
+	"repro/internal/instrument"
+)
+
+// Machine is the seam between the time step and what executes it. The step
+// is written once over the elements a solver owns; everything that differs
+// between shared memory and a rank of a message-passing machine sits behind
+// these calls:
+//
+//   - Elems lists the global ids of the owned elements, in the order of the
+//     solver's local element blocks.
+//   - ForElements runs fn(li, w) for every local element index li, w being a
+//     worker id that indexes per-worker scratch. Bodies write only their own
+//     element's blocks, so any split over workers gives the same fields.
+//   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
+//     run) to a velocity-grid field stored in owned blocks. No mask, no flops.
+//   - Sum and Max join one value per solver into the value every solver sees.
+//   - Charge accounts local floating-point work.
+//   - CoarseSolve turns the vertex residual this solver restricted from its
+//     own elements into the Schwarz coarse solution on all vertices
+//     (x0 = A₀⁻¹ Σ_solvers r0).
+//   - Begin and End bracket a Section for whoever keeps time: wall-clock
+//     timers and spans in shared memory, the virtual clock on a rank. st is
+//     the step's statistics so far (zero inside the preconditioner).
+//
+// Every solver of one run must issue the same sequence of Assemble, Sum, Max
+// and CoarseSolve calls; the step guarantees it by deriving each decision
+// from joined values only.
+type Machine interface {
+	Elems() []int
+	ForElements(fn func(li, w int))
+	Assemble(u []float64)
+	Sum(v float64) float64
+	Max(v float64) float64
+	Charge(flops int64)
+	CoarseSolve(x0, r0 []float64)
+	Begin(sec Section)
+	End(sec Section, st StepStats)
+}
+
+// Section names a timed stretch of the step.
+type Section int
+
+// The sections of one step, in the order they first open. SchwarzLocal and
+// SchwarzCoarse nest inside Pressure, once per preconditioner application.
+const (
+	SecStep Section = iota
+	SecConvect
+	SecViscous
+	SecPressure
+	SecScalar
+	SecFilter
+	SecSchwarzLocal
+	SecSchwarzCoarse
+	NumSections
+)
+
+var sectionNames = [NumSections]string{
+	"ns/step", "ns/convect", "ns/viscous", "ns/pressure", "ns/scalar", "ns/filter",
+	"schwarz/local", "schwarz/coarse",
+}
+
+// Name is the section's span and timer name.
+func (s Section) Name() string { return sectionNames[s] }
+
+// Cat is the section's trace category.
+func (s Section) Cat() string {
+	if s >= SecSchwarzLocal {
+		return "precond"
+	}
+	return "ns"
+}
+
+// shared is the one-solver Machine of the shared-memory stepper: it owns
+// every element, loops over them on the velocity Disc's worker pool, joins
+// nothing, meters flops on the velocity Disc and solves the coarse system
+// with the Schwarz preconditioner's sparse factor.
+type shared struct {
+	s     *Solver
+	elems []int
+	open  [NumSections]struct {
+		t  time.Time
+		sp instrument.Span
+	}
+}
+
+func (m *shared) Elems() []int                   { return m.elems }
+func (m *shared) ForElements(fn func(li, w int)) { m.s.D.ForElements(fn) }
+func (m *shared) Assemble(u []float64)           { m.s.D.GS.Apply(u, gs.Sum) }
+func (m *shared) Sum(v float64) float64          { return v }
+func (m *shared) Max(v float64) float64          { return v }
+func (m *shared) Charge(flops int64)             { m.s.D.CountFlops(flops) }
+
+func (m *shared) CoarseSolve(x0, r0 []float64) {
+	m.Charge(m.s.pPre.CoarseSolve(x0, r0))
+}
+
+func (m *shared) Begin(sec Section) {
+	o := &m.open[sec]
+	o.t = m.s.instr.sec[sec].Begin()
+	o.sp = m.s.tracer.Begin(instrument.PidWall, 0, sec.Name(), sec.Cat())
+}
+
+func (m *shared) End(sec Section, st StepStats) {
+	o := &m.open[sec]
+	m.s.instr.sec[sec].End(o.t)
+	m.s.instr.secHist[sec].ObserveSince(o.t)
+	if m.s.tracer == nil {
+		return
+	}
+	switch sec {
+	case SecConvect:
+		o.sp.EndWith(map[string]any{"substeps": st.Substeps})
+	case SecPressure:
+		o.sp.EndWith(map[string]any{"iterations": st.PressureIters, "converged": st.PressureConverged})
+	default:
+		o.sp.End()
+	}
+}

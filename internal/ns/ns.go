@@ -24,6 +24,7 @@ import (
 	"repro/internal/schwarz"
 	"repro/internal/sem"
 	"repro/internal/solver"
+	"repro/internal/tensor"
 )
 
 // ScalarConfig enables an advected–diffused scalar (temperature) coupled
@@ -76,12 +77,6 @@ type Config struct {
 	// P so selections are keyed (and cached) per rank count; 0 means the
 	// serial stepper, keyed as P=1.
 	TuneRanks int
-
-	// UnbatchedViscous keeps the per-component Helmholtz CG loop instead of
-	// the batched multi-RHS solve. The batched path is bitwise identical
-	// (see solver.CGMulti / sem.HelmholtzMulti); this gate exists as the
-	// reference side of that golden comparison and as an escape hatch.
-	UnbatchedViscous bool
 }
 
 // StepStats reports one time step.
@@ -126,161 +121,166 @@ type StepRecord struct {
 	VirtualSeconds float64 `json:"virtual_seconds,omitempty"`
 }
 
-// Solver holds the time-stepping state.
-type Solver struct {
-	Cfg  Config
-	M    *mesh.Mesh
-	D    *sem.Disc // velocity-grid operators (masked)
-	DN   *sem.Disc // unmasked operators (pressure preconditioning)
-	dim  int
-	n    int // velocity dofs per component (K*Np)
-	step int
-	time float64
+// template is the global read-only operator set of one problem, built once
+// by New: the mesh and its discretizations, the masks, the staggered-grid
+// interpolation matrices, the assembled mass, the filter, and the resolved
+// pressure preconditioner with its FDM factors, Chebyshev bounds and diag(E).
+// All arrays are in the global element-local layout. The shared-memory
+// solver and every solver forked from it (one per rank of a distributed run)
+// point at the same template and never write it after set-up.
+type template struct {
+	Cfg Config
+	M   *mesh.Mesh
+	D   *sem.Disc // velocity-grid operators (masked)
+	DN  *sem.Disc // unmasked operators (pressure preconditioning)
+	dim int
 
-	maskV []float64 // velocity Dirichlet mask
+	maskV []float64 // velocity Dirichlet mask (nil = no Dirichlet boundary)
+	maskS []float64 // scalar Dirichlet mask (nil = none, or no scalar)
 
 	// Pressure (Gauss) grid.
 	npp      int       // pressure nodes per element
 	np1, nm1 int       // N+1, N-1
 	interpVP []float64 // (N-1)x(N+1) GLL -> Gauss interpolation
 	interpPV []float64 // (N+1)x(N-1) Gauss -> GLL prolongation J_pv
+	pvt      []float64 // J_pvᵀ
 	wJp      []float64 // pressure quadrature weight x |J| per pressure node
 	bAssem   []float64 // assembled velocity mass diagonal
 	invBm    []float64 // maskV / bAssem: the pointwise middle of E
 
+	filter   *sem.Filter
+	enclosed bool // no open boundary: pressure has the constant null space
+
+	// Pressure preconditioner selection (precond.go).
+	pPre        *schwarz.Precond
+	precondName string                  // resolved concrete variant
+	precondSel  solver.PrecondSelection // how it was chosen
+	pDiagE      []float64               // exact diag(E) (chebjacobi)
+	cheb        map[string]chebParams   // tuned Chebyshev parameters per built variant
+
+	// Flops of one element's stiffness, gradient and filter application.
+	stiffF, gradF, filtF int64
+}
+
+// Solver is one solver's time-stepping state over the elements it owns: the
+// shared-memory stepper built by New owns every element; a solver made by
+// Fork owns one rank's share. Fields and arenas are stored in owned blocks
+// (element li of Machine.Elems occupies [li·Np, (li+1)·Np) on the velocity
+// grid and [li·Npp, (li+1)·Npp) on the pressure grid).
+type Solver struct {
+	*template
+	mach  Machine
+	elems []int // == mach.Elems()
+	n     int   // owned velocity dofs per component (len(elems)·Np)
+	step  int
+	time  float64
+
+	// Owned blocks of the template's per-node data (aliases of the global
+	// arrays when the solver owns every element in order).
+	x, y, z []float64 // node coordinates
+	b       []float64 // quadrature mass
+	mult    []float64 // nodal multiplicity
+	mask    []float64 // velocity Dirichlet mask (nil = none)
+	maskSc  []float64 // scalar Dirichlet mask (nil = none)
+	bAssemL []float64
+	invBmL  []float64
+	diagE   []float64 // diag(E) blocks (nil unless chebjacobi was built)
+
 	// Fields.
-	U  [3][]float64   // current velocity components (element-local)
+	U  [3][]float64   // current velocity components
 	Uh [][3][]float64 // velocity history u^{n-1}, u^{n-2}, u^{n-3}
-	P  []float64      // pressure (K*npp)
+	P  []float64      // pressure
 	T  []float64      // scalar
 	Th [][]float64    // scalar history
 
-	filter *sem.Filter
+	projector  *solver.Projector
+	pPrecondOp solver.Operator // resolved variant bound to this solver's arenas
 
-	// Solvers.
-	pPre      *schwarz.Precond
-	projector *solver.Projector
-	enclosed  bool // no open boundary: pressure has the constant null space
-	vol       float64
-
-	// Pressure preconditioner selection (precond.go).
-	precondName   string                  // resolved concrete variant
-	precondSel    solver.PrecondSelection // how it was chosen
-	pDiagE        []float64               // exact diag(E) (chebjacobi)
-	chebJacobi    *solver.Chebyshev
-	chebSchwarz   *solver.Chebyshev
-	chebJacobiOp  solver.Operator // deflate-wrapped Apply
-	chebSchwarzOp solver.Operator
-
-	DS *sem.Disc // scalar-grid operators (scalar mask), nil without a scalar
-
-	// Scratch.
-	scr      [][]float64
-	scr012   [][]float64 // header over scr[0:3] (gradient stacks)
-	scr345   [][]float64 // header over scr[3:6] (pressure-gradient stacks)
-	vptCache []float64
-	pvtCache []float64
-	bufPool  [][]float64
-	gSlices  [][]float64 // reusable [][]float64 header for convection gradients
-	rkFields [][]float64 // reusable header for the RK4 field set
-
-	// Steady-state arenas: every per-step make() from the seed stepper lives
-	// here instead, so Step allocates nothing after warm-up.
-	iwork     [][]float64 // per-worker mesh-to-mesh interpolation scratch
+	// Steady-state arenas: Step allocates nothing after warm-up.
+	work      []elemWork // per-worker element-kernel scratch
+	bufPool   [][]float64
 	ustar     [3][]float64
-	bArena    []float64 // Helmholtz RHS (velocity grid)
-	huArena   []float64 // lifted-operator image
-	duArena   []float64 // CG solution increment
-	rpArena   []float64 // pressure RHS (Gauss grid)
-	dpArena   []float64 // pressure increment
-	divArena  []float64 // divergence diagnostics
-	rinArena  []float64 // deflated residual copy in pressurePrecond
+	gp        [3][]float64 // Dᵀp stacks
+	bArena    []float64    // Helmholtz RHS (velocity grid)
+	huArena   []float64    // lifted-operator image
+	duArena   []float64    // CG solution increment
+	rvArena   []float64    // sandwich: prolonged residual
+	zvArena   []float64    // sandwich: smoothed correction
+	rpArena   []float64    // pressure RHS (Gauss grid)
+	dpArena   []float64    // pressure increment
+	divArena  []float64    // divergence diagnostics
+	rinArena  []float64    // deflated residual copy of the preconditioner
+	r0, x0    []float64    // coarse vertex residual and solution
 	histBuf   [][3][]float64
 	tHistBuf  [][]float64
 	utilArena [][3][]float64 // subintegrated velocity fields ũ^{n-q}
 	tTilArena [][]float64    // subintegrated scalar fields
 	cgScratch *solver.Scratch
 
-	// Batched multi-RHS viscous solve: per-component RHS/operator-image/
-	// increment arenas, reusable headers over ustar, the batched Helmholtz
-	// closure, and the CGMulti scratch.
-	bMulti      [][]float64
-	huMulti     [][]float64
-	duMulti     [][]float64
-	ustarHdr    [][]float64
-	helmMultiOp solver.MultiOperator
-	cgMulti     *solver.MultiScratch
-
-	// Cached Helmholtz diagonals (keyed by the h1/h2 pair, which only
-	// changes during the BDF ramp-up) and prebuilt operator closures so the
-	// per-step solves allocate no closures.
+	// Cached Helmholtz diagonals (keyed by the h1/h2 pair, which only changes
+	// during the BDF ramp-up) and prebuilt operator closures so the per-step
+	// solves allocate no closures.
 	helmDiag         []float64
 	helmH1, helmH2   float64
 	helmDiagS        []float64
 	helmH1S, helmH2S float64
 	curH1, curH2     float64
-	curH1S, curH2S   float64
+	curMask          []float64
 	helmOp           solver.Operator
-	helmOpS          solver.Operator
-	jacobi           solver.Operator
-	jacobiS          solver.Operator
-	pPrecondOp       solver.Operator
+	jacobi, jacobiS  solver.Operator
 
-	// Prebuilt ForElements bodies for the element-parallel interpolation and
-	// convection loops, with the operands they act on during one call.
-	restrictLoop func(e, w int)
-	prolongLoop  func(e, w int)
-	gradTLoop    func(e, w int)
-	divLoop      func(e, w int)
-	convLoop     func(e, w int)
-	curP, curV   []float64
-	curOuts      [][]float64
-	curU         [3][]float64
-	elemBlocks   [][][]float64 // per-worker headers over one element's dim blocks
-	curConvOut   []float64
-	curConvV     []float64
-	curConvDiv   []float64
-	curConvC     [3][]float64
-	curConvG     [][]float64
+	// Prebuilt ForElements bodies with the operands they act on during one
+	// call.
+	stiffLoop, filterLoop, gradTLoop, divLoop func(li, w int)
+	prolongLoop, restrictLoop, fdmLoop        func(li, w int)
+	convLoop                                  func(li, w int)
+	curOut, curIn                             []float64
+	curP, curV                                []float64
+	curOuts                                   [][]float64
+	curU, curC                                [3][]float64
+	curDiv                                    []float64
 
-	// Flops of one GradientT and one Divergence over the mesh (EApplyFlops).
-	gradTFlops, divFlops int64
+	// Flops of one GradientT, one Divergence and one round of FDM local
+	// solves over the owned elements.
+	gradTFlops, divFlops, fdmFlops int64
 
-	instr   stepInstr              // per-phase metric handles (zero value = disabled)
+	instr   stepInstr              // metric handles (zero value = disabled)
 	tracer  *instrument.Tracer     // nil = off; wall spans for step phases + CG
 	history *instrument.TimeSeries // nil = off; per-step StepRecord rows
+}
+
+// elemWork is one worker's scratch for the per-element kernels.
+type elemWork struct {
+	interp []float64    // staggered-grid kernels (InterpWorkLen)
+	sem    []float64    // sem element kernels (ElemScratchLen)
+	tv, we []float64    // gradTElem
+	g      [3][]float64 // one element's gradient
+	blocks [][]float64  // headers over one element's dim blocks
+	fdm    []float64    // Schwarz local solve
 }
 
 // stepInstr holds the metric handles threaded through Step. All handles
 // no-op while nil, so the zero value is the free disabled default.
 type stepInstr struct {
-	convect, viscous, pressure, filter, scalar *instrument.Timer
-	eapply                                     *instrument.Timer // every E application (CG and Chebyshev)
-	viscousCG, pressureCG, scalarCG            *instrument.Timer
-	viscousIters, pressureIters, scalarIters   *instrument.Counter
-	steps, substeps                            *instrument.Counter
-	cfl                                        *instrument.Gauge
-	pressConv                                  *instrument.Gauge   // last pressure solve converged (1/0)
-	nonconv                                    *instrument.Counter // steps whose pressure solve hit the cap
-
-	// Distributions: per-step phase wall times and per-solve CG iteration
-	// counts (the timers/counters above only carry totals).
-	convectH, viscousH, pressureH, filterH *instrument.Histogram
-	viscousIterH, pressureIterH            *instrument.Histogram
+	sec                                      [NumSections]*instrument.Timer
+	secHist                                  [NumSections]*instrument.Histogram
+	eapply                                   *instrument.Timer // every E application (CG and Chebyshev)
+	viscousCG, pressureCG, scalarCG          *instrument.Timer
+	viscousIters, pressureIters, scalarIters *instrument.Counter
+	steps, substeps                          *instrument.Counter
+	cfl                                      *instrument.Gauge
+	pressConv                                *instrument.Gauge   // last pressure solve converged (1/0)
+	nonconv                                  *instrument.Counter // steps whose pressure solve hit the cap
+	viscousIterH, pressureIterH              *instrument.Histogram
 }
 
-// AttachMetrics wires the stepper's phases (convection subintegration,
-// viscous solves, pressure solve, filter, scalar transport), the CG
-// machinery, the projection accelerator, and the Schwarz preconditioner
+// AttachMetrics wires the stepper's sections (convection subintegration,
+// viscous solves, pressure solve with its Schwarz local and coarse parts,
+// scalar transport, filter), the CG machinery and the projection accelerator
 // into reg. Pass nil to detach. Call before stepping; not concurrent-safe
 // with Step.
 func (s *Solver) AttachMetrics(reg *instrument.Registry) {
 	s.instr = stepInstr{
-		convect:       reg.Timer("ns/convect"),
-		viscous:       reg.Timer("ns/viscous"),
-		pressure:      reg.Timer("ns/pressure"),
-		filter:        reg.Timer("ns/filter"),
-		scalar:        reg.Timer("ns/scalar"),
 		eapply:        reg.Timer("ns/pressure.eapply"),
 		viscousCG:     reg.Timer("solver/viscous.cg"),
 		pressureCG:    reg.Timer("solver/pressure.cg"),
@@ -293,31 +293,36 @@ func (s *Solver) AttachMetrics(reg *instrument.Registry) {
 		cfl:           reg.Gauge("ns/cfl"),
 		pressConv:     reg.Gauge("solver/pressure.converged"),
 		nonconv:       reg.Counter("ns/nonconverged.steps"),
-		convectH:      reg.Histogram("ns/convect.sec"),
-		viscousH:      reg.Histogram("ns/viscous.sec"),
-		pressureH:     reg.Histogram("ns/pressure.sec"),
-		filterH:       reg.Histogram("ns/filter.sec"),
-		viscousIterH:  reg.Histogram("solver/viscous.iters.hist"),
-		pressureIterH: reg.Histogram("solver/pressure.iters.hist"),
 	}
+	for sec := SecConvect; sec < NumSections; sec++ {
+		if sec >= SecSchwarzLocal && s.pPre == nil {
+			break
+		}
+		s.instr.sec[sec] = reg.Timer(sec.Name())
+	}
+	s.instr.secHist[SecConvect] = reg.Histogram("ns/convect.sec")
+	s.instr.secHist[SecViscous] = reg.Histogram("ns/viscous.sec")
+	s.instr.secHist[SecPressure] = reg.Histogram("ns/pressure.sec")
+	s.instr.secHist[SecFilter] = reg.Histogram("ns/filter.sec")
+	s.attachIterHists(reg)
 	if s.projector != nil {
 		s.projector.ProjectTime = reg.Timer("solver/projection")
 		s.projector.BasisSize = reg.Gauge("solver/projection.basis")
 		s.projector.Savings = reg.Gauge("solver/projection.savings")
 	}
-	if s.pPre != nil {
-		s.pPre.Attach(reg)
-	}
 }
 
-// AttachTracer wires wall-clock span emission (step phases, CG solves, the
-// Schwarz preconditioner sections) into tr; nil detaches. Call before
-// stepping; not concurrent-safe with Step.
+// attachIterHists wires the per-solve CG iteration distributions, the one
+// instrument a forked solver shares with the shared-memory one.
+func (s *Solver) attachIterHists(reg *instrument.Registry) {
+	s.instr.viscousIterH = reg.Histogram("solver/viscous.iters.hist")
+	s.instr.pressureIterH = reg.Histogram("solver/pressure.iters.hist")
+}
+
+// AttachTracer wires wall-clock span emission (step sections, CG solves)
+// into tr; nil detaches. Call before stepping; not concurrent-safe with Step.
 func (s *Solver) AttachTracer(tr *instrument.Tracer) {
 	s.tracer = tr
-	if s.pPre != nil {
-		s.pPre.AttachTracer(tr)
-	}
 	if tr != nil {
 		tr.SetProcessName(instrument.PidWall, "solver process (wall clock)")
 		tr.SetThreadName(instrument.PidWall, 0, "main")
@@ -328,7 +333,8 @@ func (s *Solver) AttachTracer(tr *instrument.Tracer) {
 // per-iteration pressure residual history) to h; nil detaches.
 func (s *Solver) AttachHistory(h *instrument.TimeSeries) { s.history = h }
 
-// New builds a solver from the configuration.
+// New builds the shared-memory solver of the configuration: the operator
+// template plus the state of a solver that owns every element.
 func New(cfg Config) (*Solver, error) {
 	m := cfg.Mesh
 	if m == nil {
@@ -368,241 +374,292 @@ func New(cfg Config) (*Solver, error) {
 	if cfg.PressurePrecond == "" {
 		cfg.PressurePrecond = PrecondSchwarz
 	}
-	s := &Solver{Cfg: cfg, M: m, dim: m.Dim, n: m.K * m.Np}
-	var mask []float64
+	if !ValidPrecond(cfg.PressurePrecond) {
+		return nil, fmt.Errorf("ns: unknown pressure preconditioner %q (want schwarz, chebjacobi, chebschwarz, none or auto)", cfg.PressurePrecond)
+	}
+	t := &template{Cfg: cfg, M: m, dim: m.Dim, cheb: map[string]chebParams{}}
 	if cfg.DirichletMask != nil {
-		mask = m.BoundaryMask(cfg.DirichletMask)
+		t.maskV = m.BoundaryMask(cfg.DirichletMask)
 	}
-	s.maskV = mask
-	s.D = sem.New(m, mask, cfg.Workers)
-	s.DN = sem.New(m, nil, cfg.Workers)
-
-	// Enclosed if every boundary node is Dirichlet (or there is no boundary).
-	s.enclosed = true
-	for i, onb := range m.OnBoundary {
-		if onb && (mask == nil || mask[i] != 0) {
-			s.enclosed = false
-			break
-		}
-	}
-
-	s.np1 = m.N + 1
-	s.nm1 = m.N - 1
-	s.npp = s.nm1 * s.nm1
-	if m.Dim == 3 {
-		s.npp *= s.nm1
-	}
-	zp, wp := poly.Gauss(s.nm1)
-	s.interpVP = poly.InterpMatrix(zp, m.Z)
-	s.interpPV = poly.InterpMatrix(m.Z, zp)
-	// Pressure quadrature weights x interpolated |J|.
-	s.wJp = make([]float64, m.K*s.npp)
-	jacp := s.interpToPressureField(m.Jac)
-	for e := 0; e < m.K; e++ {
-		for l := 0; l < s.npp; l++ {
-			var w float64
-			if m.Dim == 2 {
-				w = wp[l%s.nm1] * wp[l/s.nm1]
-			} else {
-				w = wp[l%s.nm1] * wp[(l/s.nm1)%s.nm1] * wp[l/(s.nm1*s.nm1)]
-			}
-			s.wJp[e*s.npp+l] = w * jacp[e*s.npp+l]
-		}
-	}
-	// Assembled velocity mass.
-	s.bAssem = make([]float64, s.n)
-	copy(s.bAssem, m.B)
-	s.D.GS.Apply(s.bAssem, gs.Sum)
-	s.invBm = make([]float64, s.n)
-	for i, b := range s.bAssem {
-		s.invBm[i] = 1 / b
-		if mask != nil {
-			s.invBm[i] = mask[i] / b
-		}
-	}
-
-	for c := 0; c < 3; c++ {
-		s.U[c] = make([]float64, s.n)
-	}
-	s.P = make([]float64, m.K*s.npp)
-	if cfg.Scalar != nil {
-		s.T = make([]float64, s.n)
-		if cfg.Scalar.Initial != nil {
-			for i := range s.T {
-				s.T[i] = cfg.Scalar.Initial(m.X[i], m.Y[i], m.Zc[i])
-			}
-		}
-		var smask []float64
-		if cfg.Scalar.DirichletMask != nil {
-			smask = m.BoundaryMask(cfg.Scalar.DirichletMask)
-		}
-		s.DS = sem.New(m, smask, cfg.Workers)
-	}
-	if cfg.FilterAlpha > 0 {
-		if cfg.FilterCutoff > 0 && cfg.FilterCutoff < m.N {
-			f, err := sem.NewFilterRamp(m, cfg.FilterAlpha, cfg.FilterCutoff)
-			if err != nil {
-				return nil, fmt.Errorf("ns: filter: %w", err)
-			}
-			s.filter = f
-		} else {
-			s.filter = sem.NewFilter(m, cfg.FilterAlpha)
-		}
-	}
-	if cfg.ProjectionL > 0 {
-		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDot)
-	}
-	one := make([]float64, s.n)
-	for i := range one {
-		one[i] = 1
-	}
-	s.vol = s.D.Integrate(one)
-	ns := 8
-	s.scr = make([][]float64, ns)
-	for i := range s.scr {
-		s.scr[i] = make([]float64, s.n)
-	}
-	s.scr012 = s.scr[0:3]
-	s.scr345 = s.scr[3:6]
-	s.gSlices = make([][]float64, 3)
-	s.rkFields = make([][]float64, 3)
-	s.iwork = make([][]float64, cfg.Workers)
-	for w := range s.iwork {
-		s.iwork[w] = make([]float64, s.interpWorkLen())
-	}
-	for c := 0; c < 3; c++ {
-		s.ustar[c] = make([]float64, s.n)
-	}
-	s.bArena = make([]float64, s.n)
-	s.huArena = make([]float64, s.n)
-	s.duArena = make([]float64, s.n)
-	npTot := m.K * s.npp
-	s.rpArena = make([]float64, npTot)
-	s.dpArena = make([]float64, npTot)
-	s.divArena = make([]float64, npTot)
-	s.rinArena = make([]float64, npTot)
-	s.histBuf = make([][3][]float64, 0, 4)
-	s.utilArena = make([][3][]float64, cfg.Order)
-	for q := range s.utilArena {
-		for c := 0; c < s.dim; c++ {
-			s.utilArena[q][c] = make([]float64, s.n)
-		}
-	}
-	if cfg.Scalar != nil {
-		s.tHistBuf = make([][]float64, 0, 4)
-		s.tTilArena = make([][]float64, cfg.Order)
-		for q := range s.tTilArena {
-			s.tTilArena[q] = make([]float64, s.n)
-		}
-	}
-	s.cgScratch = &solver.Scratch{}
-	s.bMulti = make([][]float64, s.dim)
-	s.huMulti = make([][]float64, s.dim)
-	s.duMulti = make([][]float64, s.dim)
-	s.ustarHdr = make([][]float64, s.dim)
-	for c := 0; c < s.dim; c++ {
-		s.bMulti[c] = make([]float64, s.n)
-		s.huMulti[c] = make([]float64, s.n)
-		s.duMulti[c] = make([]float64, s.n)
-	}
-	s.cgMulti = &solver.MultiScratch{}
-	s.helmMultiOp = func(outs, ins [][]float64) { s.D.HelmholtzMulti(outs, ins, s.curH1, s.curH2) }
-	s.D.EnsureBatch(s.dim)
-	s.helmOp = func(out, in []float64) { s.D.Helmholtz(out, in, s.curH1, s.curH2) }
-	s.jacobi = func(out, in []float64) {
-		diag := s.helmDiag
-		for i := range in {
-			out[i] = in[i] / diag[i]
-		}
-	}
-	if cfg.Scalar != nil {
-		s.helmOpS = func(out, in []float64) { s.DS.Helmholtz(out, in, s.curH1S, s.curH2S) }
-		s.jacobiS = func(out, in []float64) {
-			diag := s.helmDiagS
-			for i := range in {
-				out[i] = in[i] / diag[i]
-			}
-		}
-	}
-	np := m.Np
-	npp := s.npp
-	s.restrictLoop = func(e, w int) {
-		s.interpElemVPRestrict(s.curP[e*npp:(e+1)*npp], s.curV[e*np:(e+1)*np], s.iwork[w])
-	}
-	s.prolongLoop = func(e, w int) {
-		s.interpElemPVProlong(s.curV[e*np:(e+1)*np], s.curP[e*npp:(e+1)*npp], s.iwork[w])
-	}
-	s.elemBlocks = make([][][]float64, cfg.Workers)
-	for w := range s.elemBlocks {
-		s.elemBlocks[w] = make([][]float64, s.dim)
-	}
-	s.gradTLoop = func(e, w int) {
-		blk := s.elemBlocks[w]
-		for c := range blk {
-			blk[c] = s.curOuts[c][e*np : (e+1)*np]
-		}
-		s.GradTElem(blk, s.curP[e*npp:(e+1)*npp], e, s.iwork[w],
-			s.scr[6][e*np:(e+1)*np], s.scr[7][e*np:(e+1)*np])
-	}
-	s.divLoop = func(e, w int) {
-		blk := s.elemBlocks[w]
-		for c := range blk {
-			blk[c] = s.curU[c][e*np : (e+1)*np]
-		}
-		s.DivElem(s.curP[e*npp:(e+1)*npp], blk, e, s.iwork[w])
-	}
-	for e := 0; e < m.K; e++ {
-		gt, dv := s.EApplyFlops(e)
-		s.gradTFlops += gt
-		s.divFlops += dv
-	}
-	s.convLoop = func(e, w int) { s.convectElement(e) }
-	// Force the lazily-built transposed interpolation matrices now: the
-	// element loops that use them run on the worker pool, where a lazy
-	// first-call fill would race.
-	s.vptMatrix()
-	s.pvtMatrix()
-	// Last: the preconditioner resolution (possibly trial solves) needs the
-	// fully assembled operator machinery above.
-	if err := s.setupPressurePrecond(precondForced); err != nil {
+	t.D = sem.New(m, t.maskV, cfg.Workers)
+	t.DN = sem.New(m, nil, cfg.Workers)
+	s := &Solver{template: t}
+	if err := s.build(precondForced); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// helmholtzDiagV returns the (assembled) velocity Helmholtz diagonal for
-// (h1, h2), recomputing only when the pair changes — i.e. during the BDF
-// ramp-up of the first steps.
-func (s *Solver) helmholtzDiagV(h1, h2 float64) []float64 {
-	if s.helmDiag == nil || h1 != s.helmH1 || h2 != s.helmH2 {
-		s.helmDiag = s.D.HelmholtzDiag(h1, h2)
-		s.helmH1, s.helmH2 = h1, h2
+// build fills the template (the Discs are in place), gives s the state of a
+// solver owning every element, and resolves the pressure preconditioner.
+func (s *Solver) build(precondForced bool) error {
+	t, m, cfg := s.template, s.M, s.Cfg
+	// Enclosed if every boundary node is Dirichlet (or there is no boundary).
+	t.enclosed = true
+	for i, onb := range m.OnBoundary {
+		if onb && (t.maskV == nil || t.maskV[i] != 0) {
+			t.enclosed = false
+			break
+		}
 	}
-	return s.helmDiag
+	t.np1 = m.N + 1
+	t.nm1 = m.N - 1
+	t.npp = t.nm1 * t.nm1
+	if m.Dim == 3 {
+		t.npp *= t.nm1
+	}
+	zp, wp := poly.Gauss(t.nm1)
+	t.interpVP = poly.InterpMatrix(zp, m.Z)
+	t.interpPV = poly.InterpMatrix(m.Z, zp)
+	t.pvt = make([]float64, t.nm1*t.np1)
+	for i := 0; i < t.np1; i++ {
+		for j := 0; j < t.nm1; j++ {
+			t.pvt[j*t.np1+i] = t.interpPV[i*t.nm1+j]
+		}
+	}
+	// Pressure quadrature weights x interpolated |J|.
+	t.wJp = make([]float64, m.K*t.npp)
+	jacp := t.interpToPressureField(m.Jac)
+	for e := 0; e < m.K; e++ {
+		for l := 0; l < t.npp; l++ {
+			var w float64
+			if m.Dim == 2 {
+				w = wp[l%t.nm1] * wp[l/t.nm1]
+			} else {
+				w = wp[l%t.nm1] * wp[(l/t.nm1)%t.nm1] * wp[l/(t.nm1*t.nm1)]
+			}
+			t.wJp[e*t.npp+l] = w * jacp[e*t.npp+l]
+		}
+	}
+	// Assembled velocity mass.
+	t.bAssem = append([]float64(nil), m.B...)
+	t.D.GS.Apply(t.bAssem, gs.Sum)
+	t.invBm = make([]float64, len(t.bAssem))
+	for i, b := range t.bAssem {
+		t.invBm[i] = 1 / b
+		if t.maskV != nil {
+			t.invBm[i] = t.maskV[i] / b
+		}
+	}
+	if sc := cfg.Scalar; sc != nil && sc.DirichletMask != nil {
+		t.maskS = m.BoundaryMask(sc.DirichletMask)
+	}
+	if cfg.FilterAlpha > 0 {
+		if cfg.FilterCutoff > 0 && cfg.FilterCutoff < m.N {
+			f, err := sem.NewFilterRamp(m, cfg.FilterAlpha, cfg.FilterCutoff)
+			if err != nil {
+				return fmt.Errorf("ns: filter: %w", err)
+			}
+			t.filter = f
+		} else {
+			t.filter = sem.NewFilter(m, cfg.FilterAlpha)
+		}
+	}
+	np, n3 := int64(m.Np), int64(t.np1)*int64(t.np1)*int64(t.np1)
+	if m.Dim == 2 {
+		t.stiffF, t.gradF, t.filtF = 8*n3+7*np, 4*n3+6*np, 4*n3
+	} else {
+		n4 := n3 * int64(t.np1)
+		t.stiffF, t.gradF, t.filtF = 12*n4+17*np, 6*n4+15*np, 6*n4
+	}
+	if err := s.buildPrecondOperators(); err != nil {
+		return err
+	}
+	sh := &shared{s: s, elems: make([]int, m.K)}
+	for e := range sh.elems {
+		sh.elems[e] = e
+	}
+	if err := s.initState(sh, cfg.Workers); err != nil {
+		return err
+	}
+	if sc := cfg.Scalar; sc != nil && sc.Initial != nil {
+		for i := range s.T {
+			s.T[i] = sc.Initial(m.X[i], m.Y[i], m.Zc[i])
+		}
+	}
+	s.resolvePrecond(precondForced)
+	return nil
 }
 
-// helmholtzDiagS is the scalar-grid analogue of helmholtzDiagV.
-func (s *Solver) helmholtzDiagS(h1, h2 float64) []float64 {
-	if s.helmDiagS == nil || h1 != s.helmH1S || h2 != s.helmH2S {
-		s.helmDiagS = s.DS.HelmholtzDiag(h1, h2)
-		s.helmH1S, s.helmH2S = h1, h2
+// Fork returns a solver of the same problem that owns mach's elements and
+// runs on mach: the per-rank state of a distributed run. It shares s's
+// read-only template (s must be a solver built by New) and starts from s's
+// current fields and time with an empty BDF history; Restore loads anything
+// further. reg, when non-nil, receives the fork's CG iteration
+// distributions, the only metrics a fork records itself (sections are the
+// Machine's to time). Forks must not Close.
+func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
+	f := &Solver{template: s.template}
+	if err := f.initState(mach, 1); err != nil {
+		return nil, err
 	}
-	return s.helmDiagS
+	np, npp := s.M.Np, s.npp
+	for li, e := range f.elems {
+		for c := 0; c < 3; c++ {
+			copy(f.U[c][li*np:(li+1)*np], s.U[c][e*np:(e+1)*np])
+		}
+		copy(f.P[li*npp:(li+1)*npp], s.P[e*npp:(e+1)*npp])
+		if s.T != nil {
+			copy(f.T[li*np:(li+1)*np], s.T[e*np:(e+1)*np])
+		}
+	}
+	f.step, f.time = s.step, s.time
+	f.attachIterHists(reg)
+	f.pPrecondOp = f.precondOp(f.precondName)
+	return f, nil
 }
 
-// Close releases the solver's element-loop worker pools (velocity,
-// pressure-preconditioning, and scalar grids). It is idempotent, must not
-// run concurrently with Step, and a closed solver keeps stepping correctly
-// — just serially. Long-lived processes that build many solvers (the
-// session service) must call Close when one is retired; the sem finalizer
-// is only a GC-timed backstop.
+// initState sizes everything a solver keeps per owned element — local views
+// of the template's per-node data, fields, arenas, per-worker scratch, loop
+// bodies and flop charges — for mach's elements. The only communication is
+// one Assemble (the nodal multiplicity).
+func (s *Solver) initState(mach Machine, workers int) error {
+	m, cfg := s.M, s.Cfg
+	np, npp := m.Np, s.npp
+	s.mach, s.elems = mach, mach.Elems()
+	s.n = len(s.elems) * np
+	nP := len(s.elems) * npp
+
+	s.mult = make([]float64, s.n)
+	for i := range s.mult {
+		s.mult[i] = 1
+	}
+	mach.Assemble(s.mult)
+	// owned returns the owned blocks (blk values per element) of a global
+	// element-local array: the array itself when the solver owns every
+	// element in order, else a gathered copy. nil stays nil.
+	ownsAll := len(s.elems) == m.K
+	for li, e := range s.elems {
+		ownsAll = ownsAll && li == e
+	}
+	owned := func(g []float64, blk int) []float64 {
+		if g == nil || ownsAll {
+			return g
+		}
+		out := make([]float64, len(s.elems)*blk)
+		for li, e := range s.elems {
+			copy(out[li*blk:(li+1)*blk], g[e*blk:(e+1)*blk])
+		}
+		return out
+	}
+	s.x, s.y, s.z = owned(m.X, np), owned(m.Y, np), owned(m.Zc, np)
+	s.b = owned(m.B, np)
+	s.bAssemL = owned(s.bAssem, np)
+	s.invBmL = owned(s.invBm, np)
+	s.mask = owned(s.maskV, np)
+	s.maskSc = owned(s.maskS, np)
+	s.diagE = owned(s.pDiagE, npp)
+	for _, e := range s.elems {
+		gt, dv := s.eApplyFlops(e)
+		s.gradTFlops += gt
+		s.divFlops += dv
+		if s.pPre != nil {
+			s.fdmFlops += s.pPre.LocalSolveFlops(e)
+		}
+	}
+
+	vec := func() []float64 { return make([]float64, s.n) }
+	for c := 0; c < 3; c++ {
+		s.U[c] = vec()
+		s.ustar[c] = vec()
+	}
+	for c := 0; c < s.dim; c++ {
+		s.gp[c] = vec()
+	}
+	s.P = make([]float64, nP)
+	s.bArena, s.huArena, s.duArena = vec(), vec(), vec()
+	s.rpArena = make([]float64, nP)
+	s.dpArena = make([]float64, nP)
+	s.divArena = make([]float64, nP)
+	s.rinArena = make([]float64, nP)
+	s.histBuf = make([][3][]float64, 0, 4)
+	s.utilArena = make([][3][]float64, cfg.Order)
+	for q := range s.utilArena {
+		for c := 0; c < s.dim; c++ {
+			s.utilArena[q][c] = vec()
+		}
+	}
+	if cfg.Scalar != nil {
+		s.T = vec()
+		s.tHistBuf = make([][]float64, 0, 4)
+		s.tTilArena = make([][]float64, cfg.Order)
+		for q := range s.tTilArena {
+			s.tTilArena[q] = vec()
+		}
+	}
+	s.cgScratch = &solver.Scratch{}
+	if cfg.ProjectionL > 0 {
+		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDot)
+	}
+
+	fdmLen := 0
+	if s.pPre != nil {
+		var err error
+		if fdmLen, err = s.pPre.LocalWorkLen(); err != nil {
+			return fmt.Errorf("ns: pressure preconditioner: %w", err)
+		}
+		s.rvArena, s.zvArena = vec(), vec()
+		s.r0 = make([]float64, m.NVert)
+		s.x0 = make([]float64, m.NVert)
+	}
+	s.work = make([]elemWork, workers)
+	for w := range s.work {
+		k := &s.work[w]
+		k.interp = make([]float64, s.InterpWorkLen())
+		k.sem = make([]float64, s.D.ElemScratchLen())
+		k.tv, k.we = make([]float64, np), make([]float64, np)
+		for c := 0; c < s.dim; c++ {
+			k.g[c] = make([]float64, np)
+		}
+		k.blocks = make([][]float64, s.dim)
+		k.fdm = make([]float64, fdmLen)
+	}
+
+	s.helmOp = func(out, in []float64) { s.helmholtz(out, in, s.curH1, s.curH2, s.curMask) }
+	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiag) }
+	s.jacobiS = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiagS) }
+	s.stiffLoop = func(li, w int) {
+		s.D.StiffnessElement(s.curOut[li*np:(li+1)*np], s.curIn[li*np:(li+1)*np], s.elems[li], s.work[w].sem)
+	}
+	s.filterLoop = func(li, w int) {
+		s.D.FilterElement(s.filter, s.curIn[li*np:(li+1)*np], s.work[w].sem)
+	}
+	s.gradTLoop = func(li, w int) {
+		k := &s.work[w]
+		for c := range k.blocks {
+			k.blocks[c] = s.curOuts[c][li*np : (li+1)*np]
+		}
+		s.gradTElem(k.blocks, s.curP[li*npp:(li+1)*npp], s.elems[li], k.interp, k.tv, k.we)
+	}
+	s.divLoop = func(li, w int) {
+		k := &s.work[w]
+		for c := range k.blocks {
+			k.blocks[c] = s.curU[c][li*np : (li+1)*np]
+		}
+		s.divElem(s.curP[li*npp:(li+1)*npp], k.blocks, s.elems[li], k.interp)
+	}
+	s.prolongLoop = func(li, w int) {
+		s.ProlongPVElem(s.curV[li*np:(li+1)*np], s.curP[li*npp:(li+1)*npp], s.work[w].interp)
+	}
+	s.restrictLoop = func(li, w int) {
+		s.RestrictVPElem(s.curP[li*npp:(li+1)*npp], s.curV[li*np:(li+1)*np], s.work[w].interp)
+	}
+	s.fdmLoop = func(li, w int) {
+		s.pPre.LocalSolveElem(s.curOut[li*np:(li+1)*np], s.curIn[li*np:(li+1)*np], s.elems[li], s.work[w].fdm)
+	}
+	s.convLoop = s.convectElement
+	return nil
+}
+
+// Close releases the element-loop worker pools of a solver built by New. It
+// is idempotent, must not run concurrently with Step, and a closed solver
+// keeps stepping correctly — just serially. Long-lived processes that build
+// many solvers (the session service) must call Close when one is retired; the
+// sem finalizer is only a GC-timed backstop.
 func (s *Solver) Close() {
 	s.D.Close()
 	s.DN.Close()
-	if s.DS != nil {
-		s.DS.Close()
-	}
 }
 
 // Time returns the current simulation time.
@@ -614,18 +671,18 @@ func (s *Solver) StepCount() int { return s.step }
 // SetVelocity initializes the velocity field from a function (also applies
 // Dirichlet values at t=0).
 func (s *Solver) SetVelocity(f func(x, y, z float64) (u, v, w float64)) {
-	m := s.M
 	for i := 0; i < s.n; i++ {
-		u, v, w := f(m.X[i], m.Y[i], m.Zc[i])
-		s.U[0][i], s.U[1][i], s.U[2][i] = u, v, w
+		s.U[0][i], s.U[1][i], s.U[2][i] = f(s.x[i], s.y[i], s.z[i])
 	}
-	s.applyDirichlet(s.U, 0)
+	for c := 0; c < 3; c++ {
+		s.setDirichletComponent(s.U[c], c, 0)
+	}
 }
 
-// Velocity returns the current velocity component c (element-local layout).
+// Velocity returns the current velocity component c (owned blocks).
 func (s *Solver) Velocity(c int) []float64 { return s.U[c] }
 
-// Pressure returns the current pressure (element-local Gauss layout).
+// Pressure returns the current pressure (owned Gauss-grid blocks).
 func (s *Solver) Pressure() []float64 { return s.P }
 
 // Scalar returns the advected scalar field (nil if not configured).
@@ -634,28 +691,39 @@ func (s *Solver) Scalar() []float64 { return s.T }
 // Disc exposes the velocity-grid discretization (for norms, integrals).
 func (s *Solver) Disc() *sem.Disc { return s.D }
 
-// applyDirichlet overwrites Dirichlet-masked entries with boundary values.
-func (s *Solver) applyDirichlet(u [3][]float64, t float64) {
-	if s.maskV == nil || s.Cfg.DirichletVal == nil {
-		return
-	}
-	m := s.M
-	for i, mk := range s.maskV {
-		if mk == 0 {
-			bu, bv, bw := s.Cfg.DirichletVal(m.X[i], m.Y[i], m.Zc[i], t)
-			u[0][i], u[1][i], u[2][i] = bu, bv, bw
-		}
-	}
-}
+// Npp returns the pressure (Gauss-grid) nodes per element.
+func (s *Solver) Npp() int { return s.npp }
 
-// interpToPressureField interpolates a velocity-grid field to the pressure
-// Gauss grid, element by element.
-func (s *Solver) interpToPressureField(u []float64) []float64 {
-	m := s.M
-	out := make([]float64, m.K*s.npp)
-	work := make([]float64, s.interpWorkLen())
+// Dim returns the spatial dimension.
+func (s *Solver) Dim() int { return s.dim }
+
+// VelocityMask returns the velocity Dirichlet mask in the global
+// element-local layout (nil when the problem has no Dirichlet boundary).
+// Read-only.
+func (s *Solver) VelocityMask() []float64 { return s.maskV }
+
+// BAssem returns the assembled velocity mass diagonal in the global
+// element-local layout. Read-only.
+func (s *Solver) BAssem() []float64 { return s.bAssem }
+
+// PressurePre returns the Schwarz preconditioner of the pressure solve (nil
+// when the resolved variant does not use one).
+func (s *Solver) PressurePre() *schwarz.Precond { return s.pPre }
+
+// interpToPressureField interpolates a global velocity-grid field to the
+// pressure Gauss grid, element by element.
+func (t *template) interpToPressureField(u []float64) []float64 {
+	m := t.M
+	out := make([]float64, m.K*t.npp)
+	work := make([]float64, t.InterpWorkLen())
 	for e := 0; e < m.K; e++ {
-		s.interpElemVP(out[e*s.npp:(e+1)*s.npp], u[e*m.Np:(e+1)*m.Np], work)
+		ue, oe := u[e*m.Np:(e+1)*m.Np], out[e*t.npp:(e+1)*t.npp]
+		if t.dim == 2 {
+			tensor.Apply2D(oe, t.interpVP, t.interpVP, ue, work, t.nm1, t.np1, t.nm1, t.np1)
+		} else {
+			tensor.Apply3D(oe, t.interpVP, t.interpVP, t.interpVP, ue, work,
+				t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
+		}
 	}
 	return out
 }

@@ -1,87 +1,142 @@
 package ns
 
+// operators.go holds the operators the step applies on owned blocks: the
+// staggered-grid element kernels (read-only on the template, caller
+// scratch), the weak divergence D and its transpose, the consistent pressure
+// operator E, the velocity Helmholtz operator with its Jacobi diagonal, the
+// inner products, and the Schwarz sandwich. Each charges its flops through
+// the Machine once per application.
+
 import (
 	"math"
+	"math/bits"
 
-	"repro/internal/gs"
 	"repro/internal/tensor"
 )
 
-// interpElemVP interpolates one element's velocity-grid values to the
-// pressure Gauss grid. work needs np1^dim... a slice of length >= np1^3.
-func (s *Solver) interpElemVP(out, u, work []float64) {
-	if s.dim == 2 {
-		tensor.Apply2D(out, s.interpVP, s.interpVP, u, work, s.nm1, s.np1, s.nm1, s.np1)
+// InterpWorkLen returns the scratch length of the staggered-grid element
+// kernels (RestrictVPElem, ProlongPVElem, gradTElem, divElem): the two fields
+// divElem holds plus the < 2·Np the interpolation tensor products need beside
+// them.
+func (t *template) InterpWorkLen() int { return 3 * t.M.Np }
+
+// ProlongPVElem applies J_pv (pressure grid → velocity grid, exact
+// polynomial interpolation of the degree-(N-2) pressure) on one element's
+// blocks: out has length Np, p length Npp, work length ≥ InterpWorkLen.
+func (t *template) ProlongPVElem(out, p, work []float64) {
+	if t.dim == 2 {
+		tensor.Apply2D(out, t.interpPV, t.interpPV, p, work, t.np1, t.nm1, t.np1, t.nm1)
 		return
 	}
-	tensor.Apply3D(out, s.interpVP, s.interpVP, s.interpVP, u, work,
-		s.nm1, s.np1, s.nm1, s.np1, s.nm1, s.np1)
+	tensor.Apply3D(out, t.interpPV, t.interpPV, t.interpPV, p, work,
+		t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
 }
 
-// interpElemPV applies the transpose (adjoint) map: pressure-grid values to
-// the velocity grid.
-func (s *Solver) interpElemPV(out, p, work, vpt []float64) {
-	if s.dim == 2 {
-		tensor.Apply2D(out, vpt, vpt, p, work, s.np1, s.nm1, s.np1, s.nm1)
+// RestrictVPElem applies J_pvᵀ (velocity grid → pressure grid, the adjoint
+// of the prolongation) on one element's blocks: out has length Npp, u length
+// Np, work length ≥ InterpWorkLen.
+func (t *template) RestrictVPElem(out, u, work []float64) {
+	pvt := t.pvt
+	if t.dim == 2 {
+		tensor.Apply2D(out, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1)
 		return
 	}
-	tensor.Apply3D(out, vpt, vpt, vpt, p, work, s.np1, s.nm1, s.np1, s.nm1, s.np1, s.nm1)
+	tensor.Apply3D(out, pvt, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
 }
 
-// interpWorkLen returns the scratch length of the staggered-grid element
-// kernels: the two fields DivElem holds plus the < 2·Np the interpolation
-// tensor products need beside them.
-func (s *Solver) interpWorkLen() int { return 3 * s.M.Np }
-
-// vpt returns the transposed interpolation matrix (np1 x nm1), cached.
-func (s *Solver) vptMatrix() []float64 {
-	if s.vptCache == nil {
-		t := make([]float64, s.np1*s.nm1)
-		for i := 0; i < s.nm1; i++ {
-			for j := 0; j < s.np1; j++ {
-				t[j*s.nm1+i] = s.interpVP[i*s.np1+j]
+// gradTElem writes element e's block of the momentum pressure term Dᵀp,
+//
+//	outs[c] = Σ_a D_aᵀ (∂r_a/∂x_c · B · J_pv pe),
+//
+// into the velocity-grid blocks outs[0..dim) (length Np each) from the
+// pressure block pe (length Npp). Only the element's non-zero metric pairs
+// (a, c) are visited (mesh.RXPairs: dim of them on an undeformed element, up
+// to dim² on a deformed one), and the first pair of a component writes its
+// block instead of adding to a zeroed one. Scratch: work length ≥
+// InterpWorkLen, tv and we length Np.
+func (t *template) gradTElem(outs [][]float64, pe []float64, e int, work, tv, we []float64) {
+	m := t.M
+	np, dim := m.Np, t.dim
+	base := e * np
+	tv, we, buf := tv[:np], we[:np], work[:np]
+	t.ProlongPVElem(tv, pe, work)
+	mulInto(tv, tv, m.B[base:])
+	for c := 0; c < dim; c++ {
+		oc, first := outs[c][:np], true
+		for a := 0; a < dim; a++ {
+			if m.RXPairs[e]>>(a*dim+c)&1 == 0 {
+				continue
+			}
+			mulInto(we, tv, m.RX[a*dim+c][base:])
+			if first {
+				tensor.ApplyDim(oc, m.Dt, we, t.np1, dim, a)
+				first = false
+				continue
+			}
+			tensor.ApplyDim(buf, m.Dt, we, t.np1, dim, a)
+			for l, v := range buf {
+				oc[l] += v
 			}
 		}
-		s.vptCache = t
 	}
-	return s.vptCache
 }
 
-// interpElemPVProlong interpolates one element's pressure-grid values to
-// the velocity GLL grid using the prolongation J_pv (exact polynomial
-// interpolation of the degree-(N-2) pressure).
-func (s *Solver) interpElemPVProlong(out, p, work []float64) {
-	if s.dim == 2 {
-		tensor.Apply2D(out, s.interpPV, s.interpPV, p, work, s.np1, s.nm1, s.np1, s.nm1)
-		return
+// mulInto sets dst = a·b pointwise over len(dst) entries.
+func mulInto(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for l := range dst {
+		dst[l] = a[l] * b[l]
 	}
-	tensor.Apply3D(out, s.interpPV, s.interpPV, s.interpPV, p, work,
-		s.np1, s.nm1, s.np1, s.nm1, s.np1, s.nm1)
 }
 
-// interpElemVPRestrict applies J_pvᵀ: velocity-grid values to the pressure
-// grid (the adjoint of the prolongation).
-func (s *Solver) interpElemVPRestrict(out, u, work []float64) {
-	pvt := s.pvtMatrix()
-	if s.dim == 2 {
-		tensor.Apply2D(out, pvt, pvt, u, work, s.nm1, s.np1, s.nm1, s.np1)
-		return
-	}
-	tensor.Apply3D(out, pvt, pvt, pvt, u, work, s.nm1, s.np1, s.nm1, s.np1, s.nm1, s.np1)
-}
-
-// pvtMatrix returns J_pvᵀ (nm1 x np1), cached.
-func (s *Solver) pvtMatrix() []float64 {
-	if s.pvtCache == nil {
-		t := make([]float64, s.nm1*s.np1)
-		for i := 0; i < s.np1; i++ {
-			for j := 0; j < s.nm1; j++ {
-				t[j*s.np1+i] = s.interpPV[i*s.nm1+j]
-			}
+// divElem writes element e's block of the weak divergence D u,
+//
+//	out = J_pvᵀ B Σ_(a,c) ∂r_a/∂x_c · D_a us[c],
+//
+// into the pressure block out (length Npp) from the velocity blocks
+// us[0..dim) (length Np each): the adjoint of gradTElem over the same metric
+// pairs, one derivative product per pair — only the contraction the
+// divergence needs, not dim full gradients. work length ≥ InterpWorkLen.
+func (t *template) divElem(out []float64, us [][]float64, e int, work []float64) {
+	m := t.M
+	np, dim := m.Np, t.dim
+	base := e * np
+	div, du := work[:np], work[np:2*np]
+	first := true
+	for k := 0; k < dim*dim; k++ { // k = a*dim+c
+		if m.RXPairs[e]>>k&1 == 0 {
+			continue
 		}
-		s.pvtCache = t
+		tensor.ApplyDim(du, m.D, us[k%dim], t.np1, dim, k/dim)
+		if first {
+			mulInto(div, du, m.RX[k][base:])
+			first = false
+			continue
+		}
+		rx := m.RX[k][base:][:np]
+		for l, v := range du {
+			div[l] += rx[l] * v
+		}
 	}
-	return s.pvtCache
+	mulInto(div, div, m.B[base:])
+	t.RestrictVPElem(out, div, work[np:])
+}
+
+// eApplyFlops returns the floating point operations gradTElem and divElem
+// perform on element e: the staggered-grid interpolation, the mass
+// weighting, and per non-zero metric pair one derivative product with its
+// metric scaling (and, beyond the first pair of a component, its sum).
+func (t *template) eApplyFlops(e int) (gradT, div int64) {
+	np, dim := int64(t.M.Np), int64(t.dim)
+	pairs := int64(bits.OnesCount16(t.M.RXPairs[e]))
+	interp := tensor.FlopsApply2D(t.np1, t.nm1, t.np1, t.nm1) // J_pv; J_pvᵀ costs the same
+	if dim == 3 {
+		interp = tensor.FlopsApply3D(t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
+	}
+	deriv := tensor.FlopsApplyDim(t.np1, t.dim)
+	gradT = interp + np + pairs*(deriv+np) + (pairs-dim)*np
+	div = pairs*(deriv+2*np) + interp
+	return gradT, div
 }
 
 // Divergence computes the weak divergence D u into the pressure space by
@@ -89,24 +144,24 @@ func (s *Solver) pvtMatrix() []float64 {
 // D = J_pvᵀ B_v div — the exact weak form ∫ q ∇·u for the degree-(N-2)
 // pressure test functions (the quadrature is exact on affine elements,
 // which is what keeps the P_N–P_{N-2} pair inf-sup compatible discretely).
-// One element-parallel pass of DivElem: per-worker scratch and disjoint
+// One element-parallel pass of divElem: per-worker scratch and disjoint
 // output blocks, so any worker count is bitwise identical.
 func (s *Solver) Divergence(out []float64, u [3][]float64) {
 	s.curP, s.curU = out, u
-	s.DN.ForElements(s.divLoop)
+	s.mach.ForElements(s.divLoop)
 	s.curP, s.curU = nil, [3][]float64{}
-	s.D.CountFlops(s.divFlops)
+	s.mach.Charge(s.divFlops)
 }
 
 // GradientT computes the momentum pressure term Dᵀ p: the (unassembled)
-// element-local velocity-grid vector whose plain dot with any velocity u
-// equals pᵀ (D u). outs must hold dim slices of length n. One
-// element-parallel pass of GradTElem, bitwise identical for any worker count.
+// velocity-grid vector whose plain dot with any velocity u equals pᵀ (D u).
+// outs must hold dim slices of length n. One element-parallel pass of
+// gradTElem, bitwise identical for any worker count.
 func (s *Solver) GradientT(outs [][]float64, p []float64) {
 	s.curOuts, s.curP = outs, p
-	s.DN.ForElements(s.gradTLoop)
+	s.mach.ForElements(s.gradTLoop)
 	s.curOuts, s.curP = nil, nil
-	s.D.CountFlops(s.gradTFlops)
+	s.mach.Charge(s.gradTFlops)
 }
 
 // applyE applies the consistent pressure Poisson operator
@@ -114,51 +169,64 @@ func (s *Solver) GradientT(outs [][]float64, p []float64) {
 // constant mode is deflated so CG sees an SPD operator.
 func (s *Solver) applyE(out, p []float64) {
 	t0 := s.instr.eapply.Begin()
-	g := s.scr345
-	s.GradientT(g[:s.dim], p)
-	var u3 [3][]float64
+	s.GradientT(s.gp[:s.dim], p)
 	for c := 0; c < s.dim; c++ {
-		gc := g[c]
-		s.D.GS.Apply(gc, gs.Sum)
-		for i, w := range s.invBm {
+		gc := s.gp[c]
+		s.mach.Assemble(gc)
+		for i, w := range s.invBmL {
 			gc[i] *= w
 		}
-		u3[c] = gc
 	}
-	s.Divergence(out, u3)
+	s.mach.Charge(int64(s.dim * s.n)) // the multiplier after the direct stiffness sum
+	s.Divergence(out, s.gp)
 	if s.enclosed {
 		s.deflatePressure(out)
 	}
-	s.D.CountFlops(int64(2 * s.dim * s.n)) // direct stiffness sum + multiplier
 	s.instr.eapply.End(t0)
 }
 
+// dot is the inner product of velocity-grid fields in redundant element-local
+// storage: each global node is counted once (division by multiplicity),
+// owned partial sums joined over the run.
+func (s *Solver) dot(u, v []float64) float64 {
+	var sum float64
+	mult := s.mult
+	for i := range u {
+		sum += u[i] * v[i] / mult[i]
+	}
+	s.mach.Charge(int64(3 * len(u)))
+	return s.mach.Sum(sum)
+}
+
 // pressureDot is the plain inner product on the (discontinuous) pressure
-// space.
+// space: pressure nodes are never shared, so there is no multiplicity.
 func (s *Solver) pressureDot(a, b []float64) float64 {
 	var v float64
 	for i := range a {
 		v += a[i] * b[i]
 	}
-	return v
+	s.mach.Charge(int64(2 * len(a)))
+	return s.mach.Sum(v)
 }
 
-// deflatePressure removes the plain mean — the symmetric projector onto
-// the orthogonal complement of the constant null space of E (range(E) ⊥ 1
+// deflatePressure removes the plain global mean — the symmetric projector
+// onto the orthogonal complement of the constant null space of E (range(E) ⊥ 1
 // in the plain dot because ∫∇·v = 0 on enclosed domains).
 func (s *Solver) deflatePressure(p []float64) {
 	var num float64
 	for _, v := range p {
 		num += v
 	}
-	mean := num / float64(len(p))
+	mean := s.mach.Sum(num) / float64(s.M.K*s.npp)
 	for i := range p {
 		p[i] -= mean
 	}
+	s.mach.Charge(int64(2 * len(p)))
 }
 
 // NormalizePressureMean subtracts the physical (quadrature-weighted) mean,
-// the conventional normalization of the reported pressure field.
+// the conventional normalization of the reported pressure field (global
+// layout: a solver that owns every element).
 func (s *Solver) NormalizePressureMean(p []float64) {
 	var num, den float64
 	for i, w := range s.wJp {
@@ -171,33 +239,104 @@ func (s *Solver) NormalizePressureMean(p []float64) {
 	}
 }
 
-// pressurePrecond applies the Schwarz-sandwich preconditioner:
-// M_E⁻¹ = I_{v→p} M_A⁻¹ I_{v→p}ᵀ with M_A⁻¹ the FDM additive Schwarz +
-// coarse preconditioner of the unmasked velocity-grid Laplacian.
-func (s *Solver) pressurePrecond(out, r []float64) {
-	if s.pPre == nil {
-		copy(out, r)
+// applyMask zeroes the Dirichlet entries of mask (nil = none).
+func applyMask(u, mask []float64) {
+	for i, mk := range mask {
+		u[i] *= mk
+	}
+}
+
+// assemble is the direct stiffness sum followed by the Dirichlet mask.
+func (s *Solver) assemble(u, mask []float64) {
+	s.mach.Assemble(u)
+	applyMask(u, mask)
+	s.mach.Charge(int64(len(u)))
+}
+
+// helmholtz applies out = M QQᵀ (h1·A + h2·B) u, the velocity operator H of
+// Sec. 4 (mask selects the velocity or the scalar Dirichlet set).
+func (s *Solver) helmholtz(out, in []float64, h1, h2 float64, mask []float64) {
+	s.curOut, s.curIn = out, in
+	s.mach.ForElements(s.stiffLoop)
+	s.curOut, s.curIn = nil, nil
+	if h1 != 1 {
+		for i := range out {
+			out[i] *= h1
+		}
+	}
+	b := s.b
+	for i := range out {
+		out[i] += h2 * b[i] * in[i]
+	}
+	s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
+	s.assemble(out, mask)
+}
+
+// helmholtzDiag fills *diag with the assembled diagonal of h1·A + h2·B (unit
+// on Dirichlet rows so Jacobi inversion stays defined), recomputing only when
+// the (h1, h2) pair changes — i.e. during the BDF ramp-up of the first steps.
+func (s *Solver) helmholtzDiag(diag *[]float64, curH1, curH2 *float64, h1, h2 float64, mask []float64) {
+	if *diag != nil && h1 == *curH1 && h2 == *curH2 {
 		return
 	}
-	rv := s.scr[6]
-	rin := r
-	if s.enclosed {
-		rin = s.rinArena
-		copy(rin, r)
-		s.deflatePressure(rin)
+	if *diag == nil {
+		*diag = make([]float64, s.n)
 	}
-	s.curV, s.curP = rv, rin
-	s.DN.ForElements(s.prolongLoop)
-	// The Schwarz preconditioner expects an assembled residual.
-	s.DN.GS.Apply(rv, gs.Sum)
-	zv := s.scr[7]
-	s.pPre.Apply(zv, rv)
+	d, np := *diag, s.M.Np
+	for li, e := range s.elems {
+		s.D.HelmholtzDiagElement(d[li*np:(li+1)*np], e, h1, h2)
+	}
+	s.mach.Assemble(d)
+	for i, mk := range mask {
+		if mk == 0 {
+			d[i] = 1
+		}
+	}
+	*curH1, *curH2 = h1, h2
+	s.mach.Charge(s.stiffF * int64(len(s.elems)))
+}
+
+// pointJacobi is out = in / diag.
+func (s *Solver) pointJacobi(out, in, diag []float64) {
+	for i := range in {
+		out[i] = in[i] / diag[i]
+	}
+	s.mach.Charge(int64(len(in)))
+}
+
+// sandwich is the core J_pvᵀ M_A⁻¹ J_pv of the Schwarz preconditioners, with
+// M_A⁻¹ the FDM additive Schwarz smoother of the unmasked velocity-grid
+// Laplacian: prolong, assemble, local solves, assemble, optionally the coarse
+// vertex term (restricted from the assembled residual, solved by the
+// Machine), restrict. The reference variant runs it with the coarse term;
+// the Chebyshev–Schwarz base sweep without, the polynomial supplying the
+// global coupling instead. No deflation — callers own the null space.
+func (s *Solver) sandwich(out, r []float64, coarse bool) {
+	rv, zv := s.rvArena, s.zvArena
+	s.curV, s.curP = rv, r
+	s.mach.ForElements(s.prolongLoop)
+	s.mach.Assemble(rv)
+	s.mach.Begin(SecSchwarzLocal)
+	s.curOut, s.curIn = zv, rv
+	s.mach.ForElements(s.fdmLoop)
+	s.curOut, s.curIn = nil, nil
+	s.mach.Charge(s.fdmFlops)
+	s.mach.End(SecSchwarzLocal, StepStats{})
+	s.mach.Assemble(zv)
+	if coarse {
+		s.mach.Begin(SecSchwarzCoarse)
+		r0 := s.r0
+		for i := range r0 {
+			r0[i] = 0
+		}
+		s.mach.Charge(s.pPre.CoarseRestrictElems(r0, rv, s.elems))
+		s.mach.CoarseSolve(s.x0, r0)
+		s.mach.Charge(s.pPre.CoarseProlongElems(zv, s.x0, s.elems))
+		s.mach.End(SecSchwarzCoarse, StepStats{})
+	}
 	s.curV, s.curP = zv, out
-	s.DN.ForElements(s.restrictLoop)
+	s.mach.ForElements(s.restrictLoop)
 	s.curV, s.curP = nil, nil
-	if s.enclosed {
-		s.deflatePressure(out)
-	}
 }
 
 // DivergenceNorm returns ‖D u‖₂ of the current velocity — the discrete

@@ -1,18 +1,18 @@
 package ns
 
 // precond.go: runtime-selected pressure preconditioning. The Schwarz(FDM)+
-// XXT sandwich (pressurePrecond in operators.go) stays the bitwise
-// reference; this file adds the Chebyshev-accelerated point-Jacobi and
-// Schwarz-smoothing variants of Phillips et al. and the "auto" mode that
-// picks per (K, N, dim, P, tol) from short trial solves, recording the
-// winner in solver's process-wide table (and, through the CLI, the keyed
-// persistent cache).
+// coarse sandwich (operators.go) stays the bitwise reference; this file adds
+// the Chebyshev-accelerated point-Jacobi and Schwarz-smoothing variants of
+// Phillips et al. and the "auto" mode that picks per (K, N, dim, P, tol) from
+// short trial solves, recording the winner in solver's process-wide table
+// (and, through the CLI, the keyed persistent cache). What is tuned or chosen
+// here — the variant, the Chebyshev bounds, diag(E) — lands in the template,
+// so every solver forked from it applies the same preconditioner.
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/gs"
 	"repro/internal/schwarz"
 	"repro/internal/solver"
 )
@@ -26,13 +26,14 @@ const (
 	PrecondAuto        = "auto"        // table lookup, else trial-solve tournament
 )
 
-// Chebyshev polynomial degrees per variant: Jacobi is a weak sweep and
-// needs a longer polynomial; the Schwarz sweep is strong enough that two
-// terms recover most of what the coarse solve provided.
-const (
-	chebDegreeJacobi  = 5
-	chebDegreeSchwarz = 2
-)
+// chebParams are the tuned parameters of one Chebyshev variant. Jacobi is a
+// weak sweep and needs a longer polynomial (degree 5); the Schwarz sweep is
+// strong enough that two terms recover most of what the coarse solve
+// provided.
+type chebParams struct {
+	lmin, lmax float64
+	degree     int
+}
 
 // ValidPrecond reports whether name is an accepted PressurePrecond value.
 func ValidPrecond(name string) bool {
@@ -49,15 +50,11 @@ func PrecondNames() []string {
 	return []string{PrecondSchwarz, PrecondChebJacobi, PrecondChebSchwarz}
 }
 
-// setupPressurePrecond resolves Cfg.PressurePrecond into s.pPrecondOp and
-// the selection report. Runs at the end of New, after every arena and
-// element-loop body the operators need is in place. forced records whether
-// the caller named a variant explicitly (vs the "" → schwarz default).
-func (s *Solver) setupPressurePrecond(forced bool) error {
+// buildPrecondOperators builds what the configured variant (all of them for
+// "auto") needs before any solver state exists: the Schwarz preconditioner
+// with its FDM factors and coarse factor, and diag(E).
+func (s *Solver) buildPrecondOperators() error {
 	name := s.Cfg.PressurePrecond
-	if !ValidPrecond(name) {
-		return fmt.Errorf("ns: unknown pressure preconditioner %q (want schwarz, chebjacobi, chebschwarz, none or auto)", name)
-	}
 	if name == PrecondSchwarz || name == PrecondChebSchwarz || name == PrecondAuto {
 		// The sandwich preconditioner acts on the unmasked Laplacian, whose
 		// coarse operator is singular (pure Neumann) regardless of the
@@ -71,113 +68,92 @@ func (s *Solver) setupPressurePrecond(forced bool) error {
 		s.pPre = pre
 	}
 	if name == PrecondChebJacobi || name == PrecondAuto {
-		s.buildChebJacobi()
+		s.pDiagE = s.pressureDiagE()
+	}
+	return nil
+}
+
+// resolvePrecond turns Cfg.PressurePrecond into the resolved variant, its
+// tuned Chebyshev bounds and the selection report, and binds it to s. It
+// needs s's state (the bounds come from power iterations on E, "auto" from
+// trial solves). forced records whether the caller named a variant
+// explicitly (vs the "" → schwarz default).
+func (s *Solver) resolvePrecond(forced bool) {
+	name := s.Cfg.PressurePrecond
+	if name == PrecondChebJacobi || name == PrecondAuto {
+		s.tuneCheb(PrecondChebJacobi, 5)
 	}
 	if name == PrecondChebSchwarz || name == PrecondAuto {
-		s.buildChebSchwarz()
+		s.tuneCheb(PrecondChebSchwarz, 2)
 	}
 	source := "forced"
 	if !forced {
 		source = "default"
 	}
+	sel := solver.PrecondSelection{Name: name, Source: source}
 	if name == PrecondAuto {
-		return s.autoSelectPrecond()
+		sel = s.autoSelectPrecond()
 	}
-	s.precondName = name
-	s.precondSel = solver.PrecondSelection{Name: name, Source: source}
-	s.pPrecondOp = s.precondOp(name)
-	return nil
+	s.precondName, s.precondSel = sel.Name, sel
+	s.pPrecondOp = s.precondOp(sel.Name)
 }
 
-// precondOp returns the Operator for a resolved concrete variant (nil for
-// "none"). The variant must have been built by setupPressurePrecond.
+// precondOp returns a resolved concrete variant bound to this solver's
+// arenas (nil for "none"), with the enclosed-domain null-space handling
+// around it: input and output are projected off the constant mode.
 func (s *Solver) precondOp(name string) solver.Operator {
+	var sweep solver.Operator
 	switch name {
 	case PrecondSchwarz:
-		return s.pressurePrecond
-	case PrecondChebJacobi:
-		return s.chebJacobiOp
-	case PrecondChebSchwarz:
-		return s.chebSchwarzOp
+		sweep = func(out, r []float64) { s.sandwich(out, r, true) }
+	case PrecondChebJacobi, PrecondChebSchwarz:
+		sweep = s.newCheb(name).Apply
+	default:
+		return nil
 	}
-	return nil
+	if !s.enclosed {
+		return sweep
+	}
+	// Chebyshev.Apply copies its input into its own arena before the base
+	// sweep runs, so sharing rinArena with nothing else is enough.
+	return func(out, r []float64) {
+		rin := s.rinArena
+		copy(rin, r)
+		s.deflatePressure(rin)
+		sweep(out, rin)
+		s.deflatePressure(out)
+	}
 }
 
-// buildChebJacobi assembles the Chebyshev-accelerated point-Jacobi variant:
-// base sweep out = in / diag(E), bounds from a short power iteration on the
-// preconditioned operator, verified (and inflated if underestimated) by
-// Calibrate.
-func (s *Solver) buildChebJacobi() {
-	s.pDiagE = s.pressureDiagE()
-	diag := s.pDiagE
-	jac := func(out, in []float64) {
-		for i := range in {
-			out[i] = in[i] / diag[i]
-		}
+// newCheb returns a Chebyshev preconditioner over this solver's E with the
+// template's parameters for the variant: the base sweep is point-Jacobi on
+// diag(E), or the sandwich without the coarse term (the polynomial supplies
+// the global coupling, so each application costs the local FDM solves only).
+func (s *Solver) newCheb(name string) *solver.Chebyshev {
+	p := s.cheb[name]
+	c := &solver.Chebyshev{Label: name, A: s.applyE, Degree: p.degree, LMin: p.lmin, LMax: p.lmax}
+	if name == PrecondChebJacobi {
+		c.Base = func(out, in []float64) { s.pointJacobi(out, in, s.diagE) }
+	} else {
+		c.Base = func(out, in []float64) { s.sandwich(out, in, false) }
 	}
-	s.chebJacobi = &solver.Chebyshev{
-		Label: PrecondChebJacobi, A: s.applyE, Base: jac, Degree: chebDegreeJacobi,
-	}
-	s.tuneCheb(s.chebJacobi)
-	s.chebJacobiOp = s.deflateWrapped(s.chebJacobi)
+	return c
 }
 
-// buildChebSchwarz assembles the Chebyshev-accelerated Schwarz variant: the
-// base sweep is the sandwich without the coarse XXT term (the polynomial
-// supplies the global coupling), so each application costs the local FDM
-// solves only.
-func (s *Solver) buildChebSchwarz() {
-	s.chebSchwarz = &solver.Chebyshev{
-		Label: PrecondChebSchwarz, A: s.applyE, Base: s.pressurePrecondLocal,
-		Degree: chebDegreeSchwarz,
-	}
-	s.tuneCheb(s.chebSchwarz)
-	s.chebSchwarzOp = s.deflateWrapped(s.chebSchwarz)
-}
-
-// tuneCheb estimates and verifies a variant's eigenvalue bounds.
-func (s *Solver) tuneCheb(c *solver.Chebyshev) {
+// tuneCheb estimates a variant's eigenvalue bounds by a short power
+// iteration on the preconditioned operator, verifies them (inflating an
+// underestimate) with Calibrate, and records them in the template.
+func (s *Solver) tuneCheb(name string, degree int) {
+	s.cheb[name] = chebParams{degree: degree}
+	c := s.newCheb(name)
 	var deflate func([]float64)
 	if s.enclosed {
 		deflate = s.deflatePressure
 	}
-	n := s.M.K * s.npp
+	n := len(s.P)
 	c.EstimateBounds(s.pressureDot, n, 20, deflate)
 	c.Calibrate(s.pressureDot, n, deflate)
-}
-
-// deflateWrapped adapts a Chebyshev preconditioner to the enclosed-domain
-// pressure solve: input and output are projected off the constant null
-// space, exactly as the reference sandwich does. On open domains it is the
-// bare Apply.
-func (s *Solver) deflateWrapped(c *solver.Chebyshev) solver.Operator {
-	return func(out, r []float64) {
-		rin := r
-		if s.enclosed {
-			rin = s.rinArena
-			copy(rin, r)
-			s.deflatePressure(rin)
-		}
-		c.Apply(out, rin)
-		if s.enclosed {
-			s.deflatePressure(out)
-		}
-	}
-}
-
-// pressurePrecondLocal is the sandwich without the coarse XXT term and
-// without deflation — the raw smoothing sweep the Chebyshev polynomial
-// wraps (deflation is handled once by the wrapper).
-func (s *Solver) pressurePrecondLocal(out, r []float64) {
-	rv := s.scr[6]
-	s.curV, s.curP = rv, r
-	s.DN.ForElements(s.prolongLoop)
-	s.DN.GS.Apply(rv, gs.Sum)
-	zv := s.scr[7]
-	s.pPre.ApplyLocal(zv, rv)
-	s.curV, s.curP = zv, out
-	s.DN.ForElements(s.restrictLoop)
-	s.curV, s.curP = nil, nil
+	s.cheb[name] = chebParams{lmin: c.LMin, lmax: c.LMax, degree: degree}
 }
 
 // pressureDiagE computes the exact diagonal of the consistent pressure
@@ -191,23 +167,23 @@ func (s *Solver) pressurePrecondLocal(out, r []float64) {
 // nodes and get an underestimate — harmless for a preconditioner; the
 // Chebyshev Calibrate pass absorbs it into the bound.) Non-positive or
 // non-finite entries (fully masked corners) are clamped to 1.
-func (s *Solver) pressureDiagE() []float64 {
-	m := s.M
+func (t *template) pressureDiagE() []float64 {
+	m := t.M
 	np := m.Np
-	d := make([]float64, m.K*s.npp)
-	work := make([]float64, s.interpWorkLen())
+	d := make([]float64, m.K*t.npp)
+	work := make([]float64, t.InterpWorkLen())
 	tv := make([]float64, np)
 	we := make([]float64, np)
-	pe := make([]float64, s.npp)
-	outs := make([][]float64, s.dim)
+	pe := make([]float64, t.npp)
+	outs := make([][]float64, t.dim)
 	for c := range outs {
 		outs[c] = make([]float64, np)
 	}
 	for e := 0; e < m.K; e++ {
-		w := s.invBm[e*np : (e+1)*np]
-		for i := 0; i < s.npp; i++ {
+		w := t.invBm[e*np : (e+1)*np]
+		for i := 0; i < t.npp; i++ {
 			pe[i] = 1
-			s.GradTElem(outs, pe, e, work, tv, we)
+			t.gradTElem(outs, pe, e, work, tv, we)
 			pe[i] = 0
 			var v float64
 			for _, oc := range outs {
@@ -218,7 +194,7 @@ func (s *Solver) pressureDiagE() []float64 {
 			if !(v > 0) || math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 1
 			}
-			d[e*s.npp+i] = v
+			d[e*t.npp+i] = v
 		}
 	}
 	return d
@@ -228,17 +204,14 @@ func (s *Solver) pressureDiagE() []float64 {
 // for this configuration's key, and fall back to a trial-solve tournament
 // — one short CG per variant against a synthetic in-range right-hand side
 // — recording the winner back into the table for later sessions.
-func (s *Solver) autoSelectPrecond() error {
+func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
 	key := s.precondKey()
 	if t := solver.InstalledPrecondTable(); t != nil {
 		if name, ok := t.Lookup(key); ok && ValidPrecond(name) && name != PrecondAuto && name != PrecondNone {
-			s.precondName = name
-			s.precondSel = solver.PrecondSelection{Name: name, Source: "table"}
-			s.pPrecondOp = s.precondOp(name)
-			return nil
+			return solver.PrecondSelection{Name: name, Source: "table"}
 		}
 	}
-	n := s.M.K * s.npp
+	n := len(s.P)
 	probe := make([]float64, n)
 	rhs := make([]float64, n)
 	x := make([]float64, n)
@@ -263,11 +236,8 @@ func (s *Solver) autoSelectPrecond() error {
 	if name == "" {
 		name = PrecondSchwarz
 	}
-	s.precondName = name
-	s.precondSel = solver.PrecondSelection{Name: name, Source: "trial", Trials: trials}
-	s.pPrecondOp = s.precondOp(name)
 	solver.RecordPrecond(key, name)
-	return nil
+	return solver.PrecondSelection{Name: name, Source: "trial", Trials: trials}
 }
 
 // precondKey is this solver's selection-table key. The serial stepper keys
@@ -290,20 +260,10 @@ func (s *Solver) PrecondName() string { return s.precondName }
 func (s *Solver) PrecondSelection() solver.PrecondSelection { return s.precondSel }
 
 // ChebBounds returns the tuned Chebyshev parameters (λmin, λmax, degree)
-// for a variant, or ok=false when that variant was not built. parrun reads
-// these off the serial template so every rank runs identical coefficients.
+// for a variant, or ok=false when that variant was not built.
 func (s *Solver) ChebBounds(name string) (lmin, lmax float64, degree int, ok bool) {
-	var c *solver.Chebyshev
-	switch name {
-	case PrecondChebJacobi:
-		c = s.chebJacobi
-	case PrecondChebSchwarz:
-		c = s.chebSchwarz
-	}
-	if c == nil {
-		return 0, 0, 0, false
-	}
-	return c.LMin, c.LMax, c.Degree, true
+	p, ok := s.cheb[name]
+	return p.lmin, p.lmax, p.degree, ok
 }
 
 // PressureDiagE returns the exact diag(E) used by the Jacobi sweep (nil

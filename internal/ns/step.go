@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/instrument"
 	"repro/internal/solver"
 )
 
@@ -21,13 +20,17 @@ func bdf(order int) (beta float64, gamma []float64) {
 	}
 }
 
-// Step advances the solution by one time step and reports statistics.
-func (s *Solver) Step() (StepStats, error) {
+// Step advances the solution by one time step and reports statistics. It is
+// the one implementation of the operator-splitting step — convect → viscous →
+// pressure → (scalar) → filter → rotate and commit — for every Machine: all
+// solvers of a run call it in lockstep, and every decision in it derives
+// from values joined over the run, so they all take the same path.
+func (s *Solver) Step() (st StepStats, err error) {
 	cfg := s.Cfg
-	st := StepStats{Step: s.step + 1}
+	st.Step = s.step + 1
 	tNew := s.time + cfg.Dt
-	spStep := s.tracer.Begin(instrument.PidWall, 0, "ns/step", "ns")
-	defer spStep.End()
+	s.mach.Begin(SecStep)
+	defer func() { s.mach.End(SecStep, st) }()
 
 	// Effective order ramps up over the first steps.
 	order := cfg.Order
@@ -37,126 +40,66 @@ func (s *Solver) Step() (StepStats, error) {
 	beta, gamma := bdf(order)
 
 	// --- Convective subintegration (OIFS): ũ^{n-q} for q = 1..order. ---
-	tConv := s.instr.convect.Begin()
-	spConv := s.tracer.Begin(instrument.PidWall, 0, "ns/convect", "ns")
+	s.mach.Begin(SecConvect)
 	cflDt, rate := s.cflLimit()
 	st.CFL = rate * cfg.Dt // convective CFL of the full step
 	// Histories: index 0 is u^{n-1} (current U before this step completes).
 	hist := append(s.histBuf[:0], s.U)
 	hist = append(hist, s.Uh...)
 	utils := s.utilArena[:order]
-	totalSub := 0
 	for q := 1; q <= order; q++ {
-		totalSub += s.advectInto(utils[q-1], hist[q-1], float64(q)*cfg.Dt, cflDt, hist)
+		st.Substeps += s.advectInto(utils[q-1][:s.dim], hist[q-1][:s.dim], float64(q)*cfg.Dt, cflDt, hist)
 	}
-	st.Substeps = totalSub
-
 	// Scalar transport (advanced first so buoyancy uses T^n ≈ explicit ũT).
 	var tTil [][]float64
-	if cfg.Scalar != nil {
+	if s.T != nil {
 		tHist := append(s.tHistBuf[:0], s.T)
 		tHist = append(tHist, s.Th...)
 		tTil = s.tTilArena[:order]
 		for q := 1; q <= order; q++ {
-			s.advectScalarInto(tTil[q-1], tHist[q-1], float64(q)*cfg.Dt, cflDt, hist)
+			s.advectInto(tTil[q-1:q], tHist[q-1:q], float64(q)*cfg.Dt, cflDt, hist)
 		}
 	}
-	s.instr.convect.End(tConv)
-	s.instr.convectH.ObserveSince(tConv)
-	if s.tracer != nil {
-		spConv.EndWith(map[string]any{"substeps": totalSub})
-	}
-	s.instr.substeps.Add(int64(totalSub))
+	s.mach.End(SecConvect, st)
+	s.instr.substeps.Add(int64(st.Substeps))
 	s.instr.cfl.Set(st.CFL)
 
-	// --- Momentum right-hand sides and Helmholtz solves. ---
-	tVisc := s.instr.viscous.Begin()
-	spVisc := s.tracer.Begin(instrument.PidWall, 0, "ns/viscous", "ns")
+	// --- Momentum right-hand sides and Helmholtz solves, one component at a
+	// time (three scalar reductions per CG iteration; a batched multi-RHS
+	// solve measured no faster, see DESIGN.md "One step, two backends"). ---
+	s.mach.Begin(SecViscous)
 	st.ViscousConverged = true
 	h1 := 1.0 / cfg.Re
 	h2 := beta / cfg.Dt
-	s.helmholtzDiagV(h1, h2)
-	s.curH1, s.curH2 = h1, h2
+	s.helmholtzDiag(&s.helmDiag, &s.helmH1, &s.helmH2, h1, h2, s.mask)
+	s.curH1, s.curH2, s.curMask = h1, h2, s.mask
 	// Pressure gradient of p^{n-1} (incremental splitting).
-	gp := s.scr345
-	s.GradientT(gp[:s.dim], s.P)
-
+	s.GradientT(s.gp[:s.dim], s.P)
 	ustar := s.ustar
-	if cfg.UnbatchedViscous {
-		for c := 0; c < s.dim; c++ {
-			b := s.bArena
-			s.buildViscousRHS(b, c, order, gamma, utils, tTil, beta, tNew)
-			// Dirichlet lifting: start from boundary values, solve the
-			// masked correction.
-			u := ustar[c]
-			copy(u, s.U[c])
-			s.setDirichletComponent(u, c, tNew)
-			hu := s.huArena
-			s.D.Helmholtz(hu, u, h1, h2)
-			s.finishViscousRHS(b, hu)
-			du := s.duArena
-			for i := range du {
-				du[i] = 0
-			}
-			stats := solver.CG(s.helmOp, s.D.Dot, du, b, s.viscousOptions())
-			if !stats.Converged {
-				st.ViscousConverged = false
-			}
-			if !stats.Converged && stats.FinalRes > 1e-6 {
-				spVisc.End()
-				return st, fmt.Errorf("ns: Helmholtz solve for component %d failed (res %g)", c, stats.FinalRes)
-			}
-			st.HelmholtzIters[c] = stats.Iterations
-			for i := range u {
-				u[i] += du[i]
-			}
+	for c := 0; c < s.dim; c++ {
+		b := s.bArena
+		s.viscousRHS(b, c, gamma, utils, tTil, beta, tNew)
+		// Dirichlet lifting: start from boundary values, solve the masked
+		// correction.
+		u := ustar[c]
+		copy(u, s.U[c])
+		s.setDirichletComponent(u, c, tNew)
+		stats := s.helmholtzSolve(u, b, s.jacobi, solver.Options{
+			Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
+			Tracer: s.tracer, TraceName: "helmholtz.cg"})
+		if !stats.Converged {
+			st.ViscousConverged = false
 		}
-	} else {
-		// Batched multi-RHS path: build every component's RHS and lifted
-		// boundary field first, apply the Helmholtz lift to all components
-		// in one batched element sweep, then solve the component systems in
-		// lockstep — one operator sweep per CG iteration across all columns.
-		// Bitwise identical to the per-component loop above (the reference
-		// side of TestBatchedViscousGolden).
-		for c := 0; c < s.dim; c++ {
-			s.buildViscousRHS(s.bMulti[c], c, order, gamma, utils, tTil, beta, tNew)
-			u := ustar[c]
-			copy(u, s.U[c])
-			s.setDirichletComponent(u, c, tNew)
-			s.ustarHdr[c] = u
+		if !stats.Converged && stats.FinalRes > 1e-6 {
+			s.mach.End(SecViscous, st)
+			return st, fmt.Errorf("ns: Helmholtz solve for component %d failed (res %g)", c, stats.FinalRes)
 		}
-		s.D.HelmholtzMulti(s.huMulti, s.ustarHdr, h1, h2)
-		for c := 0; c < s.dim; c++ {
-			s.finishViscousRHS(s.bMulti[c], s.huMulti[c])
-			du := s.duMulti[c]
-			for i := range du {
-				du[i] = 0
-			}
-		}
-		sts := solver.CGMulti(s.helmMultiOp, s.D.Dot, s.duMulti, s.bMulti, s.viscousOptions(), s.cgMulti)
-		for c := 0; c < s.dim; c++ {
-			stats := sts[c]
-			if !stats.Converged {
-				st.ViscousConverged = false
-			}
-			if !stats.Converged && stats.FinalRes > 1e-6 {
-				spVisc.End()
-				return st, fmt.Errorf("ns: Helmholtz solve for component %d failed (res %g)", c, stats.FinalRes)
-			}
-			st.HelmholtzIters[c] = stats.Iterations
-			u, du := ustar[c], s.duMulti[c]
-			for i := range u {
-				u[i] += du[i]
-			}
-		}
+		st.HelmholtzIters[c] = stats.Iterations
 	}
-	s.instr.viscous.End(tVisc)
-	s.instr.viscousH.ObserveSince(tVisc)
-	spVisc.End()
+	s.mach.End(SecViscous, st)
 
 	// --- Pressure correction: E δp = -(β/Δt) D u*. ---
-	tPres := s.instr.pressure.Begin()
-	spPres := s.tracer.Begin(instrument.PidWall, 0, "ns/pressure", "ns")
+	s.mach.Begin(SecPressure)
 	rp := s.rpArena
 	s.Divergence(rp, ustar)
 	for i := range rp {
@@ -172,10 +115,7 @@ func (s *Solver) Step() (StepStats, error) {
 	popt := solver.Options{Tol: cfg.PTol, MaxIter: cfg.PMaxIter, History: s.history != nil,
 		Time: s.instr.pressureCG, Iters: s.instr.pressureIters, IterHist: s.instr.pressureIterH,
 		Tracer: s.tracer, TraceName: "pressure.cg", Converged: s.instr.pressConv,
-		Scratch: s.cgScratch}
-	if s.pPrecondOp != nil {
-		popt.Precond = s.pPrecondOp
-	}
+		Scratch: s.cgScratch, Precond: s.pPrecondOp}
 	var pstats solver.Stats
 	if s.projector != nil {
 		pstats = s.projector.ProjectAndSolve(dp, rp, popt)
@@ -192,67 +132,58 @@ func (s *Solver) Step() (StepStats, error) {
 	}
 
 	// --- Velocity update: u^n = u* + (Δt/β) M B̃⁻¹ QQᵀ Dᵀ δp. ---
-	gdp := s.scr345
-	s.GradientT(gdp[:s.dim], dp)
+	s.GradientT(s.gp[:s.dim], dp)
 	for c := 0; c < s.dim; c++ {
-		g := gdp[c]
-		s.D.Assemble(g) // QQᵀ + mask
+		g := s.gp[c]
+		s.assemble(g, s.mask)
 		scale := cfg.Dt / beta
 		u := ustar[c]
 		for i := range u {
-			u[i] += scale * g[i] / s.bAssem[i]
+			u[i] += scale * g[i] / s.bAssemL[i]
 		}
 	}
-	s.instr.pressure.End(tPres)
-	s.instr.pressureH.ObserveSince(tPres)
-	if s.tracer != nil {
-		spPres.EndWith(map[string]any{"iterations": pstats.Iterations, "converged": pstats.Converged})
-	}
+	s.mach.Charge(int64(3 * s.dim * s.n))
+	s.mach.End(SecPressure, st)
 
 	// --- Scalar Helmholtz solve. ---
-	if cfg.Scalar != nil {
-		tScal := s.instr.scalar.Begin()
-		spScal := s.tracer.Begin(instrument.PidWall, 0, "ns/scalar", "ns")
-		iters, err := s.scalarSolve(tTil, gamma, beta, tNew)
-		s.instr.scalar.End(tScal)
-		spScal.End()
+	if s.T != nil {
+		s.mach.Begin(SecScalar)
+		st.ScalarIters, err = s.scalarSolve(tTil, gamma, beta, tNew)
+		s.mach.End(SecScalar, st)
 		if err != nil {
 			return st, err
 		}
-		st.ScalarIters = iters
 	}
 
 	// --- Filter, rotate history, commit. ---
-	tFilt := s.instr.filter.Begin()
-	spFilt := s.tracer.Begin(instrument.PidWall, 0, "ns/filter", "ns")
+	s.mach.Begin(SecFilter)
 	var filterRemoved float64
 	if s.history != nil && s.filter != nil {
 		for c := 0; c < s.dim; c++ {
-			filterRemoved += s.D.Dot(ustar[c], ustar[c])
+			filterRemoved += s.dot(ustar[c], ustar[c])
 		}
 	}
-	for c := 0; c < s.dim; c++ {
-		if s.filter != nil {
-			s.D.ApplyFilter(s.filter, ustar[c])
+	if s.filter != nil {
+		for c := 0; c < s.dim; c++ {
+			s.applyFilter(ustar[c])
 			s.setDirichletComponent(ustar[c], c, tNew)
 		}
-	}
-	if s.history != nil && s.filter != nil {
-		for c := 0; c < s.dim; c++ {
-			filterRemoved -= s.D.Dot(ustar[c], ustar[c])
+		s.mach.Charge(s.filtF * int64(len(s.elems)*s.dim))
+		if s.history != nil {
+			for c := 0; c < s.dim; c++ {
+				filterRemoved -= s.dot(ustar[c], ustar[c])
+			}
+		}
+		if s.T != nil {
+			s.applyFilter(s.T)
+			s.mach.Charge(s.filtF * int64(len(s.elems)))
 		}
 	}
-	if s.filter != nil && s.T != nil {
-		s.D.ApplyFilter(s.filter, s.T)
-	}
-	s.instr.filter.End(tFilt)
-	s.instr.filterH.ObserveSince(tFilt)
-	spFilt.End()
+	s.mach.End(SecFilter, st)
 	// History rotation keeps up to Order-1 previous velocities. The ring
 	// reuses the retired oldest entry's arrays once the window is full, so
 	// steady-state rotation allocates nothing.
-	keep := cfg.Order - 1
-	if keep > 0 {
+	if keep := cfg.Order - 1; keep > 0 {
 		var prev [3][]float64
 		if len(s.Uh) >= keep {
 			prev = s.Uh[len(s.Uh)-1]
@@ -296,12 +227,19 @@ func (s *Solver) Step() (StepStats, error) {
 	st.Time = s.time
 	s.instr.steps.Inc()
 
-	for c := 0; c < s.dim; c++ {
-		for i := 0; i < s.n; i += 97 {
-			if math.IsNaN(s.U[c][i]) {
-				return st, fmt.Errorf("ns: solution diverged (NaN) at step %d", s.step)
+	// Divergence (NaN) detection scans every owned velocity entry and must be
+	// a uniform decision: the flags join in a max over the run.
+	var bad float64
+	for c := 0; c < s.dim && bad == 0; c++ {
+		for _, v := range s.U[c] {
+			if math.IsNaN(v) {
+				bad = 1
+				break
 			}
 		}
+	}
+	if s.mach.Max(bad) > 0 {
+		return st, fmt.Errorf("ns: solution diverged (NaN) at step %d", s.step)
 	}
 	if s.history != nil {
 		div := s.divArena
@@ -326,91 +264,97 @@ func (s *Solver) Step() (StepStats, error) {
 			ViscousConverged:  st.ViscousConverged,
 			ScalarIters:       st.ScalarIters,
 			ProjectionBasis:   st.ProjectionBasis,
-			MaxDivergence:     maxDiv,
+			MaxDivergence:     s.mach.Max(maxDiv),
 			FilterEnergy:      filterRemoved,
 		})
 	}
 	return st, nil
 }
 
-// buildViscousRHS fills b with component c's Helmholtz right-hand side —
-// the BDF history term, forcing, extrapolated buoyancy, and the lagged
-// pressure gradient (already computed into s.scr345) — then assembles it.
-// Shared verbatim by the batched and per-component viscous paths.
-func (s *Solver) buildViscousRHS(b []float64, c, order int, gamma []float64, utils [][3][]float64, tTil [][]float64, beta, tNew float64) {
+// viscousRHS fills b with component c's Helmholtz right-hand side — the BDF
+// history term, forcing, extrapolated buoyancy, and the lagged pressure
+// gradient (already in s.gp) — then assembles it.
+func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]float64, tTil [][]float64, beta, tNew float64) {
 	cfg := s.Cfg
-	m := s.M
-	for i := 0; i < s.n; i++ {
+	for i := range b {
 		var sum float64
-		for q := 0; q < order; q++ {
+		for q := range utils {
 			sum += gamma[q] * utils[q][c][i]
 		}
-		b[i] = m.B[i] * sum / cfg.Dt
+		b[i] = s.b[i] * sum / cfg.Dt
 	}
 	if cfg.Forcing != nil {
-		for i := 0; i < s.n; i++ {
-			fx, fy, fz := cfg.Forcing(m.X[i], m.Y[i], m.Zc[i], tNew)
+		for i := range b {
+			fx, fy, fz := cfg.Forcing(s.x[i], s.y[i], s.z[i], tNew)
 			f := [3]float64{fx, fy, fz}
-			b[i] += m.B[i] * f[c]
+			b[i] += s.b[i] * f[c]
 		}
 	}
 	if cfg.Scalar != nil && cfg.Scalar.Buoyancy[c] != 0 {
 		// Explicit extrapolated buoyancy from the subintegrated scalar.
-		for i := 0; i < s.n; i++ {
+		for i := range b {
 			var sum float64
-			for q := 0; q < order; q++ {
+			for q := range tTil {
 				sum += gamma[q] * tTil[q][i]
 			}
-			b[i] += m.B[i] * cfg.Scalar.Buoyancy[c] * sum / beta
+			b[i] += s.b[i] * cfg.Scalar.Buoyancy[c] * sum / beta
 		}
 	}
-	gp := s.scr345
+	gp := s.gp[c]
 	for i := range b {
-		b[i] += gp[c][i]
+		b[i] += gp[i]
 	}
-	s.D.Assemble(b)
+	s.assemble(b, s.mask)
 }
 
-// finishViscousRHS subtracts the lifted-operator image from the assembled
-// RHS and applies the Dirichlet mask.
-func (s *Solver) finishViscousRHS(b, hu []float64) {
+// helmholtzSolve finishes a lifted Helmholtz solve (h1·A + h2·B) u = b for
+// the operator currently in s.curH1/curH2/curMask: u holds the boundary lift
+// on entry and the solution on return, b the assembled right-hand side
+// (overwritten). opt carries the caller's instrumentation.
+func (s *Solver) helmholtzSolve(u, b []float64, jacobi solver.Operator, opt solver.Options) solver.Stats {
+	hu := s.huArena
+	s.helmholtz(hu, u, s.curH1, s.curH2, s.curMask)
 	for i := range b {
 		b[i] -= hu[i]
 	}
-	if s.maskV != nil {
-		for i, mk := range s.maskV {
-			b[i] *= mk
-		}
+	applyMask(b, s.curMask)
+	du := s.duArena
+	for i := range du {
+		du[i] = 0
 	}
-}
-
-// viscousOptions is the CG option set shared by the batched and
-// per-component velocity Helmholtz solves.
-func (s *Solver) viscousOptions() solver.Options {
-	return solver.Options{Tol: s.Cfg.VTol, Relative: true, MaxIter: 1000, Precond: s.jacobi,
-		Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
-		Tracer: s.tracer, TraceName: "helmholtz.cg", Scratch: s.cgScratch}
+	opt.Tol, opt.Relative, opt.MaxIter = s.Cfg.VTol, true, 1000
+	opt.Precond, opt.Scratch = jacobi, s.cgScratch
+	stats := solver.CG(s.helmOp, s.dot, du, b, opt)
+	for i := range u {
+		u[i] += du[i]
+	}
+	return stats
 }
 
 // setDirichletComponent writes the Dirichlet boundary value of component c.
 func (s *Solver) setDirichletComponent(u []float64, c int, t float64) {
-	if s.maskV == nil || s.Cfg.DirichletVal == nil {
+	if s.mask == nil || s.Cfg.DirichletVal == nil {
 		return
 	}
-	m := s.M
-	for i, mk := range s.maskV {
+	for i, mk := range s.mask {
 		if mk == 0 {
-			bu, bv, bw := s.Cfg.DirichletVal(m.X[i], m.Y[i], m.Zc[i], t)
+			bu, bv, bw := s.Cfg.DirichletVal(s.x[i], s.y[i], s.z[i], t)
 			vals := [3]float64{bu, bv, bw}
 			u[i] = vals[c]
 		}
 	}
 }
 
+// applyFilter filters a velocity-grid field in place, element by element.
+func (s *Solver) applyFilter(u []float64) {
+	s.curIn = u
+	s.mach.ForElements(s.filterLoop)
+	s.curIn = nil
+}
+
 // cflLimit returns the stable substep size for explicit advection and the
-// current grid CFL number per unit time (max |u|/h).
+// current grid CFL number per unit time (max |u|/h over the run).
 func (s *Solver) cflLimit() (dt float64, rate float64) {
-	h := s.M.MinSpacing()
 	var umax float64
 	for c := 0; c < s.dim; c++ {
 		for _, v := range s.U[c] {
@@ -419,69 +363,10 @@ func (s *Solver) cflLimit() (dt float64, rate float64) {
 			}
 		}
 	}
+	umax = s.mach.Max(umax)
 	if umax == 0 {
 		return math.Inf(1), 0
 	}
-	rate = umax / h
+	rate = umax / s.M.MinSpacing()
 	return s.Cfg.SubCFL / rate, rate
-}
-
-// substepCount returns the CFL-bounded RK4 substep count for an interval of
-// length tau.
-func substepCount(tau, cflDt float64) int {
-	nsub := 1
-	if !math.IsInf(cflDt, 1) {
-		nsub = int(math.Ceil(tau / cflDt))
-		if nsub < 1 {
-			nsub = 1
-		}
-	}
-	if nsub > 2000 {
-		nsub = 2000
-	}
-	return nsub
-}
-
-// advectInto integrates dv/dt = -(c·∇)v backward-started at u0 over an
-// interval of length tau ending at the new time level, using RK4 substeps
-// bounded by the CFL limit, writing ũ into the caller's v (first dim
-// components, each length n). The advecting field c(τ) is the Lagrange
-// interpolant/extrapolant of the velocity history. Returns the substep
-// count.
-func (s *Solver) advectInto(v [3][]float64, u0 [3][]float64, tau, cflDt float64, hist [][3][]float64) int {
-	nsub := substepCount(tau, cflDt)
-	h := tau / float64(nsub)
-	for c := 0; c < s.dim; c++ {
-		copy(v[c], u0[c])
-	}
-	// Times of history fields relative to the new time level tNew:
-	// hist[k] is at t = -(k+1)*Dt; the integration runs from -tau to 0.
-	fields := s.rkFields[:s.dim]
-	for c := 0; c < s.dim; c++ {
-		fields[c] = v[c]
-	}
-	for sub := 0; sub < nsub; sub++ {
-		t0 := -tau + float64(sub)*h
-		s.rk4AdvectFields(fields, t0, h, hist)
-		// Keep the field C0 across element boundaries (mass-weighted
-		// average, the direct-stiffness form of the convective update).
-		for c := 0; c < s.dim; c++ {
-			s.massAverage(v[c])
-		}
-	}
-	return nsub
-}
-
-// advectScalarInto is the scalar version of advectInto.
-func (s *Solver) advectScalarInto(v, t0f []float64, tau, cflDt float64, hist [][3][]float64) {
-	nsub := substepCount(tau, cflDt)
-	h := tau / float64(nsub)
-	copy(v, t0f)
-	fields := s.rkFields[:1]
-	fields[0] = v
-	for sub := 0; sub < nsub; sub++ {
-		t0 := -tau + float64(sub)*h
-		s.rk4AdvectFields(fields, t0, h, hist)
-		s.massAverage(v)
-	}
 }

@@ -1,10 +1,10 @@
 package parrun
 
 // checkpoint.go implements checkpoint/restart for the distributed
-// Navier–Stokes stepper. Every K steps each rank deposits a deep copy of
-// its complete stepper state — velocity, BDF-OIFS history, pressure, the
-// pressure-projection basis, and the comm clock state (virtual time,
-// traffic counters, flow/fault sequence counters) — into a shared sink;
+// Navier–Stokes stepper. Every K steps each rank deposits its solver's
+// ns.Checkpoint — the one state codec of the stepper, over the rank's own
+// elements — and the comm clock state (virtual time, traffic counters,
+// flow/fault sequence counters) into a shared sink;
 // when all P deposits for a step have landed, the sink writes one versioned
 // snapshot file. The deposit happens outside the simulated machine (no
 // messages, no virtual-clock cost), so a run with checkpointing enabled is
@@ -24,28 +24,21 @@ import (
 	"sync"
 
 	"repro/internal/comm"
+	"repro/internal/ns"
 )
 
-// CheckpointVersion is the snapshot layout version; Load rejects others.
-const CheckpointVersion = 1
+// CheckpointVersion is the snapshot layout version; Load rejects others
+// (version 1 carried a parrun-private copy of the rank state).
+const CheckpointVersion = 2
 
-// RankCheckpoint is one rank's slice of the stepper state.
+// RankCheckpoint is one rank's slice of the run: its clock and its solver
+// state. The state includes the cached Helmholtz Jacobi diagonal, so a
+// resumed run does not recompute — and therefore re-communicate — what the
+// uninterrupted run had cached.
 type RankCheckpoint struct {
 	Rank  int
 	Clock comm.ClockState
-
-	U  [3][]float64   // velocity blocks (element-local, owned elements)
-	Uh [][3][]float64 // BDF/OIFS velocity history (newest first)
-	P  []float64      // pressure blocks
-
-	ProjXs  [][]float64 // pressure-projection basis
-	ProjAxs [][]float64 // operator images of the basis
-
-	// Cached assembled Helmholtz Jacobi diagonal (nil if never built).
-	// Restoring it keeps the resumed run from recomputing — and therefore
-	// re-communicating — what the uninterrupted run had cached.
-	Diag           []float64
-	DiagH1, DiagH2 float64
+	State *ns.Checkpoint
 }
 
 // Checkpoint is a versioned snapshot of a distributed run after Step

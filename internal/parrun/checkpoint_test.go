@@ -88,6 +88,12 @@ func requireBitwiseContinuation(t *testing.T, full, resumed *NSResult, ckSteps i
 				i, full.Pressure[i], resumed.Pressure[i])
 		}
 	}
+	for i := range full.Scalar {
+		if full.Scalar[i] != resumed.Scalar[i] {
+			t.Fatalf("scalar index %d diverges after resume: %g vs %g",
+				i, full.Scalar[i], resumed.Scalar[i])
+		}
+	}
 }
 
 // TestCheckpointResumeBitwise: killing the run after 2 of 4 steps and
@@ -101,6 +107,33 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := resumeFrom(t, cfg, base, ckSteps)
+	re := base
+	re.Resume = ck
+	resumed, err := NavierStokes(cfg, re)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	requireBitwiseContinuation(t, full, resumed, ckSteps)
+}
+
+// TestCheckpointResumeBitwiseScalar: the snapshot is the shared ns state
+// codec, so it carries the scalar and its BDF/OIFS history: a convection run
+// killed after 2 of 4 steps resumes bitwise, scalar included.
+func TestCheckpointResumeBitwiseScalar(t *testing.T) {
+	cfg := convectionCase(t)
+	const p, ckSteps, steps = 3, 2, 4
+	base := NSConfig{P: p, Steps: steps}
+	full, err := NavierStokes(cfg, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Scalar == nil {
+		t.Fatal("convection run returned no scalar field")
+	}
+	ck := resumeFrom(t, cfg, base, ckSteps)
+	if st := ck.Ranks[0].State; st.T == nil || len(st.Th) == 0 {
+		t.Fatalf("rank snapshot carries no scalar state (T %d values, %d history levels)", len(st.T), len(st.Th))
+	}
 	re := base
 	re.Resume = ck
 	resumed, err := NavierStokes(cfg, re)
@@ -195,6 +228,16 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Errorf("already-complete snapshot accepted (err: %v)", err)
 	}
 
+	// A file of the previous layout (the parrun-private rank state, version
+	// 1) is refused by the version check, not half-decoded.
+	old := filepath.Join(t.TempDir(), "ckpt-000002.gob")
+	if err := (&Checkpoint{Version: 1, Step: 2, P: 1, Ranks: make([]RankCheckpoint, 1)}).WriteFile(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(old); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 snapshot accepted (err: %v)", err)
+	}
+
 	if path, err := LatestCheckpoint(t.TempDir()); err != nil || path != "" {
 		t.Errorf("empty dir: path %q, err %v", path, err)
 	}
@@ -215,9 +258,9 @@ func TestCheckpointWriteSharedDir(t *testing.T) {
 		return &Checkpoint{
 			Version: CheckpointVersion, Step: step, P: 1,
 			K: marker, N: 5, Dim: 2, Np: 36, Npp: 16,
-			Ranks: []RankCheckpoint{{Rank: 0, U: [3][]float64{
+			Ranks: []RankCheckpoint{{Rank: 0, State: &ns.Checkpoint{U: [3][]float64{
 				make([]float64, 64), make([]float64, 64), nil,
-			}}},
+			}}}},
 		}
 	}
 	const writers = 8

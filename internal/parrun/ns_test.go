@@ -153,6 +153,106 @@ func TestNavierStokesMatchesSerialHairpin(t *testing.T) {
 	}
 }
 
+// convectionCase is a small Boussinesq convection cell (scalar transport with
+// its own Dirichlet set, buoyancy in the momentum equation), tolerances
+// tightened like nsCase's.
+func convectionCase(t *testing.T) ns.Config {
+	t.Helper()
+	cfg, err := flowcases.ConvectionSpec(flowcases.ConvectionConfig{Nel: 3, N: 5, Ra: 5e3, Dt: 0.005, ProjectionL: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PTol, cfg.VTol, cfg.FilterAlpha = 1e-12, 1e-13, 0.05
+	return cfg
+}
+
+// Every solver feature exists once, so it exists distributed: scalar
+// transport (advected, diffused, filtered and fed back as buoyancy) and the
+// skew-symmetric convection blend, both of which the second copy of the step
+// used to reject, must reproduce the serial solver at P = 1 and an odd P.
+func TestNavierStokesScalarAndSkewMatchSerial(t *testing.T) {
+	skew, init := nsCase(t)
+	skew.SkewWeight = 1
+	for name, c := range map[string]struct {
+		cfg  ns.Config
+		init func(x, y, z float64) (float64, float64, float64)
+	}{"convection": {cfg: convectionCase(t)}, "skew": {skew, init}} {
+		const steps = 5
+		ser, err := ns.New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.init != nil {
+			ser.SetVelocity(c.init)
+		}
+		for i := 0; i < steps; i++ {
+			if _, err := ser.Step(); err != nil {
+				t.Fatalf("%s: serial step %d: %v", name, i+1, err)
+			}
+		}
+		for _, p := range []int{1, 3} {
+			res, err := NavierStokes(c.cfg, NSConfig{P: p, Steps: steps, Init: c.init})
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", name, p, err)
+			}
+			if !res.Converged {
+				t.Fatalf("%s P=%d: %d steps did not converge", name, p, res.NonconvergedSteps)
+			}
+			for comp := 0; comp < c.cfg.Mesh.Dim; comp++ {
+				if d := maxAbsDiff(res.U[comp], ser.Velocity(comp)); d > 1e-8 {
+					t.Errorf("%s P=%d: velocity component %d differs from serial by %g", name, p, comp, d)
+				}
+			}
+			if d := maxAbsDiff(res.Pressure, ser.Pressure()); d > 1e-8 {
+				t.Errorf("%s P=%d: pressure differs from serial by %g", name, p, d)
+			}
+			if (res.Scalar != nil) != (ser.Scalar() != nil) {
+				t.Fatalf("%s P=%d: scalar field present %v, serial %v", name, p, res.Scalar != nil, ser.Scalar() != nil)
+			}
+			if d := maxAbsDiff(res.Scalar, ser.Scalar()); d > 1e-8 {
+				t.Errorf("%s P=%d: scalar differs from serial by %g", name, p, d)
+			}
+			if name == "convection" && res.StepStats[steps-1].ScalarIters == 0 {
+				t.Errorf("%s P=%d: no scalar Helmholtz iterations reported", name, p)
+			}
+		}
+	}
+}
+
+// One flop charge per operation: the serial flop meter and the modelled
+// clock tell one story. At P = 1 under Chebyshev–Jacobi the rank runs the
+// serial arithmetic bit for bit (no reduction reordering, no coarse solve
+// whose factorization differs) and pays for no message, so its virtual
+// stepping time must be the serial meter's flops at the machine's flop rate.
+func TestSerialFlopMeterMatchesModelledClock(t *testing.T) {
+	cfg, init := nsCase(t)
+	cfg.PressurePrecond = ns.PrecondChebJacobi
+	const steps = 3
+	ser, err := ns.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser.SetVelocity(init)
+	ser.Disc().ResetFlops()
+	for i := 0; i < steps; i++ {
+		if _, err := ser.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := NavierStokes(cfg, NSConfig{P: 1, Steps: steps, Init: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var virtual float64
+	for _, v := range res.StepVirtual {
+		virtual += v
+	}
+	want := float64(ser.Disc().Flops()) * comm.ASCIRed(1).FlopSec
+	if math.Abs(virtual-want) > 1e-9*want {
+		t.Errorf("P=1 virtual stepping time %.12g s, serial meter × flop rate %.12g s", virtual, want)
+	}
+}
+
 // TestNavierStokesStatsMatchSerial: per-step statistics at P = 1 must track
 // the serial stepper — exactly for the integer phase structure (substeps,
 // Helmholtz iterations, projection basis), and within a small band for the
@@ -226,6 +326,8 @@ func TestNavierStokesTraceShape(t *testing.T) {
 		"ns/filter":        false,
 		"gs/exchange":      false,
 		"allreduce":        false,
+		"send":             false,
+		"recv":             false,
 		"schwarz/local":    false,
 		"schwarz/coarse":   false,
 		"coarse/xxt.solve": false,
@@ -322,29 +424,11 @@ func TestNavierStokesNonconvergedPropagates(t *testing.T) {
 }
 
 // TestMachinePMismatchRejected: a caller-supplied Machine.P that disagrees
-// with cfg.P must be an error, not a silent reshape — for both entry points.
+// with cfg.P must be an error, not a silent reshape.
 func TestMachinePMismatchRejected(t *testing.T) {
-	m := boxMesh(t, 4, 5)
-	mach := comm.ASCIRed(3)
-	if _, err := PoissonSchwarz(m, Config{P: 2, Machine: mach}); err == nil {
-		t.Error("PoissonSchwarz accepted Machine.P=3 with P=2")
-	}
 	cfg, init := nsCase(t)
-	if _, err := NavierStokes(cfg, NSConfig{P: 2, Machine: mach, Steps: 1, Init: init}); err == nil {
+	if _, err := NavierStokes(cfg, NSConfig{P: 2, Machine: comm.ASCIRed(3), Steps: 1, Init: init}); err == nil {
 		t.Error("NavierStokes accepted Machine.P=3 with P=2")
-	}
-}
-
-// TestRequestedPRecorded: clamping to the element count must be observable
-// through RequestedP instead of silently rewriting the caller's request.
-func TestRequestedPRecorded(t *testing.T) {
-	m := boxMesh(t, 2, 5) // K = 4
-	res, err := PoissonSchwarz(m, Config{P: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P != m.K || res.RequestedP != 9 {
-		t.Fatalf("effective/requested = %d/%d, want %d/9", res.P, res.RequestedP, m.K)
 	}
 }
 

@@ -1,145 +1,21 @@
-// Package parrun executes the paper's production solver stack — additive
-// Schwarz (FDM local solves + XXT coarse solve) preconditioned conjugate
-// gradients — as a genuine SPMD program on the simulated message-passing
-// machine: the element mesh is partitioned by recursive spectral bisection,
-// each goroutine rank assembles residuals with the distributed
-// gather–scatter, inner products are allreduces, and the coarse vertex
-// solve routes through the distributed XXT solver. Its purpose is the
-// per-rank communication timeline of Figs. 6/8: with a Tracer attached,
-// every collective, gs exchange, Schwarz local solve, and XXT coarse solve
-// appears as a span on the owning rank's virtual-clock track.
+// Package parrun executes the paper's production solver stack — the
+// spectral element Navier–Stokes step with its additive Schwarz (FDM local
+// solves + XXT coarse solve) preconditioned pressure solve — as a genuine
+// SPMD program on the simulated message-passing machine: the element mesh is
+// partitioned by recursive spectral bisection, each goroutine rank assembles
+// residuals with the distributed gather–scatter, inner products are
+// allreduces, and the coarse vertex solve routes through the distributed XXT
+// solver. Its purpose is the per-rank communication timeline of Figs. 6/8:
+// with a Tracer attached, every collective, gs exchange, Schwarz local solve,
+// and XXT coarse solve appears as a span on the owning rank's virtual-clock
+// track.
 package parrun
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/coarse"
 	"repro/internal/comm"
-	"repro/internal/gs"
-	"repro/internal/instrument"
-	"repro/internal/mesh"
-	"repro/internal/partition"
-	"repro/internal/schwarz"
-	"repro/internal/sem"
-	"repro/internal/solver"
 )
-
-// Config controls a distributed Poisson solve.
-type Config struct {
-	P        int                  // simulated ranks (clamped to the element count)
-	Machine  comm.Machine         // zero value: ASCIRed(P)
-	Tol      float64              // relative CG tolerance (default 1e-8)
-	MaxIter  int                  // default 200
-	Registry *instrument.Registry // optional metrics
-	Tracer   *instrument.Tracer   // optional trace (per-rank virtual tracks)
-}
-
-// Result reports the solve and its modeled parallel cost.
-type Result struct {
-	P              int // effective ranks (after clamping to the element count)
-	RequestedP     int // ranks the caller asked for
-	Iterations     int
-	Converged      bool
-	InitialRes     float64
-	FinalRes       float64
-	VirtualSeconds float64 // max rank clock (modeled completion time)
-	TotalBytes     int64
-	TotalMsgs      int64
-	CutEdges       int // RSB partition quality
-	CrossCols      int // XXT separator-crossing columns
-	Neumann        bool
-	X              []float64 // solution reassembled to element-local layout (K*Np)
-}
-
-// PoissonSchwarz solves a Poisson problem on m with the Schwarz(FDM)+XXT
-// preconditioned CG, distributed over cfg.P simulated ranks. Meshes without
-// boundary (fully periodic) are handled as the pure-Neumann problem: the
-// coarse operator pins one vertex and the right-hand side is deflated.
-func PoissonSchwarz(m *mesh.Mesh, cfg Config) (*Result, error) {
-	requested, mach, err := resolveRanks(cfg.P, cfg.Machine, m.K)
-	if err != nil {
-		return nil, err
-	}
-	p := mach.P
-	if cfg.Tol == 0 {
-		cfg.Tol = 1e-8
-	}
-	if cfg.MaxIter == 0 {
-		cfg.MaxIter = 200
-	}
-
-	mask := m.BoundaryMask(nil)
-	neumann := true
-	for _, mk := range mask {
-		if mk == 0 {
-			neumann = false
-			break
-		}
-	}
-	dser := sem.New(m, maskOrNil(mask, neumann), 1)
-	pre, err := schwarz.New(dser, schwarz.Options{
-		Method: schwarz.FDM, UseCoarse: true, Neumann: neumann,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("parrun: schwarz setup: %w", err)
-	}
-	xxt, err := coarse.NewXXT(pre.CoarseOperator(), 0, 0, p)
-	if err != nil {
-		return nil, fmt.Errorf("parrun: coarse setup: %w", err)
-	}
-	xxt.Attach(cfg.Registry)
-	xxt.AttachTracer(cfg.Tracer)
-
-	part := partition.RSB(m.Adj, p)
-	elems := make([][]int, p)
-	for e, q := range part {
-		elems[q] = append(elems[q], e)
-	}
-
-	net := comm.NewNetwork(mach)
-	net.Attach(cfg.Registry)
-	net.AttachTracer(cfg.Tracer)
-
-	// Shared, read-only across ranks: computed once instead of per body.
-	invPerm := make([]int, len(xxt.Perm))
-	for newi, old := range xxt.Perm {
-		invPerm[old] = newi
-	}
-
-	stats := make([]solver.Stats, p)
-	xs := make([][]float64, p)
-	ranks := net.Run(func(r *comm.Rank) {
-		stats[r.ID], xs[r.ID] = rankBody(r, m, mask, neumann, elems[r.ID], pre, xxt, invPerm, cfg)
-	})
-	if err := checkStatsAgree(stats); err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		P:              p,
-		RequestedP:     requested,
-		Iterations:     stats[0].Iterations,
-		Converged:      stats[0].Converged,
-		InitialRes:     stats[0].InitialRes,
-		FinalRes:       stats[0].FinalRes,
-		VirtualSeconds: comm.MaxTime(ranks),
-		TotalBytes:     comm.TotalBytes(ranks),
-		CutEdges:       partition.CutEdges(m.Adj, part),
-		CrossCols:      xxt.CrossCount(),
-		Neumann:        neumann,
-	}
-	for _, rk := range ranks {
-		res.TotalMsgs += rk.MsgsSent
-	}
-	res.X = make([]float64, m.K*m.Np)
-	for q := range elems {
-		for li, e := range elems[q] {
-			copy(res.X[e*m.Np:(e+1)*m.Np], xs[q][li*m.Np:(li+1)*m.Np])
-		}
-	}
-	return res, nil
-}
 
 // resolveRanks reconciles the requested rank count with the machine model
 // and the element count: a caller-supplied Machine.P must agree with P
@@ -168,175 +44,4 @@ func resolveRanks(p int, mach comm.Machine, k int) (requested int, out comm.Mach
 	}
 	mach.P = eff
 	return requested, mach, nil
-}
-
-// checkStatsAgree verifies that every rank's CG saw identical statistics.
-// The simulated collectives return bitwise-identical results on all ranks,
-// so any disagreement means a rank diverged from the SPMD control flow —
-// the classic silent replicated-scalar corruption.
-func checkStatsAgree(stats []solver.Stats) error {
-	for q := 1; q < len(stats); q++ {
-		a, b := stats[0], stats[q]
-		if a.Iterations != b.Iterations || a.Converged != b.Converged ||
-			a.FinalRes != b.FinalRes || a.InitialRes != b.InitialRes {
-			return fmt.Errorf("parrun: rank %d CG statistics disagree with rank 0 "+
-				"(iters %d/%d, converged %v/%v, res %g/%g): replicated-scalar drift",
-				q, a.Iterations, b.Iterations, a.Converged, b.Converged, a.FinalRes, b.FinalRes)
-		}
-	}
-	return nil
-}
-
-func maskOrNil(mask []float64, neumann bool) []float64 {
-	if neumann {
-		return nil
-	}
-	return mask
-}
-
-// rankBody is the SPMD body of one simulated rank.
-func rankBody(r *comm.Rank, m *mesh.Mesh, mask []float64, neumann bool,
-	mine []int, pre *schwarz.Precond, xxt *coarse.XXT, invPerm []int, cfg Config) (solver.Stats, []float64) {
-	tr := cfg.Tracer
-	nloc := len(mine) * m.Np
-	gids := make([]int64, nloc)
-	lmask := make([]float64, nloc)
-	b := make([]float64, nloc)
-	for li, e := range mine {
-		for l := 0; l < m.Np; l++ {
-			gi := e*m.Np + l
-			lj := li*m.Np + l
-			gids[lj] = m.GID[gi]
-			lmask[lj] = mask[gi]
-			f := 2 * math.Pi * math.Pi * math.Sin(math.Pi*m.X[gi]) * math.Sin(math.Pi*m.Y[gi])
-			b[lj] = m.B[gi] * f
-		}
-	}
-	if neumann {
-		for i := range lmask {
-			lmask[i] = 1
-		}
-	}
-	h := gs.ParInit(r, gids)
-	h.Attach(cfg.Registry)
-	h.AttachTracer(tr)
-	d := sem.New(m, maskOrNil(mask, neumann), 1) // per-rank operator workspace
-	mult := make([]float64, nloc)
-	for i := range mult {
-		mult[i] = 1
-	}
-	h.Apply(mult, gs.Sum)
-
-	applyMask := func(u []float64) {
-		if neumann {
-			return
-		}
-		for i := range u {
-			u[i] *= lmask[i]
-		}
-	}
-	apply := func(out, in []float64) {
-		f0 := d.Flops()
-		for li, e := range mine {
-			d.StiffnessElement(out[li*m.Np:(li+1)*m.Np], in[li*m.Np:(li+1)*m.Np], e)
-		}
-		r.Compute(d.Flops() - f0)
-		h.Apply(out, gs.Sum)
-		applyMask(out)
-	}
-	dot := func(u, v []float64) float64 {
-		var s float64
-		for i := range u {
-			s += u[i] * v[i] / mult[i]
-		}
-		r.Compute(int64(3 * len(u)))
-		return r.AllreduceScalar(s, comm.OpSum)
-	}
-
-	// Assemble the RHS; deflate its mean in the Neumann case (compatibility
-	// with the constant null space).
-	h.Apply(b, gs.Sum)
-	applyMask(b)
-	if neumann {
-		bw := make([]float64, nloc)
-		for li, e := range mine {
-			copy(bw[li*m.Np:(li+1)*m.Np], m.B[e*m.Np:(e+1)*m.Np])
-		}
-		h.Apply(bw, gs.Sum)
-		var sb, sw float64
-		for i := range b {
-			sb += b[i] / mult[i]
-			sw += bw[i] / mult[i]
-		}
-		sb = r.AllreduceScalar(sb, comm.OpSum)
-		sw = r.AllreduceScalar(sw, comm.OpSum)
-		c := sb / sw
-		for i := range b {
-			b[i] -= c * bw[i]
-		}
-	}
-
-	// Additive Schwarz: FDM local solves + distributed XXT coarse solve.
-	// The coarse-term temporaries are arenas allocated once per rank — the
-	// precond runs every CG iteration and its NVert-length buffers were the
-	// dominant allocation at large P.
-	work := pre.NewLocalWork()
-	nv := m.NVert
-	perm := xxt.Perm
-	lo, hi := xxt.BlockLo[r.ID], xxt.BlockHi[r.ID]
-	r0 := make([]float64, nv)
-	up := make([]float64, nv)
-	x0 := make([]float64, nv)
-	bLocal := make([]float64, hi-lo)
-	xw := xxt.NewSolveWork(r.ID)
-	precond := func(out, in []float64) {
-		t0 := r.Time
-		flops, err := pre.LocalSolveElems(out, in, mine, work)
-		if err != nil {
-			panic(err)
-		}
-		r.Compute(flops)
-		if tr.WantsV(r.ID) {
-			tr.SpanV(r.ID, "schwarz/local", "precond", t0, r.Time,
-				map[string]any{"elems": len(mine)})
-		}
-		h.Apply(out, gs.Sum)
-		// Coarse term: restrict over my elements, allreduce the vertex RHS,
-		// distributed XXT solve, allreduce the solution blocks, prolong.
-		t1 := r.Time
-		for i := range r0 {
-			r0[i] = 0
-		}
-		cf := pre.CoarseRestrictElems(r0, in, mine)
-		r.Compute(cf)
-		r.Allreduce(r0, comm.OpSum)
-		for newi := lo; newi < hi; newi++ {
-			bLocal[newi-lo] = r0[perm[newi]]
-		}
-		uLocal := xxt.SolveOnW(r, bLocal, xw)
-		for i := range up {
-			up[i] = 0
-		}
-		copy(up[lo:hi], uLocal)
-		r.Allreduce(up, comm.OpSum)
-		for old := 0; old < nv; old++ {
-			x0[old] = up[invPerm[old]]
-		}
-		cf = pre.CoarseProlongElems(out, x0, mine)
-		r.Compute(cf)
-		if tr.WantsV(r.ID) {
-			tr.SpanV(r.ID, "schwarz/coarse", "precond", t1, r.Time,
-				map[string]any{"nvert": nv})
-		}
-		applyMask(out)
-	}
-
-	x := make([]float64, nloc)
-	// No solver.Options.Tracer here: P concurrent CG loops would interleave
-	// begin/end pairs on the single wall-clock track.
-	st := solver.CG(apply, dot, x, b, solver.Options{
-		Tol: cfg.Tol, Relative: true, MaxIter: cfg.MaxIter, Precond: precond,
-		History: true,
-	})
-	return st, x
 }

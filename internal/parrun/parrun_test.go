@@ -1,125 +1,44 @@
 package parrun
 
 import (
-	"bytes"
-	"math"
 	"testing"
-
-	"repro/internal/instrument"
-	"repro/internal/mesh"
 )
 
-func boxMesh(t *testing.T, nel, n int) *mesh.Mesh {
-	t.Helper()
-	spec := mesh.Box2D(mesh.Box2DSpec{Nx: nel, Ny: nel, X0: 0, X1: 1, Y0: 0, Y1: 1})
-	m, err := mesh.Discretize(spec, n)
+// TestDistributedPressureSolveMatchesSerial: one step holds exactly one
+// pressure solve E δp = r. Distributed over P ∈ {2, 9} — the Schwarz(FDM)
+// local solves on owned elements, the coarse term through the distributed
+// XXT — it must reach PTol in about as many iterations as the shared-memory
+// solve (the preconditioner is the same operator at every P) and produce the
+// same pressure to 1e-8. P = 9 exceeds the element count, so it also covers
+// the clamp: the effective count is K, the request stays observable.
+func TestDistributedPressureSolveMatchesSerial(t *testing.T) {
+	cfg, init := nsCase(t)
+	ser := runSerial(t, cfg, init, 0)
+	sst, err := ser.Step()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-// TestPoissonSchwarzMatchesExact: the distributed Schwarz+XXT PCG must
-// reproduce the exact solution of -∇²u = f with u = sin(πx)sin(πy).
-func TestPoissonSchwarzMatchesExact(t *testing.T) {
-	m := boxMesh(t, 4, 6)
-	res, err := PoissonSchwarz(m, Config{P: 4, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("not converged: %d iterations, final res %g", res.Iterations, res.FinalRes)
-	}
-	var maxErr float64
-	for i := range res.X {
-		exact := math.Sin(math.Pi*m.X[i]) * math.Sin(math.Pi*m.Y[i])
-		if e := math.Abs(res.X[i] - exact); e > maxErr {
-			maxErr = e
-		}
-	}
-	if maxErr > 1e-5 {
-		t.Fatalf("max error vs exact solution %g > 1e-5", maxErr)
-	}
-	if res.VirtualSeconds <= 0 {
-		t.Fatalf("virtual completion time not modeled: %g", res.VirtualSeconds)
-	}
-}
-
-// TestPreconditionerEffective: Schwarz+coarse must beat the plain operator's
-// conditioning — iteration count should be small and independent-ish of P.
-func TestPreconditionerEffective(t *testing.T) {
-	m := boxMesh(t, 4, 6)
-	for _, p := range []int{1, 2, 8} {
-		res, err := PoissonSchwarz(m, Config{P: p, Tol: 1e-8})
+	for _, p := range []int{2, 9} {
+		res, err := NavierStokes(cfg, NSConfig{P: p, Steps: 1, Init: init})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("P=%d: %v", p, err)
 		}
-		if !res.Converged || res.Iterations > 30 {
-			t.Fatalf("P=%d: %d iterations (converged=%v), want <= 30",
-				p, res.Iterations, res.Converged)
+		if want := min(p, cfg.Mesh.K); res.P != want || res.RequestedP != p {
+			t.Fatalf("P=%d: effective/requested = %d/%d, want %d/%d", p, res.P, res.RequestedP, want, p)
 		}
-	}
-}
-
-func traceRun(t *testing.T, m *mesh.Mesh, p int) (*instrument.Tracer, []byte) {
-	t.Helper()
-	tr := instrument.NewTracer()
-	tr.DisableWallClock()
-	if _, err := PoissonSchwarz(m, Config{P: p, Tracer: tr}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return tr, buf.Bytes()
-}
-
-// TestTraceShape: the emitted Chrome trace must validate (required fields,
-// monotone per-rank virtual timestamps, balanced spans, matched flows) and
-// carry spans for every instrumented layer on the rank tracks.
-func TestTraceShape(t *testing.T) {
-	m := boxMesh(t, 4, 5)
-	const p = 4
-	tr, data := traceRun(t, m, p)
-	if err := instrument.ValidateChromeTrace(data, p); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"allreduce":        false,
-		"send":             false,
-		"recv":             false,
-		"gs/exchange":      false,
-		"schwarz/local":    false,
-		"schwarz/coarse":   false,
-		"coarse/xxt.solve": false,
-	}
-	ranksSeen := map[int]bool{}
-	for _, ev := range tr.Events() {
-		if ev.Pid == instrument.PidMachine {
-			ranksSeen[ev.Tid] = true
-			if _, ok := want[ev.Name]; ok {
-				want[ev.Name] = true
-			}
+		st := res.StepStats[0]
+		if !st.PressureConverged || st.PressureResFinal > cfg.PTol {
+			t.Fatalf("P=%d: pressure solve stopped at residual %g after %d iterations (PTol %g)",
+				p, st.PressureResFinal, st.PressureIters, cfg.PTol)
 		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("no %q span on any rank track", name)
+		if d := st.PressureIters - sst.PressureIters; d > 10 || d < -10 {
+			t.Errorf("P=%d: %d pressure iterations, serial %d", p, st.PressureIters, sst.PressureIters)
 		}
-	}
-	if len(ranksSeen) < p {
-		t.Errorf("events on %d rank tracks, want %d", len(ranksSeen), p)
-	}
-}
-
-// TestTraceDeterminism: two identical simulated runs must serialize to
-// byte-identical traces once the wall clock is disabled.
-func TestTraceDeterminism(t *testing.T) {
-	m := boxMesh(t, 4, 5)
-	_, a := traceRun(t, m, 4)
-	_, b := traceRun(t, m, 4)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("traces differ between identical runs: %d vs %d bytes", len(a), len(b))
+		if d := maxAbsDiff(res.Pressure, ser.Pressure()); d > 1e-8 {
+			t.Errorf("P=%d: pressure differs from the serial solve by %g > 1e-8", p, d)
+		}
+		if res.VirtualSeconds <= 0 {
+			t.Errorf("P=%d: virtual completion time not modeled: %g", p, res.VirtualSeconds)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/fdm"
 	"repro/internal/fem"
 	"repro/internal/gs"
-	"repro/internal/instrument"
 	"repro/internal/la"
 	"repro/internal/sem"
 )
@@ -63,40 +62,26 @@ type Precond struct {
 	coarsePU []int   // permutation used for the coarse factorization (new->old)
 	// Prolongation weights: for each element-local node, the 2^Dim corner
 	// weights (tensor order).
-	pWeights  [][]float64 // [corner][localNode]
-	dirichVtx []bool
+	pWeights   [][]float64 // [corner][localNode]
+	pWeightNNZ []int64     // non-zero weights per corner (the restriction's flop count)
+	dirichVtx  []bool
 
 	// Per-worker scratch for the element-parallel FDM local solves (one
 	// slice per Disc worker), sized to the largest WorkLen of any element.
 	work [][]float64
-	// Prebuilt ForElements bodies (allocated once here, not per Apply) and
-	// the vectors they act on during a call.
-	loop2, loop3 func(e, w int)
-	aout, ain    []float64
-	// Preallocated coarse-solve buffers and the inverse fill-reducing
-	// permutation (Apply must not allocate in steady state).
+	// Prebuilt ForElements body (allocated once here, not per Apply) and the
+	// vectors it acts on during a call.
+	localLoop func(e, w int)
+	aout, ain []float64
+	// Preallocated coarse-solve buffers, the inverse fill-reducing
+	// permutation and the full element list (Apply must not allocate in
+	// steady state).
 	r0, rp, x0 []float64
 	invPerm    []int
+	allElems   []int
 	// Preallocated FEM-path buffers.
 	rg, og, rs []float64
-
-	// Instrumentation (nil = off): local subdomain solves vs. the coarse
-	// component of each Apply.
-	localTime  *instrument.Timer
-	coarseTime *instrument.Timer
-	tracer     *instrument.Tracer
 }
-
-// Attach wires the local-solve and coarse-solve timers into reg; a nil
-// registry detaches.
-func (p *Precond) Attach(reg *instrument.Registry) {
-	p.localTime = reg.Timer("schwarz/local")
-	p.coarseTime = reg.Timer("schwarz/coarse")
-}
-
-// AttachTracer makes every Apply emit wall-clock spans for its local and
-// coarse sections on the solver-process track; nil detaches.
-func (p *Precond) AttachTracer(tr *instrument.Tracer) { p.tracer = tr }
 
 // New builds the preconditioner for the discretization d.
 func New(d *sem.Disc, opt Options) (*Precond, error) {
@@ -122,33 +107,21 @@ func New(d *sem.Disc, opt Options) (*Precond, error) {
 			return nil, err
 		}
 	}
-	nw := 0
-	for _, s := range p.fdm2 {
-		if l := s.WorkLen2D(); l > nw {
-			nw = l
+	if opt.Method == FDM {
+		workers := d.Workers
+		if workers < 1 {
+			workers = 1
 		}
-	}
-	for _, s := range p.fdm3 {
-		if l := s.WorkLen3D(); l > nw {
-			nw = l
+		nw, _ := p.LocalWorkLen()
+		p.work = make([][]float64, workers)
+		for w := range p.work {
+			p.work[w] = make([]float64, nw)
 		}
-	}
-	workers := d.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	p.work = make([][]float64, workers)
-	for w := range p.work {
-		p.work[w] = make([]float64, nw)
-	}
-	np := m.Np
-	p.loop2 = func(e, w int) {
-		p.fdm2[e].Apply(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], p.work[w])
-		d.CountFlops(p.fdm2[e].Flops())
-	}
-	p.loop3 = func(e, w int) {
-		p.fdm3[e].Apply(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], p.work[w])
-		d.CountFlops(p.fdm3[e].Flops())
+		np := m.Np
+		p.localLoop = func(e, w int) {
+			p.LocalSolveElem(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], e, p.work[w])
+			d.CountFlops(p.LocalSolveFlops(e))
+		}
 	}
 	return p, nil
 }
@@ -433,9 +406,14 @@ func (p *Precond) setupCoarse() error {
 	p.r0 = make([]float64, m.NVert)
 	p.rp = make([]float64, m.NVert)
 	p.x0 = make([]float64, m.NVert)
+	p.allElems = make([]int, m.K)
+	for e := range p.allElems {
+		p.allElems[e] = e
+	}
 	// Prolongation weights per corner per local node.
 	nc := 1 << m.Dim
 	p.pWeights = make([][]float64, nc)
+	p.pWeightNNZ = make([]int64, nc)
 	np1 := m.N + 1
 	for c := 0; c < nc; c++ {
 		w := make([]float64, m.Np)
@@ -451,6 +429,9 @@ func (p *Precond) setupCoarse() error {
 				wv *= cornerWeight(c&4 != 0, t)
 			}
 			w[l] = wv
+			if wv != 0 {
+				p.pWeightNNZ[c]++
+			}
 		}
 		p.pWeights[c] = w
 	}
@@ -497,8 +478,6 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 	for i := range out {
 		out[i] = 0
 	}
-	tLoc := p.localTime.Begin()
-	sp := p.tracer.Begin(instrument.PidWall, 0, "schwarz/local", "precond")
 	switch p.opt.Method {
 	case FDM:
 		// Element subdomains are disjoint in out, so the local solves run on
@@ -507,11 +486,7 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 		// bitwise independent of the worker count. The loop bodies are built
 		// once in New so steady-state Apply allocates nothing.
 		p.aout, p.ain = out, r
-		if m.Dim == 2 {
-			d.ForElements(p.loop2)
-		} else {
-			d.ForElements(p.loop3)
-		}
+		d.ForElements(p.localLoop)
 		p.aout, p.ain = nil, nil
 	case FEM:
 		rg := p.rg
@@ -552,15 +527,9 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 		// Sum overlapping element contributions (R_kᵀ of the additive sum).
 		d.GS.Apply(out, gs.Sum)
 	}
-	p.localTime.End(tLoc)
-	sp.End()
 	if coarse {
 		// The coarse term is a continuous field: add it after assembly.
-		tCrs := p.coarseTime.Begin()
-		spc := p.tracer.Begin(instrument.PidWall, 0, "schwarz/coarse", "precond")
 		p.applyCoarse(out, r)
-		spc.End()
-		p.coarseTime.End(tCrs)
 	}
 	d.ApplyMask(out)
 }
@@ -575,66 +544,17 @@ func globalOnce(d *sem.Disc, r []float64) []float64 {
 	return g
 }
 
-// applyCoarse adds R₀ᵀ A₀⁻¹ R₀ r into out (element-local layout).
+// applyCoarse adds R₀ᵀ A₀⁻¹ R₀ r into out (element-local layout): restrict
+// over every element, solve on the vertex mesh, prolong over every element.
 func (p *Precond) applyCoarse(out, r []float64) {
-	d := p.d
-	m := d.M
-	nv := m.NVert
 	r0 := p.r0
 	for i := range r0 {
 		r0[i] = 0
 	}
-	nc := 1 << m.Dim
-	// R₀ = Pᵀ W with W = diag(1/multiplicity): restrict the residual.
-	for e := 0; e < m.K; e++ {
-		base := e * m.Np
-		for c := 0; c < nc; c++ {
-			v := m.ElemVert[e][c]
-			if p.dirichVtx[v] {
-				continue
-			}
-			w := p.pWeights[c]
-			var s float64
-			for l := 0; l < m.Np; l++ {
-				if w[l] == 0 {
-					continue
-				}
-				s += w[l] * r[base+l] / d.Mult[base+l]
-			}
-			r0[v] += s
-		}
-	}
-	// Coarse solve (with the fill-reducing permutation).
-	rp := p.rp
-	inv := p.invPerm
-	for old := 0; old < nv; old++ {
-		rp[inv[old]] = r0[old]
-	}
-	p.coarse.Solve(rp, rp)
-	x0 := p.x0
-	for old := 0; old < nv; old++ {
-		x0[old] = rp[inv[old]]
-	}
-	d.CountFlops(int64(4 * p.coarse.NNZ()))
-	// Prolong: out += P x0. Every local copy of a shared node receives the
-	// same (continuous) interpolated value, so no multiplicity weighting.
-	for e := 0; e < m.K; e++ {
-		base := e * m.Np
-		for c := 0; c < nc; c++ {
-			v := m.ElemVert[e][c]
-			if p.dirichVtx[v] {
-				continue
-			}
-			xv := x0[v]
-			if xv == 0 {
-				continue
-			}
-			w := p.pWeights[c]
-			for l := 0; l < m.Np; l++ {
-				out[base+l] += w[l] * xv
-			}
-		}
-	}
+	flops := p.CoarseRestrictElems(r0, r, p.allElems)
+	flops += p.CoarseSolve(p.x0, r0)
+	flops += p.CoarseProlongElems(out, p.x0, p.allElems)
+	p.d.CountFlops(flops)
 }
 
 // AsOperator adapts the preconditioner to the solver.Operator signature.

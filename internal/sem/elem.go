@@ -1,29 +1,18 @@
 package sem
 
-// elem.go exposes the per-element operator kernels on rank-local block
-// storage for SPMD execution on the simulated machine (internal/parrun): a
-// rank holding a subset of elements applies the stiffness, gradient, filter
-// and Helmholtz-diagonal kernels of one global element e to local blocks of
-// length Np, with scratch drawn from the Disc's concurrent pool. These are
-// the same kernels the serial full-mesh loops run — the serial paths
-// delegate to them — so a distributed stepper reproduces the serial
-// arithmetic exactly, element by element.
+// elem.go holds the per-element operator kernels: the stiffness (sem.go),
+// gradient, filter and Helmholtz-diagonal kernels of one global element e on
+// local blocks of length Np, with caller scratch. The full-mesh loops of this
+// package and the time step of internal/ns (over the elements a solver owns)
+// both run them, so every backend reproduces the same arithmetic element by
+// element.
 
 import "repro/internal/tensor"
 
 // GradElement computes element e's physical-space gradient of the local
 // nodal block ue (length Np) into the local blocks o0, o1 (and o2 in 3D;
-// pass nil in 2D). Scratch comes from the internal pool, so concurrent
-// callers may share one Disc.
-func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int) {
-	sp := d.scratchPool.Get().(*[]float64)
-	d.gradElementBlocks(o0, o1, o2, ue, e, *sp)
-	d.scratchPool.Put(sp)
-}
-
-// gradElementBlocks is the block-local gradient kernel shared by the serial
-// full-mesh loop and the distributed per-rank path.
-func (d *Disc) gradElementBlocks(o0, o1, o2, ue []float64, e int, s []float64) {
+// pass nil in 2D); s is caller scratch of length ≥ ElemScratchLen.
+func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int, s []float64) {
 	m := d.M
 	np1 := m.N + 1
 	np := m.Np
@@ -52,19 +41,12 @@ func (d *Disc) gradElementBlocks(o0, o1, o2, ue []float64, e int, s []float64) {
 }
 
 // FilterElement applies the tensor-product filter to the local block ue in
-// place (element index is irrelevant: the filter is geometry-free). Scratch
-// comes from the internal pool, so concurrent callers may share one Disc.
-func (d *Disc) FilterElement(f *Filter, ue []float64) {
+// place (the element index is irrelevant: the filter is geometry-free); s is
+// caller scratch of length ≥ ElemScratchLen.
+func (d *Disc) FilterElement(f *Filter, ue []float64, s []float64) {
 	if f == nil || f.Alpha == 0 {
 		return
 	}
-	sp := d.scratchPool.Get().(*[]float64)
-	d.filterElementBlock(f, ue, *sp)
-	d.scratchPool.Put(sp)
-}
-
-// filterElementBlock filters one local block in place with caller scratch.
-func (d *Disc) filterElementBlock(f *Filter, ue []float64, s []float64) {
 	m := d.M
 	np1 := f.np1
 	np := m.Np

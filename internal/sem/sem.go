@@ -12,7 +12,6 @@ package sem
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/gs"
@@ -34,11 +33,7 @@ type Disc struct {
 	Dt      []float64 // transpose of the 1D derivative matrix
 	flops   atomic.Int64
 	pool    *elemPool   // persistent element-loop workers (nil when serial)
-	scratch [][]float64 // per-worker scratch, each 6*Np (2D) / 9*Np (3D)
-	// scratchPool hands out extra scratch slices (*[]float64, same size as
-	// the per-worker ones) to entry points that may run concurrently on one
-	// Disc outside the worker pool (StiffnessElement).
-	scratchPool sync.Pool
+	scratch [][]float64 // per-worker scratch, each ElemScratchLen long
 
 	// Prebuilt forElements bodies for the per-iteration operators, so the
 	// steady-state hot path allocates no closures. The cur* fields carry the
@@ -52,14 +47,6 @@ type Disc struct {
 	curIn      []float64
 	curOuts    [][]float64
 	curFilter  *Filter
-
-	// Batched multi-RHS state (EnsureBatch / StiffnessLocalMulti): per-worker
-	// column-stacked scratch and the prebuilt loop body with its operands.
-	batchCols      int
-	batchScratch   [][]float64
-	stiffMultiLoop func(e, w int)
-	curMultiOuts   [][]float64
-	curMultiIns    [][]float64
 }
 
 // New builds the operator set. mask may be nil (pure Neumann / periodic).
@@ -69,27 +56,24 @@ func New(m *mesh.Mesh, mask []float64, workers int) *Disc {
 	}
 	d := &Disc{M: m, GS: gs.Init(m.GID), Mask: mask, Workers: workers, Dt: m.Dt}
 	d.Mult = d.GS.Multiplicity()
-	ns := 6
-	if m.Dim == 3 {
-		ns = 9
-	}
 	d.scratch = make([][]float64, workers)
 	for w := range d.scratch {
-		d.scratch[w] = make([]float64, ns*m.Np)
-	}
-	d.scratchPool.New = func() any {
-		s := make([]float64, ns*m.Np)
-		return &s
+		d.scratch[w] = make([]float64, d.ElemScratchLen())
 	}
 	np := m.Np
 	d.stiffLoop = func(e, w int) {
-		d.stiffnessOneElement(d.curOut[e*np:(e+1)*np], d.curIn[e*np:(e+1)*np], e, d.scratch[w])
+		d.StiffnessElement(d.curOut[e*np:(e+1)*np], d.curIn[e*np:(e+1)*np], e, d.scratch[w])
 	}
 	d.gradLoop = func(e, w int) {
-		d.gradOneElement(d.curOuts, d.curIn, e, d.scratch[w])
+		i0, i1 := e*np, (e+1)*np
+		var o2 []float64
+		if m.Dim == 3 {
+			o2 = d.curOuts[2][i0:i1]
+		}
+		d.GradElement(d.curOuts[0][i0:i1], d.curOuts[1][i0:i1], o2, d.curIn[i0:i1], e, d.scratch[w])
 	}
 	d.filterLoop = func(e, w int) {
-		d.filterOneElement(d.curFilter, d.curIn, e, d.scratch[w])
+		d.FilterElement(d.curFilter, d.curIn[e*np:(e+1)*np], d.scratch[w])
 	}
 	if workers > 1 && m.K >= 2 {
 		d.pool = newElemPool(m.K, workers)
@@ -261,18 +245,6 @@ func (d *Disc) Grad(outs [][]float64, u []float64) {
 	d.flops.Add(int64(m.K) * (3*2*n4 + 15*int64(np)))
 }
 
-// gradOneElement computes element e's physical-space gradient using the
-// supplied scratch.
-func (d *Disc) gradOneElement(outs [][]float64, u []float64, e int, s []float64) {
-	np := d.M.Np
-	i0, i1 := e*np, (e+1)*np
-	var o2 []float64
-	if d.M.Dim == 3 {
-		o2 = outs[2][i0:i1]
-	}
-	d.gradElementBlocks(outs[0][i0:i1], outs[1][i0:i1], o2, u[i0:i1], e, s)
-}
-
 // Dot is the inner product for element-local redundant storage: each global
 // node is counted once (division by multiplicity).
 func (d *Disc) Dot(u, v []float64) float64 {
@@ -358,12 +330,6 @@ func (d *Disc) ApplyFilter(f *Filter, u []float64) {
 	d.flops.Add(int64(m.K) * 3 * 2 * n4)
 }
 
-// filterOneElement applies the tensor-product filter to element e in place.
-func (d *Disc) filterOneElement(f *Filter, u []float64, e int, s []float64) {
-	np := d.M.Np
-	d.filterElementBlock(f, u[e*np:(e+1)*np], s)
-}
-
 // BuildAssembledCSR materializes the assembled, masked stiffness operator as
 // a sparse matrix over global node ids (for tests and for the coarse-grid
 // and FEM-preconditioner paths that need explicit matrices). Dirichlet rows
@@ -386,8 +352,7 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 			}
 		}
 	}
-	sp := d.scratchPool.Get().(*[]float64)
-	defer d.scratchPool.Put(sp)
+	scratch := make([]float64, d.ElemScratchLen())
 	for e := 0; e < m.K; e++ {
 		for j := 0; j < np; j++ {
 			for i := range ue {
@@ -395,7 +360,7 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 			}
 			ue[j] = 1
 			// Apply the single-element stiffness.
-			d.stiffnessOneElement(oe, ue, e, *sp)
+			d.StiffnessElement(oe, ue, e, scratch)
 			gj := m.GID[e*np+j]
 			for i := 0; i < np; i++ {
 				if oe[i] == 0 {
@@ -417,18 +382,20 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 	return b.ToCSR()
 }
 
-// StiffnessElement applies element e's stiffness matrix to the local nodal
-// vector ue (length Np), writing into oe. Scratch comes from an internal
-// pool, so it is safe to call concurrently on one Disc from many goroutines.
-func (d *Disc) StiffnessElement(oe, ue []float64, e int) {
-	sp := d.scratchPool.Get().(*[]float64)
-	d.stiffnessOneElement(oe, ue, e, *sp)
-	d.scratchPool.Put(sp)
+// ElemScratchLen is the scratch length the per-element kernels
+// (StiffnessElement, GradElement, FilterElement) need.
+func (d *Disc) ElemScratchLen() int {
+	if d.M.Dim == 3 {
+		return 9 * d.M.Np
+	}
+	return 6 * d.M.Np
 }
 
-// stiffnessOneElement applies element e's stiffness to the local vector ue,
-// using the caller-supplied scratch s (length ≥ 6*Np in 2D, 9*Np in 3D).
-func (d *Disc) stiffnessOneElement(oe, ue []float64, e int, s []float64) {
+// StiffnessElement applies element e's stiffness matrix to the local nodal
+// vector ue (length Np), writing into oe; s is caller scratch of length ≥
+// ElemScratchLen. Like every per-element kernel it only reads the Disc, so
+// goroutines holding their own scratch may share one.
+func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 	m := d.M
 	np1 := m.N + 1
 	np := m.Np

@@ -442,9 +442,9 @@ func TestFlopCounteradvances(t *testing.T) {
 	}
 }
 
-// StiffnessElement draws scratch from a pool, so many goroutines may hammer
-// one Disc concurrently; the results must still match the serial local
-// stiffness bitwise. Run under -race to exercise the hazard this replaces.
+// StiffnessElement only reads the Disc, so goroutines holding their own
+// scratch may hammer one concurrently; the results must still match the
+// serial local stiffness bitwise. Run under -race to exercise the sharing.
 func TestStiffnessElementConcurrent(t *testing.T) {
 	d := boxDisc(t, 4, 4, 7, 2)
 	m := d.M
@@ -464,8 +464,9 @@ func TestStiffnessElementConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			scratch := make([]float64, d.ElemScratchLen())
 			for e := g; e < m.K; e += gor {
-				d.StiffnessElement(got[e*np:(e+1)*np], u[e*np:(e+1)*np], e)
+				d.StiffnessElement(got[e*np:(e+1)*np], u[e*np:(e+1)*np], e, scratch)
 			}
 		}(g)
 	}

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -29,6 +30,7 @@ const (
 	ArtifactCheckpoint = "checkpoint.gob"
 	ArtifactTrace      = "trace.json"
 	ArtifactResult     = "result.json"
+	ArtifactPanic      = "panic.txt" // only for a session that panicked: value and stack
 )
 
 // State is a job's lifecycle position.
@@ -229,9 +231,7 @@ func (m *Manager) run(j *Job) {
 		if rem := j.Cfg.Steps - step; batch > rem {
 			batch = rem
 		}
-		m.slots <- struct{}{}
-		st, err := j.sess.StepN(batch)
-		<-m.slots
+		st, err := m.stepBatch(j, batch)
 		if st.Step > 0 {
 			j.mu.Lock()
 			j.last, j.step, j.time = st, st.Step, st.Time
@@ -253,6 +253,26 @@ func (m *Manager) run(j *Job) {
 		}
 	}
 	m.finish(j, final, errMsg)
+}
+
+// stepBatch steps one scheduler quantum inside a slot. A panic under StepN
+// (the comm and poly packages have some, and a caller's OnStep may) is this
+// session's failure, not the process's: it comes back as an error, with value
+// and stack deposited as the panic.txt artifact, and the slot is released on
+// every path so the other tenants keep stepping.
+func (m *Manager) stepBatch(j *Job, batch int) (st ns.StepStats, err error) {
+	m.slots <- struct{}{}
+	defer func() {
+		<-m.slots
+		if r := recover(); r != nil {
+			err = fmt.Errorf("session: panic while stepping: %v", r)
+			report := fmt.Sprintf("%v\n\n%s", err, debug.Stack())
+			if perr := m.store.Put(j.ID, ArtifactPanic, []byte(report)); perr != nil {
+				err = fmt.Errorf("%w (panic artifact: %v)", err, perr)
+			}
+		}
+	}()
+	return j.sess.StepN(batch)
 }
 
 // depositCheckpoint snapshots the session into the store.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +211,69 @@ func TestManagerConcurrentBitwiseIdentical(t *testing.T) {
 	}
 	check("A", jobA, histA, uA, lastA)
 	check("B", jobB, histB, uB, lastB)
+}
+
+// A panic inside one session's StepN must stay that session's problem: it
+// ends failed with the panic value in its status and the stack in a panic.txt
+// artifact beside result.json, its scheduler slot comes back, and the job
+// stepping concurrently finishes done with bitwise the fields of a solo run.
+// (Before the recover in stepBatch this test took the whole process down.)
+func TestManagerIsolatesPanickingSession(t *testing.T) {
+	good := testCfg(8, 2)
+	hist, u, _ := soloRun(t, good)
+
+	bad := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2, Alpha: 0.2}
+	bad.OnStep = func(st ns.StepStats) {
+		if st.Step == 3 {
+			panic("poisoned step")
+		}
+	}
+	m := NewManager(NewMemStore(), 2)
+	jobBad, err := m.Submit(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobGood, err := m.Submit(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, jobBad)
+	waitJob(t, jobGood)
+	m.Close()
+
+	st := jobBad.Status()
+	if st.State != StateFailed || !strings.Contains(st.Error, "poisoned step") {
+		t.Fatalf("panicking job: state %s, error %q; want failed with the panic value", st.State, st.Error)
+	}
+	report, err := m.Store().Get(jobBad.ID, ArtifactPanic)
+	if err != nil {
+		t.Fatalf("panic artifact: %v", err)
+	}
+	if !bytes.Contains(report, []byte("poisoned step")) || !bytes.Contains(report, []byte("StepN")) {
+		t.Errorf("panic artifact carries no value or no stack:\n%s", report)
+	}
+	if _, err := m.Store().Get(jobBad.ID, ArtifactResult); err != nil {
+		t.Errorf("panicking job left no result.json: %v", err)
+	}
+	if n := len(m.slots); n != 0 {
+		t.Errorf("%d scheduler slots still held after every job finished", n)
+	}
+
+	if got := jobGood.Status(); got.State != StateDone {
+		t.Fatalf("neighbour of the panicking job: state %s (err %q)", got.State, got.Error)
+	}
+	stored, err := m.Store().Get(jobGood.ID, ArtifactHistory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, hist) {
+		t.Error("neighbour's per-step history differs from its solo run")
+	}
+	for i, v := range jobGood.Session().Solver().U[0] {
+		if v != u[i] {
+			t.Fatalf("neighbour's u[%d] = %v, want %v (not bitwise identical)", i, v, u[i])
+		}
+	}
 }
 
 func TestManagerResumeAcrossRestart(t *testing.T) {

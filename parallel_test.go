@@ -63,9 +63,10 @@ func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := channelSolver(t, 4)
 	stepN(t, s, 24)
-	// The drain's forced GCs empty the sync.Pool-backed element scratch, so
-	// re-warm a couple of steps to repopulate it before the measured window
-	// (GC stays off, so nothing empties it again).
+	// Two more steps after the drain's forced GCs, as the step benchmarks do
+	// (benchRewarm), so both measure the same stretch of the projection cycle.
+	// (They used to refill a sync.Pool of element scratch; scratch is
+	// per-worker arenas now and no GC can take it.)
 	drainPoolFinalizers()
 	stepN(t, s, 2)
 	var m0, m1 runtime.MemStats

@@ -4,8 +4,8 @@
 # (BENCH_10.json at the repo root) via cmd/benchjson. The artifact embeds
 #
 #   - the current measurements, including a -cpu GOMAXPROCS sweep of the
-#     serial, workers=4, and unbatched-viscous channel steppers (benchjson
-#     records each -N name suffix as "procs", so the variants coexist),
+#     serial and workers=4 channel steppers (benchjson records each -N name
+#     suffix as "procs", so the variants coexist),
 #   - the committed seed baseline (scripts/bench_baseline.json), so one
 #     file carries the before/after pair, and
 #   - the la.Tuner per-shape kernel sweep for the Table 1 channel order
@@ -24,7 +24,7 @@
 #                  channel stepper at P=4 and P=64, Table 3 kernels, and the
 #                  per-preconditioner channel steppers)
 #   BENCH_SWEEP    benchmarks run under the -cpu sweep (default: the Table 1
-#                  serial, workers=4, and unbatched-viscous steppers)
+#                  serial and workers=4 steppers)
 #   BENCH_CPU      -cpu list for the sweep (default 1,4)
 #   BENCH_TIME     -benchtime value for the full run (default 1s)
 #   BENCH_COUNT    -count value for the full run (default 1)
@@ -33,7 +33,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 regex="${BENCH_REGEX:-BenchmarkTable1ChannelStepTuned$|BenchmarkTable1ChannelStepInstrumented$|BenchmarkChannelStepDistributed$|BenchmarkChannelStepDistributedP64$|BenchmarkTable3|BenchmarkPrecondChannelStep}"
-sweep="${BENCH_SWEEP:-BenchmarkTable1ChannelStep$|BenchmarkTable1ChannelStepW4$|BenchmarkTable1ChannelStepUnbatched$}"
+sweep="${BENCH_SWEEP:-BenchmarkTable1ChannelStep$|BenchmarkTable1ChannelStepW4$}"
 cpus="${BENCH_CPU:-1,4}"
 mode="${1:-full}"
 

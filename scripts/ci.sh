@@ -1,7 +1,9 @@
 #!/bin/sh
 # Tiered local CI, mirrored by the parallel jobs of .github/workflows/ci.yml.
 #
-#   tier1   go build + full test suite (the repo's acceptance gate)
+#   tier1   go build + full test suite (the repo's acceptance gate), then
+#           the non-test line count per package (scripts/loc.sh), the
+#           source of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
@@ -13,8 +15,9 @@
 #   static  staticcheck over the module (skipped with a note when the
 #           binary is not installed; the workflow installs it)
 #   smoke   build semflow + semflowd + tracecheck + tracepath once, then
-#           validate the -trace and -history artifacts of the serial,
-#           distributed, fault-injected, and checkpoint/restart paths,
+#           validate the -trace and -history artifacts of the serial (wall
+#           track only), distributed (rank tracks), fault-injected, and
+#           checkpoint/restart paths,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report
 #           → persisted cache → table rerun, plus a forced-variant
@@ -53,6 +56,7 @@ stage() {
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
+    stage "tier1/loc" ./scripts/loc.sh
 }
 
 tier2() {
@@ -192,9 +196,11 @@ smoke() {
     stage "smoke/build" go build -o "$out/bin/" ./cmd/semflow ./cmd/semflowd ./cmd/tracecheck ./cmd/tracepath
 
     echo "== smoke: semflow -trace/-history artifacts validate =="
+    # A serial trace carries the stepper's wall-clock track; rank tracks come
+    # from the -ranks run below and are only checked there.
     "$out/bin/semflow" -case shearlayer -nel 4 -n 5 -steps 2 -report 1 \
-        -trace "$out/trace.json" -trace-ranks 4 -history "$out/history.jsonl"
-    "$out/bin/tracecheck" -trace "$out/trace.json" -min-ranks 4 \
+        -trace "$out/trace.json" -history "$out/history.jsonl"
+    "$out/bin/tracecheck" -trace "$out/trace.json" \
         -history "$out/history.jsonl"
 
     echo "== smoke: distributed stepper (-ranks) artifacts validate =="
