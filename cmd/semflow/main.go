@@ -31,7 +31,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flowcases"
 	"repro/internal/instrument"
-	"repro/internal/la"
 	"repro/internal/ns"
 	"repro/internal/parrun"
 	"repro/internal/session"
@@ -49,8 +48,6 @@ func main() {
 	alpha := flag.Float64("alpha", 0.3, "filter strength")
 	l := flag.Int("L", 20, "pressure projection basis size")
 	workers := flag.Int("workers", 2, "element-loop workers (dual-processor mode analogue)")
-	autotune := flag.Bool("autotune", false, "micro-benchmark the matmul kernels for this case's shapes and install the per-shape dispatch table (bitwise-identical Strict mode)")
-	autotuneCache := flag.String("autotune-cache", "", "like -autotune, but persist the tuned dispatch table to this file and reuse it on later runs; the cache is keyed by CPU model and Go version, and any mismatch forces a re-tune")
 	precond := flag.String("precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh/order/ranks/tolerance from short trial solves)")
 	precondCache := flag.String("precond-cache", "", "with -precond auto: persist the selections to this file and reuse them on later runs; keyed by CPU model and Go version, any mismatch forces a re-selection")
 	every := flag.Int("report", 10, "report interval")
@@ -139,33 +136,6 @@ func main() {
 	}
 	defer sess.Close()
 	s := sess.Solver()
-	switch {
-	case *autotuneCache != "":
-		if dt, err := la.LoadCache(*autotuneCache); err == nil {
-			la.Install(dt)
-			fmt.Printf("autotune: reusing cached dispatch table %s\n", *autotuneCache)
-			break
-		} else if !errors.Is(err, os.ErrNotExist) {
-			// A stale or foreign cache is re-tuned, never trusted.
-			slog.Warn("autotune cache unusable, re-tuning", "err", err)
-		}
-		res := la.AutoTune(s.M.N, s.M.Dim)
-		fmt.Printf("autotune: %d shapes tuned (strict kernels only)\n", len(res))
-		for _, r := range res {
-			fmt.Printf("  %s\n", r)
-		}
-		if err := la.SaveCache(*autotuneCache, la.Installed()); err != nil {
-			slog.Warn("autotune cache not written", "err", err)
-		} else {
-			fmt.Printf("autotune: dispatch table cached to %s\n", *autotuneCache)
-		}
-	case *autotune:
-		res := la.AutoTune(s.M.N, s.M.Dim)
-		fmt.Printf("autotune: %d shapes tuned (strict kernels only)\n", len(res))
-		for _, r := range res {
-			fmt.Printf("  %s\n", r)
-		}
-	}
 	sel := s.PrecondSelection()
 	reportPrecond(sel)
 	savePrecondCache(*precondCache)
@@ -487,8 +457,7 @@ func runDistributed(o distOpts) {
 // "trace everything" (r = 0 or r covers all of p).
 // loadPrecondCache installs persisted -precond auto selections before any
 // solver is built. A stale or foreign cache (other machine, other Go
-// version) is re-selected, never trusted — the same policy as the matmul
-// autotune cache.
+// version) is re-selected, never trusted.
 func loadPrecondCache(path string) {
 	if path == "" {
 		return

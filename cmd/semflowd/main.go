@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/session"
 )
@@ -50,7 +51,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	srv := &http.Server{Handler: session.HTTPHandler(mgr)}
+	// No WriteTimeout: /history streams for as long as the job runs. The two
+	// timeouts below bound what a client can hold open without sending.
+	srv := &http.Server{
+		Handler:           session.HTTPHandler(mgr),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	// The resolved address line is the contract scripts parse to find a
 	// port-0 server — keep it stable (scripts/ci.sh smoke depends on it).
 	fmt.Printf("semflowd: listening on http://%s (store %s, max-active %d)\n",

@@ -3,8 +3,7 @@ package main
 // precond: the runtime preconditioner-selection experiment (ROADMAP item 4,
 // after Phillips et al.). Runs the Table-1 channel for a few steps under
 // each pressure preconditioner variant and prints per-variant iteration
-// counts plus the trial-tournament outcome of -precond auto — the solver-
-// level analogue of the matmul autotune table.
+// counts plus the trial-tournament outcome of -precond auto.
 
 import (
 	"fmt"

@@ -26,44 +26,39 @@ func table3(quick bool) {
 	for _, k := range la.Kernels {
 		fmt.Printf(" %8s", k)
 	}
-	fmt.Printf(" | %8s", "auto")
-	fmt.Println()
-	tuner := &la.Tuner{MinTime: time.Duration(minTime * float64(time.Second) / 4)}
+	fmt.Printf(" | %8s\n", "Mul")
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range shapes {
 		n1, n2, n3 := s[0], s[1], s[2]
 		a := randSlice(rng, n1*n2)
 		b := randSlice(rng, n2*n3)
 		c := make([]float64, n1*n3)
-		fmt.Printf("%4d %4d %4d |", n1, n2, n3)
-		for _, k := range la.Kernels {
+		mflops := func(mul func()) float64 {
 			flops := 2 * float64(n1) * float64(n2) * float64(n3)
-			// Warm up, then time.
-			la.MatMul(k, c, a, b, n1, n2, n3)
+			mul() // warm up, then time
 			var reps int
 			t0 := time.Now()
 			for time.Since(t0).Seconds() < minTime {
 				for i := 0; i < 100; i++ {
-					la.MatMul(k, c, a, b, n1, n2, n3)
+					mul()
 				}
 				reps += 100
 			}
-			el := time.Since(t0).Seconds()
-			mflops := flops * float64(reps) / el / 1e6
-			fmt.Printf(" %8.0f", mflops)
+			return flops * float64(reps) / time.Since(t0).Seconds() / 1e6
 		}
-		// The "auto" column is the dispatch answer: the Tuner's per-shape
-		// pick, re-measured independently. Non-strict, so the reassociating
-		// f2/f3 kernels may win here even though solver-facing tuning
-		// (Strict) excludes them.
-		_, res := tuner.Tune([][3]int{s}, nil)
-		fmt.Printf(" | %8.0f  %s", res[0].BestMFLOPS, res[0].Best)
-		fmt.Println()
+		fmt.Printf("%4d %4d %4d |", n1, n2, n3)
+		for _, k := range la.Kernels {
+			fmt.Printf(" %8.0f", mflops(func() { la.MatMul(k, c, a, b, n1, n2, n3) }))
+		}
+		// The last column is la.Mul itself, what the solver gets for this
+		// shape, timed in the same loop as the five kernels.
+		fmt.Printf(" | %8.0f\n", mflops(func() { la.Mul(c, a, b, n1, n2, n3) }))
 	}
 	fmt.Println("\nExpected shape (paper): no single kernel wins every shape; the")
 	fmt.Println("unrolled variants win at small/odd shapes, the blocked/library")
-	fmt.Println("style kernels win at the large regular shapes. The auto column")
-	fmt.Println("is the per-shape dispatch pick (la.Tuner), re-measured.")
+	fmt.Println("style kernels win at the large regular shapes. The Mul column is")
+	fmt.Println("la.Mul's static shape rule, which picks only among the kernels")
+	fmt.Println("that are bitwise-identical to naive (ikj, blocked).")
 }
 
 func randSlice(rng *rand.Rand, n int) []float64 {

@@ -9,7 +9,7 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // hardware-substitution rationale, and EXPERIMENTS.md for the per-table /
-// per-figure reproduction record. The top-level benchmarks in bench_test.go
-// exercise one representative kernel per table/figure; `go run ./cmd/tables`
-// regenerates the full rows/series.
+// per-figure reproduction record. `go run ./cmd/tables` regenerates the
+// rows/series of each table and figure; `bash bench/run.sh` is the one
+// benchmark (end-to-end and per-layer metrics, see bench/README.md).
 package repro

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/flowcases"
-	"repro/internal/la"
 	"repro/internal/ns"
 )
 
@@ -68,28 +67,6 @@ func TestChannelStepAllocationFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state Step allocated %v times per step, want 0", allocs)
 	}
-}
-
-// A Strict-tuned dispatch table must leave the stepped fields bitwise
-// identical to the default path: strict kernels share the default's
-// sequential accumulation order, so tuning changes speed, never results
-// (the golden check of the Table 1 channel case).
-func TestTunedDispatchChannelGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the channel case twice")
-	}
-	defer la.ResetDispatch()
-	la.ResetDispatch()
-	ref := channelSolver(t, 1)
-	stepN(t, ref, 5)
-
-	la.AutoTune(9, 2)
-	if la.Installed() == nil {
-		t.Fatal("AutoTune installed no dispatch table")
-	}
-	tuned := channelSolver(t, 1)
-	stepN(t, tuned, 5)
-	compareFields(t, ref, tuned, "tuned dispatch")
 }
 
 // The element worker pool must not change results: all parallel loops write

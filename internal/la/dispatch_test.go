@@ -1,188 +1,107 @@
 package la
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
-func randMatD(rng *rand.Rand, n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
+// ruleShapes returns every calling shape an order-N discretization produces
+// (N = 2..16, dim 2 and 3) plus shapes on the other side of each branch of
+// the Mul/MulABt shape rule: n1 = 1, n3 < 4, n3 = 1, odd tile remainders and
+// one shape far larger than any element operator.
+func ruleShapes() (mul, abt [][3]int) {
+	for n := 2; n <= 16; n++ {
+		for dim := 2; dim <= 3; dim++ {
+			m, a := ShapesForOrder(n, dim)
+			mul = append(mul, m...)
+			abt = append(abt, a...)
+		}
 	}
-	return v
+	extra := [][3]int{{1, 1, 1}, {1, 8, 13}, {10, 10, 1}, {9, 7, 3}, {2, 14, 2},
+		{17, 1, 17}, {7, 3, 9}, {5, 5, 33}, {3, 17, 3}, {40, 40, 40}}
+	return append(mul, extra...), append(abt, extra...)
 }
 
-// The strict kernel set and both default heuristics must be bitwise-identical
-// to the naive loop: every output entry is one sequential accumulation over
-// the contraction index, so no reassociation can creep in.
+// poison overwrites an output buffer so a kernel that skips an entry is caught.
+func poison(v []float64) {
+	for i := range v {
+		v[i] = -1
+	}
+}
+
+func requireBitwise(t *testing.T, what string, s [3]int, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("shape %v %s: entry %d = %v, want bitwise %v", s, what, i, got[i], want[i])
+		}
+	}
+}
+
+// Mul and the kernels it may pick are bitwise-identical to the naive loop on
+// every shape: each output entry is one sequential accumulation over the
+// contraction index, so the shape rule decides speed, never results.
 func TestStrictKernelsBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	shapes := [][3]int{{1, 1, 1}, {2, 14, 2}, {14, 2, 14}, {10, 10, 10},
-		{8, 10, 8}, {16, 16, 16}, {9, 7, 13}, {100, 10, 10}, {5, 5, 33}}
+	shapes, _ := ruleShapes()
 	for _, s := range shapes {
 		n1, n2, n3 := s[0], s[1], s[2]
-		a := randMatD(rng, n1*n2)
-		b := randMatD(rng, n2*n3)
+		a := randMat(rng, n1*n2)
+		b := randMat(rng, n2*n3)
 		want := make([]float64, n1*n3)
 		MatMulNaive(want, a, b, n1, n2, n3)
 		got := make([]float64, n1*n3)
-		for _, k := range strictMulKernels {
-			for i := range got {
-				got[i] = -1
-			}
+		for _, k := range []MatMulKernel{KernelIKJ, KernelBlocked} {
+			poison(got)
 			MatMul(k, got, a, b, n1, n2, n3)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shape %v kernel %v: entry %d = %v, want bitwise %v",
-						s, k, i, got[i], want[i])
-				}
-			}
+			requireBitwise(t, k.String(), s, got, want)
 		}
-		for i := range got {
-			got[i] = -1
-		}
-		mulDefault(got, a, b, n1, n2, n3)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shape %v mulDefault: entry %d differs", s, i)
-			}
-		}
+		poison(got)
+		Mul(got, a, b, n1, n2, n3)
+		requireBitwise(t, "Mul", s, got, want)
 	}
 }
 
 func TestABtKernelsBitwiseIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	shapes := [][3]int{{1, 1, 1}, {10, 10, 10}, {10, 10, 8}, {8, 8, 10},
-		{100, 10, 10}, {7, 3, 9}, {64, 8, 6}, {5, 16, 5}, {3, 17, 3}}
+	_, shapes := ruleShapes()
 	for _, s := range shapes {
 		n1, n2, n3 := s[0], s[1], s[2]
-		a := randMatD(rng, n1*n2)
-		b := randMatD(rng, n3*n2)
+		a := randMat(rng, n1*n2)
+		b := randMat(rng, n3*n2)
 		want := make([]float64, n1*n3)
 		MulABtSimple(want, a, b, n1, n2, n3)
 		got := make([]float64, n1*n3)
-		for _, k := range ABtKernels {
-			for i := range got {
-				got[i] = -1
-			}
-			MatMulABt(k, got, a, b, n1, n2, n3)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shape %v kernel %v: entry %d = %v, want bitwise %v",
-						s, k, i, got[i], want[i])
-				}
-			}
-		}
-		for i := range got {
-			got[i] = -1
-		}
-		abtDefault(got, a, b, n1, n2, n3)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shape %v abtDefault: entry %d differs", s, i)
-			}
-		}
+		poison(got)
+		MulABtBlocked(got, a, b, n1, n2, n3)
+		requireBitwise(t, "MulABtBlocked", s, got, want)
+		poison(got)
+		MulABt(got, a, b, n1, n2, n3)
+		requireBitwise(t, "MulABt", s, got, want)
 	}
 }
 
-// f2/f3 reassociate (four partial sums), so they are only approximately
-// equal — and excluded from Strict tables.
+// f2/f3 reassociate (four partial sums), so they agree with the naive loop
+// only to rounding, which is why Mul never picks them.
 func TestAllKernelsApproxEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	n1, n2, n3 := 16, 14, 16
-	a := randMatD(rng, n1*n2)
-	b := randMatD(rng, n2*n3)
-	want := make([]float64, n1*n3)
-	MatMulNaive(want, a, b, n1, n2, n3)
-	got := make([]float64, n1*n3)
-	for _, k := range Kernels {
-		MatMul(k, got, a, b, n1, n2, n3)
-		for i := range want {
-			if d := got[i] - want[i]; d > 1e-10 || d < -1e-10 {
-				t.Fatalf("kernel %v: entry %d = %v, want %v", k, i, got[i], want[i])
-			}
+	shapes, _ := ruleShapes()
+	for _, s := range shapes {
+		n1, n2, n3 := s[0], s[1], s[2]
+		a := randMat(rng, n1*n2)
+		b := randMat(rng, n2*n3)
+		want := make([]float64, n1*n3)
+		MatMulNaive(want, a, b, n1, n2, n3)
+		var scale float64
+		for _, v := range want {
+			scale = math.Max(scale, math.Abs(v))
 		}
-	}
-}
-
-func TestDispatchInstallRoutes(t *testing.T) {
-	defer ResetDispatch()
-	rng := rand.New(rand.NewSource(10))
-	n1, n2, n3 := 10, 10, 10
-	a := randMatD(rng, n1*n2)
-	b := randMatD(rng, n2*n3)
-	want := make([]float64, n1*n3)
-	MatMulNaive(want, a, b, n1, n2, n3)
-	for _, k := range strictMulKernels {
-		dt := &DispatchTable{}
-		dt.SetMul(n1, n2, n3, k)
-		Install(dt)
 		got := make([]float64, n1*n3)
-		Mul(got, a, b, n1, n2, n3)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("installed %v: entry %d differs", k, i)
-			}
-		}
-		if kk, ok := Installed().MulKernel(n1, n2, n3); !ok || kk != k {
-			t.Fatalf("Installed().MulKernel = %v,%v want %v", kk, ok, k)
-		}
-	}
-	ResetDispatch()
-	if Installed() != nil {
-		t.Fatal("ResetDispatch left a table installed")
-	}
-}
-
-// A Strict-tuned installed table must not change Mul/MulABt results at all.
-func TestStrictTunedTablePreservesResults(t *testing.T) {
-	defer ResetDispatch()
-	mulShapes, abtShapes := ShapesForOrder(9, 2)
-	tn := &Tuner{Strict: true, MinTime: 200 * time.Microsecond}
-	dt, res := tn.Tune(mulShapes, abtShapes)
-	if len(res) != len(mulShapes)+len(abtShapes) {
-		t.Fatalf("got %d results, want %d", len(res), len(mulShapes)+len(abtShapes))
-	}
-	for _, r := range res {
-		if r.Best == "f2" || r.Best == "f3" {
-			t.Fatalf("strict tuner picked reassociating kernel %q", r.Best)
-		}
-		if r.BestMFLOPS <= 0 {
-			t.Fatalf("shape %v: nonpositive MFLOPS", r.Shape)
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, s := range mulShapes {
-		n1, n2, n3 := s[0], s[1], s[2]
-		a := randMatD(rng, n1*n2)
-		b := randMatD(rng, n2*n3)
-		before := make([]float64, n1*n3)
-		ResetDispatch()
-		Mul(before, a, b, n1, n2, n3)
-		Install(dt)
-		after := make([]float64, n1*n3)
-		Mul(after, a, b, n1, n2, n3)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("mul shape %v: tuned dispatch changed entry %d", s, i)
-			}
-		}
-	}
-	for _, s := range abtShapes {
-		n1, n2, n3 := s[0], s[1], s[2]
-		a := randMatD(rng, n1*n2)
-		b := randMatD(rng, n3*n2)
-		before := make([]float64, n1*n3)
-		ResetDispatch()
-		MulABt(before, a, b, n1, n2, n3)
-		Install(dt)
-		after := make([]float64, n1*n3)
-		MulABt(after, a, b, n1, n2, n3)
-		for i := range before {
-			if before[i] != after[i] {
-				t.Fatalf("abt shape %v: tuned dispatch changed entry %d", s, i)
+		for _, k := range []MatMulKernel{KernelF2, KernelF3} {
+			MatMul(k, got, a, b, n1, n2, n3)
+			if d := maxAbsDiff(got, want); d > 1e-12*scale {
+				t.Fatalf("shape %v kernel %v: max diff %g relative to %g", s, k, d, scale)
 			}
 		}
 	}
@@ -226,53 +145,5 @@ func TestShapesForOrder(t *testing.T) {
 			t.Fatalf("duplicate shape %v", s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestShapeIndexBounds(t *testing.T) {
-	if _, ok := shapeIndex(0, 1, 1); ok {
-		t.Fatal("zero dimension indexed")
-	}
-	if _, ok := shapeIndex(32, 1, 1); ok {
-		t.Fatal("out-of-range dimension indexed")
-	}
-	if i, ok := shapeIndex(31, 31, 31); !ok || i != 31*32*32+31*32+31 {
-		t.Fatalf("bad index %d, %v", i, ok)
-	}
-	// Out-of-table shapes must still compute via the heuristic.
-	n1, n2, n3 := 40, 40, 40
-	rng := rand.New(rand.NewSource(12))
-	a := randMatD(rng, n1*n2)
-	b := randMatD(rng, n2*n3)
-	want := make([]float64, n1*n3)
-	MatMulNaive(want, a, b, n1, n2, n3)
-	got := make([]float64, n1*n3)
-	Mul(got, a, b, n1, n2, n3)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("large-shape Mul: entry %d differs", i)
-		}
-	}
-}
-
-func TestUnrolledDots(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for n := 2; n <= 16; n++ {
-		a := randMatD(rng, n)
-		b := randMatD(rng, n)
-		dot := dotFuncs(n)
-		if dot == nil {
-			t.Fatalf("no unrolled dot for n=%d", n)
-		}
-		var want float64
-		for i := range a {
-			want += a[i] * b[i]
-		}
-		if got := dot(a, b); got != want {
-			t.Fatalf("dot%d = %v, want bitwise %v", n, got, want)
-		}
-	}
-	if dotFuncs(17) != nil || dotFuncs(1) != nil {
-		t.Fatal("unexpected unrolled dot outside 2..16")
 	}
 }

@@ -69,17 +69,20 @@ func MatMul(k MatMulKernel, c, a, b []float64, n1, n2, n3 int) {
 	}
 }
 
-// Mul is the default multiply used throughout the solvers: C = A*B.
-// It routes through the per-shape dispatch table (see dispatch.go), which
-// selects among the MatMul* kernels; the static default heuristic and every
-// Strict-tuned table choose only kernels that are bitwise-identical to the
-// textbook loop, so results do not depend on the installed table.
+// Mul is the multiply used throughout the solvers: C = A*B. The kernel
+// follows the calling shape (Sec. 6 / Table 3 of the paper) by one static
+// rule: the register-blocked kernel wherever its 2x4 tiles have work (it
+// skips the zero-fill pass of ikj and runs eight accumulator chains), the
+// saxpy ordering otherwise. Both accumulate every output entry in one
+// sequential chain over the contraction index, so the result is bitwise that
+// of MatMulNaive whatever the shape; the reassociating f2/f3 kernels are
+// never eligible.
 func Mul(c, a, b []float64, n1, n2, n3 int) {
-	if k, ok := lookupMul(n1, n2, n3); ok {
-		MatMul(k, c, a, b, n1, n2, n3)
+	if n1 >= 2 && n3 >= 4 {
+		MatMulBlocked(c, a, b, n1, n2, n3)
 		return
 	}
-	mulDefault(c, a, b, n1, n2, n3)
+	MatMulIKJ(c, a, b, n1, n2, n3)
 }
 
 // MatMulNaive computes C = A*B with the textbook ijk loop order.
@@ -219,60 +222,19 @@ func MatMulBlocked(c, a, b []float64, n1, n2, n3 int) {
 
 // MulABt computes C = A*Bᵀ where A is n1 x n2, B is n3 x n2, C is n1 x n3.
 // This is the natural kernel for applying a 1D operator along the second
-// tensor dimension (u Bᵀ in eq. (3) of the paper). Like Mul it routes
-// through the per-shape dispatch table; every ABt variant accumulates each
-// output with a single sequential chain over k, so all are bitwise-identical.
+// tensor dimension (u Bᵀ in eq. (3) of the paper). Like Mul it picks by
+// shape alone: 2x2 tiles wherever they have work, the plain loop otherwise,
+// both one sequential chain over k per output and so bitwise-identical.
 func MulABt(c, a, b []float64, n1, n2, n3 int) {
-	if k, ok := lookupABt(n1, n2, n3); ok {
-		MatMulABt(k, c, a, b, n1, n2, n3)
+	if n1 >= 2 && n3 >= 2 {
+		MulABtBlocked(c, a, b, n1, n2, n3)
 		return
 	}
-	abtDefault(c, a, b, n1, n2, n3)
+	MulABtSimple(c, a, b, n1, n2, n3)
 }
 
-// ABtKernel identifies a MulABt variant.
-type ABtKernel int
-
-// MulABt kernel variants. All produce bitwise-identical results (each output
-// entry is one sequential dot product over k), so tuning never changes the
-// computed fields.
-const (
-	// ABtSimple is the plain row-by-row dot-product loop.
-	ABtSimple ABtKernel = iota
-	// ABtUnrolled fully unrolls the contraction for n2 in 2..16 (the shapes
-	// an order-N SEM discretization produces), falling back to the plain
-	// loop otherwise.
-	ABtUnrolled
-	// ABtBlocked computes a 2x2 output tile per inner loop: four independent
-	// accumulator chains sharing each A/B load.
-	ABtBlocked
-)
-
-var abtNames = [...]string{"abt", "abt-unroll", "abt-2x2"}
-
-func (k ABtKernel) String() string {
-	if k < 0 || int(k) >= len(abtNames) {
-		return "unknown"
-	}
-	return abtNames[k]
-}
-
-// ABtKernels lists every MulABt variant.
-var ABtKernels = []ABtKernel{ABtSimple, ABtUnrolled, ABtBlocked}
-
-// MatMulABt computes C = A*Bᵀ with the given variant (same shapes as MulABt).
-func MatMulABt(k ABtKernel, c, a, b []float64, n1, n2, n3 int) {
-	switch k {
-	case ABtUnrolled:
-		MulABtUnrolled(c, a, b, n1, n2, n3)
-	case ABtBlocked:
-		MulABtBlocked(c, a, b, n1, n2, n3)
-	default:
-		MulABtSimple(c, a, b, n1, n2, n3)
-	}
-}
-
-// MulABtSimple is the plain dot-product MulABt (the seed kernel).
+// MulABtSimple is the plain dot-product MulABt, the reference the blocked
+// variant is tested against.
 func MulABtSimple(c, a, b []float64, n1, n2, n3 int) {
 	for i := 0; i < n1; i++ {
 		ar := a[i*n2 : i*n2+n2]
@@ -340,22 +302,44 @@ func MulABtBlocked(c, a, b []float64, n1, n2, n3 int) {
 	}
 }
 
-// MulABtUnrolled dispatches each row dot product to a fully-unrolled kernel
-// for the contraction lengths n2 in 2..16 covering the per-shape calls of an
-// order-N SEM operator evaluation (np1, nm1 for N up to 15).
-func MulABtUnrolled(c, a, b []float64, n1, n2, n3 int) {
-	dot := dotFuncs(n2)
-	if dot == nil {
-		MulABtSimple(c, a, b, n1, n2, n3)
-		return
+// ShapesForOrder enumerates the matmul calling configurations an order-n
+// discretization actually produces through tensor.Apply*: the square
+// derivative/filter applications on the GLL grid (np1 = n+1) and the
+// staggered-grid interpolations to/from the Gauss pressure grid
+// (nm1 = n-1). Returned in MulABt's and Mul's (n1, n2, n3) conventions.
+func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
+	np1, nm1 := n+1, n-1
+	// Operator pairs (rows m x cols k): square, restrict (GLL->Gauss),
+	// prolong (Gauss->GLL).
+	ops := [][2]int{{np1, np1}, {nm1, np1}, {np1, nm1}}
+	addMul := func(s [3]int) { mulShapes = appendShape(mulShapes, s) }
+	addABt := func(s [3]int) { abtShapes = appendShape(abtShapes, s) }
+	for _, op := range ops {
+		m, k := op[0], op[1]
+		if dim == 2 {
+			// Apply2D on a k x k field: ApplyR2D -> MulABt(k, k, m);
+			// ApplyS2D on the m x k intermediate -> Mul(m, k, m).
+			addABt([3]int{k, k, m})
+			addMul([3]int{m, k, m})
+			continue
+		}
+		// Apply3D on a k^3 field: ApplyR3D -> MulABt(k*k, k, m);
+		// ApplyS3D slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
+		// ApplyT3D -> Mul(m, k, m*m).
+		addABt([3]int{k * k, k, m})
+		addMul([3]int{m, k, m})
+		addMul([3]int{m, k, m * m})
 	}
-	for i := 0; i < n1; i++ {
-		ar := a[i*n2 : i*n2+n2]
-		cr := c[i*n3 : i*n3+n3]
-		for j := 0; j < n3; j++ {
-			cr[j] = dot(ar, b[j*n2:j*n2+n2])
+	return mulShapes, abtShapes
+}
+
+func appendShape(list [][3]int, s [3]int) [][3]int {
+	for _, e := range list {
+		if e == s {
+			return list
 		}
 	}
+	return append(list, s)
 }
 
 // MulAtB computes C = Aᵀ*B where A is n2 x n1, B is n2 x n3, C is n1 x n3.

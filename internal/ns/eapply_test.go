@@ -267,30 +267,3 @@ func TestEApplyTimer(t *testing.T) {
 		t.Errorf("ns/pressure.eapply: %d calls, %v total, want 3 calls and a positive total", tm.Count(), tm.Total())
 	}
 }
-
-// benchEApply times op once per mesh of eApplyCases (sub-benchmarks channel,
-// hairpin, ogrid): the kernel-level view of the benchmark's ns.gradt_us and
-// ns.div_us rungs, plus the all-deformed mesh no workload has.
-func benchEApply(b *testing.B, op func(s *Solver, p []float64, u [3][]float64, g [][]float64)) {
-	for _, tc := range eApplyCases {
-		b.Run(tc.name, func(b *testing.B) {
-			s := eApplySolver(b, tc.build(b))
-			rng := rand.New(rand.NewSource(1))
-			p := normalVec(rng, s.M.K*s.npp)
-			u, _ := velocityVecs(rng, s)
-			_, g := velocityVecs(rng, s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op(s, p, u, g)
-			}
-		})
-	}
-}
-
-func BenchmarkGradientT(b *testing.B) {
-	benchEApply(b, func(s *Solver, p []float64, _ [3][]float64, g [][]float64) { s.GradientT(g, p) })
-}
-
-func BenchmarkDivergence(b *testing.B) {
-	benchEApply(b, func(s *Solver, p []float64, u [3][]float64, _ [][]float64) { s.Divergence(p, u) })
-}

@@ -39,6 +39,10 @@ type SubmitRequest struct {
 	ResumeFrom string `json:"resume_from,omitempty"`
 }
 
+// maxSubmitBytes bounds the POST /api/sessions body; a larger one is
+// answered 413 before any job exists. A Config is a few hundred bytes.
+const maxSubmitBytes = 1 << 20
+
 // SubmitResponse is the POST /api/sessions reply.
 type SubmitResponse struct {
 	ID string `json:"id"`
@@ -77,8 +81,14 @@ func HTTPHandler(m *Manager) http.Handler {
 
 	mux.HandleFunc("POST /api/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, map[string]string{"error": err.Error()})
 			return
 		}
 		var j *Job

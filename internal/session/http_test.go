@@ -249,7 +249,23 @@ func TestHTTPErrors(t *testing.T) {
 			t.Fatalf("submit %s = %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp := postJSON(t, srv.URL+"/api/sessions", SubmitRequest{ResumeFrom: "nope", Config: Config{Steps: 5}})
+	// An oversized body — otherwise a valid submit — is refused before it
+	// is decoded, and no job comes of it.
+	huge := `{"case":"channel","steps":1,"pad":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB submit = %d, want 413", resp.StatusCode)
+	}
+	var jobs []json.RawMessage
+	if err := json.Unmarshal(getBody(t, srv.URL+"/api/sessions", http.StatusOK), &jobs); err != nil || len(jobs) != 0 {
+		t.Fatalf("after rejected submits: %d jobs (err %v), want none", len(jobs), err)
+	}
+
+	resp = postJSON(t, srv.URL+"/api/sessions", SubmitRequest{ResumeFrom: "nope", Config: Config{Steps: 5}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("resume from unknown = %d, want 404", resp.StatusCode)
 	}

@@ -272,8 +272,8 @@ func (s *Session) Close() error {
 }
 
 // Solver exposes the underlying stepper for embedding drivers (semflow
-// prints kinetic energy, runs autotune against the mesh, attaches extra
-// tracers). Callers must not Step it directly while a Manager owns the
+// prints kinetic energy, reports the preconditioner selection, meters
+// flops). Callers must not Step it directly while a Manager owns the
 // session.
 func (s *Session) Solver() *ns.Solver { return s.solver }
 

@@ -113,9 +113,8 @@ func (c *Chebyshev) Apply(out, in []float64) {
 }
 
 // LCGFill fills v with a deterministic pseudo-random probe in [-0.5, 0.5)
-// — the same splitmix-style LCG seeding used by the autotune harness, so
-// bound estimates and trial right-hand sides are reproducible across runs
-// and identical on every rank.
+// from a splitmix-style LCG, so bound estimates and trial right-hand sides
+// are reproducible across runs and identical on every rank.
 func LCGFill(v []float64, seed uint64) { lcgFill(v, seed) }
 
 func lcgFill(v []float64, seed uint64) {

@@ -2,12 +2,14 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/la"
 )
@@ -270,11 +272,85 @@ func TestPrecondCacheRoundtrip(t *testing.T) {
 	if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadPrecondCache(path); !errors.Is(err, la.ErrCacheMismatch) {
+	if _, err := LoadPrecondCache(path); !errors.Is(err, ErrCacheMismatch) {
 		t.Fatalf("foreign cache load error = %v, want ErrCacheMismatch", err)
 	}
 
 	if _, err := LoadPrecondCache(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file load succeeded")
+	}
+}
+
+// TestSavePrecondCacheAtomicUnderConcurrency is the torn-write regression test:
+// with a plain WriteFile over the live path, concurrent semflowd sessions
+// saving the selection cache while others load it could observe interleaved
+// or truncated JSON, which LoadPrecondCache rejects — silently forcing a
+// re-selection on every later run. With the temp-file + rename write, every
+// load must observe a complete, parseable table.
+func TestSavePrecondCacheAtomicUnderConcurrency(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "precond.json")
+
+	// Two distinguishable tables; any loaded file must be exactly one of
+	// them, never a mixture or a parse failure.
+	k1 := PrecondKey{K: 15, N: 9, Dim: 2, P: 1, Tol: 1e-9}
+	k2 := PrecondKey{K: 72, N: 5, Dim: 3, P: 1, Tol: 1e-9}
+	tabA := &PrecondTable{m: map[PrecondKey]string{k1: "schwarz"}}
+	tabB := &PrecondTable{m: map[PrecondKey]string{k1: "schwarz", k2: "chebjacobi"}}
+
+	if err := SavePrecondCache(path, tabA); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2) // one slot per writer
+	var wg sync.WaitGroup
+	for _, tab := range []*PrecondTable{tabA, tabB} {
+		wg.Add(1)
+		go func(tab *PrecondTable) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := SavePrecondCache(path, tab); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(tab)
+	}
+	deadline := time.Now().Add(500 * time.Millisecond)
+	loads := 0
+	var bad string
+	for bad == "" && time.Now().Before(deadline) {
+		tab, err := LoadPrecondCache(path)
+		switch {
+		case err != nil:
+			bad = fmt.Sprintf("load %d observed a torn cache: %v", loads, err)
+		case tab.Len() != 1 && tab.Len() != 2:
+			bad = fmt.Sprintf("load %d observed a mixed table with %d entries", loads, tab.Len())
+		}
+		loads++
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// The writers must not leave temp litter behind.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "precond.json" {
+			t.Fatalf("leftover temp file %s", e.Name())
+		}
 	}
 }

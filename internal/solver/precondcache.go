@@ -1,17 +1,23 @@
 package solver
 
 // precondcache.go persists the preconditioner-selection table across runs,
-// keyed — like la's matmul tune cache — by CPU model + Go version: trial
-// timings are machine-specific, so a selection tuned elsewhere is rejected
-// with la.ErrCacheMismatch and the caller re-trials.
+// keyed by CPU model + Go version (la.CacheKey): trial timings are
+// machine-specific, so a selection tuned elsewhere is rejected with
+// ErrCacheMismatch and the caller re-trials.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/la"
 )
+
+// ErrCacheMismatch reports a selection cache produced on different hardware
+// or a different toolchain; the trials must be re-run, not trusted.
+var ErrCacheMismatch = errors.New("solver: precond cache key mismatch")
 
 type precondCacheFile struct {
 	Key     string              `json:"key"`
@@ -42,15 +48,54 @@ func SavePrecondCache(path string, t *PrecondTable) error {
 		return err
 	}
 	b = append(b, '\n')
-	if err := la.WriteFileAtomic(path, b); err != nil {
+	if err := writeFileAtomic(path, b); err != nil {
 		return fmt.Errorf("solver: precond cache: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic writes b to path through a unique temp file in the target
+// directory, fsync, chmod 0644, rename. Concurrent writers (semflowd
+// sessions finishing a tournament at once) never tear the file: readers see
+// either the old contents or the new, never a mix.
+func writeFileAtomic(path string, b []byte) error {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	tf, err := os.CreateTemp(dir, base+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := tf.Name()
+	fail := func(err error) error {
+		tf.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := tf.Write(b); err != nil {
+		return fail(err)
+	}
+	if err := tf.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := tf.Chmod(0o644); err != nil {
+		return fail(err)
+	}
+	if err := tf.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
 	}
 	return nil
 }
 
 // LoadPrecondCache reads a table saved by SavePrecondCache. A file tuned on
 // a different CPU model or Go version returns an error wrapping
-// la.ErrCacheMismatch; unreadable or malformed files return a plain error.
+// ErrCacheMismatch; unreadable or malformed files return a plain error.
 func LoadPrecondCache(path string) (*PrecondTable, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -61,7 +106,7 @@ func LoadPrecondCache(path string) (*PrecondTable, error) {
 		return nil, fmt.Errorf("solver: precond cache %s: %w", path, err)
 	}
 	if key := la.CacheKey(); f.Key != key {
-		return nil, fmt.Errorf("%w: file tuned on %q, this machine is %q", la.ErrCacheMismatch, f.Key, key)
+		return nil, fmt.Errorf("%w: file tuned on %q, this machine is %q", ErrCacheMismatch, f.Key, key)
 	}
 	t := &PrecondTable{m: make(map[PrecondKey]string, len(f.Entries))}
 	for _, e := range f.Entries {

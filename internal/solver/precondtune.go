@@ -1,7 +1,6 @@
 package solver
 
-// precondtune.go: runtime selection of the pressure preconditioner,
-// mirroring la.Tuner's install-a-table idiom at the solver level. A
+// precondtune.go: runtime selection of the pressure preconditioner. A
 // PrecondTable maps (mesh size, order, rank count, tolerance) to a variant
 // name; SelectPrecond fills it from short trial solves. The table is held
 // behind an atomic pointer and updated copy-on-write, so concurrent

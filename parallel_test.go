@@ -48,10 +48,10 @@ func TestWorkerPoolStepRace(t *testing.T) {
 // a MemStats delta with GC pinned off. testing.AllocsPerRun cannot see
 // this path: it forces GOMAXPROCS(1) for the measured window, which flips
 // the pool into its serial fallback, so only a raw Mallocs delta counts
-// what the parallel dispatch itself costs. Warm-up matches the benchmark
-// protocol (BDF ramp plus one full projection cycle); after it, the wakeup
-// channels, chunk table, and per-worker arenas are all preallocated and
-// the delta over 8 further steps must be exactly zero.
+// what the parallel dispatch itself costs. Warm-up is the BDF ramp plus one
+// full projection cycle; after it, the wakeup channels, chunk table, and
+// per-worker arenas are all preallocated and the delta over 8 further steps
+// must be exactly zero.
 func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warm-up")
@@ -63,10 +63,9 @@ func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := channelSolver(t, 4)
 	stepN(t, s, 24)
-	// Two more steps after the drain's forced GCs, as the step benchmarks do
-	// (benchRewarm), so both measure the same stretch of the projection cycle.
-	// (They used to refill a sync.Pool of element scratch; scratch is
-	// per-worker arenas now and no GC can take it.)
+	// Two more steps after the drain's forced GCs: anything a collection
+	// reclaimed would be re-allocated on the first step after it, and that
+	// belongs outside the measured window.
 	drainPoolFinalizers()
 	stepN(t, s, 2)
 	var m0, m1 runtime.MemStats

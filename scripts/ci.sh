@@ -14,7 +14,7 @@
 #           internal/ns, sem, session and parrun
 #   static  staticcheck over the module (skipped with a note when the
 #           binary is not installed; the workflow installs it)
-#   smoke   build semflow + semflowd + tracecheck + tracepath once, then
+#   smoke   build semflow + semflowd + tracecheck + tracepath + tables once, then
 #           validate the -trace and -history artifacts of the serial (wall
 #           track only), distributed (rank tracks), fault-injected, and
 #           checkpoint/restart paths,
@@ -22,13 +22,10 @@
 #           trace's critical path, exercise -precond auto (trial → report
 #           → persisted cache → table rerun, plus a forced-variant
 #           divergence cross-check), and round-trip a channel job through
-#           the semflowd session service (submit, poll, fetch artifacts)
-#   bench   benchmark harness, one iteration per benchmark (including the
-#           -cpu 1,4 worker sweep) + artifact check + the zero-allocs/op
-#           gate on the serial and workers=4 steady-state channel steps
-#           + the preconditioner-selection regression gate on the channel
+#           the semflowd session service (submit, poll, fetch artifacts);
+#           also runs the Table 3 kernel sweep once (tables -exp table3)
 #
-# Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|bench|all]   (default all)
+# Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|all]   (default all)
 #
 # Environment:
 #   SMOKE_OUT          directory to keep the smoke artifacts in (default: a
@@ -107,7 +104,8 @@ smoke_cleanup() {
 spawn_bg() {
     _log="$1"
     shift
-    "$@" > "$_log" 2>&1 &
+    : > "$_log" # exists before the first poll_sed reads it
+    "$@" >> "$_log" 2>&1 &
     BG_PID=$!
     BG_PIDS="$BG_PIDS $BG_PID"
 }
@@ -193,7 +191,7 @@ smoke() {
 
     # Build the drivers once; every smoke below reuses the binaries instead
     # of paying `go run` compilation per invocation.
-    stage "smoke/build" go build -o "$out/bin/" ./cmd/semflow ./cmd/semflowd ./cmd/tracecheck ./cmd/tracepath
+    stage "smoke/build" go build -o "$out/bin/" ./cmd/semflow ./cmd/semflowd ./cmd/tracecheck ./cmd/tracepath ./cmd/tables
 
     echo "== smoke: semflow -trace/-history artifacts validate =="
     # A serial trace carries the stepper's wall-clock track; rank tracks come
@@ -331,13 +329,10 @@ EOF
         -checkpoint "$out/ckpt" -resume > "$out/resume.log"
     cat "$out/resume.log"
     grep -q "resuming from" "$out/resume.log"
-}
 
-bench() {
-    stage "bench/quick" ./scripts/bench.sh quick
-    # Regression gate: the auto-selected pressure preconditioner must not
-    # iterate worse than the Schwarz reference on the Table 1 channel.
-    stage "bench/precond-gate" go test -run 'TestPrecondSelectionGateChannel' -count=1 -v .
+    echo "== smoke: Table 3 kernel sweep reports la.Mul beside the kernels =="
+    "$out/bin/tables" -exp table3 -quick > "$out/table3.txt"
+    grep -q ' Mul' "$out/table3.txt"
 }
 
 mode="${1:-all}"
@@ -347,17 +342,15 @@ tier2) tier2 ;;
 benchmod) benchmod ;;
 static) static ;;
 smoke) smoke ;;
-bench) bench ;;
 all)
     tier1
     tier2
     benchmod
     static
     smoke
-    bench
     ;;
 *)
-    echo "usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|bench|all]" >&2
+    echo "usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|all]" >&2
     exit 2
     ;;
 esac
