@@ -2,13 +2,17 @@
 // canonical flow cases (shear layer, TS channel, convection cell, hairpin
 // boundary layer) with configurable resolution, filter, projection and
 // worker settings, printing per-step solver statistics — the same knobs the
-// paper's production code exposes. With -trace it also emits a Chrome
-// trace-event JSON (open in Perfetto or chrome://tracing) of the stepper's
-// wall-clock spans; with -history it writes per-step convergence telemetry
-// as JSONL. With -ranks P the whole time loop instead runs as an SPMD
-// program on the simulated machine (parrun.NavierStokes) and the trace
-// carries a per-rank virtual-clock track with the traffic of every stepper
-// phase.
+// paper's production code exposes. There is one path: the flags become a
+// session.Config, session.Create (or, with -resume, session.Resume from the
+// latest snapshot in the -checkpoint directory) builds the run, StepN
+// advances it with the per-step report on OnStep, and one set of writers
+// emits the artifacts. -ranks P selects the machine, nothing else: 0 steps
+// the shared-memory solver, P runs the same time loop as an SPMD program on
+// the simulated machine (parrun.Stepper), where -faults degrades the
+// machine and -trace carries a per-rank virtual-clock track with the
+// traffic of every stepper phase. -checkpoint/-checkpoint-every/-resume,
+// -trace (Chrome trace-event JSON, open in Perfetto or chrome://tracing),
+// -history (per-step convergence telemetry, JSONL) and -stats work on both.
 //
 // At scale the observability flags compose: -trace-sample R keeps full
 // span tracks for R deterministically chosen ranks while the merged
@@ -21,11 +25,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -38,16 +45,16 @@ import (
 )
 
 func main() {
-	caseName := flag.String("case", "shearlayer", "flow case: shearlayer, channel, convection, hairpin")
+	caseName := flag.String("case", "shearlayer", "flow case: "+strings.Join(flowcases.CaseNames(), ", "))
 	steps := flag.Int("steps", 100, "time steps")
 	n := flag.Int("n", 8, "polynomial order")
 	nel := flag.Int("nel", 8, "elements per direction (2D cases)")
 	kx := flag.Int("kx", 0, "channel case: elements along the channel (0: case default 5); with -ky this sizes the mesh for large -ranks runs")
 	ky := flag.Int("ky", 0, "channel case: elements across the channel (0: case default 3)")
-	piters := flag.Int("piters", 0, "distributed runs: pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
+	piters := flag.Int("piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
 	alpha := flag.Float64("alpha", 0.3, "filter strength")
 	l := flag.Int("L", 20, "pressure projection basis size")
-	workers := flag.Int("workers", 2, "element-loop workers (dual-processor mode analogue)")
+	workers := flag.Int("workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
 	precond := flag.String("precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh/order/ranks/tolerance from short trial solves)")
 	precondCache := flag.String("precond-cache", "", "with -precond auto: persist the selections to this file and reuse them on later runs; keyed by CPU model and Go version, any mismatch forces a re-selection")
 	every := flag.Int("report", 10, "report interval")
@@ -59,9 +66,9 @@ func main() {
 	linger := flag.Duration("linger", 0, "with -listen: keep the endpoint up this long after the run completes")
 	ranks := flag.Int("ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
 	faultsPath := flag.String("faults", "", "fault plan JSON degrading the simulated machine: stragglers, link jitter, drops with retry, pauses (requires -ranks)")
-	ckptDir := flag.String("checkpoint", "", "write versioned stepper snapshots into this directory (requires -ranks)")
+	ckptDir := flag.String("checkpoint", "", "write versioned snapshots of the run into this directory")
 	ckptEvery := flag.Int("checkpoint-every", 10, "steps between snapshots when -checkpoint is set")
-	resume := flag.Bool("resume", false, "continue from the latest snapshot in the -checkpoint directory (requires -ranks)")
+	resume := flag.Bool("resume", false, "continue from the latest snapshot in the -checkpoint directory (same case, resolution and -ranks)")
 	historyOut := flag.String("history", "", "write per-step convergence telemetry (JSONL) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -80,124 +87,162 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	if !slices.Contains(flowcases.CaseNames(), *caseName) {
+		fmt.Fprintf(os.Stderr, "unknown case %q\n", *caseName)
+		os.Exit(2)
+	}
 	if *precond != "" && !ns.ValidPrecond(*precond) {
 		log.Fatalf("-precond %q: want schwarz, chebjacobi, chebschwarz, none or auto", *precond)
 	}
 	loadPrecondCache(*precondCache)
 
-	if *ranks > 0 {
-		runDistributed(distOpts{
-			caseName: *caseName, ranks: *ranks, steps: *steps, n: *n, nel: *nel,
-			kx: *kx, ky: *ky, piters: *piters,
-			alpha: *alpha, every: *every, stats: *stats, statsJSON: *statsJSON,
-			traceOut: *traceOut, historyOut: *historyOut,
-			traceSample: *traceSample, listen: *listen, linger: *linger,
-			faultsPath: *faultsPath, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			resume: *resume, precond: *precond, precondCache: *precondCache,
-		})
-		return
-	}
-	if *faultsPath != "" || *ckptDir != "" || *resume {
-		log.Fatal("-faults/-checkpoint/-resume apply to the distributed stepper: add -ranks P")
-	}
-
-	switch *caseName {
-	case "shearlayer", "channel", "convection", "hairpin":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown case %q\n", *caseName)
-		os.Exit(2)
-	}
-
-	// The serial path goes through the session API — the same code path
-	// semflowd multiplexes — with OnStep carrying the per-step report.
 	cfg := session.Config{
 		Case: *caseName, Steps: *steps, N: *n, Nel: *nel, KX: *kx, KY: *ky,
-		Alpha: *alpha, ProjectionL: *l, Workers: *workers,
-		Precond: *precond,
-		Trace:   *traceOut != "",
+		Alpha: *alpha, ProjectionL: *l, PIters: *piters, Workers: *workers,
+		Precond: *precond, Ranks: *ranks,
+		Trace: *traceOut != "", TraceSample: *traceSample,
+	}
+	if *faultsPath != "" {
+		plan, err := fault.Load(*faultsPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.Faults = plan
 	}
 	var sess *session.Session // assigned below; OnStep only fires during StepN
 	nonconverged := 0
 	cfg.OnStep = func(st ns.StepStats) {
 		if !st.PressureConverged {
-			nonconverged++
 			slog.Warn("pressure solve hit the iteration cap",
 				"step", st.Step, "iters", st.PressureIters, "res", st.PressureResFinal)
 		}
-		if st.Step%*every == 0 {
-			fmt.Printf("%6d %9.4f %6.2f %8d %8d %8d %12.5e\n",
-				st.Step, st.Time, st.CFL, st.PressureIters, st.HelmholtzIters[0],
-				st.ProjectionBasis, flowcases.KineticEnergy(sess.Solver()))
+		if !st.PressureConverged || !st.ViscousConverged {
+			nonconverged++
 		}
+		if st.Step%*every != 0 {
+			return
+		}
+		// The last column is what each machine has at hand on every step:
+		// the kinetic energy of the shared-memory fields, or the pressure
+		// residual (the ranks' fields are only gathered at the end).
+		last := st.PressureResFinal
+		if *ranks == 0 {
+			last = flowcases.KineticEnergy(sess.Solver())
+		}
+		fmt.Printf("%6d %9.4f %6.2f %8d %8d %8d %12.5e\n",
+			st.Step, st.Time, st.CFL, st.PressureIters, st.HelmholtzIters[0],
+			st.ProjectionBasis, last)
 	}
-	sess, err := session.Create(cfg)
+
+	var ck *parrun.Checkpoint // nil: a fresh run
+	if *resume {
+		if *ckptDir == "" {
+			log.Fatal("-resume needs -checkpoint DIR to find the snapshots")
+		}
+		path, err := parrun.LatestCheckpoint(*ckptDir)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if path == "" {
+			log.Fatalf("-resume: no snapshots in %s", *ckptDir)
+		}
+		if ck, err = parrun.LoadCheckpoint(path); err != nil {
+			log.Fatal(err)
+		}
+		if ck.Step >= *steps {
+			log.Fatalf("-resume: %s is already at step %d, -steps targets %d", path, ck.Step, *steps)
+		}
+		fmt.Printf("resuming from %s (completed steps: %d)\n", path, ck.Step)
+	}
+	sess, err := session.Resume(cfg, ck)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sess.Close()
 	s := sess.Solver()
-	sel := s.PrecondSelection()
-	reportPrecond(sel)
+	reportPrecond(s.PrecondSelection())
 	savePrecondCache(*precondCache)
-	reg := sess.Registry()
-	reg.SetMeta(instrument.RunMeta{
-		Case: *caseName, Elements: s.M.K, Order: s.M.N, Steps: *steps,
-		Workers: *workers, TraceSample: *traceSample,
-		Precond: sel.Name, PrecondSource: sel.Source,
-	})
-	tracer := sess.Tracer()
 	var obs *instrument.Server
 	if *listen != "" {
-		obs = startServe(*listen, reg, sess.Progress())
+		if obs, err = instrument.Serve(*listen, sess.Registry(), sess.Progress()); err != nil {
+			log.Fatalf("listen: %v", err)
+		}
 		defer obs.Close()
+		// The resolved address (port 0 picks a free port) is what scrapers parse.
+		fmt.Printf("observability: listening on http://%s (/metrics /progress /debug/pprof)\n", obs.Addr)
 	}
-	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d  workers=%d\n",
-		*caseName, s.M.K, s.M.N, s.M.K*s.M.Np, *workers)
+	machine, lastCol := fmt.Sprintf("workers=%d", *workers), "KE"
+	if *ranks > 0 {
+		machine, lastCol = fmt.Sprintf("ranks=%d (distributed)", *ranks), "p-res"
+	}
+	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d  %s\n",
+		*caseName, s.M.K, s.M.N, s.M.K*s.M.Np, machine)
 	fmt.Printf("%6s %9s %6s %8s %8s %8s %12s\n",
-		"step", "t", "CFL", "p-iters", "h-iters", "basis", "KE")
-	d := s.Disc()
-	d.ResetFlops()
-	if _, err := sess.StepN(*steps); err != nil {
-		log.Fatalf("step %d: %v", sess.Step()+1, err)
+		"step", "t", "CFL", "p-iters", "h-iters", "basis", lastCol)
+
+	// Step to the target, in one batch or — with -checkpoint — one per
+	// snapshot interval: a snapshot is the session's own, taken between two
+	// batches, whichever machine is stepping.
+	snapEvery, snapshots := 0, 0
+	if *ckptDir != "" && *ckptEvery > 0 {
+		snapEvery = *ckptEvery
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			log.Fatalf("checkpoint: %v", err)
+		}
+	}
+	s.Disc().ResetFlops()
+	for sess.Step() < *steps {
+		batch := *steps - sess.Step()
+		if snapEvery > 0 {
+			batch = min(batch, snapEvery-sess.Step()%snapEvery)
+		}
+		if _, err := sess.StepN(batch); err != nil {
+			log.Fatalf("step %d: %v", sess.Step()+1, err)
+		}
+		if snapEvery > 0 && sess.Step()%snapEvery == 0 {
+			snap, err := sess.Checkpoint()
+			if err == nil {
+				err = snap.WriteFile(parrun.CheckpointPath(*ckptDir, snap.Step))
+			}
+			if err != nil {
+				log.Fatalf("checkpoint: %v", err)
+			}
+			snapshots++
+		}
 	}
 	if nonconverged > 0 {
-		slog.Warn("pressure solve did not converge on some steps",
-			"nonconverged", nonconverged, "steps", *steps)
+		slog.Warn("some steps did not converge", "nonconverged", nonconverged, "steps", *steps)
 	}
-	fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(d.Flops()))
+	if res := sess.Distributed(); res != nil {
+		if res.P != res.RequestedP {
+			slog.Info("rank count clamped (one element minimum per rank)",
+				"requested", res.RequestedP, "effective", res.P)
+		}
+		fmt.Printf("\ndistributed run: P=%d steps=%d virtual=%.3es traffic=%.1fkB/%d msgs cut-edges=%d\n",
+			res.P, res.Steps, res.VirtualSeconds,
+			float64(res.TotalBytes)/1024, res.TotalMsgs, res.CutEdges)
+		if cfg.Faults != nil {
+			fmt.Printf("fault recovery: drops=%d retries=%d pauses=%d stall=%.3es (virtual, summed over ranks)\n",
+				res.Drops, res.Retries, res.Pauses, res.FaultStallSec)
+		}
+	} else {
+		fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(s.Disc().Flops()))
+	}
+	if snapshots > 0 {
+		fmt.Printf("wrote %d snapshots to %s (every %d steps)\n", snapshots, *ckptDir, snapEvery)
+	}
 
-	if tracer != nil {
-		// The shared-memory stepper gives the wall-clock track; the rank
-		// timeline of Figs. 6/8 comes from a -ranks run.
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := tracer.WriteJSON(f); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
+	if tracer := sess.Tracer(); tracer != nil {
+		writeArtifact("trace", *traceOut, tracer.WriteJSON)
 		fmt.Printf("wrote %d trace events to %s (load in https://ui.perfetto.dev)\n",
 			tracer.Len(), *traceOut)
 	}
 	if *historyOut != "" {
-		history := sess.History()
-		f, err := os.Create(*historyOut)
-		if err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		if err := history.WriteJSONL(f); err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		fmt.Printf("wrote %d per-step telemetry records to %s\n", history.Len(), *historyOut)
+		writeArtifact("history", *historyOut, sess.History().WriteJSONL)
+		fmt.Printf("wrote %d per-step telemetry records to %s\n", sess.History().Len(), *historyOut)
 	}
 	if *stats || *statsJSON {
-		rep := reg.Report()
+		rep := sess.Registry().Report()
 		if *statsJSON {
 			j, err := rep.JSON()
 			if err != nil {
@@ -208,253 +253,36 @@ func main() {
 			fmt.Printf("\n%s", rep.String())
 		}
 	}
-	finishServe(obs, sess.Progress(), *linger)
+	if obs != nil {
+		// Mark the run done on /progress and keep the endpoint up for the
+		// linger window so post-run scrapes see the final state.
+		snap := sess.Progress().Snapshot()
+		snap.Done = true
+		sess.Progress().Update(snap)
+		if *linger > 0 {
+			slog.Info("run complete, endpoint lingering", "addr", obs.Addr, "for", linger.String())
+			time.Sleep(*linger)
+		}
+	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			log.Fatalf("memprofile: %v", err)
-		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatalf("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("memprofile: %v", err)
-		}
+		writeArtifact("memprofile", *memprofile, pprof.WriteHeapProfile)
 	}
 }
 
-// distOpts bundles the CLI switches of a distributed run.
-type distOpts struct {
-	caseName             string
-	ranks, steps, n, nel int
-	kx, ky               int // channel mesh size (0,0: case default 5x3)
-	piters               int // pressure CG iteration cap (0: case default)
-	alpha                float64
-	every                int
-	stats, statsJSON     bool
-	traceOut, historyOut string
-	traceSample          int           // full span tracks for this many ranks (0: all)
-	listen               string        // live observability endpoint address ("" off)
-	linger               time.Duration // keep the endpoint up after the run
-	faultsPath, ckptDir  string
-	ckptEvery            int
-	resume               bool
-	precond              string // pressure preconditioner variant ("" = case default)
-	precondCache         string // persisted -precond auto selections
-}
-
-// runDistributed runs the selected case's whole time loop as an SPMD
-// program on the simulated machine (parrun.NavierStokes): RSB element
-// ownership per rank, distributed gather–scatter assembly, allreduce inner
-// products, and a per-rank virtual-clock trace track for every stepper
-// phase. The same -trace/-history/-stats artifacts come out of the
-// distributed run directly. -faults degrades the simulated machine with a
-// seeded plan, -checkpoint snapshots the stepper every -checkpoint-every
-// steps, and -resume picks up a bitwise-identical continuation from the
-// latest snapshot.
-func runDistributed(o distOpts) {
-	var cfg ns.Config
-	var init flowcases.InitFunc
-	var err error
-	switch o.caseName {
-	case "shearlayer":
-		cfg, init, err = flowcases.ShearLayerSpec(flowcases.ShearLayerConfig{
-			Nel: o.nel, N: o.n, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: o.alpha,
-		})
-	case "channel":
-		cfg, init, _, err = flowcases.ChannelSpec(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: o.n, Dt: 0.003125, Order: 2, Filter: o.alpha,
-			KX: o.kx, KY: o.ky,
-		})
-	case "hairpin":
-		cfg, init, err = flowcases.HairpinSpec(flowcases.HairpinConfig{
-			Nx: 6, Ny: 4, Nz: 3, N: o.n, Re: 1600, Dt: 0.05, FilterA: o.alpha,
-		})
-	case "convection":
-		cfg, err = flowcases.ConvectionSpec(flowcases.ConvectionConfig{
-			Nel: o.nel, N: o.n, Ra: 1e4, Dt: 0.002, ProjectionL: 20,
-		})
-	default:
-		err = fmt.Errorf("unknown case %q", o.caseName)
+// writeArtifact creates path and fills it with write, fatally on any error.
+func writeArtifact(what, path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		if err = write(f); err == nil {
+			err = f.Close()
+		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("%s: %v", what, err)
 	}
-	if o.piters > 0 {
-		cfg.PMaxIter = o.piters
-	}
-	if o.precond != "" {
-		cfg.PressurePrecond = o.precond
-	}
-	var plan *fault.Plan
-	if o.faultsPath != "" {
-		if plan, err = fault.Load(o.faultsPath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	var ck *parrun.Checkpoint
-	if o.resume {
-		if o.ckptDir == "" {
-			log.Fatal("-resume needs -checkpoint DIR to find the snapshots")
-		}
-		path, err := parrun.LatestCheckpoint(o.ckptDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if path == "" {
-			log.Fatalf("-resume: no snapshots in %s", o.ckptDir)
-		}
-		if ck, err = parrun.LoadCheckpoint(path); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("resuming from %s (completed steps: %d)\n", path, ck.Step)
-	}
-	m := cfg.Mesh
-	var reg *instrument.Registry
-	if o.stats || o.statsJSON || o.listen != "" {
-		reg = instrument.New()
-		var seed int64
-		if plan != nil {
-			seed = plan.Seed
-		}
-		reg.SetMeta(instrument.RunMeta{
-			Case: o.caseName, Ranks: o.ranks, Elements: m.K, Order: m.N,
-			Steps: o.steps, PIters: o.piters, FaultSeed: seed,
-			TraceSample: o.traceSample,
-		})
-	}
-	var tracer *instrument.Tracer
-	if o.traceOut != "" {
-		tracer = instrument.NewTracer()
-		if picked := strideSample(o.ranks, o.traceSample); picked != nil {
-			tracer.SampleVRanks(picked)
-			slog.Info("trace rank sampling on", "tracks", o.traceSample, "ranks", o.ranks)
-		}
-	}
-	var history *instrument.TimeSeries
-	if o.historyOut != "" {
-		history = instrument.NewTimeSeries()
-	}
-	var prog *instrument.Progress
-	var obs *instrument.Server
-	var onStep func(st ns.StepStats, vsec float64)
-	if o.listen != "" {
-		prog = instrument.NewProgress()
-		obs = startServe(o.listen, reg, prog)
-		defer obs.Close()
-		onStep = func(st ns.StepStats, vsec float64) {
-			prog.Update(instrument.ProgressSnapshot{
-				Case: o.caseName, Ranks: o.ranks, Step: st.Step, TotalSteps: o.steps,
-				Time: st.Time, VirtualSeconds: vsec, CFL: st.CFL,
-				PressureIters: st.PressureIters, PressureRes: st.PressureResFinal,
-				Converged: st.PressureConverged,
-			})
-		}
-	}
-	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d  ranks=%d (distributed)\n",
-		o.caseName, m.K, m.N, m.K*m.Np, o.ranks)
-	res, err := parrun.NavierStokes(cfg, parrun.NSConfig{
-		P: o.ranks, Steps: o.steps, Init: init,
-		Faults:        plan,
-		CheckpointDir: o.ckptDir, CheckpointEvery: o.ckptEvery,
-		Resume:   ck,
-		Registry: reg, Tracer: tracer, History: history,
-		OnStep: onStep,
-	})
-	if err != nil {
-		log.Fatalf("distributed run: %v", err)
-	}
-	if res.P != res.RequestedP {
-		slog.Info("rank count clamped (one element minimum per rank)",
-			"requested", res.RequestedP, "effective", res.P)
-	}
-	reportPrecond(res.PrecondSel)
-	savePrecondCache(o.precondCache)
-	if reg != nil {
-		// Refresh the metadata with the resolved variant: for -precond auto
-		// the selection only exists once the template has run its trials.
-		var seed int64
-		if plan != nil {
-			seed = plan.Seed
-		}
-		reg.SetMeta(instrument.RunMeta{
-			Case: o.caseName, Ranks: o.ranks, Elements: m.K, Order: m.N,
-			Steps: o.steps, PIters: o.piters, FaultSeed: seed,
-			TraceSample: o.traceSample,
-			Precond:     res.Precond, PrecondSource: res.PrecondSel.Source,
-		})
-	}
-	fmt.Printf("%6s %9s %6s %8s %8s %8s %12s\n",
-		"step", "t", "CFL", "p-iters", "h-iters", "basis", "p-res")
-	for _, st := range res.StepStats {
-		if st.Step%o.every != 0 {
-			continue
-		}
-		fmt.Printf("%6d %9.4f %6.2f %8d %8d %8d %12.3e\n",
-			st.Step, st.Time, st.CFL, st.PressureIters,
-			st.HelmholtzIters[0], st.ProjectionBasis, st.PressureResFinal)
-	}
-	if !res.Converged {
-		slog.Warn("some steps did not converge",
-			"nonconverged", res.NonconvergedSteps, "steps", res.Steps)
-	}
-	fmt.Printf("\ndistributed run: P=%d steps=%d virtual=%.3es traffic=%.1fkB/%d msgs cut-edges=%d\n",
-		res.P, res.Steps, res.VirtualSeconds,
-		float64(res.TotalBytes)/1024, res.TotalMsgs, res.CutEdges)
-	if plan != nil {
-		fmt.Printf("fault recovery: drops=%d retries=%d pauses=%d stall=%.3es (virtual, summed over ranks)\n",
-			res.Drops, res.Retries, res.Pauses, res.FaultStallSec)
-	}
-	if res.CheckpointsWritten > 0 {
-		fmt.Printf("wrote %d snapshots to %s (every %d steps)\n",
-			res.CheckpointsWritten, o.ckptDir, o.ckptEvery)
-	}
-	if tracer != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := tracer.WriteJSON(f); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Printf("wrote %d trace events to %s (load in https://ui.perfetto.dev)\n",
-			tracer.Len(), o.traceOut)
-	}
-	if history != nil {
-		f, err := os.Create(o.historyOut)
-		if err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		if err := history.WriteJSONL(f); err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("history: %v", err)
-		}
-		fmt.Printf("wrote %d per-step telemetry records to %s\n", history.Len(), o.historyOut)
-	}
-	if reg != nil && (o.stats || o.statsJSON) {
-		rep := reg.Report()
-		if o.statsJSON {
-			j, err := rep.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\n%s\n", j)
-		} else {
-			fmt.Printf("\n%s", rep.String())
-		}
-	}
-	finishServe(obs, prog, o.linger)
 }
 
-// strideSample picks r evenly spaced ranks out of p — the deterministic
-// choice behind -trace-sample, so reruns record the same tracks. nil means
-// "trace everything" (r = 0 or r covers all of p).
 // loadPrecondCache installs persisted -precond auto selections before any
 // solver is built. A stale or foreign cache (other machine, other Go
 // version) is re-selected, never trusted.
@@ -496,42 +324,5 @@ func reportPrecond(sel solver.PrecondSelection) {
 	for _, tr := range sel.Trials {
 		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %.3fs\n",
 			tr.Name, tr.Iterations, tr.Converged, tr.Seconds)
-	}
-}
-
-func strideSample(p, r int) []int {
-	if r <= 0 || r >= p {
-		return nil
-	}
-	out := make([]int, r)
-	for i := range out {
-		out[i] = i * p / r
-	}
-	return out
-}
-
-// startServe binds the live observability endpoint and prints the resolved
-// address (port 0 requests pick a free port) so scrapers can find it.
-func startServe(addr string, reg *instrument.Registry, prog *instrument.Progress) *instrument.Server {
-	srv, err := instrument.Serve(addr, reg, prog)
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	fmt.Printf("observability: listening on http://%s (/metrics /progress /debug/pprof)\n", srv.Addr)
-	return srv
-}
-
-// finishServe marks the run done on /progress and keeps the endpoint up for
-// the linger window so post-run scrapes see the final state.
-func finishServe(obs *instrument.Server, prog *instrument.Progress, linger time.Duration) {
-	if obs == nil {
-		return
-	}
-	snap := prog.Snapshot()
-	snap.Done = true
-	prog.Update(snap)
-	if linger > 0 {
-		slog.Info("run complete, endpoint lingering", "addr", obs.Addr, "for", linger.String())
-		time.Sleep(linger)
 	}
 }

@@ -19,10 +19,7 @@ import (
 // machine finishes in seconds, large enough that the Schwarz+XXT pressure
 // solve exercises every communication phase.
 func distChannelSpec() (ns.Config, flowcases.InitFunc, error) {
-	cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2,
-	})
-	return cfg, init, err
+	return flowcases.Named("channel", flowcases.CaseParams{N: 5})
 }
 
 // distChannelRun advances the channel for a few steps as an SPMD program on

@@ -6,7 +6,8 @@
 // Usage:
 //
 //	tables -exp table1 [-quick]
-//	tables -exp table2|table3|table4|fig3|fig4|fig6|fig8|all
+//	tables -exp table2|table3|table4|fig3|fig4|fig6|fig8|faults|all
+//	tables -exp scaling|precond     (not part of all)
 //
 // -quick shrinks resolutions/step counts so every experiment finishes in
 // seconds to minutes; the full settings match the paper where feasible.
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, table2, table3, table4, fig3, fig4, fig6, fig8, faults, scaling or all")
+	exp := flag.String("exp", "all", "experiment: table1, table2, table3, table4, fig3, fig4, fig6, fig8, faults, scaling, precond or all (all leaves out scaling and precond)")
 	quick := flag.Bool("quick", false, "reduced resolutions for fast runs")
 	flag.Parse()
 

@@ -30,9 +30,7 @@ func scaling(quick bool) {
 		kx, ky, n = 16, 4, 4
 		ps = []int{4, 16, 64}
 	}
-	cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2, KX: kx, KY: ky,
-	})
+	cfg, init, err := flowcases.Named("channel", flowcases.CaseParams{N: n, KX: kx, KY: ky})
 	if err != nil {
 		fmt.Println("channel spec error:", err)
 		return

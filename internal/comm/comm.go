@@ -133,8 +133,13 @@ func (in *netInstr) stall(dt float64) {
 }
 
 // Network is an instantiated machine: use Run to execute an SPMD function.
+// It owns its ranks: clocks, traffic and fault-draw counters, buffer pools
+// and parked messages live as long as the network, so a program may be run
+// in several batches (one Run each) and continue exactly where the last
+// batch stopped, and no goroutine outlives a Run.
 type Network struct {
 	Machine
+	ranks   []*Rank
 	inboxes []*mailbox
 	instr   *netInstr
 	tracer  *instrument.Tracer
@@ -143,9 +148,10 @@ type Network struct {
 
 // NewNetwork allocates the communication structure for the machine.
 func NewNetwork(m Machine) *Network {
-	n := &Network{Machine: m, inboxes: make([]*mailbox, m.P)}
+	n := &Network{Machine: m, ranks: make([]*Rank, m.P), inboxes: make([]*mailbox, m.P)}
 	for i := range n.inboxes {
 		n.inboxes[i] = newMailbox()
+		n.ranks[i] = &Rank{ID: i, net: n, pending: make(map[pendingKey]*pendQ)}
 	}
 	return n
 }
@@ -376,22 +382,21 @@ func (r *Rank) maybePause() {
 	}
 }
 
-// Run executes body on every rank concurrently and returns the per-rank
-// states after completion (for clock/traffic inspection).
+// Run executes body on every rank concurrently, one goroutine per rank,
+// waits for all of them and returns the network's ranks (for clock/traffic
+// inspection). The ranks are the same values on every call: a second Run
+// continues from the clocks and counters the first one left.
 func (n *Network) Run(body func(r *Rank)) []*Rank {
-	ranks := make([]*Rank, n.P)
 	var wg sync.WaitGroup
 	wg.Add(n.P)
-	for p := 0; p < n.P; p++ {
-		r := &Rank{ID: p, net: n, pending: make(map[pendingKey]*pendQ)}
-		ranks[p] = r
-		go func() {
+	for _, r := range n.ranks {
+		go func(r *Rank) {
 			defer wg.Done()
 			body(r)
-		}()
+		}(r)
 	}
 	wg.Wait()
-	return ranks
+	return n.ranks
 }
 
 // Send transmits data to rank `to` with the given tag. The sender's clock

@@ -250,3 +250,40 @@ func TestPayloadIsolation(t *testing.T) {
 		t.Error("message payload aliases sender buffer")
 	}
 }
+
+// TestRunsContinueOnTheSameRanks: the network owns its ranks, so a program
+// split over two Runs is the program run once — clocks and counters carry
+// over, and a message sent in the first batch, whether still in the inbox
+// or already parked behind another receive, is delivered in the second.
+func TestRunsContinueOnTheSameRanks(t *testing.T) {
+	net := NewNetwork(machine(2))
+	first := net.Run(func(r *Rank) {
+		r.Compute(1000)
+		if r.ID == 0 {
+			r.Send(1, 7, []float64{42})
+			r.Send(1, 8, []float64{43})
+			r.Send(1, 9, []float64{44})
+		} else if got := r.Recv(0, 8); got[0] != 43 { // parks tag 7, leaves tag 9 queued
+			t.Errorf("tag 8 carried %v", got)
+		}
+	})
+	t0, sent := first[1].Time, first[0].MsgsSent
+	if t0 <= 0 || sent != 3 {
+		t.Fatalf("after the first batch: rank 1 clock %g, rank 0 sent %d", t0, sent)
+	}
+	second := net.Run(func(r *Rank) {
+		if r.ID == 1 {
+			if a, b := r.Recv(0, 9), r.Recv(0, 7); a[0] != 44 || b[0] != 42 {
+				t.Errorf("second batch received %v and %v", a, b)
+			}
+		}
+		r.Compute(1000)
+	})
+	if second[0] != first[0] || second[1] != first[1] {
+		t.Fatal("the second Run ran on new ranks")
+	}
+	if second[1].Time <= t0 || second[0].MsgsSent != sent {
+		t.Fatalf("second batch: rank 1 clock %g (was %g), rank 0 sent %d (was %d)",
+			second[1].Time, t0, second[0].MsgsSent, sent)
+	}
+}

@@ -10,6 +10,8 @@ package flowcases
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 
 	"repro/internal/mesh"
 	"repro/internal/ns"
@@ -82,12 +84,16 @@ func ShearLayer(c ShearLayerConfig) (*ns.Solver, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewSolver(cfg, init)
+}
+
+// NewSolver builds a problem's shared-memory solver (nil init: at rest).
+func NewSolver(cfg ns.Config, init InitFunc) (*ns.Solver, error) {
 	s, err := ns.New(cfg)
-	if err != nil {
-		return nil, err
+	if err == nil && init != nil {
+		s.SetVelocity(init)
 	}
-	s.SetVelocity(init)
-	return s, nil
+	return s, err
 }
 
 // Vorticity returns the z-vorticity ω = ∂v/∂x - ∂u/∂y of the current
@@ -205,12 +211,8 @@ func Channel(c ChannelConfig) (*ns.Solver, *orrsomm.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := ns.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.SetVelocity(init)
-	return s, osr, nil
+	s, err := NewSolver(cfg, init)
+	return s, osr, err
 }
 
 // PerturbationEnergy returns ∫ (u-U_base)² + v² dΩ for the channel problem.
@@ -251,7 +253,7 @@ type ConvectionConfig struct {
 	Nel, N      int
 	Ra          float64 // Rayleigh-like buoyancy strength
 	Dt          float64
-	ProjectionL int
+	ProjectionL int // pressure projection basis size (0 = off)
 	Workers     int
 	Precond     string // pressure preconditioner variant ("" = schwarz)
 }
@@ -313,7 +315,7 @@ type HairpinConfig struct {
 	Delta      float64 // boundary layer thickness (paper: 1.2 R)
 	Workers    int
 	FilterA    float64
-	ProjL      int
+	ProjL      int    // pressure projection basis size (0 = 20)
 	Precond    string // pressure preconditioner variant ("" = schwarz)
 }
 
@@ -377,10 +379,75 @@ func Hairpin(c HairpinConfig) (*ns.Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := ns.New(cfg)
-	if err != nil {
-		return nil, err
+	return NewSolver(cfg, init)
+}
+
+// CaseParams are the parameters of a named case that semflow's flags and
+// semflowd's submit body expose; zero ProjectionL and PIters mean default.
+type CaseParams struct {
+	N           int     // polynomial order
+	Nel         int     // elements per direction (shearlayer, convection)
+	KX, KY      int     // channel element grid (0, 0: 5 x 3)
+	Alpha       float64 // filter strength
+	ProjectionL int     // pressure projection basis size (default 20)
+	PIters      int     // pressure CG iteration cap
+	Workers     int
+	Precond     string // pressure preconditioner variant ("" = schwarz)
+}
+
+// namedCases is the one mapping from a case name to the problem it runs.
+var namedCases = map[string]func(p CaseParams) (ns.Config, InitFunc, error){
+	"shearlayer": func(p CaseParams) (ns.Config, InitFunc, error) {
+		return ShearLayerSpec(ShearLayerConfig{
+			Nel: p.Nel, N: p.N, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: p.Alpha,
+		})
+	},
+	"channel": func(p CaseParams) (ns.Config, InitFunc, error) {
+		cfg, init, _, err := ChannelSpec(ChannelConfig{
+			Re: 7500, Alpha: 1, N: p.N, Dt: 0.003125, Order: 2, Filter: p.Alpha, KX: p.KX, KY: p.KY,
+		})
+		return cfg, init, err
+	},
+	"convection": func(p CaseParams) (ns.Config, InitFunc, error) {
+		cfg, err := ConvectionSpec(ConvectionConfig{Nel: p.Nel, N: p.N, Ra: 1e4, Dt: 0.002, ProjectionL: 20})
+		return cfg, nil, err // the cell starts at rest
+	},
+	"hairpin": func(p CaseParams) (ns.Config, InitFunc, error) {
+		return HairpinSpec(HairpinConfig{
+			Nx: 6, Ny: 4, Nz: 3, N: p.N, Re: 1600, Dt: 0.05, FilterA: p.Alpha,
+		})
+	},
+}
+
+// CaseNames lists the named cases, sorted.
+func CaseNames() []string {
+	names := make([]string, 0, len(namedCases))
+	for name := range namedCases {
+		names = append(names, name)
 	}
-	s.SetVelocity(init)
-	return s, nil
+	sort.Strings(names)
+	return names
+}
+
+// Named builds the problem definition of a named case: the table's physics,
+// then the parameters every case takes the same way. A nil InitFunc means
+// the velocity starts at rest.
+func Named(name string, p CaseParams) (ns.Config, InitFunc, error) {
+	build, ok := namedCases[name]
+	if !ok {
+		return ns.Config{}, nil, fmt.Errorf("flowcases: unknown case %q (have %s)",
+			name, strings.Join(CaseNames(), ", "))
+	}
+	cfg, init, err := build(p)
+	if err != nil {
+		return ns.Config{}, nil, err
+	}
+	cfg.Workers, cfg.PressurePrecond = p.Workers, p.Precond
+	if p.ProjectionL > 0 {
+		cfg.ProjectionL = p.ProjectionL
+	}
+	if p.PIters > 0 {
+		cfg.PMaxIter = p.PIters
+	}
+	return cfg, init, nil
 }

@@ -407,6 +407,3 @@ func (h *ParHandle) Apply(u []float64, op Op) {
 	h.exchVTime.Add(time.Duration((h.rank.Time - t0) * float64(time.Second)))
 	h.exchVHist.Observe(h.rank.Time - t0)
 }
-
-// Local returns the serial handle for rank-local operations.
-func (h *ParHandle) Local() *Handle { return h.local }

@@ -414,10 +414,6 @@ func (m *Mesh) numberGlobally() {
 	m.NGlobal = len(coords)
 }
 
-// CornerLocal returns the local node index of corner c (tensor corner
-// order) in an element.
-func (m *Mesh) CornerLocal(c int) int { return m.cornerLocal(c) }
-
 // ElemCorner returns the physical coordinates of corner c of element e as
 // seen by that element (NOT the canonical wrapped vertex position — the two
 // differ across periodic boundaries).

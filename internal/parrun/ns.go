@@ -3,14 +3,16 @@ package parrun
 // ns.go runs the operator-splitting Navier–Stokes time advancement as a
 // genuine SPMD program on the simulated machine. The step itself lives in
 // internal/ns, written once over the ns.Machine seam; this file is the other
-// side of that seam and the driver around it. NavierStokes builds the serial
-// solver once as the read-only operator template, partitions the elements by
+// side of that seam and the driver around it. Start builds the serial solver
+// once as the read-only operator template, partitions the elements by
 // recursive spectral bisection, factors the distributed XXT coarse solver,
-// and starts one goroutine rank per part; each rank forks the template into
-// state sized by its own elements and calls ns.Solver.Step on a rankMachine,
-// whose methods are the distributed gather–scatter, scalar allreduces, the
-// virtual clock and the XXT vertex solve — the per-step traffic of the
-// paper's Figs. 6 and 8. A P-rank run differs from the shared-memory stepper
+// and sets one goroutine rank per part up; each rank forks the template into
+// state sized by its own elements. StepN runs a batch of steps, every rank
+// calling ns.Solver.Step on a rankMachine, whose methods are the distributed
+// gather–scatter, scalar allreduces, the virtual clock and the XXT vertex
+// solve — the per-step traffic of the paper's Figs. 6 and 8. Between batches
+// no goroutine is alive: the ranks persist in the comm.Network and their
+// solvers in the Stepper, so a snapshot is a plain read (Checkpoint). A P-rank run differs from the shared-memory stepper
 // only by the reduction order of the inner products and by the coarse vertex
 // solve, which routes through the distributed XXT factorization instead of
 // the sparse Cholesky factor — same system, different rounding. Fields
@@ -20,17 +22,19 @@ package parrun
 // Cross-rank consistency: every CG/projection decision derives from
 // allreduce results, which the simulated collectives make bitwise identical
 // on all ranks, so the per-step statistics must agree exactly rank-to-rank.
-// NavierStokes verifies that after the run and fails loudly on drift — the
+// StepN verifies that after every batch and fails loudly on drift — the
 // classic silent SPMD corruption — instead of reporting rank 0's view.
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/coarse"
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/gs"
 	"repro/internal/instrument"
+	"repro/internal/la"
 	"repro/internal/ns"
 	"repro/internal/partition"
 	"repro/internal/solver"
@@ -41,7 +45,8 @@ type NSConfig struct {
 	P       int          // simulated ranks (clamped to the element count)
 	Machine comm.Machine // zero value: ASCIRed(P); Machine.P must match P when set
 	Steps   int          // total time steps of the run (default 1); a resumed
-	// run executes steps Resume.Step+1 .. Steps
+	// run executes steps Resume.Step+1 .. Steps. Start steps nothing and only
+	// checks a non-zero value against Resume.
 
 	// Init is the initial velocity field (nil leaves it zero). Dirichlet
 	// values are applied at t = 0 exactly as ns.Solver.SetVelocity does.
@@ -52,11 +57,11 @@ type NSConfig struct {
 	// bounded-retry recovery, rank pauses); nil runs the flawless machine.
 	Faults *fault.Plan
 
-	// CheckpointDir + CheckpointEvery write a versioned snapshot of the
-	// full stepper state (fields, BDF-OIFS history, projection basis, step
-	// index, virtual clocks) every CheckpointEvery steps. Snapshot I/O is
-	// invisible to the simulated machine: enabling it changes nothing about
-	// the run. CheckpointEvery <= 0 disables writing.
+	// CheckpointDir + CheckpointEvery make NavierStokes write a versioned
+	// snapshot of the full stepper state (fields, BDF-OIFS history, projection
+	// basis, step index, virtual clocks) every CheckpointEvery steps. Snapshot
+	// I/O is invisible to the simulated machine: enabling it changes nothing
+	// about the run. CheckpointEvery <= 0 disables writing.
 	CheckpointDir   string
 	CheckpointEvery int
 
@@ -135,21 +140,41 @@ type rankStep struct {
 	phase [4]float64 // virtual seconds in convect/viscous/pressure/filter
 }
 
-type rankOut struct {
-	steps  []rankStep
-	f      *ns.Solver             // the rank's solver, for its final fields
-	hist   *instrument.TimeSeries // the rank's telemetry rows (nil unless NSConfig.History)
-	vStart float64                // rank virtual clock entering the first executed step
-	err    error
+// rankState is what one rank keeps between batches, and its records of the
+// batch it last ran.
+type rankState struct {
+	mach *rankMachine
+	f    *ns.Solver
+
+	// Distribution rollups shared by all ranks through the registry: each
+	// rank Observes its own per-step phase times into the same atomic
+	// histograms, so the merged per-phase distribution over all P ranks
+	// exists without any per-rank trace track.
+	phaseHist [4]*instrument.Histogram
+	stepHist  *instrument.Histogram
+
+	steps []rankStep             // the last batch, one per step
+	hist  *instrument.TimeSeries // the last batch's telemetry rows (nil unless NSConfig.History)
+	err   error
 }
 
-// NavierStokes advances nscfg's problem by cfg.Steps time steps on cfg.P
-// simulated ranks. The returned fields are the distributed run's, gathered
-// back to the serial element-local layout.
-func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
-	if cfg.Steps < 1 {
-		cfg.Steps = 1
-	}
+// Stepper is a distributed run between its set-up and its result, advanced
+// in batches. Its methods must not be called concurrently.
+type Stepper struct {
+	cfg   NSConfig
+	tmpl  *ns.Solver
+	net   *comm.Network
+	ranks []*comm.Rank // the network's ranks: clocks and traffic counters
+	rs    []rankState
+
+	res   NSResult // everything but the fields, accumulated batch by batch
+	prevV float64  // cross-rank max clock at the last step boundary
+}
+
+// Start sets a run of nscfg's problem up on cfg.P simulated ranks — template,
+// partition, coarse factorization, network, one Fork (and Restore, under
+// cfg.Resume) per rank — and steps nothing.
+func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	m := nscfg.Mesh
 	if m == nil {
 		return nil, fmt.Errorf("parrun: nil mesh")
@@ -194,140 +219,167 @@ func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 		elems[q] = append(elems[q], e)
 	}
 
-	firstStep := 0
+	s := &Stepper{cfg: cfg, tmpl: tmpl, rs: make([]rankState, p),
+		res: NSResult{
+			P: p, RequestedP: requested,
+			Precond: tmpl.PrecondName(), PrecondSel: tmpl.PrecondSelection(),
+			Converged: true, CutEdges: partition.CutEdges(m.Adj, part),
+		}}
+	if xxt != nil {
+		s.res.CrossCols = xxt.CrossCount()
+	}
 	if ck := cfg.Resume; ck != nil {
 		if err := ck.validateFor(p, m.K, m.N, m.Dim, m.Np, tmpl.Npp(), cfg.Steps); err != nil {
 			return nil, fmt.Errorf("parrun: %w", err)
 		}
-		firstStep = ck.Step
-	}
-	var sink *ckptSink
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
-		sink = newCkptSink(cfg.CheckpointDir, p, Checkpoint{
-			K: m.K, N: m.N, Dim: m.Dim, Np: m.Np, Npp: tmpl.Npp()})
+		s.res.FirstStep = ck.Step
 	}
 
-	net := comm.NewNetwork(mach)
-	net.Attach(cfg.Registry)
-	net.AttachTracer(cfg.Tracer)
-	net.SetFaults(cfg.Faults)
+	s.net = comm.NewNetwork(mach)
+	s.net.Attach(cfg.Registry)
+	s.net.AttachTracer(cfg.Tracer)
+	s.net.SetFaults(cfg.Faults)
 
 	// The permuted-to-original vertex map is identical on every rank:
 	// compute it once here instead of NVert-sized work and storage per rank.
 	var invPerm []int
 	if xxt != nil {
-		invPerm = make([]int, len(xxt.Perm))
-		for newi, old := range xxt.Perm {
-			invPerm[old] = newi
-		}
+		invPerm = la.InvPerm(xxt.Perm)
 	}
 
-	outs := make([]rankOut, p)
-	ranks := net.Run(func(r *comm.Rank) {
-		outs[r.ID] = nsRankBody(r, tmpl, elems[r.ID], xxt, invPerm, cfg, sink)
+	s.ranks = s.net.Run(func(r *comm.Rank) {
+		s.rs[r.ID] = setUpRank(r, tmpl, elems[r.ID], xxt, invPerm, cfg)
 	})
-	if sink != nil && sink.err != nil {
-		return nil, fmt.Errorf("parrun: checkpoint write: %w", sink.err)
+	if err := s.rankErr(); err != nil {
+		return nil, err
 	}
-	for q := range outs {
-		if outs[q].err != nil {
-			return nil, fmt.Errorf("parrun: rank %d: %w", q, outs[q].err)
+	s.prevV = comm.MaxTime(s.ranks)
+	return s, nil
+}
+
+// rankErr returns the first rank's error of the last batch.
+func (s *Stepper) rankErr() error {
+	for q := range s.rs {
+		if err := s.rs[q].err; err != nil {
+			return fmt.Errorf("parrun: rank %d: %w", q, err)
 		}
+	}
+	return nil
+}
+
+// StepCount returns the number of completed steps.
+func (s *Stepper) StepCount() int { return s.rs[0].f.StepCount() }
+
+// Time returns the current simulation time.
+func (s *Stepper) Time() float64 { return s.rs[0].f.Time() }
+
+// Template returns the read-only serial solver every rank forked.
+func (s *Stepper) Template() *ns.Solver { return s.tmpl }
+
+// StepN advances every rank n steps in one batch — one comm.Network.Run, in
+// which the ranks run ahead of and wait for each other as in an uninterrupted
+// run — then cross-checks and accumulates the batch's records. It returns the
+// last step's statistics. After an error the run is over.
+func (s *Stepper) StepN(n int) (ns.StepStats, error) {
+	target := s.StepCount() + n
+	s.net.Run(func(r *comm.Rank) { s.rs[r.ID].run(r, target, s.cfg) })
+	if err := s.rankErr(); err != nil {
+		return ns.StepStats{}, err
 	}
 	// SPMD consistency: every rank must have seen identical per-step solver
 	// statistics (all decisions derive from bitwise-uniform allreduces).
+	p, batch := len(s.rs), s.rs[0].steps
 	for q := 1; q < p; q++ {
-		if len(outs[q].steps) != len(outs[0].steps) {
-			return nil, fmt.Errorf("parrun: rank %d ran %d steps, rank 0 ran %d (SPMD drift)",
-				q, len(outs[q].steps), len(outs[0].steps))
+		if len(s.rs[q].steps) != len(batch) {
+			return ns.StepStats{}, fmt.Errorf("parrun: rank %d ran %d steps, rank 0 ran %d (SPMD drift)",
+				q, len(s.rs[q].steps), len(batch))
 		}
-		for k := range outs[0].steps {
-			a, b := outs[0].steps[k].stats, outs[q].steps[k].stats
-			if a.PressureIters != b.PressureIters || a.PressureConverged != b.PressureConverged ||
-				a.PressureResFinal != b.PressureResFinal || a.HelmholtzIters != b.HelmholtzIters ||
-				a.ViscousConverged != b.ViscousConverged || a.Substeps != b.Substeps ||
-				a.ScalarIters != b.ScalarIters {
-				return nil, fmt.Errorf("parrun: step %d statistics disagree between rank 0 and rank %d "+
-					"(p-iters %d/%d, res %g/%g): replicated-scalar drift", k+1,
+		for k := range batch {
+			if a, b := batch[k].stats, s.rs[q].steps[k].stats; a != b {
+				return ns.StepStats{}, fmt.Errorf("parrun: step %d statistics disagree between rank 0 and rank %d "+
+					"(p-iters %d/%d, res %g/%g): replicated-scalar drift", a.Step,
 					q, a.PressureIters, b.PressureIters, a.PressureResFinal, b.PressureResFinal)
 			}
 		}
 	}
 
-	res := &NSResult{
-		P:              p,
-		RequestedP:     requested,
-		Steps:          cfg.Steps,
-		FirstStep:      firstStep,
-		Precond:        tmpl.PrecondName(),
-		PrecondSel:     tmpl.PrecondSelection(),
-		Converged:      true,
-		VirtualSeconds: comm.MaxTime(ranks),
-		TotalBytes:     comm.TotalBytes(ranks),
-		CutEdges:       partition.CutEdges(m.Adj, part),
-		Time:           tmpl.Time() + float64(cfg.Steps)*nscfg.Dt,
+	// Every rank recorded the same telemetry rows (their inputs are joined
+	// values); rank 0's go out, stamped with the modeled step time.
+	var records []any
+	if s.cfg.History != nil {
+		records = s.rs[0].hist.Records()
 	}
-	if xxt != nil {
-		res.CrossCols = xxt.CrossCount()
+	res := &s.res
+	var last ns.StepStats
+	for k, rs := range batch {
+		// Per-step modeled elapsed time: the cross-rank max clock at each step
+		// boundary, differenced. This is the column the fault tables compare
+		// between a flawless and a degraded machine.
+		endV := 0.0
+		for q := range s.rs {
+			endV = max(endV, s.rs[q].steps[k].vEnd)
+			for i, v := range s.rs[q].steps[k].phase {
+				res.PhaseVirtual[i] += v / float64(p)
+			}
+		}
+		stepV := endV - s.prevV
+		s.prevV = endV
+		res.StepVirtual = append(res.StepVirtual, stepV)
+		res.StepStats = append(res.StepStats, rs.stats)
+		if !rs.stats.PressureConverged || !rs.stats.ViscousConverged {
+			res.Converged = false
+			res.NonconvergedSteps++
+		}
+		if s.cfg.History != nil {
+			rec := records[k].(ns.StepRecord)
+			rec.VirtualSeconds = stepV
+			s.cfg.History.Append(rec)
+		}
+		last = rs.stats
 	}
-	if sink != nil {
-		res.CheckpointsWritten = sink.written
+	return last, nil
+}
+
+// VirtualSeconds is the modeled completion time so far: the max rank clock.
+func (s *Stepper) VirtualSeconds() float64 { return comm.MaxTime(s.ranks) }
+
+// Checkpoint snapshots every rank's solver state and clock: a read of state
+// at rest, with no message and no virtual-clock cost.
+func (s *Stepper) Checkpoint() *Checkpoint {
+	states := make([]RankCheckpoint, len(s.rs))
+	for q := range s.rs {
+		states[q] = RankCheckpoint{Rank: q, Clock: s.ranks[q].Clock(), State: s.rs[q].f.Checkpoint()}
 	}
-	for _, rk := range ranks {
+	return newCheckpoint(len(s.rs), states)
+}
+
+// Result reports the run so far, with the fields gathered back to the serial
+// element-local layout.
+func (s *Stepper) Result() *NSResult {
+	res := s.res
+	res.Steps = s.StepCount()
+	res.Time = s.tmpl.Time() + float64(res.Steps)*s.tmpl.Cfg.Dt
+	res.VirtualSeconds = s.VirtualSeconds()
+	res.TotalBytes = comm.TotalBytes(s.ranks)
+	for _, rk := range s.ranks {
 		res.TotalMsgs += rk.MsgsSent
 		res.Drops += rk.Drops
 		res.Retries += rk.Retries
 		res.Pauses += rk.Pauses
 		res.FaultStallSec += rk.StallSec
 	}
-	// Per-step modeled elapsed time: the cross-rank max clock at each step
-	// boundary, differenced. This is the column the fault tables compare
-	// between a flawless and a degraded machine.
-	prevV := 0.0
-	for q := range outs {
-		prevV = max(prevV, outs[q].vStart)
-	}
-	for k := range outs[0].steps {
-		endV := 0.0
-		for q := range outs {
-			endV = max(endV, outs[q].steps[k].vEnd)
-			for i, v := range outs[q].steps[k].phase {
-				res.PhaseVirtual[i] += v / float64(p)
-			}
-		}
-		res.StepVirtual = append(res.StepVirtual, endV-prevV)
-		prevV = endV
-	}
-	// Every rank recorded the same telemetry rows (their inputs are joined
-	// values); rank 0's go out, stamped with the modeled step time.
-	var records []any
-	if cfg.History != nil {
-		records = outs[0].hist.Records()
-	}
-	for si, rs := range outs[0].steps {
-		res.StepStats = append(res.StepStats, rs.stats)
-		if !rs.stats.PressureConverged || !rs.stats.ViscousConverged {
-			res.Converged = false
-			res.NonconvergedSteps++
-		}
-		if cfg.History != nil {
-			rec := records[si].(ns.StepRecord)
-			rec.VirtualSeconds = res.StepVirtual[si]
-			cfg.History.Append(rec)
-		}
-	}
-	// Reassemble the final fields to the serial element-local layout.
-	np, npp := m.Np, tmpl.Npp()
+	m := s.tmpl.M
+	np, npp := m.Np, s.tmpl.Npp()
 	for c := 0; c < m.Dim; c++ {
 		res.U[c] = make([]float64, m.K*np)
 	}
 	res.Pressure = make([]float64, m.K*npp)
-	if nscfg.Scalar != nil {
+	if s.tmpl.Scalar() != nil {
 		res.Scalar = make([]float64, m.K*np)
 	}
-	for q := range elems {
-		f := outs[q].f
-		for li, e := range elems[q] {
+	for q := range s.rs {
+		f := s.rs[q].f
+		for li, e := range s.rs[q].mach.mine {
 			for c := 0; c < m.Dim; c++ {
 				copy(res.U[c][e*np:(e+1)*np], f.Velocity(c)[li*np:(li+1)*np])
 			}
@@ -337,6 +389,45 @@ func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 			}
 		}
 	}
+	return &res
+}
+
+// NavierStokes advances nscfg's problem to cfg.Steps time steps on cfg.P
+// simulated ranks: Start, StepN (one batch per snapshot interval, if any),
+// Result.
+func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
+	if cfg.Steps < 1 {
+		cfg.Steps = 1
+	}
+	s, err := Start(nscfg, cfg)
+	if err != nil {
+		return nil, err
+	}
+	every, written := 0, 0
+	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
+		every = cfg.CheckpointEvery
+	}
+	for s.StepCount() < cfg.Steps {
+		n := cfg.Steps - s.StepCount()
+		if every > 0 {
+			n = min(n, every-s.StepCount()%every)
+		}
+		if _, err := s.StepN(n); err != nil {
+			return nil, err
+		}
+		if every > 0 && s.StepCount()%every == 0 {
+			err := os.MkdirAll(cfg.CheckpointDir, 0o755)
+			if err == nil {
+				err = s.Checkpoint().WriteFile(CheckpointPath(cfg.CheckpointDir, s.StepCount()))
+			}
+			if err != nil {
+				return nil, fmt.Errorf("parrun: checkpoint write: %w", err)
+			}
+			written++
+		}
+	}
+	res := s.Result()
+	res.CheckpointsWritten = written
 	return res, nil
 }
 
@@ -423,10 +514,9 @@ func (m *rankMachine) End(sec ns.Section, st ns.StepStats) {
 	m.tr.SpanV(id, sec.Name(), sec.Cat(), m.t0[sec], m.r.Time, args)
 }
 
-// nsRankBody is the SPMD body of one rank: set up the rank's side of the
-// seam, fork the template onto it, restore a snapshot if resuming, and step.
-func nsRankBody(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invPerm []int,
-	cfg NSConfig, sink *ckptSink) rankOut {
+// setUpRank is the set-up half of one rank's SPMD body: build the rank's
+// side of the seam, fork the template onto it, restore a snapshot if resuming.
+func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invPerm []int, cfg NSConfig) rankState {
 	m := tmpl.M
 	np := m.Np
 	gids := make([]int64, len(mine)*np)
@@ -443,43 +533,42 @@ func nsRankBody(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invP
 		mach.bLocal = make([]float64, mach.hi-mach.lo)
 		mach.xxtWork = xxt.NewSolveWork(r.ID)
 	}
-	// Distribution rollups shared by all ranks through the registry: each
-	// rank Observes its own per-step phase times into the same atomic
-	// histograms, so the merged per-phase distribution over all P ranks
-	// exists without any per-rank trace track.
-	var phaseHist [4]*instrument.Histogram
+	rs := rankState{mach: mach, stepHist: cfg.Registry.Histogram("ns/step.vsec")}
 	for i, name := range [4]string{"convect", "viscous", "pressure", "filter"} {
-		phaseHist[i] = cfg.Registry.Histogram("ns/" + name + ".vsec")
+		rs.phaseHist[i] = cfg.Registry.Histogram("ns/" + name + ".vsec")
 	}
-	stepHist := cfg.Registry.Histogram("ns/step.vsec")
-
-	f, err := tmpl.Fork(mach, cfg.Registry)
-	if err != nil {
-		return rankOut{err: err}
-	}
-	out := rankOut{f: f}
-	if cfg.History != nil {
-		out.hist = instrument.NewTimeSeries()
-		f.AttachHistory(out.hist)
+	if rs.f, rs.err = tmpl.Fork(mach, cfg.Registry); rs.err != nil {
+		return rs
 	}
 	// Resume: overwrite the freshly forked state with the snapshot's, then
 	// restore the virtual clock last so the continuation picks up exactly
 	// where the checkpointed run's clock stood (the setup traffic above
 	// happened at earlier virtual times in the original run too).
 	if ck := cfg.Resume; ck != nil {
-		rs := ck.Ranks[r.ID]
-		if err := f.Restore(rs.State); err != nil {
-			return rankOut{err: fmt.Errorf("checkpoint: %w", err)}
+		st := ck.Ranks[r.ID]
+		if err := rs.f.Restore(st.State); err != nil {
+			rs.err = fmt.Errorf("checkpoint: %w", err)
+			return rs
 		}
-		r.SetClock(rs.Clock)
+		r.SetClock(st.Clock)
 	}
+	return rs
+}
 
-	out.vStart = r.Time
-	for f.StepCount() < cfg.Steps {
+// run is the stepping half: advance this rank's solver to target completed
+// steps, recording each step for the driver's cross-check.
+func (rs *rankState) run(r *comm.Rank, target int, cfg NSConfig) {
+	f, mach := rs.f, rs.mach
+	rs.steps = rs.steps[:0]
+	if cfg.History != nil {
+		rs.hist = instrument.NewTimeSeries()
+		f.AttachHistory(rs.hist)
+	}
+	for f.StepCount() < target {
 		st, err := f.Step()
 		if err != nil {
-			out.err = err
-			return out
+			rs.err = err
+			return
 		}
 		// Phase breakdown on the rank's virtual clock, from where the
 		// sections opened; the pressure slot also carries a scalar Helmholtz
@@ -490,16 +579,12 @@ func nsRankBody(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invP
 			t0[ns.SecViscous] - t0[ns.SecConvect], t0[ns.SecPressure] - t0[ns.SecViscous],
 			t0[ns.SecFilter] - t0[ns.SecPressure], end - t0[ns.SecFilter]}}
 		for i, v := range rec.phase {
-			phaseHist[i].Observe(v)
+			rs.phaseHist[i].Observe(v)
 		}
-		stepHist.Observe(end - t0[ns.SecConvect])
-		out.steps = append(out.steps, rec)
+		rs.stepHist.Observe(end - t0[ns.SecConvect])
+		rs.steps = append(rs.steps, rec)
 		if cfg.OnStep != nil && r.ID == 0 {
 			cfg.OnStep(st, end)
 		}
-		if sink != nil && st.Step%cfg.CheckpointEvery == 0 {
-			sink.deposit(st.Step, st.Time, RankCheckpoint{Rank: r.ID, Clock: r.Clock(), State: f.Checkpoint()})
-		}
 	}
-	return out
 }

@@ -534,16 +534,6 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 	d.ApplyMask(out)
 }
 
-// globalOnce compresses the continuous element-local field to one value per
-// global node.
-func globalOnce(d *sem.Disc, r []float64) []float64 {
-	g := make([]float64, d.M.NGlobal)
-	for i, gid := range d.M.GID {
-		g[gid] = r[i]
-	}
-	return g
-}
-
 // applyCoarse adds R₀ᵀ A₀⁻¹ R₀ r into out (element-local layout): restrict
 // over every element, solve on the vertex mesh, prolong over every element.
 func (p *Precond) applyCoarse(out, r []float64) {
@@ -555,9 +545,4 @@ func (p *Precond) applyCoarse(out, r []float64) {
 	flops += p.CoarseSolve(p.x0, r0)
 	flops += p.CoarseProlongElems(out, p.x0, p.allElems)
 	p.d.CountFlops(flops)
-}
-
-// AsOperator adapts the preconditioner to the solver.Operator signature.
-func (p *Precond) AsOperator() func(out, in []float64) {
-	return p.Apply
 }

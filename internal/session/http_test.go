@@ -229,7 +229,7 @@ func TestHTTPCheckpointResumeCancel(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	_, srv := newTestAPI(t)
+	m, srv := newTestAPI(t)
 
 	getBody(t, srv.URL+"/api/sessions/nope", http.StatusNotFound)
 	getBody(t, srv.URL+"/api/sessions/nope/history", http.StatusNotFound)
@@ -239,6 +239,10 @@ func TestHTTPErrors(t *testing.T) {
 		`{"case":"vortexstreet","steps":5}`, // unknown case
 		`{"case":"shearlayer"}`,             // no steps
 		`{not json`,
+		// The simulated machine is semflow's: a rank's panic would be every
+		// tenant's, and nothing bounds P.
+		`{"case":"channel","steps":2,"ranks":4}`,
+		`{"case":"channel","steps":2,"faults":{"seed":7}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -270,6 +274,18 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("resume from unknown = %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
+	// A stored config cannot smuggle ranks in through resume either.
+	if err := m.Store().Put("old", ArtifactConfig, []byte(`{"case":"channel","steps":4,"ranks":4}`)); err != nil {
+		t.Fatal(err)
+	}
+	resp = postJSON(t, srv.URL+"/api/sessions", SubmitRequest{ResumeFrom: "old"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("resume of a ranks > 0 config = %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+	if got := len(m.List()); got != 0 {
+		t.Fatalf("%d jobs after rejected submits, want none", got)
+	}
 
 	b := getBody(t, srv.URL+"/healthz", http.StatusOK)
 	if !bytes.Contains(b, []byte("ok")) {

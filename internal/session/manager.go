@@ -15,12 +15,14 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
 	"sync"
 
 	"repro/internal/ns"
+	"repro/internal/parrun"
 )
 
 // Artifact names deposited by the manager.
@@ -128,10 +130,22 @@ func NewManager(store Store, maxActive int) *Manager {
 	}
 }
 
+// checkServable refuses what the manager cannot run safely yet: a rank
+// goroutine's panic is outside stepBatch's recover, and nothing bounds P.
+func checkServable(cfg Config) error {
+	if cfg.Ranks != 0 || cfg.Faults != nil {
+		return errors.New("session: the job service runs shared-memory sessions only (ranks, faults: use semflow -ranks)")
+	}
+	return nil
+}
+
 // Submit creates a session for cfg and schedules it for cfg.Steps steps.
 func (m *Manager) Submit(cfg Config) (*Job, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("session: submit needs steps > 0")
+	}
+	if err := checkServable(cfg); err != nil {
+		return nil, err
 	}
 	sess, err := Create(cfg)
 	if err != nil {
@@ -154,11 +168,14 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	if err := json.Unmarshal(rawCfg, &cfg); err != nil {
 		return nil, fmt.Errorf("session: resume %s: config: %w", fromID, err)
 	}
+	if err := checkServable(cfg); err != nil {
+		return nil, err
+	}
 	rawCk, err := m.store.Get(fromID, ArtifactCheckpoint)
 	if err != nil {
 		return nil, err
 	}
-	ck, err := ns.ReadCheckpoint(bytes.NewReader(rawCk))
+	ck, err := parrun.ReadCheckpoint(bytes.NewReader(rawCk))
 	if err != nil {
 		return nil, fmt.Errorf("session: resume %s: %w", fromID, err)
 	}

@@ -7,10 +7,12 @@
 // a pluggable Store), and of the one-shot semflow CLI, so there is exactly
 // one code path from "flow case + config" to stepped fields.
 //
-// A Session wraps the serial shared-memory stepper (ns.Solver). Per-session
+// A Session steps one of two machines behind the same methods: the
+// shared-memory stepper (ns.Solver; Config.Ranks = 0) or the SPMD program on
+// the simulated machine (parrun.Stepper; Ranks = P). Per-session
 // observability is always on: a metrics Registry, a per-step StepRecord
-// TimeSeries (the JSONL artifact), and a Progress snapshot — the same
-// instruments PR 7's live endpoint serves, mounted per session by semflowd.
+// TimeSeries (the JSONL artifact), and a Progress snapshot — the instruments
+// the live endpoints serve, mounted per session by semflowd.
 // Stepping is bitwise deterministic and isolated: two sessions running
 // concurrently in one process produce exactly the fields each would have
 // produced alone (worker chunks are fixed at build; nothing numeric is
@@ -23,9 +25,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/flowcases"
 	"repro/internal/instrument"
 	"repro/internal/ns"
+	"repro/internal/parrun"
 )
 
 // ErrCancelled reports a StepN interrupted by Cancel. The session's state
@@ -35,8 +39,8 @@ var ErrCancelled = errors.New("session: cancelled")
 // ErrClosed reports an operation on a closed session.
 var ErrClosed = errors.New("session: closed")
 
-// Config selects a flow case and its knobs — the JSON body of semflowd's
-// submit endpoint, and the struct semflow's serial flags map onto. Zero
+// Config selects a flow case, its knobs and its machine — the JSON body of
+// semflowd's submit endpoint, and the struct semflow's flags map onto. Zero
 // values mean "case default" (channel: KX=5 KY=3; all cases: N=8, Nel=8).
 type Config struct {
 	Case  string `json:"case"`  // shearlayer, channel, convection, hairpin
@@ -48,12 +52,20 @@ type Config struct {
 	KY          int     `json:"ky,omitempty"`           // channel: elements across the channel
 	Precond     string  `json:"precond,omitempty"`      // pressure preconditioner: schwarz (default), chebjacobi, chebschwarz, none, auto
 	Alpha       float64 `json:"alpha,omitempty"`        // filter strength (0 = unfiltered)
-	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis (convection/hairpin; 0 = case default)
-	Workers     int     `json:"workers,omitempty"`      // element-loop workers (default 1)
+	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis size (0 = case default 20)
+	PIters      int     `json:"piters,omitempty"`       // pressure CG iteration cap (0 = case default)
+	Workers     int     `json:"workers,omitempty"`      // element-loop workers, shared memory only (default 1)
 
-	// Trace attaches a wall-clock tracer; the Manager stores the Chrome
-	// trace JSON as a per-session artifact when the job finishes.
-	Trace bool `json:"trace,omitempty"`
+	// Ranks > 0 runs the time loop as an SPMD program on that many simulated
+	// ranks (clamped to the element count); Faults degrades that machine.
+	Ranks  int         `json:"ranks,omitempty"`
+	Faults *fault.Plan `json:"faults,omitempty"`
+
+	// Trace attaches a tracer — wall-clock spans, or with Ranks one virtual-
+	// clock track per rank (TraceSample > 0: only that many, evenly spaced);
+	// the Manager stores the Chrome trace JSON as a per-session artifact.
+	Trace       bool `json:"trace,omitempty"`
+	TraceSample int  `json:"trace_sample,omitempty"`
 
 	// BatchSteps is the scheduler quantum: how many steps a session runs
 	// per acquired slot before yielding to other sessions (default 1).
@@ -84,50 +96,39 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// buildSolver constructs the case's solver — the single switch both
-// semflow and semflowd go through.
-func buildSolver(c Config) (*ns.Solver, error) {
-	switch c.Case {
-	case "shearlayer":
-		return flowcases.ShearLayer(flowcases.ShearLayerConfig{
-			Nel: c.Nel, N: c.N, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: c.Alpha, Workers: c.Workers,
-			Precond: c.Precond,
-		})
-	case "channel":
-		s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: c.N, Dt: 0.003125, Order: 2, Filter: c.Alpha,
-			Workers: c.Workers, KX: c.KX, KY: c.KY, Precond: c.Precond,
-		})
-		return s, err
-	case "convection":
-		l := c.ProjectionL
-		if l == 0 {
-			l = 20
-		}
-		return flowcases.Convection(flowcases.ConvectionConfig{
-			Nel: c.Nel, N: c.N, Ra: 1e4, Dt: 0.002, ProjectionL: l, Workers: c.Workers,
-			Precond: c.Precond,
-		})
-	case "hairpin":
-		return flowcases.Hairpin(flowcases.HairpinConfig{
-			Nx: 6, Ny: 4, Nz: 3, N: c.N, Re: 1600, Dt: 0.05,
-			Workers: c.Workers, FilterA: c.Alpha, ProjL: c.ProjectionL,
-			Precond: c.Precond,
-		})
-	default:
-		return nil, fmt.Errorf("session: unknown case %q", c.Case)
-	}
+// machine is the seam between a session and what it steps.
+type machine interface {
+	Step() (ns.StepStats, error)
+	StepCount() int
+	Time() float64
+	VirtualSeconds() float64 // max rank clock; 0 in shared memory
+	snapshot() *parrun.Checkpoint
+	Close()
 }
 
-// Session is one live simulation: a solver plus its per-session
+type sharedMemory struct{ *ns.Solver }
+
+func (m sharedMemory) VirtualSeconds() float64      { return 0 }
+func (m sharedMemory) snapshot() *parrun.Checkpoint { return parrun.Serial(m.Checkpoint()) }
+
+// simulated steps the ranks one step per batch, so Cancel, Checkpoint and
+// OnStep see every step boundary with no rank goroutine alive.
+type simulated struct{ *parrun.Stepper }
+
+func (m simulated) Step() (ns.StepStats, error)  { return m.StepN(1) }
+func (m simulated) snapshot() *parrun.Checkpoint { return m.Checkpoint() }
+func (m simulated) Close()                       {} // the ranks hold no goroutine or pool between batches
+
+// Session is one live simulation: a stepping machine plus its per-session
 // instruments. Methods are safe for concurrent use; stepping itself is
 // serialized by the session's lock, so Checkpoint always observes a
 // between-steps state.
 type Session struct {
 	cfg Config
 
-	mu     sync.Mutex // guards solver access and closed
-	solver *ns.Solver
+	mu     sync.Mutex // guards m and closed
+	m      machine
+	solver *ns.Solver // the shared-memory stepper, or the template the ranks forked
 	closed bool
 
 	cancelled atomic.Bool
@@ -139,57 +140,108 @@ type Session struct {
 }
 
 // Create builds a session for the configured case.
-func Create(cfg Config) (*Session, error) {
+func Create(cfg Config) (*Session, error) { return open(cfg, nil) }
+
+// Resume builds a session of the same configuration and restores a snapshot
+// into it; stepping continues bitwise identically to the session the
+// snapshot was taken from (rank clocks and fault draws included). A nil
+// snapshot is Create.
+func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) { return open(cfg, ck) }
+
+func open(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	cfg.applyDefaults()
 	if cfg.Steps < 0 {
 		return nil, fmt.Errorf("session: negative steps")
 	}
-	solver, err := buildSolver(cfg)
+	if cfg.Faults != nil {
+		if cfg.Ranks < 1 {
+			return nil, fmt.Errorf("session: a fault plan degrades the simulated machine: set ranks > 0")
+		}
+		if err := cfg.Faults.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	nscfg, init, err := flowcases.Named(cfg.Case, flowcases.CaseParams{
+		N: cfg.N, Nel: cfg.Nel, KX: cfg.KX, KY: cfg.KY, Alpha: cfg.Alpha,
+		ProjectionL: cfg.ProjectionL, PIters: cfg.PIters,
+		Workers: cfg.Workers, Precond: cfg.Precond,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	s := &Session{
 		cfg:     cfg,
-		solver:  solver,
 		reg:     instrument.New(),
 		history: instrument.NewTimeSeries(),
 		prog:    instrument.NewProgress(),
 	}
-	sel := solver.PrecondSelection()
-	s.reg.SetMeta(instrument.RunMeta{
-		Case: cfg.Case, Elements: solver.M.K, Order: solver.M.N,
-		Steps: cfg.Steps, Workers: cfg.Workers,
-		Precond: sel.Name, PrecondSource: sel.Source,
-	})
-	solver.AttachMetrics(s.reg)
-	solver.AttachHistory(s.history)
 	if cfg.Trace {
 		s.tracer = instrument.NewTracer()
+	}
+	if cfg.Ranks > 0 {
+		s.tracer.SampleVRanks(strideSample(cfg.Ranks, cfg.TraceSample))
+		st, err := parrun.Start(nscfg, parrun.NSConfig{
+			P: cfg.Ranks, Init: init, Faults: cfg.Faults, Resume: ck,
+			Registry: s.reg, Tracer: s.tracer, History: s.history,
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.m, s.solver = simulated{st}, st.Template()
+	} else {
+		solver, err := flowcases.NewSolver(nscfg, init)
+		if err != nil {
+			return nil, err
+		}
+		solver.AttachMetrics(s.reg)
+		solver.AttachHistory(s.history)
 		solver.AttachTracer(s.tracer)
+		if ck != nil {
+			if ck.P != 0 {
+				err = fmt.Errorf("session: snapshot of a %d-rank run, config has ranks = 0", ck.P)
+			} else {
+				err = solver.Restore(ck.Ranks[0].State)
+			}
+			if err != nil {
+				solver.Close()
+				return nil, err
+			}
+		}
+		s.m, s.solver = sharedMemory{solver}, solver
+	}
+	meta := instrument.RunMeta{
+		Case: cfg.Case, Ranks: cfg.Ranks, Elements: s.solver.M.K, Order: s.solver.M.N,
+		Steps: cfg.Steps, PIters: cfg.PIters, Workers: cfg.Workers, TraceSample: cfg.TraceSample,
+	}
+	sel := s.solver.PrecondSelection()
+	meta.Precond, meta.PrecondSource = sel.Name, sel.Source
+	if cfg.Faults != nil {
+		meta.FaultSeed = cfg.Faults.Seed
+	}
+	s.reg.SetMeta(meta)
+	if ck != nil {
+		s.updateProgress(ns.StepStats{Step: ck.Step, Time: ck.Time}, false)
 	}
 	return s, nil
 }
 
-// Resume builds a session of the same configuration and restores a
-// checkpoint into it; stepping continues bitwise identically to the
-// session the snapshot was taken from.
-func Resume(cfg Config, ck *ns.Checkpoint) (*Session, error) {
-	s, err := Create(cfg)
-	if err != nil {
-		return nil, err
+// strideSample picks r evenly spaced ranks out of p, deterministically; nil
+// means all of them (r = 0 or r >= p).
+func strideSample(p, r int) []int {
+	if r <= 0 || r >= p {
+		return nil
 	}
-	if err := s.solver.Restore(ck); err != nil {
-		s.Close()
-		return nil, err
+	out := make([]int, r)
+	for i := range out {
+		out[i] = i * p / r
 	}
-	s.updateProgress(ns.StepStats{Step: ck.Step, Time: ck.Time}, false)
-	return s, nil
+	return out
 }
 
 // Config returns the session's configuration (defaults applied).
 func (s *Session) Config() Config { return s.cfg }
 
-// StepN advances the solver up to n steps, stopping early on Cancel (with
+// StepN advances the run up to n steps, stopping early on Cancel (with
 // ErrCancelled) or a solver error. It returns the stats of the last
 // completed step.
 func (s *Session) StepN(n int) (ns.StepStats, error) {
@@ -203,7 +255,7 @@ func (s *Session) StepN(n int) (ns.StepStats, error) {
 		if s.cancelled.Load() {
 			return last, ErrCancelled
 		}
-		st, err := s.solver.Step()
+		st, err := s.m.Step()
 		if err != nil {
 			return last, err
 		}
@@ -218,8 +270,8 @@ func (s *Session) StepN(n int) (ns.StepStats, error) {
 
 func (s *Session) updateProgress(st ns.StepStats, done bool) {
 	s.prog.Update(instrument.ProgressSnapshot{
-		Case: s.cfg.Case, Step: st.Step, TotalSteps: s.cfg.Steps,
-		Time: st.Time, CFL: st.CFL,
+		Case: s.cfg.Case, Ranks: s.cfg.Ranks, Step: st.Step, TotalSteps: s.cfg.Steps,
+		Time: st.Time, VirtualSeconds: s.m.VirtualSeconds(), CFL: st.CFL,
 		PressureIters: st.PressureIters, PressureRes: st.PressureResFinal,
 		Converged: st.PressureConverged, Done: done,
 	})
@@ -227,13 +279,13 @@ func (s *Session) updateProgress(st ns.StepStats, done bool) {
 
 // Checkpoint captures a between-steps snapshot (it waits for any StepN in
 // flight on another goroutine to finish its current batch).
-func (s *Session) Checkpoint() (*ns.Checkpoint, error) {
+func (s *Session) Checkpoint() (*parrun.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.solver.Checkpoint(), nil
+	return s.m.snapshot(), nil
 }
 
 // Cancel makes the next step boundary return ErrCancelled. Idempotent;
@@ -247,14 +299,14 @@ func (s *Session) Cancelled() bool { return s.cancelled.Load() }
 func (s *Session) Step() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.solver.StepCount()
+	return s.m.StepCount()
 }
 
 // Time returns the current simulation time.
 func (s *Session) Time() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.solver.Time()
+	return s.m.Time()
 }
 
 // Close releases the solver's worker pools. Idempotent. A closed session
@@ -267,15 +319,27 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.solver.Close()
+	s.m.Close()
 	return nil
 }
 
 // Solver exposes the underlying stepper for embedding drivers (semflow
 // prints kinetic energy, reports the preconditioner selection, meters
 // flops). Callers must not Step it directly while a Manager owns the
-// session.
+// session. On the simulated machine it is the read-only template the ranks
+// forked, its fields still the initial condition; Distributed has the run's.
 func (s *Session) Solver() *ns.Solver { return s.solver }
+
+// Distributed reports the simulated machine's run so far (modelled clock,
+// traffic, reassembled fields); nil for a shared-memory session.
+func (s *Session) Distributed() *parrun.NSResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.m.(simulated); ok {
+		return m.Result()
+	}
+	return nil
+}
 
 // History is the per-step StepRecord series (the JSONL artifact).
 func (s *Session) History() *instrument.TimeSeries { return s.history }
@@ -286,5 +350,5 @@ func (s *Session) Registry() *instrument.Registry { return s.reg }
 // Progress is the per-session progress snapshot (/progress).
 func (s *Session) Progress() *instrument.Progress { return s.prog }
 
-// Tracer is the wall-clock tracer (nil unless Config.Trace).
+// Tracer is the session's tracer (nil unless Config.Trace).
 func (s *Session) Tracer() *instrument.Tracer { return s.tracer }

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/ns"
+	"repro/internal/parrun"
 )
 
 // testCfg is a small fast case for lifecycle tests.
@@ -464,4 +468,134 @@ func TestResultStoredBeforeStatePublished(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// distCfg is a small distributed channel session on a degraded machine, the
+// pressure solve capped so the race tier can repeat it: the lifecycle
+// contract is bitwise whether or not a solve converged.
+func distCfg(steps int) Config {
+	return Config{
+		Case: "channel", Steps: steps, N: 4, Alpha: 0.3, PIters: 25, Ranks: 4,
+		Faults: &fault.Plan{
+			Seed:       13,
+			Stragglers: []fault.Straggler{{Rank: 1, Factor: 3}},
+			Drops:      []fault.Drop{{From: -1, To: -1, Prob: 0.02}},
+		},
+	}
+}
+
+// TestDistributedSessionLifecycle: the session contract on the simulated
+// machine. Checkpoint∘Resume is the identity at a seeded random step count —
+// fields, statistics, modelled clock, traffic and fault draws all continue
+// bitwise; Cancel lands between two steps and leaves a checkpointable
+// session; Close is idempotent and fences stepping.
+func TestDistributedSessionLifecycle(t *testing.T) {
+	const steps = 5
+	solo, err := Create(distCfg(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	wantLast, err := solo.StepN(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solo.Distributed()
+	if want == nil || want.P != 4 || want.Steps != steps || want.Drops == 0 {
+		t.Fatalf("solo run: %+v", want)
+	}
+	if p := solo.Progress().Snapshot(); p.Ranks != 4 || p.Step != steps || p.VirtualSeconds != want.VirtualSeconds {
+		t.Fatalf("progress %+v, want ranks 4, step %d, virtual %g", p, steps, want.VirtualSeconds)
+	}
+
+	k := 1 + rand.New(rand.NewSource(18)).Intn(steps-1)
+	s, err := Create(distCfg(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.StepN(k); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err = parrun.ReadCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(distCfg(steps), ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Step() != k {
+		t.Fatalf("resumed at step %d, want %d", r.Step(), k)
+	}
+	last, err := r.StepN(steps - k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != wantLast {
+		t.Fatalf("resumed at step %d, last stats differ:\n got %+v\nwant %+v", k, last, wantLast)
+	}
+	got := r.Distributed()
+	if !reflect.DeepEqual(got.U, want.U) || !reflect.DeepEqual(got.Pressure, want.Pressure) {
+		t.Errorf("fields differ after Checkpoint∘Resume at step %d", k)
+	}
+	if got.VirtualSeconds != want.VirtualSeconds || got.TotalMsgs != want.TotalMsgs ||
+		got.TotalBytes != want.TotalBytes || got.Drops != want.Drops || got.FaultStallSec != want.FaultStallSec {
+		t.Errorf("machine state differs after Checkpoint∘Resume at step %d:\n got virtual %g, %d msgs, %d drops\nwant virtual %g, %d msgs, %d drops",
+			k, got.VirtualSeconds, got.TotalMsgs, got.Drops, want.VirtualSeconds, want.TotalMsgs, want.Drops)
+	}
+	// A snapshot only restores onto its own machine.
+	serial := distCfg(steps)
+	serial.Ranks, serial.Faults = 0, nil
+	if _, err := Resume(serial, ck); err == nil {
+		t.Error("a 4-rank snapshot resumed into a shared-memory session")
+	}
+
+	s.Cancel()
+	if _, err := s.StepN(1); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("StepN after Cancel: %v, want ErrCancelled", err)
+	}
+	if ck, err := s.Checkpoint(); err != nil || ck.Step != k {
+		t.Fatalf("Checkpoint after Cancel: step %v, err %v; want step %d", ck, err, k)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StepN(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("StepN after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestProjectionLReachesBothMachines: projection_l (semflow -L) is the
+// projection basis size of every case on both machines — it used to be
+// honoured by two cases in shared memory and by none distributed.
+func TestProjectionLReachesBothMachines(t *testing.T) {
+	for _, name := range []string{"shearlayer", "channel", "convection", "hairpin"} {
+		for _, ranks := range []int{0, 3} {
+			for l, want := range map[int]int{0: 20, 5: 5} {
+				s, err := Create(Config{Case: name, N: 3, Nel: 2, ProjectionL: l, Ranks: ranks})
+				if err != nil {
+					t.Fatalf("%s ranks=%d: %v", name, ranks, err)
+				}
+				if got := s.Solver().Cfg.ProjectionL; got != want {
+					t.Errorf("%s ranks=%d projection_l=%d: ns.Config.ProjectionL = %d, want %d", name, ranks, l, got, want)
+				}
+				s.Close()
+			}
+		}
+	}
+	if _, err := Create(Config{Case: "channel", Faults: &fault.Plan{Seed: 1}}); err == nil {
+		t.Error("a fault plan without ranks was accepted")
+	}
 }

@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // ErrNotFound reports a missing session or artifact.
@@ -70,10 +72,9 @@ func checkKey(k string) error {
 
 // --- filesystem backend ---
 
-// FSStore stores artifacts as root/<session>/<name>. Writes go through a
-// uniquely named temp file, fsync, and rename, so crashes and concurrent
-// writers never expose partial artifacts — the same discipline as the
-// stepper's checkpoint files.
+// FSStore stores artifacts as root/<session>/<name>. Writes go through
+// durable.WriteFile, so crashes and concurrent writers never expose partial
+// artifacts.
 type FSStore struct {
 	root string
 }
@@ -100,31 +101,7 @@ func (s *FSStore) Put(session, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("session: store: %w", err)
 	}
-	f, err := os.CreateTemp(dir, "."+name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("session: store: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("session: store: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("session: store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(filepath.Join(dir, name), data); err != nil {
 		return fmt.Errorf("session: store: %w", err)
 	}
 	return nil

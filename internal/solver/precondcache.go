@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/la"
 )
 
@@ -48,47 +48,8 @@ func SavePrecondCache(path string, t *PrecondTable) error {
 		return err
 	}
 	b = append(b, '\n')
-	if err := writeFileAtomic(path, b); err != nil {
+	if err := durable.WriteFile(path, b); err != nil {
 		return fmt.Errorf("solver: precond cache: %w", err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes b to path through a unique temp file in the target
-// directory, fsync, chmod 0644, rename. Concurrent writers (semflowd
-// sessions finishing a tournament at once) never tear the file: readers see
-// either the old contents or the new, never a mix.
-func writeFileAtomic(path string, b []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tf, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := tf.Name()
-	fail := func(err error) error {
-		tf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := tf.Write(b); err != nil {
-		return fail(err)
-	}
-	if err := tf.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tf.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
 	}
 	return nil
 }

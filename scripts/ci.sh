@@ -8,6 +8,8 @@
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
 #           sem worker pools, instrument counters) still runs under -race.
+#           The stepper tests run ten times more: a rank's state is
+#           re-entered by a new goroutine on every batch.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -16,13 +18,14 @@
 #           binary is not installed; the workflow installs it)
 #   smoke   build semflow + semflowd + tracecheck + tracepath + tables once, then
 #           validate the -trace and -history artifacts of the serial (wall
-#           track only), distributed (rank tracks), fault-injected, and
-#           checkpoint/restart paths,
+#           track only), distributed (rank tracks) and fault-injected runs,
+#           checkpoint and resume on both machines,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report
 #           → persisted cache → table rerun, plus a forced-variant
 #           divergence cross-check), and round-trip a channel job through
-#           the semflowd session service (submit, poll, fetch artifacts);
+#           the semflowd session service (submit, poll, fetch artifacts;
+#           a ranks > 0 submit is answered 400);
 #           also runs the Table 3 kernel sweep once (tables -exp table3)
 #
 # Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|all]   (default all)
@@ -59,6 +62,8 @@ tier1() {
 tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
+    stage "tier2/stepper" go test -race -count=10 \
+        -run 'TestStepper|TestDistributedSessionLifecycle' ./internal/parrun ./internal/session
 }
 
 benchmod() {
@@ -320,6 +325,13 @@ EOF
         cat "$out/semflowd-history.jsonl" >&2
         exit 1
     }
+    # The simulated machine is not served yet: 400, and no job.
+    code="$(curl -s -o /dev/null -w '%{http_code}' "http://$daddr/api/sessions" \
+        -d '{"case":"channel","steps":2,"ranks":4}')"
+    [ "$code" = "400" ] || {
+        echo "ranks > 0 submit answered $code, want 400" >&2
+        exit 1
+    }
     stop_bg "$daemon_pid"
 
     echo "== smoke: checkpoint at step 2, resume to step 4 =="
@@ -329,6 +341,14 @@ EOF
         -checkpoint "$out/ckpt" -resume > "$out/resume.log"
     cat "$out/resume.log"
     grep -q "resuming from" "$out/resume.log"
+    # The same round trip on the shared-memory stepper: the snapshot is the
+    # session's, whichever machine steps.
+    "$out/bin/semflow" -case channel -n 5 -steps 2 -report 1 \
+        -checkpoint "$out/ckpt-serial" -checkpoint-every 2
+    "$out/bin/semflow" -case channel -n 5 -steps 4 -report 1 \
+        -checkpoint "$out/ckpt-serial" -resume > "$out/resume-serial.log"
+    cat "$out/resume-serial.log"
+    grep -q "resuming from" "$out/resume-serial.log"
 
     echo "== smoke: Table 3 kernel sweep reports la.Mul beside the kernels =="
     "$out/bin/tables" -exp table3 -quick > "$out/table3.txt"
