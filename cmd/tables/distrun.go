@@ -65,12 +65,11 @@ func fig6Distributed(quick bool) {
 		fmt.Println("solver error:", err)
 		return
 	}
-	pre := sv.PressurePre()
-	if pre == nil {
+	a := sv.CoarseOperator()
+	if a == nil {
 		fmt.Println("channel solver has no pressure preconditioner; skipping distributed rows")
 		return
 	}
-	a := pre.CoarseOperator()
 	n := a.Rows
 	rng := rand.New(rand.NewSource(7))
 	b := make([]float64, n)

@@ -7,6 +7,18 @@ package repro_test
 // both paths; these can. A later change that means to alter the numerics
 // updates one constant here, in the open. amd64 only: other architectures
 // may contract a*b+c into a fused multiply-add.
+//
+// PR 19 re-pinned every digest of a run under the "schwarz" variant (the
+// channel2d and convection fields, the distributed fields, statistics, clock
+// and trace): the Schwarz preconditioner moved from the velocity grid to the
+// pressure grid, so CG takes a different path to the same tolerance. The
+// hairpin3d digest, which runs Chebyshev–Jacobi, did not move — the E apply
+// and everything outside the preconditioner are bitwise what they were — and
+// TestChannelSchwarzAgreesWithChebJacobi ties the re-pinned channel fields to
+// that untouched path to 1e-9. The channel2d digests (serial and distributed)
+// also carry the projector's rule that a solve the projection alone satisfies
+// leaves the basis alone; the hairpin3d, convection and trace runs have no
+// such solve and their digests were not touched by it.
 
 import (
 	"bytes"
@@ -67,7 +79,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 60)
-	checkDigest(t, "channel2d, 60 steps", "3ee3228a2692f64abb91cc190626dcc9fbab2be10fdad82b3225ce55fc5d1528",
+	checkDigest(t, "channel2d, 60 steps", "29749ac7a54df0ea6e1be39ee82248b92e6244fb6dbd85da1d7fb1aa62176e51",
 		s.Velocity(0), s.Velocity(1), s.Pressure())
 	s.Close()
 
@@ -88,7 +100,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 10)
-	checkDigest(t, "convection, 10 steps", "154d5ee166a4b7626cc675e6bab798540a317ad168c88238bda147e8e32d4955",
+	checkDigest(t, "convection, 10 steps", "14629dec9aca27f6a9e893236fdf628457d07f44c897dfc8980d17193fa08afb",
 		s.Velocity(0), s.Velocity(1), s.Pressure(), s.Scalar())
 	s.Close()
 }
@@ -118,9 +130,9 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		p             int
 		fields, stats string
 	}{
-		{1, "ddd60778a9caa37bca33597a0c9ce33126f795f4da09e1d7e661012e849cd59a", "6ec34cf87c9e0633d7b95ba38dac46b49f9af783e4e59e054d4b4c8c605b9183"},
-		{3, "f94b570c1bf193c8f1e7416e13fa46468952ec9c8d231889e39b894210f39cb5", "3b25d33254d35ed628f92df2c16dde46aa3c346fd0d646f147eb6a5a07d43570"},
-		{8, "3fe5dc333135523f2be470e1c09f9de10741faecad489f7f38a342a0d7384b35", "8e890a912f9d0887304f52ee3dc68ce682734dbd657e3777b1bc6becf8d3206e"},
+		{1, "4e73419be3643bf644708cbbbf85d214d898408cee0677692c6507448650dd39", "1d523d64b0b123edac94ae5efb4bb25e16eee5de985a2c090a26461f87b5cc34"},
+		{3, "3b31480a5a031e0ade8b8494a3096f7a8fb9be054206a3b0bc184e50fa012158", "478becf67838f1918ec587ef7f096dfda1dd419b43f95a8b684e67c6d7934e90"},
+		{8, "af3cae2dbac208cc615c61e6aaa1172fcb3614fd1a510eb0ed15a3b65f289a60", "4fcf801c6a012dfc421840a981c0f9f8ea29ba974958c1ccadbd6d9f0255b18b"},
 	} {
 		res, err := parrun.NavierStokes(cfg, parrun.NSConfig{P: g.p, Steps: 60, Init: init})
 		if err != nil {
@@ -130,8 +142,8 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		checkDigest(t, fmt.Sprintf("channel2d P=%d statistics and clock", g.p), g.stats, statsFields(res))
 	}
 
-	// The P = 8 trace, wall clock off. The cold solves run to the iteration
-	// cap, which bounds the trace at ~10 MB.
+	// The P = 8 trace, wall clock off. The cap bounds the trace should the cold
+	// solves (19 and 16 iterations) ever stop converging.
 	tr := instrument.NewTracer()
 	tr.DisableWallClock()
 	cfg.PMaxIter = 25
@@ -143,7 +155,7 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	const want = "9f847b2d072266767a5d0de7d46f13d9d94a91b7283c3903865dd20a8f630817"
+	const want = "d036d075074d652ddaae679f243c2950a3d143f2ec5a617b0094843e1f8abdac"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("P=8 trace (%d bytes): digest %s, want %s", buf.Len(), got, want)
 	}

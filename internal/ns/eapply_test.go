@@ -15,11 +15,13 @@ import (
 // the benchmark (24 undeformed elements, 48 with 5 of 9 pairs; open outflow)
 // and the Table-2 O-grid (every element fully deformed; all-Dirichlet here,
 // so enclosed).
-var eApplyCases = []struct {
+type eApplyCase struct {
 	name     string
 	deformed int // expected count of elements with off-diagonal pairs
 	build    func(t testing.TB) Config
-}{
+}
+
+var eApplyCases = []eApplyCase{
 	{"channel", 0, func(t testing.TB) Config {
 		spec := mesh.Box2D(mesh.Box2DSpec{Nx: 5, Ny: 3, X0: 0, X1: 2 * math.Pi, Y0: -1, Y1: 1, PeriodicX: true})
 		return Config{Mesh: discretize(t, spec, 9), Re: 7500, Dt: 0.003125,

@@ -97,7 +97,7 @@ func (m *shared) Max(v float64) float64          { return v }
 func (m *shared) Charge(flops int64)             { m.s.D.CountFlops(flops) }
 
 func (m *shared) CoarseSolve(x0, r0 []float64) {
-	m.Charge(m.s.pPre.CoarseSolve(x0, r0))
+	m.Charge(m.s.pSchwarz.CoarseSolve(x0, r0))
 }
 
 func (m *shared) Begin(sec Section) {

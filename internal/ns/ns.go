@@ -16,9 +16,11 @@ package ns
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/gs"
 	"repro/internal/instrument"
+	"repro/internal/la"
 	"repro/internal/mesh"
 	"repro/internal/poly"
 	"repro/internal/schwarz"
@@ -152,7 +154,9 @@ type template struct {
 	enclosed bool // no open boundary: pressure has the constant null space
 
 	// Pressure preconditioner selection (precond.go).
-	pPre        *schwarz.Precond
+	pSchwarz    *schwarz.Pressure // Schwarz variants only
+	ladderOnce  sync.Once         // PressurePre
+	ladderPre   *schwarz.Precond
 	precondName string                  // resolved concrete variant
 	precondSel  solver.PrecondSelection // how it was chosen
 	pDiagE      []float64               // exact diag(E) (chebjacobi)
@@ -204,8 +208,8 @@ type Solver struct {
 	bArena    []float64    // Helmholtz RHS (velocity grid)
 	huArena   []float64    // lifted-operator image
 	duArena   []float64    // CG solution increment
-	rvArena   []float64    // sandwich: prolonged residual
-	zvArena   []float64    // sandwich: smoothed correction
+	rvArena   []float64    // sandwich: extruded subdomain residuals
+	zvArena   []float64    // sandwich: subdomain solutions
 	rpArena   []float64    // pressure RHS (Gauss grid)
 	dpArena   []float64    // pressure increment
 	divArena  []float64    // divergence diagnostics
@@ -232,7 +236,7 @@ type Solver struct {
 	// Prebuilt ForElements bodies with the operands they act on during one
 	// call.
 	stiffLoop, filterLoop, gradTLoop, divLoop func(li, w int)
-	prolongLoop, restrictLoop, fdmLoop        func(li, w int)
+	extrudeLoop, fdmLoop, foldLoop            func(li, w int)
 	convLoop                                  func(li, w int)
 	curOut, curIn                             []float64
 	curP, curV                                []float64
@@ -240,8 +244,8 @@ type Solver struct {
 	curU, curC                                [3][]float64
 	curDiv                                    []float64
 
-	// Flops of one GradientT, one Divergence and one round of FDM local
-	// solves over the owned elements.
+	// Flops of one GradientT, one Divergence and one round of Schwarz
+	// subdomain solves (with their exchange) over the owned elements.
 	gradTFlops, divFlops, fdmFlops int64
 
 	instr   stepInstr              // metric handles (zero value = disabled)
@@ -295,7 +299,7 @@ func (s *Solver) AttachMetrics(reg *instrument.Registry) {
 		nonconv:       reg.Counter("ns/nonconverged.steps"),
 	}
 	for sec := SecConvect; sec < NumSections; sec++ {
-		if sec >= SecSchwarzLocal && s.pPre == nil {
+		if sec >= SecSchwarzLocal && s.pSchwarz == nil {
 			break
 		}
 		s.instr.sec[sec] = reg.Timer(sec.Name())
@@ -554,8 +558,8 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		gt, dv := s.eApplyFlops(e)
 		s.gradTFlops += gt
 		s.divFlops += dv
-		if s.pPre != nil {
-			s.fdmFlops += s.pPre.LocalSolveFlops(e)
+		if s.pSchwarz != nil {
+			s.fdmFlops += s.pSchwarz.LocalFlops(e)
 		}
 	}
 
@@ -594,11 +598,8 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	}
 
 	fdmLen := 0
-	if s.pPre != nil {
-		var err error
-		if fdmLen, err = s.pPre.LocalWorkLen(); err != nil {
-			return fmt.Errorf("ns: pressure preconditioner: %w", err)
-		}
+	if s.pSchwarz != nil {
+		fdmLen = s.pSchwarz.LocalWorkLen()
 		s.rvArena, s.zvArena = vec(), vec()
 		s.r0 = make([]float64, m.NVert)
 		s.x0 = make([]float64, m.NVert)
@@ -639,14 +640,15 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		}
 		s.divElem(s.curP[li*npp:(li+1)*npp], k.blocks, s.elems[li], k.interp)
 	}
-	s.prolongLoop = func(li, w int) {
-		s.ProlongPVElem(s.curV[li*np:(li+1)*np], s.curP[li*npp:(li+1)*npp], s.work[w].interp)
-	}
-	s.restrictLoop = func(li, w int) {
-		s.RestrictVPElem(s.curP[li*npp:(li+1)*npp], s.curV[li*np:(li+1)*np], s.work[w].interp)
+	s.extrudeLoop = func(li, w int) {
+		s.pSchwarz.ExtrudeElem(s.curV[li*np:(li+1)*np], s.curP[li*npp:(li+1)*npp])
 	}
 	s.fdmLoop = func(li, w int) {
-		s.pPre.LocalSolveElem(s.curOut[li*np:(li+1)*np], s.curIn[li*np:(li+1)*np], s.elems[li], s.work[w].fdm)
+		s.pSchwarz.LocalSolveElem(s.curOut[li*np:(li+1)*np], s.curV[li*np:(li+1)*np],
+			s.curP[li*npp:(li+1)*npp], s.elems[li], s.work[w].fdm)
+	}
+	s.foldLoop = func(li, w int) {
+		s.pSchwarz.FoldElem(s.curP[li*npp:(li+1)*npp], s.curOut[li*np:(li+1)*np], s.curV[li*np:(li+1)*np])
 	}
 	s.convLoop = s.convectElement
 	return nil
@@ -706,9 +708,31 @@ func (s *Solver) VelocityMask() []float64 { return s.maskV }
 // element-local layout. Read-only.
 func (s *Solver) BAssem() []float64 { return s.bAssem }
 
-// PressurePre returns the Schwarz preconditioner of the pressure solve (nil
-// when the resolved variant does not use one).
-func (s *Solver) PressurePre() *schwarz.Precond { return s.pPre }
+// PressurePre returns the velocity-grid Schwarz preconditioner that the
+// pressure solve composed as J_pvᵀ M_A⁻¹ J_pv before PR 19 (nil when no
+// Schwarz variant was built). The step no longer uses it: it exists only for
+// the frozen bench/ ladder, and is built on the first call.
+func (s *Solver) PressurePre() *schwarz.Precond {
+	if s.pSchwarz == nil {
+		return nil
+	}
+	s.ladderOnce.Do(func() {
+		// A set-up failure leaves nil, which the ladder reads as "no
+		// Schwarz rungs".
+		s.ladderPre, _ = schwarz.New(s.DN, schwarz.Options{Method: schwarz.FDM, UseCoarse: true, Neumann: true})
+	})
+	return s.ladderPre
+}
+
+// CoarseOperator returns the pinned vertex-mesh operator A₀ of the Schwarz
+// coarse term, which a distributed run factors by XXT (nil when no Schwarz
+// variant was built).
+func (s *Solver) CoarseOperator() *la.CSR {
+	if s.pSchwarz == nil {
+		return nil
+	}
+	return s.pSchwarz.CoarseOperator()
+}
 
 // interpToPressureField interpolates a global velocity-grid field to the
 // pressure Gauss grid, element by element.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/mesh"
 )
 
-func periodicBox(t *testing.T, nel, n int) *mesh.Mesh {
+func periodicBox(t testing.TB, nel, n int) *mesh.Mesh {
 	t.Helper()
 	spec := mesh.Box2D(mesh.Box2DSpec{Nx: nel, Ny: nel, X0: 0, X1: 1, Y0: 0, Y1: 1,
 		PeriodicX: true, PeriodicY: true})

@@ -304,39 +304,40 @@ func (s *Solver) pointJacobi(out, in, diag []float64) {
 	s.mach.Charge(int64(len(in)))
 }
 
-// sandwich is the core J_pvᵀ M_A⁻¹ J_pv of the Schwarz preconditioners, with
-// M_A⁻¹ the FDM additive Schwarz smoother of the unmasked velocity-grid
-// Laplacian: prolong, assemble, local solves, assemble, optionally the coarse
-// vertex term (restricted from the assembled residual, solved by the
-// Machine), restrict. The reference variant runs it with the coarse term;
-// the Chebyshev–Schwarz base sweep without, the polynomial supplying the
-// global coupling instead. No deflation — callers own the null space.
+// sandwich applies the overlapping Schwarz preconditioner of E on the
+// pressure grid (schwarz.Pressure), M⁻¹ = R₀ᵀA₀⁻¹R₀ + Σ_k R_kᵀÃ_k⁻¹R_k:
+// extrude every residual block into its subdomain block and assemble, so each
+// border receives the neighbour's layer; solve the subdomains; assemble the
+// solutions and fold the neighbours' border corrections back onto the own
+// layers; optionally add the vertex term, restricted from r and solved by the
+// Machine. The reference variant runs it with the coarse term; the
+// Chebyshev–Schwarz base sweep without, the polynomial supplying the global
+// coupling instead. No deflation — callers own the null space.
 func (s *Solver) sandwich(out, r []float64, coarse bool) {
 	rv, zv := s.rvArena, s.zvArena
 	s.curV, s.curP = rv, r
-	s.mach.ForElements(s.prolongLoop)
+	s.mach.ForElements(s.extrudeLoop)
 	s.mach.Assemble(rv)
 	s.mach.Begin(SecSchwarzLocal)
-	s.curOut, s.curIn = zv, rv
+	s.curOut = zv
 	s.mach.ForElements(s.fdmLoop)
-	s.curOut, s.curIn = nil, nil
 	s.mach.Charge(s.fdmFlops)
 	s.mach.End(SecSchwarzLocal, StepStats{})
 	s.mach.Assemble(zv)
+	s.curP = out
+	s.mach.ForElements(s.foldLoop)
+	s.curOut, s.curV, s.curP = nil, nil, nil
 	if coarse {
 		s.mach.Begin(SecSchwarzCoarse)
 		r0 := s.r0
 		for i := range r0 {
 			r0[i] = 0
 		}
-		s.mach.Charge(s.pPre.CoarseRestrictElems(r0, rv, s.elems))
+		s.mach.Charge(s.pSchwarz.CoarseRestrictElems(r0, r, s.elems))
 		s.mach.CoarseSolve(s.x0, r0)
-		s.mach.Charge(s.pPre.CoarseProlongElems(zv, s.x0, s.elems))
+		s.mach.Charge(s.pSchwarz.CoarseProlongElems(out, s.x0, s.elems))
 		s.mach.End(SecSchwarzCoarse, StepStats{})
 	}
-	s.curV, s.curP = zv, out
-	s.mach.ForElements(s.restrictLoop)
-	s.curV, s.curP = nil, nil
 }
 
 // DivergenceNorm returns ‖D u‖₂ of the current velocity — the discrete

@@ -1,13 +1,14 @@
 package ns
 
-// precond.go: runtime-selected pressure preconditioning. The Schwarz(FDM)+
-// coarse sandwich (operators.go) stays the bitwise reference; this file adds
-// the Chebyshev-accelerated point-Jacobi and Schwarz-smoothing variants of
-// Phillips et al. and the "auto" mode that picks per (K, N, dim, P, tol) from
-// short trial solves, recording the winner in solver's process-wide table
-// (and, through the CLI, the keyed persistent cache). What is tuned or chosen
-// here — the variant, the Chebyshev bounds, diag(E) — lands in the template,
-// so every solver forked from it applies the same preconditioner.
+// precond.go: runtime-selected pressure preconditioning. The overlapping
+// Schwarz(FDM)+coarse preconditioner on the pressure grid (operators.go,
+// schwarz.Pressure) is the reference; this file adds the Chebyshev-accelerated
+// point-Jacobi and Schwarz-smoothing variants of Phillips et al. and the
+// "auto" mode that picks per (K, N, dim, P, tol) from short trial solves,
+// recording the winner in solver's process-wide table (and, through the CLI,
+// the keyed persistent cache). What is tuned or chosen here — the variant, the
+// Chebyshev bounds, diag(E) — lands in the template, so every solver forked
+// from it applies the same preconditioner.
 
 import (
 	"fmt"
@@ -56,16 +57,11 @@ func PrecondNames() []string {
 func (s *Solver) buildPrecondOperators() error {
 	name := s.Cfg.PressurePrecond
 	if name == PrecondSchwarz || name == PrecondChebSchwarz || name == PrecondAuto {
-		// The sandwich preconditioner acts on the unmasked Laplacian, whose
-		// coarse operator is singular (pure Neumann) regardless of the
-		// velocity boundary conditions: always pin its null space.
-		pre, err := schwarz.New(s.DN, schwarz.Options{
-			Method: schwarz.FDM, UseCoarse: true, Neumann: true,
-		})
+		pre, err := schwarz.NewPressure(s.DN)
 		if err != nil {
 			return fmt.Errorf("ns: pressure preconditioner: %w", err)
 		}
-		s.pPre = pre
+		s.pSchwarz = pre
 	}
 	if name == PrecondChebJacobi || name == PrecondAuto {
 		s.pDiagE = s.pressureDiagE()
@@ -249,6 +245,17 @@ func (s *Solver) precondKey() solver.PrecondKey {
 		p = 1
 	}
 	return solver.PrecondKey{K: s.M.K, N: s.M.N, Dim: s.dim, P: p, Tol: s.Cfg.PTol}
+}
+
+// ApplyPrecond applies the resolved pressure preconditioner to the owned
+// residual blocks r (the identity for "none"). It is a collective: every
+// solver of a run calls it together.
+func (s *Solver) ApplyPrecond(out, r []float64) {
+	if s.pPrecondOp == nil {
+		copy(out, r)
+		return
+	}
+	s.pPrecondOp(out, r)
 }
 
 // PrecondName returns the resolved pressure preconditioner variant

@@ -39,7 +39,7 @@ func enclosedConfig(t *testing.T, precond string) Config {
 	}
 	return Config{
 		Mesh: m, Re: 500, Dt: 0.01, PTol: 1e-9, PressurePrecond: precond,
-		ProjectionL: 8,
+		ProjectionL:   8,
 		DirichletMask: func(x, y, z float64) bool { return true },
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
 			return 0, 0, 0
@@ -234,17 +234,18 @@ func TestPrecondSelectionSources(t *testing.T) {
 }
 
 // TestPrecondDegenerateOneElement: a degenerate 1-element fully periodic
-// mesh (element-local nodes self-share global nodes, diag(E) only a bound)
-// must still build every variant and converge its pressure solves.
+// mesh (element-local nodes self-share global nodes, diag(E) only a bound,
+// the element its own Schwarz neighbour across every face) must still build
+// every variant and converge its pressure solves.
 func TestPrecondDegenerateOneElement(t *testing.T) {
-	for _, name := range []string{PrecondChebJacobi, PrecondChebSchwarz} {
+	for _, name := range []string{PrecondSchwarz, PrecondChebJacobi, PrecondChebSchwarz} {
 		m := periodicBox(t, 1, 7)
 		s, err := New(Config{Mesh: m, Re: 100, Dt: 0.005, PTol: 1e-8, PressurePrecond: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		_, lmax, _, ok := s.ChebBounds(name)
-		if !ok || !(lmax > 0) || math.IsNaN(lmax) {
+		if name != PrecondSchwarz && (!ok || !(lmax > 0) || math.IsNaN(lmax)) {
 			t.Fatalf("%s: bad bounds on degenerate mesh: %v %v", name, lmax, ok)
 		}
 		s.SetVelocity(func(x, y, z float64) (float64, float64, float64) {

@@ -205,7 +205,7 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	// variants replace it with polynomial global coupling.
 	var xxt *coarse.XXT
 	if tmpl.PrecondName() == ns.PrecondSchwarz {
-		xxt, err = coarse.NewXXT(tmpl.PressurePre().CoarseOperator(), 0, 0, p)
+		xxt, err = coarse.NewXXT(tmpl.CoarseOperator(), 0, 0, p)
 		if err != nil {
 			return nil, fmt.Errorf("parrun: coarse setup: %w", err)
 		}

@@ -10,6 +10,11 @@
 // overlap N_o ∈ {0,1,3} (the Table 2 comparison baselines). The coarse
 // component solves the low-order Laplacian on the spectral element vertex
 // mesh and can be disabled to reproduce the A₀ = 0 column of Table 2.
+//
+// Precond is that preconditioner for the velocity-grid Poisson problem (what
+// Table 2 measures); Pressure (pressure.go) is the same construction for the
+// pressure operator E of the Navier–Stokes step, on the Gauss grid, and
+// shares the vertex coarse operator.
 package schwarz
 
 import (
@@ -20,6 +25,7 @@ import (
 	"repro/internal/fem"
 	"repro/internal/gs"
 	"repro/internal/la"
+	"repro/internal/mesh"
 	"repro/internal/sem"
 )
 
@@ -46,9 +52,10 @@ type Precond struct {
 	d   *sem.Disc
 	opt Options
 
-	// FDM path.
-	fdm2 []*fdm.Solver2D
-	fdm3 []*fdm.Solver3D
+	// FDM path: one factored subdomain per element and the scratch length the
+	// largest needs.
+	local   []localSolver
+	workLen int
 
 	// FEM path (2D): per-subdomain free global ids and factorizations.
 	subIdx [][]int32
@@ -56,15 +63,12 @@ type Precond struct {
 	// Jacobi fallback on nodes covered by no subdomain (N_o = 0 interfaces).
 	uncovDiag []float64 // 0 where covered
 
-	// Coarse path.
-	coarse   *la.SparseChol
-	coarseA  *la.CSR // coarse vertex operator (after BCs), for distributed solvers
-	coarsePU []int   // permutation used for the coarse factorization (new->old)
+	// Coarse path (nil vc without UseCoarse).
+	vc *vertexCoarse
 	// Prolongation weights: for each element-local node, the 2^Dim corner
 	// weights (tensor order).
 	pWeights   [][]float64 // [corner][localNode]
 	pWeightNNZ []int64     // non-zero weights per corner (the restriction's flop count)
-	dirichVtx  []bool
 
 	// Per-worker scratch for the element-parallel FDM local solves (one
 	// slice per Disc worker), sized to the largest WorkLen of any element.
@@ -73,12 +77,9 @@ type Precond struct {
 	// vectors it acts on during a call.
 	localLoop func(e, w int)
 	aout, ain []float64
-	// Preallocated coarse-solve buffers, the inverse fill-reducing
-	// permutation and the full element list (Apply must not allocate in
-	// steady state).
-	r0, rp, x0 []float64
-	invPerm    []int
-	allElems   []int
+	// Preallocated coarse-solve buffers (Apply must not allocate in steady
+	// state).
+	r0, x0 []float64
 	// Preallocated FEM-path buffers.
 	rg, og, rs []float64
 }
@@ -112,15 +113,14 @@ func New(d *sem.Disc, opt Options) (*Precond, error) {
 		if workers < 1 {
 			workers = 1
 		}
-		nw, _ := p.LocalWorkLen()
 		p.work = make([][]float64, workers)
 		for w := range p.work {
-			p.work[w] = make([]float64, nw)
+			p.work[w] = make([]float64, p.workLen)
 		}
 		np := m.Np
 		p.localLoop = func(e, w int) {
-			p.LocalSolveElem(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], e, p.work[w])
-			d.CountFlops(p.LocalSolveFlops(e))
+			p.local[e].Apply(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], p.work[w])
+			d.CountFlops(p.local[e].Flops())
 		}
 	}
 	return p, nil
@@ -168,7 +168,7 @@ func dirLengths(d *sem.Disc, e int) [3]float64 {
 
 // local1DOperators builds the interior (Dirichlet-on-extension) 1D FEM
 // stiffness and mass for one direction of one element.
-func local1DOperators(z []float64, l float64) (a []float64, b []float64, n int) {
+func local1DOperators(z []float64, l float64) (a, b []float64) {
 	xs := extended1DGrid(z, l)
 	ne := len(xs)
 	aFull, bDiag := fem.Line1D(xs)
@@ -178,44 +178,55 @@ func local1DOperators(z []float64, l float64) (a []float64, b []float64, n int) 
 		idx[i] = i + 1
 	}
 	a = fem.Restrict(aFull, ne, idx)
-	n = len(idx)
+	n := len(idx)
 	b = make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		b[i*n+i] = bDiag[idx[i]]
 	}
-	return a, b, n
+	return a, b
 }
 
 func (p *Precond) setupFDM() error {
 	d := p.d
 	m := d.M
-	if m.Dim == 2 {
-		p.fdm2 = make([]*fdm.Solver2D, m.K)
-		for e := 0; e < m.K; e++ {
-			ls := dirLengths(d, e)
-			ax, bx, nx := local1DOperators(m.Z, ls[0])
-			ay, by, ny := local1DOperators(m.Z, ls[1])
-			s, err := fdm.New2D(ax, bx, nx, ay, by, ny)
-			if err != nil {
-				return fmt.Errorf("schwarz: element %d: %w", e, err)
-			}
-			p.fdm2[e] = s
-		}
-		return nil
-	}
-	p.fdm3 = make([]*fdm.Solver3D, m.K)
-	for e := 0; e < m.K; e++ {
+	p.local = make([]localSolver, m.K)
+	for e := range p.local {
 		ls := dirLengths(d, e)
-		ax, bx, nx := local1DOperators(m.Z, ls[0])
-		ay, by, ny := local1DOperators(m.Z, ls[1])
-		az, bz, nz := local1DOperators(m.Z, ls[2])
-		s, err := fdm.New3D(ax, bx, nx, ay, by, ny, az, bz, nz)
+		var a, b [3][]float64
+		for c := 0; c < m.Dim; c++ {
+			a[c], b[c] = local1DOperators(m.Z, ls[c])
+		}
+		s, nw, err := newLocalSolver(m.Dim, a, b, m.N+1)
 		if err != nil {
 			return fmt.Errorf("schwarz: element %d: %w", e, err)
 		}
-		p.fdm3[e] = s
+		p.local[e], p.workLen = s, max(p.workLen, nw)
 	}
 	return nil
+}
+
+// localSolver is one subdomain's fast-diagonalization solve, 2-D or 3-D.
+type localSolver interface {
+	Apply(out, in, work []float64)
+	Flops() int64
+}
+
+// newLocalSolver factors the separable operator of the per-direction n×n
+// stiffness/mass pairs (a[c], b[c]) and returns it with the scratch length its
+// Apply needs.
+func newLocalSolver(dim int, a, b [3][]float64, n int) (localSolver, int, error) {
+	if dim == 2 {
+		s, err := fdm.New2D(a[0], b[0], n, a[1], b[1], n)
+		if err != nil {
+			return nil, 0, err
+		}
+		return s, s.WorkLen2D(), nil
+	}
+	s, err := fdm.New3D(a[0], b[0], n, a[1], b[1], n, a[2], b[2], n)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, s.WorkLen3D(), nil
 }
 
 func (p *Precond) setupFEM() error {
@@ -343,9 +354,8 @@ func denseRestrictCSR(a *la.CSR, idx []int) []float64 {
 func (p *Precond) setupCoarse() error {
 	d := p.d
 	m := d.M
-	a0 := fem.AssembleCoarse(m)
 	// Dirichlet vertices: vertices whose global node is masked.
-	p.dirichVtx = make([]bool, m.NVert)
+	dirich := make([]bool, m.NVert)
 	if d.Mask != nil {
 		maskedG := make(map[int64]bool)
 		for i, mk := range d.Mask {
@@ -358,35 +368,60 @@ func (p *Precond) setupCoarse() error {
 			for c := 0; c < nc; c++ {
 				li := e*m.Np + cornerLocal(m.Dim, m.N, c)
 				if maskedG[m.GID[li]] {
-					p.dirichVtx[m.ElemVert[e][c]] = true
+					dirich[m.ElemVert[e][c]] = true
 				}
 			}
 		}
 	}
-	pinned := -1
 	if p.opt.Neumann {
-		// Singular Neumann operator: pin one vertex.
-		pinned = 0
-		p.dirichVtx[0] = true
+		dirich[0] = true // singular Neumann operator: pin one vertex
 	}
-	_ = pinned
-	// Apply identity rows/cols on Dirichlet vertices.
+	vc, err := newVertexCoarse(m, dirich)
+	if err != nil {
+		return err
+	}
+	p.vc = vc
+	p.r0 = make([]float64, m.NVert)
+	p.x0 = make([]float64, m.NVert)
+	p.pWeights = cornerWeights(m.Dim, m.Z)
+	p.pWeightNNZ = make([]int64, len(p.pWeights))
+	for c, w := range p.pWeights {
+		for _, wv := range w {
+			if wv != 0 {
+				p.pWeightNNZ[c]++
+			}
+		}
+	}
+	return nil
+}
+
+// vertexCoarse is the coarse component A₀ both preconditioners share: the
+// low-order FEM Laplacian on the spectral element vertex mesh with identity
+// rows on the Dirichlet (or pinned) vertices, and its fill-reduced sparse
+// Cholesky factor.
+type vertexCoarse struct {
+	a       *la.CSR // A₀ after boundary conditions (distributed solvers factor it themselves)
+	fac     *la.SparseChol
+	invPerm []int // inverse of the fill-reducing permutation
+	dirich  []bool
+	rp      []float64 // permuted right-hand side / solution
+}
+
+func newVertexCoarse(m *mesh.Mesh, dirich []bool) (*vertexCoarse, error) {
+	a0 := fem.AssembleCoarse(m)
 	b := la.NewCOO(m.NVert, m.NVert)
 	for i := 0; i < m.NVert; i++ {
-		if p.dirichVtx[i] {
+		if dirich[i] {
 			b.Add(i, i, 1)
 			continue
 		}
 		for q := a0.Ptr[i]; q < a0.Ptr[i+1]; q++ {
-			j := a0.Col[q]
-			if !p.dirichVtx[j] {
+			if j := a0.Col[q]; !dirich[j] {
 				b.Add(i, j, a0.Val[q])
 			}
 		}
 	}
 	abc := b.ToCSR()
-	p.coarseA = abc
-	// Fill-reducing order + sparse Cholesky.
 	adj := make([][]int, m.NVert)
 	for i := 0; i < m.NVert; i++ {
 		for q := abc.Ptr[i]; q < abc.Ptr[i+1]; q++ {
@@ -398,44 +433,49 @@ func (p *Precond) setupCoarse() error {
 	perm := la.NDPermGraph(adj)
 	fac, err := la.FactorSparseChol(abc.Permute(perm))
 	if err != nil {
-		return fmt.Errorf("schwarz: coarse factorization: %w", err)
+		return nil, fmt.Errorf("schwarz: coarse factorization: %w", err)
 	}
-	p.coarse = fac
-	p.coarsePU = perm
-	p.invPerm = la.InvPerm(perm)
-	p.r0 = make([]float64, m.NVert)
-	p.rp = make([]float64, m.NVert)
-	p.x0 = make([]float64, m.NVert)
-	p.allElems = make([]int, m.K)
-	for e := range p.allElems {
-		p.allElems[e] = e
+	return &vertexCoarse{a: abc, fac: fac, invPerm: la.InvPerm(perm), dirich: dirich,
+		rp: make([]float64, m.NVert)}, nil
+}
+
+// solve computes x0 = A₀⁻¹ r0 with the sparse factor (through its
+// fill-reducing permutation) and returns the flop count. It uses the
+// receiver's buffer: not for concurrent callers.
+func (c *vertexCoarse) solve(x0, r0 []float64) int64 {
+	rp, inv := c.rp, c.invPerm
+	for old, v := range r0 {
+		rp[inv[old]] = v
 	}
-	// Prolongation weights per corner per local node.
-	nc := 1 << m.Dim
-	p.pWeights = make([][]float64, nc)
-	p.pWeightNNZ = make([]int64, nc)
-	np1 := m.N + 1
-	for c := 0; c < nc; c++ {
-		w := make([]float64, m.Np)
-		for l := 0; l < m.Np; l++ {
-			var r, s, t float64
-			if m.Dim == 2 {
-				r, s = m.Z[l%np1], m.Z[l/np1]
-			} else {
-				r, s, t = m.Z[l%np1], m.Z[(l/np1)%np1], m.Z[l/(np1*np1)]
-			}
-			wv := cornerWeight(c&1 != 0, r) * cornerWeight(c&2 != 0, s)
-			if m.Dim == 3 {
-				wv *= cornerWeight(c&4 != 0, t)
+	c.fac.Solve(rp, rp)
+	for old := range x0 {
+		x0[old] = rp[inv[old]]
+	}
+	return int64(4 * c.fac.NNZ())
+}
+
+// cornerWeights returns, per element corner (tensor order), the multilinear
+// vertex weight at every node of the tensor grid over the 1-D points pts: the
+// columns of the coarse prolongation on one element.
+func cornerWeights(dim int, pts []float64) [][]float64 {
+	n := len(pts)
+	nn := n * n
+	if dim == 3 {
+		nn *= n
+	}
+	ws := make([][]float64, 1<<dim)
+	for c := range ws {
+		w := make([]float64, nn)
+		for l := range w {
+			wv := cornerWeight(c&1 != 0, pts[l%n]) * cornerWeight(c&2 != 0, pts[(l/n)%n])
+			if dim == 3 {
+				wv *= cornerWeight(c&4 != 0, pts[l/(n*n)])
 			}
 			w[l] = wv
-			if wv != 0 {
-				p.pWeightNNZ[c]++
-			}
 		}
-		p.pWeights[c] = w
+		ws[c] = w
 	}
-	return nil
+	return ws
 }
 
 func cornerWeight(plus bool, r float64) float64 {
@@ -535,14 +575,60 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 }
 
 // applyCoarse adds R₀ᵀ A₀⁻¹ R₀ r into out (element-local layout): restrict
-// over every element, solve on the vertex mesh, prolong over every element.
+// with R₀ = Pᵀ W, W = diag(1/multiplicity), solve on the vertex mesh, prolong.
+// Every local copy of a shared node receives the same (continuous)
+// interpolated value, so the prolongation has no multiplicity weighting.
 func (p *Precond) applyCoarse(out, r []float64) {
-	r0 := p.r0
+	d := p.d
+	m := d.M
+	r0, x0 := p.r0, p.x0
 	for i := range r0 {
 		r0[i] = 0
 	}
-	flops := p.CoarseRestrictElems(r0, r, p.allElems)
-	flops += p.CoarseSolve(p.x0, r0)
-	flops += p.CoarseProlongElems(out, p.x0, p.allElems)
-	p.d.CountFlops(flops)
+	var flops int64
+	for e := 0; e < m.K; e++ {
+		re := r[e*m.Np : (e+1)*m.Np]
+		mult := d.Mult[e*m.Np : (e+1)*m.Np]
+		for c, w := range p.pWeights {
+			v := m.ElemVert[e][c]
+			if p.vc.dirich[v] {
+				continue
+			}
+			var s float64
+			for l, rl := range re {
+				if w[l] == 0 {
+					continue
+				}
+				s += w[l] * rl / mult[l]
+			}
+			r0[v] += s
+			flops += 3 * p.pWeightNNZ[c]
+		}
+	}
+	flops += p.vc.solve(x0, r0)
+	for e := 0; e < m.K; e++ {
+		oe := out[e*m.Np : (e+1)*m.Np]
+		for c, w := range p.pWeights {
+			v := m.ElemVert[e][c]
+			xv := x0[v]
+			if p.vc.dirich[v] || xv == 0 {
+				continue
+			}
+			for l := range oe {
+				oe[l] += w[l] * xv
+			}
+			flops += int64(2 * m.Np)
+		}
+	}
+	d.CountFlops(flops)
+}
+
+// LocalWorkLen returns the scratch length one element's FDM local solve
+// needs (the largest of any element). FDM only: the FEM path needs global
+// overlap and has no per-element form.
+func (p *Precond) LocalWorkLen() (int, error) {
+	if p.opt.Method != FDM {
+		return 0, fmt.Errorf("schwarz: element-subset local solves require the FDM method")
+	}
+	return p.workLen, nil
 }

@@ -276,6 +276,20 @@ func TestPrecondCacheRoundtrip(t *testing.T) {
 		t.Fatalf("foreign cache load error = %v, want ErrCacheMismatch", err)
 	}
 
+	// A generation-1 file from this very machine — keyed by la.CacheKey alone,
+	// its selections ranked against the velocity-grid Schwarz sandwich — must
+	// be re-trialled too, not replayed.
+	gen1 := strings.Replace(string(b), precondCacheKey(), la.CacheKey(), 1)
+	if gen1 == string(b) {
+		t.Fatal("saved file does not carry the generation key")
+	}
+	if err := os.WriteFile(path, []byte(gen1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPrecondCache(path); !errors.Is(err, ErrCacheMismatch) {
+		t.Fatalf("generation-1 cache load error = %v, want ErrCacheMismatch", err)
+	}
+
 	if _, err := LoadPrecondCache(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file load succeeded")
 	}

@@ -1,8 +1,10 @@
 package solver
 
 // precondcache.go persists the preconditioner-selection table across runs,
-// keyed by CPU model + Go version (la.CacheKey): trial timings are
-// machine-specific, so a selection tuned elsewhere is rejected with
+// keyed by CPU model + Go version (la.CacheKey) and the generation of the
+// preconditioners the trials ran: trial timings are machine-specific and a
+// ranking is only valid among the variants it compared, so a selection tuned
+// elsewhere, or against an earlier generation, is rejected with
 // ErrCacheMismatch and the caller re-trials.
 
 import (
@@ -15,9 +17,20 @@ import (
 	"repro/internal/la"
 )
 
-// ErrCacheMismatch reports a selection cache produced on different hardware
-// or a different toolchain; the trials must be re-run, not trusted.
+// ErrCacheMismatch reports a selection cache produced on different hardware,
+// a different toolchain or an earlier preconditioner generation; the trials
+// must be re-run, not trusted.
 var ErrCacheMismatch = errors.New("solver: precond cache key mismatch")
+
+// precondGeneration is bumped whenever a variant a selection may name changes
+// what it computes, so files ranked against the old one are re-trialled.
+// Generation 1 (files keyed by la.CacheKey alone) ranked the velocity-grid
+// Schwarz sandwich; 2 is the pressure-grid Schwarz preconditioner.
+const precondGeneration = 2
+
+func precondCacheKey() string {
+	return fmt.Sprintf("%s | precond gen %d", la.CacheKey(), precondGeneration)
+}
 
 type precondCacheFile struct {
 	Key     string              `json:"key"`
@@ -36,7 +49,7 @@ type precondCacheEntry struct {
 // SavePrecondCache writes t to path as JSON under this machine's cache key,
 // atomically (concurrent sessions may save at once).
 func SavePrecondCache(path string, t *PrecondTable) error {
-	f := precondCacheFile{Key: la.CacheKey()}
+	f := precondCacheFile{Key: precondCacheKey()}
 	for _, k := range t.Keys() {
 		name, _ := t.Lookup(k)
 		f.Entries = append(f.Entries, precondCacheEntry{
@@ -55,8 +68,9 @@ func SavePrecondCache(path string, t *PrecondTable) error {
 }
 
 // LoadPrecondCache reads a table saved by SavePrecondCache. A file tuned on
-// a different CPU model or Go version returns an error wrapping
-// ErrCacheMismatch; unreadable or malformed files return a plain error.
+// a different CPU model or Go version, or against another preconditioner
+// generation, returns an error wrapping ErrCacheMismatch; unreadable or
+// malformed files return a plain error.
 func LoadPrecondCache(path string) (*PrecondTable, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -66,8 +80,8 @@ func LoadPrecondCache(path string) (*PrecondTable, error) {
 	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, fmt.Errorf("solver: precond cache %s: %w", path, err)
 	}
-	if key := la.CacheKey(); f.Key != key {
-		return nil, fmt.Errorf("%w: file tuned on %q, this machine is %q", ErrCacheMismatch, f.Key, key)
+	if key := precondCacheKey(); f.Key != key {
+		return nil, fmt.Errorf("%w: file keyed %q, this build is %q", ErrCacheMismatch, f.Key, key)
 	}
 	t := &PrecondTable{m: make(map[PrecondKey]string, len(f.Entries))}
 	for _, e := range f.Entries {

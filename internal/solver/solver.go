@@ -232,8 +232,8 @@ func cg(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
 // {x₁…x_l} is kept A-orthonormal (x_iᵀ A x_j = δ_ij) together with the
 // stored products A x_i, so the best previous-solution approximation of a
 // new right-hand side costs only inner products, and maintaining the basis
-// costs one extra operator application per solve — the paper's "two
-// matrix-vector products in E per timestep".
+// costs one extra operator application per solve that iterates — the
+// paper's "two matrix-vector products in E per timestep".
 type Projector struct {
 	L     int // capacity (the paper uses L ~ 25)
 	apply Operator
@@ -310,7 +310,12 @@ func (p *Projector) grab(n int) []float64 {
 
 // ProjectAndSolve performs the full projected solve of A x = b:
 // project onto the basis, run CG on the perturbation, update the basis with
-// the new solution, and return the total solution and the CG stats.
+// the new solution, and return the total solution and the CG stats. When the
+// projection alone meets the tolerance (CG takes no iteration) the solution
+// lies in the span of the basis and carries nothing new: the basis is left
+// as it is — no operator application, no orthogonalisation, and a full basis
+// is not discarded while it still answers — so such a solve costs its l
+// inner products whatever l is.
 func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	n := len(b)
 	t0 := p.ProjectTime.Begin()
@@ -355,7 +360,9 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	for i := range x {
 		x[i] += xbar[i]
 	}
-	p.update(x)
+	if st.Iterations > 0 {
+		p.update(x)
+	}
 	p.ProjectTime.End(t1)
 	return st
 }

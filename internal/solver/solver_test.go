@@ -182,6 +182,52 @@ func TestProjectorRestartAtCapacity(t *testing.T) {
 	}
 }
 
+func TestProjectorLeavesBasisWhenProjectionAnswers(t *testing.T) {
+	// A right-hand side the basis already answers takes no CG iteration and
+	// must cost no operator application and leave the basis alone — a full
+	// one included, which an unconditional update would have discarded.
+	rng := rand.New(rand.NewSource(8))
+	n := 40
+	a := spd(rng, n)
+	applies := 0
+	apply := func(out, in []float64) {
+		applies++
+		denseOp(a, n)(out, in)
+	}
+	const l = 3
+	proj := NewProjector(l, apply, plainDot)
+	opt := Options{Tol: 1e-9, MaxIter: 500}
+	x := make([]float64, n)
+	var last []float64
+	for s := 0; s < l; s++ {
+		last = make([]float64, n)
+		for i := range last {
+			last[i] = rng.NormFloat64()
+		}
+		proj.ProjectAndSolve(x, last, opt)
+	}
+	if proj.Len() != l {
+		t.Fatalf("basis holds %d vectors after %d solves, want it full", proj.Len(), l)
+	}
+	want := append([]float64(nil), x...)
+	applies = 0
+	st := proj.ProjectAndSolve(x, last, opt)
+	if st.Iterations != 0 || !st.Converged {
+		t.Fatalf("repeated right-hand side: %+v, want converged without iterating", st)
+	}
+	if applies != 0 {
+		t.Errorf("%d operator applications, want none", applies)
+	}
+	if proj.Len() != l {
+		t.Errorf("basis holds %d vectors after a solve it answered, want %d", proj.Len(), l)
+	}
+	for i := range x {
+		if math.Abs(x[i]-want[i]) > 1e-8 {
+			t.Fatalf("solution moved at %d: %g, want %g", i, x[i], want[i])
+		}
+	}
+}
+
 func TestProjectorBasisAOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 30

@@ -62,7 +62,7 @@ func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := channelSolver(t, 4)
-	stepN(t, s, 24)
+	warmUp(t, s)
 	// Two more steps after the drain's forced GCs: anything a collection
 	// reclaimed would be re-allocated on the first step after it, and that
 	// belongs outside the measured window.

@@ -9,7 +9,9 @@
 #           -short; everything with concurrency (comm ranks, gs exchange,
 #           sem worker pools, instrument counters) still runs under -race.
 #           The stepper tests run ten times more: a rank's state is
-#           re-entered by a new goroutine on every batch.
+#           re-entered by a new goroutine on every batch. So does the Schwarz
+#           rank-equivalence test, whose border exchange is the one new
+#           cross-rank data path of the pressure preconditioner.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -36,7 +38,7 @@
 #   TUNE_CACHE_DIR     directory holding the persisted preconditioner
 #                      selection cache (default: the smoke dir, i.e. cold);
 #                      the workflow restores it via actions/cache keyed on
-#                      CPU model + Go version.
+#                      CPU model + Go version + preconditioner generation.
 #   SMOKE_INJECT_FAIL  =1 makes the smoke tier fail deliberately while its
 #                      background -linger run is alive; the workflow uses
 #                      it to prove the EXIT trap leaks no processes.
@@ -63,7 +65,8 @@ tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
     stage "tier2/stepper" go test -race -count=10 \
-        -run 'TestStepper|TestDistributedSessionLifecycle' ./internal/parrun ./internal/session
+        -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks' \
+        ./internal/parrun ./internal/session
 }
 
 benchmod() {
@@ -267,8 +270,9 @@ EOF
 
     echo "== smoke: -precond auto selects, reports, and caches a variant =="
     # The selection cache lives in TUNE_CACHE_DIR when the workflow restores
-    # one (actions/cache keyed on CPU model + Go version); the cache file
-    # itself is keyed the same way, so a stale restore re-selects safely.
+    # one (actions/cache keyed on CPU model + Go version + a generation
+    # suffix); the cache file itself is keyed the same way, preconditioner
+    # generation included, so a stale restore re-selects safely.
     cache_dir="${TUNE_CACHE_DIR:-$out}"
     mkdir -p "$cache_dir"
     "$out/bin/semflow" -case channel -n 5 -steps 2 -report 1 -precond auto \
@@ -284,11 +288,20 @@ EOF
         > "$out/precond-auto2.log"
     grep -q '"precond_source": *"table"' "$out/precond-auto2.log"
     # Forcing the Chebyshev-Jacobi variant must converge to the same
-    # final-step divergence bound as the Schwarz reference run.
-    "$out/bin/semflow" -case channel -n 5 -steps 2 -report 1 \
+    # final-step divergence bound as the Schwarz reference run, at the
+    # Table-1 size (N=9) — whose cold Schwarz solves ran into the 500-iteration
+    # cap until the preconditioner moved to the pressure grid (PR 19), so the
+    # Schwarz run must not warn about the cap once.
+    "$out/bin/semflow" -case channel -n 9 -steps 2 -report 1 \
         -precond chebjacobi -history "$out/precond-cheb-history.jsonl"
-    "$out/bin/semflow" -case channel -n 5 -steps 2 -report 1 \
-        -precond schwarz -history "$out/precond-schwarz-history.jsonl"
+    "$out/bin/semflow" -case channel -n 9 -steps 2 -report 1 \
+        -precond schwarz -history "$out/precond-schwarz-history.jsonl" \
+        2> "$out/precond-schwarz.stderr"
+    if grep -q "pressure solve hit the iteration cap" "$out/precond-schwarz.stderr"; then
+        echo "cold Schwarz channel solve hit the iteration cap:" >&2
+        cat "$out/precond-schwarz.stderr" >&2
+        exit 1
+    fi
     div_bound "$out/precond-cheb-history.jsonl" "$out/precond-schwarz-history.jsonl"
 
     echo "== smoke: semflowd session service end-to-end =="
