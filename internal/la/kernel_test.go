@@ -1,0 +1,245 @@
+package la
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// These tests hold Mul and MulABt to MatMulNaive and MulABtSimple bit for bit
+// on whichever path the build and the CPU select: the AVX2 micro-kernel, or
+// (other architectures, -tags purego, a CPU without AVX2) the Go shape rule.
+// Cases that drive the assembly directly skip, saying so, when it is absent.
+
+func needAVX2(t *testing.T) {
+	t.Helper()
+	if !useAVX2 {
+		t.Skip("no AVX2 kernel in this build or on this CPU: Mul and MulABt run the Go kernels, covered by the other cases")
+	}
+}
+
+// inputClasses fill operands that exercise different rounding regimes of the
+// multiply-then-add chain.
+var inputClasses = []struct {
+	name string
+	fill func(rng *rand.Rand, v []float64)
+}{
+	{"normal", func(rng *rand.Rand, v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+	}},
+	// Products and partial sums are subnormal or underflow to zero (each one
+	// a microcode assist: the class is thinned under -short).
+	{"denormal", func(rng *rand.Rand, v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Ldexp(1, -520-rng.Intn(20))
+		}
+	}},
+	// Signed zeros among a few ordinary values: 0 + (-0), x*(-0), exact cancellation.
+	{"zeros", func(rng *rand.Rand, v []float64) {
+		vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.5}
+		for i := range v {
+			v[i] = vals[rng.Intn(len(vals))]
+		}
+	}},
+	// Sixteen decades of magnitude with random signs: a fused or reassociated
+	// sum differs in nearly every entry.
+	{"mixed", func(rng *rand.Rand, v []float64) {
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+		}
+	}},
+}
+
+func requireBits(t *testing.T, what string, n1, n2, n3 int, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s %dx%dx%d: entry %d = %x (%v), want %x (%v)", what, n1, n2, n3, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// forEveryShape visits every n1 <= 20, n2 <= 18, n3 <= 40 (every third n1
+// when thinned), then Table 3's ten shapes and the calling shapes of orders 5,
+// 7, 9 and 15 in 2-D and 3-D.
+func forEveryShape(thinned bool, fn func(n1, n2, n3 int)) {
+	step := 1
+	if thinned {
+		step = 3
+	}
+	for n1 := 1; n1 <= 20; n1 += step {
+		for n2 := 1; n2 <= 18; n2++ {
+			for n3 := 1; n3 <= 40; n3++ {
+				fn(n1, n2, n3)
+			}
+		}
+	}
+	table3 := [][3]int{{14, 2, 14}, {2, 14, 2}, {16, 14, 16}, {16, 14, 196}, {256, 14, 16},
+		{14, 16, 14}, {16, 16, 16}, {16, 16, 256}, {196, 16, 14}, {256, 16, 16}}
+	for _, n := range []int{5, 7, 9, 15} {
+		for dim := 2; dim <= 3; dim++ {
+			mul, abt := ShapesForOrder(n, dim)
+			table3 = append(append(table3, mul...), abt...)
+		}
+	}
+	for _, s := range table3 {
+		fn(s[0], s[1], s[2])
+	}
+}
+
+func TestMulBitwiseEveryShape(t *testing.T) {
+	for ci, class := range inputClasses {
+		class := class
+		t.Run(class.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(21 + ci)))
+			forEveryShape(testing.Short() && class.name == "denormal", func(n1, n2, n3 int) {
+				a, b := make([]float64, n1*n2), make([]float64, n2*n3)
+				class.fill(rng, a)
+				class.fill(rng, b)
+				want, got := make([]float64, n1*n3), make([]float64, n1*n3)
+				MatMulNaive(want, a, b, n1, n2, n3)
+				poison(got)
+				Mul(got, a, b, n1, n2, n3)
+				requireBits(t, "Mul", n1, n2, n3, got, want)
+				// The same b read as an n3 x n2 matrix is MulABt's operand.
+				MulABtSimple(want, a, b, n1, n2, n3)
+				poison(got)
+				MulABt(got, a, b, n1, n2, n3)
+				requireBits(t, "MulABt", n1, n2, n3, got, want)
+			})
+		})
+	}
+}
+
+// The masked column tail and the last odd row write nothing outside C, and
+// no operand needs any alignment: C, A and B start 1-3 elements into their
+// allocations and three guard values sit on either side of C.
+func TestMulGuardsAndUnalignedOperands(t *testing.T) {
+	const guard = 3
+	rng := rand.New(rand.NewSource(31))
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	for _, s := range [][3]int{{1, 1, 4}, {2, 3, 5}, {3, 6, 6}, {5, 5, 7}, {4, 9, 9}, {7, 8, 10},
+		{6, 6, 36}, {9, 7, 11}, {10, 10, 13}, {2, 2, 15}, {16, 16, 17}, {3, 4, 1}, {3, 4, 2}, {3, 4, 3}} {
+		n1, n2, n3 := s[0], s[1], s[2]
+		for off := 1; off <= 3; off++ {
+			a := randMat(rng, off+n1*n2)[off:]
+			b := randMat(rng, off+n2*n3)[off:]
+			want := make([]float64, n1*n3)
+			buf := make([]float64, off+guard+n1*n3+guard)
+			c := buf[off+guard : off+guard+n1*n3]
+			check := func(what string) {
+				t.Helper()
+				requireBits(t, what, n1, n2, n3, c, want)
+				for i, v := range buf {
+					inC := i >= off+guard && i < off+guard+n1*n3
+					if !inC && math.Float64bits(v) != math.Float64bits(sentinel) {
+						t.Fatalf("%s %v offset %d: wrote %v at %d, outside C", what, s, off, v, i-off-guard)
+					}
+				}
+			}
+			reset := func() {
+				for i := range buf {
+					buf[i] = sentinel
+				}
+			}
+			MatMulNaive(want, a, b, n1, n2, n3)
+			reset()
+			Mul(c, a, b, n1, n2, n3)
+			check("Mul")
+			MulABtSimple(want, a, b, n1, n2, n3)
+			reset()
+			MulABt(c, a, b, n1, n2, n3)
+			check("MulABt")
+		}
+	}
+}
+
+// An operand one element short panics. With the AVX2 kernel the panic comes
+// from Go before a single entry of C is written, and it comes even when the
+// short operand is a sub-slice of an arena with room behind it: the checks are
+// against length, not capacity. (The Go kernels reslice rows, which capacity
+// satisfies, and panic part-way through C; they are held to the first claim
+// only, on operands with no spare capacity.)
+func TestMulShortOperandPanics(t *testing.T) {
+	const n1, n2, n3 = 6, 6, 12
+	arena := make([]float64, 3*n1*n3)
+	for _, f := range []struct {
+		name string
+		call func(c, a, b []float64)
+	}{
+		{"Mul", func(c, a, b []float64) { Mul(c, a, b, n1, n2, n3) }},
+		{"MulABt", func(c, a, b []float64) { MulABt(c, a, b, n1, n2, n3) }},
+	} {
+		for short := 0; short < 3; short++ {
+			for _, roomy := range []bool{false, true} {
+				if roomy && !useAVX2 {
+					continue
+				}
+				lens := [3]int{n1 * n3, n1 * n2, n2 * n3}
+				lens[short]--
+				var ops [3][]float64
+				for i, n := range lens {
+					ops[i] = arena[i*n1*n3 : i*n1*n3+n]
+					if !roomy {
+						ops[i] = ops[i][:n:n]
+					}
+				}
+				poison(arena)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s with operand %d one element short (spare capacity: %v) did not panic", f.name, short, roomy)
+						}
+					}()
+					f.call(ops[0], ops[1], ops[2])
+				}()
+				for i, v := range ops[0] {
+					if useAVX2 && v != -1 {
+						t.Fatalf("%s with operand %d short wrote c[%d] before panicking", f.name, short, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// MulABt's packed tile stays on the stack (mulAVX2 is noescape).
+func TestMulABtDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, s := range [][3]int{{36, 6, 6}, {10, 10, 10}, {256, 16, 16}, {4, 6, 3}, {20, 20, 20}} {
+		n1, n2, n3 := s[0], s[1], s[2]
+		a, b, c := randMat(rng, n1*n2), randMat(rng, n3*n2), make([]float64, n1*n3)
+		if n := testing.AllocsPerRun(100, func() { MulABt(c, a, b, n1, n2, n3) }); n != 0 {
+			t.Errorf("MulABt %v allocates %v times per call", s, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { Mul(c, a, b, n1, n2, n3) }); n != 0 {
+			t.Errorf("Mul %v allocates %v times per call", s, n)
+		}
+	}
+}
+
+// Kernels lists the avx2 column exactly when the kernel runs, and the kernel
+// refuses an empty product instead of looping over it.
+func TestKernelAVX2Listed(t *testing.T) {
+	listed := Kernels[len(Kernels)-1] == KernelAVX2
+	if listed != useAVX2 {
+		t.Fatalf("Kernels = %v with useAVX2 = %v", Kernels, useAVX2)
+	}
+	needAVX2(t)
+	if KernelAVX2.String() != "avx2" {
+		t.Fatalf("KernelAVX2 prints as %q", KernelAVX2)
+	}
+	for _, s := range [][3]int{{0, 4, 4}, {4, 0, 4}, {4, 4, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MatMul(KernelAVX2) on %v did not panic", s)
+				}
+			}()
+			MatMul(KernelAVX2, make([]float64, 16), make([]float64, 16), make([]float64, 16), s[0], s[1], s[2])
+		}()
+	}
+}

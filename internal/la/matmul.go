@@ -33,12 +33,16 @@ const (
 	// KernelF3 unrolls the contraction dimension completely, with the output
 	// row index controlling the outer loop, mirroring the f3 kernel.
 	KernelF3
-	// KernelBlocked is a register-blocked kernel (2x4 micro-tile), standing
-	// in for the tuned vendor library (csm/ghm) of the paper.
+	// KernelBlocked is a register-blocked kernel (2x4 micro-tile), the best
+	// the Go compiler's scalar code does.
 	KernelBlocked
+	// KernelAVX2 is the assembly micro-kernel under Mul, standing in for the
+	// tuned vendor library (csm/ghm) of the paper. It exists on amd64 CPUs
+	// with AVX2 only and is listed in Kernels only there.
+	KernelAVX2
 )
 
-var kernelNames = [...]string{"naive", "ikj", "f2", "f3", "blocked"}
+var kernelNames = [...]string{"naive", "ikj", "f2", "f3", "blocked", "avx2"}
 
 func (k MatMulKernel) String() string {
 	if k < 0 || int(k) >= len(kernelNames) {
@@ -47,8 +51,14 @@ func (k MatMulKernel) String() string {
 	return kernelNames[k]
 }
 
-// Kernels lists every MatMulKernel, in Table 3 column order.
-var Kernels = []MatMulKernel{KernelNaive, KernelIKJ, KernelF2, KernelF3, KernelBlocked}
+// Kernels lists every MatMulKernel this machine runs, in Table 3 column order.
+var Kernels = func() []MatMulKernel {
+	ks := []MatMulKernel{KernelNaive, KernelIKJ, KernelF2, KernelF3, KernelBlocked}
+	if useAVX2 {
+		ks = append(ks, KernelAVX2)
+	}
+	return ks
+}()
 
 // MatMul computes C = A*B with the given kernel, where A is n1 x n2, B is
 // n2 x n3, and C is n1 x n3, all row-major. C must not alias A or B.
@@ -64,25 +74,44 @@ func MatMul(k MatMulKernel, c, a, b []float64, n1, n2, n3 int) {
 		MatMulF3(c, a, b, n1, n2, n3)
 	case KernelBlocked:
 		MatMulBlocked(c, a, b, n1, n2, n3)
+	case KernelAVX2:
+		if !useAVX2 || n1 < 1 || n2 < 1 || n3 < 1 {
+			panic("la: KernelAVX2 needs AVX2 and a non-empty product")
+		}
+		avx2Mul(c, a, b, n1, n2, n3)
 	default:
 		MatMulIKJ(c, a, b, n1, n2, n3)
 	}
 }
 
-// Mul is the multiply used throughout the solvers: C = A*B. The kernel
-// follows the calling shape (Sec. 6 / Table 3 of the paper) by one static
-// rule: the register-blocked kernel wherever its 2x4 tiles have work (it
-// skips the zero-fill pass of ikj and runs eight accumulator chains), the
-// saxpy ordering otherwise. Both accumulate every output entry in one
-// sequential chain over the contraction index, so the result is bitwise that
-// of MatMulNaive whatever the shape; the reassociating f2/f3 kernels are
-// never eligible.
+// Mul is the multiply used throughout the solvers: C = A*B. On amd64 with
+// AVX2 every non-empty product runs the assembly micro-kernel mulAVX2 (2x8
+// output tiles vectorised across the columns of C, multiply then add, no
+// FMA), which measures fastest at every shape down to a single column.
+// Elsewhere the Go kernel follows the calling shape (Sec. 6 / Table 3 of the
+// paper) by one static rule: the register-blocked kernel wherever its 2x4
+// tiles have work, the saxpy ordering otherwise. All three accumulate every
+// output entry in one sequential chain over the contraction index, so the
+// result is bitwise that of MatMulNaive whatever the shape or the machine;
+// the reassociating f2/f3 kernels are never eligible.
 func Mul(c, a, b []float64, n1, n2, n3 int) {
+	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 1 {
+		avx2Mul(c, a, b, n1, n2, n3)
+		return
+	}
 	if n1 >= 2 && n3 >= 4 {
 		MatMulBlocked(c, a, b, n1, n2, n3)
 		return
 	}
 	MatMulIKJ(c, a, b, n1, n2, n3)
+}
+
+// avx2Mul hands the assembly kernel its operands after the only bounds checks
+// they get: against the slices' lengths, not their capacities, so a short
+// operand inside a larger arena panics here instead of being overrun there.
+func avx2Mul(c, a, b []float64, n1, n2, n3 int) {
+	_, _, _ = c[n1*n3-1], a[n1*n2-1], b[n2*n3-1]
+	mulAVX2(&c[0], &a[0], &b[0], n1, n2, n3)
 }
 
 // MatMulNaive computes C = A*B with the textbook ijk loop order.
@@ -220,12 +249,32 @@ func MatMulBlocked(c, a, b []float64, n1, n2, n3 int) {
 	}
 }
 
+// abtTile is the largest Bᵀ (n2*n3 elements) MulABt packs: 16 x 16 covers
+// every 1-D operator up to N = 15.
+const abtTile = 256
+
 // MulABt computes C = A*Bᵀ where A is n1 x n2, B is n3 x n2, C is n1 x n3.
 // This is the natural kernel for applying a 1D operator along the second
-// tensor dimension (u Bᵀ in eq. (3) of the paper). Like Mul it picks by
-// shape alone: 2x2 tiles wherever they have work, the plain loop otherwise,
-// both one sequential chain over k per output and so bitwise-identical.
+// tensor dimension (u Bᵀ in eq. (3) of the paper). With AVX2, a full vector
+// of output columns and a B that fits abtTile it transposes B once into a
+// stack tile and runs Mul's kernel: B is the small 1-D operator and A the
+// long field, so the scalar pack is n2*n3 moves against n1*n2*n3 multiplies,
+// where vectorising the dot products directly would need a gather per k or a
+// reassociating horizontal sum. Otherwise it picks by shape alone: 2x2 tiles wherever they have work, the
+// plain loop otherwise. Every path is one sequential chain over k per output
+// and so bitwise-identical.
 func MulABt(c, a, b []float64, n1, n2, n3 int) {
+	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 4 && n2*n3 <= abtTile {
+		var bt [abtTile]float64
+		_ = b[n3*n2-1]
+		for j := 0; j < n3; j++ {
+			for k, v := range b[j*n2 : j*n2+n2] {
+				bt[k*n3+j] = v
+			}
+		}
+		avx2Mul(c, a, bt[:], n1, n2, n3)
+		return
+	}
 	if n1 >= 2 && n3 >= 2 {
 		MulABtBlocked(c, a, b, n1, n2, n3)
 		return

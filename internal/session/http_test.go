@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -317,5 +319,56 @@ func TestHTTPHistoryStreamsLive(t *testing.T) {
 			t.Fatal("history never streamed mid-run")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// A status GET must not wait out the runtime's 10 ms forced preemption of a
+// stepping job. One processor, both slots busy on sub-millisecond steps, and a
+// client that polls as semflowd's do (sleep, then ask): its wake-up and the
+// handler get the processor at the next batch boundary because Manager.run
+// yields there; without the yield the median below is 18 ms. The handler is
+// called in-process on purpose. Over a socket each direction also waits for
+// the runtime to poll the network, which it does only every 10 ms while
+// goroutines are runnable (measured here: 80 ms without the yield, 20 ms with
+// it), and no code of ours moves that.
+func TestStatusGETWhileJobsStepOnOneProcessor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a step is no longer sub-millisecond under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewManager(NewMemStore(), 2)
+	defer m.Close()
+	h := HTTPHandler(m)
+	var jobs [2]*Job
+	for i := range jobs {
+		j, err := m.Submit(Config{Case: "channel", N: 5, Steps: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	const gets, pause = 41, 2 * time.Millisecond
+	lat := make([]time.Duration, gets)
+	for i := range lat {
+		due := time.Now().Add(pause)
+		time.Sleep(pause)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/sessions/"+jobs[i%2].ID, nil))
+		lat[i] = time.Since(due)
+		var st Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status GET = %d %q (%v)", rec.Code, rec.Body, err)
+		}
+		if st.State != StateRunning {
+			t.Fatalf("job %s is %s at step %d, want it stepping throughout", st.ID, st.State, st.Step)
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	t.Logf("status GET, from when it was due: median %v, max %v over %d", lat[gets/2], lat[gets-1], gets)
+	if lat[gets/2] >= 5*time.Millisecond {
+		t.Errorf("median status GET took %v while two jobs stepped, want < 5ms", lat[gets/2])
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -249,6 +250,12 @@ func (m *Manager) run(j *Job) {
 			batch = rem
 		}
 		st, err := m.stepBatch(j, batch)
+		// The slot just released is free again at once (slots are sized to the
+		// processors), so nothing above ever blocks and a sub-millisecond step
+		// loop holds its processor until the runtime's 10 ms forced preemption
+		// — which an HTTP handler on the same processor then waits out. The
+		// batch boundary is the scheduler quantum: yield there.
+		runtime.Gosched()
 		if st.Step > 0 {
 			j.mu.Lock()
 			j.last, j.step, j.time = st, st.Step, st.Time

@@ -52,6 +52,17 @@ func TestWorkerPoolStepRace(t *testing.T) {
 // full projection cycle; after it, the wakeup channels, chunk table, and
 // per-worker arenas are all preallocated and the delta over 8 further steps
 // must be exactly zero.
+//
+// The runtime, though, allocates a few objects once per thread or processor
+// from wherever the program stands when it needs them (attributed with
+// runtime.MemProfileRate = 1 in a fresh process): a new M the first time
+// wakep finds no idle thread (allocm + malg + its profiling stack, 6-7
+// objects) and a sudog the first time the pool's WaitGroup.Wait blocks on a P
+// whose cache is empty (the forced collections below empty the central one).
+// Either landed in a single 8-step window in about half of all fresh
+// processes. They are bounded in number and the pool's own cost would recur
+// in every window, so the assertion is that one of a few consecutive windows
+// is exactly zero.
 func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second warm-up")
@@ -68,11 +79,17 @@ func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	// belongs outside the measured window.
 	drainPoolFinalizers()
 	stepN(t, s, 2)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	stepN(t, s, 8)
-	runtime.ReadMemStats(&m1)
-	if d := m1.Mallocs - m0.Mallocs; d > 0 {
-		t.Errorf("workers=4 steady-state steps allocated %d times over 8 steps, want 0", d)
+	const windows = 6
+	var deltas [windows]uint64
+	for w := range deltas {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		stepN(t, s, 8)
+		runtime.ReadMemStats(&m1)
+		if deltas[w] = m1.Mallocs - m0.Mallocs; deltas[w] == 0 {
+			t.Logf("window %d of %d allocated nothing (earlier windows: %v)", w+1, windows, deltas[:w])
+			return
+		}
 	}
+	t.Errorf("workers=4 steady-state steps allocated %v times in %d consecutive 8-step windows, want a window of 0", deltas, windows)
 }

@@ -1,9 +1,13 @@
 #!/bin/sh
 # Tiered local CI, mirrored by the parallel jobs of .github/workflows/ci.yml.
 #
-#   tier1   go build + full test suite (the repo's acceptance gate), then
-#           the non-test line count per package (scripts/loc.sh), the
-#           source of the line-count claims in ROADMAP.md
+#   tier1   go build + full test suite (the repo's acceptance gate); the la,
+#           tensor and root packages again under -tags purego (the golden
+#           digests on the Go matmul kernels: bitwise parity with the AVX2
+#           one, stated end to end); an arm64 cross-build and vet of la (the
+#           file set without the assembly compiles); then the non-test line
+#           count per package (scripts/loc.sh), the source of the line-count
+#           claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
@@ -28,7 +32,8 @@
 #           divergence cross-check), and round-trip a channel job through
 #           the semflowd session service (submit, poll, fetch artifacts;
 #           a ranks > 0 submit is answered 400);
-#           also runs the Table 3 kernel sweep once (tables -exp table3)
+#           also runs the Table 3 kernel sweep once (tables -exp table3),
+#           which must print an avx2 column on a runner whose CPU has AVX2
 #
 # Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|all]   (default all)
 #
@@ -58,6 +63,8 @@ stage() {
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
+    stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor .
+    stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/loc" ./scripts/loc.sh
 }
 
@@ -366,6 +373,13 @@ EOF
     echo "== smoke: Table 3 kernel sweep reports la.Mul beside the kernels =="
     "$out/bin/tables" -exp table3 -quick > "$out/table3.txt"
     grep -q ' Mul' "$out/table3.txt"
+    if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+        grep -q ' avx2 ' "$out/table3.txt" || {
+            echo "the CPU has AVX2 but Table 3 lists no avx2 kernel:" >&2
+            cat "$out/table3.txt" >&2
+            exit 1
+        }
+    fi
 }
 
 mode="${1:-all}"
