@@ -19,6 +19,17 @@ package repro_test
 // also carry the projector's rule that a solve the projection alone satisfies
 // leaves the basis alone; the hairpin3d, convection and trace runs have no
 // such solve and their digests were not touched by it.
+//
+// PR 21 put an AVX2 matmul kernel under every la.Mul and la.MulABt and moved
+// no digest: the kernel sums each output entry in MatMulNaive's order, and
+// `go test -tags purego .` checks the same constants on the Go kernels. Its
+// second commit re-pinned the channel2d digests only (serial, and distributed
+// fields and statistics at P = 1, 3, 8): orrsomm.Solve now stops its power
+// iteration at the rounding floor (8 iterations, not 200), which moves the TS
+// eigenfunction the channel starts from in its last bits.
+// TestChannelUnmovedByEarlyStop (internal/orrsomm) steps the channel from
+// both eigenfunctions and bounds the difference after these 60 steps by
+// 1e-12. The hairpin3d, convection and P = 8 trace digests did not move.
 
 import (
 	"bytes"
@@ -79,7 +90,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 60)
-	checkDigest(t, "channel2d, 60 steps", "29749ac7a54df0ea6e1be39ee82248b92e6244fb6dbd85da1d7fb1aa62176e51",
+	checkDigest(t, "channel2d, 60 steps", "23569a7a968b183fce9afecbe888cb99450f86e98e5bbd13b167b8479704c972",
 		s.Velocity(0), s.Velocity(1), s.Pressure())
 	s.Close()
 
@@ -130,9 +141,9 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		p             int
 		fields, stats string
 	}{
-		{1, "4e73419be3643bf644708cbbbf85d214d898408cee0677692c6507448650dd39", "1d523d64b0b123edac94ae5efb4bb25e16eee5de985a2c090a26461f87b5cc34"},
-		{3, "3b31480a5a031e0ade8b8494a3096f7a8fb9be054206a3b0bc184e50fa012158", "478becf67838f1918ec587ef7f096dfda1dd419b43f95a8b684e67c6d7934e90"},
-		{8, "af3cae2dbac208cc615c61e6aaa1172fcb3614fd1a510eb0ed15a3b65f289a60", "4fcf801c6a012dfc421840a981c0f9f8ea29ba974958c1ccadbd6d9f0255b18b"},
+		{1, "20eb0d1ef627966edcbf0165345060fd0e683d8e58df055dd505e74ebd8d26e6", "674f2e9dac1ae3111483d66e4e3137e8f4b53cc7f542f49fde700d999e50bbb3"},
+		{3, "dc9abfa34bfcf9218dfaed3644525743eb235d20b1a1fbf9a53da77998976a1e", "85f2fd457ca6404fed10e8f031d43a00021c4b45500abed2f68aa728c675a23a"},
+		{8, "e55c90bb8694480bbd80ce21bcd44586d71d373b173a81782878efd7da90d05b", "40b783ea223721de2eba73c918b404c1f99f59768a7fec9f1a3cad1c51cdd8f5"},
 	} {
 		res, err := parrun.NavierStokes(cfg, parrun.NSConfig{P: g.p, Steps: 60, Init: init})
 		if err != nil {

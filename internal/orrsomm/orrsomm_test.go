@@ -133,3 +133,39 @@ func TestBaseFlow(t *testing.T) {
 		t.Error("base flow wrong")
 	}
 }
+
+// The power iteration reaches the rounding floor of the n = 128 operator in a
+// handful of iterations and must stop there, not spin to the cap on a 1e-14
+// test the floor never passes. The reference is the pair the loop returns when
+// it does run all 200 iterations: the eigenvalue moves inside the floor
+// (1e-14), and the residual, which wanders between 6e-12 and 2e-11 from one
+// iterate to the next out to iteration 40, stays within that band.
+func TestSolveStopsAtTheRoundingFloor(t *testing.T) {
+	r, err := Solve(7500, 1, 128, complex(0.25, 0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := SolveToCap(7500, 1, 128, complex(0.25, 0.002))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Iterations > 12 || ref.Iterations != 200 {
+		t.Errorf("%d power iterations (reference %d), want at most 12 (200)", r.Iterations, ref.Iterations)
+	}
+	if d := math.Abs(r.GrowthRate() - ref.GrowthRate()); d > 1e-10 {
+		t.Errorf("growth rate %.17g is %g from the 200-iteration one", r.GrowthRate(), d)
+	}
+	if r.Residual > 2*ref.Residual {
+		t.Errorf("eigen-residual %g, the 200-iteration pair's is %g: not the same rounding floor", r.Residual, ref.Residual)
+	}
+	t.Logf("%d iterations, c = %v, residual %.3g (200 iterations: c = %v, residual %.3g)",
+		r.Iterations, r.C, r.Residual, ref.C, ref.Residual)
+}
+
+// A shift between eigenvalue branches never settles: that is an error, not a
+// silently unconverged pair.
+func TestSolveReportsNonConvergence(t *testing.T) {
+	if r, err := Solve(7500, 1, 128, complex(0.9, -0.05)); err == nil {
+		t.Fatalf("Solve at a shift between branches returned c = %v after %d iterations, want an error", r.C, r.Iterations)
+	}
+}
