@@ -33,8 +33,9 @@ func poison(v []float64) {
 func requireBitwise(t *testing.T, what string, s [3]int, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("shape %v %s: entry %d = %v, want bitwise %v", s, what, i, got[i], want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("shape %v %s: entry %d = %v (%x), want bitwise %v (%x)", s, what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

@@ -74,11 +74,8 @@ func MatMul(k MatMulKernel, c, a, b []float64, n1, n2, n3 int) {
 		MatMulF3(c, a, b, n1, n2, n3)
 	case KernelBlocked:
 		MatMulBlocked(c, a, b, n1, n2, n3)
-	case KernelAVX2:
-		if !useAVX2 || n1 < 1 || n2 < 1 || n3 < 1 {
-			panic("la: KernelAVX2 needs AVX2 and a non-empty product")
-		}
-		avx2Mul(c, a, b, n1, n2, n3)
+	case KernelAVX2: // listed only where Mul is that kernel
+		Mul(c, a, b, n1, n2, n3)
 	default:
 		MatMulIKJ(c, a, b, n1, n2, n3)
 	}
@@ -260,9 +257,9 @@ const abtTile = 256
 // stack tile and runs Mul's kernel: B is the small 1-D operator and A the
 // long field, so the scalar pack is n2*n3 moves against n1*n2*n3 multiplies,
 // where vectorising the dot products directly would need a gather per k or a
-// reassociating horizontal sum. Otherwise it picks by shape alone: 2x2 tiles wherever they have work, the
-// plain loop otherwise. Every path is one sequential chain over k per output
-// and so bitwise-identical.
+// reassociating horizontal sum. Otherwise it picks by shape alone: 2x2 tiles
+// wherever they have work, the plain loop otherwise. Every path is one
+// sequential chain over k per output and so bitwise-identical.
 func MulABt(c, a, b []float64, n1, n2, n3 int) {
 	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 4 && n2*n3 <= abtTile {
 		var bt [abtTile]float64
