@@ -251,6 +251,11 @@ func main() {
 			fmt.Printf("\n%s\n", j)
 		} else {
 			fmt.Printf("\n%s", rep.String())
+			if res := sess.Distributed(); res != nil && res.Steps > res.FirstStep {
+				calls := sess.Registry().Counter("comm/allreduce.calls").Value()
+				fmt.Printf("\nallreduces per rank and step: %.2f (%d calls on %d ranks over %d steps, set-up included)\n",
+					float64(calls)/float64(res.P*(res.Steps-res.FirstStep)), calls, res.P, res.Steps-res.FirstStep)
+			}
 		}
 	}
 	if obs != nil {

@@ -123,12 +123,27 @@ func attrClass(name, cat string) (int, string) {
 
 // rankTL is one rank's parsed timeline.
 type rankTL struct {
-	spans   []cpSpan // attribution spans sorted by t0
-	maxDur  float64  // longest attribution span (bounds overlap scans)
-	phases  []cpPhase
-	flows   []cpFlow           // sorted by ts
-	sendEnd map[float64]cpSpan // send-span lookup by end time
-	end     float64            // final clock (max span end)
+	spans  []cpSpan // attribution spans sorted by t0
+	maxDur float64  // longest attribution span (bounds overlap scans)
+	phases []cpPhase
+	flows  []cpFlow // sorted by ts
+	sends  []cpSpan // send spans sorted by end time
+	end    float64  // final clock (max span end)
+}
+
+// sendEndingAt returns the send span that ends where a flow arrow starts. A
+// span is stored as (ts, dur), so its end reads back as the arrow's time give
+// or take a rounding, and an exact match loses most message edges: the
+// nearest end within a tolerance far below the shortest send is the one.
+func (t *rankTL) sendEndingAt(ts float64) (cpSpan, bool) {
+	i := sort.Search(len(t.sends), func(i int) bool { return t.sends[i].t1 >= ts })
+	if i > 0 && (i == len(t.sends) || ts-t.sends[i-1].t1 < t.sends[i].t1-ts) {
+		i--
+	}
+	if i == len(t.sends) || math.Abs(t.sends[i].t1-ts) > 1e-12*(1+ts) {
+		return cpSpan{}, false
+	}
+	return t.sends[i], true
 }
 
 // AnalyzeCriticalPath parses a Chrome trace produced by the simulated
@@ -146,7 +161,7 @@ func AnalyzeCriticalPath(data []byte) (*CritPath, error) {
 	tl := func(tid int) *rankTL {
 		t, ok := tls[tid]
 		if !ok {
-			t = &rankTL{sendEnd: make(map[float64]cpSpan)}
+			t = &rankTL{}
 			tls[tid] = t
 		}
 		return t
@@ -184,7 +199,7 @@ func AnalyzeCriticalPath(data []byte) (*CritPath, error) {
 					t.maxDur = d
 				}
 				if ev.Name == "send" {
-					t.sendEnd[t1] = cpSpan{t0: t0, t1: t1, prio: 3, label: "send"}
+					t.sends = append(t.sends, cpSpan{t0: t0, t1: t1, prio: 3, label: "send"})
 				}
 			}
 			if ev.Cat == "ns" {
@@ -219,6 +234,7 @@ func AnalyzeCriticalPath(data []byte) (*CritPath, error) {
 		sort.Slice(t.spans, func(i, j int) bool { return t.spans[i].t0 < t.spans[j].t0 })
 		sort.Slice(t.phases, func(i, j int) bool { return t.phases[i].t0 < t.phases[j].t0 })
 		sort.Slice(t.flows, func(i, j int) bool { return t.flows[i].ts < t.flows[j].ts })
+		sort.Slice(t.sends, func(i, j int) bool { return t.sends[i].t1 < t.sends[j].t1 })
 	}
 
 	// Walk backward from the rank that finishes last.
@@ -250,7 +266,7 @@ func AnalyzeCriticalPath(data []byte) (*CritPath, error) {
 		segs = appendAttributed(segs, tls, rank, f.ts, t, false)
 		// Hop to the sender, crossing its send span (the wire time).
 		sender := tls[f.sRank]
-		send, ok := sender.sendEnd[f.sTs]
+		send, ok := sender.sendEndingAt(f.sTs)
 		if !ok || send.t0 >= f.ts {
 			// No send span recorded (shouldn't happen) or no progress
 			// possible; attribute the rest locally and stop.

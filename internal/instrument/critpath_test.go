@@ -133,6 +133,35 @@ func TestAnalyzeCriticalPathIgnoresNonGatingReceives(t *testing.T) {
 	}
 }
 
+// A span is stored as (ts, dur) and a flow arrow as ts, so a send span's end
+// reads back as ts+dur, which need not be the arrow's time bit for bit. The
+// walk used to look the send up by exact end time and stopped at the first
+// such edge — on real traces nearly every one. It must cross it.
+func TestAnalyzeCriticalPathCrossesInexactSendEnd(t *testing.T) {
+	t0 := 0.0685 // a 20 µs latency + 5 words send, as comm.ASCIRed prices it
+	t1 := t0 + 20e-6 + 40/310e6
+	if (t0*1e6+(t1-t0)*1e6)/1e6 == t1*1e6/1e6 {
+		t.Fatal("the span end rounds to the arrow time: pick other instants")
+	}
+	tr := NewTracer()
+	tr.DisableWallClock()
+	tr.SpanV(0, "send", "comm", t0, t1, nil)
+	tr.FlowV("s", 0, "msg", t1, "0.1")
+	tr.FlowV("f", 1, "msg", t1, "0.1") // gating
+	tr.SpanV(1, "work", "compute", t1, 2*t1, nil)
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := AnalyzeCriticalPath(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Hops != 1 || cp.Segments[0].Rank != 0 {
+		t.Fatalf("hops = %d, first segment on rank %d: the message edge was lost", cp.Hops, cp.Segments[0].Rank)
+	}
+}
+
 func TestAnalyzeCriticalPathRejectsGarbage(t *testing.T) {
 	if _, err := AnalyzeCriticalPath([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")

@@ -236,7 +236,7 @@ func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float
 	h1 := cfg.Diffusivity
 	h2 := beta / s.Cfg.Dt
 	mask := s.maskSc
-	b := s.bArena
+	b := s.bArena[0]
 	for i := range b {
 		var sum float64
 		for q := range tTil {
@@ -261,7 +261,7 @@ func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float
 	}
 	s.curH1, s.curH2, s.curMask = h1, h2, mask
 	s.helmholtzDiag(&s.helmDiagS, &s.helmH1S, &s.helmH2S, h1, h2, mask)
-	st := s.helmholtzSolve(tn, b, s.jacobiS, solver.Options{Time: s.instr.scalarCG, Iters: s.instr.scalarIters})
+	st := s.helmholtzSolve([][]float64{tn}, s.jacobiS, solver.Options{Time: s.instr.scalarCG, Iters: s.instr.scalarIters})[0]
 	if !st.Converged && st.FinalRes > 1e-6 {
 		return st.Iterations, fmt.Errorf("ns: scalar Helmholtz solve failed (res %g)", st.FinalRes)
 	}

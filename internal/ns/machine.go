@@ -19,7 +19,9 @@ import (
 //     element's blocks, so any split over workers gives the same fields.
 //   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
 //     run) to a velocity-grid field stored in owned blocks. No mask, no flops.
-//   - Sum and Max join one value per solver into the value every solver sees.
+//   - Sum and Max join one value per solver into the value every solver sees;
+//     SumN joins a short vector, slot by slot, in the order Sum would have used
+//     for each — one reduction for any number of independent inner products.
 //   - Charge accounts local floating-point work.
 //   - CoarseSolve turns the vertex residual this solver restricted from its
 //     own elements into the Schwarz coarse solution on all vertices
@@ -28,14 +30,15 @@ import (
 //     timers and spans in shared memory, the virtual clock on a rank. st is
 //     the step's statistics so far (zero inside the preconditioner).
 //
-// Every solver of one run must issue the same sequence of Assemble, Sum, Max
-// and CoarseSolve calls; the step guarantees it by deriving each decision
+// Every solver of one run must issue the same sequence of Assemble, Sum, SumN,
+// Max and CoarseSolve calls; the step guarantees it by deriving each decision
 // from joined values only.
 type Machine interface {
 	Elems() []int
 	ForElements(fn func(li, w int))
 	Assemble(u []float64)
 	Sum(v float64) float64
+	SumN(v []float64)
 	Max(v float64) float64
 	Charge(flops int64)
 	CoarseSolve(x0, r0 []float64)
@@ -93,6 +96,7 @@ func (m *shared) Elems() []int                   { return m.elems }
 func (m *shared) ForElements(fn func(li, w int)) { m.s.D.ForElements(fn) }
 func (m *shared) Assemble(u []float64)           { m.s.D.GS.Apply(u, gs.Sum) }
 func (m *shared) Sum(v float64) float64          { return v }
+func (m *shared) SumN(v []float64)               {}
 func (m *shared) Max(v float64) float64          { return v }
 func (m *shared) Charge(flops int64)             { m.s.D.CountFlops(flops) }
 

@@ -150,8 +150,9 @@ type template struct {
 	bAssem   []float64 // assembled velocity mass diagonal
 	invBm    []float64 // maskV / bAssem: the pointwise middle of E
 
-	filter   *sem.Filter
-	enclosed bool // no open boundary: pressure has the constant null space
+	filter     *sem.Filter
+	enclosed   bool    // no open boundary: pressure has the constant null space
+	minSpacing float64 // M.MinSpacing(), the CFL length scale (a walk over the whole mesh)
 
 	// Pressure preconditioner selection (precond.go).
 	pSchwarz    *schwarz.Pressure // Schwarz variants only
@@ -174,8 +175,9 @@ type template struct {
 type Solver struct {
 	*template
 	mach  Machine
-	elems []int // == mach.Elems()
-	n     int   // owned velocity dofs per component (len(elems)·Np)
+	join  solver.Join // mach.SumN; nil in shared memory
+	elems []int       // == mach.Elems()
+	n     int         // owned velocity dofs per component (len(elems)·Np)
 	step  int
 	time  float64
 
@@ -204,17 +206,19 @@ type Solver struct {
 	work      []elemWork // per-worker element-kernel scratch
 	bufPool   [][]float64
 	ustar     [3][]float64
-	gp        [3][]float64 // Dᵀp stacks
-	bArena    []float64    // Helmholtz RHS (velocity grid)
-	huArena   []float64    // lifted-operator image
-	duArena   []float64    // CG solution increment
-	rvArena   []float64    // sandwich: extruded subdomain residuals
-	zvArena   []float64    // sandwich: subdomain solutions
-	rpArena   []float64    // pressure RHS (Gauss grid)
-	dpArena   []float64    // pressure increment
-	divArena  []float64    // divergence diagnostics
-	rinArena  []float64    // deflated residual copy of the preconditioner
-	r0, x0    []float64    // coarse vertex residual and solution
+	gp        [3][]float64    // Dᵀp stacks
+	bArena    [][]float64     // Helmholtz RHS, one per component of a batch (velocity grid)
+	huArena   []float64       // lifted-operator image
+	duArena   [][]float64     // CG solution increments, likewise
+	helmStats [3]solver.Stats // and the batch's statistics
+	energyBuf [3]float64      // telemetry: ‖u_c‖² around the filter
+	rvArena   []float64       // sandwich: extruded subdomain residuals
+	zvArena   []float64       // sandwich: subdomain solutions
+	rpArena   []float64       // pressure RHS (Gauss grid)
+	dpArena   []float64       // pressure increment
+	divArena  []float64       // divergence diagnostics
+	rinArena  []float64       // deflated residual copy of the preconditioner
+	r0, x0    []float64       // coarse vertex residual and solution
 	histBuf   [][3][]float64
 	tHistBuf  [][]float64
 	utilArena [][3][]float64 // subintegrated velocity fields ũ^{n-q}
@@ -407,6 +411,7 @@ func (s *Solver) build(precondForced bool) error {
 			break
 		}
 	}
+	t.minSpacing = m.MinSpacing()
 	t.np1 = m.N + 1
 	t.nm1 = m.N - 1
 	t.npp = t.nm1 * t.nm1
@@ -474,7 +479,7 @@ func (s *Solver) build(precondForced bool) error {
 	for e := range sh.elems {
 		sh.elems[e] = e
 	}
-	if err := s.initState(sh, cfg.Workers); err != nil {
+	if err := s.initState(sh, cfg.Workers, nil); err != nil {
 		return err
 	}
 	if sc := cfg.Scalar; sc != nil && sc.Initial != nil {
@@ -495,7 +500,7 @@ func (s *Solver) build(precondForced bool) error {
 // Machine's to time). Forks must not Close.
 func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	f := &Solver{template: s.template}
-	if err := f.initState(mach, 1); err != nil {
+	if err := f.initState(mach, 1, mach.SumN); err != nil {
 		return nil, err
 	}
 	np, npp := s.M.Np, s.npp
@@ -517,11 +522,13 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 // initState sizes everything a solver keeps per owned element — local views
 // of the template's per-node data, fields, arenas, per-worker scratch, loop
 // bodies and flop charges — for mach's elements. The only communication is
-// one Assemble (the nodal multiplicity).
-func (s *Solver) initState(mach Machine, workers int) error {
+// one Assemble (the nodal multiplicity). join completes the solves' batched
+// inner products: mach.SumN, or nil in shared memory, where a share is the
+// whole.
+func (s *Solver) initState(mach Machine, workers int, join solver.Join) error {
 	m, cfg := s.M, s.Cfg
 	np, npp := m.Np, s.npp
-	s.mach, s.elems = mach, mach.Elems()
+	s.mach, s.elems, s.join = mach, mach.Elems(), join
 	s.n = len(s.elems) * np
 	nP := len(s.elems) * npp
 
@@ -572,7 +579,10 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		s.gp[c] = vec()
 	}
 	s.P = make([]float64, nP)
-	s.bArena, s.huArena, s.duArena = vec(), vec(), vec()
+	s.huArena = vec()
+	for c := 0; c < s.dim; c++ {
+		s.bArena, s.duArena = append(s.bArena, vec()), append(s.duArena, vec())
+	}
 	s.rpArena = make([]float64, nP)
 	s.dpArena = make([]float64, nP)
 	s.divArena = make([]float64, nP)
@@ -594,7 +604,7 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	}
 	s.cgScratch = &solver.Scratch{}
 	if cfg.ProjectionL > 0 {
-		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDot)
+		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDotShare, join)
 	}
 
 	fdmLen := 0

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/la"
 	"repro/internal/tensor"
 )
 
@@ -185,28 +186,31 @@ func (s *Solver) applyE(out, p []float64) {
 	s.instr.eapply.End(t0)
 }
 
-// dot is the inner product of velocity-grid fields in redundant element-local
-// storage: each global node is counted once (division by multiplicity),
-// owned partial sums joined over the run.
-func (s *Solver) dot(u, v []float64) float64 {
+// dotShare is this solver's share of the inner product of velocity-grid
+// fields in redundant element-local storage: each global node is counted once
+// (division by multiplicity) over the owned blocks. Machine.Sum, or SumN for a
+// batch of shares (solver.Join), joins them over the run.
+func (s *Solver) dotShare(u, v []float64) float64 {
 	var sum float64
 	mult := s.mult
 	for i := range u {
 		sum += u[i] * v[i] / mult[i]
 	}
 	s.mach.Charge(int64(3 * len(u)))
-	return s.mach.Sum(sum)
+	return sum
 }
 
-// pressureDot is the plain inner product on the (discontinuous) pressure
-// space: pressure nodes are never shared, so there is no multiplicity.
-func (s *Solver) pressureDot(a, b []float64) float64 {
-	var v float64
-	for i := range a {
-		v += a[i] * b[i]
-	}
+// pressureDotShare is the share of the plain inner product on the
+// (discontinuous) pressure space: pressure nodes are never shared, so there
+// is no multiplicity.
+func (s *Solver) pressureDotShare(a, b []float64) float64 {
 	s.mach.Charge(int64(2 * len(a)))
-	return s.mach.Sum(v)
+	return la.Dot(a, b)
+}
+
+// pressureDot is the whole pressure inner product, a reduction of its own.
+func (s *Solver) pressureDot(a, b []float64) float64 {
+	return s.mach.Sum(s.pressureDotShare(a, b))
 }
 
 // deflatePressure removes the plain global mean — the symmetric projector

@@ -64,11 +64,13 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.instr.substeps.Add(int64(st.Substeps))
 	s.instr.cfl.Set(st.CFL)
 
-	// --- Momentum right-hand sides and Helmholtz solves, one component at a
-	// time (three scalar reductions per CG iteration; a batched multi-RHS
-	// solve measured no faster, see DESIGN.md "One step, two backends"). ---
+	// --- Momentum right-hand sides, then the Helmholtz solves of all
+	// components as one lockstep batch: the operator sweeps stay per component
+	// and every component iterates exactly as it would alone, but the three
+	// inner products of an iteration carry one slot per component, so the
+	// phase costs the reductions of its slowest component (DESIGN.md "One
+	// step, two backends"). ---
 	s.mach.Begin(SecViscous)
-	st.ViscousConverged = true
 	h1 := 1.0 / cfg.Re
 	h2 := beta / cfg.Dt
 	s.helmholtzDiag(&s.helmDiag, &s.helmH1, &s.helmH2, h1, h2, s.mask)
@@ -77,24 +79,25 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.GradientT(s.gp[:s.dim], s.P)
 	ustar := s.ustar
 	for c := 0; c < s.dim; c++ {
-		b := s.bArena
-		s.viscousRHS(b, c, gamma, utils, tTil, beta, tNew)
+		s.viscousRHS(s.bArena[c], c, gamma, utils, tTil, beta, tNew)
 		// Dirichlet lifting: start from boundary values, solve the masked
 		// correction.
-		u := ustar[c]
-		copy(u, s.U[c])
-		s.setDirichletComponent(u, c, tNew)
-		stats := s.helmholtzSolve(u, b, s.jacobi, solver.Options{
-			Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
-			Tracer: s.tracer, TraceName: "helmholtz.cg"})
-		if !stats.Converged {
-			st.ViscousConverged = false
-		}
+		copy(ustar[c], s.U[c])
+		s.setDirichletComponent(ustar[c], c, tNew)
+	}
+	vstats := s.helmholtzSolve(ustar[:s.dim], s.jacobi, solver.Options{
+		Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
+		Tracer: s.tracer, TraceName: "helmholtz.cg"})
+	st.ViscousConverged = true
+	for c, stats := range vstats {
+		st.HelmholtzIters[c] = stats.Iterations
+		st.ViscousConverged = st.ViscousConverged && stats.Converged
+	}
+	for c, stats := range vstats {
 		if !stats.Converged && stats.FinalRes > 1e-6 {
 			s.mach.End(SecViscous, st)
 			return st, fmt.Errorf("ns: Helmholtz solve for component %d failed (res %g)", c, stats.FinalRes)
 		}
-		st.HelmholtzIters[c] = stats.Iterations
 	}
 	s.mach.End(SecViscous, st)
 
@@ -157,11 +160,12 @@ func (s *Solver) Step() (st StepStats, err error) {
 
 	// --- Filter, rotate history, commit. ---
 	s.mach.Begin(SecFilter)
+	// Telemetry: the energy the filter removes, Σ_c ‖u_c‖² before less after,
+	// each side's norms in one reduction.
 	var filterRemoved float64
-	if s.history != nil && s.filter != nil {
-		for c := 0; c < s.dim; c++ {
-			filterRemoved += s.dot(ustar[c], ustar[c])
-		}
+	telemetry := s.history != nil && s.filter != nil
+	if telemetry {
+		filterRemoved = s.energy(ustar)
 	}
 	if s.filter != nil {
 		for c := 0; c < s.dim; c++ {
@@ -169,10 +173,8 @@ func (s *Solver) Step() (st StepStats, err error) {
 			s.setDirichletComponent(ustar[c], c, tNew)
 		}
 		s.mach.Charge(s.filtF * int64(len(s.elems)*s.dim))
-		if s.history != nil {
-			for c := 0; c < s.dim; c++ {
-				filterRemoved -= s.dot(ustar[c], ustar[c])
-			}
+		if telemetry {
+			filterRemoved -= s.energy(ustar)
 		}
 		if s.T != nil {
 			s.applyFilter(s.T)
@@ -307,28 +309,49 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 	s.assemble(b, s.mask)
 }
 
-// helmholtzSolve finishes a lifted Helmholtz solve (h1·A + h2·B) u = b for
-// the operator currently in s.curH1/curH2/curMask: u holds the boundary lift
-// on entry and the solution on return, b the assembled right-hand side
-// (overwritten). opt carries the caller's instrumentation.
-func (s *Solver) helmholtzSolve(u, b []float64, jacobi solver.Operator, opt solver.Options) solver.Stats {
+// helmholtzSolve finishes the lifted Helmholtz solves (h1·A + h2·B) us[c] =
+// bArena[c] for the operator currently in s.curH1/curH2/curMask, as one
+// lockstep CG batch: us[c] holds the boundary lift on entry and the solution
+// on return, bArena[c] the assembled right-hand side (overwritten). opt
+// carries the caller's instrumentation. The returned statistics, one per
+// system, are valid until the next call.
+func (s *Solver) helmholtzSolve(us [][]float64, jacobi solver.Operator, opt solver.Options) []solver.Stats {
+	m := len(us)
 	hu := s.huArena
-	s.helmholtz(hu, u, s.curH1, s.curH2, s.curMask)
-	for i := range b {
-		b[i] -= hu[i]
-	}
-	applyMask(b, s.curMask)
-	du := s.duArena
-	for i := range du {
-		du[i] = 0
+	for c, u := range us {
+		b, du := s.bArena[c], s.duArena[c]
+		s.helmholtz(hu, u, s.curH1, s.curH2, s.curMask)
+		for i := range b {
+			b[i] -= hu[i]
+		}
+		applyMask(b, s.curMask)
+		for i := range du {
+			du[i] = 0
+		}
 	}
 	opt.Tol, opt.Relative, opt.MaxIter = s.Cfg.VTol, true, 1000
 	opt.Precond, opt.Scratch = jacobi, s.cgScratch
-	stats := solver.CG(s.helmOp, s.dot, du, b, opt)
-	for i := range u {
-		u[i] += du[i]
+	solver.CGBatch(s.helmOp, s.dotShare, s.join, s.duArena[:m], s.bArena[:m], opt, s.helmStats[:m])
+	for c, u := range us {
+		du := s.duArena[c]
+		for i := range u {
+			u[i] += du[i]
+		}
 	}
-	return stats
+	return s.helmStats[:m]
+}
+
+// energy returns Σ_c ‖u_c‖², the components' norms joined in one reduction.
+func (s *Solver) energy(u [3][]float64) (sum float64) {
+	e := s.energyBuf[:s.dim]
+	for c := range e {
+		e[c] = s.dotShare(u[c], u[c])
+	}
+	s.mach.SumN(e)
+	for _, v := range e {
+		sum += v
+	}
+	return sum
 }
 
 // setDirichletComponent writes the Dirichlet boundary value of component c.
@@ -367,6 +390,6 @@ func (s *Solver) cflLimit() (dt float64, rate float64) {
 	if umax == 0 {
 		return math.Inf(1), 0
 	}
-	rate = umax / s.M.MinSpacing()
+	rate = umax / s.minSpacing
 	return s.Cfg.SubCFL / rate, rate
 }

@@ -80,8 +80,11 @@ func TestCriticalPathMatchesNSAccounting(t *testing.T) {
 	if cp.ByPhase["pressure"] <= 0 {
 		t.Error("no pressure-phase time on the critical path")
 	}
-	if cp.Hops == 0 {
-		t.Error("critical path never crossed a message edge at P=4")
+	// The walk crosses a message edge wherever the rank it is on waited: with
+	// four ranks trading places as the slowest that is thousands of times in
+	// three steps. A handful means the walk lost an edge and stayed put.
+	if cp.Hops < 100*steps {
+		t.Errorf("critical path crossed %d message edges at P=4, want hundreds per step", cp.Hops)
 	}
 	// Per-rank accounting closes: on-path + slack = total for every rank.
 	var onPath float64

@@ -433,7 +433,7 @@ func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 
 // rankMachine is ns.Machine on one rank of the simulated machine: the owned
 // elements of the partition, a plain loop over them, the distributed
-// gather–scatter, scalar allreduces, the virtual clock for flops and for
+// gather–scatter, scalar and short-vector allreduces, the virtual clock for flops and for
 // sections (traced as spans on the rank's track), and the distributed XXT
 // vertex solve between two vector allreduces.
 type rankMachine struct {
@@ -467,6 +467,7 @@ func (m *rankMachine) ForElements(fn func(li, w int)) {
 
 func (m *rankMachine) Assemble(u []float64)  { m.h.Apply(u, gs.Sum) }
 func (m *rankMachine) Sum(v float64) float64 { return m.r.AllreduceScalar(v, comm.OpSum) }
+func (m *rankMachine) SumN(v []float64)      { m.r.Allreduce(v, comm.OpSum) }
 func (m *rankMachine) Max(v float64) float64 { return m.r.AllreduceScalar(v, comm.OpMax) }
 func (m *rankMachine) Charge(flops int64)    { m.r.Compute(flops) }
 

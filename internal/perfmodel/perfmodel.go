@@ -10,8 +10,9 @@
 //   - per-processor floating-point rates in the Table 3 ballpark, with the
 //     "std." vs "perf." DGEMM selections and the 82 % dual-processor
 //     efficiency quoted in Sec. 6, and
-//   - an α–β network model for gather–scatter exchanges, CG inner-product
-//     allreduces, and the XXT coarse solve (3·n^{2/3}·log₂P volume).
+//   - an α–β network model for gather–scatter exchanges, the short
+//     allreduces the step issues (Reductions: counted as the code issues
+//     them), and the XXT coarse solve (3·n^{2/3}·log₂P volume).
 package perfmodel
 
 import "math"
@@ -47,8 +48,44 @@ type Run struct {
 	CoarseN int // coarse-grid dofs (paper: 10142)
 	// Per-step iteration history (len = number of steps).
 	PressIters []int
-	HelmIters  []int // per component per step (x-component history; y,z ≈ same)
+	HelmIters  []int // per step, of the slowest component (the components iterate in lockstep)
 	Substeps   []int // OIFS substeps per step
+
+	// ProjBasis is the projection basis size after each step's pressure solve
+	// (nil: no projection); Enclosed marks a domain without open boundary,
+	// whose pressure null space is deflated by a global mean. Both only count
+	// in Reductions.
+	ProjBasis []int
+	Enclosed  bool
+}
+
+// Reductions returns the short (one- or few-word) allreduces every rank
+// issues in step i, as ns.Solver.Step issues them when its solves converge:
+// two maxima (CFL, NaN check); per CG solve — the velocity components are one
+// lockstep solve — a norm at the start and, if it iterates, r·z and then p·q,
+// ‖r‖², r·z per iteration, the last without its r·z; with projection its
+// coefficients in one reduction and, after a solve that iterated, two norms
+// and two Gram–Schmidt passes over the basis; on an enclosed domain a mean for
+// the right-hand side, the pressure, every E application and both sides of
+// every preconditioner application. The allreduces of the XXT coarse solves
+// (one inside, two vector ones around each) are priced with the coarse term.
+func (r *Run) Reductions(i int) int {
+	p, h := r.PressIters[i], r.HelmIters[i]
+	n := 2 + 2 + 3*(h+p) // maxima, the two solves' start-up norms, their iterations
+	eApplies := p
+	if r.ProjBasis != nil {
+		if i > 0 && r.ProjBasis[i-1] > 0 {
+			n++
+		}
+		if p > 0 {
+			n += 2 + 2*max(r.ProjBasis[i]-1, 0)
+			eApplies++
+		}
+	}
+	if r.Enclosed {
+		n += 2 + eApplies + 2*p
+	}
+	return n
 }
 
 // PhaseFlops returns the modeled floating point operations of step i split
@@ -103,14 +140,13 @@ func (r *Run) commPerStep(i int, m Machine, p int) float64 {
 	// operator application; one application per CG iteration per solve.
 	faceWords := 6 * math.Pow(kp, 2.0/3.0) * n1 * n1
 	gsTime := 6*m.Alpha + faceWords*8*m.Beta
-	// Two allreduces (dot products) per CG iteration.
-	dotTime := 2 * 2 * m.Alpha * logp
-	iters := float64(r.PressIters[i]) + 3*float64(r.HelmIters[i])
+	dotTime := float64(r.Reductions(i)) * 2 * m.Alpha * logp
+	iters := float64(r.PressIters[i] + r.Dim*r.HelmIters[i])
 	// XXT coarse solve per pressure iteration: fan-in/out tree with the
 	// separator-bounded volume.
 	coarseWords := 3 * math.Pow(float64(r.CoarseN), 2.0/3.0)
 	coarseTime := logp * (2*m.Alpha + coarseWords*8*m.Beta)
-	return iters*(gsTime+dotTime) + float64(r.PressIters[i])*coarseTime +
+	return iters*gsTime + dotTime + float64(r.PressIters[i])*coarseTime +
 		float64(r.Substeps[i])*4*(gsTime)
 }
 

@@ -21,6 +21,19 @@ type Operator func(out, in []float64)
 // global node once).
 type Dot func(u, v []float64) float64
 
+// Join completes a short vector of inner products of which every solver of a
+// run holds a share: it sums the shares over the run, slot by slot, in one
+// reduction — any number of independent inner products for the latency of
+// one — each slot bitwise as a reduction of its own would leave it. A nil
+// Join does nothing: the Dot beside it is already whole (one address space).
+type Join func(vals []float64)
+
+func (j Join) sum(vals []float64) {
+	if j != nil && len(vals) > 0 {
+		j(vals)
+	}
+}
+
 // Stats reports one linear solve.
 type Stats struct {
 	Iterations int
@@ -56,116 +69,196 @@ type Options struct {
 	Tracer    *instrument.Tracer
 	TraceName string
 
-	// Scratch, when non-nil, supplies the four CG work vectors so repeated
-	// solves (e.g. one per time step) allocate nothing. A Scratch must not
-	// be shared by solves running concurrently.
+	// Scratch, when non-nil, supplies the CG work vectors and batch state so
+	// repeated solves (e.g. one per time step) allocate nothing. A Scratch
+	// must not be shared by solves running concurrently.
 	Scratch *Scratch
 }
 
-// Scratch holds the CG work vectors; it grows on demand and may be reused
-// across solves of different sizes.
+// Scratch holds the work vectors and bookkeeping of a batch of systems; it
+// grows on demand and may be reused across solves of different sizes and
+// batch widths.
 type Scratch struct {
-	r, z, p, q, xb []float64
+	sys  []cgSys
+	live []*cgSys  // the systems still iterating
+	vals []float64 // one reduction's inner products
 }
 
-// vectors returns the five length-n work arrays, growing the backing
-// storage if needed.
-func (s *Scratch) vectors(n int) (r, z, p, q, xb []float64) {
-	if cap(s.r) < n {
-		s.r = make([]float64, n)
-		s.z = make([]float64, n)
-		s.p = make([]float64, n)
-		s.q = make([]float64, n)
-		s.xb = make([]float64, n)
+// cgSys is one system of a batch: its unknown and right-hand side, the five
+// CG work vectors and what CG carries between iterations.
+type cgSys struct {
+	x, b           []float64
+	r, z, p, q, xb []float64
+	tol, rz, best  float64
+	warm           bool // x₀ ≠ 0
+	st             Stats
+}
+
+// start points one system at each (xs[i], bs[i]), growing storage if needed,
+// and makes all of them live.
+func (w *Scratch) start(xs, bs [][]float64) {
+	m, n := len(bs), len(bs[0])
+	if len(w.sys) < m {
+		w.sys = append(w.sys, make([]cgSys, m-len(w.sys))...)
+		w.vals = make([]float64, 2*m)
 	}
-	return s.r[:n], s.z[:n], s.p[:n], s.q[:n], s.xb[:n]
+	w.live = w.live[:0]
+	for i := range bs {
+		s := &w.sys[i]
+		s.x, s.b = xs[i], bs[i]
+		for _, v := range []*[]float64{&s.r, &s.z, &s.p, &s.q, &s.xb} {
+			if cap(*v) < n {
+				*v = make([]float64, n)
+			}
+			*v = (*v)[:n]
+		}
+		w.live = append(w.live, s)
+	}
+}
+
+// giveUp ends a system that did not converge cleanly after it iterations: it
+// hands back the best iterate seen.
+func (s *cgSys) giveUp(it int) {
+	s.st.Iterations = it
+	s.st.FinalRes = s.best
+	copy(s.x, s.xb)
 }
 
 // CG solves A x = b by preconditioned conjugate gradients, starting from
-// the supplied x (commonly zero). Work arrays are allocated internally.
+// the supplied x (commonly zero): CGBatch on one system, dot its whole inner
+// product.
 func CG(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
+	return solve1(apply, dot, nil, x, b, opt)
+}
+
+func solve1(apply Operator, dot Dot, join Join, x, b []float64, opt Options) Stats {
+	var st [1]Stats
+	CGBatch(apply, dot, join, [][]float64{x}, [][]float64{b}, opt, st[:])
+	return st[0]
+}
+
+// CGBatch solves the systems A xs[i] = bs[i] of one operator (equal lengths)
+// by preconditioned conjugate gradients in lockstep, from the supplied xs, and
+// reports each in sts[i]; dot is this solver's share of an inner product and
+// join completes a batch of them. Every system does exactly the arithmetic of
+// a solve on its own and leaves the batch when it finishes; only the inner
+// products travel together, one slot per live system, so the batch costs the
+// reductions of its longest member. opt.Time brackets the batch, the other
+// instruments are fed once per system. Without a join there is no reduction
+// to share and the systems are solved one after the other, each with its
+// vectors to itself in cache (lockstep cost the N = 9 channel step 2 %).
+func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options, sts []Stats) {
+	if join == nil && len(bs) > 1 {
+		for i := range bs {
+			CGBatch(apply, dot, nil, xs[i:i+1], bs[i:i+1], opt, sts[i:i+1])
+		}
+		return
+	}
 	t0 := opt.Time.Begin()
-	var sp instrument.Span
+	var spans []instrument.Span
 	if opt.Tracer != nil {
 		name := opt.TraceName
 		if name == "" {
 			name = "cg"
 		}
-		sp = opt.Tracer.Begin(instrument.PidWall, 0, name, "solver")
+		for range bs {
+			spans = append(spans, opt.Tracer.Begin(instrument.PidWall, 0, name, "solver"))
+		}
 	}
-	st := cg(apply, dot, x, b, opt)
-	if opt.Tracer != nil {
-		sp.EndWith(map[string]any{
-			"iterations": st.Iterations,
-			"converged":  st.Converged,
-			"final_res":  st.FinalRes,
-		})
+	w := opt.Scratch
+	if w == nil {
+		w = &Scratch{}
+	}
+	w.start(xs, bs)
+	w.cg(apply, dot, join, opt)
+	for i := len(bs) - 1; i >= 0; i-- { // spans nest: last begun, first ended
+		st := w.sys[i].st
+		sts[i] = st
+		if spans != nil {
+			spans[i].EndWith(map[string]any{"iterations": st.Iterations, "converged": st.Converged, "final_res": st.FinalRes})
+		}
+		opt.Iters.Add(int64(st.Iterations))
+		opt.IterHist.Observe(float64(st.Iterations))
+		if st.Converged {
+			opt.Converged.Set(1)
+		} else {
+			opt.Converged.Set(0)
+		}
 	}
 	opt.Time.End(t0)
-	opt.Iters.Add(int64(st.Iterations))
-	opt.IterHist.Observe(float64(st.Iterations))
-	if st.Converged {
-		opt.Converged.Set(1)
-	} else {
-		opt.Converged.Set(0)
-	}
-	return st
 }
 
-func cg(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
-	n := len(b)
-	var r, z, p, q, xb []float64
-	if opt.Scratch != nil {
-		r, z, p, q, xb = opt.Scratch.vectors(n)
-	} else {
-		r = make([]float64, n)
-		z = make([]float64, n)
-		p = make([]float64, n)
-		q = make([]float64, n)
-		xb = make([]float64, n)
-	}
-
-	// r = b - A x.
-	xNonZero := false
-	for _, v := range x {
-		if v != 0 {
-			xNonZero = true
-			break
-		}
-	}
-	if xNonZero {
-		apply(q, x)
-		for i := range r {
-			r[i] = b[i] - q[i]
-		}
-	} else {
-		copy(r, b)
-	}
-	tol := opt.Tol
-	if opt.Relative {
-		tol *= math.Sqrt(dot(b, b))
-	}
-	res := math.Sqrt(dot(r, r))
-	st := Stats{InitialRes: res}
-	if opt.History {
-		st.ResHist = append(st.ResHist, res)
-	}
-	if res <= tol {
-		st.Converged = true
-		st.FinalRes = res
-		return st
-	}
+// cg iterates the live systems to their exits. Each loop over the systems
+// leaves a system's share of its next inner product in the slot of its
+// position among the systems that stay; one join per loop completes them.
+func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 	precond := opt.Precond
 	if precond == nil {
 		precond = func(out, in []float64) { copy(out, in) }
 	}
-	precond(z, r)
-	copy(p, z)
-	rz := dot(r, z)
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
-		maxIter = n
+		maxIter = len(w.live[0].b)
 	}
+
+	// r = b - A x, then ‖r‖² and, for a relative tolerance, ‖b‖² of every
+	// system in one reduction. From x₀ = 0, r is b and one slot is both.
+	vals := w.vals[:0]
+	for _, s := range w.live {
+		s.warm = false
+		for _, v := range s.x {
+			if v != 0 {
+				s.warm = true
+				break
+			}
+		}
+		if s.warm {
+			apply(s.q, s.x)
+			for i := range s.r {
+				s.r[i] = s.b[i] - s.q[i]
+			}
+			if opt.Relative {
+				vals = append(vals, dot(s.b, s.b))
+			}
+		} else {
+			copy(s.r, s.b)
+		}
+		vals = append(vals, dot(s.r, s.r))
+	}
+	join.sum(vals)
+	k, keep := 0, w.live[:0]
+	for _, s := range w.live {
+		s.tol = opt.Tol
+		if opt.Relative {
+			s.tol *= math.Sqrt(vals[k])
+			if s.warm {
+				k++
+			}
+		}
+		res := math.Sqrt(vals[k])
+		k++
+		s.st = Stats{InitialRes: res}
+		if opt.History {
+			s.st.ResHist = append(s.st.ResHist, res)
+		}
+		if res <= s.tol {
+			s.st.Converged = true
+			s.st.FinalRes = res
+			continue
+		}
+		s.best = res
+		copy(s.xb, s.x)
+		precond(s.z, s.r)
+		copy(s.p, s.z)
+		vals[len(keep)] = dot(s.r, s.z)
+		keep = append(keep, s)
+	}
+	w.live = keep
+	join.sum(vals[:len(keep)])
+	for k, s := range w.live {
+		s.rz = vals[k]
+	}
+
 	// Every exit that is not a clean convergence returns the best iterate
 	// seen, not the last one. When the tolerance sits below what finite
 	// precision can deliver, CG idles at the roundoff floor where p·q can
@@ -175,57 +268,71 @@ func cg(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
 	// so without the best-iterate restore the returned x is effectively
 	// arbitrary — SPMD runs would disagree with serial by O(1e-3) from
 	// reduction-order roundoff alone. All decisions below derive from
-	// collective dots, so they are uniform across SPMD ranks.
-	best := res
-	copy(xb, x)
-	for it := 1; it <= maxIter; it++ {
-		apply(q, p)
-		pq := dot(p, q)
-		if pq <= 0 {
-			// Operator not SPD on this subspace (or breakdown): stop.
-			st.Iterations = it - 1
-			st.FinalRes = best
-			copy(x, xb)
-			return st
+	// joined inner products, so they are uniform across SPMD ranks.
+	for it := 1; it <= maxIter && len(w.live) > 0; it++ {
+		for k, s := range w.live {
+			apply(s.q, s.p)
+			vals[k] = dot(s.p, s.q)
 		}
-		alpha := rz / pq
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
+		join.sum(vals[:len(w.live)])
+		keep = w.live[:0]
+		for k, s := range w.live {
+			pq := vals[k]
+			if pq <= 0 {
+				// Operator not SPD on this subspace (or breakdown): stop.
+				s.giveUp(it - 1)
+				continue
+			}
+			alpha := s.rz / pq
+			x, r, p, q := s.x, s.r, s.p, s.q
+			for i := range x {
+				x[i] += alpha * p[i]
+				r[i] -= alpha * q[i]
+			}
+			vals[len(keep)] = dot(r, r)
+			keep = append(keep, s)
 		}
-		res = math.Sqrt(dot(r, r))
-		if opt.History {
-			st.ResHist = append(st.ResHist, res)
+		w.live = keep
+		join.sum(vals[:len(keep)])
+		keep = w.live[:0]
+		for k, s := range w.live {
+			res := math.Sqrt(vals[k])
+			if opt.History {
+				s.st.ResHist = append(s.st.ResHist, res)
+			}
+			if res <= s.tol {
+				s.st.Iterations = it
+				s.st.Converged = true
+				s.st.FinalRes = res
+				continue
+			}
+			if res < s.best {
+				s.best = res
+				copy(s.xb, s.x)
+			} else if !(res <= 1e4*s.best) {
+				// Four orders above the best achieved (or NaN): diverging in
+				// roundoff. Hand back the best iterate.
+				s.giveUp(it)
+				continue
+			}
+			precond(s.z, s.r)
+			vals[len(keep)] = dot(s.r, s.z)
+			keep = append(keep, s)
 		}
-		if res <= tol {
-			st.Iterations = it
-			st.Converged = true
-			st.FinalRes = res
-			return st
-		}
-		if res < best {
-			best = res
-			copy(xb, x)
-		} else if !(res <= 1e4*best) {
-			// Four orders above the best achieved (or NaN): diverging in
-			// roundoff. Hand back the best iterate.
-			st.Iterations = it
-			st.FinalRes = best
-			copy(x, xb)
-			return st
-		}
-		precond(z, r)
-		rz2 := dot(r, z)
-		beta := rz2 / rz
-		rz = rz2
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
+		w.live = keep
+		join.sum(vals[:len(keep)])
+		for k, s := range w.live {
+			beta := vals[k] / s.rz
+			s.rz = vals[k]
+			p, z := s.p, s.z
+			for i := range p {
+				p[i] = z[i] + beta*p[i]
+			}
 		}
 	}
-	st.Iterations = maxIter
-	st.FinalRes = best
-	copy(x, xb)
-	return st
+	for _, s := range w.live {
+		s.giveUp(maxIter)
+	}
 }
 
 // Projector implements projection onto previous solutions. The basis
@@ -237,7 +344,8 @@ func cg(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
 type Projector struct {
 	L     int // capacity (the paper uses L ~ 25)
 	apply Operator
-	dot   Dot
+	dot   Dot         // this solver's share of an inner product
+	join  Join        // completes a batch of them
 	xs    [][]float64 // A-orthonormal basis
 	axs   [][]float64 // A·basis
 
@@ -245,6 +353,7 @@ type Projector struct {
 	// for update() to reuse, and the per-solve work vectors live here.
 	free   [][]float64
 	alphas []float64
+	one    [1]float64
 	xbar   []float64
 	rhs    []float64
 
@@ -254,9 +363,10 @@ type Projector struct {
 	Savings     *instrument.Gauge // fraction of ‖b‖ removed by projection
 }
 
-// NewProjector creates a projector with basis capacity l.
-func NewProjector(l int, apply Operator, dot Dot) *Projector {
-	return &Projector{L: l, apply: apply, dot: dot}
+// NewProjector creates a projector with basis capacity l; dot and join are
+// CGBatch's.
+func NewProjector(l int, apply Operator, dot Dot, join Join) *Projector {
+	return &Projector{L: l, apply: apply, dot: dot, join: join, alphas: make([]float64, l+1)}
 }
 
 // Len returns the current basis size.
@@ -308,24 +418,34 @@ func (p *Projector) grab(n int) []float64 {
 	return make([]float64, n)
 }
 
+// whole is one inner product, completed by a reduction of its own.
+func (p *Projector) whole(u, v []float64) float64 {
+	p.one[0] = p.dot(u, v)
+	p.join.sum(p.one[:])
+	return p.one[0]
+}
+
 // ProjectAndSolve performs the full projected solve of A x = b:
 // project onto the basis, run CG on the perturbation, update the basis with
 // the new solution, and return the total solution and the CG stats. When the
 // projection alone meets the tolerance (CG takes no iteration) the solution
 // lies in the span of the basis and carries nothing new: the basis is left
 // as it is — no operator application, no orthogonalisation, and a full basis
-// is not discarded while it still answers — so such a solve costs its l
-// inner products whatever l is.
+// is not discarded while it still answers — so such a solve costs one batched
+// inner product of l slots and CG's residual norm, whatever l is.
 func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
-	n := len(b)
+	n, l := len(b), len(p.xs)
 	t0 := p.ProjectTime.Begin()
-	if cap(p.alphas) < p.L {
-		p.alphas = make([]float64, p.L)
-	}
-	alphas := p.alphas[:len(p.xs)]
+	// The coefficients ⟨xₖ, b⟩ are independent: one reduction carries them
+	// all, and ‖b‖² with them when the savings gauge wants it.
+	alphas := p.alphas[:l]
 	for k, xk := range p.xs {
 		alphas[k] = p.dot(xk, b)
 	}
+	if p.Savings != nil {
+		alphas = append(alphas, p.dot(b, b))
+	}
+	p.join.sum(alphas)
 	if cap(p.xbar) < n {
 		p.xbar = make([]float64, n)
 		p.rhs = make([]float64, n)
@@ -344,18 +464,14 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 		}
 	}
 	p.ProjectTime.End(t0)
-	p.BasisSize.Set(float64(len(p.xs)))
-	if p.Savings != nil {
-		nb := math.Sqrt(p.dot(b, b))
-		nr := math.Sqrt(p.dot(rhs, rhs))
-		if nb > 0 {
-			p.Savings.Set(1 - nr/nb)
-		}
-	}
+	p.BasisSize.Set(float64(l))
 	for i := range x {
 		x[i] = 0
 	}
-	st := CG(p.apply, p.dot, x, rhs, opt)
+	st := solve1(p.apply, p.dot, p.join, x, rhs, opt)
+	if p.Savings != nil && alphas[l] > 0 {
+		p.Savings.Set(1 - st.InitialRes/math.Sqrt(alphas[l]))
+	}
 	t1 := p.ProjectTime.Begin()
 	for i := range x {
 		x[i] += xbar[i]
@@ -378,11 +494,11 @@ func (p *Projector) update(x []float64) {
 	copy(w, x)
 	aw := p.grab(n)
 	p.apply(aw, w) // the one extra operator application per solve
-	norm0 := p.dot(w, aw)
+	norm0 := p.whole(w, aw)
 	// Two Gram-Schmidt passes for robustness against near-dependence.
 	for pass := 0; pass < 2; pass++ {
 		for k := range p.xs {
-			beta := p.dot(p.axs[k], w)
+			beta := p.whole(p.axs[k], w)
 			xk, axk := p.xs[k], p.axs[k]
 			for i := 0; i < n; i++ {
 				w[i] -= beta * xk[i]
@@ -390,7 +506,7 @@ func (p *Projector) update(x []float64) {
 			}
 		}
 	}
-	norm2 := p.dot(w, aw)
+	norm2 := p.whole(w, aw)
 	// Reject candidates that are (numerically) inside the span: normalizing
 	// roundoff noise would poison the basis and destabilize later solves.
 	if norm2 <= 0 || math.IsNaN(norm2) || norm2 <= 1e-12*norm0 {

@@ -136,7 +136,7 @@ func TestProjectorReducesIterations(t *testing.T) {
 		st := CG(apply, plainDot, x, rhs(s), opt)
 		plainIters += st.Iterations
 	}
-	proj := NewProjector(20, apply, plainDot)
+	proj := NewProjector(20, apply, plainDot, nil)
 	for s := 0; s < steps; s++ {
 		st := proj.ProjectAndSolve(x, rhs(s), opt)
 		projIters += st.Iterations
@@ -164,7 +164,7 @@ func TestProjectorRestartAtCapacity(t *testing.T) {
 	n := 40
 	a := spd(rng, n)
 	apply := denseOp(a, n)
-	proj := NewProjector(5, apply, plainDot)
+	proj := NewProjector(5, apply, plainDot, nil)
 	x := make([]float64, n)
 	for s := 0; s < 12; s++ {
 		b := make([]float64, n)
@@ -195,7 +195,7 @@ func TestProjectorLeavesBasisWhenProjectionAnswers(t *testing.T) {
 		denseOp(a, n)(out, in)
 	}
 	const l = 3
-	proj := NewProjector(l, apply, plainDot)
+	proj := NewProjector(l, apply, plainDot, nil)
 	opt := Options{Tol: 1e-9, MaxIter: 500}
 	x := make([]float64, n)
 	var last []float64
@@ -233,7 +233,7 @@ func TestProjectorBasisAOrthonormal(t *testing.T) {
 	n := 30
 	a := spd(rng, n)
 	apply := denseOp(a, n)
-	proj := NewProjector(10, apply, plainDot)
+	proj := NewProjector(10, apply, plainDot, nil)
 	x := make([]float64, n)
 	for s := 0; s < 6; s++ {
 		b := make([]float64, n)
@@ -351,7 +351,7 @@ func TestProjectorSteadyStateAllocFree(t *testing.T) {
 		}
 		return s
 	}
-	p := NewProjector(4, apply, dot)
+	p := NewProjector(4, apply, dot, nil)
 	opt := Options{Tol: 1e-10, Relative: true, MaxIter: 200, Scratch: &Scratch{}}
 	x := make([]float64, n)
 	b := make([]float64, n)

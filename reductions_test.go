@@ -1,0 +1,95 @@
+package repro_test
+
+// reductions_test.go counts allreduces: the pinned number the step's batching
+// is for, and the performance model's count against the machine's.
+
+import (
+	"testing"
+
+	"repro/internal/flowcases"
+	"repro/internal/instrument"
+	"repro/internal/parrun"
+	"repro/internal/perfmodel"
+)
+
+// TestGoldenReductionCount pins what the step's batching is for: the
+// allreduces one rank issues over warm steps 41-60 of the P = 8 golden
+// channel, read from comm's own counter. Every decision in the step derives
+// from joined values, so the count is exact. Before the independent inner
+// products travelled together (PR 22) it was 1480.
+func TestGoldenReductionCount(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	cfg, init, _, err := flowcases.ChannelSpec(goldenChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, warm, steps = 8, 40, 20
+	reg := instrument.New()
+	s, err := parrun.Start(cfg, parrun.NSConfig{P: p, Init: init, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := reg.Counter("comm/allreduce.calls")
+	if _, err := s.StepN(warm); err != nil {
+		t.Fatal(err)
+	}
+	before := calls.Value()
+	if _, err := s.StepN(steps); err != nil {
+		t.Fatal(err)
+	}
+	const want = 982
+	if got := calls.Value() - before; got != want*p {
+		t.Errorf("%d allreduce calls over %d warm steps on %d ranks (%.2f per rank and step), want %d per rank",
+			got, steps, p, float64(got)/(p*steps), want)
+	}
+}
+
+// TestPerfModelCountsTheReductionsTheStepIssues: perfmodel.Run.Reductions,
+// fed the recorded history of the first 30 steps of the P = 8 golden channel
+// (cold solves, a filling and restarting projection basis, steps whose
+// projection alone answers), plus the three allreduces of each XXT coarse
+// solve (one inside, two vector ones around it) that the model prices with the
+// coarse term, is exactly what comm counted on every rank. The viscous solves
+// of this run stop at their rounding floor (VTol is below it), through the
+// exit that costs what a convergence at that iteration costs.
+func TestPerfModelCountsTheReductionsTheStepIssues(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	cfg, init, _, err := flowcases.ChannelSpec(goldenChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ProjectionL = 8 // restarts inside the window
+	const p, steps = 8, 30
+	reg := instrument.New()
+	s, err := parrun.Start(cfg, parrun.NSConfig{P: p, Init: init, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := reg.Counter("comm/allreduce.calls")
+	setUp := calls.Value()
+	if _, err := s.StepN(steps); err != nil {
+		t.Fatal(err)
+	}
+	res := s.Result()
+	run := perfmodel.Run{Dim: 2, Enclosed: true}
+	var want, iterating int
+	for _, st := range res.StepStats {
+		run.PressIters = append(run.PressIters, st.PressureIters)
+		run.HelmIters = append(run.HelmIters, max(st.HelmholtzIters[0], st.HelmholtzIters[1]))
+		run.Substeps = append(run.Substeps, st.Substeps)
+		run.ProjBasis = append(run.ProjBasis, st.ProjectionBasis)
+		if st.PressureIters > 0 {
+			iterating++
+		}
+	}
+	for i := range res.StepStats {
+		want += run.Reductions(i) + 3*run.PressIters[i]
+	}
+	if got := calls.Value() - setUp; got != int64(want*p) {
+		t.Errorf("comm counted %d allreduces over %d steps on %d ranks (%.2f per rank), the model %d per rank",
+			got, steps, p, float64(got)/p, want)
+	}
+	if iterating == steps || iterating == 0 {
+		t.Errorf("%d of %d steps iterate: the window was to hold both kinds", iterating, steps)
+	}
+}

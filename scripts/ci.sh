@@ -13,9 +13,11 @@
 #           -short; everything with concurrency (comm ranks, gs exchange,
 #           sem worker pools, instrument counters) still runs under -race.
 #           The stepper tests run ten times more: a rank's state is
-#           re-entered by a new goroutine on every batch. So does the Schwarz
+#           re-entered by a new goroutine on every batch. So do the Schwarz
 #           rank-equivalence test, whose border exchange is the one new
-#           cross-rank data path of the pressure preconditioner.
+#           cross-rank data path of the pressure preconditioner, and the SumN
+#           and lockstep-CG rank-equivalence tests: the short-vector reduction
+#           is the one collective every batched inner product rides on.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -25,6 +27,7 @@
 #   smoke   build semflow + semflowd + tracecheck + tracepath + tables once, then
 #           validate the -trace and -history artifacts of the serial (wall
 #           track only), distributed (rank tracks) and fault-injected runs,
+#           hold the -ranks 4 run to its pinned allreduces per step,
 #           checkpoint and resume on both machines,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report
@@ -72,7 +75,7 @@ tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
     stage "tier2/stepper" go test -race -count=10 \
-        -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks' \
+        -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
 }
 
@@ -221,6 +224,17 @@ smoke() {
         -trace "$out/dist-trace.json" -history "$out/dist-history.jsonl"
     "$out/bin/tracecheck" -trace "$out/dist-trace.json" -min-ranks 4 \
         -history "$out/dist-history.jsonl"
+
+    echo "== smoke: the -ranks 4 run issues no more allreduces per step than pinned =="
+    # 130.50 per rank and step over these four cold steps (145.25 before the
+    # step batched its independent inner products): a reduction that creeps
+    # back into the step shows here before it shows in a benchmark.
+    "$out/bin/semflow" -case channel -n 5 -ranks 4 -steps 4 -report 1 -stats > "$out/dist-stats.txt"
+    per_step="$(sed -n 's/^allreduces per rank and step: \([0-9.]*\).*/\1/p' "$out/dist-stats.txt")"
+    awk -v got="$per_step" 'BEGIN { exit !(got != "" && got + 0 <= 130.50) }' || {
+        echo "allreduces per rank and step: '$per_step', want at most 130.50" >&2
+        exit 1
+    }
 
     echo "== smoke: fault-injected run recovers, trace carries fault spans =="
     cat > "$out/faults.json" <<'EOF'

@@ -2,13 +2,13 @@
 # Strong-scaling study driver: runs `tables -exp scaling` — the Fig. 6/8
 # strong-scaling sweep of the distributed channel stepper at paper-scale
 # rank counts — and records the output as the committed SCALING.md
-# artifact. The sweep is not part of `tables -exp all`: the P=1024 point
-# alone runs ~64M simulated messages and takes minutes.
+# artifact. The sweep takes seconds (two cold steps of ~10 pressure
+# iterations per point) but is still not part of `tables -exp all`.
 #
 # Usage:
 #   scripts/scale.sh         full sweep (K=1024, P in {16,64,256,1024};
-#                            ~15 min on one core) -> SCALING.md
-#   scripts/scale.sh quick   reduced sweep (K=64, P in {4,16,64}; ~1 min),
+#                            ~7 s on two cores) -> SCALING.md
+#   scripts/scale.sh quick   reduced sweep (K=64, P in {4,16,64}; ~1 s),
 #                            printed only, nothing written
 set -eu
 cd "$(dirname "$0")/.."
