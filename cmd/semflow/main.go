@@ -252,9 +252,8 @@ func main() {
 		} else {
 			fmt.Printf("\n%s", rep.String())
 			if res := sess.Distributed(); res != nil && res.Steps > res.FirstStep {
-				calls := sess.Registry().Counter("comm/allreduce.calls").Value()
-				fmt.Printf("\nallreduces per rank and step: %.2f (%d calls on %d ranks over %d steps, set-up included)\n",
-					float64(calls)/float64(res.P*(res.Steps-res.FirstStep)), calls, res.P, res.Steps-res.FirstStep)
+				calls, n := sess.Registry().Counter("comm/allreduce.calls").Value(), res.P*(res.Steps-res.FirstStep)
+				fmt.Printf("\nallreduces per rank and step: %.2f (%d calls, set-up included)\n", float64(calls)/float64(n), calls)
 			}
 		}
 	}

@@ -131,16 +131,13 @@ type rankTL struct {
 	end    float64  // final clock (max span end)
 }
 
-// sendEndingAt returns the send span that ends where a flow arrow starts. A
-// span is stored as (ts, dur), so its end reads back as the arrow's time give
-// or take a rounding, and an exact match loses most message edges: the
-// nearest end within a tolerance far below the shortest send is the one.
+// sendEndingAt returns the send span that ends where a flow arrow starts: a
+// span is stored as (ts, dur), so its end reads back a rounding away from the
+// arrow's time. The tolerance is far below the shortest send.
 func (t *rankTL) sendEndingAt(ts float64) (cpSpan, bool) {
-	i := sort.Search(len(t.sends), func(i int) bool { return t.sends[i].t1 >= ts })
-	if i > 0 && (i == len(t.sends) || ts-t.sends[i-1].t1 < t.sends[i].t1-ts) {
-		i--
-	}
-	if i == len(t.sends) || math.Abs(t.sends[i].t1-ts) > 1e-12*(1+ts) {
+	tol := 1e-12 * (1 + ts)
+	i := sort.Search(len(t.sends), func(i int) bool { return t.sends[i].t1 >= ts-tol })
+	if i == len(t.sends) || t.sends[i].t1 > ts+tol {
 		return cpSpan{}, false
 	}
 	return t.sends[i], true

@@ -20,8 +20,7 @@ import (
 //   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
 //     run) to a velocity-grid field stored in owned blocks. No mask, no flops.
 //   - Sum and Max join one value per solver into the value every solver sees;
-//     SumN joins a short vector, slot by slot, in the order Sum would have used
-//     for each — one reduction for any number of independent inner products.
+//     SumN joins a short vector in one reduction, each slot bitwise as Sum would.
 //   - Charge accounts local floating-point work.
 //   - CoarseSolve turns the vertex residual this solver restricted from its
 //     own elements into the Schwarz coarse solution on all vertices

@@ -175,9 +175,8 @@ type template struct {
 type Solver struct {
 	*template
 	mach  Machine
-	join  solver.Join // mach.SumN; nil in shared memory
-	elems []int       // == mach.Elems()
-	n     int         // owned velocity dofs per component (len(elems)·Np)
+	elems []int // == mach.Elems()
+	n     int   // owned velocity dofs per component (len(elems)·Np)
 	step  int
 	time  float64
 
@@ -210,8 +209,7 @@ type Solver struct {
 	bArena    [][]float64     // Helmholtz RHS, one per component of a batch (velocity grid)
 	huArena   []float64       // lifted-operator image
 	duArena   [][]float64     // CG solution increments, likewise
-	helmStats [3]solver.Stats // and the batch's statistics
-	energyBuf [3]float64      // telemetry: ‖u_c‖² around the filter
+	cgStats   [3]solver.Stats // and the batch's statistics
 	rvArena   []float64       // sandwich: extruded subdomain residuals
 	zvArena   []float64       // sandwich: subdomain solutions
 	rpArena   []float64       // pressure RHS (Gauss grid)
@@ -479,7 +477,7 @@ func (s *Solver) build(precondForced bool) error {
 	for e := range sh.elems {
 		sh.elems[e] = e
 	}
-	if err := s.initState(sh, cfg.Workers, nil); err != nil {
+	if err := s.initState(sh, cfg.Workers); err != nil {
 		return err
 	}
 	if sc := cfg.Scalar; sc != nil && sc.Initial != nil {
@@ -500,7 +498,7 @@ func (s *Solver) build(precondForced bool) error {
 // Machine's to time). Forks must not Close.
 func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	f := &Solver{template: s.template}
-	if err := f.initState(mach, 1, mach.SumN); err != nil {
+	if err := f.initState(mach, 1); err != nil {
 		return nil, err
 	}
 	np, npp := s.M.Np, s.npp
@@ -522,13 +520,11 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 // initState sizes everything a solver keeps per owned element — local views
 // of the template's per-node data, fields, arenas, per-worker scratch, loop
 // bodies and flop charges — for mach's elements. The only communication is
-// one Assemble (the nodal multiplicity). join completes the solves' batched
-// inner products: mach.SumN, or nil in shared memory, where a share is the
-// whole.
-func (s *Solver) initState(mach Machine, workers int, join solver.Join) error {
+// one Assemble (the nodal multiplicity).
+func (s *Solver) initState(mach Machine, workers int) error {
 	m, cfg := s.M, s.Cfg
 	np, npp := m.Np, s.npp
-	s.mach, s.elems, s.join = mach, mach.Elems(), join
+	s.mach, s.elems = mach, mach.Elems()
 	s.n = len(s.elems) * np
 	nP := len(s.elems) * npp
 
@@ -577,12 +573,10 @@ func (s *Solver) initState(mach Machine, workers int, join solver.Join) error {
 	}
 	for c := 0; c < s.dim; c++ {
 		s.gp[c] = vec()
+		s.bArena, s.duArena = append(s.bArena, vec()), append(s.duArena, vec())
 	}
 	s.P = make([]float64, nP)
 	s.huArena = vec()
-	for c := 0; c < s.dim; c++ {
-		s.bArena, s.duArena = append(s.bArena, vec()), append(s.duArena, vec())
-	}
 	s.rpArena = make([]float64, nP)
 	s.dpArena = make([]float64, nP)
 	s.divArena = make([]float64, nP)
@@ -604,7 +598,7 @@ func (s *Solver) initState(mach Machine, workers int, join solver.Join) error {
 	}
 	s.cgScratch = &solver.Scratch{}
 	if cfg.ProjectionL > 0 {
-		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDotShare, join)
+		s.projector = solver.NewProjector(cfg.ProjectionL, s.applyE, s.pressureDotShare, mach.SumN)
 	}
 
 	fdmLen := 0

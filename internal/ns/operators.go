@@ -188,8 +188,7 @@ func (s *Solver) applyE(out, p []float64) {
 
 // dotShare is this solver's share of the inner product of velocity-grid
 // fields in redundant element-local storage: each global node is counted once
-// (division by multiplicity) over the owned blocks. Machine.Sum, or SumN for a
-// batch of shares (solver.Join), joins them over the run.
+// (division by multiplicity). Machine.Sum or, for a batch, SumN makes it whole.
 func (s *Solver) dotShare(u, v []float64) float64 {
 	var sum float64
 	mult := s.mult
@@ -200,15 +199,14 @@ func (s *Solver) dotShare(u, v []float64) float64 {
 	return sum
 }
 
-// pressureDotShare is the share of the plain inner product on the
-// (discontinuous) pressure space: pressure nodes are never shared, so there
-// is no multiplicity.
+// pressureDotShare is the share of the plain inner product on the pressure
+// space, whose nodes are never shared: no multiplicity.
 func (s *Solver) pressureDotShare(a, b []float64) float64 {
 	s.mach.Charge(int64(2 * len(a)))
 	return la.Dot(a, b)
 }
 
-// pressureDot is the whole pressure inner product, a reduction of its own.
+// pressureDot is the whole product, a reduction of its own: norms, set-up.
 func (s *Solver) pressureDot(a, b []float64) float64 {
 	return s.mach.Sum(s.pressureDotShare(a, b))
 }

@@ -65,12 +65,12 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.instr.cfl.Set(st.CFL)
 
 	// --- Momentum right-hand sides, then the Helmholtz solves of all
-	// components as one lockstep batch: the operator sweeps stay per component
-	// and every component iterates exactly as it would alone, but the three
-	// inner products of an iteration carry one slot per component, so the
-	// phase costs the reductions of its slowest component (DESIGN.md "One
-	// step, two backends"). ---
+	// components as one lockstep batch: every component iterates as it would
+	// alone, its inner products travel with the others', and the phase costs
+	// the reductions of its slowest component (DESIGN.md "One step, two
+	// backends"). ---
 	s.mach.Begin(SecViscous)
+	st.ViscousConverged = true
 	h1 := 1.0 / cfg.Re
 	h2 := beta / cfg.Dt
 	s.helmholtzDiag(&s.helmDiag, &s.helmH1, &s.helmH2, h1, h2, s.mask)
@@ -88,12 +88,9 @@ func (s *Solver) Step() (st StepStats, err error) {
 	vstats := s.helmholtzSolve(ustar[:s.dim], s.jacobi, solver.Options{
 		Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
 		Tracer: s.tracer, TraceName: "helmholtz.cg"})
-	st.ViscousConverged = true
 	for c, stats := range vstats {
 		st.HelmholtzIters[c] = stats.Iterations
 		st.ViscousConverged = st.ViscousConverged && stats.Converged
-	}
-	for c, stats := range vstats {
 		if !stats.Converged && stats.FinalRes > 1e-6 {
 			s.mach.End(SecViscous, st)
 			return st, fmt.Errorf("ns: Helmholtz solve for component %d failed (res %g)", c, stats.FinalRes)
@@ -124,7 +121,8 @@ func (s *Solver) Step() (st StepStats, err error) {
 		pstats = s.projector.ProjectAndSolve(dp, rp, popt)
 		st.ProjectionBasis = s.projector.Len()
 	} else {
-		pstats = solver.CG(s.applyE, s.pressureDot, dp, rp, popt)
+		solver.CGBatch(s.applyE, s.pressureDotShare, s.mach.SumN, [][]float64{dp}, [][]float64{rp}, popt, s.cgStats[:1])
+		pstats = s.cgStats[0]
 	}
 	st.PressureIters = pstats.Iterations
 	st.PressureRes0 = pstats.InitialRes
@@ -160,12 +158,11 @@ func (s *Solver) Step() (st StepStats, err error) {
 
 	// --- Filter, rotate history, commit. ---
 	s.mach.Begin(SecFilter)
-	// Telemetry: the energy the filter removes, Σ_c ‖u_c‖² before less after,
-	// each side's norms in one reduction.
 	var filterRemoved float64
-	telemetry := s.history != nil && s.filter != nil
-	if telemetry {
-		filterRemoved = s.energy(ustar)
+	if s.history != nil && s.filter != nil {
+		for c := 0; c < s.dim; c++ {
+			filterRemoved += s.mach.Sum(s.dotShare(ustar[c], ustar[c]))
+		}
 	}
 	if s.filter != nil {
 		for c := 0; c < s.dim; c++ {
@@ -173,8 +170,10 @@ func (s *Solver) Step() (st StepStats, err error) {
 			s.setDirichletComponent(ustar[c], c, tNew)
 		}
 		s.mach.Charge(s.filtF * int64(len(s.elems)*s.dim))
-		if telemetry {
-			filterRemoved -= s.energy(ustar)
+		if s.history != nil {
+			for c := 0; c < s.dim; c++ {
+				filterRemoved -= s.mach.Sum(s.dotShare(ustar[c], ustar[c]))
+			}
 		}
 		if s.T != nil {
 			s.applyFilter(s.T)
@@ -312,46 +311,29 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 // helmholtzSolve finishes the lifted Helmholtz solves (h1·A + h2·B) us[c] =
 // bArena[c] for the operator currently in s.curH1/curH2/curMask, as one
 // lockstep CG batch: us[c] holds the boundary lift on entry and the solution
-// on return, bArena[c] the assembled right-hand side (overwritten). opt
-// carries the caller's instrumentation. The returned statistics, one per
-// system, are valid until the next call.
+// on return, bArena[c] the assembled right-hand side (overwritten). opt carries
+// the caller's instrumentation; the statistics are valid until the next solve.
 func (s *Solver) helmholtzSolve(us [][]float64, jacobi solver.Operator, opt solver.Options) []solver.Stats {
 	m := len(us)
 	hu := s.huArena
 	for c, u := range us {
-		b, du := s.bArena[c], s.duArena[c]
+		b := s.bArena[c]
 		s.helmholtz(hu, u, s.curH1, s.curH2, s.curMask)
 		for i := range b {
 			b[i] -= hu[i]
 		}
 		applyMask(b, s.curMask)
-		for i := range du {
-			du[i] = 0
-		}
+		clear(s.duArena[c])
 	}
 	opt.Tol, opt.Relative, opt.MaxIter = s.Cfg.VTol, true, 1000
 	opt.Precond, opt.Scratch = jacobi, s.cgScratch
-	solver.CGBatch(s.helmOp, s.dotShare, s.join, s.duArena[:m], s.bArena[:m], opt, s.helmStats[:m])
+	solver.CGBatch(s.helmOp, s.dotShare, s.mach.SumN, s.duArena[:m], s.bArena[:m], opt, s.cgStats[:m])
 	for c, u := range us {
-		du := s.duArena[c]
-		for i := range u {
-			u[i] += du[i]
+		for i, d := range s.duArena[c] {
+			u[i] += d
 		}
 	}
-	return s.helmStats[:m]
-}
-
-// energy returns Σ_c ‖u_c‖², the components' norms joined in one reduction.
-func (s *Solver) energy(u [3][]float64) (sum float64) {
-	e := s.energyBuf[:s.dim]
-	for c := range e {
-		e[c] = s.dotShare(u[c], u[c])
-	}
-	s.mach.SumN(e)
-	for _, v := range e {
-		sum += v
-	}
-	return sum
+	return s.cgStats[:m]
 }
 
 // setDirichletComponent writes the Dirichlet boundary value of component c.

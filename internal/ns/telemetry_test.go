@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/instrument"
+	"repro/internal/solver"
 )
 
 func telemetrySolver(t *testing.T) *Solver {
@@ -156,9 +157,16 @@ func TestStepTraceBalanced(t *testing.T) {
 			t.Errorf("no %q span in step trace", name)
 		}
 	}
-	// The components are solved as one lockstep batch, and each solve still
-	// gets a span of its own (nested: they share the batch's interval).
-	if got, want := seen["helmholtz.cg"], 2*s.dim; got != want {
-		t.Errorf("%d helmholtz.cg spans over 2 steps, want one per component and step: %d", got, want)
+	// The components are solved as one lockstep batch under one span, whose
+	// end carries every component's statistics.
+	if got := seen["helmholtz.cg"]; got != 2 {
+		t.Errorf("%d helmholtz.cg spans over 2 steps, want one per step", got)
+	}
+	for _, ev := range tr.Events() {
+		if ev.Ph == "E" && ev.Name == "helmholtz.cg" {
+			if sts, _ := ev.Args["systems"].([]solver.Stats); len(sts) != s.dim {
+				t.Errorf("helmholtz.cg span ends with %v, want the statistics of every component", ev.Args)
+			}
+		}
 	}
 }

@@ -10,9 +10,8 @@
 //   - per-processor floating-point rates in the Table 3 ballpark, with the
 //     "std." vs "perf." DGEMM selections and the 82 % dual-processor
 //     efficiency quoted in Sec. 6, and
-//   - an α–β network model for gather–scatter exchanges, the short
-//     allreduces the step issues (Reductions: counted as the code issues
-//     them), and the XXT coarse solve (3·n^{2/3}·log₂P volume).
+//   - an α–β network model for gather–scatter exchanges, the step's short
+//     allreduces (Reductions), and the XXT coarse solve (3·n^{2/3}·log₂P volume).
 package perfmodel
 
 import "math"
@@ -50,42 +49,15 @@ type Run struct {
 	PressIters []int
 	HelmIters  []int // per step, of the slowest component (the components iterate in lockstep)
 	Substeps   []int // OIFS substeps per step
-
-	// ProjBasis is the projection basis size after each step's pressure solve
-	// (nil: no projection); Enclosed marks a domain without open boundary,
-	// whose pressure null space is deflated by a global mean. Both only count
-	// in Reductions.
-	ProjBasis []int
-	Enclosed  bool
 }
 
-// Reductions returns the short (one- or few-word) allreduces every rank
-// issues in step i, as ns.Solver.Step issues them when its solves converge:
-// two maxima (CFL, NaN check); per CG solve — the velocity components are one
-// lockstep solve — a norm at the start and, if it iterates, r·z and then p·q,
-// ‖r‖², r·z per iteration, the last without its r·z; with projection its
-// coefficients in one reduction and, after a solve that iterated, two norms
-// and two Gram–Schmidt passes over the basis; on an enclosed domain a mean for
-// the right-hand side, the pressure, every E application and both sides of
-// every preconditioner application. The allreduces of the XXT coarse solves
-// (one inside, two vector ones around each) are priced with the coarse term.
+// Reductions returns the short allreduces every rank issues in step i, as
+// ns.Solver.Step does: two maxima (CFL, NaN check) and, per CG solve — the
+// velocity components are one lockstep solve — a start-up norm and three inner
+// products per iteration. Projection and null-space means are not modelled
+// (reductions_test.go adds them); the XXT solves' are in the coarse term.
 func (r *Run) Reductions(i int) int {
-	p, h := r.PressIters[i], r.HelmIters[i]
-	n := 2 + 2 + 3*(h+p) // maxima, the two solves' start-up norms, their iterations
-	eApplies := p
-	if r.ProjBasis != nil {
-		if i > 0 && r.ProjBasis[i-1] > 0 {
-			n++
-		}
-		if p > 0 {
-			n += 2 + 2*max(r.ProjBasis[i]-1, 0)
-			eApplies++
-		}
-	}
-	if r.Enclosed {
-		n += 2 + eApplies + 2*p
-	}
-	return n
+	return 2 + 2 + 3*(r.PressIters[i]+r.HelmIters[i])
 }
 
 // PhaseFlops returns the modeled floating point operations of step i split
@@ -141,7 +113,7 @@ func (r *Run) commPerStep(i int, m Machine, p int) float64 {
 	faceWords := 6 * math.Pow(kp, 2.0/3.0) * n1 * n1
 	gsTime := 6*m.Alpha + faceWords*8*m.Beta
 	dotTime := float64(r.Reductions(i)) * 2 * m.Alpha * logp
-	iters := float64(r.PressIters[i] + r.Dim*r.HelmIters[i])
+	iters := float64(r.PressIters[i]) + 3*float64(r.HelmIters[i])
 	// XXT coarse solve per pressure iteration: fan-in/out tree with the
 	// separator-bounded volume.
 	coarseWords := 3 * math.Pow(float64(r.CoarseN), 2.0/3.0)

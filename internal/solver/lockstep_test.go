@@ -226,20 +226,14 @@ func TestLockstepCGIsTheSequentialSolves(t *testing.T) {
 						}
 					}
 
-					// Width 0 is the whole batch without a join: nothing to share,
-					// so CGBatch solves its members one after the other.
-					for _, width := range []int{len(c.bs), 1, 4, 0} {
+					for _, width := range []int{len(c.bs), 1, 4} {
 						gotX, bs := clone2(c.xs), clone2(c.bs)
 						got := make([]Stats, len(bs))
 						var n reductions
 						opt.Scratch = scratch
-						join := Join(n.join)
-						if width == 0 {
-							width, join = len(bs)+1, nil
-						}
 						for lo := 0; lo < len(bs); lo += width {
 							hi := min(lo+width, len(bs))
-							CGBatch(c.apply, plainDot, join, gotX[lo:hi], bs[lo:hi], opt, got[lo:hi])
+							CGBatch(c.apply, plainDot, n.join, gotX[lo:hi], bs[lo:hi], opt, got[lo:hi])
 						}
 						for i := range bs {
 							if !reflect.DeepEqual(got[i], want[i]) {

@@ -17,19 +17,18 @@ import (
 // Operator applies a linear operator: out = A·in. out never aliases in.
 type Operator func(out, in []float64)
 
-// Dot is an inner product (for element-local SEM storage it must count each
-// global node once).
+// Dot is one solver's share of an inner product (for element-local SEM
+// storage it must count each global node once); the Join that travels with it
+// makes it whole. A solver that holds the whole problem (CG) has it all.
 type Dot func(u, v []float64) float64
 
-// Join completes a short vector of inner products of which every solver of a
-// run holds a share: it sums the shares over the run, slot by slot, in one
-// reduction — any number of independent inner products for the latency of
-// one — each slot bitwise as a reduction of its own would leave it. A nil
-// Join does nothing: the Dot beside it is already whole (one address space).
+// Join sums a short vector of shares over the solvers of a run, slot by slot,
+// in one reduction — any number of independent inner products for the latency
+// of one — each slot bitwise as a reduction of its own would leave it.
 type Join func(vals []float64)
 
 func (j Join) sum(vals []float64) {
-	if j != nil && len(vals) > 0 {
+	if len(vals) > 0 {
 		j(vals)
 	}
 }
@@ -76,8 +75,7 @@ type Options struct {
 }
 
 // Scratch holds the work vectors and bookkeeping of a batch of systems; it
-// grows on demand and may be reused across solves of different sizes and
-// batch widths.
+// grows on demand and may be reused across solves of any size and width.
 type Scratch struct {
 	sys  []cgSys
 	live []*cgSys  // the systems still iterating
@@ -116,54 +114,37 @@ func (w *Scratch) start(xs, bs [][]float64) {
 	}
 }
 
-// giveUp ends a system that did not converge cleanly after it iterations: it
-// hands back the best iterate seen.
+// giveUp ends a system without convergence after it iterations, at its best.
 func (s *cgSys) giveUp(it int) {
 	s.st.Iterations = it
 	s.st.FinalRes = s.best
 	copy(s.x, s.xb)
 }
 
-// CG solves A x = b by preconditioned conjugate gradients, starting from
-// the supplied x (commonly zero): CGBatch on one system, dot its whole inner
-// product.
+// CG solves A x = b by preconditioned conjugate gradients, starting from the
+// supplied x (commonly zero): CGBatch on one system, dot whole, nothing to join.
 func CG(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
-	return solve1(apply, dot, nil, x, b, opt)
-}
-
-func solve1(apply Operator, dot Dot, join Join, x, b []float64, opt Options) Stats {
 	var st [1]Stats
-	CGBatch(apply, dot, join, [][]float64{x}, [][]float64{b}, opt, st[:])
+	CGBatch(apply, dot, func([]float64) {}, [][]float64{x}, [][]float64{b}, opt, st[:])
 	return st[0]
 }
 
 // CGBatch solves the systems A xs[i] = bs[i] of one operator (equal lengths)
 // by preconditioned conjugate gradients in lockstep, from the supplied xs, and
-// reports each in sts[i]; dot is this solver's share of an inner product and
-// join completes a batch of them. Every system does exactly the arithmetic of
-// a solve on its own and leaves the batch when it finishes; only the inner
-// products travel together, one slot per live system, so the batch costs the
-// reductions of its longest member. opt.Time brackets the batch, the other
-// instruments are fed once per system. Without a join there is no reduction
-// to share and the systems are solved one after the other, each with its
-// vectors to itself in cache (lockstep cost the N = 9 channel step 2 %).
+// reports each in sts[i]. Every system does exactly the arithmetic of a solve
+// on its own and leaves the batch when it finishes; only the inner products
+// travel together, one slot per live system: the batch costs the reductions of
+// its longest member. opt.Time and the span bracket the batch, the other
+// instruments are fed once per system.
 func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options, sts []Stats) {
-	if join == nil && len(bs) > 1 {
-		for i := range bs {
-			CGBatch(apply, dot, nil, xs[i:i+1], bs[i:i+1], opt, sts[i:i+1])
-		}
-		return
-	}
 	t0 := opt.Time.Begin()
-	var spans []instrument.Span
+	var sp instrument.Span
 	if opt.Tracer != nil {
 		name := opt.TraceName
 		if name == "" {
 			name = "cg"
 		}
-		for range bs {
-			spans = append(spans, opt.Tracer.Begin(instrument.PidWall, 0, name, "solver"))
-		}
+		sp = opt.Tracer.Begin(instrument.PidWall, 0, name, "solver")
 	}
 	w := opt.Scratch
 	if w == nil {
@@ -171,12 +152,9 @@ func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options
 	}
 	w.start(xs, bs)
 	w.cg(apply, dot, join, opt)
-	for i := len(bs) - 1; i >= 0; i-- { // spans nest: last begun, first ended
+	for i := range bs {
 		st := w.sys[i].st
 		sts[i] = st
-		if spans != nil {
-			spans[i].EndWith(map[string]any{"iterations": st.Iterations, "converged": st.Converged, "final_res": st.FinalRes})
-		}
 		opt.Iters.Add(int64(st.Iterations))
 		opt.IterHist.Observe(float64(st.Iterations))
 		if st.Converged {
@@ -184,6 +162,9 @@ func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options
 		} else {
 			opt.Converged.Set(0)
 		}
+	}
+	if opt.Tracer != nil {
+		sp.EndWith(map[string]any{"systems": append([]Stats(nil), sts[:len(bs)]...)})
 	}
 	opt.Time.End(t0)
 }
@@ -226,8 +207,8 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 		vals = append(vals, dot(s.r, s.r))
 	}
 	join.sum(vals)
-	k, keep := 0, w.live[:0]
-	for _, s := range w.live {
+	k := 0
+	for j, s := range w.live {
 		s.tol = opt.Tol
 		if opt.Relative {
 			s.tol *= math.Sqrt(vals[k])
@@ -235,68 +216,27 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 				k++
 			}
 		}
-		res := math.Sqrt(vals[k])
+		vals[j] = vals[k] // ‖r‖² into the system's slot
 		k++
-		s.st = Stats{InitialRes: res}
-		if opt.History {
-			s.st.ResHist = append(s.st.ResHist, res)
-		}
-		if res <= s.tol {
-			s.st.Converged = true
-			s.st.FinalRes = res
-			continue
-		}
-		s.best = res
-		copy(s.xb, s.x)
-		precond(s.z, s.r)
-		copy(s.p, s.z)
-		vals[len(keep)] = dot(s.r, s.z)
-		keep = append(keep, s)
-	}
-	w.live = keep
-	join.sum(vals[:len(keep)])
-	for k, s := range w.live {
-		s.rz = vals[k]
 	}
 
-	// Every exit that is not a clean convergence returns the best iterate
-	// seen, not the last one. When the tolerance sits below what finite
-	// precision can deliver, CG idles at the roundoff floor where p·q can
-	// be arbitrarily small but positive; a single step with the resulting
-	// huge alpha catapults x far from the solution while the residual jumps
-	// several orders. Which iteration that happens on depends on rounding,
-	// so without the best-iterate restore the returned x is effectively
-	// arbitrary — SPMD runs would disagree with serial by O(1e-3) from
-	// reduction-order roundoff alone. All decisions below derive from
-	// joined inner products, so they are uniform across SPMD ranks.
-	for it := 1; it <= maxIter && len(w.live) > 0; it++ {
-		for k, s := range w.live {
-			apply(s.q, s.p)
-			vals[k] = dot(s.p, s.q)
-		}
-		join.sum(vals[:len(w.live)])
-		keep = w.live[:0]
-		for k, s := range w.live {
-			pq := vals[k]
-			if pq <= 0 {
-				// Operator not SPD on this subspace (or breakdown): stop.
-				s.giveUp(it - 1)
-				continue
-			}
-			alpha := s.rz / pq
-			x, r, p, q := s.x, s.r, s.p, s.q
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * q[i]
-			}
-			vals[len(keep)] = dot(r, r)
-			keep = append(keep, s)
-		}
-		w.live = keep
-		join.sum(vals[:len(keep)])
-		keep = w.live[:0]
+	// Each pass examines the residuals it finds (pass 0: the initial ones) and
+	// takes one step. Every exit that is not a clean convergence returns the
+	// best iterate seen, not the last one. When the tolerance sits below what
+	// finite precision can deliver, CG idles at the roundoff floor where p·q
+	// can be arbitrarily small but positive; one step with the resulting huge
+	// alpha catapults x far from the solution while the residual jumps several
+	// orders. Which iteration that happens on depends on rounding, so without
+	// the restore the returned x is effectively arbitrary — SPMD runs would
+	// disagree with serial by O(1e-3) from reduction-order roundoff alone. All
+	// decisions derive from joined inner products: uniform across SPMD ranks.
+	for it := 0; len(w.live) > 0; it++ {
+		keep := w.live[:0]
 		for k, s := range w.live {
 			res := math.Sqrt(vals[k])
+			if it == 0 {
+				s.st = Stats{InitialRes: res}
+			}
 			if opt.History {
 				s.st.ResHist = append(s.st.ResHist, res)
 			}
@@ -306,7 +246,7 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 				s.st.FinalRes = res
 				continue
 			}
-			if res < s.best {
+			if it == 0 || res < s.best {
 				s.best = res
 				copy(s.xb, s.x)
 			} else if !(res <= 1e4*s.best) {
@@ -321,14 +261,43 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 		}
 		w.live = keep
 		join.sum(vals[:len(keep)])
-		for k, s := range w.live {
-			beta := vals[k] / s.rz
-			s.rz = vals[k]
-			p, z := s.p, s.z
-			for i := range p {
-				p[i] = z[i] + beta*p[i]
-			}
+		if it == maxIter { // out of steps: the survivors give up below
+			break
 		}
+		for k, s := range w.live {
+			p, z, rz := s.p, s.z, vals[k]
+			if it == 0 {
+				copy(p, z)
+			} else {
+				beta := rz / s.rz
+				for i := range p {
+					p[i] = z[i] + beta*p[i]
+				}
+			}
+			s.rz = rz
+			apply(s.q, p)
+			vals[k] = dot(p, s.q)
+		}
+		join.sum(vals[:len(w.live)])
+		keep = w.live[:0]
+		for k, s := range w.live {
+			pq := vals[k]
+			if pq <= 0 {
+				// Operator not SPD on this subspace (or breakdown): stop.
+				s.giveUp(it)
+				continue
+			}
+			alpha := s.rz / pq
+			x, r, p, q := s.x, s.r, s.p, s.q
+			for i := range x {
+				x[i] += alpha * p[i]
+				r[i] -= alpha * q[i]
+			}
+			vals[len(keep)] = dot(r, r)
+			keep = append(keep, s)
+		}
+		w.live = keep
+		join.sum(vals[:len(keep)])
 	}
 	for _, s := range w.live {
 		s.giveUp(maxIter)
@@ -344,8 +313,8 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 type Projector struct {
 	L     int // capacity (the paper uses L ~ 25)
 	apply Operator
-	dot   Dot         // this solver's share of an inner product
-	join  Join        // completes a batch of them
+	dot   Dot
+	join  Join
 	xs    [][]float64 // A-orthonormal basis
 	axs   [][]float64 // A·basis
 
@@ -353,7 +322,6 @@ type Projector struct {
 	// for update() to reuse, and the per-solve work vectors live here.
 	free   [][]float64
 	alphas []float64
-	one    [1]float64
 	xbar   []float64
 	rhs    []float64
 
@@ -363,8 +331,7 @@ type Projector struct {
 	Savings     *instrument.Gauge // fraction of ‖b‖ removed by projection
 }
 
-// NewProjector creates a projector with basis capacity l; dot and join are
-// CGBatch's.
+// NewProjector creates a projector with basis capacity l; dot, join as CGBatch's.
 func NewProjector(l int, apply Operator, dot Dot, join Join) *Projector {
 	return &Projector{L: l, apply: apply, dot: dot, join: join, alphas: make([]float64, l+1)}
 }
@@ -418,11 +385,11 @@ func (p *Projector) grab(n int) []float64 {
 	return make([]float64, n)
 }
 
-// whole is one inner product, completed by a reduction of its own.
+// whole is one inner product, joined on its own (alphas is free by then).
 func (p *Projector) whole(u, v []float64) float64 {
-	p.one[0] = p.dot(u, v)
-	p.join.sum(p.one[:])
-	return p.one[0]
+	p.alphas[0] = p.dot(u, v)
+	p.join(p.alphas[:1])
+	return p.alphas[0]
 }
 
 // ProjectAndSolve performs the full projected solve of A x = b:
@@ -436,8 +403,7 @@ func (p *Projector) whole(u, v []float64) float64 {
 func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	n, l := len(b), len(p.xs)
 	t0 := p.ProjectTime.Begin()
-	// The coefficients ⟨xₖ, b⟩ are independent: one reduction carries them
-	// all, and ‖b‖² with them when the savings gauge wants it.
+	// One reduction for all coefficients ⟨xₖ, b⟩, and ‖b‖² for the savings gauge.
 	alphas := p.alphas[:l]
 	for k, xk := range p.xs {
 		alphas[k] = p.dot(xk, b)
@@ -451,9 +417,7 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 		p.rhs = make([]float64, n)
 	}
 	xbar, rhs := p.xbar[:n], p.rhs[:n]
-	for i := range xbar {
-		xbar[i] = 0
-	}
+	clear(xbar)
 	copy(rhs, b)
 	for k := range p.xs {
 		a := alphas[k]
@@ -465,10 +429,10 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	}
 	p.ProjectTime.End(t0)
 	p.BasisSize.Set(float64(l))
-	for i := range x {
-		x[i] = 0
-	}
-	st := solve1(p.apply, p.dot, p.join, x, rhs, opt)
+	clear(x)
+	var sts [1]Stats
+	CGBatch(p.apply, p.dot, p.join, [][]float64{x}, [][]float64{rhs}, opt, sts[:])
+	st := sts[0]
 	if p.Savings != nil && alphas[l] > 0 {
 		p.Savings.Set(1 - st.InitialRes/math.Sqrt(alphas[l]))
 	}

@@ -14,6 +14,9 @@ func denseOp(a []float64, n int) Operator {
 
 func plainDot(u, v []float64) float64 { return la.Dot(u, v) }
 
+// noJoin is the Join of a solver that holds the whole problem.
+func noJoin([]float64) {}
+
 func spd(rng *rand.Rand, n int) []float64 {
 	m := make([]float64, n*n)
 	for i := range m {
@@ -136,7 +139,7 @@ func TestProjectorReducesIterations(t *testing.T) {
 		st := CG(apply, plainDot, x, rhs(s), opt)
 		plainIters += st.Iterations
 	}
-	proj := NewProjector(20, apply, plainDot, nil)
+	proj := NewProjector(20, apply, plainDot, noJoin)
 	for s := 0; s < steps; s++ {
 		st := proj.ProjectAndSolve(x, rhs(s), opt)
 		projIters += st.Iterations
@@ -164,7 +167,7 @@ func TestProjectorRestartAtCapacity(t *testing.T) {
 	n := 40
 	a := spd(rng, n)
 	apply := denseOp(a, n)
-	proj := NewProjector(5, apply, plainDot, nil)
+	proj := NewProjector(5, apply, plainDot, noJoin)
 	x := make([]float64, n)
 	for s := 0; s < 12; s++ {
 		b := make([]float64, n)
@@ -195,7 +198,7 @@ func TestProjectorLeavesBasisWhenProjectionAnswers(t *testing.T) {
 		denseOp(a, n)(out, in)
 	}
 	const l = 3
-	proj := NewProjector(l, apply, plainDot, nil)
+	proj := NewProjector(l, apply, plainDot, noJoin)
 	opt := Options{Tol: 1e-9, MaxIter: 500}
 	x := make([]float64, n)
 	var last []float64
@@ -233,7 +236,7 @@ func TestProjectorBasisAOrthonormal(t *testing.T) {
 	n := 30
 	a := spd(rng, n)
 	apply := denseOp(a, n)
-	proj := NewProjector(10, apply, plainDot, nil)
+	proj := NewProjector(10, apply, plainDot, noJoin)
 	x := make([]float64, n)
 	for s := 0; s < 6; s++ {
 		b := make([]float64, n)
@@ -351,7 +354,7 @@ func TestProjectorSteadyStateAllocFree(t *testing.T) {
 		}
 		return s
 	}
-	p := NewProjector(4, apply, dot, nil)
+	p := NewProjector(4, apply, dot, noJoin)
 	opt := Options{Tol: 1e-10, Relative: true, MaxIter: 200, Scratch: &Scratch{}}
 	x := make([]float64, n)
 	b := make([]float64, n)

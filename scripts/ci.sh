@@ -226,13 +226,13 @@ smoke() {
         -history "$out/dist-history.jsonl"
 
     echo "== smoke: the -ranks 4 run issues no more allreduces per step than pinned =="
-    # 130.50 per rank and step over these four cold steps (145.25 before the
+    # 132.50 per rank and step over these four cold steps (145.25 before the
     # step batched its independent inner products): a reduction that creeps
     # back into the step shows here before it shows in a benchmark.
     "$out/bin/semflow" -case channel -n 5 -ranks 4 -steps 4 -report 1 -stats > "$out/dist-stats.txt"
     per_step="$(sed -n 's/^allreduces per rank and step: \([0-9.]*\).*/\1/p' "$out/dist-stats.txt")"
-    awk -v got="$per_step" 'BEGIN { exit !(got != "" && got + 0 <= 130.50) }' || {
-        echo "allreduces per rank and step: '$per_step', want at most 130.50" >&2
+    awk -v got="$per_step" 'BEGIN { exit !(got != "" && got + 0 <= 132.50) }' || {
+        echo "allreduces per rank and step: '$per_step', want at most 132.50" >&2
         exit 1
     }
 
