@@ -62,7 +62,7 @@ type Options struct {
 	// just the total. Safe to share across ranks: Observe is atomic.
 	IterHist *instrument.Histogram
 	// Tracer wraps the whole solve in a wall-clock span named TraceName
-	// (default "cg") carrying iterations/convergence args. Leave nil when
+	// (default "cg") whose end carries every system's Stats. Leave nil when
 	// many solves run concurrently on one track (the begin/end pairs would
 	// interleave).
 	Tracer    *instrument.Tracer
