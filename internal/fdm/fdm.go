@@ -39,8 +39,11 @@ func New2D(ax, bx []float64, nx int, ay, by []float64, ny int) (*Solver2D, error
 		return nil, fmt.Errorf("fdm: y eigenproblem: %w", err)
 	}
 	s := &Solver2D{nx: nx, ny: ny, Sx: zx, Sy: zy}
-	s.SxT = transposeOf(zx, nx)
-	s.SyT = transposeOf(zy, ny)
+	// With B-orthonormal eigenvectors (Zᵀ B Z = I) the inverse is exactly
+	// (Z_y ⊗ Z_x)(Λ_y ⊕ Λ_x)⁻¹(Z_yᵀ ⊗ Z_xᵀ): the analysis stage uses the
+	// plain transpose.
+	s.SxT = tensor.Transpose(zx, nx, nx)
+	s.SyT = tensor.Transpose(zy, ny, ny)
 	s.Dinv = make([]float64, nx*ny)
 	scale := maxAbs(lx) + maxAbs(ly)
 	if scale == 0 {
@@ -55,20 +58,6 @@ func New2D(ax, bx []float64, nx int, ay, by []float64, ny int) (*Solver2D, error
 		}
 	}
 	return s, nil
-}
-
-// transposeOf returns Zᵀ. With B-orthonormal eigenvectors (Zᵀ B Z = I) the
-// operator factorizes as Ã = (B_yZ_y ⊗ B_xZ_x)(Λ_y ⊕ Λ_x)(Z_yᵀ ⊗ Z_xᵀ)·…,
-// whose inverse is exactly (Z_y ⊗ Z_x)(Λ_y ⊕ Λ_x)⁻¹(Z_yᵀ ⊗ Z_xᵀ): the
-// analysis stage uses the plain transpose.
-func transposeOf(z []float64, n int) []float64 {
-	t := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			t[j*n+i] = z[i*n+j]
-		}
-	}
-	return t
 }
 
 func maxAbs(v []float64) float64 {
@@ -88,11 +77,11 @@ func maxAbs(v []float64) float64 {
 func (s *Solver2D) Apply(out, in, work []float64) {
 	n := s.nx * s.ny
 	w1, w2 := work[:n], work[n:2*n]
-	tensor.Apply2D(w1, s.SxT, s.SyT, in, w2, s.nx, s.nx, s.ny, s.ny)
+	tensor.Apply2D(w1, s.Sx, s.SyT, in, w2, s.nx, s.nx, s.ny, s.ny)
 	for i := 0; i < n; i++ {
 		w1[i] *= s.Dinv[i]
 	}
-	tensor.Apply2D(out, s.Sx, s.Sy, w1, w2, s.nx, s.nx, s.ny, s.ny)
+	tensor.Apply2D(out, s.SxT, s.Sy, w1, w2, s.nx, s.nx, s.ny, s.ny)
 }
 
 // WorkLen2D returns the scratch size Apply requires.
@@ -127,9 +116,9 @@ func New3D(ax, bx []float64, nx int, ay, by []float64, ny int, az, bz []float64,
 		return nil, fmt.Errorf("fdm: z eigenproblem: %w", err)
 	}
 	s := &Solver3D{nx: nx, ny: ny, nz: nz, Sx: zx, Sy: zy, Sz: zz}
-	s.SxT = transposeOf(zx, nx)
-	s.SyT = transposeOf(zy, ny)
-	s.SzT = transposeOf(zz, nz)
+	s.SxT = tensor.Transpose(zx, nx, nx)
+	s.SyT = tensor.Transpose(zy, ny, ny)
+	s.SzT = tensor.Transpose(zz, nz, nz)
 	s.Dinv = make([]float64, nx*ny*nz)
 	scale := maxAbs(lx) + maxAbs(ly) + maxAbs(lz)
 	if scale == 0 {
@@ -154,11 +143,11 @@ func (s *Solver3D) Apply(out, in, work []float64) {
 	n := s.nx * s.ny * s.nz
 	tw := work[:len(work)-n]
 	tmp := work[len(work)-n:]
-	tensor.Apply3D(tmp, s.SxT, s.SyT, s.SzT, in, tw, s.nx, s.nx, s.ny, s.ny, s.nz, s.nz)
+	tensor.Apply3D(tmp, s.Sx, s.SyT, s.SzT, in, tw, s.nx, s.nx, s.ny, s.ny, s.nz, s.nz)
 	for i := 0; i < n; i++ {
 		tmp[i] *= s.Dinv[i]
 	}
-	tensor.Apply3D(out, s.Sx, s.Sy, s.Sz, tmp, tw, s.nx, s.nx, s.ny, s.ny, s.nz, s.nz)
+	tensor.Apply3D(out, s.SxT, s.Sy, s.Sz, tmp, tw, s.nx, s.nx, s.ny, s.ny, s.nz, s.nz)
 }
 
 // WorkLen3D returns the scratch size Apply requires.

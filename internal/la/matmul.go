@@ -352,7 +352,9 @@ func MulABtBlocked(c, a, b []float64, n1, n2, n3 int) {
 // discretization actually produces through tensor.Apply*: the square
 // derivative/filter applications on the GLL grid (np1 = n+1) and the
 // staggered-grid interpolations to/from the Gauss pressure grid
-// (nm1 = n-1). Returned in MulABt's and Mul's (n1, n2, n3) conventions.
+// (nm1 = n-1). mulShapes are the s- and t-direction products; abtShapes the
+// r-direction products U·Aᵀ in MulABt's (n1, n2, n3) convention, which
+// tensor runs as Mul(n1, n2, n3) on the operator transposed at set-up.
 func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
 	np1, nm1 := n+1, n-1
 	// Operator pairs (rows m x cols k): square, restrict (GLL->Gauss),
@@ -363,13 +365,13 @@ func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
 	for _, op := range ops {
 		m, k := op[0], op[1]
 		if dim == 2 {
-			// Apply2D on a k x k field: ApplyR2D -> MulABt(k, k, m);
+			// Apply2D on a k x k field: ApplyR2D -> U·Aᵀ (k, k, m);
 			// ApplyS2D on the m x k intermediate -> Mul(m, k, m).
 			addABt([3]int{k, k, m})
 			addMul([3]int{m, k, m})
 			continue
 		}
-		// Apply3D on a k^3 field: ApplyR3D -> MulABt(k*k, k, m);
+		// Apply3D on a k^3 field: ApplyR3D -> U·Aᵀ (k*k, k, m);
 		// ApplyS3D slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
 		// ApplyT3D -> Mul(m, k, m*m).
 		addABt([3]int{k * k, k, m})

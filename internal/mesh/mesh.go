@@ -154,7 +154,7 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 	}
 	m.Z, m.Wt = poly.GaussLobatto(n)
 	m.D = poly.DerivMatrix(m.Z)
-	m.Dt = transpose(m.D, np1)
+	m.Dt = tensor.Transpose(m.D, np1, np1)
 
 	m.X = make([]float64, m.K*m.Np)
 	m.Y = make([]float64, m.K*m.Np)
@@ -206,16 +206,6 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 	return m, nil
 }
 
-func transpose(a []float64, n int) []float64 {
-	t := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			t[j*n+i] = a[i*n+j]
-		}
-	}
-	return t
-}
-
 // computeMetrics differentiates the nodal coordinate fields to obtain the
 // Jacobian and the geometric factors of eq. (4).
 func (m *Mesh) computeMetrics() error {
@@ -246,9 +236,9 @@ func (m *Mesh) computeMetrics() error {
 		for e := 0; e < m.K; e++ {
 			xe := m.X[e*m.Np : (e+1)*m.Np]
 			ye := m.Y[e*m.Np : (e+1)*m.Np]
-			tensor.ApplyR2D(xr, m.D, xe, np1, np1, np1)
+			tensor.ApplyR2D(xr, m.Dt, xe, np1, np1, np1)
 			tensor.ApplyS2D(xs, m.D, xe, np1, np1, np1)
-			tensor.ApplyR2D(yr, m.D, ye, np1, np1, np1)
+			tensor.ApplyR2D(yr, m.Dt, ye, np1, np1, np1)
 			tensor.ApplyS2D(ys, m.D, ye, np1, np1, np1)
 			for j := 0; j < np1; j++ {
 				for i := 0; i < np1; i++ {
@@ -282,7 +272,7 @@ func (m *Mesh) computeMetrics() error {
 	for e := 0; e < m.K; e++ {
 		fields := [][]float64{m.X[e*sz : (e+1)*sz], m.Y[e*sz : (e+1)*sz], m.Zc[e*sz : (e+1)*sz]}
 		for f, fld := range fields {
-			tensor.ApplyR3D(d[3*f+0], m.D, fld, np1, np1, np1, np1)
+			tensor.ApplyR3D(d[3*f+0], m.Dt, fld, np1, np1, np1, np1)
 			tensor.ApplyS3D(d[3*f+1], m.D, fld, np1, np1, np1, np1)
 			tensor.ApplyT3D(d[3*f+2], m.D, fld, np1, np1, np1, np1)
 		}

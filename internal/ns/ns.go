@@ -419,12 +419,7 @@ func (s *Solver) build(precondForced bool) error {
 	zp, wp := poly.Gauss(t.nm1)
 	t.interpVP = poly.InterpMatrix(zp, m.Z)
 	t.interpPV = poly.InterpMatrix(m.Z, zp)
-	t.pvt = make([]float64, t.nm1*t.np1)
-	for i := 0; i < t.np1; i++ {
-		for j := 0; j < t.nm1; j++ {
-			t.pvt[j*t.np1+i] = t.interpPV[i*t.nm1+j]
-		}
-	}
+	t.pvt = tensor.Transpose(t.interpPV, t.np1, t.nm1)
 	// Pressure quadrature weights x interpolated |J|.
 	t.wJp = make([]float64, m.K*t.npp)
 	jacp := t.interpToPressureField(m.Jac)
@@ -744,12 +739,13 @@ func (t *template) interpToPressureField(u []float64) []float64 {
 	m := t.M
 	out := make([]float64, m.K*t.npp)
 	work := make([]float64, t.InterpWorkLen())
+	vpt := tensor.Transpose(t.interpVP, t.nm1, t.np1)
 	for e := 0; e < m.K; e++ {
 		ue, oe := u[e*m.Np:(e+1)*m.Np], out[e*t.npp:(e+1)*t.npp]
 		if t.dim == 2 {
-			tensor.Apply2D(oe, t.interpVP, t.interpVP, ue, work, t.nm1, t.np1, t.nm1, t.np1)
+			tensor.Apply2D(oe, vpt, t.interpVP, ue, work, t.nm1, t.np1, t.nm1, t.np1)
 		} else {
-			tensor.Apply3D(oe, t.interpVP, t.interpVP, t.interpVP, ue, work,
+			tensor.Apply3D(oe, vpt, t.interpVP, t.interpVP, ue, work,
 				t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
 		}
 	}

@@ -26,10 +26,10 @@ func (t *template) InterpWorkLen() int { return 3 * t.M.Np }
 // blocks: out has length Np, p length Npp, work length ≥ InterpWorkLen.
 func (t *template) ProlongPVElem(out, p, work []float64) {
 	if t.dim == 2 {
-		tensor.Apply2D(out, t.interpPV, t.interpPV, p, work, t.np1, t.nm1, t.np1, t.nm1)
+		tensor.Apply2D(out, t.pvt, t.interpPV, p, work, t.np1, t.nm1, t.np1, t.nm1)
 		return
 	}
-	tensor.Apply3D(out, t.interpPV, t.interpPV, t.interpPV, p, work,
+	tensor.Apply3D(out, t.pvt, t.interpPV, t.interpPV, p, work,
 		t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
 }
 
@@ -39,10 +39,10 @@ func (t *template) ProlongPVElem(out, p, work []float64) {
 func (t *template) RestrictVPElem(out, u, work []float64) {
 	pvt := t.pvt
 	if t.dim == 2 {
-		tensor.Apply2D(out, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1)
+		tensor.Apply2D(out, t.interpPV, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1)
 		return
 	}
-	tensor.Apply3D(out, pvt, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
+	tensor.Apply3D(out, t.interpPV, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
 }
 
 // gradTElem writes element e's block of the momentum pressure term Dᵀp,
@@ -70,11 +70,11 @@ func (t *template) gradTElem(outs [][]float64, pe []float64, e int, work, tv, we
 			}
 			mulInto(we, tv, m.RX[a*dim+c][base:])
 			if first {
-				tensor.ApplyDim(oc, m.Dt, we, t.np1, dim, a)
+				tensor.ApplyDim(oc, m.Dt, m.D, we, t.np1, dim, a)
 				first = false
 				continue
 			}
-			tensor.ApplyDim(buf, m.Dt, we, t.np1, dim, a)
+			tensor.ApplyDim(buf, m.Dt, m.D, we, t.np1, dim, a)
 			for l, v := range buf {
 				oc[l] += v
 			}
@@ -108,7 +108,7 @@ func (t *template) divElem(out []float64, us [][]float64, e int, work []float64)
 		if m.RXPairs[e]>>k&1 == 0 {
 			continue
 		}
-		tensor.ApplyDim(du, m.D, us[k%dim], t.np1, dim, k/dim)
+		tensor.ApplyDim(du, m.D, m.Dt, us[k%dim], t.np1, dim, k/dim)
 		if first {
 			mulInto(div, du, m.RX[k][base:])
 			first = false
@@ -261,14 +261,10 @@ func (s *Solver) helmholtz(out, in []float64, h1, h2 float64, mask []float64) {
 	s.curOut, s.curIn = out, in
 	s.mach.ForElements(s.stiffLoop)
 	s.curOut, s.curIn = nil, nil
-	if h1 != 1 {
-		for i := range out {
-			out[i] *= h1
-		}
-	}
-	b := s.b
+	b := s.b[:len(out)]
+	in = in[:len(out)]
 	for i := range out {
-		out[i] += h2 * b[i] * in[i]
+		out[i] = h1*out[i] + h2*b[i]*in[i]
 	}
 	s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
 	s.assemble(out, mask)

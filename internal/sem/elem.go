@@ -19,7 +19,7 @@ func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int, s []float64) {
 	off := e * np
 	if m.Dim == 2 {
 		ur, us := s[:np], s[np:2*np]
-		tensor.ApplyR2D(ur, m.D, ue, np1, np1, np1)
+		tensor.ApplyR2D(ur, m.Dt, ue, np1, np1, np1)
 		tensor.ApplyS2D(us, m.D, ue, np1, np1, np1)
 		rx, ry, sx, sy := m.RX[0], m.RX[1], m.RX[2], m.RX[3]
 		for i := 0; i < np; i++ {
@@ -29,7 +29,7 @@ func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int, s []float64) {
 		return
 	}
 	ur, us, ut := s[:np], s[np:2*np], s[2*np:3*np]
-	tensor.ApplyR3D(ur, m.D, ue, np1, np1, np1, np1)
+	tensor.ApplyR3D(ur, m.Dt, ue, np1, np1, np1, np1)
 	tensor.ApplyS3D(us, m.D, ue, np1, np1, np1, np1)
 	tensor.ApplyT3D(ut, m.D, ue, np1, np1, np1, np1)
 	for i := 0; i < np; i++ {
@@ -52,14 +52,14 @@ func (d *Disc) FilterElement(f *Filter, ue []float64, s []float64) {
 	np := m.Np
 	if m.Dim == 2 {
 		work, out := s[:np], s[np:2*np]
-		tensor.Apply2D(out, f.F, f.F, ue, work, np1, np1, np1, np1)
+		tensor.Apply2D(out, f.ft, f.F, ue, work, np1, np1, np1, np1)
 		copy(ue, out)
 		return
 	}
 	need := tensor.Work3DLen(np1, np1, np1, np1, np1, np1)
 	work := s[:need]
 	out := s[need : need+np]
-	tensor.Apply3D(out, f.F, f.F, f.F, ue, work, np1, np1, np1, np1, np1, np1)
+	tensor.Apply3D(out, f.ft, f.F, f.F, ue, work, np1, np1, np1, np1, np1, np1)
 	copy(ue, out)
 }
 

@@ -290,12 +290,17 @@ type Filter struct {
 	F     []float64 // (N+1)x(N+1)
 	Alpha float64
 	np1   int
+	ft    []float64 // Fᵀ, the r-direction operand
+}
+
+func newFilter(f []float64, alpha float64, np1 int) *Filter {
+	return &Filter{F: f, Alpha: alpha, np1: np1, ft: tensor.Transpose(f, np1, np1)}
 }
 
 // NewFilter builds the interpolation-based filter of strength alpha on the
 // mesh's GLL basis (damps the N-th mode only — the paper's description).
 func NewFilter(m *mesh.Mesh, alpha float64) *Filter {
-	return &Filter{F: poly.FilterMatrix(alpha, m.Z), Alpha: alpha, np1: m.N + 1}
+	return newFilter(poly.FilterMatrix(alpha, m.Z), alpha, m.N+1)
 }
 
 // NewFilterRamp builds the generalized Fischer–Mullen filter that damps the
@@ -308,7 +313,7 @@ func NewFilterRamp(m *mesh.Mesh, alpha float64, cutoff int) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{F: f, Alpha: alpha, np1: m.N + 1}, nil
+	return newFilter(f, alpha, m.N+1), nil
 }
 
 // Apply filters the field in place, element by element, as a tensor product
@@ -402,14 +407,14 @@ func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 	if m.Dim == 2 {
 		ur, us := s[:np], s[np:2*np]
 		tr, ts := s[2*np:3*np], s[3*np:4*np]
-		tensor.ApplyR2D(ur, m.D, ue, np1, np1, np1)
+		tensor.ApplyR2D(ur, m.Dt, ue, np1, np1, np1)
 		tensor.ApplyS2D(us, m.D, ue, np1, np1, np1)
 		g0, g1, g2 := m.G[0][e*np:], m.G[1][e*np:], m.G[2][e*np:]
 		for i := 0; i < np; i++ {
 			tr[i] = g0[i]*ur[i] + g1[i]*us[i]
 			ts[i] = g1[i]*ur[i] + g2[i]*us[i]
 		}
-		tensor.ApplyR2D(oe, d.Dt, tr, np1, np1, np1)
+		tensor.ApplyR2D(oe, m.D, tr, np1, np1, np1)
 		tensor.ApplyS2D(us, d.Dt, ts, np1, np1, np1)
 		for i := 0; i < np; i++ {
 			oe[i] += us[i]
@@ -418,7 +423,7 @@ func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 	}
 	ur, us, ut := s[:np], s[np:2*np], s[2*np:3*np]
 	tr, ts, tt := s[3*np:4*np], s[4*np:5*np], s[5*np:6*np]
-	tensor.ApplyR3D(ur, m.D, ue, np1, np1, np1, np1)
+	tensor.ApplyR3D(ur, m.Dt, ue, np1, np1, np1, np1)
 	tensor.ApplyS3D(us, m.D, ue, np1, np1, np1, np1)
 	tensor.ApplyT3D(ut, m.D, ue, np1, np1, np1, np1)
 	g := m.G
@@ -429,7 +434,7 @@ func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 		ts[i] = g[1][off+i]*r + g[3][off+i]*sv + g[4][off+i]*tv
 		tt[i] = g[2][off+i]*r + g[4][off+i]*sv + g[5][off+i]*tv
 	}
-	tensor.ApplyR3D(oe, d.Dt, tr, np1, np1, np1, np1)
+	tensor.ApplyR3D(oe, m.D, tr, np1, np1, np1, np1)
 	tensor.ApplyS3D(us, d.Dt, ts, np1, np1, np1, np1)
 	tensor.ApplyT3D(ut, d.Dt, tt, np1, np1, np1, np1)
 	for i := 0; i < np; i++ {

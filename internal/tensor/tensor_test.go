@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/la"
 )
 
 // kron2Ref computes (B ⊗ A) u by explicit Kronecker expansion for reference:
@@ -64,7 +66,7 @@ func TestApply2DMatchesKronecker(t *testing.T) {
 		want := kron2Ref(a, b, u, mr, nr, ms, ns)
 		got := make([]float64, mr*ms)
 		work := make([]float64, ns*mr)
-		Apply2D(got, a, b, u, work, mr, nr, ms, ns)
+		Apply2D(got, Transpose(a, mr, nr), b, u, work, mr, nr, ms, ns)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-11 {
 				t.Fatalf("case %v: mismatch at %d: %g vs %g", cs, i, got[i], want[i])
@@ -85,7 +87,7 @@ func TestApply3DMatchesKronecker(t *testing.T) {
 		want := kron3Ref(a, b, c, u, mr, nr, ms, ns, mt, nt)
 		got := make([]float64, mr*ms*mt)
 		work := make([]float64, Work3DLen(mr, nr, ms, ns, mt, nt))
-		Apply3D(got, a, b, c, u, work, mr, nr, ms, ns, mt, nt)
+		Apply3D(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-10 {
 				t.Fatalf("case %v: mismatch at %d: %g vs %g", cs, i, got[i], want[i])
@@ -106,7 +108,7 @@ func TestApply3DQuick(t *testing.T) {
 		want := kron3Ref(a, b, c, u, mr, nr, ms, ns, mt, nt)
 		got := make([]float64, mr*ms*mt)
 		work := make([]float64, Work3DLen(mr, nr, ms, ns, mt, nt))
-		Apply3D(got, a, b, c, u, work, mr, nr, ms, ns, mt, nt)
+		Apply3D(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				return false
@@ -152,7 +154,7 @@ func TestSingleDimensionApplications(t *testing.T) {
 	// ApplyR3D == Apply3D with identity B, C.
 	wantFull := kron3Ref(a, id(ns), id(nt), u, 2, nr, ns, ns, nt, nt)
 	got := make([]float64, 2*ns*nt)
-	ApplyR3D(got, a, u, 2, nr, ns, nt)
+	ApplyR3D(got, Transpose(a, 2, nr), u, 2, nr, ns, nt)
 	for i := range wantFull {
 		if math.Abs(got[i]-wantFull[i]) > 1e-12 {
 			t.Fatalf("ApplyR3D mismatch at %d", i)
@@ -184,5 +186,37 @@ func TestFlopCounts(t *testing.T) {
 	}
 	if f := FlopsApply3D(2, 2, 2, 2, 2, 2); f != 2*3*16 {
 		t.Errorf("FlopsApply3D = %d", f)
+	}
+}
+
+// TestApplyRIsBitwiseMulABt pins the r-direction apply — la.Mul on the
+// pre-transposed operator — to la.MulABt on the operator itself, bit for bit,
+// on every r-direction shape an order-N discretization produces. Run under
+// -tags purego too: there Mul is MatMulBlocked/MatMulIKJ and MulABt the Go
+// dot-product kernels.
+func TestApplyRIsBitwiseMulABt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 2; n <= 15; n++ {
+		for dim := 2; dim <= 3; dim++ {
+			_, abt := la.ShapesForOrder(n, dim)
+			for _, sh := range abt {
+				rows, nr, mr := sh[0], sh[1], sh[2]
+				a, u := randSlice(rng, mr*nr), randSlice(rng, rows*nr)
+				u[rng.Intn(len(u))] = 0 // MatMulIKJ skips zero field entries
+				want, got := make([]float64, rows*mr), make([]float64, rows*mr)
+				la.MulABt(want, u, a, rows, nr, mr)
+				if dim == 2 {
+					ApplyR2D(got, Transpose(a, mr, nr), u, mr, nr, rows)
+				} else {
+					ApplyR3D(got, Transpose(a, mr, nr), u, mr, nr, nr, rows/nr)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("N=%d dim=%d shape %v: entry %d is %x, MulABt gives %x",
+							n, dim, sh, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,9 +5,11 @@
 #           tensor and root packages again under -tags purego (the golden
 #           digests on the Go matmul kernels: bitwise parity with the AVX2
 #           one, stated end to end); an arm64 cross-build and vet of la (the
-#           file set without the assembly compiles); then the non-test line
-#           count per package (scripts/loc.sh), the source of the line-count
-#           claims in ROADMAP.md
+#           file set without the assembly compiles); a grep that no hot path
+#           calls la.MulABt (tensor's r-direction applies take the operator
+#           pre-transposed; the per-call transpose-pack must not creep back);
+#           then the non-test line count per package (scripts/loc.sh), the
+#           source of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
@@ -63,11 +65,21 @@ stage() {
     echo "-- $name done in $(( $(date +%s) - t0 ))s"
 }
 
+# no_pack — la.MulABt transposes its operator into a stack tile on every call;
+# only the kernel tables (cmd/tables) and the frozen bench/ ladder may call it.
+no_pack() {
+    if git grep --untracked -n 'la\.MulABt(' -- '*.go' ':!*_test.go' ':!internal/la' ':!cmd/tables' ':!bench'; then
+        echo "la.MulABt called outside internal/la, cmd/tables and bench/: pass tensor the transposed operator instead" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor .
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
+    stage "tier1/nopack" no_pack
     stage "tier1/loc" ./scripts/loc.sh
 }
 
