@@ -41,6 +41,27 @@ package repro_test
 // 27 966 → 21 822 messages; P = 8: 162 458 → 125 594) and the P = 8 trace
 // (15 944 → 15 224 messages over its two cold steps). No fields digest, serial or distributed, and no
 // statistics digest moved: every inner product is summed in the order it was.
+//
+// PR 24's first commit — tensor's r-direction applies on the pre-transposed
+// operator (la.Mul where la.MulABt packed a tile per call), one sweep in
+// ns.Solver.helmholtz — moved no digest, under AVX2 or -tags purego. Its second
+// re-pinned every digest once: the convection operator advects with the
+// contravariant field in reference coordinates (Σ_a ĉ_a ∂v/∂r_a, a
+// re-association of Σ_c c_c Σ_a ∂r_a/∂x_c ∂v/∂r_a), which moves every field
+// in its last bits and, through them, residuals and CFL (statistics); the flop
+// charges follow the new arithmetic (clock, trace). No pressure iteration or
+// substep count moved in any of these runs. What did: the x-component viscous
+// solve, whose relative tolerance sits below its rounding floor (ROADMAP item
+// 7), leaves at iteration 4, 5 or 6 on other steps than before — on 36 of the
+// 60 steps at P = 3 (311 → 307 iterations in all), on 6 at P = 8 (303 → 305),
+// on none at P = 1 — hence the message counts P = 3 21 822 → 21 736, P = 8
+// 125 594 → 125 724; the trace run's 15 224 is unchanged. The tie:
+// TestConvectMatchesPhysicalGradientForm (internal/ns) holds the new operator
+// to the physical-gradient form to 1e-12 relative, and against the parent's
+// fields these runs differ by max |Δu| 1.5e-13 / |Δp| 4.7e-13 (channel2d, 60
+// steps), 7.3e-15 / 2.6e-14 (hairpin3d, 25), 6.8e-15 / 4.6e-13 (convection,
+// 10; |p| ~ 1.6e3) and 3.2e-13 / 9.6e-13 (P = 8, 60); 3.6e-11 after 420
+// channel steps, 8.3e-11 after 100 hairpin steps.
 
 import (
 	"bytes"
@@ -101,7 +122,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 60)
-	checkDigest(t, "channel2d, 60 steps", "23569a7a968b183fce9afecbe888cb99450f86e98e5bbd13b167b8479704c972",
+	checkDigest(t, "channel2d, 60 steps", "2e5cf44cc052dba6c0538f85e2cb2d4c32b8cd7aa8dba64eff25cd9cf0ac85b1",
 		s.Velocity(0), s.Velocity(1), s.Pressure())
 	s.Close()
 
@@ -113,7 +134,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 25)
-	checkDigest(t, "hairpin3d, 25 steps", "54b24f31fdfcd1d83447865d7e39964ad50887a8b36ae601aa134603d1455ea2",
+	checkDigest(t, "hairpin3d, 25 steps", "7474ee4e2be4f7505a24dbb9d7c1c4d450c50e0af5b58953533ef617d9554060",
 		s.Velocity(0), s.Velocity(1), s.Velocity(2), s.Pressure())
 	s.Close()
 
@@ -122,7 +143,7 @@ func TestGoldenSerialDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepN(t, s, 10)
-	checkDigest(t, "convection, 10 steps", "14629dec9aca27f6a9e893236fdf628457d07f44c897dfc8980d17193fa08afb",
+	checkDigest(t, "convection, 10 steps", "e4c05bdf28b57863235d4ad6bdfb6129d3aa1cdeae2a0115433af6c144478a2d",
 		s.Velocity(0), s.Velocity(1), s.Pressure(), s.Scalar())
 	s.Close()
 }
@@ -159,9 +180,9 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		p                    int
 		fields, stats, clock string
 	}{
-		{1, "20eb0d1ef627966edcbf0165345060fd0e683d8e58df055dd505e74ebd8d26e6", "a77b8f9e058c9a585bf4459ab3c2ff07f4d52dd9a2138d16b62c804209781963", "3c3f7108bb13fdba52e7b2e64a393a8bc5143f8b42f6617125d0dbc03e061516"},
-		{3, "dc9abfa34bfcf9218dfaed3644525743eb235d20b1a1fbf9a53da77998976a1e", "2655f1ef4167da9dcf7fa4e8f4a88c3a8e2bfff31c36dde34bda8daa57a0026e", "6802d8d31df37a65ce1a4b69d58b3afd06c47d2c2bd6d515447be380f3f6845e"},
-		{8, "e55c90bb8694480bbd80ce21bcd44586d71d373b173a81782878efd7da90d05b", "37a7778a211a7bbdcabdae5ecfbbb6aab89f3726202292a9f003032113601859", "e1192b6ae71e5cffda247c3857a81bc62b09b6479f6df586c1604a9ce8600eaa"},
+		{1, "1b9f69957ee091e7280baad5a05642364b55e9f54c5a42b4833eb8dad6b1ec55", "088a4af1f3017e336084a9c7d02e11e7cfce65f10fc11eee87e0f473a94800cb", "bcabd58016c0738e272d81ddaad6fbaffe74dd77e12b6348639e646d4205f08d"},
+		{3, "6b50d648dffb0a636a11ae8eed6cfccac183f23ba774ce690358a443eb933b14", "d9f24f4f377b4584786ddc5e3bef43d102b04dcfb98da8692ba1f20e020418fa", "66a4e787bce772c552adaec9383405083d84692c04b182ea11a1daadd1113dfa"},
+		{8, "5ddfbb5d15e42a107ee026c9c488d9b36a18358a4a4008547d3b0534709b9f3b", "85cbada6a85dcc07ddd05377df5212aad52b793931b10d952cb692f42619b4ea", "17afa61ce13127a3b6577ec403903c69af47e78a6cb51c6c1a16859572df70b9"},
 	} {
 		res, err := parrun.NavierStokes(cfg, parrun.NSConfig{P: g.p, Steps: 60, Init: init})
 		if err != nil {
@@ -188,7 +209,7 @@ func TestGoldenDistributedDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	const want = "faa73c45c9489effb2e5f1e9f391aacce05eef520a673d433af8cc4721fd43b3"
+	const want = "5fe1e51811ce91747c2f14c6d05199e77bac0acaa2467bb7c988bf5464af456f"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("P=8 trace (%d bytes): digest %s, want %s", buf.Len(), got, want)
 	}

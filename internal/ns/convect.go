@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/solver"
+	"repro/internal/tensor"
 )
 
 // getBuf hands out n-length scratch slices from a free list.
@@ -74,36 +75,90 @@ func (s *Solver) releaseField(c [3][]float64) {
 // plain convective form: for P_N–P_{N-2} fields the *pointwise* divergence
 // of the advecting field is not small (only its weak divergence vanishes),
 // so the skew term injects high-mode noise and is disabled; the
-// once-per-step filter supplies the stabilization (Sec. 2). divc is ∇·c
-// precomputed per stage. One element-parallel pass: each element's gradient
-// lands in per-worker scratch and is combined on the spot.
-func (s *Solver) convect(out, v []float64, c [3][]float64, divc []float64) {
-	s.curOut, s.curIn, s.curC, s.curDiv = out, v, c, divc
+// once-per-step filter supplies the stabilization (Sec. 2). The advecting
+// field arrives in reference coordinates (toContravariant): (c·∇)v =
+// Σ_a chat[a]·∂v/∂r_a is dim derivative products and no physical gradient.
+// divc is the physical ∇·c precomputed per stage. One element-parallel pass.
+func (s *Solver) convect(out, v []float64, chat [3][]float64, divc []float64) {
+	s.curOut, s.curIn, s.curC, s.curDiv = out, v, chat, divc
 	s.mach.ForElements(s.convLoop)
 	s.curOut, s.curIn, s.curC, s.curDiv = nil, nil, [3][]float64{}, nil
-	s.mach.Charge(s.gradF*int64(len(s.elems)) + int64((2*s.dim+3)*s.n))
+	pointwise := 2 * s.dim // dim multiplies, dim-1 adds, the sign
+	if s.Cfg.SkewWeight != 0 {
+		pointwise += 4
+	}
+	s.mach.Charge(int64(s.dim)*tensor.FlopsApplyDim(s.np1, s.dim)*int64(len(s.elems)) + int64(pointwise*s.n))
 }
 
-// convectElement is convect on local element li.
+// convectElement is convect on local element li: the reference-coordinate
+// derivatives land in per-worker scratch and are combined on the spot.
 func (s *Solver) convectElement(li, w int) {
-	np := s.M.Np
+	m, np, np1 := s.M, s.M.Np, s.np1
 	i0 := li * np
-	k := &s.work[w]
-	g := &k.g
-	s.D.GradElement(g[0], g[1], g[2], s.curIn[i0:i0+np], s.elems[li], k.sem)
-	out, c := s.curOut[i0:i0+np], s.curC
-	for l := range out {
-		var adv float64
-		for d := 0; d < s.dim; d++ {
-			adv += c[d][i0+l] * g[d][l]
+	g := &s.work[w].g
+	v, out, c := s.curIn[i0:i0+np], s.curOut[i0:i0+np], s.curC
+	c0, c1 := c[0][i0:i0+np], c[1][i0:i0+np]
+	vr, vs := g[0][:np], g[1][:np]
+	if s.dim == 2 {
+		tensor.ApplyR2D(vr, m.Dt, v, np1, np1, np1)
+		tensor.ApplyS2D(vs, m.D, v, np1, np1, np1)
+		for l := range out {
+			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l])
 		}
-		out[l] = -adv
+	} else {
+		c2, vt := c[2][i0:i0+np], g[2][:np]
+		tensor.ApplyR3D(vr, m.Dt, v, np1, np1, np1, np1)
+		tensor.ApplyS3D(vs, m.D, v, np1, np1, np1, np1)
+		tensor.ApplyT3D(vt, m.D, v, np1, np1, np1, np1)
+		for l := range out {
+			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l] + c2[l]*vt[l])
+		}
 	}
 	if sw := s.Cfg.SkewWeight; sw != 0 {
-		v, divc := s.curIn[i0:i0+np], s.curDiv[i0:i0+np]
+		divc := s.curDiv[i0 : i0+np]
 		for l := range out {
 			out[l] -= sw * 0.5 * divc[l] * v[l]
 		}
+	}
+}
+
+// toContravariant turns the advecting field c into its reference-coordinate
+// components in place, chat[a] = Σ_c ∂r_a/∂x_c·c_c, over each element's
+// non-zero metric pairs (mesh.RXPairs; a component's first pair writes). Done
+// once per RK4 stage field, it serves every advected component and stage.
+func (s *Solver) toContravariant(c [3][]float64) {
+	s.curC = c
+	s.mach.ForElements(s.contraLoop)
+	s.curC = [3][]float64{}
+	s.mach.Charge(s.contraFlops)
+}
+
+// contravariantElement is toContravariant on local element li.
+func (s *Solver) contravariantElement(li, w int) {
+	m, np, dim := s.M, s.M.Np, s.dim
+	e := s.elems[li]
+	i0, base := li*np, e*np
+	g := &s.work[w].g
+	for a := 0; a < dim; a++ {
+		ga, first := g[a][:np], true
+		for c := 0; c < dim; c++ {
+			k := a*dim + c
+			if m.RXPairs[e]>>k&1 == 0 {
+				continue
+			}
+			rx, cc := m.RX[k][base:base+np], s.curC[c][i0:i0+np]
+			if first {
+				mulInto(ga, rx, cc)
+				first = false
+				continue
+			}
+			for l, v := range cc {
+				ga[l] += rx[l] * v
+			}
+		}
+	}
+	for a := 0; a < dim; a++ {
+		copy(s.curC[a][i0:i0+np], g[a])
 	}
 }
 
@@ -139,6 +194,9 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]
 		s.divergencePointwise(d1, c1)
 		s.divergencePointwise(d2, c2)
 		s.divergencePointwise(d4, c4)
+	}
+	for _, c := range [...][3][]float64{c1, c2, c4} { // after the skew term's physical ∇·c
+		s.toContravariant(c)
 	}
 	k1 := s.getBuf()
 	k2 := s.getBuf()
@@ -188,29 +246,25 @@ func (s *Solver) massAverage(v []float64) {
 	s.mach.Charge(int64(3 * s.n))
 }
 
-// substepCount returns the CFL-bounded RK4 substep count for an interval of
-// length tau.
-func substepCount(tau, cflDt float64) int {
-	nsub := 1
-	if !math.IsInf(cflDt, 1) {
-		nsub = int(math.Ceil(tau / cflDt))
-		if nsub < 1 {
-			nsub = 1
-		}
-	}
-	if nsub > 2000 {
-		nsub = 2000
-	}
-	return nsub
+// maxSubsteps caps the RK4 substeps of one subintegration interval: Step fails
+// a flow that needs more rather than integrate above the CFL-stable size.
+const maxSubsteps = 2000
+
+// substepsNeeded returns the RK4 substeps that keep an interval of length tau
+// under the stable substep size cflDt (+Inf at rest), as a float: a blown-up
+// velocity makes it larger than any int.
+func substepsNeeded(tau, cflDt float64) float64 {
+	return math.Max(1, math.Ceil(tau/cflDt))
 }
 
 // advectInto integrates dv/dt = -(c·∇)v backward-started at the fields u0
 // (velocity components, or the scalar) over an interval of length tau ending
 // at the new time level, using RK4 substeps bounded by the CFL limit, writing
 // the subintegrated fields into v. The advecting field c(τ) is the Lagrange
-// interpolant/extrapolant of the velocity history. Returns the substep count.
+// interpolant/extrapolant of the velocity history. Returns the substep count,
+// which Step has checked against maxSubsteps.
 func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][3][]float64) int {
-	nsub := substepCount(tau, cflDt)
+	nsub := int(substepsNeeded(tau, cflDt))
 	h := tau / float64(nsub)
 	for c := range v {
 		copy(v[c], u0[c])

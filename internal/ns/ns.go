@@ -16,6 +16,7 @@ package ns
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/gs"
@@ -184,7 +185,7 @@ type Solver struct {
 	// arrays when the solver owns every element in order).
 	x, y, z []float64 // node coordinates
 	b       []float64 // quadrature mass
-	mult    []float64 // nodal multiplicity
+	rmult   []float64 // reciprocal nodal multiplicity
 	mask    []float64 // velocity Dirichlet mask (nil = none)
 	maskSc  []float64 // scalar Dirichlet mask (nil = none)
 	bAssemL []float64
@@ -239,16 +240,16 @@ type Solver struct {
 	// call.
 	stiffLoop, filterLoop, gradTLoop, divLoop func(li, w int)
 	extrudeLoop, fdmLoop, foldLoop            func(li, w int)
-	convLoop                                  func(li, w int)
+	convLoop, contraLoop                      func(li, w int)
 	curOut, curIn                             []float64
 	curP, curV                                []float64
 	curOuts                                   [][]float64
 	curU, curC                                [3][]float64
 	curDiv                                    []float64
 
-	// Flops of one GradientT, one Divergence and one round of Schwarz
-	// subdomain solves (with their exchange) over the owned elements.
-	gradTFlops, divFlops, fdmFlops int64
+	// Flops of one GradientT, one Divergence, one round of Schwarz subdomain
+	// solves (with their exchange), one toContravariant over the owned elements.
+	gradTFlops, divFlops, fdmFlops, contraFlops int64
 
 	instr   stepInstr              // metric handles (zero value = disabled)
 	tracer  *instrument.Tracer     // nil = off; wall spans for step phases + CG
@@ -523,11 +524,14 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	s.n = len(s.elems) * np
 	nP := len(s.elems) * npp
 
-	s.mult = make([]float64, s.n)
-	for i := range s.mult {
-		s.mult[i] = 1
+	s.rmult = make([]float64, s.n)
+	for i := range s.rmult {
+		s.rmult[i] = 1
 	}
-	mach.Assemble(s.mult)
+	mach.Assemble(s.rmult)
+	for i, mult := range s.rmult {
+		s.rmult[i] = 1 / mult
+	}
 	// owned returns the owned blocks (blk values per element) of a global
 	// element-local array: the array itself when the solver owns every
 	// element in order, else a gathered copy. nil stays nil.
@@ -556,6 +560,7 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		gt, dv := s.eApplyFlops(e)
 		s.gradTFlops += gt
 		s.divFlops += dv
+		s.contraFlops += int64((2*bits.OnesCount16(m.RXPairs[e]) - s.dim) * np) // a multiply per pair, an add beyond a row's first
 		if s.pSchwarz != nil {
 			s.fdmFlops += s.pSchwarz.LocalFlops(e)
 		}
@@ -649,7 +654,7 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	s.foldLoop = func(li, w int) {
 		s.pSchwarz.FoldElem(s.curP[li*npp:(li+1)*npp], s.curOut[li*np:(li+1)*np], s.curV[li*np:(li+1)*np])
 	}
-	s.convLoop = s.convectElement
+	s.convLoop, s.contraLoop = s.convectElement, s.contravariantElement
 	return nil
 }
 

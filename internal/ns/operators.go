@@ -188,12 +188,13 @@ func (s *Solver) applyE(out, p []float64) {
 
 // dotShare is this solver's share of the inner product of velocity-grid
 // fields in redundant element-local storage: each global node is counted once
-// (division by multiplicity). Machine.Sum or, for a batch, SumN makes it whole.
+// (weighted by its reciprocal multiplicity). Machine.Sum or, for a batch, SumN
+// makes it whole.
 func (s *Solver) dotShare(u, v []float64) float64 {
 	var sum float64
-	mult := s.mult
+	v, rmult := v[:len(u)], s.rmult[:len(u)]
 	for i := range u {
-		sum += u[i] * v[i] / mult[i]
+		sum += u[i] * v[i] * rmult[i]
 	}
 	s.mach.Charge(int64(3 * len(u)))
 	return sum

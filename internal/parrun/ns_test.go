@@ -494,3 +494,26 @@ func TestNavierStokesPrecondAuto(t *testing.T) {
 		t.Fatalf("table lookup for P=3 key = %q, %v; want %q", name, ok, res.Precond)
 	}
 }
+
+// A velocity that outruns the substep cap fails the distributed step on every
+// rank together — the decision derives from the joined CFL maximum, so a run
+// whose fast fluid sits on one rank's elements still ends with the step's
+// error instead of a hang or a silently under-resolved subintegration.
+func TestSubstepCapFailsEveryRank(t *testing.T) {
+	cfg, _ := nsCase(t)
+	fast := func(x, y, z float64) (float64, float64, float64) {
+		if x < 0.25 {
+			return 1e7, 0, 0
+		}
+		return 0, 0, 0
+	}
+	_, err := NavierStokes(cfg, NSConfig{P: 3, Steps: 2, Init: fast})
+	if err == nil {
+		t.Fatal("P=3 run above the substep cap reported no error")
+	}
+	for _, want := range []string{"CFL", "substeps", "cap of 2000"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}

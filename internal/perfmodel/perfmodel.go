@@ -84,8 +84,11 @@ func (r *Run) PhaseFlops(i int) (helm, press, conv, filt float64) {
 	// Pressure: iters x (E apply ≈ 2 grads + divergence + FDM local solves
 	// + coarse prolongation, ≈ 4 stiffness-equivalents MM + vector ops).
 	press = float64(r.PressIters[i]) * ((2*grad+stiff)*k + stiff*k + 14*n3*k)
-	// Convection: substeps x RK4 stages x dims fields x gradient work.
-	conv = float64(r.Substeps[i]) * 4 * dims * (grad*k + 7*n3*k)
+	// Convection in reference coordinates: per substep, RK4 stages x dims
+	// fields x (dims derivative products + the fused dims-term combine), and
+	// the three stage fields made contravariant (undeformed elements: one
+	// multiply per component).
+	conv = float64(r.Substeps[i]) * (4*dims*(grad+2*dims*n3) + 3*dims*n3) * k
 	// Filter once per step per field.
 	filt = dims * 2 * dims * n4 * k
 	return helm, press, conv, filt

@@ -293,14 +293,11 @@ type Filter struct {
 	ft    []float64 // Fᵀ, the r-direction operand
 }
 
-func newFilter(f []float64, alpha float64, np1 int) *Filter {
-	return &Filter{F: f, Alpha: alpha, np1: np1, ft: tensor.Transpose(f, np1, np1)}
-}
-
 // NewFilter builds the interpolation-based filter of strength alpha on the
 // mesh's GLL basis (damps the N-th mode only — the paper's description).
 func NewFilter(m *mesh.Mesh, alpha float64) *Filter {
-	return newFilter(poly.FilterMatrix(alpha, m.Z), alpha, m.N+1)
+	f := poly.FilterMatrix(alpha, m.Z)
+	return &Filter{F: f, Alpha: alpha, np1: m.N + 1, ft: tensor.Transpose(f, m.N+1, m.N+1)}
 }
 
 // NewFilterRamp builds the generalized Fischer–Mullen filter that damps the
@@ -313,7 +310,7 @@ func NewFilterRamp(m *mesh.Mesh, alpha float64, cutoff int) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newFilter(f, alpha, m.N+1), nil
+	return &Filter{F: f, Alpha: alpha, np1: m.N + 1, ft: tensor.Transpose(f, m.N+1, m.N+1)}, nil
 }
 
 // Apply filters the field in place, element by element, as a tensor product
