@@ -93,23 +93,21 @@ func (s *Solver) convect(out, v []float64, chat [3][]float64, divc []float64) {
 // convectElement is convect on local element li: the reference-coordinate
 // derivatives land in per-worker scratch and are combined on the spot.
 func (s *Solver) convectElement(li, w int) {
-	m, np, np1 := s.M, s.M.Np, s.np1
+	m, np := s.M, s.M.Np
 	i0 := li * np
 	g := &s.work[w].g
 	v, out, c := s.curIn[i0:i0+np], s.curOut[i0:i0+np], s.curC
+	for a := 0; a < s.dim; a++ {
+		tensor.ApplyDim(g[a][:np], m.D, m.Dt, v, s.np1, s.dim, a)
+	}
 	c0, c1 := c[0][i0:i0+np], c[1][i0:i0+np]
 	vr, vs := g[0][:np], g[1][:np]
 	if s.dim == 2 {
-		tensor.ApplyR2D(vr, m.Dt, v, np1, np1, np1)
-		tensor.ApplyS2D(vs, m.D, v, np1, np1, np1)
 		for l := range out {
 			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l])
 		}
 	} else {
 		c2, vt := c[2][i0:i0+np], g[2][:np]
-		tensor.ApplyR3D(vr, m.Dt, v, np1, np1, np1, np1)
-		tensor.ApplyS3D(vs, m.D, v, np1, np1, np1, np1)
-		tensor.ApplyT3D(vt, m.D, v, np1, np1, np1, np1)
 		for l := range out {
 			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l] + c2[l]*vt[l])
 		}

@@ -46,7 +46,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 	// cflDt comes from a maximum joined over the run: every solver fails here together.
 	if need := substepsNeeded(float64(order)*cfg.Dt, cflDt); need > maxSubsteps {
 		s.mach.End(SecConvect, st)
-		return st, fmt.Errorf("ns: CFL %.3g needs %.0f convective substeps, more than the cap of %d", st.CFL, need, maxSubsteps)
+		return st, fmt.Errorf("ns: CFL %.3g needs %.6g convective substeps, more than the cap of %d", st.CFL, need, maxSubsteps)
 	}
 	// Histories: index 0 is u^{n-1} (current U before this step completes).
 	hist := append(s.histBuf[:0], s.U)
