@@ -16,9 +16,10 @@
 //
 // At scale the observability flags compose: -trace-sample R keeps full
 // span tracks for R deterministically chosen ranks while the merged
-// histograms still cover every rank, and -listen addr serves /metrics
-// (Prometheus text), /progress (JSON) and /debug/pprof live during the
-// run (-linger keeps the endpoint up after it finishes).
+// histograms still cover every rank, and -listen addr serves the session's
+// live routes — /metrics (Prometheus text), /progress and /stats (JSON) —
+// with /debug/pprof beside them during the run (-linger keeps the endpoint
+// up after it finishes).
 package main
 
 import (
@@ -28,6 +29,9 @@ import (
 	"io"
 	"log"
 	"log/slog"
+	"net"
+	"net/http"
+	_ "net/http/pprof" // /debug/pprof on http.DefaultServeMux, beside the session's routes
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,7 +41,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flowcases"
-	"repro/internal/instrument"
 	"repro/internal/ns"
 	"repro/internal/parrun"
 	"repro/internal/session"
@@ -62,7 +65,7 @@ func main() {
 	statsJSON := flag.Bool("stats-json", false, "like -stats, but emit JSON")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 	traceSample := flag.Int("trace-sample", 0, "with -ranks: record full virtual span tracks for only this many evenly spaced ranks (0: all); merged histograms still cover every rank, so large -ranks runs stay traceable without -piters")
-	listen := flag.String("listen", "", "serve /metrics (Prometheus text), /progress (JSON) and /debug/pprof live on this host:port during the run (port 0 picks a free port)")
+	listen := flag.String("listen", "", "serve /metrics (Prometheus text), /progress and /stats (JSON) and /debug/pprof live on this host:port during the run (port 0 picks a free port)")
 	linger := flag.Duration("linger", 0, "with -listen: keep the endpoint up this long after the run completes")
 	ranks := flag.Int("ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
 	faultsPath := flag.String("faults", "", "fault plan JSON degrading the simulated machine: stragglers, link jitter, drops with retry, pauses (requires -ranks)")
@@ -162,14 +165,16 @@ func main() {
 	s := sess.Solver()
 	reportPrecond(s.PrecondSelection())
 	savePrecondCache(*precondCache)
-	var obs *instrument.Server
+	var obs net.Listener
 	if *listen != "" {
-		if obs, err = instrument.Serve(*listen, sess.Registry(), sess.Progress()); err != nil {
+		if obs, err = net.Listen("tcp", *listen); err != nil {
 			log.Fatalf("listen: %v", err)
 		}
 		defer obs.Close()
+		http.Handle("/", sess.Handler())
+		go http.Serve(obs, nil) //nolint:errcheck // returns when the listener closes
 		// The resolved address (port 0 picks a free port) is what scrapers parse.
-		fmt.Printf("observability: listening on http://%s (/metrics /progress /debug/pprof)\n", obs.Addr)
+		fmt.Printf("observability: listening on http://%s (/metrics /progress /stats /debug/pprof)\n", obs.Addr())
 	}
 	machine, lastCol := fmt.Sprintf("workers=%d", *workers), "KE"
 	if *ranks > 0 {
@@ -264,7 +269,7 @@ func main() {
 		snap.Done = true
 		sess.Progress().Update(snap)
 		if *linger > 0 {
-			slog.Info("run complete, endpoint lingering", "addr", obs.Addr, "for", linger.String())
+			slog.Info("run complete, endpoint lingering", "addr", obs.Addr().String(), "for", linger.String())
 			time.Sleep(*linger)
 		}
 	}

@@ -13,9 +13,9 @@
 //	curl -s localhost:8080/api/sessions/s0001-channel
 //	curl -s localhost:8080/api/sessions/s0001-channel/history
 //
-// Each session carries the same per-run instruments the one-shot semflow
-// CLI serves with -listen, mounted per session at
-// /api/sessions/{id}/metrics and /progress.
+// Each session's live routes — the ones the one-shot semflow CLI serves at /
+// with -listen — are mounted under it: /api/sessions/{id}/metrics,
+// /progress and /stats.
 package main
 
 import (
@@ -44,7 +44,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer store.Close()
 	mgr := session.NewManager(store, *maxActive)
 
 	ln, err := net.Listen("tcp", *listen)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/partition"
 	"repro/internal/sem"
+	"repro/internal/solver"
 )
 
 func main() {
@@ -101,43 +102,16 @@ func main() {
 			copy(diag[li*m.Np:(li+1)*m.Np], diagFull[e*m.Np:(e+1)*m.Np])
 		}
 
-		// Preconditioned CG, SPMD.
+		// Jacobi-preconditioned CG, SPMD: every inner product is an allreduce.
 		x := make([]float64, nloc)
-		rres := make([]float64, nloc)
-		z := make([]float64, nloc)
-		pp := make([]float64, nloc)
-		q := make([]float64, nloc)
-		copy(rres, b)
-		prec := func(out, in []float64) {
+		jacobi := func(out, in []float64) {
 			for i := range in {
 				out[i] = in[i] / diag[i]
 			}
 		}
-		prec(z, rres)
-		copy(pp, z)
-		rz := dot(rres, z)
-		tol := 1e-10 * math.Sqrt(dot(b, b))
-		it := 0
-		for ; it < 500; it++ {
-			if math.Sqrt(dot(rres, rres)) <= tol {
-				break
-			}
-			apply(q, pp)
-			alpha := rz / dot(pp, q)
-			for i := range x {
-				x[i] += alpha * pp[i]
-				rres[i] -= alpha * q[i]
-			}
-			prec(z, rres)
-			rz2 := dot(rres, z)
-			beta := rz2 / rz
-			rz = rz2
-			for i := range pp {
-				pp[i] = z[i] + beta*pp[i]
-			}
-		}
+		st := solver.CG(apply, dot, x, b, solver.Options{Tol: 1e-10, Relative: true, MaxIter: 500, Precond: jacobi})
 		results[r.ID] = x
-		iters[r.ID] = it
+		iters[r.ID] = st.Iterations
 	})
 
 	// Verify against the exact solution.

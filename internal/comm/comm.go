@@ -109,8 +109,6 @@ type netInstr struct {
 	sendMsgs  *instrument.Counter
 	sendBytes *instrument.Counter
 	allreduce collectiveInstr
-	bcast     collectiveInstr
-	gather    collectiveInstr
 	barrier   collectiveInstr
 
 	// Distribution rollups: per-message virtual latency and per-event fault
@@ -179,8 +177,6 @@ func (n *Network) Attach(reg *instrument.Registry) {
 		sendVLat:     reg.Histogram("comm/send.vlat"),
 		faultHist:    reg.Histogram("comm/fault.stall.draws"),
 		allreduce:    col("allreduce"),
-		bcast:        col("bcast"),
-		gather:       col("gather"),
 		barrier:      col("barrier"),
 		faultDrops:   reg.Counter("comm/fault.drops"),
 		faultRetries: reg.Counter("comm/fault.retries"),
@@ -616,8 +612,6 @@ func (r *Rank) P() int { return r.net.P }
 const (
 	tagAllreduce = 1 << 20
 	tagBcast     = 1 << 21
-	tagGather    = 1 << 22
-	tagBarrier   = 1 << 23
 )
 
 // ReduceOp combines two equal-length vectors elementwise into dst.
@@ -634,15 +628,6 @@ func OpSum(dst, src []float64) {
 func OpMax(dst, src []float64) {
 	for i, v := range src {
 		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// OpMin takes the elementwise minimum.
-func OpMin(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
 			dst[i] = v
 		}
 	}
@@ -732,41 +717,6 @@ func (r *Rank) bcastTree(data []float64) {
 	}
 }
 
-// Bcast broadcasts root's data to all ranks (binomial tree rooted at 0;
-// non-zero roots relay through 0).
-func (r *Rank) Bcast(data []float64, root int) {
-	in, tr := r.net.instr, r.net.tracer
-	if in == nil && tr == nil {
-		r.bcast(data, root)
-		return
-	}
-	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
-	r.bcast(data, root)
-	if in != nil {
-		in.bcast.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
-	}
-	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "bcast", "comm", t0, r.Time,
-			map[string]any{"words": len(data), "root": root, "msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
-	}
-}
-
-func (r *Rank) bcast(data []float64, root int) {
-	if r.net.P == 1 {
-		return
-	}
-	if root != 0 {
-		if r.ID == root {
-			r.Send(0, tagBcast, data)
-		} else if r.ID == 0 {
-			got := r.Recv(root, tagBcast)
-			copy(data, got)
-			r.Free(got)
-		}
-	}
-	r.bcastTree(data)
-}
-
 // Barrier synchronizes all ranks (allreduce of a scalar).
 func (r *Rank) Barrier() {
 	buf := []float64{0}
@@ -793,66 +743,6 @@ func (r *Rank) AllreduceScalar(v float64, op ReduceOp) float64 {
 	r.scalBuf[0] = v
 	r.Allreduce(r.scalBuf[:], op)
 	return r.scalBuf[0]
-}
-
-// Gather collects each rank's data at root (concatenated by rank id, all
-// slices must share one length) and returns the concatenation at root (nil
-// elsewhere). Binomial-tree fan-in.
-func (r *Rank) Gather(data []float64, root int) []float64 {
-	in, tr := r.net.instr, r.net.tracer
-	if in == nil && tr == nil {
-		return r.gather(data, root)
-	}
-	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
-	out := r.gather(data, root)
-	if in != nil {
-		in.gather.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
-	}
-	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "gather", "comm", t0, r.Time,
-			map[string]any{"words": len(data), "root": root, "msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
-	}
-	return out
-}
-
-func (r *Rank) gather(data []float64, root int) []float64 {
-	p := r.net.P
-	n := len(data)
-	if p == 1 {
-		out := make([]float64, n)
-		copy(out, data)
-		return out
-	}
-	// Shift ids so the tree is rooted at `root`.
-	vid := (r.ID - root + p) % p
-	// own[i]: accumulated block starting at vid.
-	acc := make([]float64, n)
-	copy(acc, data)
-	for dist := 1; dist < p; dist <<= 1 {
-		if vid&(2*dist-1) == 0 {
-			srcV := vid + dist
-			if srcV < p {
-				src := (srcV + root) % p
-				got := r.Recv(src, tagGather+dist)
-				acc = append(acc, got...)
-				r.Free(got)
-			}
-		} else if vid&(dist-1) == 0 {
-			dst := (vid - dist + root) % p
-			r.Send(dst, tagGather+dist, acc)
-			return nil
-		}
-	}
-	if r.ID != root {
-		return nil
-	}
-	// acc holds blocks ordered by virtual id; rotate to physical order.
-	out := make([]float64, p*n)
-	for v := 0; v < p; v++ {
-		phys := (v + root) % p
-		copy(out[phys*n:(phys+1)*n], acc[v*n:(v+1)*n])
-	}
-	return out
 }
 
 // MaxTime returns the maximum virtual clock across ranks (the modeled

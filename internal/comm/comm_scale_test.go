@@ -219,7 +219,7 @@ func TestAllreduceSteadyStateZeroAlloc(t *testing.T) {
 		}
 		for it := 0; it < iters; it++ {
 			r.Allreduce(buf, OpMax)
-			r.AllreduceScalar(float64(it), OpMin)
+			r.AllreduceScalar(float64(it), OpMax)
 		}
 		r.AllreduceScalar(0, OpSum)
 		if r.ID == 0 {

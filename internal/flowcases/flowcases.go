@@ -140,13 +140,6 @@ func KineticEnergy(s *ns.Solver) float64 {
 	return e
 }
 
-// Enstrophy returns ½∫ω² dΩ (2D).
-func Enstrophy(s *ns.Solver) float64 {
-	w := Vorticity(s)
-	n := s.Disc().L2Norm(w)
-	return 0.5 * n * n
-}
-
 // ChannelConfig selects a Table 1 configuration.
 type ChannelConfig struct {
 	Re      float64 // paper: 7500

@@ -11,7 +11,6 @@ package gs
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -53,9 +52,6 @@ func combine(op Op, a, b float64) float64 {
 type Handle struct {
 	n      int
 	groups [][]int32 // local indices sharing one global id (multiplicity > 1 only)
-
-	multOnce sync.Once
-	mult     []float64 // cached nodal multiplicity
 }
 
 // Init builds a handle from the per-local-node global ids (the
@@ -117,37 +113,17 @@ func (h *Handle) ApplyFields(op Op, fields ...[]float64) {
 	}
 }
 
-// multiplicity returns the cached per-node copy count, computing it once
-// (sync.Once: DotAssembled sits inside concurrent PCG inner products).
-func (h *Handle) multiplicity() []float64 {
-	h.multOnce.Do(func() {
-		m := make([]float64, h.n)
-		for i := range m {
-			m[i] = 1
-		}
-		h.Apply(m, Sum)
-		h.mult = m
-	})
-	return h.mult
-}
-
 // Multiplicity returns, per local node, the number of local copies sharing
 // its global id (the inverse of this vector converts assembled sums to
-// averages). The caller owns the returned slice.
+// averages, and weights an element-local inner product so that each global
+// node counts once). Each call returns a fresh slice.
 func (h *Handle) Multiplicity() []float64 {
-	return append([]float64(nil), h.multiplicity()...)
-}
-
-// DotAssembled computes the global inner product Σ_g u_g v_g over distinct
-// global nodes, given element-local vectors (each shared node counted
-// once): it divides by multiplicity.
-func (h *Handle) DotAssembled(u, v []float64) float64 {
-	m := h.multiplicity()
-	var s float64
-	for i := range u {
-		s += u[i] * v[i] / m[i]
+	m := make([]float64, h.n)
+	for i := range m {
+		m[i] = 1
 	}
-	return s
+	h.Apply(m, Sum)
+	return m
 }
 
 // ---- Distributed gather–scatter ----

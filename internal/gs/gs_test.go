@@ -165,18 +165,26 @@ func TestInitGroupOrderCanonical(t *testing.T) {
 func TestMultiplicityCachedAndCopied(t *testing.T) {
 	h := Init([]int64{0, 0, 1})
 	m1 := h.Multiplicity()
-	m1[0] = -100 // caller owns the copy; must not poison the cache
-	if got := h.DotAssembled([]float64{2, 2, 3}, []float64{2, 2, 3}); math.Abs(got-13) > 1e-14 {
-		t.Errorf("DotAssembled after mutated Multiplicity copy = %g, want 13", got)
+	m1[0] = -100 // caller owns the slice; a later call must not see it
+	if m2 := h.Multiplicity(); m2[0] != 2 || m2[1] != 2 || m2[2] != 1 {
+		t.Errorf("Multiplicity after mutating an earlier result = %v, want [2 2 1]", m2)
 	}
 }
 
+// TestDotAssembledCountsGlobalsOnce: weighting an element-local inner
+// product by the inverse multiplicity (what sem.Disc.Mult is for) counts
+// each shared global node once.
 func TestDotAssembledCountsGlobalsOnce(t *testing.T) {
 	gids := []int64{0, 0, 1}
 	h := Init(gids)
 	u := []float64{2, 2, 3} // assembled field: global 0 has value 2
-	if got := h.DotAssembled(u, u); math.Abs(got-(4+9)) > 1e-14 {
-		t.Errorf("DotAssembled = %g, want 13", got)
+	m := h.Multiplicity()
+	got := 0.0
+	for i := range u {
+		got += u[i] * u[i] / m[i]
+	}
+	if math.Abs(got-(4+9)) > 1e-14 {
+		t.Errorf("multiplicity-weighted dot = %g, want 13", got)
 	}
 }
 

@@ -14,10 +14,8 @@ package instrument
 //     latencies and kilo-iteration counts land in the same type with ~19 %
 //     relative resolution;
 //   - histograms sharing a Registry name are the merge: every rank Observes
-//     into the same handle, and Merge folds separately collected histograms
-//     (e.g. per-shard registries) by plain bucket addition, which is exact —
-//     so a P=1024 run needs no per-rank trace tracks to report per-phase
-//     distributions over all ranks.
+//     into the same handle — so a P=1024 run needs no per-rank trace tracks
+//     to report per-phase distributions over all ranks.
 //
 // The nil-receiver no-op contract of the package applies.
 
@@ -184,8 +182,8 @@ func (h *Histogram) Mean() float64 {
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) from the
 // bucket counts: the geometric midpoint of the bucket holding the q-th
 // sample, clamped to the observed min/max so p0/p100 are exact. Estimates
-// are deterministic functions of the bucket counts, so merged histograms
-// report identical quantiles regardless of merge order.
+// are deterministic functions of the bucket counts, so they do not depend on
+// the order the samples arrived in.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -236,50 +234,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.Max()
-}
-
-// Merge folds o's samples into h by bucket addition — exact, order-
-// independent, and safe to run concurrently with Observes on either side.
-// This is how separately collected histograms (per-shard registries, future
-// semflowd sessions) roll up into one distribution.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := 0; i < histBuckets; i++ {
-		if c := o.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-	oc := o.count.Load()
-	if oc == 0 {
-		return
-	}
-	h.count.Add(oc)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+o.Sum())) {
-			break
-		}
-	}
-	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= o.Min() {
-			break
-		}
-		if h.minBits.CompareAndSwap(old, math.Float64bits(o.Min())) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= o.Max() {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(o.Max())) {
-			break
-		}
-	}
 }
 
 // HistBucket is one non-empty bucket in a snapshot: Lower is the bucket's

@@ -16,6 +16,7 @@ package instrument
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -415,4 +416,69 @@ func (rep Report) String() string {
 // JSON renders the report as indented JSON.
 func (rep Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(rep, "", "  ")
+}
+
+// WritePrometheus renders a Report in the Prometheus text exposition
+// format (version 0.0.4). Registry names become a "name" label on a small
+// set of metric families, so arbitrary slash-and-dot metric names survive
+// the Prometheus data model; histograms are exposed as summaries with
+// p50/p90/p99 quantiles plus _sum and _count.
+func WritePrometheus(w io.Writer, rep Report) error {
+	write := func(format string, args ...any) error {
+		_, err := fmt.Fprintf(w, format, args...)
+		return err
+	}
+	if len(rep.Timers) > 0 {
+		if err := write("# HELP semflow_timer_seconds Accumulated time per named timer.\n# TYPE semflow_timer_seconds counter\n"); err != nil {
+			return err
+		}
+		for _, t := range rep.Timers {
+			if err := write("semflow_timer_seconds{name=%q} %g\nsemflow_timer_count{name=%q} %d\n",
+				t.Name, t.Seconds, t.Name, t.Count); err != nil {
+				return err
+			}
+		}
+	}
+	if len(rep.Counters) > 0 {
+		if err := write("# HELP semflow_counter Monotonic event counters.\n# TYPE semflow_counter counter\n"); err != nil {
+			return err
+		}
+		for _, c := range rep.Counters {
+			if err := write("semflow_counter{name=%q} %d\n", c.Name, c.Value); err != nil {
+				return err
+			}
+		}
+	}
+	if len(rep.Gauges) > 0 {
+		if err := write("# HELP semflow_gauge Last sampled value per named gauge.\n# TYPE semflow_gauge gauge\n"); err != nil {
+			return err
+		}
+		for _, g := range rep.Gauges {
+			if err := write("semflow_gauge{name=%q} %g\nsemflow_gauge_mean{name=%q} %g\n",
+				g.Name, g.Last, g.Name, g.Mean); err != nil {
+				return err
+			}
+		}
+	}
+	if len(rep.Histograms) > 0 {
+		if err := write("# HELP semflow_histogram Distribution summaries (log-bucketed estimates).\n# TYPE semflow_histogram summary\n"); err != nil {
+			return err
+		}
+		for _, h := range rep.Histograms {
+			n := h.Name
+			for _, q := range []struct {
+				q string
+				v float64
+			}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}} {
+				if err := write("semflow_histogram{name=%q,quantile=%q} %g\n", n, q.q, q.v); err != nil {
+					return err
+				}
+			}
+			if err := write("semflow_histogram_sum{name=%q} %g\nsemflow_histogram_count{name=%q} %d\n",
+				n, h.Sum, n, h.Count); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -122,5 +123,19 @@ func TestReportSortedAndRendered(t *testing.T) {
 	}
 	if len(back.Timers) != 2 || back.Timers[1].Name != "b/two" {
 		t.Fatal("JSON round-trip lost data")
+	}
+}
+
+func TestWritePrometheusEscapesLabels(t *testing.T) {
+	rep := Report{
+		Counters: []CounterStat{{Name: `weird"name\x`, Value: 3}},
+	}
+	var b strings.Builder
+	if err := WritePrometheus(&b, rep); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("semflow_counter{name=%q} 3\n", `weird"name\x`)
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("escaping wrong:\n%s", b.String())
 	}
 }

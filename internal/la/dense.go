@@ -25,16 +25,6 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add accumulates into element (i,j).
 func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Row returns a view of row i.
-func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.Cols, m.Rows)
@@ -48,17 +38,16 @@ func (m *Dense) T() *Dense {
 
 // LU holds a dense LU factorization with partial pivoting (PA = LU).
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a (n x n, row-major), which is
 // copied; a is not modified. It returns an error if the matrix is singular
 // to working precision.
 func FactorLU(a []float64, n int) (*LU, error) {
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a)
 	lu := f.lu
 	for k := 0; k < n; k++ {
@@ -78,7 +67,6 @@ func FactorLU(a []float64, n int) (*LU, error) {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			f.sign = -f.sign
 		}
 		pivv := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -127,15 +115,6 @@ func (f *LU) Solve(x, b []float64) {
 		}
 		x[i] = s / ri[i]
 	}
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // Inverse returns A⁻¹ as a new row-major n x n matrix.

@@ -87,18 +87,6 @@ func TestMulTransposeForms(t *testing.T) {
 	if d := maxAbsDiff(ref, c); d > 1e-12 {
 		t.Errorf("MulABt: max diff %g", d)
 	}
-	// AtB: A is n2 x n1 (stored transposed).
-	at := make([]float64, n2*n1)
-	for i := 0; i < n1; i++ {
-		for j := 0; j < n2; j++ {
-			at[j*n1+i] = a[i*n2+j]
-		}
-	}
-	c2 := make([]float64, n1*n3)
-	MulAtB(c2, at, b, n1, n2, n3)
-	if d := maxAbsDiff(ref, c2); d > 1e-12 {
-		t.Errorf("MulAtB: max diff %g", d)
-	}
 }
 
 func TestLUSolve(t *testing.T) {
@@ -151,7 +139,7 @@ func TestLUSolveGeneralPivoting(t *testing.T) {
 			t.Errorf("n=%d: pivoted LU solve error %g", n, d)
 		}
 	}
-	// Hand-checked 3x3 with known solution and determinant.
+	// Hand-checked 3x3 with known solution.
 	a := []float64{0, 2, 1, 1, 1, 1, 2, 0, 3}
 	f, err := FactorLU(a, 3)
 	if err != nil {
@@ -163,9 +151,6 @@ func TestLUSolveGeneralPivoting(t *testing.T) {
 		if math.Abs(x[i]-want) > 1e-12 {
 			t.Fatalf("hand-checked solve wrong: %v", x)
 		}
-	}
-	if math.Abs(f.Det()+4) > 1e-12 {
-		t.Errorf("det = %g, want -4", f.Det())
 	}
 }
 
@@ -717,14 +702,6 @@ func TestDenseHelpers(t *testing.T) {
 	if tt.At(1, 0) != 7 || tt.Rows != 3 || tt.Cols != 2 {
 		t.Error("transpose broken")
 	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Error("clone aliases original")
-	}
-	if len(m.Row(1)) != 3 {
-		t.Error("Row length wrong")
-	}
 }
 
 func TestBlasHelpers(t *testing.T) {
@@ -743,27 +720,5 @@ func TestBlasHelpers(t *testing.T) {
 	Scale(0.5, x)
 	if x[0] != 1.5 || x[1] != 2 {
 		t.Error("Scale")
-	}
-	z := make([]float64, 2)
-	Copy(z, x)
-	if z[0] != 1.5 {
-		t.Error("Copy")
-	}
-	yv := make([]float64, 3)
-	a := []float64{1, 2, 3, 4, 5, 6} // 2x3
-	MatVecT(yv, a, []float64{1, 1}, 2, 3)
-	if yv[0] != 5 || yv[1] != 7 || yv[2] != 9 {
-		t.Errorf("MatVecT got %v", yv)
-	}
-}
-
-func TestLUDeterminant(t *testing.T) {
-	a := []float64{2, 0, 0, 3}
-	f, err := FactorLU(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-6) > 1e-12 {
-		t.Errorf("det=%g want 6", f.Det())
 	}
 }

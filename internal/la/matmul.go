@@ -390,26 +390,6 @@ func appendShape(list [][3]int, s [3]int) [][3]int {
 	return append(list, s)
 }
 
-// MulAtB computes C = Aᵀ*B where A is n2 x n1, B is n2 x n3, C is n1 x n3.
-func MulAtB(c, a, b []float64, n1, n2, n3 int) {
-	for i := 0; i < n1*n3; i++ {
-		c[i] = 0
-	}
-	for k := 0; k < n2; k++ {
-		ar := a[k*n1 : k*n1+n1]
-		br := b[k*n3 : k*n3+n3]
-		for i, av := range ar {
-			if av == 0 {
-				continue
-			}
-			cr := c[i*n3 : i*n3+n3]
-			for j, bv := range br {
-				cr[j] += av * bv
-			}
-		}
-	}
-}
-
 // MatVec computes y = A*x where A is m x n row-major.
 func MatVec(y, a, x []float64, m, n int) {
 	for i := 0; i < m; i++ {
@@ -419,23 +399,6 @@ func MatVec(y, a, x []float64, m, n int) {
 			s += v * x[j]
 		}
 		y[i] = s
-	}
-}
-
-// MatVecT computes y = Aᵀ*x where A is m x n row-major (so y has length n).
-func MatVecT(y, a, x []float64, m, n int) {
-	for j := 0; j < n; j++ {
-		y[j] = 0
-	}
-	for i := 0; i < m; i++ {
-		ar := a[i*n : i*n+n]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, v := range ar {
-			y[j] += xi * v
-		}
 	}
 }
 
@@ -460,11 +423,6 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	copy(dst, src)
 }
 
 // Nrm2 returns the Euclidean norm of x.

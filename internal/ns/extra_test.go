@@ -71,27 +71,6 @@ func TestTimeDependentDirichlet(t *testing.T) {
 	}
 }
 
-func TestNormalizePressureMean(t *testing.T) {
-	m := periodicBox(t, 2, 5)
-	s, err := New(Config{Mesh: m, Re: 10, Dt: 0.01, PressurePrecond: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := make([]float64, m.K*s.npp)
-	for i := range p {
-		p[i] = float64(i%7) + 3
-	}
-	s.NormalizePressureMean(p)
-	var num, den float64
-	for i, w := range s.wJp {
-		num += w * p[i]
-		den += w
-	}
-	if math.Abs(num/den) > 1e-12 {
-		t.Errorf("weighted mean not removed: %g", num/den)
-	}
-}
-
 func TestStatsFields(t *testing.T) {
 	m := periodicBox(t, 2, 5)
 	s, err := New(Config{Mesh: m, Re: 100, Dt: 0.01, ProjectionL: 5})

@@ -74,12 +74,6 @@ type Config struct {
 	// installed solver.PrecondTable and falls back to a trial-solve
 	// tournament over the concrete variants (see precond.go).
 	PressurePrecond string
-
-	// TuneRanks is the rank count recorded in the preconditioner-selection
-	// key when PressurePrecond is "auto": parrun sets it to the distributed
-	// P so selections are keyed (and cached) per rank count; 0 means the
-	// serial stepper, keyed as P=1.
-	TuneRanks int
 }
 
 // StepStats reports one time step.
@@ -147,7 +141,6 @@ type template struct {
 	interpVP []float64 // (N-1)x(N+1) GLL -> Gauss interpolation
 	interpPV []float64 // (N+1)x(N-1) Gauss -> GLL prolongation J_pv
 	pvt      []float64 // J_pvᵀ
-	wJp      []float64 // pressure quadrature weight x |J| per pressure node
 	bAssem   []float64 // assembled velocity mass diagonal
 	invBm    []float64 // maskV / bAssem: the pointwise middle of E
 
@@ -389,7 +382,9 @@ func New(cfg Config) (*Solver, error) {
 		t.maskV = m.BoundaryMask(cfg.DirichletMask)
 	}
 	t.D = sem.New(m, t.maskV, cfg.Workers)
-	t.DN = sem.New(m, nil, cfg.Workers)
+	// One worker: only the frozen ladder's PressurePre loops over DN's
+	// elements, so a pool here would only park Workers-1 idle goroutines.
+	t.DN = sem.New(m, nil, 1)
 	s := &Solver{template: t}
 	if err := s.build(precondForced); err != nil {
 		s.Close()
@@ -417,24 +412,10 @@ func (s *Solver) build(precondForced bool) error {
 	if m.Dim == 3 {
 		t.npp *= t.nm1
 	}
-	zp, wp := poly.Gauss(t.nm1)
+	zp, _ := poly.Gauss(t.nm1)
 	t.interpVP = poly.InterpMatrix(zp, m.Z)
 	t.interpPV = poly.InterpMatrix(m.Z, zp)
 	t.pvt = tensor.Transpose(t.interpPV, t.np1, t.nm1)
-	// Pressure quadrature weights x interpolated |J|.
-	t.wJp = make([]float64, m.K*t.npp)
-	jacp := t.interpToPressureField(m.Jac)
-	for e := 0; e < m.K; e++ {
-		for l := 0; l < t.npp; l++ {
-			var w float64
-			if m.Dim == 2 {
-				w = wp[l%t.nm1] * wp[l/t.nm1]
-			} else {
-				w = wp[l%t.nm1] * wp[(l/t.nm1)%t.nm1] * wp[l/(t.nm1*t.nm1)]
-			}
-			t.wJp[e*t.npp+l] = w * jacp[e*t.npp+l]
-		}
-	}
 	// Assembled velocity mass.
 	t.bAssem = append([]float64(nil), m.B...)
 	t.D.GS.Apply(t.bAssem, gs.Sum)
@@ -665,7 +646,6 @@ func (s *Solver) initState(mach Machine, workers int) error {
 // sem finalizer is only a GC-timed backstop.
 func (s *Solver) Close() {
 	s.D.Close()
-	s.DN.Close()
 }
 
 // Time returns the current simulation time.
@@ -736,23 +716,4 @@ func (s *Solver) CoarseOperator() *la.CSR {
 		return nil
 	}
 	return s.pSchwarz.CoarseOperator()
-}
-
-// interpToPressureField interpolates a global velocity-grid field to the
-// pressure Gauss grid, element by element.
-func (t *template) interpToPressureField(u []float64) []float64 {
-	m := t.M
-	out := make([]float64, m.K*t.npp)
-	work := make([]float64, t.InterpWorkLen())
-	vpt := tensor.Transpose(t.interpVP, t.nm1, t.np1)
-	for e := 0; e < m.K; e++ {
-		ue, oe := u[e*m.Np:(e+1)*m.Np], out[e*t.npp:(e+1)*t.npp]
-		if t.dim == 2 {
-			tensor.Apply2D(oe, vpt, t.interpVP, ue, work, t.nm1, t.np1, t.nm1, t.np1)
-		} else {
-			tensor.Apply3D(oe, vpt, t.interpVP, t.interpVP, ue, work,
-				t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
-		}
-	}
-	return out
 }

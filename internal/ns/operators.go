@@ -227,21 +227,6 @@ func (s *Solver) deflatePressure(p []float64) {
 	s.mach.Charge(int64(2 * len(p)))
 }
 
-// NormalizePressureMean subtracts the physical (quadrature-weighted) mean,
-// the conventional normalization of the reported pressure field (global
-// layout: a solver that owns every element).
-func (s *Solver) NormalizePressureMean(p []float64) {
-	var num, den float64
-	for i, w := range s.wJp {
-		num += w * p[i]
-		den += w
-	}
-	mean := num / den
-	for i := range p {
-		p[i] -= mean
-	}
-}
-
 // applyMask zeroes the Dirichlet entries of mask (nil = none).
 func applyMask(u, mask []float64) {
 	for i, mk := range mask {

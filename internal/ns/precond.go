@@ -127,7 +127,7 @@ func (s *Solver) precondOp(name string) solver.Operator {
 // the global coupling, so each application costs the local FDM solves only).
 func (s *Solver) newCheb(name string) *solver.Chebyshev {
 	p := s.cheb[name]
-	c := &solver.Chebyshev{Label: name, A: s.applyE, Degree: p.degree, LMin: p.lmin, LMax: p.lmax}
+	c := &solver.Chebyshev{A: s.applyE, Degree: p.degree, LMin: p.lmin, LMax: p.lmax}
 	if name == PrecondChebJacobi {
 		c.Base = func(out, in []float64) { s.pointJacobi(out, in, s.diagE) }
 	} else {
@@ -236,15 +236,10 @@ func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
 	return solver.PrecondSelection{Name: name, Source: "trial", Trials: trials}
 }
 
-// precondKey is this solver's selection-table key. The serial stepper keys
-// as P=1; parrun sets Cfg.TuneRanks so distributed selections are keyed —
-// and cached — separately per rank count.
+// precondKey is this solver's selection-table key. A distributed run
+// resolves "auto" on its serial template, so one key serves every rank count.
 func (s *Solver) precondKey() solver.PrecondKey {
-	p := s.Cfg.TuneRanks
-	if p < 1 {
-		p = 1
-	}
-	return solver.PrecondKey{K: s.M.K, N: s.M.N, Dim: s.dim, P: p, Tol: s.Cfg.PTol}
+	return solver.PrecondKey{K: s.M.K, N: s.M.N, Dim: s.dim, Tol: s.Cfg.PTol}
 }
 
 // ApplyPrecond applies the resolved pressure preconditioner to the owned

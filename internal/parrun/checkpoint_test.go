@@ -18,16 +18,15 @@ import (
 func resumeFrom(t *testing.T, cfg ns.Config, nc NSConfig, ckSteps int) *Checkpoint {
 	t.Helper()
 	dir := t.TempDir()
-	first := nc
-	first.Steps = ckSteps
-	first.CheckpointDir = dir
-	first.CheckpointEvery = ckSteps
-	res, err := NavierStokes(cfg, first)
+	s, err := Start(cfg, nc)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StepN(ckSteps); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
-	if res.CheckpointsWritten != 1 {
-		t.Fatalf("wrote %d snapshots, want 1", res.CheckpointsWritten)
+	if err := s.Checkpoint().WriteFile(CheckpointPath(dir, ckSteps)); err != nil {
+		t.Fatal(err)
 	}
 	path, err := LatestCheckpoint(dir)
 	if err != nil || path == "" {
@@ -174,8 +173,8 @@ func TestCheckpointResumeBitwiseUnderFaults(t *testing.T) {
 	requireBitwiseContinuation(t, full, resumed, ckSteps)
 }
 
-// TestCheckpointingIsInvisible: enabling snapshots must not perturb the run
-// — the deposit happens outside the simulated machine.
+// TestCheckpointingIsInvisible: a snapshot after every step must not perturb
+// the run — the deposit happens outside the simulated machine.
 func TestCheckpointingIsInvisible(t *testing.T) {
 	cfg, init := nsCase(t)
 	base := NSConfig{P: 3, Steps: 3, Init: init}
@@ -183,16 +182,20 @@ func TestCheckpointingIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := base
-	ck.CheckpointDir = t.TempDir()
-	ck.CheckpointEvery = 1
-	snapped, err := NavierStokes(cfg, ck)
+	s, err := Start(cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapped.CheckpointsWritten != 3 {
-		t.Fatalf("wrote %d snapshots, want 3", snapped.CheckpointsWritten)
+	dir := t.TempDir()
+	for s.StepCount() < base.Steps {
+		if _, err := s.StepN(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint().WriteFile(CheckpointPath(dir, s.StepCount())); err != nil {
+			t.Fatal(err)
+		}
 	}
+	snapped := s.Result()
 	if plain.VirtualSeconds != snapped.VirtualSeconds {
 		t.Fatalf("checkpointing moved the virtual clock: %g vs %g",
 			plain.VirtualSeconds, snapped.VirtualSeconds)

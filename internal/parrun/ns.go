@@ -27,7 +27,6 @@ package parrun
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/coarse"
 	"repro/internal/comm"
@@ -57,14 +56,6 @@ type NSConfig struct {
 	// bounded-retry recovery, rank pauses); nil runs the flawless machine.
 	Faults *fault.Plan
 
-	// CheckpointDir + CheckpointEvery make NavierStokes write a versioned
-	// snapshot of the full stepper state (fields, BDF-OIFS history, projection
-	// basis, step index, virtual clocks) every CheckpointEvery steps. Snapshot
-	// I/O is invisible to the simulated machine: enabling it changes nothing
-	// about the run. CheckpointEvery <= 0 disables writing.
-	CheckpointDir   string
-	CheckpointEvery int
-
 	// Resume continues a run from a snapshot: state, clocks, and fault-plan
 	// sequence counters restore so the continuation is bitwise identical to
 	// the uninterrupted run. The snapshot must come from the same problem
@@ -78,7 +69,7 @@ type NSConfig struct {
 	// OnStep, when non-nil, is called by rank 0 after each completed step
 	// with that step's statistics and rank 0's virtual clock. It runs on the
 	// rank-0 goroutine while the machine is live — implementations must be
-	// fast and concurrency-safe (the live /progress endpoint feeds on it).
+	// fast and concurrency-safe (bench/'s per-step host timing feeds on it).
 	// It observes the run without perturbing it: no virtual-clock cost.
 	OnStep func(st ns.StepStats, virtualSec float64)
 }
@@ -124,8 +115,6 @@ type NSResult struct {
 	Retries       int64   // retransmissions that recovered them
 	Pauses        int64   // pause windows ranks waited out
 	FaultStallSec float64 // total virtual time lost to faults, summed over ranks
-
-	CheckpointsWritten int
 
 	Time     float64      // simulation time after the last step
 	U        [3][]float64 // final velocity, reassembled to element-local layout
@@ -186,12 +175,11 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	p := mach.P
 
 	// One serial solver, built once, shared by all ranks as the read-only
-	// operator template. TuneRanks keys any "auto" preconditioner selection
-	// (and its cache entry) to this rank count, and the template's resolved
-	// variant, Chebyshev bounds, and diag(E) are what every rank forks —
-	// SPMD-uniform coefficients by construction.
+	// operator template. It resolves any "auto" preconditioner selection
+	// (under the same key as a shared-memory run of the problem), and its
+	// resolved variant, Chebyshev bounds, and diag(E) are what every rank
+	// forks — SPMD-uniform coefficients by construction.
 	nscfg.Workers = 1
-	nscfg.TuneRanks = p
 	tmpl, err := ns.New(nscfg)
 	if err != nil {
 		return nil, fmt.Errorf("parrun: %w", err)
@@ -393,8 +381,8 @@ func (s *Stepper) Result() *NSResult {
 }
 
 // NavierStokes advances nscfg's problem to cfg.Steps time steps on cfg.P
-// simulated ranks: Start, StepN (one batch per snapshot interval, if any),
-// Result.
+// simulated ranks: Start, one StepN to the target, Result. Snapshots are the
+// driver's: Stepper.Checkpoint between two batches.
 func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 	if cfg.Steps < 1 {
 		cfg.Steps = 1
@@ -403,32 +391,10 @@ func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	every, written := 0, 0
-	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
-		every = cfg.CheckpointEvery
+	if _, err := s.StepN(cfg.Steps - s.StepCount()); err != nil {
+		return nil, err
 	}
-	for s.StepCount() < cfg.Steps {
-		n := cfg.Steps - s.StepCount()
-		if every > 0 {
-			n = min(n, every-s.StepCount()%every)
-		}
-		if _, err := s.StepN(n); err != nil {
-			return nil, err
-		}
-		if every > 0 && s.StepCount()%every == 0 {
-			err := os.MkdirAll(cfg.CheckpointDir, 0o755)
-			if err == nil {
-				err = s.Checkpoint().WriteFile(CheckpointPath(cfg.CheckpointDir, s.StepCount()))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("parrun: checkpoint write: %w", err)
-			}
-			written++
-		}
-	}
-	res := s.Result()
-	res.CheckpointsWritten = written
-	return res, nil
+	return s.Result(), nil
 }
 
 // rankMachine is ns.Machine on one rank of the simulated machine: the owned

@@ -487,11 +487,12 @@ func TestNavierStokesPrecondAuto(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("auto-selected %q: %d steps did not converge", res.Precond, res.NonconvergedSteps)
 	}
-	// The selection must be keyed to this rank count, not the serial P=1 key.
+	// The serial template ran the tournament: the selection is keyed by the
+	// discretization alone, the key a shared-memory run of the problem reads.
 	tab := solver.InstalledPrecondTable()
-	key := solver.PrecondKey{K: cfg.Mesh.K, N: cfg.Mesh.N, Dim: cfg.Mesh.Dim, P: 3, Tol: cfg.PTol}
+	key := solver.PrecondKey{K: cfg.Mesh.K, N: cfg.Mesh.N, Dim: cfg.Mesh.Dim, Tol: cfg.PTol}
 	if name, ok := tab.Lookup(key); !ok || name != res.Precond {
-		t.Fatalf("table lookup for P=3 key = %q, %v; want %q", name, ok, res.Precond)
+		t.Fatalf("table lookup for the P-free key = %q, %v; want %q", name, ok, res.Precond)
 	}
 }
 

@@ -179,14 +179,3 @@ func HairpinRun(press, helm, substeps []int) *Run {
 	return &Run{K: 8168, N: 15, Dim: 3, CoarseN: 10142,
 		PressIters: press, HelmIters: helm, Substeps: substeps}
 }
-
-// GridPoints returns the velocity-grid point count of the run
-// (K·(N+1)^dim; the paper quotes 27,799,110 for the globally assembled
-// hairpin mesh).
-func (r *Run) GridPoints() float64 {
-	n1 := float64(r.N + 1)
-	if r.Dim == 3 {
-		return float64(r.K) * n1 * n1 * n1
-	}
-	return float64(r.K) * n1 * n1
-}

@@ -114,17 +114,6 @@ func TestIterationHistoryShape(t *testing.T) {
 	}
 }
 
-func TestGridPoints(t *testing.T) {
-	r := paperRun(1)
-	// K=8168, N=15: 8168 * 16^3 = 33,456,128 element-local points; the
-	// paper's 27.8M figure counts assembled unique points, so ours must be
-	// the same order and larger.
-	gp := r.GridPoints()
-	if gp < 27.8e6 || gp > 34e6 {
-		t.Errorf("grid points %g implausible", gp)
-	}
-}
-
 func TestCommDominatesAtHugeP(t *testing.T) {
 	// With absurdly many nodes for a small problem the model must show the
 	// communication floor (speedup saturates).

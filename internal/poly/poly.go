@@ -260,19 +260,3 @@ func ModalFilterMatrix(alpha float64, cutoff int, x []float64) ([]float64, error
 	la.Mul(f, vs, vinv, np, np, np)
 	return f, nil
 }
-
-// LagrangeEval evaluates the Lagrange interpolant of nodal values u on nodes
-// x at the point t (barycentric formula).
-func LagrangeEval(x, u []float64, t float64) float64 {
-	w := BaryWeights(x)
-	var num, den float64
-	for k := range x {
-		if t == x[k] {
-			return u[k]
-		}
-		c := w[k] / (t - x[k])
-		num += c * u[k]
-		den += c
-	}
-	return num / den
-}

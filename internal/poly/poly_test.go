@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/la"
 )
 
 func TestLegendreValues(t *testing.T) {
@@ -265,8 +267,8 @@ func TestModalFilterMatchesInterpFilterOnTopMode(t *testing.T) {
 }
 
 func TestLagrangeEvalProperty(t *testing.T) {
-	// Interpolation reproduces arbitrary degree-N polynomials at random
-	// evaluation points (property-based).
+	// InterpMatrix's barycentric interpolation reproduces arbitrary degree-N
+	// polynomials at random evaluation points (property-based).
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(10)
@@ -286,14 +288,20 @@ func TestLagrangeEvalProperty(t *testing.T) {
 		for i, xi := range x {
 			u[i] = evalPoly(xi)
 		}
-		for trial := 0; trial < 5; trial++ {
-			pt := rng.Float64()*2 - 1
-			if math.Abs(LagrangeEval(x, u, pt)-evalPoly(pt)) > 1e-8 {
+		pts := make([]float64, 6)
+		for i := range pts[:5] {
+			pts[i] = rng.Float64()*2 - 1
+		}
+		pts[5] = x[1] // node hit path
+		j := InterpMatrix(pts, x)
+		v := make([]float64, len(pts))
+		la.MatVec(v, j, u, len(pts), n+1)
+		for i, pt := range pts[:5] {
+			if math.Abs(v[i]-evalPoly(pt)) > 1e-8 {
 				return false
 			}
 		}
-		// Node hit path.
-		return LagrangeEval(x, u, x[1]) == u[1]
+		return v[5] == u[1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -40,13 +40,11 @@ type Disc struct {
 	// operands during one call; the operators were never safe for concurrent
 	// calls on one Disc (shared per-worker scratch), so this adds no new
 	// restriction.
-	stiffLoop  func(e, w int)
-	gradLoop   func(e, w int)
-	filterLoop func(e, w int)
-	curOut     []float64
-	curIn      []float64
-	curOuts    [][]float64
-	curFilter  *Filter
+	stiffLoop func(e, w int)
+	gradLoop  func(e, w int)
+	curOut    []float64
+	curIn     []float64
+	curOuts   [][]float64
 }
 
 // New builds the operator set. mask may be nil (pure Neumann / periodic).
@@ -71,9 +69,6 @@ func New(m *mesh.Mesh, mask []float64, workers int) *Disc {
 			o2 = d.curOuts[2][i0:i1]
 		}
 		d.GradElement(d.curOuts[0][i0:i1], d.curOuts[1][i0:i1], o2, d.curIn[i0:i1], e, d.scratch[w])
-	}
-	d.filterLoop = func(e, w int) {
-		d.FilterElement(d.curFilter, d.curIn[e*np:(e+1)*np], d.scratch[w])
 	}
 	if workers > 1 && m.K >= 2 {
 		d.pool = newElemPool(m.K, workers)
@@ -194,15 +189,6 @@ func (d *Disc) Helmholtz(out, u []float64, h1, h2 float64) {
 	d.Assemble(out)
 }
 
-// MassApply computes out = B u (diagonal, unassembled quadrature mass).
-func (d *Disc) MassApply(out, u []float64) {
-	b := d.M.B
-	for i := range u {
-		out[i] = b[i] * u[i]
-	}
-	d.flops.Add(int64(len(u)))
-}
-
 // HelmholtzDiag returns the assembled diagonal of h1·A + h2·B, the Jacobi
 // preconditioner of the velocity solves.
 func (d *Disc) HelmholtzDiag(h1, h2 float64) []float64 {
@@ -311,25 +297,6 @@ func NewFilterRamp(m *mesh.Mesh, alpha float64, cutoff int) (*Filter, error) {
 		return nil, err
 	}
 	return &Filter{F: f, Alpha: alpha, np1: m.N + 1, ft: tensor.Transpose(f, m.N+1, m.N+1)}, nil
-}
-
-// Apply filters the field in place, element by element, as a tensor product
-// F⊗F(⊗F) — the once-per-timestep local interpolation of Sec. 2.
-func (d *Disc) ApplyFilter(f *Filter, u []float64) {
-	if f == nil || f.Alpha == 0 {
-		return
-	}
-	m := d.M
-	np1 := f.np1
-	d.curFilter, d.curIn = f, u
-	d.forElements(d.filterLoop)
-	d.curFilter, d.curIn = nil, nil
-	if m.Dim == 2 {
-		d.flops.Add(int64(m.K) * 2 * 2 * int64(np1) * int64(np1) * int64(np1))
-		return
-	}
-	n4 := int64(np1) * int64(np1) * int64(np1) * int64(np1)
-	d.flops.Add(int64(m.K) * 3 * 2 * n4)
 }
 
 // BuildAssembledCSR materializes the assembled, masked stiffness operator as

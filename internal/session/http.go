@@ -1,9 +1,10 @@
 package session
 
-// http.go is semflowd's job API: submit a flow case + config, poll status,
-// stream per-step StepRecord JSONL and trace artifacts, and scrape
-// per-session /metrics and /progress (the same instrument handlers the
-// one-shot semflow -listen endpoint serves, mounted per session).
+// http.go is the HTTP surface of sessions: Session.Handler, the live routes
+// of one run (semflow -listen serves them at /), and HTTPHandler, semflowd's
+// job API — submit a flow case + config, poll status, stream per-step
+// StepRecord JSONL and trace artifacts, and scrape every session's live
+// routes under its id.
 //
 //	POST /api/sessions                    {case, steps, ...} or {resume_from, steps}
 //	GET  /api/sessions                    list job statuses
@@ -15,6 +16,7 @@ package session
 //	GET  /api/sessions/{id}/artifacts/{name}  one stored artifact
 //	GET  /api/sessions/{id}/metrics       per-session Prometheus text
 //	GET  /api/sessions/{id}/progress      per-session progress JSON
+//	GET  /api/sessions/{id}/stats         per-session instrument.Report JSON
 //	GET  /healthz                         liveness
 //
 // /history serves the live in-memory series for known jobs (readable mid-
@@ -46,6 +48,38 @@ const maxSubmitBytes = 1 << 20
 // SubmitResponse is the POST /api/sessions reply.
 type SubmitResponse struct {
 	ID string `json:"id"`
+}
+
+// Handler serves the session's live instruments, relative to where it is
+// mounted: GET metrics (the registry as Prometheus text), progress (the
+// ProgressSnapshot as JSON) and stats (the full instrument.Report as JSON).
+// The registry and progress may be updated concurrently: each request
+// snapshots them under their own locks.
+func (s *Session) Handler() http.Handler {
+	serveJSON := func(w http.ResponseWriter, data []byte, err error) {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := instrument.WritePrometheus(w, s.reg.Report()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("GET /progress", func(w http.ResponseWriter, r *http.Request) {
+		data, err := json.MarshalIndent(s.prog.Snapshot(), "", "  ")
+		serveJSON(w, data, err)
+	})
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		data, err := s.reg.Report().JSON()
+		serveJSON(w, data, err)
+	})
+	return mux
 }
 
 // HTTPHandler serves the job API for a manager.
@@ -175,15 +209,10 @@ func HTTPHandler(m *Manager) http.Handler {
 		w.Write(b)
 	})
 
-	mux.HandleFunc("GET /api/sessions/{id}/metrics", func(w http.ResponseWriter, r *http.Request) {
+	// Every other GET one level below a session is one of its live routes.
+	mux.HandleFunc("GET /api/sessions/{id}/{route}", func(w http.ResponseWriter, r *http.Request) {
 		if j, ok := job(w, r); ok {
-			instrument.MetricsHandler(j.sess.Registry()).ServeHTTP(w, r)
-		}
-	})
-
-	mux.HandleFunc("GET /api/sessions/{id}/progress", func(w http.ResponseWriter, r *http.Request) {
-		if j, ok := job(w, r); ok {
-			instrument.ProgressHandler(j.sess.Progress()).ServeHTTP(w, r)
+			http.StripPrefix("/api/sessions/"+j.ID, j.sess.Handler()).ServeHTTP(w, r)
 		}
 	})
 
@@ -203,7 +232,7 @@ func HTTPHandler(m *Manager) http.Handler {
 			"GET  /api/sessions/{id}/history", "GET  /api/sessions/{id}/artifacts",
 			"GET  /api/sessions/{id}/artifacts/{name}",
 			"GET  /api/sessions/{id}/metrics", "GET  /api/sessions/{id}/progress",
-			"GET  /healthz",
+			"GET  /api/sessions/{id}/stats", "GET  /healthz",
 		} {
 			fmt.Fprintf(w, "  %s\n", p)
 		}

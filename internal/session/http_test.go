@@ -9,8 +9,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/instrument"
 )
 
 func newTestAPI(t *testing.T) (*Manager, *httptest.Server) {
@@ -168,6 +171,106 @@ func TestHTTPSubmitPollHistory(t *testing.T) {
 	}
 	if prog.Step != steps || !prog.Done {
 		t.Fatalf("progress %+v, want step=%d done", prog, steps)
+	}
+	var rep instrument.Report
+	if err := json.Unmarshal(getBody(t, srv.URL+"/api/sessions/"+sub.ID+"/stats", http.StatusOK), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Meta == nil || rep.Meta.Case != "shearlayer" || len(rep.Timers) == 0 {
+		t.Fatalf("stats: meta %+v, %d timers", rep.Meta, len(rep.Timers))
+	}
+}
+
+// TestServeLiveScrapeUnderLoad scrapes a stepping session through the handler
+// semflow -listen mounts at / — the -race gate for the live routes, which
+// read the registry and progress while StepN writes them.
+func TestServeLiveScrapeUnderLoad(t *testing.T) {
+	sess, err := Create(testCfg(1<<20, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv := httptest.NewServer(sess.Handler())
+	defer srv.Close()
+
+	if _, err := sess.StepN(2); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the run
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := sess.StepN(1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("/metrics content type %q", ct)
+		}
+		if !bytes.Contains(body, []byte(`semflow_timer_seconds{name="ns/pressure"}`)) ||
+			!bytes.Contains(body, []byte(`semflow_histogram{name=`)) {
+			t.Fatalf("/metrics missing expected families:\n%s", body)
+		}
+		var snap ProgressSnapshot
+		if err := json.Unmarshal(getBody(t, srv.URL+"/progress", http.StatusOK), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Case != "shearlayer" || snap.Step < 2 {
+			t.Fatalf("/progress %+v", snap)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	var rep instrument.Report
+	if err := json.Unmarshal(getBody(t, srv.URL+"/stats", http.StatusOK), &rep); err != nil {
+		t.Fatalf("/stats not a Report: %v", err)
+	}
+	if rep.Meta == nil || rep.Meta.Case != "shearlayer" || len(rep.Histograms) == 0 {
+		t.Fatalf("/stats: meta %+v, %d histograms", rep.Meta, len(rep.Histograms))
+	}
+	getBody(t, srv.URL+"/", http.StatusNotFound)
+}
+
+// TestHTTPInvalidKeyIsNotFound: a read under a key Put refuses names nothing,
+// so both backends answer it 404, as for any other absent artifact.
+func TestHTTPInvalidKeyIsNotFound(t *testing.T) {
+	for name, st := range storeBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := st.Put("s1", ArtifactConfig, []byte("{}")); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(st, 1)
+			srv := httptest.NewServer(HTTPHandler(m))
+			defer m.Close()
+			defer srv.Close()
+			for _, path := range []string{
+				"/api/sessions/a..b/history",
+				"/api/sessions/a..b/artifacts",
+				"/api/sessions/s1/artifacts/x..y",
+			} {
+				getBody(t, srv.URL+path, http.StatusNotFound)
+			}
+			if err := st.Put("a..b", ArtifactHistory, nil); err == nil {
+				t.Fatal("Put accepted an escaping key")
+			}
+		})
 	}
 }
 

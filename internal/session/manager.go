@@ -22,7 +22,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/ns"
 	"repro/internal/parrun"
 )
 
@@ -77,23 +76,22 @@ type Job struct {
 	mu    sync.Mutex
 	state State
 	err   string
-	last  ns.StepStats
-	step  int
-	time  float64
 
 	done chan struct{} // closed when the runner finishes
 }
 
-// Status snapshots the job.
+// Status snapshots the job: its lifecycle state, and the position and last
+// step's headline stats from the session's progress, which StepN updates.
 func (j *Job) Status() Status {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	state, errMsg := j.state, j.err
+	j.mu.Unlock()
+	p := j.sess.prog.Snapshot()
 	return Status{
-		ID: j.ID, State: j.state, Case: j.Cfg.Case,
-		Step: j.step, TotalSteps: j.Cfg.Steps, Time: j.time,
-		Error: j.err, ResumedFrom: j.resumedFrom,
-		CFL: j.last.CFL, PressureIters: j.last.PressureIters,
-		PressureResFinal: j.last.PressureResFinal,
+		ID: j.ID, State: state, Case: j.Cfg.Case,
+		Step: p.Step, TotalSteps: j.Cfg.Steps, Time: p.Time,
+		Error: errMsg, ResumedFrom: j.resumedFrom,
+		CFL: p.CFL, PressureIters: p.PressureIters, PressureResFinal: p.PressureRes,
 	}
 }
 
@@ -203,8 +201,7 @@ func (m *Manager) launch(sess *Session, resumedFrom string) (*Job, error) {
 		ID: id, Cfg: sess.Config(), sess: sess,
 		resumedFrom: resumedFrom,
 		state:       StateRunning,
-		step:        sess.Step(), time: sess.Time(),
-		done: make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	m.jobs[id] = j
 	m.mu.Unlock()
@@ -249,18 +246,13 @@ func (m *Manager) run(j *Job) {
 		if rem := j.Cfg.Steps - step; batch > rem {
 			batch = rem
 		}
-		st, err := m.stepBatch(j, batch)
+		err := m.stepBatch(j, batch)
 		// The slot just released is free again at once (slots are sized to the
 		// processors), so nothing above ever blocks and a sub-millisecond step
 		// loop holds its processor until the runtime's 10 ms forced preemption
 		// — which an HTTP handler on the same processor then waits out. The
 		// batch boundary is the scheduler quantum: yield there.
 		runtime.Gosched()
-		if st.Step > 0 {
-			j.mu.Lock()
-			j.last, j.step, j.time = st, st.Step, st.Time
-			j.mu.Unlock()
-		}
 		if err == ErrCancelled {
 			final = StateCancelled
 			break
@@ -284,7 +276,7 @@ func (m *Manager) run(j *Job) {
 // session's failure, not the process's: it comes back as an error, with value
 // and stack deposited as the panic.txt artifact, and the slot is released on
 // every path so the other tenants keep stepping.
-func (m *Manager) stepBatch(j *Job, batch int) (st ns.StepStats, err error) {
+func (m *Manager) stepBatch(j *Job, batch int) (err error) {
 	m.slots <- struct{}{}
 	defer func() {
 		<-m.slots
@@ -296,7 +288,8 @@ func (m *Manager) stepBatch(j *Job, batch int) (st ns.StepStats, err error) {
 			}
 		}
 	}()
-	return j.sess.StepN(batch)
+	_, err = j.sess.StepN(batch)
+	return err
 }
 
 // depositCheckpoint snapshots the session into the store.
@@ -339,11 +332,14 @@ func (m *Manager) finish(j *Job, final State, errMsg string) {
 	}
 	j.sess.Close()
 
+	// The status reports where the session stands: a step that failed after
+	// advancing the clock (NaN) is one past the last progress update.
+	p := j.sess.prog.Snapshot()
+	p.Step, p.Time = j.sess.Step(), j.sess.Time()
+	j.sess.prog.Update(p)
+
 	// result.json is in the store before the final state is published: a
 	// client may fetch it the instant it sees the job leave "running".
-	j.mu.Lock()
-	j.step, j.time = j.sess.Step(), j.sess.Time()
-	j.mu.Unlock()
 	status := j.Status()
 	status.State, status.Error = final, errMsg
 	if b, err := json.MarshalIndent(status, "", "  "); err == nil {
@@ -354,9 +350,8 @@ func (m *Manager) finish(j *Job, final State, errMsg string) {
 	j.mu.Lock()
 	j.state, j.err = final, errMsg
 	j.mu.Unlock()
-	j.sess.updateProgress(ns.StepStats{Step: status.Step, Time: status.Time,
-		CFL: status.CFL, PressureIters: status.PressureIters,
-		PressureResFinal: status.PressureResFinal}, true)
+	p.Done = true
+	j.sess.prog.Update(p)
 }
 
 // Get returns a job by id.

@@ -12,7 +12,8 @@
 // the simulated machine (parrun.Stepper; Ranks = P). Per-session
 // observability is always on: a metrics Registry, a per-step StepRecord
 // TimeSeries (the JSONL artifact), and a Progress snapshot — the instruments
-// the live endpoints serve, mounted per session by semflowd.
+// Handler serves live, at / under semflow -listen and per session under
+// semflowd.
 // Stepping is bitwise deterministic and isolated: two sessions running
 // concurrently in one process produce exactly the fields each would have
 // produced alone (worker chunks are fixed at build; nothing numeric is
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/flowcases"
@@ -135,8 +137,46 @@ type Session struct {
 
 	reg     *instrument.Registry
 	history *instrument.TimeSeries
-	prog    *instrument.Progress
+	prog    Progress
 	tracer  *instrument.Tracer // nil unless cfg.Trace
+}
+
+// Progress is a mutex-guarded snapshot of a run's position, updated after
+// every step and served as JSON at progress.
+type Progress struct {
+	mu   sync.Mutex
+	snap ProgressSnapshot
+}
+
+// ProgressSnapshot is the progress payload.
+type ProgressSnapshot struct {
+	Case           string  `json:"case,omitempty"`
+	Ranks          int     `json:"ranks,omitempty"`
+	Step           int     `json:"step"`
+	TotalSteps     int     `json:"total_steps,omitempty"`
+	Time           float64 `json:"time"`            // simulation time
+	VirtualSeconds float64 `json:"virtual_seconds"` // max rank virtual clock
+	CFL            float64 `json:"cfl,omitempty"`
+	PressureIters  int     `json:"pressure_iters"`
+	PressureRes    float64 `json:"pressure_res"`
+	Converged      bool    `json:"converged"`
+	Done           bool    `json:"done"`
+	UpdatedUnixMs  int64   `json:"updated_unix_ms"`
+}
+
+// Update replaces the snapshot (stamping the update time).
+func (p *Progress) Update(s ProgressSnapshot) {
+	s.UpdatedUnixMs = time.Now().UnixMilli()
+	p.mu.Lock()
+	p.snap = s
+	p.mu.Unlock()
+}
+
+// Snapshot returns the current snapshot.
+func (p *Progress) Snapshot() ProgressSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.snap
 }
 
 // Create builds a session for the configured case.
@@ -173,7 +213,6 @@ func open(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 		cfg:     cfg,
 		reg:     instrument.New(),
 		history: instrument.NewTimeSeries(),
-		prog:    instrument.NewProgress(),
 	}
 	if cfg.Trace {
 		s.tracer = instrument.NewTracer()
@@ -269,7 +308,7 @@ func (s *Session) StepN(n int) (ns.StepStats, error) {
 }
 
 func (s *Session) updateProgress(st ns.StepStats, done bool) {
-	s.prog.Update(instrument.ProgressSnapshot{
+	s.prog.Update(ProgressSnapshot{
 		Case: s.cfg.Case, Ranks: s.cfg.Ranks, Step: st.Step, TotalSteps: s.cfg.Steps,
 		Time: st.Time, VirtualSeconds: s.m.VirtualSeconds(), CFL: st.CFL,
 		PressureIters: st.PressureIters, PressureRes: st.PressureResFinal,
@@ -348,7 +387,7 @@ func (s *Session) History() *instrument.TimeSeries { return s.history }
 func (s *Session) Registry() *instrument.Registry { return s.reg }
 
 // Progress is the per-session progress snapshot (/progress).
-func (s *Session) Progress() *instrument.Progress { return s.prog }
+func (s *Session) Progress() *Progress { return &s.prog }
 
 // Tracer is the session's tracer (nil unless Config.Trace).
 func (s *Session) Tracer() *instrument.Tracer { return s.tracer }

@@ -383,14 +383,34 @@ func TestManagerCancelAndFailurePaths(t *testing.T) {
 }
 
 // TestManagerReleasesWorkerPools is the leak half of the acceptance
-// criterion: after every session closes, the process is back to its
-// baseline goroutine count — no element-pool workers survive.
+// criterion: a live W-worker session parks exactly W-1 pool goroutines (its
+// velocity operators' pool; nothing else loops over elements in parallel),
+// and after every session closes, the process is back to its baseline
+// goroutine count — no element-pool workers survive.
 func TestManagerReleasesWorkerPools(t *testing.T) {
+	const workers, live = 3, 2
+	settlePoolWorkers(t, 0)
+	var sessions []*Session
+	for i := 0; i < live; i++ {
+		s, err := Create(testCfg(3, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	if got, want := poolWorkers(), live*(workers-1); got != want {
+		t.Fatalf("%d live %d-worker sessions park %d pool goroutines, want %d", live, workers, got, want)
+	}
+	for _, s := range sessions {
+		s.Close()
+	}
+	settlePoolWorkers(t, 0)
+
 	base := runtime.NumGoroutine()
 	m := NewManager(NewMemStore(), 2)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		cfg := testCfg(3, 3) // 3 workers → 2 pool goroutines per disc pair
+		cfg := testCfg(3, workers)
 		cfg.BatchSteps = 1
 		j, err := m.Submit(cfg)
 		if err != nil {
@@ -411,6 +431,31 @@ func waitJob(t *testing.T, j *Job) {
 	case <-j.Done():
 	case <-time.After(120 * time.Second):
 		t.Fatalf("job %s did not finish: %+v", j.ID, j.Status())
+	}
+}
+
+// poolWorkers counts the element-pool goroutines in the process.
+func poolWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "sem.(*elemPool).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settlePoolWorkers retries until at most want pool goroutines remain (a
+// pool leaked by another test is only retired by its finalizer).
+func settlePoolWorkers(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for poolWorkers() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d element-pool goroutines did not settle to %d", poolWorkers(), want)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -32,14 +32,9 @@ type Store interface {
 	Put(session, name string, data []byte) error
 	// Get reads an artifact (ErrNotFound if absent).
 	Get(session, name string) ([]byte, error)
-	// List returns the sorted artifact names of one session.
+	// List returns the sorted artifact names of one session (ErrNotFound if
+	// it holds none).
 	List(session string) ([]string, error)
-	// Sessions returns the sorted ids that hold at least one artifact.
-	Sessions() ([]string, error)
-	// Delete removes a session and all its artifacts (no-op if absent).
-	Delete(session string) error
-	// Close releases backend resources.
-	Close() error
 }
 
 // OpenStore opens a store from a data-source string:
@@ -61,7 +56,8 @@ func OpenStore(dsn string) (Store, error) {
 }
 
 // checkKey rejects ids/names that would escape the per-session namespace
-// (path separators, "..", empty).
+// (path separators, "..", empty). Put refuses such a key, so a read under one
+// finds nothing: ErrNotFound, as for any other absent key.
 func checkKey(k string) error {
 	if k == "" || k == "." || k == ".." ||
 		strings.ContainsAny(k, "/\\") || strings.Contains(k, "..") {
@@ -108,11 +104,8 @@ func (s *FSStore) Put(session, name string, data []byte) error {
 }
 
 func (s *FSStore) Get(session, name string) ([]byte, error) {
-	if err := checkKey(session); err != nil {
-		return nil, err
-	}
-	if err := checkKey(name); err != nil {
-		return nil, err
+	if checkKey(session) != nil || checkKey(name) != nil {
+		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, session, name)
 	}
 	b, err := os.ReadFile(filepath.Join(s.root, session, name))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -122,8 +115,8 @@ func (s *FSStore) Get(session, name string) ([]byte, error) {
 }
 
 func (s *FSStore) List(session string) ([]string, error) {
-	if err := checkKey(session); err != nil {
-		return nil, err
+	if checkKey(session) != nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, session)
 	}
 	entries, err := os.ReadDir(filepath.Join(s.root, session))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -141,30 +134,6 @@ func (s *FSStore) List(session string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-func (s *FSStore) Sessions() ([]string, error) {
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-func (s *FSStore) Delete(session string) error {
-	if err := checkKey(session); err != nil {
-		return err
-	}
-	return os.RemoveAll(filepath.Join(s.root, session))
-}
-
-func (s *FSStore) Close() error { return nil }
 
 // --- memory backend ---
 
@@ -222,23 +191,3 @@ func (s *MemStore) List(session string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-func (s *MemStore) Sessions() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.data))
-	for id := range s.data {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-func (s *MemStore) Delete(session string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, session)
-	return nil
-}
-
-func (s *MemStore) Close() error { return nil }

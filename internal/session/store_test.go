@@ -22,7 +22,6 @@ func storeBackends(t *testing.T) map[string]Store {
 func TestStoreConformance(t *testing.T) {
 	for name, st := range storeBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			defer st.Close()
 
 			if _, err := st.Get("s1", "a.json"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Get on empty store: %v, want ErrNotFound", err)
@@ -56,12 +55,8 @@ func TestStoreConformance(t *testing.T) {
 			if want := []string{"a.json", "b.gob"}; !equalStrings(names, want) {
 				t.Fatalf("List = %v, want %v", names, want)
 			}
-			ids, err := st.Sessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []string{"s1", "s2"}; !equalStrings(ids, want) {
-				t.Fatalf("Sessions = %v, want %v", ids, want)
+			if names, err := st.List("s2"); err != nil || !equalStrings(names, []string{"a.json"}) {
+				t.Fatalf("List(s2) = %v, %v; want [a.json]", names, err)
 			}
 
 			// Mutating a returned slice must not alias the stored bytes.
@@ -69,16 +64,6 @@ func TestStoreConformance(t *testing.T) {
 			b2, _ := st.Get("s1", "a.json")
 			if string(b2) != "alpha2" {
 				t.Fatalf("stored bytes aliased: %q", b2)
-			}
-
-			if err := st.Delete("s1"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Get("s1", "a.json"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after Delete: %v, want ErrNotFound", err)
-			}
-			if err := st.Delete("s1"); err != nil {
-				t.Fatalf("second Delete: %v", err)
 			}
 		})
 	}
@@ -88,7 +73,6 @@ func TestStoreRejectsEscapingKeys(t *testing.T) {
 	bad := []string{"", ".", "..", "a/b", `a\b`, "../etc", "x..y"}
 	for name, st := range storeBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			defer st.Close()
 			for _, k := range bad {
 				if err := st.Put(k, "a", nil); err == nil {
 					t.Errorf("Put(session=%q) accepted", k)

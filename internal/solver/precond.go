@@ -1,32 +1,15 @@
 package solver
 
-// precond.go: the preconditioner abstraction the pressure solve selects
-// over at runtime, and the Chebyshev acceleration shared by the Jacobi and
-// Schwarz smoothing variants. The Schwarz(FDM)+XXT sandwich stays the
-// bitwise reference path; Chebyshev smoothing wraps a cheap base sweep
+// precond.go: the Chebyshev acceleration shared by the Jacobi and Schwarz
+// smoothing variants the pressure solve selects over at runtime. The
+// Schwarz(FDM)+XXT sandwich stays the bitwise reference path; Chebyshev
+// smoothing wraps a cheap base sweep
 // (point-Jacobi on diag(E), or a coarse-free Schwarz pass) in a fixed-degree
 // polynomial whose coefficients come from estimated eigenvalue bounds of
 // the preconditioned operator — the construction of Phillips et al.,
 // "Tuning Spectral Element Preconditioners for Parallel Scalability".
 
 import "math"
-
-// Preconditioner is a named symmetric preconditioner application
-// out ≈ M⁻¹ in. Implementations must tolerate out == previous contents
-// (no aliasing with in) and must not allocate in steady state.
-type Preconditioner interface {
-	Name() string
-	Apply(out, in []float64)
-}
-
-// FuncPrecond adapts a bare Operator to the Preconditioner interface.
-type FuncPrecond struct {
-	Label string
-	Op    Operator
-}
-
-func (f *FuncPrecond) Name() string            { return f.Label }
-func (f *FuncPrecond) Apply(out, in []float64) { f.Op(out, in) }
 
 // Chebyshev accelerates a base preconditioner with a degree-k Chebyshev
 // polynomial in the preconditioned operator Base∘A, using the standard
@@ -36,7 +19,6 @@ func (f *FuncPrecond) Apply(out, in []float64) { f.Op(out, in) }
 // so only an *underestimated* LMax can break it — which Calibrate detects
 // and repairs by inflating the bound.
 type Chebyshev struct {
-	Label  string
 	A      Operator // the operator being preconditioned (e.g. the pressure E)
 	Base   Operator // the base sweep M⁻¹ (Jacobi diagonal, local Schwarz, ...)
 	Degree int      // polynomial degree k ≥ 1 (k base applies, k-1 A applies)
@@ -45,8 +27,6 @@ type Chebyshev struct {
 
 	r, z, d, ad []float64 // iteration arenas, sized on first Apply
 }
-
-func (c *Chebyshev) Name() string { return c.Label }
 
 func (c *Chebyshev) grow(n int) {
 	if cap(c.r) < n {

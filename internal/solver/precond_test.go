@@ -51,7 +51,7 @@ func TestChebyshevAcceleratesCG(t *testing.T) {
 		t.Fatal("unpreconditioned CG did not converge")
 	}
 
-	c := &Chebyshev{Label: "cheb", A: A, Base: identityOp, Degree: 4, LMin: 1, LMax: 10}
+	c := &Chebyshev{A: A, Base: identityOp, Degree: 4, LMin: 1, LMax: 10}
 	x1 := make([]float64, n)
 	opt.Precond = c.Apply
 	acc := CG(A, plainDot, x1, b, opt)
@@ -74,7 +74,7 @@ func TestChebyshevAcceleratesCG(t *testing.T) {
 // instead of dividing by zero.
 func TestChebyshevDegenerateSpectrum(t *testing.T) {
 	A := diagOp([]float64{4})
-	c := &Chebyshev{Label: "cheb", A: A, Base: identityOp, Degree: 5, LMin: 4, LMax: 4}
+	c := &Chebyshev{A: A, Base: identityOp, Degree: 5, LMin: 4, LMax: 4}
 	out := make([]float64, 1)
 	c.Apply(out, []float64{8})
 	if math.Abs(out[0]-2) > 1e-14 {
@@ -187,7 +187,7 @@ func TestPrecondTableRecordConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				RecordPrecond(PrecondKey{K: w, N: i, Dim: 2, P: 1, Tol: 1e-7}, "chebjacobi")
+				RecordPrecond(PrecondKey{K: w, N: i, Dim: 2, Tol: 1e-7}, "chebjacobi")
 			}
 		}(w)
 	}
@@ -196,7 +196,7 @@ func TestPrecondTableRecordConcurrent(t *testing.T) {
 	if got := tab.Len(); got != workers*20 {
 		t.Fatalf("table has %d entries, want %d", got, workers*20)
 	}
-	if name, ok := tab.Lookup(PrecondKey{K: 3, N: 7, Dim: 2, P: 1, Tol: 1e-7}); !ok || name != "chebjacobi" {
+	if name, ok := tab.Lookup(PrecondKey{K: 3, N: 7, Dim: 2, Tol: 1e-7}); !ok || name != "chebjacobi" {
 		t.Fatalf("lookup = %q, %v", name, ok)
 	}
 }
@@ -245,8 +245,8 @@ func TestPrecondCacheRoundtrip(t *testing.T) {
 	path := filepath.Join(dir, "precond.json")
 	ResetPrecondTable()
 	defer ResetPrecondTable()
-	k1 := PrecondKey{K: 40, N: 5, Dim: 2, P: 1, Tol: 1e-9}
-	k2 := PrecondKey{K: 40, N: 5, Dim: 2, P: 8, Tol: 1e-9}
+	k1 := PrecondKey{K: 40, N: 5, Dim: 2, Tol: 1e-9}
+	k2 := PrecondKey{K: 40, N: 7, Dim: 2, Tol: 1e-9}
 	RecordPrecond(k1, "schwarz")
 	tab := RecordPrecond(k2, "chebschwarz")
 	if err := SavePrecondCache(path, tab); err != nil {
@@ -307,8 +307,8 @@ func TestSavePrecondCacheAtomicUnderConcurrency(t *testing.T) {
 
 	// Two distinguishable tables; any loaded file must be exactly one of
 	// them, never a mixture or a parse failure.
-	k1 := PrecondKey{K: 15, N: 9, Dim: 2, P: 1, Tol: 1e-9}
-	k2 := PrecondKey{K: 72, N: 5, Dim: 3, P: 1, Tol: 1e-9}
+	k1 := PrecondKey{K: 15, N: 9, Dim: 2, Tol: 1e-9}
+	k2 := PrecondKey{K: 72, N: 5, Dim: 3, Tol: 1e-9}
 	tabA := &PrecondTable{m: map[PrecondKey]string{k1: "schwarz"}}
 	tabB := &PrecondTable{m: map[PrecondKey]string{k1: "schwarz", k2: "chebjacobi"}}
 

@@ -25,8 +25,9 @@ var ErrCacheMismatch = errors.New("solver: precond cache key mismatch")
 // precondGeneration is bumped whenever a variant a selection may name changes
 // what it computes, so files ranked against the old one are re-trialled.
 // Generation 1 (files keyed by la.CacheKey alone) ranked the velocity-grid
-// Schwarz sandwich; 2 is the pressure-grid Schwarz preconditioner.
-const precondGeneration = 2
+// Schwarz sandwich; 2 is the pressure-grid Schwarz preconditioner; 3 drops
+// the rank count from the entries.
+const precondGeneration = 3
 
 func precondCacheKey() string {
 	return fmt.Sprintf("%s | precond gen %d", la.CacheKey(), precondGeneration)
@@ -41,7 +42,6 @@ type precondCacheEntry struct {
 	K       int     `json:"k"`
 	N       int     `json:"n"`
 	Dim     int     `json:"dim"`
-	P       int     `json:"p"`
 	Tol     float64 `json:"tol"`
 	Precond string  `json:"precond"`
 }
@@ -53,7 +53,7 @@ func SavePrecondCache(path string, t *PrecondTable) error {
 	for _, k := range t.Keys() {
 		name, _ := t.Lookup(k)
 		f.Entries = append(f.Entries, precondCacheEntry{
-			K: k.K, N: k.N, Dim: k.Dim, P: k.P, Tol: k.Tol, Precond: name,
+			K: k.K, N: k.N, Dim: k.Dim, Tol: k.Tol, Precond: name,
 		})
 	}
 	b, err := json.MarshalIndent(f, "", "  ")
@@ -88,7 +88,7 @@ func LoadPrecondCache(path string) (*PrecondTable, error) {
 		if e.Precond == "" {
 			return nil, fmt.Errorf("solver: precond cache %s: empty variant name", path)
 		}
-		t.m[PrecondKey{K: e.K, N: e.N, Dim: e.Dim, P: e.P, Tol: e.Tol}] = e.Precond
+		t.m[PrecondKey{K: e.K, N: e.N, Dim: e.Dim, Tol: e.Tol}] = e.Precond
 	}
 	return t, nil
 }

@@ -1,7 +1,7 @@
 package solver
 
 // precondtune.go: runtime selection of the pressure preconditioner. A
-// PrecondTable maps (mesh size, order, rank count, tolerance) to a variant
+// PrecondTable maps (mesh size, order, dimension, tolerance) to a variant
 // name; SelectPrecond fills it from short trial solves. The table is held
 // behind an atomic pointer and updated copy-on-write, so concurrent
 // semflowd sessions can record selections without locking the solve path.
@@ -13,14 +13,14 @@ import (
 )
 
 // PrecondKey identifies a pressure-solve configuration for selection
-// purposes: the spectral discretization (K elements, order N, dimension),
-// the rank count the solve runs at, and the target tolerance. Two runs with
-// the same key see the same operator conditioning, so the same variant wins.
+// purposes: the spectral discretization (K elements, order N, dimension) and
+// the target tolerance. Two runs with the same key see the same operator
+// conditioning, so the same variant wins. The rank count is not part of it:
+// a distributed run selects on its serial template, one worker, whatever P.
 type PrecondKey struct {
 	K   int     // elements
 	N   int     // polynomial order
 	Dim int     // 2 or 3
-	P   int     // ranks (1 for the serial stepper)
 	Tol float64 // pressure tolerance
 }
 
@@ -65,9 +65,6 @@ func (t *PrecondTable) Keys() []PrecondKey {
 		}
 		if a.Dim != b.Dim {
 			return a.Dim < b.Dim
-		}
-		if a.P != b.P {
-			return a.P < b.P
 		}
 		return a.Tol < b.Tol
 	})
