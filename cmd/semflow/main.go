@@ -23,7 +23,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,8 +57,7 @@ func main() {
 	alpha := flag.Float64("alpha", 0.3, "filter strength")
 	l := flag.Int("L", 20, "pressure projection basis size")
 	workers := flag.Int("workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
-	precond := flag.String("precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh/order/ranks/tolerance from short trial solves)")
-	precondCache := flag.String("precond-cache", "", "with -precond auto: persist the selections to this file and reuse them on later runs; keyed by CPU model and Go version, any mismatch forces a re-selection")
+	precond := flag.String("precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
 	every := flag.Int("report", 10, "report interval")
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
 	statsJSON := flag.Bool("stats-json", false, "like -stats, but emit JSON")
@@ -97,7 +95,6 @@ func main() {
 	if *precond != "" && !ns.ValidPrecond(*precond) {
 		log.Fatalf("-precond %q: want schwarz, chebjacobi, chebschwarz, none or auto", *precond)
 	}
-	loadPrecondCache(*precondCache)
 
 	cfg := session.Config{
 		Case: *caseName, Steps: *steps, N: *n, Nel: *nel, KX: *kx, KY: *ky,
@@ -164,7 +161,6 @@ func main() {
 	defer sess.Close()
 	s := sess.Solver()
 	reportPrecond(s.PrecondSelection())
-	savePrecondCache(*precondCache)
 	var obs net.Listener
 	if *listen != "" {
 		if obs, err = net.Listen("tcp", *listen); err != nil {
@@ -289,37 +285,6 @@ func writeArtifact(what, path string, write func(io.Writer) error) {
 	}
 	if err != nil {
 		log.Fatalf("%s: %v", what, err)
-	}
-}
-
-// loadPrecondCache installs persisted -precond auto selections before any
-// solver is built. A stale or foreign cache (other machine, other Go
-// version) is re-selected, never trusted.
-func loadPrecondCache(path string) {
-	if path == "" {
-		return
-	}
-	pt, err := solver.LoadPrecondCache(path)
-	if err == nil {
-		solver.InstallPrecondTable(pt)
-		fmt.Printf("precond: reusing %d cached selections from %s\n", pt.Len(), path)
-		return
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		slog.Warn("precond cache unusable, re-selecting", "err", err)
-	}
-}
-
-// savePrecondCache persists the process-wide selection table (if any).
-func savePrecondCache(path string) {
-	t := solver.InstalledPrecondTable()
-	if path == "" || t.Len() == 0 {
-		return
-	}
-	if err := solver.SavePrecondCache(path, t); err != nil {
-		slog.Warn("precond cache not written", "err", err)
-	} else {
-		fmt.Printf("precond: %d selections cached to %s\n", t.Len(), path)
 	}
 }
 

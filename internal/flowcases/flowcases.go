@@ -26,9 +26,7 @@ type ShearLayerConfig struct {
 	Re      float64 // 1e5 thick, 4e4 thin
 	Dt      float64 // paper: 0.002
 	Alpha   float64 // filter strength (0 none, 0.3 partial, 1 full)
-	Order   int     // BDF order (default 2)
 	Workers int
-	Precond string // pressure preconditioner variant ("" = schwarz)
 }
 
 // InitFunc is an initial velocity field. Specs return the problem as an
@@ -59,10 +57,9 @@ func ShearLayerSpec(c ShearLayerConfig) (ns.Config, InitFunc, error) {
 		cutoff = c.N - 2
 	}
 	cfg := ns.Config{
-		Mesh: m, Re: c.Re, Dt: c.Dt, Order: c.Order,
+		Mesh: m, Re: c.Re, Dt: c.Dt,
 		FilterAlpha: c.Alpha, FilterCutoff: cutoff, Workers: c.Workers,
 		ProjectionL: 20, PTol: 1e-7, SubCFL: 0.25,
-		PressurePrecond: c.Precond,
 	}
 	rho := c.Rho
 	init := func(x, y, z float64) (float64, float64, float64) {
@@ -248,7 +245,6 @@ type ConvectionConfig struct {
 	Dt          float64
 	ProjectionL int // pressure projection basis size (0 = off)
 	Workers     int
-	Precond     string // pressure preconditioner variant ("" = schwarz)
 }
 
 // ConvectionSpec builds the problem definition of a closed 2D box heated
@@ -264,8 +260,7 @@ func ConvectionSpec(c ConvectionConfig) (ns.Config, error) {
 	return ns.Config{
 		Mesh: m, Re: 1 / pr, Dt: c.Dt, Workers: c.Workers,
 		ProjectionL: c.ProjectionL, PTol: 1e-8,
-		PressurePrecond: c.Precond,
-		DirichletMask:   func(x, y, z float64) bool { return true },
+		DirichletMask: func(x, y, z float64) bool { return true },
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
 			return 0, 0, 0
 		},
@@ -305,17 +300,16 @@ type HairpinConfig struct {
 	N          int
 	Re         float64 // based on the roughness radius
 	Dt         float64
-	Delta      float64 // boundary layer thickness (paper: 1.2 R)
 	Workers    int
 	FilterA    float64
-	ProjL      int    // pressure projection basis size (0 = 20)
 	Precond    string // pressure preconditioner variant ("" = schwarz)
 }
 
 // HairpinSpec builds the Figs. 7–8 problem definition without constructing
 // a solver.
 func HairpinSpec(c HairpinConfig) (ns.Config, InitFunc, error) {
-	const r = 1.0 // roughness radius sets the unit
+	const r = 1.0         // roughness radius sets the unit
+	const delta = 1.2 * r // boundary layer thickness, as in the paper
 	lx, ly, lz := 12*r, 6*r, 4*r
 	spec := mesh.HemisphereBox(mesh.HemisphereBoxSpec{
 		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
@@ -328,10 +322,6 @@ func HairpinSpec(c HairpinConfig) (ns.Config, InitFunc, error) {
 	if err != nil {
 		return ns.Config{}, nil, err
 	}
-	delta := c.Delta
-	if delta == 0 {
-		delta = 1.2 * r
-	}
 	blasius := func(z float64) float64 {
 		eta := z / delta
 		if eta >= 1 {
@@ -340,12 +330,9 @@ func HairpinSpec(c HairpinConfig) (ns.Config, InitFunc, error) {
 		// Polynomial Blasius approximation (Pohlhausen).
 		return 2*eta - 2*eta*eta*eta + eta*eta*eta*eta
 	}
-	if c.ProjL == 0 {
-		c.ProjL = 20
-	}
 	cfg := ns.Config{
 		Mesh: m, Re: c.Re, Dt: c.Dt, Workers: c.Workers,
-		FilterAlpha: c.FilterA, ProjectionL: c.ProjL, PTol: 1e-6, VTol: 1e-8,
+		FilterAlpha: c.FilterA, ProjectionL: 20, PTol: 1e-6, VTol: 1e-8,
 		PressurePrecond: c.Precond,
 		// Dirichlet on inflow (x=0), floor (z=0 including the bump, which
 		// lifts it to at most 0.8) and top; outflow (x=Lx) and the spanwise

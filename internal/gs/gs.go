@@ -79,9 +79,6 @@ func Init(gids []int64) *Handle {
 	return h
 }
 
-// N returns the local vector length the handle was built for.
-func (h *Handle) N() int { return h.n }
-
 // Apply performs the gather–scatter on u in place: each group of local
 // copies of a shared node is reduced with op and the result written back to
 // all copies (the paper's gs-op).

@@ -133,16 +133,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Last returns the most recent sample (0 before any Set).
-func (g *Gauge) Last() float64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.last
-}
-
 // Mean returns the mean of all samples (0 before any Set).
 func (g *Gauge) Mean() float64 {
 	if g == nil {

@@ -23,7 +23,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	if tm.Total() != 0 || tm.Count() != 0 || c.Value() != 0 || g.Last() != 0 || g.Mean() != 0 {
+	if tm.Total() != 0 || tm.Count() != 0 || c.Value() != 0 || g.Mean() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	rep := r.Report()
@@ -65,8 +65,8 @@ func TestCounterAndGauge(t *testing.T) {
 	for _, v := range []float64{4, 2, 6} {
 		g.Set(v)
 	}
-	if g.Last() != 6 || g.Mean() != 4 {
-		t.Fatalf("gauge last %g mean %g", g.Last(), g.Mean())
+	if gs := r.Report().Gauges[0]; gs.Last != 6 || gs.Mean != 4 || g.Mean() != 4 {
+		t.Fatalf("gauge %+v, mean %g", gs, g.Mean())
 	}
 }
 

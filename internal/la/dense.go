@@ -5,37 +5,6 @@ import (
 	"math"
 )
 
-// Dense is a row-major dense matrix.
-type Dense struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-// NewDense allocates a zeroed r x c matrix.
-func NewDense(r, c int) *Dense {
-	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// At returns element (i,j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i,j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Add accumulates into element (i,j).
-func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
 // LU holds a dense LU factorization with partial pivoting (PA = LU).
 type LU struct {
 	n   int
@@ -189,9 +158,6 @@ func (c *Cholesky) Solve(x, b []float64) {
 		x[i] = s / c.l[i*n+i]
 	}
 }
-
-// L returns the lower-triangular factor (row-major full storage).
-func (c *Cholesky) L() []float64 { return c.l }
 
 // SolveLower solves L y = b in place (forward substitution).
 func (c *Cholesky) SolveLower(x, b []float64) {

@@ -87,9 +87,6 @@ type CSR struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
 // MulVec computes y = A*x.
 func (m *CSR) MulVec(y, x []float64) {
 	for i := 0; i < m.Rows; i++ {
@@ -136,16 +133,4 @@ func (m *CSR) Permute(perm []int) *CSR {
 		}
 	}
 	return b.ToCSR()
-}
-
-// Dense expands the matrix to a dense row-major slice (for tests and small
-// coarse-grid problems).
-func (m *CSR) Dense() []float64 {
-	d := make([]float64, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for p := m.Ptr[i]; p < m.Ptr[i+1]; p++ {
-			d[i*m.Cols+m.Col[p]] = m.Val[p]
-		}
-	}
-	return d
 }

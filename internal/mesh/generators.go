@@ -27,13 +27,12 @@ type Box2DSpec struct {
 	X0, X1, Y0, Y1 float64
 	PeriodicX      bool
 	PeriodicY      bool
-	GradeX, GradeY func(float64) float64 // optional grading of the partition
 }
 
 // Box2D builds the mesh spec for a structured 2D box.
 func Box2D(s Box2DSpec) *Spec {
-	xs := partition(s.Nx, s.X0, s.X1, s.GradeX)
-	ys := partition(s.Ny, s.Y0, s.Y1, s.GradeY)
+	xs := partition(s.Nx, s.X0, s.X1, nil)
+	ys := partition(s.Ny, s.Y0, s.Y1, nil)
 	nvx, nvy := s.Nx+1, s.Ny+1
 	spec := &Spec{Dim: 2}
 	vid := func(ix, iy int) int {
@@ -87,27 +86,18 @@ func Box2D(s Box2DSpec) *Spec {
 type Box3DSpec struct {
 	Nx, Ny, Nz             int
 	X0, X1, Y0, Y1, Z0, Z1 float64
-	PeriodicX, PeriodicY   bool
-	GradeX, GradeY, GradeZ func(float64) float64
+	GradeZ                 func(float64) float64 // optional grading of the z partition
 	Deform                 func(x, y, z float64) (float64, float64, float64)
 }
 
 // Box3D builds the mesh spec for a structured 3D box.
 func Box3D(s Box3DSpec) *Spec {
-	xs := partition(s.Nx, s.X0, s.X1, s.GradeX)
-	ys := partition(s.Ny, s.Y0, s.Y1, s.GradeY)
+	xs := partition(s.Nx, s.X0, s.X1, nil)
+	ys := partition(s.Ny, s.Y0, s.Y1, nil)
 	zs := partition(s.Nz, s.Z0, s.Z1, s.GradeZ)
 	nvx, nvy, nvz := s.Nx+1, s.Ny+1, s.Nz+1
 	spec := &Spec{Dim: 3}
-	vid := func(ix, iy, iz int) int {
-		if s.PeriodicX && ix == s.Nx {
-			ix = 0
-		}
-		if s.PeriodicY && iy == s.Ny {
-			iy = 0
-		}
-		return (iz*nvy+iy)*nvx + ix
-	}
+	vid := func(ix, iy, iz int) int { return (iz*nvy+iy)*nvx + ix }
 	spec.Verts = make([][3]float64, nvx*nvy*nvz)
 	for iz := 0; iz < nvz; iz++ {
 		for iy := 0; iy < nvy; iy++ {
@@ -141,19 +131,6 @@ func Box3D(s Box3DSpec) *Spec {
 				}
 				spec.Elems = append(spec.Elems, el)
 			}
-		}
-	}
-	if s.PeriodicX || s.PeriodicY {
-		epsx := (s.X1 - s.X0) * 1e-9
-		epsy := (s.Y1 - s.Y0) * 1e-9
-		spec.PeriodicWrap = func(p [3]float64) [3]float64 {
-			if s.PeriodicX && math.Abs(p[0]-s.X1) < epsx {
-				p[0] = s.X0
-			}
-			if s.PeriodicY && math.Abs(p[1]-s.Y1) < epsy {
-				p[1] = s.Y0
-			}
-			return p
 		}
 	}
 	return spec

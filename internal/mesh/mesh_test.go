@@ -377,8 +377,8 @@ func TestClassifyElements(t *testing.T) {
 			t.Errorf("%s: elements by number of non-zero metric pairs = %v, want %v", name, got, want)
 		}
 	}
-	box := Box2D(Box2DSpec{Nx: 5, Ny: 3, X1: 2 * math.Pi, Y0: -1, Y1: 1, GradeY: GeomGrading(3)})
-	want("graded 2-D box", pairCounts(box, 9), map[int]int{2: 15})
+	box := Box3D(Box3DSpec{Nx: 3, Ny: 2, Nz: 3, X1: 2 * math.Pi, Y1: 1, Z0: -1, Z1: 1, GradeZ: GeomGrading(3)})
+	want("graded 3-D box", pairCounts(box, 5), map[int]int{3: 18})
 	ogrid := CylinderOGrid(CylinderOGridSpec{NTheta: 16, NLayer: 6, R: 0.5, H: 4, WallRatio: 8})
 	want("O-grid", pairCounts(ogrid, 5), map[int]int{4: 96})
 	hairpin := HemisphereBox(HemisphereBoxSpec{

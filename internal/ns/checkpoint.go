@@ -20,8 +20,7 @@ import (
 	"io"
 )
 
-// CheckpointVersion is the snapshot layout version; ReadCheckpoint rejects
-// others.
+// CheckpointVersion is the snapshot layout version; Restore rejects others.
 const CheckpointVersion = 1
 
 // Checkpoint is a versioned deep copy of a Solver's time-stepping state
@@ -164,16 +163,4 @@ func (s *Solver) Restore(c *Checkpoint) error {
 // filesystem backend and parrun's snapshot writer both do).
 func (c *Checkpoint) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(c)
-}
-
-// ReadCheckpoint decodes and version-checks a snapshot.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("ns: checkpoint decode: %w", err)
-	}
-	if c.Version != CheckpointVersion {
-		return nil, fmt.Errorf("ns: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
-	}
-	return &c, nil
 }

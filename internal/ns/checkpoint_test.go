@@ -2,6 +2,7 @@ package ns
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -54,13 +55,13 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	}
 	a.Close()
 
-	ck, err := ReadCheckpoint(&buf)
-	if err != nil {
+	var ck Checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&ck); err != nil {
 		t.Fatal(err)
 	}
 	b := checkpointSolver(t)
 	defer b.Close()
-	if err := b.Restore(ck); err != nil {
+	if err := b.Restore(&ck); err != nil {
 		t.Fatal(err)
 	}
 	if b.StepCount() != 4 || b.Time() != a.Time() {

@@ -66,27 +66,16 @@ func (s *Solver) releaseField(c [3][]float64) {
 	}
 }
 
-// convect computes the advection right-hand side in skew-symmetric form,
-//
-//	out = -(c·∇)v - skew·½(∇·c)v,
-//
-// where the optional skew correction (Config.SkewWeight, default 0) makes
-// the operator energy-neutral in exact arithmetic. The default is the
-// plain convective form: for P_N–P_{N-2} fields the *pointwise* divergence
-// of the advecting field is not small (only its weak divergence vanishes),
-// so the skew term injects high-mode noise and is disabled; the
-// once-per-step filter supplies the stabilization (Sec. 2). The advecting
-// field arrives in reference coordinates (toContravariant): (c·∇)v =
-// Σ_a chat[a]·∂v/∂r_a is dim derivative products and no physical gradient.
-// divc is the physical ∇·c precomputed per stage. One element-parallel pass.
-func (s *Solver) convect(out, v []float64, chat [3][]float64, divc []float64) {
-	s.curOut, s.curIn, s.curC, s.curDiv = out, v, chat, divc
+// convect computes the advection right-hand side out = -(c·∇)v in the
+// convective form; the once-per-step filter supplies the stabilization
+// (Sec. 2). The advecting field arrives in reference coordinates
+// (toContravariant): (c·∇)v = Σ_a chat[a]·∂v/∂r_a is dim derivative products
+// and no physical gradient. One element-parallel pass.
+func (s *Solver) convect(out, v []float64, chat [3][]float64) {
+	s.curOut, s.curIn, s.curC = out, v, chat
 	s.mach.ForElements(s.convLoop)
-	s.curOut, s.curIn, s.curC, s.curDiv = nil, nil, [3][]float64{}, nil
+	s.curOut, s.curIn, s.curC = nil, nil, [3][]float64{}
 	pointwise := 2 * s.dim // dim multiplies, dim-1 adds, the sign
-	if s.Cfg.SkewWeight != 0 {
-		pointwise += 4
-	}
 	s.mach.Charge(int64(s.dim)*tensor.FlopsApplyDim(s.np1, s.dim)*int64(len(s.elems)) + int64(pointwise*s.n))
 }
 
@@ -106,17 +95,11 @@ func (s *Solver) convectElement(li, w int) {
 		for l := range out {
 			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l])
 		}
-	} else {
-		c2, vt := c[2][i0:i0+np], g[2][:np]
-		for l := range out {
-			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l] + c2[l]*vt[l])
-		}
+		return
 	}
-	if sw := s.Cfg.SkewWeight; sw != 0 {
-		divc := s.curDiv[i0 : i0+np]
-		for l := range out {
-			out[l] -= sw * 0.5 * divc[l] * v[l]
-		}
+	c2, vt := c[2][i0:i0+np], g[2][:np]
+	for l := range out {
+		out[l] = -(c0[l]*vr[l] + c1[l]*vs[l] + c2[l]*vt[l])
 	}
 }
 
@@ -160,40 +143,13 @@ func (s *Solver) contravariantElement(li, w int) {
 	}
 }
 
-// divergencePointwise computes ∇·c at the GLL nodes.
-func (s *Solver) divergencePointwise(out []float64, c [3][]float64) {
-	np := s.M.Np
-	k := &s.work[0]
-	g := &k.g
-	for li, e := range s.elems {
-		o := out[li*np : (li+1)*np]
-		for l := range o {
-			o[l] = 0
-		}
-		for d := 0; d < s.dim; d++ {
-			s.D.GradElement(g[0], g[1], g[2], c[d][li*np:(li+1)*np], e, k.sem)
-			for l, v := range g[d] {
-				o[l] += v
-			}
-		}
-	}
-	s.mach.Charge(int64(s.dim) * (s.gradF*int64(len(s.elems)) + int64(s.n)))
-}
-
 // rk4AdvectFields advances the given fields through one RK4 substep of the
 // pure advection equation dv/dt = -(c(τ)·∇)v, τ from t0 to t0+h.
 func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]float64) {
 	c1 := s.advectingField(t0, hist)
 	c2 := s.advectingField(t0+h/2, hist)
 	c4 := s.advectingField(t0+h, hist)
-	var d1, d2, d4 []float64
-	if s.Cfg.SkewWeight != 0 {
-		d1, d2, d4 = s.getBuf(), s.getBuf(), s.getBuf()
-		s.divergencePointwise(d1, c1)
-		s.divergencePointwise(d2, c2)
-		s.divergencePointwise(d4, c4)
-	}
-	for _, c := range [...][3][]float64{c1, c2, c4} { // after the skew term's physical ∇·c
+	for _, c := range [...][3][]float64{c1, c2, c4} {
 		s.toContravariant(c)
 	}
 	k1 := s.getBuf()
@@ -202,28 +158,25 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]
 	k4 := s.getBuf()
 	tmp := s.getBuf()
 	for _, f := range fields {
-		s.convect(k1, f, c1, d1)
+		s.convect(k1, f, c1)
 		for i := range tmp {
 			tmp[i] = f[i] + h/2*k1[i]
 		}
-		s.convect(k2, tmp, c2, d2)
+		s.convect(k2, tmp, c2)
 		for i := range tmp {
 			tmp[i] = f[i] + h/2*k2[i]
 		}
-		s.convect(k3, tmp, c2, d2)
+		s.convect(k3, tmp, c2)
 		for i := range tmp {
 			tmp[i] = f[i] + h*k3[i]
 		}
-		s.convect(k4, tmp, c4, d4)
+		s.convect(k4, tmp, c4)
 		for i := range f {
 			f[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 		}
 	}
 	s.mach.Charge(int64(10 * s.n * len(fields)))
 	s.putBuf(k1, k2, k3, k4, tmp)
-	if d1 != nil {
-		s.putBuf(d1, d2, d4)
-	}
 	s.releaseField(c1)
 	s.releaseField(c2)
 	s.releaseField(c4)
@@ -295,11 +248,6 @@ func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float
 			sum += gamma[q] * tTil[q][i]
 		}
 		b[i] = s.b[i] * sum / s.Cfg.Dt
-	}
-	if cfg.Forcing != nil {
-		for i := range b {
-			b[i] += s.b[i] * cfg.Forcing(s.x[i], s.y[i], s.z[i], tNew)
-		}
 	}
 	s.assemble(b, mask)
 	// Dirichlet lifting.

@@ -8,53 +8,46 @@ import (
 )
 
 // The reference-coordinate convection — contravariant advecting field, dim
-// derivative products, one fused combine — equals −(c·∇)v − skew·½(∇·c)v built
-// from the physical gradient of sem.GradElement, to 1e-12 of the result's
-// size, on seeded random fields over every element-class mix (undeformed 2-D
-// channel, partly deformed 3-D hairpin box, fully deformed O-grid), in the
-// plain and the skew-symmetric form.
+// derivative products, one fused combine — equals −(c·∇)v built from the
+// physical gradient of sem.GradElement, to 1e-12 of the result's size, on
+// seeded random fields over every element-class mix (undeformed 2-D channel,
+// partly deformed 3-D hairpin box, fully deformed O-grid).
 func TestConvectMatchesPhysicalGradientForm(t *testing.T) {
 	for _, tc := range eApplyCases {
-		for _, skew := range []float64{0, 1} {
-			cfg := tc.build(t)
-			cfg.SkewWeight = skew
-			s := eApplySolver(t, cfg)
-			np := s.M.Np
-			rng := rand.New(rand.NewSource(24))
-			c, _ := velocityVecs(rng, s)
-			v := normalVec(rng, s.n)
-			divc := make([]float64, s.n)
-			s.divergencePointwise(divc, c)
+		s := eApplySolver(t, tc.build(t))
+		np := s.M.Np
+		rng := rand.New(rand.NewSource(24))
+		c, _ := velocityVecs(rng, s)
+		v := normalVec(rng, s.n)
 
-			want := make([]float64, s.n)
-			var g [3][]float64
-			for d := range g {
-				g[d] = make([]float64, np)
-			}
-			scratch := make([]float64, s.D.ElemScratchLen())
-			for e := 0; e < s.M.K; e++ {
-				s.D.GradElement(g[0], g[1], g[2], v[e*np:(e+1)*np], e, scratch)
-				for l := 0; l < np; l++ {
-					i := e*np + l
-					var adv float64
-					for d := 0; d < s.dim; d++ {
-						adv += c[d][i] * g[d][l]
-					}
-					want[i] = -adv - skew*0.5*divc[i]*v[i]
+		want := make([]float64, s.n)
+		var g [3][]float64
+		for d := range g {
+			g[d] = make([]float64, np)
+		}
+		scratch := make([]float64, s.D.ElemScratchLen())
+		for e := 0; e < s.M.K; e++ {
+			s.D.GradElement(g[0], g[1], g[2], v[e*np:(e+1)*np], e, scratch)
+			for l := 0; l < np; l++ {
+				i := e*np + l
+				var adv float64
+				for d := 0; d < s.dim; d++ {
+					adv += c[d][i] * g[d][l]
 				}
+				want[i] = -adv
 			}
+		}
 
-			s.toContravariant(c)
-			got := make([]float64, s.n)
-			s.convect(got, v, c, divc)
-			var diff float64
-			for i := range want {
-				diff = math.Max(diff, math.Abs(got[i]-want[i]))
-			}
-			if diff > 1e-12*maxAbs(want) {
-				t.Errorf("%s, skew %g: reference-coordinate convection differs from the physical-gradient form by %g (max |value| %g)",
-					tc.name, skew, diff, maxAbs(want))
-			}
+		s.toContravariant(c)
+		got := make([]float64, s.n)
+		s.convect(got, v, c)
+		var diff float64
+		for i := range want {
+			diff = math.Max(diff, math.Abs(got[i]-want[i]))
+		}
+		if diff > 1e-12*maxAbs(want) {
+			t.Errorf("%s: reference-coordinate convection differs from the physical-gradient form by %g (max |value| %g)",
+				tc.name, diff, maxAbs(want))
 		}
 	}
 }

@@ -97,22 +97,3 @@ func TestStatsFields(t *testing.T) {
 		t.Error("StepCount wrong")
 	}
 }
-
-func TestSkewWeightOptionRuns(t *testing.T) {
-	m := periodicBox(t, 2, 6)
-	s, err := New(Config{Mesh: m, Re: 500, Dt: 0.005, SkewWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetVelocity(func(x, y, z float64) (float64, float64, float64) {
-		return math.Sin(2 * math.Pi * y), 0.01 * math.Sin(2*math.Pi*x), 0
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dn := s.DivergenceNorm(); dn > 1e-6 {
-		t.Errorf("skew-form run not divergence free: %g", dn)
-	}
-}

@@ -38,7 +38,6 @@ type ScalarConfig struct {
 	DirichletMask func(x, y, z float64) bool       // nil = no scalar Dirichlet
 	DirichletVal  func(x, y, z, t float64) float64 // boundary value
 	Initial       func(x, y, z float64) float64    // initial condition
-	Forcing       func(x, y, z, t float64) float64 // volumetric source
 }
 
 // Config describes a Navier–Stokes problem.
@@ -66,7 +65,6 @@ type Config struct {
 	PTol        float64 // pressure CG tolerance (default 1e-7, absolute on ‖r‖)
 	VTol        float64 // velocity CG tolerance (default 1e-9)
 	SubCFL      float64 // target CFL per convective substep (default 0.5)
-	SkewWeight  float64 // skew-symmetric convection blend (0 = plain form, default)
 	PMaxIter    int     // pressure CG iteration cap (default 500)
 
 	// PressurePrecond selects the E-preconditioner: "schwarz" (default),
@@ -157,8 +155,8 @@ type template struct {
 	pDiagE      []float64               // exact diag(E) (chebjacobi)
 	cheb        map[string]chebParams   // tuned Chebyshev parameters per built variant
 
-	// Flops of one element's stiffness, gradient and filter application.
-	stiffF, gradF, filtF int64
+	// Flops of one element's stiffness and filter application.
+	stiffF, filtF int64
 }
 
 // Solver is one solver's time-stepping state over the elements it owns: the
@@ -238,7 +236,6 @@ type Solver struct {
 	curP, curV                                []float64
 	curOuts                                   [][]float64
 	curU, curC                                [3][]float64
-	curDiv                                    []float64
 
 	// Flops of one GradientT, one Divergence, one round of Schwarz subdomain
 	// solves (with their exchange), one toContravariant over the owned elements.
@@ -442,10 +439,10 @@ func (s *Solver) build(precondForced bool) error {
 	}
 	np, n3 := int64(m.Np), int64(t.np1)*int64(t.np1)*int64(t.np1)
 	if m.Dim == 2 {
-		t.stiffF, t.gradF, t.filtF = 8*n3+7*np, 4*n3+6*np, 4*n3
+		t.stiffF, t.filtF = 8*n3+7*np, 4*n3
 	} else {
 		n4 := n3 * int64(t.np1)
-		t.stiffF, t.gradF, t.filtF = 12*n4+17*np, 6*n4+15*np, 6*n4
+		t.stiffF, t.filtF = 12*n4+17*np, 6*n4
 	}
 	if err := s.buildPrecondOperators(); err != nil {
 		return err

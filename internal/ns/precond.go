@@ -4,9 +4,9 @@ package ns
 // Schwarz(FDM)+coarse preconditioner on the pressure grid (operators.go,
 // schwarz.Pressure) is the reference; this file adds the Chebyshev-accelerated
 // point-Jacobi and Schwarz-smoothing variants of Phillips et al. and the
-// "auto" mode that picks per (K, N, dim, P, tol) from short trial solves,
-// recording the winner in solver's process-wide table (and, through the CLI,
-// the keyed persistent cache). What is tuned or chosen here — the variant, the
+// "auto" mode that picks per (K, N, dim, tol) from short trial solves,
+// recording the winner in solver's process-wide table, so a process trials a
+// configuration once. What is tuned or chosen here — the variant, the
 // Chebyshev bounds, diag(E) — lands in the template, so every solver forked
 // from it applies the same preconditioner.
 
@@ -202,10 +202,8 @@ func (t *template) pressureDiagE() []float64 {
 // — recording the winner back into the table for later sessions.
 func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
 	key := s.precondKey()
-	if t := solver.InstalledPrecondTable(); t != nil {
-		if name, ok := t.Lookup(key); ok && ValidPrecond(name) && name != PrecondAuto && name != PrecondNone {
-			return solver.PrecondSelection{Name: name, Source: "table"}
-		}
+	if name, ok := solver.InstalledPrecondTable().Lookup(key); ok {
+		return solver.PrecondSelection{Name: name, Source: "table"}
 	}
 	n := len(s.P)
 	probe := make([]float64, n)

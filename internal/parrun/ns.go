@@ -41,9 +41,8 @@ import (
 
 // NSConfig controls a distributed Navier–Stokes run.
 type NSConfig struct {
-	P       int          // simulated ranks (clamped to the element count)
-	Machine comm.Machine // zero value: ASCIRed(P); Machine.P must match P when set
-	Steps   int          // total time steps of the run (default 1); a resumed
+	P     int // simulated ASCI-Red ranks (at least 1, clamped to the element count)
+	Steps int // total time steps of the run (default 1); a resumed
 	// run executes steps Resume.Step+1 .. Steps. Start steps nothing and only
 	// checks a non-zero value against Resume.
 
@@ -168,11 +167,8 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	if m == nil {
 		return nil, fmt.Errorf("parrun: nil mesh")
 	}
-	requested, mach, err := resolveRanks(cfg.P, cfg.Machine, m.K)
-	if err != nil {
-		return nil, err
-	}
-	p := mach.P
+	requested := max(cfg.P, 1)
+	p := min(requested, m.K) // every rank owns at least one element
 
 	// One serial solver, built once, shared by all ranks as the read-only
 	// operator template. It resolves any "auto" preconditioner selection
@@ -223,7 +219,7 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 		s.res.FirstStep = ck.Step
 	}
 
-	s.net = comm.NewNetwork(mach)
+	s.net = comm.NewNetwork(comm.ASCIRed(p))
 	s.net.Attach(cfg.Registry)
 	s.net.AttachTracer(cfg.Tracer)
 	s.net.SetFaults(cfg.Faults)

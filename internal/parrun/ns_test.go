@@ -118,13 +118,13 @@ func TestNavierStokesMatchesSerial(t *testing.T) {
 // P must reproduce the serial fields to 1e-8.
 func TestNavierStokesMatchesSerialHairpin(t *testing.T) {
 	cfg, init, err := flowcases.HairpinSpec(flowcases.HairpinConfig{
-		Nx: 4, Ny: 3, Nz: 2, N: 4, Re: 850, Dt: 0.05, FilterA: 0.1, ProjL: 8,
+		Nx: 4, Ny: 3, Nz: 2, N: 4, Re: 850, Dt: 0.05, FilterA: 0.1,
 		Precond: ns.PrecondChebJacobi,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.PTol, cfg.VTol = 1e-11, 1e-12
+	cfg.PTol, cfg.VTol, cfg.ProjectionL = 1e-11, 1e-12, 8
 	var mixed [10]int
 	for _, p := range cfg.Mesh.RXPairs {
 		mixed[bits.OnesCount16(p)]++
@@ -167,54 +167,45 @@ func convectionCase(t *testing.T) ns.Config {
 }
 
 // Every solver feature exists once, so it exists distributed: scalar
-// transport (advected, diffused, filtered and fed back as buoyancy) and the
-// skew-symmetric convection blend, both of which the second copy of the step
-// used to reject, must reproduce the serial solver at P = 1 and an odd P.
-func TestNavierStokesScalarAndSkewMatchSerial(t *testing.T) {
-	skew, init := nsCase(t)
-	skew.SkewWeight = 1
-	for name, c := range map[string]struct {
-		cfg  ns.Config
-		init func(x, y, z float64) (float64, float64, float64)
-	}{"convection": {cfg: convectionCase(t)}, "skew": {skew, init}} {
-		const steps = 5
-		ser, err := ns.New(c.cfg)
+// transport (advected, diffused, filtered and fed back as buoyancy), which the
+// second copy of the step used to reject, must reproduce the serial solver at
+// P = 1 and an odd P.
+func TestNavierStokesScalarMatchesSerial(t *testing.T) {
+	cfg := convectionCase(t)
+	const steps = 5
+	ser, err := ns.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < steps; i++ {
+		if _, err := ser.Step(); err != nil {
+			t.Fatalf("serial step %d: %v", i+1, err)
+		}
+	}
+	for _, p := range []int{1, 3} {
+		res, err := NavierStokes(cfg, NSConfig{P: p, Steps: steps})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("P=%d: %v", p, err)
 		}
-		if c.init != nil {
-			ser.SetVelocity(c.init)
+		if !res.Converged {
+			t.Fatalf("P=%d: %d steps did not converge", p, res.NonconvergedSteps)
 		}
-		for i := 0; i < steps; i++ {
-			if _, err := ser.Step(); err != nil {
-				t.Fatalf("%s: serial step %d: %v", name, i+1, err)
+		for comp := 0; comp < cfg.Mesh.Dim; comp++ {
+			if d := maxAbsDiff(res.U[comp], ser.Velocity(comp)); d > 1e-8 {
+				t.Errorf("P=%d: velocity component %d differs from serial by %g", p, comp, d)
 			}
 		}
-		for _, p := range []int{1, 3} {
-			res, err := NavierStokes(c.cfg, NSConfig{P: p, Steps: steps, Init: c.init})
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", name, p, err)
-			}
-			if !res.Converged {
-				t.Fatalf("%s P=%d: %d steps did not converge", name, p, res.NonconvergedSteps)
-			}
-			for comp := 0; comp < c.cfg.Mesh.Dim; comp++ {
-				if d := maxAbsDiff(res.U[comp], ser.Velocity(comp)); d > 1e-8 {
-					t.Errorf("%s P=%d: velocity component %d differs from serial by %g", name, p, comp, d)
-				}
-			}
-			if d := maxAbsDiff(res.Pressure, ser.Pressure()); d > 1e-8 {
-				t.Errorf("%s P=%d: pressure differs from serial by %g", name, p, d)
-			}
-			if (res.Scalar != nil) != (ser.Scalar() != nil) {
-				t.Fatalf("%s P=%d: scalar field present %v, serial %v", name, p, res.Scalar != nil, ser.Scalar() != nil)
-			}
-			if d := maxAbsDiff(res.Scalar, ser.Scalar()); d > 1e-8 {
-				t.Errorf("%s P=%d: scalar differs from serial by %g", name, p, d)
-			}
-			if name == "convection" && res.StepStats[steps-1].ScalarIters == 0 {
-				t.Errorf("%s P=%d: no scalar Helmholtz iterations reported", name, p)
-			}
+		if d := maxAbsDiff(res.Pressure, ser.Pressure()); d > 1e-8 {
+			t.Errorf("P=%d: pressure differs from serial by %g", p, d)
+		}
+		if res.Scalar == nil {
+			t.Fatalf("P=%d: no scalar field", p)
+		}
+		if d := maxAbsDiff(res.Scalar, ser.Scalar()); d > 1e-8 {
+			t.Errorf("P=%d: scalar differs from serial by %g", p, d)
+		}
+		if res.StepStats[steps-1].ScalarIters == 0 {
+			t.Errorf("P=%d: no scalar Helmholtz iterations reported", p)
 		}
 	}
 }
@@ -420,15 +411,6 @@ func TestNavierStokesNonconvergedPropagates(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"pressure_converged":false`) {
 		t.Error("history telemetry does not record the nonconverged pressure solves")
-	}
-}
-
-// TestMachinePMismatchRejected: a caller-supplied Machine.P that disagrees
-// with cfg.P must be an error, not a silent reshape.
-func TestMachinePMismatchRejected(t *testing.T) {
-	cfg, init := nsCase(t)
-	if _, err := NavierStokes(cfg, NSConfig{P: 2, Machine: comm.ASCIRed(3), Steps: 1, Init: init}); err == nil {
-		t.Error("NavierStokes accepted Machine.P=3 with P=2")
 	}
 }
 

@@ -622,13 +622,3 @@ func (p *Precond) applyCoarse(out, r []float64) {
 	}
 	d.CountFlops(flops)
 }
-
-// LocalWorkLen returns the scratch length one element's FDM local solve
-// needs (the largest of any element). FDM only: the FEM path needs global
-// overlap and has no per-element form.
-func (p *Precond) LocalWorkLen() (int, error) {
-	if p.opt.Method != FDM {
-		return 0, fmt.Errorf("schwarz: element-subset local solves require the FDM method")
-	}
-	return p.workLen, nil
-}

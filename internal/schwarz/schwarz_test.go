@@ -336,28 +336,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// The element-subset local solves exist for FDM only. A caller finds that
-// out as an error when it sizes its scratch, at set-up — the distributed
-// stepper used to find it out as a panic inside the first preconditioner
-// application.
-func TestLocalWorkLenRejectsFEMAtSetup(t *testing.T) {
-	d, _ := poissonSetup(t, 3, 3, 4)
-	fem, err := New(d, Options{Method: FEM, Overlap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fem.LocalWorkLen(); err == nil {
-		t.Error("LocalWorkLen accepted a FEM preconditioner")
-	}
-	fdm, err := New(d, Options{Method: FDM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := fdm.LocalWorkLen(); err != nil || n <= 0 {
-		t.Errorf("LocalWorkLen on FDM = %d, %v", n, err)
-	}
-}
-
 // The FDM local solves now run on the element worker pool; with any worker
 // count the preconditioner must be bitwise identical to workers=1 (element
 // blocks are disjoint and each written once), and steady-state Apply must

@@ -348,6 +348,18 @@ func TestHTTPErrors(t *testing.T) {
 		// tenant's, and nothing bounds P.
 		`{"case":"channel","steps":2,"ranks":4}`,
 		`{"case":"channel","steps":2,"faults":{"seed":7}}`,
+		// One size out of range per field: no job is built for it.
+		`{"case":"channel","steps":2,"n":2}`,
+		`{"case":"channel","steps":2,"n":17}`,
+		`{"case":"shearlayer","steps":2,"nel":65}`,
+		`{"case":"channel","steps":2,"kx":-1}`,
+		`{"case":"channel","steps":2,"ky":65}`,
+		`{"case":"channel","steps":2,"workers":65}`,
+		`{"case":"channel","steps":100001}`,
+		`{"case":"channel","steps":2,"batch_steps":10001}`,
+		`{"case":"channel","steps":2,"piters":-1}`,
+		`{"case":"channel","steps":2,"projection_l":65}`,
+		`{"case":"channel","steps":2,"checkpoint_every":3}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -388,6 +400,23 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("resume of a ranks > 0 config = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+	// Nor a size out of range, stored or asked for with the resume.
+	if err := m.Store().Put("big", ArtifactConfig, []byte(`{"case":"channel","steps":4,"nel":65}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store().Put("fine", ArtifactConfig, []byte(`{"case":"channel","steps":4}`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []SubmitRequest{
+		{ResumeFrom: "big"},
+		{ResumeFrom: "fine", Config: Config{Steps: 100_001}},
+	} {
+		resp = postJSON(t, srv.URL+"/api/sessions", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("resume %s to %d steps = %d, want 400", req.ResumeFrom, req.Steps, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
 	if got := len(m.List()); got != 0 {
 		t.Fatalf("%d jobs after rejected submits, want none", got)
 	}
@@ -447,7 +476,7 @@ func TestStatusGETWhileJobsStepOnOneProcessor(t *testing.T) {
 	h := HTTPHandler(m)
 	var jobs [2]*Job
 	for i := range jobs {
-		j, err := m.Submit(Config{Case: "channel", N: 5, Steps: 1 << 20})
+		j, err := m.Submit(Config{Case: "channel", N: 5, Steps: 100_000})
 		if err != nil {
 			t.Fatal(err)
 		}

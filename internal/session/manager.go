@@ -77,7 +77,7 @@ type Job struct {
 	state State
 	err   string
 
-	done chan struct{} // closed when the runner finishes
+	done chan struct{} // closed when the runner has deposited every artifact
 }
 
 // Status snapshots the job: its lifecycle state, and the position and last
@@ -99,10 +99,6 @@ func (j *Job) Status() Status {
 // /history). Valid after the job finishes too — a closed session's
 // instruments stay readable.
 func (j *Job) Session() *Session { return j.sess }
-
-// Done returns a channel closed when the job's runner has finished and all
-// artifacts are deposited.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Manager owns the job table, the scheduler, and the artifact store.
 type Manager struct {
@@ -135,14 +131,39 @@ func checkServable(cfg Config) error {
 	if cfg.Ranks != 0 || cfg.Faults != nil {
 		return errors.New("session: the job service runs shared-memory sessions only (ranks, faults: use semflow -ranks)")
 	}
+	return checkBounds(cfg)
+}
+
+// checkBounds refuses a job larger than one tenant of the service may ask
+// for, or a negative size. Zero is a field's default, and an omitted n is
+// checked as the order the job runs.
+func checkBounds(cfg Config) error {
+	run := cfg
+	run.applyDefaults()
+	for _, b := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"n", run.N, 3, 16},
+		{"nel", cfg.Nel, 0, 64},
+		{"kx", cfg.KX, 0, 64},
+		{"ky", cfg.KY, 0, 64},
+		{"workers", cfg.Workers, 0, 64},
+		{"steps", cfg.Steps, 1, 100_000},
+		{"batch_steps", cfg.BatchSteps, 0, 10_000},
+		{"piters", cfg.PIters, 0, 10_000},
+		{"projection_l", cfg.ProjectionL, 0, 64},
+		{"checkpoint_every", cfg.CheckpointEvery, 0, cfg.Steps},
+	} {
+		if b.v < b.lo || b.v > b.hi {
+			return fmt.Errorf("session: %s = %d, want %d to %d", b.name, b.v, b.lo, b.hi)
+		}
+	}
 	return nil
 }
 
 // Submit creates a session for cfg and schedules it for cfg.Steps steps.
 func (m *Manager) Submit(cfg Config) (*Job, error) {
-	if cfg.Steps <= 0 {
-		return nil, fmt.Errorf("session: submit needs steps > 0")
-	}
 	if err := checkServable(cfg); err != nil {
 		return nil, err
 	}
@@ -167,6 +188,9 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	if err := json.Unmarshal(rawCfg, &cfg); err != nil {
 		return nil, fmt.Errorf("session: resume %s: config: %w", fromID, err)
 	}
+	if steps > 0 {
+		cfg.Steps = steps
+	}
 	if err := checkServable(cfg); err != nil {
 		return nil, err
 	}
@@ -177,9 +201,6 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	ck, err := parrun.ReadCheckpoint(bytes.NewReader(rawCk))
 	if err != nil {
 		return nil, fmt.Errorf("session: resume %s: %w", fromID, err)
-	}
-	if steps > 0 {
-		cfg.Steps = steps
 	}
 	if cfg.Steps <= ck.Step {
 		return nil, fmt.Errorf("session: resume %s: checkpoint already at step %d, target is %d",
@@ -376,16 +397,6 @@ func (m *Manager) List() []Status {
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
-}
-
-// Cancel requests a job stop at its next step boundary.
-func (m *Manager) Cancel(id string) error {
-	j, ok := m.Get(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	j.sess.Cancel()
-	return nil
 }
 
 // Checkpoint snapshots a running job into the store and returns the

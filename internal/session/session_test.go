@@ -348,9 +348,7 @@ func TestManagerCancelAndFailurePaths(t *testing.T) {
 	for j.Status().Step == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := m.Cancel(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	j.Session().Cancel()
 	waitJob(t, j)
 	st := j.Status()
 	if st.State != StateCancelled {
@@ -376,9 +374,6 @@ func TestManagerCancelAndFailurePaths(t *testing.T) {
 	}
 	if _, err := m.ResumeJob("nope", 5); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ResumeJob(nope): %v, want ErrNotFound", err)
-	}
-	if err := m.Cancel("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Cancel(nope): %v, want ErrNotFound", err)
 	}
 }
 
@@ -428,7 +423,7 @@ func TestManagerReleasesWorkerPools(t *testing.T) {
 func waitJob(t *testing.T, j *Job) {
 	t.Helper()
 	select {
-	case <-j.Done():
+	case <-j.done:
 	case <-time.After(120 * time.Second):
 		t.Fatalf("job %s did not finish: %+v", j.ID, j.Status())
 	}

@@ -7,7 +7,6 @@ package solver
 // semflowd sessions can record selections without locking the solve path.
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -36,39 +35,6 @@ func (t *PrecondTable) Lookup(k PrecondKey) (string, bool) {
 	}
 	name, ok := t.m[k]
 	return name, ok
-}
-
-// Len returns the number of recorded selections.
-func (t *PrecondTable) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.m)
-}
-
-// Keys returns the recorded keys in deterministic order.
-func (t *PrecondTable) Keys() []PrecondKey {
-	if t == nil {
-		return nil
-	}
-	ks := make([]PrecondKey, 0, len(t.m))
-	for k := range t.m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.K != b.K {
-			return a.K < b.K
-		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		if a.Dim != b.Dim {
-			return a.Dim < b.Dim
-		}
-		return a.Tol < b.Tol
-	})
-	return ks
 }
 
 var activePrecond atomic.Pointer[PrecondTable]

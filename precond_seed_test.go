@@ -19,28 +19,33 @@ import (
 // given pressure preconditioner variant.
 func seedCase(t *testing.T, name, precond string) *ns.Solver {
 	t.Helper()
-	var s *ns.Solver
+	var cfg ns.Config
+	var init flowcases.InitFunc
 	var err error
 	switch name {
 	case "shearlayer":
-		s, err = flowcases.ShearLayer(flowcases.ShearLayerConfig{
-			Nel: 4, N: 5, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: 0.3, Precond: precond,
+		cfg, init, err = flowcases.ShearLayerSpec(flowcases.ShearLayerConfig{
+			Nel: 4, N: 5, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: 0.3,
 		})
 	case "channel":
-		s, _, err = flowcases.Channel(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, Precond: precond,
+		cfg, init, _, err = flowcases.ChannelSpec(flowcases.ChannelConfig{
+			Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2,
 		})
 	case "convection":
-		s, err = flowcases.Convection(flowcases.ConvectionConfig{
-			Nel: 4, N: 5, Ra: 5e3, Dt: 0.005, ProjectionL: 10, Precond: precond,
+		cfg, err = flowcases.ConvectionSpec(flowcases.ConvectionConfig{
+			Nel: 4, N: 5, Ra: 5e3, Dt: 0.005, ProjectionL: 10,
 		})
 	case "hairpin":
-		s, err = flowcases.Hairpin(flowcases.HairpinConfig{
-			Nx: 4, Ny: 3, Nz: 3, N: 4, Re: 850, Dt: 0.02, Workers: 2,
-			FilterA: 0.1, Precond: precond,
+		cfg, init, err = flowcases.HairpinSpec(flowcases.HairpinConfig{
+			Nx: 4, Ny: 3, Nz: 3, N: 4, Re: 850, Dt: 0.02, Workers: 2, FilterA: 0.1,
 		})
 	default:
 		t.Fatalf("unknown seed case %q", name)
+	}
+	var s *ns.Solver
+	if err == nil {
+		cfg.PressurePrecond = precond
+		s, err = flowcases.NewSolver(cfg, init)
 	}
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, precond, err)
