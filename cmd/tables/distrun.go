@@ -2,13 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/coarse"
 	"repro/internal/comm"
 	"repro/internal/flowcases"
 	"repro/internal/instrument"
-	"repro/internal/la"
 	"repro/internal/ns"
 	"repro/internal/parrun"
 )
@@ -71,11 +68,7 @@ func fig6Distributed(quick bool) {
 		return
 	}
 	n := a.Rows
-	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
+	b := normalVec(n, 7)
 	fmt.Printf("\nFig 6 (measured): coarse solves inside the distributed channel stepper\n")
 	fmt.Printf("(n=%d coarse dofs, %d steps; in-run = mean rank-0 coarse/xxt.solve span)\n", n, steps)
 	fmt.Printf("%6s %8s %14s %14s %8s\n", "P", "solves", "in-run (s)", "standalone (s)", "ratio")
@@ -100,19 +93,11 @@ func fig6Distributed(quick bool) {
 			continue
 		}
 		mean := sum / float64(cnt)
-		xxt, err := coarse.NewXXT(a, 0, 0, res.P)
+		_, ranks, err := xxtRun(a, 0, 0, res.P, b, nil)
 		if err != nil {
 			fmt.Println("XXT error:", err)
 			return
 		}
-		inv := la.InvPerm(xxt.Perm)
-		bp := make([]float64, n)
-		for old := 0; old < n; old++ {
-			bp[inv[old]] = b[old]
-		}
-		ranks := comm.NewNetwork(comm.ASCIRed(res.P)).Run(func(r *comm.Rank) {
-			xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
-		})
 		tAlone := comm.MaxTime(ranks)
 		ratio := 0.0
 		if tAlone > 0 {
@@ -155,27 +140,7 @@ func fig8Distributed(quick bool) {
 			fmt.Println("distributed run error:", err)
 			return
 		}
-		m := comm.ASCIRed(res.P)
-		rounds := 0
-		for d := 1; d < res.P; d <<= 1 {
-			rounds++
-		}
-		var traced, modeled float64
-		colls := 0
-		for _, ev := range tr.Events() {
-			if ev.Pid != instrument.PidMachine || ev.Tid != 0 ||
-				ev.Ph != "X" || ev.Name != "allreduce" {
-				continue
-			}
-			colls++
-			traced += ev.Dur / 1e6
-			words, _ := ev.Args["words"].(int)
-			modeled += float64(rounds) * (m.Latency + 8*float64(words)*m.ByteSec)
-		}
-		ratio := 0.0
-		if modeled > 0 {
-			ratio = traced / modeled
-		}
+		colls, traced, modeled, ratio := rank0Allreduce(tr, res.P)
 		fmt.Printf("%6d %12.3e %8d %14.3e %14.3e %8.2f\n",
 			res.P, res.VirtualSeconds/float64(res.Steps), colls, modeled, traced, ratio)
 	}

@@ -65,11 +65,12 @@ func fig3(quick bool) {
 		}
 		if survived < steps {
 			fmt.Printf("%-30s %7d* %10s %10s %10s   (*blow-up)\n", c.label, survived, "-", "-", "-")
-			continue
+		} else {
+			lo, hi := flowcases.FieldRange(flowcases.Vorticity(s))
+			fmt.Printf("%-30s %8d %10.1f %10.1f %10.4f\n",
+				c.label, survived, lo, hi, flowcases.KineticEnergy(s)/ke0)
 		}
-		lo, hi := flowcases.FieldRange(flowcases.Vorticity(s))
-		fmt.Printf("%-30s %8d %10.1f %10.1f %10.4f\n",
-			c.label, survived, lo, hi, flowcases.KineticEnergy(s)/ke0)
+		s.Close()
 	}
 	fmt.Println("\nExpected shape (paper): the unfiltered case blows up during roll-up;")
 	fmt.Println("alpha=0.3 is stable with vorticity extrema near the initial +-rho;")

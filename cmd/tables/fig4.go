@@ -23,6 +23,7 @@ func fig4(quick bool) {
 			fmt.Println("setup error:", err)
 			return nil, nil
 		}
+		defer s.Close()
 		for i := 0; i < steps; i++ {
 			st, err := s.Step()
 			if err != nil {

@@ -29,33 +29,19 @@ func fig6(quick bool) {
 		n := nx * ny
 		fmt.Printf("\nFig 6: coarse-grid solve times, n=%d (%dx%d five-point Poisson)\n", n, nx, ny)
 		a := coarse.Poisson5pt(nx, ny)
-		rng := rand.New(rand.NewSource(7))
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
+		b := normalVec(n, 7)
 		fmt.Printf("%6s %12s %12s %12s %12s %10s %10s\n",
 			"P", "XXT", "red. LU", "dist. A^-1", "2*lat*logP", "xxt msgs", "xxt KB")
 		var lastNNZ, lastCross int
 		for p := 1; p <= maxP; p *= 4 {
 			m := comm.ASCIRed(p)
-			// XXT.
-			xxt, err := coarse.NewXXT(a, nx, ny, p)
+			// XXT, with the measured traffic counters printed per row.
+			reg := instrument.New()
+			xxt, ranks, err := xxtRun(a, nx, ny, p, b, func(_ *coarse.XXT, net *comm.Network) { net.Attach(reg) })
 			if err != nil {
 				fmt.Println("XXT error:", err)
 				return
 			}
-			inv := la.InvPerm(xxt.Perm)
-			bp := make([]float64, n)
-			for old := 0; old < n; old++ {
-				bp[inv[old]] = b[old]
-			}
-			reg := instrument.New()
-			net := comm.NewNetwork(m)
-			net.Attach(reg) // measured traffic counters printed per row
-			ranks := net.Run(func(r *comm.Rank) {
-				xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
-			})
 			tXXT := comm.MaxTime(ranks)
 			xxtMsgs := reg.Counter("comm/send.msgs").Value()
 			xxtKB := float64(reg.Counter("comm/send.bytes").Value()) / 1024
@@ -105,30 +91,16 @@ func fig6(quick bool) {
 func fig6Timeline() {
 	const nx, ny, p = 63, 63, 16
 	n := nx * ny
-	a := coarse.Poisson5pt(nx, ny)
-	xxt, err := coarse.NewXXT(a, nx, ny, p)
+	tr := instrument.NewTracer()
+	tr.DisableWallClock()
+	_, ranks, err := xxtRun(coarse.Poisson5pt(nx, ny), nx, ny, p, normalVec(n, 7), func(x *coarse.XXT, net *comm.Network) {
+		x.AttachTracer(tr)
+		net.AttachTracer(tr)
+	})
 	if err != nil {
 		fmt.Println("XXT error:", err)
 		return
 	}
-	tr := instrument.NewTracer()
-	tr.DisableWallClock()
-	xxt.AttachTracer(tr)
-	net := comm.NewNetwork(comm.ASCIRed(p))
-	net.AttachTracer(tr)
-	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	inv := la.InvPerm(xxt.Perm)
-	bp := make([]float64, n)
-	for old := 0; old < n; old++ {
-		bp[inv[old]] = b[old]
-	}
-	ranks := net.Run(func(r *comm.Rank) {
-		xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
-	})
 	maxUS := comm.MaxTime(ranks) * 1e6
 	const cols = 64
 	rows := make([][]byte, p)
@@ -163,4 +135,40 @@ func fig6Timeline() {
 	for q := 0; q < p; q++ {
 		fmt.Printf("rank %2d |%s|\n", q, rows[q])
 	}
+}
+
+// xxtRun factors a by XXT over P ranks (nx, ny: the grid of a five-point
+// operator, 0 for any other), permutes b into the factor's ordering, and
+// solves once on a fresh ASCI-Red network of P ranks. attach, when not nil,
+// wires the caller's registry or tracer into the factor and the network
+// before the solve. It returns the factor and the network's ranks.
+func xxtRun(a *la.CSR, nx, ny, p int, b []float64, attach func(*coarse.XXT, *comm.Network)) (*coarse.XXT, []*comm.Rank, error) {
+	xxt, err := coarse.NewXXT(a, nx, ny, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	inv := la.InvPerm(xxt.Perm)
+	bp := make([]float64, len(b))
+	for old, v := range b {
+		bp[inv[old]] = v
+	}
+	net := comm.NewNetwork(comm.ASCIRed(p))
+	if attach != nil {
+		attach(xxt, net)
+	}
+	ranks := net.Run(func(r *comm.Rank) {
+		xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
+	})
+	return xxt, ranks, nil
+}
+
+// normalVec returns n standard normal draws from seed: a coarse right-hand
+// side.
+func normalVec(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return b
 }

@@ -2,12 +2,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/coarse"
 	"repro/internal/comm"
 	"repro/internal/instrument"
-	"repro/internal/la"
 	"repro/internal/perfmodel"
 )
 
@@ -46,7 +44,7 @@ func fig8(quick bool) {
 func fig8TraceCheck(quick bool) {
 	const nx, ny = 63, 63
 	n := nx * ny
-	a := coarse.Poisson5pt(nx, ny)
+	a, b := coarse.Poisson5pt(nx, ny), normalVec(n, 11)
 	ps := []int{16, 64, 256}
 	if quick {
 		ps = []int{16, 64}
@@ -55,54 +53,44 @@ func fig8TraceCheck(quick bool) {
 	fmt.Printf("%6s %6s %14s %14s %8s %12s\n",
 		"P", "colls", "modeled (s)", "traced (s)", "ratio", "solve (s)")
 	for _, p := range ps {
-		xxt, err := coarse.NewXXT(a, nx, ny, p)
+		tr := instrument.NewTracer()
+		tr.DisableWallClock()
+		_, ranks, err := xxtRun(a, nx, ny, p, b, func(_ *coarse.XXT, net *comm.Network) { net.AttachTracer(tr) })
 		if err != nil {
 			fmt.Println("XXT error:", err)
 			return
 		}
-		rng := rand.New(rand.NewSource(11))
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		inv := la.InvPerm(xxt.Perm)
-		bp := make([]float64, n)
-		for old := 0; old < n; old++ {
-			bp[inv[old]] = b[old]
-		}
-		tr := instrument.NewTracer()
-		tr.DisableWallClock()
-		m := comm.ASCIRed(p)
-		net := comm.NewNetwork(m)
-		net.AttachTracer(tr)
-		ranks := net.Run(func(r *comm.Rank) {
-			xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
-		})
-		tSolve := comm.MaxTime(ranks)
-		rounds := 0
-		for d := 1; d < p; d <<= 1 {
-			rounds++
-		}
-		var traced, modeled float64
-		colls := 0
-		for _, ev := range tr.Events() {
-			if ev.Pid != instrument.PidMachine || ev.Tid != 0 ||
-				ev.Ph != "X" || ev.Name != "allreduce" {
-				continue
-			}
-			colls++
-			traced += ev.Dur / 1e6
-			words, _ := ev.Args["words"].(int)
-			modeled += float64(rounds) * (m.Latency + 8*float64(words)*m.ByteSec)
-		}
-		ratio := 0.0
-		if modeled > 0 {
-			ratio = traced / modeled
-		}
+		colls, traced, modeled, ratio := rank0Allreduce(tr, p)
 		fmt.Printf("%6d %6d %14.3e %14.3e %8.2f %12.3e\n",
-			p, colls, modeled, traced, ratio, tSolve)
+			p, colls, modeled, traced, ratio, comm.MaxTime(ranks))
 	}
 	fmt.Println("(modeled: log2(P) recursive-doubling rounds at alpha + 8*words*beta")
 	fmt.Println(" each; traced: executed allreduce spans on the rank-0 virtual clock,")
 	fmt.Println(" which additionally see skew-induced waits)")
+}
+
+// rank0Allreduce sums the rank-0 allreduce spans of a P-rank machine trace
+// and, for the same collectives, the closed-form ASCI-Red cost
+// log₂P·(α + 8·words·β) of recursive doubling. ratio is traced/modeled (0
+// without collectives).
+func rank0Allreduce(tr *instrument.Tracer, p int) (colls int, traced, modeled, ratio float64) {
+	m := comm.ASCIRed(p)
+	rounds := 0
+	for d := 1; d < p; d <<= 1 {
+		rounds++
+	}
+	for _, ev := range tr.Events() {
+		if ev.Pid != instrument.PidMachine || ev.Tid != 0 ||
+			ev.Ph != "X" || ev.Name != "allreduce" {
+			continue
+		}
+		colls++
+		traced += ev.Dur / 1e6
+		words, _ := ev.Args["words"].(int)
+		modeled += float64(rounds) * (m.Latency + 8*float64(words)*m.ByteSec)
+	}
+	if modeled > 0 {
+		ratio = traced / modeled
+	}
+	return colls, traced, modeled, ratio
 }

@@ -33,7 +33,7 @@ func table2(quick bool) {
 			fmt.Println("mesh error:", err)
 			return
 		}
-		d := sem.New(m, nil, 1)
+		d := sem.New(m, nil)
 		n := m.K * m.Np
 		one := make([]float64, n)
 		for i := range one {

@@ -26,6 +26,7 @@ func measuredHistory(steps int, quick bool) (press, helm, sub []int, reg *instru
 		p, h, sb := perfmodel.PaperIterationHistory(steps, 45, 8, 10)
 		return p, h, sb, nil
 	}
+	defer s.Close()
 	reg = instrument.New()
 	s.AttachMetrics(reg)
 	press = make([]int, steps)

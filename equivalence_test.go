@@ -80,7 +80,6 @@ func TestChannelStepAllocationFree(t *testing.T) {
 	}
 	s := channelSolver(t, 1)
 	warmUp(t, s)
-	drainPoolFinalizers()
 	allocs := testing.AllocsPerRun(4, func() {
 		if _, err := s.Step(); err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func main() {
 			}
 		}
 		h := gs.ParInit(r, gids)
-		d := sem.New(m, mask, 1) // per-rank operator workspace
+		d := sem.New(m, mask) // per-rank operator workspace
 		mult := make([]float64, nloc)
 		for i := range mult {
 			mult[i] = 1

@@ -24,7 +24,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := sem.New(m, m.BoundaryMask(nil), 2)
+		d := sem.New(m, m.BoundaryMask(nil))
 		// Weak-form right-hand side: B f.
 		b := make([]float64, m.K*m.Np)
 		for i := range b {

@@ -17,6 +17,7 @@ import (
 //   - ForElements runs fn(li, w) for every local element index li, w being a
 //     worker id that indexes per-worker scratch. Bodies write only their own
 //     element's blocks, so any split over workers gives the same fields.
+//     Only the shared-memory machine splits; a rank loops serially.
 //   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
 //     run) to a velocity-grid field stored in owned blocks. No mask, no flops.
 //   - Sum and Max join one value per solver into the value every solver sees;
@@ -79,25 +80,40 @@ func (s Section) Cat() string {
 }
 
 // shared is the one-solver Machine of the shared-memory stepper: it owns
-// every element, loops over them on the velocity Disc's worker pool, joins
-// nothing, meters flops on the velocity Disc and solves the coarse system
-// with the Schwarz preconditioner's sparse factor.
+// every element, loops over them on its worker pool (the only element-loop
+// pool in the program; nil when serial or closed), joins nothing, meters
+// flops on the velocity Disc and solves the coarse system with the Schwarz
+// preconditioner's sparse factor.
 type shared struct {
 	s     *Solver
 	elems []int
+	pool  *elemPool
 	open  [NumSections]struct {
 		t  time.Time
 		sp instrument.Span
 	}
 }
 
-func (m *shared) Elems() []int                   { return m.elems }
-func (m *shared) ForElements(fn func(li, w int)) { m.s.D.ForElements(fn) }
-func (m *shared) Assemble(u []float64)           { m.s.D.GS.Apply(u, gs.Sum) }
-func (m *shared) Sum(v float64) float64          { return v }
-func (m *shared) SumN(v []float64)               {}
-func (m *shared) Max(v float64) float64          { return v }
-func (m *shared) Charge(flops int64)             { m.s.D.CountFlops(flops) }
+func (m *shared) Elems() []int { return m.elems }
+
+// ForElements dispatches to the pool when it can run chunks concurrently,
+// else runs the plain serial loop (worker id 0). Both produce identical
+// fields for the disjoint-block loops of the step, so the choice is speed.
+func (m *shared) ForElements(fn func(li, w int)) {
+	if m.pool.parallel() {
+		m.pool.run(fn)
+		return
+	}
+	for li := range m.elems {
+		fn(li, 0)
+	}
+}
+
+func (m *shared) Assemble(u []float64)  { m.s.D.GS.Apply(u, gs.Sum) }
+func (m *shared) Sum(v float64) float64 { return v }
+func (m *shared) SumN(v []float64)      {}
+func (m *shared) Max(v float64) float64 { return v }
+func (m *shared) Charge(flops int64)    { m.s.D.CountFlops(flops) }
 
 func (m *shared) CoarseSolve(x0, r0 []float64) {
 	m.Charge(m.s.pSchwarz.CoarseSolve(x0, r0))

@@ -74,40 +74,32 @@ type Config struct {
 	PressurePrecond string
 }
 
-// StepStats reports one time step.
+// StepStats reports one time step. It stays comparable: a distributed run
+// checks every rank's statistics against rank 0's with !=. The tags are the
+// keys of the history JSONL.
 type StepStats struct {
-	Step              int
-	Time              float64
-	PressureIters     int
-	PressureRes0      float64 // residual before CG (after projection)
-	PressureResFinal  float64
-	PressureConverged bool // pressure CG hit its tolerance (not the iteration cap)
-	ViscousConverged  bool // all Helmholtz component solves converged
-	HelmholtzIters    [3]int
-	ScalarIters       int
-	Substeps          int
-	CFL               float64
-	ProjectionBasis   int
+	Step              int     `json:"step"`
+	Time              float64 `json:"time"`
+	CFL               float64 `json:"cfl"`
+	Substeps          int     `json:"substeps"`
+	PressureIters     int     `json:"pressure_iters"`
+	PressureConverged bool    `json:"pressure_converged"` // pressure CG hit its tolerance (not the iteration cap)
+	PressureRes0      float64 `json:"pressure_res0"`      // residual before CG (after projection)
+	PressureResFinal  float64 `json:"pressure_res_final"`
+	HelmholtzIters    [3]int  `json:"helmholtz_iters"`
+	ViscousConverged  bool    `json:"viscous_converged"` // all Helmholtz component solves converged
+	ScalarIters       int     `json:"scalar_iters,omitempty"`
+	ProjectionBasis   int     `json:"projection_basis"`
 }
 
 // StepRecord is the per-step telemetry row appended to an attached
-// TimeSeries and serialized as JSONL (one record per line).
+// TimeSeries and serialized as JSONL (one record per line): the step's
+// statistics and what only the history carries.
 type StepRecord struct {
-	Step              int       `json:"step"`
-	Time              float64   `json:"time"`
-	CFL               float64   `json:"cfl"`
-	Substeps          int       `json:"substeps"`
-	PressureIters     int       `json:"pressure_iters"`
-	PressureConverged bool      `json:"pressure_converged"`
-	PressureRes0      float64   `json:"pressure_res0"`
-	PressureResFinal  float64   `json:"pressure_res_final"`
-	PressureResHist   []float64 `json:"pressure_res_hist"`
-	HelmholtzIters    [3]int    `json:"helmholtz_iters"`
-	ViscousConverged  bool      `json:"viscous_converged"`
-	ScalarIters       int       `json:"scalar_iters,omitempty"`
-	ProjectionBasis   int       `json:"projection_basis"`
-	MaxDivergence     float64   `json:"max_divergence"`
-	FilterEnergy      float64   `json:"filter_energy_removed"`
+	StepStats
+	PressureResHist []float64 `json:"pressure_res_hist"`
+	MaxDivergence   float64   `json:"max_divergence"`
+	FilterEnergy    float64   `json:"filter_energy_removed"`
 
 	// VirtualSeconds is the modeled per-step elapsed time on the simulated
 	// machine (max across ranks). Populated only by distributed runs
@@ -378,10 +370,8 @@ func New(cfg Config) (*Solver, error) {
 	if cfg.DirichletMask != nil {
 		t.maskV = m.BoundaryMask(cfg.DirichletMask)
 	}
-	t.D = sem.New(m, t.maskV, cfg.Workers)
-	// One worker: only the frozen ladder's PressurePre loops over DN's
-	// elements, so a pool here would only park Workers-1 idle goroutines.
-	t.DN = sem.New(m, nil, 1)
+	t.D = sem.New(m, t.maskV)
+	t.DN = sem.New(m, nil)
 	s := &Solver{template: t}
 	if err := s.build(precondForced); err != nil {
 		s.Close()
@@ -447,7 +437,7 @@ func (s *Solver) build(precondForced bool) error {
 	if err := s.buildPrecondOperators(); err != nil {
 		return err
 	}
-	sh := &shared{s: s, elems: make([]int, m.K)}
+	sh := &shared{s: s, elems: make([]int, m.K), pool: newElemPool(m.K, cfg.Workers)}
 	for e := range sh.elems {
 		sh.elems[e] = e
 	}
@@ -469,7 +459,7 @@ func (s *Solver) build(precondForced bool) error {
 // current fields and time with an empty BDF history; Restore loads anything
 // further. reg, when non-nil, receives the fork's CG iteration
 // distributions, the only metrics a fork records itself (sections are the
-// Machine's to time). Forks must not Close.
+// Machine's to time). A fork has no worker pool, so Close is a no-op on it.
 func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	f := &Solver{template: s.template}
 	if err := f.initState(mach, 1); err != nil {
@@ -636,13 +626,15 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	return nil
 }
 
-// Close releases the element-loop worker pools of a solver built by New. It
-// is idempotent, must not run concurrently with Step, and a closed solver
-// keeps stepping correctly — just serially. Long-lived processes that build
-// many solvers (the session service) must call Close when one is retired; the
-// sem finalizer is only a GC-timed backstop.
+// Close stops the Workers-1 element-loop goroutines of a solver built by New.
+// It is idempotent, must not run concurrently with Step, and a closed solver
+// keeps stepping to the same bits — just serially. Every solver built with
+// Workers > 1 must be closed when retired: nothing else stops its workers.
 func (s *Solver) Close() {
-	s.D.Close()
+	if sh, ok := s.mach.(*shared); ok && sh.pool != nil {
+		sh.pool.close()
+		sh.pool = nil
+	}
 }
 
 // Time returns the current simulation time.

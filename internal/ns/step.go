@@ -257,21 +257,10 @@ func (s *Solver) Step() (st StepStats, err error) {
 			}
 		}
 		s.history.Append(StepRecord{
-			Step:              st.Step,
-			Time:              st.Time,
-			CFL:               st.CFL,
-			Substeps:          st.Substeps,
-			PressureIters:     st.PressureIters,
-			PressureConverged: st.PressureConverged,
-			PressureRes0:      st.PressureRes0,
-			PressureResFinal:  st.PressureResFinal,
-			PressureResHist:   append([]float64(nil), pstats.ResHist...),
-			HelmholtzIters:    st.HelmholtzIters,
-			ViscousConverged:  st.ViscousConverged,
-			ScalarIters:       st.ScalarIters,
-			ProjectionBasis:   st.ProjectionBasis,
-			MaxDivergence:     s.mach.Max(maxDiv),
-			FilterEnergy:      filterRemoved,
+			StepStats:       st,
+			PressureResHist: append([]float64(nil), pstats.ResHist...),
+			MaxDivergence:   s.mach.Max(maxDiv),
+			FilterEnergy:    filterRemoved,
 		})
 	}
 	return st, nil

@@ -20,7 +20,7 @@ func TestPressureRejectsOneGaussPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewPressure(sem.New(m, nil, 1)); err == nil {
+		if _, err := NewPressure(sem.New(m, nil)); err == nil {
 			t.Errorf("dim %d: NewPressure accepted N = 2", m.Dim)
 		}
 	}

@@ -52,10 +52,10 @@ type Precond struct {
 	d   *sem.Disc
 	opt Options
 
-	// FDM path: one factored subdomain per element and the scratch length the
+	// FDM path: one factored subdomain per element and scratch as long as the
 	// largest needs.
-	local   []localSolver
-	workLen int
+	local []localSolver
+	work  []float64
 
 	// FEM path (2D): per-subdomain free global ids and factorizations.
 	subIdx [][]int32
@@ -70,13 +70,6 @@ type Precond struct {
 	pWeights   [][]float64 // [corner][localNode]
 	pWeightNNZ []int64     // non-zero weights per corner (the restriction's flop count)
 
-	// Per-worker scratch for the element-parallel FDM local solves (one
-	// slice per Disc worker), sized to the largest WorkLen of any element.
-	work [][]float64
-	// Prebuilt ForElements body (allocated once here, not per Apply) and the
-	// vectors it acts on during a call.
-	localLoop func(e, w int)
-	aout, ain []float64
 	// Preallocated coarse-solve buffers (Apply must not allocate in steady
 	// state).
 	r0, x0 []float64
@@ -106,21 +99,6 @@ func New(d *sem.Disc, opt Options) (*Precond, error) {
 	if opt.UseCoarse {
 		if err := p.setupCoarse(); err != nil {
 			return nil, err
-		}
-	}
-	if opt.Method == FDM {
-		workers := d.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		p.work = make([][]float64, workers)
-		for w := range p.work {
-			p.work[w] = make([]float64, p.workLen)
-		}
-		np := m.Np
-		p.localLoop = func(e, w int) {
-			p.local[e].Apply(p.aout[e*np:(e+1)*np], p.ain[e*np:(e+1)*np], p.work[w])
-			d.CountFlops(p.local[e].Flops())
 		}
 	}
 	return p, nil
@@ -190,6 +168,7 @@ func (p *Precond) setupFDM() error {
 	d := p.d
 	m := d.M
 	p.local = make([]localSolver, m.K)
+	workLen := 0
 	for e := range p.local {
 		ls := dirLengths(d, e)
 		var a, b [3][]float64
@@ -200,8 +179,9 @@ func (p *Precond) setupFDM() error {
 		if err != nil {
 			return fmt.Errorf("schwarz: element %d: %w", e, err)
 		}
-		p.local[e], p.workLen = s, max(p.workLen, nw)
+		p.local[e], workLen = s, max(workLen, nw)
 	}
+	p.work = make([]float64, workLen)
 	return nil
 }
 
@@ -520,14 +500,11 @@ func (p *Precond) apply(out, r []float64, coarse bool) {
 	}
 	switch p.opt.Method {
 	case FDM:
-		// Element subdomains are disjoint in out, so the local solves run on
-		// the Disc worker pool with per-worker scratch; work assignment is
-		// deterministic and each entry is written once, so the result is
-		// bitwise independent of the worker count. The loop bodies are built
-		// once in New so steady-state Apply allocates nothing.
-		p.aout, p.ain = out, r
-		d.ForElements(p.localLoop)
-		p.aout, p.ain = nil, nil
+		np := m.Np
+		for e, ls := range p.local {
+			ls.Apply(out[e*np:(e+1)*np], r[e*np:(e+1)*np], p.work)
+			d.CountFlops(ls.Flops())
+		}
 	case FEM:
 		rg := p.rg
 		for i, gid := range m.GID {

@@ -2,9 +2,7 @@ package schwarz
 
 import (
 	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/sem"
@@ -18,7 +16,7 @@ func poissonSetup(t *testing.T, nx, ny, n int) (*sem.Disc, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, m.BoundaryMask(nil), 1)
+	d := sem.New(m, m.BoundaryMask(nil))
 	b := make([]float64, m.K*m.Np)
 	for i := range b {
 		f := 2 * math.Pi * math.Pi * math.Sin(math.Pi*m.X[i]) * math.Sin(math.Pi*m.Y[i])
@@ -101,7 +99,7 @@ func cylinderNeumannSetup(t *testing.T) (*sem.Disc, []float64, func([]float64)) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, nil, 1)
+	d := sem.New(m, nil)
 	n := m.K * m.Np
 	one := make([]float64, n)
 	for i := range one {
@@ -190,7 +188,7 @@ func TestSchwarzOnDeformedCylinderMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, m.BoundaryMask(nil), 1)
+	d := sem.New(m, m.BoundaryMask(nil))
 	b := make([]float64, m.K*m.Np)
 	for i := range b {
 		b[i] = m.B[i]
@@ -216,7 +214,7 @@ func TestSchwarz3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, m.BoundaryMask(nil), 1)
+	d := sem.New(m, m.BoundaryMask(nil))
 	b := make([]float64, m.K*m.Np)
 	pi := math.Pi
 	for i := range b {
@@ -264,7 +262,7 @@ func TestNeumannPressureLikeSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, nil, 1)
+	d := sem.New(m, nil)
 	n := m.K * m.Np
 	b := make([]float64, n)
 	for i := range b {
@@ -327,7 +325,7 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sem.New(m, nil, 1)
+	d := sem.New(m, nil)
 	if _, err := New(d, Options{Method: FEM}); err == nil {
 		t.Error("FEM in 3D should be rejected")
 	}
@@ -336,62 +334,27 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// The FDM local solves now run on the element worker pool; with any worker
-// count the preconditioner must be bitwise identical to workers=1 (element
-// blocks are disjoint and each written once), and steady-state Apply must
-// not allocate.
+// Steady-state Apply, local solves and coarse term included, must not
+// allocate.
 func TestFDMApplyParallelBitwiseAndAllocFree(t *testing.T) {
 	spec := mesh.Box2D(mesh.Box2DSpec{Nx: 4, Ny: 4, X0: 0, X1: 1, Y0: 0, Y1: 1})
 	m, err := mesh.Discretize(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := sem.New(m, m.BoundaryMask(nil), 1)
-	d4 := sem.New(m, m.BoundaryMask(nil), 4)
+	d := sem.New(m, m.BoundaryMask(nil))
 	n := m.K * m.Np
 	r := make([]float64, n)
 	for i := range r {
 		r[i] = math.Sin(5*m.X[i]) * math.Cos(4*m.Y[i])
 	}
-	d1.Assemble(r)
-	r4 := make([]float64, n)
-	copy(r4, r)
-	p1, err := New(d1, Options{Method: FDM, UseCoarse: true})
+	d.Assemble(r)
+	p, err := New(d, Options{Method: FDM, UseCoarse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := New(d4, Options{Method: FDM, UseCoarse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1 := make([]float64, n)
-	o4 := make([]float64, n)
-	p1.Apply(o1, r)
-	p4.Apply(o4, r4)
-	for i := range o1 {
-		if o1[i] != o4[i] {
-			t.Fatalf("workers=4 Apply differs at %d: %g vs %g", i, o4[i], o1[i])
-		}
-	}
-	// Run pending finalizers first: discarded workers>1 discretizations from
-	// earlier tests queue a pool-shutdown finalizer, and the runtime's
-	// one-time finalizer-goroutine setup would otherwise be charged to this
-	// measurement. The sentinel proves the queue has been serviced; GC is
-	// re-forced in a loop because one cycle only queues the sentinel and a
-	// bare wait would stall until the runtime's 2-minute forced-GC tick.
-	fdone := make(chan struct{})
-	runtime.SetFinalizer(new(int), func(*int) { close(fdone) })
-drain:
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-fdone:
-			break drain
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	allocs := testing.AllocsPerRun(5, func() { p1.Apply(o1, r) })
+	out := make([]float64, n)
+	allocs := testing.AllocsPerRun(5, func() { p.Apply(out, r) })
 	if allocs > 0 {
 		t.Errorf("steady-state Apply allocated %v times, want 0", allocs)
 	}

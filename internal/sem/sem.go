@@ -4,14 +4,18 @@
 // operators, physical-space gradients, and the Fischer–Mullen stabilizing
 // filter. All operators act on element-local vectors (length K·Np) and are
 // assembled with the gather–scatter; Dirichlet conditions enter through a
-// multiplicative mask. An element-loop worker pool mirrors the paper's
-// dual-processor loop-splitting mode, and every application is counted by
-// an analytic flop meter for the performance model.
+// multiplicative mask. Every application is counted by an analytic flop
+// meter for the performance model.
+//
+// The package keeps no execution state: its full-mesh operators are plain
+// element loops, and its per-element kernels (StiffnessElement, GradElement,
+// FilterElement, HelmholtzDiagElement) only read the Disc. Parallel execution
+// is the caller's: the element-loop worker pool that mirrors the paper's
+// dual-processor mode belongs to the shared-memory Machine of internal/ns.
 package sem
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/gs"
@@ -21,81 +25,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// Disc is a discretized scalar-field operator set over one mesh.
+// Disc is a discretized scalar-field operator set over one mesh. Its
+// full-mesh operators share one scratch slice, so they are not safe for
+// concurrent calls on one Disc; the per-element kernels are.
 type Disc struct {
 	M    *mesh.Mesh
 	GS   *gs.Handle
 	Mask []float64 // 1 on free nodes, 0 on Dirichlet nodes (nil = no mask)
 	Mult []float64 // nodal multiplicity
 
-	Workers int // element-loop parallelism (1 = serial)
-
 	Dt      []float64 // transpose of the 1D derivative matrix
 	flops   atomic.Int64
-	pool    *elemPool   // persistent element-loop workers (nil when serial)
-	scratch [][]float64 // per-worker scratch, each ElemScratchLen long
-
-	// Prebuilt forElements bodies for the per-iteration operators, so the
-	// steady-state hot path allocates no closures. The cur* fields carry the
-	// operands during one call; the operators were never safe for concurrent
-	// calls on one Disc (shared per-worker scratch), so this adds no new
-	// restriction.
-	stiffLoop func(e, w int)
-	gradLoop  func(e, w int)
-	curOut    []float64
-	curIn     []float64
-	curOuts   [][]float64
+	scratch []float64 // ElemScratchLen long, for the full-mesh loops
 }
 
 // New builds the operator set. mask may be nil (pure Neumann / periodic).
-func New(m *mesh.Mesh, mask []float64, workers int) *Disc {
-	if workers < 1 {
-		workers = 1
-	}
-	d := &Disc{M: m, GS: gs.Init(m.GID), Mask: mask, Workers: workers, Dt: m.Dt}
+func New(m *mesh.Mesh, mask []float64) *Disc {
+	d := &Disc{M: m, GS: gs.Init(m.GID), Mask: mask, Dt: m.Dt}
 	d.Mult = d.GS.Multiplicity()
-	d.scratch = make([][]float64, workers)
-	for w := range d.scratch {
-		d.scratch[w] = make([]float64, d.ElemScratchLen())
-	}
-	np := m.Np
-	d.stiffLoop = func(e, w int) {
-		d.StiffnessElement(d.curOut[e*np:(e+1)*np], d.curIn[e*np:(e+1)*np], e, d.scratch[w])
-	}
-	d.gradLoop = func(e, w int) {
-		i0, i1 := e*np, (e+1)*np
-		var o2 []float64
-		if m.Dim == 3 {
-			o2 = d.curOuts[2][i0:i1]
-		}
-		d.GradElement(d.curOuts[0][i0:i1], d.curOuts[1][i0:i1], o2, d.curIn[i0:i1], e, d.scratch[w])
-	}
-	if workers > 1 && m.K >= 2 {
-		d.pool = newElemPool(m.K, workers)
-		// Backstop only: the owner is expected to call Close. The workers
-		// reference only the pool, never the Disc, and every prebuilt loop
-		// body is cleared from p.fn between runs — so when a Disc is leaked
-		// without Close, this finalizer still parks the goroutines for
-		// collection (eventually, at GC's discretion; a server creating many
-		// Discs must not rely on it).
-		pool := d.pool
-		runtime.SetFinalizer(d, func(*Disc) { pool.shutdown() })
-	}
+	d.scratch = make([]float64, d.ElemScratchLen())
 	return d
-}
-
-// Close stops the element-loop worker pool. It is idempotent and safe on a
-// pool-less (serial) Disc; after Close the operators remain fully usable
-// but run their element loops serially. Long-lived processes that create
-// many Discs (the session service) must call Close when a Disc is retired —
-// the finalizer registered by New is only a GC-timed backstop, and until it
-// fires each abandoned Disc pins Workers-1 parked goroutines.
-func (d *Disc) Close() {
-	if d.pool != nil {
-		d.pool.shutdown()
-		d.pool = nil // subsequent ForElements calls fall back to the serial loop
-		runtime.SetFinalizer(d, nil)
-	}
 }
 
 // Flops returns the cumulative analytic flop count of all operator
@@ -108,36 +57,15 @@ func (d *Disc) ResetFlops() { d.flops.Store(0) }
 // CountFlops adds externally-performed work to the meter.
 func (d *Disc) CountFlops(n int64) { d.flops.Add(n) }
 
-// ForElements runs fn(e, worker) over all elements, split across the worker
-// pool — the shared-memory analogue of the paper's dual-processor mode.
-// Callers that need scratch must index it by the worker id w (in
-// [0, Workers)); element blocks are disjoint, so loops that only write their
-// own element's output are deterministic for any worker count.
-func (d *Disc) ForElements(fn func(e, w int)) { d.forElements(fn) }
-
-// forElements is the internal form of ForElements: dispatch to the
-// persistent pool when it can actually run chunks concurrently, else the
-// plain serial loop (worker id 0). Both orders produce identical fields for
-// the disjoint-block loops this drives, so the choice is pure speed.
-func (d *Disc) forElements(fn func(e, w int)) {
-	if d.pool.parallel() {
-		d.pool.run(fn)
-		return
-	}
-	for e, k := 0, d.M.K; e < k; e++ {
-		fn(e, 0)
-	}
-}
-
 // StiffnessLocal applies the unassembled element stiffness matrices:
 // out^k = A^k u^k per eq. (4). out must not alias u.
 func (d *Disc) StiffnessLocal(out, u []float64) {
 	m := d.M
 	np1 := m.N + 1
 	np := m.Np
-	d.curOut, d.curIn = out, u
-	d.forElements(d.stiffLoop)
-	d.curOut, d.curIn = nil, nil
+	for e := 0; e < m.K; e++ {
+		d.StiffnessElement(out[e*np:(e+1)*np], u[e*np:(e+1)*np], e, d.scratch)
+	}
 	if m.Dim == 2 {
 		// 4 tensor ops (2N³ each... here 2·np1³) + 6np pointwise + np add.
 		d.flops.Add(int64(m.K) * (4*2*int64(np1)*int64(np1)*int64(np1) + 7*int64(np)))
@@ -220,9 +148,14 @@ func (d *Disc) Grad(outs [][]float64, u []float64) {
 	m := d.M
 	np1 := m.N + 1
 	np := m.Np
-	d.curOuts, d.curIn = outs, u
-	d.forElements(d.gradLoop)
-	d.curOuts, d.curIn = nil, nil
+	for e := 0; e < m.K; e++ {
+		i0, i1 := e*np, (e+1)*np
+		var o2 []float64
+		if m.Dim == 3 {
+			o2 = outs[2][i0:i1]
+		}
+		d.GradElement(outs[0][i0:i1], outs[1][i0:i1], o2, u[i0:i1], e, d.scratch)
+	}
 	if m.Dim == 2 {
 		d.flops.Add(int64(m.K) * (2*2*int64(np1)*int64(np1)*int64(np1) + 6*int64(np)))
 		return
@@ -321,7 +254,6 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 			}
 		}
 	}
-	scratch := make([]float64, d.ElemScratchLen())
 	for e := 0; e < m.K; e++ {
 		for j := 0; j < np; j++ {
 			for i := range ue {
@@ -329,7 +261,7 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 			}
 			ue[j] = 1
 			// Apply the single-element stiffness.
-			d.StiffnessElement(oe, ue, e, scratch)
+			d.StiffnessElement(oe, ue, e, d.scratch)
 			gj := m.GID[e*np+j]
 			for i := 0; i < np; i++ {
 				if oe[i] == 0 {

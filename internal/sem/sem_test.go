@@ -2,23 +2,21 @@ package sem
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/solver"
 )
 
-func boxDisc(t *testing.T, nx, ny, n, workers int) *Disc {
+func boxDisc(t *testing.T, nx, ny, n int) *Disc {
 	t.Helper()
 	spec := mesh.Box2D(mesh.Box2DSpec{Nx: nx, Ny: ny, X0: 0, X1: 1, Y0: 0, Y1: 1})
 	m, err := mesh.Discretize(spec, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(m, m.BoundaryMask(nil), workers)
+	return New(m, m.BoundaryMask(nil))
 }
 
 // solvePoisson solves -∇²u = f with homogeneous Dirichlet BCs and compares
@@ -61,7 +59,7 @@ func solvePoisson(t *testing.T, d *Disc) float64 {
 func TestPoissonSpectralConvergence(t *testing.T) {
 	var prev float64
 	for i, n := range []int{4, 6, 8} {
-		d := boxDisc(t, 2, 2, n, 1)
+		d := boxDisc(t, 2, 2, n)
 		err := solvePoisson(t, d)
 		if i > 0 && err > prev/5 {
 			t.Errorf("N=%d: error %g did not drop spectrally from %g", n, err, prev)
@@ -73,27 +71,8 @@ func TestPoissonSpectralConvergence(t *testing.T) {
 	}
 }
 
-func TestWorkersGiveIdenticalResults(t *testing.T) {
-	d1 := boxDisc(t, 4, 4, 6, 1)
-	d4 := boxDisc(t, 4, 4, 6, 4)
-	n := d1.M.K * d1.M.Np
-	u := make([]float64, n)
-	for i := range u {
-		u[i] = math.Sin(3*d1.M.X[i]) * math.Cos(2*d1.M.Y[i])
-	}
-	o1 := make([]float64, n)
-	o4 := make([]float64, n)
-	d1.StiffnessLocal(o1, u)
-	d4.StiffnessLocal(o4, u)
-	for i := range o1 {
-		if o1[i] != o4[i] {
-			t.Fatalf("worker pool changed result at %d: %g vs %g", i, o1[i], o4[i])
-		}
-	}
-}
-
 func TestLaplacianSymmetricSPD(t *testing.T) {
-	d := boxDisc(t, 2, 2, 5, 1)
+	d := boxDisc(t, 2, 2, 5)
 	n := d.M.K * d.M.Np
 	u := make([]float64, n)
 	v := make([]float64, n)
@@ -126,7 +105,7 @@ func TestLaplacianAnnihilatesConstantsUnmasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(m, nil, 1) // pure Neumann
+	d := New(m, nil) // pure Neumann
 	n := m.K * m.Np
 	u := make([]float64, n)
 	for i := range u {
@@ -142,7 +121,7 @@ func TestLaplacianAnnihilatesConstantsUnmasked(t *testing.T) {
 }
 
 func TestHelmholtzAddsMass(t *testing.T) {
-	d := boxDisc(t, 2, 2, 4, 1)
+	d := boxDisc(t, 2, 2, 4)
 	n := d.M.K * d.M.Np
 	u := make([]float64, n)
 	for i := range u {
@@ -169,7 +148,7 @@ func TestHelmholtzAddsMass(t *testing.T) {
 }
 
 func TestHelmholtzDiagMatchesOperator(t *testing.T) {
-	d := boxDisc(t, 2, 2, 4, 1)
+	d := boxDisc(t, 2, 2, 4)
 	n := d.M.K * d.M.Np
 	diag := d.HelmholtzDiag(1.0, 2.0)
 	// Compare against applying the operator to unit global basis vectors:
@@ -216,7 +195,7 @@ func TestHelmholtzDiagMatchesOperator(t *testing.T) {
 }
 
 func TestJacobiPCGFasterThanCG(t *testing.T) {
-	d := boxDisc(t, 3, 3, 7, 1)
+	d := boxDisc(t, 3, 3, 7)
 	n := d.M.K * d.M.Np
 	b := make([]float64, n)
 	for i := range b {
@@ -255,7 +234,7 @@ func TestGradOfLinearFieldIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(m, nil, 2)
+	d := New(m, nil)
 	n := m.K * m.Np
 	u := make([]float64, n)
 	for i := range u {
@@ -277,7 +256,7 @@ func TestGrad3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(m, nil, 1)
+	d := New(m, nil)
 	n := m.K * m.Np
 	u := make([]float64, n)
 	for i := range u {
@@ -300,7 +279,7 @@ func TestPoisson3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(m, m.BoundaryMask(nil), 2)
+	d := New(m, m.BoundaryMask(nil))
 	n := m.K * m.Np
 	b := make([]float64, n)
 	pi := math.Pi
@@ -327,7 +306,7 @@ func TestPoisson3D(t *testing.T) {
 }
 
 func TestFilterStrengthOrdering(t *testing.T) {
-	d := boxDisc(t, 2, 2, 8, 1)
+	d := boxDisc(t, 2, 2, 8)
 	n := d.M.K * d.M.Np
 	mkField := func() []float64 {
 		u := make([]float64, n)
@@ -369,7 +348,7 @@ func TestFilter3D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(m, nil, 1)
+	d := New(m, nil)
 	u := make([]float64, m.Np)
 	for i := range u {
 		u[i] = 1 + m.X[i]*m.Y[i]*m.Zc[i]
@@ -384,7 +363,7 @@ func TestFilter3D(t *testing.T) {
 }
 
 func TestBuildAssembledCSRMatchesMatrixFree(t *testing.T) {
-	d := boxDisc(t, 2, 2, 4, 1)
+	d := boxDisc(t, 2, 2, 4)
 	a := d.BuildAssembledCSR()
 	if a.Rows != d.M.NGlobal {
 		t.Fatalf("CSR size %d vs NGlobal %d", a.Rows, d.M.NGlobal)
@@ -415,7 +394,7 @@ func TestBuildAssembledCSRMatchesMatrixFree(t *testing.T) {
 }
 
 func TestIntegrateAndNorms(t *testing.T) {
-	d := boxDisc(t, 3, 3, 6, 1)
+	d := boxDisc(t, 3, 3, 6)
 	n := d.M.K * d.M.Np
 	one := make([]float64, n)
 	for i := range one {
@@ -435,7 +414,7 @@ func TestIntegrateAndNorms(t *testing.T) {
 }
 
 func TestFlopCounteradvances(t *testing.T) {
-	d := boxDisc(t, 2, 2, 4, 1)
+	d := boxDisc(t, 2, 2, 4)
 	d.ResetFlops()
 	n := d.M.K * d.M.Np
 	u := make([]float64, n)
@@ -455,7 +434,7 @@ func TestFlopCounteradvances(t *testing.T) {
 // scratch may hammer one concurrently; the results must still match the
 // serial local stiffness bitwise. Run under -race to exercise the sharing.
 func TestStiffnessElementConcurrent(t *testing.T) {
-	d := boxDisc(t, 4, 4, 7, 2)
+	d := boxDisc(t, 4, 4, 7)
 	m := d.M
 	np := m.Np
 	n := m.K * np
@@ -485,68 +464,4 @@ func TestStiffnessElementConcurrent(t *testing.T) {
 			t.Fatalf("concurrent StiffnessElement differs at %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-}
-
-// countPoolGoroutines waits (briefly) for the runtime's goroutine count to
-// settle at or below want, returning the last observed count. Goroutine
-// exit is asynchronous after a pool shutdown, so a bounded retry loop is
-// the only race-free way to observe it.
-func settleGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 200 && n > want; i++ {
-		time.Sleep(5 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
-// TestDiscCloseStopsPoolGoroutines is the regression test for the session
-// service's pool leak: before Disc.Close existed, every retired Disc kept
-// its Workers-1 goroutines parked until GC happened to run its finalizer,
-// so a server creating many Discs accumulated them without bound.
-func TestDiscCloseStopsPoolGoroutines(t *testing.T) {
-	base := settleGoroutines(0)
-	const cycles = 8
-	for i := 0; i < cycles; i++ {
-		d := boxDisc(t, 4, 4, 5, 4)
-		// Exercise the pool once so the test covers a used pool, not a
-		// freshly built one.
-		u := make([]float64, d.M.K*d.M.Np)
-		out := make([]float64, len(u))
-		d.Laplacian(out, u)
-		d.Close()
-		d.Close() // idempotent
-	}
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("goroutines leaked across %d Disc create/Close cycles: %d before, %d after",
-			cycles, base, n)
-	}
-}
-
-// TestDiscUsableAfterClose: Close retires the pool, not the operators — a
-// closed Disc keeps producing bitwise-identical fields via the serial loop.
-func TestDiscUsableAfterClose(t *testing.T) {
-	d := boxDisc(t, 3, 3, 5, 4)
-	n := d.M.K * d.M.Np
-	u := make([]float64, n)
-	for i := range u {
-		u[i] = math.Sin(float64(3 * i % 17)) // deterministic non-trivial field
-	}
-	before := make([]float64, n)
-	d.Laplacian(before, u)
-	d.Close()
-	after := make([]float64, n)
-	d.Laplacian(after, u)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("Laplacian differs after Close at %d: %g vs %g", i, before[i], after[i])
-		}
-	}
-}
-
-// TestDiscCloseSerial: Close on a workers=1 Disc (no pool) is a no-op.
-func TestDiscCloseSerial(t *testing.T) {
-	d := boxDisc(t, 3, 3, 5, 1)
-	d.Close()
-	d.Close()
 }

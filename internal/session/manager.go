@@ -1,16 +1,16 @@
 package session
 
 // manager.go multiplexes many concurrent sessions over a bounded number of
-// active element-worker pools. Every session owns its pools (fixed chunk
-// assignment is what makes stepping bitwise deterministic), but only
+// active element-worker pools. A shared-memory session with W workers owns
+// one pool, its solver's: the W-1 goroutines of ns's shared-memory machine
+// (fixed chunk assignment is what makes stepping bitwise deterministic). Only
 // MaxActive sessions may be *stepping* — and therefore have awake pools —
 // at any instant: the scheduler is a counting semaphore that each job
 // acquires for one batch of steps (Config.BatchSteps) and then releases,
 // so long jobs cannot starve short ones. When a job reaches its step
 // target, is cancelled, or fails, the manager deposits its artifacts in
 // the Store (history.jsonl, checkpoint.gob, trace.json, result.json) and
-// closes the session, releasing its worker pools — the lifecycle the
-// Disc.Close bugfix exists for.
+// closes the session. That Close is what stops the pool: nothing else does.
 
 import (
 	"bytes"
@@ -283,9 +283,19 @@ func (m *Manager) run(j *Job) {
 			errMsg = err.Error()
 			break
 		}
-		if every := j.Cfg.CheckpointEvery; every > 0 && j.sess.Step()-lastCkpt >= every {
+		// The final step's snapshot is finish's. A failed deposit is retried
+		// after the next batch; the first failure becomes the job's error at
+		// once, so a client learns that the store may hold no snapshot to
+		// resume from.
+		step = j.sess.Step()
+		if every := j.Cfg.CheckpointEvery; every > 0 && step < j.Cfg.Steps && step-lastCkpt >= every {
 			if err := m.depositCheckpoint(j); err == nil {
-				lastCkpt = j.sess.Step()
+				lastCkpt = step
+			} else if errMsg == "" {
+				errMsg = fmt.Sprintf("checkpoint artifact at step %d: %v", step, err)
+				j.mu.Lock()
+				j.err = errMsg
+				j.mu.Unlock()
 			}
 		}
 	}

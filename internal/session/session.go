@@ -1,7 +1,7 @@
 // Package session promotes a stable simulation-session API out of the
 // solver internals: Create a flow case, StepN it forward, Checkpoint /
 // Resume it across process lifetimes, Cancel it mid-flight, and Close it —
-// releasing every element-loop worker pool it holds. It is the substrate
+// stopping its solver's element-loop worker pool. It is the substrate
 // of the semflowd multi-tenant service (Manager + HTTPHandler multiplex
 // many concurrent sessions over a bounded scheduler, with artifacts behind
 // a pluggable Store), and of the one-shot semflow CLI, so there is exactly
@@ -348,7 +348,7 @@ func (s *Session) Time() float64 {
 	return s.m.Time()
 }
 
-// Close releases the solver's worker pools. Idempotent. A closed session
+// Close stops the solver's worker pool. Idempotent. A closed session
 // rejects StepN/Checkpoint with ErrClosed; its instruments (History,
 // Registry, Progress, Tracer) stay readable.
 func (s *Session) Close() error {

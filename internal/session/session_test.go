@@ -377,9 +377,85 @@ func TestManagerCancelAndFailurePaths(t *testing.T) {
 	}
 }
 
+// ckptStore records the step of every checkpoint.gob it stores and refuses
+// the first fail of them.
+type ckptStore struct {
+	Store
+	mu    sync.Mutex
+	fail  int
+	steps []int
+}
+
+func (s *ckptStore) Put(session, name string, data []byte) error {
+	if name != ArtifactCheckpoint {
+		return s.Store.Put(session, name, data)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fail > 0 {
+		s.fail--
+		return errors.New("disk full")
+	}
+	ck, err := parrun.ReadCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	s.steps = append(s.steps, ck.Step)
+	return s.Store.Put(session, name, data)
+}
+
+// checkpoint_every deposits a snapshot every that-many steps, and the final
+// one at the end. A deposit the store refuses is retried after the next
+// batch; the job still finishes, and its status and result.json name the
+// first failure.
+func TestManagerCheckpointEvery(t *testing.T) {
+	cfg := testCfg(7, 1)
+	cfg.CheckpointEvery = 2
+	run := func(fail int) (*ckptStore, Status, Status) {
+		store := &ckptStore{Store: NewMemStore(), fail: fail}
+		m := NewManager(store, 1)
+		defer m.Close()
+		j, err := m.Submit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		b, err := store.Get(j.ID, ArtifactResult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Status
+		if err := json.Unmarshal(b, &res); err != nil {
+			t.Fatal(err)
+		}
+		return store, j.Status(), res
+	}
+
+	store, st, res := run(0)
+	if !reflect.DeepEqual(store.steps, []int{2, 4, 6, 7}) {
+		t.Errorf("healthy store: checkpoints at steps %v, want [2 4 6 7]", store.steps)
+	}
+	if st.State != StateDone || st.Error != "" || res.Error != "" {
+		t.Errorf("healthy store: state %s, status error %q, result error %q", st.State, st.Error, res.Error)
+	}
+
+	store, st, res = run(2)
+	if !reflect.DeepEqual(store.steps, []int{4, 6, 7}) {
+		t.Errorf("first two deposits refused: checkpoints at steps %v, want [4 6 7]", store.steps)
+	}
+	const want = "checkpoint artifact at step 2: disk full"
+	if st.State != StateDone || st.Step != cfg.Steps || st.Error != want {
+		t.Errorf("first two deposits refused: state %s at step %d, error %q; want done at %d with %q",
+			st.State, st.Step, st.Error, cfg.Steps, want)
+	}
+	if res.Error != want {
+		t.Errorf("first two deposits refused: result.json error %q, want %q", res.Error, want)
+	}
+}
+
 // TestManagerReleasesWorkerPools is the leak half of the acceptance
 // criterion: a live W-worker session parks exactly W-1 pool goroutines (its
-// velocity operators' pool; nothing else loops over elements in parallel),
+// shared-memory machine's pool; nothing else loops over elements in parallel),
 // and after every session closes, the process is back to its baseline
 // goroutine count — no element-pool workers survive.
 func TestManagerReleasesWorkerPools(t *testing.T) {
@@ -434,14 +510,14 @@ func poolWorkers() int {
 	buf := make([]byte, 1<<20)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "sem.(*elemPool).worker(")
+			return strings.Count(string(buf[:n]), "ns.(*elemPool).worker(")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
 
 // settlePoolWorkers retries until at most want pool goroutines remain (a
-// pool leaked by another test is only retired by its finalizer).
+// worker exits asynchronously after its solver's Close).
 func settlePoolWorkers(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -455,7 +531,7 @@ func settlePoolWorkers(t *testing.T, want int) {
 }
 
 // settleGoroutines retries until the goroutine count drops back to at most
-// want (GC and scheduler need a moment to retire pool workers).
+// want (the scheduler needs a moment to retire closed pools' workers).
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

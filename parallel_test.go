@@ -4,32 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 )
-
-// drainPoolFinalizers runs pending finalizers now. Discretizations with
-// workers>1 register one to stop their element pool, so earlier tests'
-// discarded solvers hold queued finalizers whose one-time runtime setup
-// (the finalizer goroutine and its argument frame) allocates; letting
-// that fire inside an AllocsPerRun or MemStats window is a spurious
-// failure. The sentinel finalizer proves the queue has been serviced;
-// GC must be re-forced in a loop because one cycle only queues the
-// sentinel and the next cycle may never come — with debug.SetGCPercent(-1)
-// in effect, blocking on a single runtime.GC() deadlocks (and with GC on,
-// it stalls until the runtime's 2-minute forced-GC tick).
-func drainPoolFinalizers() {
-	done := make(chan struct{})
-	runtime.SetFinalizer(new(int), func(*int) { close(done) })
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-done:
-			return
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
 
 // Three channel steps at workers=4 under forced GOMAXPROCS(4): every
 // element loop dispatches through the persistent pool, so the race
@@ -58,7 +33,7 @@ func TestWorkerPoolStepRace(t *testing.T) {
 // runtime.MemProfileRate = 1 in a fresh process): a new M the first time
 // wakep finds no idle thread (allocm + malg + its profiling stack, 6-7
 // objects) and a sudog the first time the pool's WaitGroup.Wait blocks on a P
-// whose cache is empty (the forced collections below empty the central one).
+// whose cache is empty.
 // Either landed in a single 8-step window in about half of all fresh
 // processes. They are bounded in number and the pool's own cost would recur
 // in every window, so the assertion is that one of a few consecutive windows
@@ -74,11 +49,6 @@ func TestWorkerStepSteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := channelSolver(t, 4)
 	warmUp(t, s)
-	// Two more steps after the drain's forced GCs: anything a collection
-	// reclaimed would be re-allocated on the first step after it, and that
-	// belongs outside the measured window.
-	drainPoolFinalizers()
-	stepN(t, s, 2)
 	const windows = 6
 	var deltas [windows]uint64
 	for w := range deltas {

@@ -8,12 +8,16 @@
 #           file set without the assembly compiles); a grep that no hot path
 #           calls la.MulABt (tensor's r-direction applies take the operator
 #           pre-transposed; the per-call transpose-pack must not creep back);
+#           a grep that internal/sem starts no goroutine and imports no
+#           runtime, and that no Go file registers a finalizer (the one worker
+#           pool is ns's shared-memory machine's, stopped by Solver.Close);
 #           then the non-test line count per package (scripts/loc.sh), the
 #           source of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
-#           sem worker pools, instrument counters) still runs under -race.
+#           the shared-memory machine's worker pool, instrument counters)
+#           still runs under -race.
 #           The export ratchet (TestEveryExportHasACaller), which type-checks
 #           the standard library from source, skips under -short: tier1 runs
 #           it. The stepper tests run ten times more: a rank's state is
@@ -71,12 +75,29 @@ no_pack() {
     fi
 }
 
+# nopool — sem is goroutine-free operators over a mesh: the one element-loop
+# worker pool belongs to ns's shared-memory machine and is stopped by
+# Solver.Close, with no finalizer behind it.
+nopool() {
+    if git grep --untracked -n -e '^[[:space:]]*go[[:space:]]' -e '[{;][[:space:]]*go[[:space:]]' -e '"runtime"' \
+        -- 'internal/sem/*.go' ':!*_test.go'; then
+        echo "internal/sem starts a goroutine or imports runtime: element-loop parallelism is ns's shared-memory machine's" >&2
+        return 1
+    fi
+    # The bracket keeps this line from matching itself.
+    if git grep --untracked -n 'SetFinali[z]er' -- '*.go'; then
+        echo "a finalizer in the tree: a resource is released by an explicit Close, not by the collector" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor .
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nopack" no_pack
+    stage "tier1/nopool" nopool
     stage "tier1/loc" ./scripts/loc.sh
 }
 
