@@ -1,5 +1,6 @@
 // Package comm provides a simulated distributed-memory message-passing
-// machine: P ranks run as goroutines exchanging real data over channels,
+// machine: P ranks run as goroutines exchanging real data, queued at each
+// receiver per (source, tag) stream and taken with one primitive, Recv,
 // while a LogP-style α–β (latency–bandwidth) cost model advances per-rank
 // virtual clocks. This substitutes for the paper's ASCI-Red NX/MPI layer:
 // the distributed algorithms (gather–scatter, XXT coarse solver, collective
@@ -11,7 +12,6 @@ package comm
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,50 +41,88 @@ type message struct {
 	flow      string  // trace flow id binding send to receive ("" untraced)
 }
 
-// mailbox is an unbounded per-rank delivery queue. A bounded channel here
-// deadlocks real communication patterns: a sender blocked on a full inbox
-// whose receiver is itself blocked sending never progresses, and the
-// simulated machine models a network with buffering at the receiver, not a
-// rendezvous. Senders therefore never block; receivers wait on a condition
-// variable.
-// The queue is a head-indexed slice: take advances head instead of
-// reslicing (`q = q[1:]` strands the backing array and re-allocates
-// forever under sustained traffic), and once drained the slice rewinds to
-// q[:0] so steady-state delivery reuses one backing array.
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+// streamKey names one (source rank, tag) stream of messages at its receiver.
+type streamKey struct{ from, tag int }
+
+// stream is the queue of one (source, tag) stream, in send order. It is a
+// head-indexed slice: take advances head instead of reslicing (`q = q[1:]`
+// strands the backing array and re-allocates forever under sustained
+// traffic), and once drained the slice rewinds to q[:0], so steady-state
+// traffic reuses one backing array per stream.
+type stream struct {
 	q    []message
 	head int
 }
 
-func newMailbox() *mailbox {
-	b := &mailbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// inbox is the receive side of one rank. The simulated network queues each
+// (source, tag) stream at its receiver, so a receive waits on exactly the
+// stream it names: no message is ever taken and set aside for a later
+// receive, and a backlog on other streams costs one map probe, not a scan
+// (the gs setup all-to-all leaves ~P streams queued per rank). The queues
+// are unbounded and Send never blocks: a bounded channel here deadlocks real
+// communication patterns — a sender blocked on a full inbox whose receiver
+// is itself blocked sending never progresses — and the simulated machine
+// models a network that buffers at the receiver, not a rendezvous. Keys are
+// never deleted: the tag set is small and fixed (per-round collective tags,
+// the gs setup and exchange tags), so queue storage is reused across calls.
+// Only the owning rank receives, so at most one stream is waited on at a
+// time, and a send wakes the receiver only when it lands on that stream.
+type inbox struct {
+	mu      sync.Mutex
+	ready   sync.Cond // L is &mu
+	streams map[streamKey]*stream
+	want    *stream // the stream the receiver waits on; nil when it is not waiting
 }
 
-func (b *mailbox) put(m message) {
-	b.mu.Lock()
-	b.q = append(b.q, m)
-	b.mu.Unlock()
-	b.cond.Signal()
-}
-
-func (b *mailbox) take() message {
-	b.mu.Lock()
-	for b.head >= len(b.q) {
-		b.cond.Wait()
+// stream returns the queue of k, creating it on first use. Call with mu held.
+func (b *inbox) stream(k streamKey) *stream {
+	s := b.streams[k]
+	if s == nil {
+		s = &stream{}
+		b.streams[k] = s
 	}
-	m := b.q[b.head]
-	b.q[b.head] = message{} // drop the payload reference while it sits parked
-	b.head++
-	if b.head == len(b.q) {
-		b.q = b.q[:0]
-		b.head = 0
+	return s
+}
+
+func (b *inbox) put(m message) {
+	b.mu.Lock()
+	s := b.stream(streamKey{m.from, m.tag})
+	s.q = append(s.q, m)
+	wake := b.want == s
+	b.mu.Unlock()
+	if wake {
+		b.ready.Signal()
+	}
+}
+
+// take blocks until stream k holds a message and removes the oldest.
+func (b *inbox) take(k streamKey) message {
+	b.mu.Lock()
+	s := b.stream(k)
+	for s.head == len(s.q) {
+		b.want = s
+		b.ready.Wait()
+	}
+	b.want = nil
+	m := s.q[s.head]
+	s.q[s.head] = message{} // drop the payload reference once received
+	s.head++
+	if s.head == len(s.q) {
+		s.q, s.head = s.q[:0], 0
 	}
 	b.mu.Unlock()
 	return m
+}
+
+// queued counts the messages sent to this inbox and not yet received.
+func (b *inbox) queued() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, s := range b.streams {
+		n += len(s.q) - s.head
+	}
+	return n
 }
 
 // collectiveInstr groups the metrics of one collective kind.
@@ -132,26 +170,37 @@ func (in *netInstr) stall(dt float64) {
 
 // Network is an instantiated machine: use Run to execute an SPMD function.
 // It owns its ranks: clocks, traffic and fault-draw counters, buffer pools
-// and parked messages live as long as the network, so a program may be run
+// and queued messages live as long as the network, so a program may be run
 // in several batches (one Run each) and continue exactly where the last
 // batch stopped, and no goroutine outlives a Run.
 type Network struct {
 	Machine
-	ranks   []*Rank
-	inboxes []*mailbox
-	instr   *netInstr
-	tracer  *instrument.Tracer
-	faults  *fault.Plan
+	ranks  []*Rank
+	instr  *netInstr
+	tracer *instrument.Tracer
+	faults *fault.Plan
 }
 
 // NewNetwork allocates the communication structure for the machine.
 func NewNetwork(m Machine) *Network {
-	n := &Network{Machine: m, ranks: make([]*Rank, m.P), inboxes: make([]*mailbox, m.P)}
-	for i := range n.inboxes {
-		n.inboxes[i] = newMailbox()
-		n.ranks[i] = &Rank{ID: i, net: n, pending: make(map[pendingKey]*pendQ)}
+	n := &Network{Machine: m, ranks: make([]*Rank, m.P)}
+	for i := range n.ranks {
+		r := &Rank{ID: i, net: n, in: inbox{streams: make(map[streamKey]*stream)}}
+		r.in.ready.L = &r.in.mu
+		n.ranks[i] = r
 	}
 	return n
+}
+
+// Undelivered counts the messages sent and not yet received, over every
+// rank. It is zero whenever a program is at rest between two matched
+// exchanges; call it between Runs, not during one.
+func (n *Network) Undelivered() int {
+	total := 0
+	for _, r := range n.ranks {
+		total += r.in.queued()
+	}
+	return total
 }
 
 // Attach wires per-message and per-collective counters (messages, bytes,
@@ -232,14 +281,9 @@ type Rank struct {
 	Pauses   int64
 	StallSec float64
 
-	// pending indexes parked messages by (from, tag): Recv with a backlog of
-	// B unrelated messages costs one map probe instead of an O(B) scan, which
-	// is the difference between P = 12 and P = 1024 on one box (the dense
-	// gs setup all-to-all parks ~P messages per rank). Keys are never
-	// deleted — the tag set is small and fixed (per-round collective tags
-	// plus the gs exchange tag) — so queue storage is reused across calls.
-	pending  map[pendingKey]*pendQ
-	recvHold []message // RecvEach scratch: at most one held message per source
+	// in is where other ranks' Sends queue; it is the one field of a Rank
+	// that other goroutines touch, under its own lock.
+	in inbox
 
 	// pool holds received payload buffers by power-of-two size class,
 	// rank-local so no locking is needed: callers return consumed buffers
@@ -252,31 +296,6 @@ type Rank struct {
 	scalBuf [1]float64 // AllreduceScalar scratch (collectives never nest)
 	flowSeq int64      // per-sender flow-id sequence (deterministic, no global state)
 	sendSeq int64      // per-sender message sequence feeding the fault plan's draws
-}
-
-// pendingKey identifies one (source rank, tag) stream of parked messages.
-type pendingKey struct{ from, tag int }
-
-// pendQ is a head-indexed FIFO of parked messages from one (from, tag).
-type pendQ struct {
-	q    []message
-	head int
-}
-
-func (p *pendQ) push(m message) { p.q = append(p.q, m) }
-
-func (p *pendQ) pop() (message, bool) {
-	if p.head >= len(p.q) {
-		return message{}, false
-	}
-	m := p.q[p.head]
-	p.q[p.head] = message{}
-	p.head++
-	if p.head == len(p.q) {
-		p.q = p.q[:0]
-		p.head = 0
-	}
-	return m, true
 }
 
 // payloadClasses bounds the pooled size classes at 2^(payloadClasses-1)
@@ -304,12 +323,12 @@ func (r *Rank) getPayload(n int) []float64 {
 	return make([]float64, n, 1<<c)
 }
 
-// Free returns a payload obtained from Recv or RecvEach to this rank's
-// buffer pool, to be reused by a later Send. Calling it is optional — an
-// unreturned buffer is simply garbage-collected — but the steady-state
-// exchanges (gather–scatter, allreduce) free every payload they consume,
-// which is what makes them allocation-free. The caller must not touch the
-// slice afterwards. Nil and non-pooled slices are ignored.
+// Free returns a payload obtained from Recv to this rank's buffer pool, to
+// be reused by a later Send. Calling it is optional — an unreturned buffer
+// is simply garbage-collected — but the steady-state exchanges
+// (gather–scatter, allreduce) free every payload they consume, which is what
+// makes them allocation-free. The caller must not touch the slice
+// afterwards. Nil and non-pooled slices are ignored.
 func (r *Rank) Free(buf []float64) {
 	c := cap(buf)
 	if c == 0 || c&(c-1) != 0 {
@@ -477,84 +496,21 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	// allocating per message.
 	cp := r.getPayload(len(data))
 	copy(cp, data)
-	r.net.inboxes[to].put(message{from: r.ID, tag: tag, data: cp, arrival: r.Time, flow: flow})
+	r.net.ranks[to].in.put(message{from: r.ID, tag: tag, data: cp, arrival: r.Time, flow: flow})
 }
 
-// Recv blocks until a message with the given source and tag arrives and
-// returns its payload, advancing the receiver's clock to at least the
-// message arrival time. The returned buffer may be handed back with Free
-// once consumed; holding on to it is also fine.
+// Recv blocks until the oldest unreceived message of the (from, tag) stream
+// is there and returns its payload, advancing the receiver's clock to at
+// least the message arrival time. Messages of one stream arrive in send
+// order; streams are independent, so a rank may receive them in any order,
+// and since deliver only max-advances the clock, on a fault-free machine the
+// order a rank picks does not move its clock. The returned buffer may be
+// handed back with Free once consumed; holding on to it is also fine.
 func (r *Rank) Recv(from, tag int) []float64 {
-	if q := r.pending[pendingKey{from, tag}]; q != nil {
-		if m, ok := q.pop(); ok {
-			return r.deliver(m)
-		}
+	if from == r.ID || from < 0 || from >= r.net.P {
+		panic(fmt.Sprintf("comm: rank %d cannot receive from rank %d of %d", r.ID, from, r.net.P))
 	}
-	for {
-		m := r.net.inboxes[r.ID].take()
-		if m.from == from && m.tag == tag {
-			return r.deliver(m)
-		}
-		r.park(m)
-	}
-}
-
-// park files a non-matching message under its (from, tag) stream.
-func (r *Rank) park(m message) {
-	k := pendingKey{m.from, m.tag}
-	q := r.pending[k]
-	if q == nil {
-		q = &pendQ{}
-		r.pending[k] = q
-	}
-	q.push(m)
-}
-
-// RecvEach receives exactly one message with the given tag from every rank
-// in froms (which must be strictly ascending), storing the payload from
-// froms[i] into out[i]. Unlike a loop of Recv calls, it consumes arrivals
-// in whatever order the network delivers them — the caller never blocks on
-// a slow sender while faster neighbours' messages queue up — holding at
-// most one message per source so a fast neighbour's *next*-round message
-// stays parked for the next call. Clock advancement, pause handling, and
-// trace emission then run in froms order, so traces, fault draws, and the
-// final clock are identical to the sequential-Recv formulation (deliver
-// only max-advances the clock, making the result order-independent) and
-// deterministic run to run. Pass consumed payloads to Free.
-func (r *Rank) RecvEach(froms []int, tag int, out [][]float64) {
-	if len(out) != len(froms) {
-		panic("comm: RecvEach out length mismatch")
-	}
-	if cap(r.recvHold) < len(froms) {
-		r.recvHold = make([]message, len(froms))
-	}
-	hold := r.recvHold[:len(froms)]
-	remaining := 0
-	for i, f := range froms {
-		hold[i] = message{from: -1}
-		if q := r.pending[pendingKey{f, tag}]; q != nil {
-			if m, ok := q.pop(); ok {
-				hold[i] = m
-				continue
-			}
-		}
-		remaining++
-	}
-	for remaining > 0 {
-		m := r.net.inboxes[r.ID].take()
-		if m.tag == tag {
-			if i := sort.SearchInts(froms, m.from); i < len(froms) && froms[i] == m.from && hold[i].from < 0 {
-				hold[i] = m
-				remaining--
-				continue
-			}
-		}
-		r.park(m)
-	}
-	for i := range hold {
-		out[i] = r.deliver(hold[i])
-		hold[i] = message{}
-	}
+	return r.deliver(r.in.take(streamKey{from, tag}))
 }
 
 // deliver advances the receiver's clock to the message arrival time and

@@ -7,16 +7,16 @@ import (
 	"testing"
 )
 
-// These tests pin the hot-path properties the large-P runs depend on:
-// RecvEach's arrival-order consumption must be observationally identical to
-// a sequential Recv loop (payloads, clocks, traces), the payload pool must
-// actually be reused, and a steady-state allreduce must allocate nothing.
+// These tests pin the hot-path properties the large-P runs depend on: the
+// order a rank receives its streams in must not move its clock or its
+// payloads, the payload pool must actually be reused, and a steady-state
+// allreduce must allocate nothing.
 
 // runAllToAll executes `rounds` of an all-to-all exchange on P ranks,
-// receiving either with a sequential Recv loop or with RecvEach, and
-// returns every rank's received values (in (round, source) order) and
-// final virtual clock.
-func runAllToAll(p, rounds int, useEach bool) (vals [][]float64, clocks []float64) {
+// receiving each round's messages in ascending or in descending source
+// order, and returns every rank's received values (in (round, source)
+// order) and final virtual clock.
+func runAllToAll(p, rounds int, descending bool) (vals [][]float64, clocks []float64) {
 	vals = make([][]float64, p)
 	ranks := NewNetwork(Machine{P: p, Latency: 2e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *Rank) {
 		froms := make([]int, 0, p-1)
@@ -25,7 +25,7 @@ func runAllToAll(p, rounds int, useEach bool) (vals [][]float64, clocks []float6
 				froms = append(froms, q)
 			}
 		}
-		out := make([][]float64, len(froms))
+		got := make([][]float64, len(froms))
 		for round := 0; round < rounds; round++ {
 			// Skew the clocks so message arrival order differs from source
 			// order at most receivers.
@@ -34,19 +34,16 @@ func runAllToAll(p, rounds int, useEach bool) (vals [][]float64, clocks []float6
 			for _, q := range froms {
 				r.Send(q, 7, buf)
 			}
-			if useEach {
-				r.RecvEach(froms, 7, out)
-				for i := range out {
-					vals[r.ID] = append(vals[r.ID], out[i]...)
-					r.Free(out[i])
-					out[i] = nil
+			for k := range froms {
+				i := k
+				if descending {
+					i = len(froms) - 1 - k
 				}
-			} else {
-				for _, q := range froms {
-					got := r.Recv(q, 7)
-					vals[r.ID] = append(vals[r.ID], got...)
-					r.Free(got)
-				}
+				got[i] = r.Recv(froms[i], 7)
+			}
+			for _, g := range got {
+				vals[r.ID] = append(vals[r.ID], g...)
+				r.Free(g)
 			}
 		}
 	})
@@ -57,13 +54,13 @@ func runAllToAll(p, rounds int, useEach bool) (vals [][]float64, clocks []float6
 	return vals, clocks
 }
 
-func TestRecvEachMatchesSequentialRecv(t *testing.T) {
+func TestRecvOrderDoesNotMoveTheClock(t *testing.T) {
 	for _, p := range []int{2, 3, 8, 13} {
 		refVals, refClocks := runAllToAll(p, 4, false)
 		gotVals, gotClocks := runAllToAll(p, 4, true)
 		for q := 0; q < p; q++ {
 			if gotClocks[q] != refClocks[q] {
-				t.Fatalf("P=%d rank %d: RecvEach clock %v != sequential Recv clock %v",
+				t.Fatalf("P=%d rank %d: descending-order clock %v != ascending-order clock %v",
 					p, q, gotClocks[q], refClocks[q])
 			}
 			if len(gotVals[q]) != len(refVals[q]) {
@@ -80,15 +77,15 @@ func TestRecvEachMatchesSequentialRecv(t *testing.T) {
 	}
 }
 
-func TestRecvEachOutOfOrderStress(t *testing.T) {
+func TestRecvOutOfOrderStress(t *testing.T) {
 	// Unbarriered rounds on a ring-with-chords topology: fast ranks run
-	// ahead, so a receiver regularly sees a neighbour's round r+1 message
-	// while still collecting round r. RecvEach must hold at most one message
-	// per source (parking the early next-round arrival), and unrelated-tag
-	// traffic interleaved on the same links must park and drain intact. Two
-	// runs must agree bitwise on every clock — goroutine scheduling, which
-	// really does vary arrival order in the mailboxes, must not leak into
-	// the simulated machine. This test is part of the -race coverage.
+	// ahead, so a neighbour's round r+1 message regularly lands while the
+	// receiver still collects round r. It must wait in its stream behind
+	// the round r message, and unrelated-tag traffic interleaved on the same
+	// links must queue and drain intact. Two runs must agree bitwise on
+	// every clock — goroutine scheduling, which really does vary the order
+	// messages land in, must not leak into the simulated machine. This test
+	// is part of the -race coverage.
 	const p = 32
 	const rounds = 20
 	run := func() []float64 {
@@ -103,13 +100,6 @@ func TestRecvEachOutOfOrderStress(t *testing.T) {
 					froms = append(froms, q)
 				}
 			}
-			// RecvEach requires ascending sources.
-			for i := 1; i < len(froms); i++ {
-				for j := i; j > 0 && froms[j] < froms[j-1]; j-- {
-					froms[j], froms[j-1] = froms[j-1], froms[j]
-				}
-			}
-			out := make([][]float64, len(froms))
 			next := (r.ID + 1) % p
 			prev := (r.ID - 1 + p) % p
 			for round := 0; round < rounds; round++ {
@@ -118,19 +108,18 @@ func TestRecvEachOutOfOrderStress(t *testing.T) {
 				for _, q := range froms {
 					r.Send(q, 7, payload)
 				}
-				// Side stream on another tag: must park across the whole run.
+				// Side stream on another tag: stays queued for the whole run.
 				r.Send(next, 9, []float64{float64(round)})
-				r.RecvEach(froms, 7, out)
-				for i, got := range out {
-					if len(got) != 2 || got[0] != float64(froms[i]) || got[1] != float64(round) {
+				for _, q := range froms {
+					got := r.Recv(q, 7)
+					if len(got) != 2 || got[0] != float64(q) || got[1] != float64(round) {
 						t.Errorf("rank %d round %d: from %d got %v, want [%d %d]",
-							r.ID, round, froms[i], got, froms[i], round)
+							r.ID, round, q, got, q, round)
 					}
 					r.Free(got)
-					out[i] = nil
 				}
 			}
-			// The parked side stream drains in FIFO order.
+			// The side stream drains in FIFO order.
 			for round := 0; round < rounds; round++ {
 				got := r.Recv(prev, 9)
 				if len(got) != 1 || got[0] != float64(round) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func machine(p int) Machine {
@@ -204,6 +205,28 @@ func TestSendNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestRecvFromNoSuchPeerPanics: a receive from itself or from outside the
+// machine can never be matched, so it fails at once, as a self-send does,
+// instead of blocking the rank forever.
+func TestRecvFromNoSuchPeerPanics(t *testing.T) {
+	r := NewNetwork(machine(2)).ranks[0]
+	for _, from := range []int{0, -1, 2} {
+		done := make(chan any)
+		go func() {
+			defer func() { done <- recover() }()
+			r.Recv(from, 1)
+		}()
+		select {
+		case v := <-done:
+			if v == nil {
+				t.Errorf("Recv from rank %d returned instead of panicking", from)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Recv from rank %d blocked instead of panicking", from)
+		}
+	}
+}
+
 func TestPayloadIsolation(t *testing.T) {
 	// Mutating the sender's buffer after Send must not corrupt the message.
 	net := NewNetwork(machine(2))
@@ -224,8 +247,8 @@ func TestPayloadIsolation(t *testing.T) {
 
 // TestRunsContinueOnTheSameRanks: the network owns its ranks, so a program
 // split over two Runs is the program run once — clocks and counters carry
-// over, and a message sent in the first batch, whether still in the inbox
-// or already parked behind another receive, is delivered in the second.
+// over, and a message sent in the first batch and not received there stays
+// queued in its stream, counted by Undelivered, for the second.
 func TestRunsContinueOnTheSameRanks(t *testing.T) {
 	net := NewNetwork(machine(2))
 	first := net.Run(func(r *Rank) {
@@ -234,13 +257,14 @@ func TestRunsContinueOnTheSameRanks(t *testing.T) {
 			r.Send(1, 7, []float64{42})
 			r.Send(1, 8, []float64{43})
 			r.Send(1, 9, []float64{44})
-		} else if got := r.Recv(0, 8); got[0] != 43 { // parks tag 7, leaves tag 9 queued
+		} else if got := r.Recv(0, 8); got[0] != 43 { // tags 7 and 9 stay queued
 			t.Errorf("tag 8 carried %v", got)
 		}
 	})
 	t0, sent := first[1].Time, first[0].MsgsSent
-	if t0 <= 0 || sent != 3 {
-		t.Fatalf("after the first batch: rank 1 clock %g, rank 0 sent %d", t0, sent)
+	if t0 <= 0 || sent != 3 || net.Undelivered() != 2 {
+		t.Fatalf("after the first batch: rank 1 clock %g, rank 0 sent %d, %d undelivered",
+			t0, sent, net.Undelivered())
 	}
 	second := net.Run(func(r *Rank) {
 		if r.ID == 1 {
@@ -253,8 +277,8 @@ func TestRunsContinueOnTheSameRanks(t *testing.T) {
 	if second[0] != first[0] || second[1] != first[1] {
 		t.Fatal("the second Run ran on new ranks")
 	}
-	if second[1].Time <= t0 || second[0].MsgsSent != sent {
-		t.Fatalf("second batch: rank 1 clock %g (was %g), rank 0 sent %d (was %d)",
-			second[1].Time, t0, second[0].MsgsSent, sent)
+	if second[1].Time <= t0 || second[0].MsgsSent != sent || net.Undelivered() != 0 {
+		t.Fatalf("second batch: rank 1 clock %g (was %g), rank 0 sent %d (was %d), %d undelivered",
+			second[1].Time, t0, second[0].MsgsSent, sent, net.Undelivered())
 	}
 }

@@ -135,8 +135,6 @@ type ParHandle struct {
 	// For each neighbour rank: the shared global ids (sorted) plus the
 	// precomputed gather/accumulate indices the steady-state Apply uses.
 	neighbours []neighbour
-	fromRanks  []int       // neighbour ranks, ascending (the RecvEach sources)
-	recvBufs   [][]float64 // RecvEach destination scratch (pooled payloads)
 
 	// Flat accumulator replacing the per-call map: every distinct shared
 	// gid owns one slot. slotRep seeds the slot from the locally combined
@@ -296,9 +294,7 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 			}
 			nb.slotIdx[i] = s
 		}
-		h.fromRanks = append(h.fromRanks, nb.rank)
 	}
-	h.recvBufs = make([][]float64, len(h.neighbours))
 	h.slotVal = make([]float64, len(sharedGids))
 	h.slotRep = make([]int32, len(sharedGids))
 	h.slotPtr = make([]int32, len(sharedGids)+1)
@@ -329,10 +325,11 @@ func (h *ParHandle) AttachTracer(tr *instrument.Tracer) { h.tracer = tr }
 // Apply performs the distributed gather–scatter on the local vector u.
 // The steady-state exchange is allocation-free: payloads gather into
 // buffers preallocated by ParInit, all sends post before any receive is
-// waited on, and RecvEach consumes replies in arrival order — a slow
-// neighbour never blocks the pickup of a fast one — while the fold into
-// the fixed slot accumulators runs in neighbour order, keeping every
-// assembled value bitwise identical to the sequential formulation.
+// waited on, and each neighbour's reply is received and folded into the
+// fixed slot accumulators in neighbour order, so every assembled value is
+// the same whatever order the replies land in. Waiting on a slow neighbour
+// first costs nothing: the others' replies queue in their own streams, and
+// the receiver's clock ends at the latest arrival in any order.
 func (h *ParHandle) Apply(u []float64, op Op) {
 	// Local combine first.
 	h.local.Apply(u, op)
@@ -352,7 +349,6 @@ func (h *ParHandle) Apply(u []float64, op Op) {
 		h.exchWords.Add(int64(len(nb.sendBuf)))
 		words += len(nb.sendBuf)
 	}
-	h.rank.RecvEach(h.fromRanks, tagExchange, h.recvBufs)
 	// Accumulate neighbour contributions on top of the local combined
 	// values (op is commutative/associative, so pairwise folding is exact
 	// in the same sense as the paper's implementation).
@@ -361,12 +357,11 @@ func (h *ParHandle) Apply(u []float64, op Op) {
 	}
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
-		got := h.recvBufs[ni]
+		got := h.rank.Recv(nb.rank, tagExchange)
 		for i, s := range nb.slotIdx {
 			h.slotVal[s] = combine(op, h.slotVal[s], got[i])
 		}
 		h.rank.Free(got)
-		h.recvBufs[ni] = nil
 	}
 	for s, v := range h.slotVal {
 		for t := h.slotPtr[s]; t < h.slotPtr[s+1]; t++ {

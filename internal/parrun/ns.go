@@ -234,19 +234,24 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	s.ranks = s.net.Run(func(r *comm.Rank) {
 		s.rs[r.ID] = setUpRank(r, tmpl, elems[r.ID], xxt, invPerm, cfg)
 	})
-	if err := s.rankErr(); err != nil {
+	if err := s.batchErr(); err != nil {
 		return nil, err
 	}
 	s.prevV = comm.MaxTime(s.ranks)
 	return s, nil
 }
 
-// rankErr returns the first rank's error of the last batch.
-func (s *Stepper) rankErr() error {
+// batchErr returns the first rank's error of the last batch, or an error if
+// the batch left a message unreceived: a checkpoint between two batches reads
+// ranks at rest and carries no message, so a resume would lose it.
+func (s *Stepper) batchErr() error {
 	for q := range s.rs {
 		if err := s.rs[q].err; err != nil {
 			return fmt.Errorf("parrun: rank %d: %w", q, err)
 		}
+	}
+	if n := s.net.Undelivered(); n != 0 {
+		return fmt.Errorf("parrun: the batch left %d messages undelivered", n)
 	}
 	return nil
 }
@@ -267,7 +272,7 @@ func (s *Stepper) Template() *ns.Solver { return s.tmpl }
 func (s *Stepper) StepN(n int) (ns.StepStats, error) {
 	target := s.StepCount() + n
 	s.net.Run(func(r *comm.Rank) { s.rs[r.ID].run(r, target, s.cfg) })
-	if err := s.rankErr(); err != nil {
+	if err := s.batchErr(); err != nil {
 		return ns.StepStats{}, err
 	}
 	// SPMD consistency: every rank must have seen identical per-step solver

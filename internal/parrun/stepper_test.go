@@ -3,8 +3,10 @@ package parrun
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/flowcases"
 	"repro/internal/instrument"
@@ -170,4 +172,26 @@ func TestStepperCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitwiseContinuation(t, full, re.Result(), ckSteps)
+}
+
+// TestStepNRefusesAnUndeliveredMessage: a snapshot between two batches
+// carries no message, so a batch that leaves one unreceived fails instead of
+// handing a checkpoint a network that is not at rest.
+func TestStepNRefusesAnUndeliveredMessage(t *testing.T) {
+	cfg, init := channelCase(t)
+	st, err := Start(cfg, NSConfig{P: 2, Init: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.StepN(1); err != nil {
+		t.Fatal(err)
+	}
+	st.net.Run(func(r *comm.Rank) {
+		if r.ID == 0 {
+			r.Send(1, 99, []float64{1})
+		}
+	})
+	if _, err := st.StepN(1); err == nil || !strings.Contains(err.Error(), "1 messages undelivered") {
+		t.Fatalf("StepN after a stray message: err = %v, want the undelivered message named", err)
+	}
 }

@@ -460,8 +460,16 @@ func TestManagerCheckpointEvery(t *testing.T) {
 // goroutine count — no element-pool workers survive.
 func TestManagerReleasesWorkerPools(t *testing.T) {
 	const workers, live = 3, 2
-	settlePoolWorkers(t, 0)
+	if n := awaitPoolWorkers(0); n != 0 {
+		t.Fatalf("%d element-pool goroutines live before the test", n)
+	}
 	var sessions []*Session
+	closeAll := func() {
+		for _, s := range sessions {
+			s.Close()
+		}
+	}
+	defer closeAll() // a failed check must not leak pools into the next run
 	for i := 0; i < live; i++ {
 		s, err := Create(testCfg(3, workers))
 		if err != nil {
@@ -469,13 +477,13 @@ func TestManagerReleasesWorkerPools(t *testing.T) {
 		}
 		sessions = append(sessions, s)
 	}
-	if got, want := poolWorkers(), live*(workers-1); got != want {
+	if got, want := awaitPoolWorkers(live*(workers-1)), live*(workers-1); got != want {
 		t.Fatalf("%d live %d-worker sessions park %d pool goroutines, want %d", live, workers, got, want)
 	}
-	for _, s := range sessions {
-		s.Close()
+	closeAll()
+	if n := awaitPoolWorkers(0); n != 0 {
+		t.Fatalf("%d element-pool goroutines did not settle to 0", n)
 	}
-	settlePoolWorkers(t, 0)
 
 	base := runtime.NumGoroutine()
 	m := NewManager(NewMemStore(), 2)
@@ -516,18 +524,18 @@ func poolWorkers() int {
 	}
 }
 
-// settlePoolWorkers retries until at most want pool goroutines remain (a
-// worker exits asynchronously after its solver's Close).
-func settlePoolWorkers(t *testing.T, want int) {
-	t.Helper()
+// awaitPoolWorkers polls, for up to 10 s, until exactly want element-pool
+// goroutines show in the process's stacks, and returns the last count: a
+// worker its pool has only just started can be missing from runtime.Stack
+// for a moment, and one whose pool has closed stays there until it returns.
+func awaitPoolWorkers(want int) int {
 	deadline := time.Now().Add(10 * time.Second)
-	for poolWorkers() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d element-pool goroutines did not settle to %d", poolWorkers(), want)
-		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
+	n := poolWorkers()
+	for n != want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = poolWorkers()
 	}
+	return n
 }
 
 // settleGoroutines retries until the goroutine count drops back to at most

@@ -11,8 +11,10 @@
 #           a grep that internal/sem starts no goroutine and imports no
 #           runtime, and that no Go file registers a finalizer (the one worker
 #           pool is ns's shared-memory machine's, stopped by Solver.Close);
-#           then the non-test line count per package (scripts/loc.sh), the
-#           source of the line-count claims in ROADMAP.md
+#           a grep that comm declares one receive, Recv (the network queues
+#           each (source, tag) stream at its receiver); then the non-test
+#           line count per package (scripts/loc.sh), the source of the
+#           line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
@@ -26,6 +28,8 @@
 #           cross-rank data path of the pressure preconditioner, and the SumN
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
 #           is the one collective every batched inner product rides on.
+#           The receive-stream tests run ten times more too: every rank's
+#           inbox is written by its neighbours' goroutines.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -91,6 +95,17 @@ nopool() {
     fi
 }
 
+# onerecv — the simulated network queues each (source, tag) stream at its
+# receiver, so Recv(from, tag) waits on exactly the stream it names and is the
+# one receive primitive: comm declares no second receive beside it.
+onerecv() {
+    if git grep --untracked -n -E '^func \([a-z]+ \*Rank\) [A-Za-z]*[Rr]ecv[A-Za-z]*\(' \
+        -- 'internal/comm/*.go' ':!*_test.go' | grep -v ') Recv('; then
+        echo "internal/comm declares a second receive: Recv(from, tag) on the receiver's stream is the one primitive" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
@@ -98,6 +113,7 @@ tier1() {
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
+    stage "tier1/onerecv" onerecv
     stage "tier1/loc" ./scripts/loc.sh
 }
 
@@ -107,6 +123,9 @@ tier2() {
     stage "tier2/stepper" go test -race -count=10 \
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
+    stage "tier2/streams" go test -race -count=10 \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestParallelExchangeDeterministicLargeP' \
+        ./internal/comm ./internal/gs
 }
 
 benchmod() {
