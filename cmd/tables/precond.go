@@ -1,12 +1,15 @@
 package main
 
-// precond: the runtime preconditioner-selection experiment (ROADMAP item 4,
-// after Phillips et al.). Runs the Table-1 channel for a few steps under
-// each pressure preconditioner variant and prints per-variant iteration
-// counts plus the trial-tournament outcome of -precond auto.
+// precond: the runtime preconditioner-selection experiment (after Phillips
+// et al.). Runs the Table-1 channel for a few steps under each pressure
+// preconditioner variant and prints per-variant iteration counts plus the
+// trial-tournament outcome of -precond auto; then, Table-2 style, one warm
+// row per variant on the hairpin box: pressure iterations per step, the
+// flops one iteration charges, the work and the wall time of a step.
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/flowcases"
 	"repro/internal/ns"
@@ -51,11 +54,72 @@ func precondExp(quick bool) {
 		fmt.Printf("\nauto build failed: %v\n", err)
 		return
 	}
-	defer s.Close()
-	sel := s.PrecondSelection()
+	printTrials(s.PrecondSelection())
+	s.Close()
+	hairpinPrecond(quick)
+}
+
+// printTrials prints the outcome of an auto tournament, one line per trial.
+func printTrials(sel solver.PrecondSelection) {
 	fmt.Printf("\n-precond auto selected %q (source %s)\n", sel.Name, sel.Source)
 	for _, tr := range sel.Trials {
-		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %.3fs\n",
-			tr.Name, tr.Iterations, tr.Converged, tr.Seconds)
+		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %9.4g Mflop  %7.4g Mflop/iter  %.3fs\n",
+			tr.Name, tr.Iterations, tr.Converged, float64(tr.Flops)/1e6,
+			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)), tr.Seconds)
+	}
+}
+
+// hairpinPrecond runs the tournament on the hairpin box (the hairpin3d
+// benchmark's problem at Re = 850) and then, per variant, steps until the
+// projection basis wraps and times the steps after it. Flops per iteration
+// are the variant's trial work over its trial iterations, both from the
+// meter; Mflop/step is the metered work of a whole warm step.
+func hairpinPrecond(quick bool) {
+	hc := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1, Workers: 1}
+	timed := 20
+	if quick {
+		hc.Nx, hc.Ny, hc.Nz, timed = 3, 2, 2, 5
+	}
+	solver.ResetPrecondTable()
+	hc.Precond = ns.PrecondAuto
+	s, err := flowcases.Hairpin(hc)
+	if err != nil {
+		fmt.Printf("\nhairpin auto build failed: %v\n", err)
+		return
+	}
+	fmt.Printf("\nHairpin box K=%d N=%d Re=850:", s.M.K, s.M.N)
+	sel := s.PrecondSelection()
+	printTrials(sel)
+	s.Close()
+	fmt.Printf("\n%d warm steps per variant after the projection basis wraps\n\n", timed)
+	fmt.Printf("%-12s %-11s %-11s %-11s %-8s\n", "precond", "iters/step", "Mflop/iter", "Mflop/step", "ms/step")
+	for _, tr := range sel.Trials {
+		hc.Precond = tr.Name
+		s, err := flowcases.Hairpin(hc)
+		if err != nil {
+			fmt.Printf("%-12s build failed: %v\n", tr.Name, err)
+			continue
+		}
+		for prev := 0; ; {
+			st, err := s.Step()
+			if err != nil || st.ProjectionBasis < prev {
+				break
+			}
+			prev = st.ProjectionBasis
+		}
+		iters, f0, t0 := 0, s.Disc().Flops(), time.Now()
+		for i := 0; i < timed; i++ {
+			st, err := s.Step()
+			if err != nil {
+				fmt.Printf("%-12s step failed: %v\n", tr.Name, err)
+				break
+			}
+			iters += st.PressureIters
+		}
+		per := float64(timed)
+		fmt.Printf("%-12s %-11.1f %-11.3f %-11.2f %-8.2f\n", tr.Name, float64(iters)/per,
+			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)),
+			float64(s.Disc().Flops()-f0)/1e6/per, time.Since(t0).Seconds()*1e3/per)
+		s.Close()
 	}
 }

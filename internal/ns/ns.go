@@ -139,13 +139,12 @@ type template struct {
 	minSpacing float64 // M.MinSpacing(), the CFL length scale (a walk over the whole mesh)
 
 	// Pressure preconditioner selection (precond.go).
-	pSchwarz    *schwarz.Pressure // Schwarz variants only
-	ladderOnce  sync.Once         // PressurePre
-	ladderPre   *schwarz.Precond
-	precondName string                  // resolved concrete variant
-	precondSel  solver.PrecondSelection // how it was chosen
-	pDiagE      []float64               // exact diag(E) (chebjacobi)
-	cheb        map[string]chebParams   // tuned Chebyshev parameters per built variant
+	pSchwarz   *schwarz.Pressure // Schwarz variants only
+	ladderOnce sync.Once         // PressurePre
+	ladderPre  *schwarz.Precond
+	precondSel solver.PrecondSelection // the resolved concrete variant and how it was chosen
+	pDiagE     []float64               // exact diag(E) (chebjacobi)
+	cheb       map[string]chebParams   // tuned Chebyshev parameters per built variant
 
 	// Flops of one element's stiffness and filter application.
 	stiffF, filtF int64
@@ -434,7 +433,7 @@ func (s *Solver) build(precondForced bool) error {
 		n4 := n3 * int64(t.np1)
 		t.stiffF, t.filtF = 12*n4+17*np, 6*n4
 	}
-	if err := s.buildPrecondOperators(); err != nil {
+	if err := s.buildPrecondOperators(precondForced); err != nil {
 		return err
 	}
 	sh := &shared{s: s, elems: make([]int, m.K), pool: newElemPool(m.K, cfg.Workers)}
@@ -449,7 +448,7 @@ func (s *Solver) build(precondForced bool) error {
 			s.T[i] = sc.Initial(m.X[i], m.Y[i], m.Zc[i])
 		}
 	}
-	s.resolvePrecond(precondForced)
+	s.resolvePrecond()
 	return nil
 }
 
@@ -477,7 +476,7 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	}
 	f.step, f.time = s.step, s.time
 	f.attachIterHists(reg)
-	f.pPrecondOp = f.precondOp(f.precondName)
+	f.pPrecondOp = f.precondOp(f.precondSel.Name)
 	return f, nil
 }
 

@@ -4,9 +4,9 @@ package ns
 // Schwarz(FDM)+coarse preconditioner on the pressure grid (operators.go,
 // schwarz.Pressure) is the reference; this file adds the Chebyshev-accelerated
 // point-Jacobi and Schwarz-smoothing variants of Phillips et al. and the
-// "auto" mode that picks per (K, N, dim, tol) from short trial solves,
-// recording the winner in solver's process-wide table, so a process trials a
-// configuration once. What is tuned or chosen here — the variant, the
+// "auto" mode that picks per (K, N, dim, tol) the short trial solve charging
+// the least work, recording the winner in solver's process-wide table, so a
+// process trials a configuration once. What is tuned or chosen here — the variant, the
 // Chebyshev bounds, diag(E) — lands in the template, so every solver forked
 // from it applies the same preconditioner.
 
@@ -51,47 +51,57 @@ func PrecondNames() []string {
 	return []string{PrecondSchwarz, PrecondChebJacobi, PrecondChebSchwarz}
 }
 
-// buildPrecondOperators builds what the configured variant (all of them for
-// "auto") needs before any solver state exists: the Schwarz preconditioner
-// with its FDM factors and coarse factor, and diag(E).
-func (s *Solver) buildPrecondOperators() error {
-	name := s.Cfg.PressurePrecond
-	if name == PrecondSchwarz || name == PrecondChebSchwarz || name == PrecondAuto {
+// buildPrecondOperators settles which variants this solver builds and
+// builds what they need before any solver state exists: the Schwarz
+// preconditioner with its FDM factors and coarse factor, and diag(E). A named
+// variant (forced records whether the caller named it, vs the "" → schwarz
+// default) is built alone, and so is the installed table's record for an
+// "auto" key; an "auto" key without one builds every candidate for the
+// tournament resolvePrecond runs.
+func (s *Solver) buildPrecondOperators(forced bool) error {
+	s.precondSel = solver.PrecondSelection{Name: s.Cfg.PressurePrecond, Source: "forced"}
+	if !forced {
+		s.precondSel.Source = "default"
+	}
+	if s.precondSel.Name == PrecondAuto {
+		if name, ok := solver.InstalledPrecondTable().Lookup(s.precondKey()); ok {
+			s.precondSel = solver.PrecondSelection{Name: name, Source: "table"}
+		}
+	}
+	if s.builds(PrecondSchwarz) || s.builds(PrecondChebSchwarz) {
 		pre, err := schwarz.NewPressure(s.DN)
 		if err != nil {
 			return fmt.Errorf("ns: pressure preconditioner: %w", err)
 		}
 		s.pSchwarz = pre
 	}
-	if name == PrecondChebJacobi || name == PrecondAuto {
+	if s.builds(PrecondChebJacobi) {
 		s.pDiagE = s.pressureDiagE()
 	}
 	return nil
 }
 
-// resolvePrecond turns Cfg.PressurePrecond into the resolved variant, its
-// tuned Chebyshev bounds and the selection report, and binds it to s. It
-// needs s's state (the bounds come from power iterations on E, "auto" from
-// trial solves). forced records whether the caller named a variant
-// explicitly (vs the "" → schwarz default).
-func (s *Solver) resolvePrecond(forced bool) {
-	name := s.Cfg.PressurePrecond
-	if name == PrecondChebJacobi || name == PrecondAuto {
+// builds reports whether variant name is built: it is the selection, or the
+// selection is still "auto" and every candidate enters the tournament.
+func (t *template) builds(name string) bool {
+	return t.precondSel.Name == name || t.precondSel.Name == PrecondAuto
+}
+
+// resolvePrecond tunes the Chebyshev bounds of the built variants, runs the
+// tournament if "auto" is still open, and binds the resolved variant to s. It
+// needs s's state: the bounds come from power iterations on E, the
+// tournament from trial solves.
+func (s *Solver) resolvePrecond() {
+	if s.builds(PrecondChebJacobi) {
 		s.tuneCheb(PrecondChebJacobi, 5)
 	}
-	if name == PrecondChebSchwarz || name == PrecondAuto {
+	if s.builds(PrecondChebSchwarz) {
 		s.tuneCheb(PrecondChebSchwarz, 2)
 	}
-	source := "forced"
-	if !forced {
-		source = "default"
+	if s.precondSel.Name == PrecondAuto {
+		s.precondSel = s.autoSelectPrecond()
 	}
-	sel := solver.PrecondSelection{Name: name, Source: source}
-	if name == PrecondAuto {
-		sel = s.autoSelectPrecond()
-	}
-	s.precondName, s.precondSel = sel.Name, sel
-	s.pPrecondOp = s.precondOp(sel.Name)
+	s.pPrecondOp = s.precondOp(s.precondSel.Name)
 }
 
 // precondOp returns a resolved concrete variant bound to this solver's
@@ -196,15 +206,11 @@ func (t *template) pressureDiagE() []float64 {
 	return d
 }
 
-// autoSelectPrecond resolves "auto": consult the installed selection table
-// for this configuration's key, and fall back to a trial-solve tournament
-// — one short CG per variant against a synthetic in-range right-hand side
-// — recording the winner back into the table for later sessions.
+// autoSelectPrecond runs the tournament of an "auto" key the installed
+// table has no record for — one short CG per variant against a synthetic
+// in-range right-hand side, each charging the flop meter — and records the
+// winner in the table for later sessions.
 func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
-	key := s.precondKey()
-	if name, ok := solver.InstalledPrecondTable().Lookup(key); ok {
-		return solver.PrecondSelection{Name: name, Source: "table"}
-	}
 	n := len(s.P)
 	probe := make([]float64, n)
 	rhs := make([]float64, n)
@@ -226,11 +232,11 @@ func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
 		cands = append(cands, solver.PrecondCandidate{Name: name, Precond: s.precondOp(name)})
 	}
 	opt := solver.Options{Tol: s.Cfg.PTol, MaxIter: s.Cfg.PMaxIter, Scratch: s.cgScratch}
-	name, trials := solver.SelectPrecond(s.applyE, s.pressureDot, x, rhs, opt, cands)
+	name, trials := solver.SelectPrecond(s.applyE, s.pressureDot, x, rhs, opt, cands, s.D.Flops)
 	if name == "" {
 		name = PrecondSchwarz
 	}
-	solver.RecordPrecond(key, name)
+	solver.RecordPrecond(s.precondKey(), name)
 	return solver.PrecondSelection{Name: name, Source: "trial", Trials: trials}
 }
 
@@ -253,7 +259,7 @@ func (s *Solver) ApplyPrecond(out, r []float64) {
 
 // PrecondName returns the resolved pressure preconditioner variant
 // ("schwarz", "chebjacobi", "chebschwarz" or "none").
-func (s *Solver) PrecondName() string { return s.precondName }
+func (s *Solver) PrecondName() string { return s.precondSel.Name }
 
 // PrecondSelection reports how the variant was chosen ("forced", "default",
 // "table" or "trial", with per-candidate trial stats in the latter case).

@@ -162,7 +162,7 @@ func TestPrecondAutoTrialThenTable(t *testing.T) {
 	if !ValidPrecond(sel1.Name) || sel1.Name == PrecondAuto || sel1.Name == PrecondNone {
 		t.Fatalf("auto selected %q", sel1.Name)
 	}
-	// The winner must not iterate worse than the schwarz reference trial.
+	// The winner must not charge more work than the schwarz reference trial.
 	var ref, won *solver.PrecondTrial
 	for i := range sel1.Trials {
 		if sel1.Trials[i].Name == PrecondSchwarz {
@@ -175,9 +175,9 @@ func TestPrecondAutoTrialThenTable(t *testing.T) {
 	if ref == nil || won == nil {
 		t.Fatalf("trials missing reference or winner: %+v", sel1.Trials)
 	}
-	if !won.Converged || won.Iterations > ref.Iterations {
-		t.Errorf("winner %q (%d iters, conv %v) worse than schwarz reference (%d iters)",
-			sel1.Name, won.Iterations, won.Converged, ref.Iterations)
+	if !won.Converged || won.Flops <= 0 || won.Flops > ref.Flops {
+		t.Errorf("winner %q (%d flops, conv %v) worse than schwarz reference (%d flops)",
+			sel1.Name, won.Flops, won.Converged, ref.Flops)
 	}
 
 	s2, err := New(cfg)
@@ -198,6 +198,62 @@ func TestPrecondAutoTrialThenTable(t *testing.T) {
 	}
 	if !st.PressureConverged {
 		t.Fatalf("auto-selected %q did not converge the first step", sel2.Name)
+	}
+}
+
+// TestPrecondTableHitBuildsOnlyRecorded: an "auto" solver whose key the
+// table holds builds and tunes the recorded variant alone — no other
+// variant's Chebyshev bounds, no diag(E) or Schwarz factors it does not
+// apply — and steps bitwise like a solver with that variant forced.
+func TestPrecondTableHitBuildsOnlyRecorded(t *testing.T) {
+	defer solver.ResetPrecondTable()
+	for _, name := range PrecondNames() {
+		forced, err := New(enclosedConfig(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver.ResetPrecondTable()
+		solver.RecordPrecond(forced.precondKey(), name)
+		hit, err := New(enclosedConfig(t, PrecondAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel := hit.PrecondSelection(); sel.Source != "table" || sel.Name != name || len(sel.Trials) != 0 {
+			t.Fatalf("selection = %+v, want a table hit on %q", sel, name)
+		}
+		for _, other := range []string{PrecondChebJacobi, PrecondChebSchwarz} {
+			if _, _, _, ok := hit.ChebBounds(other); ok != (other == name) {
+				t.Errorf("%s recorded: ChebBounds(%s) ok = %v", name, other, ok)
+			}
+		}
+		if (hit.PressureDiagE() != nil) != (name == PrecondChebJacobi) {
+			t.Errorf("%s recorded: diag(E) built = %v", name, hit.PressureDiagE() != nil)
+		}
+		if (hit.pSchwarz != nil) != (name != PrecondChebJacobi) {
+			t.Errorf("%s recorded: Schwarz built = %v", name, hit.pSchwarz != nil)
+		}
+		for _, s := range []*Solver{forced, hit} {
+			setTestVelocity(s)
+			for i := 0; i < 10; i++ {
+				if _, err := s.Step(); err != nil {
+					t.Fatalf("%s step %d: %v", name, i+1, err)
+				}
+			}
+		}
+		for c := 0; c < 2; c++ {
+			for i, v := range forced.U[c] {
+				if hit.U[c][i] != v {
+					t.Fatalf("%s: velocity %d differs at %d after 10 steps: %v vs forced %v", name, c, i, hit.U[c][i], v)
+				}
+			}
+		}
+		for i, v := range forced.P {
+			if hit.P[i] != v {
+				t.Fatalf("%s: pressure differs at %d after 10 steps: %v vs forced %v", name, i, hit.P[i], v)
+			}
+		}
+		forced.Close()
+		hit.Close()
 	}
 }
 

@@ -75,7 +75,7 @@ func randomConsistentSolve(t testing.TB, s *Solver) int {
 	}
 	st := solver.CG(s.applyE, s.pressureDot, x, rhs, solver.Options{Tol: 1e-8, MaxIter: 2000, Precond: s.pPrecondOp})
 	if !st.Converged {
-		t.Fatalf("%s: CG did not converge in %d iterations (res %g)", s.precondName, st.Iterations, st.FinalRes)
+		t.Fatalf("%s: CG did not converge in %d iterations (res %g)", s.PrecondName(), st.Iterations, st.FinalRes)
 	}
 	return st.Iterations
 }

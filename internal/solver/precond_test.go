@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // diagOp builds the operator of a diagonal SPD system.
@@ -194,39 +195,82 @@ func TestPrecondTableRecordConcurrent(t *testing.T) {
 	}
 }
 
-// TestSelectPrecondPrefersReference: on an iteration tie the first-listed
-// candidate (the reference) must win, and a converged candidate must beat a
-// non-converged one regardless of order.
-func TestSelectPrecondPrefersReference(t *testing.T) {
+// TestSelectPrecondRanksOnWork: the tournament ranks converged trials on
+// the work they charge to the meter, whatever their iteration count or wall
+// time. Operator, inner product and preconditioners charge a shared counter,
+// the way the step's operators charge Machine.Charge.
+func TestSelectPrecondRanksOnWork(t *testing.T) {
 	const n = 100
 	d := testSpectrum(n)
-	A := diagOp(d)
+	var work int64
+	meter := func() int64 { return work }
+	A := func(out, in []float64) { work += int64(n); diagOp(d)(out, in) }
+	dot := func(u, v []float64) float64 { work += int64(2 * n); return plainDot(u, v) }
+	// exact is the inverse of A charging cost flops per apply, after an
+	// optional pause.
+	exact := func(cost int64, pause time.Duration) Operator {
+		return func(out, in []float64) {
+			time.Sleep(pause)
+			work += cost
+			for i := range in {
+				out[i] = in[i] / d[i]
+			}
+		}
+	}
 	b := make([]float64, n)
 	LCGFill(b, 5)
 	x := make([]float64, n)
-	exact := func(out, in []float64) {
-		for i := range in {
-			out[i] = in[i] / d[i]
-		}
-	}
 	opt := Options{Tol: 1e-10, MaxIter: 300}
-	name, trials := SelectPrecond(A, plainDot, x, b, opt, []PrecondCandidate{
-		{Name: "ref", Precond: exact},
-		{Name: "same", Precond: exact},
-	})
-	if name != "ref" {
-		t.Errorf("tie went to %q, want the reference", name)
+	pick := func(opt Options, cands ...PrecondCandidate) (string, []PrecondTrial) {
+		t.Helper()
+		name, trials := SelectPrecond(A, dot, x, b, opt, cands, meter)
+		if len(trials) != len(cands) {
+			t.Fatalf("%d trials for %d candidates", len(trials), len(cands))
+		}
+		return name, trials
 	}
-	if len(trials) != 2 || trials[0].Iterations != trials[1].Iterations {
-		t.Fatalf("trials = %+v", trials)
+
+	// Fewer iterations but more work loses: the exact inverse converges in
+	// one iteration, unpreconditioned CG takes dozens, at a fraction of the work.
+	name, trials := pick(opt,
+		PrecondCandidate{Name: "few", Precond: exact(1e6, 0)},
+		PrecondCandidate{Name: "cheap", Precond: nil})
+	if trials[0].Iterations >= trials[1].Iterations || trials[0].Flops <= trials[1].Flops {
+		t.Fatalf("fixture: want fewer iterations and more work first, got %+v", trials)
 	}
-	// A capped (non-converging) reference must lose to a converging variant.
+	if name != "cheap" {
+		t.Errorf("selection = %q, want the candidate charging less work; trials %+v", name, trials)
+	}
+
+	// Equal work keeps the earlier candidate.
+	name, trials = pick(opt,
+		PrecondCandidate{Name: "ref", Precond: exact(int64(n), 0)},
+		PrecondCandidate{Name: "same", Precond: exact(int64(n), 0)})
+	if trials[0].Flops != trials[1].Flops || name != "ref" {
+		t.Errorf("tie went to %q, want the reference; trials %+v", name, trials)
+	}
+
+	// A non-converged trial loses whatever its work.
 	capped := Options{Tol: 1e-14, MaxIter: 2}
-	name, trials = SelectPrecond(A, plainDot, x, b, capped, []PrecondCandidate{
-		{Name: "bad", Precond: nil},
-		{Name: "good", Precond: exact},
-	})
+	name, trials = pick(capped,
+		PrecondCandidate{Name: "bad", Precond: nil},
+		PrecondCandidate{Name: "good", Precond: exact(1e6, 0)})
+	if trials[0].Converged || !trials[1].Converged || trials[0].Flops >= trials[1].Flops {
+		t.Fatalf("fixture: want a cheap capped trial and a costly converged one, got %+v", trials)
+	}
 	if name != "good" {
 		t.Errorf("selection = %q, want the converging candidate; trials %+v", name, trials)
+	}
+
+	// Wall time never enters the rule: the candidate that sleeps through
+	// its trial but charges less still wins.
+	name, trials = pick(opt,
+		PrecondCandidate{Name: "fast", Precond: exact(1e6, 0)},
+		PrecondCandidate{Name: "slow", Precond: exact(int64(n), 20*time.Millisecond)})
+	if trials[1].Seconds <= trials[0].Seconds || trials[1].Flops >= trials[0].Flops {
+		t.Fatalf("fixture: want the second trial slower and cheaper, got %+v", trials)
+	}
+	if name != "slow" {
+		t.Errorf("selection = %q, want the cheaper candidate whatever its wall time; trials %+v", name, trials)
 	}
 }

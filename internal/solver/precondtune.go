@@ -74,11 +74,14 @@ type PrecondCandidate struct {
 	Precond Operator // nil = unpreconditioned CG
 }
 
-// PrecondTrial reports one candidate's trial solve.
+// PrecondTrial reports one candidate's trial solve: Flops is the work the
+// trial charged to the caller's meter, the quantity the tournament ranks on;
+// Seconds is measured and reported beside it, never ranked.
 type PrecondTrial struct {
 	Name       string  `json:"name"`
 	Iterations int     `json:"iterations"`
 	Converged  bool    `json:"converged"`
+	Flops      int64   `json:"flops"`
 	Seconds    float64 `json:"seconds"`
 }
 
@@ -92,12 +95,13 @@ type PrecondSelection struct {
 }
 
 // SelectPrecond runs one trial CG per candidate against rhs from a zero
-// initial guess and picks the winner: converged beats non-converged, then
-// fewest iterations, then fastest wall clock, then earliest candidate
-// order. Callers list the reference variant first, so the gate "the
-// selection never iterates worse than the reference" holds by construction
-// on ties. x and rhs are scratch the caller owns; x is zeroed per trial.
-func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands []PrecondCandidate) (string, []PrecondTrial) {
+// initial guess, reading the monotone work meter work before and after each,
+// and picks the winner: converged beats non-converged, then the least charged
+// work, then the earliest candidate. Callers list the reference variant
+// first, so ties keep it. No wall-clock input enters the rule, so the winner
+// is a function of the operators alone. x and rhs are scratch the caller
+// owns; x is zeroed per trial.
+func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands []PrecondCandidate, work func() int64) (string, []PrecondTrial) {
 	trials := make([]PrecondTrial, 0, len(cands))
 	best := -1
 	for ci, c := range cands {
@@ -106,12 +110,13 @@ func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands
 		}
 		o := opt
 		o.Precond = c.Precond
-		t0 := time.Now()
+		t0, w0 := time.Now(), work()
 		st := CG(apply, dot, x, rhs, o)
 		tr := PrecondTrial{
 			Name:       c.Name,
 			Iterations: st.Iterations,
 			Converged:  st.Converged,
+			Flops:      work() - w0,
 			Seconds:    time.Since(t0).Seconds(),
 		}
 		trials = append(trials, tr)
@@ -125,18 +130,11 @@ func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands
 	return cands[best].Name, trials
 }
 
-// trialBetter reports whether a strictly beats b (ties keep b, preserving
-// candidate order). Convergence and iteration count are deterministic;
-// wall time is not, so on an iteration tie the challenger must be faster
-// both by a clear relative margin and by more than scheduling jitter —
-// otherwise timing noise would displace the reference and the recorded
-// (and cached) selection would differ run to run.
+// trialBetter reports whether a strictly beats b on what it decides by:
+// convergence, then charged work. Ties keep b, preserving candidate order.
 func trialBetter(a, b PrecondTrial) bool {
 	if a.Converged != b.Converged {
 		return a.Converged
 	}
-	if a.Iterations != b.Iterations {
-		return a.Iterations < b.Iterations
-	}
-	return a.Seconds < 0.9*b.Seconds && b.Seconds-a.Seconds > 5e-3
+	return a.Flops < b.Flops
 }

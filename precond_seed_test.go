@@ -92,9 +92,9 @@ func TestPrecondVariantsConvergeSeedCases(t *testing.T) {
 
 // TestPrecondSelectionGateChannel is the bench-tier regression gate: on the
 // Table 1 channel case, the auto-selected preconditioner's trial solve must
-// converge and must not take more iterations than the Schwarz reference
-// trial. A variant regressing past the reference would silently give back
-// the win this selection machinery exists to bank.
+// converge and must not charge more work than the Schwarz reference trial.
+// A variant regressing past the reference would silently give back the win
+// this selection machinery exists to bank.
 func TestPrecondSelectionGateChannel(t *testing.T) {
 	solver.ResetPrecondTable()
 	defer solver.ResetPrecondTable()
@@ -127,12 +127,67 @@ func TestPrecondSelectionGateChannel(t *testing.T) {
 	if !won.Converged {
 		t.Fatalf("selected %q trial did not converge: %+v", sel.Name, *won)
 	}
-	if won.Iterations > ref.Iterations {
-		t.Errorf("selected %q takes %d trial iterations, schwarz reference takes %d",
-			sel.Name, won.Iterations, ref.Iterations)
+	if won.Flops <= 0 || won.Flops > ref.Flops {
+		t.Errorf("selected %q charges %d trial flops, schwarz reference charges %d",
+			sel.Name, won.Flops, ref.Flops)
 	}
-	t.Logf("channel selection: %s (schwarz ref %d iters, winner %d iters)",
-		sel.Name, ref.Iterations, won.Iterations)
+	t.Logf("channel selection: %s (schwarz ref %d flops, winner %d flops)",
+		sel.Name, ref.Flops, won.Flops)
+}
+
+// TestColdTrialRankMatchesWarmWork guards the proxy the tournament rests
+// on: the variant whose cold trial charges the least work must also charge
+// the least work per warm step. On the N = 5 channel and on the hairpin box
+// of the benchmark, the auto winner's metered work over 10 projected steps
+// must not exceed any other variant's.
+func TestColdTrialRankMatchesWarmWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps the channel and the K = 72 hairpin box under every variant")
+	}
+	defer solver.ResetPrecondTable()
+	cases := []struct {
+		name  string
+		build func(precond string) (*ns.Solver, error)
+	}{
+		{"channel", func(precond string) (*ns.Solver, error) {
+			s, _, err := flowcases.Channel(flowcases.ChannelConfig{
+				Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, Precond: precond,
+			})
+			return s, err
+		}},
+		{"hairpin", func(precond string) (*ns.Solver, error) {
+			return flowcases.Hairpin(flowcases.HairpinConfig{
+				Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1, Workers: 1, Precond: precond,
+			})
+		}},
+	}
+	for _, c := range cases {
+		solver.ResetPrecondTable()
+		s, err := c.build(ns.PrecondAuto)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		winner := s.PrecondName()
+		s.Close()
+		work := map[string]int64{}
+		for _, pn := range ns.PrecondNames() {
+			s, err := c.build(pn)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, pn, err)
+			}
+			f0 := s.Disc().Flops()
+			stepN(t, s, 10)
+			work[pn] = s.Disc().Flops() - f0
+			s.Close()
+		}
+		for pn, w := range work {
+			if w < work[winner] {
+				t.Errorf("%s: cold-trial winner %q charges %d flops over 10 warm steps, %q only %d",
+					c.name, winner, work[winner], pn, w)
+			}
+		}
+		t.Logf("%s: winner %s, flops over 10 steps %v", c.name, winner, work)
+	}
 }
 
 // The folklore this replaces — "cold channel solves hit the 500 cap", "~55

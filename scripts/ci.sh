@@ -247,6 +247,26 @@ div_bound() {
     }
 }
 
+# trial_pick LOG — every "trial" line semflow printed must carry its charged
+# work (flops=N), and the "precond:" selection must be the converged trial
+# with the least of it, the first listed on a tie.
+trial_pick() {
+    awk '
+        /^precond: / { sel = $2 }
+        /^  trial / {
+            n++
+            if (!match($0, /flops=[0-9]+/)) { bad = 1; next }
+            f = substr($0, RSTART + 6, RLENGTH - 6) + 0
+            if ($5 == "converged=true" && (best == "" || f < low)) { best = $2; low = f }
+        }
+        END { exit !(n > 0 && !bad && sel != "" && sel == best) }
+    ' "$1" || {
+        echo "-precond auto: selection is not the converged trial with the least flops:" >&2
+        grep -E '^(precond:|  trial )' "$1" >&2
+        return 1
+    }
+}
+
 smoke() {
     out="${SMOKE_OUT:-}"
     if [ -z "$out" ]; then
@@ -344,6 +364,7 @@ EOF
         -stats-json > "$out/precond-auto.log"
     grep -q '"precond":' "$out/precond-auto.log"
     grep -q '"precond_source": *"trial"' "$out/precond-auto.log"
+    trial_pick "$out/precond-auto.log"
     # Forcing the Chebyshev-Jacobi variant must converge to the same
     # final-step divergence bound as the Schwarz reference run, at the
     # Table-1 size (N=9) — whose cold Schwarz solves ran into the 500-iteration
