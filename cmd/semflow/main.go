@@ -4,9 +4,9 @@
 // worker settings, printing per-step solver statistics — the same knobs the
 // paper's production code exposes. There is one path: the flags become a
 // session.Config, session.Create (or, with -resume, session.Resume from the
-// latest snapshot in the -checkpoint directory) builds the run, StepN
-// advances it with the per-step report on OnStep, and one set of writers
-// emits the artifacts. -ranks P selects the machine, nothing else: 0 steps
+// snapshot in the -checkpoint store) builds the run, StepN advances it with
+// the per-step report on OnStep, and one set of writers emits the
+// artifacts. -ranks P selects the machine, nothing else: 0 steps
 // the shared-memory solver, P runs the same time loop as an SPMD program on
 // the simulated machine (parrun.Stepper), where -faults degrades the
 // machine and -trace carries a per-rank virtual-clock track with the
@@ -32,6 +32,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on http.DefaultServeMux, beside the session's routes
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -67,9 +68,9 @@ func main() {
 	linger := flag.Duration("linger", 0, "with -listen: keep the endpoint up this long after the run completes")
 	ranks := flag.Int("ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
 	faultsPath := flag.String("faults", "", "fault plan JSON degrading the simulated machine: stragglers, link jitter, drops with retry, pauses (requires -ranks)")
-	ckptDir := flag.String("checkpoint", "", "write versioned snapshots of the run into this directory")
+	ckptDir := flag.String("checkpoint", "", "keep the run's newest snapshot in this directory, as <case>/checkpoint.gob (a semflowd -store layout)")
 	ckptEvery := flag.Int("checkpoint-every", 10, "steps between snapshots when -checkpoint is set")
-	resume := flag.Bool("resume", false, "continue from the latest snapshot in the -checkpoint directory (same case, resolution and -ranks)")
+	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory (same case, resolution and -ranks)")
 	historyOut := flag.String("history", "", "write per-step convergence telemetry (JSONL) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -90,6 +91,10 @@ func main() {
 
 	if !slices.Contains(flowcases.CaseNames(), *caseName) {
 		fmt.Fprintf(os.Stderr, "unknown case %q\n", *caseName)
+		os.Exit(2)
+	}
+	if *every < 1 {
+		fmt.Fprintf(os.Stderr, "-report %d: want a report interval of at least 1 step\n", *every)
 		os.Exit(2)
 	}
 	if *precond != "" && !ns.ValidPrecond(*precond) {
@@ -134,27 +139,30 @@ func main() {
 			st.ProjectionBasis, last)
 	}
 
+	// The snapshot lives in a session store rooted at -checkpoint, under the
+	// case name: the layout a semflowd -store of the same directory reads.
+	var store session.Store
+	var err error
+	ckPath := filepath.Join(*ckptDir, *caseName, session.ArtifactCheckpoint)
+	if *ckptDir != "" {
+		if store, err = session.NewFSStore(*ckptDir); err != nil {
+			log.Fatalf("checkpoint: %v", err)
+		}
+	}
 	var ck *parrun.Checkpoint // nil: a fresh run
 	if *resume {
-		if *ckptDir == "" {
-			log.Fatal("-resume needs -checkpoint DIR to find the snapshots")
+		if store == nil {
+			log.Fatal("-resume needs -checkpoint DIR to find the snapshot")
 		}
-		path, err := parrun.LatestCheckpoint(*ckptDir)
-		if err != nil {
-			log.Fatal(err)
+		if ck, err = session.LoadCheckpoint(store, *caseName); err != nil {
+			log.Fatalf("-resume: %v", err)
 		}
-		if path == "" {
-			log.Fatalf("-resume: no snapshots in %s", *ckptDir)
+		if ck.Step() >= *steps {
+			log.Fatalf("-resume: %s is already at step %d, -steps targets %d", ckPath, ck.Step(), *steps)
 		}
-		if ck, err = parrun.LoadCheckpoint(path); err != nil {
-			log.Fatal(err)
-		}
-		if ck.Step >= *steps {
-			log.Fatalf("-resume: %s is already at step %d, -steps targets %d", path, ck.Step, *steps)
-		}
-		fmt.Printf("resuming from %s (completed steps: %d)\n", path, ck.Step)
+		fmt.Printf("resuming from %s (completed steps: %d)\n", ckPath, ck.Step())
 	}
-	sess, err := session.Resume(cfg, ck)
+	sess, err = session.Resume(cfg, ck)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,11 +193,8 @@ func main() {
 	// snapshot interval: a snapshot is the session's own, taken between two
 	// batches, whichever machine is stepping.
 	snapEvery, snapshots := 0, 0
-	if *ckptDir != "" && *ckptEvery > 0 {
+	if store != nil && *ckptEvery > 0 {
 		snapEvery = *ckptEvery
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			log.Fatalf("checkpoint: %v", err)
-		}
 	}
 	s.Disc().ResetFlops()
 	for sess.Step() < *steps {
@@ -201,11 +206,7 @@ func main() {
 			log.Fatalf("step %d: %v", sess.Step()+1, err)
 		}
 		if snapEvery > 0 && sess.Step()%snapEvery == 0 {
-			snap, err := sess.Checkpoint()
-			if err == nil {
-				err = snap.WriteFile(parrun.CheckpointPath(*ckptDir, snap.Step))
-			}
-			if err != nil {
+			if err := sess.Deposit(store, *caseName); err != nil {
 				log.Fatalf("checkpoint: %v", err)
 			}
 			snapshots++
@@ -230,7 +231,7 @@ func main() {
 		fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(s.Disc().Flops()))
 	}
 	if snapshots > 0 {
-		fmt.Printf("wrote %d snapshots to %s (every %d steps)\n", snapshots, *ckptDir, snapEvery)
+		fmt.Printf("wrote %d snapshots to %s (every %d steps; the newest is kept)\n", snapshots, ckPath, snapEvery)
 	}
 
 	if tracer := sess.Tracer(); tracer != nil {

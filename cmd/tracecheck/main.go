@@ -1,11 +1,10 @@
 // Command tracecheck validates the artifacts emitted by semflow's -trace
 // and -history flags: the Chrome trace must be structurally sound (required
-// fields, balanced spans, monotone per-track timestamps, matched flow ids,
-// enough rank tracks) and every telemetry line must parse with the
-// per-step keys the analysis scripts rely on. With -flows-closed it further
-// requires every flow arrow to have both endpoints (the invariant rank
-// sampling preserves by construction); with -metrics-url/-progress-url it
-// scrapes a live semflow -listen endpoint and validates the exposition.
+// fields, balanced spans, monotone per-track timestamps, every flow arrow
+// with both endpoints, enough rank tracks) and every telemetry line must
+// parse with the per-step keys the analysis scripts rely on. With
+// -metrics-url/-progress-url it scrapes a live semflow -listen endpoint and
+// validates the exposition.
 // It is the CI gate of scripts/ci.sh's smoke stage; exit status 1 means a
 // malformed artifact.
 package main
@@ -28,13 +27,12 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON to validate")
 	minRanks := flag.Int("min-ranks", 0, "minimum distinct rank tracks required under the machine pid")
 	minFault := flag.Int("min-fault-events", 0, "minimum \"fault\"-category events (straggler/retry/pause spans) the trace must carry")
-	flowsClosed := flag.Bool("flows-closed", false, "require every flow arrow to have both its s and f endpoints (holds for full and rank-sampled traces)")
 	historyPath := flag.String("history", "", "per-step telemetry JSONL to validate")
 	metricsURL := flag.String("metrics-url", "", "scrape this /metrics URL and validate the Prometheus text exposition")
 	progressURL := flag.String("progress-url", "", "scrape this /progress URL and validate the JSON snapshot")
 	flag.Parse()
 	if *tracePath == "" && *historyPath == "" && *metricsURL == "" && *progressURL == "" {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-trace file.json -min-ranks N -min-fault-events N -flows-closed] [-history file.jsonl] [-metrics-url URL] [-progress-url URL]")
+		fmt.Fprintln(os.Stderr, "usage: tracecheck [-trace file.json -min-ranks N -min-fault-events N] [-history file.jsonl] [-metrics-url URL] [-progress-url URL]")
 		os.Exit(2)
 	}
 	ok := true
@@ -42,9 +40,6 @@ func main() {
 		data, err := os.ReadFile(*tracePath)
 		if err == nil {
 			err = instrument.ValidateChromeTrace(data, *minRanks)
-		}
-		if err == nil && *flowsClosed {
-			err = instrument.ValidateFlowClosure(data)
 		}
 		nfault := 0
 		if err == nil && *minFault > 0 {

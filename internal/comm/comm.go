@@ -478,8 +478,8 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	}
 	// A flow arrow needs both of its endpoints: under rank sampling the id
 	// is generated only when sender and receiver tracks are both recorded,
-	// so sampled traces keep every "s" matched by an "f" (tracecheck
-	// -flows-closed relies on this).
+	// so sampled traces keep every "s" matched by an "f" (ValidateChromeTrace
+	// relies on this).
 	var flow string
 	if tr := r.net.tracer; tr.WantsV(r.ID) {
 		tr.SpanV(r.ID, "send", "comm", t0, r.Time,

@@ -292,10 +292,16 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 
 // ValidateChromeTrace checks that data is a structurally valid Chrome
 // trace: a traceEvents array whose events all carry ph/ts/pid, balanced
-// B/E pairs per track, non-negative X durations, matched flow start/finish
-// ids, and per-track non-decreasing timestamps. minMachineRanks requires at
-// least that many distinct rank tracks under PidMachine. It is shared by
-// the trace tests and the cmd/tracecheck CI gate.
+// B/E pairs per track, non-negative X durations, flows closed in both
+// directions (every start has its finish and every finish its start), and
+// per-track non-decreasing timestamps. minMachineRanks requires at least
+// that many distinct rank tracks under PidMachine. It is shared by the trace
+// tests and the cmd/tracecheck CI gate.
+//
+// Flow closure holds for every trace the tree writes, rank-sampled ones
+// included: comm opens an arrow only when both endpoint tracks are recorded,
+// and the distributed stepper fails a batch that leaves a message
+// undelivered. An open start is a send whose delivery never bound to it.
 func ValidateChromeTrace(data []byte, minMachineRanks int) error {
 	var top struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -381,50 +387,14 @@ func ValidateChromeTrace(data []byte, minMachineRanks int) error {
 			return fmt.Errorf("trace: flow finish %q without matching start", id)
 		}
 	}
-	if len(machineRanks) < minMachineRanks {
-		return fmt.Errorf("trace: %d rank tracks under pid %d, want >= %d",
-			len(machineRanks), PidMachine, minMachineRanks)
-	}
-	return nil
-}
-
-// ValidateFlowClosure checks that the trace's flow events close in both
-// directions: every flow start ("s") has a matching finish ("f") and vice
-// versa. ValidateChromeTrace only rejects f-without-s, so a dropped
-// send→recv binding (a send whose delivery never emitted its arrow)
-// passes the structural check silently; this is the stricter gate. The
-// comm layer emits a flow pair only when both endpoint ranks are traced,
-// so closure holds for full and rank-sampled traces alike.
-func ValidateFlowClosure(data []byte) error {
-	var top struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &top); err != nil {
-		return fmt.Errorf("trace: not a JSON object: %w", err)
-	}
-	starts := make(map[string]bool)
-	ends := make(map[string]bool)
-	for i, raw := range top.TraceEvents {
-		var ev TraceEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		switch ev.Ph {
-		case "s":
-			starts[ev.ID] = true
-		case "f":
-			ends[ev.ID] = true
-		}
-	}
-	for id := range starts {
-		if !ends[id] {
+	for id := range flowStart {
+		if !flowEnd[id] {
 			return fmt.Errorf("trace: flow start %q without matching finish (dropped send/recv binding)", id)
 		}
 	}
-	for id := range ends {
-		if !starts[id] {
-			return fmt.Errorf("trace: flow finish %q without matching start", id)
-		}
+	if len(machineRanks) < minMachineRanks {
+		return fmt.Errorf("trace: %d rank tracks under pid %d, want >= %d",
+			len(machineRanks), PidMachine, minMachineRanks)
 	}
 	return nil
 }

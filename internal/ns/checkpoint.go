@@ -158,9 +158,8 @@ func (s *Solver) Restore(c *Checkpoint) error {
 	return nil
 }
 
-// Encode gob-encodes the checkpoint. Callers wanting crash-safe files
-// should write to a temp file, fsync, and rename (session.Store's
-// filesystem backend and parrun's snapshot writer both do).
+// Encode gob-encodes the checkpoint. Snapshots are kept crash-safe by
+// session.Store's filesystem backend (temp file, fsync, rename).
 func (c *Checkpoint) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(c)
 }

@@ -12,25 +12,22 @@ package parrun
 // fields, same virtual clocks, same fault-plan draws.
 //
 // Serialization is encoding/gob: float64 values round-trip exactly (JSON
-// would not), and the Version field guards the layout.
+// would not), and the Version field guards the layout. Where a snapshot is
+// kept is session.Store's business; this file is only the codec.
 
 import (
-	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/comm"
-	"repro/internal/durable"
 	"repro/internal/ns"
 )
 
-// CheckpointVersion is the snapshot layout version; Load rejects others
-// (version 1 carried a parrun-private copy of the rank state).
-const CheckpointVersion = 2
+// CheckpointVersion is the snapshot layout version; ReadCheckpoint rejects
+// others (version 1 carried a parrun-private copy of the rank state, version
+// 2 a copy of its step, time and shape).
+const CheckpointVersion = 3
 
 // RankCheckpoint is one rank's slice of the run: its clock and its solver
 // state. The state includes the cached Helmholtz Jacobi diagonal, so a
@@ -42,55 +39,29 @@ type RankCheckpoint struct {
 	State *ns.Checkpoint
 }
 
-// Checkpoint is a versioned snapshot of a run after Step completed steps.
+// Checkpoint is a versioned snapshot of a run. Its step, time and shape are
+// those of its rank states, which ns.Solver.Restore checks on resume.
 type Checkpoint struct {
 	Version int
-	Step    int     // completed steps
-	Time    float64 // simulation time after Step steps
-	P       int     // ranks of the run (restart requires the same count); 0: shared memory
-
-	// Mesh/discretization shape guard: a snapshot only restores onto the
-	// problem it was taken from.
-	K, N, Dim, Np, Npp int
-
-	Ranks []RankCheckpoint
-}
-
-// newCheckpoint wraps the rank states of a P-rank run; every state carries
-// the global shape.
-func newCheckpoint(p int, ranks []RankCheckpoint) *Checkpoint {
-	st := ranks[0].State
-	return &Checkpoint{Version: CheckpointVersion, Step: st.Step, Time: st.Time, P: p,
-		K: st.K, N: st.N, Dim: st.Dim, Np: st.Np, Npp: st.Npp, Ranks: ranks}
+	P       int // ranks of the run (restart requires the same count); 0: shared memory
+	Ranks   []RankCheckpoint
 }
 
 // Serial wraps the shared-memory stepper's state as a run snapshot (P = 0),
 // so one format serves both machines.
 func Serial(state *ns.Checkpoint) *Checkpoint {
-	return newCheckpoint(0, []RankCheckpoint{{State: state}})
+	return &Checkpoint{Version: CheckpointVersion, Ranks: []RankCheckpoint{{State: state}}}
 }
 
-// CheckpointPath names the snapshot for one step inside dir.
-func CheckpointPath(dir string, step int) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%06d.gob", step))
-}
+// Step returns the number of completed steps the snapshot holds.
+func (c *Checkpoint) Step() int { return c.Ranks[0].State.Step }
+
+// Time returns the simulation time after Step steps.
+func (c *Checkpoint) Time() float64 { return c.Ranks[0].State.Time }
 
 // Encode gob-encodes the snapshot.
 func (c *Checkpoint) Encode(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(c)
-}
-
-// WriteFile serializes the snapshot to path, durably: neither a crash nor a
-// second session writing the same step into a shared directory tears it.
-func (c *Checkpoint) WriteFile(path string) error {
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	if err := durable.WriteFile(path, buf.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
 }
 
 // ReadCheckpoint decodes a snapshot and checks its version and rank states.
@@ -113,57 +84,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// LoadCheckpoint reads and checks a snapshot file.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	c, err := ReadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return c, nil
-}
-
-// LatestCheckpoint returns the highest-step snapshot path in dir ("" when
-// the directory holds none).
-func LatestCheckpoint(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && len(name) == len("ckpt-000000.gob") &&
-			name[:5] == "ckpt-" && filepath.Ext(name) == ".gob" {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return "", nil
-	}
-	sort.Strings(names) // zero-padded step numbers sort lexicographically
-	return filepath.Join(dir, names[len(names)-1]), nil
-}
-
 // validateFor checks a snapshot against the run it is restoring into.
 // steps, when non-zero, is the run's step target.
-func (c *Checkpoint) validateFor(p, k, n, dim, np, npp, steps int) error {
+func (c *Checkpoint) validateFor(p, steps int) error {
 	if c.P != p {
 		return fmt.Errorf("checkpoint: taken at P=%d, run uses P=%d (restart with the same rank count)", c.P, p)
 	}
-	if c.K != k || c.N != n || c.Dim != dim || c.Np != np || c.Npp != npp {
-		return fmt.Errorf("checkpoint: mesh/discretization mismatch (snapshot K=%d N=%d dim=%d, run K=%d N=%d dim=%d)",
-			c.K, c.N, c.Dim, k, n, dim)
-	}
-	if steps > 0 && c.Step >= steps {
-		return fmt.Errorf("checkpoint: snapshot already at step %d, run targets %d total steps", c.Step, steps)
+	if steps > 0 && c.Step() >= steps {
+		return fmt.Errorf("checkpoint: snapshot already at step %d, run targets %d total steps", c.Step(), steps)
 	}
 	return nil
 }

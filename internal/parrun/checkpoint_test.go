@@ -1,23 +1,30 @@
 package parrun
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
+	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mesh"
 	"repro/internal/ns"
 )
 
-// resumeFrom runs the stepper for ckSteps steps writing a snapshot at the
-// end, then loads that snapshot back — the "kill the job at step k" half of
-// a restart test.
+// roundTrip encodes a snapshot and decodes it back, as a restart does.
+func roundTrip(t *testing.T, ck *Checkpoint) (*Checkpoint, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return ReadCheckpoint(&buf)
+}
+
+// resumeFrom runs the stepper for ckSteps steps, snapshots it at the end and
+// decodes that snapshot back — the "kill the job at step k" half of a restart
+// test.
 func resumeFrom(t *testing.T, cfg ns.Config, nc NSConfig, ckSteps int) *Checkpoint {
 	t.Helper()
-	dir := t.TempDir()
 	s, err := Start(cfg, nc)
 	if err != nil {
 		t.Fatal(err)
@@ -25,19 +32,12 @@ func resumeFrom(t *testing.T, cfg ns.Config, nc NSConfig, ckSteps int) *Checkpoi
 	if _, err := s.StepN(ckSteps); err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
-	if err := s.Checkpoint().WriteFile(CheckpointPath(dir, ckSteps)); err != nil {
-		t.Fatal(err)
-	}
-	path, err := LatestCheckpoint(dir)
-	if err != nil || path == "" {
-		t.Fatalf("latest snapshot: %q, %v", path, err)
-	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := roundTrip(t, s.Checkpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Step != ckSteps {
-		t.Fatalf("snapshot at step %d, want %d", ck.Step, ckSteps)
+	if ck.Step() != ckSteps {
+		t.Fatalf("snapshot at step %d, want %d", ck.Step(), ckSteps)
 	}
 	return ck
 }
@@ -186,12 +186,11 @@ func TestCheckpointingIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	for s.StepCount() < base.Steps {
 		if _, err := s.StepN(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Checkpoint().WriteFile(CheckpointPath(dir, s.StepCount())); err != nil {
+		if _, err := roundTrip(t, s.Checkpoint()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,83 +230,26 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Errorf("already-complete snapshot accepted (err: %v)", err)
 	}
 
-	// A file of the previous layout (the parrun-private rank state, version
-	// 1) is refused by the version check, not half-decoded.
-	old := filepath.Join(t.TempDir(), "ckpt-000002.gob")
-	if err := (&Checkpoint{Version: 1, Step: 2, P: 1, Ranks: make([]RankCheckpoint, 1)}).WriteFile(old); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(old); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("version-1 snapshot accepted (err: %v)", err)
-	}
-
-	if path, err := LatestCheckpoint(t.TempDir()); err != nil || path != "" {
-		t.Errorf("empty dir: path %q, err %v", path, err)
-	}
-	if path, err := LatestCheckpoint("/does/not/exist"); err != nil || path != "" {
-		t.Errorf("missing dir: path %q, err %v", path, err)
-	}
-}
-
-// TestCheckpointWriteSharedDir is the regression test for the fixed-name
-// temp-file collision: with the old path+".tmp" scheme, two sessions
-// checkpointing the same step number into one directory raced on the same
-// temp file and could rename each other's half-written bytes into place.
-// With unique temp names every concurrently written snapshot must load
-// back intact.
-func TestCheckpointWriteSharedDir(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(step, marker int) *Checkpoint {
-		return &Checkpoint{
-			Version: CheckpointVersion, Step: step, P: 1,
-			K: marker, N: 5, Dim: 2, Np: 36, Npp: 16,
-			Ranks: []RankCheckpoint{{Rank: 0, State: &ns.Checkpoint{U: [3][]float64{
-				make([]float64, 64), make([]float64, 64), nil,
-			}}}},
-		}
-	}
-	const writers = 8
-	const rounds = 20
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// All writers share the directory; each has its own final path
-			// (two sessions, same step) but the temp names must not collide.
-			path := filepath.Join(dir, fmt.Sprintf("sess%d-ckpt-000010.gob", w))
-			for r := 0; r < rounds; r++ {
-				if err := mk(10, w).WriteFile(path); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for w := 0; w < writers; w++ {
-		path := filepath.Join(dir, fmt.Sprintf("sess%d-ckpt-000010.gob", w))
-		c, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("writer %d: snapshot did not survive concurrent writes: %v", w, err)
-		}
-		if c.K != w || c.Step != 10 {
-			t.Fatalf("writer %d: loaded someone else's snapshot: K=%d step=%d", w, c.K, c.Step)
-		}
-	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(dir)
+	// A snapshot of another problem is refused by the ranks' ns.Solver.Restore,
+	// the one shape check.
+	m, err := mesh.Discretize(mesh.Box2D(mesh.Box2DSpec{Nx: 4, Ny: 2, X0: 0, X1: 1, Y0: 0, Y1: 1}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
+	coarser := cfg
+	coarser.Mesh = m
+	re = base
+	re.Steps = 4
+	re.Resume = ck
+	if _, err := NavierStokes(coarser, re); err == nil ||
+		!strings.Contains(err.Error(), "mismatch") {
+		t.Errorf("snapshot of another discretization accepted (err: %v)", err)
+	}
+
+	// A snapshot of the previous layout (version 2, which copied its rank
+	// states' header) is refused by the version check, not half-decoded.
+	old := &Checkpoint{Version: 2, Ranks: []RankCheckpoint{{State: ck.Ranks[0].State}}}
+	if _, err := roundTrip(t, old); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 snapshot accepted (err: %v)", err)
 	}
 }

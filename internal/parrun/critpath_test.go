@@ -115,7 +115,7 @@ func TestCriticalPathOnSampledTrace(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := instrument.ValidateFlowClosure(buf.Bytes()); err != nil {
+	if err := instrument.ValidateChromeTrace(buf.Bytes(), 2); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := instrument.AnalyzeCriticalPath(buf.Bytes())

@@ -43,7 +43,7 @@ import (
 type NSConfig struct {
 	P     int // simulated ASCI-Red ranks (at least 1, clamped to the element count)
 	Steps int // total time steps of the run (default 1); a resumed
-	// run executes steps Resume.Step+1 .. Steps. Start steps nothing and only
+	// run executes steps Resume.Step()+1 .. Steps. Start steps nothing and only
 	// checks a non-zero value against Resume.
 
 	// Init is the initial velocity field (nil leaves it zero). Dirichlet
@@ -213,10 +213,10 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 		s.res.CrossCols = xxt.CrossCount()
 	}
 	if ck := cfg.Resume; ck != nil {
-		if err := ck.validateFor(p, m.K, m.N, m.Dim, m.Np, tmpl.Npp(), cfg.Steps); err != nil {
+		if err := ck.validateFor(p, cfg.Steps); err != nil {
 			return nil, fmt.Errorf("parrun: %w", err)
 		}
-		s.res.FirstStep = ck.Step
+		s.res.FirstStep = ck.Step()
 	}
 
 	s.net = comm.NewNetwork(comm.ASCIRed(p))
@@ -339,7 +339,7 @@ func (s *Stepper) Checkpoint() *Checkpoint {
 	for q := range s.rs {
 		states[q] = RankCheckpoint{Rank: q, Clock: s.ranks[q].Clock(), State: s.rs[q].f.Checkpoint()}
 	}
-	return newCheckpoint(len(s.rs), states)
+	return &Checkpoint{Version: CheckpointVersion, P: len(s.rs), Ranks: states}
 }
 
 // Result reports the run so far, with the fields gathered back to the serial

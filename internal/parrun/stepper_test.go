@@ -147,8 +147,8 @@ func TestStepperCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Step != ckSteps || ck.P != 4 || len(ck.Ranks) != 4 {
-		t.Fatalf("snapshot at step %d of P=%d with %d rank states", ck.Step, ck.P, len(ck.Ranks))
+	if ck.Step() != ckSteps || ck.P != 4 || len(ck.Ranks) != 4 {
+		t.Fatalf("snapshot at step %d of P=%d with %d rank states", ck.Step(), ck.P, len(ck.Ranks))
 	}
 
 	if _, err := st.StepN(steps - ckSteps); err != nil {

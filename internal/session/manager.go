@@ -21,8 +21,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-
-	"repro/internal/parrun"
 )
 
 // Artifact names deposited by the manager.
@@ -194,17 +192,13 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	if err := checkServable(cfg); err != nil {
 		return nil, err
 	}
-	rawCk, err := m.store.Get(fromID, ArtifactCheckpoint)
+	ck, err := LoadCheckpoint(m.store, fromID)
 	if err != nil {
 		return nil, err
 	}
-	ck, err := parrun.ReadCheckpoint(bytes.NewReader(rawCk))
-	if err != nil {
-		return nil, fmt.Errorf("session: resume %s: %w", fromID, err)
-	}
-	if cfg.Steps <= ck.Step {
+	if cfg.Steps <= ck.Step() {
 		return nil, fmt.Errorf("session: resume %s: checkpoint already at step %d, target is %d",
-			fromID, ck.Step, cfg.Steps)
+			fromID, ck.Step(), cfg.Steps)
 	}
 	sess, err := Resume(cfg, ck)
 	if err != nil {
@@ -289,7 +283,7 @@ func (m *Manager) run(j *Job) {
 		// resume from.
 		step = j.sess.Step()
 		if every := j.Cfg.CheckpointEvery; every > 0 && step < j.Cfg.Steps && step-lastCkpt >= every {
-			if err := m.depositCheckpoint(j); err == nil {
+			if err := j.sess.Deposit(m.store, j.ID); err == nil {
 				lastCkpt = step
 			} else if errMsg == "" {
 				errMsg = fmt.Sprintf("checkpoint artifact at step %d: %v", step, err)
@@ -323,19 +317,6 @@ func (m *Manager) stepBatch(j *Job, batch int) (err error) {
 	return err
 }
 
-// depositCheckpoint snapshots the session into the store.
-func (m *Manager) depositCheckpoint(j *Job) error {
-	ck, err := j.sess.Checkpoint()
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		return err
-	}
-	return m.store.Put(j.ID, ArtifactCheckpoint, buf.Bytes())
-}
-
 // finish deposits the job's artifacts (result.json last), closes its
 // session, and only then publishes the final state. Failed sessions keep
 // their last checkpoint rather than a post-mortem one; done and cancelled
@@ -343,7 +324,7 @@ func (m *Manager) depositCheckpoint(j *Job) error {
 // extended (done).
 func (m *Manager) finish(j *Job, final State, errMsg string) {
 	if final != StateFailed {
-		if err := m.depositCheckpoint(j); err != nil && errMsg == "" {
+		if err := j.sess.Deposit(m.store, j.ID); err != nil && errMsg == "" {
 			errMsg = fmt.Sprintf("checkpoint artifact: %v", err)
 		}
 	}
@@ -416,7 +397,7 @@ func (m *Manager) Checkpoint(id string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if err := m.depositCheckpoint(j); err != nil {
+	if err := j.sess.Deposit(m.store, j.ID); err != nil {
 		return 0, err
 	}
 	return j.sess.Step(), nil

@@ -21,6 +21,7 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -259,7 +260,7 @@ func open(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	}
 	s.reg.SetMeta(meta)
 	if ck != nil {
-		s.updateProgress(ns.StepStats{Step: ck.Step, Time: ck.Time}, false)
+		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, false)
 	}
 	return s, nil
 }
@@ -325,6 +326,35 @@ func (s *Session) Checkpoint() (*parrun.Checkpoint, error) {
 		return nil, ErrClosed
 	}
 	return s.m.snapshot(), nil
+}
+
+// Deposit snapshots the session and puts the snapshot into store as id's
+// checkpoint.gob, replacing the one there: the one snapshot write of both
+// drivers (a semflowd job, semflow -checkpoint).
+func (s *Session) Deposit(store Store, id string) error {
+	ck, err := s.Checkpoint()
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		return fmt.Errorf("session: checkpoint: %w", err)
+	}
+	return store.Put(id, ArtifactCheckpoint, buf.Bytes())
+}
+
+// LoadCheckpoint reads id's checkpoint.gob back from store for Resume; an
+// id with no snapshot is an error wrapping ErrNotFound.
+func LoadCheckpoint(store Store, id string) (*parrun.Checkpoint, error) {
+	raw, err := store.Get(id, ArtifactCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	ck, err := parrun.ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("session: %s/%s: %w", id, ArtifactCheckpoint, err)
+	}
+	return ck, nil
 }
 
 // Cancel makes the next step boundary return ErrCancelled. Idempotent;

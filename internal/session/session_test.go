@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -400,7 +401,7 @@ func (s *ckptStore) Put(session, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.steps = append(s.steps, ck.Step)
+	s.steps = append(s.steps, ck.Step())
 	return s.Store.Put(session, name, data)
 }
 
@@ -687,7 +688,7 @@ func TestDistributedSessionLifecycle(t *testing.T) {
 	if _, err := s.StepN(1); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("StepN after Cancel: %v, want ErrCancelled", err)
 	}
-	if ck, err := s.Checkpoint(); err != nil || ck.Step != k {
+	if ck, err := s.Checkpoint(); err != nil || ck.Step() != k {
 		t.Fatalf("Checkpoint after Cancel: step %v, err %v; want step %d", ck, err, k)
 	}
 	if err := s.Close(); err != nil {
@@ -721,5 +722,66 @@ func TestProjectionLReachesBothMachines(t *testing.T) {
 	}
 	if _, err := Create(Config{Case: "channel", Faults: &fault.Plan{Seed: 1}}); err == nil {
 		t.Error("a fault plan without ranks was accepted")
+	}
+}
+
+// TestDepositLoadResumesBothMachines: a snapshot deposited at step 2 of a
+// 4-step channel run into a filesystem store, loaded back and resumed for the
+// last 2 steps, continues the uninterrupted run bitwise — fields and per-step
+// history — in shared memory and on 3 simulated ranks alike.
+func TestDepositLoadResumesBothMachines(t *testing.T) {
+	store, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(store, "nothing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("LoadCheckpoint of an id with no snapshot: %v, want ErrNotFound", err)
+	}
+	// fields returns the run's velocity and pressure on either machine.
+	fields := func(s *Session) [][]float64 {
+		if res := s.Distributed(); res != nil {
+			return [][]float64{res.U[0], res.U[1], res.Pressure}
+		}
+		return [][]float64{s.Solver().U[0], s.Solver().U[1], s.Solver().P}
+	}
+	for _, ranks := range []int{0, 3} {
+		cfg := Config{Case: "channel", Steps: 4, N: 5, KX: 3, KY: 2, Alpha: 0.2, Ranks: ranks}
+		full, err := Create(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer full.Close()
+		if _, err := full.StepN(2); err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("channel-p%d", ranks)
+		if err := full.Deposit(store, id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := full.StepN(2); err != nil {
+			t.Fatal(err)
+		}
+
+		ck, err := LoadCheckpoint(store, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Resume(cfg, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if _, err := r.StepN(2); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fields(r), fields(full)) {
+			t.Errorf("ranks=%d: resumed fields differ from the uninterrupted run's", ranks)
+		}
+		want := bytes.SplitAfter(historyJSONL(t, full), []byte("\n"))
+		got := bytes.SplitAfter(historyJSONL(t, r), []byte("\n"))
+		if len(want) != 5 || !reflect.DeepEqual(got, want[2:]) {
+			t.Errorf("ranks=%d: resumed history is not steps 3 and 4 of the uninterrupted run:\n got %q\nwant %q",
+				ranks, got, want[2:])
+		}
 	}
 }

@@ -5,7 +5,10 @@ package session
 // backends selected by the scheme of a data-source string, so a sqlite or
 // S3-style backend can slot in later without touching the callers. Two
 // backends ship today: the filesystem (one directory per session, atomic
-// writes) and memory (tests, ephemeral servers).
+// writes) and memory (tests, ephemeral servers). It is where both drivers
+// keep their snapshots: semflowd's jobs and semflow -checkpoint DIR alike
+// deposit checkpoint.gob here, and writeFile below is the one crash-safe
+// file write of the repository.
 
 import (
 	"errors"
@@ -16,8 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/durable"
 )
 
 // ErrNotFound reports a missing session or artifact.
@@ -69,7 +70,7 @@ func checkKey(k string) error {
 // --- filesystem backend ---
 
 // FSStore stores artifacts as root/<session>/<name>. Writes go through
-// durable.WriteFile, so crashes and concurrent writers never expose partial
+// writeFile, so crashes and concurrent writers never expose partial
 // artifacts.
 type FSStore struct {
 	root string
@@ -97,10 +98,56 @@ func (s *FSStore) Put(session, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("session: store: %w", err)
 	}
-	if err := durable.WriteFile(filepath.Join(dir, name), data); err != nil {
+	if err := writeFile(filepath.Join(dir, name), data); err != nil {
 		return fmt.Errorf("session: store: %w", err)
 	}
 	return nil
+}
+
+// writeFile replaces path with data so that no crash, reader or concurrent
+// writer ever sees a partial file: the bytes go to a uniquely named hidden
+// temp file in the target directory, are fsync'd (rename alone orders the
+// directory entry, not the data), made 0644 and renamed over path, and the
+// directory is fsync'd so the rename itself survives. On an error the temp
+// file is removed.
+func writeFile(path string, data []byte) error {
+	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "."
+	}
+	f, err := os.CreateTemp(dir, "."+base+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Chmod(0o644); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 func (s *FSStore) Get(session, name string) ([]byte, error) {

@@ -6,7 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/ns"
+	"repro/internal/parrun"
 )
 
 // storeBackends returns one of each backend for conformance testing.
@@ -91,10 +95,29 @@ func TestFSStoreAtomicNoLitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A replaced artifact reads back whole, the shorter body over the longer.
+	for _, body := range []string{"first, the longer one", "second"} {
+		if err := st.Put("s1", "a.json", []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := st.Get("s1", "a.json"); err != nil || string(got) != body {
+			t.Fatalf("read back %q, %v; want %q", got, err, body)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(root, "s1", "a.json")); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v, %v; want 0644", fi.Mode(), err)
+	}
 	for i := 0; i < 10; i++ {
 		if err := st.Put("s1", "a.json", bytes.Repeat([]byte("x"), 1<<12)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A failed write leaves neither a temp file nor a target behind.
+	if err := writeFile(filepath.Join(root, "missing", "b.json"), []byte("x")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(root, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed write created its directory: %v", err)
 	}
 	entries, err := os.ReadDir(filepath.Join(root, "s1"))
 	if err != nil {
@@ -113,6 +136,65 @@ func TestFSStoreAtomicNoLitter(t *testing.T) {
 	}
 	if !equalStrings(names, []string{"a.json"}) {
 		t.Fatalf("List = %v, want [a.json]", names)
+	}
+}
+
+// TestFSStoreConcurrentCheckpointPuts: eight writers replacing the same
+// checkpoint.gob of one session at once never tear it — every Get decodes a
+// whole snapshot, one writer's — and leave no temp file behind. Unique temp
+// names are what make this hold: with one fixed temp name per target the
+// writers would rename each other's half-written bytes into place.
+func TestFSStoreConcurrentCheckpointPuts(t *testing.T) {
+	root := t.TempDir()
+	st, err := NewFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 20
+	snapshot := func(w int) []byte {
+		state := &ns.Checkpoint{Version: ns.CheckpointVersion, Step: 10, K: w,
+			U: [3][]float64{make([]float64, 64), make([]float64, 64), nil}}
+		var buf bytes.Buffer
+		if err := parrun.Serial(state).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			data := snapshot(w)
+			for r := 0; r < rounds; r++ {
+				if err := st.Put("run", ArtifactCheckpoint, data); err != nil {
+					errs <- err
+					return
+				}
+				ck, err := LoadCheckpoint(st, "run")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if k := ck.Ranks[0].State.K; ck.Step() != 10 || k < 0 || k >= writers {
+					errs <- errors.New("decoded a snapshot no writer wrote")
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(root, "run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != ArtifactCheckpoint {
+		t.Fatalf("store directory holds %d entries, want only %s", len(entries), ArtifactCheckpoint)
 	}
 }
 

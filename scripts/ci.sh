@@ -12,7 +12,9 @@
 #           runtime, and that no Go file registers a finalizer (the one worker
 #           pool is ns's shared-memory machine's, stopped by Solver.Close);
 #           a grep that comm declares one receive, Recv (the network queues
-#           each (source, tag) stream at its receiver); then the non-test
+#           each (source, tag) stream at its receiver); a grep that no
+#           non-test file but session's store makes a temp file or renames
+#           one (FSStore.Put is the one durable write); then the non-test
 #           line count per package (scripts/loc.sh), the source of the
 #           line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
@@ -40,7 +42,9 @@
 #           validate the -trace and -history artifacts of the serial (wall
 #           track only), distributed (rank tracks) and fault-injected runs,
 #           hold the -ranks 4 run to its pinned allreduces per step,
-#           checkpoint and resume on both machines,
+#           checkpoint and resume on both machines (one <case>/checkpoint.gob
+#           in the store, steps 3 and 4 as the uninterrupted run prints them),
+#           refuse -report 0,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report,
 #           plus a forced-variant divergence cross-check), and round-trip a
@@ -106,6 +110,17 @@ onerecv() {
     fi
 }
 
+# onewrite — session.Store's filesystem backend holds the one crash-safe
+# file write (unique temp file, fsync, rename, directory fsync); every
+# snapshot and artifact goes through FSStore.Put, so no other non-test file
+# makes a temp file or renames one into place.
+onewrite() {
+    if git grep --untracked -n -E 'os\.(Rename|CreateTemp)\(' -- '*.go' ':!*_test.go' ':!internal/session/store.go'; then
+        echo "a durable write outside internal/session/store.go: put the artifact through a session.Store" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
@@ -114,6 +129,7 @@ tier1() {
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
     stage "tier1/onerecv" onerecv
+    stage "tier1/onewrite" onewrite
     stage "tier1/loc" ./scripts/loc.sh
 }
 
@@ -327,7 +343,7 @@ EOF
     # time. tracecheck still validates all 256 rank tracks.
     "$out/bin/semflow" -case channel -kx 32 -ky 8 -n 4 -ranks 256 -steps 1 \
         -report 1 -piters 8 -trace "$out/p256-trace.json"
-    "$out/bin/tracecheck" -trace "$out/p256-trace.json" -min-ranks 256 -flows-closed
+    "$out/bin/tracecheck" -trace "$out/p256-trace.json" -min-ranks 256
     # Critical-path analysis over the same trace: the report must attribute
     # the P=256 step to the collective-latency categories.
     "$out/bin/tracepath" -trace "$out/p256-trace.json" | tee "$out/p256-critpath.txt"
@@ -355,8 +371,8 @@ EOF
     poll_grep "$out/listen.log" "trace events" 300
     stop_bg "$listen_pid"
     # The sampled trace keeps full tracks for exactly 2 of the 4 ranks and
-    # stays flow-closed by construction.
-    "$out/bin/tracecheck" -trace "$out/sampled-trace.json" -min-ranks 2 -flows-closed
+    # stays flow-closed by construction (tracecheck checks both directions).
+    "$out/bin/tracecheck" -trace "$out/sampled-trace.json" -min-ranks 2
 
     echo "== smoke: -precond auto selects and reports a variant =="
     # A fresh process has an empty selection table, so auto runs its trial.
@@ -425,21 +441,46 @@ EOF
     }
     stop_bg "$daemon_pid"
 
-    echo "== smoke: checkpoint at step 2, resume to step 4 =="
-    "$out/bin/semflow" -case channel -n 5 -ranks 4 -steps 2 -report 1 \
-        -checkpoint "$out/ckpt" -checkpoint-every 2
-    "$out/bin/semflow" -case channel -n 5 -ranks 4 -steps 4 -report 1 \
-        -checkpoint "$out/ckpt" -resume > "$out/resume.log"
-    cat "$out/resume.log"
-    grep -q "resuming from" "$out/resume.log"
-    # The same round trip on the shared-memory stepper: the snapshot is the
-    # session's, whichever machine steps.
-    "$out/bin/semflow" -case channel -n 5 -steps 2 -report 1 \
-        -checkpoint "$out/ckpt-serial" -checkpoint-every 2
-    "$out/bin/semflow" -case channel -n 5 -steps 4 -report 1 \
-        -checkpoint "$out/ckpt-serial" -resume > "$out/resume-serial.log"
-    cat "$out/resume-serial.log"
-    grep -q "resuming from" "$out/resume-serial.log"
+    echo "== smoke: checkpoint at step 2, resume to step 4, on both machines =="
+    # The snapshot is the session's, whichever machine steps, and lives in a
+    # session store: DIR/<case>/checkpoint.gob, replaced in place.
+    for ranks in 4 0; do
+        ck="$out/ckpt-p$ranks"
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 \
+            > "$out/full-p$ranks.log"
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 2 -report 1 \
+            -checkpoint "$ck" -checkpoint-every 2
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 \
+            -checkpoint "$ck" -resume > "$out/resume-p$ranks.log"
+        cat "$out/resume-p$ranks.log"
+        grep -q "resuming from $ck/channel/checkpoint.gob" "$out/resume-p$ranks.log"
+        [ -f "$ck/channel/checkpoint.gob" ] || {
+            echo "no snapshot at $ck/channel/checkpoint.gob" >&2
+            exit 1
+        }
+        if find "$ck" -name 'ckpt-*.gob' | grep .; then
+            echo "a per-step snapshot file beside the store's checkpoint.gob" >&2
+            exit 1
+        fi
+        # Step rows ("%6d ...") of steps 3 and 4, bitwise the uninterrupted run's.
+        grep -E '^ {5}[34] ' "$out/full-p$ranks.log" > "$out/full-p$ranks.rows"
+        grep -E '^ {5}[34] ' "$out/resume-p$ranks.log" > "$out/resume-p$ranks.rows"
+        [ "$(wc -l < "$out/full-p$ranks.rows")" -eq 2 ] &&
+            cmp "$out/full-p$ranks.rows" "$out/resume-p$ranks.rows" || {
+            echo "ranks=$ranks: resumed steps 3-4 differ from the uninterrupted run:" >&2
+            diff "$out/full-p$ranks.rows" "$out/resume-p$ranks.rows" >&2 || true
+            exit 1
+        }
+    done
+
+    echo "== smoke: semflow -report 0 is refused with exit status 2 =="
+    code=0
+    "$out/bin/semflow" -case channel -n 5 -steps 2 -report 0 2> "$out/report0.stderr" || code=$?
+    [ "$code" -eq 2 ] || {
+        echo "semflow -report 0 exited $code, want 2:" >&2
+        cat "$out/report0.stderr" >&2
+        exit 1
+    }
 
     echo "== smoke: Table 3 kernel sweep reports la.Mul beside the kernels =="
     "$out/bin/tables" -exp table3 -quick > "$out/table3.txt"
