@@ -89,13 +89,16 @@ func TestStoreRejectsEscapingKeys(t *testing.T) {
 	}
 }
 
-func TestFSStoreAtomicNoLitter(t *testing.T) {
+// TestFSStorePutReplacesWholeFilesAndLeavesNoTemp: a replaced artifact reads
+// back whole (the shorter body over the longer) with mode 0644, its directory
+// holds nothing else, and a failed write leaves neither a temp file nor a
+// target nor a directory behind.
+func TestFSStorePutReplacesWholeFilesAndLeavesNoTemp(t *testing.T) {
 	root := t.TempDir()
 	st, err := NewFSStore(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A replaced artifact reads back whole, the shorter body over the longer.
 	for _, body := range []string{"first, the longer one", "second"} {
 		if err := st.Put("s1", "a.json", []byte(body)); err != nil {
 			t.Fatal(err)
@@ -107,17 +110,28 @@ func TestFSStoreAtomicNoLitter(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(root, "s1", "a.json")); err != nil || fi.Mode().Perm() != 0o644 {
 		t.Fatalf("mode %v, %v; want 0644", fi.Mode(), err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := st.Put("s1", "a.json", bytes.Repeat([]byte("x"), 1<<12)); err != nil {
-			t.Fatal(err)
-		}
+	entries, err := os.ReadDir(filepath.Join(root, "s1"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (%v), want only a.json", len(entries), err)
 	}
-	// A failed write leaves neither a temp file nor a target behind.
 	if err := writeFile(filepath.Join(root, "missing", "b.json"), []byte("x")); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
 	if _, err := os.Stat(filepath.Join(root, "missing")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed write created its directory: %v", err)
+	}
+}
+
+func TestFSStoreAtomicNoLitter(t *testing.T) {
+	root := t.TempDir()
+	st, err := NewFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := st.Put("s1", "a.json", bytes.Repeat([]byte("x"), 1<<12)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	entries, err := os.ReadDir(filepath.Join(root, "s1"))
 	if err != nil {
