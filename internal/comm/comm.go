@@ -1,12 +1,13 @@
 // Package comm provides a simulated distributed-memory message-passing
 // machine: P ranks run as goroutines exchanging real data, queued at each
-// receiver per (source, tag) stream and taken with one primitive, Recv,
-// while a LogP-style α–β (latency–bandwidth) cost model advances per-rank
-// virtual clocks. This substitutes for the paper's ASCI-Red NX/MPI layer:
-// the distributed algorithms (gather–scatter, XXT coarse solver, collective
-// trees) execute exactly as they would on real hardware — same messages,
-// same data, same dependency structure — and the virtual clocks yield the
-// communication-time curves of Fig. 6 without 2048 physical nodes.
+// receiver per (source, tag) stream (indexed by source rank: a send or a
+// receive finds its stream without hashing) and taken with one primitive,
+// Recv, while a LogP-style α–β (latency–bandwidth) cost model advances
+// per-rank virtual clocks. This substitutes for the paper's ASCI-Red NX/MPI
+// layer: the distributed algorithms (gather–scatter, XXT coarse solver,
+// collective trees) execute exactly as they would on real hardware — same
+// messages, same data, same dependency structure — and the virtual clocks
+// yield the communication-time curves of Fig. 6 without 2048 physical nodes.
 package comm
 
 import (
@@ -41,9 +42,6 @@ type message struct {
 	flow      string  // trace flow id binding send to receive ("" untraced)
 }
 
-// streamKey names one (source rank, tag) stream of messages at its receiver.
-type streamKey struct{ from, tag int }
-
 // stream is the queue of one (source, tag) stream, in send order. It is a
 // head-indexed slice: take advances head instead of reslicing (`q = q[1:]`
 // strands the backing array and re-allocates forever under sustained
@@ -54,39 +52,53 @@ type stream struct {
 	head int
 }
 
+// tagged is one entry of a source's stream list: the tag beside its stream,
+// so a lookup scans tags without touching the queues.
+type tagged struct {
+	tag int
+	s   *stream
+}
+
 // inbox is the receive side of one rank. The simulated network queues each
 // (source, tag) stream at its receiver, so a receive waits on exactly the
 // stream it names: no message is ever taken and set aside for a later
-// receive, and a backlog on other streams costs one map probe, not a scan
-// (the gs setup all-to-all leaves ~P streams queued per rank). The queues
-// are unbounded and Send never blocks: a bounded channel here deadlocks real
-// communication patterns — a sender blocked on a full inbox whose receiver
-// is itself blocked sending never progresses — and the simulated machine
-// models a network that buffers at the receiver, not a rendezvous. Keys are
-// never deleted: the tag set is small and fixed (per-round collective tags,
-// the gs setup and exchange tags), so queue storage is reused across calls.
-// Only the owning rank receives, so at most one stream is waited on at a
-// time, and a send wakes the receiver only when it lands on that stream.
+// receive. Streams are indexed by source rank, each source holding the short
+// list of tags it has used on this rank (the gs exchange, a collective round
+// or two), so finding a stream is one slice index and a scan of a few tags —
+// no hashing — however many sources have a backlog (the gs setup all-to-all
+// leaves ~P streams queued per rank). The queues are unbounded and Send never
+// blocks: a bounded channel here deadlocks real communication patterns — a
+// sender blocked on a full inbox whose receiver is itself blocked sending
+// never progresses — and the simulated machine models a network that buffers
+// at the receiver, not a rendezvous. Streams are never deleted: the tag set
+// is small and fixed (per-round collective tags, the gs setup and exchange
+// tags), so queue storage is reused across calls. Only the owning rank
+// receives, so at most one stream is waited on at a time, and a send wakes
+// the receiver only when it lands on that stream.
 type inbox struct {
 	mu      sync.Mutex
-	ready   sync.Cond // L is &mu
-	streams map[streamKey]*stream
-	want    *stream // the stream the receiver waits on; nil when it is not waiting
+	ready   sync.Cond  // L is &mu
+	streams [][]tagged // by source rank, then in order of first use
+	want    *stream    // the stream the receiver waits on; nil when it is not waiting
 }
 
-// stream returns the queue of k, creating it on first use. Call with mu held.
-func (b *inbox) stream(k streamKey) *stream {
-	s := b.streams[k]
-	if s == nil {
-		s = &stream{}
-		b.streams[k] = s
+// stream returns the queue of (from, tag), creating it on first use. Call
+// with mu held.
+func (b *inbox) stream(from, tag int) *stream {
+	list := b.streams[from]
+	for i := range list {
+		if list[i].tag == tag {
+			return list[i].s
+		}
 	}
+	s := &stream{}
+	b.streams[from] = append(list, tagged{tag, s})
 	return s
 }
 
 func (b *inbox) put(m message) {
 	b.mu.Lock()
-	s := b.stream(streamKey{m.from, m.tag})
+	s := b.stream(m.from, m.tag)
 	s.q = append(s.q, m)
 	wake := b.want == s
 	b.mu.Unlock()
@@ -95,10 +107,11 @@ func (b *inbox) put(m message) {
 	}
 }
 
-// take blocks until stream k holds a message and removes the oldest.
-func (b *inbox) take(k streamKey) message {
+// take blocks until the (from, tag) stream holds a message and removes the
+// oldest.
+func (b *inbox) take(from, tag int) message {
 	b.mu.Lock()
-	s := b.stream(k)
+	s := b.stream(from, tag)
 	for s.head == len(s.q) {
 		b.want = s
 		b.ready.Wait()
@@ -119,8 +132,10 @@ func (b *inbox) queued() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
-	for _, s := range b.streams {
-		n += len(s.q) - s.head
+	for _, list := range b.streams {
+		for _, t := range list {
+			n += len(t.s.q) - t.s.head
+		}
 	}
 	return n
 }
@@ -185,7 +200,7 @@ type Network struct {
 func NewNetwork(m Machine) *Network {
 	n := &Network{Machine: m, ranks: make([]*Rank, m.P)}
 	for i := range n.ranks {
-		r := &Rank{ID: i, net: n, in: inbox{streams: make(map[streamKey]*stream)}}
+		r := &Rank{ID: i, net: n, in: inbox{streams: make([][]tagged, m.P)}}
 		r.in.ready.L = &r.in.mu
 		n.ranks[i] = r
 	}
@@ -510,7 +525,7 @@ func (r *Rank) Recv(from, tag int) []float64 {
 	if from == r.ID || from < 0 || from >= r.net.P {
 		panic(fmt.Sprintf("comm: rank %d cannot receive from rank %d of %d", r.ID, from, r.net.P))
 	}
-	return r.deliver(r.in.take(streamKey{from, tag}))
+	return r.deliver(r.in.take(from, tag))
 }
 
 // deliver advances the receiver's clock to the message arrival time and

@@ -4,9 +4,11 @@
 // which nodal values shared by adjacent elements are combined in place with
 // a commutative/associative operation (sum, min, max, mul) and written back
 // to every copy. A vector mode applies the same topology to several fields
-// at once. The serial Handle backs the shared-memory solvers; ParHandle
-// runs the same operation across ranks of a comm network via pairwise
-// neighbour exchange.
+// at once; across ranks it is one message per neighbour per call, whatever
+// the number of fields. The serial Handle backs the shared-memory solvers;
+// ParHandle runs the same operation across ranks of a comm network via
+// pairwise neighbour exchange, with the serial fold order per shared value,
+// so one field or several, every assembled value has the same bits.
 package gs
 
 import (
@@ -95,18 +97,12 @@ func (h *Handle) Apply(u []float64, op Op) {
 }
 
 // ApplyFields is the vector mode: the same exchange applied to several
-// fields (e.g. the d velocity components) in one pass over the topology.
+// fields (e.g. the d velocity components). In shared memory there is nothing
+// to batch, so it is Apply on each field in turn, which keeps each field's
+// groups in cache while they are combined.
 func (h *Handle) ApplyFields(op Op, fields ...[]float64) {
-	for _, g := range h.groups {
-		for _, u := range fields {
-			acc := u[g[0]]
-			for _, i := range g[1:] {
-				acc = combine(op, acc, u[i])
-			}
-			for _, i := range g {
-				u[i] = acc
-			}
-		}
+	for _, u := range fields {
+		h.Apply(u, op)
 	}
 }
 
@@ -128,7 +124,7 @@ func (h *Handle) Multiplicity() []float64 {
 // ParHandle runs the gather–scatter across ranks: local groups are combined
 // first, then contributions for globals shared with other ranks are
 // exchanged pairwise with each neighbour, exactly the paper's single
-// communication phase.
+// communication phase — for one field (Apply) or several (ApplyFields).
 type ParHandle struct {
 	local *Handle
 	rank  *comm.Rank
@@ -137,21 +133,22 @@ type ParHandle struct {
 	neighbours []neighbour
 
 	// Flat accumulator replacing the per-call map: every distinct shared
-	// gid owns one slot. slotRep seeds the slot from the locally combined
-	// value; the write-back scatters slot s to the local indices
-	// slotLoc[slotPtr[s]:slotPtr[s+1]].
+	// gid owns one slot per field (field f's slots are the f-th run of
+	// len(slotRep) values of slotVal). slotRep seeds the slot from the
+	// locally combined value; the write-back scatters slot s to the local
+	// indices slotLoc[slotPtr[s]:slotPtr[s+1]].
 	slotVal []float64
 	slotRep []int32
 	slotPtr []int32
 	slotLoc []int32
 
 	// Exchange-volume instrumentation (nil = off): messages and 8-byte
-	// words sent per Apply, plus the virtual time each exchange spans
+	// words sent per exchange, plus the virtual time each exchange spans
 	// (which a fault plan inflates: retries and stragglers land here).
 	exchMsgs  *instrument.Counter
 	exchWords *instrument.Counter
 	exchVTime *instrument.Timer
-	exchVHist *instrument.Histogram // per-Apply virtual time, all ranks merged
+	exchVHist *instrument.Histogram // per-exchange virtual time, all ranks merged
 	tracer    *instrument.Tracer
 }
 
@@ -159,7 +156,7 @@ type neighbour struct {
 	rank    int
 	gids    []int64   // sorted shared gids
 	sendIdx []int32   // per gid: representative local index to gather from
-	sendBuf []float64 // preallocated outgoing payload
+	sendBuf []float64 // outgoing payload, one run of len(gids) words per field
 	slotIdx []int32   // per gid: accumulator slot the reply folds into
 }
 
@@ -271,18 +268,17 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	// Deterministic neighbour order.
 	slices.SortFunc(h.neighbours, func(a, b neighbour) int { return a.rank - b.rank })
 
-	// Precompute the steady-state exchange: gather indices and payload
-	// buffers per neighbour, and one accumulator slot per distinct shared
-	// gid. Slots are assigned on first appearance in neighbour order; the
-	// fold itself always runs in neighbour order seeded from the
-	// representative copy, so the floating-point combine order — and with it
-	// every assembled value — is exactly the sequential formulation's.
+	// Precompute the steady-state exchange: gather indices per neighbour,
+	// and one accumulator slot per distinct shared gid. Slots are assigned
+	// on first appearance in neighbour order; the fold itself always runs in
+	// neighbour order seeded from the representative copy, so the
+	// floating-point combine order — and with it every assembled value — is
+	// exactly the sequential formulation's.
 	slotOf := make(map[int64]int32)
 	var sharedGids []int64
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
 		nb.sendIdx = make([]int32, len(nb.gids))
-		nb.sendBuf = make([]float64, len(nb.gids))
 		nb.slotIdx = make([]int32, len(nb.gids))
 		for i, g := range nb.gids {
 			nb.sendIdx[i] = repIdx[g]
@@ -295,7 +291,6 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 			nb.slotIdx[i] = s
 		}
 	}
-	h.slotVal = make([]float64, len(sharedGids))
 	h.slotRep = make([]int32, len(sharedGids))
 	h.slotPtr = make([]int32, len(sharedGids)+1)
 	for s, g := range sharedGids {
@@ -310,7 +305,8 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 }
 
 // Attach wires exchange-volume counters (messages and words sent per
-// Apply) into reg; a nil registry detaches.
+// exchange, one exchange per Apply or ApplyFields call) into reg; a nil
+// registry detaches.
 func (h *ParHandle) Attach(reg *instrument.Registry) {
 	h.exchMsgs = reg.Counter("gs/exchange.msgs")
 	h.exchWords = reg.Counter("gs/exchange.words")
@@ -318,54 +314,80 @@ func (h *ParHandle) Attach(reg *instrument.Registry) {
 	h.exchVHist = reg.Histogram("gs/exchange.vtime.hist")
 }
 
-// AttachTracer makes every Apply emit a virtual-clock span on the owning
+// AttachTracer makes every exchange emit a virtual-clock span on the owning
 // rank's track covering the neighbour exchange; nil detaches.
 func (h *ParHandle) AttachTracer(tr *instrument.Tracer) { h.tracer = tr }
 
-// Apply performs the distributed gather–scatter on the local vector u.
-// The steady-state exchange is allocation-free: payloads gather into
-// buffers preallocated by ParInit, all sends post before any receive is
-// waited on, and each neighbour's reply is received and folded into the
-// fixed slot accumulators in neighbour order, so every assembled value is
-// the same whatever order the replies land in. Waiting on a slow neighbour
+// Apply performs the distributed gather–scatter on the local vector u:
+// ApplyFields on one field.
+func (h *ParHandle) Apply(u []float64, op Op) { h.ApplyFields(op, u) }
+
+// ApplyFields is the vector mode across ranks: every field is assembled with
+// the same topology in one communication phase, one message per neighbour
+// carrying each field's shared words in turn. The steady-state exchange is
+// allocation-free: payloads gather into per-neighbour buffers, and fold into
+// slot accumulators, that grow only when a call carries more fields than any
+// before it; all sends post before any receive is waited on, and each neighbour's reply is
+// received and folded into the fixed slot accumulators in neighbour order, so
+// every assembled value is the same whatever order the replies land in — and
+// bitwise what Apply on that field alone leaves. Waiting on a slow neighbour
 // first costs nothing: the others' replies queue in their own streams, and
 // the receiver's clock ends at the latest arrival in any order.
-func (h *ParHandle) Apply(u []float64, op Op) {
+func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	// Local combine first.
-	h.local.Apply(u, op)
+	h.local.ApplyFields(op, fields...)
 	if len(h.neighbours) == 0 {
 		return
 	}
 	t0 := h.rank.Time
+	nf := len(fields)
 	var words int
-	// Pairwise exchange: send my combined value for each shared gid.
+	// Pairwise exchange: send my combined value for each shared gid, field
+	// after field.
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
-		for i, idx := range nb.sendIdx {
-			nb.sendBuf[i] = u[idx]
+		m := len(nb.sendIdx)
+		buf := grow(&nb.sendBuf, nf*m)
+		for f, u := range fields {
+			out := buf[f*m : (f+1)*m]
+			for i, idx := range nb.sendIdx {
+				out[i] = u[idx]
+			}
 		}
-		h.rank.Send(nb.rank, tagExchange, nb.sendBuf)
+		h.rank.Send(nb.rank, tagExchange, buf)
 		h.exchMsgs.Inc()
-		h.exchWords.Add(int64(len(nb.sendBuf)))
-		words += len(nb.sendBuf)
+		h.exchWords.Add(int64(len(buf)))
+		words += len(buf)
 	}
 	// Accumulate neighbour contributions on top of the local combined
 	// values (op is commutative/associative, so pairwise folding is exact
 	// in the same sense as the paper's implementation).
-	for s, idx := range h.slotRep {
-		h.slotVal[s] = u[idx]
+	ns := len(h.slotRep)
+	vals := grow(&h.slotVal, nf*ns)
+	for f, u := range fields {
+		sv := vals[f*ns : (f+1)*ns]
+		for s, idx := range h.slotRep {
+			sv[s] = u[idx]
+		}
 	}
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
 		got := h.rank.Recv(nb.rank, tagExchange)
-		for i, s := range nb.slotIdx {
-			h.slotVal[s] = combine(op, h.slotVal[s], got[i])
+		m := len(nb.slotIdx)
+		for f := 0; f < nf; f++ {
+			sv, in := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
+			for i, s := range nb.slotIdx {
+				sv[s] = combine(op, sv[s], in[i])
+			}
 		}
 		h.rank.Free(got)
 	}
-	for s, v := range h.slotVal {
-		for t := h.slotPtr[s]; t < h.slotPtr[s+1]; t++ {
-			u[h.slotLoc[t]] = v
+	for f, u := range fields {
+		sv := vals[f*ns : (f+1)*ns]
+		for s, v := range sv {
+			for t := h.slotPtr[s]; t < h.slotPtr[s+1]; t++ {
+				u[h.slotLoc[t]] = v
+			}
 		}
 	}
 	if h.tracer.WantsV(h.rank.ID) {
@@ -374,4 +396,13 @@ func (h *ParHandle) Apply(u []float64, op Op) {
 	}
 	h.exchVTime.Add(time.Duration((h.rank.Time - t0) * float64(time.Second)))
 	h.exchVHist.Observe(h.rank.Time - t0)
+}
+
+// grow returns (*buf)[:n], reallocating *buf when it is shorter.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

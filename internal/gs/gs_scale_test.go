@@ -88,7 +88,8 @@ func TestParallelExchangeDeterministicLargeP(t *testing.T) {
 func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 	// After ParInit, Apply must run entirely out of preallocated buffers:
 	// gathers into the per-neighbour send buffers, pooled receive payloads,
-	// the flat slot accumulator, and the CSR write-back. Measured as a
+	// the flat slot accumulator, and the CSR write-back. So must ApplyFields
+	// once its first call has sized the buffers for its fields. Measured as a
 	// MemStats delta on rank 0 across a synchronized window with GC off —
 	// see the comm package's allreduce twin for why AllocsPerRun can't be
 	// used under the network's goroutines.
@@ -101,35 +102,47 @@ func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 	}
 	perRank := m.K / p
 	const warm, iters = 25, 200
-	var steady uint64
+	var steady [2]uint64 // Apply, then ApplyFields on three fields
 	comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *comm.Rank) {
 		lo := r.ID * perRank * m.Np
 		hi := lo + perRank*m.Np
 		h := ParInit(r, m.GID[lo:hi])
-		u := make([]float64, hi-lo)
-		for i := range u {
-			u[i] = float64(i%7) - 3
+		fields := make([][]float64, 3)
+		for f := range fields {
+			fields[f] = make([]float64, hi-lo)
+			for i := range fields[f] {
+				fields[f][i] = float64((i+f)%7) - 3
+			}
 		}
+		u := fields[0]
 		// Max is idempotent on the assembled field, so repeated applies
 		// neither overflow nor drift.
-		for it := 0; it < warm; it++ {
-			h.Apply(u, Max)
+		calls := []func(){
+			func() { h.Apply(u, Max) },
+			func() { h.ApplyFields(Max, fields...) },
 		}
-		r.AllreduceScalar(0, comm.OpSum)
-		var m0, m1 runtime.MemStats
-		if r.ID == 0 {
-			runtime.ReadMemStats(&m0)
-		}
-		for it := 0; it < iters; it++ {
-			h.Apply(u, Max)
-		}
-		r.AllreduceScalar(0, comm.OpSum)
-		if r.ID == 0 {
-			runtime.ReadMemStats(&m1)
-			steady = m1.Mallocs - m0.Mallocs
+		for k, call := range calls {
+			for it := 0; it < warm; it++ {
+				call()
+			}
+			r.AllreduceScalar(0, comm.OpSum)
+			var m0, m1 runtime.MemStats
+			if r.ID == 0 {
+				runtime.ReadMemStats(&m0)
+			}
+			for it := 0; it < iters; it++ {
+				call()
+			}
+			r.AllreduceScalar(0, comm.OpSum)
+			if r.ID == 0 {
+				runtime.ReadMemStats(&m1)
+				steady[k] = m1.Mallocs - m0.Mallocs
+			}
 		}
 	})
-	if steady > 64 {
-		t.Errorf("steady-state gs exchange allocated %d objects over %d applies, want ~0", steady, iters)
+	for k, name := range []string{"Apply", "ApplyFields on three fields"} {
+		if steady[k] > 64 {
+			t.Errorf("steady-state gs exchange (%s) allocated %d objects over %d calls, want ~0", name, steady[k], iters)
+		}
 	}
 }

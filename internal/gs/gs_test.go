@@ -3,6 +3,7 @@ package gs
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +300,106 @@ func TestParExchangeCounters(t *testing.T) {
 	}
 	if got := reg.Counter("gs/exchange.words").Value(); got != wantMsgs {
 		t.Errorf("exchange words = %d, want %d (one shared word per message)", got, wantMsgs)
+	}
+}
+
+// TestParApplyFieldsIsApplyPerField: the multi-field exchange assembles each
+// of three fields bitwise as Apply assembles it alone, and as the serial
+// Handle does when every order of summation gives the same bits, in one
+// message per neighbour per call carrying every field's shared words. Blocks
+// of a 8x3 box (P = 3: 8 elements per rank, P = 8: 3), so interior ranks
+// have edge and corner neighbours.
+func TestParApplyFieldsIsApplyPerField(t *testing.T) {
+	const nf = 3
+	spec := mesh.Box2D(mesh.Box2DSpec{Nx: 8, Ny: 3, X1: 8, Y1: 3})
+	m, err := mesh.Discretize(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	// spread: magnitudes over twelve decades, so any change of summation
+	// order shows; exact: multiples of 2⁻¹⁰ below 2¹⁰, summed exactly in any
+	// order.
+	spread, exact := make([][]float64, nf), make([][]float64, nf)
+	for f := 0; f < nf; f++ {
+		spread[f], exact[f] = make([]float64, len(m.GID)), make([]float64, len(m.GID))
+		for i := range m.GID {
+			spread[f][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+			exact[f][i] = float64(rng.Intn(1<<20)-1<<19) / 1024
+		}
+	}
+	serial := make([][]float64, nf)
+	for f := range serial {
+		serial[f] = append([]float64(nil), exact[f]...)
+	}
+	Init(m.GID).ApplyFields(Sum, serial...)
+
+	for _, p := range []int{3, 8} {
+		perRank := m.K / p
+		reg := instrument.New()
+		var calls, words [2]int64 // per ApplyFields call: messages and words, summed over ranks
+		var nbrs, shared atomic.Int64
+		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+		got := make([][]float64, nf)  // ApplyFields on the spread fields
+		want := make([][]float64, nf) // Apply on each spread field alone
+		gotExact := make([][]float64, nf)
+		for f := 0; f < nf; f++ {
+			got[f], want[f], gotExact[f] = make([]float64, len(m.GID)), make([]float64, len(m.GID)), make([]float64, len(m.GID))
+		}
+		msgs, wds := reg.Counter("gs/exchange.msgs"), reg.Counter("gs/exchange.words")
+		net.Run(func(r *comm.Rank) {
+			lo, hi := r.ID*perRank*m.Np, (r.ID+1)*perRank*m.Np
+			h := ParInit(r, m.GID[lo:hi])
+			nbrs.Add(int64(len(h.neighbours)))
+			for _, nb := range h.neighbours {
+				shared.Add(int64(len(nb.gids)))
+			}
+			local := func(src [][]float64) [][]float64 {
+				out := make([][]float64, nf)
+				for f := range out {
+					out[f] = append([]float64(nil), src[f][lo:hi]...)
+				}
+				return out
+			}
+			one, many, ex := local(spread), local(spread), local(exact)
+			for _, u := range one {
+				h.Apply(u, Sum)
+			}
+			h.Attach(reg)
+			r.Barrier()
+			h.ApplyFields(Sum, many...)
+			r.Barrier()
+			if r.ID == 0 {
+				calls[0], words[0] = msgs.Value(), wds.Value()
+			}
+			r.Barrier()
+			h.ApplyFields(Sum, ex...)
+			for f := 0; f < nf; f++ {
+				copy(want[f][lo:hi], one[f])
+				copy(got[f][lo:hi], many[f])
+				copy(gotExact[f][lo:hi], ex[f])
+			}
+		})
+		calls[1], words[1] = msgs.Value()-calls[0], wds.Value()-words[0]
+		for f := 0; f < nf; f++ {
+			for i := range m.GID {
+				if math.Float64bits(got[f][i]) != math.Float64bits(want[f][i]) {
+					t.Fatalf("P=%d field %d node %d: ApplyFields %x, Apply alone %x", p, f, i,
+						math.Float64bits(got[f][i]), math.Float64bits(want[f][i]))
+				}
+				if math.Float64bits(gotExact[f][i]) != math.Float64bits(serial[f][i]) {
+					t.Fatalf("P=%d field %d node %d: ApplyFields %g, serial Handle %g", p, f, i, gotExact[f][i], serial[f][i])
+				}
+			}
+		}
+		if nbrs.Load() == 0 {
+			t.Fatalf("P=%d: no rank has a neighbour", p)
+		}
+		for k := range calls {
+			if calls[k] != nbrs.Load() || words[k] != nf*shared.Load() {
+				t.Errorf("P=%d call %d: %d messages of %d words in all, want one per neighbour (%d) carrying %d fields' %d shared words",
+					p, k+1, calls[k], words[k], nbrs.Load(), nf, shared.Load())
+			}
+		}
 	}
 }

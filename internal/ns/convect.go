@@ -182,19 +182,23 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]
 	s.releaseField(c4)
 }
 
-// massAverage projects an element-discontinuous field back onto the C0
-// space by mass-weighted direct-stiffness averaging:
-// v ← B̃⁻¹ QQᵀ (B v).
-func (s *Solver) massAverage(v []float64) {
+// massAverage projects element-discontinuous fields back onto the C0 space
+// by mass-weighted direct-stiffness averaging, v ← B̃⁻¹ QQᵀ (B v), with one
+// direct stiffness sum for all of them.
+func (s *Solver) massAverage(fields [][]float64) {
 	b := s.b
-	for i := range v {
-		v[i] *= b[i]
+	for _, v := range fields {
+		for i := range v {
+			v[i] *= b[i]
+		}
 	}
-	s.mach.Assemble(v)
-	for i := range v {
-		v[i] /= s.bAssemL[i]
+	s.mach.Assemble(fields)
+	for _, v := range fields {
+		for i := range v {
+			v[i] /= s.bAssemL[i]
+		}
 	}
-	s.mach.Charge(int64(3 * s.n))
+	s.mach.Charge(int64(3 * s.n * len(fields)))
 }
 
 // maxSubsteps caps the RK4 substeps of one subintegration interval: Step fails
@@ -227,9 +231,7 @@ func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][3][]f
 		s.rk4AdvectFields(v, t0, h, hist)
 		// Keep the fields C0 across element boundaries (mass-weighted
 		// average, the direct-stiffness form of the convective update).
-		for c := range v {
-			s.massAverage(v[c])
-		}
+		s.massAverage(v)
 	}
 	return nsub
 }
@@ -249,7 +251,7 @@ func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float
 		}
 		b[i] = s.b[i] * sum / s.Cfg.Dt
 	}
-	s.assemble(b, mask)
+	s.assemble(s.bArena[:1], mask)
 	// Dirichlet lifting.
 	tn := s.T
 	if cfg.DirichletVal != nil {

@@ -19,7 +19,12 @@ import (
 //     element's blocks, so any split over workers gives the same fields.
 //     Only the shared-memory machine splits; a rank loops serially.
 //   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
-//     run) to a velocity-grid field stored in owned blocks. No mask, no flops.
+//     run) to each of a list of velocity-grid fields stored in owned blocks,
+//     in one exchange: the step hands it every field it assembles at one
+//     point (the velocity components, a batch's operator images), so on a
+//     rank the list costs the messages of one field. Each field assembles
+//     bitwise as it would alone. No mask, no flops. The list is a slice, not
+//     variadic: a variadic call through an interface allocates.
 //   - Sum and Max join one value per solver into the value every solver sees;
 //     SumN joins a short vector in one reduction, each slot bitwise as Sum would.
 //   - Charge accounts local floating-point work.
@@ -36,7 +41,7 @@ import (
 type Machine interface {
 	Elems() []int
 	ForElements(fn func(li, w int))
-	Assemble(u []float64)
+	Assemble(fields [][]float64)
 	Sum(v float64) float64
 	SumN(v []float64)
 	Max(v float64) float64
@@ -109,11 +114,11 @@ func (m *shared) ForElements(fn func(li, w int)) {
 	}
 }
 
-func (m *shared) Assemble(u []float64)  { m.s.D.GS.Apply(u, gs.Sum) }
-func (m *shared) Sum(v float64) float64 { return v }
-func (m *shared) SumN(v []float64)      {}
-func (m *shared) Max(v float64) float64 { return v }
-func (m *shared) Charge(flops int64)    { m.s.D.CountFlops(flops) }
+func (m *shared) Assemble(fields [][]float64) { m.s.D.GS.ApplyFields(gs.Sum, fields...) }
+func (m *shared) Sum(v float64) float64       { return v }
+func (m *shared) SumN(v []float64)            {}
+func (m *shared) Max(v float64) float64       { return v }
+func (m *shared) Charge(flops int64)          { m.s.D.CountFlops(flops) }
 
 func (m *shared) CoarseSolve(x0, r0 []float64) {
 	m.Charge(m.s.pSchwarz.CoarseSolve(x0, r0))

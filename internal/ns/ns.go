@@ -190,8 +190,8 @@ type Solver struct {
 	ustar     [3][]float64
 	gp        [3][]float64    // Dᵀp stacks
 	bArena    [][]float64     // Helmholtz RHS, one per component of a batch (velocity grid)
-	huArena   []float64       // lifted-operator image
-	duArena   [][]float64     // CG solution increments, likewise
+	duArena   [][]float64     // the lifts' operator images, then the CG increments, likewise
+	one       [1][]float64    // assembleOne's list of one field
 	cgStats   [3]solver.Stats // and the batch's statistics
 	rvArena   []float64       // sandwich: extruded subdomain residuals
 	zvArena   []float64       // sandwich: subdomain solutions
@@ -215,7 +215,8 @@ type Solver struct {
 	helmH1S, helmH2S float64
 	curH1, curH2     float64
 	curMask          []float64
-	helmOp           solver.Operator
+	helmOp           solver.BatchOperator
+	applyEs          solver.BatchOperator // applyE, as CGBatch takes it
 	jacobi, jacobiS  solver.Operator
 
 	// Prebuilt ForElements bodies with the operands they act on during one
@@ -495,7 +496,7 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	for i := range s.rmult {
 		s.rmult[i] = 1
 	}
-	mach.Assemble(s.rmult)
+	s.assembleOne(s.rmult)
 	for i, mult := range s.rmult {
 		s.rmult[i] = 1 / mult
 	}
@@ -543,7 +544,6 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		s.bArena, s.duArena = append(s.bArena, vec()), append(s.duArena, vec())
 	}
 	s.P = make([]float64, nP)
-	s.huArena = vec()
 	s.rpArena = make([]float64, nP)
 	s.dpArena = make([]float64, nP)
 	s.divArena = make([]float64, nP)
@@ -588,7 +588,8 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		k.fdm = make([]float64, fdmLen)
 	}
 
-	s.helmOp = func(out, in []float64) { s.helmholtz(out, in, s.curH1, s.curH2, s.curMask) }
+	s.helmOp = func(outs, ins [][]float64) { s.helmholtz(outs, ins, s.curH1, s.curH2, s.curMask) }
+	s.applyEs = solver.Operator(s.applyE).Batch()
 	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiag) }
 	s.jacobiS = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiagS) }
 	s.stiffLoop = func(li, w int) {

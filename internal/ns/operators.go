@@ -171,9 +171,9 @@ func (s *Solver) GradientT(outs [][]float64, p []float64) {
 func (s *Solver) applyE(out, p []float64) {
 	t0 := s.instr.eapply.Begin()
 	s.GradientT(s.gp[:s.dim], p)
+	s.mach.Assemble(s.gp[:s.dim])
 	for c := 0; c < s.dim; c++ {
 		gc := s.gp[c]
-		s.mach.Assemble(gc)
 		for i, w := range s.invBmL {
 			gc[i] *= w
 		}
@@ -234,26 +234,39 @@ func applyMask(u, mask []float64) {
 	}
 }
 
-// assemble is the direct stiffness sum followed by the Dirichlet mask.
-func (s *Solver) assemble(u, mask []float64) {
-	s.mach.Assemble(u)
-	applyMask(u, mask)
-	s.mach.Charge(int64(len(u)))
+// assembleOne is Machine.Assemble on a single field.
+func (s *Solver) assembleOne(u []float64) {
+	s.one[0] = u
+	s.mach.Assemble(s.one[:])
 }
 
-// helmholtz applies out = M QQᵀ (h1·A + h2·B) u, the velocity operator H of
-// Sec. 4 (mask selects the velocity or the scalar Dirichlet set).
-func (s *Solver) helmholtz(out, in []float64, h1, h2 float64, mask []float64) {
-	s.curOut, s.curIn = out, in
-	s.mach.ForElements(s.stiffLoop)
-	s.curOut, s.curIn = nil, nil
-	b := s.b[:len(out)]
-	in = in[:len(out)]
-	for i := range out {
-		out[i] = h1*out[i] + h2*b[i]*in[i]
+// assemble is the direct stiffness sum of fields, in one exchange, followed
+// by the Dirichlet mask.
+func (s *Solver) assemble(fields [][]float64, mask []float64) {
+	s.mach.Assemble(fields)
+	for _, u := range fields {
+		applyMask(u, mask)
+		s.mach.Charge(int64(len(u)))
 	}
-	s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
-	s.assemble(out, mask)
+}
+
+// helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the velocity
+// operator H of Sec. 4 (mask selects the velocity or the scalar Dirichlet
+// set), with one direct stiffness sum for all of them.
+func (s *Solver) helmholtz(outs, ins [][]float64, h1, h2 float64, mask []float64) {
+	for c, out := range outs {
+		in := ins[c]
+		s.curOut, s.curIn = out, in
+		s.mach.ForElements(s.stiffLoop)
+		b := s.b[:len(out)]
+		in = in[:len(out)]
+		for i := range out {
+			out[i] = h1*out[i] + h2*b[i]*in[i]
+		}
+		s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
+	}
+	s.curOut, s.curIn = nil, nil
+	s.assemble(outs, mask)
 }
 
 // helmholtzDiag fills *diag with the assembled diagonal of h1·A + h2·B (unit
@@ -270,7 +283,7 @@ func (s *Solver) helmholtzDiag(diag *[]float64, curH1, curH2 *float64, h1, h2 fl
 	for li, e := range s.elems {
 		s.D.HelmholtzDiagElement(d[li*np:(li+1)*np], e, h1, h2)
 	}
-	s.mach.Assemble(d)
+	s.assembleOne(d)
 	for i, mk := range mask {
 		if mk == 0 {
 			d[i] = 1
@@ -301,13 +314,13 @@ func (s *Solver) sandwich(out, r []float64, coarse bool) {
 	rv, zv := s.rvArena, s.zvArena
 	s.curV, s.curP = rv, r
 	s.mach.ForElements(s.extrudeLoop)
-	s.mach.Assemble(rv)
+	s.assembleOne(rv)
 	s.mach.Begin(SecSchwarzLocal)
 	s.curOut = zv
 	s.mach.ForElements(s.fdmLoop)
 	s.mach.Charge(s.fdmFlops)
 	s.mach.End(SecSchwarzLocal, StepStats{})
-	s.mach.Assemble(zv)
+	s.assembleOne(zv)
 	s.curP = out
 	s.mach.ForElements(s.foldLoop)
 	s.curOut, s.curV, s.curP = nil, nil, nil

@@ -90,6 +90,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 		copy(ustar[c], s.U[c])
 		s.setDirichletComponent(ustar[c], c, tNew)
 	}
+	s.assemble(s.bArena[:s.dim], s.mask)
 	vstats := s.helmholtzSolve(ustar[:s.dim], s.jacobi, solver.Options{
 		Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
 		Tracer: s.tracer, TraceName: "helmholtz.cg"})
@@ -126,7 +127,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 		pstats = s.projector.ProjectAndSolve(dp, rp, popt)
 		st.ProjectionBasis = s.projector.Len()
 	} else {
-		solver.CGBatch(s.applyE, s.pressureDotShare, s.mach.SumN, [][]float64{dp}, [][]float64{rp}, popt, s.cgStats[:1])
+		solver.CGBatch(s.applyEs, s.pressureDotShare, s.mach.SumN, [][]float64{dp}, [][]float64{rp}, popt, s.cgStats[:1])
 		pstats = s.cgStats[0]
 	}
 	st.PressureIters = pstats.Iterations
@@ -139,9 +140,9 @@ func (s *Solver) Step() (st StepStats, err error) {
 
 	// --- Velocity update: u^n = u* + (Δt/β) M B̃⁻¹ QQᵀ Dᵀ δp. ---
 	s.GradientT(s.gp[:s.dim], dp)
+	s.assemble(s.gp[:s.dim], s.mask)
 	for c := 0; c < s.dim; c++ {
 		g := s.gp[c]
-		s.assemble(g, s.mask)
 		scale := cfg.Dt / beta
 		u := ustar[c]
 		for i := range u {
@@ -266,9 +267,10 @@ func (s *Solver) Step() (st StepStats, err error) {
 	return st, nil
 }
 
-// viscousRHS fills b with component c's Helmholtz right-hand side — the BDF
-// history term, forcing, extrapolated buoyancy, and the lagged pressure
-// gradient (already in s.gp) — then assembles it.
+// viscousRHS fills b with component c's unassembled Helmholtz right-hand
+// side: the BDF history term, forcing, extrapolated buoyancy, and the lagged
+// pressure gradient (already in s.gp). Step assembles the components
+// together.
 func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]float64, tTil [][]float64, beta, tNew float64) {
 	cfg := s.Cfg
 	for i := range b {
@@ -299,7 +301,6 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 	for i := range b {
 		b[i] += gp[i]
 	}
-	s.assemble(b, s.mask)
 }
 
 // helmholtzSolve finishes the lifted Helmholtz solves (h1·A + h2·B) us[c] =
@@ -309,15 +310,16 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 // the caller's instrumentation; the statistics are valid until the next solve.
 func (s *Solver) helmholtzSolve(us [][]float64, jacobi solver.Operator, opt solver.Options) []solver.Stats {
 	m := len(us)
-	hu := s.huArena
-	for c, u := range us {
+	// The lifts' images go to the increments, which CG then starts from zero.
+	hu := s.duArena[:m]
+	s.helmholtz(hu, us, s.curH1, s.curH2, s.curMask)
+	for c := range us {
 		b := s.bArena[c]
-		s.helmholtz(hu, u, s.curH1, s.curH2, s.curMask)
 		for i := range b {
-			b[i] -= hu[i]
+			b[i] -= hu[c][i]
 		}
 		applyMask(b, s.curMask)
-		clear(s.duArena[c])
+		clear(hu[c])
 	}
 	opt.Tol, opt.Relative, opt.MaxIter = s.Cfg.VTol, true, 1000
 	opt.Precond, opt.Scratch = jacobi, s.cgScratch

@@ -432,11 +432,11 @@ func (m *rankMachine) ForElements(fn func(li, w int)) {
 	}
 }
 
-func (m *rankMachine) Assemble(u []float64)  { m.h.Apply(u, gs.Sum) }
-func (m *rankMachine) Sum(v float64) float64 { return m.r.AllreduceScalar(v, comm.OpSum) }
-func (m *rankMachine) SumN(v []float64)      { m.r.Allreduce(v, comm.OpSum) }
-func (m *rankMachine) Max(v float64) float64 { return m.r.AllreduceScalar(v, comm.OpMax) }
-func (m *rankMachine) Charge(flops int64)    { m.r.Compute(flops) }
+func (m *rankMachine) Assemble(fields [][]float64) { m.h.ApplyFields(gs.Sum, fields...) }
+func (m *rankMachine) Sum(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpSum) }
+func (m *rankMachine) SumN(v []float64)            { m.r.Allreduce(v, comm.OpSum) }
+func (m *rankMachine) Max(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpMax) }
+func (m *rankMachine) Charge(flops int64)          { m.r.Compute(flops) }
 
 func (m *rankMachine) CoarseSolve(x0, r0 []float64) {
 	rk, xxt := m.r, m.xxt

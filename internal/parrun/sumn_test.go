@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/gs"
 	"repro/internal/solver"
 )
 
@@ -46,41 +47,67 @@ func TestSumNIsSumSlotBySlot(t *testing.T) {
 }
 
 // TestLockstepCGOnRanksIsOneAtATime: on the simulated machine, three systems
-// solved as one lockstep batch (shares of inner products joined by SumN) are
-// bitwise the three solved one after the other (each inner product joined by
-// a Sum of its own), on every rank, and the
-// batch issues the allreduces of its longest member. Each rank owns six
-// unknowns of the operator diag(1..6, 1..6, …); the right-hand sides touch the
-// first 1, 4 and 6 of every rank's, that many distinct eigenvalues, so the
-// members leave the batch at iterations 1, 4 and 6.
+// solved as one lockstep batch (shares of inner products joined by SumN, the
+// operator applied to every live system in one call and one gather–scatter
+// exchange) are bitwise the three solved one after the other (each inner
+// product joined by a Sum of its own, each operator application an exchange
+// of its own), on every rank, and the batch sends the messages of its longest
+// member alone. The operator is assembled like the step's: rank r holds the
+// six nodes 5r … 5r+5 of a chain, the last shared with the next rank, and
+// applies QQᵀ diag(1..6) to the copies, so the global operator is diagonal
+// with 7 on the shared nodes. The right-hand side of member k is a function of
+// the global node, non-zero on the nodes g with g mod 5 < 1, 3 and 5 — 3, 5
+// and 7 distinct eigenvalues (the chain's two unshared ends are 1 and 6) — so
+// the members leave the batch at iterations 3, 5 and 7.
 func TestLockstepCGOnRanksIsOneAtATime(t *testing.T) {
 	const nb, m = 6, 3
 	for _, p := range []int{3, 8} {
 		type outcome struct {
 			xs    [][]float64
 			stats []solver.Stats
-			msgs  int64 // sent by this rank, all of them inside allreduces
+			msgs  []int64 // sent by this rank: the batch's, or each member's alone
+			calls int     // batch operator calls, and the vectors they carried
+			vecs  int
 		}
 		batch, single := make([]outcome, p), make([]outcome, p)
 		net := comm.NewNetwork(comm.ASCIRed(p))
 		net.Run(func(r *comm.Rank) {
-			rng := rand.New(rand.NewSource(int64(7*p + r.ID)))
-			apply := func(out, in []float64) {
-				for i, v := range in {
-					out[i] = float64(1+i) * v
+			gids := make([]int64, nb)
+			for i := range gids {
+				gids[i] = int64(5*r.ID + i)
+			}
+			h := gs.ParInit(r, gids)
+			w := make([]float64, nb) // reciprocal multiplicity
+			for i := range w {
+				w[i] = 1
+			}
+			h.Apply(w, gs.Sum)
+			for i := range w {
+				w[i] = 1 / w[i]
+			}
+			var calls, vecs int
+			apply := func(outs, ins [][]float64) {
+				calls, vecs = calls+1, vecs+len(outs)
+				for c, out := range outs {
+					for i, v := range ins[c] {
+						out[i] = float64(1+i) * v
+					}
 				}
+				h.ApplyFields(gs.Sum, outs...)
 			}
 			bs := make([][]float64, m)
-			for c, support := range []int{1, 4, nb} {
+			for c, support := range []int64{1, 3, 5} {
 				bs[c] = make([]float64, nb)
-				for i := 0; i < support; i++ {
-					bs[c][i] = rng.NormFloat64()
+				for i, g := range gids {
+					if g%5 < support {
+						bs[c][i] = rand.New(rand.NewSource(g)).NormFloat64()
+					}
 				}
 			}
 			mach := &rankMachine{r: r}
 			owned := func(u, v []float64) (s float64) {
 				for i := range u {
-					s += u[i] * v[i]
+					s += u[i] * v[i] * w[i]
 				}
 				return s
 			}
@@ -97,12 +124,14 @@ func TestLockstepCGOnRanksIsOneAtATime(t *testing.T) {
 			sent := r.MsgsSent
 			b := outcome{xs: zeros(), stats: make([]solver.Stats, m)}
 			solver.CGBatch(apply, owned, mach.SumN, b.xs, bs, opt, b.stats)
-			b.msgs, sent = r.MsgsSent-sent, r.MsgsSent
+			b.msgs, b.calls, b.vecs = []int64{r.MsgsSent - sent}, calls, vecs
 			s := outcome{xs: zeros(), stats: make([]solver.Stats, m)}
+			one := func(out, in []float64) { apply([][]float64{out}, [][]float64{in}) }
 			for c := range bs {
-				s.stats[c] = solver.CG(apply, dot, s.xs[c], bs[c], opt)
+				sent = r.MsgsSent
+				s.stats[c] = solver.CG(one, dot, s.xs[c], bs[c], opt)
+				s.msgs = append(s.msgs, r.MsgsSent-sent)
 			}
-			s.msgs = r.MsgsSent - sent
 			batch[r.ID], single[r.ID] = b, s
 		})
 		for q := 0; q < p; q++ {
@@ -112,23 +141,26 @@ func TestLockstepCGOnRanksIsOneAtATime(t *testing.T) {
 			if !reflect.DeepEqual(batch[q].stats, batch[0].stats) {
 				t.Errorf("P=%d: rank %d saw %+v, rank 0 %+v", p, q, batch[q].stats, batch[0].stats)
 			}
+			// Cold starts: one application per iteration, all of a pass's in
+			// one call, so the calls are the longest member's iterations.
+			its := batch[q].stats
+			if want := its[m-1].Iterations; batch[q].calls != want || batch[q].vecs != its[0].Iterations+its[1].Iterations+want {
+				t.Errorf("P=%d rank %d: %d batch applications of %d vectors for members of %d, %d and %d iterations",
+					p, q, batch[q].calls, batch[q].vecs, its[0].Iterations, its[1].Iterations, want)
+			}
+			// The same messages as the longest member alone: its reductions
+			// and its exchanges, each carrying every live member's words.
+			if got, want := batch[q].msgs[0], single[q].msgs[m-1]; got != want || got == 0 {
+				t.Errorf("P=%d rank %d: sent %d messages for the batch, %v for the members alone; want the longest's",
+					p, q, got, single[q].msgs)
+			}
 		}
 		its := batch[0].stats
+		t.Logf("P=%d: iterations %d, %d, %d; rank 0 sent %d messages for the batch, %v alone",
+			p, its[0].Iterations, its[1].Iterations, its[2].Iterations, batch[0].msgs[0], single[0].msgs)
 		if !(its[0].Iterations < its[1].Iterations && its[1].Iterations < its[2].Iterations) {
 			t.Errorf("P=%d: members were to converge at different iterations, got %d, %d, %d",
 				p, its[0].Iterations, its[1].Iterations, its[2].Iterations)
-		}
-		// A cold solve under a relative tolerance that converges at iteration
-		// it issues 3·it + 1 reductions (‖b‖² = ‖r‖², r·z, then p·q, ‖r‖², r·z
-		// per iteration, the last without its r·z), each the same messages on a
-		// given rank: the batch must cost the longest member's, not the sum.
-		var sum int64
-		for _, st := range its {
-			sum += int64(3*st.Iterations + 1)
-		}
-		if longest := int64(3*its[2].Iterations + 1); batch[0].msgs*sum != single[0].msgs*longest || batch[0].msgs == 0 {
-			t.Errorf("P=%d: rank 0 sent %d messages for the batch and %d one at a time, want the ratio %d : %d",
-				p, batch[0].msgs, single[0].msgs, longest, sum)
 		}
 	}
 }

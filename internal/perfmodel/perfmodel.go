@@ -10,8 +10,9 @@
 //   - per-processor floating-point rates in the Table 3 ballpark, with the
 //     "std." vs "perf." DGEMM selections and the 82 % dual-processor
 //     efficiency quoted in Sec. 6, and
-//   - an α–β network model for gather–scatter exchanges, the step's short
-//     allreduces (Reductions), and the XXT coarse solve (3·n^{2/3}·log₂P volume).
+//   - an α–β network model for gather–scatter exchanges (one α per message
+//     whatever the number of fields it carries), the step's short allreduces
+//     (Reductions), and the XXT coarse solve (3·n^{2/3}·log₂P volume).
 package perfmodel
 
 import "math"
@@ -112,17 +113,21 @@ func (r *Run) commPerStep(i int, m Machine, p int) float64 {
 	n1 := float64(r.N + 1)
 	kp := float64(r.K) / float64(p) // elements per node
 	// Gather-scatter: ~6 faces of the local element block exchanged per
-	// operator application; one application per CG iteration per solve.
+	// operator application, one message per face. An exchange carries every
+	// field assembled at that point, so fields share its latency and each
+	// adds its words. One exchange per pressure iteration, one per lockstep
+	// Helmholtz iteration for all dims velocity components, one per OIFS
+	// substep for the dims fields it mass-averages.
 	faceWords := 6 * math.Pow(kp, 2.0/3.0) * n1 * n1
-	gsTime := 6*m.Alpha + faceWords*8*m.Beta
+	gsTime := func(fields float64) float64 { return 6*m.Alpha + fields*faceWords*8*m.Beta }
+	dims := float64(r.Dim)
 	dotTime := float64(r.Reductions(i)) * 2 * m.Alpha * logp
-	iters := float64(r.PressIters[i]) + 3*float64(r.HelmIters[i])
 	// XXT coarse solve per pressure iteration: fan-in/out tree with the
 	// separator-bounded volume.
 	coarseWords := 3 * math.Pow(float64(r.CoarseN), 2.0/3.0)
 	coarseTime := logp * (2*m.Alpha + coarseWords*8*m.Beta)
-	return iters*gsTime + dotTime + float64(r.PressIters[i])*coarseTime +
-		float64(r.Substeps[i])*4*(gsTime)
+	return float64(r.PressIters[i])*(gsTime(1)+coarseTime) + dotTime +
+		float64(r.HelmIters[i]+r.Substeps[i])*gsTime(dims)
 }
 
 // Estimate is a modeled run.

@@ -182,6 +182,30 @@ func (n *reductions) dot(u, v []float64) float64 {
 	return plainDot(u, v)
 }
 
+// applications counts the operator's: the batch form's calls and the vectors
+// they carry, and one apiece for a single-vector Operator.
+type applications struct{ calls, vectors int }
+
+func (n *applications) batch(a Operator) BatchOperator {
+	return func(outs, ins [][]float64) {
+		if len(outs) != len(ins) || len(outs) == 0 {
+			panic("a batch application of no vectors or of unpaired ones")
+		}
+		n.calls++
+		n.vectors += len(outs)
+		for i := range outs {
+			a(outs[i], ins[i])
+		}
+	}
+}
+
+func (n *applications) single(a Operator) Operator {
+	return func(out, in []float64) {
+		n.vectors++
+		a(out, in)
+	}
+}
+
 func clone2(vs [][]float64) [][]float64 {
 	out := make([][]float64, len(vs))
 	for i, v := range vs {
@@ -194,8 +218,12 @@ func clone2(vs [][]float64) [][]float64 {
 // iterate and the statistics of a solve on its own — through convergence at
 // different iterations, a start at the solution, MaxIter, pq <= 0, absolute
 // and relative tolerances, with and without history and preconditioner — and
-// costs the reductions of its longest member, not their sum. One Scratch
-// serves batches of every width in turn.
+// costs the reductions of its longest member, not their sum. It applies the
+// operator once per pass to every system that needs an image: a warm start's
+// residual in the first pass, then one search direction per live system, so
+// the batch makes the operator calls of its longest member and the vector
+// applications of all of them. One Scratch serves batches of every width in
+// turn.
 func TestLockstepCGIsTheSequentialSolves(t *testing.T) {
 	scratch := &Scratch{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -210,9 +238,20 @@ func TestLockstepCGIsTheSequentialSolves(t *testing.T) {
 					wantX := clone2(c.xs)
 					want := make([]Stats, len(c.bs))
 					longest, sum := 0, 0
+					// Per member alone: operator applications, and 1 for a
+					// warm start (its residual is the first pass's).
+					applied, warm := make([]int, len(c.bs)), make([]int, len(c.bs))
 					for i := range c.bs {
 						var n reductions
-						want[i] = cgSequential(c.apply, n.dot, wantX[i], c.bs[i], opt)
+						var a applications
+						for _, v := range wantX[i] {
+							if v != 0 {
+								warm[i] = 1
+								break
+							}
+						}
+						want[i] = cgSequential(a.single(c.apply), n.dot, wantX[i], c.bs[i], opt)
+						applied[i] = a.vectors
 						longest, sum = max(longest, int(n)), sum+int(n)
 						switch st := want[i]; {
 						case st.Converged && st.Iterations == 0:
@@ -233,7 +272,18 @@ func TestLockstepCGIsTheSequentialSolves(t *testing.T) {
 						opt.Scratch = scratch
 						for lo := 0; lo < len(bs); lo += width {
 							hi := min(lo+width, len(bs))
-							CGBatch(c.apply, plainDot, n.join, gotX[lo:hi], bs[lo:hi], opt, got[lo:hi])
+							var a applications
+							CGBatch(a.batch(c.apply), plainDot, n.join, gotX[lo:hi], bs[lo:hi], opt, got[lo:hi])
+							wantCalls, wantVectors, anyWarm := 0, 0, 0
+							for i := lo; i < hi; i++ {
+								wantCalls = max(wantCalls, applied[i]-warm[i])
+								wantVectors += applied[i]
+								anyWarm = max(anyWarm, warm[i])
+							}
+							if wantCalls += anyWarm; a.calls != wantCalls || a.vectors != wantVectors {
+								t.Errorf("%s, width %d, members %d-%d: %d batch applications of %d vectors, want %d of %d",
+									label, width, lo, hi-1, a.calls, a.vectors, wantCalls, wantVectors)
+							}
 						}
 						for i := range bs {
 							if !reflect.DeepEqual(got[i], want[i]) {

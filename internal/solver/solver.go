@@ -17,6 +17,21 @@ import (
 // Operator applies a linear operator: out = A·in. out never aliases in.
 type Operator func(out, in []float64)
 
+// BatchOperator applies one linear operator to several vectors at once:
+// outs[i] = A·ins[i]. No out aliases an in. It is how CGBatch applies its
+// operator, once per pass with every live system, so an operator that
+// communicates (a gather–scatter) does so once for the whole batch.
+type BatchOperator func(outs, ins [][]float64)
+
+// Batch adapts a single-vector operator: each vector in turn.
+func (a Operator) Batch() BatchOperator {
+	return func(outs, ins [][]float64) {
+		for i, out := range outs {
+			a(out, ins[i])
+		}
+	}
+}
+
 // Dot is one solver's share of an inner product (for element-local SEM
 // storage it must count each global node once); the Join that travels with it
 // makes it whole. A solver that holds the whole problem (CG) has it all.
@@ -77,9 +92,10 @@ type Options struct {
 // Scratch holds the work vectors and bookkeeping of a batch of systems; it
 // grows on demand and may be reused across solves of any size and width.
 type Scratch struct {
-	sys  []cgSys
-	live []*cgSys  // the systems still iterating
-	vals []float64 // one reduction's inner products
+	sys      []cgSys
+	live     []*cgSys    // the systems still iterating
+	vals     []float64   // one reduction's inner products
+	outs, in [][]float64 // one batch application's operands
 }
 
 // cgSys is one system of a batch: its unknown and right-hand side, the five
@@ -99,6 +115,7 @@ func (w *Scratch) start(xs, bs [][]float64) {
 	if len(w.sys) < m {
 		w.sys = append(w.sys, make([]cgSys, m-len(w.sys))...)
 		w.vals = make([]float64, 2*m)
+		w.outs, w.in = make([][]float64, 0, m), make([][]float64, 0, m)
 	}
 	w.live = w.live[:0]
 	for i := range bs {
@@ -125,18 +142,19 @@ func (s *cgSys) giveUp(it int) {
 // supplied x (commonly zero): CGBatch on one system, dot whole, nothing to join.
 func CG(apply Operator, dot Dot, x, b []float64, opt Options) Stats {
 	var st [1]Stats
-	CGBatch(apply, dot, func([]float64) {}, [][]float64{x}, [][]float64{b}, opt, st[:])
+	CGBatch(apply.Batch(), dot, func([]float64) {}, [][]float64{x}, [][]float64{b}, opt, st[:])
 	return st[0]
 }
 
 // CGBatch solves the systems A xs[i] = bs[i] of one operator (equal lengths)
 // by preconditioned conjugate gradients in lockstep, from the supplied xs, and
 // reports each in sts[i]. Every system does exactly the arithmetic of a solve
-// on its own and leaves the batch when it finishes; only the inner products
-// travel together, one slot per live system: the batch costs the reductions of
-// its longest member. opt.Time and the span bracket the batch, the other
-// instruments are fed once per system.
-func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options, sts []Stats) {
+// on its own and leaves the batch when it finishes; the inner products travel
+// together, one slot per live system, and apply is called once per pass with
+// every live system: the batch costs the reductions and the operator
+// exchanges of its longest member. opt.Time and the span bracket the batch,
+// the other instruments are fed once per system.
+func CGBatch(apply BatchOperator, dot Dot, join Join, xs, bs [][]float64, opt Options, sts []Stats) {
 	t0 := opt.Time.Begin()
 	var sp instrument.Span
 	if opt.Tracer != nil {
@@ -172,7 +190,9 @@ func CGBatch(apply Operator, dot Dot, join Join, xs, bs [][]float64, opt Options
 // cg iterates the live systems to their exits. Each loop over the systems
 // leaves a system's share of its next inner product in the slot of its
 // position among the systems that stay; one join per loop completes them.
-func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
+// Operator images are taken for all the systems that need one in a single
+// apply between two such loops.
+func (w *Scratch) cg(apply BatchOperator, dot Dot, join Join, opt Options) {
 	precond := opt.Precond
 	if precond == nil {
 		precond = func(out, in []float64) { copy(out, in) }
@@ -184,7 +204,7 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 
 	// r = b - A x, then ‖r‖² and, for a relative tolerance, ‖b‖² of every
 	// system in one reduction. From x₀ = 0, r is b and one slot is both.
-	vals := w.vals[:0]
+	outs, ins := w.outs[:0], w.in[:0]
 	for _, s := range w.live {
 		s.warm = false
 		for _, v := range s.x {
@@ -194,7 +214,15 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 			}
 		}
 		if s.warm {
-			apply(s.q, s.x)
+			outs, ins = append(outs, s.q), append(ins, s.x)
+		}
+	}
+	if len(outs) > 0 {
+		apply(outs, ins)
+	}
+	vals := w.vals[:0]
+	for _, s := range w.live {
+		if s.warm {
 			for i := range s.r {
 				s.r[i] = s.b[i] - s.q[i]
 			}
@@ -264,6 +292,7 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 		if it == maxIter { // out of steps: the survivors give up below
 			break
 		}
+		outs, ins = w.outs[:0], w.in[:0]
 		for k, s := range w.live {
 			p, z, rz := s.p, s.z, vals[k]
 			if it == 0 {
@@ -275,8 +304,13 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 				}
 			}
 			s.rz = rz
-			apply(s.q, p)
-			vals[k] = dot(p, s.q)
+			outs, ins = append(outs, s.q), append(ins, p)
+		}
+		if len(outs) > 0 {
+			apply(outs, ins)
+		}
+		for k, s := range w.live {
+			vals[k] = dot(s.p, s.q)
 		}
 		join.sum(vals[:len(w.live)])
 		keep = w.live[:0]
@@ -313,6 +347,7 @@ func (w *Scratch) cg(apply Operator, dot Dot, join Join, opt Options) {
 type Projector struct {
 	L     int // capacity (the paper uses L ~ 25)
 	apply Operator
+	batch BatchOperator // apply, as CGBatch takes it
 	dot   Dot
 	join  Join
 	xs    [][]float64 // A-orthonormal basis
@@ -333,7 +368,7 @@ type Projector struct {
 
 // NewProjector creates a projector with basis capacity l; dot, join as CGBatch's.
 func NewProjector(l int, apply Operator, dot Dot, join Join) *Projector {
-	return &Projector{L: l, apply: apply, dot: dot, join: join, alphas: make([]float64, l+1)}
+	return &Projector{L: l, apply: apply, batch: apply.Batch(), dot: dot, join: join, alphas: make([]float64, l+1)}
 }
 
 // Len returns the current basis size.
@@ -431,7 +466,7 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	p.BasisSize.Set(float64(l))
 	clear(x)
 	var sts [1]Stats
-	CGBatch(p.apply, p.dot, p.join, [][]float64{x}, [][]float64{rhs}, opt, sts[:])
+	CGBatch(p.batch, p.dot, p.join, [][]float64{x}, [][]float64{rhs}, opt, sts[:])
 	st := sts[0]
 	if p.Savings != nil && alphas[l] > 0 {
 		p.Savings.Set(1 - st.InitialRes/math.Sqrt(alphas[l]))

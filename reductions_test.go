@@ -44,6 +44,41 @@ func TestGoldenReductionCount(t *testing.T) {
 	}
 }
 
+// TestGoldenExchangeCount pins the gather–scatter exchanges one rank makes
+// over warm steps 41-60 of the P = 8 golden channel, read from gs's own
+// timer, which records one entry per exchange. Every field the step assembles
+// at one point travels in one exchange: the two velocity components of the
+// convective mass average, the viscous right-hand sides, the lifted
+// residuals, each lockstep Helmholtz CG pass, each E application's Dᵀp and
+// the velocity update. When each component was exchanged on its own it was
+// 484 (24.20 per step).
+func TestGoldenExchangeCount(t *testing.T) {
+	skipUnlessGoldenArch(t)
+	cfg, init, _, err := flowcases.ChannelSpec(goldenChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, warm, steps = 8, 40, 20
+	reg := instrument.New()
+	s, err := parrun.Start(cfg, parrun.NSConfig{P: p, Init: init, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchanges := reg.Timer("gs/exchange.vtime")
+	if _, err := s.StepN(warm); err != nil {
+		t.Fatal(err)
+	}
+	before := exchanges.Count()
+	if _, err := s.StepN(steps); err != nil {
+		t.Fatal(err)
+	}
+	const want = 271
+	if got := exchanges.Count() - before; got != want*p {
+		t.Errorf("%d gs exchanges over %d warm steps on %d ranks (%.2f per rank and step), want %d per rank",
+			got, steps, p, float64(got)/(p*steps), want)
+	}
+}
+
 // TestPerfModelCountsTheReductionsTheStepIssues: perfmodel.Run.Reductions,
 // fed the recorded history of the first 30 steps of the P = 8 golden channel
 // (cold solves, a filling and restarting projection basis, steps whose

@@ -31,7 +31,9 @@
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
 #           is the one collective every batched inner product rides on.
 #           The receive-stream tests run ten times more too: every rank's
-#           inbox is written by its neighbours' goroutines.
+#           inbox is written by its neighbours' goroutines; so does the
+#           multi-field gather–scatter test, whose one message per
+#           neighbour carries every field.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -140,7 +142,7 @@ tier2() {
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
-        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestParallelExchangeDeterministicLargeP' \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField' \
         ./internal/comm ./internal/gs
 }
 
