@@ -97,6 +97,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-report %d: want a report interval of at least 1 step\n", *every)
 		os.Exit(2)
 	}
+	if !(*alpha >= 0 && *alpha <= 1) {
+		fmt.Fprintf(os.Stderr, "-alpha %g: want a filter strength from 0 to 1\n", *alpha)
+		os.Exit(2)
+	}
 	if *precond != "" && !ns.ValidPrecond(*precond) {
 		log.Fatalf("-precond %q: want schwarz, chebjacobi, chebschwarz, none or auto", *precond)
 	}

@@ -379,12 +379,12 @@ type CaseParams struct {
 var namedCases = map[string]func(p CaseParams) (ns.Config, InitFunc, error){
 	"shearlayer": func(p CaseParams) (ns.Config, InitFunc, error) {
 		return ShearLayerSpec(ShearLayerConfig{
-			Nel: p.Nel, N: p.N, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: p.Alpha,
+			Nel: p.Nel, N: p.N, Rho: 30, Re: 1e5, Dt: 0.002,
 		})
 	},
 	"channel": func(p CaseParams) (ns.Config, InitFunc, error) {
 		cfg, init, _, err := ChannelSpec(ChannelConfig{
-			Re: 7500, Alpha: 1, N: p.N, Dt: 0.003125, Order: 2, Filter: p.Alpha, KX: p.KX, KY: p.KY,
+			Re: 7500, Alpha: 1, N: p.N, Dt: 0.003125, Order: 2, KX: p.KX, KY: p.KY,
 		})
 		return cfg, init, err
 	},
@@ -394,7 +394,7 @@ var namedCases = map[string]func(p CaseParams) (ns.Config, InitFunc, error){
 	},
 	"hairpin": func(p CaseParams) (ns.Config, InitFunc, error) {
 		return HairpinSpec(HairpinConfig{
-			Nx: 6, Ny: 4, Nz: 3, N: p.N, Re: 1600, Dt: 0.05, FilterA: p.Alpha,
+			Nx: 6, Ny: 4, Nz: 3, N: p.N, Re: 1600, Dt: 0.05,
 		})
 	},
 }
@@ -422,7 +422,7 @@ func Named(name string, p CaseParams) (ns.Config, InitFunc, error) {
 	if err != nil {
 		return ns.Config{}, nil, err
 	}
-	cfg.Workers, cfg.PressurePrecond = p.Workers, p.Precond
+	cfg.FilterAlpha, cfg.Workers, cfg.PressurePrecond = p.Alpha, p.Workers, p.Precond
 	if p.ProjectionL > 0 {
 		cfg.ProjectionL = p.ProjectionL
 	}

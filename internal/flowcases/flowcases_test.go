@@ -149,6 +149,23 @@ func TestHairpinBoxRuns(t *testing.T) {
 	}
 }
 
+// TestNamedAppliesAlphaToEveryCase: the filter strength is a parameter every
+// named case takes the same way, as it does workers and the preconditioner —
+// the convection cell once dropped it and ran unfiltered whatever was asked.
+func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
+	for _, name := range CaseNames() {
+		for _, alpha := range []float64{0, 0.3, 1} {
+			cfg, _, err := Named(name, CaseParams{N: 4, Nel: 2, Alpha: alpha})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cfg.FilterAlpha != alpha {
+				t.Errorf("%s with alpha %g: FilterAlpha %g", name, alpha, cfg.FilterAlpha)
+			}
+		}
+	}
+}
+
 // TestNamedCaseTable pins the problem each named case builds to the values
 // the two merged switches (session.buildSolver for shared memory, semflow's
 // runDistributed for -ranks) hard-coded, so the one table is checked against
@@ -162,7 +179,7 @@ func TestNamedCaseTable(t *testing.T) {
 	for name, want := range map[string]scalars{
 		"shearlayer": {Re: 1e5, Dt: 0.002, Filter: 0.3, PTol: 1e-7, SubCFL: 0.25, ProjL: 20, K: 9, N: 6},
 		"channel":    {Re: 7500, Dt: 0.003125, Filter: 0.3, PTol: 1e-9, VTol: 1e-11, Order: 2, ProjL: 20, K: 15, N: 6},
-		"convection": {Re: 1, Dt: 0.002, PTol: 1e-8, ProjL: 20, K: 9, N: 6},
+		"convection": {Re: 1, Dt: 0.002, Filter: 0.3, PTol: 1e-8, ProjL: 20, K: 9, N: 6},
 		"hairpin":    {Re: 1600, Dt: 0.05, Filter: 0.3, PTol: 1e-6, VTol: 1e-8, ProjL: 20, K: 72, N: 6},
 	} {
 		cfg, init, err := Named(name, p)

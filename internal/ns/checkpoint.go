@@ -3,13 +3,15 @@ package ns
 // checkpoint.go is the one state codec of the stepper — the session-
 // migration primitive of the session service and, one per rank beside a
 // comm.ClockState, the body of parrun's distributed snapshots. A Checkpoint
-// deep-copies everything the next Step reads that is not a pure function of
-// the configuration, over the elements the solver owns: the fields, the
-// BDF/OIFS velocity (and scalar) history, the pressure, the pressure-
-// projection basis, and the cached Helmholtz Jacobi diagonals. Restoring it
-// into a freshly built (or forked) Solver of the same configuration and
-// element ownership yields a bitwise-identical continuation: same per-step
-// statistics, same fields.
+// deep-copies the state the next Step reads, over the elements the solver
+// owns: the stepped fields of the current time level and of the BDF/OIFS
+// history (velocity components, then the scalar when one is configured), the
+// pressure and the pressure-projection basis. It holds state only: what is a
+// pure function of the configuration, such as the Helmholtz operators and
+// their Jacobi diagonals, every solver builds when it is made. Restoring a
+// snapshot into a freshly built (or forked) Solver of the same configuration
+// and element ownership yields a bitwise-identical continuation: same
+// per-step statistics, same fields.
 //
 // Serialization is encoding/gob (float64 round-trips exactly; JSON would
 // not), with a Version field guarding the layout.
@@ -20,8 +22,10 @@ import (
 	"io"
 )
 
-// CheckpointVersion is the snapshot layout version; Restore rejects others.
-const CheckpointVersion = 1
+// CheckpointVersion is the snapshot layout version; Restore rejects others
+// (version 1 kept the velocity and the scalar apart, and the Helmholtz
+// diagonals beside them).
+const CheckpointVersion = 2
 
 // Checkpoint is a versioned deep copy of a Solver's time-stepping state
 // after Step completed steps.
@@ -35,24 +39,12 @@ type Checkpoint struct {
 	K, N, Dim, Np, Npp int
 	Order              int // BDF order (bounds the history length)
 
-	U  [3][]float64   // velocity components (owned blocks)
-	Uh [][3][]float64 // BDF/OIFS velocity history (newest first)
-	P  []float64      // pressure (Gauss grid)
-	T  []float64      // scalar (nil without Boussinesq transport)
-	Th [][]float64    // scalar history
+	Fields [][]float64   // the current level's stepped fields (owned blocks)
+	Hist   [][][]float64 // the BDF/OIFS history levels, newest first
+	P      []float64     // pressure (Gauss grid)
 
 	ProjXs  [][]float64 // pressure-projection basis
 	ProjAxs [][]float64 // operator images of the basis
-
-	// Cached assembled Helmholtz Jacobi diagonals (velocity and scalar
-	// grids; nil if never built). They are pure functions of (h1, h2), so
-	// restoring them is a speed matter, not a correctness one — but it
-	// keeps the resumed run from recomputing what the uninterrupted run
-	// had cached.
-	Diag             []float64
-	DiagH1, DiagH2   float64
-	DiagS            []float64
-	DiagH1S, DiagH2S float64
 }
 
 // Checkpoint captures the solver's current state. Call it between steps
@@ -63,37 +55,26 @@ func (s *Solver) Checkpoint() *Checkpoint {
 		Step:    s.step,
 		Time:    s.time,
 		K:       s.M.K, N: s.M.N, Dim: s.M.Dim, Np: s.M.Np, Npp: s.npp,
-		Order: s.Cfg.Order,
-		P:     append([]float64(nil), s.P...),
+		Order:  s.Cfg.Order,
+		Fields: copyLevel(s.fields),
+		P:      append([]float64(nil), s.P...),
 	}
-	for comp := 0; comp < 3; comp++ {
-		c.U[comp] = append([]float64(nil), s.U[comp]...)
-	}
-	for _, h := range s.Uh {
-		var hc [3][]float64
-		for comp := 0; comp < 3; comp++ {
-			hc[comp] = append([]float64(nil), h[comp]...)
-		}
-		c.Uh = append(c.Uh, hc)
-	}
-	if s.T != nil {
-		c.T = append([]float64(nil), s.T...)
-		for _, h := range s.Th {
-			c.Th = append(c.Th, append([]float64(nil), h...))
-		}
+	for _, h := range s.hist {
+		c.Hist = append(c.Hist, copyLevel(h))
 	}
 	if s.projector != nil {
 		c.ProjXs, c.ProjAxs = s.projector.State()
 	}
-	if s.helmDiag != nil {
-		c.Diag = append([]float64(nil), s.helmDiag...)
-		c.DiagH1, c.DiagH2 = s.helmH1, s.helmH2
-	}
-	if s.helmDiagS != nil {
-		c.DiagS = append([]float64(nil), s.helmDiagS...)
-		c.DiagH1S, c.DiagH2S = s.helmH1S, s.helmH2S
-	}
 	return c
+}
+
+// copyLevel deep-copies one time level's fields.
+func copyLevel(fields [][]float64) [][]float64 {
+	out := make([][]float64, len(fields))
+	for c, u := range fields {
+		out[c] = append([]float64(nil), u...)
+	}
+	return out
 }
 
 // Restore replaces the solver's time-stepping state with a deep copy of a
@@ -111,50 +92,44 @@ func (s *Solver) Restore(c *Checkpoint) error {
 	if c.Order != s.Cfg.Order {
 		return fmt.Errorf("ns: checkpoint BDF order %d, solver uses %d", c.Order, s.Cfg.Order)
 	}
-	if (c.T != nil) != (s.T != nil) {
-		return fmt.Errorf("ns: checkpoint scalar-transport mismatch")
+	if err := s.checkLevel(c.Fields); err != nil {
+		return err
 	}
-	for comp := 0; comp < 3; comp++ {
-		if len(c.U[comp]) != s.n {
-			return fmt.Errorf("ns: checkpoint velocity length %d, want %d (element ownership drift)", len(c.U[comp]), s.n)
+	for _, h := range c.Hist {
+		if err := s.checkLevel(h); err != nil {
+			return err
 		}
-		copy(s.U[comp], c.U[comp])
 	}
 	if len(c.P) != len(s.P) {
 		return fmt.Errorf("ns: checkpoint pressure length %d, want %d", len(c.P), len(s.P))
 	}
-	copy(s.P, c.P)
-	s.Uh = s.Uh[:0]
-	for _, h := range c.Uh {
-		var hc [3][]float64
-		for comp := 0; comp < 3; comp++ {
-			hc[comp] = make([]float64, s.n)
-			copy(hc[comp], h[comp])
-		}
-		s.Uh = append(s.Uh, hc)
+	for i, u := range c.Fields {
+		copy(s.fields[i], u)
 	}
-	if s.T != nil {
-		copy(s.T, c.T)
-		s.Th = s.Th[:0]
-		for _, h := range c.Th {
-			th := make([]float64, s.n)
-			copy(th, h)
-			s.Th = append(s.Th, th)
-		}
+	copy(s.P, c.P)
+	s.hist = s.hist[:0]
+	for _, h := range c.Hist {
+		s.hist = append(s.hist, copyLevel(h))
 	}
 	if s.projector != nil {
 		s.projector.Restore(c.ProjXs, c.ProjAxs)
 	}
-	if c.Diag != nil {
-		s.helmDiag = append(s.helmDiag[:0], c.Diag...)
-		s.helmH1, s.helmH2 = c.DiagH1, c.DiagH2
-	}
-	if c.DiagS != nil {
-		s.helmDiagS = append(s.helmDiagS[:0], c.DiagS...)
-		s.helmH1S, s.helmH2S = c.DiagH1S, c.DiagH2S
-	}
 	s.step = c.Step
 	s.time = c.Time
+	return nil
+}
+
+// checkLevel checks a snapshot's time level against the solver's fields: the
+// same stepped fields (a scalar or none), each over the same owned nodes.
+func (s *Solver) checkLevel(fields [][]float64) error {
+	if len(fields) != len(s.fields) {
+		return fmt.Errorf("ns: checkpoint has %d stepped fields, solver %d (scalar-transport mismatch)", len(fields), len(s.fields))
+	}
+	for _, u := range fields {
+		if len(u) != s.n {
+			return fmt.Errorf("ns: checkpoint field length %d, want %d (element ownership drift)", len(u), s.n)
+		}
+	}
 	return nil
 }
 

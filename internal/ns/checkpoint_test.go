@@ -3,17 +3,18 @@ package ns
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"testing"
 )
 
 // checkpointSolver builds a small shear-layer-like periodic problem with
 // projection and a filter on, so the checkpoint covers every piece of
-// cross-step state: BDF history, projection basis, cached diagonals.
-func checkpointSolver(t *testing.T) *Solver {
+// cross-step state: BDF history and projection basis.
+func checkpointSolver(t *testing.T, order int) *Solver {
 	t.Helper()
 	m := periodicBox(t, 4, 5)
 	s, err := New(Config{
-		Mesh: m, Re: 1e4, Dt: 0.002, Order: 2,
+		Mesh: m, Re: 1e4, Dt: 0.002, Order: order,
 		FilterAlpha: 0.2, ProjectionL: 8, PTol: 1e-7, Workers: 2,
 	})
 	if err != nil {
@@ -39,35 +40,46 @@ func stepStats(t *testing.T, s *Solver, n int) []StepStats {
 }
 
 // TestCheckpointResumeBitwise is the serial analogue of parrun's restart
-// guarantee: run A steps 4+4 through a gob-round-tripped checkpoint into a
-// fresh solver, run B steps 8 uninterrupted, and every per-step statistic
-// and final field must match bitwise.
+// guarantee: run A steps k+(8-k) through a gob-round-tripped checkpoint into
+// a fresh solver, run B steps 8 uninterrupted, and every per-step statistic
+// and final field must match bitwise. BDF3 snapshots after steps 1 and 2
+// resume mid-ramp, so the continuation selects order-2 and order-3 Helmholtz
+// operators its solver built itself.
 func TestCheckpointResumeBitwise(t *testing.T) {
-	solo := checkpointSolver(t)
-	defer solo.Close()
-	soloStats := stepStats(t, solo, 8)
+	for _, c := range []struct{ order, ck int }{{2, 4}, {3, 1}, {3, 2}} {
+		t.Run(fmt.Sprintf("BDF%d/step%d", c.order, c.ck), func(t *testing.T) {
+			resumeBitwise(t, c.order, c.ck)
+		})
+	}
+}
 
-	a := checkpointSolver(t)
-	firstStats := stepStats(t, a, 4)
+func resumeBitwise(t *testing.T, order, ck int) {
+	const steps = 8
+	solo := checkpointSolver(t, order)
+	defer solo.Close()
+	soloStats := stepStats(t, solo, steps)
+
+	a := checkpointSolver(t, order)
+	firstStats := stepStats(t, a, ck)
 	var buf bytes.Buffer
 	if err := a.Checkpoint().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
 
-	var ck Checkpoint
-	if err := gob.NewDecoder(&buf).Decode(&ck); err != nil {
+	var snap Checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	b := checkpointSolver(t)
+	b := checkpointSolver(t, order)
 	defer b.Close()
-	if err := b.Restore(&ck); err != nil {
+	if err := b.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if b.StepCount() != 4 || b.Time() != a.Time() {
-		t.Fatalf("restored step/time %d/%g, want 4/%g", b.StepCount(), b.Time(), a.Time())
+	if b.StepCount() != ck || b.Time() != a.Time() {
+		t.Fatalf("restored step/time %d/%g, want %d/%g", b.StepCount(), b.Time(), ck, a.Time())
 	}
-	resumedStats := append(firstStats, stepStats(t, b, 4)...)
+	resumedStats := append(firstStats, stepStats(t, b, steps-ck)...)
 
 	for i := range soloStats {
 		if soloStats[i] != resumedStats[i] {
@@ -93,7 +105,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 // TestCheckpointShapeGuard: a snapshot must refuse to restore onto a
 // different problem.
 func TestCheckpointShapeGuard(t *testing.T) {
-	s := checkpointSolver(t)
+	s := checkpointSolver(t, 2)
 	defer s.Close()
 	stepStats(t, s, 2)
 	ck := s.Checkpoint()

@@ -24,9 +24,9 @@ func (s *Solver) putBuf(b ...[]float64) {
 
 // advectingField evaluates the advecting velocity at relative time t
 // (t = 0 is the new time level) by Lagrange interpolation/extrapolation of
-// the history fields hist[k] at times -(k+1)·Δt — the OIFS treatment of the
-// material derivative (Sec. 4 of the paper).
-func (s *Solver) advectingField(t float64, hist [][3][]float64) [3][]float64 {
+// the velocity components of the levels hist[k] at times -(k+1)·Δt — the
+// OIFS treatment of the material derivative (Sec. 4 of the paper).
+func (s *Solver) advectingField(t float64, hist [][][]float64) [3][]float64 {
 	k := len(hist)
 	var coef [4]float64 // k <= BDF order + 1 <= 4; stack array, no allocation
 	tk := func(q int) float64 { return -float64(q+1) * s.Cfg.Dt }
@@ -144,8 +144,9 @@ func (s *Solver) contravariantElement(li, w int) {
 }
 
 // rk4AdvectFields advances the given fields through one RK4 substep of the
-// pure advection equation dv/dt = -(c(τ)·∇)v, τ from t0 to t0+h.
-func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][3][]float64) {
+// pure advection equation dv/dt = -(c(τ)·∇)v, τ from t0 to t0+h: each stage's
+// advecting field is extrapolated and transformed once for all of them.
+func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][][]float64) {
 	c1 := s.advectingField(t0, hist)
 	c2 := s.advectingField(t0+h/2, hist)
 	c4 := s.advectingField(t0+h, hist)
@@ -213,12 +214,12 @@ func substepsNeeded(tau, cflDt float64) float64 {
 }
 
 // advectInto integrates dv/dt = -(c·∇)v backward-started at the fields u0
-// (velocity components, or the scalar) over an interval of length tau ending
-// at the new time level, using RK4 substeps bounded by the CFL limit, writing
-// the subintegrated fields into v. The advecting field c(τ) is the Lagrange
-// interpolant/extrapolant of the velocity history. Returns the substep count,
-// which Step has checked against maxSubsteps.
-func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][3][]float64) int {
+// (one time level: the velocity components, then the scalar) over an interval
+// of length tau ending at the new time level, using RK4 substeps bounded by
+// the CFL limit, writing the subintegrated fields into v. The advecting field
+// c(τ) is the Lagrange interpolant/extrapolant of the levels' velocity.
+// Returns the substep count, which Step has checked against maxSubsteps.
+func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][][]float64) int {
 	nsub := int(substepsNeeded(tau, cflDt))
 	h := tau / float64(nsub)
 	for c := range v {
@@ -236,34 +237,31 @@ func (s *Solver) advectInto(v, u0 [][]float64, tau, cflDt float64, hist [][3][]f
 	return nsub
 }
 
-// scalarSolve performs the implicit advection–diffusion solve for the
-// scalar field.
-func (s *Solver) scalarSolve(tTil [][]float64, gamma []float64, beta, tNew float64) (int, error) {
+// scalarSolve performs the implicit diffusion solve of the scalar from its
+// slot of the subintegrated levels, in place in the current level's slot.
+func (s *Solver) scalarSolve(tilde [][][]float64, gamma []float64, tNew float64) (int, error) {
 	cfg := s.Cfg.Scalar
-	h1 := cfg.Diffusivity
-	h2 := beta / s.Cfg.Dt
-	mask := s.maskSc
+	s.helm = &s.scalarHelm[len(tilde)-1]
+	mask := s.helm.mask
 	b := s.bArena[0]
 	for i := range b {
 		var sum float64
-		for q := range tTil {
-			sum += gamma[q] * tTil[q][i]
+		for q := range tilde {
+			sum += gamma[q] * tilde[q][s.dim][i]
 		}
 		b[i] = s.b[i] * sum / s.Cfg.Dt
 	}
 	s.assemble(s.bArena[:1], mask)
 	// Dirichlet lifting.
-	tn := s.T
+	tn := s.fields[s.dim : s.dim+1]
 	if cfg.DirichletVal != nil {
 		for i, mk := range mask {
 			if mk == 0 {
-				tn[i] = cfg.DirichletVal(s.x[i], s.y[i], s.z[i], tNew)
+				tn[0][i] = cfg.DirichletVal(s.x[i], s.y[i], s.z[i], tNew)
 			}
 		}
 	}
-	s.curH1, s.curH2, s.curMask = h1, h2, mask
-	s.helmholtzDiag(&s.helmDiagS, &s.helmH1S, &s.helmH2S, h1, h2, mask)
-	st := s.helmholtzSolve([][]float64{tn}, s.jacobiS, solver.Options{Time: s.instr.scalarCG, Iters: s.instr.scalarIters})[0]
+	st := s.helmholtzSolve(tn, solver.Options{Time: s.instr.scalarCG, Iters: s.instr.scalarIters})[0]
 	if !st.Converged && st.FinalRes > 1e-6 {
 		return st.Iterations, fmt.Errorf("ns: scalar Helmholtz solve failed (res %g)", st.FinalRes)
 	}

@@ -169,17 +169,18 @@ type Solver struct {
 	b       []float64 // quadrature mass
 	rmult   []float64 // reciprocal nodal multiplicity
 	mask    []float64 // velocity Dirichlet mask (nil = none)
-	maskSc  []float64 // scalar Dirichlet mask (nil = none)
 	bAssemL []float64
 	invBmL  []float64
 	diagE   []float64 // diag(E) blocks (nil unless chebjacobi was built)
 
-	// Fields.
-	U  [3][]float64   // current velocity components
-	Uh [][3][]float64 // velocity history u^{n-1}, u^{n-2}, u^{n-3}
-	P  []float64      // pressure
-	T  []float64      // scalar
-	Th [][]float64    // scalar history
+	// Fields. The stepped fields of a time level are the dim velocity
+	// components, then the scalar when one is configured: fields is the
+	// current level (its velocity entries are U's), hist the previous levels,
+	// newest first — the BDF/OIFS history every field rides in.
+	U      [3][]float64 // current velocity components
+	P      []float64    // pressure
+	fields [][]float64
+	hist   [][][]float64
 
 	projector  *solver.Projector
 	pPrecondOp solver.Operator // resolved variant bound to this solver's arenas
@@ -188,6 +189,7 @@ type Solver struct {
 	work      []elemWork // per-worker element-kernel scratch
 	bufPool   [][]float64
 	ustar     [3][]float64
+	next      [][]float64     // the new level: ustar's velocity, then the scalar (solved in place)
 	gp        [3][]float64    // Dᵀp stacks
 	bArena    [][]float64     // Helmholtz RHS, one per component of a batch (velocity grid)
 	duArena   [][]float64     // the lifts' operator images, then the CG increments, likewise
@@ -200,24 +202,19 @@ type Solver struct {
 	divArena  []float64       // divergence diagnostics
 	rinArena  []float64       // deflated residual copy of the preconditioner
 	r0, x0    []float64       // coarse vertex residual and solution
-	histBuf   [][3][]float64
-	tHistBuf  [][]float64
-	utilArena [][3][]float64 // subintegrated velocity fields ũ^{n-q}
-	tTilArena [][]float64    // subintegrated scalar fields
+	levelBuf  [][][]float64   // the current level, then hist
+	tilde     [][][]float64   // subintegrated levels ũ^{n-q}, one per BDF order
 	cgScratch *solver.Scratch
 
-	// Cached Helmholtz diagonals (keyed by the h1/h2 pair, which only changes
-	// during the BDF ramp-up) and prebuilt operator closures so the per-step
-	// solves allocate no closures.
-	helmDiag         []float64
-	helmH1, helmH2   float64
-	helmDiagS        []float64
-	helmH1S, helmH2S float64
-	curH1, curH2     float64
-	curMask          []float64
-	helmOp           solver.BatchOperator
-	applyEs          solver.BatchOperator // applyE, as CGBatch takes it
-	jacobi, jacobiS  solver.Operator
+	// The Helmholtz operators of the step, one per BDF order 1…Order (index
+	// order-1), built with the solver: the velocity's, and the scalar's (nil
+	// without one). helm is the one a solve applies, through the prebuilt
+	// closures, so the per-step solves allocate none.
+	velHelm, scalarHelm []helmholtzOp
+	helm                *helmholtzOp
+	helmOp              solver.BatchOperator
+	applyEs             solver.BatchOperator // applyE, as CGBatch takes it
+	jacobi              solver.Operator
 
 	// Prebuilt ForElements bodies with the operands they act on during one
 	// call.
@@ -445,8 +442,9 @@ func (s *Solver) build(precondForced bool) error {
 		return err
 	}
 	if sc := cfg.Scalar; sc != nil && sc.Initial != nil {
-		for i := range s.T {
-			s.T[i] = sc.Initial(m.X[i], m.Y[i], m.Zc[i])
+		t := s.Scalar()
+		for i := range t {
+			t[i] = sc.Initial(m.X[i], m.Y[i], m.Zc[i])
 		}
 	}
 	s.resolvePrecond()
@@ -457,7 +455,9 @@ func (s *Solver) build(precondForced bool) error {
 // runs on mach: the per-rank state of a distributed run. It shares s's
 // read-only template (s must be a solver built by New) and starts from s's
 // current fields and time with an empty BDF history; Restore loads anything
-// further. reg, when non-nil, receives the fork's CG iteration
+// further. Its Helmholtz diagonals are built here, with the rest of its state,
+// so a resumed rank has them before its clock is restored. reg, when non-nil,
+// receives the fork's CG iteration
 // distributions, the only metrics a fork records itself (sections are the
 // Machine's to time). A fork has no worker pool, so Close is a no-op on it.
 func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
@@ -467,13 +467,10 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	}
 	np, npp := s.M.Np, s.npp
 	for li, e := range f.elems {
-		for c := 0; c < 3; c++ {
-			copy(f.U[c][li*np:(li+1)*np], s.U[c][e*np:(e+1)*np])
+		for c, u := range s.fields {
+			copy(f.fields[c][li*np:(li+1)*np], u[e*np:(e+1)*np])
 		}
 		copy(f.P[li*npp:(li+1)*npp], s.P[e*npp:(e+1)*npp])
-		if s.T != nil {
-			copy(f.T[li*np:(li+1)*np], s.T[e*np:(e+1)*np])
-		}
 	}
 	f.step, f.time = s.step, s.time
 	f.attachIterHists(reg)
@@ -483,8 +480,9 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 
 // initState sizes everything a solver keeps per owned element — local views
 // of the template's per-node data, fields, arenas, per-worker scratch, loop
-// bodies and flop charges — for mach's elements. The only communication is
-// one Assemble (the nodal multiplicity).
+// bodies, flop charges and the Helmholtz operators — for mach's elements. The
+// only communication is one Assemble for the nodal multiplicity and one per
+// Helmholtz diagonal.
 func (s *Solver) initState(mach Machine, workers int) error {
 	m, cfg := s.M, s.Cfg
 	np, npp := m.Np, s.npp
@@ -522,7 +520,6 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	s.bAssemL = owned(s.bAssem, np)
 	s.invBmL = owned(s.invBm, np)
 	s.mask = owned(s.maskV, np)
-	s.maskSc = owned(s.maskS, np)
 	s.diagE = owned(s.pDiagE, npp)
 	for _, e := range s.elems {
 		gt, dv := s.eApplyFlops(e)
@@ -543,24 +540,22 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		s.gp[c] = vec()
 		s.bArena, s.duArena = append(s.bArena, vec()), append(s.duArena, vec())
 	}
+	s.fields = append([][]float64(nil), s.U[:s.dim]...)
+	s.next = append([][]float64(nil), s.ustar[:s.dim]...)
+	if cfg.Scalar != nil {
+		t := vec()
+		s.fields, s.next = append(s.fields, t), append(s.next, t)
+	}
 	s.P = make([]float64, nP)
 	s.rpArena = make([]float64, nP)
 	s.dpArena = make([]float64, nP)
 	s.divArena = make([]float64, nP)
 	s.rinArena = make([]float64, nP)
-	s.histBuf = make([][3][]float64, 0, 4)
-	s.utilArena = make([][3][]float64, cfg.Order)
-	for q := range s.utilArena {
-		for c := 0; c < s.dim; c++ {
-			s.utilArena[q][c] = vec()
-		}
-	}
-	if cfg.Scalar != nil {
-		s.T = vec()
-		s.tHistBuf = make([][]float64, 0, 4)
-		s.tTilArena = make([][]float64, cfg.Order)
-		for q := range s.tTilArena {
-			s.tTilArena[q] = vec()
+	s.levelBuf = make([][][]float64, 0, cfg.Order)
+	s.tilde = make([][][]float64, cfg.Order)
+	for q := range s.tilde {
+		for range s.fields {
+			s.tilde[q] = append(s.tilde[q], vec())
 		}
 	}
 	s.cgScratch = &solver.Scratch{}
@@ -588,10 +583,13 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		k.fdm = make([]float64, fdmLen)
 	}
 
-	s.helmOp = func(outs, ins [][]float64) { s.helmholtz(outs, ins, s.curH1, s.curH2, s.curMask) }
+	s.velHelm = s.helmholtzOps(1/cfg.Re, s.mask)
+	if sc := cfg.Scalar; sc != nil {
+		s.scalarHelm = s.helmholtzOps(sc.Diffusivity, owned(s.maskS, np))
+	}
+	s.helmOp = func(outs, ins [][]float64) { s.helmholtz(outs, ins, s.helm) }
 	s.applyEs = solver.Operator(s.applyE).Batch()
-	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiag) }
-	s.jacobiS = func(out, in []float64) { s.pointJacobi(out, in, s.helmDiagS) }
+	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helm.diag) }
 	s.stiffLoop = func(li, w int) {
 		s.D.StiffnessElement(s.curOut[li*np:(li+1)*np], s.curIn[li*np:(li+1)*np], s.elems[li], s.work[w].sem)
 	}
@@ -661,7 +659,12 @@ func (s *Solver) Velocity(c int) []float64 { return s.U[c] }
 func (s *Solver) Pressure() []float64 { return s.P }
 
 // Scalar returns the advected scalar field (nil if not configured).
-func (s *Solver) Scalar() []float64 { return s.T }
+func (s *Solver) Scalar() []float64 {
+	if len(s.fields) == s.dim {
+		return nil
+	}
+	return s.fields[s.dim]
+}
 
 // Disc exposes the velocity-grid discretization (for norms, integrals).
 func (s *Solver) Disc() *sem.Disc { return s.D }

@@ -3,7 +3,7 @@ package ns
 // operators.go holds the operators the step applies on owned blocks: the
 // staggered-grid element kernels (read-only on the template, caller
 // scratch), the weak divergence D and its transpose, the consistent pressure
-// operator E, the velocity Helmholtz operator with its Jacobi diagonal, the
+// operator E, the Helmholtz operators with their Jacobi diagonals, the
 // inner products, and the Schwarz sandwich. Each charges its flops through
 // the Machine once per application.
 
@@ -250,10 +250,43 @@ func (s *Solver) assemble(fields [][]float64, mask []float64) {
 	}
 }
 
-// helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the velocity
-// operator H of Sec. 4 (mask selects the velocity or the scalar Dirichlet
-// set), with one direct stiffness sum for all of them.
-func (s *Solver) helmholtz(outs, ins [][]float64, h1, h2 float64, mask []float64) {
+// helmholtzOp is one Helmholtz operator of the step, h1·A + h2·B on the
+// Dirichlet set of mask (the velocity's or the scalar's), with its assembled
+// diagonal for Jacobi.
+type helmholtzOp struct {
+	h1, h2 float64
+	mask   []float64
+	diag   []float64
+}
+
+// helmholtzOps builds the operators h1·A + (β/Δt)·B of BDF orders 1…Order,
+// each diagonal with one direct stiffness sum and unit on the Dirichlet rows
+// of mask, so Jacobi inversion stays defined.
+func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
+	ops := make([]helmholtzOp, s.Cfg.Order)
+	for q := range ops {
+		beta, _ := bdf(q + 1)
+		h2 := beta / s.Cfg.Dt
+		d, np := make([]float64, s.n), s.M.Np
+		for li, e := range s.elems {
+			s.D.HelmholtzDiagElement(d[li*np:(li+1)*np], e, h1, h2)
+		}
+		s.assembleOne(d)
+		for i, mk := range mask {
+			if mk == 0 {
+				d[i] = 1
+			}
+		}
+		s.mach.Charge(s.stiffF * int64(len(s.elems)))
+		ops[q] = helmholtzOp{h1: h1, h2: h2, mask: mask, diag: d}
+	}
+	return ops
+}
+
+// helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the operator H of
+// Sec. 4, with one direct stiffness sum for all of them.
+func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
+	h1, h2 := op.h1, op.h2
 	for c, out := range outs {
 		in := ins[c]
 		s.curOut, s.curIn = out, in
@@ -266,31 +299,7 @@ func (s *Solver) helmholtz(outs, ins [][]float64, h1, h2 float64, mask []float64
 		s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
 	}
 	s.curOut, s.curIn = nil, nil
-	s.assemble(outs, mask)
-}
-
-// helmholtzDiag fills *diag with the assembled diagonal of h1·A + h2·B (unit
-// on Dirichlet rows so Jacobi inversion stays defined), recomputing only when
-// the (h1, h2) pair changes — i.e. during the BDF ramp-up of the first steps.
-func (s *Solver) helmholtzDiag(diag *[]float64, curH1, curH2 *float64, h1, h2 float64, mask []float64) {
-	if *diag != nil && h1 == *curH1 && h2 == *curH2 {
-		return
-	}
-	if *diag == nil {
-		*diag = make([]float64, s.n)
-	}
-	d, np := *diag, s.M.Np
-	for li, e := range s.elems {
-		s.D.HelmholtzDiagElement(d[li*np:(li+1)*np], e, h1, h2)
-	}
-	s.assembleOne(d)
-	for i, mk := range mask {
-		if mk == 0 {
-			d[i] = 1
-		}
-	}
-	*curH1, *curH2 = h1, h2
-	s.mach.Charge(s.stiffF * int64(len(s.elems)))
+	s.assemble(outs, op.mask)
 }
 
 // pointJacobi is out = in / diag.

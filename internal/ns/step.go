@@ -34,7 +34,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 
 	// Effective order ramps up over the first steps.
 	order := cfg.Order
-	if avail := len(s.Uh) + 1; order > avail {
+	if avail := len(s.hist) + 1; order > avail {
 		order = avail
 	}
 	beta, gamma := bdf(order)
@@ -48,22 +48,14 @@ func (s *Solver) Step() (st StepStats, err error) {
 		s.mach.End(SecConvect, st)
 		return st, fmt.Errorf("ns: CFL %.3g needs %.6g convective substeps, more than the cap of %d", st.CFL, need, maxSubsteps)
 	}
-	// Histories: index 0 is u^{n-1} (current U before this step completes).
-	hist := append(s.histBuf[:0], s.U)
-	hist = append(hist, s.Uh...)
-	utils := s.utilArena[:order]
+	// Time levels, newest first: index 0 is the current one (before this step
+	// completes). Every stepped field rides the same subintegration, the
+	// scalar too (explicit ũT, so buoyancy needs no implicit coupling).
+	levels := append(s.levelBuf[:0], s.fields)
+	levels = append(levels, s.hist...)
+	tilde := s.tilde[:order]
 	for q := 1; q <= order; q++ {
-		st.Substeps += s.advectInto(utils[q-1][:s.dim], hist[q-1][:s.dim], float64(q)*cfg.Dt, cflDt, hist)
-	}
-	// Scalar transport (advanced first so buoyancy uses T^n ≈ explicit ũT).
-	var tTil [][]float64
-	if s.T != nil {
-		tHist := append(s.tHistBuf[:0], s.T)
-		tHist = append(tHist, s.Th...)
-		tTil = s.tTilArena[:order]
-		for q := 1; q <= order; q++ {
-			s.advectInto(tTil[q-1:q], tHist[q-1:q], float64(q)*cfg.Dt, cflDt, hist)
-		}
+		st.Substeps += s.advectInto(tilde[q-1], levels[q-1], float64(q)*cfg.Dt, cflDt, levels)
 	}
 	s.mach.End(SecConvect, st)
 	s.instr.substeps.Add(int64(st.Substeps))
@@ -76,22 +68,20 @@ func (s *Solver) Step() (st StepStats, err error) {
 	// backends"). ---
 	s.mach.Begin(SecViscous)
 	st.ViscousConverged = true
-	h1 := 1.0 / cfg.Re
 	h2 := beta / cfg.Dt
-	s.helmholtzDiag(&s.helmDiag, &s.helmH1, &s.helmH2, h1, h2, s.mask)
-	s.curH1, s.curH2, s.curMask = h1, h2, s.mask
+	s.helm = &s.velHelm[order-1]
 	// Pressure gradient of p^{n-1} (incremental splitting).
 	s.GradientT(s.gp[:s.dim], s.P)
 	ustar := s.ustar
 	for c := 0; c < s.dim; c++ {
-		s.viscousRHS(s.bArena[c], c, gamma, utils, tTil, beta, tNew)
+		s.viscousRHS(s.bArena[c], c, gamma, tilde, beta, tNew)
 		// Dirichlet lifting: start from boundary values, solve the masked
 		// correction.
 		copy(ustar[c], s.U[c])
 		s.setDirichletComponent(ustar[c], c, tNew)
 	}
 	s.assemble(s.bArena[:s.dim], s.mask)
-	vstats := s.helmholtzSolve(ustar[:s.dim], s.jacobi, solver.Options{
+	vstats := s.helmholtzSolve(ustar[:s.dim], solver.Options{
 		Time: s.instr.viscousCG, Iters: s.instr.viscousIters, IterHist: s.instr.viscousIterH,
 		Tracer: s.tracer, TraceName: "helmholtz.cg"})
 	for c, stats := range vstats {
@@ -153,9 +143,9 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.mach.End(SecPressure, st)
 
 	// --- Scalar Helmholtz solve. ---
-	if s.T != nil {
+	if s.scalarHelm != nil {
 		s.mach.Begin(SecScalar)
-		st.ScalarIters, err = s.scalarSolve(tTil, gamma, beta, tNew)
+		st.ScalarIters, err = s.scalarSolve(tilde, gamma, tNew)
 		s.mach.End(SecScalar, st)
 		if err != nil {
 			return st, err
@@ -171,54 +161,43 @@ func (s *Solver) Step() (st StepStats, err error) {
 		}
 	}
 	if s.filter != nil {
-		for c := 0; c < s.dim; c++ {
-			s.applyFilter(ustar[c])
-			s.setDirichletComponent(ustar[c], c, tNew)
+		for c, u := range s.next {
+			s.applyFilter(u)
+			if c < s.dim {
+				s.setDirichletComponent(u, c, tNew)
+			}
 		}
-		s.mach.Charge(s.filtF * int64(len(s.elems)*s.dim))
+		s.mach.Charge(s.filtF * int64(len(s.elems)*len(s.next)))
 		if s.history != nil {
 			for c := 0; c < s.dim; c++ {
 				filterRemoved -= s.mach.Sum(s.dotShare(ustar[c], ustar[c]))
 			}
 		}
-		if s.T != nil {
-			s.applyFilter(s.T)
-			s.mach.Charge(s.filtF * int64(len(s.elems)))
-		}
 	}
 	s.mach.End(SecFilter, st)
-	// History rotation keeps up to Order-1 previous velocities. The ring
-	// reuses the retired oldest entry's arrays once the window is full, so
-	// steady-state rotation allocates nothing.
+	// History rotation keeps up to Order-1 previous levels. The ring reuses
+	// the retired oldest level's arrays once the window is full, so
+	// steady-state rotation allocates nothing. It copies the current level:
+	// the velocity before its commit below, but the scalar as solved in place
+	// above, so the scalar's newest history level repeats its new value
+	// rather than holding the previous one (ROADMAP item 2 has this defect;
+	// the convection golden digest pins it).
 	if keep := cfg.Order - 1; keep > 0 {
-		var prev [3][]float64
-		if len(s.Uh) >= keep {
-			prev = s.Uh[len(s.Uh)-1]
-			s.Uh = s.Uh[:len(s.Uh)-1]
+		var prev [][]float64
+		if len(s.hist) >= keep {
+			prev = s.hist[len(s.hist)-1]
+			s.hist = s.hist[:len(s.hist)-1]
 		} else {
-			for c := 0; c < 3; c++ {
-				prev[c] = make([]float64, s.n)
+			for range s.fields {
+				prev = append(prev, make([]float64, s.n))
 			}
 		}
-		for c := 0; c < 3; c++ {
-			copy(prev[c], s.U[c])
+		for c, u := range s.fields {
+			copy(prev[c], u)
 		}
-		s.Uh = append(s.Uh, [3][]float64{})
-		copy(s.Uh[1:], s.Uh)
-		s.Uh[0] = prev
-		if s.T != nil {
-			var tprev []float64
-			if len(s.Th) >= keep {
-				tprev = s.Th[len(s.Th)-1]
-				s.Th = s.Th[:len(s.Th)-1]
-			} else {
-				tprev = make([]float64, s.n)
-			}
-			copy(tprev, s.T)
-			s.Th = append(s.Th, nil)
-			copy(s.Th[1:], s.Th)
-			s.Th[0] = tprev
-		}
+		s.hist = append(s.hist, nil)
+		copy(s.hist[1:], s.hist)
+		s.hist[0] = prev
 	}
 	for c := 0; c < s.dim; c++ {
 		copy(s.U[c], ustar[c])
@@ -268,15 +247,15 @@ func (s *Solver) Step() (st StepStats, err error) {
 }
 
 // viscousRHS fills b with component c's unassembled Helmholtz right-hand
-// side: the BDF history term, forcing, extrapolated buoyancy, and the lagged
-// pressure gradient (already in s.gp). Step assembles the components
-// together.
-func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]float64, tTil [][]float64, beta, tNew float64) {
+// side from the subintegrated levels: the BDF history term, forcing,
+// extrapolated buoyancy (the levels' scalar slot), and the lagged pressure
+// gradient (already in s.gp). Step assembles the components together.
+func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, tilde [][][]float64, beta, tNew float64) {
 	cfg := s.Cfg
 	for i := range b {
 		var sum float64
-		for q := range utils {
-			sum += gamma[q] * utils[q][c][i]
+		for q := range tilde {
+			sum += gamma[q] * tilde[q][c][i]
 		}
 		b[i] = s.b[i] * sum / cfg.Dt
 	}
@@ -291,8 +270,8 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 		// Explicit extrapolated buoyancy from the subintegrated scalar.
 		for i := range b {
 			var sum float64
-			for q := range tTil {
-				sum += gamma[q] * tTil[q][i]
+			for q := range tilde {
+				sum += gamma[q] * tilde[q][s.dim][i]
 			}
 			b[i] += s.b[i] * cfg.Scalar.Buoyancy[c] * sum / beta
 		}
@@ -303,26 +282,26 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, utils [][3][]fl
 	}
 }
 
-// helmholtzSolve finishes the lifted Helmholtz solves (h1·A + h2·B) us[c] =
-// bArena[c] for the operator currently in s.curH1/curH2/curMask, as one
-// lockstep CG batch: us[c] holds the boundary lift on entry and the solution
-// on return, bArena[c] the assembled right-hand side (overwritten). opt carries
-// the caller's instrumentation; the statistics are valid until the next solve.
-func (s *Solver) helmholtzSolve(us [][]float64, jacobi solver.Operator, opt solver.Options) []solver.Stats {
+// helmholtzSolve finishes the lifted Helmholtz solves H us[c] = bArena[c] for
+// the operator s.helm, as one Jacobi-preconditioned lockstep CG batch: us[c]
+// holds the boundary lift on entry and the solution on return, bArena[c] the
+// assembled right-hand side (overwritten). opt carries the caller's
+// instrumentation; the statistics are valid until the next solve.
+func (s *Solver) helmholtzSolve(us [][]float64, opt solver.Options) []solver.Stats {
 	m := len(us)
 	// The lifts' images go to the increments, which CG then starts from zero.
 	hu := s.duArena[:m]
-	s.helmholtz(hu, us, s.curH1, s.curH2, s.curMask)
+	s.helmholtz(hu, us, s.helm)
 	for c := range us {
 		b := s.bArena[c]
 		for i := range b {
 			b[i] -= hu[c][i]
 		}
-		applyMask(b, s.curMask)
+		applyMask(b, s.helm.mask)
 		clear(hu[c])
 	}
 	opt.Tol, opt.Relative, opt.MaxIter = s.Cfg.VTol, true, 1000
-	opt.Precond, opt.Scratch = jacobi, s.cgScratch
+	opt.Precond, opt.Scratch = s.jacobi, s.cgScratch
 	solver.CGBatch(s.helmOp, s.dotShare, s.mach.SumN, s.duArena[:m], s.bArena[:m], opt, s.cgStats[:m])
 	for c, u := range us {
 		for i, d := range s.duArena[c] {

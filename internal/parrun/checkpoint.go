@@ -30,9 +30,9 @@ import (
 const CheckpointVersion = 3
 
 // RankCheckpoint is one rank's slice of the run: its clock and its solver
-// state. The state includes the cached Helmholtz Jacobi diagonal, so a
-// resumed run does not recompute — and therefore re-communicate — what the
-// uninterrupted run had cached.
+// state. The state is state only: a resumed rank rebuilds what is a function
+// of the configuration, its Helmholtz diagonals included, while it is forked,
+// and its clock is restored after that set-up traffic.
 type RankCheckpoint struct {
 	Rank  int
 	Clock comm.ClockState

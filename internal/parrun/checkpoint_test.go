@@ -2,6 +2,7 @@ package parrun
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -130,8 +131,9 @@ func TestCheckpointResumeBitwiseScalar(t *testing.T) {
 		t.Fatal("convection run returned no scalar field")
 	}
 	ck := resumeFrom(t, cfg, base, ckSteps)
-	if st := ck.Ranks[0].State; st.T == nil || len(st.Th) == 0 {
-		t.Fatalf("rank snapshot carries no scalar state (T %d values, %d history levels)", len(st.T), len(st.Th))
+	// Each level holds the two velocity components, then the scalar.
+	if st := ck.Ranks[0].State; len(st.Fields) != 3 || len(st.Hist) == 0 || len(st.Hist[0]) != 3 {
+		t.Fatalf("rank snapshot carries no scalar state (%d fields, %d history levels)", len(st.Fields), len(st.Hist))
 	}
 	re := base
 	re.Resume = ck
@@ -140,6 +142,39 @@ func TestCheckpointResumeBitwiseScalar(t *testing.T) {
 		t.Fatalf("resumed run: %v", err)
 	}
 	requireBitwiseContinuation(t, full, resumed, ckSteps)
+}
+
+// TestCheckpointResumeBitwiseMidRamp: a BDF3 run snapshotted after step 1 or
+// step 2 is still ramping its order up, so the continuation selects order-2
+// and order-3 Helmholtz operators that the resumed ranks built while they were
+// forked, before their clocks were restored. The channel and the convection
+// cell (velocity and scalar operators) each resume bitwise from both.
+func TestCheckpointResumeBitwiseMidRamp(t *testing.T) {
+	channel, init := channelCase(t)
+	convection := convectionCase(t)
+	for _, c := range []struct {
+		name string
+		cfg  ns.Config
+		init func(x, y, z float64) (float64, float64, float64)
+	}{{"channel", channel, init}, {"convection", convection, nil}} {
+		c.cfg.Order = 3
+		base := NSConfig{P: 3, Steps: 4, Init: c.init}
+		full, err := NavierStokes(c.cfg, base)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, ckSteps := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/step%d", c.name, ckSteps), func(t *testing.T) {
+				re := base
+				re.Resume = resumeFrom(t, c.cfg, base, ckSteps)
+				resumed, err := NavierStokes(c.cfg, re)
+				if err != nil {
+					t.Fatalf("resumed run: %v", err)
+				}
+				requireBitwiseContinuation(t, full, resumed, ckSteps)
+			})
+		}
+	}
 }
 
 // TestCheckpointResumeBitwiseUnderFaults: the same kill-and-resume contract

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/bits"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -207,6 +208,43 @@ func TestNavierStokesScalarMatchesSerial(t *testing.T) {
 		if res.StepStats[steps-1].ScalarIters == 0 {
 			t.Errorf("P=%d: no scalar Helmholtz iterations reported", p)
 		}
+	}
+}
+
+// TestConvectionExchangeCount pins the gather–scatter exchanges one rank makes
+// over steps 3-5 of the P = 3 convection cell, read from gs's own timer (one
+// entry per exchange). The scalar rides the velocity's subintegration, so each
+// convective substep's mass average carries the velocity components and the
+// scalar in one exchange; when the scalar was advected on its own pass it cost
+// one exchange more per substep: 684 per rank over these steps and their six
+// substeps.
+func TestConvectionExchangeCount(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("iteration counts were pinned on amd64; other architectures may contract a*b+c into FMA")
+	}
+	const p, warm, steps = 3, 2, 3
+	reg := instrument.New()
+	s, err := Start(convectionCase(t), NSConfig{P: p, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchanges := reg.Timer("gs/exchange.vtime")
+	if _, err := s.StepN(warm); err != nil {
+		t.Fatal(err)
+	}
+	before := exchanges.Count()
+	var substeps int
+	for i := 0; i < steps; i++ {
+		st, err := s.StepN(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		substeps += st.Substeps
+	}
+	const want = 678
+	if got := exchanges.Count() - before; got != want*p {
+		t.Errorf("%d gs exchanges over %d steps (%d substeps) on %d ranks (%.2f per rank and step), want %d per rank",
+			got, steps, substeps, p, float64(got)/(p*steps), want)
 	}
 }
 

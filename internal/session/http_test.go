@@ -360,6 +360,10 @@ func TestHTTPErrors(t *testing.T) {
 		`{"case":"channel","steps":2,"piters":-1}`,
 		`{"case":"channel","steps":2,"projection_l":65}`,
 		`{"case":"channel","steps":2,"checkpoint_every":3}`,
+		// The filter scales the top mode by 1 − α: below 0 it amplifies
+		// what it should damp, above 1 it overshoots.
+		`{"case":"convection","steps":2,"alpha":-0.1}`,
+		`{"case":"channel","steps":2,"alpha":1.5}`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(body))
 		if err != nil {

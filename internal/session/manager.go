@@ -133,9 +133,12 @@ func checkServable(cfg Config) error {
 }
 
 // checkBounds refuses a job larger than one tenant of the service may ask
-// for, or a negative size. Zero is a field's default, and an omitted n is
-// checked as the order the job runs.
+// for, a negative size, or a filter strength outside [0, 1]. Zero is a
+// field's default, and an omitted n is checked as the order the job runs.
 func checkBounds(cfg Config) error {
+	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1) {
+		return fmt.Errorf("session: alpha = %g, want 0 to 1", cfg.Alpha)
+	}
 	run := cfg
 	run.applyDefaults()
 	for _, b := range []struct {

@@ -167,7 +167,7 @@ func TestFSStoreConcurrentCheckpointPuts(t *testing.T) {
 	const writers, rounds = 8, 20
 	snapshot := func(w int) []byte {
 		state := &ns.Checkpoint{Version: ns.CheckpointVersion, Step: 10, K: w,
-			U: [3][]float64{make([]float64, 64), make([]float64, 64), nil}}
+			Fields: [][]float64{make([]float64, 64), make([]float64, 64)}}
 		var buf bytes.Buffer
 		if err := parrun.Serial(state).Encode(&buf); err != nil {
 			t.Fatal(err)

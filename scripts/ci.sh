@@ -44,8 +44,9 @@
 #           validate the -trace and -history artifacts of the serial (wall
 #           track only), distributed (rank tracks) and fault-injected runs,
 #           hold the -ranks 4 run to its pinned allreduces per step,
-#           checkpoint and resume on both machines (one <case>/checkpoint.gob
-#           in the store, steps 3 and 4 as the uninterrupted run prints them),
+#           checkpoint and resume on both machines, the channel and the
+#           convection cell (one <case>/checkpoint.gob in the store, steps 3
+#           and 4 as the uninterrupted run prints them),
 #           refuse -report 0,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report,
@@ -445,19 +446,25 @@ EOF
 
     echo "== smoke: checkpoint at step 2, resume to step 4, on both machines =="
     # The snapshot is the session's, whichever machine steps, and lives in a
-    # session store: DIR/<case>/checkpoint.gob, replaced in place.
-    for ranks in 4 0; do
-        ck="$out/ckpt-p$ranks"
-        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 \
-            > "$out/full-p$ranks.log"
-        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 2 -report 1 \
+    # session store: DIR/<case>/checkpoint.gob, replaced in place. The
+    # convection cell carries its scalar in the same lists of fields.
+    while read -r case ranks size; do
+        run="$case-p$ranks"
+        ck="$out/ckpt-$run"
+        # $size splits into its flags on purpose.
+        # shellcheck disable=SC2086
+        "$out/bin/semflow" -case "$case" $size -ranks "$ranks" -steps 4 -report 1 \
+            > "$out/full-$run.log"
+        # shellcheck disable=SC2086
+        "$out/bin/semflow" -case "$case" $size -ranks "$ranks" -steps 2 -report 1 \
             -checkpoint "$ck" -checkpoint-every 2
-        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 \
-            -checkpoint "$ck" -resume > "$out/resume-p$ranks.log"
-        cat "$out/resume-p$ranks.log"
-        grep -q "resuming from $ck/channel/checkpoint.gob" "$out/resume-p$ranks.log"
-        [ -f "$ck/channel/checkpoint.gob" ] || {
-            echo "no snapshot at $ck/channel/checkpoint.gob" >&2
+        # shellcheck disable=SC2086
+        "$out/bin/semflow" -case "$case" $size -ranks "$ranks" -steps 4 -report 1 \
+            -checkpoint "$ck" -resume > "$out/resume-$run.log"
+        cat "$out/resume-$run.log"
+        grep -q "resuming from $ck/$case/checkpoint.gob" "$out/resume-$run.log"
+        [ -f "$ck/$case/checkpoint.gob" ] || {
+            echo "no snapshot at $ck/$case/checkpoint.gob" >&2
             exit 1
         }
         if find "$ck" -name 'ckpt-*.gob' | grep .; then
@@ -465,15 +472,20 @@ EOF
             exit 1
         fi
         # Step rows ("%6d ...") of steps 3 and 4, bitwise the uninterrupted run's.
-        grep -E '^ {5}[34] ' "$out/full-p$ranks.log" > "$out/full-p$ranks.rows"
-        grep -E '^ {5}[34] ' "$out/resume-p$ranks.log" > "$out/resume-p$ranks.rows"
-        [ "$(wc -l < "$out/full-p$ranks.rows")" -eq 2 ] &&
-            cmp "$out/full-p$ranks.rows" "$out/resume-p$ranks.rows" || {
-            echo "ranks=$ranks: resumed steps 3-4 differ from the uninterrupted run:" >&2
-            diff "$out/full-p$ranks.rows" "$out/resume-p$ranks.rows" >&2 || true
+        grep -E '^ {5}[34] ' "$out/full-$run.log" > "$out/full-$run.rows"
+        grep -E '^ {5}[34] ' "$out/resume-$run.log" > "$out/resume-$run.rows"
+        [ "$(wc -l < "$out/full-$run.rows")" -eq 2 ] &&
+            cmp "$out/full-$run.rows" "$out/resume-$run.rows" || {
+            echo "$case ranks=$ranks: resumed steps 3-4 differ from the uninterrupted run:" >&2
+            diff "$out/full-$run.rows" "$out/resume-$run.rows" >&2 || true
             exit 1
         }
-    done
+    done <<RUNS
+channel 4 -n 5
+channel 0 -n 5
+convection 3 -nel 4 -n 5
+convection 0 -nel 4 -n 5
+RUNS
 
     echo "== smoke: semflow -report 0 is refused with exit status 2 =="
     code=0
