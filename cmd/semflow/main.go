@@ -2,17 +2,19 @@
 // canonical flow cases (shear layer, TS channel, convection cell, hairpin
 // boundary layer) with configurable resolution, filter, projection and
 // worker settings, printing per-step solver statistics — the same knobs the
-// paper's production code exposes. There is one path: the flags become a
+// paper's production code exposes. There is one path: the flags fill one
 // session.Config, session.Create (or, with -resume, session.Resume from the
-// snapshot in the -checkpoint store) builds the run, StepN advances it with
-// the per-step report on OnStep, and one set of writers emits the
-// artifacts. -ranks P selects the machine, nothing else: 0 steps
+// snapshot in the -checkpoint store) validates it and builds the run, StepN
+// advances it with the per-step report on OnStep, and one set of writers
+// emits the artifacts. -ranks P selects the machine, nothing else: 0 steps
 // the shared-memory solver, P runs the same time loop as an SPMD program on
 // the simulated machine (parrun.Stepper), where -faults degrades the
 // machine and -trace carries a per-rank virtual-clock track with the
 // traffic of every stepper phase. -checkpoint/-checkpoint-every/-resume,
 // -trace (Chrome trace-event JSON, open in Perfetto or chrome://tracing),
 // -history (per-step convergence telemetry, JSONL) and -stats work on both.
+// -checkpoint snapshots every -checkpoint-every steps and after the last
+// (0: the last only), so a finished run can be extended with -resume.
 //
 // At scale the observability flags compose: -trace-sample R keeps full
 // span tracks for R deterministically chosen ranks while the merged
@@ -48,33 +50,35 @@ import (
 )
 
 func main() {
-	caseName := flag.String("case", "shearlayer", "flow case: "+strings.Join(flowcases.CaseNames(), ", "))
-	steps := flag.Int("steps", 100, "time steps")
-	n := flag.Int("n", 8, "polynomial order")
-	nel := flag.Int("nel", 8, "elements per direction (2D cases)")
-	kx := flag.Int("kx", 0, "channel case: elements along the channel (0: case default 5); with -ky this sizes the mesh for large -ranks runs")
-	ky := flag.Int("ky", 0, "channel case: elements across the channel (0: case default 3)")
-	piters := flag.Int("piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
-	alpha := flag.Float64("alpha", 0.3, "filter strength")
-	l := flag.Int("L", 20, "pressure projection basis size")
-	workers := flag.Int("workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
-	precond := flag.String("precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
+	var cfg session.Config
+	flag.StringVar(&cfg.Case, "case", "shearlayer", "flow case: "+strings.Join(session.CaseNames(), ", "))
+	flag.IntVar(&cfg.Steps, "steps", 100, "time steps")
+	flag.IntVar(&cfg.N, "n", 8, "polynomial order")
+	flag.IntVar(&cfg.Nel, "nel", 8, "elements per direction (2D cases)")
+	flag.IntVar(&cfg.KX, "kx", 0, "channel case: elements along the channel (0: case default 5); with -ky this sizes the mesh for large -ranks runs")
+	flag.IntVar(&cfg.KY, "ky", 0, "channel case: elements across the channel (0: case default 3)")
+	flag.IntVar(&cfg.PIters, "piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
+	flag.Float64Var(&cfg.Alpha, "alpha", 0.3, "filter strength")
+	flag.IntVar(&cfg.ProjectionL, "L", 20, "pressure projection basis size")
+	flag.IntVar(&cfg.Workers, "workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
+	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
 	every := flag.Int("report", 10, "report interval")
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
 	statsJSON := flag.Bool("stats-json", false, "like -stats, but emit JSON")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
-	traceSample := flag.Int("trace-sample", 0, "with -ranks: record full virtual span tracks for only this many evenly spaced ranks (0: all); merged histograms still cover every rank, so large -ranks runs stay traceable without -piters")
+	flag.IntVar(&cfg.TraceSample, "trace-sample", 0, "with -ranks: record full virtual span tracks for only this many evenly spaced ranks (0: all); merged histograms still cover every rank, so large -ranks runs stay traceable without -piters")
 	listen := flag.String("listen", "", "serve /metrics (Prometheus text), /progress and /stats (JSON) and /debug/pprof live on this host:port during the run (port 0 picks a free port)")
 	linger := flag.Duration("linger", 0, "with -listen: keep the endpoint up this long after the run completes")
-	ranks := flag.Int("ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
+	flag.IntVar(&cfg.Ranks, "ranks", 0, "run the whole time loop distributed over this many simulated ranks (0: serial shared-memory stepper)")
 	faultsPath := flag.String("faults", "", "fault plan JSON degrading the simulated machine: stragglers, link jitter, drops with retry, pauses (requires -ranks)")
 	ckptDir := flag.String("checkpoint", "", "keep the run's newest snapshot in this directory, as <case>/checkpoint.gob (a semflowd -store layout)")
-	ckptEvery := flag.Int("checkpoint-every", 10, "steps between snapshots when -checkpoint is set")
+	flag.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 10, "steps between snapshots when -checkpoint is set")
 	resume := flag.Bool("resume", false, "continue from the snapshot in the -checkpoint directory (same case, resolution and -ranks)")
 	historyOut := flag.String("history", "", "write per-step convergence telemetry (JSONL) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
+	cfg.Trace = *traceOut != ""
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	if *cpuprofile != "" {
@@ -89,28 +93,19 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if !slices.Contains(flowcases.CaseNames(), *caseName) {
-		fmt.Fprintf(os.Stderr, "unknown case %q\n", *caseName)
+	if !slices.Contains(session.CaseNames(), cfg.Case) {
+		fmt.Fprintf(os.Stderr, "unknown case %q\n", cfg.Case)
 		os.Exit(2)
 	}
 	if *every < 1 {
 		fmt.Fprintf(os.Stderr, "-report %d: want a report interval of at least 1 step\n", *every)
 		os.Exit(2)
 	}
-	if !(*alpha >= 0 && *alpha <= 1) {
-		fmt.Fprintf(os.Stderr, "-alpha %g: want a filter strength from 0 to 1\n", *alpha)
+	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1) {
+		fmt.Fprintf(os.Stderr, "-alpha %g: want a filter strength from 0 to 1\n", cfg.Alpha)
 		os.Exit(2)
 	}
-	if *precond != "" && !ns.ValidPrecond(*precond) {
-		log.Fatalf("-precond %q: want schwarz, chebjacobi, chebschwarz, none or auto", *precond)
-	}
 
-	cfg := session.Config{
-		Case: *caseName, Steps: *steps, N: *n, Nel: *nel, KX: *kx, KY: *ky,
-		Alpha: *alpha, ProjectionL: *l, PIters: *piters, Workers: *workers,
-		Precond: *precond, Ranks: *ranks,
-		Trace: *traceOut != "", TraceSample: *traceSample,
-	}
 	if *faultsPath != "" {
 		plan, err := fault.Load(*faultsPath)
 		if err != nil {
@@ -135,7 +130,7 @@ func main() {
 		// the kinetic energy of the shared-memory fields, or the pressure
 		// residual (the ranks' fields are only gathered at the end).
 		last := st.PressureResFinal
-		if *ranks == 0 {
+		if cfg.Ranks == 0 {
 			last = flowcases.KineticEnergy(sess.Solver())
 		}
 		fmt.Printf("%6d %9.4f %6.2f %8d %8d %8d %12.5e\n",
@@ -147,7 +142,7 @@ func main() {
 	// case name: the layout a semflowd -store of the same directory reads.
 	var store session.Store
 	var err error
-	ckPath := filepath.Join(*ckptDir, *caseName, session.ArtifactCheckpoint)
+	ckPath := filepath.Join(*ckptDir, cfg.Case, session.ArtifactCheckpoint)
 	if *ckptDir != "" {
 		if store, err = session.NewFSStore(*ckptDir); err != nil {
 			log.Fatalf("checkpoint: %v", err)
@@ -158,11 +153,8 @@ func main() {
 		if store == nil {
 			log.Fatal("-resume needs -checkpoint DIR to find the snapshot")
 		}
-		if ck, err = session.LoadCheckpoint(store, *caseName); err != nil {
+		if ck, err = session.LoadCheckpoint(store, cfg.Case); err != nil {
 			log.Fatalf("-resume: %v", err)
-		}
-		if ck.Step() >= *steps {
-			log.Fatalf("-resume: %s is already at step %d, -steps targets %d", ckPath, ck.Step(), *steps)
 		}
 		fmt.Printf("resuming from %s (completed steps: %d)\n", ckPath, ck.Step())
 	}
@@ -184,40 +176,38 @@ func main() {
 		// The resolved address (port 0 picks a free port) is what scrapers parse.
 		fmt.Printf("observability: listening on http://%s (/metrics /progress /stats /debug/pprof)\n", obs.Addr())
 	}
-	machine, lastCol := fmt.Sprintf("workers=%d", *workers), "KE"
-	if *ranks > 0 {
-		machine, lastCol = fmt.Sprintf("ranks=%d (distributed)", *ranks), "p-res"
+	machine, lastCol := fmt.Sprintf("workers=%d", cfg.Workers), "KE"
+	if cfg.Ranks > 0 {
+		machine, lastCol = fmt.Sprintf("ranks=%d (distributed)", cfg.Ranks), "p-res"
 	}
 	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d  %s\n",
-		*caseName, s.M.K, s.M.N, s.M.K*s.M.Np, machine)
+		cfg.Case, s.M.K, s.M.N, s.M.K*s.M.Np, machine)
 	fmt.Printf("%6s %9s %6s %8s %8s %8s %12s\n",
 		"step", "t", "CFL", "p-iters", "h-iters", "basis", lastCol)
 
 	// Step to the target, in one batch or — with -checkpoint — one per
-	// snapshot interval: a snapshot is the session's own, taken between two
-	// batches, whichever machine is stepping.
-	snapEvery, snapshots := 0, 0
-	if store != nil && *ckptEvery > 0 {
-		snapEvery = *ckptEvery
-	}
+	// snapshot interval, depositing after each batch and after the last: a
+	// snapshot is the session's own, taken between two batches, whichever
+	// machine is stepping. -checkpoint-every 0 keeps the final state only.
+	snapshots := 0
 	s.Disc().ResetFlops()
-	for sess.Step() < *steps {
-		batch := *steps - sess.Step()
-		if snapEvery > 0 {
-			batch = min(batch, snapEvery-sess.Step()%snapEvery)
+	for sess.Step() < cfg.Steps {
+		batch := cfg.Steps - sess.Step()
+		if every := cfg.CheckpointEvery; store != nil && every > 0 {
+			batch = min(batch, every-sess.Step()%every)
 		}
 		if _, err := sess.StepN(batch); err != nil {
 			log.Fatalf("step %d: %v", sess.Step()+1, err)
 		}
-		if snapEvery > 0 && sess.Step()%snapEvery == 0 {
-			if err := sess.Deposit(store, *caseName); err != nil {
+		if store != nil {
+			if err := sess.Deposit(store, cfg.Case); err != nil {
 				log.Fatalf("checkpoint: %v", err)
 			}
 			snapshots++
 		}
 	}
 	if nonconverged > 0 {
-		slog.Warn("some steps did not converge", "nonconverged", nonconverged, "steps", *steps)
+		slog.Warn("some steps did not converge", "nonconverged", nonconverged, "steps", cfg.Steps)
 	}
 	if res := sess.Distributed(); res != nil {
 		if res.P != res.RequestedP {
@@ -235,7 +225,7 @@ func main() {
 		fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(s.Disc().Flops()))
 	}
 	if snapshots > 0 {
-		fmt.Printf("wrote %d snapshots to %s (every %d steps; the newest is kept)\n", snapshots, ckPath, snapEvery)
+		fmt.Printf("wrote %d snapshots to %s (the newest, step %d, is kept)\n", snapshots, ckPath, sess.Step())
 	}
 
 	if tracer := sess.Tracer(); tracer != nil {

@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/session"
 )
 
 // TestMain runs semflow's main instead of the tests when SEMFLOW_MAIN is
@@ -34,5 +36,60 @@ func TestAlphaOutOfRangeExitsTwo(t *testing.T) {
 		if !strings.Contains(string(out), "-alpha "+alpha) {
 			t.Errorf("-alpha %s: output does not name the flag:\n%s", alpha, out)
 		}
+	}
+}
+
+// semflow re-executes the test binary as semflow with args and returns its
+// combined output and exit status.
+func semflow(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SEMFLOW_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), 0
+	case errors.As(err, &exit):
+		return string(out), exit.ExitCode()
+	}
+	t.Fatalf("semflow %v: %v", args, err)
+	return "", -1
+}
+
+// TestNegativeSizeExitsOne: a negative size or rank count is refused by the
+// session's one validation, naming the field, before any solver is built —
+// not a panic and its goroutine trace, and not a run on some other machine.
+func TestNegativeSizeExitsOne(t *testing.T) {
+	for _, tc := range []struct{ caseName, field, value string }{
+		{"shearlayer", "nel", "-3"}, {"channel", "kx", "-1"}, {"channel", "ranks", "-2"},
+	} {
+		out, code := semflow(t, "-case", tc.caseName, "-n", "3", "-steps", "1", "-workers", "1", "-"+tc.field, tc.value)
+		if code != 1 || !strings.Contains(out, tc.field+" = "+tc.value) || strings.Contains(out, "goroutine ") {
+			t.Errorf("-%s %s: exit status %d, want 1 naming the field, with no goroutine trace; output:\n%s",
+				tc.field, tc.value, code, out)
+		}
+	}
+}
+
+// TestCheckpointKeepsFinalState: -checkpoint deposits after the last step
+// too, so the store of a 3-step run snapshotting every 2 steps holds step 3.
+func TestCheckpointKeepsFinalState(t *testing.T) {
+	dir := t.TempDir()
+	out, code := semflow(t, "-case", "channel", "-n", "3", "-kx", "2", "-ky", "2", "-workers", "1",
+		"-steps", "3", "-checkpoint", dir, "-checkpoint-every", "2")
+	if code != 0 {
+		t.Fatalf("exit status %d; output:\n%s", code, out)
+	}
+	store, err := session.NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := session.LoadCheckpoint(store, "channel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Step() != 3 {
+		t.Errorf("stored snapshot at step %d, want 3; output:\n%s", ck.Step(), out)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/ns"
 	"repro/internal/parrun"
+	"repro/internal/session"
 )
 
 // distChannelSpec builds the Table-1 channel problem used by the
@@ -16,7 +17,7 @@ import (
 // machine finishes in seconds, large enough that the Schwarz+XXT pressure
 // solve exercises every communication phase.
 func distChannelSpec() (ns.Config, flowcases.InitFunc, error) {
-	return flowcases.Named("channel", flowcases.CaseParams{N: 5})
+	return session.Config{Case: "channel", N: 5}.Problem()
 }
 
 // distChannelRun advances the channel for a few steps as an SPMD program on

@@ -13,9 +13,9 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/flowcases"
 	"repro/internal/instrument"
 	"repro/internal/parrun"
+	"repro/internal/session"
 )
 
 // scaling runs the strong-scaling sweep. Full mode: K = 64x16 = 1024
@@ -30,7 +30,7 @@ func scaling(quick bool) {
 		kx, ky, n = 16, 4, 4
 		ps = []int{4, 16, 64}
 	}
-	cfg, init, err := flowcases.Named("channel", flowcases.CaseParams{N: n, KX: kx, KY: ky})
+	cfg, init, err := session.Config{Case: "channel", N: n, KX: kx, KY: ky}.Problem()
 	if err != nil {
 		fmt.Println("channel spec error:", err)
 		return

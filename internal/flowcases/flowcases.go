@@ -5,13 +5,15 @@
 // convection of Fig. 4, and the impulsively-started boundary-layer box with
 // a hemispherical roughness element standing in for the hairpin-vortex
 // production run of Figs. 7–8 and Table 4.
+// It holds each case's physics, a *Spec over a per-case config, and the
+// diagnostics of a running solver; session.Config.Problem maps case names
+// and a run's knobs onto the specs.
 package flowcases
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/mesh"
 	"repro/internal/ns"
@@ -142,7 +144,7 @@ type ChannelConfig struct {
 	Re      float64 // paper: 7500
 	Alpha   float64 // streamwise wavenumber (paper: 1)
 	N       int     // polynomial order
-	KX, KY  int     // element grid (paper: K = 15, e.g. 5 x 3)
+	KX, KY  int     // element grid (paper: K = 15, e.g. 5 x 3); 0 is 5 along, 3 across
 	Dt      float64
 	Order   int     // 2 or 3
 	Filter  float64 // filter strength (Table 1's α)
@@ -154,9 +156,7 @@ type ChannelConfig struct {
 // ChannelSpec builds the Table 1 problem definition without constructing a
 // solver.
 func ChannelSpec(c ChannelConfig) (ns.Config, InitFunc, *orrsomm.Result, error) {
-	if c.KX == 0 {
-		c.KX, c.KY = 5, 3
-	}
+	c.KX, c.KY = cmp.Or(c.KX, 5), cmp.Or(c.KY, 3) // each on its own
 	if c.Eps == 0 {
 		c.Eps = 1e-5
 	}
@@ -360,74 +360,4 @@ func Hairpin(c HairpinConfig) (*ns.Solver, error) {
 		return nil, err
 	}
 	return NewSolver(cfg, init)
-}
-
-// CaseParams are the parameters of a named case that semflow's flags and
-// semflowd's submit body expose; zero ProjectionL and PIters mean default.
-type CaseParams struct {
-	N           int     // polynomial order
-	Nel         int     // elements per direction (shearlayer, convection)
-	KX, KY      int     // channel element grid (0, 0: 5 x 3)
-	Alpha       float64 // filter strength
-	ProjectionL int     // pressure projection basis size (default 20)
-	PIters      int     // pressure CG iteration cap
-	Workers     int
-	Precond     string // pressure preconditioner variant ("" = schwarz)
-}
-
-// namedCases is the one mapping from a case name to the problem it runs.
-var namedCases = map[string]func(p CaseParams) (ns.Config, InitFunc, error){
-	"shearlayer": func(p CaseParams) (ns.Config, InitFunc, error) {
-		return ShearLayerSpec(ShearLayerConfig{
-			Nel: p.Nel, N: p.N, Rho: 30, Re: 1e5, Dt: 0.002,
-		})
-	},
-	"channel": func(p CaseParams) (ns.Config, InitFunc, error) {
-		cfg, init, _, err := ChannelSpec(ChannelConfig{
-			Re: 7500, Alpha: 1, N: p.N, Dt: 0.003125, Order: 2, KX: p.KX, KY: p.KY,
-		})
-		return cfg, init, err
-	},
-	"convection": func(p CaseParams) (ns.Config, InitFunc, error) {
-		cfg, err := ConvectionSpec(ConvectionConfig{Nel: p.Nel, N: p.N, Ra: 1e4, Dt: 0.002, ProjectionL: 20})
-		return cfg, nil, err // the cell starts at rest
-	},
-	"hairpin": func(p CaseParams) (ns.Config, InitFunc, error) {
-		return HairpinSpec(HairpinConfig{
-			Nx: 6, Ny: 4, Nz: 3, N: p.N, Re: 1600, Dt: 0.05,
-		})
-	},
-}
-
-// CaseNames lists the named cases, sorted.
-func CaseNames() []string {
-	names := make([]string, 0, len(namedCases))
-	for name := range namedCases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Named builds the problem definition of a named case: the table's physics,
-// then the parameters every case takes the same way. A nil InitFunc means
-// the velocity starts at rest.
-func Named(name string, p CaseParams) (ns.Config, InitFunc, error) {
-	build, ok := namedCases[name]
-	if !ok {
-		return ns.Config{}, nil, fmt.Errorf("flowcases: unknown case %q (have %s)",
-			name, strings.Join(CaseNames(), ", "))
-	}
-	cfg, init, err := build(p)
-	if err != nil {
-		return ns.Config{}, nil, err
-	}
-	cfg.FilterAlpha, cfg.Workers, cfg.PressurePrecond = p.Alpha, p.Workers, p.Precond
-	if p.ProjectionL > 0 {
-		cfg.ProjectionL = p.ProjectionL
-	}
-	if p.PIters > 0 {
-		cfg.PMaxIter = p.PIters
-	}
-	return cfg, init, nil
 }

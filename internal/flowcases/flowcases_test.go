@@ -148,73 +148,3 @@ func TestHairpinBoxRuns(t *testing.T) {
 		t.Error("no kinetic energy")
 	}
 }
-
-// TestNamedAppliesAlphaToEveryCase: the filter strength is a parameter every
-// named case takes the same way, as it does workers and the preconditioner —
-// the convection cell once dropped it and ran unfiltered whatever was asked.
-func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
-	for _, name := range CaseNames() {
-		for _, alpha := range []float64{0, 0.3, 1} {
-			cfg, _, err := Named(name, CaseParams{N: 4, Nel: 2, Alpha: alpha})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if cfg.FilterAlpha != alpha {
-				t.Errorf("%s with alpha %g: FilterAlpha %g", name, alpha, cfg.FilterAlpha)
-			}
-		}
-	}
-}
-
-// TestNamedCaseTable pins the problem each named case builds to the values
-// the two merged switches (session.buildSolver for shared memory, semflow's
-// runDistributed for -ranks) hard-coded, so the one table is checked against
-// both rather than trusted.
-func TestNamedCaseTable(t *testing.T) {
-	p := CaseParams{N: 6, Nel: 3, Alpha: 0.3, Workers: 2, Precond: "chebjacobi"}
-	type scalars struct {
-		Re, Dt, Filter, PTol, VTol, SubCFL float64
-		Order, ProjL, K, N, PMaxIter       int
-	}
-	for name, want := range map[string]scalars{
-		"shearlayer": {Re: 1e5, Dt: 0.002, Filter: 0.3, PTol: 1e-7, SubCFL: 0.25, ProjL: 20, K: 9, N: 6},
-		"channel":    {Re: 7500, Dt: 0.003125, Filter: 0.3, PTol: 1e-9, VTol: 1e-11, Order: 2, ProjL: 20, K: 15, N: 6},
-		"convection": {Re: 1, Dt: 0.002, Filter: 0.3, PTol: 1e-8, ProjL: 20, K: 9, N: 6},
-		"hairpin":    {Re: 1600, Dt: 0.05, Filter: 0.3, PTol: 1e-6, VTol: 1e-8, ProjL: 20, K: 72, N: 6},
-	} {
-		cfg, init, err := Named(name, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := scalars{Re: cfg.Re, Dt: cfg.Dt, Filter: cfg.FilterAlpha, PTol: cfg.PTol, VTol: cfg.VTol,
-			SubCFL: cfg.SubCFL, Order: cfg.Order, ProjL: cfg.ProjectionL, K: cfg.Mesh.K, N: cfg.Mesh.N,
-			PMaxIter: cfg.PMaxIter}
-		if got != want {
-			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
-		}
-		if cfg.Workers != 2 || cfg.PressurePrecond != "chebjacobi" {
-			t.Errorf("%s: workers %d, precond %q not passed through", name, cfg.Workers, cfg.PressurePrecond)
-		}
-		// Only the convection cell starts at rest, with a scalar driving it.
-		if rest := name == "convection"; (init == nil) != rest || (cfg.Scalar != nil) != rest {
-			t.Errorf("%s: init nil %v, scalar %v", name, init == nil, cfg.Scalar != nil)
-		}
-	}
-	if cfg, _, _ := Named("convection", p); cfg.Scalar.Buoyancy != [3]float64{0, 1e4, 0} {
-		t.Errorf("convection buoyancy %v, want Ra = 1e4 upward", cfg.Scalar.Buoyancy)
-	}
-	// The parameters that are not defaults: mesh size, projection basis, cap.
-	cfg, _, err := Named("channel", CaseParams{N: 4, KX: 8, KY: 2, ProjectionL: 5, PIters: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Mesh.K != 16 || cfg.ProjectionL != 5 || cfg.PMaxIter != 8 {
-		t.Errorf("channel 8x2 L=5 piters=8: K %d, L %d, cap %d", cfg.Mesh.K, cfg.ProjectionL, cfg.PMaxIter)
-	}
-	if _, _, err := Named("vortexstreet", p); err == nil {
-		t.Error("unknown case accepted")
-	}
-	if got := CaseNames(); len(got) != 4 || got[0] != "channel" || got[3] != "shearlayer" {
-		t.Errorf("CaseNames() = %v", got)
-	}
-}

@@ -36,8 +36,8 @@ type chebParams struct {
 	degree     int
 }
 
-// ValidPrecond reports whether name is an accepted PressurePrecond value.
-func ValidPrecond(name string) bool {
+// validPrecond reports whether name is an accepted PressurePrecond value.
+func validPrecond(name string) bool {
 	switch name {
 	case PrecondSchwarz, PrecondNone, PrecondChebJacobi, PrecondChebSchwarz, PrecondAuto:
 		return true

@@ -333,6 +333,64 @@ func TestHTTPCheckpointResumeCancel(t *testing.T) {
 	}
 }
 
+// refusedSubmits are submit bodies the job service answers 400, creating no
+// job: TestHTTPErrors posts them, and they seed FuzzSubmitConfig.
+var refusedSubmits = []string{
+	`{"case":"vortexstreet","steps":5}`, // unknown case
+	`{"case":"shearlayer"}`,             // no steps
+	`{not json`,
+	// The simulated machine is semflow's: a rank's panic would be every
+	// tenant's, and nothing bounds P.
+	`{"case":"channel","steps":2,"ranks":4}`,
+	`{"case":"channel","steps":2,"faults":{"seed":7}}`,
+	// One size out of range per field: no job is built for it.
+	`{"case":"channel","steps":2,"n":2}`,
+	`{"case":"channel","steps":2,"n":17}`,
+	`{"case":"shearlayer","steps":2,"nel":65}`,
+	`{"case":"channel","steps":2,"kx":-1}`,
+	`{"case":"shearlayer","steps":2,"nel":-3}`,
+	`{"case":"channel","steps":2,"ky":65}`,
+	`{"case":"channel","steps":2,"workers":65}`,
+	`{"case":"channel","steps":100001}`,
+	`{"case":"channel","steps":2,"batch_steps":10001}`,
+	`{"case":"channel","steps":2,"piters":-1}`,
+	`{"case":"channel","steps":2,"projection_l":65}`,
+	`{"case":"channel","steps":2,"checkpoint_every":3}`,
+	`{"case":"channel","steps":2,"workers":-1}`,
+	`{"case":"channel","steps":2,"batch_steps":-1}`,
+	`{"case":"channel","steps":2,"projection_l":-1}`,
+	`{"case":"channel","steps":2,"checkpoint_every":-1}`,
+	`{"case":"channel","steps":2,"trace_sample":-1}`,
+	// The filter scales the top mode by 1 − α: below 0 it amplifies
+	// what it should damp, above 1 it overshoots.
+	`{"case":"convection","steps":2,"alpha":-0.1}`,
+	`{"case":"channel","steps":2,"alpha":1.5}`,
+}
+
+// oneDimensionSubmits size the channel along or across only; the other
+// dimension takes its default.
+var oneDimensionSubmits = []string{
+	`{"case":"channel","steps":1,"n":4,"kx":8}`,
+	`{"case":"channel","steps":1,"n":4,"ky":2}`,
+}
+
+// TestHTTPSubmitOneChannelDimension: a channel submit setting kx or ky alone
+// is a job. The kx-only body once panicked inside the handler, in the
+// pressure preconditioner of a mesh with no rows, and dropped the connection.
+func TestHTTPSubmitOneChannelDimension(t *testing.T) {
+	_, srv := newTestAPI(t)
+	for _, body := range oneDimensionSubmits {
+		resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit %s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %s = %d, want 201", body, resp.StatusCode)
+		}
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	m, srv := newTestAPI(t)
 
@@ -340,31 +398,7 @@ func TestHTTPErrors(t *testing.T) {
 	getBody(t, srv.URL+"/api/sessions/nope/history", http.StatusNotFound)
 	getBody(t, srv.URL+"/api/sessions/nope/artifacts", http.StatusNotFound)
 
-	for _, body := range []string{
-		`{"case":"vortexstreet","steps":5}`, // unknown case
-		`{"case":"shearlayer"}`,             // no steps
-		`{not json`,
-		// The simulated machine is semflow's: a rank's panic would be every
-		// tenant's, and nothing bounds P.
-		`{"case":"channel","steps":2,"ranks":4}`,
-		`{"case":"channel","steps":2,"faults":{"seed":7}}`,
-		// One size out of range per field: no job is built for it.
-		`{"case":"channel","steps":2,"n":2}`,
-		`{"case":"channel","steps":2,"n":17}`,
-		`{"case":"shearlayer","steps":2,"nel":65}`,
-		`{"case":"channel","steps":2,"kx":-1}`,
-		`{"case":"channel","steps":2,"ky":65}`,
-		`{"case":"channel","steps":2,"workers":65}`,
-		`{"case":"channel","steps":100001}`,
-		`{"case":"channel","steps":2,"batch_steps":10001}`,
-		`{"case":"channel","steps":2,"piters":-1}`,
-		`{"case":"channel","steps":2,"projection_l":65}`,
-		`{"case":"channel","steps":2,"checkpoint_every":3}`,
-		// The filter scales the top mode by 1 − α: below 0 it amplifies
-		// what it should damp, above 1 it overshoots.
-		`{"case":"convection","steps":2,"alpha":-0.1}`,
-		`{"case":"channel","steps":2,"alpha":1.5}`,
-	} {
+	for _, body := range refusedSubmits {
 		resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -133,31 +133,26 @@ func checkServable(cfg Config) error {
 }
 
 // checkBounds refuses a job larger than one tenant of the service may ask
-// for, a negative size, or a filter strength outside [0, 1]. Zero is a
-// field's default, and an omitted n is checked as the order the job runs.
+// for, an order below 3 or no steps. Zero is a field's default, and an
+// omitted n is checked as the order the job runs; negative sizes and the
+// filter range are every session's checks (Config.validate).
 func checkBounds(cfg Config) error {
-	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1) {
-		return fmt.Errorf("session: alpha = %g, want 0 to 1", cfg.Alpha)
-	}
 	run := cfg
 	run.applyDefaults()
+	if run.N < 3 || run.Steps < 1 {
+		return fmt.Errorf("session: n = %d, steps = %d: a job runs n ≥ 3 for steps ≥ 1", run.N, run.Steps)
+	}
 	for _, b := range []struct {
-		name      string
-		v, lo, hi int
+		name  string
+		v, hi int
 	}{
-		{"n", run.N, 3, 16},
-		{"nel", cfg.Nel, 0, 64},
-		{"kx", cfg.KX, 0, 64},
-		{"ky", cfg.KY, 0, 64},
-		{"workers", cfg.Workers, 0, 64},
-		{"steps", cfg.Steps, 1, 100_000},
-		{"batch_steps", cfg.BatchSteps, 0, 10_000},
-		{"piters", cfg.PIters, 0, 10_000},
-		{"projection_l", cfg.ProjectionL, 0, 64},
-		{"checkpoint_every", cfg.CheckpointEvery, 0, cfg.Steps},
+		{"n", run.N, 16}, {"nel", run.Nel, 64}, {"kx", run.KX, 64}, {"ky", run.KY, 64},
+		{"workers", run.Workers, 64}, {"steps", run.Steps, 100_000}, {"batch_steps", run.BatchSteps, 10_000},
+		{"piters", run.PIters, 10_000}, {"projection_l", run.ProjectionL, 64},
+		{"checkpoint_every", run.CheckpointEvery, run.Steps},
 	} {
-		if b.v < b.lo || b.v > b.hi {
-			return fmt.Errorf("session: %s = %d, want %d to %d", b.name, b.v, b.lo, b.hi)
+		if b.v > b.hi {
+			return fmt.Errorf("session: %s = %d, want at most %d", b.name, b.v, b.hi)
 		}
 	}
 	return nil
@@ -177,7 +172,7 @@ func (m *Manager) Submit(cfg Config) (*Job, error) {
 
 // ResumeJob builds a new job continuing a stored session: its config.json
 // fixes the case, its checkpoint.gob fixes the state. steps, when > 0,
-// replaces the step target (it must exceed the checkpoint's step count);
+// replaces the step target (Resume refuses one the checkpoint has reached);
 // 0 keeps the original target. Works across manager (and process)
 // restarts — both artifacts live in the store.
 func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
@@ -198,10 +193,6 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	ck, err := LoadCheckpoint(m.store, fromID)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Steps <= ck.Step() {
-		return nil, fmt.Errorf("session: resume %s: checkpoint already at step %d, target is %d",
-			fromID, ck.Step(), cfg.Steps)
 	}
 	sess, err := Resume(cfg, ck)
 	if err != nil {

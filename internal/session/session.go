@@ -7,6 +7,10 @@
 // a pluggable Store), and of the one-shot semflow CLI, so there is exactly
 // one code path from "flow case + config" to stepped fields.
 //
+// A run is described once, by Config: semflow's flags fill it, semflowd's
+// submit body decodes into it, the case table (Config.Problem) reads it, and
+// Resume (which Create calls) validates it for every session.
+//
 // A Session steps one of two machines behind the same methods: the
 // shared-memory stepper (ns.Solver; Config.Ranks = 0) or the SPMD program on
 // the simulated machine (parrun.Stepper; Ranks = P). Per-session
@@ -24,6 +28,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +49,9 @@ var ErrCancelled = errors.New("session: cancelled")
 var ErrClosed = errors.New("session: closed")
 
 // Config selects a flow case, its knobs and its machine — the JSON body of
-// semflowd's submit endpoint, and the struct semflow's flags map onto. Zero
-// values mean "case default" (channel: KX=5 KY=3; all cases: N=8, Nel=8).
+// semflowd's submit endpoint, and the struct semflow's flags fill. Zero
+// values mean "case default" (channel: KX=5, KY=3, each on its own; all
+// cases: N=8, Nel=8); negative ones are refused.
 type Config struct {
 	Case  string `json:"case"`  // shearlayer, channel, convection, hairpin
 	Steps int    `json:"steps"` // job length (Manager); Create itself does not step
@@ -74,14 +81,52 @@ type Config struct {
 	// per acquired slot before yielding to other sessions (default 1).
 	BatchSteps int `json:"batch_steps,omitempty"`
 
-	// CheckpointEvery > 0 makes the Manager deposit a checkpoint.gob
-	// artifact every that-many steps (in addition to the final snapshot),
-	// so a killed server can resume its jobs from the store.
+	// CheckpointEvery > 0 deposits a checkpoint.gob every that-many steps,
+	// in addition to the final snapshot, so a killed run can be resumed from
+	// the store: both drivers read it (a Manager job; semflow -checkpoint).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
 	// OnStep, when set, observes every completed step (the CLI's per-step
 	// report). Not part of the wire format.
 	OnStep func(ns.StepStats) `json:"-"`
+}
+
+// validate is every session's one check of its config, whichever driver
+// built it: it refuses a filter strength outside [0, 1], a negative size or
+// count, an invalid fault plan or one without ranks, and a snapshot (ck) of
+// a distributed run for shared memory or at or past a non-zero Steps target.
+func (c Config) validate(ck *parrun.Checkpoint) error {
+	if !(c.Alpha >= 0 && c.Alpha <= 1) {
+		return fmt.Errorf("session: alpha = %g, want 0 to 1", c.Alpha)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"steps", c.Steps}, {"n", c.N}, {"nel", c.Nel}, {"kx", c.KX}, {"ky", c.KY},
+		{"workers", c.Workers}, {"piters", c.PIters}, {"projection_l", c.ProjectionL},
+		{"ranks", c.Ranks}, {"trace_sample", c.TraceSample}, {"batch_steps", c.BatchSteps},
+		{"checkpoint_every", c.CheckpointEvery},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("session: %s = %d, want 0 or more", f.name, f.v)
+		}
+	}
+	if c.Faults != nil {
+		if c.Ranks < 1 {
+			return fmt.Errorf("session: a fault plan degrades the simulated machine: set ranks > 0")
+		}
+		if err := c.Faults.Validate(); err != nil {
+			return err
+		}
+	}
+	if ck != nil && ck.P != 0 && c.Ranks == 0 {
+		return fmt.Errorf("session: snapshot of a %d-rank run, config has ranks = 0", ck.P)
+	}
+	if ck != nil && c.Steps > 0 && ck.Step() >= c.Steps {
+		return fmt.Errorf("session: the snapshot is at step %d, at or past the target of %d steps", ck.Step(), c.Steps)
+	}
+	return nil
 }
 
 func (c *Config) applyDefaults() {
@@ -97,6 +142,66 @@ func (c *Config) applyDefaults() {
 	if c.BatchSteps < 1 {
 		c.BatchSteps = 1
 	}
+}
+
+// namedCases is the one mapping from a case name to the problem it runs: the
+// physics of each case, sized by the config's N, Nel, KX and KY.
+var namedCases = map[string]func(c Config) (ns.Config, flowcases.InitFunc, error){
+	"shearlayer": func(c Config) (ns.Config, flowcases.InitFunc, error) {
+		return flowcases.ShearLayerSpec(flowcases.ShearLayerConfig{
+			Nel: c.Nel, N: c.N, Rho: 30, Re: 1e5, Dt: 0.002,
+		})
+	},
+	"channel": func(c Config) (ns.Config, flowcases.InitFunc, error) {
+		cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
+			Re: 7500, Alpha: 1, N: c.N, Dt: 0.003125, Order: 2, KX: c.KX, KY: c.KY,
+		})
+		return cfg, init, err
+	},
+	"convection": func(c Config) (ns.Config, flowcases.InitFunc, error) {
+		cfg, err := flowcases.ConvectionSpec(flowcases.ConvectionConfig{Nel: c.Nel, N: c.N, Ra: 1e4, Dt: 0.002, ProjectionL: 20})
+		return cfg, nil, err // the cell starts at rest
+	},
+	"hairpin": func(c Config) (ns.Config, flowcases.InitFunc, error) {
+		return flowcases.HairpinSpec(flowcases.HairpinConfig{
+			Nx: 6, Ny: 4, Nz: 3, N: c.N, Re: 1600, Dt: 0.05,
+		})
+	},
+}
+
+// CaseNames lists the named cases, sorted.
+func CaseNames() []string {
+	names := make([]string, 0, len(namedCases))
+	for name := range namedCases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Problem builds the problem definition the config names, defaults applied:
+// the table's physics, then the knobs every case takes the same way (Alpha,
+// Workers, Precond, and ProjectionL and PIters when set). A nil InitFunc
+// means the velocity starts at rest.
+func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
+	c.applyDefaults()
+	build, ok := namedCases[c.Case]
+	if !ok {
+		return ns.Config{}, nil, fmt.Errorf("session: unknown case %q (have %s)",
+			c.Case, strings.Join(CaseNames(), ", "))
+	}
+	cfg, init, err := build(c)
+	if err != nil {
+		return ns.Config{}, nil, fmt.Errorf("session: %w", err)
+	}
+	cfg.FilterAlpha, cfg.Workers, cfg.PressurePrecond = c.Alpha, c.Workers, c.Precond
+	if c.ProjectionL > 0 {
+		cfg.ProjectionL = c.ProjectionL
+	}
+	if c.PIters > 0 {
+		cfg.PMaxIter = c.PIters
+	}
+	return cfg, init, nil
 }
 
 // machine is the seam between a session and what it steps.
@@ -181,34 +286,20 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 }
 
 // Create builds a session for the configured case.
-func Create(cfg Config) (*Session, error) { return open(cfg, nil) }
+func Create(cfg Config) (*Session, error) { return Resume(cfg, nil) }
 
 // Resume builds a session of the same configuration and restores a snapshot
 // into it; stepping continues bitwise identically to the session the
 // snapshot was taken from (rank clocks and fault draws included). A nil
 // snapshot is Create.
-func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) { return open(cfg, ck) }
-
-func open(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
+func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
+	if err := cfg.validate(ck); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
-	if cfg.Steps < 0 {
-		return nil, fmt.Errorf("session: negative steps")
-	}
-	if cfg.Faults != nil {
-		if cfg.Ranks < 1 {
-			return nil, fmt.Errorf("session: a fault plan degrades the simulated machine: set ranks > 0")
-		}
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	nscfg, init, err := flowcases.Named(cfg.Case, flowcases.CaseParams{
-		N: cfg.N, Nel: cfg.Nel, KX: cfg.KX, KY: cfg.KY, Alpha: cfg.Alpha,
-		ProjectionL: cfg.ProjectionL, PIters: cfg.PIters,
-		Workers: cfg.Workers, Precond: cfg.Precond,
-	})
+	nscfg, init, err := cfg.Problem()
 	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
+		return nil, err
 	}
 	s := &Session{
 		cfg:     cfg,
@@ -237,12 +328,7 @@ func open(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 		solver.AttachHistory(s.history)
 		solver.AttachTracer(s.tracer)
 		if ck != nil {
-			if ck.P != 0 {
-				err = fmt.Errorf("session: snapshot of a %d-rank run, config has ranks = 0", ck.P)
-			} else {
-				err = solver.Restore(ck.Ranks[0].State)
-			}
-			if err != nil {
+			if err := solver.Restore(ck.Ranks[0].State); err != nil {
 				solver.Close()
 				return nil, err
 			}

@@ -785,3 +785,36 @@ func TestDepositLoadResumesBothMachines(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRefusesAReachedTarget: a step-k snapshot resumes toward a target
+// past k, or with none (Steps 0), and is refused at or below k on either
+// machine — the one check semflow -resume and Manager.ResumeJob both rely on.
+func TestResumeRefusesAReachedTarget(t *testing.T) {
+	const k = 2
+	for _, ranks := range []int{0, 3} {
+		cfg := Config{Case: "channel", Steps: k, N: 4, KX: 3, KY: 2, Ranks: ranks}
+		s, err := Create(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StepN(k); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := s.Checkpoint()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for steps, ok := range map[int]bool{0: true, k + 1: true, k: false, k - 1: false} {
+			cfg.Steps = steps
+			r, err := Resume(cfg, ck)
+			if (err == nil) != ok {
+				t.Errorf("ranks=%d: Resume of a step-%d snapshot with steps %d: err %v, want ok %v",
+					ranks, k, steps, err, ok)
+			}
+			if r != nil {
+				r.Close()
+			}
+		}
+	}
+}

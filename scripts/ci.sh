@@ -46,8 +46,9 @@
 #           hold the -ranks 4 run to its pinned allreduces per step,
 #           checkpoint and resume on both machines, the channel and the
 #           convection cell (one <case>/checkpoint.gob in the store, steps 3
-#           and 4 as the uninterrupted run prints them),
-#           refuse -report 0,
+#           and 4 as the uninterrupted run prints them), extend a finished
+#           3-step run from its final snapshot on both machines, size the
+#           channel from -kx alone, refuse -report 0 and -nel -1,
 #           scrape the live -listen endpoint mid-run, walk the P=256
 #           trace's critical path, exercise -precond auto (trial → report,
 #           plus a forced-variant divergence cross-check), and round-trip a
@@ -486,6 +487,48 @@ channel 0 -n 5
 convection 3 -nel 4 -n 5
 convection 0 -nel 4 -n 5
 RUNS
+
+    echo "== smoke: -checkpoint keeps the final state; a 3-step run extends to step 4 =="
+    # Snapshots every 2 steps of a 3-step run: the store holds step 3, not 2.
+    for ranks in 0 3; do
+        run="final-p$ranks"
+        ck="$out/ckpt-$run"
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 > "$out/full-$run.log"
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 3 -report 1 \
+            -checkpoint "$ck" -checkpoint-every 2
+        "$out/bin/semflow" -case channel -n 5 -ranks "$ranks" -steps 4 -report 1 \
+            -checkpoint "$ck" -resume > "$out/resume-$run.log"
+        cat "$out/resume-$run.log"
+        grep -q "completed steps: 3)" "$out/resume-$run.log" || {
+            echo "ranks=$ranks: the resume did not start from the final step 3" >&2
+            exit 1
+        }
+        grep -E '^ {5}4 ' "$out/full-$run.log" > "$out/full-$run.rows"
+        grep -E '^ {5}4 ' "$out/resume-$run.log" > "$out/resume-$run.rows"
+        [ "$(wc -l < "$out/full-$run.rows")" -eq 1 ] &&
+            cmp "$out/full-$run.rows" "$out/resume-$run.rows" || {
+            echo "ranks=$ranks: resumed step 4 differs from the uninterrupted run:" >&2
+            diff "$out/full-$run.rows" "$out/resume-$run.rows" >&2 || true
+            exit 1
+        }
+    done
+
+    echo "== smoke: -kx alone sizes the channel (ky takes its default 3) =="
+    "$out/bin/semflow" -case channel -n 4 -steps 1 -kx 8 > "$out/kx-only.log"
+    grep -q 'K=24 ' "$out/kx-only.log" || {
+        echo "semflow -kx 8 did not build the 8 x 3 channel:" >&2
+        cat "$out/kx-only.log" >&2
+        exit 1
+    }
+
+    echo "== smoke: semflow -nel -1 is refused with exit status 1, not a panic =="
+    code=0
+    "$out/bin/semflow" -nel -1 2> "$out/nel-neg.stderr" || code=$?
+    if [ "$code" -ne 1 ] || grep -q 'panic:' "$out/nel-neg.stderr"; then
+        echo "semflow -nel -1 exited $code, want 1 with no panic:" >&2
+        cat "$out/nel-neg.stderr" >&2
+        exit 1
+    fi
 
     echo "== smoke: semflow -report 0 is refused with exit status 2 =="
     code=0
