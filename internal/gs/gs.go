@@ -7,11 +7,13 @@
 // at once; across ranks it is one message per neighbour per call, whatever
 // the number of fields. The serial Handle backs the shared-memory solvers;
 // ParHandle runs the same operation across ranks of a comm network via
-// pairwise neighbour exchange, with the serial fold order per shared value,
-// so one field or several, every assembled value has the same bits.
+// pairwise neighbour exchange, folding each shared value's per-rank
+// contributions in ascending rank order, so every copy of a node has the same
+// bits on every rank, one field or several.
 package gs
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -29,6 +31,19 @@ const (
 	Min
 	Max
 )
+
+// identity is op's neutral element, the seed of a rank-order fold.
+func identity(op Op) float64 {
+	switch op {
+	case Mul:
+		return 1
+	case Min:
+		return math.Inf(1)
+	case Max:
+		return math.Inf(-1)
+	}
+	return 0
+}
 
 func combine(op Op, a, b float64) float64 {
 	switch op {
@@ -132,11 +147,15 @@ type ParHandle struct {
 	// precomputed gather/accumulate indices the steady-state Apply uses.
 	neighbours []neighbour
 
+	// below counts the neighbours of lower rank: they are neighbours[:below],
+	// and the rank's own contribution folds in after them.
+	below int
+
 	// Flat accumulator replacing the per-call map: every distinct shared
 	// gid owns one slot per field (field f's slots are the f-th run of
-	// len(slotRep) values of slotVal). slotRep seeds the slot from the
-	// locally combined value; the write-back scatters slot s to the local
-	// indices slotLoc[slotPtr[s]:slotPtr[s+1]].
+	// len(slotRep) values of slotVal). slotRep is the local index of the
+	// rank's own, locally combined, contribution; the write-back scatters
+	// slot s to the local indices slotLoc[slotPtr[s]:slotPtr[s+1]].
 	slotVal []float64
 	slotRep []int32
 	slotPtr []int32
@@ -265,15 +284,15 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 		slices.Sort(gs)
 		h.neighbours = append(h.neighbours, neighbour{rank: q, gids: gs})
 	}
-	// Deterministic neighbour order.
+	// Ascending rank order: the order every rank folds a shared value in.
 	slices.SortFunc(h.neighbours, func(a, b neighbour) int { return a.rank - b.rank })
+	for h.below < len(h.neighbours) && h.neighbours[h.below].rank < r.ID {
+		h.below++
+	}
 
 	// Precompute the steady-state exchange: gather indices per neighbour,
-	// and one accumulator slot per distinct shared gid. Slots are assigned
-	// on first appearance in neighbour order; the fold itself always runs in
-	// neighbour order seeded from the representative copy, so the
-	// floating-point combine order — and with it every assembled value — is
-	// exactly the sequential formulation's.
+	// and one accumulator slot per distinct shared gid, assigned on first
+	// appearance in neighbour order.
 	slotOf := make(map[int64]int32)
 	var sharedGids []int64
 	for ni := range h.neighbours {
@@ -324,15 +343,18 @@ func (h *ParHandle) Apply(u []float64, op Op) { h.ApplyFields(op, u) }
 
 // ApplyFields is the vector mode across ranks: every field is assembled with
 // the same topology in one communication phase, one message per neighbour
-// carrying each field's shared words in turn. The steady-state exchange is
-// allocation-free: payloads gather into per-neighbour buffers, and fold into
-// slot accumulators, that grow only when a call carries more fields than any
-// before it; all sends post before any receive is waited on, and each neighbour's reply is
-// received and folded into the fixed slot accumulators in neighbour order, so
-// every assembled value is the same whatever order the replies land in — and
-// bitwise what Apply on that field alone leaves. Waiting on a slow neighbour
-// first costs nothing: the others' replies queue in their own streams, and
-// the receiver's clock ends at the latest arrival in any order.
+// carrying each field's shared words in turn. Each shared value is folded
+// from op's identity over its holders' locally combined contributions in
+// ascending rank order — the lower-ranked neighbours', the rank's own, then
+// the higher-ranked neighbours' — and every holder knows the same holders, so
+// every copy of a node ends with the same bits on every rank, whatever order
+// the replies land in, and each field bitwise as Apply on it alone leaves it.
+// The steady-state exchange is allocation-free: payloads gather into
+// per-neighbour buffers, and fold into slot accumulators, that grow only when
+// a call carries more fields than any before it; all sends post before any
+// receive is waited on. Waiting on a slow neighbour first costs nothing: the
+// others' replies queue in their own streams, and the receiver's clock ends
+// at the latest arrival in any order.
 func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	// Local combine first.
 	h.local.ApplyFields(op, fields...)
@@ -359,29 +381,20 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 		h.exchWords.Add(int64(len(buf)))
 		words += len(buf)
 	}
-	// Accumulate neighbour contributions on top of the local combined
-	// values (op is commutative/associative, so pairwise folding is exact
-	// in the same sense as the paper's implementation).
 	ns := len(h.slotRep)
 	vals := grow(&h.slotVal, nf*ns)
+	id := identity(op)
+	for i := range vals {
+		vals[i] = id
+	}
+	h.fold(op, h.neighbours[:h.below], vals, nf, ns)
 	for f, u := range fields {
 		sv := vals[f*ns : (f+1)*ns]
 		for s, idx := range h.slotRep {
-			sv[s] = u[idx]
+			sv[s] = combine(op, sv[s], u[idx])
 		}
 	}
-	for ni := range h.neighbours {
-		nb := &h.neighbours[ni]
-		got := h.rank.Recv(nb.rank, tagExchange)
-		m := len(nb.slotIdx)
-		for f := 0; f < nf; f++ {
-			sv, in := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
-			for i, s := range nb.slotIdx {
-				sv[s] = combine(op, sv[s], in[i])
-			}
-		}
-		h.rank.Free(got)
-	}
+	h.fold(op, h.neighbours[h.below:], vals, nf, ns)
 	for f, u := range fields {
 		sv := vals[f*ns : (f+1)*ns]
 		for s, v := range sv {
@@ -396,6 +409,23 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	}
 	h.exchVTime.Add(time.Duration((h.rank.Time - t0) * float64(time.Second)))
 	h.exchVHist.Observe(h.rank.Time - t0)
+}
+
+// fold receives each of nbs' replies in turn and folds it into the slot
+// accumulators vals (nf fields of ns slots).
+func (h *ParHandle) fold(op Op, nbs []neighbour, vals []float64, nf, ns int) {
+	for ni := range nbs {
+		nb := &nbs[ni]
+		got := h.rank.Recv(nb.rank, tagExchange)
+		m := len(nb.slotIdx)
+		for f := 0; f < nf; f++ {
+			sv, in := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
+			for i, s := range nb.slotIdx {
+				sv[s] = combine(op, sv[s], in[i])
+			}
+		}
+		h.rank.Free(got)
+	}
 }
 
 // grow returns (*buf)[:n], reallocating *buf when it is shorter.

@@ -403,3 +403,132 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 		}
 	}
 }
+
+// TestParCopiesAgreeInRankOrder: ApplyFields leaves every copy of a shared
+// node with the same bits on every rank, and that value is the fold of the
+// holders' locally combined contributions in ascending rank order, for every
+// op over two fields of random per-copy data. Each mesh has vertices shared
+// by three or more ranks: a 4×2 box on P = 3 (one vertex of three ranks), an
+// 8×4 box in 2×2 blocks on P = 8 (three of four), and the 16×4 channel,
+// periodic in x, one element per rank on P = 64, ranks dealt out of element
+// order. A rank that folded its own value first and its neighbours' after it
+// summed such a node in another order than its neighbours did.
+func TestParCopiesAgreeInRankOrder(t *testing.T) {
+	const nf = 2
+	opName := [...]string{Sum: "Sum", Mul: "Mul", Min: "Min", Max: "Max"}
+	cases := []struct {
+		name  string
+		spec  mesh.Box2DSpec
+		p     int
+		owner func(ix, iy int) int
+	}{
+		{"4x2 box", mesh.Box2DSpec{Nx: 4, Ny: 2, X1: 4, Y1: 2}, 3, func(ix, iy int) int {
+			if iy == 1 {
+				return 2
+			}
+			return ix / 2
+		}},
+		{"8x4 box", mesh.Box2DSpec{Nx: 8, Ny: 4, X1: 8, Y1: 4}, 8, func(ix, iy int) int { return iy/2*4 + ix/2 }},
+		{"16x4 channel", mesh.Box2DSpec{Nx: 16, Ny: 4, X1: 2 * math.Pi, Y0: -1, Y1: 1, PeriodicX: true}, 64,
+			func(ix, iy int) int { return 7 * (iy*16 + ix) % 64 }},
+	}
+	for _, c := range cases {
+		m, err := mesh.Discretize(mesh.Box2D(c.spec), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each rank's local vector: its elements' nodes, in element order.
+		gids := make([][]int64, c.p)
+		for e := 0; e < m.K; e++ {
+			r := c.owner(e%c.spec.Nx, e/c.spec.Nx)
+			gids[r] = append(gids[r], m.GID[e*m.Np:(e+1)*m.Np]...)
+		}
+		holders := map[int64]map[int]bool{}
+		for r, gs := range gids {
+			for _, g := range gs {
+				if holders[g] == nil {
+					holders[g] = map[int]bool{}
+				}
+				holders[g][r] = true
+			}
+		}
+		most := 0
+		for _, hs := range holders {
+			most = max(most, len(hs))
+		}
+		if most < 3 {
+			t.Fatalf("%s: no node is shared by three ranks", c.name)
+		}
+		rng := rand.New(rand.NewSource(int64(c.p)))
+		for _, op := range []Op{Sum, Mul, Min, Max} {
+			in := make([][][]float64, c.p) // rank -> field -> local values
+			for r, gs := range gids {
+				in[r] = make([][]float64, nf)
+				for f := range in[r] {
+					in[r][f] = make([]float64, len(gs))
+					for i := range gs {
+						switch op {
+						case Sum: // twelve decades: any other order shows
+							in[r][f][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+						case Mul:
+							in[r][f][i] = 0.5 + rng.Float64()
+						default:
+							in[r][f][i] = rng.NormFloat64()
+						}
+					}
+				}
+			}
+			// The reference: each rank's local combine, then the holders'
+			// results folded from the lowest rank up.
+			want := make([]map[int64]float64, nf)
+			for f := range want {
+				want[f] = map[int64]float64{}
+			}
+			for r, gs := range gids {
+				loc := make([][]float64, nf)
+				for f := range loc {
+					loc[f] = append([]float64(nil), in[r][f]...)
+				}
+				Init(gs).ApplyFields(op, loc...)
+				seen := map[int64]bool{}
+				for i, g := range gs {
+					if seen[g] {
+						continue
+					}
+					seen[g] = true
+					for f := range want {
+						if acc, ok := want[f][g]; ok {
+							want[f][g] = combine(op, acc, loc[f][i])
+						} else {
+							want[f][g] = loc[f][i]
+						}
+					}
+				}
+			}
+			net := comm.NewNetwork(comm.Machine{P: c.p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+			net.Run(func(r *comm.Rank) { ParInit(r, gids[r.ID]).ApplyFields(op, in[r.ID]...) })
+			// Every copy against the first one met, then against the fold.
+			var split, off int
+			for f := 0; f < nf; f++ {
+				first := map[int64]float64{}
+				for r, gs := range gids {
+					for i, g := range gs {
+						got := in[r][f][i]
+						if v, ok := first[g]; !ok {
+							first[g] = got
+						} else if math.Float64bits(v) != math.Float64bits(got) {
+							split++
+						}
+						if math.Float64bits(got) != math.Float64bits(want[f][g]) {
+							off++
+						}
+					}
+				}
+			}
+			if split > 0 || off > 0 {
+				t.Errorf("%s, P=%d, %s: %d copies differ from another copy of their node, %d from the rank-order fold",
+					c.name, c.p, opName[op], split, off)
+			}
+		}
+	}
+}

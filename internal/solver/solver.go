@@ -483,21 +483,38 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 }
 
 // update A-orthonormalizes x against the basis and appends it; when the
-// basis is full it restarts from the current solution alone.
+// basis is full it restarts from the current solution alone. The
+// orthogonalization is classical Gram–Schmidt applied twice (CGS2), each
+// pass's l coefficients ⟨A xₖ, w⟩ joined at once: the first pass's travel with
+// the candidate's norm ‖w‖²_A, the second pass's alone, and the final norm is
+// a third join — three reductions per update whatever l is (two on an empty
+// basis), where modified Gram–Schmidt needs one per coefficient. The second
+// pass restores the orthogonality a single classical pass loses on a
+// near-dependent candidate.
 func (p *Projector) update(x []float64) {
 	n := len(x)
 	if len(p.xs) >= p.L {
 		p.Reset()
 	}
+	l := len(p.xs)
 	w := p.grab(n)
 	copy(w, x)
 	aw := p.grab(n)
 	p.apply(aw, w) // the one extra operator application per solve
-	norm0 := p.whole(w, aw)
-	// Two Gram-Schmidt passes for robustness against near-dependence.
+	var norm0 float64
 	for pass := 0; pass < 2; pass++ {
-		for k := range p.xs {
-			beta := p.whole(p.axs[k], w)
+		betas := p.alphas[:l]
+		for k, axk := range p.axs {
+			betas[k] = p.dot(axk, w)
+		}
+		if pass == 0 {
+			betas = append(betas, p.dot(w, aw))
+		}
+		p.join.sum(betas)
+		if pass == 0 {
+			norm0 = betas[l]
+		}
+		for k, beta := range betas[:l] {
 			xk, axk := p.xs[k], p.axs[k]
 			for i := 0; i < n; i++ {
 				w[i] -= beta * xk[i]

@@ -259,6 +259,75 @@ func TestProjectorBasisAOrthonormal(t *testing.T) {
 	}
 }
 
+// TestProjectorUpdateJoinsThreeTimes: a basis update is classical
+// Gram–Schmidt applied twice, so it joins three times whatever the basis
+// holds (the first pass's coefficients with the candidate's norm, the second
+// pass's, the final norm), and twice on an empty basis, which has no
+// coefficients; modified Gram–Schmidt joined 2l + 2 times. Filled to L with
+// a near-dependent candidate along the way, the basis is A-orthonormal to
+// 1e-12 and has turned that candidate away.
+func TestProjectorUpdateJoinsThreeTimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, l = 30, 8
+	a := spd(rng, n)
+	apply := denseOp(a, n)
+	var joins reductions
+	proj := NewProjector(l, apply, plainDot, joins.join)
+	random := func() []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		return x
+	}
+	update := func(x []float64, grows bool) {
+		t.Helper()
+		had := proj.Len()
+		joins = 0
+		proj.update(x)
+		want := 3
+		if had == 0 || had == l {
+			want = 2
+		}
+		if int(joins) != want {
+			t.Errorf("an update on a basis of %d joins %d times, want %d", had, joins, want)
+		}
+		if grows != (proj.Len() == had%l+1) {
+			t.Errorf("an update on a basis of %d leaves %d vectors; candidate accepted: %v", had, proj.Len(), !grows)
+		}
+	}
+	for proj.Len() < l {
+		if proj.Len() == l/2 {
+			// Inside the span but for a part of 1e-9: rejected.
+			near := random()
+			for i := range near {
+				near[i] *= 1e-9
+			}
+			for k, xk := range proj.xs {
+				for i := range near {
+					near[i] += float64(k+1) * xk[i]
+				}
+			}
+			update(near, false)
+		}
+		update(random(), true)
+	}
+	ax := make([]float64, n)
+	for j, xj := range proj.xs {
+		apply(ax, xj)
+		for i, xi := range proj.xs {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if v := plainDot(xi, ax); math.Abs(v-want) > 1e-12 {
+				t.Errorf("x%dᵀ A x%d = %.17g, want %g", i, j, v, want)
+			}
+		}
+	}
+	update(random(), true) // full: restarts from the candidate alone
+}
+
 func TestCGJacobiPreconditioner(t *testing.T) {
 	// Strongly diagonal-scaled SPD system: Jacobi should nearly solve it.
 	n := 60
