@@ -1,0 +1,229 @@
+package comm
+
+import (
+	"fmt"
+	"sync/atomic"
+)
+
+// Collectives meet once per call. Every rank deposits its vector at the
+// network's rendezvous and parks; the last rank to arrive replays the call's
+// message schedule — recursive doubling for P = 2^k, a binomial reduce to
+// rank 0 and a binomial broadcast from it otherwise — message by message,
+// through the same clock halves a Send and a Recv use (post, land), each
+// rank's messages in that rank's own order, combining each rank's vector
+// with op exactly where the rank would. Clocks, traffic counters, fault
+// draws, registry counters and trace events are therefore those of the
+// message-passing schedule; only the host work differs: one park per rank
+// instead of 2·log₂P inbox hand-offs. Collective messages never enter an
+// inbox, so they take no tag from the user's tag space.
+
+// Collective messages are labelled, in traces and loss panics, with the
+// tags the schedule gives them: labelAllreduce plus the round of recursive
+// doubling or plus the distance of a reduce round; labelBcast plus the
+// distance of a broadcast round.
+const (
+	labelAllreduce = 1 << 20
+	labelBcast     = 1 << 21
+)
+
+// rendezvous is where the ranks meet for one collective call. A rank writes
+// its data slot before it counts itself in, and the last rank's count
+// observes every earlier one, so the replay reads every slot after it was
+// written; until the replay wakes them, the other ranks are parked, so the
+// replay owns the rendezvous and every rank's clock without a lock.
+type rendezvous struct {
+	arrived atomic.Int64
+	data    [][]float64 // by rank: the vector deposited for the call in progress
+	wake    []chan any  // by rank, capacity 1: nil, or the panic that failed the replay
+	swap    []float64   // recursive doubling's copy of one partner's vector
+}
+
+func (c *rendezvous) init(p int) {
+	c.data, c.wake = make([][]float64, p), make([]chan any, p)
+	for q := range c.wake {
+		c.wake[q] = make(chan any, 1)
+	}
+}
+
+// ReduceOp combines two equal-length vectors elementwise into dst.
+type ReduceOp func(dst, src []float64)
+
+// OpSum adds src into dst.
+func OpSum(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// OpMax takes the elementwise maximum.
+func OpMax(dst, src []float64) {
+	for i, v := range src {
+		if v > dst[i] {
+			dst[i] = v
+		}
+	}
+}
+
+// Allreduce combines data across all ranks with op, leaving the result in
+// data on every rank. Power-of-two rank counts use recursive doubling
+// (log₂P rounds); general counts fall back to a binomial-tree reduce+bcast.
+// Every message of the schedule is clocked, counted, fault-drawn and traced;
+// the schedule is replayed at one rendezvous of the ranks.
+func (r *Rank) Allreduce(data []float64, op ReduceOp) {
+	in, tr := r.net.instr, r.net.tracer
+	if in == nil && tr == nil {
+		r.allreduce(data, op)
+		return
+	}
+	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
+	r.allreduce(data, op)
+	if in != nil {
+		in.allreduce.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
+	}
+	if tr.WantsV(r.ID) {
+		tr.SpanV(r.ID, "allreduce", "comm", t0, r.Time,
+			map[string]any{"words": len(data), "msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
+	}
+}
+
+// Barrier synchronizes all ranks (allreduce of a scalar in the rank's
+// scratch word, so it allocates nothing).
+func (r *Rank) Barrier() {
+	r.scalBuf[0] = 0
+	in, tr := r.net.instr, r.net.tracer
+	if in == nil && tr == nil {
+		r.allreduce(r.scalBuf[:], OpSum)
+		return
+	}
+	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
+	r.allreduce(r.scalBuf[:], OpSum)
+	if in != nil {
+		in.barrier.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
+	}
+	if tr.WantsV(r.ID) {
+		tr.SpanV(r.ID, "barrier", "comm", t0, r.Time,
+			map[string]any{"msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
+	}
+}
+
+// AllreduceScalar is a convenience for a single value. The scratch word
+// lives on the rank (collectives never nest), so the per-iteration scalar
+// reductions of a CG loop allocate nothing.
+func (r *Rank) AllreduceScalar(v float64, op ReduceOp) float64 {
+	r.scalBuf[0] = v
+	r.Allreduce(r.scalBuf[:], op)
+	return r.scalBuf[0]
+}
+
+// allreduce deposits data at the rendezvous and parks until the last rank
+// has replayed the call. A replay that fails (a message lost for good)
+// fails every rank with the same panic.
+func (r *Rank) allreduce(data []float64, op ReduceOp) {
+	n := r.net
+	if n.P == 1 {
+		return
+	}
+	c := &n.coll
+	c.data[r.ID] = data
+	if c.arrived.Add(1) < int64(n.P) {
+		if failure := <-c.wake[r.ID]; failure != nil {
+			panic(failure)
+		}
+		return
+	}
+	c.arrived.Store(0)
+	failure := n.replay(op)
+	for q, w := range c.wake {
+		if q != r.ID {
+			w <- failure
+		}
+	}
+	if failure != nil {
+		panic(failure)
+	}
+}
+
+// replay runs the call's message schedule over the deposited vectors. A
+// panic (a message lost for good, or a caller's op) is recovered and
+// returned, for the caller to hand to every rank it wakes.
+func (n *Network) replay(op ReduceOp) (failure any) {
+	defer func() { failure = recover() }()
+	c, p := &n.coll, n.P
+	words := len(c.data[0])
+	for q, d := range c.data {
+		if len(d) != words {
+			panic(fmt.Sprintf("comm: collective of %d words on rank %d, %d on rank 0", len(d), q, words))
+		}
+	}
+	if p&(p-1) == 0 {
+		n.doubling(op, words)
+	} else {
+		n.reduceTree(op, words)
+		n.bcastTree(words)
+	}
+	return nil
+}
+
+// doubling replays recursive doubling (P = 2^k): in each round every pair
+// exchanges, and both fold the partner's vector as it was before the round.
+func (n *Network) doubling(op ReduceOp, words int) {
+	c, p := &n.coll, n.P
+	if cap(c.swap) < words {
+		c.swap = make([]float64, words)
+	}
+	swap := c.swap[:words]
+	for dist, round := 1, 0; dist < p; dist, round = dist<<1, round+1 {
+		tag := labelAllreduce + round
+		for a := 0; a < p; a++ {
+			b := a ^ dist
+			if b < a {
+				continue
+			}
+			ra, rb := n.ranks[a], n.ranks[b]
+			ta, fa := ra.post(b, tag, words)
+			tb, fb := rb.post(a, tag, words)
+			ra.land(b, tag, words, tb, fb)
+			rb.land(a, tag, words, ta, fa)
+			da, db := c.data[a], c.data[b]
+			copy(swap, da)
+			op(da, db)
+			op(db, swap)
+		}
+	}
+}
+
+// reduceTree replays the binomial reduce to rank 0: in round dist, every
+// rank that is an odd multiple of dist sends its (final) vector to
+// rank−dist, which folds it in.
+func (n *Network) reduceTree(op ReduceOp, words int) {
+	c, p := &n.coll, n.P
+	for dist := 1; dist < p; dist <<= 1 {
+		tag := labelAllreduce + dist
+		for dst := 0; dst+dist < p; dst += 2 * dist {
+			src := dst + dist
+			t, f := n.ranks[src].post(dst, tag, words)
+			n.ranks[dst].land(src, tag, words, t, f)
+			op(c.data[dst], c.data[src])
+		}
+	}
+}
+
+// bcastTree replays the binomial broadcast of rank 0's vector (fan-out): in
+// round dist, every rank that already holds it and is a multiple of 2·dist
+// forwards it to rank+dist.
+func (n *Network) bcastTree(words int) {
+	c, p := &n.coll, n.P
+	mask := 1
+	for mask < p {
+		mask <<= 1
+	}
+	for dist := mask >> 1; dist >= 1; dist >>= 1 {
+		tag := labelBcast + dist
+		for src := 0; src+dist < p; src += 2 * dist {
+			dst := src + dist
+			t, f := n.ranks[src].post(dst, tag, words)
+			n.ranks[dst].land(src, tag, words, t, f)
+			copy(c.data[dst], c.data[src])
+		}
+	}
+}

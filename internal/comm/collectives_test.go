@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,25 +77,44 @@ func TestAllreduceEdgeRankCounts(t *testing.T) {
 	}
 }
 
+// replayBcast deposits one vector per rank at the rendezvous and replays the
+// broadcast half of a tree allreduce over them, as the last rank to arrive
+// does: every rank ends with rank 0's vector.
+func replayBcast(net *Network, vecs [][]float64) {
+	copy(net.coll.data, vecs)
+	net.bcastTree(len(vecs[0]))
+}
+
 // TestBcastEdgeRankCounts: the binomial fan-out from rank 0 is the second
-// half of every allreduce at a non-power-of-two P.
+// half of every allreduce at a non-power-of-two P. The replay's fan-out
+// delivers rank 0's vector everywhere and leaves every clock where the
+// message-passing fan-out does.
 func TestBcastEdgeRankCounts(t *testing.T) {
 	for _, p := range rankCounts() {
 		want := []float64{3.5, -1.25, float64(p)}
+		m := Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}
 		got := make([][]float64, p)
-		NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
+		for q := range got {
+			got[q] = make([]float64, len(want))
+		}
+		copy(got[0], want)
+		net := NewNetwork(m)
+		replayBcast(net, got)
+		oracle := NewNetwork(m).Run(func(r *Rank) {
 			buf := make([]float64, len(want))
 			if r.ID == 0 {
 				copy(buf, want)
 			}
-			r.bcastTree(buf)
-			got[r.ID] = buf
+			oracleBcast(r, buf)
 		})
 		for q := 0; q < p; q++ {
 			for i := range want {
 				if got[q][i] != want[i] {
 					t.Fatalf("P=%d: rank %d got %v, want %v", p, q, got[q], want)
 				}
+			}
+			if c, w := net.ranks[q].Clock(), oracle[q].Clock(); c != w {
+				t.Fatalf("P=%d: rank %d clock %+v, message-passing fan-out %+v", p, q, c, w)
 			}
 		}
 	}
@@ -115,6 +135,28 @@ func TestBarrierEdgeRankCounts(t *testing.T) {
 					t.Fatalf("P=%d: rank %d clock %g far below barrier completion %g", p, r.ID, r.Time, tmax)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkAllreduce reports the host time of one allreduce on the
+// simulated ASCI-Red machine (ns/op is per call, all P ranks together): at
+// the dist_p64 rank count and the paper's P = 1024, for the scalar of a CG
+// reduction and a 20-word vector of shares.
+func BenchmarkAllreduce(b *testing.B) {
+	for _, p := range []int{64, 1024} {
+		for _, words := range []int{1, 20} {
+			b.Run(fmt.Sprintf("P=%d/words=%d", p, words), func(b *testing.B) {
+				net := NewNetwork(ASCIRed(p))
+				b.ResetTimer()
+				net.Run(func(r *Rank) {
+					buf := make([]float64, words)
+					for i := 0; i < b.N; i++ {
+						buf[0] = float64(r.ID + i)
+						r.Allreduce(buf, OpMax)
+					}
+				})
+			})
 		}
 	}
 }

@@ -8,6 +8,9 @@
 // collective trees) execute exactly as they would on real hardware — same
 // messages, same data, same dependency structure — and the virtual clocks
 // yield the communication-time curves of Fig. 6 without 2048 physical nodes.
+// Collectives meet at one rendezvous per call, where the last rank to
+// arrive replays the message schedule for all of them: each message is
+// still clocked, counted, fault-drawn and traced, but none is queued.
 package comm
 
 import (
@@ -63,18 +66,19 @@ type tagged struct {
 // (source, tag) stream at its receiver, so a receive waits on exactly the
 // stream it names: no message is ever taken and set aside for a later
 // receive. Streams are indexed by source rank, each source holding the short
-// list of tags it has used on this rank (the gs exchange, a collective round
-// or two), so finding a stream is one slice index and a scan of a few tags —
-// no hashing — however many sources have a backlog (the gs setup all-to-all
-// leaves ~P streams queued per rank). The queues are unbounded and Send never
-// blocks: a bounded channel here deadlocks real communication patterns — a
-// sender blocked on a full inbox whose receiver is itself blocked sending
-// never progresses — and the simulated machine models a network that buffers
-// at the receiver, not a rendezvous. Streams are never deleted: the tag set
-// is small and fixed (per-round collective tags, the gs setup and exchange
-// tags), so queue storage is reused across calls. Only the owning rank
-// receives, so at most one stream is waited on at a time, and a send wakes
-// the receiver only when it lands on that stream.
+// list of tags it has used on this rank (the gs setup and exchange tags), so
+// finding a stream is one slice index and a scan of a few tags — no hashing
+// — however many sources have a backlog (the gs setup all-to-all leaves ~P
+// streams queued per rank). Collective messages never come here: they are
+// replayed at the collective's rendezvous (collective.go). The queues are
+// unbounded and Send never blocks: a bounded channel here deadlocks real
+// communication patterns — a sender blocked on a full inbox whose receiver
+// is itself blocked sending never progresses — and point-to-point the
+// simulated machine models a network that buffers at the receiver. Streams
+// are never deleted: the tag set is small and fixed, so queue storage is
+// reused across calls. Only the owning rank receives, so at most one stream
+// is waited on at a time, and a send wakes the receiver only when it lands
+// on that stream.
 type inbox struct {
 	mu      sync.Mutex
 	ready   sync.Cond  // L is &mu
@@ -191,6 +195,7 @@ func (in *netInstr) stall(dt float64) {
 type Network struct {
 	Machine
 	ranks  []*Rank
+	coll   rendezvous
 	instr  *netInstr
 	tracer *instrument.Tracer
 	faults *fault.Plan
@@ -199,6 +204,7 @@ type Network struct {
 // NewNetwork allocates the communication structure for the machine.
 func NewNetwork(m Machine) *Network {
 	n := &Network{Machine: m, ranks: make([]*Rank, m.P)}
+	n.coll.init(m.P)
 	for i := range n.ranks {
 		r := &Rank{ID: i, net: n, in: inbox{streams: make([][]tagged, m.P)}}
 		r.in.ready.L = &r.in.mu
@@ -303,12 +309,12 @@ type Rank struct {
 	// pool holds received payload buffers by power-of-two size class,
 	// rank-local so no locking is needed: callers return consumed buffers
 	// with Free, and this rank's next Send copies into one of them. A
-	// steady-state exchange (gs, allreduce) therefore allocates nothing.
+	// steady-state gather–scatter exchange therefore allocates nothing.
 	// Deliberately not a sync.Pool: the GC may drain one at any time, which
 	// would break the zero-allocation guarantee the hot-path tests pin.
 	pool [payloadClasses][][]float64
 
-	scalBuf [1]float64 // AllreduceScalar scratch (collectives never nest)
+	scalBuf [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
 	flowSeq int64      // per-sender flow-id sequence (deterministic, no global state)
 	sendSeq int64      // per-sender message sequence feeding the fault plan's draws
 }
@@ -340,9 +346,9 @@ func (r *Rank) getPayload(n int) []float64 {
 
 // Free returns a payload obtained from Recv to this rank's buffer pool, to
 // be reused by a later Send. Calling it is optional — an unreturned buffer
-// is simply garbage-collected — but the steady-state exchanges
-// (gather–scatter, allreduce) free every payload they consume, which is what
-// makes them allocation-free. The caller must not touch the slice
+// is simply garbage-collected — but the steady-state gather–scatter
+// exchange frees every payload it consumes, which is what makes it
+// allocation-free. The caller must not touch the slice
 // afterwards. Nil and non-pooled slices are ignored.
 func (r *Rank) Free(buf []float64) {
 	c := cap(buf)
@@ -444,8 +450,24 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	if to == r.ID {
 		panic("comm: self-send")
 	}
+	arrival, flow := r.post(to, tag, len(data))
+	// The payload copy keeps Send/Recv value semantics (the caller may
+	// overwrite data immediately); the buffer comes from the sender's pool so
+	// sustained traffic recycles returned receive buffers instead of
+	// allocating per message.
+	cp := r.getPayload(len(data))
+	copy(cp, data)
+	r.net.ranks[to].in.put(message{from: r.ID, tag: tag, data: cp, arrival: arrival, flow: flow})
+}
+
+// post is the clock half of a send of `words` words to rank `to`: it
+// advances the sender's clock, draws the message's faults, counts and
+// traces it, and returns its arrival time and trace flow id. Send hands the
+// payload to the receiver's inbox after it; a collective's replay
+// (collective.go) calls it alone, for each message of the schedule.
+func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 	r.maybePause()
-	bytes := 8 * len(data)
+	bytes := 8 * words
 	base := r.net.Latency + float64(bytes)*r.net.ByteSec
 	var extra float64
 	if pl := r.net.faults; pl != nil {
@@ -495,7 +517,6 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	// is generated only when sender and receiver tracks are both recorded,
 	// so sampled traces keep every "s" matched by an "f" (ValidateChromeTrace
 	// relies on this).
-	var flow string
 	if tr := r.net.tracer; tr.WantsV(r.ID) {
 		tr.SpanV(r.ID, "send", "comm", t0, r.Time,
 			map[string]any{"to": to, "tag": tag, "bytes": bytes})
@@ -505,45 +526,41 @@ func (r *Rank) Send(to, tag int, data []float64) {
 			tr.FlowV("s", r.ID, "msg", r.Time, flow)
 		}
 	}
-	// The payload copy keeps Send/Recv value semantics (the caller may
-	// overwrite data immediately); the buffer comes from the sender's pool so
-	// sustained traffic recycles returned receive buffers instead of
-	// allocating per message.
-	cp := r.getPayload(len(data))
-	copy(cp, data)
-	r.net.ranks[to].in.put(message{from: r.ID, tag: tag, data: cp, arrival: r.Time, flow: flow})
+	return r.Time, flow
 }
 
 // Recv blocks until the oldest unreceived message of the (from, tag) stream
 // is there and returns its payload, advancing the receiver's clock to at
 // least the message arrival time. Messages of one stream arrive in send
 // order; streams are independent, so a rank may receive them in any order,
-// and since deliver only max-advances the clock, on a fault-free machine the
+// and since land only max-advances the clock, on a fault-free machine the
 // order a rank picks does not move its clock. The returned buffer may be
 // handed back with Free once consumed; holding on to it is also fine.
 func (r *Rank) Recv(from, tag int) []float64 {
 	if from == r.ID || from < 0 || from >= r.net.P {
 		panic(fmt.Sprintf("comm: rank %d cannot receive from rank %d of %d", r.ID, from, r.net.P))
 	}
-	return r.deliver(r.in.take(from, tag))
+	m := r.in.take(from, tag)
+	r.land(m.from, m.tag, len(m.data), m.arrival, m.flow)
+	return m.data
 }
 
-// deliver advances the receiver's clock to the message arrival time and
-// closes the trace flow arrow opened by the matching Send. A receiver
-// paused when the message lands picks it up once the pause window ends.
-func (r *Rank) deliver(m message) []float64 {
-	if m.arrival > r.Time {
-		r.Time = m.arrival
+// land is the clock half of a receive of `words` words from rank `from`:
+// it advances the receiver's clock to the message arrival time and closes
+// the trace flow arrow opened by the matching post. A receiver paused when
+// the message lands picks it up once the pause window ends.
+func (r *Rank) land(from, tag, words int, arrival float64, flow string) {
+	if arrival > r.Time {
+		r.Time = arrival
 	}
 	r.maybePause()
 	if tr := r.net.tracer; tr.WantsV(r.ID) {
-		if m.flow != "" {
-			tr.FlowV("f", r.ID, "msg", r.Time, m.flow)
+		if flow != "" {
+			tr.FlowV("f", r.ID, "msg", r.Time, flow)
 		}
 		tr.InstantV(r.ID, "recv", "comm", r.Time,
-			map[string]any{"from": m.from, "tag": m.tag, "bytes": 8 * len(m.data)})
+			map[string]any{"from": from, "tag": tag, "bytes": 8 * words})
 	}
-	return m.data
 }
 
 // Compute advances the virtual clock by the modeled time of nflops local
@@ -575,146 +592,6 @@ func (r *Rank) Compute(nflops int64) {
 
 // P returns the number of ranks.
 func (r *Rank) P() int { return r.net.P }
-
-// ---- Collectives ----
-
-// tagBase offsets keep collective traffic distinct from user tags; user tags
-// must stay below 1<<20.
-const (
-	tagAllreduce = 1 << 20
-	tagBcast     = 1 << 21
-)
-
-// ReduceOp combines two equal-length vectors elementwise into dst.
-type ReduceOp func(dst, src []float64)
-
-// OpSum adds src into dst.
-func OpSum(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
-// OpMax takes the elementwise maximum.
-func OpMax(dst, src []float64) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// Allreduce combines data across all ranks with op, leaving the result in
-// data on every rank. Power-of-two rank counts use recursive doubling
-// (log₂P rounds); general counts fall back to a binomial-tree reduce+bcast.
-func (r *Rank) Allreduce(data []float64, op ReduceOp) {
-	in, tr := r.net.instr, r.net.tracer
-	if in == nil && tr == nil {
-		r.allreduce(data, op)
-		return
-	}
-	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
-	r.allreduce(data, op)
-	if in != nil {
-		in.allreduce.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
-	}
-	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "allreduce", "comm", t0, r.Time,
-			map[string]any{"words": len(data), "msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
-	}
-}
-
-func (r *Rank) allreduce(data []float64, op ReduceOp) {
-	p := r.net.P
-	if p == 1 {
-		return
-	}
-	if p&(p-1) == 0 {
-		for dist, round := 1, 0; dist < p; dist, round = dist<<1, round+1 {
-			peer := r.ID ^ dist
-			tag := tagAllreduce + round
-			r.Send(peer, tag, data)
-			got := r.Recv(peer, tag)
-			op(data, got)
-			r.Free(got)
-		}
-		return
-	}
-	r.reduceTree(data, op)
-	r.bcastTree(data)
-}
-
-// reduceTree reduces to rank 0 along a binomial tree.
-func (r *Rank) reduceTree(data []float64, op ReduceOp) {
-	p := r.net.P
-	for dist := 1; dist < p; dist <<= 1 {
-		if r.ID&(2*dist-1) == 0 {
-			src := r.ID + dist
-			if src < p {
-				got := r.Recv(src, tagAllreduce+dist)
-				op(data, got)
-				r.Free(got)
-			}
-		} else if r.ID&(dist-1) == 0 {
-			r.Send(r.ID-dist, tagAllreduce+dist, data)
-			return
-		}
-	}
-}
-
-// bcastTree broadcasts rank 0's data along a binomial tree (fan-out): in
-// round dist, every rank that already holds the data and is a multiple of
-// 2·dist forwards it to rank+dist.
-func (r *Rank) bcastTree(data []float64) {
-	p := r.net.P
-	mask := 1
-	for mask < p {
-		mask <<= 1
-	}
-	received := r.ID == 0
-	for dist := mask >> 1; dist >= 1; dist >>= 1 {
-		switch {
-		case received && r.ID%(2*dist) == 0 && r.ID+dist < p:
-			r.Send(r.ID+dist, tagBcast+dist, data)
-		case !received && r.ID%(2*dist) == dist:
-			got := r.Recv(r.ID-dist, tagBcast+dist)
-			copy(data, got)
-			r.Free(got)
-			received = true
-		}
-	}
-	if !received {
-		panic(fmt.Sprintf("comm: bcast failed to reach rank %d", r.ID))
-	}
-}
-
-// Barrier synchronizes all ranks (allreduce of a scalar).
-func (r *Rank) Barrier() {
-	buf := []float64{0}
-	in, tr := r.net.instr, r.net.tracer
-	if in == nil && tr == nil {
-		r.allreduce(buf, OpSum)
-		return
-	}
-	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
-	r.allreduce(buf, OpSum)
-	if in != nil {
-		in.barrier.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
-	}
-	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "barrier", "comm", t0, r.Time,
-			map[string]any{"msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
-	}
-}
-
-// AllreduceScalar is a convenience for a single value. The scratch word
-// lives on the rank (collectives never nest), so the per-iteration scalar
-// reductions of a CG loop allocate nothing.
-func (r *Rank) AllreduceScalar(v float64, op ReduceOp) float64 {
-	r.scalBuf[0] = v
-	r.Allreduce(r.scalBuf[:], op)
-	return r.scalBuf[0]
-}
 
 // MaxTime returns the maximum virtual clock across ranks (the modeled
 // parallel completion time).

@@ -182,44 +182,50 @@ func TestFreePoolSafety(t *testing.T) {
 
 func TestAllreduceSteadyStateZeroAlloc(t *testing.T) {
 	// The regression the large-P runs depend on: after warmup, vector and
-	// scalar allreduces must run out of the per-rank payload pools with no
-	// heap allocation at all. testing.AllocsPerRun cannot express this (the
-	// network's Run goroutines allocate), so the measurement is a MemStats
-	// delta taken on rank 0 across a collectively-synchronized window while
-	// GC is disabled (GC assists could otherwise attribute noise here).
+	// scalar allreduces and barriers must run with no heap allocation at
+	// all, by recursive doubling (P = 8) and by the tree (P = 6), whose
+	// replay buffers are reused from call to call. testing.AllocsPerRun
+	// cannot express this (the network's Run goroutines allocate), so the
+	// measurement is a MemStats delta taken on rank 0 across a
+	// collectively-synchronized window while GC is disabled (GC assists
+	// could otherwise attribute noise here).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const p = 8
 	const warm, iters = 25, 200
-	var steady uint64
-	NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
-		buf := make([]float64, 33) // non-power-of-two: rounds up inside its size class
-		for i := range buf {
-			buf[i] = float64(r.ID + i)
+	for _, p := range []int{8, 6} {
+		var steady uint64
+		NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
+			buf := make([]float64, 33) // non-power-of-two: rounds up inside its size class
+			for i := range buf {
+				buf[i] = float64(r.ID + i)
+			}
+			for it := 0; it < warm; it++ {
+				r.Allreduce(buf, OpMax)
+				r.AllreduceScalar(float64(r.ID+it), OpMax)
+				r.Barrier()
+			}
+			// Line every rank up at the measurement boundary, then measure.
+			r.AllreduceScalar(0, OpSum)
+			var m0, m1 runtime.MemStats
+			if r.ID == 0 {
+				runtime.ReadMemStats(&m0)
+			}
+			for it := 0; it < iters; it++ {
+				r.Allreduce(buf, OpMax)
+				r.AllreduceScalar(float64(it), OpMax)
+				r.Barrier()
+			}
+			r.AllreduceScalar(0, OpSum)
+			if r.ID == 0 {
+				runtime.ReadMemStats(&m1)
+				steady = m1.Mallocs - m0.Mallocs
+			}
+		})
+		// Zero is the design point; allow a handful of runtime-internal
+		// allocations. A per-call regression would show up as hundreds
+		// (iters * collectives).
+		if steady > 64 {
+			t.Errorf("P=%d: steady-state collectives allocated %d objects over %d iterations, want ~0",
+				p, steady, iters)
 		}
-		for it := 0; it < warm; it++ {
-			r.Allreduce(buf, OpMax)
-			r.AllreduceScalar(float64(r.ID+it), OpMax)
-		}
-		// Line every rank up at the measurement boundary, then measure.
-		r.AllreduceScalar(0, OpSum)
-		var m0, m1 runtime.MemStats
-		if r.ID == 0 {
-			runtime.ReadMemStats(&m0)
-		}
-		for it := 0; it < iters; it++ {
-			r.Allreduce(buf, OpMax)
-			r.AllreduceScalar(float64(it), OpMax)
-		}
-		r.AllreduceScalar(0, OpSum)
-		if r.ID == 0 {
-			runtime.ReadMemStats(&m1)
-			steady = m1.Mallocs - m0.Mallocs
-		}
-	})
-	// Zero is the design point; allow a handful of runtime-internal
-	// allocations. A per-message regression would show up as thousands
-	// (iters * collectives * log2(P) sends).
-	if steady > 64 {
-		t.Errorf("steady-state allreduce allocated %d objects over %d iterations, want ~0", steady, iters)
 	}
 }

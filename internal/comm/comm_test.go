@@ -85,19 +85,15 @@ func TestAllreduceMinMax(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	for _, p := range []int{2, 3, 6, 8, 13} {
-		net := NewNetwork(machine(p))
-		results := make([]float64, p)
-		net.Run(func(r *Rank) {
-			data := []float64{-1}
-			if r.ID == 0 {
-				data[0] = 42
-			}
-			r.bcastTree(data)
-			results[r.ID] = data[0]
-		})
-		for id, got := range results {
-			if got != 42 {
-				t.Fatalf("P=%d rank %d: bcast got %g", p, id, got)
+		vecs := make([][]float64, p)
+		for q := range vecs {
+			vecs[q] = []float64{-1}
+		}
+		vecs[0][0] = 42
+		replayBcast(NewNetwork(machine(p)), vecs)
+		for id, got := range vecs {
+			if got[0] != 42 {
+				t.Fatalf("P=%d rank %d: bcast got %g", p, id, got[0])
 			}
 		}
 	}

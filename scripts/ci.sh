@@ -146,7 +146,7 @@ tier2() {
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
-        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
         ./internal/comm ./internal/gs
 }
 
