@@ -105,6 +105,11 @@ package repro_test
 // 13 046. The tie, against the parent's fields: max |Δ| 4.7e-13 on channel2d
 // (60 steps), 1.8e-14 on hairpin3d (25), 4.6e-13 on convection (10;
 // |p| ~ 1.6e3), and 4.9e-13 / 5.6e-13 / 9.7e-13 at P = 1 / 3 / 8 (60).
+//
+// Routing the step's pointwise sweeps through la's elementwise AVX2 kernels
+// (and the serial gather–scatter's pairs through a loop of their own) moved
+// no digest, under AVX2 or -tags purego: every entry is rounded as the Go loop
+// it replaced rounded it.
 
 import (
 	"bytes"

@@ -65,15 +65,19 @@ func combine(op Op, a, b float64) float64 {
 	return a
 }
 
-// Handle is the serial gather–scatter operator for one connectivity.
+// Handle is the serial gather–scatter operator for one connectivity. Most
+// shared nodes of a mesh have exactly two copies (a face interior), so those
+// are one flat run of index pairs, walked without a slice header per node;
+// the nodes with more copies (edges, vertices) keep a group each.
 type Handle struct {
 	n      int
-	groups [][]int32 // local indices sharing one global id (multiplicity > 1 only)
+	pairs  []int32   // (i, j), i < j: the two local copies of a node of multiplicity 2
+	groups [][]int32 // local indices sharing one global id (multiplicity > 2)
 }
 
 // Init builds a handle from the per-local-node global ids (the
-// "global-node-numbers" argument of the paper's gs-init). Groups are
-// ordered by their smallest local index and indices within a group ascend,
+// "global-node-numbers" argument of the paper's gs-init). Pairs and groups
+// are ordered by their smallest local index and indices within each ascend,
 // so the floating-point assembly order — and therefore every assembled
 // sum — is identical run to run (a map-ordered build would randomize it).
 func Init(gids []int64) *Handle {
@@ -89,21 +93,53 @@ func Init(gids []int64) *Handle {
 	}
 	h := &Handle{n: len(gids)}
 	for _, idxs := range groups {
-		if len(idxs) > 1 {
+		switch {
+		case len(idxs) == 2:
+			h.pairs = append(h.pairs, idxs...)
+		case len(idxs) > 2:
 			h.groups = append(h.groups, idxs)
 		}
 	}
 	return h
 }
 
-// Apply performs the gather–scatter on u in place: each group of local
-// copies of a shared node is reduced with op and the result written back to
-// all copies (the paper's gs-op).
+// Apply performs the gather–scatter on u in place: the local copies of each
+// shared node are reduced with op, in ascending index order, and the result
+// written back to all copies (the paper's gs-op). Sum, the assembly of every
+// operator application, has a loop of its own.
 func (h *Handle) Apply(u []float64, op Op) {
+	if op == Sum {
+		h.sum(u)
+		return
+	}
+	p := h.pairs
+	for k := 0; k+1 < len(p); k += 2 {
+		acc := combine(op, u[p[k]], u[p[k+1]])
+		u[p[k]], u[p[k+1]] = acc, acc
+	}
 	for _, g := range h.groups {
 		acc := u[g[0]]
 		for _, i := range g[1:] {
 			acc = combine(op, acc, u[i])
+		}
+		for _, i := range g {
+			u[i] = acc
+		}
+	}
+}
+
+// sum is Apply(u, Sum).
+func (h *Handle) sum(u []float64) {
+	p := h.pairs
+	for k := 0; k+1 < len(p); k += 2 {
+		i, j := p[k], p[k+1]
+		s := u[i] + u[j]
+		u[i], u[j] = s, s
+	}
+	for _, g := range h.groups {
+		acc := u[g[0]]
+		for _, i := range g[1:] {
+			acc += u[i]
 		}
 		for _, i := range g {
 			u[i] = acc

@@ -3,6 +3,7 @@ package gs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -144,22 +145,17 @@ func TestInitDeterministicAssembly(t *testing.T) {
 }
 
 func TestInitGroupOrderCanonical(t *testing.T) {
-	// Groups must be ordered by smallest local index with ascending indices
-	// inside each group, independent of gid values.
-	h := Init([]int64{9, 5, 9, 7, 5, 9})
-	want := [][]int32{{0, 2, 5}, {1, 4}}
-	if len(h.groups) != len(want) {
-		t.Fatalf("groups %v", h.groups)
+	// Pairs and groups must be ordered by smallest local index with
+	// ascending indices inside each, independent of gid values; nodes of
+	// multiplicity two are pairs, higher multiplicities groups.
+	h := Init([]int64{9, 5, 9, 7, 5, 9, 3, 8, 3, 8})
+	wantPairs := []int32{1, 4, 6, 8, 7, 9}
+	wantGroups := [][]int32{{0, 2, 5}}
+	if !slices.Equal(h.pairs, wantPairs) {
+		t.Fatalf("pairs %v want %v", h.pairs, wantPairs)
 	}
-	for g := range want {
-		if len(h.groups[g]) != len(want[g]) {
-			t.Fatalf("group %d: %v want %v", g, h.groups[g], want[g])
-		}
-		for k := range want[g] {
-			if h.groups[g][k] != want[g][k] {
-				t.Fatalf("group %d: %v want %v", g, h.groups[g], want[g])
-			}
-		}
+	if !slices.EqualFunc(h.groups, wantGroups, slices.Equal[[]int32]) {
+		t.Fatalf("groups %v want %v", h.groups, wantGroups)
 	}
 }
 

@@ -1,0 +1,13 @@
+//go:build !amd64 || purego
+
+package la
+
+// Without the assembly (useAVX2 is the constant false) the elementwise
+// wrappers compile down to their Go loops; these are never called.
+
+func prodAVX2(dst, a, b *float64, n int)              { panic("la: prodAVX2 without AVX2") }
+func addProdAVX2(dst, a, b *float64, n int)           { panic("la: addProdAVX2 without AVX2") }
+func quotAVX2(dst, a, b *float64, n int)              { panic("la: quotAVX2 without AVX2") }
+func axpyAVX2(w, x, y *float64, alpha float64, n int) { panic("la: axpyAVX2 without AVX2") }
+func scaleAVX2(x *float64, alpha float64, n int)      { panic("la: scaleAVX2 without AVX2") }
+func unscaleAVX2(x *float64, alpha float64, n int)    { panic("la: unscaleAVX2 without AVX2") }

@@ -411,20 +411,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x.
-func Axpy(alpha float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale computes x *= alpha.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Nrm2 returns the Euclidean norm of x.
 func Nrm2(x []float64) float64 {
 	var s float64

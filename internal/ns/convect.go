@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/la"
 	"repro/internal/solver"
 	"repro/internal/tensor"
 )
@@ -42,18 +43,10 @@ func (s *Solver) advectingField(t float64, hist [][][]float64) [3][]float64 {
 	var c [3][]float64
 	for d := 0; d < s.dim; d++ {
 		c[d] = s.getBuf()
-		cd := c[d]
-		for i := range cd {
-			cd[i] = 0
-		}
+		clear(c[d]) // the sum starts from +0
 		for q := 0; q < k; q++ {
-			hq := hist[q][d]
-			cq := coef[q]
-			if cq == 0 {
-				continue
-			}
-			for i := range cd {
-				cd[i] += cq * hq[i]
+			if coef[q] != 0 {
+				la.Axpy(coef[q], hist[q][d], c[d])
 			}
 		}
 	}
@@ -89,18 +82,12 @@ func (s *Solver) convectElement(li, w int) {
 	for a := 0; a < s.dim; a++ {
 		tensor.ApplyDim(g[a][:np], m.D, m.Dt, v, s.np1, s.dim, a)
 	}
-	c0, c1 := c[0][i0:i0+np], c[1][i0:i0+np]
-	vr, vs := g[0][:np], g[1][:np]
-	if s.dim == 2 {
-		for l := range out {
-			out[l] = -(c0[l]*vr[l] + c1[l]*vs[l])
-		}
-		return
+	// out = -(c0·vr + c1·vs [+ c2·vt]), summed in a's order, then negated.
+	la.Prod(out, c[0][i0:], g[0])
+	for a := 1; a < s.dim; a++ {
+		la.AddProd(out, c[a][i0:], g[a])
 	}
-	c2, vt := c[2][i0:i0+np], g[2][:np]
-	for l := range out {
-		out[l] = -(c0[l]*vr[l] + c1[l]*vs[l] + c2[l]*vt[l])
-	}
+	la.Scale(-1, out)
 }
 
 // toContravariant turns the advecting field c into its reference-coordinate
@@ -129,13 +116,11 @@ func (s *Solver) contravariantElement(li, w int) {
 			}
 			rx, cc := m.RX[k][base:base+np], s.curC[c][i0:i0+np]
 			if first {
-				mulInto(ga, rx, cc)
+				la.Prod(ga, rx, cc)
 				first = false
 				continue
 			}
-			for l, v := range cc {
-				ga[l] += rx[l] * v
-			}
+			la.AddProd(ga, rx, cc)
 		}
 	}
 	for a := 0; a < dim; a++ {
@@ -160,21 +145,17 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][][]f
 	tmp := s.getBuf()
 	for _, f := range fields {
 		s.convect(k1, f, c1)
-		for i := range tmp {
-			tmp[i] = f[i] + h/2*k1[i]
-		}
+		la.AxpyTo(tmp, h/2, k1, f)
 		s.convect(k2, tmp, c2)
-		for i := range tmp {
-			tmp[i] = f[i] + h/2*k2[i]
-		}
+		la.AxpyTo(tmp, h/2, k2, f)
 		s.convect(k3, tmp, c2)
-		for i := range tmp {
-			tmp[i] = f[i] + h*k3[i]
-		}
+		la.AxpyTo(tmp, h, k3, f)
 		s.convect(k4, tmp, c4)
-		for i := range f {
-			f[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
+		// f += h/6·(((k1 + 2k2) + 2k3) + k4), left to right.
+		la.AxpyTo(tmp, 2, k2, k1)
+		la.Axpy(2, k3, tmp)
+		la.Axpy(1, k4, tmp)
+		la.Axpy(h/6, tmp, f)
 	}
 	s.mach.Charge(int64(10 * s.n * len(fields)))
 	s.putBuf(k1, k2, k3, k4, tmp)
@@ -187,17 +168,12 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][][]f
 // by mass-weighted direct-stiffness averaging, v ← B̃⁻¹ QQᵀ (B v), with one
 // direct stiffness sum for all of them.
 func (s *Solver) massAverage(fields [][]float64) {
-	b := s.b
 	for _, v := range fields {
-		for i := range v {
-			v[i] *= b[i]
-		}
+		la.Prod(v, v, s.b)
 	}
 	s.mach.Assemble(fields)
 	for _, v := range fields {
-		for i := range v {
-			v[i] /= s.bAssemL[i]
-		}
+		la.Quot(v, v, s.bAssemL)
 	}
 	s.mach.Charge(int64(3 * s.n * len(fields)))
 }
@@ -243,14 +219,7 @@ func (s *Solver) scalarSolve(tilde [][][]float64, gamma []float64, tNew float64)
 	cfg := s.Cfg.Scalar
 	s.helm = &s.scalarHelm[len(tilde)-1]
 	mask := s.helm.mask
-	b := s.bArena[0]
-	for i := range b {
-		var sum float64
-		for q := range tilde {
-			sum += gamma[q] * tilde[q][s.dim][i]
-		}
-		b[i] = s.b[i] * sum / s.Cfg.Dt
-	}
+	s.bdfHistory(s.bArena[0], s.dim, gamma, tilde)
 	s.assemble(s.bArena[:1], mask)
 	// Dirichlet lifting.
 	tn := s.fields[s.dim : s.dim+1]

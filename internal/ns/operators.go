@@ -61,32 +61,22 @@ func (t *template) gradTElem(outs [][]float64, pe []float64, e int, work, tv, we
 	base := e * np
 	tv, we, buf := tv[:np], we[:np], work[:np]
 	t.ProlongPVElem(tv, pe, work)
-	mulInto(tv, tv, m.B[base:])
+	la.Prod(tv, tv, m.B[base:])
 	for c := 0; c < dim; c++ {
 		oc, first := outs[c][:np], true
 		for a := 0; a < dim; a++ {
 			if m.RXPairs[e]>>(a*dim+c)&1 == 0 {
 				continue
 			}
-			mulInto(we, tv, m.RX[a*dim+c][base:])
+			la.Prod(we, tv, m.RX[a*dim+c][base:])
 			if first {
 				tensor.ApplyDim(oc, m.Dt, m.D, we, t.np1, dim, a)
 				first = false
 				continue
 			}
 			tensor.ApplyDim(buf, m.Dt, m.D, we, t.np1, dim, a)
-			for l, v := range buf {
-				oc[l] += v
-			}
+			la.Axpy(1, buf, oc)
 		}
-	}
-}
-
-// mulInto sets dst = a·b pointwise over len(dst) entries.
-func mulInto(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for l := range dst {
-		dst[l] = a[l] * b[l]
 	}
 }
 
@@ -110,16 +100,13 @@ func (t *template) divElem(out []float64, us [][]float64, e int, work []float64)
 		}
 		tensor.ApplyDim(du, m.D, m.Dt, us[k%dim], t.np1, dim, k/dim)
 		if first {
-			mulInto(div, du, m.RX[k][base:])
+			la.Prod(div, du, m.RX[k][base:])
 			first = false
 			continue
 		}
-		rx := m.RX[k][base:][:np]
-		for l, v := range du {
-			div[l] += rx[l] * v
-		}
+		la.AddProd(div, m.RX[k][base:], du)
 	}
-	mulInto(div, div, m.B[base:])
+	la.Prod(div, div, m.B[base:])
 	t.RestrictVPElem(out, div, work[np:])
 }
 
@@ -173,10 +160,7 @@ func (s *Solver) applyE(out, p []float64) {
 	s.GradientT(s.gp[:s.dim], p)
 	s.mach.Assemble(s.gp[:s.dim])
 	for c := 0; c < s.dim; c++ {
-		gc := s.gp[c]
-		for i, w := range s.invBmL {
-			gc[i] *= w
-		}
+		la.Prod(s.gp[c], s.gp[c], s.invBmL)
 	}
 	s.mach.Charge(int64(s.dim * s.n)) // the multiplier after the direct stiffness sum
 	s.Divergence(out, s.gp)
@@ -229,9 +213,7 @@ func (s *Solver) deflatePressure(p []float64) {
 
 // applyMask zeroes the Dirichlet entries of mask (nil = none).
 func applyMask(u, mask []float64) {
-	for i, mk := range mask {
-		u[i] *= mk
-	}
+	la.Prod(u[:len(mask)], u, mask)
 }
 
 // assembleOne is Machine.Assemble on a single field.
@@ -251,12 +233,13 @@ func (s *Solver) assemble(fields [][]float64, mask []float64) {
 }
 
 // helmholtzOp is one Helmholtz operator of the step, h1·A + h2·B on the
-// Dirichlet set of mask (the velocity's or the scalar's), with its assembled
-// diagonal for Jacobi.
+// Dirichlet set of mask (the velocity's or the scalar's), with h2·B and its
+// assembled diagonal for Jacobi.
 type helmholtzOp struct {
-	h1, h2 float64
-	mask   []float64
-	diag   []float64
+	h1   float64
+	h2B  []float64 // h2·B, entry by entry as the apply would form it
+	mask []float64
+	diag []float64
 }
 
 // helmholtzOps builds the operators h1·A + (β/Δt)·B of BDF orders 1…Order,
@@ -278,7 +261,9 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 			}
 		}
 		s.mach.Charge(s.stiffF * int64(len(s.elems)))
-		ops[q] = helmholtzOp{h1: h1, h2: h2, mask: mask, diag: d}
+		h2B := append([]float64(nil), s.b...)
+		la.Scale(h2, h2B)
+		ops[q] = helmholtzOp{h1: h1, h2B: h2B, mask: mask, diag: d}
 	}
 	return ops
 }
@@ -286,16 +271,11 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 // helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the operator H of
 // Sec. 4, with one direct stiffness sum for all of them.
 func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
-	h1, h2 := op.h1, op.h2
 	for c, out := range outs {
-		in := ins[c]
-		s.curOut, s.curIn = out, in
+		s.curOut, s.curIn = out, ins[c]
 		s.mach.ForElements(s.stiffLoop)
-		b := s.b[:len(out)]
-		in = in[:len(out)]
-		for i := range out {
-			out[i] = h1*out[i] + h2*b[i]*in[i]
-		}
+		la.Scale(op.h1, out) // out = h1·out + (h2·B)⊙in
+		la.AddProd(out, op.h2B, ins[c])
 		s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
 	}
 	s.curOut, s.curIn = nil, nil
@@ -304,9 +284,7 @@ func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
 
 // pointJacobi is out = in / diag.
 func (s *Solver) pointJacobi(out, in, diag []float64) {
-	for i := range in {
-		out[i] = in[i] / diag[i]
-	}
+	la.Quot(out[:len(in)], in, diag)
 	s.mach.Charge(int64(len(in)))
 }
 

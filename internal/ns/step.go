@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/la"
 	"repro/internal/solver"
 )
 
@@ -98,16 +99,12 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.mach.Begin(SecPressure)
 	rp := s.rpArena
 	s.Divergence(rp, ustar)
-	for i := range rp {
-		rp[i] *= -h2
-	}
+	la.Scale(-h2, rp)
 	if s.enclosed {
 		s.deflatePressure(rp)
 	}
 	dp := s.dpArena
-	for i := range dp {
-		dp[i] = 0
-	}
+	clear(dp)
 	popt := solver.Options{Tol: cfg.PTol, MaxIter: cfg.PMaxIter, History: s.history != nil,
 		Time: s.instr.pressureCG, Iters: s.instr.pressureIters, IterHist: s.instr.pressureIterH,
 		Tracer: s.tracer, TraceName: "pressure.cg", Converged: s.instr.pressConv,
@@ -132,12 +129,10 @@ func (s *Solver) Step() (st StepStats, err error) {
 	s.GradientT(s.gp[:s.dim], dp)
 	s.assemble(s.gp[:s.dim], s.mask)
 	for c := 0; c < s.dim; c++ {
-		g := s.gp[c]
-		scale := cfg.Dt / beta
-		u := ustar[c]
-		for i := range u {
-			u[i] += scale * g[i] / s.bAssemL[i]
-		}
+		g := s.gp[c] // u += ((Δt/β)·g)/B̃, in place in the scratch g
+		la.Scale(cfg.Dt/beta, g)
+		la.Quot(g, g, s.bAssemL)
+		la.Axpy(1, g, ustar[c])
 	}
 	s.mach.Charge(int64(3 * s.dim * s.n))
 	s.mach.End(SecPressure, st)
@@ -180,7 +175,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 	// steady-state rotation allocates nothing. It copies the current level:
 	// the velocity before its commit below, but the scalar as solved in place
 	// above, so the scalar's newest history level repeats its new value
-	// rather than holding the previous one (ROADMAP item 2 has this defect;
+	// rather than holding the previous one (ROADMAP item 4 has this defect;
 	// the convection golden digest pins it).
 	if keep := cfg.Order - 1; keep > 0 {
 		var prev [][]float64
@@ -202,9 +197,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 	for c := 0; c < s.dim; c++ {
 		copy(s.U[c], ustar[c])
 	}
-	for i := range dp {
-		s.P[i] += dp[i]
-	}
+	la.Axpy(1, dp, s.P)
 	if s.enclosed {
 		s.deflatePressure(s.P)
 	}
@@ -252,13 +245,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 // gradient (already in s.gp). Step assembles the components together.
 func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, tilde [][][]float64, beta, tNew float64) {
 	cfg := s.Cfg
-	for i := range b {
-		var sum float64
-		for q := range tilde {
-			sum += gamma[q] * tilde[q][c][i]
-		}
-		b[i] = s.b[i] * sum / cfg.Dt
-	}
+	s.bdfHistory(b, c, gamma, tilde)
 	if cfg.Forcing != nil {
 		for i := range b {
 			fx, fy, fz := cfg.Forcing(s.x[i], s.y[i], s.z[i], tNew)
@@ -267,19 +254,35 @@ func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, tilde [][][]flo
 		}
 	}
 	if cfg.Scalar != nil && cfg.Scalar.Buoyancy[c] != 0 {
-		// Explicit extrapolated buoyancy from the subintegrated scalar.
-		for i := range b {
-			var sum float64
-			for q := range tilde {
-				sum += gamma[q] * tilde[q][s.dim][i]
-			}
-			b[i] += s.b[i] * cfg.Scalar.Buoyancy[c] * sum / beta
-		}
+		// Explicit extrapolated buoyancy from the subintegrated scalar:
+		// b += ((B·buoyancy)⊙Σ_q γ_q T̃^{n-q})/β.
+		sum, bb := s.getBuf(), s.getBuf()
+		bdfSum(sum, s.dim, gamma, tilde)
+		copy(bb, s.b)
+		la.Scale(cfg.Scalar.Buoyancy[c], bb)
+		la.Prod(sum, bb, sum)
+		la.Unscale(beta, sum)
+		la.Axpy(1, sum, b)
+		s.putBuf(sum, bb)
 	}
-	gp := s.gp[c]
-	for i := range b {
-		b[i] += gp[i]
+	la.Axpy(1, s.gp[c], b)
+}
+
+// bdfSum sets dst = Σ_q γ_q ũ^{n-q} over field slot of the subintegrated
+// levels, summed from +0 in q's order.
+func bdfSum(dst []float64, slot int, gamma []float64, tilde [][][]float64) {
+	clear(dst)
+	for q := range tilde {
+		la.Axpy(gamma[q], tilde[q][slot], dst)
 	}
+}
+
+// bdfHistory sets b = (B⊙bdfSum)/Δt, the BDF history term of field slot's
+// unassembled Helmholtz right-hand side.
+func (s *Solver) bdfHistory(b []float64, slot int, gamma []float64, tilde [][][]float64) {
+	bdfSum(b, slot, gamma, tilde)
+	la.Prod(b, s.b, b)
+	la.Unscale(s.Cfg.Dt, b)
 }
 
 // helmholtzSolve finishes the lifted Helmholtz solves H us[c] = bArena[c] for
@@ -294,9 +297,7 @@ func (s *Solver) helmholtzSolve(us [][]float64, opt solver.Options) []solver.Sta
 	s.helmholtz(hu, us, s.helm)
 	for c := range us {
 		b := s.bArena[c]
-		for i := range b {
-			b[i] -= hu[c][i]
-		}
+		la.Axpy(-1, hu[c], b)
 		applyMask(b, s.helm.mask)
 		clear(hu[c])
 	}
@@ -304,9 +305,7 @@ func (s *Solver) helmholtzSolve(us [][]float64, opt solver.Options) []solver.Sta
 	opt.Precond, opt.Scratch = s.jacobi, s.cgScratch
 	solver.CGBatch(s.helmOp, s.dotShare, s.mach.SumN, s.duArena[:m], s.bArena[:m], opt, s.cgStats[:m])
 	for c, u := range us {
-		for i, d := range s.duArena[c] {
-			u[i] += d
-		}
+		la.Axpy(1, s.duArena[c], u)
 	}
 	return s.cgStats[:m]
 }

@@ -85,12 +85,7 @@ func (d *Disc) Assemble(u []float64) {
 
 // ApplyMask zeroes Dirichlet entries.
 func (d *Disc) ApplyMask(u []float64) {
-	if d.Mask == nil {
-		return
-	}
-	for i, m := range d.Mask {
-		u[i] *= m
-	}
+	la.Prod(u[:len(d.Mask)], u, d.Mask)
 }
 
 // Laplacian applies the assembled, masked stiffness operator:
@@ -306,15 +301,13 @@ func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 		tensor.ApplyR2D(ur, m.Dt, ue, np1, np1, np1)
 		tensor.ApplyS2D(us, m.D, ue, np1, np1, np1)
 		g0, g1, g2 := m.G[0][e*np:], m.G[1][e*np:], m.G[2][e*np:]
-		for i := 0; i < np; i++ {
-			tr[i] = g0[i]*ur[i] + g1[i]*us[i]
-			ts[i] = g1[i]*ur[i] + g2[i]*us[i]
-		}
+		la.Prod(tr, g0, ur) // tr = g0·ur + g1·us, ts = g1·ur + g2·us
+		la.AddProd(tr, g1, us)
+		la.Prod(ts, g1, ur)
+		la.AddProd(ts, g2, us)
 		tensor.ApplyR2D(oe, m.D, tr, np1, np1, np1)
 		tensor.ApplyS2D(us, d.Dt, ts, np1, np1, np1)
-		for i := 0; i < np; i++ {
-			oe[i] += us[i]
-		}
+		la.Axpy(1, us, oe[:np])
 		return
 	}
 	ur, us, ut := s[:np], s[np:2*np], s[2*np:3*np]
@@ -322,20 +315,24 @@ func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 	tensor.ApplyR3D(ur, m.Dt, ue, np1, np1, np1, np1)
 	tensor.ApplyS3D(us, m.D, ue, np1, np1, np1, np1)
 	tensor.ApplyT3D(ut, m.D, ue, np1, np1, np1, np1)
-	g := m.G
+	// tr = g0·ur + g1·us + g2·ut, and likewise ts (g1 g3 g4) and tt (g2 g4 g5).
 	off := e * np
-	for i := 0; i < np; i++ {
-		r, sv, tv := ur[i], us[i], ut[i]
-		tr[i] = g[0][off+i]*r + g[1][off+i]*sv + g[2][off+i]*tv
-		ts[i] = g[1][off+i]*r + g[3][off+i]*sv + g[4][off+i]*tv
-		tt[i] = g[2][off+i]*r + g[4][off+i]*sv + g[5][off+i]*tv
-	}
+	g0, g1, g2 := m.G[0][off:], m.G[1][off:], m.G[2][off:]
+	g3, g4, g5 := m.G[3][off:], m.G[4][off:], m.G[5][off:]
+	la.Prod(tr, g0, ur)
+	la.AddProd(tr, g1, us)
+	la.AddProd(tr, g2, ut)
+	la.Prod(ts, g1, ur)
+	la.AddProd(ts, g3, us)
+	la.AddProd(ts, g4, ut)
+	la.Prod(tt, g2, ur)
+	la.AddProd(tt, g4, us)
+	la.AddProd(tt, g5, ut)
 	tensor.ApplyR3D(oe, m.D, tr, np1, np1, np1, np1)
 	tensor.ApplyS3D(us, d.Dt, ts, np1, np1, np1, np1)
 	tensor.ApplyT3D(ut, d.Dt, tt, np1, np1, np1, np1)
-	for i := 0; i < np; i++ {
-		oe[i] += us[i] + ut[i]
-	}
+	la.Axpy(1, ut, us) // oe += us + ut
+	la.Axpy(1, us, oe[:np])
 }
 
 // GatherGlobal compresses an element-local continuous field to one value

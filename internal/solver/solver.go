@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/instrument"
+	"repro/internal/la"
 )
 
 // Operator applies a linear operator: out = A·in. out never aliases in.
@@ -223,9 +224,7 @@ func (w *Scratch) cg(apply BatchOperator, dot Dot, join Join, opt Options) {
 	vals := w.vals[:0]
 	for _, s := range w.live {
 		if s.warm {
-			for i := range s.r {
-				s.r[i] = s.b[i] - s.q[i]
-			}
+			la.AxpyTo(s.r, -1, s.q, s.b) // r = b - q
 			if opt.Relative {
 				vals = append(vals, dot(s.b, s.b))
 			}
@@ -298,10 +297,7 @@ func (w *Scratch) cg(apply BatchOperator, dot Dot, join Join, opt Options) {
 			if it == 0 {
 				copy(p, z)
 			} else {
-				beta := rz / s.rz
-				for i := range p {
-					p[i] = z[i] + beta*p[i]
-				}
+				la.AxpyTo(p, rz/s.rz, p, z) // p = z + βp
 			}
 			s.rz = rz
 			outs, ins = append(outs, s.q), append(ins, p)
@@ -322,12 +318,9 @@ func (w *Scratch) cg(apply BatchOperator, dot Dot, join Join, opt Options) {
 				continue
 			}
 			alpha := s.rz / pq
-			x, r, p, q := s.x, s.r, s.p, s.q
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * q[i]
-			}
-			vals[len(keep)] = dot(r, r)
+			la.Axpy(alpha, s.p, s.x)
+			la.Axpy(-alpha, s.q, s.r) // r -= αq
+			vals[len(keep)] = dot(s.r, s.r)
 			keep = append(keep, s)
 		}
 		w.live = keep
@@ -454,13 +447,9 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 	xbar, rhs := p.xbar[:n], p.rhs[:n]
 	clear(xbar)
 	copy(rhs, b)
-	for k := range p.xs {
-		a := alphas[k]
-		xk, axk := p.xs[k], p.axs[k]
-		for i := 0; i < n; i++ {
-			xbar[i] += a * xk[i]
-			rhs[i] -= a * axk[i]
-		}
+	for k, a := range alphas[:l] {
+		la.Axpy(a, p.xs[k], xbar)
+		la.Axpy(-a, p.axs[k], rhs)
 	}
 	p.ProjectTime.End(t0)
 	p.BasisSize.Set(float64(l))
@@ -472,9 +461,7 @@ func (p *Projector) ProjectAndSolve(x, b []float64, opt Options) Stats {
 		p.Savings.Set(1 - st.InitialRes/math.Sqrt(alphas[l]))
 	}
 	t1 := p.ProjectTime.Begin()
-	for i := range x {
-		x[i] += xbar[i]
-	}
+	la.Axpy(1, xbar, x)
 	if st.Iterations > 0 {
 		p.update(x)
 	}
@@ -515,11 +502,8 @@ func (p *Projector) update(x []float64) {
 			norm0 = betas[l]
 		}
 		for k, beta := range betas[:l] {
-			xk, axk := p.xs[k], p.axs[k]
-			for i := 0; i < n; i++ {
-				w[i] -= beta * xk[i]
-				aw[i] -= beta * axk[i]
-			}
+			la.Axpy(-beta, p.xs[k], w)
+			la.Axpy(-beta, p.axs[k], aw)
 		}
 	}
 	norm2 := p.whole(w, aw)
@@ -530,10 +514,8 @@ func (p *Projector) update(x []float64) {
 		return
 	}
 	inv := 1 / math.Sqrt(norm2)
-	for i := 0; i < n; i++ {
-		w[i] *= inv
-		aw[i] *= inv
-	}
+	la.Scale(inv, w)
+	la.Scale(inv, aw)
 	p.xs = append(p.xs, w)
 	p.axs = append(p.axs, aw)
 }

@@ -2,9 +2,11 @@
 # Tiered local CI, mirrored by the parallel jobs of .github/workflows/ci.yml.
 #
 #   tier1   go build + full test suite (the repo's acceptance gate); the la,
-#           tensor and root packages again under -tags purego (the golden
-#           digests on the Go matmul kernels: bitwise parity with the AVX2
-#           one, stated end to end); an arm64 cross-build and vet of la (the
+#           tensor, ns, sem, solver, gs and root packages again under -tags
+#           purego (the golden digests on the Go matmul and elementwise loops:
+#           bitwise parity with the AVX2 kernels, stated end to end, and the
+#           step's own tests on the loops the kernels replace); an arm64
+#           cross-build and vet of la (the
 #           file set without the assembly compiles); a grep that no hot path
 #           calls la.MulABt (tensor's r-direction applies take the operator
 #           pre-transposed; the per-call transpose-pack must not creep back);
@@ -130,7 +132,8 @@ onewrite() {
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
-    stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor .
+    stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor \
+        ./internal/ns ./internal/sem ./internal/solver ./internal/gs .
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
