@@ -191,6 +191,7 @@ func main() {
 	// machine is stepping. -checkpoint-every 0 keeps the final state only.
 	snapshots := 0
 	s.Disc().ResetFlops()
+	mm0, vec0 := s.ChargedFlops()
 	for sess.Step() < cfg.Steps {
 		batch := cfg.Steps - sess.Step()
 		if every := cfg.CheckpointEvery; store != nil && every > 0 {
@@ -222,7 +223,9 @@ func main() {
 				res.Drops, res.Retries, res.Pauses, res.FaultStallSec)
 		}
 	} else {
-		fmt.Printf("\nmetered flops (every operator of the step): %.3e\n", float64(s.Disc().Flops()))
+		mm, vec := s.ChargedFlops()
+		fmt.Printf("\nmetered flops (every operator of the step): %.3e (matrix-matrix %.3e, vector %.3e)\n",
+			float64(s.Disc().Flops()), float64(mm-mm0), float64(vec-vec0))
 	}
 	if snapshots > 0 {
 		fmt.Printf("wrote %d snapshots to %s (the newest, step %d, is kept)\n", snapshots, ckPath, sess.Step())

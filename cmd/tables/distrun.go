@@ -41,11 +41,10 @@ func distChannelRun(cfg ns.Config, init flowcases.InitFunc, p, steps int) (*parr
 // machine; the ratio shows how closely the in-flow coarse solve tracks the
 // isolated one (it should be ~1: the XXT schedule has no data-dependent
 // waits, so embedding it in the stepper adds nothing to the span itself).
-func fig6Distributed(quick bool) {
+func fig6Distributed(quick bool) error {
 	cfg, init, err := distChannelSpec()
 	if err != nil {
-		fmt.Println("channel spec error:", err)
-		return
+		return fmt.Errorf("channel spec: %w", err)
 	}
 	ps := []int{2, 4, 8}
 	steps := 3
@@ -60,13 +59,11 @@ func fig6Distributed(quick bool) {
 	scfg.Workers = 1
 	sv, err := ns.New(scfg)
 	if err != nil {
-		fmt.Println("solver error:", err)
-		return
+		return fmt.Errorf("channel solver: %w", err)
 	}
 	a := sv.CoarseOperator()
 	if a == nil {
-		fmt.Println("channel solver has no pressure preconditioner; skipping distributed rows")
-		return
+		return fmt.Errorf("the channel's pressure preconditioner has no coarse operator")
 	}
 	n := a.Rows
 	b := normalVec(n, 7)
@@ -76,8 +73,7 @@ func fig6Distributed(quick bool) {
 	for _, p := range ps {
 		res, tr, err := distChannelRun(cfg, init, p, steps)
 		if err != nil {
-			fmt.Println("distributed run error:", err)
-			return
+			return fmt.Errorf("distributed channel at P=%d: %w", p, err)
 		}
 		var sum float64
 		cnt := 0
@@ -96,8 +92,7 @@ func fig6Distributed(quick bool) {
 		mean := sum / float64(cnt)
 		_, ranks, err := xxtRun(a, 0, 0, res.P, b, nil)
 		if err != nil {
-			fmt.Println("XXT error:", err)
-			return
+			return fmt.Errorf("XXT at P=%d: %w", res.P, err)
 		}
 		tAlone := comm.MaxTime(ranks)
 		ratio := 0.0
@@ -108,6 +103,7 @@ func fig6Distributed(quick bool) {
 	}
 	fmt.Println("(every pressure CG iteration of every step runs one coarse solve;")
 	fmt.Println(" in-run spans come from the stepper's own virtual-clock trace)")
+	return nil
 }
 
 // fig8Distributed adds the measured-from-distributed-run columns to Fig. 8:
@@ -119,11 +115,10 @@ func fig6Distributed(quick bool) {
 // measures how much skew-induced wait the executed schedule adds on top of
 // the zero-skew model once the collectives are embedded in a real time
 // loop rather than a lone solve.
-func fig8Distributed(quick bool) {
+func fig8Distributed(quick bool) error {
 	cfg, init, err := distChannelSpec()
 	if err != nil {
-		fmt.Println("channel spec error:", err)
-		return
+		return fmt.Errorf("channel spec: %w", err)
 	}
 	ps := []int{2, 4, 8}
 	steps := 5
@@ -138,8 +133,7 @@ func fig8Distributed(quick bool) {
 	for _, p := range ps {
 		res, tr, err := distChannelRun(cfg, init, p, steps)
 		if err != nil {
-			fmt.Println("distributed run error:", err)
-			return
+			return fmt.Errorf("distributed channel at P=%d: %w", p, err)
 		}
 		colls, traced, modeled, ratio := rank0Allreduce(tr, res.P)
 		fmt.Printf("%6d %12.3e %8d %14.3e %14.3e %8.2f\n",
@@ -148,4 +142,5 @@ func fig8Distributed(quick bool) {
 	fmt.Println("(modeled: log2(P) recursive-doubling rounds at alpha + 8*words*beta")
 	fmt.Println(" each; traced spans additionally see the wait for the last-arriving")
 	fmt.Println(" rank, so ratio > 1 quantifies load-imbalance skew in the stepper)")
+	return nil
 }

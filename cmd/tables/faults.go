@@ -18,11 +18,10 @@ import (
 	"repro/internal/parrun"
 )
 
-func faultsExp(quick bool) {
+func faultsExp(quick bool) error {
 	cfg, init, err := distChannelSpec()
 	if err != nil {
-		fmt.Println("channel spec error:", err)
-		return
+		return fmt.Errorf("channel spec: %w", err)
 	}
 	p := 4
 	steps := 5
@@ -36,8 +35,7 @@ func faultsExp(quick bool) {
 	}
 	clean, _, err := distChannelRun(cfg, init, p, steps)
 	if err != nil {
-		fmt.Println("fault-free run error:", err)
-		return
+		return fmt.Errorf("fault-free run: %w", err)
 	}
 	tr := instrument.NewTracer()
 	tr.DisableWallClock()
@@ -45,8 +43,7 @@ func faultsExp(quick bool) {
 		P: p, Steps: steps, Init: init, Tracer: tr, Faults: plan,
 	})
 	if err != nil {
-		fmt.Println("degraded run error:", err)
-		return
+		return fmt.Errorf("degraded run: %w", err)
 	}
 	fmt.Printf("\nDegraded-machine channel stepper (P=%d, %d steps; seed %d plan:\n",
 		p, steps, plan.Seed)
@@ -80,4 +77,8 @@ func faultsExp(quick bool) {
 	fmt.Printf("solver statistics identical across the two machines: %v\n", same)
 	fmt.Println("(faults move virtual time only — values, iteration counts, and")
 	fmt.Println(" residuals are untouched, so the comparison isolates the machine)")
+	if !same {
+		return fmt.Errorf("the fault plan moved the solver statistics")
+	}
+	return nil
 }

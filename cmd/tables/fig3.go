@@ -10,7 +10,7 @@ import (
 // fig3 reproduces the shear-layer roll-up study: stability and vorticity
 // extrema for the (K, N, α) pairings of Fig. 3, for the "thick" (ρ=30,
 // Re=1e5) and "thin" (ρ=100, Re=4e4) layers.
-func fig3(quick bool) {
+func fig3(quick bool) error {
 	type cse struct {
 		label   string
 		nel, n  int
@@ -48,8 +48,7 @@ func fig3(quick bool) {
 			Nel: c.nel, N: c.n, Rho: c.rho, Re: c.re, Dt: 0.002, Alpha: c.alpha, Workers: 2,
 		})
 		if err != nil {
-			fmt.Printf("%-30s setup error: %v\n", c.label, err)
-			continue
+			return fmt.Errorf("%s: %w", c.label, err)
 		}
 		ke0 := flowcases.KineticEnergy(s)
 		survived := steps
@@ -76,4 +75,5 @@ func fig3(quick bool) {
 	fmt.Println("alpha=0.3 is stable with vorticity extrema near the initial +-rho;")
 	fmt.Println("alpha=1 is stable but more dissipative (larger KE drop); the thin")
 	fmt.Println("layer needs the higher order at fixed resolution.")
+	return nil
 }

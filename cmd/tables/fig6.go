@@ -17,7 +17,7 @@ import (
 // (n=3969) and 127² (n=16129) five-point Poisson problems. The distributed
 // algorithms execute for real on the simulated machine (goroutine ranks,
 // real messages); times come from the per-rank virtual clocks.
-func fig6(quick bool) {
+func fig6(quick bool) error {
 	grids := [][2]int{{63, 63}, {127, 127}}
 	maxP := 2048
 	if quick {
@@ -39,8 +39,7 @@ func fig6(quick bool) {
 			reg := instrument.New()
 			xxt, ranks, err := xxtRun(a, nx, ny, p, b, func(_ *coarse.XXT, net *comm.Network) { net.Attach(reg) })
 			if err != nil {
-				fmt.Println("XXT error:", err)
-				return
+				return fmt.Errorf("XXT at P=%d: %w", p, err)
 			}
 			tXXT := comm.MaxTime(ranks)
 			xxtMsgs := reg.Counter("comm/send.msgs").Value()
@@ -49,8 +48,7 @@ func fig6(quick bool) {
 			// Redundant banded LU.
 			lu, err := coarse.NewRedundantLU(a, nx, p)
 			if err != nil {
-				fmt.Println("LU error:", err)
-				return
+				return fmt.Errorf("redundant LU at P=%d: %w", p, err)
 			}
 			ranks = comm.NewNetwork(m).Run(func(r *comm.Rank) {
 				lo, hi := r.ID*n/p, (r.ID+1)*n/p
@@ -60,8 +58,7 @@ func fig6(quick bool) {
 			// Distributed inverse.
 			di, err := coarse.NewDistInv(a, p)
 			if err != nil {
-				fmt.Println("DistInv error:", err)
-				return
+				return fmt.Errorf("distributed inverse at P=%d: %w", p, err)
 			}
 			ranks = comm.NewNetwork(m).Run(func(r *comm.Rank) {
 				lo, hi := r.ID*n/p, (r.ID+1)*n/p
@@ -78,8 +75,10 @@ func fig6(quick bool) {
 	fmt.Println("P ~ 256 (n=16129) then tracks the latency bound with a bandwidth")
 	fmt.Println("offset; it beats both baselines in the work- and the")
 	fmt.Println("communication-dominated regimes.")
-	fig6Timeline()
-	fig6Distributed(quick)
+	if err := fig6Timeline(); err != nil {
+		return err
+	}
+	return fig6Distributed(quick)
 }
 
 // fig6Timeline renders the per-rank message timeline of one XXT coarse
@@ -88,7 +87,7 @@ func fig6(quick bool) {
 // the cross-column allreduce, '.' idle). This is the Perfetto view of the
 // coarse solve, reduced to ASCII: compute-dominated ranks show '='; the
 // log₂P combine shows up as the shared 'A' band.
-func fig6Timeline() {
+func fig6Timeline() error {
 	const nx, ny, p = 63, 63, 16
 	n := nx * ny
 	tr := instrument.NewTracer()
@@ -98,8 +97,7 @@ func fig6Timeline() {
 		net.AttachTracer(tr)
 	})
 	if err != nil {
-		fmt.Println("XXT error:", err)
-		return
+		return fmt.Errorf("XXT at P=%d: %w", p, err)
 	}
 	maxUS := comm.MaxTime(ranks) * 1e6
 	const cols = 64
@@ -135,6 +133,7 @@ func fig6Timeline() {
 	for q := 0; q < p; q++ {
 		fmt.Printf("rank %2d |%s|\n", q, rows[q])
 	}
+	return nil
 }
 
 // xxtRun factors a by XXT over P ranks (nx, ny: the grid of a five-point

@@ -10,7 +10,9 @@
 //	tables -exp scaling|precond     (not part of all)
 //
 // -quick shrinks resolutions/step counts so every experiment finishes in
-// seconds to minutes; the full settings match the paper where feasible.
+// seconds to minutes; the full settings match the paper where feasible. An
+// experiment that cannot produce its rows fails: tables names it on stderr
+// and exits 1 (after running the rest, under -exp all).
 package main
 
 import (
@@ -24,7 +26,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced resolutions for fast runs")
 	flag.Parse()
 
-	experiments := map[string]func(bool){
+	experiments := map[string]func(bool) error{
 		"table1":  table1,
 		"table2":  table2,
 		"table3":  table3,
@@ -37,17 +39,24 @@ func main() {
 		"scaling": scaling,
 		"precond": precondExp,
 	}
+	names := []string{*exp}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "table4", "fig3", "fig4", "fig6", "fig8", "faults"} {
-			fmt.Printf("\n================ %s ================\n", name)
-			experiments[name](*quick)
-		}
-		return
-	}
-	fn, ok := experiments[*exp]
-	if !ok {
+		names = []string{"table1", "table2", "table3", "table4", "fig3", "fig4", "fig6", "fig8", "faults"}
+	} else if experiments[*exp] == nil {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	fn(*quick)
+	failed := 0
+	for _, name := range names {
+		if len(names) > 1 {
+			fmt.Printf("\n================ %s ================\n", name)
+		}
+		if err := experiments[name](*quick); err != nil {
+			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", name, err)
+			failed++
+		}
+	}
+	if failed > 0 {
+		os.Exit(1)
+	}
 }

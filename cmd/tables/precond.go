@@ -16,7 +16,7 @@ import (
 	"repro/internal/solver"
 )
 
-func precondExp(quick bool) {
+func precondExp(quick bool) error {
 	n, steps := 9, 6
 	if quick {
 		n, steps = 5, 3
@@ -28,16 +28,13 @@ func precondExp(quick bool) {
 			Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2, Precond: name,
 		})
 		if err != nil {
-			fmt.Printf("%-12s build failed: %v\n", name, err)
-			continue
+			return fmt.Errorf("channel under %s: %w", name, err)
 		}
 		total, conv := 0, true
 		for i := 0; i < steps; i++ {
 			st, err := s.Step()
 			if err != nil {
-				fmt.Printf("%-12s step failed: %v\n", name, err)
-				conv = false
-				break
+				return fmt.Errorf("channel under %s, step %d: %w", name, i+1, err)
 			}
 			total += st.PressureIters
 			conv = conv && st.PressureConverged
@@ -51,12 +48,11 @@ func precondExp(quick bool) {
 		Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2, Precond: ns.PrecondAuto,
 	})
 	if err != nil {
-		fmt.Printf("\nauto build failed: %v\n", err)
-		return
+		return fmt.Errorf("channel under auto: %w", err)
 	}
 	printTrials(s.PrecondSelection())
 	s.Close()
-	hairpinPrecond(quick)
+	return hairpinPrecond(quick)
 }
 
 // printTrials prints the outcome of an auto tournament, one line per trial.
@@ -74,7 +70,7 @@ func printTrials(sel solver.PrecondSelection) {
 // projection basis wraps and times the steps after it. Flops per iteration
 // are the variant's trial work over its trial iterations, both from the
 // meter; Mflop/step is the metered work of a whole warm step.
-func hairpinPrecond(quick bool) {
+func hairpinPrecond(quick bool) error {
 	hc := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1, Workers: 1}
 	timed := 20
 	if quick {
@@ -84,8 +80,7 @@ func hairpinPrecond(quick bool) {
 	hc.Precond = ns.PrecondAuto
 	s, err := flowcases.Hairpin(hc)
 	if err != nil {
-		fmt.Printf("\nhairpin auto build failed: %v\n", err)
-		return
+		return fmt.Errorf("hairpin under auto: %w", err)
 	}
 	fmt.Printf("\nHairpin box K=%d N=%d Re=850:", s.M.K, s.M.N)
 	sel := s.PrecondSelection()
@@ -97,12 +92,14 @@ func hairpinPrecond(quick bool) {
 		hc.Precond = tr.Name
 		s, err := flowcases.Hairpin(hc)
 		if err != nil {
-			fmt.Printf("%-12s build failed: %v\n", tr.Name, err)
-			continue
+			return fmt.Errorf("hairpin under %s: %w", tr.Name, err)
 		}
 		for prev := 0; ; {
 			st, err := s.Step()
-			if err != nil || st.ProjectionBasis < prev {
+			if err != nil {
+				return fmt.Errorf("hairpin under %s, until the basis wraps: %w", tr.Name, err)
+			}
+			if st.ProjectionBasis < prev {
 				break
 			}
 			prev = st.ProjectionBasis
@@ -111,8 +108,7 @@ func hairpinPrecond(quick bool) {
 		for i := 0; i < timed; i++ {
 			st, err := s.Step()
 			if err != nil {
-				fmt.Printf("%-12s step failed: %v\n", tr.Name, err)
-				break
+				return fmt.Errorf("hairpin under %s, warm step %d: %w", tr.Name, i+1, err)
 			}
 			iters += st.PressureIters
 		}
@@ -122,4 +118,5 @@ func hairpinPrecond(quick bool) {
 			float64(s.Disc().Flops()-f0)/1e6/per, time.Since(t0).Seconds()*1e3/per)
 		s.Close()
 	}
+	return nil
 }

@@ -22,7 +22,7 @@ import (
 // elements at N = 5 (one element per rank at P = 1024, the paper's
 // terascale regime shrunk to one box), P in {16, 64, 256, 1024}. Quick
 // mode: K = 16x4 = 64 at N = 4, P in {4, 16, 64}.
-func scaling(quick bool) {
+func scaling(quick bool) error {
 	kx, ky, n := 64, 16, 5
 	ps := []int{16, 64, 256, 1024}
 	steps := 2
@@ -32,8 +32,7 @@ func scaling(quick bool) {
 	}
 	cfg, init, err := session.Config{Case: "channel", N: n, KX: kx, KY: ky}.Problem()
 	if err != nil {
-		fmt.Println("channel spec error:", err)
-		return
+		return fmt.Errorf("channel spec: %w", err)
 	}
 	k := kx * ky
 	fmt.Printf("\nStrong scaling: distributed channel stepper on the simulated ASCI-Red\n")
@@ -51,8 +50,7 @@ func scaling(quick bool) {
 			P: p, Steps: steps, Init: init, Registry: reg,
 		})
 		if err != nil {
-			fmt.Println("distributed run error:", err)
-			return
+			return fmt.Errorf("distributed channel at P=%d: %w", p, err)
 		}
 		fs := float64(res.Steps - res.FirstStep)
 		fp := float64(res.P)
@@ -94,4 +92,5 @@ func scaling(quick bool) {
 	fmt.Println(" latency term stops shrinking with P while the local work keeps")
 	fmt.Println(" dividing — the work-dominated -> latency-dominated crossover is the")
 	fmt.Println(" point where the allreduce column overtakes the compute remainder)")
+	return nil
 }

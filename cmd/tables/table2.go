@@ -15,7 +15,7 @@ import (
 // O-grid at N=7, eps=1e-5, over the quad-refinement family, comparing FDM
 // local solves, FEM local solves with overlap N_o ∈ {0,1,3}, and no coarse
 // grid.
-func table2(quick bool) {
+func table2(quick bool) error {
 	rounds := 3
 	if quick {
 		rounds = 2
@@ -30,8 +30,7 @@ func table2(quick bool) {
 	for round := 0; round < rounds; round++ {
 		m, err := mesh.Discretize(spec, 7)
 		if err != nil {
-			fmt.Println("mesh error:", err)
-			return
+			return fmt.Errorf("cylinder mesh: %w", err)
 		}
 		d := sem.New(m, nil)
 		n := m.K * m.Np
@@ -56,11 +55,12 @@ func table2(quick bool) {
 		deflate(b)
 		apply := func(out, in []float64) { d.Laplacian(out, in); deflate(out) }
 
+		var precondErr error
 		solveWith := func(opt schwarz.Options) (int, float64) {
 			opt.Neumann = true
 			p, err := schwarz.New(d, opt)
 			if err != nil {
-				fmt.Println("precond error:", err)
+				precondErr = fmt.Errorf("Schwarz preconditioner K=%d: %w", m.K, err)
 				return -1, 0
 			}
 			pre := func(out, in []float64) { p.Apply(out, in); deflate(out) }
@@ -76,17 +76,20 @@ func table2(quick bool) {
 		n1It, n1T := solveWith(schwarz.Options{Method: schwarz.FEM, Overlap: 1, UseCoarse: true})
 		n3It, n3T := solveWith(schwarz.Options{Method: schwarz.FEM, Overlap: 3, UseCoarse: true})
 		ncIt, ncT := solveWith(schwarz.Options{Method: schwarz.FDM, UseCoarse: false})
+		if precondErr != nil {
+			return precondErr
+		}
 		fmt.Printf("%6d | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f | %5d %7.2f\n",
 			m.K, fdmIt, fdmT, n0It, n0T, n1It, n1T, n3It, n3T, ncIt, ncT)
 		if round < rounds-1 {
 			spec, err = mesh.QuadRefine(spec)
 			if err != nil {
-				fmt.Println("refine error:", err)
-				return
+				return fmt.Errorf("quad refinement: %w", err)
 			}
 		}
 	}
 	fmt.Println("\nExpected shape (paper): FDM iterations ~ FEM N_o=1 but cheaper per")
 	fmt.Println("iteration; N_o=0 markedly worse; dropping the coarse grid costs a")
 	fmt.Println("large multiple that grows under refinement.")
+	return nil
 }

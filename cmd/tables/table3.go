@@ -15,7 +15,7 @@ import (
 // across the kernel variants: Go analogues of the paper's hand-unrolled f2/f3
 // kernels, the scalar loops a compiler gives, and, where the CPU has AVX2, the
 // assembly micro-kernel that stands in for the lkm/ghm/csm library DGEMMs.
-func table3(quick bool) {
+func table3(quick bool) error {
 	shapes := [][3]int{
 		{14, 2, 14}, {2, 14, 2}, {16, 14, 16}, {16, 14, 196}, {256, 14, 16},
 		{14, 16, 14}, {16, 16, 16}, {16, 16, 256}, {196, 16, 14}, {256, 16, 16},
@@ -87,6 +87,7 @@ func table3(quick bool) {
 		fmt.Println("shape rule over the kernels bitwise-identical to naive (blocked")
 		fmt.Println("where its 2x4 tiles have work, ikj otherwise).")
 	}
+	return nil
 }
 
 func randSlice(rng *rand.Rand, n int) []float64 {

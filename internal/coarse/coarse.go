@@ -11,6 +11,7 @@ package coarse
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -282,7 +283,7 @@ func (s *XXT) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
 		flops += int64(2 * (k1 - k0))
 		zCross[ci] = sum
 	}
-	r.Compute(flops)
+	r.Compute(0, flops)
 	w.zLocalJ, w.zLocalV = zLocalJ, zLocalV // keep any growth for reuse
 	// Stage 2: combine the cross-column partials (log₂P stages, payload =
 	// CrossCount words — the separator volume of the paper's bound).
@@ -313,7 +314,7 @@ func (s *XXT) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
 		}
 		flops += int64(2 * (k1 - k0))
 	}
-	r.Compute(flops)
+	r.Compute(0, flops)
 	return u
 }
 
@@ -375,7 +376,7 @@ func (s *RedundantLU) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) [
 	full := make([]float64, s.N)
 	copy(full[s.lo[me]:s.hi[me]], bLocal)
 	r.Allreduce(full, comm.OpSum)
-	r.Compute(s.fac.SolveFlops())
+	r.Compute(0, s.fac.SolveFlops())
 	if !wantResult {
 		return nil
 	}
@@ -423,7 +424,7 @@ func (s *DistInv) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []flo
 	r.Allreduce(full, comm.OpSum)
 	// Dense row-block matvec cost: 2 * n * (rows I own).
 	rows := s.hi[me] - s.lo[me]
-	r.Compute(int64(2 * s.N * rows))
+	r.Compute(0, int64(2*s.N*rows))
 	if !wantResult {
 		return nil
 	}
@@ -435,9 +436,5 @@ func (s *DistInv) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []flo
 // LatencyBound returns the paper's lower-bound curve 2·α·log₂P for a
 // contention-free fan-in/fan-out binary tree.
 func LatencyBound(m comm.Machine) float64 {
-	logp := 0
-	for q := 1; q < m.P; q <<= 1 {
-		logp++
-	}
-	return 2 * m.Latency * float64(logp)
+	return 2 * m.Latency * float64(bits.Len(uint(m.P-1)))
 }

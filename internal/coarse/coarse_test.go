@@ -10,7 +10,7 @@ import (
 )
 
 func net(p int) *comm.Network {
-	return comm.NewNetwork(comm.Machine{P: p, Latency: 2e-5, ByteSec: 1 / 310e6, FlopSec: 1e-8})
+	return comm.NewNetwork(comm.Machine{P: p, Latency: 2e-5, ByteSec: 1 / 310e6, MMFlopSec: 1e-8, VecFlopSec: 1e-8})
 }
 
 func refSolve(t *testing.T, a *la.CSR, b []float64) []float64 {

@@ -122,9 +122,9 @@ func TestBcastEdgeRankCounts(t *testing.T) {
 
 func TestBarrierEdgeRankCounts(t *testing.T) {
 	for _, p := range rankCounts() {
-		ranks := NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-8}).Run(func(r *Rank) {
+		ranks := NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-8, VecFlopSec: 1e-8}).Run(func(r *Rank) {
 			// Skew the clocks so the barrier has real work to synchronize.
-			r.Compute(int64(1000 * (r.ID + 1)))
+			r.Compute(int64(1000*(r.ID+1)), 0)
 			r.Barrier()
 		})
 		if p > 1 {

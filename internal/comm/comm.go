@@ -23,19 +23,35 @@ import (
 	"repro/internal/instrument"
 )
 
-// Machine models the network of the target platform.
+// Machine models the target platform: its network and the two sustained
+// flop rates of one node. Matrix–matrix work is the tensor-product kernels
+// of the spectral element operators; vector work is everything pointwise.
 type Machine struct {
-	P       int
-	Latency float64 // α: seconds per message
-	ByteSec float64 // β: seconds per byte
-	FlopSec float64 // seconds per flop for modeled local compute
+	P          int
+	Latency    float64 // α: seconds per message
+	ByteSec    float64 // β: seconds per byte
+	MMFlopSec  float64 // seconds per matrix–matrix flop
+	VecFlopSec float64 // seconds per vector flop
 }
 
-// ASCIRed returns a machine model with ASCI-Red-like constants: ~20 µs MPI
-// latency, ~310 MB/s per-link bandwidth, and ~100 MFLOPS sustained
-// per-processor compute (the Table 3 ballpark).
-func ASCIRed(p int) Machine {
-	return Machine{P: p, Latency: 20e-6, ByteSec: 1 / 310e6, FlopSec: 1 / 100e6}
+// ASCIRed returns p ASCI-Red nodes with the standard kernels on one
+// processor each: the machine the simulated clock runs.
+func ASCIRed(p int) Machine { return ASCIRedNode(p, false, false) }
+
+// ASCIRedNode returns p nodes of ASCI-Red, the paper's machine (Sec. 6),
+// described once: ~20 µs MPI latency, ~310 MB/s per link, and Table 3's
+// sustained MFLOPS per processor for the standard or the tuned (perf.)
+// kernels, on one processor or on both at 82 % parallel efficiency — the
+// four machines of Table 4.
+func ASCIRedNode(p int, perf, dual bool) Machine {
+	mm, vec := 95e6, 35e6
+	if perf {
+		mm, vec = 113e6, 38e6
+	}
+	if dual {
+		mm, vec = 2*0.82*mm, 2*0.82*vec
+	}
+	return Machine{P: p, Latency: 20e-6, ByteSec: 1 / 310e6, MMFlopSec: 1 / mm, VecFlopSec: 1 / vec}
 }
 
 type message struct {
@@ -290,7 +306,8 @@ type Rank struct {
 	Time      float64 // virtual clock, seconds
 	BytesSent int64
 	MsgsSent  int64
-	Flops     int64
+	MMFlops   int64 // matrix–matrix flops charged by Compute
+	VecFlops  int64 // vector flops charged by Compute
 
 	// Fault bookkeeping (zero without a plan). Drops counts delivery
 	// attempts the network lost; Retries the retransmissions that recovered
@@ -370,7 +387,8 @@ type ClockState struct {
 	Time      float64
 	BytesSent int64
 	MsgsSent  int64
-	Flops     int64
+	MMFlops   int64
+	VecFlops  int64
 	Drops     int64
 	Retries   int64
 	Pauses    int64
@@ -382,13 +400,14 @@ type ClockState struct {
 // Clock captures the rank's current clock state for a checkpoint.
 func (r *Rank) Clock() ClockState {
 	return ClockState{Time: r.Time, BytesSent: r.BytesSent, MsgsSent: r.MsgsSent,
-		Flops: r.Flops, Drops: r.Drops, Retries: r.Retries, Pauses: r.Pauses,
+		MMFlops: r.MMFlops, VecFlops: r.VecFlops, Drops: r.Drops, Retries: r.Retries, Pauses: r.Pauses,
 		StallSec: r.StallSec, FlowSeq: r.flowSeq, SendSeq: r.sendSeq}
 }
 
 // SetClock restores a checkpointed clock state.
 func (r *Rank) SetClock(cs ClockState) {
-	r.Time, r.BytesSent, r.MsgsSent, r.Flops = cs.Time, cs.BytesSent, cs.MsgsSent, cs.Flops
+	r.Time, r.BytesSent, r.MsgsSent = cs.Time, cs.BytesSent, cs.MsgsSent
+	r.MMFlops, r.VecFlops = cs.MMFlops, cs.VecFlops
 	r.Drops, r.Retries, r.Pauses, r.StallSec = cs.Drops, cs.Retries, cs.Pauses, cs.StallSec
 	r.flowSeq, r.sendSeq = cs.FlowSeq, cs.SendSeq
 }
@@ -563,13 +582,15 @@ func (r *Rank) land(from, tag, words int, arrival float64, flow string) {
 	}
 }
 
-// Compute advances the virtual clock by the modeled time of nflops local
-// floating-point operations. Under a fault plan, matching straggler windows
-// multiply the cost; the excess appears as a fault span on the rank's track
-// so the trace shows exactly where the straggler bit.
-func (r *Rank) Compute(nflops int64) {
-	r.Flops += nflops
-	dt := float64(nflops) * r.net.FlopSec
+// Compute advances the virtual clock by the modeled time of mm
+// matrix–matrix and vec vector floating-point operations, each class at its
+// own rate. Under a fault plan, matching straggler windows multiply the
+// cost; the excess appears as a fault span on the rank's track so the trace
+// shows exactly where the straggler bit.
+func (r *Rank) Compute(mm, vec int64) {
+	r.MMFlops += mm
+	r.VecFlops += vec
+	dt := float64(mm)*r.net.MMFlopSec + float64(vec)*r.net.VecFlopSec
 	if pl := r.net.faults; pl != nil {
 		r.maybePause()
 		if f := pl.ComputeFactor(r.ID, r.Time); f != 1 {

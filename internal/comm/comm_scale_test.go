@@ -18,7 +18,7 @@ import (
 // order) and final virtual clock.
 func runAllToAll(p, rounds int, descending bool) (vals [][]float64, clocks []float64) {
 	vals = make([][]float64, p)
-	ranks := NewNetwork(Machine{P: p, Latency: 2e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *Rank) {
+	ranks := NewNetwork(Machine{P: p, Latency: 2e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9}).Run(func(r *Rank) {
 		froms := make([]int, 0, p-1)
 		for q := 0; q < p; q++ {
 			if q != r.ID {
@@ -29,7 +29,7 @@ func runAllToAll(p, rounds int, descending bool) (vals [][]float64, clocks []flo
 		for round := 0; round < rounds; round++ {
 			// Skew the clocks so message arrival order differs from source
 			// order at most receivers.
-			r.Compute(int64(1000 * ((r.ID*7 + round*3) % 11)))
+			r.Compute(int64(1000*((r.ID*7+round*3)%11)), 0)
 			buf := []float64{float64(r.ID*1000 + round), float64(round)}
 			for _, q := range froms {
 				r.Send(q, 7, buf)
@@ -90,7 +90,7 @@ func TestRecvOutOfOrderStress(t *testing.T) {
 	const rounds = 20
 	run := func() []float64 {
 		clocks := make([]float64, p)
-		NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *Rank) {
+		NewNetwork(Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9}).Run(func(r *Rank) {
 			seen := make(map[int]bool)
 			froms := make([]int, 0, 6)
 			for _, o := range []int{-3, -2, -1, 1, 2, 3} {
@@ -103,7 +103,7 @@ func TestRecvOutOfOrderStress(t *testing.T) {
 			next := (r.ID + 1) % p
 			prev := (r.ID - 1 + p) % p
 			for round := 0; round < rounds; round++ {
-				r.Compute(int64(100 * ((r.ID*13 + round*5) % 17)))
+				r.Compute(int64(100*((r.ID*13+round*5)%17)), 0)
 				payload := []float64{float64(r.ID), float64(round)}
 				for _, q := range froms {
 					r.Send(q, 7, payload)

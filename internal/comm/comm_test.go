@@ -2,13 +2,14 @@ package comm
 
 import (
 	"math"
+	"repro/internal/fault"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func machine(p int) Machine {
-	return Machine{P: p, Latency: 1e-5, ByteSec: 1e-8, FlopSec: 1e-8}
+	return Machine{P: p, Latency: 1e-5, ByteSec: 1e-8, MMFlopSec: 1e-8, VecFlopSec: 1e-8}
 }
 
 func TestSendRecv(t *testing.T) {
@@ -106,7 +107,7 @@ func TestVirtualClockAdvances(t *testing.T) {
 			r.Send(1, 0, make([]float64, 100))
 		} else {
 			r.Recv(0, 0)
-			r.Compute(1000)
+			r.Compute(1000, 0)
 		}
 	})
 	// Sender: α + 800 bytes * β = 1e-5 + 8e-6.
@@ -168,8 +169,42 @@ func TestBarrier(t *testing.T) {
 
 func TestASCIRedModel(t *testing.T) {
 	m := ASCIRed(512)
-	if m.P != 512 || m.Latency <= 0 || m.ByteSec <= 0 || m.FlopSec <= 0 {
+	if m.P != 512 || m.Latency <= 0 || m.ByteSec <= 0 || m.MMFlopSec <= 0 || m.VecFlopSec <= 0 {
 		t.Error("ASCIRed model malformed")
+	}
+	// Table 4's four machines: tuned kernels beat the standard ones, and a
+	// second processor helps by less than twice.
+	std, dual := ASCIRedNode(1, false, false), ASCIRedNode(1, false, true)
+	if perf := ASCIRedNode(1, true, false); perf.MMFlopSec >= std.MMFlopSec || perf.VecFlopSec >= std.VecFlopSec {
+		t.Errorf("perf kernels %+v not faster than std %+v", perf, std)
+	}
+	if s := std.MMFlopSec / dual.MMFlopSec; s <= 1 || s >= 2 {
+		t.Errorf("dual-processor speed-up %g outside (1, 2)", s)
+	}
+	if m != ASCIRedNode(512, false, false) {
+		t.Errorf("ASCIRed(512) = %+v is not the standard single-processor node", m)
+	}
+}
+
+// TestComputePricesEachClassAtItsRate: matrix–matrix and vector flops cost
+// their own rates, and a straggler window multiplies both.
+func TestComputePricesEachClassAtItsRate(t *testing.T) {
+	m := Machine{P: 2, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-8, VecFlopSec: 3e-8}
+	const mm, vec, factor = 1000, 200, 4
+	want := mm*m.MMFlopSec + vec*m.VecFlopSec
+	net := NewNetwork(m)
+	net.SetFaults(&fault.Plan{Seed: 1, Stragglers: []fault.Straggler{{Rank: 1, Factor: factor}}})
+	ranks := net.Run(func(r *Rank) { r.Compute(mm, vec) })
+	if got := ranks[0].Time; got != want {
+		t.Errorf("rank 0: %d + %d flops took %g s, want %g", mm, vec, got, want)
+	}
+	if got := ranks[1].Time; got != factor*want {
+		t.Errorf("straggling rank 1: %g s, want %g×%g", got, float64(factor), want)
+	}
+	for _, r := range ranks {
+		if r.MMFlops != mm || r.VecFlops != vec {
+			t.Errorf("rank %d counted %d + %d flops, want %d + %d", r.ID, r.MMFlops, r.VecFlops, mm, vec)
+		}
 	}
 }
 
@@ -248,7 +283,7 @@ func TestPayloadIsolation(t *testing.T) {
 func TestRunsContinueOnTheSameRanks(t *testing.T) {
 	net := NewNetwork(machine(2))
 	first := net.Run(func(r *Rank) {
-		r.Compute(1000)
+		r.Compute(1000, 0)
 		if r.ID == 0 {
 			r.Send(1, 7, []float64{42})
 			r.Send(1, 8, []float64{43})
@@ -268,7 +303,7 @@ func TestRunsContinueOnTheSameRanks(t *testing.T) {
 				t.Errorf("second batch received %v and %v", a, b)
 			}
 		}
-		r.Compute(1000)
+		r.Compute(1000, 0)
 	})
 	if second[0] != first[0] || second[1] != first[1] {
 		t.Fatal("the second Run ran on new ranks")

@@ -9,7 +9,7 @@ import (
 )
 
 func testMachine(p int) Machine {
-	return Machine{P: p, Latency: 20e-6, ByteSec: 1 / 310e6, FlopSec: 1e-8}
+	return Machine{P: p, Latency: 20e-6, ByteSec: 1 / 310e6, MMFlopSec: 1e-8, VecFlopSec: 1e-8}
 }
 
 // TestFaultFreePlanIsBitwiseIdentical pins the golden-path contract: a nil
@@ -17,7 +17,7 @@ func testMachine(p int) Machine {
 // virtual clock bitwise identical to the unfaulted run.
 func TestFaultFreePlanIsBitwiseIdentical(t *testing.T) {
 	body := func(r *Rank) {
-		r.Compute(12345)
+		r.Compute(12345, 0)
 		buf := []float64{float64(r.ID), 2, 3}
 		r.Allreduce(buf, OpSum)
 		r.Barrier()
@@ -46,7 +46,7 @@ func TestFaultFreePlanIsBitwiseIdentical(t *testing.T) {
 func TestStragglerSlowsTheMachine(t *testing.T) {
 	body := func(r *Rank) {
 		for i := 0; i < 5; i++ {
-			r.Compute(100000)
+			r.Compute(100000, 0)
 			r.Barrier()
 		}
 	}
@@ -132,7 +132,7 @@ func TestPauseFreezesRank(t *testing.T) {
 	net.SetFaults(&fault.Plan{Seed: 5,
 		Pauses: []fault.Pause{{Rank: 1, At: 0, Duration: 0.5}}})
 	ranks := net.Run(func(r *Rank) {
-		r.Compute(100)
+		r.Compute(100, 0)
 		r.Barrier()
 	})
 	if ranks[1].Pauses != 1 {

@@ -166,7 +166,7 @@ func runCollectives(p int, prog []collectiveStep, plan *fault.Plan, instrumented
 	}
 	ranks := net.Run(func(r *Rank) {
 		for i, s := range prog {
-			r.Compute(s.flops[r.ID])
+			r.Compute(s.flops[r.ID], 0)
 			buf := append([]float64(nil), s.data[r.ID]...)
 			switch {
 			case s.kind == "barrier" && oracle:

@@ -41,12 +41,12 @@ func TestParallelExchangeDeterministicLargeP(t *testing.T) {
 	run := func() (first, final, clocks []float64) {
 		first = make([]float64, len(u0))
 		final = make([]float64, len(u0))
-		ranks := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *comm.Rank) {
+		ranks := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9}).Run(func(r *comm.Rank) {
 			lo := r.ID * m.Np
 			hi := lo + m.Np
 			local := append([]float64(nil), u0[lo:hi]...)
 			h := ParInit(r, m.GID[lo:hi])
-			r.Compute(int64(50 * (r.ID % 13))) // skew arrival order
+			r.Compute(int64(50*(r.ID%13)), 0) // skew arrival order
 			for it := 0; it < applies; it++ {
 				h.Apply(local, Sum)
 				if it == 0 {
@@ -103,7 +103,7 @@ func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 	perRank := m.K / p
 	const warm, iters = 25, 200
 	var steady [2]uint64 // Apply, then ApplyFields on three fields
-	comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9}).Run(func(r *comm.Rank) {
+	comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9}).Run(func(r *comm.Rank) {
 		lo := r.ID * perRank * m.Np
 		hi := lo + perRank*m.Np
 		h := ParInit(r, m.GID[lo:hi])

@@ -230,7 +230,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// Partition elements blockwise: elements e with e%p == rank? use
 		// contiguous blocks so neighbours are cross-rank.
 		perRank := m.K / p
-		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 		results := make([][]float64, p)
 		net.Run(func(r *comm.Rank) {
 			e0 := r.ID * perRank
@@ -256,7 +256,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelMinOp(t *testing.T) {
 	p := 3
 	// Three ranks each hold gids {0, rank+1}; gid 0 shared by all.
-	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 	results := make([][]float64, p)
 	net.Run(func(r *comm.Rank) {
 		gids := []int64{0, int64(r.ID + 1)}
@@ -279,7 +279,7 @@ func TestParExchangeCounters(t *testing.T) {
 	// Each rank shares gid 0 with every other rank, so one Apply exchanges
 	// one single-word message per neighbour pair and direction.
 	p := 3
-	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 	reg := instrument.New()
 	net.Run(func(r *comm.Rank) {
 		h := ParInit(r, []int64{0, int64(r.ID + 1)})
@@ -335,7 +335,7 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 		reg := instrument.New()
 		var calls, words [2]int64 // per ApplyFields call: messages and words, summed over ranks
 		var nbrs, shared atomic.Int64
-		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 		got := make([][]float64, nf)  // ApplyFields on the spread fields
 		want := make([][]float64, nf) // Apply on each spread field alone
 		gotExact := make([][]float64, nf)
@@ -501,7 +501,7 @@ func TestParCopiesAgreeInRankOrder(t *testing.T) {
 					}
 				}
 			}
-			net := comm.NewNetwork(comm.Machine{P: c.p, Latency: 1e-6, ByteSec: 1e-9, FlopSec: 1e-9})
+			net := comm.NewNetwork(comm.Machine{P: c.p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 			net.Run(func(r *comm.Rank) { ParInit(r, gids[r.ID]).ApplyFields(op, in[r.ID]...) })
 			// Every copy against the first one met, then against the fold.
 			var split, off int

@@ -69,7 +69,7 @@ func (s *Solver) convect(out, v []float64, chat [3][]float64) {
 	s.mach.ForElements(s.convLoop)
 	s.curOut, s.curIn, s.curC = nil, nil, [3][]float64{}
 	pointwise := 2 * s.dim // dim multiplies, dim-1 adds, the sign
-	s.mach.Charge(int64(s.dim)*tensor.FlopsApplyDim(s.np1, s.dim)*int64(len(s.elems)) + int64(pointwise*s.n))
+	s.mach.Charge(int64(s.dim)*tensor.FlopsApplyDim(s.np1, s.dim)*int64(len(s.elems)), int64(pointwise*s.n))
 }
 
 // convectElement is convect on local element li: the reference-coordinate
@@ -98,7 +98,7 @@ func (s *Solver) toContravariant(c [3][]float64) {
 	s.curC = c
 	s.mach.ForElements(s.contraLoop)
 	s.curC = [3][]float64{}
-	s.mach.Charge(s.contraFlops)
+	s.mach.Charge(0, s.contraFlops)
 }
 
 // contravariantElement is toContravariant on local element li.
@@ -157,7 +157,7 @@ func (s *Solver) rk4AdvectFields(fields [][]float64, t0, h float64, hist [][][]f
 		la.Axpy(1, k4, tmp)
 		la.Axpy(h/6, tmp, f)
 	}
-	s.mach.Charge(int64(10 * s.n * len(fields)))
+	s.mach.Charge(0, int64(10*s.n*len(fields)))
 	s.putBuf(k1, k2, k3, k4, tmp)
 	s.releaseField(c1)
 	s.releaseField(c2)
@@ -175,7 +175,7 @@ func (s *Solver) massAverage(fields [][]float64) {
 	for _, v := range fields {
 		la.Quot(v, v, s.bAssemL)
 	}
-	s.mach.Charge(int64(3 * s.n * len(fields)))
+	s.mach.Charge(0, int64(3*s.n*len(fields)))
 }
 
 // maxSubsteps caps the RK4 substeps of one subintegration interval: Step fails

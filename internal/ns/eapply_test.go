@@ -226,10 +226,10 @@ func TestEApplyFlopsPerClass(t *testing.T) {
 	gtD, dvD := s.eApplyFlops(def)
 	np1, np := int64(s.np1), int64(s.M.Np)
 	deriv := 2 * np1 * np
-	if got, want := gtD-gtU, 2*(deriv+np)+2*np; got != want {
+	if got, want := gtD.mm+gtD.vec-gtU.mm-gtU.vec, 2*(deriv+np)+2*np; got != want {
 		t.Errorf("Dᵀ: deformed − undeformed = %d flops, want %d (2 more pairs)", got, want)
 	}
-	if got, want := dvD-dvU, 2*(deriv+2*np); got != want {
+	if got, want := dvD.mm+dvD.vec-dvU.mm-dvU.vec, 2*(deriv+2*np); got != want {
 		t.Errorf("D: deformed − undeformed = %d flops, want %d (2 more pairs)", got, want)
 	}
 	np3 := s.M.K * s.npp
@@ -239,8 +239,8 @@ func TestEApplyFlopsPerClass(t *testing.T) {
 	var wantGT, wantDv int64
 	for e := range s.M.RXPairs {
 		g, d := s.eApplyFlops(e)
-		wantGT += g
-		wantDv += d
+		wantGT += g.mm + g.vec
+		wantDv += d.mm + d.vec
 	}
 	f0 := s.D.Flops()
 	s.GradientT(uh, p)

@@ -27,7 +27,9 @@ import (
 //     variadic: a variadic call through an interface allocates.
 //   - Sum and Max join one value per solver into the value every solver sees;
 //     SumN joins a short vector in one reduction, each slot bitwise as Sum would.
-//   - Charge accounts local floating-point work.
+//   - Charge accounts local floating-point work by class: matrix–matrix
+//     (the tensor-product kernels) and vector (everything pointwise, and
+//     the coarse vertex solve).
 //   - CoarseSolve turns the vertex residual this solver restricted from its
 //     own elements into the Schwarz coarse solution on all vertices
 //     (x0 = A₀⁻¹ Σ_solvers r0).
@@ -45,7 +47,7 @@ type Machine interface {
 	Sum(v float64) float64
 	SumN(v []float64)
 	Max(v float64) float64
-	Charge(flops int64)
+	Charge(mm, vec int64)
 	CoarseSolve(x0, r0 []float64)
 	Begin(sec Section)
 	End(sec Section, st StepStats)
@@ -87,13 +89,16 @@ func (s Section) Cat() string {
 // shared is the one-solver Machine of the shared-memory stepper: it owns
 // every element, loops over them on its worker pool (the only element-loop
 // pool in the program; nil when serial or closed), joins nothing, meters
-// flops on the velocity Disc and solves the coarse system with the Schwarz
-// preconditioner's sparse factor.
+// flops on the velocity Disc (their sum) and on itself (by class), and
+// solves the coarse system with the Schwarz preconditioner's sparse factor.
+// The step charges only between element loops, never inside one, so the
+// class totals need no lock.
 type shared struct {
-	s     *Solver
-	elems []int
-	pool  *elemPool
-	open  [NumSections]struct {
+	s       *Solver
+	elems   []int
+	pool    *elemPool
+	mm, vec int64 // charged flops by class
+	open    [NumSections]struct {
 		t  time.Time
 		sp instrument.Span
 	}
@@ -118,10 +123,36 @@ func (m *shared) Assemble(fields [][]float64) { m.s.D.GS.ApplyFields(gs.Sum, fie
 func (m *shared) Sum(v float64) float64       { return v }
 func (m *shared) SumN(v []float64)            {}
 func (m *shared) Max(v float64) float64       { return v }
-func (m *shared) Charge(flops int64)          { m.s.D.CountFlops(flops) }
+
+func (m *shared) Charge(mm, vec int64) {
+	m.s.D.CountFlops(mm + vec)
+	m.mm += mm
+	m.vec += vec
+}
 
 func (m *shared) CoarseSolve(x0, r0 []float64) {
-	m.Charge(m.s.pSchwarz.CoarseSolve(x0, r0))
+	m.Charge(0, m.s.pSchwarz.CoarseSolve(x0, r0))
+}
+
+// flops is an amount of local work by class, as Machine.Charge takes it.
+type flops struct{ mm, vec int64 }
+
+func (f flops) times(k int) flops { return flops{f.mm * int64(k), f.vec * int64(k)} }
+
+func (f flops) plus(g flops) flops { return flops{f.mm + g.mm, f.vec + g.vec} }
+
+// charge hands f to the machine.
+func (s *Solver) charge(f flops) { s.mach.Charge(f.mm, f.vec) }
+
+// ChargedFlops returns the matrix–matrix and the vector flops a
+// shared-memory solver has charged since it was built; their sum is what it
+// added to Disc().Flops(). A solver forked onto a rank charges its rank, and
+// reads zero here.
+func (s *Solver) ChargedFlops() (mm, vec int64) {
+	if sh, ok := s.mach.(*shared); ok {
+		return sh.mm, sh.vec
+	}
+	return 0, 0
 }
 
 func (m *shared) Begin(sec Section) {

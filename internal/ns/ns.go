@@ -147,7 +147,7 @@ type template struct {
 	cheb       map[string]chebParams   // tuned Chebyshev parameters per built variant
 
 	// Flops of one element's stiffness and filter application.
-	stiffF, filtF int64
+	stiffF, filtF flops
 }
 
 // Solver is one solver's time-stepping state over the elements it owns: the
@@ -228,7 +228,8 @@ type Solver struct {
 
 	// Flops of one GradientT, one Divergence, one round of Schwarz subdomain
 	// solves (with their exchange), one toContravariant over the owned elements.
-	gradTFlops, divFlops, fdmFlops, contraFlops int64
+	gradTFlops, divFlops, fdmFlops flops
+	contraFlops                    int64 // vector
 
 	instr   stepInstr              // metric handles (zero value = disabled)
 	tracer  *instrument.Tracer     // nil = off; wall spans for step phases + CG
@@ -426,10 +427,10 @@ func (s *Solver) build(precondForced bool) error {
 	}
 	np, n3 := int64(m.Np), int64(t.np1)*int64(t.np1)*int64(t.np1)
 	if m.Dim == 2 {
-		t.stiffF, t.filtF = 8*n3+7*np, 4*n3
+		t.stiffF, t.filtF = flops{8 * n3, 7 * np}, flops{mm: 4 * n3}
 	} else {
 		n4 := n3 * int64(t.np1)
-		t.stiffF, t.filtF = 12*n4+17*np, 6*n4
+		t.stiffF, t.filtF = flops{12 * n4, 17 * np}, flops{mm: 6 * n4}
 	}
 	if err := s.buildPrecondOperators(precondForced); err != nil {
 		return err
@@ -523,11 +524,12 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	s.diagE = owned(s.pDiagE, npp)
 	for _, e := range s.elems {
 		gt, dv := s.eApplyFlops(e)
-		s.gradTFlops += gt
-		s.divFlops += dv
+		s.gradTFlops = s.gradTFlops.plus(gt)
+		s.divFlops = s.divFlops.plus(dv)
 		s.contraFlops += int64((2*bits.OnesCount16(m.RXPairs[e]) - s.dim) * np) // a multiply per pair, an add beyond a row's first
 		if s.pSchwarz != nil {
-			s.fdmFlops += s.pSchwarz.LocalFlops(e)
+			mm, vec := s.pSchwarz.LocalFlops(e)
+			s.fdmFlops = s.fdmFlops.plus(flops{mm, vec})
 		}
 	}
 

@@ -111,10 +111,11 @@ func (t *template) divElem(out []float64, us [][]float64, e int, work []float64)
 }
 
 // eApplyFlops returns the floating point operations gradTElem and divElem
-// perform on element e: the staggered-grid interpolation, the mass
-// weighting, and per non-zero metric pair one derivative product with its
-// metric scaling (and, beyond the first pair of a component, its sum).
-func (t *template) eApplyFlops(e int) (gradT, div int64) {
+// perform on element e: the staggered-grid interpolation and per non-zero
+// metric pair one derivative product (matrix–matrix), the mass weighting and
+// per pair the metric scaling and, beyond the first pair of a component, its
+// sum (vector).
+func (t *template) eApplyFlops(e int) (gradT, div flops) {
 	np, dim := int64(t.M.Np), int64(t.dim)
 	pairs := int64(bits.OnesCount16(t.M.RXPairs[e]))
 	interp := tensor.FlopsApply2D(t.np1, t.nm1, t.np1, t.nm1) // J_pv; J_pvᵀ costs the same
@@ -122,8 +123,8 @@ func (t *template) eApplyFlops(e int) (gradT, div int64) {
 		interp = tensor.FlopsApply3D(t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
 	}
 	deriv := tensor.FlopsApplyDim(t.np1, t.dim)
-	gradT = interp + np + pairs*(deriv+np) + (pairs-dim)*np
-	div = pairs*(deriv+2*np) + interp
+	gradT = flops{interp + pairs*deriv, np + pairs*np + (pairs-dim)*np}
+	div = flops{interp + pairs*deriv, 2 * pairs * np}
 	return gradT, div
 }
 
@@ -138,7 +139,7 @@ func (s *Solver) Divergence(out []float64, u [3][]float64) {
 	s.curP, s.curU = out, u
 	s.mach.ForElements(s.divLoop)
 	s.curP, s.curU = nil, [3][]float64{}
-	s.mach.Charge(s.divFlops)
+	s.charge(s.divFlops)
 }
 
 // GradientT computes the momentum pressure term Dᵀ p: the (unassembled)
@@ -149,7 +150,7 @@ func (s *Solver) GradientT(outs [][]float64, p []float64) {
 	s.curOuts, s.curP = outs, p
 	s.mach.ForElements(s.gradTLoop)
 	s.curOuts, s.curP = nil, nil
-	s.mach.Charge(s.gradTFlops)
+	s.charge(s.gradTFlops)
 }
 
 // applyE applies the consistent pressure Poisson operator
@@ -162,7 +163,7 @@ func (s *Solver) applyE(out, p []float64) {
 	for c := 0; c < s.dim; c++ {
 		la.Prod(s.gp[c], s.gp[c], s.invBmL)
 	}
-	s.mach.Charge(int64(s.dim * s.n)) // the multiplier after the direct stiffness sum
+	s.mach.Charge(0, int64(s.dim*s.n)) // the multiplier after the direct stiffness sum
 	s.Divergence(out, s.gp)
 	if s.enclosed {
 		s.deflatePressure(out)
@@ -180,14 +181,14 @@ func (s *Solver) dotShare(u, v []float64) float64 {
 	for i := range u {
 		sum += u[i] * v[i] * rmult[i]
 	}
-	s.mach.Charge(int64(3 * len(u)))
+	s.mach.Charge(0, int64(3*len(u)))
 	return sum
 }
 
 // pressureDotShare is the share of the plain inner product on the pressure
 // space, whose nodes are never shared: no multiplicity.
 func (s *Solver) pressureDotShare(a, b []float64) float64 {
-	s.mach.Charge(int64(2 * len(a)))
+	s.mach.Charge(0, int64(2*len(a)))
 	return la.Dot(a, b)
 }
 
@@ -208,7 +209,7 @@ func (s *Solver) deflatePressure(p []float64) {
 	for i := range p {
 		p[i] -= mean
 	}
-	s.mach.Charge(int64(2 * len(p)))
+	s.mach.Charge(0, int64(2*len(p)))
 }
 
 // applyMask zeroes the Dirichlet entries of mask (nil = none).
@@ -228,7 +229,7 @@ func (s *Solver) assemble(fields [][]float64, mask []float64) {
 	s.mach.Assemble(fields)
 	for _, u := range fields {
 		applyMask(u, mask)
-		s.mach.Charge(int64(len(u)))
+		s.mach.Charge(0, int64(len(u)))
 	}
 }
 
@@ -260,7 +261,7 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 				d[i] = 1
 			}
 		}
-		s.mach.Charge(s.stiffF * int64(len(s.elems)))
+		s.charge(s.stiffF.times(len(s.elems)))
 		h2B := append([]float64(nil), s.b...)
 		la.Scale(h2, h2B)
 		ops[q] = helmholtzOp{h1: h1, h2B: h2B, mask: mask, diag: d}
@@ -276,7 +277,7 @@ func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
 		s.mach.ForElements(s.stiffLoop)
 		la.Scale(op.h1, out) // out = h1·out + (h2·B)⊙in
 		la.AddProd(out, op.h2B, ins[c])
-		s.mach.Charge(s.stiffF*int64(len(s.elems)) + 3*int64(len(out)))
+		s.charge(s.stiffF.times(len(s.elems)).plus(flops{vec: 3 * int64(len(out))}))
 	}
 	s.curOut, s.curIn = nil, nil
 	s.assemble(outs, op.mask)
@@ -285,7 +286,7 @@ func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
 // pointJacobi is out = in / diag.
 func (s *Solver) pointJacobi(out, in, diag []float64) {
 	la.Quot(out[:len(in)], in, diag)
-	s.mach.Charge(int64(len(in)))
+	s.mach.Charge(0, int64(len(in)))
 }
 
 // sandwich applies the overlapping Schwarz preconditioner of E on the
@@ -305,7 +306,7 @@ func (s *Solver) sandwich(out, r []float64, coarse bool) {
 	s.mach.Begin(SecSchwarzLocal)
 	s.curOut = zv
 	s.mach.ForElements(s.fdmLoop)
-	s.mach.Charge(s.fdmFlops)
+	s.charge(s.fdmFlops)
 	s.mach.End(SecSchwarzLocal, StepStats{})
 	s.assembleOne(zv)
 	s.curP = out
@@ -317,9 +318,9 @@ func (s *Solver) sandwich(out, r []float64, coarse bool) {
 		for i := range r0 {
 			r0[i] = 0
 		}
-		s.mach.Charge(s.pSchwarz.CoarseRestrictElems(r0, r, s.elems))
+		s.mach.Charge(0, s.pSchwarz.CoarseRestrictElems(r0, r, s.elems))
 		s.mach.CoarseSolve(s.x0, r0)
-		s.mach.Charge(s.pSchwarz.CoarseProlongElems(out, s.x0, s.elems))
+		s.mach.Charge(0, s.pSchwarz.CoarseProlongElems(out, s.x0, s.elems))
 		s.mach.End(SecSchwarzCoarse, StepStats{})
 	}
 }

@@ -134,7 +134,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 		la.Quot(g, g, s.bAssemL)
 		la.Axpy(1, g, ustar[c])
 	}
-	s.mach.Charge(int64(3 * s.dim * s.n))
+	s.mach.Charge(0, int64(3*s.dim*s.n))
 	s.mach.End(SecPressure, st)
 
 	// --- Scalar Helmholtz solve. ---
@@ -162,7 +162,7 @@ func (s *Solver) Step() (st StepStats, err error) {
 				s.setDirichletComponent(u, c, tNew)
 			}
 		}
-		s.mach.Charge(s.filtF * int64(len(s.elems)*len(s.next)))
+		s.charge(s.filtF.times(len(s.elems) * len(s.next)))
 		if s.history != nil {
 			for c := 0; c < s.dim; c++ {
 				filterRemoved -= s.mach.Sum(s.dotShare(ustar[c], ustar[c]))

@@ -106,6 +106,8 @@ type NSResult struct {
 	VirtualSeconds float64 // max rank clock (modeled completion time)
 	TotalBytes     int64
 	TotalMsgs      int64
+	MMFlops        int64 // matrix–matrix flops charged, summed over ranks
+	VecFlops       int64 // vector flops charged, summed over ranks
 	CutEdges       int
 	CrossCols      int
 
@@ -352,6 +354,8 @@ func (s *Stepper) Result() *NSResult {
 	res.TotalBytes = comm.TotalBytes(s.ranks)
 	for _, rk := range s.ranks {
 		res.TotalMsgs += rk.MsgsSent
+		res.MMFlops += rk.MMFlops
+		res.VecFlops += rk.VecFlops
 		res.Drops += rk.Drops
 		res.Retries += rk.Retries
 		res.Pauses += rk.Pauses
@@ -436,7 +440,7 @@ func (m *rankMachine) Assemble(fields [][]float64) { m.h.ApplyFields(gs.Sum, fie
 func (m *rankMachine) Sum(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpSum) }
 func (m *rankMachine) SumN(v []float64)            { m.r.Allreduce(v, comm.OpSum) }
 func (m *rankMachine) Max(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpMax) }
-func (m *rankMachine) Charge(flops int64)          { m.r.Compute(flops) }
+func (m *rankMachine) Charge(mm, vec int64)        { m.r.Compute(mm, vec) }
 
 func (m *rankMachine) CoarseSolve(x0, r0 []float64) {
 	rk, xxt := m.r, m.xxt

@@ -253,7 +253,8 @@ func TestConvectionExchangeCount(t *testing.T) {
 // clock tell one story. At P = 1 under Chebyshev–Jacobi the rank runs the
 // serial arithmetic bit for bit (no reduction reordering, no coarse solve
 // whose factorization differs) and pays for no message, so its virtual
-// stepping time must be the serial meter's flops at the machine's flop rate.
+// stepping time must be the serial solver's charged flops, each class at
+// the machine's rate for it, and the classes must sum to the serial meter.
 func TestSerialFlopMeterMatchesModelledClock(t *testing.T) {
 	cfg, init := nsCase(t)
 	cfg.PressurePrecond = ns.PrecondChebJacobi
@@ -264,10 +265,19 @@ func TestSerialFlopMeterMatchesModelledClock(t *testing.T) {
 	}
 	ser.SetVelocity(init)
 	ser.Disc().ResetFlops()
+	mm0, vec0 := ser.ChargedFlops()
 	for i := 0; i < steps; i++ {
 		if _, err := ser.Step(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	mm1, vec1 := ser.ChargedFlops()
+	mm, vec := mm1-mm0, vec1-vec0
+	if mm+vec != ser.Disc().Flops() {
+		t.Errorf("charged %d matrix–matrix + %d vector flops, the meter %d", mm, vec, ser.Disc().Flops())
+	}
+	if mm <= vec {
+		t.Errorf("%d matrix–matrix flops do not outweigh %d vector flops", mm, vec)
 	}
 	res, err := NavierStokes(cfg, NSConfig{P: 1, Steps: steps, Init: init})
 	if err != nil {
@@ -277,9 +287,10 @@ func TestSerialFlopMeterMatchesModelledClock(t *testing.T) {
 	for _, v := range res.StepVirtual {
 		virtual += v
 	}
-	want := float64(ser.Disc().Flops()) * comm.ASCIRed(1).FlopSec
+	m := comm.ASCIRed(1)
+	want := float64(mm)*m.MMFlopSec + float64(vec)*m.VecFlopSec
 	if math.Abs(virtual-want) > 1e-9*want {
-		t.Errorf("P=1 virtual stepping time %.12g s, serial meter × flop rate %.12g s", virtual, want)
+		t.Errorf("P=1 virtual stepping time %.12g s, serial charges × flop rates %.12g s", virtual, want)
 	}
 }
 

@@ -245,9 +245,11 @@ func (p *Pressure) FoldElem(out, z, blk []float64) {
 	}
 }
 
-// LocalFlops returns the flop count of the three kernels on element e.
-func (p *Pressure) LocalFlops(e int) int64 {
-	return p.local[e].Flops() + int64(3*len(p.faceBlk)*len(p.faceBlk[0]))
+// LocalFlops returns the flop count of the three kernels on element e: the
+// fast diagonalization solve, tensor applies around one pointwise scaling,
+// is matrix–matrix work; extrusion and fold are vector work.
+func (p *Pressure) LocalFlops(e int) (mm, vec int64) {
+	return p.local[e].Flops(), int64(3 * len(p.faceBlk) * len(p.faceBlk[0]))
 }
 
 // CoarseOperator returns the pinned vertex-mesh operator A₀, which

@@ -59,7 +59,9 @@
 #           channel job through the semflowd session service (submit, poll,
 #           fetch artifacts; a ranks > 0 submit is answered 400);
 #           also runs the Table 3 kernel sweep once (tables -exp table3),
-#           which must print an avx2 column on a runner whose CPU has AVX2
+#           which must print an avx2 column on a runner whose CPU has AVX2,
+#           and Table 4 and Fig. 8 (-quick, and the full Table 4), which
+#           must exit 0 having priced the reduced hairpin's 26 steps
 #
 # Usage: scripts/ci.sh [tier1|tier2|benchmod|static|smoke|all]   (default all)
 #
@@ -564,6 +566,13 @@ RUNS
             exit 1
         }
     fi
+
+    echo "== smoke: Table 4 and Fig. 8 price the reduced hairpin's own 26 steps =="
+    "$out/bin/tables" -exp table4 -quick > "$out/table4-quick.txt"
+    "$out/bin/tables" -exp table4 > "$out/table4.txt"
+    "$out/bin/tables" -exp fig8 -quick > "$out/fig8-quick.txt"
+    grep -q "from the paper's 319 GF" "$out/table4.txt"
+    grep -qE '^ +26 ' "$out/fig8-quick.txt"
 }
 
 mode="${1:-all}"
