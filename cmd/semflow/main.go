@@ -59,7 +59,7 @@ func main() {
 	flag.IntVar(&cfg.KY, "ky", 0, "channel case: elements across the channel (0: case default 3)")
 	flag.IntVar(&cfg.PIters, "piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
 	flag.Float64Var(&cfg.Alpha, "alpha", 0.3, "filter strength")
-	flag.IntVar(&cfg.ProjectionL, "L", 20, "pressure projection basis size")
+	flag.IntVar(&cfg.ProjectionL, "L", 20, "pressure projection basis size (0: no projection)")
 	flag.IntVar(&cfg.Workers, "workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
 	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
 	every := flag.Int("report", 10, "report interval")
@@ -79,6 +79,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
 	cfg.Trace = *traceOut != ""
+	if cfg.ProjectionL == 0 { // -L defaults to 20, so 0 is asked for: projection off
+		cfg.ProjectionL = -1
+	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	if *cpuprofile != "" {

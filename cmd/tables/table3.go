@@ -13,8 +13,9 @@ import (
 // table3 reproduces the matrix-matrix kernel study: MFLOPS for each
 // (n1 x n2) x (n2 x n3) calling configuration of an order N=15 simulation,
 // across the kernel variants: Go analogues of the paper's hand-unrolled f2/f3
-// kernels, the scalar loops a compiler gives, and, where the CPU has AVX2, the
-// assembly micro-kernel that stands in for the lkm/ghm/csm library DGEMMs.
+// kernels, the scalar loops a compiler gives, and, where the CPU has AVX2 or
+// AVX-512, the assembly micro-kernels that stand in for the lkm/ghm/csm
+// library DGEMMs.
 func table3(quick bool) error {
 	shapes := [][3]int{
 		{14, 2, 14}, {2, 14, 2}, {16, 14, 16}, {16, 14, 196}, {256, 14, 16},
@@ -77,12 +78,22 @@ func table3(quick bool) error {
 	}
 	last := la.Kernels[len(la.Kernels)-1]
 	fmt.Printf("%s runs at %.1f-%.1fx the best other kernel of each shape.\n", last, lo, hi)
-	if last == la.KernelAVX2 {
+	switch last {
+	case la.KernelAVX512:
+		fmt.Println("avx512 is the tuned-library stand-in and Mul is that kernel on this")
+		fmt.Println("machine: the last two columns differ by timing noise only. Its tiles")
+		fmt.Println("follow the row length n3: 4 rows of one zmm each for n3 <= 8, a zmm")
+		fmt.Println("and a masked zmm for n3 <= 16, wider rows in 16-column chunks, one")
+		fmt.Println("ymm for a last chunk of 1-4 columns, the last 1-2 rows in 2-row")
+		fmt.Println("tiles; opmasked loads and stores take every tail. Multiply then add,")
+		fmt.Println("no FMA, so bitwise naive, as is avx2 (2x8 tiles), the kernel Mul runs")
+		fmt.Println("on CPUs without AVX-512F.")
+	case la.KernelAVX2:
 		fmt.Println("avx2 is the tuned-library stand-in (2x8 tiles vectorised across the")
 		fmt.Println("output columns, multiply then add, no FMA, so bitwise naive) and Mul")
 		fmt.Println("is that kernel on this machine: the last two columns differ by")
 		fmt.Println("timing noise only.")
-	} else {
+	default:
 		fmt.Println("No AVX2 kernel on this machine or in this build: Mul is the static")
 		fmt.Println("shape rule over the kernels bitwise-identical to naive (blocked")
 		fmt.Println("where its 2x4 tiles have work, ikj otherwise).")

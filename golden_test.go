@@ -111,6 +111,10 @@ package repro_test
 // no digest, under AVX2 or -tags purego: every entry is rounded as the Go loop
 // it replaced rounded it.
 //
+// Putting an AVX-512 matmul kernel under la.Mul (mulAVX512: 4-row tiles of one
+// or two zmm per row, opmasked tails) moved no digest either, run on AVX-512,
+// on AVX2 or under -tags purego: every entry is still MatMulNaive's chain.
+//
 // The clock-and-traffic digests at P = 1, 3 and 8 and the P = 8 trace moved
 // again, and nothing else, when the simulated clock came to price each flop
 // charge by class: matrix–matrix work at the standard kernels' 95 MFLOPS and

@@ -1,16 +1,39 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // These tests hold Mul and MulABt to MatMulNaive and MulABtSimple bit for bit
-// on whichever path the build and the CPU select: the AVX2 micro-kernel, or
-// (other architectures, -tags purego, a CPU without AVX2) the Go shape rule.
-// Claims that hold for the assembly only are skipped, saying so, when it is
-// absent.
+// on whichever path the build and the CPU select: an assembly micro-kernel,
+// or (other architectures, -tags purego, a CPU without AVX2) the Go shape
+// rule. They also call every assembly kernel the CPU has directly, so on an
+// AVX-512 machine the AVX2 kernel, which Mul no longer runs there, is still
+// held to MatMulNaive. Claims that hold for the assembly only are skipped,
+// saying so, when it is absent.
+
+// namedMul is one multiply under test.
+type namedMul struct {
+	name string
+	mul  func(c, a, b []float64, n1, n2, n3 int)
+}
+
+// asmKernels are the assembly kernels this build and CPU run, each behind the
+// bounds checks Mul gives it; none under -tags purego or off amd64.
+var asmKernels = func() (ks []namedMul) {
+	if useAVX2 {
+		ks = append(ks, namedMul{"avx2", func(c, a, b []float64, n1, n2, n3 int) { asmMul(false, c, a, b, n1, n2, n3) }})
+	}
+	if useAVX512 {
+		ks = append(ks, namedMul{"avx512", func(c, a, b []float64, n1, n2, n3 int) { asmMul(true, c, a, b, n1, n2, n3) }})
+	}
+	return ks
+}()
 
 // inputClasses fill operands that exercise different rounding regimes of the
 // multiply-then-add chain.
@@ -88,6 +111,11 @@ func TestMulBitwiseEveryShape(t *testing.T) {
 				poison(got)
 				Mul(got, a, b, n1, n2, n3)
 				requireBitwise(t, "Mul", [3]int{n1, n2, n3}, got, want)
+				for _, k := range asmKernels {
+					poison(got)
+					k.mul(got, a, b, n1, n2, n3)
+					requireBitwise(t, k.name, [3]int{n1, n2, n3}, got, want)
+				}
 				// The same b read as an n3 x n2 matrix is MulABt's operand.
 				MulABtSimple(want, a, b, n1, n2, n3)
 				poison(got)
@@ -133,6 +161,11 @@ func TestMulGuardsAndUnalignedOperands(t *testing.T) {
 			reset()
 			Mul(c, a, b, n1, n2, n3)
 			check("Mul")
+			for _, k := range asmKernels {
+				reset()
+				k.mul(c, a, b, n1, n2, n3)
+				check(k.name)
+			}
 			MulABtSimple(want, a, b, n1, n2, n3)
 			reset()
 			MulABt(c, a, b, n1, n2, n3)
@@ -153,13 +186,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 		t.Log("no AVX2 kernel in this build or on this CPU: skipping the spare-capacity operands and the untouched-C check")
 	}
 	arena := make([]float64, 3*n1*n3)
-	for _, f := range []struct {
-		name string
-		call func(c, a, b []float64)
-	}{
-		{"Mul", func(c, a, b []float64) { Mul(c, a, b, n1, n2, n3) }},
-		{"MulABt", func(c, a, b []float64) { MulABt(c, a, b, n1, n2, n3) }},
-	} {
+	for _, f := range append([]namedMul{{"Mul", Mul}, {"MulABt", MulABt}}, asmKernels...) {
 		for short := 0; short < 3; short++ {
 			for _, roomy := range []bool{false, true} {
 				if roomy && !useAVX2 {
@@ -181,7 +208,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 							t.Fatalf("%s with operand %d one element short (spare capacity: %v) did not panic", f.name, short, roomy)
 						}
 					}()
-					f.call(ops[0], ops[1], ops[2])
+					f.mul(ops[0], ops[1], ops[2], n1, n2, n3)
 				}()
 				for i, v := range ops[0] {
 					if useAVX2 && v != -1 {
@@ -193,7 +220,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 	}
 }
 
-// MulABt's packed tile stays on the stack (mulAVX2 is noescape).
+// MulABt's packed tile stays on the stack (the kernels are noescape).
 func TestMulABtDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, s := range [][3]int{{36, 6, 6}, {10, 10, 10}, {256, 16, 16}, {4, 6, 3}, {20, 20, 20}} {
@@ -208,12 +235,71 @@ func TestMulABtDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Kernels lists the avx2 column exactly when Mul is that kernel.
+// Kernels lists the avx2 column exactly when the CPU has AVX2, and last
+// exactly when Mul is that kernel.
 func TestKernelAVX2Listed(t *testing.T) {
-	if listed := Kernels[len(Kernels)-1] == KernelAVX2; listed != useAVX2 {
+	if listed := slices.Contains(Kernels, KernelAVX2); listed != useAVX2 {
 		t.Fatalf("Kernels = %v with useAVX2 = %v", Kernels, useAVX2)
+	}
+	if last := Kernels[len(Kernels)-1] == KernelAVX2; last != (useAVX2 && !useAVX512) {
+		t.Fatalf("Kernels = %v with useAVX2 = %v, useAVX512 = %v", Kernels, useAVX2, useAVX512)
 	}
 	if KernelAVX2.String() != "avx2" {
 		t.Fatalf("KernelAVX2 prints as %q", KernelAVX2)
+	}
+}
+
+// Kernels lists the avx512 column exactly when Mul is that kernel, last.
+func TestKernelAVX512Listed(t *testing.T) {
+	if listed := Kernels[len(Kernels)-1] == KernelAVX512; listed != useAVX512 {
+		t.Fatalf("Kernels = %v with useAVX512 = %v", Kernels, useAVX512)
+	}
+	if KernelAVX512.String() != "avx512" {
+		t.Fatalf("KernelAVX512 prints as %q", KernelAVX512)
+	}
+}
+
+// BenchmarkMulKernels times every assembly kernel the CPU has on the calling
+// shapes of orders 5 and 9 in 2-D and 3-D (ShapesForOrder; the r-direction
+// shapes run as Mul on the pre-transposed operator, as tensor calls them).
+// The kernels take turns in blocks of 64 calls within one benchmark per
+// shape, so a neighbour's load falls on both alike; each reports its own
+// ns/call and GFLOP/s.
+func BenchmarkMulKernels(b *testing.B) {
+	if len(asmKernels) == 0 {
+		b.Skip("no assembly kernel in this build or on this CPU")
+	}
+	rng := rand.New(rand.NewSource(51))
+	seen := map[[3]int]bool{}
+	for _, n := range []int{5, 9} {
+		for dim := 2; dim <= 3; dim++ {
+			mul, abt := ShapesForOrder(n, dim)
+			for _, s := range append(mul, abt...) {
+				if seen[s] {
+					continue
+				}
+				seen[s] = true
+				n1, n2, n3 := s[0], s[1], s[2]
+				x, y, c := randMat(rng, n1*n2), randMat(rng, n2*n3), make([]float64, n1*n3)
+				b.Run(fmt.Sprintf("N%d/%dD/%dx%dx%d", n, dim, n1, n2, n3), func(b *testing.B) {
+					const block = 64
+					elapsed := make([]time.Duration, len(asmKernels))
+					for i := 0; i < b.N; i++ {
+						for j, k := range asmKernels {
+							t0 := time.Now()
+							for r := 0; r < block; r++ {
+								k.mul(c, x, y, n1, n2, n3)
+							}
+							elapsed[j] += time.Since(t0)
+						}
+					}
+					for j, k := range asmKernels {
+						ns := float64(elapsed[j].Nanoseconds()) / float64(block*b.N)
+						b.ReportMetric(ns, k.name+"-ns/call")
+						b.ReportMetric(2*float64(n1*n2*n3)/ns, k.name+"-GFLOP/s")
+					}
+				})
+			}
+		}
 	}
 }

@@ -36,13 +36,18 @@ const (
 	// KernelBlocked is a register-blocked kernel (2x4 micro-tile), the best
 	// the Go compiler's scalar code does.
 	KernelBlocked
-	// KernelAVX2 is the assembly micro-kernel under Mul, standing in for the
-	// tuned vendor library (csm/ghm) of the paper. It exists on amd64 CPUs
-	// with AVX2 only and is listed in Kernels only there.
+	// KernelAVX2 is the AVX2 assembly micro-kernel, standing in for the tuned
+	// vendor library (csm/ghm) of the paper. It exists on amd64 CPUs with
+	// AVX2 only and is listed in Kernels only there; it is Mul's kernel
+	// where the CPU lacks AVX-512.
 	KernelAVX2
+	// KernelAVX512 is the AVX-512 assembly micro-kernel under Mul, tiled by
+	// the output's row length. It is listed in Kernels only on CPUs with
+	// AVX-512F and VL, where Mul runs it.
+	KernelAVX512
 )
 
-var kernelNames = [...]string{"naive", "ikj", "f2", "f3", "blocked", "avx2"}
+var kernelNames = [...]string{"naive", "ikj", "f2", "f3", "blocked", "avx2", "avx512"}
 
 func (k MatMulKernel) String() string {
 	if k < 0 || int(k) >= len(kernelNames) {
@@ -52,10 +57,14 @@ func (k MatMulKernel) String() string {
 }
 
 // Kernels lists every MatMulKernel this machine runs, in Table 3 column order.
+// Where an assembly kernel is listed, the last one is Mul's.
 var Kernels = func() []MatMulKernel {
 	ks := []MatMulKernel{KernelNaive, KernelIKJ, KernelF2, KernelF3, KernelBlocked}
 	if useAVX2 {
 		ks = append(ks, KernelAVX2)
+	}
+	if useAVX512 {
+		ks = append(ks, KernelAVX512)
 	}
 	return ks
 }()
@@ -74,26 +83,33 @@ func MatMul(k MatMulKernel, c, a, b []float64, n1, n2, n3 int) {
 		MatMulF3(c, a, b, n1, n2, n3)
 	case KernelBlocked:
 		MatMulBlocked(c, a, b, n1, n2, n3)
-	case KernelAVX2: // listed only where Mul is that kernel
-		Mul(c, a, b, n1, n2, n3)
+	case KernelAVX2, KernelAVX512: // listed only where the CPU has them
+		if n1 < 1 || n2 < 1 || n3 < 1 {
+			Mul(c, a, b, n1, n2, n3)
+			return
+		}
+		asmMul(k == KernelAVX512, c, a, b, n1, n2, n3)
 	default:
 		MatMulIKJ(c, a, b, n1, n2, n3)
 	}
 }
 
-// Mul is the multiply used throughout the solvers: C = A*B. On amd64 with
-// AVX2 every non-empty product runs the assembly micro-kernel mulAVX2 (2x8
-// output tiles vectorised across the columns of C, multiply then add, no
-// FMA), which measures fastest at every shape down to a single column.
-// Elsewhere the Go kernel follows the calling shape (Sec. 6 / Table 3 of the
-// paper) by one static rule: the register-blocked kernel wherever its 2x4
-// tiles have work, the saxpy ordering otherwise. All three accumulate every
-// output entry in one sequential chain over the contraction index, so the
-// result is bitwise that of MatMulNaive whatever the shape or the machine;
-// the reassociating f2/f3 kernels are never eligible.
+// Mul is the multiply used throughout the solvers: C = A*B. On amd64 every
+// non-empty product runs an assembly micro-kernel, vectorised across the
+// columns of C, multiply then add, no FMA: mulAVX512 where the CPU has
+// AVX-512F and VL (4-row tiles of one zmm per row for up to 8 columns, a zmm and a
+// masked zmm for up to 16, wider rows in 16-column chunks, opmasked tails),
+// mulAVX2 (2x8 tiles) where it has AVX2 only. Elsewhere the Go kernel
+// follows the calling shape (Sec. 6 / Table 3 of the paper) by one static
+// rule: the register-blocked kernel wherever its 2x4 tiles have work, the
+// saxpy ordering otherwise. All of them accumulate every output entry in one
+// sequential chain over the contraction index, so the result is bitwise that
+// of MatMulNaive whatever the shape or the machine, and putting the AVX-512
+// kernel under Mul moved no golden digest; the reassociating f2/f3 kernels
+// are never eligible.
 func Mul(c, a, b []float64, n1, n2, n3 int) {
 	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 1 {
-		avx2Mul(c, a, b, n1, n2, n3)
+		asmMul(useAVX512, c, a, b, n1, n2, n3)
 		return
 	}
 	if n1 >= 2 && n3 >= 4 {
@@ -103,11 +119,16 @@ func Mul(c, a, b []float64, n1, n2, n3 int) {
 	MatMulIKJ(c, a, b, n1, n2, n3)
 }
 
-// avx2Mul hands the assembly kernel its operands after the only bounds checks
-// they get: against the slices' lengths, not their capacities, so a short
-// operand inside a larger arena panics here instead of being overrun there.
-func avx2Mul(c, a, b []float64, n1, n2, n3 int) {
+// asmMul runs mulAVX512 (avx512) or mulAVX2 on n1, n2, n3 >= 1, after the
+// only bounds checks the operands get: against the slices' lengths, not their
+// capacities, so a short operand inside a larger arena panics here instead of
+// being overrun there.
+func asmMul(avx512 bool, c, a, b []float64, n1, n2, n3 int) {
 	_, _, _ = c[n1*n3-1], a[n1*n2-1], b[n2*n3-1]
+	if avx512 {
+		mulAVX512(&c[0], &a[0], &b[0], n1, n2, n3)
+		return
+	}
 	mulAVX2(&c[0], &a[0], &b[0], n1, n2, n3)
 }
 
@@ -269,7 +290,7 @@ func MulABt(c, a, b []float64, n1, n2, n3 int) {
 				bt[k*n3+j] = v
 			}
 		}
-		avx2Mul(c, a, bt[:], n1, n2, n3)
+		asmMul(useAVX512, c, a, bt[:], n1, n2, n3)
 		return
 	}
 	if n1 >= 2 && n3 >= 2 {

@@ -65,6 +65,16 @@ func TestNamedCaseTable(t *testing.T) {
 	if cfg.Mesh.K != 16 || cfg.ProjectionL != 5 || cfg.PMaxIter != 8 {
 		t.Errorf("channel 8x2 L=5 piters=8: K %d, L %d, cap %d", cfg.Mesh.K, cfg.ProjectionL, cfg.PMaxIter)
 	}
+	// projection_l -1 turns projection off; 0 keeps the case default.
+	for l, want := range map[int]int{-1: 0, 0: 20} {
+		cfg, _, err := Config{Case: "channel", N: 4, ProjectionL: l}.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.ProjectionL != want {
+			t.Errorf("channel projection_l=%d: ns.Config.ProjectionL = %d, want %d", l, cfg.ProjectionL, want)
+		}
+	}
 	if _, _, err := named("vortexstreet").Problem(); err == nil {
 		t.Error("unknown case accepted")
 	}

@@ -358,7 +358,7 @@ var refusedSubmits = []string{
 	`{"case":"channel","steps":2,"checkpoint_every":3}`,
 	`{"case":"channel","steps":2,"workers":-1}`,
 	`{"case":"channel","steps":2,"batch_steps":-1}`,
-	`{"case":"channel","steps":2,"projection_l":-1}`,
+	`{"case":"channel","steps":2,"projection_l":-2}`, // -1 is projection off
 	`{"case":"channel","steps":2,"checkpoint_every":-1}`,
 	`{"case":"channel","steps":2,"trace_sample":-1}`,
 	// The filter scales the top mode by 1 − α: below 0 it amplifies

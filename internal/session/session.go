@@ -51,7 +51,8 @@ var ErrClosed = errors.New("session: closed")
 // Config selects a flow case, its knobs and its machine — the JSON body of
 // semflowd's submit endpoint, and the struct semflow's flags fill. Zero
 // values mean "case default" (channel: KX=5, KY=3, each on its own; all
-// cases: N=8, Nel=8); negative ones are refused.
+// cases: N=8, Nel=8); negative ones are refused, but for ProjectionL = -1,
+// which turns pressure projection off.
 type Config struct {
 	Case  string `json:"case"`  // shearlayer, channel, convection, hairpin
 	Steps int    `json:"steps"` // job length (Manager); Create itself does not step
@@ -62,7 +63,7 @@ type Config struct {
 	KY          int     `json:"ky,omitempty"`           // channel: elements across the channel
 	Precond     string  `json:"precond,omitempty"`      // pressure preconditioner: schwarz (default), chebjacobi, chebschwarz, none, auto
 	Alpha       float64 `json:"alpha,omitempty"`        // filter strength (0 = unfiltered)
-	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis size (0 = case default 20)
+	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis size (0 = case default 20, -1 = off)
 	PIters      int     `json:"piters,omitempty"`       // pressure CG iteration cap (0 = case default)
 	Workers     int     `json:"workers,omitempty"`      // element-loop workers, shared memory only (default 1)
 
@@ -93,18 +94,22 @@ type Config struct {
 
 // validate is every session's one check of its config, whichever driver
 // built it: it refuses a filter strength outside [0, 1], a negative size or
-// count, an invalid fault plan or one without ranks, and a snapshot (ck) of
-// a distributed run for shared memory or at or past a non-zero Steps target.
+// count (projection_l also takes -1, projection off), an invalid fault plan
+// or one without ranks, and a snapshot (ck) of a distributed run for shared
+// memory or at or past a non-zero Steps target.
 func (c Config) validate(ck *parrun.Checkpoint) error {
 	if !(c.Alpha >= 0 && c.Alpha <= 1) {
 		return fmt.Errorf("session: alpha = %g, want 0 to 1", c.Alpha)
+	}
+	if c.ProjectionL < -1 {
+		return fmt.Errorf("session: projection_l = %d, want -1 (off), 0 (case default) or more", c.ProjectionL)
 	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
 		{"steps", c.Steps}, {"n", c.N}, {"nel", c.Nel}, {"kx", c.KX}, {"ky", c.KY},
-		{"workers", c.Workers}, {"piters", c.PIters}, {"projection_l", c.ProjectionL},
+		{"workers", c.Workers}, {"piters", c.PIters},
 		{"ranks", c.Ranks}, {"trace_sample", c.TraceSample}, {"batch_steps", c.BatchSteps},
 		{"checkpoint_every", c.CheckpointEvery},
 	} {
@@ -181,8 +186,9 @@ func CaseNames() []string {
 
 // Problem builds the problem definition the config names, defaults applied:
 // the table's physics, then the knobs every case takes the same way (Alpha,
-// Workers, Precond, and ProjectionL and PIters when set). A nil InitFunc
-// means the velocity starts at rest.
+// Workers, Precond, and ProjectionL and PIters when set; ProjectionL = -1
+// sets a basis of 0, no projection). A nil InitFunc means the velocity starts
+// at rest.
 func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
 	c.applyDefaults()
 	build, ok := namedCases[c.Case]
@@ -195,7 +201,10 @@ func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
 		return ns.Config{}, nil, fmt.Errorf("session: %w", err)
 	}
 	cfg.FilterAlpha, cfg.Workers, cfg.PressurePrecond = c.Alpha, c.Workers, c.Precond
-	if c.ProjectionL > 0 {
+	switch {
+	case c.ProjectionL == -1:
+		cfg.ProjectionL = 0
+	case c.ProjectionL > 0:
 		cfg.ProjectionL = c.ProjectionL
 	}
 	if c.PIters > 0 {

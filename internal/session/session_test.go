@@ -708,7 +708,7 @@ func TestDistributedSessionLifecycle(t *testing.T) {
 func TestProjectionLReachesBothMachines(t *testing.T) {
 	for _, name := range []string{"shearlayer", "channel", "convection", "hairpin"} {
 		for _, ranks := range []int{0, 3} {
-			for l, want := range map[int]int{0: 20, 5: 5} {
+			for l, want := range map[int]int{0: 20, 5: 5, -1: 0} {
 				s, err := Create(Config{Case: name, N: 3, Nel: 2, ProjectionL: l, Ranks: ranks})
 				if err != nil {
 					t.Fatalf("%s ranks=%d: %v", name, ranks, err)

@@ -4,10 +4,14 @@
 #   tier1   go build + full test suite (the repo's acceptance gate); the la,
 #           tensor, ns, sem, solver, gs and root packages again under -tags
 #           purego (the golden digests on the Go matmul and elementwise loops:
-#           bitwise parity with the AVX2 kernels, stated end to end, and the
-#           step's own tests on the loops the kernels replace); an arm64
-#           cross-build and vet of la (the
-#           file set without the assembly compiles); a grep that no hot path
+#           bitwise parity with the AVX2 and AVX-512 kernels, stated end to
+#           end, and the step's own tests on the loops the kernels replace);
+#           an arm64 cross-build and vet of la (the file set without the
+#           assembly compiles); a grep that no internal/la/*.s file fuses a
+#           multiply and an add (VFMADD, VFMSUB, VFNMADD, VFNMSUB): every
+#           kernel rounds the product and then adds, which is what keeps it
+#           bitwise the Go loop and lets a new kernel land without moving a
+#           golden digest; a grep that no hot path
 #           calls la.MulABt (tensor's r-direction applies take the operator
 #           pre-transposed; the per-call transpose-pack must not creep back);
 #           a grep that internal/sem starts no goroutine and imports no
@@ -59,7 +63,8 @@
 #           channel job through the semflowd session service (submit, poll,
 #           fetch artifacts; a ranks > 0 submit is answered 400);
 #           also runs the Table 3 kernel sweep once (tables -exp table3),
-#           which must print an avx2 column on a runner whose CPU has AVX2,
+#           which must print an avx2 column on a runner whose CPU has AVX2
+#           and an avx512 column on one with AVX-512F and VL,
 #           and Table 4 and Fig. 8 (-quick, and the full Table 4), which
 #           must exit 0 having priced the reduced hairpin's 26 steps
 #
@@ -89,6 +94,16 @@ stage() {
 no_pack() {
     if git grep --untracked -n 'la\.MulABt(' -- '*.go' ':!*_test.go' ':!internal/la' ':!cmd/tables' ':!bench'; then
         echo "la.MulABt called outside internal/la, cmd/tables and bench/: pass tensor the transposed operator instead" >&2
+        return 1
+    fi
+}
+
+# nofma — the assembly kernels round every product before they add it, as
+# the Go loops do (MatMulNaive's chain, la.AddProd, la.Axpy): a fused
+# multiply-add rounds once and would move every golden digest.
+nofma() {
+    if git grep --untracked -n -i -E 'VFN?M(ADD|SUB)' -- 'internal/la/*.s'; then
+        echo "a fused multiply-add in internal/la's assembly: the kernels must stay bitwise their Go loops" >&2
         return 1
     fi
 }
@@ -137,6 +152,7 @@ tier1() {
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor \
         ./internal/ns ./internal/sem ./internal/solver ./internal/gs .
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
+    stage "tier1/nofma" nofma
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
     stage "tier1/onerecv" onerecv
@@ -562,6 +578,13 @@ RUNS
     if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
         grep -q ' avx2 ' "$out/table3.txt" || {
             echo "the CPU has AVX2 but Table 3 lists no avx2 kernel:" >&2
+            cat "$out/table3.txt" >&2
+            exit 1
+        }
+    fi
+    if grep -qw avx512f /proc/cpuinfo 2>/dev/null && grep -qw avx512vl /proc/cpuinfo 2>/dev/null; then
+        grep -q ' avx512 ' "$out/table3.txt" || {
+            echo "the CPU has AVX-512F and VL but Table 3 lists no avx512 kernel:" >&2
             cat "$out/table3.txt" >&2
             exit 1
         }
