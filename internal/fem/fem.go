@@ -10,6 +10,7 @@ package fem
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/la"
 	"repro/internal/mesh"
@@ -213,66 +214,27 @@ func AssembleCoarse(m *mesh.Mesh) *la.CSR {
 }
 
 // NodeAdjacency returns, per global node, its distinct neighbouring global
-// nodes under the low-order (GLL-subgrid) connectivity of the mesh. Used to
-// grow the overlapping subdomains of the Schwarz method by graph distance.
+// nodes under the low-order (GLL-subgrid) connectivity of the mesh, in
+// ascending order. Used to grow the overlapping subdomains of the Schwarz
+// method by graph distance, so the order fixes each subdomain's index order.
 func NodeAdjacency(m *mesh.Mesh) [][]int32 {
-	adj := make(map[int32]map[int32]bool)
-	link := func(a, b int64) {
-		ia, ib := int32(a), int32(b)
-		if adj[ia] == nil {
-			adj[ia] = make(map[int32]bool)
-		}
-		if adj[ib] == nil {
-			adj[ib] = make(map[int32]bool)
-		}
-		adj[ia][ib] = true
-		adj[ib][ia] = true
-	}
+	adj := make([][]int32, m.NGlobal)
 	np1 := m.N + 1
-	if m.Dim == 2 {
-		for e := 0; e < m.K; e++ {
-			base := e * m.Np
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					l := base + j*np1 + i
-					if i+1 < np1 {
-						link(m.GID[l], m.GID[l+1])
-					}
-					if j+1 < np1 {
-						link(m.GID[l], m.GID[l+np1])
-					}
-				}
-			}
-		}
-	} else {
-		np2 := np1 * np1
-		for e := 0; e < m.K; e++ {
-			base := e * m.Np
-			for k := 0; k < np1; k++ {
-				for j := 0; j < np1; j++ {
-					for i := 0; i < np1; i++ {
-						l := base + (k*np1+j)*np1 + i
-						if i+1 < np1 {
-							link(m.GID[l], m.GID[l+1])
-						}
-						if j+1 < np1 {
-							link(m.GID[l], m.GID[l+np1])
-						}
-						if k+1 < np1 {
-							link(m.GID[l], m.GID[l+np2])
-						}
-					}
+	for e := 0; e < m.K; e++ {
+		base := e * m.Np
+		for l := 0; l < m.Np; l++ {
+			for a, stride := 0, 1; a < m.Dim; a, stride = a+1, stride*np1 {
+				if l/stride%np1 < m.N {
+					ga, gb := int32(m.GID[base+l]), int32(m.GID[base+l+stride])
+					adj[ga] = append(adj[ga], gb)
+					adj[gb] = append(adj[gb], ga)
 				}
 			}
 		}
 	}
-	out := make([][]int32, m.NGlobal)
-	for g, set := range adj {
-		lst := make([]int32, 0, len(set))
-		for nb := range set {
-			lst = append(lst, nb)
-		}
-		out[g] = lst
+	for g, nb := range adj {
+		slices.Sort(nb)
+		adj[g] = slices.Compact(nb)
 	}
-	return out
+	return adj
 }

@@ -75,9 +75,6 @@ func TestABtKernelsBitwiseIdentical(t *testing.T) {
 		MulABtSimple(want, a, b, n1, n2, n3)
 		got := make([]float64, n1*n3)
 		poison(got)
-		MulABtBlocked(got, a, b, n1, n2, n3)
-		requireBitwise(t, "MulABtBlocked", s, got, want)
-		poison(got)
 		MulABt(got, a, b, n1, n2, n3)
 		requireBitwise(t, "MulABt", s, got, want)
 	}

@@ -273,89 +273,32 @@ const abtTile = 256
 
 // MulABt computes C = A*Bᵀ where A is n1 x n2, B is n3 x n2, C is n1 x n3.
 // This is the natural kernel for applying a 1D operator along the second
-// tensor dimension (u Bᵀ in eq. (3) of the paper). With AVX2, a full vector
-// of output columns and a B that fits abtTile it transposes B once into a
-// stack tile and runs Mul's kernel: B is the small 1-D operator and A the
-// long field, so the scalar pack is n2*n3 moves against n1*n2*n3 multiplies,
-// where vectorising the dot products directly would need a gather per k or a
-// reassociating horizontal sum. Otherwise it picks by shape alone: 2x2 tiles
-// wherever they have work, the plain loop otherwise. Every path is one
-// sequential chain over k per output and so bitwise-identical.
+// tensor dimension (u Bᵀ in eq. (3) of the paper). A B that fits abtTile is
+// transposed once into a stack tile and handed to Mul: B is the small 1-D
+// operator and A the long field, so the scalar pack is n2*n3 moves against
+// n1*n2*n3 multiplies, where vectorising the dot products directly would need
+// a gather per k or a reassociating horizontal sum. A larger B, or an empty
+// one, takes the plain dot-product loop. Both are one sequential chain over k
+// per output and so bitwise-identical.
 func MulABt(c, a, b []float64, n1, n2, n3 int) {
-	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 4 && n2*n3 <= abtTile {
+	if nb := n2 * n3; nb >= 1 && nb <= abtTile {
 		var bt [abtTile]float64
-		_ = b[n3*n2-1]
+		_ = b[nb-1] // against the length: a short B panics before C is written
 		for j := 0; j < n3; j++ {
 			for k, v := range b[j*n2 : j*n2+n2] {
 				bt[k*n3+j] = v
 			}
 		}
-		asmMul(useAVX512, c, a, bt[:], n1, n2, n3)
-		return
-	}
-	if n1 >= 2 && n3 >= 2 {
-		MulABtBlocked(c, a, b, n1, n2, n3)
+		Mul(c, a, bt[:nb], n1, n2, n3)
 		return
 	}
 	MulABtSimple(c, a, b, n1, n2, n3)
 }
 
-// MulABtSimple is the plain dot-product MulABt, the reference the blocked
-// variant is tested against.
+// MulABtSimple is the plain dot-product MulABt, the reference the packed
+// path is tested against.
 func MulABtSimple(c, a, b []float64, n1, n2, n3 int) {
 	for i := 0; i < n1; i++ {
-		ar := a[i*n2 : i*n2+n2]
-		cr := c[i*n3 : i*n3+n3]
-		for j := 0; j < n3; j++ {
-			br := b[j*n2 : j*n2+n2]
-			var s float64
-			for k, av := range ar {
-				s += av * br[k]
-			}
-			cr[j] = s
-		}
-	}
-}
-
-// MulABtBlocked computes C = A*Bᵀ with 2x2 output tiles: the four dot
-// products of a tile share each load of A and B rows, quadrupling the
-// arithmetic per byte moved while keeping every output a single sequential
-// accumulation over k (bitwise-identical to MulABtSimple).
-func MulABtBlocked(c, a, b []float64, n1, n2, n3 int) {
-	i2 := n1 &^ 1
-	j2 := n3 &^ 1
-	for i := 0; i < i2; i += 2 {
-		a0 := a[i*n2 : i*n2+n2]
-		a1 := a[(i+1)*n2 : (i+1)*n2+n2]
-		c0 := c[i*n3 : i*n3+n3]
-		c1 := c[(i+1)*n3 : (i+1)*n3+n3]
-		for j := 0; j < j2; j += 2 {
-			b0 := b[j*n2 : j*n2+n2]
-			b1 := b[(j+1)*n2 : (j+1)*n2+n2]
-			var s00, s01, s10, s11 float64
-			for k := 0; k < n2; k++ {
-				av0, av1 := a0[k], a1[k]
-				bv0, bv1 := b0[k], b1[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-			}
-			c0[j], c0[j+1] = s00, s01
-			c1[j], c1[j+1] = s10, s11
-		}
-		for j := j2; j < n3; j++ {
-			br := b[j*n2 : j*n2+n2]
-			var s0, s1 float64
-			for k := 0; k < n2; k++ {
-				bv := br[k]
-				s0 += a0[k] * bv
-				s1 += a1[k] * bv
-			}
-			c0[j], c1[j] = s0, s1
-		}
-	}
-	for i := i2; i < n1; i++ {
 		ar := a[i*n2 : i*n2+n2]
 		cr := c[i*n3 : i*n3+n3]
 		for j := 0; j < n3; j++ {

@@ -10,6 +10,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/poly"
 	"repro/internal/tensor"
@@ -83,8 +84,9 @@ type Mesh struct {
 	// periodic faces are interior by construction).
 	OnBoundary []bool
 
-	// Coarse (vertex) mesh: per element, the Dim^2... 2^Dim corner vertex
-	// ids compressed to 0..NVert-1, in tensor corner order.
+	// Coarse (vertex) mesh: per element, the 2^Dim corner vertex ids
+	// compressed to 0..NVert-1 in order of first appearance, in tensor
+	// corner order (see CornerNode).
 	ElemVert [][]int
 	NVert    int
 	VertXYZ  [][3]float64 // coordinates of the compressed vertices
@@ -164,35 +166,19 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 		for c, vi := range el.Verts {
 			corners[c] = spec.Verts[vi]
 		}
-		base := e * m.Np
-		if m.Dim == 2 {
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					idx := base + j*np1 + i
-					var x, y, z float64
-					if el.Map != nil {
-						x, y, z = el.Map(m.Z[i], m.Z[j], 0)
-					} else {
-						x, y, z = multilinear(2, corners, m.Z[i], m.Z[j], 0)
-					}
-					m.X[idx], m.Y[idx], m.Zc[idx] = x, y, z
-				}
+		for l := 0; l < m.Np; l++ {
+			r, s, t := m.Z[l%np1], m.Z[l/np1%np1], 0.0
+			if m.Dim == 3 {
+				t = m.Z[l/(np1*np1)]
 			}
-		} else {
-			for k := 0; k < np1; k++ {
-				for j := 0; j < np1; j++ {
-					for i := 0; i < np1; i++ {
-						idx := base + (k*np1+j)*np1 + i
-						var x, y, z float64
-						if el.Map != nil {
-							x, y, z = el.Map(m.Z[i], m.Z[j], m.Z[k])
-						} else {
-							x, y, z = multilinear(3, corners, m.Z[i], m.Z[j], m.Z[k])
-						}
-						m.X[idx], m.Y[idx], m.Zc[idx] = x, y, z
-					}
-				}
+			var x, y, z float64
+			if el.Map != nil {
+				x, y, z = el.Map(r, s, t)
+			} else {
+				x, y, z = multilinear(m.Dim, corners, r, s, t)
 			}
+			idx := e*m.Np + l
+			m.X[idx], m.Y[idx], m.Zc[idx] = x, y, z
 		}
 	}
 
@@ -201,8 +187,7 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 	}
 	m.classifyElements()
 	m.numberGlobally()
-	m.buildCoarseAndAdjacency()
-	m.detectBoundary()
+	m.buildTopology()
 	return m, nil
 }
 
@@ -408,225 +393,86 @@ func (m *Mesh) numberGlobally() {
 // seen by that element (NOT the canonical wrapped vertex position — the two
 // differ across periodic boundaries).
 func (m *Mesh) ElemCorner(e, c int) [3]float64 {
-	li := e*m.Np + m.cornerLocal(c)
+	li := m.CornerNode(e, c)
 	return [3]float64{m.X[li], m.Y[li], m.Zc[li]}
 }
 
-// cornerLocal returns the local node index of corner c (tensor corner order)
-// in an element.
-func (m *Mesh) cornerLocal(c int) int {
-	np1 := m.N + 1
-	i, j, k := 0, 0, 0
-	if c&1 != 0 {
-		i = m.N
+// CornerNode returns the index in the element-major node arrays of corner c
+// of element e, in tensor corner order: bit a of c set puts the corner on the
+// +1 side of direction a (r, s, t).
+func (m *Mesh) CornerNode(e, c int) int {
+	l := 0
+	for a, stride := 0, 1; a < m.Dim; a, stride = a+1, stride*(m.N+1) {
+		l += (c >> a & 1) * m.N * stride
 	}
-	if c&2 != 0 {
-		j = m.N
-	}
-	if c&4 != 0 {
-		k = m.N
-	}
-	if m.Dim == 2 {
-		return j*np1 + i
-	}
-	return (k*np1+j)*np1 + i
+	return e*m.Np + l
 }
 
-// buildCoarseAndAdjacency compresses corner-node global ids into the vertex
-// (coarse) mesh and derives element adjacency from shared faces.
-func (m *Mesh) buildCoarseAndAdjacency() {
-	nc := 4
-	if m.Dim == 3 {
-		nc = 8
+// buildTopology compresses the corner global ids into the vertex (coarse)
+// mesh and matches every element face once. Face f = 2a+side of an element
+// lies in direction a at reference coordinate −1 (side 0) or +1 (side 1); its
+// corners are the corners c with bit a equal to side, and its key is their
+// sorted vertex ids. A key held by exactly two faces of different elements
+// makes them adjacent; every node of a face whose key no other face holds is
+// on the boundary (periodic faces are shared through the wrapped numbering,
+// hence interior).
+func (m *Mesh) buildTopology() {
+	nc, nf, np1 := 1<<m.Dim, 2*m.Dim, m.N+1
+	stride := [3]int{1, np1, np1 * np1}
+	vert := make([]int, m.NGlobal)
+	for i := range vert {
+		vert[i] = -1
 	}
-	vmap := make(map[int64]int)
 	m.ElemVert = make([][]int, m.K)
-	for e := 0; e < m.K; e++ {
-		vs := make([]int, nc)
-		for c := 0; c < nc; c++ {
-			li := e*m.Np + m.cornerLocal(c)
-			gid := m.GID[li]
-			v, ok := vmap[gid]
-			if !ok {
-				v = len(vmap)
-				vmap[gid] = v
+	for e := range m.ElemVert {
+		m.ElemVert[e] = make([]int, nc)
+		for c := range m.ElemVert[e] {
+			li := m.CornerNode(e, c)
+			g := m.GID[li]
+			if vert[g] < 0 {
+				vert[g] = len(m.VertXYZ)
 				m.VertXYZ = append(m.VertXYZ, [3]float64{m.X[li], m.Y[li], m.Zc[li]})
 			}
-			vs[c] = v
+			m.ElemVert[e][c] = vert[g]
 		}
-		m.ElemVert[e] = vs
 	}
-	m.NVert = len(vmap)
+	m.NVert = len(m.VertXYZ)
 
-	// Faces keyed by sorted corner vertex ids.
-	faceCorners := m.faceCornerSets()
-	type faceKey [4]int
-	faces := make(map[faceKey][]int)
-	for e := 0; e < m.K; e++ {
-		for _, fc := range faceCorners {
-			var k faceKey
-			for i := range k {
-				k[i] = -1
+	keys := make([][4]int, m.K*nf)
+	faces := make(map[[4]int][]int, len(keys)) // key -> element faces e*nf+f
+	for ef := range keys {
+		e, a, side := ef/nf, ef%nf/2, ef%2
+		k := [4]int{-1, -1, -1, -1}
+		ids := k[:0]
+		for c, v := range m.ElemVert[e] {
+			if c>>a&1 == side {
+				ids = append(ids, v)
 			}
-			ids := make([]int, len(fc))
-			for i, c := range fc {
-				ids[i] = m.ElemVert[e][c]
-			}
-			sortInts(ids)
-			copy(k[:], ids)
-			faces[k] = append(faces[k], e)
 		}
+		slices.Sort(ids)
+		keys[ef] = k
+		faces[k] = append(faces[k], ef)
 	}
 	m.Adj = make([][]int, m.K)
-	for _, es := range faces {
-		if len(es) == 2 && es[0] != es[1] {
-			m.Adj[es[0]] = append(m.Adj[es[0]], es[1])
-			m.Adj[es[1]] = append(m.Adj[es[1]], es[0])
-		}
-	}
-	// The faces map iterates in random order; canonicalize the neighbour
-	// lists so everything downstream of Adj (spectral bisection above all)
-	// is bitwise reproducible across runs.
-	for e := range m.Adj {
-		sortInts(m.Adj[e])
-	}
-}
-
-// faceCornerSets lists, per element face, the corner indices (tensor corner
-// order) of that face: 4 edges in 2D, 6 faces in 3D.
-func (m *Mesh) faceCornerSets() [][]int {
-	if m.Dim == 2 {
-		return [][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}}
-	}
-	return [][]int{
-		{0, 1, 2, 3}, {4, 5, 6, 7}, // t = ∓1
-		{0, 1, 4, 5}, {2, 3, 6, 7}, // s = ∓1
-		{0, 2, 4, 6}, {1, 3, 5, 7}, // r = ∓1
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// detectBoundary marks every node lying on an element face that is not
-// shared with another element (periodic faces are shared via the wrapped
-// numbering, hence interior).
-func (m *Mesh) detectBoundary() {
 	m.OnBoundary = make([]bool, m.K*m.Np)
-	// Build face multiplicity using sorted corner-gid keys.
-	faceCorners := m.faceCornerSets()
-	type faceKey [4]int64
-	count := make(map[faceKey]int)
-	keyOf := func(e, f int) faceKey {
-		fc := faceCorners[f]
-		var ids []int64
-		for _, c := range fc {
-			ids = append(ids, m.GID[e*m.Np+m.cornerLocal(c)])
-		}
-		// insertion sort
-		for i := 1; i < len(ids); i++ {
-			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			}
-		}
-		var k faceKey
-		for i := range k {
-			k[i] = -1
-		}
-		copy(k[:], ids)
-		return k
-	}
-	for e := 0; e < m.K; e++ {
-		for f := range faceCorners {
-			count[keyOf(e, f)]++
-		}
-	}
-	np1 := m.N + 1
-	for e := 0; e < m.K; e++ {
-		for f := range faceCorners {
-			if count[keyOf(e, f)] != 1 {
-				continue
-			}
-			// Mark all nodes on face f of element e.
-			for _, l := range m.faceNodes(f) {
-				m.OnBoundary[e*m.Np+l] = true
-			}
-			_ = np1
-		}
-	}
-}
-
-// faceNodes returns the local node indices of face f (same ordering as
-// faceCornerSets).
-func (m *Mesh) faceNodes(f int) []int {
-	np1 := m.N + 1
-	var out []int
-	if m.Dim == 2 {
-		switch f {
-		case 0: // s = -1
-			for i := 0; i < np1; i++ {
-				out = append(out, i)
-			}
-		case 1: // s = +1
-			for i := 0; i < np1; i++ {
-				out = append(out, m.N*np1+i)
-			}
-		case 2: // r = -1
-			for j := 0; j < np1; j++ {
-				out = append(out, j*np1)
-			}
-		case 3: // r = +1
-			for j := 0; j < np1; j++ {
-				out = append(out, j*np1+m.N)
-			}
-		}
-		return out
-	}
-	idx := func(i, j, k int) int { return (k*np1+j)*np1 + i }
-	switch f {
-	case 0: // t = -1
-		for j := 0; j < np1; j++ {
-			for i := 0; i < np1; i++ {
-				out = append(out, idx(i, j, 0))
-			}
-		}
-	case 1: // t = +1
-		for j := 0; j < np1; j++ {
-			for i := 0; i < np1; i++ {
-				out = append(out, idx(i, j, m.N))
-			}
-		}
-	case 2: // s = -1
-		for k := 0; k < np1; k++ {
-			for i := 0; i < np1; i++ {
-				out = append(out, idx(i, 0, k))
-			}
-		}
-	case 3: // s = +1
-		for k := 0; k < np1; k++ {
-			for i := 0; i < np1; i++ {
-				out = append(out, idx(i, m.N, k))
-			}
-		}
-	case 4: // r = -1
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				out = append(out, idx(0, j, k))
-			}
-		}
-	case 5: // r = +1
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				out = append(out, idx(m.N, j, k))
+	for ef, k := range keys {
+		e, a, side := ef/nf, ef%nf/2, ef%2
+		switch sh := faces[k]; {
+		case len(sh) == 2 && sh[0]/nf != sh[1]/nf:
+			m.Adj[e] = append(m.Adj[e], (sh[0]+sh[1]-ef)/nf)
+		case len(sh) == 1:
+			for l := 0; l < m.Np; l++ {
+				if l/stride[a]%np1 == side*m.N {
+					m.OnBoundary[e*m.Np+l] = true
+				}
 			}
 		}
 	}
-	return out
+	// Sorted neighbour lists, repeats kept: a pair of elements matched on
+	// two faces is listed twice.
+	for _, nb := range m.Adj {
+		slices.Sort(nb)
+	}
 }
 
 // BoundaryMask returns a per-local-node multiplicative mask that is 0 on
@@ -643,7 +489,7 @@ func (m *Mesh) BoundaryMask(pred func(x, y, z float64) bool) []float64 {
 	}
 	// A global node flagged by any of its local copies must be masked in
 	// all copies, or the gather-scatter would resurrect it.
-	masked := make(map[int64]bool)
+	masked := make([]bool, m.NGlobal)
 	for i, v := range mask {
 		if v == 0 {
 			masked[m.GID[i]] = true

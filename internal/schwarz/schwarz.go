@@ -337,18 +337,16 @@ func (p *Precond) setupCoarse() error {
 	// Dirichlet vertices: vertices whose global node is masked.
 	dirich := make([]bool, m.NVert)
 	if d.Mask != nil {
-		maskedG := make(map[int64]bool)
+		maskedG := make([]bool, m.NGlobal)
 		for i, mk := range d.Mask {
 			if mk == 0 {
 				maskedG[m.GID[i]] = true
 			}
 		}
-		for e := 0; e < m.K; e++ {
-			nc := len(m.ElemVert[e])
-			for c := 0; c < nc; c++ {
-				li := e*m.Np + cornerLocal(m.Dim, m.N, c)
-				if maskedG[m.GID[li]] {
-					dirich[m.ElemVert[e][c]] = true
+		for e, vs := range m.ElemVert {
+			for c, v := range vs {
+				if maskedG[m.GID[m.CornerNode(e, c)]] {
+					dirich[v] = true
 				}
 			}
 		}
@@ -463,24 +461,6 @@ func cornerWeight(plus bool, r float64) float64 {
 		return (1 + r) / 2
 	}
 	return (1 - r) / 2
-}
-
-func cornerLocal(dim, n, c int) int {
-	np1 := n + 1
-	i, j, k := 0, 0, 0
-	if c&1 != 0 {
-		i = n
-	}
-	if c&2 != 0 {
-		j = n
-	}
-	if c&4 != 0 {
-		k = n
-	}
-	if dim == 2 {
-		return j*np1 + i
-	}
-	return (k*np1+j)*np1 + i
 }
 
 // Apply computes out = M⁻¹ r for the element-local, assembled residual r.

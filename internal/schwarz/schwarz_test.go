@@ -359,3 +359,28 @@ func TestFDMApplyParallelBitwiseAndAllocFree(t *testing.T) {
 		t.Errorf("steady-state Apply allocated %v times, want 0", allocs)
 	}
 }
+
+// The FEM subdomains grow along fem.NodeAdjacency's neighbour lists, whose
+// order is each dense Cholesky's index order: every build of the same
+// preconditioner must apply it bit for bit alike.
+func TestFEMSchwarzBuildIsReproducible(t *testing.T) {
+	d, b := poissonSetup(t, 4, 4, 6)
+	var first []float64
+	for build := 0; build < 4; build++ {
+		p, err := New(d, Options{Method: FEM, Overlap: 3, UseCoarse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(b))
+		p.Apply(out, b)
+		if first == nil {
+			first = out
+			continue
+		}
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("build %d: Apply entry %d = %v, build 0 gave %v", build, i, out[i], first[i])
+			}
+		}
+	}
+}

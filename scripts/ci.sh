@@ -65,6 +65,10 @@
 #           also runs the Table 3 kernel sweep once (tables -exp table3),
 #           which must print an avx2 column on a runner whose CPU has AVX2
 #           and an avx512 column on one with AVX-512F and VL,
+#           Table 2 (-quick) twice, which must exit 0, agree with itself
+#           outside the cpu columns and print EXPERIMENTS.md's iteration
+#           counts: the cylinder O-grid's periodic topology and the FEM
+#           Schwarz subdomains, end to end;
 #           and Table 4 and Fig. 8 (-quick, and the full Table 4), which
 #           must exit 0 having priced the reduced hairpin's 26 steps
 #
@@ -589,6 +593,26 @@ RUNS
             exit 1
         }
     fi
+
+    echo "== smoke: Table 2 is reproducible and prints the recorded iteration counts =="
+    # Iteration columns only: the cpu column after each count is wall time.
+    for run in 1 2; do
+        "$out/bin/tables" -exp table2 -quick > "$out/table2-$run.txt"
+        awk -F'|' '/^ +[0-9]+ \|/ { row = $1 + 0; for (i = 2; i <= NF; i++) { split($i, w, " "); row = row "/" w[1] }; print row; next } { print }' \
+            "$out/table2-$run.txt" > "$out/table2-$run.iters"
+    done
+    cmp -s "$out/table2-1.iters" "$out/table2-2.iters" || {
+        echo "two runs of tables -exp table2 -quick differ outside the cpu columns:" >&2
+        diff "$out/table2-1.iters" "$out/table2-2.iters" >&2
+        exit 1
+    }
+    for row in 96/34/52/31/26/94 384/36/57/34/28/185; do
+        grep -qx "$row" "$out/table2-1.iters" || {
+            echo "Table 2 has no K/FDM/No=0/No=1/No=3/A0=0 row $row (EXPERIMENTS.md):" >&2
+            cat "$out/table2-1.txt" >&2
+            exit 1
+        }
+    done
 
     echo "== smoke: Table 4 and Fig. 8 price the reduced hairpin's own 26 steps =="
     "$out/bin/tables" -exp table4 -quick > "$out/table4-quick.txt"
