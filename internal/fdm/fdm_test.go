@@ -53,7 +53,7 @@ func TestFDM2DExactInverse(t *testing.T) {
 	nx, ny := 6, 5
 	ax, bx := spdPair(t, nx, 1)
 	ay, by := spdPair(t, ny, 2)
-	s, err := New2D(ax, bx, nx, ay, by, ny)
+	s, err := New([3][]float64{ax, ay}, [3][]float64{bx, by}, [3]int{nx, ny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFDM2DExactInverse(t *testing.T) {
 		r[i] = rng.NormFloat64()
 	}
 	got := make([]float64, n)
-	work := make([]float64, s.WorkLen2D())
+	work := make([]float64, s.WorkLen())
 	s.Apply(got, r, work)
 	// Check A * got == r.
 	check := make([]float64, n)
@@ -85,7 +85,7 @@ func TestFDM3DExactInverse(t *testing.T) {
 	ax, bx := spdPair(t, nx, 4)
 	ay, by := spdPair(t, ny, 5)
 	az, bz := spdPair(t, nz, 6)
-	s, err := New3D(ax, bx, nx, ay, by, ny, az, bz, nz)
+	s, err := New([3][]float64{ax, ay, az}, [3][]float64{bx, by, bz}, [3]int{nx, ny, nz})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFDM3DExactInverse(t *testing.T) {
 		r[i] = rng.NormFloat64()
 	}
 	got := make([]float64, n)
-	work := make([]float64, s.WorkLen3D())
+	work := make([]float64, s.WorkLen())
 	s.Apply(got, r, work)
 	check := make([]float64, n)
 	la.MatVec(check, dense, got, n, n)
@@ -141,7 +141,7 @@ func TestFDMNullModeClamped(t *testing.T) {
 	for i := 0; i < nn; i++ {
 		b1[i*nn+i] = bd[i]
 	}
-	s, err := New2D(a1, b1, nn, a1, b1, nn)
+	s, err := New([3][]float64{a1, a1}, [3][]float64{b1, b1}, [3]int{nn, nn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFDMNullModeClamped(t *testing.T) {
 		r[i] = 1
 	}
 	out := make([]float64, nn*nn)
-	work := make([]float64, s.WorkLen2D())
+	work := make([]float64, s.WorkLen())
 	s.Apply(out, r, work)
 	for i, v := range out {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -313,7 +313,7 @@ func MulABtSimple(c, a, b []float64, n1, n2, n3 int) {
 }
 
 // ShapesForOrder enumerates the matmul calling configurations an order-n
-// discretization actually produces through tensor.Apply*: the square
+// discretization actually produces through tensor.Apply: the square
 // derivative/filter applications on the GLL grid (np1 = n+1) and the
 // staggered-grid interpolations to/from the Gauss pressure grid
 // (nm1 = n-1). mulShapes are the s- and t-direction products; abtShapes the
@@ -329,15 +329,15 @@ func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
 	for _, op := range ops {
 		m, k := op[0], op[1]
 		if dim == 2 {
-			// Apply2D on a k x k field: ApplyR2D -> U·Aᵀ (k, k, m);
-			// ApplyS2D on the m x k intermediate -> Mul(m, k, m).
+			// Apply on a one-layer k x k field: ApplyR -> U·Aᵀ (k, k, m);
+			// ApplyS on the m x k intermediate -> Mul(m, k, m); no ApplyT.
 			addABt([3]int{k, k, m})
 			addMul([3]int{m, k, m})
 			continue
 		}
-		// Apply3D on a k^3 field: ApplyR3D -> U·Aᵀ (k*k, k, m);
-		// ApplyS3D slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
-		// ApplyT3D -> Mul(m, k, m*m).
+		// Apply on a k^3 field: ApplyR -> U·Aᵀ (k*k, k, m);
+		// ApplyS slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
+		// ApplyT -> Mul(m, k, m*m).
 		addABt([3]int{k * k, k, m})
 		addMul([3]int{m, k, m})
 		addMul([3]int{m, k, m * m})

@@ -176,7 +176,8 @@ func QuadRefine(spec *Spec) (*Spec, error) {
 				corners[c] = spec.Verts[vi]
 			}
 			parentMap = func(r, s, _ float64) (float64, float64, float64) {
-				return multilinear(2, corners, r, s, 0)
+				x := multilinear(2, corners, [3]float64{r, s})
+				return x[0], x[1], 0
 			}
 		}
 		for b := 0; b < 2; b++ {

@@ -97,38 +97,25 @@ type Mesh struct {
 	spec *Spec
 }
 
-// multilinear evaluates the multilinear corner interpolant.
-func multilinear(dim int, corners [][3]float64, r, s, t float64) (float64, float64, float64) {
-	if dim == 2 {
-		n := [4]float64{
-			(1 - r) * (1 - s) / 4, (1 + r) * (1 - s) / 4,
-			(1 - r) * (1 + s) / 4, (1 + r) * (1 + s) / 4,
+// multilinear evaluates the multilinear interpolant of the 2^dim corners at
+// the reference point r.
+func multilinear(dim int, corners [][3]float64, r [3]float64) [3]float64 {
+	var x [3]float64
+	for i := range corners {
+		w := 1.0
+		for a := 0; a < dim; a++ {
+			if i>>a&1 != 0 {
+				w *= 1 + r[a]
+			} else {
+				w *= 1 - r[a]
+			}
 		}
-		var x, y float64
-		for i := 0; i < 4; i++ {
-			x += n[i] * corners[i][0]
-			y += n[i] * corners[i][1]
+		w /= float64(len(corners))
+		for c := 0; c < dim; c++ {
+			x[c] += w * corners[i][c]
 		}
-		return x, y, 0
 	}
-	var x, y, z float64
-	for i := 0; i < 8; i++ {
-		fr, fs, ft := 1-r, 1-s, 1-t
-		if i&1 != 0 {
-			fr = 1 + r
-		}
-		if i&2 != 0 {
-			fs = 1 + s
-		}
-		if i&4 != 0 {
-			ft = 1 + t
-		}
-		w := fr * fs * ft / 8
-		x += w * corners[i][0]
-		y += w * corners[i][1]
-		z += w * corners[i][2]
-	}
-	return x, y, z
+	return x
 }
 
 // Discretize builds the order-N spectral element mesh from the spec.
@@ -139,10 +126,7 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("mesh: order must be >= 2, got %d", n)
 	}
-	nc := 4
-	if spec.Dim == 3 {
-		nc = 8
-	}
+	nc := 1 << spec.Dim
 	for e, el := range spec.Elems {
 		if len(el.Verts) != nc {
 			return nil, fmt.Errorf("mesh: element %d has %d vertices, want %d", e, len(el.Verts), nc)
@@ -167,18 +151,17 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 			corners[c] = spec.Verts[vi]
 		}
 		for l := 0; l < m.Np; l++ {
-			r, s, t := m.Z[l%np1], m.Z[l/np1%np1], 0.0
-			if m.Dim == 3 {
-				t = m.Z[l/(np1*np1)]
+			var r, x [3]float64
+			for a, stride := 0, 1; a < m.Dim; a, stride = a+1, stride*np1 {
+				r[a] = m.Z[l/stride%np1]
 			}
-			var x, y, z float64
 			if el.Map != nil {
-				x, y, z = el.Map(r, s, t)
+				x[0], x[1], x[2] = el.Map(r[0], r[1], r[2])
 			} else {
-				x, y, z = multilinear(m.Dim, corners, r, s, t)
+				x = multilinear(m.Dim, corners, r)
 			}
 			idx := e*m.Np + l
-			m.X[idx], m.Y[idx], m.Zc[idx] = x, y, z
+			m.X[idx], m.Y[idx], m.Zc[idx] = x[0], x[1], x[2]
 		}
 	}
 
@@ -192,109 +175,71 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 }
 
 // computeMetrics differentiates the nodal coordinate fields to obtain the
-// Jacobian and the geometric factors of eq. (4).
+// Jacobian and the geometric factors of eq. (4): every ∂x_c/∂r_a by one
+// tensor-product derivative, then the inverse Jacobian by cofactors.
 func (m *Mesh) computeMetrics() error {
-	np1 := m.N + 1
-	m.Jac = make([]float64, m.K*m.Np)
-	m.B = make([]float64, m.K*m.Np)
-	ng := 3
-	if m.Dim == 3 {
-		ng = 6
-	}
-	m.G = make([][]float64, ng)
+	dim, np1, np := m.Dim, m.N+1, m.Np
+	m.Jac = make([]float64, m.K*np)
+	m.B = make([]float64, m.K*np)
+	m.G = make([][]float64, dim*(dim+1)/2)
 	for i := range m.G {
-		m.G[i] = make([]float64, m.K*m.Np)
+		m.G[i] = make([]float64, m.K*np)
 	}
-	nrx := 4
-	if m.Dim == 3 {
-		nrx = 9
-	}
-	m.RX = make([][]float64, nrx)
+	m.RX = make([][]float64, dim*dim)
 	for i := range m.RX {
-		m.RX[i] = make([]float64, m.K*m.Np)
+		m.RX[i] = make([]float64, m.K*np)
 	}
-	if m.Dim == 2 {
-		xr := make([]float64, m.Np)
-		xs := make([]float64, m.Np)
-		yr := make([]float64, m.Np)
-		ys := make([]float64, m.Np)
-		for e := 0; e < m.K; e++ {
-			xe := m.X[e*m.Np : (e+1)*m.Np]
-			ye := m.Y[e*m.Np : (e+1)*m.Np]
-			tensor.ApplyR2D(xr, m.Dt, xe, np1, np1, np1)
-			tensor.ApplyS2D(xs, m.D, xe, np1, np1, np1)
-			tensor.ApplyR2D(yr, m.Dt, ye, np1, np1, np1)
-			tensor.ApplyS2D(ys, m.D, ye, np1, np1, np1)
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					l := j*np1 + i
-					jac := xr[l]*ys[l] - xs[l]*yr[l]
-					if jac <= 0 {
-						return fmt.Errorf("mesh: non-positive Jacobian %g in element %d", jac, e)
-					}
-					rx, ry := ys[l]/jac, -xs[l]/jac
-					sx, sy := -yr[l]/jac, xr[l]/jac
-					w := m.Wt[i] * m.Wt[j] * jac
-					gi := e*m.Np + l
-					m.Jac[gi] = jac
-					m.B[gi] = w
-					m.RX[0][gi], m.RX[1][gi] = rx, ry
-					m.RX[2][gi], m.RX[3][gi] = sx, sy
-					m.G[0][gi] = (rx*rx + ry*ry) * w
-					m.G[1][gi] = (rx*sx + ry*sy) * w
-					m.G[2][gi] = (sx*sx + sy*sy) * w
+	d := make([][]float64, dim*dim) // d[c*dim+a] = ∂x_c/∂r_a on one element
+	for i := range d {
+		d[i] = make([]float64, np)
+	}
+	xyz := [3][]float64{m.X, m.Y, m.Zc}
+	var inv [9]float64 // ∂r_a/∂x_c at a*dim+c
+	for e := 0; e < m.K; e++ {
+		for k := range d {
+			tensor.ApplyDim(d[k], m.D, m.Dt, xyz[k/dim][e*np:(e+1)*np], np1, dim, k%dim)
+		}
+		for l := 0; l < np; l++ {
+			var jac float64
+			if dim == 2 {
+				xr, xs, yr, ys := d[0][l], d[1][l], d[2][l], d[3][l]
+				jac = xr*ys - xs*yr
+				inv = [9]float64{ys / jac, -xs / jac, -yr / jac, xr / jac}
+			} else {
+				xr, xs, xt := d[0][l], d[1][l], d[2][l]
+				yr, ys, yt := d[3][l], d[4][l], d[5][l]
+				zr, zs, zt := d[6][l], d[7][l], d[8][l]
+				jac = xr*(ys*zt-yt*zs) - xs*(yr*zt-yt*zr) + xt*(yr*zs-ys*zr)
+				inv = [9]float64{
+					(ys*zt - yt*zs) / jac, -(xs*zt - xt*zs) / jac, (xs*yt - xt*ys) / jac,
+					-(yr*zt - yt*zr) / jac, (xr*zt - xt*zr) / jac, -(xr*yt - xt*yr) / jac,
+					(yr*zs - ys*zr) / jac, -(xr*zs - xs*zr) / jac, (xr*ys - xs*yr) / jac,
 				}
 			}
-		}
-		return nil
-	}
-	// 3D.
-	sz := m.Np
-	d := make([][]float64, 9) // xr xs xt yr ys yt zr zs zt
-	for i := range d {
-		d[i] = make([]float64, sz)
-	}
-	for e := 0; e < m.K; e++ {
-		fields := [][]float64{m.X[e*sz : (e+1)*sz], m.Y[e*sz : (e+1)*sz], m.Zc[e*sz : (e+1)*sz]}
-		for f, fld := range fields {
-			tensor.ApplyR3D(d[3*f+0], m.Dt, fld, np1, np1, np1, np1)
-			tensor.ApplyS3D(d[3*f+1], m.D, fld, np1, np1, np1, np1)
-			tensor.ApplyT3D(d[3*f+2], m.D, fld, np1, np1, np1, np1)
-		}
-		for k := 0; k < np1; k++ {
-			for j := 0; j < np1; j++ {
-				for i := 0; i < np1; i++ {
-					l := (k*np1+j)*np1 + i
-					xr, xs, xt := d[0][l], d[1][l], d[2][l]
-					yr, ys, yt := d[3][l], d[4][l], d[5][l]
-					zr, zs, zt := d[6][l], d[7][l], d[8][l]
-					jac := xr*(ys*zt-yt*zs) - xs*(yr*zt-yt*zr) + xt*(yr*zs-ys*zr)
-					if jac <= 0 {
-						return fmt.Errorf("mesh: non-positive Jacobian %g in element %d", jac, e)
+			if jac <= 0 {
+				return fmt.Errorf("mesh: non-positive Jacobian %g in element %d", jac, e)
+			}
+			w := 1.0
+			for stride := 1; stride < np; stride *= np1 {
+				w *= m.Wt[l/stride%np1]
+			}
+			w *= jac
+			gi := e*np + l
+			m.Jac[gi] = jac
+			m.B[gi] = w
+			for k := range m.RX {
+				m.RX[k][gi] = inv[k]
+			}
+			// G[g] for the pairs a ≤ b in row order: Σ_c ∂r_a/∂x_c ∂r_b/∂x_c · w.
+			g := 0
+			for a := 0; a < dim; a++ {
+				for b := a; b < dim; b++ {
+					s := inv[a*dim] * inv[b*dim]
+					for c := 1; c < dim; c++ {
+						s += inv[a*dim+c] * inv[b*dim+c]
 					}
-					// Inverse Jacobian (dr_a/dx_c) by cofactors.
-					rx := (ys*zt - yt*zs) / jac
-					ry := -(xs*zt - xt*zs) / jac
-					rz := (xs*yt - xt*ys) / jac
-					sx := -(yr*zt - yt*zr) / jac
-					sy := (xr*zt - xt*zr) / jac
-					sz3 := -(xr*yt - xt*yr) / jac
-					tx := (yr*zs - ys*zr) / jac
-					ty := -(xr*zs - xs*zr) / jac
-					tz := (xr*ys - xs*yr) / jac
-					w := m.Wt[i] * m.Wt[j] * m.Wt[k] * jac
-					gi := e*sz + l
-					m.Jac[gi] = jac
-					m.B[gi] = w
-					m.RX[0][gi], m.RX[1][gi], m.RX[2][gi] = rx, ry, rz
-					m.RX[3][gi], m.RX[4][gi], m.RX[5][gi] = sx, sy, sz3
-					m.RX[6][gi], m.RX[7][gi], m.RX[8][gi] = tx, ty, tz
-					m.G[0][gi] = (rx*rx + ry*ry + rz*rz) * w
-					m.G[1][gi] = (rx*sx + ry*sy + rz*sz3) * w
-					m.G[2][gi] = (rx*tx + ry*ty + rz*tz) * w
-					m.G[3][gi] = (sx*sx + sy*sy + sz3*sz3) * w
-					m.G[4][gi] = (sx*tx + sy*ty + sz3*tz) * w
-					m.G[5][gi] = (tx*tx + ty*ty + tz*tz) * w
+					m.G[g][gi] = s * w
+					g++
 				}
 			}
 		}
@@ -411,11 +356,13 @@ func (m *Mesh) CornerNode(e, c int) int {
 // buildTopology compresses the corner global ids into the vertex (coarse)
 // mesh and matches every element face once. Face f = 2a+side of an element
 // lies in direction a at reference coordinate −1 (side 0) or +1 (side 1); its
-// corners are the corners c with bit a equal to side, and its key is their
-// sorted vertex ids. A key held by exactly two faces of different elements
-// makes them adjacent; every node of a face whose key no other face holds is
-// on the boundary (periodic faces are shared through the wrapped numbering,
-// hence interior).
+// key is the smallest global id among its nodes off its edges, which both
+// elements that share the face see whatever their orientation. (Corner ids
+// would not do: with a periodic direction two elements long, both ends of an
+// element have one corner set.) A key held by exactly two faces of different
+// elements makes them adjacent; every node of a face whose key no other face
+// holds is on the boundary (periodic faces are shared through the wrapped
+// numbering, hence interior).
 func (m *Mesh) buildTopology() {
 	nc, nf, np1 := 1<<m.Dim, 2*m.Dim, m.N+1
 	stride := [3]int{1, np1, np1 * np1}
@@ -438,18 +385,29 @@ func (m *Mesh) buildTopology() {
 	}
 	m.NVert = len(m.VertXYZ)
 
-	keys := make([][4]int, m.K*nf)
-	faces := make(map[[4]int][]int, len(keys)) // key -> element faces e*nf+f
-	for ef := range keys {
-		e, a, side := ef/nf, ef%nf/2, ef%2
-		k := [4]int{-1, -1, -1, -1}
-		ids := k[:0]
-		for c, v := range m.ElemVert[e] {
-			if c>>a&1 == side {
-				ids = append(ids, v)
+	// onFace reports whether local node l lies on face (a, side), and whether
+	// it lies there off the face's edges.
+	onFace := func(l, a, side int) (on, inner bool) {
+		if l/stride[a]%np1 != side*m.N {
+			return false, false
+		}
+		for b := 0; b < m.Dim; b++ {
+			if i := l / stride[b] % np1; b != a && (i == 0 || i == m.N) {
+				return true, false
 			}
 		}
-		slices.Sort(ids)
+		return true, true
+	}
+	keys := make([]int64, m.K*nf)
+	faces := make(map[int64][]int, len(keys)) // key -> element faces e*nf+f
+	for ef := range keys {
+		e, a, side := ef/nf, ef%nf/2, ef%2
+		k := int64(math.MaxInt64)
+		for l := 0; l < m.Np; l++ {
+			if _, inner := onFace(l, a, side); inner {
+				k = min(k, m.GID[e*m.Np+l])
+			}
+		}
 		keys[ef] = k
 		faces[k] = append(faces[k], ef)
 	}
@@ -462,7 +420,7 @@ func (m *Mesh) buildTopology() {
 			m.Adj[e] = append(m.Adj[e], (sh[0]+sh[1]-ef)/nf)
 		case len(sh) == 1:
 			for l := 0; l < m.Np; l++ {
-				if l/stride[a]%np1 == side*m.N {
+				if on, _ := onFace(l, a, side); on {
 					m.OnBoundary[e*m.Np+l] = true
 				}
 			}

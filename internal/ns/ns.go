@@ -425,13 +425,8 @@ func (s *Solver) build(precondForced bool) error {
 			t.filter = sem.NewFilter(m, cfg.FilterAlpha)
 		}
 	}
-	np, n3 := int64(m.Np), int64(t.np1)*int64(t.np1)*int64(t.np1)
-	if m.Dim == 2 {
-		t.stiffF, t.filtF = flops{8 * n3, 7 * np}, flops{mm: 4 * n3}
-	} else {
-		n4 := n3 * int64(t.np1)
-		t.stiffF, t.filtF = flops{12 * n4, 17 * np}, flops{mm: 6 * n4}
-	}
+	t.stiffF.mm, t.stiffF.vec = sem.StiffnessFlops(m)
+	t.filtF = flops{mm: tensor.FlopsApply(m.Dim, t.np1, t.np1, t.np1, t.np1, t.np1, t.np1)}
 	if err := s.buildPrecondOperators(precondForced); err != nil {
 		return err
 	}

@@ -25,24 +25,23 @@ func (t *template) InterpWorkLen() int { return 3 * t.M.Np }
 // polynomial interpolation of the degree-(N-2) pressure) on one element's
 // blocks: out has length Np, p length Npp, work length ≥ InterpWorkLen.
 func (t *template) ProlongPVElem(out, p, work []float64) {
-	if t.dim == 2 {
-		tensor.Apply2D(out, t.pvt, t.interpPV, p, work, t.np1, t.nm1, t.np1, t.nm1)
-		return
-	}
-	tensor.Apply3D(out, t.pvt, t.interpPV, t.interpPV, p, work,
-		t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
+	tensor.Apply(out, t.pvt, t.interpPV, t.tOp(t.interpPV), p, work, t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
 }
 
 // RestrictVPElem applies J_pvᵀ (velocity grid → pressure grid, the adjoint
 // of the prolongation) on one element's blocks: out has length Npp, u length
 // Np, work length ≥ InterpWorkLen.
 func (t *template) RestrictVPElem(out, u, work []float64) {
-	pvt := t.pvt
+	tensor.Apply(out, t.interpPV, t.pvt, t.tOp(t.pvt), u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
+}
+
+// tOp returns op as the t-direction operator of a tensor.Apply on this
+// template's elements: nil, no t apply, in 2-D.
+func (t *template) tOp(op []float64) []float64 {
 	if t.dim == 2 {
-		tensor.Apply2D(out, t.interpPV, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1)
-		return
+		return nil
 	}
-	tensor.Apply3D(out, t.interpPV, pvt, pvt, u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
+	return op
 }
 
 // gradTElem writes element e's block of the momentum pressure term Dᵀp,
@@ -118,10 +117,7 @@ func (t *template) divElem(out []float64, us [][]float64, e int, work []float64)
 func (t *template) eApplyFlops(e int) (gradT, div flops) {
 	np, dim := int64(t.M.Np), int64(t.dim)
 	pairs := int64(bits.OnesCount16(t.M.RXPairs[e]))
-	interp := tensor.FlopsApply2D(t.np1, t.nm1, t.np1, t.nm1) // J_pv; J_pvᵀ costs the same
-	if dim == 3 {
-		interp = tensor.FlopsApply3D(t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
-	}
+	interp := tensor.FlopsApply(t.dim, t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1) // J_pv; J_pvᵀ costs the same
 	deriv := tensor.FlopsApplyDim(t.np1, t.dim)
 	gradT = flops{interp + pairs*deriv, np + pairs*np + (pairs-dim)*np}
 	div = flops{interp + pairs*deriv, 2 * pairs * np}

@@ -16,6 +16,7 @@ package schwarz
 import (
 	"fmt"
 
+	"repro/internal/fdm"
 	"repro/internal/fem"
 	"repro/internal/gs"
 	"repro/internal/la"
@@ -34,7 +35,7 @@ import (
 type Pressure struct {
 	d        *sem.Disc
 	npp      int
-	local    []localSolver // per element
+	local    []*fdm.Solver // per element
 	workLen  int           // scratch of the largest
 	inner    []int32       // block index of each own pressure node
 	faceBlk  [][]int32     // per face 2a+side: block indices of the border entries
@@ -61,17 +62,17 @@ func NewPressure(d *sem.Disc) (*Pressure, error) {
 		lens[e] = dirLengths(d, e)
 	}
 	nbr := p.neighbourLengths(lens)
-	p.local = make([]localSolver, m.K)
+	p.local = make([]*fdm.Solver, m.K)
 	for e := range p.local {
 		var a, b [3][]float64
 		for c := 0; c < m.Dim; c++ {
 			a[c], b[c] = pressure1D(zp, lens[e][c], nbr[e][2*c], nbr[e][2*c+1])
 		}
-		s, nw, err := newLocalSolver(m.Dim, a, b, m.N+1)
+		s, err := fdm.New(a, b, subdomainShape(m.Dim, m.N+1))
 		if err != nil {
 			return nil, fmt.Errorf("schwarz: pressure subdomain %d: %w", e, err)
 		}
-		p.local[e], p.workLen = s, max(p.workLen, nw)
+		p.local[e], p.workLen = s, max(p.workLen, s.WorkLen())
 	}
 	dirich := make([]bool, m.NVert)
 	dirich[0] = true

@@ -54,7 +54,7 @@ type Precond struct {
 
 	// FDM path: one factored subdomain per element and scratch as long as the
 	// largest needs.
-	local []localSolver
+	local []*fdm.Solver
 	work  []float64
 
 	// FEM path (2D): per-subdomain free global ids and factorizations.
@@ -132,15 +132,17 @@ func dirLengths(d *sem.Disc, e int) [3]float64 {
 		dx, dy, dz := pb[0]-pa[0], pb[1]-pa[1], pb[2]-pa[2]
 		return math.Sqrt(dx*dx + dy*dy + dz*dz)
 	}
+	// Direction a averages the edges (c, c|1<<a) over the corners c on its
+	// low side, in corner order.
 	var out [3]float64
-	if m.Dim == 2 {
-		out[0] = (dist(0, 1) + dist(2, 3)) / 2
-		out[1] = (dist(0, 2) + dist(1, 3)) / 2
-		return out
+	for a := 0; a < m.Dim; a++ {
+		for c := 0; c < 1<<m.Dim; c++ {
+			if c>>a&1 == 0 {
+				out[a] += dist(c, c|1<<a)
+			}
+		}
+		out[a] /= float64(int(1) << (m.Dim - 1))
 	}
-	out[0] = (dist(0, 1) + dist(2, 3) + dist(4, 5) + dist(6, 7)) / 4
-	out[1] = (dist(0, 2) + dist(1, 3) + dist(4, 6) + dist(5, 7)) / 4
-	out[2] = (dist(0, 4) + dist(1, 5) + dist(2, 6) + dist(3, 7)) / 4
 	return out
 }
 
@@ -167,7 +169,7 @@ func local1DOperators(z []float64, l float64) (a, b []float64) {
 func (p *Precond) setupFDM() error {
 	d := p.d
 	m := d.M
-	p.local = make([]localSolver, m.K)
+	p.local = make([]*fdm.Solver, m.K)
 	workLen := 0
 	for e := range p.local {
 		ls := dirLengths(d, e)
@@ -175,38 +177,23 @@ func (p *Precond) setupFDM() error {
 		for c := 0; c < m.Dim; c++ {
 			a[c], b[c] = local1DOperators(m.Z, ls[c])
 		}
-		s, nw, err := newLocalSolver(m.Dim, a, b, m.N+1)
+		s, err := fdm.New(a, b, subdomainShape(m.Dim, m.N+1))
 		if err != nil {
 			return fmt.Errorf("schwarz: element %d: %w", e, err)
 		}
-		p.local[e], workLen = s, max(workLen, nw)
+		p.local[e], workLen = s, max(workLen, s.WorkLen())
 	}
 	p.work = make([]float64, workLen)
 	return nil
 }
 
-// localSolver is one subdomain's fast-diagonalization solve, 2-D or 3-D.
-type localSolver interface {
-	Apply(out, in, work []float64)
-	Flops() int64
-}
-
-// newLocalSolver factors the separable operator of the per-direction n×n
-// stiffness/mass pairs (a[c], b[c]) and returns it with the scratch length its
-// Apply needs.
-func newLocalSolver(dim int, a, b [3][]float64, n int) (localSolver, int, error) {
+// subdomainShape is the fdm.New extent of a dim-D subdomain n points wide in
+// every direction.
+func subdomainShape(dim, n int) [3]int {
 	if dim == 2 {
-		s, err := fdm.New2D(a[0], b[0], n, a[1], b[1], n)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s, s.WorkLen2D(), nil
+		return [3]int{n, n}
 	}
-	s, err := fdm.New3D(a[0], b[0], n, a[1], b[1], n, a[2], b[2], n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, s.WorkLen3D(), nil
+	return [3]int{n, n, n}
 }
 
 func (p *Precond) setupFEM() error {
@@ -445,11 +432,10 @@ func cornerWeights(dim int, pts []float64) [][]float64 {
 	for c := range ws {
 		w := make([]float64, nn)
 		for l := range w {
-			wv := cornerWeight(c&1 != 0, pts[l%n]) * cornerWeight(c&2 != 0, pts[(l/n)%n])
-			if dim == 3 {
-				wv *= cornerWeight(c&4 != 0, pts[l/(n*n)])
+			w[l] = 1
+			for a, stride := 0, 1; a < dim; a, stride = a+1, stride*n {
+				w[l] *= cornerWeight(c>>a&1 != 0, pts[l/stride%n])
 			}
-			w[l] = wv
 		}
 		ws[c] = w
 	}

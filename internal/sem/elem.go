@@ -7,36 +7,29 @@ package sem
 // on whatever workers its Machine runs) both run them, so every backend
 // reproduces the same arithmetic element by element.
 
-import "repro/internal/tensor"
+import (
+	"repro/internal/la"
+	"repro/internal/tensor"
+)
 
 // GradElement computes element e's physical-space gradient of the local
-// nodal block ue (length Np) into the local blocks o0, o1 (and o2 in 3D;
-// pass nil in 2D); s is caller scratch of length ≥ ElemScratchLen.
+// nodal block ue (length Np), o_c = Σ_a ∂r_a/∂x_c · D_a ue, into the local
+// blocks o0, o1 (and o2 in 3D; pass nil in 2D); s is caller scratch of
+// length ≥ ElemScratchLen.
 func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int, s []float64) {
 	m := d.M
-	np1 := m.N + 1
-	np := m.Np
+	np, dim := m.Np, m.Dim
 	off := e * np
-	if m.Dim == 2 {
-		ur, us := s[:np], s[np:2*np]
-		tensor.ApplyR2D(ur, m.Dt, ue, np1, np1, np1)
-		tensor.ApplyS2D(us, m.D, ue, np1, np1, np1)
-		rx, ry, sx, sy := m.RX[0], m.RX[1], m.RX[2], m.RX[3]
-		for i := 0; i < np; i++ {
-			o0[i] = rx[off+i]*ur[i] + sx[off+i]*us[i]
-			o1[i] = ry[off+i]*ur[i] + sy[off+i]*us[i]
-		}
-		return
+	for a := 0; a < dim; a++ {
+		tensor.ApplyDim(s[a*np:(a+1)*np], m.D, m.Dt, ue, m.N+1, dim, a)
 	}
-	ur, us, ut := s[:np], s[np:2*np], s[2*np:3*np]
-	tensor.ApplyR3D(ur, m.Dt, ue, np1, np1, np1, np1)
-	tensor.ApplyS3D(us, m.D, ue, np1, np1, np1, np1)
-	tensor.ApplyT3D(ut, m.D, ue, np1, np1, np1, np1)
-	for i := 0; i < np; i++ {
-		gi := off + i
-		o0[i] = m.RX[0][gi]*ur[i] + m.RX[3][gi]*us[i] + m.RX[6][gi]*ut[i]
-		o1[i] = m.RX[1][gi]*ur[i] + m.RX[4][gi]*us[i] + m.RX[7][gi]*ut[i]
-		o2[i] = m.RX[2][gi]*ur[i] + m.RX[5][gi]*us[i] + m.RX[8][gi]*ut[i]
+	outs := [3][]float64{o0, o1, o2}
+	for c := 0; c < dim; c++ {
+		oc := outs[c][:np]
+		la.Prod(oc, m.RX[c][off:], s[:np])
+		for a := 1; a < dim; a++ {
+			la.AddProd(oc, m.RX[a*dim+c][off:], s[a*np:(a+1)*np])
+		}
 	}
 }
 
@@ -47,26 +40,21 @@ func (d *Disc) FilterElement(f *Filter, ue []float64, s []float64) {
 	if f == nil || f.Alpha == 0 {
 		return
 	}
-	m := d.M
-	np1 := f.np1
-	np := m.Np
-	if m.Dim == 2 {
-		work, out := s[:np], s[np:2*np]
-		tensor.Apply2D(out, f.ft, f.F, ue, work, np1, np1, np1, np1)
-		copy(ue, out)
-		return
+	np, np1 := d.M.Np, f.np1
+	var ft []float64 // the t operator: none on a 2-D element
+	if d.M.Dim == 3 {
+		ft = f.F
 	}
-	need := tensor.Work3DLen(np1, np1, np1, np1, np1, np1)
-	work := s[:need]
-	out := s[need : need+np]
-	tensor.Apply3D(out, f.ft, f.F, f.F, ue, work, np1, np1, np1, np1, np1, np1)
-	copy(ue, out)
+	tensor.Apply(s[:np], f.ft, f.F, ft, ue, s[np:], np1, np1, np1, np1, np1, np1)
+	copy(ue, s[:np])
 }
 
 // HelmholtzDiagElement writes element e's unassembled diagonal of
 // h1·A + h2·B into the local block de (length Np). The caller assembles the
 // blocks (distributed gs sum) and sets Dirichlet rows to one, mirroring the
-// serial HelmholtzDiag.
+// serial HelmholtzDiag. It keeps a loop per dimension on purpose: the 3-D
+// loop interleaves its three p-sums where the 2-D one runs its two in turn,
+// and a shared loop would reorder one and move every golden digest.
 func (d *Disc) HelmholtzDiagElement(de []float64, e int, h1, h2 float64) {
 	m := d.M
 	np1 := m.N + 1

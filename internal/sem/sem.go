@@ -61,19 +61,20 @@ func (d *Disc) CountFlops(n int64) { d.flops.Add(n) }
 // out^k = A^k u^k per eq. (4). out must not alias u.
 func (d *Disc) StiffnessLocal(out, u []float64) {
 	m := d.M
-	np1 := m.N + 1
 	np := m.Np
 	for e := 0; e < m.K; e++ {
 		d.StiffnessElement(out[e*np:(e+1)*np], u[e*np:(e+1)*np], e, d.scratch)
 	}
-	if m.Dim == 2 {
-		// 4 tensor ops (2N³ each... here 2·np1³) + 6np pointwise + np add.
-		d.flops.Add(int64(m.K) * (4*2*int64(np1)*int64(np1)*int64(np1) + 7*int64(np)))
-		return
-	}
-	// The paper's count: 12N⁴ + 15N³ per element (here with N+1 = np1).
-	n4 := int64(np1) * int64(np1) * int64(np1) * int64(np1)
-	d.flops.Add(int64(m.K) * (12*n4 + 17*int64(np)))
+	mm, vec := StiffnessFlops(m)
+	d.flops.Add(int64(m.K) * (mm + vec))
+}
+
+// StiffnessFlops returns the flops of one StiffnessElement: 2·dim derivative
+// products (matrix–matrix) and (2·dim² − 1)·Np pointwise ones (vector); in
+// 3D the paper's 12N⁴ + 15N³, here with N + 1 points and every sum counted.
+func StiffnessFlops(m *mesh.Mesh) (mm, vec int64) {
+	dim := int64(m.Dim)
+	return 2 * dim * tensor.FlopsApplyDim(m.N+1, m.Dim), (2*dim*dim - 1) * int64(m.Np)
 }
 
 // Assemble performs the gather-scatter sum and applies the Dirichlet mask.
@@ -141,7 +142,6 @@ func (d *Disc) HelmholtzDiag(h1, h2 float64) []float64 {
 // outs[c] = ∂u/∂x_c.
 func (d *Disc) Grad(outs [][]float64, u []float64) {
 	m := d.M
-	np1 := m.N + 1
 	np := m.Np
 	for e := 0; e < m.K; e++ {
 		i0, i1 := e*np, (e+1)*np
@@ -151,12 +151,9 @@ func (d *Disc) Grad(outs [][]float64, u []float64) {
 		}
 		d.GradElement(outs[0][i0:i1], outs[1][i0:i1], o2, u[i0:i1], e, d.scratch)
 	}
-	if m.Dim == 2 {
-		d.flops.Add(int64(m.K) * (2*2*int64(np1)*int64(np1)*int64(np1) + 6*int64(np)))
-		return
-	}
-	n4 := int64(np1) * int64(np1) * int64(np1) * int64(np1)
-	d.flops.Add(int64(m.K) * (3*2*n4 + 15*int64(np)))
+	// dim derivative products, then per component dim products and dim − 1 sums.
+	dim := int64(m.Dim)
+	d.flops.Add(int64(m.K) * (dim*tensor.FlopsApplyDim(m.N+1, m.Dim) + dim*(2*dim-1)*int64(np)))
 }
 
 // Dot is the inner product for element-local redundant storage: each global
@@ -279,60 +276,52 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 }
 
 // ElemScratchLen is the scratch length the per-element kernels
-// (StiffnessElement, GradElement, FilterElement) need.
-func (d *Disc) ElemScratchLen() int {
-	if d.M.Dim == 3 {
-		return 9 * d.M.Np
-	}
-	return 6 * d.M.Np
-}
+// (StiffnessElement, GradElement, FilterElement) need: 2·dim·Np.
+func (d *Disc) ElemScratchLen() int { return 2 * d.M.Dim * d.M.Np }
 
 // StiffnessElement applies element e's stiffness matrix to the local nodal
 // vector ue (length Np), writing into oe; s is caller scratch of length ≥
 // ElemScratchLen. Like every per-element kernel it only reads the Disc, so
-// goroutines holding their own scratch may share one.
+// goroutines holding their own scratch may share one. It computes
+// t_a = Σ_b G(a,b) ⊙ D_b ue, then oe = Σ_a D_aᵀ t_a with the terms past D_rᵀ t_r
+// summed before they are added.
 func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
 	m := d.M
-	np1 := m.N + 1
-	np := m.Np
-	if m.Dim == 2 {
-		ur, us := s[:np], s[np:2*np]
-		tr, ts := s[2*np:3*np], s[3*np:4*np]
-		tensor.ApplyR2D(ur, m.Dt, ue, np1, np1, np1)
-		tensor.ApplyS2D(us, m.D, ue, np1, np1, np1)
-		g0, g1, g2 := m.G[0][e*np:], m.G[1][e*np:], m.G[2][e*np:]
-		la.Prod(tr, g0, ur) // tr = g0·ur + g1·us, ts = g1·ur + g2·us
-		la.AddProd(tr, g1, us)
-		la.Prod(ts, g1, ur)
-		la.AddProd(ts, g2, us)
-		tensor.ApplyR2D(oe, m.D, tr, np1, np1, np1)
-		tensor.ApplyS2D(us, d.Dt, ts, np1, np1, np1)
-		la.Axpy(1, us, oe[:np])
-		return
+	np1, np, dim := m.N+1, m.Np, m.Dim
+	nt := 1 // a 2-D element is one layer with no t apply
+	if dim == 3 {
+		nt = np1
 	}
-	ur, us, ut := s[:np], s[np:2*np], s[2*np:3*np]
-	tr, ts, tt := s[3*np:4*np], s[4*np:5*np], s[5*np:6*np]
-	tensor.ApplyR3D(ur, m.Dt, ue, np1, np1, np1, np1)
-	tensor.ApplyS3D(us, m.D, ue, np1, np1, np1, np1)
-	tensor.ApplyT3D(ut, m.D, ue, np1, np1, np1, np1)
-	// tr = g0·ur + g1·us + g2·ut, and likewise ts (g1 g3 g4) and tt (g2 g4 g5).
 	off := e * np
-	g0, g1, g2 := m.G[0][off:], m.G[1][off:], m.G[2][off:]
-	g3, g4, g5 := m.G[3][off:], m.G[4][off:], m.G[5][off:]
-	la.Prod(tr, g0, ur)
-	la.AddProd(tr, g1, us)
-	la.AddProd(tr, g2, ut)
-	la.Prod(ts, g1, ur)
-	la.AddProd(ts, g3, us)
-	la.AddProd(ts, g4, ut)
-	la.Prod(tt, g2, ur)
-	la.AddProd(tt, g4, us)
-	la.AddProd(tt, g5, ut)
-	tensor.ApplyR3D(oe, m.D, tr, np1, np1, np1, np1)
-	tensor.ApplyS3D(us, d.Dt, ts, np1, np1, np1, np1)
-	tensor.ApplyT3D(ut, d.Dt, tt, np1, np1, np1, np1)
-	la.Axpy(1, ut, us) // oe += us + ut
-	la.Axpy(1, us, oe[:np])
+	du, t := s[:dim*np], s[dim*np:2*dim*np]
+	last := (dim - 1) * np // the slowest direction, s in 2-D: one ApplyT product
+	tensor.ApplyR(du[:np], m.Dt, ue, np1, np1, np1, nt)
+	tensor.ApplyT(du[last:], m.D, ue, np1, np1, np1, nt)
+	if dim == 3 {
+		tensor.ApplyS(du[np:2*np], m.D, ue, np1, np1, np1, nt)
+	}
+	for a := 0; a < dim; a++ {
+		ta := t[a*np : (a+1)*np]
+		la.Prod(ta, m.G[symPair(a, 0, dim)][off:], du[:np])
+		for b := 1; b < dim; b++ {
+			la.AddProd(ta, m.G[symPair(a, b, dim)][off:], du[b*np:(b+1)*np])
+		}
+	}
+	tensor.ApplyR(oe, m.D, t[:np], np1, np1, np1, nt)
+	tensor.ApplyT(du[last:], d.Dt, t[last:], np1, np1, np1, nt)
+	if dim == 3 {
+		tensor.ApplyS(du[np:2*np], d.Dt, t[np:2*np], np1, np1, np1, nt)
+		la.Axpy(1, du[2*np:], du[np:2*np])
+	}
+	la.Axpy(1, du[np:2*np], oe[:np])
+}
+
+// symPair is the index in mesh.Mesh.G (pairs a ≤ b in row order) of G(a,b).
+func symPair(a, b, dim int) int {
+	if a > b {
+		a, b = b, a
+	}
+	return a*dim - a*(a-1)/2 + b - a
 }
 
 // GatherGlobal compresses an element-local continuous field to one value

@@ -5,12 +5,18 @@
 // K elements of order N in d dimensions.
 //
 // Layout convention: element-local fields are stored with the first
-// reference coordinate (r) fastest, i.e. u[(t*ns+s)*nr + r] in 3D, which
-// makes "apply along r" a (ns·nt) x nr by nr x mr matrix product U·Aᵀ. The
+// reference coordinate (r) fastest, i.e. u[(t*ns+s)*nr + r], which makes
+// "apply along r" a (ns·nt) x nr by nr x mr matrix product U·Aᵀ. The
 // r-direction operator is therefore passed already transposed (at, nr x mr,
 // row-major): every caller builds its 1-D operators once and holds both
 // orientations, and the product is la.Mul's kernel with nothing packed per
 // call. The s and t directions take their operators as they are.
+//
+// A 2-D field is the one-layer case nt = 1 with no t apply, so one set of
+// direction applies (ApplyR, ApplyS, ApplyT) and one Apply serve both
+// dimensions. The slowest direction of a field (s in 2-D, t in 3-D) is a
+// single product over all faster points, ApplyT's, so every direction apply
+// of a 2-D field is one la.Mul.
 package tensor
 
 import "repro/internal/la"
@@ -27,90 +33,80 @@ func Transpose(a []float64, m, n int) []float64 {
 	return t
 }
 
-// ApplyR2D computes out = (I ⊗ A) u from at = Aᵀ (nr x mr): the operator A
-// (mr x nr) acts along the r (fastest) dimension of the nr x ns field u. out
-// has shape mr x ns (r fastest) and must not alias u.
-func ApplyR2D(out, at, u []float64, mr, nr, ns int) {
-	// out[s][r'] = Σ_r u[s][r] A[r'][r]  =>  Out = U Aᵀ with U (ns x nr).
-	la.Mul(out, u, at, ns, nr, mr)
-}
-
-// ApplyS2D computes out = (B ⊗ I) u: B (ms x ns) acts along the s (slow)
-// dimension of the nr x ns field u. out has shape nr x ms and must not
-// alias u.
-func ApplyS2D(out, b, u []float64, ms, ns, nr int) {
-	// Out = B U with U (ns x nr) row-major.
-	la.Mul(out, b, u, ms, ns, nr)
-}
-
-// Apply2D computes out = (B ⊗ A) u for at = Aᵀ (A mr x nr), B (ms x ns) and
-// the nr x ns field u, using work as scratch (len >= ns*mr). out must not
-// alias u or work.
-func Apply2D(out, at, b, u, work []float64, mr, nr, ms, ns int) {
-	ApplyR2D(work, at, u, mr, nr, ns)
-	ApplyS2D(out, b, work, ms, ns, mr)
-}
-
-// ApplyR3D applies A (mr x nr), passed as at = Aᵀ, along r of the
-// nr x ns x nt field u; out has shape mr x ns x nt.
-func ApplyR3D(out, at, u []float64, mr, nr, ns, nt int) {
+// ApplyR applies A (mr x nr), passed as at = Aᵀ, along r of the
+// nr x ns x nt field u (nt = 1: a 2-D field); out has shape mr x ns x nt and
+// must not alias u.
+func ApplyR(out, at, u []float64, mr, nr, ns, nt int) {
+	// out[t][s][r'] = Σ_r u[t][s][r] A[r'][r]  =>  Out = U Aᵀ with U (ns·nt x nr).
 	la.Mul(out, u, at, ns*nt, nr, mr)
 }
 
-// ApplyS3D applies B (ms x ns) along s of the nr x ns x nt field u; out has
-// shape nr x ms x nt.
-func ApplyS3D(out, b, u []float64, ms, ns, nr, nt int) {
+// ApplyS applies B (ms x ns) along s of the nr x ns x nt field u: one product
+// Out = B U per t layer, a single one in 2-D. out has shape nr x ms x nt and
+// must not alias u.
+func ApplyS(out, b, u []float64, ms, ns, nr, nt int) {
 	for k := 0; k < nt; k++ {
 		la.Mul(out[k*ms*nr:(k+1)*ms*nr], b, u[k*ns*nr:(k+1)*ns*nr], ms, ns, nr)
 	}
 }
 
-// ApplyT3D applies C (mt x nt) along t of the nr x ns x nt field u; out has
-// shape nr x ns x mt.
-func ApplyT3D(out, c, u []float64, mt, nt, nr, ns int) {
+// ApplyT applies C (mt x nt) along t of the nr x ns x nt field u; out has
+// shape nr x ns x mt and must not alias u.
+func ApplyT(out, c, u []float64, mt, nt, nr, ns int) {
 	la.Mul(out, c, u, mt, nt, nr*ns)
 }
 
-// Apply3D computes out = (C ⊗ B ⊗ A) u from at = Aᵀ, B and C. work must have
-// length at least Work3DLen(mr, nr, ms, ns, mt, nt); out must not alias u or
-// work.
+// Apply computes out = (C ⊗ B ⊗ A) u from at = Aᵀ (A mr x nr), B (ms x ns)
+// and C (mt x nt) on the nr x ns x nt field u. A nil c means a 2-D field:
+// out = (B ⊗ A) u on the nr x ns field u, and mt, nt are not read. work must
+// have length at least Work3DLen(mr, nr, ms, ns, mt, nt) (with mt = nt = 1 in
+// 2-D); out must not alias u or work.
+func Apply(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt int) {
+	if c == nil { // one layer: s is the slowest direction
+		ApplyR(work, at, u, mr, nr, ns, 1)
+		ApplyT(out, b, work, ms, ns, mr, 1)
+		return
+	}
+	w1, w2 := work[:mr*ns*nt], work[mr*ns*nt:mr*ns*nt+mr*ms*nt]
+	ApplyR(w1, at, u, mr, nr, ns, nt)
+	ApplyS(w2, b, w1, ms, ns, mr, nt)
+	ApplyT(out, c, w2, mt, nt, mr, ms)
+}
+
+// Apply2D is Apply on a 2-D field.
+func Apply2D(out, at, b, u, work []float64, mr, nr, ms, ns int) {
+	Apply(out, at, b, nil, u, work, mr, nr, ms, ns, 1, 1)
+}
+
+// Apply3D is Apply on a 3-D field.
 func Apply3D(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt int) {
-	w1 := work[:mr*ns*nt]
-	w2 := work[mr*ns*nt : mr*ns*nt+mr*ms*nt]
-	ApplyR3D(w1, at, u, mr, nr, ns, nt)
-	ApplyS3D(w2, b, w1, ms, ns, mr, nt)
-	ApplyT3D(out, c, w2, mt, nt, mr, ms)
+	Apply(out, at, b, c, u, work, mr, nr, ms, ns, mt, nt)
 }
 
 // ApplyDim applies the square operator A (n x n; at = Aᵀ) along reference
 // dimension dim (0 = r, 1 = s, 2 = t) of a field with extent n in each of
 // dims (2 or 3) dimensions. out must not alias u.
 func ApplyDim(out, a, at, u []float64, n, dims, dim int) {
-	if dims == 2 {
-		if dim == 0 {
-			ApplyR2D(out, at, u, n, n, n)
-		} else {
-			ApplyS2D(out, a, u, n, n, n)
-		}
-		return
+	nt := 1
+	if dims == 3 {
+		nt = n
 	}
 	switch dim {
 	case 0:
-		ApplyR3D(out, at, u, n, n, n, n)
-	case 1:
-		ApplyS3D(out, a, u, n, n, n, n)
+		ApplyR(out, at, u, n, n, n, nt)
+	case dims - 1: // the slowest direction: s in 2-D
+		ApplyT(out, a, u, n, n, n, nt)
 	default:
-		ApplyT3D(out, a, u, n, n, n, n)
+		ApplyS(out, a, u, n, n, n, nt)
 	}
 }
 
-// Work3DLen returns the scratch length Apply3D may need for the given shape.
+// Work3DLen returns the scratch length Apply needs for the given shape.
 func Work3DLen(mr, nr, ms, ns, mt, nt int) int {
 	return mr*ns*nt + mr*ms*nt
 }
 
-// FlopsApplyDim returns the floating point operations of one ApplyDim (and,
-// per field, of ApplyDimStack).
+// FlopsApplyDim returns the floating point operations of one ApplyDim.
 func FlopsApplyDim(n, dims int) int64 {
 	f := 2 * int64(n) * int64(n) * int64(n)
 	if dims == 3 {
@@ -119,14 +115,19 @@ func FlopsApplyDim(n, dims int) int64 {
 	return f
 }
 
-// FlopsApply2D returns the floating point operations of Apply2D.
-func FlopsApply2D(mr, nr, ms, ns int) int64 {
-	return 2 * (int64(mr)*int64(nr)*int64(ns) + int64(ms)*int64(ns)*int64(mr))
-}
-
-// FlopsApply3D returns the floating point operations of Apply3D.
-func FlopsApply3D(mr, nr, ms, ns, mt, nt int) int64 {
+// FlopsApply returns the floating point operations of Apply on a dims-D field
+// (2: c = nil, and mt, nt are not read).
+func FlopsApply(dims, mr, nr, ms, ns, mt, nt int) int64 {
+	if dims == 2 {
+		mt, nt = 0, 1 // one layer, no t product
+	}
 	return 2 * (int64(mr)*int64(nr)*int64(ns)*int64(nt) +
 		int64(ms)*int64(ns)*int64(mr)*int64(nt) +
 		int64(mt)*int64(nt)*int64(mr)*int64(ms))
 }
+
+// FlopsApply2D returns the floating point operations of Apply2D.
+func FlopsApply2D(mr, nr, ms, ns int) int64 { return FlopsApply(2, mr, nr, ms, ns, 1, 1) }
+
+// FlopsApply3D returns the floating point operations of Apply3D.
+func FlopsApply3D(mr, nr, ms, ns, mt, nt int) int64 { return FlopsApply(3, mr, nr, ms, ns, mt, nt) }

@@ -66,7 +66,7 @@ func TestApply2DMatchesKronecker(t *testing.T) {
 		want := kron2Ref(a, b, u, mr, nr, ms, ns)
 		got := make([]float64, mr*ms)
 		work := make([]float64, ns*mr)
-		Apply2D(got, Transpose(a, mr, nr), b, u, work, mr, nr, ms, ns)
+		Apply(got, Transpose(a, mr, nr), b, nil, u, work, mr, nr, ms, ns, 0, 0)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-11 {
 				t.Fatalf("case %v: mismatch at %d: %g vs %g", cs, i, got[i], want[i])
@@ -87,7 +87,7 @@ func TestApply3DMatchesKronecker(t *testing.T) {
 		want := kron3Ref(a, b, c, u, mr, nr, ms, ns, mt, nt)
 		got := make([]float64, mr*ms*mt)
 		work := make([]float64, Work3DLen(mr, nr, ms, ns, mt, nt))
-		Apply3D(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
+		Apply(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-10 {
 				t.Fatalf("case %v: mismatch at %d: %g vs %g", cs, i, got[i], want[i])
@@ -108,7 +108,7 @@ func TestApply3DQuick(t *testing.T) {
 		want := kron3Ref(a, b, c, u, mr, nr, ms, ns, mt, nt)
 		got := make([]float64, mr*ms*mt)
 		work := make([]float64, Work3DLen(mr, nr, ms, ns, mt, nt))
-		Apply3D(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
+		Apply(got, Transpose(a, mr, nr), b, c, u, work, mr, nr, ms, ns, mt, nt)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				return false
@@ -131,7 +131,7 @@ func TestIdentityApply(t *testing.T) {
 	u := randSlice(rng, n*n*n)
 	out := make([]float64, n*n*n)
 	work := make([]float64, Work3DLen(n, n, n, n, n, n))
-	Apply3D(out, id, id, id, u, work, n, n, n, n, n, n)
+	Apply(out, id, id, id, u, work, n, n, n, n, n, n)
 	for i := range u {
 		if math.Abs(out[i]-u[i]) > 1e-13 {
 			t.Fatalf("identity tensor apply changed the field at %d", i)
@@ -151,31 +151,31 @@ func TestSingleDimensionApplications(t *testing.T) {
 		}
 		return m
 	}
-	// ApplyR3D == Apply3D with identity B, C.
+	// ApplyR == Apply with identity B, C.
 	wantFull := kron3Ref(a, id(ns), id(nt), u, 2, nr, ns, ns, nt, nt)
 	got := make([]float64, 2*ns*nt)
-	ApplyR3D(got, Transpose(a, 2, nr), u, 2, nr, ns, nt)
+	ApplyR(got, Transpose(a, 2, nr), u, 2, nr, ns, nt)
 	for i := range wantFull {
 		if math.Abs(got[i]-wantFull[i]) > 1e-12 {
-			t.Fatalf("ApplyR3D mismatch at %d", i)
+			t.Fatalf("ApplyR mismatch at %d", i)
 		}
 	}
 	b := randSlice(rng, 3*ns)
 	wantS := kron3Ref(id(nr), b, id(nt), u, nr, nr, 3, ns, nt, nt)
 	gotS := make([]float64, nr*3*nt)
-	ApplyS3D(gotS, b, u, 3, ns, nr, nt)
+	ApplyS(gotS, b, u, 3, ns, nr, nt)
 	for i := range wantS {
 		if math.Abs(gotS[i]-wantS[i]) > 1e-12 {
-			t.Fatalf("ApplyS3D mismatch at %d", i)
+			t.Fatalf("ApplyS mismatch at %d", i)
 		}
 	}
 	c := randSlice(rng, 2*nt)
 	wantT := kron3Ref(id(nr), id(ns), c, u, nr, nr, ns, ns, 2, nt)
 	gotT := make([]float64, nr*ns*2)
-	ApplyT3D(gotT, c, u, 2, nt, nr, ns)
+	ApplyT(gotT, c, u, 2, nt, nr, ns)
 	for i := range wantT {
 		if math.Abs(gotT[i]-wantT[i]) > 1e-12 {
-			t.Fatalf("ApplyT3D mismatch at %d", i)
+			t.Fatalf("ApplyT mismatch at %d", i)
 		}
 	}
 }
@@ -186,6 +186,17 @@ func TestFlopCounts(t *testing.T) {
 	}
 	if f := FlopsApply3D(2, 2, 2, 2, 2, 2); f != 2*3*16 {
 		t.Errorf("FlopsApply3D = %d", f)
+	}
+	// A 2-D apply is the one-layer case without the t product, whatever mt
+	// and nt say.
+	if f, g := FlopsApply(2, 5, 3, 4, 3, 7, 9), FlopsApply2D(5, 3, 4, 3); f != g || f != 2*(45+60) {
+		t.Errorf("FlopsApply(2, ...) = %d, FlopsApply2D = %d, want %d", f, g, 2*(45+60))
+	}
+	if f := FlopsApplyDim(4, 2); f != 2*64 {
+		t.Errorf("FlopsApplyDim(4, 2) = %d", f)
+	}
+	if f := FlopsApplyDim(4, 3); f != 2*256 {
+		t.Errorf("FlopsApplyDim(4, 3) = %d", f)
 	}
 }
 
@@ -206,15 +217,49 @@ func TestApplyRIsBitwiseMulABt(t *testing.T) {
 				want, got := make([]float64, rows*mr), make([]float64, rows*mr)
 				la.MulABt(want, u, a, rows, nr, mr)
 				if dim == 2 {
-					ApplyR2D(got, Transpose(a, mr, nr), u, mr, nr, rows)
+					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, rows, 1)
 				} else {
-					ApplyR3D(got, Transpose(a, mr, nr), u, mr, nr, nr, rows/nr)
+					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, nr, rows/nr)
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("N=%d dim=%d shape %v: entry %d is %x, MulABt gives %x",
 							n, dim, sh, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestApplyDimIsTheDirectionApply holds ApplyDim, which takes the slowest
+// direction as ApplyT's single product, bit for bit to ApplyR, ApplyS and
+// ApplyT on the same field, 2-D (nt = 1) and 3-D.
+func TestApplyDimIsTheDirectionApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 5
+	a := randSlice(rng, n*n)
+	at := Transpose(a, n, n)
+	for dims := 2; dims <= 3; dims++ {
+		nt := 1
+		if dims == 3 {
+			nt = n
+		}
+		u := randSlice(rng, n*n*nt)
+		for dim := 0; dim < dims; dim++ {
+			got, want := make([]float64, len(u)), make([]float64, len(u))
+			ApplyDim(got, a, at, u, n, dims, dim)
+			switch dim {
+			case 0:
+				ApplyR(want, at, u, n, n, n, nt)
+			case 1:
+				ApplyS(want, a, u, n, n, n, nt)
+			default:
+				ApplyT(want, a, u, n, n, n, n)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dims=%d dim=%d: entry %d is %g, the direction apply gives %g", dims, dim, i, got[i], want[i])
 				}
 			}
 		}

@@ -2,10 +2,17 @@
 # Tiered local CI, mirrored by the parallel jobs of .github/workflows/ci.yml.
 #
 #   tier1   go build + full test suite (the repo's acceptance gate); the la,
-#           tensor, ns, sem, solver, gs and root packages again under -tags
-#           purego (the golden digests on the Go matmul and elementwise loops:
-#           bitwise parity with the AVX2 and AVX-512 kernels, stated end to
-#           end, and the step's own tests on the loops the kernels replace);
+#           tensor, ns, sem, solver, gs, fdm, schwarz, mesh and root packages
+#           again under -tags purego (the golden digests on the Go matmul and
+#           elementwise loops: bitwise parity with the AVX2 and AVX-512
+#           kernels, stated end to end, and the step's own tests on the loops
+#           the kernels replace; fdm's solves, schwarz's subdomains and mesh's
+#           metrics run their tensor products through tensor on the Go matmul);
+#           a grep that no non-test Go file outside bench/ names a 2-D or 3-D
+#           copy of a tensor-product kernel (ApplyR2D, ApplyS2D, ApplyR3D,
+#           ApplyS3D, ApplyT3D, Solver2D, Solver3D, New2D, New3D, WorkLen2D,
+#           WorkLen3D): a 2-D element is the one-layer case nt = 1 of the 3-D
+#           kernels, so each kernel exists once;
 #           an arm64 cross-build and vet of la (the file set without the
 #           assembly compiles); a grep that no internal/la/*.s file fuses a
 #           multiply and an add (VFMADD, VFMSUB, VFNMADD, VFNMSUB): every
@@ -150,17 +157,31 @@ onewrite() {
     fi
 }
 
+# onepath — tensor-product kernels exist once for both dimensions: a 2-D
+# field is the nt = 1 case of tensor's direction applies and fdm has one
+# Solver, so no non-test file outside the frozen bench/ names a per-dimension
+# copy.
+onepath() {
+    if git grep --untracked -n -w -E 'ApplyR2D|ApplyS2D|ApplyR3D|ApplyS3D|ApplyT3D|Solver2D|Solver3D|New2D|New3D|WorkLen2D|WorkLen3D' \
+        -- '*.go' ':!*_test.go' ':!bench'; then
+        echo "a per-dimension copy of a tensor-product kernel: use tensor.ApplyR/ApplyS/ApplyT/Apply (nt = 1, nil t operator in 2-D) or fdm.New" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor \
-        ./internal/ns ./internal/sem ./internal/solver ./internal/gs .
+        ./internal/ns ./internal/sem ./internal/solver ./internal/gs \
+        ./internal/fdm ./internal/schwarz ./internal/mesh .
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nofma" nofma
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
     stage "tier1/onerecv" onerecv
     stage "tier1/onewrite" onewrite
+    stage "tier1/onepath" onepath
     stage "tier1/loc" ./scripts/loc.sh
 }
 
