@@ -5,11 +5,19 @@ package la
 // between the tensor contractions. Each runs over len(dst) entries (the
 // vector it writes) and panics, before writing anything, if an operand is
 // shorter; dst may alias an operand entry for entry, never shifted. On an
-// AVX2 machine each is an assembly loop of one VMULPD, VADDPD or VDIVPD per
-// lane, otherwise the Go loop below it. Neither fuses a multiply into an add
-// (no FMA), so every entry is rounded exactly as the Go loop rounds it and the
-// two paths are bitwise equal. Reductions (Dot, Nrm2) are not here: vector
-// lanes would reassociate their sums.
+// AVX-512 machine (AVX-512F and VL) each that multiplies is an assembly loop
+// on zmm from zmmMin entries; on an AVX2 one each is a loop on ymm, and so
+// are the divides and the shorter vectors on an AVX-512 one; otherwise the
+// Go loop below it runs. All have one VMULPD, VADDPD or VDIVPD per lane and
+// operation and none fuses a multiply into an add (no FMA), so every entry
+// is rounded exactly as the Go loop rounds it and the paths are bitwise
+// equal. Reductions (Dot, Nrm2) are not here: vector lanes would reassociate
+// their sums.
+
+// zmmMin is the shortest vector the zmm kernels take. A shorter one runs the
+// AVX2 kernel on an AVX-512 machine too: two zmm passes measured up to 6 %
+// slower than four ymm at length 16, the step's shortest vectors.
+const zmmMin = 32
 
 // Prod sets dst = a⊙b.
 func Prod(dst, a, b []float64) {
@@ -18,6 +26,10 @@ func Prod(dst, a, b []float64) {
 		return
 	}
 	_, _ = a[n-1], b[n-1]
+	if useAVX512 && n >= zmmMin {
+		prodAVX512(&dst[0], &a[0], &b[0], n)
+		return
+	}
 	if useAVX2 {
 		prodAVX2(&dst[0], &a[0], &b[0], n)
 		return
@@ -35,6 +47,10 @@ func AddProd(dst, a, b []float64) {
 		return
 	}
 	_, _ = a[n-1], b[n-1]
+	if useAVX512 && n >= zmmMin {
+		addProdAVX512(&dst[0], &a[0], &b[0], n)
+		return
+	}
 	if useAVX2 {
 		addProdAVX2(&dst[0], &a[0], &b[0], n)
 		return
@@ -70,6 +86,10 @@ func AxpyTo(w []float64, alpha float64, x, y []float64) {
 		return
 	}
 	_, _ = x[n-1], y[n-1]
+	if useAVX512 && n >= zmmMin {
+		axpyAVX512(&w[0], &x[0], &y[0], alpha, n)
+		return
+	}
 	if useAVX2 {
 		axpyAVX2(&w[0], &x[0], &y[0], alpha, n)
 		return
@@ -88,6 +108,10 @@ func Axpy(alpha float64, x, y []float64) { AxpyTo(y, alpha, x, y) }
 func Scale(alpha float64, x []float64) {
 	n := len(x)
 	if n == 0 {
+		return
+	}
+	if useAVX512 && n >= zmmMin {
+		scaleAVX512(&x[0], alpha, n)
 		return
 	}
 	if useAVX2 {

@@ -9,31 +9,38 @@ import (
 	"time"
 )
 
-// These tests hold Mul and MulABt to MatMulNaive and MulABtSimple bit for bit
-// on whichever path the build and the CPU select: an assembly micro-kernel,
-// or (other architectures, -tags purego, a CPU without AVX2) the Go shape
-// rule. They also call every assembly kernel the CPU has directly, so on an
+// These tests hold Mul, MulLayers and MulABt to MatMulNaive and MulABtSimple
+// bit for bit on whichever path the build and the CPU select: an assembly
+// micro-kernel, or (other architectures, -tags purego, a CPU without AVX2)
+// the Go shape rule. They also call every assembly kernel the CPU has directly, so on an
 // AVX-512 machine the AVX2 kernel, which Mul no longer runs there, is still
 // held to MatMulNaive. Claims that hold for the assembly only are skipped,
 // saying so, when it is absent.
 
-// namedMul is one multiply under test.
+// namedMul is one multiply under test, C_k = A*B_k for nl layers (MulABt and
+// the one-layer forms ignore nl).
 type namedMul struct {
 	name string
-	mul  func(c, a, b []float64, n1, n2, n3 int)
+	mul  func(c, a, b []float64, n1, n2, n3, nl int)
 }
 
 // asmKernels are the assembly kernels this build and CPU run, each behind the
-// bounds checks Mul gives it; none under -tags purego or off amd64.
+// bounds checks MulLayers gives it; none under -tags purego or off amd64.
 var asmKernels = func() (ks []namedMul) {
 	if useAVX2 {
-		ks = append(ks, namedMul{"avx2", func(c, a, b []float64, n1, n2, n3 int) { asmMul(false, c, a, b, n1, n2, n3) }})
+		ks = append(ks, namedMul{"avx2", func(c, a, b []float64, n1, n2, n3, nl int) { asmMul(false, c, a, b, n1, n2, n3, nl) }})
 	}
 	if useAVX512 {
-		ks = append(ks, namedMul{"avx512", func(c, a, b []float64, n1, n2, n3 int) { asmMul(true, c, a, b, n1, n2, n3) }})
+		ks = append(ks, namedMul{"avx512", func(c, a, b []float64, n1, n2, n3, nl int) { asmMul(true, c, a, b, n1, n2, n3, nl) }})
 	}
 	return ks
 }()
+
+// mulCalls are Mul, MulLayers and every assembly kernel.
+var mulCalls = append([]namedMul{
+	{"Mul", func(c, a, b []float64, n1, n2, n3, _ int) { Mul(c, a, b, n1, n2, n3) }},
+	{"MulLayers", MulLayers},
+}, asmKernels...)
 
 // inputClasses fill operands that exercise different rounding regimes of the
 // multiply-then-add chain.
@@ -113,7 +120,7 @@ func TestMulBitwiseEveryShape(t *testing.T) {
 				requireBitwise(t, "Mul", [3]int{n1, n2, n3}, got, want)
 				for _, k := range asmKernels {
 					poison(got)
-					k.mul(got, a, b, n1, n2, n3)
+					k.mul(got, a, b, n1, n2, n3, 1)
 					requireBitwise(t, k.name, [3]int{n1, n2, n3}, got, want)
 				}
 				// The same b read as an n3 x n2 matrix is MulABt's operand.
@@ -122,6 +129,55 @@ func TestMulBitwiseEveryShape(t *testing.T) {
 				MulABt(got, a, b, n1, n2, n3)
 				requireBitwise(t, "MulABt", [3]int{n1, n2, n3}, got, want)
 			})
+		})
+	}
+}
+
+// sShapes returns the s-direction products of ShapesForOrder for orders 2-15
+// in 2-D and 3-D: the (m, k, m) shapes, each C_k = B*U_k of one t layer.
+func sShapes() (shapes [][3]int) {
+	for n := 2; n <= 15; n++ {
+		for dim := 2; dim <= 3; dim++ {
+			mul, _ := ShapesForOrder(n, dim)
+			for _, s := range mul {
+				if s[0] == s[2] {
+					shapes = appendShape(shapes, s)
+				}
+			}
+		}
+	}
+	return shapes
+}
+
+// MulLayers, and every assembly kernel called with a layer count, is
+// MatMulNaive layer by layer, bit for bit: on every s-direction shape of
+// orders 2-15 with 1 to N+1 layers, where the AVX-512 kernel pairs layers
+// (n3 <= 12; for 9-12 columns both layers' last columns share a register), a
+// last odd layer goes alone, and a wider row goes one layer at a time.
+func TestMulLayersIsMulPerLayer(t *testing.T) {
+	for ci, class := range inputClasses {
+		rng := rand.New(rand.NewSource(int64(71 + ci)))
+		t.Run(class.name, func(t *testing.T) {
+			for _, s := range sShapes() {
+				n1, n2, n3 := s[0], s[1], s[2]
+				for nl := 1; nl <= max(n1, n2); nl++ { // N+1 at order N
+					if testing.Short() && class.name == "denormal" && nl%3 != 1 {
+						continue
+					}
+					a, b := make([]float64, n1*n2), make([]float64, nl*n2*n3)
+					class.fill(rng, a)
+					class.fill(rng, b)
+					want, got := make([]float64, nl*n1*n3), make([]float64, nl*n1*n3)
+					for k := 0; k < nl; k++ {
+						MatMulNaive(want[k*n1*n3:], a, b[k*n2*n3:], n1, n2, n3)
+					}
+					for _, f := range mulCalls[1:] {
+						poison(got)
+						f.mul(got, a, b, n1, n2, n3, nl)
+						requireBitwise(t, fmt.Sprintf("%s, %d layers", f.name, nl), s, got, want)
+					}
+				}
+			}
 		})
 	}
 }
@@ -163,7 +219,7 @@ func TestMulGuardsAndUnalignedOperands(t *testing.T) {
 			check("Mul")
 			for _, k := range asmKernels {
 				reset()
-				k.mul(c, a, b, n1, n2, n3)
+				k.mul(c, a, b, n1, n2, n3, 1)
 				check(k.name)
 			}
 			MulABtSimple(want, a, b, n1, n2, n3)
@@ -186,7 +242,8 @@ func TestMulShortOperandPanics(t *testing.T) {
 		t.Log("no AVX2 kernel in this build or on this CPU: skipping the spare-capacity operands and the untouched-C check")
 	}
 	arena := make([]float64, 3*n1*n3)
-	for _, f := range append([]namedMul{{"Mul", Mul}, {"MulABt", MulABt}}, asmKernels...) {
+	abt := namedMul{"MulABt", func(c, a, b []float64, n1, n2, n3, _ int) { MulABt(c, a, b, n1, n2, n3) }}
+	for _, f := range append(mulCalls, abt) {
 		for short := 0; short < 3; short++ {
 			for _, roomy := range []bool{false, true} {
 				if roomy && !useAVX2 {
@@ -208,7 +265,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 							t.Fatalf("%s with operand %d one element short (spare capacity: %v) did not panic", f.name, short, roomy)
 						}
 					}()
-					f.mul(ops[0], ops[1], ops[2], n1, n2, n3)
+					f.mul(ops[0], ops[1], ops[2], n1, n2, n3, 1)
 				}()
 				for i, v := range ops[0] {
 					if useAVX2 && v != -1 {
@@ -261,34 +318,52 @@ func TestKernelAVX512Listed(t *testing.T) {
 
 // BenchmarkMulKernels times every assembly kernel the CPU has on the calling
 // shapes of orders 5 and 9 in 2-D and 3-D (ShapesForOrder; the r-direction
-// shapes run as Mul on the pre-transposed operator, as tensor calls them).
-// The kernels take turns in blocks of 64 calls within one benchmark per
-// shape, so a neighbour's load falls on both alike; each reports its own
-// ns/call and GFLOP/s.
+// shapes run as Mul on the pre-transposed operator, as tensor calls them),
+// and on the 3-D s-direction applies as tensor makes them: one layered call
+// over the field's t layers (AVX2 loops over them, AVX-512 pairs them where
+// a row fits one zmm). The kernels take turns in blocks of 64 calls within
+// one benchmark per shape, so a neighbour's load falls on both alike; each
+// reports its own ns/call and GFLOP/s.
 func BenchmarkMulKernels(b *testing.B) {
 	if len(asmKernels) == 0 {
 		b.Skip("no assembly kernel in this build or on this CPU")
 	}
 	rng := rand.New(rand.NewSource(51))
-	seen := map[[3]int]bool{}
+	seen := map[[4]int]bool{}
 	for _, n := range []int{5, 9} {
-		for dim := 2; dim <= 3; dim++ {
-			mul, abt := ShapesForOrder(n, dim)
-			for _, s := range append(mul, abt...) {
-				if seen[s] {
+		for dim := 2; dim <= 4; dim++ {
+			d, layered := dim, dim == 4
+			if layered {
+				d = 3
+			}
+			mul, abt := ShapesForOrder(n, d)
+			shapes := append(mul, abt...)
+			if layered {
+				shapes = mul
+			}
+			for _, s := range shapes {
+				n1, n2, n3, nl := s[0], s[1], s[2], 1
+				name := fmt.Sprintf("N%d/%dD/%dx%dx%d", n, d, n1, n2, n3)
+				if layered {
+					if n1 != n3 {
+						continue // a t-direction shape
+					}
+					nl = n2 // the layers of the field the s apply reads
+					name = fmt.Sprintf("N%d/3D-s/%dx%dx%dx%dlayers", n, n1, n2, n3, nl)
+				}
+				if seen[[4]int{n1, n2, n3, nl}] {
 					continue
 				}
-				seen[s] = true
-				n1, n2, n3 := s[0], s[1], s[2]
-				x, y, c := randMat(rng, n1*n2), randMat(rng, n2*n3), make([]float64, n1*n3)
-				b.Run(fmt.Sprintf("N%d/%dD/%dx%dx%d", n, dim, n1, n2, n3), func(b *testing.B) {
+				seen[[4]int{n1, n2, n3, nl}] = true
+				x, y, c := randMat(rng, n1*n2), randMat(rng, nl*n2*n3), make([]float64, nl*n1*n3)
+				b.Run(name, func(b *testing.B) {
 					const block = 64
 					elapsed := make([]time.Duration, len(asmKernels))
 					for i := 0; i < b.N; i++ {
 						for j, k := range asmKernels {
 							t0 := time.Now()
 							for r := 0; r < block; r++ {
-								k.mul(c, x, y, n1, n2, n3)
+								k.mul(c, x, y, n1, n2, n3, nl)
 							}
 							elapsed[j] += time.Since(t0)
 						}
@@ -296,7 +371,7 @@ func BenchmarkMulKernels(b *testing.B) {
 					for j, k := range asmKernels {
 						ns := float64(elapsed[j].Nanoseconds()) / float64(block*b.N)
 						b.ReportMetric(ns, k.name+"-ns/call")
-						b.ReportMetric(2*float64(n1*n2*n3)/ns, k.name+"-GFLOP/s")
+						b.ReportMetric(2*float64(nl*n1*n2*n3)/ns, k.name+"-GFLOP/s")
 					}
 				})
 			}

@@ -88,48 +88,62 @@ func MatMul(k MatMulKernel, c, a, b []float64, n1, n2, n3 int) {
 			Mul(c, a, b, n1, n2, n3)
 			return
 		}
-		asmMul(k == KernelAVX512, c, a, b, n1, n2, n3)
+		asmMul(k == KernelAVX512, c, a, b, n1, n2, n3, 1)
 	default:
 		MatMulIKJ(c, a, b, n1, n2, n3)
 	}
 }
 
-// Mul is the multiply used throughout the solvers: C = A*B. On amd64 every
-// non-empty product runs an assembly micro-kernel, vectorised across the
-// columns of C, multiply then add, no FMA: mulAVX512 where the CPU has
-// AVX-512F and VL (4-row tiles of one zmm per row for up to 8 columns, a zmm and a
-// masked zmm for up to 16, wider rows in 16-column chunks, opmasked tails),
-// mulAVX2 (2x8 tiles) where it has AVX2 only. Elsewhere the Go kernel
-// follows the calling shape (Sec. 6 / Table 3 of the paper) by one static
-// rule: the register-blocked kernel wherever its 2x4 tiles have work, the
-// saxpy ordering otherwise. All of them accumulate every output entry in one
+// Mul is the multiply used throughout the solvers: C = A*B, the one-layer
+// case of MulLayers.
+func Mul(c, a, b []float64, n1, n2, n3 int) { MulLayers(c, a, b, n1, n2, n3, 1) }
+
+// MulLayers computes C_k = A*B_k for the nl layers k < nl: B holds nl n2 x n3
+// matrices and C nl n1 x n3 ones, each one after the other, as the t layers
+// of a tensor-product field lie (tensor's s-direction apply is one call). On
+// amd64 every non-empty product runs an assembly micro-kernel, vectorised
+// across the columns of C, multiply then add, no FMA: mulAVX512 where the CPU
+// has AVX-512F and VL (4-row tiles of one zmm per row for up to 8 columns,
+// a zmm and a masked zmm for up to 16, wider rows in 16-column chunks,
+// opmasked tails; two layers per tile for rows of up to 12 columns), mulAVX2
+// (2x8 tiles, one layer at a time) where it has AVX2 only. Elsewhere the Go
+// kernel follows the calling shape (Sec. 6 / Table 3 of the paper) by one
+// static rule, layer by layer: the register-blocked kernel wherever its 2x4
+// tiles have work, the saxpy ordering otherwise. All of them accumulate every output entry in one
 // sequential chain over the contraction index, so the result is bitwise that
-// of MatMulNaive whatever the shape or the machine, and putting the AVX-512
-// kernel under Mul moved no golden digest; the reassociating f2/f3 kernels
-// are never eligible.
-func Mul(c, a, b []float64, n1, n2, n3 int) {
-	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 1 {
-		asmMul(useAVX512, c, a, b, n1, n2, n3)
+// of MatMulNaive whatever the shape, the layer count or the machine, and
+// putting the AVX-512 kernel under Mul moved no golden digest; the
+// reassociating f2/f3 kernels are never eligible.
+func MulLayers(c, a, b []float64, n1, n2, n3, nl int) {
+	if useAVX2 && n1 >= 1 && n2 >= 1 && n3 >= 1 && nl >= 1 {
+		asmMul(useAVX512, c, a, b, n1, n2, n3, nl)
 		return
 	}
-	if n1 >= 2 && n3 >= 4 {
-		MatMulBlocked(c, a, b, n1, n2, n3)
-		return
+	nc, nb := n1*n3, n2*n3
+	for k := 0; k < nl; k++ {
+		ck, bk := c[k*nc:(k+1)*nc], b[k*nb:(k+1)*nb]
+		if n1 >= 2 && n3 >= 4 {
+			MatMulBlocked(ck, a, bk, n1, n2, n3)
+		} else {
+			MatMulIKJ(ck, a, bk, n1, n2, n3)
+		}
 	}
-	MatMulIKJ(c, a, b, n1, n2, n3)
 }
 
-// asmMul runs mulAVX512 (avx512) or mulAVX2 on n1, n2, n3 >= 1, after the
-// only bounds checks the operands get: against the slices' lengths, not their
-// capacities, so a short operand inside a larger arena panics here instead of
-// being overrun there.
-func asmMul(avx512 bool, c, a, b []float64, n1, n2, n3 int) {
-	_, _, _ = c[n1*n3-1], a[n1*n2-1], b[n2*n3-1]
+// asmMul runs mulAVX512 (avx512) or mulAVX2, once per layer, on n1, n2, n3,
+// nl >= 1, after the only bounds checks the operands get: against the
+// slices' lengths, not their capacities, so a short operand inside a larger
+// arena panics here instead of being overrun there.
+func asmMul(avx512 bool, c, a, b []float64, n1, n2, n3, nl int) {
+	nc, nb := n1*n3, n2*n3
+	_, _, _ = c[nl*nc-1], a[n1*n2-1], b[nl*nb-1]
 	if avx512 {
-		mulAVX512(&c[0], &a[0], &b[0], n1, n2, n3)
+		mulAVX512(&c[0], &a[0], &b[0], n1, n2, n3, nl)
 		return
 	}
-	mulAVX2(&c[0], &a[0], &b[0], n1, n2, n3)
+	for k := 0; k < nl; k++ {
+		mulAVX2(&c[k*nc], &a[0], &b[k*nb], n1, n2, n3)
+	}
 }
 
 // MatMulNaive computes C = A*B with the textbook ijk loop order.
@@ -336,8 +350,8 @@ func ShapesForOrder(n, dim int) (mulShapes, abtShapes [][3]int) {
 			continue
 		}
 		// Apply on a k^3 field: ApplyR -> U·Aᵀ (k*k, k, m);
-		// ApplyS slabs -> Mul(m, k, m) (k slabs of the m x k x k field);
-		// ApplyT -> Mul(m, k, m*m).
+		// ApplyS -> MulLayers(m, k, m) over the k layers of the m x k x k
+		// field; ApplyT -> Mul(m, k, m*m).
 		addABt([3]int{k * k, k, m})
 		addMul([3]int{m, k, m})
 		addMul([3]int{m, k, m * m})

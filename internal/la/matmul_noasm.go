@@ -10,5 +10,5 @@ const (
 	useAVX512 = false
 )
 
-func mulAVX2(c, a, b *float64, n1, n2, n3 int)   { panic("la: mulAVX2 without AVX2") }
-func mulAVX512(c, a, b *float64, n1, n2, n3 int) { panic("la: mulAVX512 without AVX-512") }
+func mulAVX2(c, a, b *float64, n1, n2, n3 int)       { panic("la: mulAVX2 without AVX2") }
+func mulAVX512(c, a, b *float64, n1, n2, n3, nl int) { panic("la: mulAVX512 without AVX-512") }

@@ -202,6 +202,7 @@ type Solver struct {
 	divArena  []float64       // divergence diagnostics
 	rinArena  []float64       // deflated residual copy of the preconditioner
 	r0, x0    []float64       // coarse vertex residual and solution
+	vsums     []float64       // per owned element, its vertex sums (CoarseRestrictElems' scratch)
 	levelBuf  [][][]float64   // the current level, then hist
 	tilde     [][][]float64   // subintegrated levels ũ^{n-q}, one per BDF order
 	cgScratch *solver.Scratch
@@ -566,6 +567,7 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		s.rvArena, s.zvArena = vec(), vec()
 		s.r0 = make([]float64, m.NVert)
 		s.x0 = make([]float64, m.NVert)
+		s.vsums = make([]float64, len(s.elems)<<m.Dim)
 	}
 	s.work = make([]elemWork, workers)
 	for w := range s.work {

@@ -314,7 +314,7 @@ func (s *Solver) sandwich(out, r []float64, coarse bool) {
 		for i := range r0 {
 			r0[i] = 0
 		}
-		s.mach.Charge(0, s.pSchwarz.CoarseRestrictElems(r0, r, s.elems))
+		s.mach.Charge(0, s.pSchwarz.CoarseRestrictElems(r0, s.vsums, r, s.elems))
 		s.mach.CoarseSolve(s.x0, r0)
 		s.mach.Charge(0, s.pSchwarz.CoarseProlongElems(out, s.x0, s.elems))
 		s.mach.End(SecSchwarzCoarse, StepStats{})

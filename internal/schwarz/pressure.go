@@ -15,6 +15,7 @@ package schwarz
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fdm"
 	"repro/internal/fem"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/poly"
 	"repro/internal/sem"
+	"repro/internal/tensor"
 )
 
 // Pressure is the additive overlapping Schwarz preconditioner of E,
@@ -42,6 +44,7 @@ type Pressure struct {
 	facePres [][]int32     // per face: own pressure node next to each border entry
 	vc       *vertexCoarse
 	weights  [][]float64 // [corner][pressure node]: vertex weights at the Gauss points
+	wT       []float64   // npp x 2^dim: weights transposed, the vertex sums' operand
 }
 
 // NewPressure sets the preconditioner up on the mesh and gather–scatter
@@ -82,6 +85,7 @@ func NewPressure(d *sem.Disc) (*Pressure, error) {
 	}
 	p.vc = vc
 	p.weights = cornerWeights(m.Dim, zp)
+	p.wT = tensor.Transpose(slices.Concat(p.weights...), len(p.weights), p.npp)
 	return p, nil
 }
 
@@ -264,35 +268,32 @@ func (p *Pressure) CoarseSolve(x0, r0 []float64) int64 { return p.vc.solve(x0, r
 // CoarseRestrictElems accumulates R₀ r over the listed (global) elements
 // into the full vertex vector r0, r being their residual blocks in that
 // order. R₀ᵀ interpolates the vertex values to the Gauss points; pressure
-// nodes are unshared, so there is no multiplicity. Returns the flop count.
-func (p *Pressure) CoarseRestrictElems(r0, r []float64, elems []int) int64 {
+// nodes are unshared, so there is no multiplicity. Every element's vertex
+// sums are one product, acc = r Wᵀ with r the len(elems) x Npp matrix of the
+// blocks: each sum is the chain over the Gauss points from zero that a
+// per-corner loop makes. acc is caller scratch of length at least
+// len(elems)·2^dim; the pinned vertex's sums are computed and dropped.
+// Returns the flop count.
+func (p *Pressure) CoarseRestrictElems(r0, acc, r []float64, elems []int) int64 {
+	nc := len(p.weights)
+	la.Mul(acc, r, p.wT, len(elems), p.npp, nc)
 	for li, e := range elems {
-		re := r[li*p.npp : (li+1)*p.npp]
-		for c, w := range p.weights {
-			v := p.d.M.ElemVert[e][c]
-			if p.vc.dirich[v] {
-				continue
+		for c, v := range p.d.M.ElemVert[e][:nc] {
+			if !p.vc.dirich[v] {
+				r0[v] += acc[li*nc+c]
 			}
-			var s float64
-			for l, rl := range re {
-				s += w[l] * rl
-			}
-			r0[v] += s
 		}
 	}
-	return int64(2 * len(elems) * len(p.weights) * p.npp)
+	return int64(2 * len(elems) * nc * p.npp)
 }
 
-// CoarseProlongElems adds R₀ᵀ x0 into the listed elements' blocks of out.
-// Returns the flop count.
+// CoarseProlongElems adds R₀ᵀ x0 into the listed elements' blocks of out,
+// corner by corner. Returns the flop count.
 func (p *Pressure) CoarseProlongElems(out, x0 []float64, elems []int) int64 {
 	for li, e := range elems {
 		oe := out[li*p.npp : (li+1)*p.npp]
 		for c, w := range p.weights {
-			xv := x0[p.d.M.ElemVert[e][c]]
-			for l := range oe {
-				oe[l] += w[l] * xv
-			}
+			la.Axpy(x0[p.d.M.ElemVert[e][c]], w, oe)
 		}
 	}
 	return int64(2 * len(elems) * len(p.weights) * p.npp)

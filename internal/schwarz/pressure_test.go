@@ -2,6 +2,8 @@ package schwarz
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -65,6 +67,98 @@ func TestPressure1DBoundaryTreatment(t *testing.T) {
 			if s := rowSum(a, i); math.Abs(s) > 1e-12*a[i*n+i] {
 				t.Errorf("lo=%g hi=%g: own row %d sums to %g", tc.lo, tc.hi, i, s)
 			}
+		}
+	}
+}
+
+// The vertex term's restriction (one product over every listed element) and
+// prolongation (one Axpy per corner) are bit for bit the per-corner scalar
+// loops they replace, on a deformed 3-D box and a 2-D box, over the whole
+// mesh and over a scrambled subset of its elements such as a rank owns.
+func TestCoarseVertexTermMatchesPerCornerLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, tc := range []struct {
+		name string
+		spec *mesh.Spec
+		n    int
+	}{
+		{"hemisphere box (3-D, deformed)", mesh.HemisphereBox(mesh.HemisphereBoxSpec{Nx: 3, Ny: 2, Nz: 2, Lx: 3, Ly: 2, Lz: 1,
+			Cx: 1.5, Cy: 1, Radius: 0.4, Height: 0.2, WallRatio: 3}), 5},
+		{"box (2-D)", mesh.Box2D(mesh.Box2DSpec{Nx: 4, Ny: 3, X1: 2, Y1: 1, PeriodicX: true}), 6},
+	} {
+		m, err := mesh.Discretize(tc.spec, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPressure(sem.New(m, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, m.K)
+		for e := range all {
+			all[e] = e
+		}
+		subset := rng.Perm(m.K)[:m.K/2+1]
+		for _, elems := range [][]int{all, subset} {
+			r := make([]float64, len(elems)*p.npp)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			r0, want := make([]float64, m.NVert), make([]float64, m.NVert)
+			for v := range r0 {
+				r0[v] = rng.NormFloat64()
+				want[v] = r0[v]
+			}
+			for li, e := range elems {
+				re := r[li*p.npp : (li+1)*p.npp]
+				for c, w := range p.weights {
+					v := m.ElemVert[e][c]
+					if p.vc.dirich[v] {
+						continue
+					}
+					var s float64
+					for l, rl := range re {
+						s += w[l] * rl
+					}
+					want[v] += s
+				}
+			}
+			acc := make([]float64, len(elems)<<m.Dim)
+			flops := p.CoarseRestrictElems(r0, acc, r, elems)
+			if wantF := int64(2 * len(elems) * len(p.weights) * p.npp); flops != wantF {
+				t.Errorf("%s, %d elements: restriction charges %d flops, want %d", tc.name, len(elems), flops, wantF)
+			}
+			requireSameBits(t, tc.name+": restriction", r0, want)
+
+			x0 := make([]float64, m.NVert)
+			for v := range x0 {
+				x0[v] = rng.NormFloat64()
+			}
+			out := make([]float64, len(elems)*p.npp)
+			for i := range out {
+				out[i] = rng.NormFloat64()
+			}
+			wantOut := slices.Clone(out)
+			for li, e := range elems {
+				oe := wantOut[li*p.npp : (li+1)*p.npp]
+				for c, w := range p.weights {
+					xv := x0[m.ElemVert[e][c]]
+					for l := range oe {
+						oe[l] += w[l] * xv
+					}
+				}
+			}
+			p.CoarseProlongElems(out, x0, elems)
+			requireSameBits(t, tc.name+": prolongation", out, wantOut)
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d = %v, per-corner loop %v", what, i, got[i], want[i])
 		}
 	}
 }

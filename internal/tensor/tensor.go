@@ -16,7 +16,8 @@
 // direction applies (ApplyR, ApplyS, ApplyT) and one Apply serve both
 // dimensions. The slowest direction of a field (s in 2-D, t in 3-D) is a
 // single product over all faster points, ApplyT's, so every direction apply
-// of a 2-D field is one la.Mul.
+// of a 2-D field is one la.Mul; the s apply of a 3-D field is one
+// la.MulLayers call over its t layers.
 package tensor
 
 import "repro/internal/la"
@@ -41,13 +42,11 @@ func ApplyR(out, at, u []float64, mr, nr, ns, nt int) {
 	la.Mul(out, u, at, ns*nt, nr, mr)
 }
 
-// ApplyS applies B (ms x ns) along s of the nr x ns x nt field u: one product
-// Out = B U per t layer, a single one in 2-D. out has shape nr x ms x nt and
-// must not alias u.
+// ApplyS applies B (ms x ns) along s of the nr x ns x nt field u: the product
+// Out = B U of every t layer, in one la.MulLayers call. out has shape
+// nr x ms x nt and must not alias u.
 func ApplyS(out, b, u []float64, ms, ns, nr, nt int) {
-	for k := 0; k < nt; k++ {
-		la.Mul(out[k*ms*nr:(k+1)*ms*nr], b, u[k*ns*nr:(k+1)*ns*nr], ms, ns, nr)
-	}
+	la.MulLayers(out, b, u, ms, ns, nr, nt)
 }
 
 // ApplyT applies C (mt x nt) along t of the nr x ns x nt field u; out has

@@ -1,10 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/la"
 )
@@ -263,5 +265,41 @@ func TestApplyDimIsTheDirectionApply(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkDirectionApplies times the three direction applies of a square
+// operator on an n x n x n field at orders 5 and 9, taking turns in blocks
+// of 64 calls within one benchmark per order so a neighbour's load falls on
+// all three alike. Each does the same 2n^4 flops; each reports its ns/call.
+func BenchmarkDirectionApplies(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	for _, order := range []int{5, 9} {
+		n := order + 1
+		a, u, out := randSlice(rng, n*n), randSlice(rng, n*n*n), make([]float64, n*n*n)
+		applies := []struct {
+			name string
+			fn   func()
+		}{
+			{"r", func() { ApplyR(out, a, u, n, n, n, n) }},
+			{"s", func() { ApplyS(out, a, u, n, n, n, n) }},
+			{"t", func() { ApplyT(out, a, u, n, n, n, n) }},
+		}
+		b.Run(fmt.Sprintf("N%d", order), func(b *testing.B) {
+			const block = 64
+			elapsed := make([]time.Duration, len(applies))
+			for i := 0; i < b.N; i++ {
+				for j, ap := range applies {
+					t0 := time.Now()
+					for r := 0; r < block; r++ {
+						ap.fn()
+					}
+					elapsed[j] += time.Since(t0)
+				}
+			}
+			for j, ap := range applies {
+				b.ReportMetric(float64(elapsed[j].Nanoseconds())/float64(block*b.N), ap.name+"-ns/call")
+			}
+		})
 	}
 }

@@ -27,9 +27,10 @@
 #           a grep that comm declares one receive, Recv (the network queues
 #           each (source, tag) stream at its receiver); a grep that no
 #           non-test file but session's store makes a temp file or renames
-#           one (FSStore.Put is the one durable write); then the non-test
-#           line count per package (scripts/loc.sh), the source of the
-#           line-count claims in ROADMAP.md
+#           one (FSStore.Put is the one durable write); a gofmt -l over every
+#           tracked .go file (bench/ included), which must list nothing; then
+#           the non-test line count per package (scripts/loc.sh), the source
+#           of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
 #           -short; everything with concurrency (comm ranks, gs exchange,
@@ -169,6 +170,17 @@ onepath() {
     fi
 }
 
+# gofmt_clean — every Go file in the tree (tracked, or untracked and not
+# ignored, as the greps above see them) is as gofmt writes it.
+gofmt_clean() {
+    bad="$(git ls-files -z -co --exclude-standard -- '*.go' | xargs -0 gofmt -l)"
+    if [ -n "$bad" ]; then
+        echo "$bad"
+        echo "not gofmt-formatted: run gofmt -w on the files above" >&2
+        return 1
+    fi
+}
+
 tier1() {
     stage "tier1/build" go build ./...
     stage "tier1/test" go test ./...
@@ -182,6 +194,7 @@ tier1() {
     stage "tier1/onerecv" onerecv
     stage "tier1/onewrite" onewrite
     stage "tier1/onepath" onepath
+    stage "tier1/gofmt" gofmt_clean
     stage "tier1/loc" ./scripts/loc.sh
 }
 
