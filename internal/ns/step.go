@@ -74,12 +74,16 @@ func (s *Solver) Step() (st StepStats, err error) {
 	// Pressure gradient of p^{n-1} (incremental splitting).
 	s.GradientT(s.gp[:s.dim], s.P)
 	ustar := s.ustar
+	force := s.forcing(tNew)
 	for c := 0; c < s.dim; c++ {
-		s.viscousRHS(s.bArena[c], c, gamma, tilde, beta, tNew)
+		s.viscousRHS(s.bArena[c], c, gamma, tilde, beta, force[c])
 		// Dirichlet lifting: start from boundary values, solve the masked
 		// correction.
 		copy(ustar[c], s.U[c])
-		s.setDirichletComponent(ustar[c], c, tNew)
+	}
+	s.setDirichlet(ustar[:s.dim], tNew)
+	if force[0] != nil {
+		s.putBuf(force[:s.dim]...)
 	}
 	s.assemble(s.bArena[:s.dim], s.mask)
 	vstats := s.helmholtzSolve(ustar[:s.dim], solver.Options{
@@ -156,12 +160,10 @@ func (s *Solver) Step() (st StepStats, err error) {
 		}
 	}
 	if s.filter != nil {
-		for c, u := range s.next {
+		for _, u := range s.next {
 			s.applyFilter(u)
-			if c < s.dim {
-				s.setDirichletComponent(u, c, tNew)
-			}
 		}
+		s.setDirichlet(s.next[:s.dim], tNew)
 		s.charge(s.filtF.times(len(s.elems) * len(s.next)))
 		if s.history != nil {
 			for c := 0; c < s.dim; c++ {
@@ -239,19 +241,36 @@ func (s *Solver) Step() (st StepStats, err error) {
 	return st, nil
 }
 
+// forcing evaluates Cfg.Forcing once per node at time t into one pooled
+// buffer per velocity component (all nil without forcing); the caller
+// returns them with putBuf.
+func (s *Solver) forcing(t float64) (f [3][]float64) {
+	if s.Cfg.Forcing == nil {
+		return f
+	}
+	for c := 0; c < s.dim; c++ {
+		f[c] = s.getBuf()
+	}
+	for i := range f[0] {
+		fx, fy, fz := s.Cfg.Forcing(s.x[i], s.y[i], s.z[i], t)
+		v := [3]float64{fx, fy, fz}
+		for c := 0; c < s.dim; c++ {
+			f[c][i] = v[c]
+		}
+	}
+	return f
+}
+
 // viscousRHS fills b with component c's unassembled Helmholtz right-hand
-// side from the subintegrated levels: the BDF history term, forcing,
-// extrapolated buoyancy (the levels' scalar slot), and the lagged pressure
-// gradient (already in s.gp). Step assembles the components together.
-func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, tilde [][][]float64, beta, tNew float64) {
+// side from the subintegrated levels: the BDF history term, the forcing f
+// (nil: none), extrapolated buoyancy (the levels' scalar slot), and the
+// lagged pressure gradient (already in s.gp). Step assembles the components
+// together.
+func (s *Solver) viscousRHS(b []float64, c int, gamma []float64, tilde [][][]float64, beta float64, f []float64) {
 	cfg := s.Cfg
 	s.bdfHistory(b, c, gamma, tilde)
-	if cfg.Forcing != nil {
-		for i := range b {
-			fx, fy, fz := cfg.Forcing(s.x[i], s.y[i], s.z[i], tNew)
-			f := [3]float64{fx, fy, fz}
-			b[i] += s.b[i] * f[c]
-		}
+	if f != nil {
+		la.AddProd(b, s.b, f) // b += B⊙f
 	}
 	if cfg.Scalar != nil && cfg.Scalar.Buoyancy[c] != 0 {
 		// Explicit extrapolated buoyancy from the subintegrated scalar:
@@ -310,8 +329,9 @@ func (s *Solver) helmholtzSolve(us [][]float64, opt solver.Options) []solver.Sta
 	return s.cgStats[:m]
 }
 
-// setDirichletComponent writes the Dirichlet boundary value of component c.
-func (s *Solver) setDirichletComponent(u []float64, c int, t float64) {
+// setDirichlet writes the Dirichlet boundary values of the velocity
+// components us[c], one DirichletVal evaluation per masked node.
+func (s *Solver) setDirichlet(us [][]float64, t float64) {
 	if s.mask == nil || s.Cfg.DirichletVal == nil {
 		return
 	}
@@ -319,7 +339,9 @@ func (s *Solver) setDirichletComponent(u []float64, c int, t float64) {
 		if mk == 0 {
 			bu, bv, bw := s.Cfg.DirichletVal(s.x[i], s.y[i], s.z[i], t)
 			vals := [3]float64{bu, bv, bw}
-			u[i] = vals[c]
+			for c, u := range us {
+				u[i] = vals[c]
+			}
 		}
 	}
 }
