@@ -11,8 +11,8 @@ package la
 // Go loop below it runs. All have one VMULPD, VADDPD or VDIVPD per lane and
 // operation and none fuses a multiply into an add (no FMA), so every entry
 // is rounded exactly as the Go loop rounds it and the paths are bitwise
-// equal. Reductions (Dot, Nrm2) are not here: vector lanes would reassociate
-// their sums.
+// equal. The reductions (Dot, DotW, Sum) are in reduce.go: their lanes fix
+// an order of their own.
 
 // zmmMin is the shortest vector the zmm kernels take. A shorter one runs the
 // AVX2 kernel on an AVX-512 machine too: two zmm passes measured up to 6 %

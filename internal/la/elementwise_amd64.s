@@ -89,27 +89,10 @@ done: \
 	VZEROUPPER; \
 	RET
 
-// Three-operand kernels: dst, a, b in DI, SI, DX.
-#define ARGS3 \
-	MOVQ dst+0(FP), DI; \
-	MOVQ a+8(FP), SI; \
-	MOVQ b+16(FP), DX; \
-	MOVQ n+24(FP), CX
-
-// w, x, y in DI, SI, DX; alpha broadcast into A, Y8 for the AVX2 form and
-// Z8 for the AVX-512 one (their low lanes are Y8 and X8).
-#define ARGSAXPY(A) \
-	MOVQ w+0(FP), DI; \
-	MOVQ x+8(FP), SI; \
-	MOVQ y+16(FP), DX; \
-	VBROADCASTSD alpha+24(FP), A; \
-	MOVQ n+32(FP), CX
-
-// x in DI; alpha as above.
-#define ARGSSCALE(A) \
-	MOVQ x+0(FP), DI; \
-	VBROADCASTSD alpha+8(FP), A; \
-	MOVQ n+16(FP), CX
+// The arguments are loaded in each body, not by a macro, so that vet's
+// asmdecl pass checks their offsets against the Go declarations: dst, a, b
+// (w, x, y) in DI, SI, DX, n in CX, and alpha broadcast into Y8 for the AVX2
+// form and Z8 for the AVX-512 one (their low lanes are Y8 and X8).
 
 // dst = a*b
 #define PROD(off, R, A) VMOVUPD off(SI)(BX*8), R; VMULPD off(DX)(BX*8), R, R; VMOVUPD R, off(DI)(BX*8)
@@ -135,50 +118,79 @@ done: \
 
 // func prodAVX2(dst, a, b *float64, n int)
 TEXT ·prodAVX2(SB), NOSPLIT, $0-32
-	ARGS3
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 	SWEEP(PROD, PROD1)
 
 // func addProdAVX2(dst, a, b *float64, n int)
 TEXT ·addProdAVX2(SB), NOSPLIT, $0-32
-	ARGS3
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 	SWEEP(ADDPROD, ADDPROD1)
 
 // func quotAVX2(dst, a, b *float64, n int)
 TEXT ·quotAVX2(SB), NOSPLIT, $0-32
-	ARGS3
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 	SWEEP(QUOT, QUOT1)
 
 // func axpyAVX2(w, x, y *float64, alpha float64, n int)
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-40
-	ARGSAXPY(Y8)
+	MOVQ w+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	VBROADCASTSD alpha+24(FP), Y8
+	MOVQ n+32(FP), CX
 	SWEEP(AXPY, AXPY1)
 
 // func scaleAVX2(x *float64, alpha float64, n int)
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
-	ARGSSCALE(Y8)
+	MOVQ x+0(FP), DI
+	VBROADCASTSD alpha+8(FP), Y8
+	MOVQ n+16(FP), CX
 	SWEEP(SCALE, SCALE1)
 
 // func unscaleAVX2(x *float64, alpha float64, n int)
 TEXT ·unscaleAVX2(SB), NOSPLIT, $0-24
-	ARGSSCALE(Y8)
+	MOVQ x+0(FP), DI
+	VBROADCASTSD alpha+8(FP), Y8
+	MOVQ n+16(FP), CX
 	SWEEP(UNSCALE, UNSCALE1)
 
 // func prodAVX512(dst, a, b *float64, n int)
 TEXT ·prodAVX512(SB), NOSPLIT, $0-32
-	ARGS3
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 	ZSWEEP(PROD, PROD1)
 
 // func addProdAVX512(dst, a, b *float64, n int)
 TEXT ·addProdAVX512(SB), NOSPLIT, $0-32
-	ARGS3
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
 	ZSWEEP(ADDPROD, ADDPROD1)
 
 // func axpyAVX512(w, x, y *float64, alpha float64, n int)
 TEXT ·axpyAVX512(SB), NOSPLIT, $0-40
-	ARGSAXPY(Z8)
+	MOVQ w+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	VBROADCASTSD alpha+24(FP), Z8
+	MOVQ n+32(FP), CX
 	ZSWEEP(AXPY, AXPY1)
 
 // func scaleAVX512(x *float64, alpha float64, n int)
 TEXT ·scaleAVX512(SB), NOSPLIT, $0-24
-	ARGSSCALE(Z8)
+	MOVQ x+0(FP), DI
+	VBROADCASTSD alpha+8(FP), Z8
+	MOVQ n+16(FP), CX
 	ZSWEEP(SCALE, SCALE1)

@@ -138,3 +138,39 @@ func TestElementwiseOperandsEndOnGuardPage(t *testing.T) {
 		}
 	}
 }
+
+// Every reduction, through its wrapper and each assembly kernel directly, at
+// every length 1–100 (each tail length 0–31 after zero to three blocks),
+// with all three operands ending on a page boundary with an unreadable page
+// behind it: a tail that loads a whole register past the last entry faults
+// instead of passing.
+func TestReductionOperandsEndOnGuardPage(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const most = 100
+	px, py, pw := guardedPages(t, most), guardedPages(t, most), guardedPages(t, most)
+	tail := func(p []float64, n int) []float64 { return p[len(p)-n:] }
+	rng := rand.New(rand.NewSource(63))
+	for _, p := range redPaths {
+		for _, k := range redKernels {
+			for n := max(1, p.min); n <= most; n++ {
+				x, y, w := tail(px, n), tail(py, n), tail(pw, n)
+				redFill(rng, x, 50)
+				redFill(rng, y, 50)
+				redFill(rng, w, 50)
+				want := refReduce(n, func(i int) float64 { return k.term(x, y, w, i) })
+				var got float64
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s (%s) n=%d: %v", k.name, p.name, n, r)
+						}
+					}()
+					got = p.fn(k)(x, y, w)
+				}()
+				if !sameBits(got, want) {
+					t.Fatalf("%s (%s) n=%d: %v, spec %v", k.name, p.name, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -380,15 +380,6 @@ func MatVec(y, a, x []float64, m, n int) {
 	}
 }
 
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
 // Nrm2 returns the Euclidean norm of x.
 func Nrm2(x []float64) float64 {
 	var s float64

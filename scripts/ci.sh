@@ -3,9 +3,9 @@
 #
 #   tier1   go build + full test suite (the repo's acceptance gate); the la,
 #           tensor, ns, sem, solver, gs, fdm, schwarz, mesh and root packages
-#           again under -tags purego (the golden digests on the Go matmul and
-#           elementwise loops: bitwise parity with the AVX2 and AVX-512
-#           kernels, stated end to end, and the step's own tests on the loops
+#           again under -tags purego (the golden digests on the Go matmul,
+#           elementwise and reduction loops: bitwise parity with the AVX2 and
+#           AVX-512 kernels, stated end to end, and the step's own tests on the loops
 #           the kernels replace; fdm's solves, schwarz's subdomains and mesh's
 #           metrics run their tensor products through tensor on the Go matmul);
 #           a grep that no non-test Go file outside bench/ names a 2-D or 3-D
@@ -13,6 +13,9 @@
 #           ApplyS3D, ApplyT3D, Solver2D, Solver3D, New2D, New3D, WorkLen2D,
 #           WorkLen3D): a 2-D element is the one-layer case nt = 1 of the 3-D
 #           kernels, so each kernel exists once;
+#           an amd64 vet of la, whose asmdecl pass checks every assembly
+#           kernel's frame size and argument offsets against its Go
+#           declaration (the matmul, elementwise and reduction kernels);
 #           an arm64 cross-build and vet of la (the file set without the
 #           assembly compiles); a grep that no internal/la/*.s file fuses a
 #           multiply and an add (VFMADD, VFMSUB, VFNMADD, VFNMSUB): every
@@ -187,6 +190,7 @@ tier1() {
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor \
         ./internal/ns ./internal/sem ./internal/solver ./internal/gs \
         ./internal/fdm ./internal/schwarz ./internal/mesh .
+    stage "tier1/amd64vet" env GOARCH=amd64 go vet ./internal/la
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nofma" nofma
     stage "tier1/nopack" no_pack
