@@ -52,20 +52,20 @@ func fig6Distributed(quick bool) error {
 		ps = []int{2, 4}
 		steps = 2
 	}
-	// The standalone reference needs the same coarse operator the
-	// distributed run factors: build one serial solver and lift it out of
-	// the pressure preconditioner.
+	// The standalone reference solves the same coarse problem the
+	// distributed run does: build one serial solver and distribute the
+	// factor of its pressure preconditioner at every P.
 	scfg := cfg
 	scfg.Workers = 1
 	sv, err := ns.New(scfg)
 	if err != nil {
 		return fmt.Errorf("channel solver: %w", err)
 	}
-	a := sv.CoarseOperator()
-	if a == nil {
+	fac := sv.CoarseFactor()
+	if fac == nil {
 		return fmt.Errorf("the channel's pressure preconditioner has no coarse operator")
 	}
-	n := a.Rows
+	n := fac.N
 	b := normalVec(n, 7)
 	fmt.Printf("\nFig 6 (measured): coarse solves inside the distributed channel stepper\n")
 	fmt.Printf("(n=%d coarse dofs, %d steps; in-run = mean rank-0 coarse/xxt.solve span)\n", n, steps)
@@ -90,10 +90,7 @@ func fig6Distributed(quick bool) error {
 			continue
 		}
 		mean := sum / float64(cnt)
-		_, ranks, err := xxtRun(a, 0, 0, res.P, b, nil)
-		if err != nil {
-			return fmt.Errorf("XXT at P=%d: %w", res.P, err)
-		}
+		_, ranks := xxtRun(fac, res.P, b, nil)
 		tAlone := comm.MaxTime(ranks)
 		ratio := 0.0
 		if tAlone > 0 {

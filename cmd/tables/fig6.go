@@ -8,7 +8,6 @@ import (
 	"repro/internal/coarse"
 	"repro/internal/comm"
 	"repro/internal/instrument"
-	"repro/internal/la"
 )
 
 // fig6 reproduces the coarse-grid solver comparison: modeled ASCI-Red solve
@@ -28,8 +27,11 @@ func fig6(quick bool) error {
 		nx, ny := g[0], g[1]
 		n := nx * ny
 		fmt.Printf("\nFig 6: coarse-grid solve times, n=%d (%dx%d five-point Poisson)\n", n, nx, ny)
-		a := coarse.Poisson5pt(nx, ny)
-		b := normalVec(n, 7)
+		a, b := coarse.Poisson5pt(nx, ny), normalVec(n, 7)
+		fac, err := coarse.NewXXT(a, nx, ny)
+		if err != nil {
+			return fmt.Errorf("XXT factor, n=%d: %w", n, err)
+		}
 		fmt.Printf("%6s %12s %12s %12s %12s %10s %10s\n",
 			"P", "XXT", "red. LU", "dist. A^-1", "2*lat*logP", "xxt msgs", "xxt KB")
 		var lastNNZ, lastCross int
@@ -37,10 +39,7 @@ func fig6(quick bool) error {
 			m := comm.ASCIRed(p)
 			// XXT, with the measured traffic counters printed per row.
 			reg := instrument.New()
-			xxt, ranks, err := xxtRun(a, nx, ny, p, b, func(_ *coarse.XXT, net *comm.Network) { net.Attach(reg) })
-			if err != nil {
-				return fmt.Errorf("XXT at P=%d: %w", p, err)
-			}
+			xxt, ranks := xxtRun(fac, p, b, func(_ *coarse.Dist, net *comm.Network) { net.Attach(reg) })
 			tXXT := comm.MaxTime(ranks)
 			xxtMsgs := reg.Counter("comm/send.msgs").Value()
 			xxtKB := float64(reg.Counter("comm/send.bytes").Value()) / 1024
@@ -92,13 +91,14 @@ func fig6Timeline() error {
 	n := nx * ny
 	tr := instrument.NewTracer()
 	tr.DisableWallClock()
-	_, ranks, err := xxtRun(coarse.Poisson5pt(nx, ny), nx, ny, p, normalVec(n, 7), func(x *coarse.XXT, net *comm.Network) {
+	fac, err := coarse.NewXXT(coarse.Poisson5pt(nx, ny), nx, ny)
+	if err != nil {
+		return fmt.Errorf("XXT factor, n=%d: %w", n, err)
+	}
+	_, ranks := xxtRun(fac, p, normalVec(n, 7), func(x *coarse.Dist, net *comm.Network) {
 		x.AttachTracer(tr)
 		net.AttachTracer(tr)
 	})
-	if err != nil {
-		return fmt.Errorf("XXT at P=%d: %w", p, err)
-	}
 	maxUS := comm.MaxTime(ranks) * 1e6
 	const cols = 64
 	rows := make([][]byte, p)
@@ -136,20 +136,16 @@ func fig6Timeline() error {
 	return nil
 }
 
-// xxtRun factors a by XXT over P ranks (nx, ny: the grid of a five-point
-// operator, 0 for any other), permutes b into the factor's ordering, and
-// solves once on a fresh ASCI-Red network of P ranks. attach, when not nil,
-// wires the caller's registry or tracer into the factor and the network
-// before the solve. It returns the factor and the network's ranks.
-func xxtRun(a *la.CSR, nx, ny, p int, b []float64, attach func(*coarse.XXT, *comm.Network)) (*coarse.XXT, []*comm.Rank, error) {
-	xxt, err := coarse.NewXXT(a, nx, ny, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	inv := la.InvPerm(xxt.Perm)
+// xxtRun distributes the factor fac over P ranks, permutes b into its
+// ordering, and solves once on a fresh ASCI-Red network of P ranks. attach,
+// when not nil, wires the caller's registry or tracer into the distributed
+// factor and the network before the solve. It returns the distributed
+// factor and the network's ranks.
+func xxtRun(fac *coarse.XXT, p int, b []float64, attach func(*coarse.Dist, *comm.Network)) (*coarse.Dist, []*comm.Rank) {
+	xxt := fac.Distribute(p)
 	bp := make([]float64, len(b))
 	for old, v := range b {
-		bp[inv[old]] = v
+		bp[xxt.InvPerm[old]] = v
 	}
 	net := comm.NewNetwork(comm.ASCIRed(p))
 	if attach != nil {
@@ -158,7 +154,7 @@ func xxtRun(a *la.CSR, nx, ny, p int, b []float64, attach func(*coarse.XXT, *com
 	ranks := net.Run(func(r *comm.Rank) {
 		xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
 	})
-	return xxt, ranks, nil
+	return xxt, ranks
 }
 
 // normalVec returns n standard normal draws from seed: a coarse right-hand

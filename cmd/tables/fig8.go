@@ -56,7 +56,11 @@ func fig8(quick bool) error {
 func fig8TraceCheck(quick bool) error {
 	const nx, ny = 63, 63
 	n := nx * ny
-	a, b := coarse.Poisson5pt(nx, ny), normalVec(n, 11)
+	fac, err := coarse.NewXXT(coarse.Poisson5pt(nx, ny), nx, ny)
+	if err != nil {
+		return fmt.Errorf("XXT factor, n=%d: %w", n, err)
+	}
+	b := normalVec(n, 11)
 	ps := []int{16, 64, 256}
 	if quick {
 		ps = []int{16, 64}
@@ -67,10 +71,7 @@ func fig8TraceCheck(quick bool) error {
 	for _, p := range ps {
 		tr := instrument.NewTracer()
 		tr.DisableWallClock()
-		_, ranks, err := xxtRun(a, nx, ny, p, b, func(_ *coarse.XXT, net *comm.Network) { net.AttachTracer(tr) })
-		if err != nil {
-			return fmt.Errorf("XXT at P=%d: %w", p, err)
-		}
+		_, ranks := xxtRun(fac, p, b, func(_ *coarse.Dist, net *comm.Network) { net.AttachTracer(tr) })
 		colls, traced, modeled, ratio := rank0Allreduce(tr, p)
 		fmt.Printf("%6d %6d %14.3e %14.3e %8.2f %12.3e\n",
 			p, colls, modeled, traced, ratio, comm.MaxTime(ranks))

@@ -71,8 +71,8 @@ func record(cfg ns.Config, init flowcases.InitFunc, p, steps int) (*reducedRun, 
 	}
 	tmpl := s.Template()
 	run := &reducedRun{at: shape{dim: tmpl.M.Dim, k: tmpl.M.K, n: tmpl.M.N, p: p}}
-	if a := tmpl.CoarseOperator(); a != nil {
-		run.at.coarse = a.Rows
+	if fac := tmpl.CoarseFactor(); fac != nil {
+		run.at.coarse = fac.N
 	}
 	exch := reg.Timer("gs/exchange.vtime")
 	msgs, words := reg.Counter("gs/exchange.msgs"), reg.Counter("gs/exchange.words")

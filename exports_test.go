@@ -33,7 +33,6 @@ var referenceOnly = map[string]string{
 	"sem.Disc.BuildAssembledCSR": "sem TestBuildAssembledCSRMatchesMatrixFree: the assembled operator the matrix-free one must equal",
 	"sem.Disc.GatherGlobal":      "sem TestBuildAssembledCSRMatchesMatrixFree: element-local to global nodes",
 	"sem.Disc.ScatterGlobal":     "sem TestBuildAssembledCSRMatchesMatrixFree: global nodes to element-local",
-	"coarse.XXT.SolveSerial":     "coarse TestXXTDistributedMatchesSerial: the serial solve the distributed one must equal",
 	"partition.RCB":              "partition TestRSBOnSEMMesh: the baseline RSB is measured against",
 	"partition.Sizes":            "partition TestRSBBalanced and friends (checkBalance): part sizes",
 	"ns.Solver.ApplyPrecond":     "parrun TestSchwarzApplicationMatchesSerialOnRanks: the serial preconditioner the ranks' must equal",

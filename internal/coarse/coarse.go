@@ -1,12 +1,15 @@
 // Package coarse implements the paper's parallel coarse-grid solvers
-// (Sec. 5, Fig. 6). The workhorse is the Tufo–Fischer XXT method: a sparse
-// A-conjugate basis X (Xᵀ A X = I, so A⁻¹ = X Xᵀ) obtained from a
-// nested-dissection sparse Cholesky (X = L⁻ᵀ), distributed column-wise so
-// the solve is a pair of fully concurrent matrix-vector products plus one
-// log₂P-depth combine restricted to the separator-crossing columns — total
-// communication volume O(n^{(d-1)/d} log₂ P), against the O(n log₂ P) of
-// the redundant banded-LU and row-distributed A⁻¹ baselines it is compared
-// with in Fig. 6.
+// (Sec. 5, Fig. 6) and owns the one factorisation of a coarse problem. The
+// workhorse is the Tufo–Fischer XXT method: a sparse A-conjugate basis X
+// (Xᵀ A X = I, so A⁻¹ = X Xᵀ) obtained from a nested-dissection sparse
+// Cholesky factor L (X = L⁻ᵀ). NewXXT orders and factors A once; the serial
+// machine solves through L's triangular solves (XXT.Solve, the fewer flops on
+// one processor), and Distribute splits the same X column-wise over P ranks,
+// where the solve is a pair of fully concurrent matrix-vector products plus
+// one log₂P-depth combine restricted to the separator-crossing columns —
+// total communication volume O(n^{(d-1)/d} log₂ P), against the O(n log₂ P)
+// of the redundant banded-LU and row-distributed A⁻¹ baselines it is
+// compared with in Fig. 6.
 package coarse
 
 import (
@@ -46,52 +49,28 @@ func Poisson5pt(nx, ny int) *la.CSR {
 	return b.ToCSR()
 }
 
-// XXT is the factorized coarse solver, set up once and shared (read-only)
-// by all simulated ranks.
+// XXT is a factored coarse problem, set up once and shared read-only: the
+// nested-dissection order of A, its sparse Cholesky factor L (A permuted to
+// that order is L Lᵀ) and X = L⁻ᵀ. The serial machine solves through L
+// (Solve); Distribute splits X over P ranks for the distributed solve.
 type XXT struct {
-	N    int
-	P    int
-	Perm []int // nested-dissection permutation, perm[new] = old
+	N       int
+	Perm    []int // nested-dissection permutation, perm[new] = old
+	InvPerm []int // its inverse, inv[old] = new
 
-	x *la.SparseCols // X = L⁻ᵀ in permuted index space
-
-	BlockLo []int // dof-block [BlockLo[p], BlockHi[p]) per rank (permuted ids)
-	BlockHi []int
-
-	// Column classification: columns whose support stays inside the owning
-	// rank's block are "local"; the rest are "cross" and participate in the
-	// log P combine.
-	crossOf   []int // column -> compact cross index, -1 if local
-	CrossCols []int // cross column ids
-	ownerOf   []int // column -> owning rank (the rank owning dof j)
+	chol *la.SparseChol
+	x    *la.SparseCols // X = L⁻ᵀ in permuted index space
 
 	// FactorSeconds is the wall-clock time of ordering + factorization +
 	// inverse-factor formation in NewXXT (the setup half of the paper's
 	// solve/factor split).
 	FactorSeconds float64
-
-	solveTime  *instrument.Timer  // nil = off; accumulated per-rank solve time
-	solveVTime *instrument.Timer  // nil = off; virtual seconds per SolveOn, summed over ranks
-	tracer     *instrument.Tracer // nil = off; per-solve spans
 }
-
-// Attach wires the solve timer into reg and records the one-off factor
-// cost as a gauge; a nil registry detaches.
-func (s *XXT) Attach(reg *instrument.Registry) {
-	s.solveTime = reg.Timer("coarse/xxt.solve")
-	s.solveVTime = reg.Timer("coarse/xxt.vtime")
-	reg.Gauge("coarse/xxt.factor_seconds").Set(s.FactorSeconds)
-	reg.Gauge("coarse/xxt.cross_cols").Set(float64(len(s.CrossCols)))
-}
-
-// AttachTracer makes every solve emit a span — virtual-clock on the calling
-// rank's track for SolveOn, wall-clock for SolveSerial; nil detaches.
-func (s *XXT) AttachTracer(tr *instrument.Tracer) { s.tracer = tr }
 
 // NewXXT orders the SPD matrix with nested dissection (grid-aware when
-// nx*ny == a.Rows and nx > 0), factorizes it, forms the sparse inverse
-// factor, and partitions the permuted dofs into p contiguous blocks.
-func NewXXT(a *la.CSR, nx, ny, p int) (*XXT, error) {
+// nx*ny == a.Rows and nx > 0), factorizes it and forms the sparse inverse
+// factor.
+func NewXXT(a *la.CSR, nx, ny int) (*XXT, error) {
 	tFactor := time.Now()
 	n := a.Rows
 	var perm []int
@@ -112,12 +91,57 @@ func NewXXT(a *la.CSR, nx, ny, p int) (*XXT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coarse: XXT factorization: %w", err)
 	}
-	s := &XXT{N: n, P: p, Perm: perm, x: chol.InverseTransposeCols()}
-	s.BlockLo = make([]int, p)
-	s.BlockHi = make([]int, p)
+	s := &XXT{N: n, Perm: perm, InvPerm: la.InvPerm(perm), chol: chol, x: chol.InverseTransposeCols()}
+	s.FactorSeconds = time.Since(tFactor).Seconds()
+	return s, nil
+}
+
+// Solve computes x = A⁻¹ b (natural ordering) by L's two triangular solves
+// in the factor's order, with rp (length N) as scratch, and returns the flop
+// count, 4·nnz(L). This is the serial machine's solve: L has fewer nonzeros
+// than X, so it is the cheaper of the two on one processor.
+func (s *XXT) Solve(x, b, rp []float64) int64 {
+	inv := s.InvPerm
+	for old, v := range b {
+		rp[inv[old]] = v
+	}
+	s.chol.Solve(rp, rp)
+	for old := range x {
+		x[old] = rp[inv[old]]
+	}
+	return int64(4 * s.chol.NNZ())
+}
+
+// NNZ returns the stored size of the inverse factor X.
+func (s *XXT) NNZ() int { return s.x.NNZ() }
+
+// Dist is X distributed over P ranks: rank r holds the rows
+// [BlockLo[r], BlockHi[r]) of the permuted dofs. A column whose support stays
+// inside its owner's block is local; the rest are cross columns, combined by
+// the solve's one log₂P allreduce. Every rank reads the one Dist.
+type Dist struct {
+	*XXT
+
+	BlockLo []int // dof-block [BlockLo[p], BlockHi[p]) per rank (permuted ids)
+	BlockHi []int
+
+	crossOf   []int // column -> compact cross index, -1 if local
+	CrossCols []int // cross column ids
+	ownerOf   []int // column -> owning rank (the rank owning dof j)
+
+	solveTime  *instrument.Timer  // nil = off; accumulated per-rank solve time
+	solveVTime *instrument.Timer  // nil = off; virtual seconds per SolveOn, summed over ranks
+	tracer     *instrument.Tracer // nil = off; per-solve spans
+}
+
+// Distribute partitions the permuted dofs into p contiguous blocks and
+// classifies X's columns by them. The factor is shared, not copied.
+func (s *XXT) Distribute(p int) *Dist {
+	n := s.N
+	d := &Dist{XXT: s, BlockLo: make([]int, p), BlockHi: make([]int, p)}
 	for r := 0; r < p; r++ {
-		s.BlockLo[r] = r * n / p
-		s.BlockHi[r] = (r + 1) * n / p
+		d.BlockLo[r] = r * n / p
+		d.BlockHi[r] = (r + 1) * n / p
 	}
 	rankOf := func(i int) int {
 		// Blocks are near-uniform; locate by division then fix up.
@@ -125,77 +149,48 @@ func NewXXT(a *la.CSR, nx, ny, p int) (*XXT, error) {
 		if r >= p {
 			r = p - 1
 		}
-		for i < s.BlockLo[r] {
+		for i < d.BlockLo[r] {
 			r--
 		}
-		for i >= s.BlockHi[r] {
+		for i >= d.BlockHi[r] {
 			r++
 		}
 		return r
 	}
-	s.crossOf = make([]int, n)
-	s.ownerOf = make([]int, n)
+	d.crossOf = make([]int, n)
+	d.ownerOf = make([]int, n)
 	for j := 0; j < n; j++ {
-		s.ownerOf[j] = rankOf(j)
+		d.ownerOf[j] = rankOf(j)
 		idx := s.x.Idx[j]
-		s.crossOf[j] = -1
+		d.crossOf[j] = -1
 		if len(idx) == 0 {
 			continue
 		}
 		lo, hi := int(idx[0]), int(idx[len(idx)-1])
 		if rankOf(lo) != rankOf(hi) {
-			s.crossOf[j] = len(s.CrossCols)
-			s.CrossCols = append(s.CrossCols, j)
+			d.crossOf[j] = len(d.CrossCols)
+			d.CrossCols = append(d.CrossCols, j)
 		}
 	}
-	s.FactorSeconds = time.Since(tFactor).Seconds()
-	return s, nil
+	return d
 }
 
-// NNZ returns the stored size of the inverse factor.
-func (s *XXT) NNZ() int { return s.x.NNZ() }
+// Attach wires the solve timers into reg and records the one-off factor
+// cost as a gauge; a nil registry detaches.
+func (s *Dist) Attach(reg *instrument.Registry) {
+	s.solveTime = reg.Timer("coarse/xxt.solve")
+	s.solveVTime = reg.Timer("coarse/xxt.vtime")
+	reg.Gauge("coarse/xxt.factor_seconds").Set(s.FactorSeconds)
+	reg.Gauge("coarse/xxt.cross_cols").Set(float64(len(s.CrossCols)))
+}
+
+// AttachTracer makes every SolveOn emit a virtual-clock span on the calling
+// rank's track; nil detaches.
+func (s *Dist) AttachTracer(tr *instrument.Tracer) { s.tracer = tr }
 
 // CrossCount returns the number of separator-crossing columns (the combine
 // payload per log P stage, ≈ 3·n^{1/2} in 2D).
-func (s *XXT) CrossCount() int { return len(s.CrossCols) }
-
-// SolveSerial computes u = A⁻¹ b (natural ordering) through the factor, for
-// reference and testing.
-func (s *XXT) SolveSerial(b []float64) []float64 {
-	t0 := s.solveTime.Begin()
-	defer s.solveTime.End(t0)
-	sp := s.tracer.Begin(instrument.PidWall, 0, "coarse/xxt.solve", "coarse")
-	defer sp.End()
-	n := s.N
-	bp := make([]float64, n)
-	inv := la.InvPerm(s.Perm)
-	for old := 0; old < n; old++ {
-		bp[inv[old]] = b[old]
-	}
-	z := make([]float64, n)
-	for j := 0; j < n; j++ {
-		var sum float64
-		for k, i := range s.x.Idx[j] {
-			sum += s.x.Val[j][k] * bp[i]
-		}
-		z[j] = sum
-	}
-	up := make([]float64, n)
-	for j := 0; j < n; j++ {
-		v := z[j]
-		if v == 0 {
-			continue
-		}
-		for k, i := range s.x.Idx[j] {
-			up[i] += s.x.Val[j][k] * v
-		}
-	}
-	u := make([]float64, n)
-	for old := 0; old < n; old++ {
-		u[old] = up[inv[old]]
-	}
-	return u
-}
+func (s *Dist) CrossCount() int { return len(s.CrossCols) }
 
 // SolveWork is the per-rank scratch of SolveOn, reusable across calls so
 // the steady-state coarse solve allocates nothing. Each simulated rank
@@ -208,7 +203,7 @@ type SolveWork struct {
 }
 
 // NewSolveWork sizes a SolveWork for the given rank's block.
-func (s *XXT) NewSolveWork(rank int) *SolveWork {
+func (s *Dist) NewSolveWork(rank int) *SolveWork {
 	return &SolveWork{
 		zCross:  make([]float64, len(s.CrossCols)),
 		zLocalJ: make([]int, 0, s.N/max(len(s.BlockLo), 1)+1),
@@ -222,14 +217,14 @@ func (s *XXT) NewSolveWork(rank int) *SolveWork {
 // (b[BlockLo[r]:BlockHi[r]]); the rank's block of the solution is returned.
 // Local floating-point work is charged to the rank's virtual clock; the
 // combine over the cross columns is a real recursive-doubling allreduce.
-func (s *XXT) SolveOn(r *comm.Rank, bLocal []float64) []float64 {
+func (s *Dist) SolveOn(r *comm.Rank, bLocal []float64) []float64 {
 	return s.SolveOnW(r, bLocal, nil)
 }
 
 // SolveOnW is SolveOn with caller-owned scratch (nil allocates fresh
 // buffers, reproducing SolveOn). The returned slice aliases w.u and is
 // valid until the next call with the same work.
-func (s *XXT) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
+func (s *Dist) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
 	t0 := s.solveTime.Begin()
 	defer s.solveTime.End(t0)
 	v0 := r.Time

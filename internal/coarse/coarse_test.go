@@ -32,11 +32,12 @@ func TestXXTSerialMatchesCholesky(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	xxt, err := NewXXT(a, 13, 11, 4)
+	xxt, err := NewXXT(a, 13, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := xxt.SolveSerial(b)
+	got := make([]float64, n)
+	xxt.Solve(got, b, make([]float64, n))
 	want := refSolve(t, a, b)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -53,14 +54,16 @@ func TestXXTDistributedMatchesSerial(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
+	fac, err := NewXXT(a, 15, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, n)
+	fac.Solve(want, b, make([]float64, n))
+	inv := fac.InvPerm
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		xxt, err := NewXXT(a, 15, 15, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := xxt.SolveSerial(b)
+		xxt := fac.Distribute(p)
 		// Permute b into block layout.
-		inv := la.InvPerm(xxt.Perm)
 		bp := make([]float64, n)
 		for old := 0; old < n; old++ {
 			bp[inv[old]] = b[old]
@@ -85,14 +88,15 @@ func TestXXTCrossCountScalesLikeSqrtN(t *testing.T) {
 	p := 16
 	a1 := Poisson5pt(31, 31)
 	a2 := Poisson5pt(63, 63)
-	x1, err := NewXXT(a1, 31, 31, p)
+	f1, err := NewXXT(a1, 31, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := NewXXT(a2, 63, 63, p)
+	f2, err := NewXXT(a2, 63, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x1, x2 := f1.Distribute(p), f2.Distribute(p)
 	r1 := float64(x1.CrossCount())
 	r2 := float64(x2.CrossCount())
 	// n grows ~4x; cross count should grow well under 3x (≈2x).
@@ -177,17 +181,17 @@ func TestFig6TimeOrderingAtScale(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
+	fac, err := NewXXT(a, nx, nx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := make([]float64, n)
+	for old := 0; old < n; old++ {
+		bp[fac.InvPerm[old]] = b[old]
+	}
 	times := func(p int) (txxt, tlu, tdi float64) {
 		m := comm.ASCIRed(p)
-		xxt, err := NewXXT(a, nx, nx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv := la.InvPerm(xxt.Perm)
-		bp := make([]float64, n)
-		for old := 0; old < n; old++ {
-			bp[inv[old]] = b[old]
-		}
+		xxt := fac.Distribute(p)
 		rs := comm.NewNetwork(m).Run(func(r *comm.Rank) {
 			xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
 		})

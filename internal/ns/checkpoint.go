@@ -80,7 +80,10 @@ func copyLevel(fields [][]float64) [][]float64 {
 // Restore replaces the solver's time-stepping state with a deep copy of a
 // snapshot taken from an identically configured solver owning the same
 // elements. The next Step continues bitwise identically to the run the
-// snapshot was taken from.
+// snapshot was taken from. A snapshot the next Step could not read — more
+// history levels than the BDF order keeps, a projection basis longer than
+// the solver's L or unpaired with its images, a vector of the wrong length —
+// is refused and leaves the solver as it was.
 func (s *Solver) Restore(c *Checkpoint) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("ns: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
@@ -95,6 +98,9 @@ func (s *Solver) Restore(c *Checkpoint) error {
 	if err := s.checkLevel(c.Fields); err != nil {
 		return err
 	}
+	if keep := c.Order - 1; len(c.Hist) > keep {
+		return fmt.Errorf("ns: checkpoint has %d history levels, BDF order %d keeps %d", len(c.Hist), c.Order, keep)
+	}
 	for _, h := range c.Hist {
 		if err := s.checkLevel(h); err != nil {
 			return err
@@ -102,6 +108,9 @@ func (s *Solver) Restore(c *Checkpoint) error {
 	}
 	if len(c.P) != len(s.P) {
 		return fmt.Errorf("ns: checkpoint pressure length %d, want %d", len(c.P), len(s.P))
+	}
+	if err := s.checkBasis(c.ProjXs, c.ProjAxs); err != nil {
+		return err
 	}
 	for i, u := range c.Fields {
 		copy(s.fields[i], u)
@@ -128,6 +137,28 @@ func (s *Solver) checkLevel(fields [][]float64) error {
 	for _, u := range fields {
 		if len(u) != s.n {
 			return fmt.Errorf("ns: checkpoint field length %d, want %d (element ownership drift)", len(u), s.n)
+		}
+	}
+	return nil
+}
+
+// checkBasis checks a snapshot's projection basis against the solver's
+// projector: as many images as vectors, at most L of each (none without
+// projection), every one pressure-length.
+func (s *Solver) checkBasis(xs, axs [][]float64) error {
+	if len(xs) != len(axs) {
+		return fmt.Errorf("ns: checkpoint projection basis has %d vectors and %d images", len(xs), len(axs))
+	}
+	l := 0
+	if s.projector != nil {
+		l = s.projector.L
+	}
+	if len(xs) > l {
+		return fmt.Errorf("ns: checkpoint projection basis of %d vectors, solver keeps at most %d", len(xs), l)
+	}
+	for k := range xs {
+		if len(xs[k]) != len(s.P) || len(axs[k]) != len(s.P) {
+			return fmt.Errorf("ns: checkpoint projection vector %d has length %d/%d, want %d", k, len(xs[k]), len(axs[k]), len(s.P))
 		}
 	}
 	return nil

@@ -126,3 +126,48 @@ func TestCheckpointShapeGuard(t *testing.T) {
 		t.Fatal("Restore accepted a wrong-version snapshot")
 	}
 }
+
+// TestRestoreRefusesUnreadableSnapshot: each snapshot below was accepted once
+// and panicked the next Step (or Restore itself). Restore must refuse it with
+// an error and leave the solver stepping as before.
+func TestRestoreRefusesUnreadableSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		l    int // the restoring solver's projection basis size
+		edit func(ck *Checkpoint)
+	}{
+		{"history past order", 8, func(ck *Checkpoint) {
+			for range 4 {
+				ck.Hist = append(ck.Hist, ck.Hist[0])
+			}
+		}},
+		{"basis past L", 1, func(ck *Checkpoint) {}},
+		{"images unpaired", 8, func(ck *Checkpoint) { ck.ProjAxs = ck.ProjAxs[:len(ck.ProjAxs)-1] }},
+		{"short basis vector", 8, func(ck *Checkpoint) { ck.ProjXs[0] = ck.ProjXs[0][:3] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := checkpointSolver(t, 2)
+			defer src.Close()
+			stepStats(t, src, 3)
+			ck := src.Checkpoint()
+			if len(ck.Hist) != 1 || len(ck.ProjXs) < 2 {
+				t.Fatalf("snapshot after 3 steps has %d history levels and %d basis vectors, want 1 and >= 2", len(ck.Hist), len(ck.ProjXs))
+			}
+			c.edit(ck)
+
+			s, err := New(Config{Mesh: src.M, Re: 1e4, Dt: 0.002, Order: 2,
+				FilterAlpha: 0.2, ProjectionL: c.l, PTol: 1e-7, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Restore(ck); err == nil {
+				t.Error("Restore accepted the snapshot")
+			}
+			if s.StepCount() != 0 {
+				t.Errorf("a refused Restore moved the step count to %d", s.StepCount())
+			}
+			stepStats(t, s, 1)
+		})
+	}
+}

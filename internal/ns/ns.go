@@ -19,9 +19,9 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/coarse"
 	"repro/internal/gs"
 	"repro/internal/instrument"
-	"repro/internal/la"
 	"repro/internal/mesh"
 	"repro/internal/poly"
 	"repro/internal/schwarz"
@@ -702,12 +702,12 @@ func (s *Solver) PressurePre() *schwarz.Precond {
 	return s.ladderPre
 }
 
-// CoarseOperator returns the pinned vertex-mesh operator A₀ of the Schwarz
-// coarse term, which a distributed run factors by XXT (nil when no Schwarz
-// variant was built).
-func (s *Solver) CoarseOperator() *la.CSR {
+// CoarseFactor returns the factor of the pinned vertex-mesh operator A₀ of
+// the Schwarz coarse term, which a distributed run splits over its ranks
+// (nil when no Schwarz variant was built).
+func (s *Solver) CoarseFactor() *coarse.XXT {
 	if s.pSchwarz == nil {
 		return nil
 	}
-	return s.pSchwarz.CoarseOperator()
+	return s.pSchwarz.CoarseFactor()
 }

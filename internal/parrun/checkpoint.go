@@ -77,8 +77,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint: %d rank states for P=%d", len(c.Ranks), c.P)
 	}
 	for q := range c.Ranks {
-		if c.Ranks[q].State == nil {
+		st, st0 := c.Ranks[q].State, c.Ranks[0].State
+		if st == nil || st0 == nil {
 			return nil, fmt.Errorf("checkpoint: rank %d has no state", q)
+		}
+		// Ranks step in lockstep: one that disagrees on where the run stands
+		// would wait in a collective the others never enter.
+		if st.Step != st0.Step || st.Time != st0.Time || len(st.Hist) != len(st0.Hist) || len(st.ProjXs) != len(st0.ProjXs) {
+			return nil, fmt.Errorf("checkpoint: rank %d's step, time, history or projection basis differs from rank 0's", q)
 		}
 	}
 	return &c, nil

@@ -3,6 +3,7 @@ package parrun
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,5 +287,15 @@ func TestCheckpointValidation(t *testing.T) {
 	old := &Checkpoint{Version: 2, Ranks: []RankCheckpoint{{State: ck.Ranks[0].State}}}
 	if _, err := roundTrip(t, old); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Errorf("version-2 snapshot accepted (err: %v)", err)
+	}
+
+	// Ranks that disagree on the step would step different counts and wait
+	// in collectives the others never enter: the read refuses them.
+	ahead := *ck.Ranks[1].State
+	ahead.Step++
+	drift := &Checkpoint{Version: ck.Version, P: ck.P, Ranks: slices.Clone(ck.Ranks)}
+	drift.Ranks[1].State = &ahead
+	if _, err := roundTrip(t, drift); err == nil || !strings.Contains(err.Error(), "differs from rank 0") {
+		t.Errorf("snapshot with ranks at different steps accepted (err: %v)", err)
 	}
 }

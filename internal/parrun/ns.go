@@ -5,19 +5,21 @@ package parrun
 // internal/ns, written once over the ns.Machine seam; this file is the other
 // side of that seam and the driver around it. Start builds the serial solver
 // once as the read-only operator template, partitions the elements by
-// recursive spectral bisection, factors the distributed XXT coarse solver,
-// and sets one goroutine rank per part up; each rank forks the template into
-// state sized by its own elements. StepN runs a batch of steps, every rank
-// calling ns.Solver.Step on a rankMachine, whose methods are the distributed
-// gather–scatter, scalar allreduces, the virtual clock and the XXT vertex
-// solve — the per-step traffic of the paper's Figs. 6 and 8. Between batches
-// no goroutine is alive: the ranks persist in the comm.Network and their
-// solvers in the Stepper, so a snapshot is a plain read (Checkpoint). A P-rank run differs from the shared-memory stepper
+// recursive spectral bisection, splits the template's XXT coarse factor over
+// the ranks, and sets one goroutine rank per part up; each rank forks the
+// template into state sized by its own elements. StepN runs a batch of
+// steps, every rank calling ns.Solver.Step on a rankMachine, whose methods
+// are the distributed gather–scatter, scalar allreduces, the virtual clock
+// and the XXT vertex solve — the per-step traffic of the paper's Figs. 6 and
+// 8. Between batches no goroutine is alive: the ranks persist in the
+// comm.Network and their solvers in the Stepper, so a snapshot is a plain
+// read (Checkpoint). A P-rank run differs from the shared-memory stepper
 // only by the reduction order of the inner products and by the coarse vertex
-// solve, which routes through the distributed XXT factorization instead of
-// the sparse Cholesky factor — same system, different rounding. Fields
-// therefore agree with the serial solver to solver tolerance (1e-8 over tens
-// of steps), not bitwise, even at P = 1.
+// solve. There is one factor of A₀ (coarse.XXT, built with the template) and
+// two solves of it: the shared-memory machine runs L's triangular solves,
+// the ranks the distributed product X Xᵀ b — same system, different
+// rounding. Fields therefore agree with the serial solver to solver
+// tolerance (1e-8 over tens of steps), not bitwise, even at P = 1.
 //
 // Cross-rank consistency: every CG/projection decision derives from
 // allreduce results, which the simulated collectives make bitwise identical
@@ -33,7 +35,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gs"
 	"repro/internal/instrument"
-	"repro/internal/la"
 	"repro/internal/ns"
 	"repro/internal/partition"
 	"repro/internal/solver"
@@ -188,13 +189,11 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 
 	// The distributed coarse XXT is only paid for when the resolved variant
 	// actually runs the coarse term (the Schwarz sandwich): the Chebyshev
-	// variants replace it with polynomial global coupling.
-	var xxt *coarse.XXT
+	// variants replace it with polynomial global coupling. It splits the
+	// template's factor over the ranks; nothing is factored again.
+	var xxt *coarse.Dist
 	if tmpl.PrecondName() == ns.PrecondSchwarz {
-		xxt, err = coarse.NewXXT(tmpl.CoarseOperator(), 0, 0, p)
-		if err != nil {
-			return nil, fmt.Errorf("parrun: coarse setup: %w", err)
-		}
+		xxt = tmpl.CoarseFactor().Distribute(p)
 		xxt.Attach(cfg.Registry)
 		xxt.AttachTracer(cfg.Tracer)
 	}
@@ -226,15 +225,8 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	s.net.AttachTracer(cfg.Tracer)
 	s.net.SetFaults(cfg.Faults)
 
-	// The permuted-to-original vertex map is identical on every rank:
-	// compute it once here instead of NVert-sized work and storage per rank.
-	var invPerm []int
-	if xxt != nil {
-		invPerm = la.InvPerm(xxt.Perm)
-	}
-
 	s.ranks = s.net.Run(func(r *comm.Rank) {
-		s.rs[r.ID] = setUpRank(r, tmpl, elems[r.ID], xxt, invPerm, cfg)
+		s.rs[r.ID] = setUpRank(r, tmpl, elems[r.ID], xxt, cfg)
 	})
 	if err := s.batchErr(); err != nil {
 		return nil, err
@@ -415,13 +407,12 @@ type rankMachine struct {
 	t0   [ns.NumSections]float64 // virtual time each section last opened
 
 	// Coarse solve (nil xxt when the resolved variant has no coarse term).
-	// invPerm is shared, read-only, computed once by the driver — 1024 rank
-	// bodies each rebuilding an NVert-length permutation is exactly the
-	// replicated-setup cost the large-P path cannot afford. up and bLocal are
+	// The factor, its permutations included, is shared and read-only: 1024
+	// rank bodies each rebuilding NVert-length set-up is exactly the
+	// replicated cost the large-P path cannot afford. up and bLocal are
 	// arenas: the solve runs every CG iteration and its NVert-length
 	// temporaries dominated the allocation profile at large P.
-	xxt     *coarse.XXT
-	invPerm []int
+	xxt     *coarse.Dist
 	lo, hi  int
 	up      []float64
 	bLocal  []float64
@@ -456,7 +447,7 @@ func (m *rankMachine) CoarseSolve(x0, r0 []float64) {
 	copy(up[m.lo:m.hi], uLocal)
 	rk.Allreduce(up, comm.OpSum)
 	for old := range x0 {
-		x0[old] = up[m.invPerm[old]]
+		x0[old] = up[xxt.InvPerm[old]]
 	}
 }
 
@@ -488,7 +479,7 @@ func (m *rankMachine) End(sec ns.Section, st ns.StepStats) {
 
 // setUpRank is the set-up half of one rank's SPMD body: build the rank's
 // side of the seam, fork the template onto it, restore a snapshot if resuming.
-func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invPerm []int, cfg NSConfig) rankState {
+func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.Dist, cfg NSConfig) rankState {
 	m := tmpl.M
 	np := m.Np
 	gids := make([]int64, len(mine)*np)
@@ -499,7 +490,7 @@ func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.XXT, invPe
 	mach.h.Attach(cfg.Registry)
 	mach.h.AttachTracer(cfg.Tracer)
 	if xxt != nil {
-		mach.xxt, mach.invPerm = xxt, invPerm
+		mach.xxt = xxt
 		mach.lo, mach.hi = xxt.BlockLo[r.ID], xxt.BlockHi[r.ID]
 		mach.up = make([]float64, m.NVert)
 		mach.bLocal = make([]float64, mach.hi-mach.lo)

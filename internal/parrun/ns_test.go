@@ -114,6 +114,25 @@ func TestNavierStokesMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStartFactorsCoarseOnce: a Start factors A₀ once, with its template;
+// every rank solves through one distribution of that factor.
+func TestStartFactorsCoarseOnce(t *testing.T) {
+	cfg, init := nsCase(t)
+	s, err := Start(cfg, NSConfig{P: 4, Init: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fac := s.Template().CoarseFactor()
+	if fac == nil {
+		t.Fatal("the template has no coarse factor")
+	}
+	for q, rs := range s.rs {
+		if rs.mach.xxt != s.rs[0].mach.xxt || rs.mach.xxt.XXT != fac {
+			t.Errorf("rank %d solves through a coarse factor of its own", q)
+		}
+	}
+}
+
 // The same agreement on the hairpin box, the 3-D mesh that mixes undeformed
 // elements with elements deformed in one direction: the rank bodies run the
 // serial loops' GradTElem/DivElem on their own elements, so P = 1 and an odd

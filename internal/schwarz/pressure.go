@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/coarse"
 	"repro/internal/fdm"
 	"repro/internal/fem"
 	"repro/internal/gs"
@@ -32,7 +33,7 @@ import (
 //
 // as element-subset pieces: ExtrudeElem, LocalSolveElem and FoldElem around
 // the caller's two assemblies are the local sum, CoarseRestrictElems,
-// CoarseSolve (or a distributed solve of CoarseOperator) and
+// CoarseSolve (or the distributed solve of CoarseFactor) and
 // CoarseProlongElems the vertex term.
 type Pressure struct {
 	d        *sem.Disc
@@ -257,11 +258,11 @@ func (p *Pressure) LocalFlops(e int) (mm, vec int64) {
 	return p.local[e].Flops(), int64(3 * len(p.faceBlk) * len(p.faceBlk[0]))
 }
 
-// CoarseOperator returns the pinned vertex-mesh operator A₀, which
-// distributed solvers hand to coarse.NewXXT.
-func (p *Pressure) CoarseOperator() *la.CSR { return p.vc.a }
+// CoarseFactor returns the factor of the pinned vertex-mesh operator A₀,
+// which a distributed run splits over its ranks (coarse.XXT.Distribute).
+func (p *Pressure) CoarseFactor() *coarse.XXT { return p.vc.fac }
 
-// CoarseSolve solves A₀ x0 = r0 with the sparse factor and returns the flop
+// CoarseSolve solves A₀ x0 = r0 through the factor's L and returns the flop
 // count. Not for concurrent callers.
 func (p *Pressure) CoarseSolve(x0, r0 []float64) int64 { return p.vc.solve(x0, r0) }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/coarse"
 	"repro/internal/fdm"
 	"repro/internal/fem"
 	"repro/internal/gs"
@@ -362,14 +363,11 @@ func (p *Precond) setupCoarse() error {
 
 // vertexCoarse is the coarse component A₀ both preconditioners share: the
 // low-order FEM Laplacian on the spectral element vertex mesh with identity
-// rows on the Dirichlet (or pinned) vertices, and its fill-reduced sparse
-// Cholesky factor.
+// rows on the Dirichlet (or pinned) vertices, factored once by coarse.NewXXT.
 type vertexCoarse struct {
-	a       *la.CSR // A₀ after boundary conditions (distributed solvers factor it themselves)
-	fac     *la.SparseChol
-	invPerm []int // inverse of the fill-reducing permutation
-	dirich  []bool
-	rp      []float64 // permuted right-hand side / solution
+	fac    *coarse.XXT
+	dirich []bool
+	rp     []float64 // the solve's scratch in the factor's order
 }
 
 func newVertexCoarse(m *mesh.Mesh, dirich []bool) (*vertexCoarse, error) {
@@ -386,38 +384,16 @@ func newVertexCoarse(m *mesh.Mesh, dirich []bool) (*vertexCoarse, error) {
 			}
 		}
 	}
-	abc := b.ToCSR()
-	adj := make([][]int, m.NVert)
-	for i := 0; i < m.NVert; i++ {
-		for q := abc.Ptr[i]; q < abc.Ptr[i+1]; q++ {
-			if j := abc.Col[q]; j != i {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	perm := la.NDPermGraph(adj)
-	fac, err := la.FactorSparseChol(abc.Permute(perm))
+	fac, err := coarse.NewXXT(b.ToCSR(), 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("schwarz: coarse factorization: %w", err)
+		return nil, fmt.Errorf("schwarz: %w", err)
 	}
-	return &vertexCoarse{a: abc, fac: fac, invPerm: la.InvPerm(perm), dirich: dirich,
-		rp: make([]float64, m.NVert)}, nil
+	return &vertexCoarse{fac: fac, dirich: dirich, rp: make([]float64, m.NVert)}, nil
 }
 
-// solve computes x0 = A₀⁻¹ r0 with the sparse factor (through its
-// fill-reducing permutation) and returns the flop count. It uses the
-// receiver's buffer: not for concurrent callers.
-func (c *vertexCoarse) solve(x0, r0 []float64) int64 {
-	rp, inv := c.rp, c.invPerm
-	for old, v := range r0 {
-		rp[inv[old]] = v
-	}
-	c.fac.Solve(rp, rp)
-	for old := range x0 {
-		x0[old] = rp[inv[old]]
-	}
-	return int64(4 * c.fac.NNZ())
-}
+// solve computes x0 = A₀⁻¹ r0 with the factor and returns the flop count. It
+// uses the receiver's scratch: not for concurrent callers.
+func (c *vertexCoarse) solve(x0, r0 []float64) int64 { return c.fac.Solve(x0, r0, c.rp) }
 
 // cornerWeights returns, per element corner (tensor order), the multilinear
 // vertex weight at every node of the tensor grid over the 1-D points pts: the

@@ -30,8 +30,11 @@
 #           a grep that comm declares one receive, Recv (the network queues
 #           each (source, tag) stream at its receiver); a grep that no
 #           non-test file but session's store makes a temp file or renames
-#           one (FSStore.Put is the one durable write); a gofmt -l over every
-#           tracked .go file (bench/ included), which must list nothing; then
+#           one (FSStore.Put is the one durable write); a grep that no
+#           non-test file outside internal/la and internal/coarse calls
+#           la.FactorSparseChol or la.NDPermGraph (coarse.NewXXT orders and
+#           factors the vertex problem once for both machines); a gofmt -l
+#           over every tracked .go file (bench/ included), which must list nothing; then
 #           the non-test line count per package (scripts/loc.sh), the source
 #           of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
@@ -173,6 +176,17 @@ onepath() {
     fi
 }
 
+# onefactor — the coarse vertex problem is ordered and factored once, by
+# coarse.NewXXT: the serial machine solves through its L and the ranks
+# through its X, so no non-test file outside internal/la and internal/coarse
+# orders or Cholesky-factors a sparse matrix itself.
+onefactor() {
+    if git grep --untracked -n -E 'la\.(FactorSparseChol|NDPermGraph)\(' -- '*.go' ':!*_test.go' ':!internal/la' ':!internal/coarse'; then
+        echo "a sparse factorization or nested-dissection order outside internal/la and internal/coarse: build the factor with coarse.NewXXT" >&2
+        return 1
+    fi
+}
+
 # gofmt_clean — every Go file in the tree (tracked, or untracked and not
 # ignored, as the greps above see them) is as gofmt writes it.
 gofmt_clean() {
@@ -198,6 +212,7 @@ tier1() {
     stage "tier1/onerecv" onerecv
     stage "tier1/onewrite" onewrite
     stage "tier1/onepath" onepath
+    stage "tier1/onefactor" onefactor
     stage "tier1/gofmt" gofmt_clean
     stage "tier1/loc" ./scripts/loc.sh
 }
