@@ -82,7 +82,10 @@ func main() {
 	if cfg.ProjectionL == 0 { // -L defaults to 20, so 0 is asked for: projection off
 		cfg.ProjectionL = -1
 	}
+	// Warnings and notes go through slog; the log package's Fatal calls,
+	// which SetDefault routes through the same handler, are errors.
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	slog.SetLogLoggerLevel(slog.LevelError)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -189,21 +192,23 @@ func main() {
 		"step", "t", "CFL", "p-iters", "h-iters", "basis", lastCol)
 
 	// Step to the target, in one batch or — with -checkpoint — one per
-	// snapshot interval, depositing after each batch and after the last: a
-	// snapshot is the session's own, taken between two batches, whichever
-	// machine is stepping. -checkpoint-every 0 keeps the final state only.
-	snapshots := 0
+	// snapshot interval (session.NextBatch, semflowd's schedule too),
+	// depositing at every multiple of -checkpoint-every and after the last
+	// step: a snapshot is the session's own, taken between two batches,
+	// whichever machine is stepping. -checkpoint-every 0 keeps the final
+	// state only.
+	snapshots, snapEvery := 0, 0
+	if store != nil {
+		snapEvery = cfg.CheckpointEvery
+	}
 	s.Disc().ResetFlops()
 	mm0, vec0 := s.ChargedFlops()
 	for sess.Step() < cfg.Steps {
-		batch := cfg.Steps - sess.Step()
-		if every := cfg.CheckpointEvery; store != nil && every > 0 {
-			batch = min(batch, every-sess.Step()%every)
-		}
+		batch, snapshot := session.NextBatch(sess.Step(), cfg.Steps, 0, snapEvery)
 		if _, err := sess.StepN(batch); err != nil {
 			log.Fatalf("step %d: %v", sess.Step()+1, err)
 		}
-		if store != nil {
+		if store != nil && snapshot {
 			if err := sess.Deposit(store, cfg.Case); err != nil {
 				log.Fatalf("checkpoint: %v", err)
 			}

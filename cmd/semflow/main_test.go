@@ -93,3 +93,12 @@ func TestCheckpointKeepsFinalState(t *testing.T) {
 		t.Errorf("stored snapshot at step %d, want 3; output:\n%s", ck.Step(), out)
 	}
 }
+
+// TestRefusedResumeIsAnError: a -resume without -checkpoint is refused with
+// exit status 1, and the refusal is logged as an error, not as progress.
+func TestRefusedResumeIsAnError(t *testing.T) {
+	out, code := semflow(t, "-case", "channel", "-n", "5", "-kx", "2", "-ky", "2", "-steps", "2", "-resume")
+	if code != 1 || strings.Contains(out, "level=INFO") || !strings.Contains(out, "-resume needs -checkpoint") {
+		t.Errorf("exit status %d, want 1 with the refusal and no level=INFO line; output:\n%s", code, out)
+	}
+}

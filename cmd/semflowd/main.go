@@ -38,7 +38,10 @@ func main() {
 	storeDSN := flag.String("store", "./semflowd-data", "artifact store: a directory path, file://path, or mem://")
 	maxActive := flag.Int("max-active", 2, "sessions allowed to step concurrently; queued jobs wait between step batches")
 	flag.Parse()
+	// Warnings and notes go through slog; the log package's Fatal calls,
+	// which SetDefault routes through the same handler, are errors.
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	slog.SetLogLoggerLevel(slog.LevelError)
 
 	store, err := session.OpenStore(*storeDSN)
 	if err != nil {

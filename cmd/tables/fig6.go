@@ -39,7 +39,7 @@ func fig6(quick bool) error {
 			m := comm.ASCIRed(p)
 			// XXT, with the measured traffic counters printed per row.
 			reg := instrument.New()
-			xxt, ranks := xxtRun(fac, p, b, func(_ *coarse.Dist, net *comm.Network) { net.Attach(reg) })
+			xxt, ranks := xxtRun(fac, p, b, func(net *comm.Network) { net.Attach(reg) })
 			tXXT := comm.MaxTime(ranks)
 			xxtMsgs := reg.Counter("comm/send.msgs").Value()
 			xxtKB := float64(reg.Counter("comm/send.bytes").Value()) / 1024
@@ -95,10 +95,7 @@ func fig6Timeline() error {
 	if err != nil {
 		return fmt.Errorf("XXT factor, n=%d: %w", n, err)
 	}
-	_, ranks := xxtRun(fac, p, normalVec(n, 7), func(x *coarse.Dist, net *comm.Network) {
-		x.AttachTracer(tr)
-		net.AttachTracer(tr)
-	})
+	_, ranks := xxtRun(fac, p, normalVec(n, 7), func(net *comm.Network) { net.AttachTracer(tr) })
 	maxUS := comm.MaxTime(ranks) * 1e6
 	const cols = 64
 	rows := make([][]byte, p)
@@ -138,10 +135,10 @@ func fig6Timeline() error {
 
 // xxtRun distributes the factor fac over P ranks, permutes b into its
 // ordering, and solves once on a fresh ASCI-Red network of P ranks. attach,
-// when not nil, wires the caller's registry or tracer into the distributed
-// factor and the network before the solve. It returns the distributed
-// factor and the network's ranks.
-func xxtRun(fac *coarse.XXT, p int, b []float64, attach func(*coarse.Dist, *comm.Network)) (*coarse.Dist, []*comm.Rank) {
+// when not nil, wires the caller's registry or tracer into the network
+// before the solve; the ranks' solves record and trace through it. It
+// returns the distributed factor and the network's ranks.
+func xxtRun(fac *coarse.XXT, p int, b []float64, attach func(*comm.Network)) (*coarse.Dist, []*comm.Rank) {
 	xxt := fac.Distribute(p)
 	bp := make([]float64, len(b))
 	for old, v := range b {
@@ -149,10 +146,10 @@ func xxtRun(fac *coarse.XXT, p int, b []float64, attach func(*coarse.Dist, *comm
 	}
 	net := comm.NewNetwork(comm.ASCIRed(p))
 	if attach != nil {
-		attach(xxt, net)
+		attach(net)
 	}
 	ranks := net.Run(func(r *comm.Rank) {
-		xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
+		xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]], xxt.NewSolveWork(r))
 	})
 	return xxt, ranks
 }

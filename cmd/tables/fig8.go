@@ -71,7 +71,7 @@ func fig8TraceCheck(quick bool) error {
 	for _, p := range ps {
 		tr := instrument.NewTracer()
 		tr.DisableWallClock()
-		_, ranks := xxtRun(fac, p, b, func(_ *coarse.Dist, net *comm.Network) { net.AttachTracer(tr) })
+		_, ranks := xxtRun(fac, p, b, func(net *comm.Network) { net.AttachTracer(tr) })
 		colls, traced, modeled, ratio := rank0Allreduce(tr, p)
 		fmt.Printf("%6d %6d %14.3e %14.3e %8.2f %12.3e\n",
 			p, colls, modeled, traced, ratio, comm.MaxTime(ranks))

@@ -1,15 +1,21 @@
 // Package coarse implements the paper's parallel coarse-grid solvers
-// (Sec. 5, Fig. 6) and owns the one factorisation of a coarse problem. The
-// workhorse is the Tufo–Fischer XXT method: a sparse A-conjugate basis X
-// (Xᵀ A X = I, so A⁻¹ = X Xᵀ) obtained from a nested-dissection sparse
-// Cholesky factor L (X = L⁻ᵀ). NewXXT orders and factors A once; the serial
-// machine solves through L's triangular solves (XXT.Solve, the fewer flops on
-// one processor), and Distribute splits the same X column-wise over P ranks,
-// where the solve is a pair of fully concurrent matrix-vector products plus
+// (Sec. 5, Fig. 6) and owns the one factorisation of a coarse problem and
+// every solve of it. The workhorse is the Tufo–Fischer XXT method: a sparse
+// A-conjugate basis X (Xᵀ A X = I, so A⁻¹ = X Xᵀ) obtained from a
+// nested-dissection sparse Cholesky factor L (X = L⁻ᵀ). NewXXT orders and
+// factors A once; the serial machine solves through L's triangular solves
+// (XXT.Solve, the fewer flops on one processor), and Distribute splits the
+// same X column-wise over P ranks, where the solve of a rank's block
+// (Dist.SolveOn) is a pair of fully concurrent matrix-vector products plus
 // one log₂P-depth combine restricted to the separator-crossing columns —
 // total communication volume O(n^{(d-1)/d} log₂ P), against the O(n log₂ P)
 // of the redundant banded-LU and row-distributed A⁻¹ baselines it is
-// compared with in Fig. 6.
+// compared with in Fig. 6. Dist.SolveNatural is a rank's whole solve in
+// natural order, as the distributed Navier–Stokes step calls it: the sum of
+// the ranks' right-hand sides, the permutation to blocks, the block solve,
+// and the solution back on every rank. Each rank's SolveWork holds its
+// scratch and records and traces its solves through the rank's registry and
+// tracer.
 package coarse
 
 import (
@@ -128,10 +134,6 @@ type Dist struct {
 	crossOf   []int // column -> compact cross index, -1 if local
 	CrossCols []int // cross column ids
 	ownerOf   []int // column -> owning rank (the rank owning dof j)
-
-	solveTime  *instrument.Timer  // nil = off; accumulated per-rank solve time
-	solveVTime *instrument.Timer  // nil = off; virtual seconds per SolveOn, summed over ranks
-	tracer     *instrument.Tracer // nil = off; per-solve spans
 }
 
 // Distribute partitions the permuted dofs into p contiguous blocks and
@@ -175,72 +177,86 @@ func (s *XXT) Distribute(p int) *Dist {
 	return d
 }
 
-// Attach wires the solve timers into reg and records the one-off factor
-// cost as a gauge; a nil registry detaches.
-func (s *Dist) Attach(reg *instrument.Registry) {
-	s.solveTime = reg.Timer("coarse/xxt.solve")
-	s.solveVTime = reg.Timer("coarse/xxt.vtime")
-	reg.Gauge("coarse/xxt.factor_seconds").Set(s.FactorSeconds)
-	reg.Gauge("coarse/xxt.cross_cols").Set(float64(len(s.CrossCols)))
-}
-
-// AttachTracer makes every SolveOn emit a virtual-clock span on the calling
-// rank's track; nil detaches.
-func (s *Dist) AttachTracer(tr *instrument.Tracer) { s.tracer = tr }
-
 // CrossCount returns the number of separator-crossing columns (the combine
 // payload per log P stage, ≈ 3·n^{1/2} in 2D).
 func (s *Dist) CrossCount() int { return len(s.CrossCols) }
 
-// SolveWork is the per-rank scratch of SolveOn, reusable across calls so
-// the steady-state coarse solve allocates nothing. Each simulated rank
-// needs its own (SolveOn runs concurrently on all ranks).
+// SolveWork is one rank's side of a Dist: the scratch of its solves,
+// reusable across calls so the steady-state coarse solve allocates nothing,
+// and the metric and trace handles of its rank. Each simulated rank needs its
+// own (the solves run concurrently on all ranks).
 type SolveWork struct {
 	zCross  []float64
 	zLocalJ []int
 	zLocalV []float64
-	u       []float64
+	b, u    []float64 // the rank's block of the right-hand side and of the solution
+
+	solveTime *instrument.Timer  // host time of each block solve
+	vtime     instrument.VTime   // virtual time of each block solve, summed over ranks
+	tracer    *instrument.Tracer // a span per block solve on the rank's track
 }
 
-// NewSolveWork sizes a SolveWork for the given rank's block.
-func (s *Dist) NewSolveWork(rank int) *SolveWork {
+// NewSolveWork sizes a SolveWork for r's block and takes its handles from
+// r's registry and tracer; rank 0 records the factor's one-off cost and
+// its cross-column count as gauges.
+func (s *Dist) NewSolveWork(r *comm.Rank) *SolveWork {
+	reg, nb := r.Registry(), s.BlockHi[r.ID]-s.BlockLo[r.ID]
+	if r.ID == 0 {
+		reg.Gauge("coarse/xxt.factor_seconds").Set(s.FactorSeconds)
+		reg.Gauge("coarse/xxt.cross_cols").Set(float64(len(s.CrossCols)))
+	}
 	return &SolveWork{
-		zCross:  make([]float64, len(s.CrossCols)),
-		zLocalJ: make([]int, 0, s.N/max(len(s.BlockLo), 1)+1),
-		zLocalV: make([]float64, 0, s.N/max(len(s.BlockLo), 1)+1),
-		u:       make([]float64, s.BlockHi[rank]-s.BlockLo[rank]),
+		zCross:    make([]float64, len(s.CrossCols)),
+		zLocalJ:   make([]int, 0, s.N/max(len(s.BlockLo), 1)+1),
+		zLocalV:   make([]float64, 0, s.N/max(len(s.BlockLo), 1)+1),
+		b:         make([]float64, nb),
+		u:         make([]float64, nb),
+		solveTime: reg.Timer("coarse/xxt.solve"),
+		vtime:     instrument.VTime{Timer: reg.Timer("coarse/xxt.vtime")},
+		tracer:    r.Tracer(),
 	}
 }
 
-// SolveOn executes the distributed solve on one simulated rank. bLocal is
-// the rank's block of the right-hand side in permuted order
-// (b[BlockLo[r]:BlockHi[r]]); the rank's block of the solution is returned.
-// Local floating-point work is charged to the rank's virtual clock; the
-// combine over the cross columns is a real recursive-doubling allreduce.
-func (s *Dist) SolveOn(r *comm.Rank, bLocal []float64) []float64 {
-	return s.SolveOnW(r, bLocal, nil)
+// SolveNatural is the coarse solve of one rank in natural order: it sums
+// every rank's r0 (length N) and solves, x0 = A⁻¹ Σ_ranks r0, leaving the
+// full solution on every rank. The sum is one N-word allreduce; the rank
+// gathers its block of the sum through Perm, solves it with SolveOn, and a
+// second N-word allreduce of the blocks, scattered back through InvPerm,
+// gives every rank x0. r0 is the second allreduce's buffer: it is left
+// overwritten.
+func (s *Dist) SolveNatural(r *comm.Rank, x0, r0 []float64, w *SolveWork) {
+	r.Allreduce(r0, comm.OpSum)
+	lo, hi := s.BlockLo[r.ID], s.BlockHi[r.ID]
+	for i := lo; i < hi; i++ {
+		w.b[i-lo] = r0[s.Perm[i]]
+	}
+	u := s.SolveOn(r, w.b, w)
+	clear(r0)
+	copy(r0[lo:hi], u)
+	r.Allreduce(r0, comm.OpSum)
+	for old := range x0 {
+		x0[old] = r0[s.InvPerm[old]]
+	}
 }
 
-// SolveOnW is SolveOn with caller-owned scratch (nil allocates fresh
-// buffers, reproducing SolveOn). The returned slice aliases w.u and is
-// valid until the next call with the same work.
-func (s *Dist) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
-	t0 := s.solveTime.Begin()
-	defer s.solveTime.End(t0)
+// SolveOn executes the distributed solve on one simulated rank, with w, its
+// rank's work. bLocal is the rank's block of the right-hand side in permuted
+// order (b[BlockLo[r]:BlockHi[r]]); the rank's block of the solution is
+// returned, aliasing w and valid until w's next solve. Local floating-point
+// work is charged to the rank's virtual clock; the combine over the cross
+// columns is a real recursive-doubling allreduce.
+func (s *Dist) SolveOn(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
+	t0 := w.solveTime.Begin()
+	defer w.solveTime.End(t0)
 	v0 := r.Time
-	if s.tracer.WantsV(r.ID) {
+	if w.tracer.WantsV(r.ID) {
 		defer func() {
-			s.tracer.SpanV(r.ID, "coarse/xxt.solve", "coarse", v0, r.Time,
+			w.tracer.SpanV(r.ID, "coarse/xxt.solve", "coarse", v0, r.Time,
 				map[string]any{"cross_cols": len(s.CrossCols), "n": s.N})
 		}()
 	}
-	defer func() {
-		s.solveVTime.Add(time.Duration((r.Time - v0) * float64(time.Second)))
-	}()
+	defer func() { w.vtime.Record(r.Time - v0) }()
 	me := r.ID
-	if w == nil {
-		w = s.NewSolveWork(me)
-	}
 	lo, hi := s.BlockLo[me], s.BlockHi[me]
 	// Stage 1: z = Xᵀ b. Local columns owned by me are complete from my
 	// rows; cross columns get partial sums from every rank.
@@ -285,9 +301,7 @@ func (s *Dist) SolveOnW(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 
 	r.Allreduce(zCross, comm.OpSum)
 	// Stage 3: u = X z restricted to my rows.
 	u := w.u[:hi-lo]
-	for i := range u {
-		u[i] = 0
-	}
+	clear(u)
 	flops = 0
 	for t, j := range zLocalJ {
 		z := zLocalV[t]
@@ -329,8 +343,6 @@ type RedundantLU struct {
 	N   int
 	P   int
 	fac *la.BandedCholesky
-	lo  []int
-	hi  []int
 }
 
 // NewRedundantLU factorizes the banded SPD matrix (half-bandwidth bw taken
@@ -353,12 +365,7 @@ func NewRedundantLU(a *la.CSR, bw, p int) (*RedundantLU, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &RedundantLU{N: n, P: p, fac: fac, lo: make([]int, p), hi: make([]int, p)}
-	for r := 0; r < p; r++ {
-		s.lo[r] = r * n / p
-		s.hi[r] = (r + 1) * n / p
-	}
-	return s, nil
+	return &RedundantLU{N: n, P: p, fac: fac}, nil
 }
 
 // SolveOn runs the redundant solve on one rank: allreduce the padded RHS,
@@ -367,9 +374,9 @@ func NewRedundantLU(a *la.CSR, bw, p int) (*RedundantLU, error) {
 // false the (redundant, bit-identical) numeric solve is skipped so that
 // large-P simulations do not pay P times the real work of one solve.
 func (s *RedundantLU) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []float64 {
-	me := r.ID
+	lo, hi := r.ID*s.N/s.P, (r.ID+1)*s.N/s.P // the rank's block, as Distribute's
 	full := make([]float64, s.N)
-	copy(full[s.lo[me]:s.hi[me]], bLocal)
+	copy(full[lo:hi], bLocal)
 	r.Allreduce(full, comm.OpSum)
 	r.Compute(0, s.fac.SolveFlops())
 	if !wantResult {
@@ -377,7 +384,7 @@ func (s *RedundantLU) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) [
 	}
 	x := make([]float64, s.N)
 	s.fac.Solve(x, full)
-	return x[s.lo[me]:s.hi[me]]
+	return x[lo:hi]
 }
 
 // DistInv is the row-distributed A⁻¹ baseline: each rank conceptually holds
@@ -389,8 +396,6 @@ type DistInv struct {
 	N   int
 	P   int
 	fac *la.SparseChol
-	lo  []int
-	hi  []int
 }
 
 // NewDistInv prepares the baseline.
@@ -399,13 +404,7 @@ func NewDistInv(a *la.CSR, p int) (*DistInv, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	s := &DistInv{N: n, P: p, fac: fac, lo: make([]int, p), hi: make([]int, p)}
-	for r := 0; r < p; r++ {
-		s.lo[r] = r * n / p
-		s.hi[r] = (r + 1) * n / p
-	}
-	return s, nil
+	return &DistInv{N: a.Rows, P: p, fac: fac}, nil
 }
 
 // SolveOn runs the distributed-inverse solve on one rank. The dense
@@ -413,19 +412,18 @@ func NewDistInv(a *la.CSR, p int) (*DistInv, error) {
 // the numeric values are produced through the shared sparse factorization
 // only when wantResult is true (they are what the dense rows would give).
 func (s *DistInv) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []float64 {
-	me := r.ID
+	lo, hi := r.ID*s.N/s.P, (r.ID+1)*s.N/s.P // the rank's block, as Distribute's
 	full := make([]float64, s.N)
-	copy(full[s.lo[me]:s.hi[me]], bLocal)
+	copy(full[lo:hi], bLocal)
 	r.Allreduce(full, comm.OpSum)
 	// Dense row-block matvec cost: 2 * n * (rows I own).
-	rows := s.hi[me] - s.lo[me]
-	r.Compute(0, int64(2*s.N*rows))
+	r.Compute(0, int64(2*s.N*(hi-lo)))
 	if !wantResult {
 		return nil
 	}
 	x := make([]float64, s.N)
 	s.fac.Solve(x, full)
-	return x[s.lo[me]:s.hi[me]]
+	return x[lo:hi]
 }
 
 // LatencyBound returns the paper's lower-bound curve 2·α·log₂P for a

@@ -71,7 +71,7 @@ func TestXXTDistributedMatchesSerial(t *testing.T) {
 		got := make([]float64, n)
 		net(p).Run(func(r *comm.Rank) {
 			lo, hi := xxt.BlockLo[r.ID], xxt.BlockHi[r.ID]
-			u := xxt.SolveOn(r, bp[lo:hi])
+			u := xxt.SolveOn(r, bp[lo:hi], xxt.NewSolveWork(r))
 			copy(got[lo:hi], u)
 		})
 		// got is in permuted layout.
@@ -193,7 +193,7 @@ func TestFig6TimeOrderingAtScale(t *testing.T) {
 		m := comm.ASCIRed(p)
 		xxt := fac.Distribute(p)
 		rs := comm.NewNetwork(m).Run(func(r *comm.Rank) {
-			xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]])
+			xxt.SolveOn(r, bp[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]], xxt.NewSolveWork(r))
 		})
 		txxt = comm.MaxTime(rs)
 		lu, err := NewRedundantLU(a, nx, p)

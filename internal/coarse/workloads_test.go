@@ -58,8 +58,9 @@ func pinnedA0(m *mesh.Mesh) *la.CSR {
 
 // TestCoarseOnWorkloadA0: on each workload's real A₀ the solver's factor
 // solves serially bitwise as a nested-dissection-permuted la.SparseChol
-// does, and its distribution over P ∈ {1, 2, 4, 8} ranks agrees with that to
-// 1e-12 (relative).
+// does, and its natural-order distributed solve over P ∈ {1, 2, 4, 8} ranks,
+// each rank holding a share of the right-hand side, leaves the same solution
+// on every rank, within 1e-12 (relative) of that.
 func TestCoarseOnWorkloadA0(t *testing.T) {
 	nverts := map[string]int{"channel2d": 20, "dist_p64": 80, "hairpin3d": 140}
 	for name, sv := range workloadCoarse(t) {
@@ -111,18 +112,24 @@ func TestCoarseOnWorkloadA0(t *testing.T) {
 
 		for _, p := range []int{1, 2, 4, 8} {
 			xxt := fac.Distribute(p)
-			bperm := make([]float64, n)
-			for old, v := range b {
-				bperm[xxt.InvPerm[old]] = v
-			}
-			up := make([]float64, n)
+			x := make([][]float64, p)
 			comm.NewNetwork(comm.ASCIRed(p)).Run(func(r *comm.Rank) {
-				lo, hi := xxt.BlockLo[r.ID], xxt.BlockHi[r.ID]
-				copy(up[lo:hi], xxt.SolveOn(r, bperm[lo:hi]))
+				// Rank q holds the entries i ≡ q (mod P): the ranks' sum is b.
+				r0 := make([]float64, n)
+				for i := r.ID; i < n; i += p {
+					r0[i] = b[i]
+				}
+				x[r.ID] = make([]float64, n)
+				xxt.SolveNatural(r, x[r.ID], r0, xxt.NewSolveWork(r))
 			})
-			for old := range want {
-				if d := math.Abs(up[xxt.InvPerm[old]] - want[old]); d > 1e-12*scale {
-					t.Fatalf("%s P=%d: distributed solve [%d] off by %.3g (relative %.3g)", name, p, old, d, d/scale)
+			for q := range x {
+				for i := range want {
+					if d := math.Abs(x[q][i] - want[i]); d > 1e-12*scale {
+						t.Fatalf("%s P=%d rank %d: distributed solve [%d] off by %.3g (relative %.3g)", name, p, q, i, d, d/scale)
+					}
+					if x[q][i] != x[0][i] {
+						t.Fatalf("%s P=%d: ranks %d and 0 disagree at [%d]: %v, %v", name, p, q, i, x[q][i], x[0][i])
+					}
 				}
 			}
 		}
@@ -131,7 +138,7 @@ func TestCoarseOnWorkloadA0(t *testing.T) {
 
 // BenchmarkCoarseSolve times one coarse solve on each workload's A₀ both
 // ways the factor offers: the serial machine's two triangular solves with L
-// (Solve), and the distributed product X Xᵀ b on one rank (Dist.SolveOnW at
+// (Solve), and the distributed product X Xᵀ b on one rank (Dist.SolveOn at
 // P = 1). Run with
 // go test -run '^$' -bench CoarseSolve ./internal/coarse.
 func BenchmarkCoarseSolve(b *testing.B) {
@@ -154,11 +161,11 @@ func BenchmarkCoarseSolve(b *testing.B) {
 		})
 		b.Run(name+"/X-P1", func(b *testing.B) {
 			xxt := fac.Distribute(1)
-			w := xxt.NewSolveWork(0)
-			b.ResetTimer()
 			comm.NewNetwork(comm.ASCIRed(1)).Run(func(r *comm.Rank) {
+				w := xxt.NewSolveWork(r)
+				b.ResetTimer()
 				for range b.N {
-					xxt.SolveOnW(r, rhs, w)
+					xxt.SolveOn(r, rhs, w)
 				}
 			})
 			b.StopTimer()

@@ -69,7 +69,19 @@ func OpMax(dst, src []float64) {
 // (log₂P rounds); general counts fall back to a binomial-tree reduce+bcast.
 // Every message of the schedule is clocked, counted, fault-drawn and traced;
 // the schedule is replayed at one rendezvous of the ranks.
-func (r *Rank) Allreduce(data []float64, op ReduceOp) {
+func (r *Rank) Allreduce(data []float64, op ReduceOp) { r.collective(data, op, false) }
+
+// Barrier synchronizes all ranks (allreduce of a scalar in the rank's
+// scratch word, so it allocates nothing).
+func (r *Rank) Barrier() {
+	r.scalBuf[0] = 0
+	r.collective(r.scalBuf[:], OpSum, true)
+}
+
+// collective runs one allreduce and records it, as an allreduce or as a
+// barrier: its calls, messages, bytes and virtual time in the registry, and
+// a span on the rank's track (a barrier's without the word count).
+func (r *Rank) collective(data []float64, op ReduceOp, barrier bool) {
 	in, tr := r.net.instr, r.net.tracer
 	if in == nil && tr == nil {
 		r.allreduce(data, op)
@@ -77,32 +89,20 @@ func (r *Rank) Allreduce(data []float64, op ReduceOp) {
 	}
 	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
 	r.allreduce(data, op)
+	msgs, bytes := r.MsgsSent-m0, r.BytesSent-b0
 	if in != nil {
-		in.allreduce.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
+		c := &in.allreduce
+		if barrier {
+			c = &in.barrier
+		}
+		c.record(r.Time-t0, msgs, bytes)
 	}
 	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "allreduce", "comm", t0, r.Time,
-			map[string]any{"words": len(data), "msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
-	}
-}
-
-// Barrier synchronizes all ranks (allreduce of a scalar in the rank's
-// scratch word, so it allocates nothing).
-func (r *Rank) Barrier() {
-	r.scalBuf[0] = 0
-	in, tr := r.net.instr, r.net.tracer
-	if in == nil && tr == nil {
-		r.allreduce(r.scalBuf[:], OpSum)
-		return
-	}
-	t0, m0, b0 := r.Time, r.MsgsSent, r.BytesSent
-	r.allreduce(r.scalBuf[:], OpSum)
-	if in != nil {
-		in.barrier.record(r.Time-t0, r.MsgsSent-m0, r.BytesSent-b0)
-	}
-	if tr.WantsV(r.ID) {
-		tr.SpanV(r.ID, "barrier", "comm", t0, r.Time,
-			map[string]any{"msgs": r.MsgsSent - m0, "bytes": r.BytesSent - b0})
+		name, args := "barrier", map[string]any{"msgs": msgs, "bytes": bytes}
+		if !barrier {
+			name, args["words"] = "allreduce", len(data)
+		}
+		tr.SpanV(r.ID, name, "comm", t0, r.Time, args)
 	}
 }
 

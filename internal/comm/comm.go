@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/instrument"
@@ -165,16 +164,14 @@ type collectiveInstr struct {
 	calls *instrument.Counter
 	msgs  *instrument.Counter
 	bytes *instrument.Counter
-	vtime *instrument.Timer     // accumulated per-rank virtual time
-	vhist *instrument.Histogram // per-call virtual time, all ranks merged
+	vtime instrument.VTime // per-call virtual time: summed per rank, and its distribution
 }
 
 func (c *collectiveInstr) record(dt float64, msgs, bytes int64) {
 	c.calls.Inc()
 	c.msgs.Add(msgs)
 	c.bytes.Add(bytes)
-	c.vtime.Add(time.Duration(dt * float64(time.Second)))
-	c.vhist.Observe(dt)
+	c.vtime.Record(dt)
 }
 
 // netInstr holds the network's metric handles (nil Network.instr = off).
@@ -184,34 +181,29 @@ type netInstr struct {
 	allreduce collectiveInstr
 	barrier   collectiveInstr
 
-	// Distribution rollups: per-message virtual latency and per-event fault
-	// stall draws. Histograms observe lock-free, so every rank records every
-	// message even at paper-scale P.
-	sendVLat  *instrument.Histogram
-	faultHist *instrument.Histogram
+	// Per-message virtual latency. Histograms observe lock-free, so every
+	// rank records every message even at paper-scale P.
+	sendVLat *instrument.Histogram
 
 	// Fault-injection bookkeeping (all zero without a plan).
 	faultDrops   *instrument.Counter
 	faultRetries *instrument.Counter
 	faultPauses  *instrument.Counter
-	faultStall   *instrument.Timer // virtual time lost to faults
-}
-
-// stall records one fault-induced stall of dt virtual seconds.
-func (in *netInstr) stall(dt float64) {
-	in.faultStall.Add(time.Duration(dt * float64(time.Second)))
-	in.faultHist.Observe(dt)
+	faultStall   instrument.VTime // virtual time lost to faults, and each stall draw
 }
 
 // Network is an instantiated machine: use Run to execute an SPMD function.
 // It owns its ranks: clocks, traffic and fault-draw counters, buffer pools
 // and queued messages live as long as the network, so a program may be run
 // in several batches (one Run each) and continue exactly where the last
-// batch stopped, and no goroutine outlives a Run.
+// batch stopped, and no goroutine outlives a Run. It is also the one place
+// a distributed run attaches its registry and tracer: the components built
+// on a rank (the gather–scatter, the coarse solve) take theirs from it.
 type Network struct {
 	Machine
 	ranks  []*Rank
 	coll   rendezvous
+	reg    *instrument.Registry
 	instr  *netInstr
 	tracer *instrument.Tracer
 	faults *fault.Plan
@@ -241,9 +233,11 @@ func (n *Network) Undelivered() int {
 }
 
 // Attach wires per-message and per-collective counters (messages, bytes,
-// summed per-rank virtual time) into reg. Call before Run; the handles are
+// summed per-rank virtual time) into reg, and hands reg to every component
+// built on a rank after it (Rank.Registry). Call before Run; the handles are
 // shared by all ranks and recorded atomically.
 func (n *Network) Attach(reg *instrument.Registry) {
+	n.reg = reg
 	if reg == nil {
 		n.instr = nil
 		return
@@ -253,21 +247,19 @@ func (n *Network) Attach(reg *instrument.Registry) {
 			calls: reg.Counter("comm/" + name + ".calls"),
 			msgs:  reg.Counter("comm/" + name + ".msgs"),
 			bytes: reg.Counter("comm/" + name + ".bytes"),
-			vtime: reg.Timer("comm/" + name + ".vtime"),
-			vhist: reg.Histogram("comm/" + name + ".vtime.hist"),
+			vtime: reg.VTime("comm/" + name),
 		}
 	}
 	n.instr = &netInstr{
 		sendMsgs:     reg.Counter("comm/send.msgs"),
 		sendBytes:    reg.Counter("comm/send.bytes"),
 		sendVLat:     reg.Histogram("comm/send.vlat"),
-		faultHist:    reg.Histogram("comm/fault.stall.draws"),
 		allreduce:    col("allreduce"),
 		barrier:      col("barrier"),
 		faultDrops:   reg.Counter("comm/fault.drops"),
 		faultRetries: reg.Counter("comm/fault.retries"),
 		faultPauses:  reg.Counter("comm/fault.pauses"),
-		faultStall:   reg.Timer("comm/fault.stall"),
+		faultStall:   instrument.VTime{Timer: reg.Timer("comm/fault.stall"), Hist: reg.Histogram("comm/fault.stall.draws")},
 	}
 }
 
@@ -286,8 +278,9 @@ func (n *Network) SetFaults(p *fault.Plan) {
 // AttachTracer wires span emission into tr: every collective becomes a
 // complete span on the calling rank's virtual-clock track, and every
 // point-to-point message a send span plus a flow-event arrow to the
-// receiving rank. Call before Run; nil detaches. The per-rank track names
-// are registered on the tracer.
+// receiving rank; components built on a rank after it trace on the same
+// tracks (Rank.Tracer). Call before Run; nil detaches. The per-rank track
+// names are registered on the tracer.
 func (n *Network) AttachTracer(tr *instrument.Tracer) {
 	n.tracer = tr
 	if tr != nil {
@@ -430,7 +423,7 @@ func (r *Rank) maybePause() {
 	r.StallSec += end - t0
 	if in := r.net.instr; in != nil {
 		in.faultPauses.Inc()
-		in.stall(end - t0)
+		in.faultStall.Record(end - t0)
 	}
 	if tr := r.net.tracer; tr.WantsV(r.ID) {
 		tr.SpanV(r.ID, "fault/pause", "fault", t0, end, nil)
@@ -495,7 +488,7 @@ func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 		if extra > 0 {
 			r.StallSec += extra
 			if in := r.net.instr; in != nil {
-				in.stall(extra)
+				in.faultStall.Record(extra)
 			}
 		}
 		for attempt := 0; pl.DropAttempt(r.ID, to, r.sendSeq, attempt); attempt++ {
@@ -515,7 +508,7 @@ func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 				in.sendBytes.Add(int64(bytes))
 				in.faultDrops.Inc()
 				in.faultRetries.Inc()
-				in.stall(base + pl.RetryTimeout)
+				in.faultStall.Record(base + pl.RetryTimeout)
 			}
 			if tr := r.net.tracer; tr.WantsV(r.ID) {
 				tr.SpanV(r.ID, "fault/retry", "fault", ta, r.Time,
@@ -599,7 +592,7 @@ func (r *Rank) Compute(mm, vec int64) {
 			extra := dt*f - dt
 			r.StallSec += extra
 			if in := r.net.instr; in != nil {
-				in.stall(extra)
+				in.faultStall.Record(extra)
 			}
 			if tr := r.net.tracer; extra > 0 && tr.WantsV(r.ID) {
 				tr.SpanV(r.ID, "fault/straggler", "fault", t0+dt, r.Time,
@@ -613,6 +606,13 @@ func (r *Rank) Compute(mm, vec int64) {
 
 // P returns the number of ranks.
 func (r *Rank) P() int { return r.net.P }
+
+// Registry returns the registry attached to the rank's network (nil: off).
+func (r *Rank) Registry() *instrument.Registry { return r.net.reg }
+
+// Tracer returns the tracer attached to the rank's network (nil: off); the
+// rank's spans go on its virtual-clock track.
+func (r *Rank) Tracer() *instrument.Tracer { return r.net.tracer }
 
 // MaxTime returns the maximum virtual clock across ranks (the modeled
 // parallel completion time).

@@ -1,69 +1,30 @@
 // Package gs implements the gather–scatter utility of Sec. 6 of the paper
 // (Tufo's gs_init / gs_op): the direct-stiffness residual assembly of the
 // spectral element method as a single local-to-local transformation, in
-// which nodal values shared by adjacent elements are combined in place with
-// a commutative/associative operation (sum, min, max, mul) and written back
-// to every copy. A vector mode applies the same topology to several fields
-// at once; across ranks it is one message per neighbour per call, whatever
-// the number of fields. The serial Handle backs the shared-memory solvers;
-// ParHandle runs the same operation across ranks of a comm network via
-// pairwise neighbour exchange, folding each shared value's per-rank
-// contributions in ascending rank order, so every copy of a node has the same
-// bits on every rank, one field or several.
+// which nodal values shared by adjacent elements are summed in place and the
+// sum written back to every copy. A vector mode applies the same topology to
+// several fields at once; across ranks it is one message per neighbour per
+// call, whatever the number of fields. The serial Handle backs the
+// shared-memory solvers; ParHandle runs the same operation across ranks of a
+// comm network via pairwise neighbour exchange, folding each shared value's
+// per-rank contributions in ascending rank order, so every copy of a node has
+// the same bits on every rank, one field or several. A ParHandle records its
+// exchanges in the registry and on the tracer of the rank it is built on.
 package gs
 
 import (
-	"math"
 	"slices"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/instrument"
 )
 
-// Op is the reduction applied to shared nodal values.
+// Op names the reduction applied to shared nodal values. Sum, direct
+// stiffness summation, is the only one: every assembly of the step is a sum.
 type Op int
 
-// Supported reductions.
-const (
-	Sum Op = iota
-	Mul
-	Min
-	Max
-)
-
-// identity is op's neutral element, the seed of a rank-order fold.
-func identity(op Op) float64 {
-	switch op {
-	case Mul:
-		return 1
-	case Min:
-		return math.Inf(1)
-	case Max:
-		return math.Inf(-1)
-	}
-	return 0
-}
-
-func combine(op Op, a, b float64) float64 {
-	switch op {
-	case Sum:
-		return a + b
-	case Mul:
-		return a * b
-	case Min:
-		if b < a {
-			return b
-		}
-		return a
-	case Max:
-		if b > a {
-			return b
-		}
-		return a
-	}
-	return a
-}
+// Sum adds the copies of a shared node.
+const Sum Op = 0
 
 // Handle is the serial gather–scatter operator for one connectivity. Most
 // shared nodes of a mesh have exactly two copies (a face interior), so those
@@ -104,32 +65,9 @@ func Init(gids []int64) *Handle {
 }
 
 // Apply performs the gather–scatter on u in place: the local copies of each
-// shared node are reduced with op, in ascending index order, and the result
-// written back to all copies (the paper's gs-op). Sum, the assembly of every
-// operator application, has a loop of its own.
+// shared node are summed, in ascending index order, and the sum written back
+// to all copies (the paper's gs-op). op is Sum.
 func (h *Handle) Apply(u []float64, op Op) {
-	if op == Sum {
-		h.sum(u)
-		return
-	}
-	p := h.pairs
-	for k := 0; k+1 < len(p); k += 2 {
-		acc := combine(op, u[p[k]], u[p[k+1]])
-		u[p[k]], u[p[k+1]] = acc, acc
-	}
-	for _, g := range h.groups {
-		acc := u[g[0]]
-		for _, i := range g[1:] {
-			acc = combine(op, acc, u[i])
-		}
-		for _, i := range g {
-			u[i] = acc
-		}
-	}
-}
-
-// sum is Apply(u, Sum).
-func (h *Handle) sum(u []float64) {
 	p := h.pairs
 	for k := 0; k+1 < len(p); k += 2 {
 		i, j := p[k], p[k+1]
@@ -197,13 +135,13 @@ type ParHandle struct {
 	slotPtr []int32
 	slotLoc []int32
 
-	// Exchange-volume instrumentation (nil = off): messages and 8-byte
-	// words sent per exchange, plus the virtual time each exchange spans
-	// (which a fault plan inflates: retries and stragglers land here).
+	// Exchange-volume instrumentation, from the rank's registry and tracer
+	// (nil = off): messages and 8-byte words sent per exchange, plus the
+	// virtual time each exchange spans (which a fault plan inflates: retries
+	// and stragglers land here), summed per rank and as a distribution.
 	exchMsgs  *instrument.Counter
 	exchWords *instrument.Counter
-	exchVTime *instrument.Timer
-	exchVHist *instrument.Histogram // per-exchange virtual time, all ranks merged
+	exchVTime instrument.VTime
 	tracer    *instrument.Tracer
 }
 
@@ -223,10 +161,16 @@ const (
 
 // ParInit builds a distributed handle. Every rank calls it collectively
 // with its local global ids. Neighbour discovery routes through hashed
-// "owner" ranks (setup only); the recurring exchange is pairwise.
+// "owner" ranks (setup only); the recurring exchange is pairwise. Every
+// exchange (one per Apply or ApplyFields call) counts its messages and words
+// and records its virtual time in the rank's registry, and emits a span on
+// the rank's track of its tracer.
 func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	p := r.P()
-	h := &ParHandle{local: Init(gids), rank: r}
+	reg := r.Registry()
+	h := &ParHandle{local: Init(gids), rank: r,
+		exchMsgs: reg.Counter("gs/exchange.msgs"), exchWords: reg.Counter("gs/exchange.words"),
+		exchVTime: reg.VTime("gs/exchange"), tracer: r.Tracer()}
 	// Setup-only lookup tables; the steady-state Apply uses the flat index
 	// arrays built at the end instead.
 	repIdx := make(map[int64]int32, len(gids))
@@ -359,28 +303,14 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	return h
 }
 
-// Attach wires exchange-volume counters (messages and words sent per
-// exchange, one exchange per Apply or ApplyFields call) into reg; a nil
-// registry detaches.
-func (h *ParHandle) Attach(reg *instrument.Registry) {
-	h.exchMsgs = reg.Counter("gs/exchange.msgs")
-	h.exchWords = reg.Counter("gs/exchange.words")
-	h.exchVTime = reg.Timer("gs/exchange.vtime")
-	h.exchVHist = reg.Histogram("gs/exchange.vtime.hist")
-}
-
-// AttachTracer makes every exchange emit a virtual-clock span on the owning
-// rank's track covering the neighbour exchange; nil detaches.
-func (h *ParHandle) AttachTracer(tr *instrument.Tracer) { h.tracer = tr }
-
 // Apply performs the distributed gather–scatter on the local vector u:
 // ApplyFields on one field.
 func (h *ParHandle) Apply(u []float64, op Op) { h.ApplyFields(op, u) }
 
 // ApplyFields is the vector mode across ranks: every field is assembled with
 // the same topology in one communication phase, one message per neighbour
-// carrying each field's shared words in turn. Each shared value is folded
-// from op's identity over its holders' locally combined contributions in
+// carrying each field's shared words in turn. Each shared value is summed
+// from +0 over its holders' locally combined contributions in
 // ascending rank order — the lower-ranked neighbours', the rank's own, then
 // the higher-ranked neighbours' — and every holder knows the same holders, so
 // every copy of a node ends with the same bits on every rank, whatever order
@@ -419,18 +349,15 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	}
 	ns := len(h.slotRep)
 	vals := grow(&h.slotVal, nf*ns)
-	id := identity(op)
-	for i := range vals {
-		vals[i] = id
-	}
-	h.fold(op, h.neighbours[:h.below], vals, nf, ns)
+	clear(vals)
+	h.fold(h.neighbours[:h.below], vals, nf, ns)
 	for f, u := range fields {
 		sv := vals[f*ns : (f+1)*ns]
 		for s, idx := range h.slotRep {
-			sv[s] = combine(op, sv[s], u[idx])
+			sv[s] += u[idx]
 		}
 	}
-	h.fold(op, h.neighbours[h.below:], vals, nf, ns)
+	h.fold(h.neighbours[h.below:], vals, nf, ns)
 	for f, u := range fields {
 		sv := vals[f*ns : (f+1)*ns]
 		for s, v := range sv {
@@ -443,13 +370,12 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 		h.tracer.SpanV(h.rank.ID, "gs/exchange", "gs", t0, h.rank.Time,
 			map[string]any{"neighbours": len(h.neighbours), "words": words})
 	}
-	h.exchVTime.Add(time.Duration((h.rank.Time - t0) * float64(time.Second)))
-	h.exchVHist.Observe(h.rank.Time - t0)
+	h.exchVTime.Record(h.rank.Time - t0)
 }
 
-// fold receives each of nbs' replies in turn and folds it into the slot
+// fold receives each of nbs' replies in turn and adds it into the slot
 // accumulators vals (nf fields of ns slots).
-func (h *ParHandle) fold(op Op, nbs []neighbour, vals []float64, nf, ns int) {
+func (h *ParHandle) fold(nbs []neighbour, vals []float64, nf, ns int) {
 	for ni := range nbs {
 		nb := &nbs[ni]
 		got := h.rank.Recv(nb.rank, tagExchange)
@@ -457,7 +383,7 @@ func (h *ParHandle) fold(op Op, nbs []neighbour, vals []float64, nf, ns int) {
 		for f := 0; f < nf; f++ {
 			sv, in := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
 			for i, s := range nb.slotIdx {
-				sv[s] = combine(op, sv[s], in[i])
+				sv[s] += in[i]
 			}
 		}
 		h.rank.Free(got)

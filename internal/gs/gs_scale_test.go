@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/instrument"
 	"repro/internal/mesh"
 )
 
@@ -92,7 +93,8 @@ func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 	// once its first call has sized the buffers for its fields. Measured as a
 	// MemStats delta on rank 0 across a synchronized window with GC off —
 	// see the comm package's allreduce twin for why AllocsPerRun can't be
-	// used under the network's goroutines.
+	// used under the network's goroutines. The network carries a registry,
+	// so every exchange is also counted and timed.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const p = 4
 	spec := mesh.Box2D(mesh.Box2DSpec{Nx: 8, Ny: 1, X1: 8, Y1: 1})
@@ -103,23 +105,30 @@ func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 	perRank := m.K / p
 	const warm, iters = 25, 200
 	var steady [2]uint64 // Apply, then ApplyFields on three fields
-	comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9}).Run(func(r *comm.Rank) {
+	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
+	reg := instrument.New()
+	net.Attach(reg)
+	net.Run(func(r *comm.Rank) {
 		lo := r.ID * perRank * m.Np
 		hi := lo + perRank*m.Np
 		h := ParInit(r, m.GID[lo:hi])
-		fields := make([][]float64, 3)
+		fields, fresh := make([][]float64, 3), make([][]float64, 3)
 		for f := range fields {
-			fields[f] = make([]float64, hi-lo)
-			for i := range fields[f] {
-				fields[f][i] = float64((i+f)%7) - 3
+			fields[f], fresh[f] = make([]float64, hi-lo), make([]float64, hi-lo)
+			for i := range fresh[f] {
+				fresh[f][i] = float64((i+f)%7) - 3
 			}
 		}
-		u := fields[0]
-		// Max is idempotent on the assembled field, so repeated applies
-		// neither overflow nor drift.
+		// Every call sums a fresh copy, so repeated applies neither
+		// overflow nor drift.
+		reset := func() {
+			for f := range fields {
+				copy(fields[f], fresh[f])
+			}
+		}
 		calls := []func(){
-			func() { h.Apply(u, Max) },
-			func() { h.ApplyFields(Max, fields...) },
+			func() { reset(); h.Apply(fields[0], Sum) },
+			func() { reset(); h.ApplyFields(Sum, fields...) },
 		}
 		for k, call := range calls {
 			for it := 0; it < warm; it++ {
@@ -144,5 +153,8 @@ func TestParApplySteadyStateZeroAlloc(t *testing.T) {
 		if steady[k] > 64 {
 			t.Errorf("steady-state gs exchange (%s) allocated %d objects over %d calls, want ~0", name, steady[k], iters)
 		}
+	}
+	if got, want := reg.Timer("gs/exchange.vtime").Count(), int64(2*p*(warm+iters)); got != want {
+		t.Errorf("%d exchanges timed, want %d", got, want)
 	}
 }

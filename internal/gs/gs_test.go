@@ -26,26 +26,6 @@ func TestApplySum(t *testing.T) {
 	}
 }
 
-func TestApplyMinMaxMul(t *testing.T) {
-	gids := []int64{7, 7, 7, 9}
-	h := Init(gids)
-	u := []float64{3, -1, 2, 5}
-	h.Apply(u, Min)
-	if u[0] != -1 || u[1] != -1 || u[2] != -1 || u[3] != 5 {
-		t.Fatalf("min: %v", u)
-	}
-	u = []float64{3, -1, 2, 5}
-	h.Apply(u, Max)
-	if u[0] != 3 || u[2] != 3 {
-		t.Fatalf("max: %v", u)
-	}
-	u = []float64{3, -1, 2, 5}
-	h.Apply(u, Mul)
-	if u[0] != -6 || u[1] != -6 || u[2] != -6 || u[3] != 5 {
-		t.Fatalf("mul: %v", u)
-	}
-}
-
 func TestMultiplicity(t *testing.T) {
 	gids := []int64{0, 1, 1, 2, 0, 0}
 	h := Init(gids)
@@ -84,9 +64,8 @@ func TestApplyFieldsMatchesApply(t *testing.T) {
 }
 
 func TestApplyIdempotentAfterAssembly(t *testing.T) {
-	// Property: after one Sum gather-scatter, all copies of a global agree,
-	// so Min/Max leave the vector unchanged, and the second Sum multiplies
-	// shared values by their multiplicity.
+	// Property: after one Sum gather-scatter, all copies of a global agree
+	// bitwise: each holds the node's one assembled value.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(60)
@@ -100,10 +79,11 @@ func TestApplyIdempotentAfterAssembly(t *testing.T) {
 			u[i] = rng.NormFloat64()
 		}
 		h.Apply(u, Sum)
-		v := append([]float64(nil), u...)
-		h.Apply(v, Min)
-		for i := range u {
-			if v[i] != u[i] {
+		first := map[int64]float64{}
+		for i, g := range gids {
+			if v, ok := first[g]; !ok {
+				first[g] = u[i]
+			} else if math.Float64bits(v) != math.Float64bits(u[i]) {
 				return false
 			}
 		}
@@ -253,37 +233,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelMinOp(t *testing.T) {
-	p := 3
-	// Three ranks each hold gids {0, rank+1}; gid 0 shared by all.
-	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
-	results := make([][]float64, p)
-	net.Run(func(r *comm.Rank) {
-		gids := []int64{0, int64(r.ID + 1)}
-		u := []float64{float64(10 - r.ID), float64(r.ID)}
-		h := ParInit(r, gids)
-		h.Apply(u, Min)
-		results[r.ID] = u
-	})
-	for rk := 0; rk < p; rk++ {
-		if results[rk][0] != 8 { // min(10, 9, 8)
-			t.Fatalf("rank %d: shared min = %g, want 8", rk, results[rk][0])
-		}
-		if results[rk][1] != float64(rk) {
-			t.Fatalf("rank %d: private value clobbered", rk)
-		}
-	}
-}
-
 func TestParExchangeCounters(t *testing.T) {
 	// Each rank shares gid 0 with every other rank, so one Apply exchanges
 	// one single-word message per neighbour pair and direction.
 	p := 3
 	net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
 	reg := instrument.New()
+	net.Attach(reg)
 	net.Run(func(r *comm.Rank) {
 		h := ParInit(r, []int64{0, int64(r.ID + 1)})
-		h.Attach(reg)
 		u := []float64{1, float64(r.ID)}
 		h.Apply(u, Sum)
 		if u[0] != float64(p) {
@@ -333,9 +291,10 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 	for _, p := range []int{3, 8} {
 		perRank := m.K / p
 		reg := instrument.New()
-		var calls, words [2]int64 // per ApplyFields call: messages and words, summed over ranks
+		var calls, words [3]int64 // before and after each ApplyFields call: messages and words, summed over ranks
 		var nbrs, shared atomic.Int64
 		net := comm.NewNetwork(comm.Machine{P: p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
+		net.Attach(reg)
 		got := make([][]float64, nf)  // ApplyFields on the spread fields
 		want := make([][]float64, nf) // Apply on each spread field alone
 		gotExact := make([][]float64, nf)
@@ -361,22 +320,24 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 			for _, u := range one {
 				h.Apply(u, Sum)
 			}
-			h.Attach(reg)
-			r.Barrier()
-			h.ApplyFields(Sum, many...)
-			r.Barrier()
-			if r.ID == 0 {
-				calls[0], words[0] = msgs.Value(), wds.Value()
+			for k, fields := range [][][]float64{many, ex} {
+				r.Barrier()
+				if r.ID == 0 {
+					calls[k], words[k] = msgs.Value(), wds.Value()
+				}
+				r.Barrier()
+				h.ApplyFields(Sum, fields...)
 			}
 			r.Barrier()
-			h.ApplyFields(Sum, ex...)
+			if r.ID == 0 {
+				calls[2], words[2] = msgs.Value(), wds.Value()
+			}
 			for f := 0; f < nf; f++ {
 				copy(want[f][lo:hi], one[f])
 				copy(got[f][lo:hi], many[f])
 				copy(gotExact[f][lo:hi], ex[f])
 			}
 		})
-		calls[1], words[1] = msgs.Value()-calls[0], wds.Value()-words[0]
 		for f := 0; f < nf; f++ {
 			for i := range m.GID {
 				if math.Float64bits(got[f][i]) != math.Float64bits(want[f][i]) {
@@ -391,10 +352,11 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 		if nbrs.Load() == 0 {
 			t.Fatalf("P=%d: no rank has a neighbour", p)
 		}
-		for k := range calls {
-			if calls[k] != nbrs.Load() || words[k] != nf*shared.Load() {
+		for k := 0; k < 2; k++ {
+			c, w := calls[k+1]-calls[k], words[k+1]-words[k]
+			if c != nbrs.Load() || w != nf*shared.Load() {
 				t.Errorf("P=%d call %d: %d messages of %d words in all, want one per neighbour (%d) carrying %d fields' %d shared words",
-					p, k+1, calls[k], words[k], nbrs.Load(), nf, shared.Load())
+					p, k+1, c, w, nbrs.Load(), nf, shared.Load())
 			}
 		}
 	}
@@ -411,7 +373,6 @@ func TestParApplyFieldsIsApplyPerField(t *testing.T) {
 // summed such a node in another order than its neighbours did.
 func TestParCopiesAgreeInRankOrder(t *testing.T) {
 	const nf = 2
-	opName := [...]string{Sum: "Sum", Mul: "Mul", Min: "Min", Max: "Max"}
 	cases := []struct {
 		name  string
 		spec  mesh.Box2DSpec
@@ -456,75 +417,66 @@ func TestParCopiesAgreeInRankOrder(t *testing.T) {
 			t.Fatalf("%s: no node is shared by three ranks", c.name)
 		}
 		rng := rand.New(rand.NewSource(int64(c.p)))
-		for _, op := range []Op{Sum, Mul, Min, Max} {
-			in := make([][][]float64, c.p) // rank -> field -> local values
-			for r, gs := range gids {
-				in[r] = make([][]float64, nf)
-				for f := range in[r] {
-					in[r][f] = make([]float64, len(gs))
-					for i := range gs {
-						switch op {
-						case Sum: // twelve decades: any other order shows
-							in[r][f][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
-						case Mul:
-							in[r][f][i] = 0.5 + rng.Float64()
-						default:
-							in[r][f][i] = rng.NormFloat64()
-						}
+		in := make([][][]float64, c.p) // rank -> field -> local values
+		for r, gs := range gids {
+			in[r] = make([][]float64, nf)
+			for f := range in[r] {
+				in[r][f] = make([]float64, len(gs))
+				for i := range gs { // twelve decades: any other order shows
+					in[r][f][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+				}
+			}
+		}
+		// The reference: each rank's local combine, then the holders'
+		// results folded from the lowest rank up.
+		want := make([]map[int64]float64, nf)
+		for f := range want {
+			want[f] = map[int64]float64{}
+		}
+		for r, gs := range gids {
+			loc := make([][]float64, nf)
+			for f := range loc {
+				loc[f] = append([]float64(nil), in[r][f]...)
+			}
+			Init(gs).ApplyFields(Sum, loc...)
+			seen := map[int64]bool{}
+			for i, g := range gs {
+				if seen[g] {
+					continue
+				}
+				seen[g] = true
+				for f := range want {
+					if acc, ok := want[f][g]; ok {
+						want[f][g] = acc + loc[f][i]
+					} else {
+						want[f][g] = loc[f][i]
 					}
 				}
 			}
-			// The reference: each rank's local combine, then the holders'
-			// results folded from the lowest rank up.
-			want := make([]map[int64]float64, nf)
-			for f := range want {
-				want[f] = map[int64]float64{}
-			}
+		}
+		net := comm.NewNetwork(comm.Machine{P: c.p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
+		net.Run(func(r *comm.Rank) { ParInit(r, gids[r.ID]).ApplyFields(Sum, in[r.ID]...) })
+		// Every copy against the first one met, then against the fold.
+		var split, off int
+		for f := 0; f < nf; f++ {
+			first := map[int64]float64{}
 			for r, gs := range gids {
-				loc := make([][]float64, nf)
-				for f := range loc {
-					loc[f] = append([]float64(nil), in[r][f]...)
-				}
-				Init(gs).ApplyFields(op, loc...)
-				seen := map[int64]bool{}
 				for i, g := range gs {
-					if seen[g] {
-						continue
+					got := in[r][f][i]
+					if v, ok := first[g]; !ok {
+						first[g] = got
+					} else if math.Float64bits(v) != math.Float64bits(got) {
+						split++
 					}
-					seen[g] = true
-					for f := range want {
-						if acc, ok := want[f][g]; ok {
-							want[f][g] = combine(op, acc, loc[f][i])
-						} else {
-							want[f][g] = loc[f][i]
-						}
+					if math.Float64bits(got) != math.Float64bits(want[f][g]) {
+						off++
 					}
 				}
 			}
-			net := comm.NewNetwork(comm.Machine{P: c.p, Latency: 1e-6, ByteSec: 1e-9, MMFlopSec: 1e-9, VecFlopSec: 1e-9})
-			net.Run(func(r *comm.Rank) { ParInit(r, gids[r.ID]).ApplyFields(op, in[r.ID]...) })
-			// Every copy against the first one met, then against the fold.
-			var split, off int
-			for f := 0; f < nf; f++ {
-				first := map[int64]float64{}
-				for r, gs := range gids {
-					for i, g := range gs {
-						got := in[r][f][i]
-						if v, ok := first[g]; !ok {
-							first[g] = got
-						} else if math.Float64bits(v) != math.Float64bits(got) {
-							split++
-						}
-						if math.Float64bits(got) != math.Float64bits(want[f][g]) {
-							off++
-						}
-					}
-				}
-			}
-			if split > 0 || off > 0 {
-				t.Errorf("%s, P=%d, %s: %d copies differ from another copy of their node, %d from the rank-order fold",
-					c.name, c.p, opName[op], split, off)
-			}
+		}
+		if split > 0 || off > 0 {
+			t.Errorf("%s, P=%d: %d copies differ from another copy of their node, %d from the rank-order fold",
+				c.name, c.p, split, off)
 		}
 	}
 }

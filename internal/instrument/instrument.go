@@ -76,6 +76,21 @@ func (t *Timer) Count() int64 {
 	return t.count.Load()
 }
 
+// VTime records intervals of a modelled (virtual) clock, in seconds: each
+// one as an event of Timer and, when Hist is not nil, a sample of Hist. The
+// collectives, the gather–scatter exchange and the coarse solve all record
+// their virtual time through it. The zero value no-ops.
+type VTime struct {
+	Timer *Timer
+	Hist  *Histogram
+}
+
+// Record records one interval of dt virtual seconds.
+func (v VTime) Record(dt float64) {
+	v.Timer.Add(time.Duration(dt * float64(time.Second)))
+	v.Hist.Observe(dt)
+}
+
 // Counter is a monotonically increasing integer (iterations, messages,
 // words exchanged). Nil receivers no-op.
 type Counter struct {
@@ -258,6 +273,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
+}
+
+// VTime returns the recorder of the timer name+".vtime" and the histogram
+// name+".vtime.hist"; the zero VTime on a nil registry.
+func (r *Registry) VTime(name string) VTime {
+	return VTime{Timer: r.Timer(name + ".vtime"), Hist: r.Histogram(name + ".vtime.hist")}
 }
 
 // TimerStat is one timer's snapshot.

@@ -32,7 +32,7 @@ import (
 //     the coarse vertex solve).
 //   - CoarseSolve turns the vertex residual this solver restricted from its
 //     own elements into the Schwarz coarse solution on all vertices
-//     (x0 = A₀⁻¹ Σ_solvers r0).
+//     (x0 = A₀⁻¹ Σ_solvers r0); it may overwrite r0.
 //   - Begin and End bracket a Section for whoever keeps time: wall-clock
 //     timers and spans in shared memory, the virtual clock on a rank. st is
 //     the step's statistics so far (zero inside the preconditioner).

@@ -9,17 +9,20 @@ package parrun
 // the ranks, and sets one goroutine rank per part up; each rank forks the
 // template into state sized by its own elements. StepN runs a batch of
 // steps, every rank calling ns.Solver.Step on a rankMachine, whose methods
-// are the distributed gather–scatter, scalar allreduces, the virtual clock
-// and the XXT vertex solve — the per-step traffic of the paper's Figs. 6 and
-// 8. Between batches no goroutine is alive: the ranks persist in the
-// comm.Network and their solvers in the Stepper, so a snapshot is a plain
-// read (Checkpoint). A P-rank run differs from the shared-memory stepper
-// only by the reduction order of the inner products and by the coarse vertex
-// solve. There is one factor of A₀ (coarse.XXT, built with the template) and
-// two solves of it: the shared-memory machine runs L's triangular solves,
-// the ranks the distributed product X Xᵀ b — same system, different
-// rounding. Fields therefore agree with the serial solver to solver
-// tolerance (1e-8 over tens of steps), not bitwise, even at P = 1.
+// are the distributed gather–scatter (gs.ParHandle), scalar allreduces, the
+// virtual clock and the rank's XXT vertex solve (coarse.Dist.SolveNatural)
+// — the per-step traffic of the paper's Figs. 6 and 8. The network carries
+// the run's registry and tracer; the gather–scatter and the coarse solve
+// take theirs from their rank. Between batches no goroutine is alive: the
+// ranks persist in the comm.Network and their solvers in the Stepper, so a
+// snapshot is a plain read (Checkpoint). A P-rank run differs from the
+// shared-memory stepper only by the reduction order of the inner products
+// and by the coarse vertex solve. There is one factor of A₀ (coarse.XXT,
+// built with the template) and two solves of it: the shared-memory machine
+// runs L's triangular solves, the ranks the distributed product X Xᵀ b —
+// same system, different rounding. Fields therefore agree with the serial
+// solver to solver tolerance (1e-8 over tens of steps), not bitwise, even at
+// P = 1.
 //
 // Cross-rank consistency: every CG/projection decision derives from
 // allreduce results, which the simulated collectives make bitwise identical
@@ -194,8 +197,6 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	var xxt *coarse.Dist
 	if tmpl.PrecondName() == ns.PrecondSchwarz {
 		xxt = tmpl.CoarseFactor().Distribute(p)
-		xxt.Attach(cfg.Registry)
-		xxt.AttachTracer(cfg.Tracer)
 	}
 
 	part := partition.RSB(m.Adj, p)
@@ -396,26 +397,18 @@ func NavierStokes(nscfg ns.Config, cfg NSConfig) (*NSResult, error) {
 
 // rankMachine is ns.Machine on one rank of the simulated machine: the owned
 // elements of the partition, a plain loop over them, the distributed
-// gather–scatter, scalar and short-vector allreduces, the virtual clock for flops and for
-// sections (traced as spans on the rank's track), and the distributed XXT
-// vertex solve between two vector allreduces.
+// gather–scatter, scalar and short-vector allreduces, the virtual clock for
+// flops and for sections (traced as spans on the rank's track), and the
+// rank's side of the distributed XXT vertex solve.
 type rankMachine struct {
 	r    *comm.Rank
 	mine []int
 	h    *gs.ParHandle
-	tr   *instrument.Tracer
 	t0   [ns.NumSections]float64 // virtual time each section last opened
 
-	// Coarse solve (nil xxt when the resolved variant has no coarse term).
-	// The factor, its permutations included, is shared and read-only: 1024
-	// rank bodies each rebuilding NVert-length set-up is exactly the
-	// replicated cost the large-P path cannot afford. up and bLocal are
-	// arenas: the solve runs every CG iteration and its NVert-length
-	// temporaries dominated the allocation profile at large P.
+	// Coarse solve (nil xxt when the resolved variant has no coarse term):
+	// the factor, shared and read-only by every rank, and this rank's work.
 	xxt     *coarse.Dist
-	lo, hi  int
-	up      []float64
-	bLocal  []float64
 	xxtWork *coarse.SolveWork
 }
 
@@ -433,30 +426,14 @@ func (m *rankMachine) SumN(v []float64)            { m.r.Allreduce(v, comm.OpSum
 func (m *rankMachine) Max(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpMax) }
 func (m *rankMachine) Charge(mm, vec int64)        { m.r.Compute(mm, vec) }
 
-func (m *rankMachine) CoarseSolve(x0, r0 []float64) {
-	rk, xxt := m.r, m.xxt
-	rk.Allreduce(r0, comm.OpSum)
-	for newi := m.lo; newi < m.hi; newi++ {
-		m.bLocal[newi-m.lo] = r0[xxt.Perm[newi]]
-	}
-	uLocal := xxt.SolveOnW(rk, m.bLocal, m.xxtWork)
-	up := m.up
-	for i := range up {
-		up[i] = 0
-	}
-	copy(up[m.lo:m.hi], uLocal)
-	rk.Allreduce(up, comm.OpSum)
-	for old := range x0 {
-		x0[old] = up[xxt.InvPerm[old]]
-	}
-}
+func (m *rankMachine) CoarseSolve(x0, r0 []float64) { m.xxt.SolveNatural(m.r, x0, r0, m.xxtWork) }
 
 func (m *rankMachine) Begin(sec ns.Section) { m.t0[sec] = m.r.Time }
 
 func (m *rankMachine) End(sec ns.Section, st ns.StepStats) {
-	id := m.r.ID
+	id, tr := m.r.ID, m.r.Tracer()
 	// The step itself gets no span on a rank track: its phases tile it.
-	if sec == ns.SecStep || !m.tr.WantsV(id) {
+	if sec == ns.SecStep || !tr.WantsV(id) {
 		return
 	}
 	var args map[string]any
@@ -470,11 +447,11 @@ func (m *rankMachine) End(sec ns.Section, st ns.StepStats) {
 	case ns.SecSchwarzLocal:
 		args = map[string]any{"elems": len(m.mine)}
 	case ns.SecSchwarzCoarse:
-		args = map[string]any{"nvert": len(m.up)}
+		args = map[string]any{"nvert": m.xxt.N}
 	default:
 		args = map[string]any{"step": st.Step}
 	}
-	m.tr.SpanV(id, sec.Name(), sec.Cat(), m.t0[sec], m.r.Time, args)
+	tr.SpanV(id, sec.Name(), sec.Cat(), m.t0[sec], m.r.Time, args)
 }
 
 // setUpRank is the set-up half of one rank's SPMD body: build the rank's
@@ -486,15 +463,9 @@ func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.Dist, cfg 
 	for li, e := range mine {
 		copy(gids[li*np:(li+1)*np], m.GID[e*np:(e+1)*np])
 	}
-	mach := &rankMachine{r: r, mine: mine, tr: cfg.Tracer, h: gs.ParInit(r, gids)}
-	mach.h.Attach(cfg.Registry)
-	mach.h.AttachTracer(cfg.Tracer)
+	mach := &rankMachine{r: r, mine: mine, h: gs.ParInit(r, gids), xxt: xxt}
 	if xxt != nil {
-		mach.xxt = xxt
-		mach.lo, mach.hi = xxt.BlockLo[r.ID], xxt.BlockHi[r.ID]
-		mach.up = make([]float64, m.NVert)
-		mach.bLocal = make([]float64, mach.hi-mach.lo)
-		mach.xxtWork = xxt.NewSolveWork(r.ID)
+		mach.xxtWork = xxt.NewSolveWork(r)
 	}
 	rs := rankState{mach: mach, stepHist: cfg.Registry.Histogram("ns/step.vsec")}
 	for i, name := range [4]string{"convect", "viscous", "pressure", "filter"} {

@@ -241,7 +241,7 @@ func (m *Manager) run(j *Job) {
 
 	final := StateDone
 	errMsg := ""
-	lastCkpt := j.sess.Step()
+	due := false // a snapshot is due and not yet deposited
 	for {
 		step := j.sess.Step()
 		if step >= j.Cfg.Steps {
@@ -251,10 +251,7 @@ func (m *Manager) run(j *Job) {
 			final = StateCancelled
 			break
 		}
-		batch := j.Cfg.BatchSteps
-		if rem := j.Cfg.Steps - step; batch > rem {
-			batch = rem
-		}
+		batch, snapshot := NextBatch(step, j.Cfg.Steps, j.Cfg.BatchSteps, j.Cfg.CheckpointEvery)
 		err := m.stepBatch(j, batch)
 		// The slot just released is free again at once (slots are sized to the
 		// processors), so nothing above ever blocks and a sub-millisecond step
@@ -275,10 +272,10 @@ func (m *Manager) run(j *Job) {
 		// after the next batch; the first failure becomes the job's error at
 		// once, so a client learns that the store may hold no snapshot to
 		// resume from.
-		step = j.sess.Step()
-		if every := j.Cfg.CheckpointEvery; every > 0 && step < j.Cfg.Steps && step-lastCkpt >= every {
+		due = due || snapshot
+		if step = j.sess.Step(); due && step < j.Cfg.Steps {
 			if err := j.sess.Deposit(m.store, j.ID); err == nil {
-				lastCkpt = step
+				due = false
 			} else if errMsg == "" {
 				errMsg = fmt.Sprintf("checkpoint artifact at step %d: %v", step, err)
 				j.mu.Lock()
@@ -288,6 +285,25 @@ func (m *Manager) run(j *Job) {
 		}
 	}
 	m.finish(j, final, errMsg)
+}
+
+// NextBatch cuts a run into batches, the one schedule of both drivers'
+// snapshots: from step completed steps toward target, the next batch runs at
+// most quantum steps (0: no limit) and stops at the next multiple of every
+// (0: no snapshots before the end). snapshot reports whether one is due
+// after it: at every multiple of every, and at the target. The schedule
+// depends on neither the step a run started or resumed at nor the batch
+// size.
+func NextBatch(step, target, quantum, every int) (n int, snapshot bool) {
+	n = target - step
+	if quantum > 0 {
+		n = min(n, quantum)
+	}
+	if every > 0 {
+		n = min(n, every-step%every)
+	}
+	end := step + n
+	return n, end == target || every > 0 && end%every == 0
 }
 
 // stepBatch steps one scheduler quantum inside a slot. A panic under StepN

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -451,6 +452,65 @@ func TestManagerCheckpointEvery(t *testing.T) {
 	}
 	if res.Error != want {
 		t.Errorf("first two deposits refused: result.json error %q, want %q", res.Error, want)
+	}
+}
+
+// TestCheckpointScheduleIsMultiples: a job's snapshots fall at the multiples
+// of checkpoint_every and at the end, whatever its batch size and wherever
+// it started: a fresh job in batches of 3 steps and a job resumed at step 7
+// both deposit at steps 10 and 20.
+func TestCheckpointScheduleIsMultiples(t *testing.T) {
+	cfg := testCfg(20, 1)
+	cfg.CheckpointEvery = 10
+	deposits := func(store *ckptStore, start func(m *Manager) (*Job, error)) []int {
+		t.Helper()
+		m := NewManager(store, 1)
+		defer m.Close()
+		j, err := start(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if st := j.Status(); st.State != StateDone || st.Error != "" {
+			t.Fatalf("job %s: state %s, error %q", j.ID, st.State, st.Error)
+		}
+		return store.steps
+	}
+
+	batched := cfg
+	batched.BatchSteps = 3
+	got := deposits(&ckptStore{Store: NewMemStore()}, func(m *Manager) (*Job, error) { return m.Submit(batched) })
+	if !slices.Equal(got, []int{10, 20}) {
+		t.Errorf("batch_steps 3: checkpoints at steps %v, want [10 20]", got)
+	}
+
+	// A stored session at step 7 whose config asks for 20 steps.
+	store := &ckptStore{Store: NewMemStore()}
+	first := cfg
+	first.Steps = 7
+	sess, err := Create(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.StepN(7); err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Deposit(store, "at7")
+	sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("at7", ArtifactConfig, raw); err != nil {
+		t.Fatal(err)
+	}
+	store.steps = nil
+	got = deposits(store, func(m *Manager) (*Job, error) { return m.ResumeJob("at7", 0) })
+	if !slices.Equal(got, []int{10, 20}) {
+		t.Errorf("resumed at step 7: checkpoints at steps %v, want [10 20]", got)
 	}
 }
 

@@ -33,7 +33,12 @@
 #           one (FSStore.Put is the one durable write); a grep that no
 #           non-test file outside internal/la and internal/coarse calls
 #           la.FactorSparseChol or la.NDPermGraph (coarse.NewXXT orders and
-#           factors the vertex problem once for both machines); a gofmt -l
+#           factors the vertex problem once for both machines); a grep
+#           that no non-test file outside internal/comm and internal/ns
+#           declares a method named Attach or AttachTracer (a distributed
+#           run attaches its registry and tracer to the comm.Network once,
+#           and the gather–scatter and the coarse solve take theirs from the
+#           rank they are built on); a gofmt -l
 #           over every tracked .go file (bench/ included), which must list nothing; then
 #           the non-test line count per package (scripts/loc.sh), the source
 #           of the line-count claims in ROADMAP.md
@@ -187,6 +192,18 @@ onefactor() {
     fi
 }
 
+# onereport — comm.Network is the one place a distributed run attaches its
+# registry and tracer (ns.Solver keeps the shared-memory machine's tracer):
+# the components built on a rank, the gather–scatter and the coarse solve,
+# take their handles from the rank, so no other non-test file declares an
+# Attach or AttachTracer method.
+onereport() {
+    if git grep --untracked -n -E '^func \([^)]*\) (Attach|AttachTracer)\(' -- '*.go' ':!*_test.go' ':!internal/comm' ':!internal/ns'; then
+        echo "an Attach or AttachTracer method outside internal/comm and internal/ns: take the registry and tracer from the comm.Rank (Rank.Registry, Rank.Tracer)" >&2
+        return 1
+    fi
+}
+
 # gofmt_clean — every Go file in the tree (tracked, or untracked and not
 # ignored, as the greps above see them) is as gofmt writes it.
 gofmt_clean() {
@@ -213,6 +230,7 @@ tier1() {
     stage "tier1/onewrite" onewrite
     stage "tier1/onepath" onepath
     stage "tier1/onefactor" onefactor
+    stage "tier1/onereport" onereport
     stage "tier1/gofmt" gofmt_clean
     stage "tier1/loc" ./scripts/loc.sh
 }
