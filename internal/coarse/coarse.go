@@ -368,23 +368,43 @@ func NewRedundantLU(a *la.CSR, bw, p int) (*RedundantLU, error) {
 	return &RedundantLU{N: n, P: p, fac: fac}, nil
 }
 
+// BaselineWork is one rank's scratch for the baseline solves (RedundantLU,
+// DistInv): the full N-word right-hand side the allreduce assembles and, on
+// a rank that wants the result, the full N-word solution. Build it once per
+// rank and reuse it, so a steady-state baseline solve allocates nothing.
+type BaselineWork struct {
+	rhs, x []float64
+}
+
+// NewBaselineWork sizes a BaselineWork for n unknowns; only a work built
+// with wantResult carries the solution, and only a solve with such a work
+// runs the numeric solve.
+func NewBaselineWork(n int, wantResult bool) *BaselineWork {
+	w := &BaselineWork{rhs: make([]float64, n)}
+	if wantResult {
+		w.x = make([]float64, n)
+	}
+	return w
+}
+
 // SolveOn runs the redundant solve on one rank: allreduce the padded RHS,
-// then a full local banded solve; returns the rank's solution block. The
-// solve flops are always charged to the virtual clock; when wantResult is
-// false the (redundant, bit-identical) numeric solve is skipped so that
-// large-P simulations do not pay P times the real work of one solve.
-func (s *RedundantLU) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []float64 {
+// then a full local banded solve; returns the rank's solution block,
+// aliasing w and valid until w's next solve. The solve flops are always
+// charged to the virtual clock; with a w built without wantResult the
+// (redundant, bit-identical) numeric solve is skipped and nil returned, so
+// that large-P simulations do not pay P times the real work of one solve.
+func (s *RedundantLU) SolveOn(r *comm.Rank, bLocal []float64, w *BaselineWork) []float64 {
 	lo, hi := r.ID*s.N/s.P, (r.ID+1)*s.N/s.P // the rank's block, as Distribute's
-	full := make([]float64, s.N)
+	full := w.rhs
+	clear(full)
 	copy(full[lo:hi], bLocal)
 	r.Allreduce(full, comm.OpSum)
 	r.Compute(0, s.fac.SolveFlops())
-	if !wantResult {
+	if w.x == nil {
 		return nil
 	}
-	x := make([]float64, s.N)
-	s.fac.Solve(x, full)
-	return x[lo:hi]
+	s.fac.Solve(w.x, full)
+	return w.x[lo:hi]
 }
 
 // DistInv is the row-distributed A⁻¹ baseline: each rank conceptually holds
@@ -407,23 +427,24 @@ func NewDistInv(a *la.CSR, p int) (*DistInv, error) {
 	return &DistInv{N: a.Rows, P: p, fac: fac}, nil
 }
 
-// SolveOn runs the distributed-inverse solve on one rank. The dense
-// row-block matvec cost (2·n·n/P flops) is charged to the virtual clock;
-// the numeric values are produced through the shared sparse factorization
-// only when wantResult is true (they are what the dense rows would give).
-func (s *DistInv) SolveOn(r *comm.Rank, bLocal []float64, wantResult bool) []float64 {
+// SolveOn runs the distributed-inverse solve on one rank, with w as
+// RedundantLU.SolveOn takes it. The dense row-block matvec cost (2·n·n/P
+// flops) is charged to the virtual clock; the numeric values are produced
+// through the shared sparse factorization only when w carries the solution
+// (they are what the dense rows would give).
+func (s *DistInv) SolveOn(r *comm.Rank, bLocal []float64, w *BaselineWork) []float64 {
 	lo, hi := r.ID*s.N/s.P, (r.ID+1)*s.N/s.P // the rank's block, as Distribute's
-	full := make([]float64, s.N)
+	full := w.rhs
+	clear(full)
 	copy(full[lo:hi], bLocal)
 	r.Allreduce(full, comm.OpSum)
 	// Dense row-block matvec cost: 2 * n * (rows I own).
 	r.Compute(0, int64(2*s.N*(hi-lo)))
-	if !wantResult {
+	if w.x == nil {
 		return nil
 	}
-	x := make([]float64, s.N)
-	s.fac.Solve(x, full)
-	return x[lo:hi]
+	s.fac.Solve(w.x, full)
+	return w.x[lo:hi]
 }
 
 // LatencyBound returns the paper's lower-bound curve 2·α·log₂P for a

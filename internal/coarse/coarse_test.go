@@ -3,6 +3,8 @@ package coarse
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/comm"
@@ -131,9 +133,10 @@ func TestRedundantLUAndDistInv(t *testing.T) {
 	gotDI := make([]float64, n)
 	net(p).Run(func(r *comm.Rank) {
 		lo, hi := r.ID*n/p, (r.ID+1)*n/p
-		u := lu.SolveOn(r, b[lo:hi], true)
+		w := NewBaselineWork(n, true)
+		u := lu.SolveOn(r, b[lo:hi], w)
 		copy(gotLU[lo:hi], u)
-		v := di.SolveOn(r, b[lo:hi], true)
+		v := di.SolveOn(r, b[lo:hi], w)
 		copy(gotDI[lo:hi], v)
 	})
 	for i := range want {
@@ -143,6 +146,58 @@ func TestRedundantLUAndDistInv(t *testing.T) {
 		if math.Abs(gotDI[i]-want[i]) > 1e-9 {
 			t.Fatalf("distributed inverse mismatch at %d", i)
 		}
+	}
+}
+
+// TestBaselineSolvesSteadyStateZeroAlloc: with a BaselineWork built once
+// per rank, the redundant-LU and distributed-inverse solves allocate nothing
+// per call, on the ranks that skip the numeric solve and on the one that
+// runs it. Measured as a MemStats delta on rank 0 across a synchronized
+// window with GC off, as comm's allreduce twin measures it.
+func TestBaselineSolvesSteadyStateZeroAlloc(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const nx, ny, p, warm, iters = 12, 9, 8, 5, 100
+	a := Poisson5pt(nx, ny)
+	n := a.Rows
+	lu, err := NewRedundantLU(a, nx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	di, err := NewDistInv(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	var steady uint64
+	net(p).Run(func(r *comm.Rank) {
+		lo, hi := r.ID*n/p, (r.ID+1)*n/p
+		w := NewBaselineWork(n, r.ID == 0)
+		solve := func() {
+			lu.SolveOn(r, b[lo:hi], w)
+			di.SolveOn(r, b[lo:hi], w)
+		}
+		for it := 0; it < warm; it++ {
+			solve()
+		}
+		r.Barrier()
+		var m0, m1 runtime.MemStats
+		if r.ID == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		for it := 0; it < iters; it++ {
+			solve()
+		}
+		r.Barrier()
+		if r.ID == 0 {
+			runtime.ReadMemStats(&m1)
+			steady = m1.Mallocs - m0.Mallocs
+		}
+	})
+	if steady > 64 {
+		t.Errorf("steady-state baseline solves allocated %d objects over %d calls of each, want ~0", steady, iters)
 	}
 }
 
@@ -158,8 +213,8 @@ func TestWantResultFalseSkipsNumerics(t *testing.T) {
 	b := make([]float64, n)
 	ranks := net(p).Run(func(r *comm.Rank) {
 		lo, hi := r.ID*n/p, (r.ID+1)*n/p
-		if got := lu.SolveOn(r, b[lo:hi], false); got != nil {
-			t.Errorf("wantResult=false should return nil")
+		if got := lu.SolveOn(r, b[lo:hi], NewBaselineWork(n, false)); got != nil {
+			t.Errorf("a work without the solution should return nil")
 		}
 	})
 	// The clock must still have been charged.
@@ -202,7 +257,7 @@ func TestFig6TimeOrderingAtScale(t *testing.T) {
 		}
 		rs = comm.NewNetwork(m).Run(func(r *comm.Rank) {
 			lo, hi := r.ID*n/p, (r.ID+1)*n/p
-			lu.SolveOn(r, b[lo:hi], r.ID == 0)
+			lu.SolveOn(r, b[lo:hi], NewBaselineWork(n, r.ID == 0))
 		})
 		tlu = comm.MaxTime(rs)
 		di, err := NewDistInv(a, p)
@@ -211,7 +266,7 @@ func TestFig6TimeOrderingAtScale(t *testing.T) {
 		}
 		rs = comm.NewNetwork(m).Run(func(r *comm.Rank) {
 			lo, hi := r.ID*n/p, (r.ID+1)*n/p
-			di.SolveOn(r, b[lo:hi], r.ID == 0)
+			di.SolveOn(r, b[lo:hi], NewBaselineWork(n, r.ID == 0))
 		})
 		tdi = comm.MaxTime(rs)
 		return

@@ -5,17 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Collectives meet once per call. Every rank deposits its vector at the
-// network's rendezvous and parks; the last rank to arrive replays the call's
-// message schedule — recursive doubling for P = 2^k, a binomial reduce to
-// rank 0 and a binomial broadcast from it otherwise — message by message,
-// through the same clock halves a Send and a Recv use (post, land), each
-// rank's messages in that rank's own order, combining each rank's vector
-// with op exactly where the rank would. Clocks, traffic counters, fault
-// draws, registry counters and trace events are therefore those of the
-// message-passing schedule; only the host work differs: one park per rank
-// instead of 2·log₂P inbox hand-offs. Collective messages never enter an
-// inbox, so they take no tag from the user's tag space.
+// Collectives and neighbour exchanges (exchange.go) meet once per call.
+// Every rank deposits its call at the network's rendezvous and parks; the
+// last rank to arrive checks that every rank made the same call and replays
+// the call's messages for all of them, through the same clock halves a Send
+// and a Recv use (post, land), each rank's messages in that rank's own
+// order. A collective's schedule is recursive doubling for P = 2^k, a
+// binomial reduce to rank 0 and a binomial broadcast from it otherwise,
+// combining each rank's vector with op exactly where the rank would.
+// Clocks, traffic counters, fault draws, registry counters and trace events
+// are therefore those of the message-passing schedule; only the host work
+// differs: one park per rank instead of an inbox hand-off per message.
+// Neither collective nor exchange messages ever enter an inbox; collective
+// messages take no tag from the user's tag space.
 
 // Collective messages are labelled, in traces and loss panics, with the
 // tags the schedule gives them: labelAllreduce plus the round of recursive
@@ -26,23 +28,98 @@ const (
 	labelBcast     = 1 << 21
 )
 
-// rendezvous is where the ranks meet for one collective call. A rank writes
-// its data slot before it counts itself in, and the last rank's count
-// observes every earlier one, so the replay reads every slot after it was
-// written; until the replay wakes them, the other ranks are parked, so the
-// replay owns the rendezvous and every rank's clock without a lock.
+// rendezvous is where the ranks meet for one call. A rank writes its call
+// slot before it counts itself in, and the last rank's count observes every
+// earlier one, so the replay reads every slot after it was written; until
+// the replay wakes them, the other ranks are parked, so the replay owns the
+// rendezvous, every rank's clock and every deposited buffer without a lock.
 type rendezvous struct {
 	arrived atomic.Int64
-	data    [][]float64 // by rank: the vector deposited for the call in progress
-	wake    []chan any  // by rank, capacity 1: nil, or the panic that failed the replay
-	swap    []float64   // recursive doubling's copy of one partner's vector
+	calls   []call     // by rank: the call in progress
+	wake    []chan any // by rank, capacity 1: nil, or the panic that failed the replay
+	swap    []float64  // recursive doubling's copy of one partner's vector
 }
 
 func (c *rendezvous) init(p int) {
-	c.data, c.wake = make([][]float64, p), make([]chan any, p)
+	c.calls, c.wake = make([]call, p), make([]chan any, p)
 	for q := range c.wake {
 		c.wake[q] = make(chan any, 1)
 	}
+}
+
+// call is one rank's deposit at the rendezvous: an allreduce's vector and
+// op, or (x != nil) an exchange and the number of fields it carries.
+type call struct {
+	data   []float64
+	op     ReduceOp
+	x      *Exchange
+	fields int
+}
+
+// same reports whether c and d are the same call on two ranks: allreduces
+// of as many words, or exchanges of one handle carrying as many fields.
+func (c call) same(d call) bool {
+	if c.x == nil || d.x == nil {
+		return c.x == d.x && len(c.data) == len(d.data)
+	}
+	return c.x.id == d.x.id && c.fields == d.fields
+}
+
+func (c call) String() string {
+	if c.x == nil {
+		return fmt.Sprintf("an allreduce (%d words)", len(c.data))
+	}
+	return fmt.Sprintf("exchange %d (%d fields)", c.x.id, c.fields)
+}
+
+// meet deposits the rank's call at the rendezvous and parks until the last
+// rank to arrive has replayed it. A replay that fails (mismatched calls, a
+// message lost for good, a panicking op or fold) fails every rank with the
+// same panic.
+func (r *Rank) meet(cl call) {
+	n := r.net
+	c := &n.coll
+	c.calls[r.ID] = cl
+	if c.arrived.Add(1) < int64(n.P) {
+		if failure := <-c.wake[r.ID]; failure != nil {
+			panic(failure)
+		}
+		return
+	}
+	c.arrived.Store(0)
+	failure := n.replay()
+	for q, w := range c.wake {
+		if q != r.ID {
+			w <- failure
+		}
+	}
+	if failure != nil {
+		panic(failure)
+	}
+}
+
+// replay checks that every rank deposited the same call and runs it. A panic
+// is recovered and returned, for the caller to hand to every rank it wakes.
+func (n *Network) replay() (failure any) {
+	defer func() { failure = recover() }()
+	calls := n.coll.calls
+	for q := 1; q < n.P; q++ {
+		if !calls[q].same(calls[0]) {
+			panic(fmt.Sprintf("comm: rank %d at %v, rank 0 at %v", q, calls[q], calls[0]))
+		}
+	}
+	if calls[0].x != nil {
+		n.exchange()
+		return nil
+	}
+	op, words := calls[0].op, len(calls[0].data)
+	if p := n.P; p&(p-1) == 0 {
+		n.doubling(op, words)
+	} else {
+		n.reduceTree(op, words)
+		n.bcastTree(words)
+	}
+	return nil
 }
 
 // ReduceOp combines two equal-length vectors elementwise into dst.
@@ -106,6 +183,14 @@ func (r *Rank) collective(data []float64, op ReduceOp, barrier bool) {
 	}
 }
 
+// allreduce meets the other ranks at the rendezvous with data; a one-rank
+// network has nothing to combine.
+func (r *Rank) allreduce(data []float64, op ReduceOp) {
+	if r.net.P > 1 {
+		r.meet(call{data: data, op: op})
+	}
+}
+
 // AllreduceScalar is a convenience for a single value. The scratch word
 // lives on the rank (collectives never nest), so the per-iteration scalar
 // reductions of a CG loop allocate nothing.
@@ -113,55 +198,6 @@ func (r *Rank) AllreduceScalar(v float64, op ReduceOp) float64 {
 	r.scalBuf[0] = v
 	r.Allreduce(r.scalBuf[:], op)
 	return r.scalBuf[0]
-}
-
-// allreduce deposits data at the rendezvous and parks until the last rank
-// has replayed the call. A replay that fails (a message lost for good)
-// fails every rank with the same panic.
-func (r *Rank) allreduce(data []float64, op ReduceOp) {
-	n := r.net
-	if n.P == 1 {
-		return
-	}
-	c := &n.coll
-	c.data[r.ID] = data
-	if c.arrived.Add(1) < int64(n.P) {
-		if failure := <-c.wake[r.ID]; failure != nil {
-			panic(failure)
-		}
-		return
-	}
-	c.arrived.Store(0)
-	failure := n.replay(op)
-	for q, w := range c.wake {
-		if q != r.ID {
-			w <- failure
-		}
-	}
-	if failure != nil {
-		panic(failure)
-	}
-}
-
-// replay runs the call's message schedule over the deposited vectors. A
-// panic (a message lost for good, or a caller's op) is recovered and
-// returned, for the caller to hand to every rank it wakes.
-func (n *Network) replay(op ReduceOp) (failure any) {
-	defer func() { failure = recover() }()
-	c, p := &n.coll, n.P
-	words := len(c.data[0])
-	for q, d := range c.data {
-		if len(d) != words {
-			panic(fmt.Sprintf("comm: collective of %d words on rank %d, %d on rank 0", len(d), q, words))
-		}
-	}
-	if p&(p-1) == 0 {
-		n.doubling(op, words)
-	} else {
-		n.reduceTree(op, words)
-		n.bcastTree(words)
-	}
-	return nil
 }
 
 // doubling replays recursive doubling (P = 2^k): in each round every pair
@@ -184,7 +220,7 @@ func (n *Network) doubling(op ReduceOp, words int) {
 			tb, fb := rb.post(a, tag, words)
 			ra.land(b, tag, words, tb, fb)
 			rb.land(a, tag, words, ta, fa)
-			da, db := c.data[a], c.data[b]
+			da, db := c.calls[a].data, c.calls[b].data
 			copy(swap, da)
 			op(da, db)
 			op(db, swap)
@@ -203,7 +239,7 @@ func (n *Network) reduceTree(op ReduceOp, words int) {
 			src := dst + dist
 			t, f := n.ranks[src].post(dst, tag, words)
 			n.ranks[dst].land(src, tag, words, t, f)
-			op(c.data[dst], c.data[src])
+			op(c.calls[dst].data, c.calls[src].data)
 		}
 	}
 }
@@ -223,7 +259,7 @@ func (n *Network) bcastTree(words int) {
 			dst := src + dist
 			t, f := n.ranks[src].post(dst, tag, words)
 			n.ranks[dst].land(src, tag, words, t, f)
-			copy(c.data[dst], c.data[src])
+			copy(c.calls[dst].data, c.calls[src].data)
 		}
 	}
 }

@@ -81,7 +81,9 @@ func TestAllreduceEdgeRankCounts(t *testing.T) {
 // broadcast half of a tree allreduce over them, as the last rank to arrive
 // does: every rank ends with rank 0's vector.
 func replayBcast(net *Network, vecs [][]float64) {
-	copy(net.coll.data, vecs)
+	for q, v := range vecs {
+		net.coll.calls[q].data = v
+	}
 	net.bcastTree(len(vecs[0]))
 }
 

@@ -8,14 +8,14 @@
 // collective trees) execute exactly as they would on real hardware — same
 // messages, same data, same dependency structure — and the virtual clocks
 // yield the communication-time curves of Fig. 6 without 2048 physical nodes.
-// Collectives meet at one rendezvous per call, where the last rank to
-// arrive replays the message schedule for all of them: each message is
-// still clocked, counted, fault-drawn and traced, but none is queued.
+// Collectives and the gather–scatter's neighbour exchanges meet at one
+// rendezvous per call, where the last rank to arrive replays the call's
+// messages for all of them: each message is still clocked, counted,
+// fault-drawn and traced, but none is queued.
 package comm
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/fault"
@@ -81,15 +81,16 @@ type tagged struct {
 // (source, tag) stream at its receiver, so a receive waits on exactly the
 // stream it names: no message is ever taken and set aside for a later
 // receive. Streams are indexed by source rank, each source holding the short
-// list of tags it has used on this rank (the gs setup and exchange tags), so
-// finding a stream is one slice index and a scan of a few tags — no hashing
-// — however many sources have a backlog (the gs setup all-to-all leaves ~P
-// streams queued per rank). Collective messages never come here: they are
-// replayed at the collective's rendezvous (collective.go). The queues are
-// unbounded and Send never blocks: a bounded channel here deadlocks real
-// communication patterns — a sender blocked on a full inbox whose receiver
-// is itself blocked sending never progresses — and point-to-point the
-// simulated machine models a network that buffers at the receiver. Streams
+// list of tags it has used on this rank (the gs setup tags), so finding a
+// stream is one slice index and a scan of a few tags — no hashing — however
+// many sources have a backlog (the gs setup all-to-all leaves ~P streams
+// queued per rank). Collective and exchange messages never come here: they
+// are replayed at the call's rendezvous (collective.go, exchange.go). The
+// queues are unbounded and Send never blocks: a bounded channel here
+// deadlocks real communication patterns — a sender blocked on a full inbox
+// whose receiver is itself blocked sending never progresses — and
+// point-to-point the simulated machine models a network that buffers at the
+// receiver. Streams
 // are never deleted: the tag set is small and fixed, so queue storage is
 // reused across calls. Only the owning rank receives, so at most one stream
 // is waited on at a time, and a send wakes the receiver only when it lands
@@ -193,9 +194,9 @@ type netInstr struct {
 }
 
 // Network is an instantiated machine: use Run to execute an SPMD function.
-// It owns its ranks: clocks, traffic and fault-draw counters, buffer pools
-// and queued messages live as long as the network, so a program may be run
-// in several batches (one Run each) and continue exactly where the last
+// It owns its ranks: clocks, traffic and fault-draw counters and queued
+// messages live as long as the network, so a program may be run in several
+// batches (one Run each) and continue exactly where the last
 // batch stopped, and no goroutine outlives a Run. It is also the one place
 // a distributed run attaches its registry and tracer: the components built
 // on a rank (the gather–scatter, the coarse solve) take theirs from it.
@@ -316,60 +317,10 @@ type Rank struct {
 	// that other goroutines touch, under its own lock.
 	in inbox
 
-	// pool holds received payload buffers by power-of-two size class,
-	// rank-local so no locking is needed: callers return consumed buffers
-	// with Free, and this rank's next Send copies into one of them. A
-	// steady-state gather–scatter exchange therefore allocates nothing.
-	// Deliberately not a sync.Pool: the GC may drain one at any time, which
-	// would break the zero-allocation guarantee the hot-path tests pin.
-	pool [payloadClasses][][]float64
-
-	scalBuf [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
-	flowSeq int64      // per-sender flow-id sequence (deterministic, no global state)
-	sendSeq int64      // per-sender message sequence feeding the fault plan's draws
-}
-
-// payloadClasses bounds the pooled size classes at 2^(payloadClasses-1)
-// words (larger payloads fall back to plain allocation).
-const payloadClasses = 28
-
-// classFor returns the power-of-two size class holding n words (n >= 1).
-func classFor(n int) int { return bits.Len(uint(n - 1)) }
-
-// getPayload returns a buffer of length n backed by a pooled power-of-two
-// allocation (nil for n == 0).
-func (r *Rank) getPayload(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	c := classFor(n)
-	if c < payloadClasses {
-		if fl := r.pool[c]; len(fl) > 0 {
-			b := fl[len(fl)-1]
-			fl[len(fl)-1] = nil
-			r.pool[c] = fl[:len(fl)-1]
-			return b[:n]
-		}
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// Free returns a payload obtained from Recv to this rank's buffer pool, to
-// be reused by a later Send. Calling it is optional — an unreturned buffer
-// is simply garbage-collected — but the steady-state gather–scatter
-// exchange frees every payload it consumes, which is what makes it
-// allocation-free. The caller must not touch the slice
-// afterwards. Nil and non-pooled slices are ignored.
-func (r *Rank) Free(buf []float64) {
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 {
-		return // not one of our power-of-two pooled buffers
-	}
-	cl := classFor(c)
-	if cl >= payloadClasses {
-		return
-	}
-	r.pool[cl] = append(r.pool[cl], buf[:0])
+	scalBuf   [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
+	flowSeq   int64      // per-sender flow-id sequence (deterministic, no global state)
+	sendSeq   int64      // per-sender message sequence feeding the fault plan's draws
+	exchanges int        // the exchanges built on this rank (NewExchange)
 }
 
 // ClockState is the checkpointable slice of a rank's communication state:
@@ -463,20 +414,17 @@ func (r *Rank) Send(to, tag int, data []float64) {
 		panic("comm: self-send")
 	}
 	arrival, flow := r.post(to, tag, len(data))
-	// The payload copy keeps Send/Recv value semantics (the caller may
-	// overwrite data immediately); the buffer comes from the sender's pool so
-	// sustained traffic recycles returned receive buffers instead of
-	// allocating per message.
-	cp := r.getPayload(len(data))
-	copy(cp, data)
+	// The payload copy keeps Send/Recv value semantics: the caller may
+	// overwrite data immediately.
+	cp := append([]float64(nil), data...)
 	r.net.ranks[to].in.put(message{from: r.ID, tag: tag, data: cp, arrival: arrival, flow: flow})
 }
 
 // post is the clock half of a send of `words` words to rank `to`: it
 // advances the sender's clock, draws the message's faults, counts and
 // traces it, and returns its arrival time and trace flow id. Send hands the
-// payload to the receiver's inbox after it; a collective's replay
-// (collective.go) calls it alone, for each message of the schedule.
+// payload to the receiver's inbox after it; the replay of a collective or
+// an exchange calls it alone, for each message of the call.
 func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 	r.maybePause()
 	bytes := 8 * words
@@ -546,8 +494,8 @@ func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 // least the message arrival time. Messages of one stream arrive in send
 // order; streams are independent, so a rank may receive them in any order,
 // and since land only max-advances the clock, on a fault-free machine the
-// order a rank picks does not move its clock. The returned buffer may be
-// handed back with Free once consumed; holding on to it is also fine.
+// order a rank picks does not move its clock. The returned buffer is the
+// receiver's.
 func (r *Rank) Recv(from, tag int) []float64 {
 	if from == r.ID || from < 0 || from >= r.net.P {
 		panic(fmt.Sprintf("comm: rank %d cannot receive from rank %d of %d", r.ID, from, r.net.P))

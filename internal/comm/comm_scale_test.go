@@ -9,8 +9,7 @@ import (
 
 // These tests pin the hot-path properties the large-P runs depend on: the
 // order a rank receives its streams in must not move its clock or its
-// payloads, the payload pool must actually be reused, and a steady-state
-// allreduce must allocate nothing.
+// payloads, and a steady-state allreduce must allocate nothing.
 
 // runAllToAll executes `rounds` of an all-to-all exchange on P ranks,
 // receiving each round's messages in ascending or in descending source
@@ -43,7 +42,6 @@ func runAllToAll(p, rounds int, descending bool) (vals [][]float64, clocks []flo
 			}
 			for _, g := range got {
 				vals[r.ID] = append(vals[r.ID], g...)
-				r.Free(g)
 			}
 		}
 	})
@@ -116,7 +114,6 @@ func TestRecvOutOfOrderStress(t *testing.T) {
 						t.Errorf("rank %d round %d: from %d got %v, want [%d %d]",
 							r.ID, round, q, got, q, round)
 					}
-					r.Free(got)
 				}
 			}
 			// The side stream drains in FIFO order.
@@ -125,7 +122,6 @@ func TestRecvOutOfOrderStress(t *testing.T) {
 				if len(got) != 1 || got[0] != float64(round) {
 					t.Errorf("rank %d: side-stream message %d = %v", r.ID, round, got)
 				}
-				r.Free(got)
 			}
 			clocks[r.ID] = r.Time
 		})
@@ -138,46 +134,6 @@ func TestRecvOutOfOrderStress(t *testing.T) {
 			t.Fatalf("rank %d: clock not deterministic across runs: %v vs %v", q, c1[q], c2[q])
 		}
 	}
-}
-
-func TestClassFor(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4},
-		{1024, 10}, {1025, 11},
-	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
-		}
-	}
-}
-
-func TestFreePoolSafety(t *testing.T) {
-	NewNetwork(Machine{P: 1, Latency: 1e-6, ByteSec: 1e-9}).Run(func(r *Rank) {
-		// Nil and foreign (non-power-of-two capacity) slices are ignored.
-		r.Free(nil)
-		r.Free(make([]float64, 5, 5))
-		r.Free(make([]float64, 0, 12))
-
-		if got := r.getPayload(0); got != nil {
-			t.Errorf("getPayload(0) = %v, want nil", got)
-		}
-		b := r.getPayload(100)
-		if len(b) != 100 || cap(b) != 128 {
-			t.Fatalf("getPayload(100): len %d cap %d, want 100/128", len(b), cap(b))
-		}
-		r.Free(b)
-		// A same-class request must reuse the returned backing array.
-		b2 := r.getPayload(70)
-		if len(b2) != 70 || &b[0] != &b2[0] {
-			t.Errorf("pooled buffer not reused: len %d, same backing %v", len(b2), &b[0] == &b2[0])
-		}
-		// A different class allocates fresh.
-		b3 := r.getPayload(300)
-		if cap(b3) != 512 {
-			t.Errorf("getPayload(300) cap = %d, want 512", cap(b3))
-		}
-	})
 }
 
 func TestAllreduceSteadyStateZeroAlloc(t *testing.T) {

@@ -32,7 +32,6 @@ func oracleSchedule(r *Rank, data []float64, op ReduceOp) {
 			r.Send(peer, tag, data)
 			got := r.Recv(peer, tag)
 			op(data, got)
-			r.Free(got)
 		}
 		return
 	}
@@ -49,7 +48,6 @@ func oracleReduce(r *Rank, data []float64, op ReduceOp) {
 			if src < p {
 				got := r.Recv(src, labelAllreduce+dist)
 				op(data, got)
-				r.Free(got)
 			}
 		} else if r.ID&(dist-1) == 0 {
 			r.Send(r.ID-dist, labelAllreduce+dist, data)
@@ -73,7 +71,6 @@ func oracleBcast(r *Rank, data []float64) {
 		case !received && r.ID%(2*dist) == dist:
 			got := r.Recv(r.ID-dist, labelBcast+dist)
 			copy(data, got)
-			r.Free(got)
 			received = true
 		}
 	}

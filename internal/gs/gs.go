@@ -6,10 +6,12 @@
 // several fields at once; across ranks it is one message per neighbour per
 // call, whatever the number of fields. The serial Handle backs the
 // shared-memory solvers; ParHandle runs the same operation across ranks of a
-// comm network via pairwise neighbour exchange, folding each shared value's
-// per-rank contributions in ascending rank order, so every copy of a node has
-// the same bits on every rank, one field or several. A ParHandle records its
-// exchanges in the registry and on the tracer of the rank it is built on.
+// comm network as one neighbour exchange (comm.Exchange: a message to and
+// from each neighbour, replayed at one rendezvous of the ranks), folding each
+// shared value's per-rank contributions in ascending rank order, so every
+// copy of a node has the same bits on every rank, one field or several. A
+// ParHandle records its exchanges in the registry and on the tracer of the
+// rank it is built on.
 package gs
 
 import (
@@ -112,18 +114,26 @@ func (h *Handle) Multiplicity() []float64 {
 
 // ParHandle runs the gather–scatter across ranks: local groups are combined
 // first, then contributions for globals shared with other ranks are
-// exchanged pairwise with each neighbour, exactly the paper's single
-// communication phase — for one field (Apply) or several (ApplyFields).
+// exchanged with each neighbour, exactly the paper's single communication
+// phase — for one field (Apply) or several (ApplyFields).
 type ParHandle struct {
 	local *Handle
 	rank  *comm.Rank
-	// For each neighbour rank: the shared global ids (sorted) plus the
-	// precomputed gather/accumulate indices the steady-state Apply uses.
+	// For each neighbour rank, ascending: the shared global ids (sorted)
+	// plus the precomputed gather/accumulate indices the steady-state Apply
+	// uses.
 	neighbours []neighbour
 
 	// below counts the neighbours of lower rank: they are neighbours[:below],
 	// and the rank's own contribution folds in after them.
 	below int
+
+	// x is the rank's side of the exchange (nil on a one-rank network):
+	// x.Out[i] is the payload for neighbours[i], one run of len(gids)
+	// words per field. fields holds the fields of the call in progress, for
+	// the fold.
+	x      *comm.Exchange
+	fields [][]float64
 
 	// Flat accumulator replacing the per-call map: every distinct shared
 	// gid owns one slot per field (field f's slots are the f-th run of
@@ -147,10 +157,9 @@ type ParHandle struct {
 
 type neighbour struct {
 	rank    int
-	gids    []int64   // sorted shared gids
-	sendIdx []int32   // per gid: representative local index to gather from
-	sendBuf []float64 // outgoing payload, one run of len(gids) words per field
-	slotIdx []int32   // per gid: accumulator slot the reply folds into
+	gids    []int64 // sorted shared gids
+	sendIdx []int32 // per gid: representative local index to gather from
+	slotIdx []int32 // per gid: accumulator slot the reply folds into
 }
 
 const (
@@ -161,10 +170,10 @@ const (
 
 // ParInit builds a distributed handle. Every rank calls it collectively
 // with its local global ids. Neighbour discovery routes through hashed
-// "owner" ranks (setup only); the recurring exchange is pairwise. Every
-// exchange (one per Apply or ApplyFields call) counts its messages and words
-// and records its virtual time in the rank's registry, and emits a span on
-// the rank's track of its tracer.
+// "owner" ranks (setup only); the recurring exchange is with the neighbours
+// alone. Every exchange (one per Apply or ApplyFields call) counts its
+// messages and words and records its virtual time in the rank's registry,
+// and emits a span on the rank's track of its tracer.
 func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	p := r.P()
 	reg := r.Registry()
@@ -213,9 +222,7 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 		if q == r.ID {
 			continue
 		}
-		lst := r.Recv(q, tagSetupToOwner)
-		record(q, lst)
-		r.Free(lst)
+		record(q, r.Recv(q, tagSetupToOwner))
 	}
 	// 2. Owners answer every holder with (gid, holder list) for shared gids.
 	reply := make([][]float64, p)
@@ -256,9 +263,7 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 		if q == r.ID {
 			continue
 		}
-		lst := r.Recv(q, tagSetupFromOwn)
-		parse(lst)
-		r.Free(lst)
+		parse(r.Recv(q, tagSetupFromOwn))
 	}
 	for q, gs := range shared {
 		slices.Sort(gs)
@@ -266,9 +271,14 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	}
 	// Ascending rank order: the order every rank folds a shared value in.
 	slices.SortFunc(h.neighbours, func(a, b neighbour) int { return a.rank - b.rank })
-	for h.below < len(h.neighbours) && h.neighbours[h.below].rank < r.ID {
-		h.below++
+	peers := make([]int, len(h.neighbours))
+	for i, nb := range h.neighbours {
+		peers[i] = nb.rank
+		if nb.rank < r.ID {
+			h.below++
+		}
 	}
+	h.x = r.NewExchange(peers, tagExchange, h.fold)
 
 	// Precompute the steady-state exchange: gather indices per neighbour,
 	// and one accumulator slot per distinct shared gid, assigned on first
@@ -313,58 +323,50 @@ func (h *ParHandle) Apply(u []float64, op Op) { h.ApplyFields(op, u) }
 // from +0 over its holders' locally combined contributions in
 // ascending rank order — the lower-ranked neighbours', the rank's own, then
 // the higher-ranked neighbours' — and every holder knows the same holders, so
-// every copy of a node ends with the same bits on every rank, whatever order
-// the replies land in, and each field bitwise as Apply on it alone leaves it.
-// The steady-state exchange is allocation-free: payloads gather into
-// per-neighbour buffers, and fold into slot accumulators, that grow only when
-// a call carries more fields than any before it; all sends post before any
-// receive is waited on. Waiting on a slow neighbour first costs nothing: the
-// others' replies queue in their own streams, and the receiver's clock ends
-// at the latest arrival in any order.
+// every copy of a node ends with the same bits on every rank, and each field
+// bitwise as Apply on it alone leaves it. Every rank of a multi-rank network
+// takes part in every call, a rank without neighbours too. The steady-state
+// exchange is allocation-free: payloads gather into per-neighbour buffers,
+// and fold into slot accumulators, that grow only when a call carries more
+// fields than any before it.
 func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	// Local combine first.
 	h.local.ApplyFields(op, fields...)
-	if len(h.neighbours) == 0 {
+	if h.x == nil {
 		return
 	}
 	t0 := h.rank.Time
 	nf := len(fields)
 	var words int
-	// Pairwise exchange: send my combined value for each shared gid, field
-	// after field.
+	// Gather my combined value for each shared gid, field after field.
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
 		m := len(nb.sendIdx)
-		buf := grow(&nb.sendBuf, nf*m)
+		buf := grow(&h.x.Out[ni], nf*m)
 		for f, u := range fields {
 			out := buf[f*m : (f+1)*m]
 			for i, idx := range nb.sendIdx {
 				out[i] = u[idx]
 			}
 		}
-		h.rank.Send(nb.rank, tagExchange, buf)
 		h.exchMsgs.Inc()
 		h.exchWords.Add(int64(len(buf)))
 		words += len(buf)
 	}
+	h.fields = append(h.fields[:0], fields...)
+	h.rank.Exchange(h.x, nf)
+	clear(h.fields)
 	ns := len(h.slotRep)
-	vals := grow(&h.slotVal, nf*ns)
-	clear(vals)
-	h.fold(h.neighbours[:h.below], vals, nf, ns)
 	for f, u := range fields {
-		sv := vals[f*ns : (f+1)*ns]
-		for s, idx := range h.slotRep {
-			sv[s] += u[idx]
-		}
-	}
-	h.fold(h.neighbours[h.below:], vals, nf, ns)
-	for f, u := range fields {
-		sv := vals[f*ns : (f+1)*ns]
+		sv := h.slotVal[f*ns : (f+1)*ns]
 		for s, v := range sv {
 			for t := h.slotPtr[s]; t < h.slotPtr[s+1]; t++ {
 				u[h.slotLoc[t]] = v
 			}
 		}
+	}
+	if len(h.neighbours) == 0 {
+		return
 	}
 	if h.tracer.WantsV(h.rank.ID) {
 		h.tracer.SpanV(h.rank.ID, "gs/exchange", "gs", t0, h.rank.Time,
@@ -373,20 +375,36 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 	h.exchVTime.Record(h.rank.Time - t0)
 }
 
-// fold receives each of nbs' replies in turn and adds it into the slot
-// accumulators vals (nf fields of ns slots).
-func (h *ParHandle) fold(nbs []neighbour, vals []float64, nf, ns int) {
+// fold sums the call's shared values into the slot accumulators (one run of
+// len(slotRep) per field), from +0 in ascending rank order: in[i] is
+// neighbours[i]'s message. It runs at the exchange's rendezvous, on
+// whichever rank's goroutine replays it.
+func (h *ParHandle) fold(in [][]float64) {
+	nf, ns := len(h.fields), len(h.slotRep)
+	vals := grow(&h.slotVal, nf*ns)
+	clear(vals)
+	add(vals, h.neighbours[:h.below], in[:h.below], nf, ns)
+	for f, u := range h.fields {
+		sv := vals[f*ns : (f+1)*ns]
+		for s, idx := range h.slotRep {
+			sv[s] += u[idx]
+		}
+	}
+	add(vals, h.neighbours[h.below:], in[h.below:], nf, ns)
+}
+
+// add adds each of nbs' messages in turn into the slot accumulators vals
+// (nf fields of ns slots).
+func add(vals []float64, nbs []neighbour, in [][]float64, nf, ns int) {
 	for ni := range nbs {
-		nb := &nbs[ni]
-		got := h.rank.Recv(nb.rank, tagExchange)
-		m := len(nb.slotIdx)
+		idx, got := nbs[ni].slotIdx, in[ni]
+		m := len(idx)
 		for f := 0; f < nf; f++ {
-			sv, in := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
-			for i, s := range nb.slotIdx {
-				sv[s] += in[i]
+			sv, w := vals[f*ns:(f+1)*ns], got[f*m:(f+1)*m]
+			for i, s := range idx {
+				sv[s] += w[i]
 			}
 		}
-		h.rank.Free(got)
 	}
 }
 

@@ -65,7 +65,7 @@ type NSConfig struct {
 	// and rank count.
 	Resume *Checkpoint
 
-	Registry *instrument.Registry   // optional metrics
+	Registry *instrument.Registry   // optional metrics; ranks read them back through comm.Rank.Registry
 	Tracer   *instrument.Tracer     // optional trace (per-rank virtual tracks)
 	History  *instrument.TimeSeries // optional per-step StepRecord telemetry
 
@@ -467,11 +467,12 @@ func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.Dist, cfg 
 	if xxt != nil {
 		mach.xxtWork = xxt.NewSolveWork(r)
 	}
-	rs := rankState{mach: mach, stepHist: cfg.Registry.Histogram("ns/step.vsec")}
+	reg := r.Registry()
+	rs := rankState{mach: mach, stepHist: reg.Histogram("ns/step.vsec")}
 	for i, name := range [4]string{"convect", "viscous", "pressure", "filter"} {
-		rs.phaseHist[i] = cfg.Registry.Histogram("ns/" + name + ".vsec")
+		rs.phaseHist[i] = reg.Histogram("ns/" + name + ".vsec")
 	}
-	if rs.f, rs.err = tmpl.Fork(mach, cfg.Registry); rs.err != nil {
+	if rs.f, rs.err = tmpl.Fork(mach, reg); rs.err != nil {
 		return rs
 	}
 	// Resume: overwrite the freshly forked state with the snapshot's, then

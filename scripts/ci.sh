@@ -58,8 +58,12 @@
 #           The receive-stream tests run ten times more too: every rank's
 #           inbox is written by its neighbours' goroutines; so do the
 #           multi-field gather–scatter test, whose one message per
-#           neighbour carries every field, and the rank-order fold test,
-#           whose copies must agree however the replies land.
+#           neighbour carries every field, the rank-order fold test, whose
+#           copies must agree however the replies land, and the rendezvous
+#           tests, whose last rank to arrive replays every rank's messages:
+#           collectives and gather–scatter exchanges against their
+#           message-passing oracles, and a lost message or a mismatched call
+#           failing every rank.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -242,7 +246,7 @@ tier2() {
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
-        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
         ./internal/comm ./internal/gs
 }
 
