@@ -36,6 +36,8 @@ var referenceOnly = map[string]string{
 	"partition.RCB":              "partition TestRSBOnSEMMesh: the baseline RSB is measured against",
 	"partition.Sizes":            "partition TestRSBBalanced and friends (checkBalance): part sizes",
 	"ns.Solver.ApplyPrecond":     "parrun TestSchwarzApplicationMatchesSerialOnRanks: the serial preconditioner the ranks' must equal",
+	"comm.Rank.Send":             "comm TestReplayMatchesMessageSchedule and TestRouteDeliversAsTheAllToAll, gs TestExchangeMatchesMessageSchedule: the message-passing oracles of the replays",
+	"comm.Rank.Recv":             "comm TestReplayMatchesMessageSchedule and TestRouteDeliversAsTheAllToAll, gs TestExchangeMatchesMessageSchedule: the message-passing oracles of the replays",
 }
 
 func TestEveryExportHasACaller(t *testing.T) {

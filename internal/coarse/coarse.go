@@ -133,7 +133,6 @@ type Dist struct {
 
 	crossOf   []int // column -> compact cross index, -1 if local
 	CrossCols []int // cross column ids
-	ownerOf   []int // column -> owning rank (the rank owning dof j)
 }
 
 // Distribute partitions the permuted dofs into p contiguous blocks and
@@ -160,9 +159,7 @@ func (s *XXT) Distribute(p int) *Dist {
 		return r
 	}
 	d.crossOf = make([]int, n)
-	d.ownerOf = make([]int, n)
 	for j := 0; j < n; j++ {
-		d.ownerOf[j] = rankOf(j)
 		idx := s.x.Idx[j]
 		d.crossOf[j] = -1
 		if len(idx) == 0 {
@@ -181,40 +178,63 @@ func (s *XXT) Distribute(p int) *Dist {
 // payload per log P stage, ≈ 3·n^{1/2} in 2D).
 func (s *Dist) CrossCount() int { return len(s.CrossCols) }
 
-// SolveWork is one rank's side of a Dist: the scratch of its solves,
-// reusable across calls so the steady-state coarse solve allocates nothing,
-// and the metric and trace handles of its rank. Each simulated rank needs its
-// own (the solves run concurrently on all ranks).
+// SolveWork is one rank's side of a Dist: the columns of X its solves touch,
+// found once, the scratch of its solves, reusable across calls so the
+// steady-state coarse solve allocates nothing, and the metric and trace
+// handles of its rank. Each simulated rank needs its own (the solves run
+// concurrently on all ranks).
 type SolveWork struct {
-	zCross  []float64
-	zLocalJ []int
-	zLocalV []float64
-	b, u    []float64 // the rank's block of the right-hand side and of the solution
+	own   []int      // the local columns the rank owns, ascending
+	cross []crossWin // the cross columns meeting the rank's rows, in CrossCols order
+
+	zCross []float64
+	zOwn   []float64 // by own: Xᵀb over each owned column
+	b, u   []float64 // the rank's block of the right-hand side and of the solution
 
 	solveTime *instrument.Timer  // host time of each block solve
 	vtime     instrument.VTime   // virtual time of each block solve, summed over ranks
 	tracer    *instrument.Tracer // a span per block solve on the rank's track
 }
 
-// NewSolveWork sizes a SolveWork for r's block and takes its handles from
-// r's registry and tracer; rank 0 records the factor's one-off cost and
-// its cross-column count as gauges.
+// crossWin is a cross column's share in one rank's solves: the column j,
+// its index ci in CrossCols, and its entries [k0, k1) that fall in the
+// rank's rows.
+type crossWin struct {
+	ci, j, k0, k1 int
+}
+
+// NewSolveWork lists the columns of X that r's block touches, sizes a
+// SolveWork for the block and takes its handles from r's registry and
+// tracer; rank 0 records the factor's one-off cost and its cross-column
+// count as gauges.
 func (s *Dist) NewSolveWork(r *comm.Rank) *SolveWork {
-	reg, nb := r.Registry(), s.BlockHi[r.ID]-s.BlockLo[r.ID]
+	reg, lo, hi := r.Registry(), s.BlockLo[r.ID], s.BlockHi[r.ID]
 	if r.ID == 0 {
 		reg.Gauge("coarse/xxt.factor_seconds").Set(s.FactorSeconds)
 		reg.Gauge("coarse/xxt.cross_cols").Set(float64(len(s.CrossCols)))
 	}
-	return &SolveWork{
+	w := &SolveWork{
 		zCross:    make([]float64, len(s.CrossCols)),
-		zLocalJ:   make([]int, 0, s.N/max(len(s.BlockLo), 1)+1),
-		zLocalV:   make([]float64, 0, s.N/max(len(s.BlockLo), 1)+1),
-		b:         make([]float64, nb),
-		u:         make([]float64, nb),
+		b:         make([]float64, hi-lo),
+		u:         make([]float64, hi-lo),
 		solveTime: reg.Timer("coarse/xxt.solve"),
 		vtime:     instrument.VTime{Timer: reg.Timer("coarse/xxt.vtime")},
 		tracer:    r.Tracer(),
 	}
+	// A local column's support lies in its owner's block, which holds the
+	// column's own dof: the rank owns exactly the local columns of its block.
+	for j := lo; j < hi; j++ {
+		if s.crossOf[j] < 0 {
+			w.own = append(w.own, j)
+		}
+	}
+	for ci, j := range s.CrossCols {
+		if k0, k1 := rowWindow(s.x.Idx[j], lo, hi); k0 < k1 {
+			w.cross = append(w.cross, crossWin{ci, j, k0, k1})
+		}
+	}
+	w.zOwn = make([]float64, len(w.own))
+	return w
 }
 
 // SolveNatural is the coarse solve of one rank in natural order: it sums
@@ -256,72 +276,58 @@ func (s *Dist) SolveOn(r *comm.Rank, bLocal []float64, w *SolveWork) []float64 {
 		}()
 	}
 	defer func() { w.vtime.Record(r.Time - v0) }()
-	me := r.ID
-	lo, hi := s.BlockLo[me], s.BlockHi[me]
-	// Stage 1: z = Xᵀ b. Local columns owned by me are complete from my
-	// rows; cross columns get partial sums from every rank.
-	zCross := w.zCross
-	// Owned-column partials, kept in ascending column order: stage 3
-	// accumulates them into u, and a map here would make that accumulation
-	// order (hence the roundoff) vary run to run.
-	zLocalJ := w.zLocalJ[:0]
-	zLocalV := w.zLocalV[:0]
+	lo, hi := s.BlockLo[r.ID], s.BlockHi[r.ID]
+	// Stage 1: z = Xᵀ b. The columns the rank owns are complete from its
+	// rows; the cross columns get partial sums from every rank they meet,
+	// and stay +0 where they meet none.
 	var flops int64
-	for j := 0; j < s.N; j++ {
-		ci := s.crossOf[j]
-		if ci < 0 {
-			if s.ownerOf[j] != me {
-				continue
-			}
-			var sum float64
-			idx, val := s.x.Idx[j], s.x.Val[j]
-			for k, i := range idx {
-				sum += val[k] * bLocal[int(i)-lo]
-			}
-			zLocalJ = append(zLocalJ, j)
-			zLocalV = append(zLocalV, sum)
-			flops += int64(2 * len(idx))
-			continue
-		}
-		// Partial over my rows only (support indices are sorted: binary
-		// search the block window).
-		idx, val := s.x.Idx[j], s.x.Val[j]
-		k0, k1 := rowWindow(idx, lo, hi)
+	for t, j := range w.own {
 		var sum float64
-		for k := k0; k < k1; k++ {
+		idx, val := s.x.Idx[j], s.x.Val[j]
+		for k, i := range idx {
+			sum += val[k] * bLocal[int(i)-lo]
+		}
+		w.zOwn[t] = sum
+		flops += int64(2 * len(idx))
+	}
+	zCross := w.zCross
+	clear(zCross)
+	for _, c := range w.cross {
+		idx, val := s.x.Idx[c.j], s.x.Val[c.j]
+		var sum float64
+		for k := c.k0; k < c.k1; k++ {
 			sum += val[k] * bLocal[int(idx[k])-lo]
 		}
-		flops += int64(2 * (k1 - k0))
-		zCross[ci] = sum
+		zCross[c.ci] = sum
+		flops += int64(2 * (c.k1 - c.k0))
 	}
 	r.Compute(0, flops)
-	w.zLocalJ, w.zLocalV = zLocalJ, zLocalV // keep any growth for reuse
 	// Stage 2: combine the cross-column partials (log₂P stages, payload =
 	// CrossCount words — the separator volume of the paper's bound).
 	r.Allreduce(zCross, comm.OpSum)
-	// Stage 3: u = X z restricted to my rows.
+	// Stage 3: u = X z restricted to my rows, the owned columns in ascending
+	// order, then the cross columns in CrossCols order.
 	u := w.u[:hi-lo]
 	clear(u)
 	flops = 0
-	for t, j := range zLocalJ {
-		z := zLocalV[t]
+	for t, j := range w.own {
+		z := w.zOwn[t]
 		idx, val := s.x.Idx[j], s.x.Val[j]
 		for k, i := range idx {
 			u[int(i)-lo] += val[k] * z
 		}
 		flops += int64(2 * len(idx))
 	}
-	for ci, j := range s.CrossCols {
-		z := zCross[ci]
+	for _, c := range w.cross {
+		z := zCross[c.ci]
 		if z == 0 {
 			continue
 		}
-		idx, val := s.x.Idx[j], s.x.Val[j]
-		k0, k1 := rowWindow(idx, lo, hi)
-		for k := k0; k < k1; k++ {
+		idx, val := s.x.Idx[c.j], s.x.Val[c.j]
+		for k := c.k0; k < c.k1; k++ {
 			u[int(idx[k])-lo] += val[k] * z
 		}
-		flops += int64(2 * (k1 - k0))
+		flops += int64(2 * (c.k1 - c.k0))
 	}
 	r.Compute(0, flops)
 	return u

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/coarse"
 	"repro/internal/comm"
 	"repro/internal/fem"
 	"repro/internal/flowcases"
@@ -58,10 +59,13 @@ func pinnedA0(m *mesh.Mesh) *la.CSR {
 
 // TestCoarseOnWorkloadA0: on each workload's real A₀ the solver's factor
 // solves serially bitwise as a nested-dissection-permuted la.SparseChol
-// does, and its natural-order distributed solve over P ∈ {1, 2, 4, 8} ranks,
-// each rank holding a share of the right-hand side, leaves the same solution
-// on every rank, within 1e-12 (relative) of that.
+// does, and its natural-order distributed solve over P ∈ {1, 2, 3, 4, 5, 8}
+// ranks, each rank holding a share of the right-hand side, leaves the same
+// solution on every rank, within 1e-12 (relative) of that. Each rank's
+// SolveWork lists the columns a scan of X finds for its block, and a
+// steady-state block solve allocates nothing.
 func TestCoarseOnWorkloadA0(t *testing.T) {
+	const allocRuns = 20
 	nverts := map[string]int{"channel2d": 20, "dist_p64": 80, "hairpin3d": 140}
 	for name, sv := range workloadCoarse(t) {
 		fac := sv.CoarseFactor()
@@ -110,18 +114,40 @@ func TestCoarseOnWorkloadA0(t *testing.T) {
 			scale = max(scale, math.Abs(want[i]))
 		}
 
-		for _, p := range []int{1, 2, 4, 8} {
+		for _, p := range []int{1, 2, 3, 4, 5, 8} {
 			xxt := fac.Distribute(p)
 			x := make([][]float64, p)
+			errs := make([]error, p)
+			var allocs float64
 			comm.NewNetwork(comm.ASCIRed(p)).Run(func(r *comm.Rank) {
+				w := xxt.NewSolveWork(r)
+				errs[r.ID] = coarse.CheckColumns(xxt, r.ID, w)
 				// Rank q holds the entries i ≡ q (mod P): the ranks' sum is b.
 				r0 := make([]float64, n)
 				for i := r.ID; i < n; i += p {
 					r0[i] = b[i]
 				}
 				x[r.ID] = make([]float64, n)
-				xxt.SolveNatural(r, x[r.ID], r0, xxt.NewSolveWork(r))
+				xxt.SolveNatural(r, x[r.ID], r0, w)
+				// Every rank solves its block as often as AllocsPerRun calls
+				// rank 0's: once to warm up, then allocRuns times.
+				bl := b[xxt.BlockLo[r.ID]:xxt.BlockHi[r.ID]]
+				if r.ID == 0 {
+					allocs = testing.AllocsPerRun(allocRuns, func() { xxt.SolveOn(r, bl, w) })
+				} else {
+					for range allocRuns + 1 {
+						xxt.SolveOn(r, bl, w)
+					}
+				}
 			})
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("%s P=%d: %v", name, p, err)
+				}
+			}
+			if allocs != 0 {
+				t.Errorf("%s P=%d: a steady-state block solve allocated %v times", name, p, allocs)
+			}
 			for q := range x {
 				for i := range want {
 					if d := math.Abs(x[q][i] - want[i]); d > 1e-12*scale {

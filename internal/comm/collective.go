@@ -5,19 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Collectives and neighbour exchanges (exchange.go) meet once per call.
-// Every rank deposits its call at the network's rendezvous and parks; the
-// last rank to arrive checks that every rank made the same call and replays
-// the call's messages for all of them, through the same clock halves a Send
-// and a Recv use (post, land), each rank's messages in that rank's own
-// order. A collective's schedule is recursive doubling for P = 2^k, a
-// binomial reduce to rank 0 and a binomial broadcast from it otherwise,
-// combining each rank's vector with op exactly where the rank would.
-// Clocks, traffic counters, fault draws, registry counters and trace events
-// are therefore those of the message-passing schedule; only the host work
-// differs: one park per rank instead of an inbox hand-off per message.
-// Neither collective nor exchange messages ever enter an inbox; collective
-// messages take no tag from the user's tag space.
+// Collectives, neighbour exchanges (exchange.go) and routes (route.go) meet
+// once per call. Every rank deposits its call at the network's rendezvous
+// and parks; the last rank to arrive checks that every rank made the same
+// call and replays the call's messages for all of them, through the same
+// clock halves a Send and a Recv use (post, land), each rank's messages in
+// that rank's own order. A collective's schedule is recursive doubling for
+// P = 2^k, a binomial reduce to rank 0 and a binomial broadcast from it
+// otherwise, combining each rank's vector with op exactly where the rank
+// would. Clocks, traffic counters, fault draws, registry counters and trace
+// events are therefore those of the message-passing schedule; only the host
+// work differs: one park per rank instead of an inbox hand-off per message.
+// No replayed message ever enters an inbox, and none takes a tag from the
+// user's tag space.
 
 // Collective messages are labelled, in traces and loss panics, with the
 // tags the schedule gives them: labelAllreduce plus the round of recursive
@@ -38,38 +38,59 @@ type rendezvous struct {
 	calls   []call     // by rank: the call in progress
 	wake    []chan any // by rank, capacity 1: nil, or the panic that failed the replay
 	swap    []float64  // recursive doubling's copy of one partner's vector
+	routed  [][]Record // by rank: what a route delivers to it
 }
 
 func (c *rendezvous) init(p int) {
-	c.calls, c.wake = make([]call, p), make([]chan any, p)
+	c.calls, c.wake, c.routed = make([]call, p), make([]chan any, p), make([][]Record, p)
 	for q := range c.wake {
 		c.wake[q] = make(chan any, 1)
 	}
 }
 
+// callKind tells the three calls of the rendezvous apart.
+type callKind uint8
+
+const (
+	allreduceCall callKind = iota
+	exchangeCall
+	routeCall
+)
+
 // call is one rank's deposit at the rendezvous: an allreduce's vector and
-// op, or (x != nil) an exchange and the number of fields it carries.
+// op, an exchange and the number of fields it carries, or a route's records.
 type call struct {
-	data   []float64
-	op     ReduceOp
-	x      *Exchange
-	fields int
+	kind    callKind
+	data    []float64
+	op      ReduceOp
+	x       *Exchange
+	fields  int
+	records []Record
 }
 
 // same reports whether c and d are the same call on two ranks: allreduces
-// of as many words, or exchanges of one handle carrying as many fields.
+// of as many words, exchanges of one handle carrying as many fields, or
+// routes.
 func (c call) same(d call) bool {
-	if c.x == nil || d.x == nil {
-		return c.x == d.x && len(c.data) == len(d.data)
+	switch {
+	case c.kind != d.kind:
+		return false
+	case c.kind == allreduceCall:
+		return len(c.data) == len(d.data)
+	case c.kind == exchangeCall:
+		return c.x.id == d.x.id && c.fields == d.fields
 	}
-	return c.x.id == d.x.id && c.fields == d.fields
+	return true
 }
 
 func (c call) String() string {
-	if c.x == nil {
+	switch c.kind {
+	case allreduceCall:
 		return fmt.Sprintf("an allreduce (%d words)", len(c.data))
+	case exchangeCall:
+		return fmt.Sprintf("exchange %d (%d fields)", c.x.id, c.fields)
 	}
-	return fmt.Sprintf("exchange %d (%d fields)", c.x.id, c.fields)
+	return "a route"
 }
 
 // meet deposits the rank's call at the rendezvous and parks until the last
@@ -108,8 +129,12 @@ func (n *Network) replay() (failure any) {
 			panic(fmt.Sprintf("comm: rank %d at %v, rank 0 at %v", q, calls[q], calls[0]))
 		}
 	}
-	if calls[0].x != nil {
+	switch calls[0].kind {
+	case exchangeCall:
 		n.exchange()
+		return nil
+	case routeCall:
+		n.route()
 		return nil
 	}
 	op, words := calls[0].op, len(calls[0].data)
@@ -187,7 +212,7 @@ func (r *Rank) collective(data []float64, op ReduceOp, barrier bool) {
 // network has nothing to combine.
 func (r *Rank) allreduce(data []float64, op ReduceOp) {
 	if r.net.P > 1 {
-		r.meet(call{data: data, op: op})
+		r.meet(call{kind: allreduceCall, data: data, op: op})
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package comm provides a simulated distributed-memory message-passing
-// machine: P ranks run as goroutines exchanging real data, queued at each
-// receiver per (source, tag) stream (indexed by source rank: a send or a
-// receive finds its stream without hashing) and taken with one primitive,
-// Recv, while a LogP-style α–β (latency–bandwidth) cost model advances
-// per-rank virtual clocks. This substitutes for the paper's ASCI-Red NX/MPI
-// layer: the distributed algorithms (gather–scatter, XXT coarse solver,
-// collective trees) execute exactly as they would on real hardware — same
-// messages, same data, same dependency structure — and the virtual clocks
-// yield the communication-time curves of Fig. 6 without 2048 physical nodes.
-// Collectives and the gather–scatter's neighbour exchanges meet at one
-// rendezvous per call, where the last rank to arrive replays the call's
-// messages for all of them: each message is still clocked, counted,
-// fault-drawn and traced, but none is queued.
+// machine: P ranks run as goroutines exchanging real data while a
+// LogP-style α–β (latency–bandwidth) cost model advances per-rank virtual
+// clocks. This substitutes for the paper's ASCI-Red NX/MPI layer: the
+// distributed algorithms (gather–scatter, XXT coarse solver, collective
+// trees) execute exactly as they would on real hardware — same messages,
+// same data, same dependency structure — and the virtual clocks yield the
+// communication-time curves of Fig. 6 without 2048 physical nodes. A run
+// communicates in three calls, each of which the ranks meet at one
+// rendezvous for, where the last rank to arrive replays the call's messages
+// for all of them: the allreduce (and barrier), the gather–scatter's
+// neighbour exchange, and the route, a crystal router's personalised
+// all-to-all. Each message is still clocked, counted, fault-drawn and
+// traced, but none is queued. Point-to-point Send and Recv, which queue
+// each (source, tag) stream at its receiver, are the message-passing
+// schedules the tests hold the replays to.
 package comm
 
 import (
@@ -61,58 +63,42 @@ type message struct {
 }
 
 // stream is the queue of one (source, tag) stream, in send order. It is a
-// head-indexed slice: take advances head instead of reslicing (`q = q[1:]`
-// strands the backing array and re-allocates forever under sustained
-// traffic), and once drained the slice rewinds to q[:0], so steady-state
-// traffic reuses one backing array per stream.
+// head-indexed slice: take advances head instead of reslicing, and once
+// drained the slice rewinds to q[:0], so a stream reuses one backing array.
 type stream struct {
 	q    []message
 	head int
 }
 
-// tagged is one entry of a source's stream list: the tag beside its stream,
-// so a lookup scans tags without touching the queues.
-type tagged struct {
-	tag int
-	s   *stream
-}
-
-// inbox is the receive side of one rank. The simulated network queues each
-// (source, tag) stream at its receiver, so a receive waits on exactly the
-// stream it names: no message is ever taken and set aside for a later
-// receive. Streams are indexed by source rank, each source holding the short
-// list of tags it has used on this rank (the gs setup tags), so finding a
-// stream is one slice index and a scan of a few tags — no hashing — however
-// many sources have a backlog (the gs setup all-to-all leaves ~P streams
-// queued per rank). Collective and exchange messages never come here: they
-// are replayed at the call's rendezvous (collective.go, exchange.go). The
-// queues are unbounded and Send never blocks: a bounded channel here
-// deadlocks real communication patterns — a sender blocked on a full inbox
-// whose receiver is itself blocked sending never progresses — and
-// point-to-point the simulated machine models a network that buffers at the
-// receiver. Streams
-// are never deleted: the tag set is small and fixed, so queue storage is
-// reused across calls. Only the owning rank receives, so at most one stream
-// is waited on at a time, and a send wakes the receiver only when it lands
-// on that stream.
+// inbox is the receive side of one rank: point-to-point Send and Recv, the
+// message-passing oracles the tests hold the replays to. Every message of a
+// run is a collective's, an exchange's or a route's, replayed at the call's
+// rendezvous (collective.go, exchange.go, route.go), and never comes here.
+// Each (source, tag) stream is queued at its receiver, so a receive waits on
+// exactly the stream it names: no message is ever taken and set aside for a
+// later receive. The queues are unbounded and Send never blocks: a bounded
+// queue deadlocks real communication patterns — a sender blocked on a full
+// inbox whose receiver is itself blocked sending never progresses. Only the
+// owning rank receives, so at most one stream is waited on at a time, and a
+// send wakes the receiver only when it lands on that stream.
 type inbox struct {
 	mu      sync.Mutex
-	ready   sync.Cond  // L is &mu
-	streams [][]tagged // by source rank, then in order of first use
-	want    *stream    // the stream the receiver waits on; nil when it is not waiting
+	ready   sync.Cond // L is &mu
+	streams map[[2]int]*stream
+	want    *stream // the stream the receiver waits on; nil when it is not waiting
 }
 
 // stream returns the queue of (from, tag), creating it on first use. Call
 // with mu held.
 func (b *inbox) stream(from, tag int) *stream {
-	list := b.streams[from]
-	for i := range list {
-		if list[i].tag == tag {
-			return list[i].s
+	s := b.streams[[2]int{from, tag}]
+	if s == nil {
+		if b.streams == nil {
+			b.streams = map[[2]int]*stream{}
 		}
+		s = &stream{}
+		b.streams[[2]int{from, tag}] = s
 	}
-	s := &stream{}
-	b.streams[from] = append(list, tagged{tag, s})
 	return s
 }
 
@@ -152,10 +138,8 @@ func (b *inbox) queued() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
-	for _, list := range b.streams {
-		for _, t := range list {
-			n += len(t.s.q) - t.s.head
-		}
+	for _, s := range b.streams {
+		n += len(s.q) - s.head
 	}
 	return n
 }
@@ -215,7 +199,7 @@ func NewNetwork(m Machine) *Network {
 	n := &Network{Machine: m, ranks: make([]*Rank, m.P)}
 	n.coll.init(m.P)
 	for i := range n.ranks {
-		r := &Rank{ID: i, net: n, in: inbox{streams: make([][]tagged, m.P)}}
+		r := &Rank{ID: i, net: n}
 		r.in.ready.L = &r.in.mu
 		n.ranks[i] = r
 	}
@@ -398,7 +382,8 @@ func (n *Network) Run(body func(r *Rank)) []*Rank {
 	return n.ranks
 }
 
-// Send transmits data to rank `to` with the given tag. The sender's clock
+// Send transmits data to rank `to` with the given tag; it and Recv are the
+// message-passing schedules the tests hold the replays to. The sender's clock
 // advances by the full message cost α + β·bytes (single-port model); the
 // message carries its arrival time. Delivery is unbounded: Send never
 // blocks, whatever the receiver's backlog.
@@ -423,8 +408,8 @@ func (r *Rank) Send(to, tag int, data []float64) {
 // post is the clock half of a send of `words` words to rank `to`: it
 // advances the sender's clock, draws the message's faults, counts and
 // traces it, and returns its arrival time and trace flow id. Send hands the
-// payload to the receiver's inbox after it; the replay of a collective or
-// an exchange calls it alone, for each message of the call.
+// payload to the receiver's inbox after it; the replay of a collective, an
+// exchange or a route calls it alone, for each message of the call.
 func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 	r.maybePause()
 	bytes := 8 * words

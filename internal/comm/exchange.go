@@ -29,6 +29,7 @@ type Exchange struct {
 	in      [][]float64 // the fold's argument: the peers' Out buffers for this rank
 	arrival []float64   // by peer: the virtual arrival time of the message posted to it
 	flow    []string    // by peer: the message's trace flow id
+	back    []int       // by peer: this rank's place in the peer's peers (nil until the first call)
 }
 
 // NewExchange builds the rank's side of a neighbour exchange with peers, in
@@ -53,7 +54,7 @@ func (r *Rank) NewExchange(peers []int, tag int, fold func(in [][]float64)) *Exc
 // Exchange runs one call of x, whose messages carry fields runs of words
 // each; every rank must pass the same count.
 func (r *Rank) Exchange(x *Exchange, fields int) {
-	r.meet(call{x: x, fields: fields})
+	r.meet(call{kind: exchangeCall, x: x, fields: fields})
 }
 
 // exchange replays the deposited exchange: every rank's posts, then every
@@ -68,15 +69,28 @@ func (n *Network) exchange() {
 	}
 	for b, cl := range calls {
 		x, rb := cl.x, n.ranks[b]
+		if x.back == nil {
+			n.link(b, x)
+		}
 		for j, a := range x.peers {
-			src := calls[a].x
-			i, ok := slices.BinarySearch(src.peers, b)
-			if !ok {
-				panic(fmt.Sprintf("comm: rank %d expects a message from rank %d at exchange %d, which sends it none", b, a, x.id))
-			}
+			src, i := calls[a].x, x.back[j]
 			x.in[j] = src.Out[i]
 			rb.land(a, x.tag, len(src.Out[i]), src.arrival[i], src.flow[i])
 		}
 		x.fold(x.in)
 	}
+}
+
+// link finds, once, where each of rank b's peers posts its message to b:
+// b's place in that peer's own peer list.
+func (n *Network) link(b int, x *Exchange) {
+	back := make([]int, len(x.peers))
+	for j, a := range x.peers {
+		i, ok := slices.BinarySearch(n.coll.calls[a].x.peers, b)
+		if !ok {
+			panic(fmt.Sprintf("comm: rank %d expects a message from rank %d at exchange %d, which sends it none", b, a, x.id))
+		}
+		back[j] = i
+	}
+	x.back = back
 }

@@ -15,6 +15,7 @@
 package gs
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/comm"
@@ -64,6 +65,25 @@ func Init(gids []int64) *Handle {
 		}
 	}
 	return h
+}
+
+// copiesOf groups the local nodes by global id: ids[k], ascending, has the
+// local copies local[at[k]:at[k+1]], ascending.
+func copiesOf(gids []int64) (ids []int64, local, at []int32) {
+	local = make([]int32, len(gids))
+	for i := range local {
+		local[i] = int32(i)
+	}
+	slices.SortFunc(local, func(a, b int32) int { return cmp.Or(cmp.Compare(gids[a], gids[b]), cmp.Compare(a, b)) })
+	ids = make([]int64, 0, len(gids))
+	at = make([]int32, 0, len(gids)+1)
+	for k, i := range local {
+		if k == 0 || gids[i] != gids[local[k-1]] {
+			ids = append(ids, gids[i])
+			at = append(at, int32(k))
+		}
+	}
+	return ids, local, append(at, int32(len(local)))
 }
 
 // Apply performs the gather–scatter on u in place: the local copies of each
@@ -162,115 +182,97 @@ type neighbour struct {
 	slotIdx []int32 // per gid: accumulator slot the reply folds into
 }
 
-const (
-	tagSetupToOwner = 1000
-	tagSetupFromOwn = 2000
-	tagExchange     = 3000
-)
+const tagExchange = 3000
 
 // ParInit builds a distributed handle. Every rank calls it collectively
-// with its local global ids. Neighbour discovery routes through hashed
-// "owner" ranks (setup only); the recurring exchange is with the neighbours
-// alone. Every exchange (one per Apply or ApplyFields call) counts its
-// messages and words and records its virtual time in the rank's registry,
-// and emits a span on the rank's track of its tracer.
+// with its local global ids. Neighbour discovery goes through each gid's
+// "owner" rank (gid mod P) in two routes of the ranks (comm.Rank.Route, a
+// crystal router: ⌈log₂P⌉ messages or fewer per rank each) — the holders
+// tell the owners, and the owners tell each holder the others — at set-up
+// only; the recurring exchange is with the neighbours alone. Every exchange
+// (one per Apply or ApplyFields call) counts its messages and words and
+// records its virtual time in the rank's registry, and emits a span on the
+// rank's track of its tracer.
 func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	p := r.P()
 	reg := r.Registry()
 	h := &ParHandle{local: Init(gids), rank: r,
 		exchMsgs: reg.Counter("gs/exchange.msgs"), exchWords: reg.Counter("gs/exchange.words"),
 		exchVTime: reg.VTime("gs/exchange"), tracer: r.Tracer()}
-	// Setup-only lookup tables; the steady-state Apply uses the flat index
-	// arrays built at the end instead.
-	repIdx := make(map[int64]int32, len(gids))
-	allIdx := make(map[int64][]int32, len(gids))
-	for i, g := range gids {
-		if _, ok := repIdx[g]; !ok {
-			repIdx[g] = int32(i)
-		}
-		allIdx[g] = append(allIdx[g], int32(i))
-	}
 	if p == 1 {
 		return h
 	}
+	// The rank's distinct gids, ascending: held[k]'s local copies are
+	// local[at[k]:at[k+1]], ascending, the first its representative. These
+	// set-up tables give way to the flat index arrays built at the end.
+	held, local, at := copiesOf(gids)
+	// 1. Tell each owner (gid mod P) which of its gids we hold.
 	owner := func(g int64) int { return int(g % int64(p)) }
-	// 1. Tell each owner which of its gids we hold (iterating gids, not the
-	// map, so setup messages are deterministic).
-	toOwner := make([][]float64, p)
-	for i, g := range gids {
-		if repIdx[g] != int32(i) {
-			continue // not the first occurrence
-		}
-		o := owner(g)
-		toOwner[o] = append(toOwner[o], float64(g))
+	byOwner := slices.Clone(held)
+	slices.SortStableFunc(byOwner, func(a, b int64) int { return owner(a) - owner(b) })
+	toOwner := newBatch(len(held), len(held))
+	for _, g := range byOwner {
+		toOwner.add(owner(g), float64(g))
 	}
-	for q := 0; q < p; q++ {
-		if q == r.ID {
-			continue
-		}
-		r.Send(q, tagSetupToOwner, toOwner[q])
-	}
-	holders := make(map[int64][]int) // for gids owned here
-	record := func(src int, list []float64) {
-		for _, gf := range list {
-			g := int64(gf)
-			holders[g] = append(holders[g], src)
+	// The owner's side: every (gid, holder) of the gids it owns, by gid, each
+	// gid's holders ascending (as the route delivers them).
+	var holds []holding
+	for _, rec := range r.Route(toOwner.records()) {
+		for _, g := range rec.Data {
+			holds = append(holds, holding{int64(g), rec.Rank})
 		}
 	}
-	record(r.ID, toOwner[r.ID])
-	for q := 0; q < p; q++ {
-		if q == r.ID {
-			continue
+	slices.SortStableFunc(holds, func(a, b holding) int { return cmp.Compare(a.g, b.g) })
+	// 2. Owners answer every holder of a shared gid with (gid, holder count,
+	// the other holders), by holder and then by gid.
+	type ask struct{ at, lo, hi int } // holds[at] asks; holds[lo:hi] hold its gid
+	asks := make([]ask, 0, len(holds))
+	for lo, hi := 0, 0; lo < len(holds); lo = hi {
+		for hi = lo + 1; hi < len(holds) && holds[hi].g == holds[lo].g; hi++ {
 		}
-		record(q, r.Recv(q, tagSetupToOwner))
+		if hi-lo < 2 {
+			continue // held by one rank only
+		}
+		for k := lo; k < hi; k++ {
+			asks = append(asks, ask{k, lo, hi})
+		}
 	}
-	// 2. Owners answer every holder with (gid, holder list) for shared gids.
-	reply := make([][]float64, p)
-	for g, hs := range holders {
-		if len(hs) < 2 {
-			continue
-		}
-		for _, dst := range hs {
-			msg := []float64{float64(g), float64(len(hs))}
-			for _, other := range hs {
-				if other != dst {
-					msg = append(msg, float64(other))
-				}
+	slices.SortStableFunc(asks, func(a, b ask) int { return holds[a.at].rank - holds[b.at].rank })
+	words := 0
+	for _, a := range asks {
+		words += 1 + a.hi - a.lo
+	}
+	reply := newBatch(len(asks), words)
+	for _, a := range asks {
+		dst := holds[a.at].rank
+		reply.add(dst, float64(holds[a.lo].g), float64(a.hi-a.lo))
+		for _, o := range holds[a.lo:a.hi] {
+			if o.rank != dst {
+				reply.add(dst, float64(o.rank))
 			}
-			reply[dst] = append(reply[dst], msg...)
 		}
 	}
-	for q := 0; q < p; q++ {
-		if q == r.ID {
-			continue
-		}
-		r.Send(q, tagSetupFromOwn, reply[q])
-	}
-	shared := make(map[int][]int64) // neighbour rank -> shared gids
-	parse := func(list []float64) {
+	// The rank's side: every (gid, neighbour) it shares, by neighbour rank
+	// (the order every rank folds a shared value in) and then by gid.
+	var shares []holding
+	for _, rec := range r.Route(reply.records()) {
+		list := rec.Data
 		for i := 0; i < len(list); {
-			g := int64(list[i])
-			cnt := int(list[i+1])
-			for k := 0; k < cnt-1; k++ {
-				q := int(list[i+2+k])
-				shared[q] = append(shared[q], g)
+			g, cnt := int64(list[i]), int(list[i+1])
+			for _, q := range list[i+2 : i+1+cnt] {
+				shares = append(shares, holding{g, int(q)})
 			}
 			i += 1 + cnt
 		}
 	}
-	parse(reply[r.ID])
-	for q := 0; q < p; q++ {
-		if q == r.ID {
-			continue
+	slices.SortFunc(shares, func(a, b holding) int { return cmp.Or(a.rank-b.rank, cmp.Compare(a.g, b.g)) })
+	flat := make([]int64, len(shares))
+	for lo, hi := 0, 0; lo < len(shares); lo = hi {
+		for hi = lo; hi < len(shares) && shares[hi].rank == shares[lo].rank; hi++ {
+			flat[hi] = shares[hi].g
 		}
-		parse(r.Recv(q, tagSetupFromOwn))
+		h.neighbours = append(h.neighbours, neighbour{rank: shares[lo].rank, gids: flat[lo:hi:hi]})
 	}
-	for q, gs := range shared {
-		slices.Sort(gs)
-		h.neighbours = append(h.neighbours, neighbour{rank: q, gids: gs})
-	}
-	// Ascending rank order: the order every rank folds a shared value in.
-	slices.SortFunc(h.neighbours, func(a, b neighbour) int { return a.rank - b.rank })
 	peers := make([]int, len(h.neighbours))
 	for i, nb := range h.neighbours {
 		peers[i] = nb.rank
@@ -283,32 +285,31 @@ func ParInit(r *comm.Rank, gids []int64) *ParHandle {
 	// Precompute the steady-state exchange: gather indices per neighbour,
 	// and one accumulator slot per distinct shared gid, assigned on first
 	// appearance in neighbour order.
-	slotOf := make(map[int64]int32)
-	var sharedGids []int64
+	slot := make([]int32, len(held))  // by gid of held: its slot + 1, 0 for none yet
+	runs := make([]int, 0, len(held)) // by slot: its gid's place in held
 	for ni := range h.neighbours {
 		nb := &h.neighbours[ni]
 		nb.sendIdx = make([]int32, len(nb.gids))
 		nb.slotIdx = make([]int32, len(nb.gids))
 		for i, g := range nb.gids {
-			nb.sendIdx[i] = repIdx[g]
-			s, ok := slotOf[g]
-			if !ok {
-				s = int32(len(sharedGids))
-				slotOf[g] = s
-				sharedGids = append(sharedGids, g)
+			k, _ := slices.BinarySearch(held, g)
+			if slot[k] == 0 {
+				runs = append(runs, k)
+				slot[k] = int32(len(runs))
 			}
-			nb.slotIdx[i] = s
+			nb.sendIdx[i] = local[at[k]]
+			nb.slotIdx[i] = slot[k] - 1
 		}
 	}
-	h.slotRep = make([]int32, len(sharedGids))
-	h.slotPtr = make([]int32, len(sharedGids)+1)
-	for s, g := range sharedGids {
-		h.slotRep[s] = repIdx[g]
-		h.slotPtr[s+1] = h.slotPtr[s] + int32(len(allIdx[g]))
+	h.slotRep = make([]int32, len(runs))
+	h.slotPtr = make([]int32, len(runs)+1)
+	for s, k := range runs {
+		h.slotRep[s] = local[at[k]]
+		h.slotPtr[s+1] = h.slotPtr[s] + at[k+1] - at[k]
 	}
-	h.slotLoc = make([]int32, h.slotPtr[len(sharedGids)])
-	for s, g := range sharedGids {
-		copy(h.slotLoc[h.slotPtr[s]:], allIdx[g])
+	h.slotLoc = make([]int32, h.slotPtr[len(runs)])
+	for s, k := range runs {
+		copy(h.slotLoc[h.slotPtr[s]:], local[at[k]:at[k+1]])
 	}
 	return h
 }
@@ -415,4 +416,44 @@ func grow(buf *[]float64, n int) []float64 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
+}
+
+// holding is one holder of one gid.
+type holding struct {
+	g    int64
+	rank int
+}
+
+// batch builds a route's records in one buffer, from words added grouped by
+// destination: each run of one destination is one record.
+type batch struct {
+	recs  []comm.Record
+	start []int // by record: where its words begin in words
+	words []float64
+}
+
+func newBatch(recs, words int) batch {
+	return batch{recs: make([]comm.Record, 0, recs), start: make([]int, 0, recs), words: make([]float64, 0, words)}
+}
+
+// add appends words to the record for rank to, which is the last record
+// added to or a new one.
+func (b *batch) add(to int, words ...float64) {
+	if n := len(b.recs); n == 0 || b.recs[n-1].Rank != to {
+		b.recs = append(b.recs, comm.Record{Rank: to})
+		b.start = append(b.start, len(b.words))
+	}
+	b.words = append(b.words, words...)
+}
+
+// records returns the records, each Data its run of the buffer.
+func (b *batch) records() []comm.Record {
+	for i := range b.recs {
+		end := len(b.words)
+		if i+1 < len(b.recs) {
+			end = b.start[i+1]
+		}
+		b.recs[i].Data = b.words[b.start[i]:end:end]
+	}
+	return b.recs
 }

@@ -3,8 +3,10 @@ package gs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -260,9 +262,9 @@ func TestExchangeMatchesMessageSchedule(t *testing.T) {
 						t.Fatalf("%s: rank %d clock\n got %+v\nwant %+v", name, q, got.clocks[q], want.clocks[q])
 					}
 				}
-				if c := want.clocks[max(isolated, 0)]; isolated >= 0 && c.MsgsSent-c.Retries != int64(2*(p-1)) {
+				if c := want.clocks[max(isolated, 0)]; isolated >= 0 && c.MsgsSent-c.Retries != int64(2*routeMsgs(p, isolated)) {
 					t.Fatalf("%s: isolated rank %d delivered %d messages, want only its %d set-up messages",
-						name, isolated, c.MsgsSent-c.Retries, 2*(p-1))
+						name, isolated, c.MsgsSent-c.Retries, 2*routeMsgs(p, isolated))
 				}
 				if faulty {
 					var drops, pauses int64
@@ -318,6 +320,59 @@ func TestExchangeLossFailsEveryRank(t *testing.T) {
 	for q, m := range msgs {
 		if m != want {
 			t.Errorf("rank %d recovered %q, want %q", q, m, want)
+		}
+	}
+}
+
+// routeMsgs is the number of messages rank q of P sends in one fault-free
+// route: log₂P on P = 2^k; otherwise, with 2^k the largest power of two
+// below P, one on the ranks from 2^k up, k + 1 on the ranks they fold onto
+// and k on the rest — never more than ⌈log₂P⌉ + 1.
+func routeMsgs(p, q int) int {
+	k := bits.Len(uint(p)) - 1
+	switch {
+	case q >= 1<<k:
+		return 1
+	case q < p-1<<k:
+		return k + 1
+	}
+	return k
+}
+
+// TestParInitFindsTheSharersInTwoRoutes: at P ∈ {2, 3, 5, 8, 13, 64} each
+// rank's neighbours, and the ids it shares with each, are those a scan of
+// every rank's ids finds, and its set-up sends two routes' messages,
+// routeMsgs each.
+func TestParInitFindsTheSharersInTwoRoutes(t *testing.T) {
+	for _, p := range []int{2, 3, 5, 8, 13, 64} {
+		gids, _ := exchangeTopology(p, rand.New(rand.NewSource(int64(7*p))))
+		handles := make([]*ParHandle, p)
+		ranks := comm.NewNetwork(comm.ASCIRed(p)).Run(func(r *comm.Rank) { handles[r.ID] = ParInit(r, gids[r.ID]) })
+		for q, h := range handles {
+			want := map[int][]int64{}
+			for o, ids := range gids {
+				if o == q {
+					continue
+				}
+				for _, g := range ids {
+					if slices.Contains(gids[q], g) && !slices.Contains(want[o], g) {
+						want[o] = append(want[o], g)
+					}
+				}
+			}
+			got := map[int][]int64{}
+			for _, nb := range h.neighbours {
+				got[nb.rank] = nb.gids
+			}
+			for _, ids := range want {
+				slices.Sort(ids)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("P=%d rank %d shares %v, want %v", p, q, got, want)
+			}
+			if sent, most := ranks[q].MsgsSent, 2*(bits.Len(uint(p-1))+1); sent != int64(2*routeMsgs(p, q)) || sent > int64(most) {
+				t.Errorf("P=%d rank %d: ParInit sent %d messages, want %d (at most %d)", p, q, sent, 2*routeMsgs(p, q), most)
+			}
 		}
 	}
 }

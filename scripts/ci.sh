@@ -29,6 +29,8 @@
 #           pool is ns's shared-memory machine's, stopped by Solver.Close);
 #           a grep that comm declares one receive, Recv (the network queues
 #           each (source, tag) stream at its receiver); a grep that no
+#           non-test file outside internal/comm calls Send or Recv (every
+#           message of a run is replayed at a rendezvous); a grep that no
 #           non-test file but session's store makes a temp file or renames
 #           one (FSStore.Put is the one durable write); a grep that no
 #           non-test file outside internal/la and internal/coarse calls
@@ -162,6 +164,17 @@ onerecv() {
     fi
 }
 
+# onesend — point-to-point Send and Recv are the message-passing oracles the
+# tests hold the replays to: every message of a run is a collective's, a
+# gather–scatter exchange's or a route's, replayed at one rendezvous of the
+# ranks, so no non-test file outside internal/comm sends or receives one.
+onesend() {
+    if git grep --untracked -n -E '\.(Send|Recv)\(' -- '*.go' ':!*_test.go' ':!internal/comm'; then
+        echo "a Send or Recv outside internal/comm: route the records (Rank.Route) or exchange with the neighbours (Rank.Exchange)" >&2
+        return 1
+    fi
+}
+
 # onewrite — session.Store's filesystem backend holds the one crash-safe
 # file write (unique temp file, fsync, rename, directory fsync); every
 # snapshot and artifact goes through FSStore.Put, so no other non-test file
@@ -231,6 +244,7 @@ tier1() {
     stage "tier1/nopack" no_pack
     stage "tier1/nopool" nopool
     stage "tier1/onerecv" onerecv
+    stage "tier1/onesend" onesend
     stage "tier1/onewrite" onewrite
     stage "tier1/onepath" onepath
     stage "tier1/onefactor" onefactor
