@@ -63,9 +63,9 @@
 #           neighbour carries every field, the rank-order fold test, whose
 #           copies must agree however the replies land, and the rendezvous
 #           tests, whose last rank to arrive replays every rank's messages:
-#           collectives and gather–scatter exchanges against their
-#           message-passing oracles, and a lost message or a mismatched call
-#           failing every rank.
+#           collectives, gather–scatter exchanges and routes against their
+#           message-passing oracles, and a lost message, a mismatched call or
+#           a record addressed to no rank failing every rank.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -260,7 +260,7 @@ tier2() {
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
-        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
         ./internal/comm ./internal/gs
 }
 
