@@ -42,7 +42,7 @@ type rendezvous struct {
 }
 
 func (c *rendezvous) init(p int) {
-	c.calls, c.wake, c.routed = make([]call, p), make([]chan any, p), make([][]Record, p)
+	c.calls, c.wake = make([]call, p), make([]chan any, p)
 	for q := range c.wake {
 		c.wake[q] = make(chan any, 1)
 	}
@@ -147,6 +147,23 @@ func (n *Network) replay() (failure any) {
 	return nil
 }
 
+// message replays one message of words words from rank a to rank b: a
+// posts it, b lands it.
+func (n *Network) message(a, b, tag, words int) {
+	t, f := n.ranks[a].post(b, tag, words)
+	n.ranks[b].land(a, tag, words, t, f)
+}
+
+// pair replays a trade between ranks a and b, of wa words from a and wb
+// from b: both post before either lands.
+func (n *Network) pair(a, b, tag, wa, wb int) {
+	ra, rb := n.ranks[a], n.ranks[b]
+	ta, fa := ra.post(b, tag, wa)
+	tb, fb := rb.post(a, tag, wb)
+	ra.land(b, tag, wb, tb, fb)
+	rb.land(a, tag, wa, ta, fa)
+}
+
 // ReduceOp combines two equal-length vectors elementwise into dst.
 type ReduceOp func(dst, src []float64)
 
@@ -240,11 +257,7 @@ func (n *Network) doubling(op ReduceOp, words int) {
 			if b < a {
 				continue
 			}
-			ra, rb := n.ranks[a], n.ranks[b]
-			ta, fa := ra.post(b, tag, words)
-			tb, fb := rb.post(a, tag, words)
-			ra.land(b, tag, words, tb, fb)
-			rb.land(a, tag, words, ta, fa)
+			n.pair(a, b, tag, words, words)
 			da, db := c.calls[a].data, c.calls[b].data
 			copy(swap, da)
 			op(da, db)
@@ -262,8 +275,7 @@ func (n *Network) reduceTree(op ReduceOp, words int) {
 		tag := labelAllreduce + dist
 		for dst := 0; dst+dist < p; dst += 2 * dist {
 			src := dst + dist
-			t, f := n.ranks[src].post(dst, tag, words)
-			n.ranks[dst].land(src, tag, words, t, f)
+			n.message(src, dst, tag, words)
 			op(c.calls[dst].data, c.calls[src].data)
 		}
 	}
@@ -282,8 +294,7 @@ func (n *Network) bcastTree(words int) {
 		tag := labelBcast + dist
 		for src := 0; src+dist < p; src += 2 * dist {
 			dst := src + dist
-			t, f := n.ranks[src].post(dst, tag, words)
-			n.ranks[dst].land(src, tag, words, t, f)
+			n.message(src, dst, tag, words)
 			copy(c.calls[dst].data, c.calls[src].data)
 		}
 	}
