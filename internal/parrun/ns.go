@@ -92,8 +92,10 @@ type NSResult struct {
 	// the viscous Helmholtz solves, the pressure solve (the Schwarz/XXT/
 	// allreduce-heavy phase, plus the scalar Helmholtz solve when there is a
 	// scalar), and the filter + end-of-step bookkeeping, totalled over the
-	// executed steps. The strong-scaling study reads the work-dominated →
-	// latency-dominated crossover from these four numbers.
+	// executed steps. Step 1's convection is timed from the end of the
+	// slowest rank's set-up, so no phase carries a wait for the set-up. The
+	// strong-scaling study reads the work-dominated → latency-dominated
+	// crossover from these four numbers.
 	PhaseVirtual [4]float64
 
 	// Precond is the resolved pressure preconditioner variant the run used;
@@ -266,7 +268,7 @@ func (s *Stepper) Template() *ns.Solver { return s.tmpl }
 // last step's statistics. After an error the run is over.
 func (s *Stepper) StepN(n int) (ns.StepStats, error) {
 	target := s.StepCount() + n
-	s.net.Run(func(r *comm.Rank) { s.rs[r.ID].run(r, target, s.cfg) })
+	s.net.Run(func(r *comm.Rank) { s.rs[r.ID].run(r, target, s.cfg, s.prevV) })
 	if err := s.batchErr(); err != nil {
 		return ns.StepStats{}, err
 	}
@@ -491,8 +493,10 @@ func setUpRank(r *comm.Rank, tmpl *ns.Solver, mine []int, xxt *coarse.Dist, cfg 
 }
 
 // run is the stepping half: advance this rank's solver to target completed
-// steps, recording each step for the driver's cross-check.
-func (rs *rankState) run(r *comm.Rank, target int, cfg NSConfig) {
+// steps, recording each step for the driver's cross-check. prevV is the
+// cross-rank max clock before the batch: before step 1, the end of the
+// slowest rank's set-up.
+func (rs *rankState) run(r *comm.Rank, target int, cfg NSConfig, prevV float64) {
 	f, mach := rs.f, rs.mach
 	rs.steps = rs.steps[:0]
 	if cfg.History != nil {
@@ -509,14 +513,21 @@ func (rs *rankState) run(r *comm.Rank, target int, cfg NSConfig) {
 		// sections opened; the pressure slot also carries a scalar Helmholtz
 		// solve, the filter slot the end-of-step bookkeeping (history
 		// rotation, NaN allreduce, optional divergence telemetry).
+		// Step 1 starts when the slowest rank's set-up ends: a rank done
+		// sooner waits for it in the step's first exchange, and that wait
+		// is the set-up's, not convection's.
 		t0, end := &mach.t0, r.Time
+		start := t0[ns.SecConvect]
+		if st.Step == 1 {
+			start = prevV
+		}
 		rec := rankStep{stats: st, vEnd: end, phase: [4]float64{
-			t0[ns.SecViscous] - t0[ns.SecConvect], t0[ns.SecPressure] - t0[ns.SecViscous],
+			t0[ns.SecViscous] - start, t0[ns.SecPressure] - t0[ns.SecViscous],
 			t0[ns.SecFilter] - t0[ns.SecPressure], end - t0[ns.SecFilter]}}
 		for i, v := range rec.phase {
 			rs.phaseHist[i].Observe(v)
 		}
-		rs.stepHist.Observe(end - t0[ns.SecConvect])
+		rs.stepHist.Observe(end - start)
 		rs.steps = append(rs.steps, rec)
 		if cfg.OnStep != nil && r.ID == 0 {
 			cfg.OnStep(st, end)

@@ -2,6 +2,7 @@ package parrun
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,5 +194,38 @@ func TestStepNRefusesAnUndeliveredMessage(t *testing.T) {
 	})
 	if _, err := st.StepN(1); err == nil || !strings.Contains(err.Error(), "1 messages undelivered") {
 		t.Fatalf("StepN after a stray message: err = %v, want the undelivered message named", err)
+	}
+}
+
+// TestStepOneIsTimedFromTheSlowestSetUp: at P = 3 and 8 each rank's four
+// step-1 phases sum, to 1e-15 s, to its step-1 end clock less the clock at
+// which the slowest rank finished its set-up. A rank that finished sooner
+// waits for that rank in step 1's first exchange; the wait is the set-up's,
+// and no phase of the step is charged with it.
+func TestStepOneIsTimedFromTheSlowestSetUp(t *testing.T) {
+	cfg, init := nsCase(t)
+	for _, p := range []int{3, 8} {
+		s, err := Start(cfg, NSConfig{P: p, Steps: 1, Init: init})
+		if err != nil {
+			t.Fatal(err)
+		}
+		setUp, waited := comm.MaxTime(s.ranks), false
+		for _, r := range s.ranks {
+			waited = waited || r.Time < setUp
+		}
+		if !waited {
+			t.Fatalf("P=%d: every rank finished its set-up at %g; nothing to test", p, setUp)
+		}
+		if _, err := s.StepN(1); err != nil {
+			t.Fatal(err)
+		}
+		for q := range s.rs {
+			rec := s.rs[q].steps[0]
+			sum := rec.phase[0] + rec.phase[1] + rec.phase[2] + rec.phase[3]
+			if want := rec.vEnd - setUp; math.Abs(sum-want) > 1e-15 {
+				t.Errorf("P=%d rank %d: step-1 phases sum to %.17g s, want %.17g (end %g, slowest set-up %g)",
+					p, q, sum, want, rec.vEnd, setUp)
+			}
+		}
 	}
 }
