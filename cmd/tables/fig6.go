@@ -14,7 +14,7 @@ import (
 // time vs node count P for the XXT solver, redundant banded-LU, and
 // row-distributed A⁻¹, plus the 2·latency·log₂P lower bound, for the 63²
 // (n=3969) and 127² (n=16129) five-point Poisson problems. The distributed
-// algorithms execute for real on the simulated machine (goroutine ranks,
+// algorithms execute for real on the simulated machine (coroutine ranks,
 // real messages); times come from the per-rank virtual clocks.
 func fig6(quick bool) error {
 	grids := [][2]int{{63, 63}, {127, 127}}

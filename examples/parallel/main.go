@@ -3,7 +3,7 @@
 // of the paper), each simulated rank assembles residuals with the
 // distributed gather–scatter (gs_init / gs_op), and Jacobi-preconditioned
 // CG runs with allreduce inner products — the same SPMD structure the
-// production code used on ASCI-Red, executed on goroutine ranks with an
+// production code used on ASCI-Red, executed on coroutine ranks with an
 // α–β virtual clock.
 package main
 

@@ -1,23 +1,19 @@
 package comm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Collectives, neighbour exchanges (exchange.go) and routes (route.go) meet
 // once per call. Every rank deposits its call at the network's rendezvous
-// and parks; the last rank to arrive checks that every rank made the same
-// call and replays the call's messages for all of them, through the same
-// clock halves a Send and a Recv use (post, land), each rank's messages in
-// that rank's own order. A collective's schedule is recursive doubling for
-// P = 2^k, a binomial reduce to rank 0 and a binomial broadcast from it
-// otherwise, combining each rank's vector with op exactly where the rank
-// would. Clocks, traffic counters, fault draws, registry counters and trace
+// and parks; once every rank is parked, the driver (driver.go) checks that
+// every rank made the same call and replays the call's messages for all of
+// them, through the clock halves a Send and a Recv use (post, land), each
+// rank's messages in that rank's own order. A collective's schedule is
+// recursive doubling for P = 2^k, a binomial reduce to rank 0 and a binomial
+// broadcast from it otherwise, folding the vectors with op in the schedule's
+// order. Clocks, traffic counters, fault draws, registry counters and trace
 // events are therefore those of the message-passing schedule; only the host
-// work differs: one park per rank instead of an inbox hand-off per message.
-// No replayed message ever enters an inbox, and none takes a tag from the
-// user's tag space.
+// work differs: one park per rank instead of a hand-off per message. No
+// replayed message enters a stream, and none takes a user's tag.
 
 // Collective messages are labelled, in traces and loss panics, with the
 // tags the schedule gives them: labelAllreduce plus the round of recursive
@@ -28,24 +24,12 @@ const (
 	labelBcast     = 1 << 21
 )
 
-// rendezvous is where the ranks meet for one call. A rank writes its call
-// slot before it counts itself in, and the last rank's count observes every
-// earlier one, so the replay reads every slot after it was written; until
-// the replay wakes them, the other ranks are parked, so the replay owns the
-// rendezvous, every rank's clock and every deposited buffer without a lock.
+// rendezvous is where the ranks meet for one call. The replay runs on the
+// driver while every rank is parked, so it owns the rendezvous, every rank's
+// clock and every deposited buffer.
 type rendezvous struct {
-	arrived atomic.Int64
-	calls   []call     // by rank: the call in progress
-	wake    []chan any // by rank, capacity 1: nil, or the panic that failed the replay
-	swap    []float64  // recursive doubling's copy of one partner's vector
-	routed  [][]Record // by rank: what a route delivers to it
-}
-
-func (c *rendezvous) init(p int) {
-	c.calls, c.wake = make([]call, p), make([]chan any, p)
-	for q := range c.wake {
-		c.wake[q] = make(chan any, 1)
-	}
+	calls  []call     // by rank: the call in progress
+	routed [][]Record // by rank: what a route delivers to it
 }
 
 // callKind tells the three calls of the rendezvous apart.
@@ -93,34 +77,16 @@ func (c call) String() string {
 	return "a route"
 }
 
-// meet deposits the rank's call at the rendezvous and parks until the last
-// rank to arrive has replayed it. A replay that fails (mismatched calls, a
-// message lost for good, a panicking op or fold) fails every rank with the
-// same panic.
+// meet deposits the rank's call at the rendezvous and parks until the driver
+// has replayed it. A replay that fails (mismatched calls, a message lost for
+// good, a panicking op or fold) fails every rank with the same panic.
 func (r *Rank) meet(cl call) {
-	n := r.net
-	c := &n.coll
-	c.calls[r.ID] = cl
-	if c.arrived.Add(1) < int64(n.P) {
-		if failure := <-c.wake[r.ID]; failure != nil {
-			panic(failure)
-		}
-		return
-	}
-	c.arrived.Store(0)
-	failure := n.replay()
-	for q, w := range c.wake {
-		if q != r.ID {
-			w <- failure
-		}
-	}
-	if failure != nil {
-		panic(failure)
-	}
+	r.net.coll.calls[r.ID] = cl
+	r.park(atCall)
 }
 
 // replay checks that every rank deposited the same call and runs it. A panic
-// is recovered and returned, for the caller to hand to every rank it wakes.
+// is recovered and returned, for the driver to fail every rank with.
 func (n *Network) replay() (failure any) {
 	defer func() { failure = recover() }()
 	calls := n.coll.calls
@@ -129,18 +95,14 @@ func (n *Network) replay() (failure any) {
 			panic(fmt.Sprintf("comm: rank %d at %v, rank 0 at %v", q, calls[q], calls[0]))
 		}
 	}
-	switch calls[0].kind {
-	case exchangeCall:
+	switch op, words := calls[0].op, len(calls[0].data); {
+	case calls[0].kind == exchangeCall:
 		n.exchange()
-		return nil
-	case routeCall:
+	case calls[0].kind == routeCall:
 		n.route()
-		return nil
-	}
-	op, words := calls[0].op, len(calls[0].data)
-	if p := n.P; p&(p-1) == 0 {
+	case n.P&(n.P-1) == 0:
 		n.doubling(op, words)
-	} else {
+	default:
 		n.reduceTree(op, words)
 		n.bcastTree(words)
 	}
@@ -164,7 +126,9 @@ func (n *Network) pair(a, b, tag, wa, wb int) {
 	rb.land(a, tag, wa, ta, fa)
 }
 
-// ReduceOp combines two equal-length vectors elementwise into dst.
+// ReduceOp combines two equal-length vectors elementwise into dst. It must
+// be commutative: an allreduce folds in an order that depends on the rank
+// count, and leaves the same bits on every rank.
 type ReduceOp func(dst, src []float64)
 
 // OpSum adds src into dst.
@@ -243,26 +207,23 @@ func (r *Rank) AllreduceScalar(v float64, op ReduceOp) float64 {
 }
 
 // doubling replays recursive doubling (P = 2^k): in each round every pair
-// exchanges, and both fold the partner's vector as it was before the round.
+// exchanges, and both fold op(lower, upper). Both halves of a 2^(l+1)-rank
+// block hold one value each before round l, so the replay folds each block
+// once, on its lowest rank, and copies the result to every rank at the end.
 func (n *Network) doubling(op ReduceOp, words int) {
-	c, p := &n.coll, n.P
-	if cap(c.swap) < words {
-		c.swap = make([]float64, words)
-	}
-	swap := c.swap[:words]
+	calls, p := n.coll.calls, n.P
 	for dist, round := 1, 0; dist < p; dist, round = dist<<1, round+1 {
-		tag := labelAllreduce + round
 		for a := 0; a < p; a++ {
-			b := a ^ dist
-			if b < a {
-				continue
+			if b := a ^ dist; b > a {
+				n.pair(a, b, labelAllreduce+round, words, words)
 			}
-			n.pair(a, b, tag, words, words)
-			da, db := c.calls[a].data, c.calls[b].data
-			copy(swap, da)
-			op(da, db)
-			op(db, swap)
 		}
+		for a := 0; a < p; a += 2 * dist {
+			op(calls[a].data, calls[a+dist].data)
+		}
+	}
+	for _, cl := range calls[1:] {
+		copy(cl.data, calls[0].data)
 	}
 }
 

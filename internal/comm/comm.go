@@ -1,25 +1,25 @@
 // Package comm provides a simulated distributed-memory message-passing
-// machine: P ranks run as goroutines exchanging real data while a
-// LogP-style α–β (latency–bandwidth) cost model advances per-rank virtual
-// clocks. This substitutes for the paper's ASCI-Red NX/MPI layer: the
-// distributed algorithms (gather–scatter, XXT coarse solver, collective
-// trees) execute exactly as they would on real hardware — same messages,
-// same data, same dependency structure — and the virtual clocks yield the
-// communication-time curves of Fig. 6 without 2048 physical nodes. A run
-// communicates in three calls, each of which the ranks meet at one
-// rendezvous for, where the last rank to arrive replays the call's messages
-// for all of them: the allreduce (and barrier), the gather–scatter's
-// neighbour exchange, and the route, a crystal router's personalised
-// all-to-all, whose records go straight to their destinations while its
-// messages, sized from the records, drive the clocks. Each message is still
-// clocked, counted, fault-drawn and traced, but none is queued.
+// machine: P ranks exchange real data while a LogP-style α–β
+// (latency–bandwidth) cost model advances per-rank virtual clocks. This
+// substitutes for the paper's ASCI-Red NX/MPI layer: the distributed
+// algorithms (gather–scatter, XXT coarse solver, collective trees) execute
+// exactly as they would on real hardware — same messages, same data, same
+// dependency structure — and the virtual clocks yield the communication-time
+// curves of Fig. 6 without 2048 physical nodes. The ranks are coroutines
+// driven by one loop on the caller's goroutine (driver.go), which resumes
+// each in rank order until it parks. A run communicates in three calls, each
+// of which the ranks park at one rendezvous for, where the driver replays the
+// call's messages for all of them: the allreduce (and barrier), the
+// gather–scatter's neighbour exchange, and the route, a crystal router's
+// personalised all-to-all, whose records go straight to their destinations
+// while its messages, sized from the records, drive the clocks. Each message
+// is still clocked, counted, fault-drawn and traced, but none is queued.
 // Point-to-point Send and Recv, which queue each (source, tag) stream at its
 // receiver, are the message-passing schedules the tests hold the replays to.
 package comm
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/instrument"
@@ -57,92 +57,39 @@ func ASCIRedNode(p int, perf, dual bool) Machine {
 }
 
 type message struct {
-	from, tag int
-	data      []float64
-	arrival   float64 // virtual arrival time at the receiver
-	flow      string  // trace flow id binding send to receive ("" untraced)
+	data    []float64
+	arrival float64 // virtual arrival time at the receiver
+	flow    string  // trace flow id binding send to receive ("" untraced)
 }
 
-// stream is the queue of one (source, tag) stream, in send order. It is a
-// head-indexed slice: take advances head instead of reslicing, and once
+// stream is the queue of one (source, tag) stream at its receiver, in send
+// order: point-to-point Send and Recv, the message-passing oracles the tests
+// hold the replays to. Every message of a run is a collective's, an
+// exchange's or a route's, replayed at the call's rendezvous (collective.go,
+// exchange.go, route.go), and never comes here. A receive waits on exactly
+// the stream it names: no message is ever taken and set aside for a later
+// receive. The queues are unbounded and Send never blocks: a bounded queue
+// deadlocks real communication patterns — a sender blocked on a full queue
+// whose receiver is itself blocked sending never progresses. A stream is a
+// head-indexed slice: a receive advances head instead of reslicing, and once
 // drained the slice rewinds to q[:0], so a stream reuses one backing array.
 type stream struct {
-	q    []message
-	head int
+	from, tag int
+	q         []message
+	head      int
 }
 
-// inbox is the receive side of one rank: point-to-point Send and Recv, the
-// message-passing oracles the tests hold the replays to. Every message of a
-// run is a collective's, an exchange's or a route's, replayed at the call's
-// rendezvous (collective.go, exchange.go, route.go), and never comes here.
-// Each (source, tag) stream is queued at its receiver, so a receive waits on
-// exactly the stream it names: no message is ever taken and set aside for a
-// later receive. The queues are unbounded and Send never blocks: a bounded
-// queue deadlocks real communication patterns — a sender blocked on a full
-// inbox whose receiver is itself blocked sending never progresses. Only the
-// owning rank receives, so at most one stream is waited on at a time, and a
-// send wakes the receiver only when it lands on that stream.
-type inbox struct {
-	mu      sync.Mutex
-	ready   sync.Cond // L is &mu
-	streams map[[2]int]*stream
-	want    *stream // the stream the receiver waits on; nil when it is not waiting
-}
-
-// stream returns the queue of (from, tag), creating it on first use. Call
-// with mu held.
-func (b *inbox) stream(from, tag int) *stream {
-	s := b.streams[[2]int{from, tag}]
+// stream returns the rank's queue of (from, tag), creating it on first use.
+func (r *Rank) stream(from, tag int) *stream {
+	s := r.streams[[2]int{from, tag}]
 	if s == nil {
-		if b.streams == nil {
-			b.streams = map[[2]int]*stream{}
+		if r.streams == nil {
+			r.streams = map[[2]int]*stream{}
 		}
-		s = &stream{}
-		b.streams[[2]int{from, tag}] = s
+		s = &stream{from: from, tag: tag}
+		r.streams[[2]int{from, tag}] = s
 	}
 	return s
-}
-
-func (b *inbox) put(m message) {
-	b.mu.Lock()
-	s := b.stream(m.from, m.tag)
-	s.q = append(s.q, m)
-	wake := b.want == s
-	b.mu.Unlock()
-	if wake {
-		b.ready.Signal()
-	}
-}
-
-// take blocks until the (from, tag) stream holds a message and removes the
-// oldest.
-func (b *inbox) take(from, tag int) message {
-	b.mu.Lock()
-	s := b.stream(from, tag)
-	for s.head == len(s.q) {
-		b.want = s
-		b.ready.Wait()
-	}
-	b.want = nil
-	m := s.q[s.head]
-	s.q[s.head] = message{} // drop the payload reference once received
-	s.head++
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
-	}
-	b.mu.Unlock()
-	return m
-}
-
-// queued counts the messages sent to this inbox and not yet received.
-func (b *inbox) queued() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, s := range b.streams {
-		n += len(s.q) - s.head
-	}
-	return n
 }
 
 // collectiveInstr groups the metrics of one collective kind.
@@ -181,14 +128,15 @@ type netInstr struct {
 // Network is an instantiated machine: use Run to execute an SPMD function.
 // It owns its ranks: clocks, traffic and fault-draw counters and queued
 // messages live as long as the network, so a program may be run in several
-// batches (one Run each) and continue exactly where the last
-// batch stopped, and no goroutine outlives a Run. It is also the one place
-// a distributed run attaches its registry and tracer: the components built
-// on a rank (the gather–scatter, the coarse solve) take theirs from it.
+// batches (one Run each) and continue exactly where the last batch stopped.
+// It is also the one place a distributed run attaches its registry and
+// tracer: the components built on a rank (the gather–scatter, the coarse
+// solve) take theirs from it.
 type Network struct {
 	Machine
 	ranks  []*Rank
 	coll   rendezvous
+	fail   any // what fails every rank of the current Run; nil while none has failed
 	reg    *instrument.Registry
 	instr  *netInstr
 	tracer *instrument.Tracer
@@ -197,12 +145,9 @@ type Network struct {
 
 // NewNetwork allocates the communication structure for the machine.
 func NewNetwork(m Machine) *Network {
-	n := &Network{Machine: m, ranks: make([]*Rank, m.P)}
-	n.coll.init(m.P)
+	n := &Network{Machine: m, ranks: make([]*Rank, m.P), coll: rendezvous{calls: make([]call, m.P)}}
 	for i := range n.ranks {
-		r := &Rank{ID: i, net: n}
-		r.in.ready.L = &r.in.mu
-		n.ranks[i] = r
+		n.ranks[i] = &Rank{ID: i, net: n}
 	}
 	return n
 }
@@ -213,7 +158,9 @@ func NewNetwork(m Machine) *Network {
 func (n *Network) Undelivered() int {
 	total := 0
 	for _, r := range n.ranks {
-		total += r.in.queued()
+		for _, s := range r.streams {
+			total += len(s.q) - s.head
+		}
 	}
 	return total
 }
@@ -298,9 +245,11 @@ type Rank struct {
 	Pauses   int64
 	StallSec float64
 
-	// in is where other ranks' Sends queue; it is the one field of a Rank
-	// that other goroutines touch, under its own lock.
-	in inbox
+	streams map[[2]int]*stream  // where other ranks' Sends queue, by (source, tag)
+	want    *stream             // the stream Recv waits on; nil when it waits on none
+	next    func() (wait, bool) // resumes the rank's body until it parks (driver.go)
+	yield   func(wait) bool     // parks the rank's body, from inside it
+	wait    wait                // what the rank waits for while the driver runs the others
 
 	scalBuf   [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
 	flowSeq   int64      // per-sender flow-id sequence (deterministic, no global state)
@@ -366,23 +315,6 @@ func (r *Rank) maybePause() {
 	}
 }
 
-// Run executes body on every rank concurrently, one goroutine per rank,
-// waits for all of them and returns the network's ranks (for clock/traffic
-// inspection). The ranks are the same values on every call: a second Run
-// continues from the clocks and counters the first one left.
-func (n *Network) Run(body func(r *Rank)) []*Rank {
-	var wg sync.WaitGroup
-	wg.Add(n.P)
-	for _, r := range n.ranks {
-		go func(r *Rank) {
-			defer wg.Done()
-			body(r)
-		}(r)
-	}
-	wg.Wait()
-	return n.ranks
-}
-
 // Send transmits data to rank `to` with the given tag; it and Recv are the
 // message-passing schedules the tests hold the replays to. The sender's clock
 // advances by the full message cost α + β·bytes (single-port model); the
@@ -402,14 +334,14 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	arrival, flow := r.post(to, tag, len(data))
 	// The payload copy keeps Send/Recv value semantics: the caller may
 	// overwrite data immediately.
-	cp := append([]float64(nil), data...)
-	r.net.ranks[to].in.put(message{from: r.ID, tag: tag, data: cp, arrival: arrival, flow: flow})
+	s := r.net.ranks[to].stream(r.ID, tag)
+	s.q = append(s.q, message{data: append([]float64(nil), data...), arrival: arrival, flow: flow})
 }
 
 // post is the clock half of a send of `words` words to rank `to`: it
 // advances the sender's clock, draws the message's faults, counts and
 // traces it, and returns its arrival time and trace flow id. Send hands the
-// payload to the receiver's inbox after it; the replay of a collective, an
+// payload to the receiver's stream after it; the replay of a collective, an
 // exchange or a route calls it alone, for each message of the call.
 func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 	r.maybePause()
@@ -475,8 +407,8 @@ func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 	return r.Time, flow
 }
 
-// Recv blocks until the oldest unreceived message of the (from, tag) stream
-// is there and returns its payload, advancing the receiver's clock to at
+// Recv parks the rank until the oldest unreceived message of the (from, tag)
+// stream is there and returns its payload, advancing the receiver's clock to at
 // least the message arrival time. Messages of one stream arrive in send
 // order; streams are independent, so a rank may receive them in any order,
 // and since land only max-advances the clock, on a fault-free machine the
@@ -486,8 +418,17 @@ func (r *Rank) Recv(from, tag int) []float64 {
 	if from == r.ID || from < 0 || from >= r.net.P {
 		panic(fmt.Sprintf("comm: rank %d cannot receive from rank %d of %d", r.ID, from, r.net.P))
 	}
-	m := r.in.take(from, tag)
-	r.land(m.from, m.tag, len(m.data), m.arrival, m.flow)
+	s := r.stream(from, tag)
+	for r.want = s; s.head == len(s.q); {
+		r.park(atRecv)
+	}
+	r.want = nil
+	m := s.q[s.head]
+	s.q[s.head] = message{} // drop the payload reference once received
+	if s.head++; s.head == len(s.q) {
+		s.q, s.head = s.q[:0], 0
+	}
+	r.land(from, tag, len(m.data), m.arrival, m.flow)
 	return m.data
 }
 

@@ -9,8 +9,8 @@ import (
 // phase of the gather–scatter: each call sends one message to each of the
 // rank's peers and receives one from each. Every rank of a P > 1 network
 // meets at every call, a rank without peers too, at the rendezvous the
-// collectives meet at (collective.go). The last rank to arrive replays the
-// call: every rank's posts, each rank's in its peer order, then every rank's
+// collectives meet at (collective.go). Once every rank is parked there, the
+// driver replays the call: every rank's posts, each rank's in its peer order, then every rank's
 // lands and fold, each rank's in its peer order, handing the fold the words
 // its peers sent, read in place from their Out buffers. Clocks, counters,
 // fault draws and trace events are therefore those of the message-passing
@@ -36,8 +36,8 @@ type Exchange struct {
 // ascending rank order. Every rank builds its exchanges in the same order,
 // which names each of them at the rendezvous. tag labels the messages in
 // traces and loss panics. fold combines each call's messages, in[i] from
-// peers[i]: it runs on whichever rank's goroutine replays the call, while
-// the owner is parked, and must neither keep nor modify in.
+// peers[i]: it runs on the driver during the replay, while the owner is
+// parked, and must neither keep nor modify in.
 func (r *Rank) NewExchange(peers []int, tag int, fold func(in [][]float64)) *Exchange {
 	for i, q := range peers {
 		if q == r.ID || q < 0 || q >= r.net.P || i > 0 && q <= peers[i-1] {

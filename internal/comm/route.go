@@ -19,7 +19,7 @@ type Record struct {
 // in ascending rank order, each source's in the order it sent them. The
 // delivered Data are the senders' slices, and neither side may modify them.
 //
-// The last rank to arrive replays the crystal router (Fox et al., Solving
+// The driver replays the crystal router (Fox et al., Solving
 // Problems on Concurrent Processors, 1988): on P = 2^k ranks, at stage l
 // every rank r sends one message to r XOR 2^l holding every record it holds
 // whose destination differs from r in bit l, so each rank sends k messages

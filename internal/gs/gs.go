@@ -378,8 +378,8 @@ func (h *ParHandle) ApplyFields(op Op, fields ...[]float64) {
 
 // fold sums the call's shared values into the slot accumulators (one run of
 // len(slotRep) per field), from +0 in ascending rank order: in[i] is
-// neighbours[i]'s message. It runs at the exchange's rendezvous, on
-// whichever rank's goroutine replays it.
+// neighbours[i]'s message. It runs at the exchange's rendezvous, on the
+// network's driver, which replays it.
 func (h *ParHandle) fold(in [][]float64) {
 	nf, ns := len(h.fields), len(h.slotRep)
 	vals := grow(&h.slotVal, nf*ns)

@@ -6,14 +6,14 @@ package parrun
 // side of that seam and the driver around it. Start builds the serial solver
 // once as the read-only operator template, partitions the elements by
 // recursive spectral bisection, splits the template's XXT coarse factor over
-// the ranks, and sets one goroutine rank per part up; each rank forks the
+// the ranks, and sets one rank per part up; each rank forks the
 // template into state sized by its own elements. StepN runs a batch of
 // steps, every rank calling ns.Solver.Step on a rankMachine, whose methods
 // are the distributed gather–scatter (gs.ParHandle), scalar allreduces, the
 // virtual clock and the rank's XXT vertex solve (coarse.Dist.SolveNatural)
 // — the per-step traffic of the paper's Figs. 6 and 8. The network carries
 // the run's registry and tracer; the gather–scatter and the coarse solve
-// take theirs from their rank. Between batches no goroutine is alive: the
+// take theirs from their rank. Between batches no rank is running: the
 // ranks persist in the comm.Network and their solvers in the Stepper, so a
 // snapshot is a plain read (Checkpoint). A P-rank run differs from the
 // shared-memory stepper only by the reduction order of the inner products
@@ -70,9 +70,10 @@ type NSConfig struct {
 	History  *instrument.TimeSeries // optional per-step StepRecord telemetry
 
 	// OnStep, when non-nil, is called by rank 0 after each completed step
-	// with that step's statistics and rank 0's virtual clock. It runs on the
-	// rank-0 goroutine while the machine is live — implementations must be
-	// fast and concurrency-safe (bench/'s per-step host timing feeds on it).
+	// with that step's statistics and rank 0's virtual clock. It runs inside
+	// rank 0's body, on the goroutine that called StepN, while the other
+	// ranks are parked — implementations must be fast (bench/'s per-step
+	// host timing feeds on it).
 	// It observes the run without perturbing it: no virtual-clock cost.
 	OnStep func(st ns.StepStats, virtualSec float64)
 }

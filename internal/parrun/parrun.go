@@ -2,7 +2,7 @@
 // spectral element Navier–Stokes step with its additive Schwarz (FDM local
 // solves + XXT coarse solve) preconditioned pressure solve — as a genuine
 // SPMD program on the simulated message-passing machine: the element mesh is
-// partitioned by recursive spectral bisection, each goroutine rank assembles
+// partitioned by recursive spectral bisection, each rank assembles
 // residuals with the distributed gather–scatter, inner products are
 // allreduces, and the coarse vertex solve routes through the distributed XXT
 // solver. Its purpose is the per-rank communication timeline of Figs. 6/8:

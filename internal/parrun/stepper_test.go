@@ -229,3 +229,33 @@ func TestStepOneIsTimedFromTheSlowestSetUp(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryIsReproducible: the driver resumes the ranks in one order, so
+// the ranks' own observations reach the registry in that order too, and two
+// P = 8 runs report every counter and every virtual-time histogram (count,
+// sum, min, max, buckets) identically. Timers are left out: some time the
+// host.
+func TestRegistryIsReproducible(t *testing.T) {
+	cfg, init := channelCase(t)
+	run := func() instrument.Report {
+		reg := instrument.New()
+		if _, err := NavierStokes(cfg, NSConfig{P: 8, Steps: 4, Init: init, Registry: reg}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Report()
+	}
+	a, b := run(), run()
+	if len(a.Histograms) == 0 || len(a.Counters) == 0 {
+		t.Fatalf("the run reported %d counters and %d histograms", len(a.Counters), len(a.Histograms))
+	}
+	if !reflect.DeepEqual(a.Counters, b.Counters) {
+		t.Errorf("counters differ between two runs:\n%v\n%v", a.Counters, b.Counters)
+	}
+	if !reflect.DeepEqual(a.Histograms, b.Histograms) {
+		for i := range a.Histograms {
+			if !reflect.DeepEqual(a.Histograms[i], b.Histograms[i]) {
+				t.Errorf("histogram %s differs between two runs:\n%+v\n%+v", a.Histograms[i].Name, a.Histograms[i], b.Histograms[i])
+			}
+		}
+	}
+}

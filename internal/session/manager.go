@@ -123,8 +123,9 @@ func NewManager(store Store, maxActive int) *Manager {
 	}
 }
 
-// checkServable refuses what the manager cannot run safely yet: a rank
-// goroutine's panic is outside stepBatch's recover, and nothing bounds P.
+// checkServable refuses what the manager cannot run safely yet: nothing
+// bounds P. (A rank's panic leaves comm.Network.Run on the stepping
+// goroutine, so it reaches stepBatch's recover.)
 func checkServable(cfg Config) error {
 	if cfg.Ranks != 0 || cfg.Faults != nil {
 		return errors.New("session: the job service runs shared-memory sessions only (ranks, faults: use semflow -ranks)")

@@ -229,12 +229,12 @@ func (m sharedMemory) VirtualSeconds() float64      { return 0 }
 func (m sharedMemory) snapshot() *parrun.Checkpoint { return parrun.Serial(m.Checkpoint()) }
 
 // simulated steps the ranks one step per batch, so Cancel, Checkpoint and
-// OnStep see every step boundary with no rank goroutine alive.
+// OnStep see every step boundary with no rank running.
 type simulated struct{ *parrun.Stepper }
 
 func (m simulated) Step() (ns.StepStats, error)  { return m.StepN(1) }
 func (m simulated) snapshot() *parrun.Checkpoint { return m.Checkpoint() }
-func (m simulated) Close()                       {} // the ranks hold no goroutine or pool between batches
+func (m simulated) Close()                       {} // the ranks hold no coroutine or pool between batches
 
 // Session is one live simulation: a stepping machine plus its per-session
 // instruments. Methods are safe for concurrent use; stepping itself is
