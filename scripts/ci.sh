@@ -30,7 +30,10 @@
 #           a grep that comm declares one receive, Recv (the network queues
 #           each (source, tag) stream at its receiver); a grep that no
 #           non-test file outside internal/comm calls Send or Recv (every
-#           message of a run is replayed at a rendezvous); a grep that no
+#           message of a run is replayed at a rendezvous); a grep that
+#           internal/comm's non-test code starts no goroutine and uses no
+#           channel, sync or sync/atomic (the ranks are coroutines under one
+#           driver loop, which resumes them); a grep that no
 #           non-test file but session's store makes a temp file or renames
 #           one (FSStore.Put is the one durable write); a grep that no
 #           non-test file outside internal/la and internal/coarse calls
@@ -58,14 +61,17 @@
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
 #           is the one collective every batched inner product rides on.
 #           The receive-stream tests run ten times more too: every rank's
-#           inbox is written by its neighbours' goroutines; so do the
+#           inbox is written by its neighbours' coroutines; so do the
 #           multi-field gather–scatter test, whose one message per
 #           neighbour carries every field, the rank-order fold test, whose
 #           copies must agree however the replies land, and the rendezvous
 #           tests, whose last rank to arrive replays every rank's messages:
 #           collectives, gather–scatter exchanges and routes against their
 #           message-passing oracles, and a lost message, a mismatched call or
-#           a record addressed to no rank failing every rank.
+#           a record addressed to no rank failing every rank; and the
+#           driver's failures: a rank returning while the others wait at a
+#           call, a receive no rank will satisfy, and a rank's own panic
+#           leaving Run on the caller's goroutine.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -175,6 +181,18 @@ onesend() {
     fi
 }
 
+# onedriver — the ranks of a comm.Network are coroutines under one driver
+# loop on Run's caller (internal/comm/driver.go): a rank parks at a
+# rendezvous or in Recv and the driver resumes it, so comm's non-test code
+# starts no goroutine and uses no channel, lock, condition variable or atomic.
+onedriver() {
+    if git grep --untracked -n -E -e '^[[:space:]]*go[[:space:]]' -e '[{;][[:space:]]*go[[:space:]]' \
+        -e '\bchan\b' -e '<-' -e '"sync(/atomic)?"' -e '\b(sync|atomic)\.' -- 'internal/comm/*.go' ':!*_test.go'; then
+        echo "internal/comm starts a goroutine or synchronises through a channel, sync or sync/atomic: park the rank (Rank.park) and let the driver resume it" >&2
+        return 1
+    fi
+}
+
 # onewrite — session.Store's filesystem backend holds the one crash-safe
 # file write (unique temp file, fsync, rename, directory fsync); every
 # snapshot and artifact goes through FSStore.Put, so no other non-test file
@@ -245,6 +263,7 @@ tier1() {
     stage "tier1/nopool" nopool
     stage "tier1/onerecv" onerecv
     stage "tier1/onesend" onesend
+    stage "tier1/onedriver" onedriver
     stage "tier1/onewrite" onewrite
     stage "tier1/onepath" onepath
     stage "tier1/onefactor" onefactor
@@ -260,7 +279,7 @@ tier2() {
         -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
-        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
+        -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestReturnWhileOthersWaitFailsEveryRank|TestRecvDeadlockFailsEveryRank|TestRankPanicLeavesRunOnCaller|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
         ./internal/comm ./internal/gs
 }
 
