@@ -249,3 +249,67 @@ func TestBucketBoundsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramKeepsItsBits pins, through Report, what a histogram makes of
+// signed zeros, a subnormal, NaN, +Inf and out-of-range samples, bit for
+// bit: NaN enters the sum and displaces min and max until a later sample
+// displaces it, a zero never displaces an equal zero of the other sign, and
+// every value out of range lands in an end bucket.
+func TestHistogramKeepsItsBits(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name                               string
+		samples                            []float64
+		count                              int64
+		sum, min, max, mean, p50, p90, p99 uint64 // float64 bits
+		buckets                            []HistBucket
+	}{{
+		name:    "specials",
+		samples: []float64{0, negZero, 5e-324, 1, math.NaN(), math.Inf(1), 1e12, 1e-30},
+		count:   8,
+		sum:     0x7ff8000000000001, min: 0x39b4484bfeebc2a0, max: 0x7ff0000000000000,
+		mean: 0x7ff8000000000001, p50: 0x3bf1e3779b97f4a8, p90: 0x4270000000000000, p99: 0x4270000000000000,
+		buckets: []HistBucket{{0, 3}, {0x1p-64, 2}, {1, 1}, {0x1.cp39, 1}, {0x1p40, 1}},
+	}, {
+		name:    "zeros",
+		samples: []float64{negZero, 0},
+		count:   2,
+		sum:     0, min: 0x8000000000000000, max: 0x8000000000000000,
+		mean: 0, p50: 0, p90: 0, p99: 0,
+		buckets: []HistBucket{{0, 2}},
+	}} {
+		r := New()
+		h := r.Histogram(tc.name)
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		st := r.Report().Histograms[0]
+		if st.Count != tc.count {
+			t.Errorf("%s: count = %d, want %d", tc.name, st.Count, tc.count)
+		}
+		for _, f := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"sum", math.Float64bits(st.Sum), tc.sum},
+			{"min", math.Float64bits(st.Min), tc.min},
+			{"max", math.Float64bits(st.Max), tc.max},
+			{"mean", math.Float64bits(st.Mean), tc.mean},
+			{"p50", math.Float64bits(st.P50), tc.p50},
+			{"p90", math.Float64bits(st.P90), tc.p90},
+			{"p99", math.Float64bits(st.P99), tc.p99},
+		} {
+			if f.got != f.want {
+				t.Errorf("%s: %s bits = %#x, want %#x", tc.name, f.what, f.got, f.want)
+			}
+		}
+		if len(st.Buckets) != len(tc.buckets) {
+			t.Fatalf("%s: buckets = %+v, want %+v", tc.name, st.Buckets, tc.buckets)
+		}
+		for i, b := range st.Buckets {
+			if math.Float64bits(b.Lower) != math.Float64bits(tc.buckets[i].Lower) || b.Count != tc.buckets[i].Count {
+				t.Errorf("%s: bucket %d = %+v, want %+v", tc.name, i, b, tc.buckets[i])
+			}
+		}
+	}
+}
