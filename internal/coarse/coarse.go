@@ -181,8 +181,8 @@ func (s *Dist) CrossCount() int { return len(s.CrossCols) }
 // SolveWork is one rank's side of a Dist: the columns of X its solves touch,
 // found once, the scratch of its solves, reusable across calls so the
 // steady-state coarse solve allocates nothing, and the metric and trace
-// handles of its rank. Each simulated rank needs its own (the solves run
-// concurrently on all ranks).
+// handles of its rank. Each simulated rank needs its own (a rank's solve
+// parks at its combine while the other ranks run theirs).
 type SolveWork struct {
 	own   []int      // the local columns the rank owns, ascending
 	cross []crossWin // the cross columns meeting the rank's rows, in CrossCols order

@@ -114,8 +114,8 @@ type netInstr struct {
 	allreduce collectiveInstr
 	barrier   collectiveInstr
 
-	// Per-message virtual latency. Histograms observe lock-free, so every
-	// rank records every message even at paper-scale P.
+	// Per-message virtual latency: every message of every rank, observed
+	// by post.
 	sendVLat *instrument.Histogram
 
 	// Fault-injection bookkeeping (all zero without a plan).
@@ -168,7 +168,7 @@ func (n *Network) Undelivered() int {
 // Attach wires per-message and per-collective counters (messages, bytes,
 // summed per-rank virtual time) into reg, and hands reg to every component
 // built on a rank after it (Rank.Registry). Call before Run; the handles are
-// shared by all ranks and recorded atomically.
+// shared by all ranks.
 func (n *Network) Attach(reg *instrument.Registry) {
 	n.reg = reg
 	if reg == nil {
@@ -224,11 +224,29 @@ func (n *Network) AttachTracer(tr *instrument.Tracer) {
 	}
 }
 
-// Rank is the per-process handle passed to the SPMD body.
+// Rank is the per-process handle passed to the SPMD body. Its clock state is
+// the embedded ClockState, so a checkpoint captures every counter the rank
+// keeps.
 type Rank struct {
 	ID  int
 	net *Network
+	ClockState
 
+	streams map[[2]int]*stream  // where other ranks' Sends queue, by (source, tag)
+	want    *stream             // the stream Recv waits on; nil when it waits on none
+	next    func() (wait, bool) // resumes the rank's body until it parks (driver.go)
+	yield   func(wait) bool     // parks the rank's body, from inside it
+	wait    wait                // what the rank waits for while the driver runs the others
+
+	scalBuf   [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
+	exchanges int        // the exchanges built on this rank (NewExchange)
+}
+
+// ClockState is the checkpointable slice of a rank's communication state:
+// the virtual clock, the traffic counters, and the deterministic sequence
+// counters that feed trace flow ids and fault draws. Restoring it makes a
+// resumed rank continue exactly where the snapshot left off.
+type ClockState struct {
 	Time      float64 // virtual clock, seconds
 	BytesSent int64
 	MsgsSent  int64
@@ -245,59 +263,21 @@ type Rank struct {
 	Pauses   int64
 	StallSec float64
 
-	streams map[[2]int]*stream  // where other ranks' Sends queue, by (source, tag)
-	want    *stream             // the stream Recv waits on; nil when it waits on none
-	next    func() (wait, bool) // resumes the rank's body until it parks (driver.go)
-	yield   func(wait) bool     // parks the rank's body, from inside it
-	wait    wait                // what the rank waits for while the driver runs the others
-
-	scalBuf   [1]float64 // AllreduceScalar and Barrier scratch (collectives never nest)
-	flowSeq   int64      // per-sender flow-id sequence (deterministic, no global state)
-	sendSeq   int64      // per-sender message sequence feeding the fault plan's draws
-	exchanges int        // the exchanges built on this rank (NewExchange)
-}
-
-// ClockState is the checkpointable slice of a rank's communication state:
-// the virtual clock, the traffic counters, and the deterministic sequence
-// counters that feed trace flow ids and fault draws. Restoring it makes a
-// resumed rank continue exactly where the snapshot left off.
-type ClockState struct {
-	Time      float64
-	BytesSent int64
-	MsgsSent  int64
-	MMFlops   int64
-	VecFlops  int64
-	Drops     int64
-	Retries   int64
-	Pauses    int64
-	StallSec  float64
-	FlowSeq   int64
-	SendSeq   int64
+	FlowSeq int64 // per-sender flow-id sequence (deterministic, no global state)
+	SendSeq int64 // per-sender message sequence feeding the fault plan's draws
 }
 
 // Clock captures the rank's current clock state for a checkpoint.
-func (r *Rank) Clock() ClockState {
-	return ClockState{Time: r.Time, BytesSent: r.BytesSent, MsgsSent: r.MsgsSent,
-		MMFlops: r.MMFlops, VecFlops: r.VecFlops, Drops: r.Drops, Retries: r.Retries, Pauses: r.Pauses,
-		StallSec: r.StallSec, FlowSeq: r.flowSeq, SendSeq: r.sendSeq}
-}
+func (r *Rank) Clock() ClockState { return r.ClockState }
 
 // SetClock restores a checkpointed clock state.
-func (r *Rank) SetClock(cs ClockState) {
-	r.Time, r.BytesSent, r.MsgsSent = cs.Time, cs.BytesSent, cs.MsgsSent
-	r.MMFlops, r.VecFlops = cs.MMFlops, cs.VecFlops
-	r.Drops, r.Retries, r.Pauses, r.StallSec = cs.Drops, cs.Retries, cs.Pauses, cs.StallSec
-	r.flowSeq, r.sendSeq = cs.FlowSeq, cs.SendSeq
-}
+func (r *Rank) SetClock(cs ClockState) { r.ClockState = cs }
 
-// maybePause advances the clock past any pause window the rank's clock sits
-// inside (the node-loss stand-in: the rank freezes, then resumes with its
-// state intact). Called at the start of every clock-advancing operation.
-func (r *Rank) maybePause() {
-	pl := r.net.faults
-	if pl == nil {
-		return
-	}
+// maybePause advances the clock past any pause window of the plan pl the
+// rank's clock sits inside (the node-loss stand-in: the rank freezes, then
+// resumes with its state intact). Every clock-advancing operation calls it
+// first when the network has a fault plan.
+func (r *Rank) maybePause(pl *fault.Plan) {
 	end, hit := pl.PauseEnd(r.ID, r.Time)
 	if !hit {
 		return
@@ -344,20 +324,20 @@ func (r *Rank) Send(to, tag int, data []float64) {
 // payload to the receiver's stream after it; the replay of a collective, an
 // exchange or a route calls it alone, for each message of the call.
 func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
-	r.maybePause()
 	bytes := 8 * words
 	base := r.net.Latency + float64(bytes)*r.net.ByteSec
 	var extra float64
 	if pl := r.net.faults; pl != nil {
-		r.sendSeq++
-		extra = pl.SendDelay(r.ID, to, r.sendSeq)
+		r.maybePause(pl)
+		r.SendSeq++
+		extra = pl.SendDelay(r.ID, to, r.SendSeq)
 		if extra > 0 {
 			r.StallSec += extra
 			if in := r.net.instr; in != nil {
 				in.faultStall.Record(extra)
 			}
 		}
-		for attempt := 0; pl.DropAttempt(r.ID, to, r.sendSeq, attempt); attempt++ {
+		for attempt := 0; pl.DropAttempt(r.ID, to, r.SendSeq, attempt); attempt++ {
 			if attempt >= pl.MaxRetries {
 				panic(fmt.Sprintf("comm: message rank %d -> %d (tag %d) lost after %d attempts",
 					r.ID, to, tag, attempt+1))
@@ -399,8 +379,8 @@ func (r *Rank) post(to, tag, words int) (arrival float64, flow string) {
 		tr.SpanV(r.ID, "send", "comm", t0, r.Time,
 			map[string]any{"to": to, "tag": tag, "bytes": bytes})
 		if tr.WantsV(to) {
-			r.flowSeq++
-			flow = fmt.Sprintf("%d.%d", r.ID, r.flowSeq)
+			r.FlowSeq++
+			flow = fmt.Sprintf("%d.%d", r.ID, r.FlowSeq)
 			tr.FlowV("s", r.ID, "msg", r.Time, flow)
 		}
 	}
@@ -440,7 +420,9 @@ func (r *Rank) land(from, tag, words int, arrival float64, flow string) {
 	if arrival > r.Time {
 		r.Time = arrival
 	}
-	r.maybePause()
+	if pl := r.net.faults; pl != nil {
+		r.maybePause(pl)
+	}
 	if tr := r.net.tracer; tr.WantsV(r.ID) {
 		if flow != "" {
 			tr.FlowV("f", r.ID, "msg", r.Time, flow)
@@ -460,7 +442,7 @@ func (r *Rank) Compute(mm, vec int64) {
 	r.VecFlops += vec
 	dt := float64(mm)*r.net.MMFlopSec + float64(vec)*r.net.VecFlopSec
 	if pl := r.net.faults; pl != nil {
-		r.maybePause()
+		r.maybePause(pl)
 		if f := pl.ComputeFactor(r.ID, r.Time); f != 1 {
 			t0 := r.Time
 			r.Time += dt * f

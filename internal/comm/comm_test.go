@@ -313,3 +313,22 @@ func TestRunsContinueOnTheSameRanks(t *testing.T) {
 			second[1].Time, t0, second[0].MsgsSent, sent, net.Undelivered())
 	}
 }
+
+// TestPauseHoldsALandingMessage: a message that lands inside its receiver's
+// pause window is picked up when the window ends, and the receiver counts
+// the pause.
+func TestPauseHoldsALandingMessage(t *testing.T) {
+	net := NewNetwork(machine(2))
+	net.SetFaults(&fault.Plan{Seed: 1, Pauses: []fault.Pause{{Rank: 1, At: 0.5, Duration: 0.5}}})
+	ranks := net.Run(func(r *Rank) {
+		if r.ID == 0 {
+			r.Compute(6e7, 0) // 0.6 s: the message arrives inside rank 1's window
+			r.Send(1, 0, []float64{1})
+		} else {
+			r.Recv(0, 0)
+		}
+	})
+	if got := ranks[1].Time; got != 1 || ranks[1].Pauses != 1 {
+		t.Fatalf("receiver at %g with %d pauses, want 1 and 1", got, ranks[1].Pauses)
+	}
+}

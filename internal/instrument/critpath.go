@@ -2,13 +2,13 @@ package instrument
 
 // critpath.go analyzes the virtual-clock span DAG of a recorded trace: the
 // per-rank X spans are the nodes' work, and the s/f flow arrows (emitted by
-// comm.Send/deliver) are the dependency edges between ranks. Walking the
-// arrows backward from the last rank to finish yields the run's critical
-// path — the single chain of local work and message waits that determines
-// the modeled completion time — which is then attributed to phase ×
-// category × rank. This is the measured counterpart of the paper's Sec. 7
-// performance model: instead of predicting where P=1024 time goes, it reads
-// it off the trace.
+// comm's post and land, the clock halves of every message) are the
+// dependency edges between ranks. Walking the arrows backward from the last
+// rank to finish yields the run's critical path — the single chain of local
+// work and message waits that determines the modeled completion time —
+// which is then attributed to phase × category × rank. This is the measured
+// counterpart of the paper's Sec. 7 performance model: instead of
+// predicting where P=1024 time goes, it reads it off the trace.
 //
 // The walk exploits an exactness property of the simulated machine: a
 // receive gates its receiver if and only if the flow-finish timestamp

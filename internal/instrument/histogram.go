@@ -6,9 +6,10 @@ package instrument
 // per-step phase times, CG iteration counts, fault stall draws. It is built
 // for the simulated machine's hot paths and for paper-scale rank counts:
 //
-//   - Observe is allocation-free and lock-free (atomic bucket counters), so
-//     a P=1024 run where every rank records every message costs nothing but
-//     a few atomic adds per event;
+//   - Observe is allocation-free: one uncontended lock around five plain
+//     updates. A run records from one goroutine (the driver that steps every
+//     simulated rank), so the lock serves the scrapes that read a histogram
+//     during a run, and each of them sees one consistent state;
 //   - buckets are log-spaced (a fixed number of sub-buckets per power of
 //     two), so one fixed 4 KB layout covers twelve decades — microsecond
 //     latencies and kilo-iteration counts land in the same type with ~19 %
@@ -21,7 +22,7 @@ package instrument
 
 import (
 	"math"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -37,23 +38,21 @@ const (
 )
 
 // Histogram is a log-bucketed distribution of non-negative float64 samples.
-// All methods are safe for concurrent use; Observe is lock-free and
-// allocation-free. Handles come from Registry.Histogram; a nil handle
-// (disabled instrumentation) no-ops.
+// All methods are safe for concurrent use; Observe is allocation-free.
+// Handles come from Registry.Histogram; a nil handle (disabled
+// instrumentation) no-ops.
 type Histogram struct {
 	name    string
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-	minBits atomic.Uint64 // float64 bits; init +Inf
-	maxBits atomic.Uint64 // float64 bits; init -Inf
-	buckets [histBuckets]atomic.Int64
+	mu      sync.Mutex
+	count   int64
+	sum     float64
+	min     float64 // +Inf before any Observe
+	max     float64 // -Inf before any Observe
+	buckets [histBuckets]int64
 }
 
 func newHistogram(name string) *Histogram {
-	h := &Histogram{name: name}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	return &Histogram{name: name, min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // bucketIndex maps a sample to its bucket. Index 0 holds v <= 0 (and NaN);
@@ -92,37 +91,25 @@ func bucketUpper(i int) float64 {
 	return bucketLower(i + 1)
 }
 
-// Observe records one sample. Lock-free, allocation-free, nil no-op.
+// Observe records one sample. Allocation-free, nil no-op.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
+	h.mu.Lock()
+	h.buckets[bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	// Negated comparisons, not the min/max builtins: a NaN sample displaces
+	// min and max until the next sample displaces it, and a zero never
+	// displaces an equal zero of the other sign.
+	if !(h.min <= v) {
+		h.min = v
 	}
-	for {
-		old := h.minBits.Load()
-		if math.Float64frombits(old) <= v {
-			break
-		}
-		if h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
+	if !(h.max >= v) {
+		h.max = v
 	}
-	for {
-		old := h.maxBits.Load()
-		if math.Float64frombits(old) >= v {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
+	h.mu.Unlock()
 }
 
 // ObserveSince records the wall-clock seconds elapsed since start,
@@ -135,50 +122,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Min returns the smallest sample (0 before any Observe).
-func (h *Histogram) Min() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.minBits.Load())
-}
-
-// Max returns the largest sample (0 before any Observe).
-func (h *Histogram) Max() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return math.Float64frombits(h.maxBits.Load())
-}
-
-// Mean returns the arithmetic mean (0 before any Observe).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1) from the
 // bucket counts: the geometric midpoint of the bucket holding the q-th
 // sample, clamped to the observed min/max so p0/p100 are exact. Estimates
@@ -188,15 +131,22 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	n := h.count.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantile(q)
+}
+
+// quantile is Quantile under h.mu.
+func (h *Histogram) quantile(q float64) float64 {
+	n := h.count
 	if n == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return h.Min()
+		return h.min
 	}
 	if q >= 1 {
-		return h.Max()
+		return h.max
 	}
 	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
@@ -206,17 +156,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = n
 	}
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		c := h.buckets[i].Load()
+	for i, c := range h.buckets {
 		if c == 0 {
 			continue
 		}
 		cum += c
 		if cum >= rank {
 			var v float64
-			if i == 0 {
-				v = 0
-			} else {
+			if i > 0 {
 				lo, hi := bucketLower(i), bucketUpper(i)
 				if math.IsInf(hi, 1) {
 					v = lo
@@ -224,16 +171,16 @@ func (h *Histogram) Quantile(q float64) float64 {
 					v = math.Sqrt(lo * hi)
 				}
 			}
-			if min := h.Min(); v < min {
-				v = min
+			if v < h.min {
+				v = h.min
 			}
-			if max := h.Max(); v > max {
-				v = max
+			if v > h.max {
+				v = h.max
 			}
 			return v
 		}
 	}
-	return h.Max()
+	return h.max
 }
 
 // HistBucket is one non-empty bucket in a snapshot: Lower is the bucket's
@@ -259,15 +206,24 @@ type HistogramStat struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// snapshot captures the histogram's current state.
-func (h *Histogram) snapshot() HistogramStat {
-	st := HistogramStat{
-		Name: h.name, Count: h.Count(), Sum: h.Sum(),
-		Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
-		P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
+// Stat returns the histogram's state, read under one lock: its count is
+// the sum of its buckets and its quantiles lie between its min and max.
+// Min, max and mean read 0 before any Observe.
+func (h *Histogram) Stat() HistogramStat {
+	if h == nil {
+		return HistogramStat{}
 	}
-	for i := 0; i < histBuckets; i++ {
-		if c := h.buckets[i].Load(); c != 0 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st := HistogramStat{
+		Name: h.name, Count: h.count, Sum: h.sum,
+		P50: h.quantile(0.5), P90: h.quantile(0.9), P99: h.quantile(0.99),
+	}
+	if h.count > 0 {
+		st.Min, st.Max, st.Mean = h.min, h.max, h.sum/float64(h.count)
+	}
+	for i, c := range h.buckets {
+		if c != 0 {
 			lo := 0.0
 			if i > 0 {
 				lo = bucketLower(i)

@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -16,8 +17,8 @@ func TestNilHistogramNoOps(t *testing.T) {
 		t.Fatalf("nil registry returned non-nil histogram")
 	}
 	h.Observe(1.5) // must not panic
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 ||
-		h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if st := h.Stat(); st.Count != 0 || st.Sum != 0 || st.Min != 0 || st.Max != 0 ||
+		st.Mean != 0 || h.Quantile(0.5) != 0 {
 		t.Fatalf("nil histogram reported non-zero stats")
 	}
 }
@@ -28,16 +29,17 @@ func TestHistogramSummaryStats(t *testing.T) {
 	for _, v := range []float64{1e-6, 2e-6, 4e-6, 8e-6, 16e-6} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	st := h.Stat()
+	if st.Count != 5 {
+		t.Fatalf("count = %d, want 5", st.Count)
 	}
-	if got, want := h.Sum(), 31e-6; math.Abs(got-want) > 1e-12 {
+	if got, want := st.Sum, 31e-6; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sum = %g, want %g", got, want)
 	}
-	if h.Min() != 1e-6 || h.Max() != 16e-6 {
-		t.Fatalf("min/max = %g/%g, want 1e-6/16e-6", h.Min(), h.Max())
+	if st.Min != 1e-6 || st.Max != 16e-6 {
+		t.Fatalf("min/max = %g/%g, want 1e-6/16e-6", st.Min, st.Max)
 	}
-	if got, want := h.Mean(), 31e-6/5; math.Abs(got-want) > 1e-12 {
+	if got, want := st.Mean, 31e-6/5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("mean = %g, want %g", got, want)
 	}
 }
@@ -74,8 +76,8 @@ func TestHistogramZeroAndExtremeValues(t *testing.T) {
 	h.Observe(math.NaN())
 	h.Observe(1e-300) // far below range: clamps to lowest bucket
 	h.Observe(1e300)  // far above range: clamps to highest bucket
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if n := h.Stat().Count; n != 5 {
+		t.Fatalf("count = %d, want 5", n)
 	}
 	// Quantiles stay clamped to observed extremes and never return Inf/NaN.
 	for _, q := range []float64{0, 0.5, 0.9, 1} {
@@ -99,13 +101,14 @@ func TestHistogramMerge(t *testing.T) {
 		b.Observe(float64(i))
 	}
 	m := r.Histogram("m")
-	if m.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", m.Count())
+	st := m.Stat()
+	if st.Count != 200 {
+		t.Fatalf("merged count = %d, want 200", st.Count)
 	}
-	if m.Min() != 1 || m.Max() != 200 {
-		t.Fatalf("merged min/max = %g/%g, want 1/200", m.Min(), m.Max())
+	if st.Min != 1 || st.Max != 200 {
+		t.Fatalf("merged min/max = %g/%g, want 1/200", st.Min, st.Max)
 	}
-	if got, want := m.Sum(), 200.0*201/2; math.Abs(got-want) > 1e-9 {
+	if got, want := st.Sum, 200.0*201/2; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("merged sum = %g, want %g", got, want)
 	}
 	// The quantiles equal those of a histogram that observed everything
@@ -136,15 +139,16 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
+	st := h.Stat()
+	if st.Count != workers*per {
+		t.Fatalf("count = %d, want %d", st.Count, workers*per)
 	}
 	want := float64(workers*per) * float64(workers*per+1) / 2
-	if math.Abs(h.Sum()-want) > 1e-6*want {
-		t.Fatalf("sum = %g, want %g", h.Sum(), want)
+	if math.Abs(st.Sum-want) > 1e-6*want {
+		t.Fatalf("sum = %g, want %g", st.Sum, want)
 	}
-	if h.Min() != 1 || h.Max() != float64(workers*per) {
-		t.Fatalf("min/max = %g/%g", h.Min(), h.Max())
+	if st.Min != 1 || st.Max != float64(workers*per) {
+		t.Fatalf("min/max = %g/%g", st.Min, st.Max)
 	}
 }
 
@@ -311,5 +315,61 @@ func TestHistogramKeepsItsBits(t *testing.T) {
 				t.Errorf("%s: bucket %d = %+v, want %+v", tc.name, i, b, tc.buckets[i])
 			}
 		}
+	}
+}
+
+// TestHistogramReportIsConsistent takes reports while another goroutine
+// observes, as a /metrics or /stats scrape does during a run. Each report
+// must show one state of the histogram: a count that is the sum of its
+// buckets, and quantiles in order between its min and max.
+func TestHistogramReportIsConsistent(t *testing.T) {
+	r := New()
+	h := r.Histogram("scrape")
+	started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h.Observe(float64(1 + i%1000))
+			if i == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	const reports = 2000
+	bad, first := 0, ""
+	for k := 0; k < reports; k++ {
+		st := r.Report().Histograms[0]
+		var n int64
+		for _, b := range st.Buckets {
+			n += b.Count
+		}
+		ordered := st.Count == 0 ||
+			st.Min <= st.P50 && st.P50 <= st.P90 && st.P90 <= st.P99 && st.P99 <= st.Max
+		if n != st.Count || !ordered {
+			if bad++; bad == 1 {
+				first = fmt.Sprintf("count %d, buckets sum to %d, min %g p50 %g p90 %g p99 %g max %g",
+					st.Count, n, st.Min, st.P50, st.P90, st.P99, st.Max)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	if bad > 0 {
+		t.Fatalf("%d of %d reports inconsistent; the first: %s", bad, reports, first)
+	}
+}
+
+// BenchmarkHistogramObserve times one Observe, the per-message cost of
+// comm/send.vlat.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New().Histogram("observe")
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(1 + i%1000))
 	}
 }

@@ -9,8 +9,10 @@
 // The default is off and costs (almost) nothing: every handle type
 // no-ops on a nil receiver, so instrumented code holds plain possibly-nil
 // pointers and pays one predictable branch per event when no Registry is
-// attached. Recording methods are safe for concurrent use (the comm ranks
-// are goroutines), backed by atomics on the hot paths.
+// attached. Every method is safe for concurrent use: a run records from one
+// goroutine, but a scrape of its registry (/metrics, /stats) may read it
+// meanwhile. Counters and timers are atomic adds; a gauge or a histogram
+// takes its own lock, so each of its reports shows one state.
 package instrument
 
 import (
@@ -153,12 +155,18 @@ func (g *Gauge) Mean() float64 {
 	if g == nil {
 		return 0
 	}
+	return g.stat().Mean
+}
+
+// stat returns the gauge's state, read under its lock.
+func (g *Gauge) stat() GaugeStat {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.n == 0 {
-		return 0
+	st := GaugeStat{Name: g.name, Last: g.last, Min: g.min, Max: g.max}
+	if g.n > 0 {
+		st.Mean = g.sum / float64(g.n)
 	}
-	return g.sum / float64(g.n)
+	return st
 }
 
 // RunMeta identifies the run a report came from: the case and machine
@@ -333,20 +341,10 @@ func (r *Registry) Report() Report {
 		rep.Meta = &m
 	}
 	for _, h := range r.histograms {
-		rep.Histograms = append(rep.Histograms, h.snapshot())
+		rep.Histograms = append(rep.Histograms, h.Stat())
 	}
-	for name, g := range r.gauges {
-		g.mu.Lock()
-		rep.Gauges = append(rep.Gauges, GaugeStat{
-			Name: name, Last: g.last, Min: g.min, Max: g.max,
-			Mean: func() float64 {
-				if g.n == 0 {
-					return 0
-				}
-				return g.sum / float64(g.n)
-			}(),
-		})
-		g.mu.Unlock()
+	for _, g := range r.gauges {
+		rep.Gauges = append(rep.Gauges, g.stat())
 	}
 	sort.Slice(rep.Timers, func(i, j int) bool { return rep.Timers[i].Name < rep.Timers[j].Name })
 	sort.Slice(rep.Counters, func(i, j int) bool { return rep.Counters[i].Name < rep.Counters[j].Name })

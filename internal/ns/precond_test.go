@@ -121,9 +121,8 @@ func TestPrecondVariantsConverge(t *testing.T) {
 			total += st.PressureIters
 		}
 		iters[name] = total
-		h := reg.Histogram("solver/pressure.iters.hist")
-		if h.Count() != 3 {
-			t.Errorf("%s: pressure iteration histogram has %d observations, want 3", name, h.Count())
+		if n := reg.Histogram("solver/pressure.iters.hist").Stat().Count; n != 3 {
+			t.Errorf("%s: pressure iteration histogram has %d observations, want 3", name, n)
 		}
 		s.Close()
 	}

@@ -144,9 +144,9 @@ type rankState struct {
 	f    *ns.Solver
 
 	// Distribution rollups shared by all ranks through the registry: each
-	// rank Observes its own per-step phase times into the same atomic
-	// histograms, so the merged per-phase distribution over all P ranks
-	// exists without any per-rank trace track.
+	// rank Observes its own per-step phase times into the same histograms,
+	// so the merged per-phase distribution over all P ranks exists without
+	// any per-rank trace track.
 	phaseHist [4]*instrument.Histogram
 	stepHist  *instrument.Histogram
 

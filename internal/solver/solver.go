@@ -75,7 +75,8 @@ type Options struct {
 	Converged *instrument.Gauge
 	// IterHist observes the iteration count of each solve, so the report
 	// carries the distribution (p50/p99 of CG iterations per step) and not
-	// just the total. Safe to share across ranks: Observe is atomic.
+	// just the total. Ranks may share one: it is then their merged
+	// distribution.
 	IterHist *instrument.Histogram
 	// Tracer wraps the whole solve in a wall-clock span named TraceName
 	// (default "cg") whose end carries every system's Stats. Leave nil when

@@ -81,9 +81,9 @@ func TestPrecondVariantsConvergeSeedCases(t *testing.T) {
 				}
 				iters[pn] += st.PressureIters
 			}
-			if h := reg.Histogram("solver/pressure.iters.hist"); h.Count() != steps {
+			if n := reg.Histogram("solver/pressure.iters.hist").Stat().Count; n != steps {
 				t.Errorf("%s/%s: iteration histogram has %d observations, want %d",
-					cn, pn, h.Count(), steps)
+					cn, pn, n, steps)
 			}
 		}
 		t.Logf("%s pressure iterations over %d steps: %v", cn, steps, iters)

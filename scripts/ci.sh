@@ -49,29 +49,35 @@
 #           of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
-#           -short; everything with concurrency (comm ranks, gs exchange,
-#           the shared-memory machine's worker pool, instrument counters)
-#           still runs under -race.
+#           -short; everything with concurrency (the shared-memory machine's
+#           worker pool, the session service, instrument metrics read while
+#           they record) still runs under -race.
 #           The export ratchet (TestEveryExportHasACaller), which type-checks
 #           the standard library from source, skips under -short: tier1 runs
 #           it. The stepper tests run ten times more: a rank's state is
-#           re-entered by a new goroutine on every batch. So do the Schwarz
+#           re-entered by a new coroutine on every batch. So do the Schwarz
 #           rank-equivalence test, whose border exchange is the one new
 #           cross-rank data path of the pressure preconditioner, and the SumN
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
 #           is the one collective every batched inner product rides on.
 #           The receive-stream tests run ten times more too: every rank's
-#           inbox is written by its neighbours' coroutines; so do the
+#           streams are filled by its neighbours' sends while it is parked;
+#           so do the
 #           multi-field gather–scatter test, whose one message per
 #           neighbour carries every field, the rank-order fold test, whose
 #           copies must agree however the replies land, and the rendezvous
-#           tests, whose last rank to arrive replays every rank's messages:
+#           tests, whose driver replays every rank's messages once all have
+#           parked:
 #           collectives, gather–scatter exchanges and routes against their
 #           message-passing oracles, and a lost message, a mismatched call or
 #           a record addressed to no rank failing every rank; and the
 #           driver's failures: a rank returning while the others wait at a
 #           call, a receive no rank will satisfy, and a rank's own panic
 #           leaving Run on the caller's goroutine.
+#           The histogram tests run ten times more as well: many goroutines
+#           observing into one histogram, and reports taken while another
+#           goroutine observes (a scrape during a run), each of which must
+#           show one state: a count that is the sum of the buckets.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -281,6 +287,8 @@ tier2() {
     stage "tier2/streams" go test -race -count=10 \
         -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestReturnWhileOthersWaitFailsEveryRank|TestRecvDeadlockFailsEveryRank|TestRankPanicLeavesRunOnCaller|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
         ./internal/comm ./internal/gs
+    stage "tier2/histogram" go test -race -count=10 \
+        -run 'TestHistogramConcurrent|TestHistogramReportIsConsistent' ./internal/instrument
 }
 
 benchmod() {
