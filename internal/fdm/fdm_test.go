@@ -27,6 +27,23 @@ func buildSeparable2D(ax, bx []float64, nx int, ay, by []float64, ny int) []floa
 	return out
 }
 
+// newSolver builds the solver of the pairs (a[c], b[c]), n[c] x n[c];
+// n[2] = 0 makes it 2-D.
+func newSolver(t *testing.T, a, b [3][]float64, n [3]int) *Solver {
+	t.Helper()
+	var ax [3]*Axis
+	for c := range ax {
+		if n[c] == 0 {
+			break
+		}
+		var err error
+		if ax[c], err = NewAxis(a[c], b[c], n[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(ax)
+}
+
 func spdPair(t *testing.T, n int, seed int64) (a, b []float64) {
 	t.Helper()
 	// 1D FEM pair on a random graded grid: A SPD after Dirichlet trim.
@@ -53,10 +70,7 @@ func TestFDM2DExactInverse(t *testing.T) {
 	nx, ny := 6, 5
 	ax, bx := spdPair(t, nx, 1)
 	ay, by := spdPair(t, ny, 2)
-	s, err := New([3][]float64{ax, ay}, [3][]float64{bx, by}, [3]int{nx, ny})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, [3][]float64{ax, ay}, [3][]float64{bx, by}, [3]int{nx, ny})
 	dense := buildSeparable2D(ax, bx, nx, ay, by, ny)
 	n := nx * ny
 	rng := rand.New(rand.NewSource(3))
@@ -85,10 +99,7 @@ func TestFDM3DExactInverse(t *testing.T) {
 	ax, bx := spdPair(t, nx, 4)
 	ay, by := spdPair(t, ny, 5)
 	az, bz := spdPair(t, nz, 6)
-	s, err := New([3][]float64{ax, ay, az}, [3][]float64{bx, by, bz}, [3]int{nx, ny, nz})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, [3][]float64{ax, ay, az}, [3][]float64{bx, by, bz}, [3]int{nx, ny, nz})
 	n := nx * ny * nz
 	// Dense operator: Bz⊗By⊗Ax + Bz⊗Ay⊗Bx + Az⊗By⊗Bx.
 	dense := make([]float64, n*n)
@@ -141,10 +152,7 @@ func TestFDMNullModeClamped(t *testing.T) {
 	for i := 0; i < nn; i++ {
 		b1[i*nn+i] = bd[i]
 	}
-	s, err := New([3][]float64{a1, a1}, [3][]float64{b1, b1}, [3]int{nn, nn})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, [3][]float64{a1, a1}, [3][]float64{b1, b1}, [3]int{nn, nn})
 	// Applying to a constant (the null mode) must not produce Inf/NaN.
 	r := make([]float64, nn*nn)
 	for i := range r {

@@ -186,9 +186,9 @@ func ChannelSpec(c ChannelConfig) (ns.Config, InitFunc, *orrsomm.Result, error) 
 			return 2 / re, 0, 0
 		},
 	}
-	eps := c.Eps
+	eps, wave := c.Eps, osr.Wave(m.Y)
 	init := func(x, y, z float64) (float64, float64, float64) {
-		up, vp := osr.Velocity(x, y, 0, eps)
+		up, vp := wave.Velocity(x, y, 0, eps)
 		return orrsomm.BaseFlow(y) + up, vp, 0
 	}
 	return cfg, init, osr, nil

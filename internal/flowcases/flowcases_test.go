@@ -2,7 +2,11 @@ package flowcases
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/orrsomm"
 )
 
 func TestShearLayerFilterStabilizes(t *testing.T) {
@@ -146,5 +150,64 @@ func TestHairpinBoxRuns(t *testing.T) {
 	// Flow must decelerate near the bump wall and stay ≈ free-stream at top.
 	if KineticEnergy(s) <= 0 {
 		t.Error("no kinetic energy")
+	}
+}
+
+// setUpRuns gives each run of TestConcurrentChannelSetUpsShareOneEigenpair a
+// Reynolds number of its own, so that under -count its set-ups still race
+// for the first solve.
+var setUpRuns atomic.Int32
+
+// TestConcurrentChannelSetUpsShareOneEigenpair builds the channel on eight
+// goroutines at once, as concurrent semflowd submissions do: every set-up
+// must get the one Orr–Sommerfeld solve, and every initial field must be the
+// untabulated wave's bit for bit.
+func TestConcurrentChannelSetUpsShareOneEigenpair(t *testing.T) {
+	const setUps = 8
+	cc := ChannelConfig{Re: 7000 + float64(setUpRuns.Add(1)), Alpha: 1, N: 7, Dt: 0.003125, Order: 2}
+	osrs := make([]*orrsomm.Result, setUps)
+	fields := make([][3][]float64, setUps)
+	errs := make([]error, setUps)
+	var wg sync.WaitGroup
+	for g := range setUps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg, init, osr, err := ChannelSpec(cc)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			m := cfg.Mesh
+			for i := range m.X {
+				u, v, w := init(m.X[i], m.Y[i], m.Zc[i])
+				for c, f := range [3]float64{u, v, w} {
+					fields[g][c] = append(fields[g][c], f)
+				}
+			}
+			osrs[g] = osr
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("set-up %d: %v", g, err)
+		}
+	}
+	cfg, _, _, _ := ChannelSpec(cc)
+	m := cfg.Mesh
+	for g := range setUps {
+		if osrs[g] != osrs[0] {
+			t.Errorf("set-up %d got its own Orr–Sommerfeld result", g)
+		}
+		for i := range m.X {
+			up, vp := osrs[0].Velocity(m.X[i], m.Y[i], 0, 1e-5)
+			want := [3]float64{orrsomm.BaseFlow(m.Y[i]) + up, vp, 0}
+			for c := range want {
+				if math.Float64bits(fields[g][c][i]) != math.Float64bits(want[c]) {
+					t.Fatalf("set-up %d, component %d, node %d: %v, untabulated %v", g, c, i, fields[g][c][i], want[c])
+				}
+			}
+		}
 	}
 }

@@ -280,9 +280,17 @@ func (m *Mesh) classifyElements() {
 
 // numberGlobally assigns global ids to the local GLL nodes by geometric
 // hashing of (periodically wrapped) nodal coordinates: coincident nodes of
-// adjacent elements receive the same id, enforcing C0 continuity.
+// adjacent elements receive the same id, enforcing C0 continuity. Only a node
+// on its element's boundary (index 0 or N in some direction) can coincide
+// with another element's node on a conforming mesh, so only those are binned
+// and matched; a node inside its element takes a fresh id in the same loop
+// order, which leaves every id what matching all nodes gives.
 func (m *Mesh) numberGlobally() {
 	type key struct{ a, b, c int64 }
+	type node struct {
+		gid int32
+		p   [3]float64
+	}
 	// Scale-aware tolerance.
 	var scale float64
 	for i := range m.X {
@@ -295,28 +303,45 @@ func (m *Mesh) numberGlobally() {
 	}
 	tol := scale * 1e-8
 	inv := 1 / tol
-	bins := make(map[key][]int32) // bin -> global ids in bin
-	coords := make([][3]float64, 0, len(m.X)/2)
+	bins := make(map[key][]node) // bin -> the boundary nodes numbered in it
+	// onBoundary[l]: local node l has index 0 or N in some direction.
+	np1 := m.N + 1
+	onBoundary := make([]bool, m.Np)
+	for l := range onBoundary {
+		for a, stride := 0, 1; a < m.Dim; a, stride = a+1, stride*np1 {
+			if i := l / stride % np1; i == 0 || i == m.N {
+				onBoundary[l] = true
+			}
+		}
+	}
 	m.GID = make([]int64, m.K*m.Np)
 	wrap := m.spec.PeriodicWrap
+	next := int32(0)
 	for li := range m.GID {
+		if !onBoundary[li%m.Np] {
+			m.GID[li] = int64(next)
+			next++
+			continue
+		}
 		p := [3]float64{m.X[li], m.Y[li], m.Zc[li]}
 		if wrap != nil {
 			p = wrap(p)
 		}
 		qa := int64(math.Floor(p[0] * inv))
 		qb := int64(math.Floor(p[1] * inv))
-		qc := int64(math.Floor(p[2] * inv))
+		// A 2-D mesh is matched in the one bin plane c = 0 (its z is 0).
+		qc, rc := int64(0), int64(0)
+		if m.Dim == 3 {
+			qc, rc = int64(math.Floor(p[2]*inv)), 1
+		}
 		found := int32(-1)
-		const r = 1
 	search:
-		for da := int64(-r); da <= r; da++ {
-			for db := int64(-r); db <= r; db++ {
-				for dc := int64(-r); dc <= r; dc++ {
-					for _, gid := range bins[key{qa + da, qb + db, qc + dc}] {
-						q := coords[gid]
-						if math.Abs(q[0]-p[0]) < tol && math.Abs(q[1]-p[1]) < tol && math.Abs(q[2]-p[2]) < tol {
-							found = gid
+		for da := int64(-1); da <= 1; da++ {
+			for db := int64(-1); db <= 1; db++ {
+				for dc := -rc; dc <= rc; dc++ {
+					for _, q := range bins[key{qa + da, qb + db, qc + dc}] {
+						if math.Abs(q.p[0]-p[0]) < tol && math.Abs(q.p[1]-p[1]) < tol && math.Abs(q.p[2]-p[2]) < tol {
+							found = q.gid
 							break search
 						}
 					}
@@ -324,14 +349,14 @@ func (m *Mesh) numberGlobally() {
 			}
 		}
 		if found < 0 {
-			found = int32(len(coords))
-			coords = append(coords, p)
+			found = next
+			next++
 			k := key{qa, qb, qc}
-			bins[k] = append(bins[k], found)
+			bins[k] = append(bins[k], node{found, p})
 		}
 		m.GID[li] = int64(found)
 	}
-	m.NGlobal = len(coords)
+	m.NGlobal = int(next)
 }
 
 // ElemCorner returns the physical coordinates of corner c of element e as

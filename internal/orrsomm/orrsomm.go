@@ -17,12 +17,15 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"repro/internal/la"
 	"repro/internal/poly"
 )
 
-// Result is a converged Orr–Sommerfeld eigenpair.
+// Result is a converged Orr–Sommerfeld eigenpair. Solve hands the same
+// Result to every caller that asks for the same eigenproblem, so it is
+// read-only: no caller may write to it or to its slices.
 type Result struct {
 	Re, Alpha float64
 	C         complex128   // complex phase speed
@@ -46,9 +49,38 @@ func (r *Result) GrowthRate() float64 { return r.Alpha * imag(r.C) }
 // Solve computes the eigenvalue of the Orr–Sommerfeld operator nearest the
 // shift sigma, with n+1 Chebyshev collocation points. For the
 // Tollmien–Schlichting branch at Re = 7500, α = 1 use sigma ≈ 0.25+0.002i.
+//
+// A process solves each (re, alpha, n, sigma) once: a converged pair is kept
+// and returned, shared and read-only, to every later call with the same
+// arguments; a failed solve is not kept.
 func Solve(re, alpha float64, n int, sigma complex128) (*Result, error) {
-	return solve(re, alpha, n, sigma, true)
+	bits := math.Float64bits
+	k := memoKey{bits(re), bits(alpha), n, bits(real(sigma)), bits(imag(sigma))}
+	memo.Lock()
+	defer memo.Unlock()
+	if r, ok := memo.solved[k]; ok {
+		return r, nil
+	}
+	r, err := solve(re, alpha, n, sigma, true)
+	if err == nil {
+		memo.solved[k] = r
+	}
+	return r, err
 }
+
+// memoKey is Solve's arguments bit for bit.
+type memoKey struct {
+	re, alpha uint64
+	n         int
+	sr, si    uint64
+}
+
+// memo holds the process's converged solves. The lock is held across a
+// solve, so concurrent first calls with one key solve it once.
+var memo = struct {
+	sync.Mutex
+	solved map[memoKey]*Result
+}{solved: map[memoKey]*Result{}}
 
 // solve is Solve. With stopWhenStalled false the power iteration stops on the
 // 1e-14 test alone, which at n = 128 means at its cap: the eigenpair Solve
@@ -227,10 +259,44 @@ func (r *Result) interp(f []complex128, y float64) complex128 {
 // at position (x, y) and time t, scaled to amplitude eps:
 // u' = Re[φ'(y) e^{iα(x-ct)}], v' = Re[-iα φ(y) e^{iα(x-ct)}].
 func (r *Result) Velocity(x, y, t, eps float64) (float64, float64) {
+	return r.velocity(r.interp(r.Phi, y), r.interp(r.DPhi, y), x, t, eps)
+}
+
+// velocity is Velocity at a y where φ = phi and φ' = dphi.
+func (r *Result) velocity(phi, dphi complex128, x, t, eps float64) (float64, float64) {
 	phase := cmplx.Exp(complex(0, r.Alpha) * (complex(x, 0) - r.C*complex(t, 0)))
-	up := r.interp(r.DPhi, y) * phase
-	vp := complex(0, -r.Alpha) * r.interp(r.Phi, y) * phase
+	up := dphi * phase
+	vp := complex(0, -r.Alpha) * phi * phase
 	return eps * real(up), eps * real(vp)
+}
+
+// Wave is a Result's TS wave with φ and φ' tabulated at a set of y, such as
+// the distinct y of a mesh's nodes: its velocity at a tabulated y costs one
+// complex exponential in place of two barycentric interpolations, and is
+// Result.Velocity's bit for bit. It is read-only once built.
+type Wave struct {
+	r    *Result
+	mode map[float64][2]complex128 // y → (φ(y), φ'(y))
+}
+
+// Wave tabulates φ and φ' once per distinct value of ys.
+func (r *Result) Wave(ys []float64) *Wave {
+	w := &Wave{r: r, mode: map[float64][2]complex128{}}
+	for _, y := range ys {
+		if _, ok := w.mode[y]; !ok {
+			w.mode[y] = [2]complex128{r.interp(r.Phi, y), r.interp(r.DPhi, y)}
+		}
+	}
+	return w
+}
+
+// Velocity is Result.Velocity, from the table where y is in it.
+func (w *Wave) Velocity(x, y, t, eps float64) (float64, float64) {
+	m, ok := w.mode[y]
+	if !ok {
+		return w.r.Velocity(x, y, t, eps)
+	}
+	return w.r.velocity(m[0], m[1], x, t, eps)
 }
 
 // BaseFlow returns the plane Poiseuille base profile U(y) = 1 - y².

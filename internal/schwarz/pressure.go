@@ -40,6 +40,7 @@ type Pressure struct {
 	npp      int
 	local    []*fdm.Solver // per element
 	workLen  int           // scratch of the largest
+	axes     int           // 1-D eigenproblems set-up solved: one per distinct (extent, neighbours)
 	inner    []int32       // block index of each own pressure node
 	faceBlk  [][]int32     // per face 2a+side: block indices of the border entries
 	facePres [][]int32     // per face: own pressure node next to each border entry
@@ -66,17 +67,12 @@ func NewPressure(d *sem.Disc) (*Pressure, error) {
 		lens[e] = dirLengths(d, e)
 	}
 	nbr := p.neighbourLengths(lens)
-	p.local = make([]*fdm.Solver, m.K)
-	for e := range p.local {
-		var a, b [3][]float64
-		for c := 0; c < m.Dim; c++ {
-			a[c], b[c] = pressure1D(zp, lens[e][c], nbr[e][2*c], nbr[e][2*c+1])
-		}
-		s, err := fdm.New(a, b, subdomainShape(m.Dim, m.N+1))
-		if err != nil {
-			return nil, fmt.Errorf("schwarz: pressure subdomain %d: %w", e, err)
-		}
-		p.local[e], p.workLen = s, max(p.workLen, s.WorkLen())
+	var err error
+	p.local, p.workLen, p.axes, err = localSolvers(m,
+		func(e, c int) [3]float64 { return [3]float64{lens[e][c], nbr[e][2*c], nbr[e][2*c+1]} },
+		func(k [3]float64) (a, b []float64) { return pressure1D(zp, k[0], k[1], k[2]) })
+	if err != nil {
+		return nil, fmt.Errorf("schwarz: pressure subdomain: %w", err)
 	}
 	dirich := make([]bool, m.NVert)
 	dirich[0] = true

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fdm"
 	"repro/internal/mesh"
 	"repro/internal/poly"
 	"repro/internal/sem"
@@ -160,5 +161,68 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: entry %d = %v, per-corner loop %v", what, i, got[i], want[i])
 		}
+	}
+}
+
+// NewPressure solves one 1-D eigenproblem per bitwise-distinct (extent, low
+// neighbour, high neighbour) of an element direction, not one per element
+// and direction, and each subdomain solve stays the one built from its own
+// element's pairs alone, bit for bit. The meshes are the channel's and the
+// hairpin box's.
+func TestPressureSolvesEachDistinctAxisOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec *mesh.Spec
+		n    int
+	}{
+		{"channel", mesh.Box2D(mesh.Box2DSpec{Nx: 5, Ny: 3, X1: 2 * math.Pi, Y0: -1, Y1: 1, PeriodicX: true}), 9},
+		{"hairpin", mesh.HemisphereBox(mesh.HemisphereBoxSpec{
+			Nx: 6, Ny: 4, Nz: 3, Lx: 12, Ly: 6, Lz: 4, Cx: 3, Cy: 3, Radius: 1, Height: 0.8, WallRatio: 3,
+		}), 5},
+	} {
+		m, err := mesh.Discretize(tc.spec, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPressure(sem.New(m, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lens := make([][3]float64, m.K)
+		for e := range lens {
+			lens[e] = dirLengths(p.d, e)
+		}
+		nbr := p.neighbourLengths(lens)
+		zp, _ := poly.Gauss(m.N - 1)
+		keys := map[[3]uint64]bool{}
+		rng := rand.New(rand.NewSource(1))
+		in := make([]float64, m.Np)
+		got, want := make([]float64, m.Np), make([]float64, m.Np)
+		work := make([]float64, p.LocalWorkLen())
+		for e := range m.K {
+			var ax [3]*fdm.Axis
+			for c := range m.Dim {
+				l, lo, hi := lens[e][c], nbr[e][2*c], nbr[e][2*c+1]
+				keys[[3]uint64{math.Float64bits(l), math.Float64bits(lo), math.Float64bits(hi)}] = true
+				a, b := pressure1D(zp, l, lo, hi)
+				if ax[c], err = fdm.NewAxis(a, b, m.N+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range in {
+				in[i] = rng.NormFloat64()
+			}
+			p.local[e].Apply(got, in, work)
+			fdm.New(ax).Apply(want, in, work)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: element %d, entry %d = %v, own-pairs solver %v", tc.name, e, i, got[i], want[i])
+				}
+			}
+		}
+		if p.axes != len(keys) {
+			t.Errorf("%s: %d eigenproblems solved for %d distinct axes", tc.name, p.axes, len(keys))
+		}
+		t.Logf("%s: %d eigenproblems for %d elements x %d directions", tc.name, p.axes, m.K, m.Dim)
 	}
 }

@@ -170,31 +170,53 @@ func local1DOperators(z []float64, l float64) (a, b []float64) {
 func (p *Precond) setupFDM() error {
 	d := p.d
 	m := d.M
-	p.local = make([]*fdm.Solver, m.K)
-	workLen := 0
-	for e := range p.local {
-		ls := dirLengths(d, e)
-		var a, b [3][]float64
-		for c := 0; c < m.Dim; c++ {
-			a[c], b[c] = local1DOperators(m.Z, ls[c])
-		}
-		s, err := fdm.New(a, b, subdomainShape(m.Dim, m.N+1))
-		if err != nil {
-			return fmt.Errorf("schwarz: element %d: %w", e, err)
-		}
-		p.local[e], workLen = s, max(workLen, s.WorkLen())
+	lens := make([][3]float64, m.K)
+	for e := range lens {
+		lens[e] = dirLengths(d, e)
 	}
-	p.work = make([]float64, workLen)
+	local, workLen, _, err := localSolvers(m,
+		func(e, c int) [3]float64 { return [3]float64{lens[e][c]} },
+		func(k [3]float64) (a, b []float64) { return local1DOperators(m.Z, k[0]) })
+	if err != nil {
+		return fmt.Errorf("schwarz: %w", err)
+	}
+	p.local, p.work = local, make([]float64, workLen)
 	return nil
 }
 
-// subdomainShape is the fdm.New extent of a dim-D subdomain n points wide in
-// every direction.
-func subdomainShape(dim, n int) [3]int {
-	if dim == 2 {
-		return [3]int{n, n}
+// localSolvers builds the fast diagonalization solver of every element's
+// subdomain, N+1 points per direction. Direction c of element e is the 1-D
+// operator pair ops(k) of its key k = key(e, c), an extent and its low and
+// high neighbours' (0 where none enters). The generalized eigenproblem of a
+// pair is solved once per bitwise-distinct key and every subdomain with that
+// key shares it; each solver keeps its own eigenvalue scale and diagonal. It
+// returns the solvers, the scratch the largest needs and the number of
+// eigenproblems solved.
+func localSolvers(m *mesh.Mesh, key func(e, c int) [3]float64, ops func(k [3]float64) (a, b []float64)) ([]*fdm.Solver, int, int, error) {
+	bits := func(k [3]float64) [3]uint64 {
+		return [3]uint64{math.Float64bits(k[0]), math.Float64bits(k[1]), math.Float64bits(k[2])}
 	}
-	return [3]int{n, n, n}
+	solved := map[[3]uint64]*fdm.Axis{}
+	local := make([]*fdm.Solver, m.K)
+	workLen := 0
+	for e := range local {
+		var ax [3]*fdm.Axis
+		for c := 0; c < m.Dim; c++ {
+			k := key(e, c)
+			if ax[c] = solved[bits(k)]; ax[c] != nil {
+				continue
+			}
+			a, b := ops(k)
+			x, err := fdm.NewAxis(a, b, m.N+1)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("element %d, %c direction: %w", e, "xyz"[c], err)
+			}
+			ax[c], solved[bits(k)] = x, x
+		}
+		local[e] = fdm.New(ax)
+		workLen = max(workLen, local[e].WorkLen())
+	}
+	return local, workLen, len(solved), nil
 }
 
 func (p *Precond) setupFEM() error {

@@ -1,6 +1,10 @@
 package session
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/flowcases"
+)
 
 // TestNamedAppliesAlphaToEveryCase: the filter strength is a parameter every
 // named case takes the same way, as it does workers and the preconditioner —
@@ -98,5 +102,28 @@ func TestProblemDefaultsEachChannelDimension(t *testing.T) {
 		if cfg.Mesh.K != tc.k {
 			t.Errorf("kx %d, ky %d: K = %d, want %d", tc.kx, tc.ky, cfg.Mesh.K, tc.k)
 		}
+	}
+}
+
+// BenchmarkCaseSetUp times what a cold job pays before its first step, per
+// named case at the order of semflowd's channel jobs (N = 9): the problem
+// from its config, the solver (mesh, operators, preconditioner) and the
+// initial condition.
+func BenchmarkCaseSetUp(b *testing.B) {
+	for _, name := range CaseNames() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				cfg, init, err := Config{Case: name, N: 9}.Problem()
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := flowcases.NewSolver(cfg, init)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
 	}
 }

@@ -78,6 +78,9 @@
 #           observing into one histogram, and reports taken while another
 #           goroutine observes (a scrape during a run), each of which must
 #           show one state: a count that is the sum of the buckets.
+#           So does the concurrent channel set-up test: eight set-ups at
+#           once (semflowd's concurrent submissions) must share one
+#           Orr–Sommerfeld solve and fill bitwise-equal initial fields.
 #   benchmod  go vet + the tiny-scale tests of the bench/ module, which is a
 #           Go module of its own: the root `go build ./... && go test ./...`
 #           does not reach it, and it calls exported functions of
@@ -289,6 +292,8 @@ tier2() {
         ./internal/comm ./internal/gs
     stage "tier2/histogram" go test -race -count=10 \
         -run 'TestHistogramConcurrent|TestHistogramReportIsConsistent' ./internal/instrument
+    stage "tier2/setup" go test -race -count=10 \
+        -run 'TestConcurrentChannelSetUpsShareOneEigenpair' ./internal/flowcases
 }
 
 benchmod() {
