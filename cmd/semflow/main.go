@@ -1,7 +1,7 @@
 // Command semflow is the production-style driver: it runs one of the
 // canonical flow cases (shear layer, TS channel, convection cell, hairpin
-// boundary layer) with configurable resolution, filter, projection and
-// worker settings, printing per-step solver statistics — the same knobs the
+// boundary layer) with configurable resolution, filter and projection
+// settings, printing per-step solver statistics — the same knobs the
 // paper's production code exposes. There is one path: the flags fill one
 // session.Config, session.Create (or, with -resume, session.Resume from the
 // snapshot in the -checkpoint store) validates it and builds the run, StepN
@@ -60,7 +60,6 @@ func main() {
 	flag.IntVar(&cfg.PIters, "piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
 	flag.Float64Var(&cfg.Alpha, "alpha", 0.3, "filter strength")
 	flag.IntVar(&cfg.ProjectionL, "L", 20, "pressure projection basis size (0: no projection)")
-	flag.IntVar(&cfg.Workers, "workers", 2, "element-loop workers of the shared-memory stepper (dual-processor mode analogue)")
 	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
 	every := flag.Int("report", 10, "report interval")
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
@@ -182,11 +181,11 @@ func main() {
 		// The resolved address (port 0 picks a free port) is what scrapers parse.
 		fmt.Printf("observability: listening on http://%s (/metrics /progress /stats /debug/pprof)\n", obs.Addr())
 	}
-	machine, lastCol := fmt.Sprintf("workers=%d", cfg.Workers), "KE"
+	machine, lastCol := "", "KE"
 	if cfg.Ranks > 0 {
-		machine, lastCol = fmt.Sprintf("ranks=%d (distributed)", cfg.Ranks), "p-res"
+		machine, lastCol = fmt.Sprintf("  ranks=%d (distributed)", cfg.Ranks), "p-res"
 	}
-	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d  %s\n",
+	fmt.Printf("case=%s  K=%d  N=%d  dofs/component=%d%s\n",
 		cfg.Case, s.M.K, s.M.N, s.M.K*s.M.Np, machine)
 	fmt.Printf("%6s %9s %6s %8s %8s %8s %12s\n",
 		"step", "t", "CFL", "p-iters", "h-iters", "basis", lastCol)

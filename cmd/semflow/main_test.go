@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 func TestAlphaOutOfRangeExitsTwo(t *testing.T) {
 	for _, alpha := range []string{"-0.1", "1.5"} {
 		cmd := exec.Command(os.Args[0], "-case", "convection", "-nel", "2", "-n", "3", "-steps", "1",
-			"-workers", "1", "-alpha", alpha)
+			"-alpha", alpha)
 		cmd.Env = append(os.Environ(), "SEMFLOW_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
@@ -64,7 +64,7 @@ func TestNegativeSizeExitsOne(t *testing.T) {
 	for _, tc := range []struct{ caseName, field, value string }{
 		{"shearlayer", "nel", "-3"}, {"channel", "kx", "-1"}, {"channel", "ranks", "-2"},
 	} {
-		out, code := semflow(t, "-case", tc.caseName, "-n", "3", "-steps", "1", "-workers", "1", "-"+tc.field, tc.value)
+		out, code := semflow(t, "-case", tc.caseName, "-n", "3", "-steps", "1", "-"+tc.field, tc.value)
 		if code != 1 || !strings.Contains(out, tc.field+" = "+tc.value) || strings.Contains(out, "goroutine ") {
 			t.Errorf("-%s %s: exit status %d, want 1 naming the field, with no goroutine trace; output:\n%s",
 				tc.field, tc.value, code, out)
@@ -76,7 +76,7 @@ func TestNegativeSizeExitsOne(t *testing.T) {
 // too, so the store of a 3-step run snapshotting every 2 steps holds step 3.
 func TestCheckpointKeepsFinalState(t *testing.T) {
 	dir := t.TempDir()
-	out, code := semflow(t, "-case", "channel", "-n", "3", "-kx", "2", "-ky", "2", "-workers", "1",
+	out, code := semflow(t, "-case", "channel", "-n", "3", "-kx", "2", "-ky", "2",
 		"-steps", "3", "-checkpoint", dir, "-checkpoint-every", "2")
 	if code != 0 {
 		t.Fatalf("exit status %d; output:\n%s", code, out)

@@ -1,7 +1,7 @@
 // Command semflowd is the long-running session service: it keeps a table
-// of simulation jobs, multiplexes their element-worker pools over a
-// bounded scheduler (-max-active sessions step concurrently; the rest
-// wait their turn between batches), and deposits every job's artifacts —
+// of simulation jobs, multiplexes them over a bounded scheduler
+// (-max-active sessions step concurrently; the rest wait their turn
+// between batches), and deposits every job's artifacts —
 // per-step history JSONL, checkpoints, Chrome traces, result summaries —
 // in a pluggable store. Submit a flow case over HTTP, poll its status,
 // stream its telemetry while it runs, checkpoint it, cancel it, or resume
@@ -78,7 +78,7 @@ func main() {
 	}
 	// Stop accepting requests, then cancel every running job; Close waits
 	// for each runner to deposit its artifacts (including a resumable
-	// checkpoint) and release its worker pools.
+	// checkpoint) and close its session.
 	srv.Close()
 	mgr.Close()
 	slog.Info("all sessions checkpointed and closed")

@@ -55,9 +55,7 @@ func fig6Distributed(quick bool) error {
 	// The standalone reference solves the same coarse problem the
 	// distributed run does: build one serial solver and distribute the
 	// factor of its pressure preconditioner at every P.
-	scfg := cfg
-	scfg.Workers = 1
-	sv, err := ns.New(scfg)
+	sv, err := ns.New(cfg)
 	if err != nil {
 		return fmt.Errorf("channel solver: %w", err)
 	}

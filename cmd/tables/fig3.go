@@ -45,7 +45,7 @@ func fig3(quick bool) error {
 	fmt.Printf("%-30s %8s %10s %10s %10s\n", "case", "steps", "w_min", "w_max", "KE/KE0")
 	for _, c := range cases {
 		s, err := flowcases.ShearLayer(flowcases.ShearLayerConfig{
-			Nel: c.nel, N: c.n, Rho: c.rho, Re: c.re, Dt: 0.002, Alpha: c.alpha, Workers: 2,
+			Nel: c.nel, N: c.n, Rho: c.rho, Re: c.re, Dt: 0.002, Alpha: c.alpha,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.label, err)
@@ -69,7 +69,6 @@ func fig3(quick bool) error {
 			fmt.Printf("%-30s %8d %10.1f %10.1f %10.4f\n",
 				c.label, survived, lo, hi, flowcases.KineticEnergy(s)/ke0)
 		}
-		s.Close()
 	}
 	fmt.Println("\nExpected shape (paper): the unfiltered case blows up during roll-up;")
 	fmt.Println("alpha=0.3 is stable with vorticity extrema near the initial +-rho;")

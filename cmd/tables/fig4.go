@@ -17,12 +17,11 @@ func fig4(quick bool) error {
 	}
 	run := func(l int) (iters []int, res0 []float64, err error) {
 		s, err := flowcases.Convection(flowcases.ConvectionConfig{
-			Nel: nel, N: n, Ra: 1e4, Dt: 0.002, ProjectionL: l, Workers: 2,
+			Nel: nel, N: n, Ra: 1e4, Dt: 0.002, ProjectionL: l,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("convection L=%d: %w", l, err)
 		}
-		defer s.Close()
 		for i := 0; i < steps; i++ {
 			st, err := s.Step()
 			if err != nil {

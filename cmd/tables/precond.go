@@ -40,7 +40,6 @@ func precondExp(quick bool) error {
 			conv = conv && st.PressureConverged
 		}
 		fmt.Printf("%-12s %-10d %-14.1f %-10v\n", name, total, float64(total)/float64(steps), conv)
-		s.Close()
 	}
 
 	solver.ResetPrecondTable()
@@ -51,7 +50,6 @@ func precondExp(quick bool) error {
 		return fmt.Errorf("channel under auto: %w", err)
 	}
 	printTrials(s.PrecondSelection())
-	s.Close()
 	return hairpinPrecond(quick)
 }
 
@@ -71,7 +69,7 @@ func printTrials(sel solver.PrecondSelection) {
 // are the variant's trial work over its trial iterations, both from the
 // meter; Mflop/step is the metered work of a whole warm step.
 func hairpinPrecond(quick bool) error {
-	hc := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1, Workers: 1}
+	hc := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1}
 	timed := 20
 	if quick {
 		hc.Nx, hc.Ny, hc.Nz, timed = 3, 2, 2, 5
@@ -85,7 +83,6 @@ func hairpinPrecond(quick bool) error {
 	fmt.Printf("\nHairpin box K=%d N=%d Re=850:", s.M.K, s.M.N)
 	sel := s.PrecondSelection()
 	printTrials(sel)
-	s.Close()
 	fmt.Printf("\n%d warm steps per variant after the projection basis wraps\n\n", timed)
 	fmt.Printf("%-12s %-11s %-11s %-11s %-8s\n", "precond", "iters/step", "Mflop/iter", "Mflop/step", "ms/step")
 	for _, tr := range sel.Trials {
@@ -116,7 +113,6 @@ func hairpinPrecond(quick bool) error {
 		fmt.Printf("%-12s %-11.1f %-11.3f %-11.2f %-8.2f\n", tr.Name, float64(iters)/per,
 			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)),
 			float64(s.Disc().Flops()-f0)/1e6/per, time.Since(t0).Seconds()*1e3/per)
-		s.Close()
 	}
 	return nil
 }

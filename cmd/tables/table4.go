@@ -182,9 +182,9 @@ func price(run *reducedRun, to shape, m comm.Machine) estimate {
 // K = 36 at N = 4, Re = 850, Δt = 0.05. Each takes about a second of host
 // time.
 func recordHairpin(quick bool) (*reducedRun, error) {
-	c := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 1600, Dt: 0.025, Workers: 1, FilterA: 0.05}
+	c := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 1600, Dt: 0.025, FilterA: 0.05}
 	if quick {
-		c = flowcases.HairpinConfig{Nx: 4, Ny: 3, Nz: 3, N: 4, Re: 850, Dt: 0.05, Workers: 1, FilterA: 0.05}
+		c = flowcases.HairpinConfig{Nx: 4, Ny: 3, Nz: 3, N: 4, Re: 850, Dt: 0.05, FilterA: 0.05}
 	}
 	cfg, init, err := flowcases.HairpinSpec(c)
 	if err != nil {

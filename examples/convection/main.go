@@ -20,12 +20,11 @@ func main() {
 	flag.Parse()
 
 	s, err := flowcases.Convection(flowcases.ConvectionConfig{
-		Nel: *nel, N: *n, Ra: *ra, Dt: 0.002, ProjectionL: *l, Workers: 2,
+		Nel: *nel, N: *n, Ra: *ra, Dt: 0.002, ProjectionL: *l,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
 	fmt.Printf("convection cell: %dx%d elements, N=%d, Ra=%g, projection L=%d\n",
 		*nel, *nel, *n, *ra, *l)
 	fmt.Printf("%6s %12s %12s %14s %12s\n", "step", "KE", "p-iters", "res before CG", "basis")

@@ -22,12 +22,11 @@ func main() {
 	flag.Parse()
 
 	s, err := flowcases.ShearLayer(flowcases.ShearLayerConfig{
-		Nel: *nel, N: *n, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: *alpha, Workers: 2,
+		Nel: *nel, N: *n, Rho: 30, Re: 1e5, Dt: 0.002, Alpha: *alpha,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
 	fmt.Printf("double shear layer: %dx%d elements, N=%d, alpha=%g\n", *nel, *nel, *n, *alpha)
 	for i := 1; i <= *steps; i++ {
 		st, err := s.Step()

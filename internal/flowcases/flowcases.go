@@ -22,13 +22,12 @@ import (
 
 // ShearLayerConfig selects a Fig. 3 case.
 type ShearLayerConfig struct {
-	Nel     int     // elements per direction (paper: 16 or 32)
-	N       int     // polynomial order (paper: 8, 16, 32)
-	Rho     float64 // shear layer thickness parameter (30 thick, 100 thin)
-	Re      float64 // 1e5 thick, 4e4 thin
-	Dt      float64 // paper: 0.002
-	Alpha   float64 // filter strength (0 none, 0.3 partial, 1 full)
-	Workers int
+	Nel   int     // elements per direction (paper: 16 or 32)
+	N     int     // polynomial order (paper: 8, 16, 32)
+	Rho   float64 // shear layer thickness parameter (30 thick, 100 thin)
+	Re    float64 // 1e5 thick, 4e4 thin
+	Dt    float64 // paper: 0.002
+	Alpha float64 // filter strength (0 none, 0.3 partial, 1 full)
 }
 
 // InitFunc is an initial velocity field. Specs return the problem as an
@@ -60,7 +59,7 @@ func ShearLayerSpec(c ShearLayerConfig) (ns.Config, InitFunc, error) {
 	}
 	cfg := ns.Config{
 		Mesh: m, Re: c.Re, Dt: c.Dt,
-		FilterAlpha: c.Alpha, FilterCutoff: cutoff, Workers: c.Workers,
+		FilterAlpha: c.Alpha, FilterCutoff: cutoff,
 		ProjectionL: 20, PTol: 1e-7, SubCFL: 0.25,
 	}
 	rho := c.Rho
@@ -149,8 +148,8 @@ type ChannelConfig struct {
 	Order   int     // 2 or 3
 	Filter  float64 // filter strength (Table 1's α)
 	Eps     float64 // perturbation amplitude (paper: 1e-5)
-	Workers int
-	Precond string // pressure preconditioner variant ("" = schwarz)
+	Workers int     // ignored; kept only because the frozen bench/ harness sets it
+	Precond string  // pressure preconditioner variant ("" = schwarz)
 }
 
 // ChannelSpec builds the Table 1 problem definition without constructing a
@@ -175,7 +174,7 @@ func ChannelSpec(c ChannelConfig) (ns.Config, InitFunc, *orrsomm.Result, error) 
 	re := c.Re
 	cfg := ns.Config{
 		Mesh: m, Re: re, Dt: c.Dt, Order: c.Order, FilterAlpha: c.Filter,
-		Workers: c.Workers, ProjectionL: 20, PTol: 1e-9, VTol: 1e-11,
+		ProjectionL: 20, PTol: 1e-9, VTol: 1e-11,
 		PressurePrecond: c.Precond,
 		DirichletMask:   func(x, y, z float64) bool { return true }, // walls
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
@@ -244,7 +243,6 @@ type ConvectionConfig struct {
 	Ra          float64 // Rayleigh-like buoyancy strength
 	Dt          float64
 	ProjectionL int // pressure projection basis size (0 = off)
-	Workers     int
 }
 
 // ConvectionSpec builds the problem definition of a closed 2D box heated
@@ -258,7 +256,7 @@ func ConvectionSpec(c ConvectionConfig) (ns.Config, error) {
 	}
 	pr := 1.0
 	return ns.Config{
-		Mesh: m, Re: 1 / pr, Dt: c.Dt, Workers: c.Workers,
+		Mesh: m, Re: 1 / pr, Dt: c.Dt,
 		ProjectionL: c.ProjectionL, PTol: 1e-8,
 		DirichletMask: func(x, y, z float64) bool { return true },
 		DirichletVal: func(x, y, z, t float64) (float64, float64, float64) {
@@ -300,7 +298,7 @@ type HairpinConfig struct {
 	N          int
 	Re         float64 // based on the roughness radius
 	Dt         float64
-	Workers    int
+	Workers    int // ignored; kept only because the frozen bench/ harness sets it
 	FilterA    float64
 	Precond    string // pressure preconditioner variant ("" = schwarz)
 }
@@ -331,7 +329,7 @@ func HairpinSpec(c HairpinConfig) (ns.Config, InitFunc, error) {
 		return 2*eta - 2*eta*eta*eta + eta*eta*eta*eta
 	}
 	cfg := ns.Config{
-		Mesh: m, Re: c.Re, Dt: c.Dt, Workers: c.Workers,
+		Mesh: m, Re: c.Re, Dt: c.Dt,
 		FilterAlpha: c.FilterA, ProjectionL: 20, PTol: 1e-6, VTol: 1e-8,
 		PressurePrecond: c.Precond,
 		// Dirichlet on inflow (x=0), floor (z=0 including the bump, which

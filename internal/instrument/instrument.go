@@ -180,7 +180,6 @@ type RunMeta struct {
 	Order       int    `json:"order,omitempty"`
 	Steps       int    `json:"steps,omitempty"`
 	PIters      int    `json:"piters,omitempty"`
-	Workers     int    `json:"workers,omitempty"`
 	FaultSeed   int64  `json:"fault_seed,omitempty"`
 	TraceSample int    `json:"trace_sample,omitempty"`
 
@@ -364,9 +363,6 @@ func (rep Report) String() string {
 			m.Case, m.Ranks, m.Elements, m.Order, m.Steps)
 		if m.PIters > 0 {
 			fmt.Fprintf(&b, " piters=%d", m.PIters)
-		}
-		if m.Workers > 0 {
-			fmt.Fprintf(&b, " workers=%d", m.Workers)
 		}
 		if m.FaultSeed != 0 {
 			fmt.Fprintf(&b, " fault_seed=%d", m.FaultSeed)

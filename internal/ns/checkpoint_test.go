@@ -15,7 +15,7 @@ func checkpointSolver(t *testing.T, order int) *Solver {
 	m := periodicBox(t, 4, 5)
 	s, err := New(Config{
 		Mesh: m, Re: 1e4, Dt: 0.002, Order: order,
-		FilterAlpha: 0.2, ProjectionL: 8, PTol: 1e-7, Workers: 2,
+		FilterAlpha: 0.2, ProjectionL: 8, PTol: 1e-7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestRestoreRefusesUnreadableSnapshot(t *testing.T) {
 			c.edit(ck)
 
 			s, err := New(Config{Mesh: src.M, Re: 1e4, Dt: 0.002, Order: 2,
-				FilterAlpha: 0.2, ProjectionL: c.l, PTol: 1e-7, Workers: 2})
+				FilterAlpha: 0.2, ProjectionL: c.l, PTol: 1e-7})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,31 +63,25 @@ func (s *Solver) releaseField(c [3][]float64) {
 // convective form; the once-per-step filter supplies the stabilization
 // (Sec. 2). The advecting field arrives in reference coordinates
 // (toContravariant): (c·∇)v = Σ_a chat[a]·∂v/∂r_a is dim derivative products
-// and no physical gradient. One element-parallel pass.
+// and no physical gradient. Element by element, the reference-coordinate
+// derivatives land in scratch and are combined on the spot.
 func (s *Solver) convect(out, v []float64, chat [3][]float64) {
-	s.curOut, s.curIn, s.curC = out, v, chat
-	s.mach.ForElements(s.convLoop)
-	s.curOut, s.curIn, s.curC = nil, nil, [3][]float64{}
+	m, np, g := s.M, s.M.Np, &s.work.g
+	for li := range s.elems {
+		i0 := li * np
+		ve, oe := v[i0:i0+np], out[i0:i0+np]
+		for a := 0; a < s.dim; a++ {
+			tensor.ApplyDim(g[a][:np], m.D, m.Dt, ve, s.np1, s.dim, a)
+		}
+		// out = -(c0·vr + c1·vs [+ c2·vt]), summed in a's order, then negated.
+		la.Prod(oe, chat[0][i0:], g[0])
+		for a := 1; a < s.dim; a++ {
+			la.AddProd(oe, chat[a][i0:], g[a])
+		}
+		la.Scale(-1, oe)
+	}
 	pointwise := 2 * s.dim // dim multiplies, dim-1 adds, the sign
 	s.mach.Charge(int64(s.dim)*tensor.FlopsApplyDim(s.np1, s.dim)*int64(len(s.elems)), int64(pointwise*s.n))
-}
-
-// convectElement is convect on local element li: the reference-coordinate
-// derivatives land in per-worker scratch and are combined on the spot.
-func (s *Solver) convectElement(li, w int) {
-	m, np := s.M, s.M.Np
-	i0 := li * np
-	g := &s.work[w].g
-	v, out, c := s.curIn[i0:i0+np], s.curOut[i0:i0+np], s.curC
-	for a := 0; a < s.dim; a++ {
-		tensor.ApplyDim(g[a][:np], m.D, m.Dt, v, s.np1, s.dim, a)
-	}
-	// out = -(c0·vr + c1·vs [+ c2·vt]), summed in a's order, then negated.
-	la.Prod(out, c[0][i0:], g[0])
-	for a := 1; a < s.dim; a++ {
-		la.AddProd(out, c[a][i0:], g[a])
-	}
-	la.Scale(-1, out)
 }
 
 // toContravariant turns the advecting field c into its reference-coordinate
@@ -95,37 +89,30 @@ func (s *Solver) convectElement(li, w int) {
 // non-zero metric pairs (mesh.RXPairs; a component's first pair writes). Done
 // once per RK4 stage field, it serves every advected component and stage.
 func (s *Solver) toContravariant(c [3][]float64) {
-	s.curC = c
-	s.mach.ForElements(s.contraLoop)
-	s.curC = [3][]float64{}
-	s.mach.Charge(0, s.contraFlops)
-}
-
-// contravariantElement is toContravariant on local element li.
-func (s *Solver) contravariantElement(li, w int) {
-	m, np, dim := s.M, s.M.Np, s.dim
-	e := s.elems[li]
-	i0, base := li*np, e*np
-	g := &s.work[w].g
-	for a := 0; a < dim; a++ {
-		ga, first := g[a][:np], true
-		for c := 0; c < dim; c++ {
-			k := a*dim + c
-			if m.RXPairs[e]>>k&1 == 0 {
-				continue
+	m, np, dim, g := s.M, s.M.Np, s.dim, &s.work.g
+	for li, e := range s.elems {
+		i0, base := li*np, e*np
+		for a := 0; a < dim; a++ {
+			ga, first := g[a][:np], true
+			for d := 0; d < dim; d++ {
+				k := a*dim + d
+				if m.RXPairs[e]>>k&1 == 0 {
+					continue
+				}
+				rx, cd := m.RX[k][base:base+np], c[d][i0:i0+np]
+				if first {
+					la.Prod(ga, rx, cd)
+					first = false
+					continue
+				}
+				la.AddProd(ga, rx, cd)
 			}
-			rx, cc := m.RX[k][base:base+np], s.curC[c][i0:i0+np]
-			if first {
-				la.Prod(ga, rx, cc)
-				first = false
-				continue
-			}
-			la.AddProd(ga, rx, cc)
+		}
+		for a := 0; a < dim; a++ {
+			copy(c[a][i0:i0+np], g[a])
 		}
 	}
-	for a := 0; a < dim; a++ {
-		copy(s.curC[a][i0:i0+np], g[a])
-	}
+	s.mach.Charge(0, s.contraFlops)
 }
 
 // rk4AdvectFields advances the given fields through one RK4 substep of the

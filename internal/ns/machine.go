@@ -8,16 +8,12 @@ import (
 )
 
 // Machine is the seam between the time step and what executes it. The step
-// is written once over the elements a solver owns; everything that differs
-// between shared memory and a rank of a message-passing machine sits behind
-// these calls:
+// is written once over the elements a solver owns, each element loop a plain
+// loop on the calling goroutine; everything that differs between shared
+// memory and a rank of a message-passing machine sits behind these calls:
 //
 //   - Elems lists the global ids of the owned elements, in the order of the
 //     solver's local element blocks.
-//   - ForElements runs fn(li, w) for every local element index li, w being a
-//     worker id that indexes per-worker scratch. Bodies write only their own
-//     element's blocks, so any split over workers gives the same fields.
-//     Only the shared-memory machine splits; a rank loops serially.
 //   - Assemble applies QQᵀ (the direct stiffness sum over all solvers of the
 //     run) to each of a list of velocity-grid fields stored in owned blocks,
 //     in one exchange: the step hands it every field it assembles at one
@@ -42,7 +38,6 @@ import (
 // from joined values only.
 type Machine interface {
 	Elems() []int
-	ForElements(fn func(li, w int))
 	Assemble(fields [][]float64)
 	Sum(v float64) float64
 	SumN(v []float64)
@@ -87,16 +82,12 @@ func (s Section) Cat() string {
 }
 
 // shared is the one-solver Machine of the shared-memory stepper: it owns
-// every element, loops over them on its worker pool (the only element-loop
-// pool in the program; nil when serial or closed), joins nothing, meters
-// flops on the velocity Disc (their sum) and on itself (by class), and
-// solves the coarse system with the Schwarz preconditioner's sparse factor.
-// The step charges only between element loops, never inside one, so the
-// class totals need no lock.
+// every element, joins nothing, meters flops on the velocity Disc (their
+// sum) and on itself (by class), and solves the coarse system with the
+// Schwarz preconditioner's sparse factor.
 type shared struct {
 	s       *Solver
 	elems   []int
-	pool    *elemPool
 	mm, vec int64 // charged flops by class
 	open    [NumSections]struct {
 		t  time.Time
@@ -105,19 +96,6 @@ type shared struct {
 }
 
 func (m *shared) Elems() []int { return m.elems }
-
-// ForElements dispatches to the pool when it can run chunks concurrently,
-// else runs the plain serial loop (worker id 0). Both produce identical
-// fields for the disjoint-block loops of the step, so the choice is speed.
-func (m *shared) ForElements(fn func(li, w int)) {
-	if m.pool.parallel() {
-		m.pool.run(fn)
-		return
-	}
-	for li := range m.elems {
-		fn(li, 0)
-	}
-}
 
 func (m *shared) Assemble(fields [][]float64) { m.s.D.GS.ApplyFields(gs.Sum, fields...) }
 func (m *shared) Sum(v float64) float64       { return v }

@@ -49,7 +49,10 @@ type Config struct {
 
 	FilterAlpha  float64 // Fischer–Mullen filter strength (0 = off)
 	FilterCutoff int     // first damped mode (0 = N: damp the top mode only)
-	Workers      int     // element-loop workers (the dual-processor mode)
+
+	// Workers is ignored: every element loop runs on the calling goroutine.
+	// It is kept only because the frozen bench/ harness sets it.
+	Workers int
 
 	// Velocity Dirichlet boundary: region selector and value. nil mask
 	// means no Dirichlet boundary (fully periodic domains).
@@ -186,7 +189,7 @@ type Solver struct {
 	pPrecondOp solver.Operator // resolved variant bound to this solver's arenas
 
 	// Steady-state arenas: Step allocates nothing after warm-up.
-	work      []elemWork // per-worker element-kernel scratch
+	work      elemWork // element-kernel scratch
 	bufPool   [][]float64
 	ustar     [3][]float64
 	next      [][]float64     // the new level: ustar's velocity, then the scalar (solved in place)
@@ -218,16 +221,6 @@ type Solver struct {
 	applyEs             solver.BatchOperator // applyE, as CGBatch takes it
 	jacobi              solver.Operator
 
-	// Prebuilt ForElements bodies with the operands they act on during one
-	// call.
-	stiffLoop, filterLoop, gradTLoop, divLoop func(li, w int)
-	extrudeLoop, fdmLoop, foldLoop            func(li, w int)
-	convLoop, contraLoop                      func(li, w int)
-	curOut, curIn                             []float64
-	curP, curV                                []float64
-	curOuts                                   [][]float64
-	curU, curC                                [3][]float64
-
 	// Flops of one GradientT, one Divergence, one round of Schwarz subdomain
 	// solves (with their exchange), one toContravariant over the owned elements.
 	gradTFlops, divFlops, fdmFlops flops
@@ -238,7 +231,7 @@ type Solver struct {
 	history *instrument.TimeSeries // nil = off; per-step StepRecord rows
 }
 
-// elemWork is one worker's scratch for the per-element kernels.
+// elemWork is the scratch of the per-element kernels.
 type elemWork struct {
 	interp []float64    // staggered-grid kernels (InterpWorkLen)
 	sem    []float64    // sem element kernels (ElemScratchLen)
@@ -344,9 +337,6 @@ func New(cfg Config) (*Solver, error) {
 	if cfg.Re <= 0 {
 		return nil, fmt.Errorf("ns: Re must be positive")
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.PTol == 0 {
 		cfg.PTol = 1e-7
 	}
@@ -374,7 +364,6 @@ func New(cfg Config) (*Solver, error) {
 	t.DN = sem.New(m, nil)
 	s := &Solver{template: t}
 	if err := s.build(precondForced); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -432,11 +421,11 @@ func (s *Solver) build(precondForced bool) error {
 	if err := s.buildPrecondOperators(precondForced); err != nil {
 		return err
 	}
-	sh := &shared{s: s, elems: make([]int, m.K), pool: newElemPool(m.K, cfg.Workers)}
+	sh := &shared{s: s, elems: make([]int, m.K)}
 	for e := range sh.elems {
 		sh.elems[e] = e
 	}
-	if err := s.initState(sh, cfg.Workers); err != nil {
+	if err := s.initState(sh); err != nil {
 		return err
 	}
 	if sc := cfg.Scalar; sc != nil && sc.Initial != nil {
@@ -457,10 +446,10 @@ func (s *Solver) build(precondForced bool) error {
 // so a resumed rank has them before its clock is restored. reg, when non-nil,
 // receives the fork's CG iteration
 // distributions, the only metrics a fork records itself (sections are the
-// Machine's to time). A fork has no worker pool, so Close is a no-op on it.
+// Machine's to time).
 func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 	f := &Solver{template: s.template}
-	if err := f.initState(mach, 1); err != nil {
+	if err := f.initState(mach); err != nil {
 		return nil, err
 	}
 	np, npp := s.M.Np, s.npp
@@ -477,11 +466,11 @@ func (s *Solver) Fork(mach Machine, reg *instrument.Registry) (*Solver, error) {
 }
 
 // initState sizes everything a solver keeps per owned element — local views
-// of the template's per-node data, fields, arenas, per-worker scratch, loop
-// bodies, flop charges and the Helmholtz operators — for mach's elements. The
+// of the template's per-node data, fields, arenas, element-kernel scratch,
+// flop charges and the Helmholtz operators — for mach's elements. The
 // only communication is one Assemble for the nodal multiplicity and one per
 // Helmholtz diagonal.
-func (s *Solver) initState(mach Machine, workers int) error {
+func (s *Solver) initState(mach Machine) error {
 	m, cfg := s.M, s.Cfg
 	np, npp := m.Np, s.npp
 	s.mach, s.elems = mach, mach.Elems()
@@ -574,18 +563,15 @@ func (s *Solver) initState(mach Machine, workers int) error {
 		s.x0 = make([]float64, m.NVert)
 		s.vsums = make([]float64, len(s.elems)<<m.Dim)
 	}
-	s.work = make([]elemWork, workers)
-	for w := range s.work {
-		k := &s.work[w]
-		k.interp = make([]float64, s.InterpWorkLen())
-		k.sem = make([]float64, s.D.ElemScratchLen())
-		k.tv, k.we = make([]float64, np), make([]float64, np)
-		for c := 0; c < s.dim; c++ {
-			k.g[c] = make([]float64, np)
-		}
-		k.blocks = make([][]float64, s.dim)
-		k.fdm = make([]float64, fdmLen)
+	k := &s.work
+	k.interp = make([]float64, s.InterpWorkLen())
+	k.sem = make([]float64, s.D.ElemScratchLen())
+	k.tv, k.we = make([]float64, np), make([]float64, np)
+	for c := 0; c < s.dim; c++ {
+		k.g[c] = make([]float64, np)
 	}
+	k.blocks = make([][]float64, s.dim)
+	k.fdm = make([]float64, fdmLen)
 
 	s.velHelm = s.helmholtzOps(1/cfg.Re, s.mask)
 	if sc := cfg.Scalar; sc != nil {
@@ -594,50 +580,12 @@ func (s *Solver) initState(mach Machine, workers int) error {
 	s.helmOp = func(outs, ins [][]float64) { s.helmholtz(outs, ins, s.helm) }
 	s.applyEs = solver.Operator(s.applyE).Batch()
 	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helm.diag) }
-	s.stiffLoop = func(li, w int) {
-		s.D.StiffnessElement(s.curOut[li*np:(li+1)*np], s.curIn[li*np:(li+1)*np], s.elems[li], s.work[w].sem)
-	}
-	s.filterLoop = func(li, w int) {
-		s.D.FilterElement(s.filter, s.curIn[li*np:(li+1)*np], s.work[w].sem)
-	}
-	s.gradTLoop = func(li, w int) {
-		k := &s.work[w]
-		for c := range k.blocks {
-			k.blocks[c] = s.curOuts[c][li*np : (li+1)*np]
-		}
-		s.gradTElem(k.blocks, s.curP[li*npp:(li+1)*npp], s.elems[li], k.interp, k.tv, k.we)
-	}
-	s.divLoop = func(li, w int) {
-		k := &s.work[w]
-		for c := range k.blocks {
-			k.blocks[c] = s.curU[c][li*np : (li+1)*np]
-		}
-		s.divElem(s.curP[li*npp:(li+1)*npp], k.blocks, s.elems[li], k.interp)
-	}
-	s.extrudeLoop = func(li, w int) {
-		s.pSchwarz.ExtrudeElem(s.curV[li*np:(li+1)*np], s.curP[li*npp:(li+1)*npp])
-	}
-	s.fdmLoop = func(li, w int) {
-		s.pSchwarz.LocalSolveElem(s.curOut[li*np:(li+1)*np], s.curV[li*np:(li+1)*np],
-			s.curP[li*npp:(li+1)*npp], s.elems[li], s.work[w].fdm)
-	}
-	s.foldLoop = func(li, w int) {
-		s.pSchwarz.FoldElem(s.curP[li*npp:(li+1)*npp], s.curOut[li*np:(li+1)*np], s.curV[li*np:(li+1)*np])
-	}
-	s.convLoop, s.contraLoop = s.convectElement, s.contravariantElement
 	return nil
 }
 
-// Close stops the Workers-1 element-loop goroutines of a solver built by New.
-// It is idempotent, must not run concurrently with Step, and a closed solver
-// keeps stepping to the same bits — just serially. Every solver built with
-// Workers > 1 must be closed when retired: nothing else stops its workers.
-func (s *Solver) Close() {
-	if sh, ok := s.mach.(*shared); ok && sh.pool != nil {
-		sh.pool.close()
-		sh.pool = nil
-	}
-}
+// Close does nothing: a solver holds no goroutine and nothing else to
+// release. It is kept only because the frozen bench/ harness calls it.
+func (s *Solver) Close() {}
 
 // Time returns the current simulation time.
 func (s *Solver) Time() float64 { return s.time }

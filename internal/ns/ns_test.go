@@ -222,33 +222,6 @@ func boxcar(y float64) float64 {
 	return 1
 }
 
-func TestWorkersSameAnswer(t *testing.T) {
-	run := func(workers int) []float64 {
-		m := periodicBox(t, 2, 6)
-		s, err := New(Config{Mesh: m, Re: 200, Dt: 0.01, Workers: workers, PTol: 1e-10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		s.SetVelocity(func(x, y, z float64) (float64, float64, float64) {
-			return math.Sin(2 * math.Pi * x), math.Cos(2 * math.Pi * y), 0
-		})
-		for i := 0; i < 2; i++ {
-			if _, err := s.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s.U[0]
-	}
-	u1 := run(1)
-	u4 := run(4)
-	for i := range u1 {
-		if math.Abs(u1[i]-u4[i]) > 1e-11 {
-			t.Fatalf("worker count changed the trajectory at %d: %g vs %g", i, u1[i], u4[i])
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	m := periodicBox(t, 2, 4)
 	if _, err := New(Config{Mesh: nil, Re: 1, Dt: 1}); err == nil {

@@ -129,23 +129,30 @@ func (t *template) eApplyFlops(e int) (gradT, div flops) {
 // D = J_pvᵀ B_v div — the exact weak form ∫ q ∇·u for the degree-(N-2)
 // pressure test functions (the quadrature is exact on affine elements,
 // which is what keeps the P_N–P_{N-2} pair inf-sup compatible discretely).
-// One element-parallel pass of divElem: per-worker scratch and disjoint
-// output blocks, so any worker count is bitwise identical.
+// One pass of divElem over the owned elements.
 func (s *Solver) Divergence(out []float64, u [3][]float64) {
-	s.curP, s.curU = out, u
-	s.mach.ForElements(s.divLoop)
-	s.curP, s.curU = nil, [3][]float64{}
+	np, npp, k := s.M.Np, s.npp, &s.work
+	for li, e := range s.elems {
+		for c := range k.blocks {
+			k.blocks[c] = u[c][li*np : (li+1)*np]
+		}
+		s.divElem(out[li*npp:(li+1)*npp], k.blocks, e, k.interp)
+	}
 	s.charge(s.divFlops)
 }
 
 // GradientT computes the momentum pressure term Dᵀ p: the (unassembled)
 // velocity-grid vector whose plain dot with any velocity u equals pᵀ (D u).
-// outs must hold dim slices of length n. One element-parallel pass of
-// gradTElem, bitwise identical for any worker count.
+// outs must hold dim slices of length n. One pass of gradTElem over the
+// owned elements.
 func (s *Solver) GradientT(outs [][]float64, p []float64) {
-	s.curOuts, s.curP = outs, p
-	s.mach.ForElements(s.gradTLoop)
-	s.curOuts, s.curP = nil, nil
+	np, npp, k := s.M.Np, s.npp, &s.work
+	for li, e := range s.elems {
+		for c := range k.blocks {
+			k.blocks[c] = outs[c][li*np : (li+1)*np]
+		}
+		s.gradTElem(k.blocks, p[li*npp:(li+1)*npp], e, k.interp, k.tv, k.we)
+	}
 	s.charge(s.gradTFlops)
 }
 
@@ -257,14 +264,16 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 // helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the operator H of
 // Sec. 4, with one direct stiffness sum for all of them.
 func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
+	np := s.M.Np
 	for c, out := range outs {
-		s.curOut, s.curIn = out, ins[c]
-		s.mach.ForElements(s.stiffLoop)
+		in := ins[c]
+		for li, e := range s.elems {
+			s.D.StiffnessElement(out[li*np:(li+1)*np], in[li*np:(li+1)*np], e, s.work.sem)
+		}
 		la.Scale(op.h1, out) // out = h1·out + (h2·B)⊙in
-		la.AddProd(out, op.h2B, ins[c])
+		la.AddProd(out, op.h2B, in)
 		s.charge(s.stiffF.times(len(s.elems)).plus(flops{vec: 3 * int64(len(out))}))
 	}
-	s.curOut, s.curIn = nil, nil
 	s.assemble(outs, op.mask)
 }
 
@@ -285,18 +294,21 @@ func (s *Solver) pointJacobi(out, in, diag []float64) {
 // coupling instead. No deflation — callers own the null space.
 func (s *Solver) sandwich(out, r []float64, coarse bool) {
 	rv, zv := s.rvArena, s.zvArena
-	s.curV, s.curP = rv, r
-	s.mach.ForElements(s.extrudeLoop)
+	np, npp := s.M.Np, s.npp
+	for li := range s.elems {
+		s.pSchwarz.ExtrudeElem(rv[li*np:(li+1)*np], r[li*npp:(li+1)*npp])
+	}
 	s.assembleOne(rv)
 	s.mach.Begin(SecSchwarzLocal)
-	s.curOut = zv
-	s.mach.ForElements(s.fdmLoop)
+	for li, e := range s.elems {
+		s.pSchwarz.LocalSolveElem(zv[li*np:(li+1)*np], rv[li*np:(li+1)*np], r[li*npp:(li+1)*npp], e, s.work.fdm)
+	}
 	s.charge(s.fdmFlops)
 	s.mach.End(SecSchwarzLocal, StepStats{})
 	s.assembleOne(zv)
-	s.curP = out
-	s.mach.ForElements(s.foldLoop)
-	s.curOut, s.curV, s.curP = nil, nil, nil
+	for li := range s.elems {
+		s.pSchwarz.FoldElem(out[li*npp:(li+1)*npp], zv[li*np:(li+1)*np], rv[li*np:(li+1)*np])
+	}
 	if coarse {
 		s.mach.Begin(SecSchwarzCoarse)
 		r0 := s.r0

@@ -348,9 +348,10 @@ func (s *Solver) setDirichlet(us [][]float64, t float64) {
 
 // applyFilter filters a velocity-grid field in place, element by element.
 func (s *Solver) applyFilter(u []float64) {
-	s.curIn = u
-	s.mach.ForElements(s.filterLoop)
-	s.curIn = nil
+	np := s.M.Np
+	for li := range s.elems {
+		s.D.FilterElement(s.filter, u[li*np:(li+1)*np], s.work.sem)
+	}
 }
 
 // cflLimit returns the stable substep size for explicit advection and the

@@ -184,7 +184,6 @@ func Start(nscfg ns.Config, cfg NSConfig) (*Stepper, error) {
 	// (under the same key as a shared-memory run of the problem), and its
 	// resolved variant, Chebyshev bounds, and diag(E) are what every rank
 	// forks — SPMD-uniform coefficients by construction.
-	nscfg.Workers = 1
 	tmpl, err := ns.New(nscfg)
 	if err != nil {
 		return nil, fmt.Errorf("parrun: %w", err)
@@ -416,12 +415,6 @@ type rankMachine struct {
 }
 
 func (m *rankMachine) Elems() []int { return m.mine }
-
-func (m *rankMachine) ForElements(fn func(li, w int)) {
-	for li := range m.mine {
-		fn(li, 0)
-	}
-}
 
 func (m *rankMachine) Assemble(fields [][]float64) { m.h.ApplyFields(gs.Sum, fields...) }
 func (m *rankMachine) Sum(v float64) float64       { return m.r.AllreduceScalar(v, comm.OpSum) }

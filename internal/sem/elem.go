@@ -3,8 +3,8 @@ package sem
 // elem.go holds the per-element operator kernels: the stiffness (sem.go),
 // gradient, filter and Helmholtz-diagonal kernels of one global element e on
 // local blocks of length Np, with caller scratch. The full-mesh loops of this
-// package and the time step of internal/ns (over the elements a solver owns,
-// on whatever workers its Machine runs) both run them, so every backend
+// package and the time step of internal/ns (over the elements a solver owns)
+// both run them, so every backend
 // reproduces the same arithmetic element by element.
 
 import (

@@ -9,9 +9,7 @@
 //
 // The package keeps no execution state: its full-mesh operators are plain
 // element loops, and its per-element kernels (StiffnessElement, GradElement,
-// FilterElement, HelmholtzDiagElement) only read the Disc. Parallel execution
-// is the caller's: the element-loop worker pool that mirrors the paper's
-// dual-processor mode belongs to the shared-memory Machine of internal/ns.
+// FilterElement, HelmholtzDiagElement) only read the Disc.
 package sem
 
 import (

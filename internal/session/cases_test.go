@@ -7,7 +7,7 @@ import (
 )
 
 // TestNamedAppliesAlphaToEveryCase: the filter strength is a parameter every
-// named case takes the same way, as it does workers and the preconditioner —
+// named case takes the same way, as it does the preconditioner —
 // the convection cell once dropped it and ran unfiltered whatever was asked.
 func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
 	for _, name := range CaseNames() {
@@ -28,7 +28,7 @@ func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
 // the table replaced both, so the one table is checked against them rather
 // than trusted.
 func TestNamedCaseTable(t *testing.T) {
-	p := Config{N: 6, Nel: 3, Alpha: 0.3, Workers: 2, Precond: "chebjacobi"}
+	p := Config{N: 6, Nel: 3, Alpha: 0.3, Precond: "chebjacobi"}
 	named := func(name string) Config { c := p; c.Case = name; return c }
 	type scalars struct {
 		Re, Dt, Filter, PTol, VTol, SubCFL float64
@@ -50,8 +50,8 @@ func TestNamedCaseTable(t *testing.T) {
 		if got != want {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
 		}
-		if cfg.Workers != 2 || cfg.PressurePrecond != "chebjacobi" {
-			t.Errorf("%s: workers %d, precond %q not passed through", name, cfg.Workers, cfg.PressurePrecond)
+		if cfg.PressurePrecond != "chebjacobi" {
+			t.Errorf("%s: precond %q not passed through", name, cfg.PressurePrecond)
 		}
 		// Only the convection cell starts at rest, with a scalar driving it.
 		if rest := name == "convection"; (init == nil) != rest || (cfg.Scalar != nil) != rest {

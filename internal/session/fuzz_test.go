@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/json"
 	"slices"
 	"testing"
 
@@ -15,13 +14,13 @@ import (
 // session, never in a panic. go test runs the seeds; explore with
 // go test -run '^$' -fuzz FuzzSubmitConfig ./internal/session.
 func FuzzSubmitConfig(f *testing.F) {
-	valid := `{"case":"convection","steps":1,"n":3,"nel":2,"workers":1}`
+	valid := `{"case":"convection","steps":1,"n":3,"nel":2}`
 	for _, body := range slices.Concat(refusedSubmits, oneDimensionSubmits, []string{valid}) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req SubmitRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || checkServable(req.Config) != nil {
+		req, err := decodeSubmit(bytes.NewReader(body))
+		if err != nil || checkServable(req.Config) != nil {
 			return
 		}
 		// The tenant caps admit jobs whose set-up takes seconds and hundreds
@@ -48,7 +47,7 @@ func FuzzSubmitConfig(f *testing.F) {
 // go test runs the seeds; explore with
 // go test -run '^$' -fuzz FuzzResumeCheckpoint ./internal/session.
 func FuzzResumeCheckpoint(f *testing.F) {
-	cfg := Config{Case: "channel", N: 4, KX: 2, KY: 2, ProjectionL: 3, Workers: 1}
+	cfg := Config{Case: "channel", N: 4, KX: 2, KY: 2, ProjectionL: 3}
 	edits := []func(st *ns.Checkpoint){
 		func(*ns.Checkpoint) {},
 		func(st *ns.Checkpoint) {

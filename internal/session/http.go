@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/instrument"
@@ -44,6 +45,18 @@ type SubmitRequest struct {
 // maxSubmitBytes bounds the POST /api/sessions body; a larger one is
 // answered 413 before any job exists. A Config is a few hundred bytes.
 const maxSubmitBytes = 1 << 20
+
+// decodeSubmit reads a submit body strictly: a field the service does not
+// know (a knob that was removed, a typo) is an error naming it, not a job
+// run without it. Stored config.json artifacts are read leniently
+// (ResumeJob), so a session stored with such a field still resumes.
+func decodeSubmit(r io.Reader) (SubmitRequest, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
 
 // SubmitResponse is the POST /api/sessions reply.
 type SubmitResponse struct {
@@ -114,9 +127,9 @@ func HTTPHandler(m *Manager) http.Handler {
 	}
 
 	mux.HandleFunc("POST /api/sessions", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
 		r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := decodeSubmit(r.Body)
+		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -126,7 +139,6 @@ func HTTPHandler(m *Manager) http.Handler {
 			return
 		}
 		var j *Job
-		var err error
 		if req.ResumeFrom != "" {
 			j, err = m.ResumeJob(req.ResumeFrom, req.Steps)
 		} else {

@@ -90,7 +90,7 @@ func TestHTTPSubmitPollHistory(t *testing.T) {
 	const steps = 6
 
 	resp := postJSON(t, srv.URL+"/api/sessions", Config{
-		Case: "shearlayer", Steps: steps, Nel: 4, N: 5, Workers: 2, Trace: true,
+		Case: "shearlayer", Steps: steps, Nel: 4, N: 5, Trace: true,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		b, _ := io.ReadAll(resp.Body)
@@ -185,7 +185,7 @@ func TestHTTPSubmitPollHistory(t *testing.T) {
 // semflow -listen mounts at / — the -race gate for the live routes, which
 // read the registry and progress while StepN writes them.
 func TestServeLiveScrapeUnderLoad(t *testing.T) {
-	sess, err := Create(testCfg(1<<20, 2))
+	sess, err := Create(testCfg(1 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestHTTPCheckpointResumeCancel(t *testing.T) {
 
 	// A long job: checkpoint it mid-flight, then cancel it.
 	resp := postJSON(t, srv.URL+"/api/sessions", Config{
-		Case: "shearlayer", Steps: 100_000, Nel: 4, N: 5, Workers: 1,
+		Case: "shearlayer", Steps: 100_000, Nel: 4, N: 5,
 	})
 	var sub SubmitResponse
 	decodeJSON(t, resp, &sub)
@@ -350,13 +350,15 @@ var refusedSubmits = []string{
 	`{"case":"channel","steps":2,"kx":-1}`,
 	`{"case":"shearlayer","steps":2,"nel":-3}`,
 	`{"case":"channel","steps":2,"ky":65}`,
-	`{"case":"channel","steps":2,"workers":65}`,
+	// Fields the service does not know — a knob that is gone, a misspelt
+	// one: a job that silently ran without them would hide that.
+	`{"case":"channel","steps":2,"workers":2}`,
+	`{"case":"channel","steps":2,"precondition":"none"}`,
 	`{"case":"channel","steps":100001}`,
 	`{"case":"channel","steps":2,"batch_steps":10001}`,
 	`{"case":"channel","steps":2,"piters":-1}`,
 	`{"case":"channel","steps":2,"projection_l":65}`,
 	`{"case":"channel","steps":2,"checkpoint_every":3}`,
-	`{"case":"channel","steps":2,"workers":-1}`,
 	`{"case":"channel","steps":2,"batch_steps":-1}`,
 	`{"case":"channel","steps":2,"projection_l":-2}`, // -1 is projection off
 	`{"case":"channel","steps":2,"checkpoint_every":-1}`,
@@ -365,6 +367,61 @@ var refusedSubmits = []string{
 	// what it should damp, above 1 it overshoots.
 	`{"case":"convection","steps":2,"alpha":-0.1}`,
 	`{"case":"channel","steps":2,"alpha":1.5}`,
+}
+
+// TestHTTPSubmitUnknownFieldNamesIt: a submit naming a field the service
+// does not know is answered 400 with an error that names the field, and
+// creates no job.
+func TestHTTPSubmitUnknownFieldNamesIt(t *testing.T) {
+	m, srv := newTestAPI(t)
+	resp, err := http.Post(srv.URL+"/api/sessions", "application/json",
+		strings.NewReader(`{"case":"channel","steps":2,"n":4,"workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	decodeJSON(t, resp, &body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], `"workers"`) {
+		t.Fatalf("submit with workers = %d %q, want 400 naming the field", resp.StatusCode, body["error"])
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Fatalf("%d jobs after the refused submit, want none", len(jobs))
+	}
+}
+
+// TestHTTPResumeStoredConfigWithUnknownField: a config.json stored while the
+// service still took "workers" resumes; the stored artifact is read
+// leniently, the submit body strictly.
+func TestHTTPResumeStoredConfigWithUnknownField(t *testing.T) {
+	m, srv := newTestAPI(t)
+	resp := postJSON(t, srv.URL+"/api/sessions", Config{Case: "shearlayer", Steps: 2, Nel: 2, N: 4})
+	var sub SubmitResponse
+	decodeJSON(t, resp, &sub)
+	j, ok := m.Get(sub.ID)
+	if !ok {
+		t.Fatalf("job %s not found", sub.ID)
+	}
+	waitJob(t, j)
+	raw, err := m.Store().Get(sub.ID, ArtifactConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(raw, []byte(`"case"`), []byte(`"workers": 2, "case"`), 1)
+	if err := m.Store().Put(sub.ID, ArtifactConfig, old); err != nil {
+		t.Fatal(err)
+	}
+	resp = postJSON(t, srv.URL+"/api/sessions", SubmitRequest{ResumeFrom: sub.ID, Config: Config{Steps: 4}})
+	if resp.StatusCode != http.StatusCreated {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("resume of a stored config with workers = %d: %s", resp.StatusCode, b)
+	}
+	var res SubmitResponse
+	decodeJSON(t, resp, &res)
+	r, _ := m.Get(res.ID)
+	waitJob(t, r)
+	if st := r.Status(); st.State != StateDone || st.Step != 4 {
+		t.Fatalf("resumed job: state %s at step %d (err %q), want done at 4", st.State, st.Step, st.Error)
+	}
 }
 
 // oneDimensionSubmits size the channel along or across only; the other
@@ -410,7 +467,7 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	// An oversized body — otherwise a valid submit — is refused before it
 	// is decoded, and no job comes of it.
-	huge := `{"case":"channel","steps":1,"pad":"` + strings.Repeat("a", 2<<20) + `"}`
+	huge := `{"case":"channel",` + strings.Repeat(" ", 2<<20) + `"steps":1}`
 	resp, err := http.Post(srv.URL+"/api/sessions", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +527,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPHistoryStreamsLive(t *testing.T) {
 	_, srv := newTestAPI(t)
 	resp := postJSON(t, srv.URL+"/api/sessions", Config{
-		Case: "shearlayer", Steps: 100_000, Nel: 4, N: 5, Workers: 1,
+		Case: "shearlayer", Steps: 100_000, Nel: 4, N: 5,
 	})
 	var sub SubmitResponse
 	decodeJSON(t, resp, &sub)

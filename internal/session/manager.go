@@ -1,16 +1,13 @@
 package session
 
 // manager.go multiplexes many concurrent sessions over a bounded number of
-// active element-worker pools. A shared-memory session with W workers owns
-// one pool, its solver's: the W-1 goroutines of ns's shared-memory machine
-// (fixed chunk assignment is what makes stepping bitwise deterministic). Only
-// MaxActive sessions may be *stepping* — and therefore have awake pools —
-// at any instant: the scheduler is a counting semaphore that each job
-// acquires for one batch of steps (Config.BatchSteps) and then releases,
-// so long jobs cannot starve short ones. When a job reaches its step
-// target, is cancelled, or fails, the manager deposits its artifacts in
-// the Store (history.jsonl, checkpoint.gob, trace.json, result.json) and
-// closes the session. That Close is what stops the pool: nothing else does.
+// stepping slots. Only MaxActive sessions may be *stepping* at any instant,
+// each on its job's goroutine: the scheduler is a counting semaphore that
+// each job acquires for one batch of steps (Config.BatchSteps) and then
+// releases, so long jobs cannot starve short ones. When a job reaches its
+// step target, is cancelled, or fails, the manager deposits its artifacts
+// in the Store (history.jsonl, checkpoint.gob, trace.json, result.json) and
+// closes the session.
 
 import (
 	"bytes"
@@ -148,7 +145,7 @@ func checkBounds(cfg Config) error {
 		v, hi int
 	}{
 		{"n", run.N, 16}, {"nel", run.Nel, 64}, {"kx", run.KX, 64}, {"ky", run.KY, 64},
-		{"workers", run.Workers, 64}, {"steps", run.Steps, 100_000}, {"batch_steps", run.BatchSteps, 10_000},
+		{"steps", run.Steps, 100_000}, {"batch_steps", run.BatchSteps, 10_000},
 		{"piters", run.PIters, 10_000}, {"projection_l", run.ProjectionL, 64},
 		{"checkpoint_every", run.CheckpointEvery, run.Steps},
 	} {

@@ -1,7 +1,7 @@
 // Package session promotes a stable simulation-session API out of the
 // solver internals: Create a flow case, StepN it forward, Checkpoint /
-// Resume it across process lifetimes, Cancel it mid-flight, and Close it —
-// stopping its solver's element-loop worker pool. It is the substrate
+// Resume it across process lifetimes, Cancel it mid-flight, and Close it.
+// It is the substrate
 // of the semflowd multi-tenant service (Manager + HTTPHandler multiplex
 // many concurrent sessions over a bounded scheduler, with artifacts behind
 // a pluggable Store), and of the one-shot semflow CLI, so there is exactly
@@ -20,8 +20,8 @@
 // semflowd.
 // Stepping is bitwise deterministic and isolated: two sessions running
 // concurrently in one process produce exactly the fields each would have
-// produced alone (worker chunks are fixed at build; nothing numeric is
-// shared), which the lifecycle tests assert.
+// produced alone (nothing numeric is shared), which the lifecycle tests
+// assert.
 package session
 
 import (
@@ -65,7 +65,6 @@ type Config struct {
 	Alpha       float64 `json:"alpha,omitempty"`        // filter strength (0 = unfiltered)
 	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis size (0 = case default 20, -1 = off)
 	PIters      int     `json:"piters,omitempty"`       // pressure CG iteration cap (0 = case default)
-	Workers     int     `json:"workers,omitempty"`      // element-loop workers, shared memory only (default 1)
 
 	// Ranks > 0 runs the time loop as an SPMD program on that many simulated
 	// ranks (clamped to the element count); Faults degrades that machine.
@@ -109,7 +108,7 @@ func (c Config) validate(ck *parrun.Checkpoint) error {
 		v    int
 	}{
 		{"steps", c.Steps}, {"n", c.N}, {"nel", c.Nel}, {"kx", c.KX}, {"ky", c.KY},
-		{"workers", c.Workers}, {"piters", c.PIters},
+		{"piters", c.PIters},
 		{"ranks", c.Ranks}, {"trace_sample", c.TraceSample}, {"batch_steps", c.BatchSteps},
 		{"checkpoint_every", c.CheckpointEvery},
 	} {
@@ -140,9 +139,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Nel == 0 {
 		c.Nel = 8
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	if c.BatchSteps < 1 {
 		c.BatchSteps = 1
@@ -186,7 +182,7 @@ func CaseNames() []string {
 
 // Problem builds the problem definition the config names, defaults applied:
 // the table's physics, then the knobs every case takes the same way (Alpha,
-// Workers, Precond, and ProjectionL and PIters when set; ProjectionL = -1
+// Precond, and ProjectionL and PIters when set; ProjectionL = -1
 // sets a basis of 0, no projection). A nil InitFunc means the velocity starts
 // at rest.
 func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
@@ -200,7 +196,7 @@ func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
 	if err != nil {
 		return ns.Config{}, nil, fmt.Errorf("session: %w", err)
 	}
-	cfg.FilterAlpha, cfg.Workers, cfg.PressurePrecond = c.Alpha, c.Workers, c.Precond
+	cfg.FilterAlpha, cfg.PressurePrecond = c.Alpha, c.Precond
 	switch {
 	case c.ProjectionL == -1:
 		cfg.ProjectionL = 0
@@ -213,28 +209,65 @@ func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
 	return cfg, init, nil
 }
 
-// machine is the seam between a session and what it steps.
+// machine is the seam between a session and what it steps. StepN advances
+// up to n steps and hands each completed one to the session's stepped.
 type machine interface {
-	Step() (ns.StepStats, error)
+	StepN(n int) (ns.StepStats, error)
 	StepCount() int
 	Time() float64
 	VirtualSeconds() float64 // max rank clock; 0 in shared memory
 	snapshot() *parrun.Checkpoint
-	Close()
 }
 
-type sharedMemory struct{ *ns.Solver }
+// sharedMemory steps the solver one step at a time, so Cancel takes effect
+// at every step boundary.
+type sharedMemory struct {
+	*ns.Solver
+	sess *Session
+}
+
+func (m sharedMemory) StepN(n int) (ns.StepStats, error) {
+	var last ns.StepStats
+	for i := 0; i < n; i++ {
+		if m.sess.cancelled.Load() {
+			return last, ErrCancelled
+		}
+		st, err := m.Step()
+		if err != nil {
+			return last, err
+		}
+		last = st
+		m.sess.stepped(st, 0)
+	}
+	return last, nil
+}
 
 func (m sharedMemory) VirtualSeconds() float64      { return 0 }
 func (m sharedMemory) snapshot() *parrun.Checkpoint { return parrun.Serial(m.Checkpoint()) }
 
-// simulated steps the ranks one step per batch, so Cancel, Checkpoint and
-// OnStep see every step boundary with no rank running.
-type simulated struct{ *parrun.Stepper }
+// simulated steps the ranks a whole StepN in one parrun batch: rank 0 hands
+// each completed step to stepped (parrun.NSConfig.OnStep) while the others
+// are parked, and Cancel takes effect at the batch boundary.
+type simulated struct {
+	*parrun.Stepper
+	sess *Session
+}
 
-func (m simulated) Step() (ns.StepStats, error)  { return m.StepN(1) }
+func (m simulated) StepN(n int) (ns.StepStats, error) {
+	if n < 1 {
+		return ns.StepStats{}, nil
+	}
+	if m.sess.cancelled.Load() {
+		return ns.StepStats{}, ErrCancelled
+	}
+	last, err := m.Stepper.StepN(n)
+	if err == nil {
+		m.sess.updateProgress(last, m.VirtualSeconds()) // the batch's end on every rank
+	}
+	return last, err
+}
+
 func (m simulated) snapshot() *parrun.Checkpoint { return m.Checkpoint() }
-func (m simulated) Close()                       {} // the ranks hold no coroutine or pool between batches
 
 // Session is one live simulation: a stepping machine plus its per-session
 // instruments. Methods are safe for concurrent use; stepping itself is
@@ -270,7 +303,7 @@ type ProgressSnapshot struct {
 	Step           int     `json:"step"`
 	TotalSteps     int     `json:"total_steps,omitempty"`
 	Time           float64 `json:"time"`            // simulation time
-	VirtualSeconds float64 `json:"virtual_seconds"` // max rank virtual clock
+	VirtualSeconds float64 `json:"virtual_seconds"` // max rank virtual clock (rank 0's within a batch)
 	CFL            float64 `json:"cfl,omitempty"`
 	PressureIters  int     `json:"pressure_iters"`
 	PressureRes    float64 `json:"pressure_res"`
@@ -323,11 +356,12 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 		st, err := parrun.Start(nscfg, parrun.NSConfig{
 			P: cfg.Ranks, Init: init, Faults: cfg.Faults, Resume: ck,
 			Registry: s.reg, Tracer: s.tracer, History: s.history,
+			OnStep: s.stepped,
 		})
 		if err != nil {
 			return nil, err
 		}
-		s.m, s.solver = simulated{st}, st.Template()
+		s.m, s.solver = simulated{st, s}, st.Template()
 	} else {
 		solver, err := flowcases.NewSolver(nscfg, init)
 		if err != nil {
@@ -338,15 +372,14 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 		solver.AttachTracer(s.tracer)
 		if ck != nil {
 			if err := solver.Restore(ck.Ranks[0].State); err != nil {
-				solver.Close()
 				return nil, err
 			}
 		}
-		s.m, s.solver = sharedMemory{solver}, solver
+		s.m, s.solver = sharedMemory{solver, s}, solver
 	}
 	meta := instrument.RunMeta{
 		Case: cfg.Case, Ranks: cfg.Ranks, Elements: s.solver.M.K, Order: s.solver.M.N,
-		Steps: cfg.Steps, PIters: cfg.PIters, Workers: cfg.Workers, TraceSample: cfg.TraceSample,
+		Steps: cfg.Steps, PIters: cfg.PIters, TraceSample: cfg.TraceSample,
 	}
 	sel := s.solver.PrecondSelection()
 	meta.Precond, meta.PrecondSource = sel.Name, sel.Source
@@ -355,7 +388,7 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	}
 	s.reg.SetMeta(meta)
 	if ck != nil {
-		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, false)
+		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, s.m.VirtualSeconds())
 	}
 	return s, nil
 }
@@ -378,37 +411,32 @@ func (s *Session) Config() Config { return s.cfg }
 
 // StepN advances the run up to n steps, stopping early on Cancel (with
 // ErrCancelled) or a solver error. It returns the stats of the last
-// completed step.
+// completed step. Progress and Config.OnStep see every step; the simulated
+// machine runs the n steps as one batch.
 func (s *Session) StepN(n int) (ns.StepStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var last ns.StepStats
 	if s.closed {
-		return last, ErrClosed
+		return ns.StepStats{}, ErrClosed
 	}
-	for i := 0; i < n; i++ {
-		if s.cancelled.Load() {
-			return last, ErrCancelled
-		}
-		st, err := s.m.Step()
-		if err != nil {
-			return last, err
-		}
-		last = st
-		s.updateProgress(st, false)
-		if s.cfg.OnStep != nil {
-			s.cfg.OnStep(st)
-		}
-	}
-	return last, nil
+	return s.m.StepN(n)
 }
 
-func (s *Session) updateProgress(st ns.StepStats, done bool) {
+// stepped records one completed step: progress at vsec, the machine's
+// virtual clock at the step's end (rank 0's, mid-batch), and Config.OnStep.
+func (s *Session) stepped(st ns.StepStats, vsec float64) {
+	s.updateProgress(st, vsec)
+	if s.cfg.OnStep != nil {
+		s.cfg.OnStep(st)
+	}
+}
+
+func (s *Session) updateProgress(st ns.StepStats, vsec float64) {
 	s.prog.Update(ProgressSnapshot{
 		Case: s.cfg.Case, Ranks: s.cfg.Ranks, Step: st.Step, TotalSteps: s.cfg.Steps,
-		Time: st.Time, VirtualSeconds: s.m.VirtualSeconds(), CFL: st.CFL,
+		Time: st.Time, VirtualSeconds: vsec, CFL: st.CFL,
 		PressureIters: st.PressureIters, PressureRes: st.PressureResFinal,
-		Converged: st.PressureConverged, Done: done,
+		Converged: st.PressureConverged,
 	})
 }
 
@@ -452,8 +480,10 @@ func LoadCheckpoint(store Store, id string) (*parrun.Checkpoint, error) {
 	return ck, nil
 }
 
-// Cancel makes the next step boundary return ErrCancelled. Idempotent;
-// safe from any goroutine.
+// Cancel makes the next step boundary return ErrCancelled: the next step in
+// shared memory; on the simulated machine, whose ranks run each StepN as one
+// batch, the next StepN call (a Manager job calls it once per BatchSteps).
+// Idempotent; safe from any goroutine.
 func (s *Session) Cancel() { s.cancelled.Store(true) }
 
 // Cancelled reports whether Cancel was called.
@@ -473,17 +503,13 @@ func (s *Session) Time() float64 {
 	return s.m.Time()
 }
 
-// Close stops the solver's worker pool. Idempotent. A closed session
-// rejects StepN/Checkpoint with ErrClosed; its instruments (History,
-// Registry, Progress, Tracer) stay readable.
+// Close ends the session. Idempotent. A closed session rejects
+// StepN/Checkpoint with ErrClosed; its instruments (History, Registry,
+// Progress, Tracer) stay readable.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	s.m.Close()
 	return nil
 }
 

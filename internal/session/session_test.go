@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -20,10 +21,10 @@ import (
 )
 
 // testCfg is a small fast case for lifecycle tests.
-func testCfg(steps, workers int) Config {
+func testCfg(steps int) Config {
 	return Config{
 		Case: "shearlayer", Steps: steps, Nel: 4, N: 5,
-		Alpha: 0.2, Workers: workers,
+		Alpha: 0.2,
 	}
 }
 
@@ -56,7 +57,7 @@ func soloRun(t *testing.T, cfg Config) ([]byte, []float64, ns.StepStats) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	cfg := testCfg(8, 2)
+	cfg := testCfg(8)
 	wantHist, wantU, wantLast := soloRun(t, cfg)
 
 	// Step half, checkpoint, step the rest: same history as one shot.
@@ -138,7 +139,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionOnStepSeesEveryStep(t *testing.T) {
-	cfg := testCfg(5, 1)
+	cfg := testCfg(5)
 	var steps []int
 	cfg.OnStep = func(st ns.StepStats) { steps = append(steps, st.Step) }
 	s, err := Create(cfg)
@@ -170,10 +171,10 @@ func TestCreateRejectsUnknownCase(t *testing.T) {
 // exactly — bitwise — the per-step stats and final fields each produces
 // running alone.
 func TestManagerConcurrentBitwiseIdentical(t *testing.T) {
-	cfgA := testCfg(8, 2)
+	cfgA := testCfg(8)
 	cfgA.BatchSteps = 2
 	cfgB := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2,
-		Alpha: 0.2, Workers: 3, BatchSteps: 3}
+		Alpha: 0.2, BatchSteps: 3}
 
 	histA, uA, lastA := soloRun(t, cfgA)
 	histB, uB, lastB := soloRun(t, cfgB)
@@ -225,7 +226,7 @@ func TestManagerConcurrentBitwiseIdentical(t *testing.T) {
 // stepping concurrently finishes done with bitwise the fields of a solo run.
 // (Before the recover in stepBatch this test took the whole process down.)
 func TestManagerIsolatesPanickingSession(t *testing.T) {
-	good := testCfg(8, 2)
+	good := testCfg(8)
 	hist, u, _ := soloRun(t, good)
 
 	bad := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2, Alpha: 0.2}
@@ -283,7 +284,7 @@ func TestManagerIsolatesPanickingSession(t *testing.T) {
 }
 
 func TestManagerResumeAcrossRestart(t *testing.T) {
-	cfg := testCfg(10, 2)
+	cfg := testCfg(10)
 	wantHist, wantU, wantLast := soloRun(t, cfg)
 
 	// First manager life: run 4 of the 10 steps, then "crash" (close).
@@ -342,7 +343,7 @@ func TestManagerCancelAndFailurePaths(t *testing.T) {
 	defer m.Close()
 
 	// A long job cancelled mid-flight deposits a resumable checkpoint.
-	cfg := testCfg(10_000, 1)
+	cfg := testCfg(10_000)
 	j, err := m.Submit(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +412,7 @@ func (s *ckptStore) Put(session, name string, data []byte) error {
 // batch; the job still finishes, and its status and result.json name the
 // first failure.
 func TestManagerCheckpointEvery(t *testing.T) {
-	cfg := testCfg(7, 1)
+	cfg := testCfg(7)
 	cfg.CheckpointEvery = 2
 	run := func(fail int) (*ckptStore, Status, Status) {
 		store := &ckptStore{Store: NewMemStore(), fail: fail}
@@ -460,7 +461,7 @@ func TestManagerCheckpointEvery(t *testing.T) {
 // it started: a fresh job in batches of 3 steps and a job resumed at step 7
 // both deposit at steps 10 and 20.
 func TestCheckpointScheduleIsMultiples(t *testing.T) {
-	cfg := testCfg(20, 1)
+	cfg := testCfg(20)
 	cfg.CheckpointEvery = 10
 	deposits := func(store *ckptStore, start func(m *Manager) (*Job, error)) []int {
 		t.Helper()
@@ -514,45 +515,15 @@ func TestCheckpointScheduleIsMultiples(t *testing.T) {
 	}
 }
 
-// TestManagerReleasesWorkerPools is the leak half of the acceptance
-// criterion: a live W-worker session parks exactly W-1 pool goroutines (its
-// shared-memory machine's pool; nothing else loops over elements in parallel),
-// and after every session closes, the process is back to its baseline
-// goroutine count — no element-pool workers survive.
-func TestManagerReleasesWorkerPools(t *testing.T) {
-	const workers, live = 3, 2
-	if n := awaitPoolWorkers(0); n != 0 {
-		t.Fatalf("%d element-pool goroutines live before the test", n)
-	}
-	var sessions []*Session
-	closeAll := func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}
-	defer closeAll() // a failed check must not leak pools into the next run
-	for i := 0; i < live; i++ {
-		s, err := Create(testCfg(3, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, s)
-	}
-	if got, want := awaitPoolWorkers(live*(workers-1)), live*(workers-1); got != want {
-		t.Fatalf("%d live %d-worker sessions park %d pool goroutines, want %d", live, workers, got, want)
-	}
-	closeAll()
-	if n := awaitPoolWorkers(0); n != 0 {
-		t.Fatalf("%d element-pool goroutines did not settle to 0", n)
-	}
-
+// TestManagerCloseLeavesNoGoroutines: after its jobs finish and it closes,
+// a manager leaves the process at its baseline goroutine count — no job
+// runner survives.
+func TestManagerCloseLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	m := NewManager(NewMemStore(), 2)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		cfg := testCfg(3, workers)
-		cfg.BatchSteps = 1
-		j, err := m.Submit(cfg)
+		j, err := m.Submit(testCfg(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,33 +545,8 @@ func waitJob(t *testing.T, j *Job) {
 	}
 }
 
-// poolWorkers counts the element-pool goroutines in the process.
-func poolWorkers() int {
-	buf := make([]byte, 1<<20)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "ns.(*elemPool).worker(")
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}
-
-// awaitPoolWorkers polls, for up to 10 s, until exactly want element-pool
-// goroutines show in the process's stacks, and returns the last count: a
-// worker its pool has only just started can be missing from runtime.Stack
-// for a moment, and one whose pool has closed stays there until it returns.
-func awaitPoolWorkers(want int) int {
-	deadline := time.Now().Add(10 * time.Second)
-	n := poolWorkers()
-	for n != want && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		n = poolWorkers()
-	}
-	return n
-}
-
 // settleGoroutines retries until the goroutine count drops back to at most
-// want (the scheduler needs a moment to retire closed pools' workers).
+// want (the scheduler needs a moment to retire finished runners).
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -759,6 +705,60 @@ func TestDistributedSessionLifecycle(t *testing.T) {
 	}
 	if _, err := s.StepN(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("StepN after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestDistributedStepNIsOneBatch: the simulated machine runs a whole StepN
+// as one parrun batch and hands each step to progress and OnStep from rank 0
+// mid-batch. A 4-rank session stepped StepN(6) once ends with the fields,
+// history JSONL and OnStep sequence, bit for bit, of one stepped StepN(1)
+// six times.
+func TestDistributedStepNIsOneBatch(t *testing.T) {
+	run := func(batches ...int) (*parrun.NSResult, []byte, []ns.StepStats) {
+		cfg := distCfg(6)
+		var seen []ns.StepStats
+		cfg.OnStep = func(st ns.StepStats) { seen = append(seen, st) }
+		s, err := Create(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, n := range batches {
+			if _, err := s.StepN(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p := s.Progress().Snapshot(); p.Step != 6 || p.VirtualSeconds != s.Distributed().VirtualSeconds {
+			t.Fatalf("batches %v: progress %+v, want step 6 at the max rank clock", batches, p)
+		}
+		return s.Distributed(), historyJSONL(t, s), seen
+	}
+	one, oneHist, oneSeen := run(6)
+	each, eachHist, eachSeen := run(1, 1, 1, 1, 1, 1)
+	bits := func(v []float64) []uint64 {
+		b := make([]uint64, len(v))
+		for i, x := range v {
+			b[i] = math.Float64bits(x)
+		}
+		return b
+	}
+	for c := range one.U {
+		if !slices.Equal(bits(one.U[c]), bits(each.U[c])) {
+			t.Errorf("velocity component %d differs between one batch and six", c)
+		}
+	}
+	if !slices.Equal(bits(one.Pressure), bits(each.Pressure)) {
+		t.Error("pressure differs between one batch and six")
+	}
+	if !bytes.Equal(oneHist, eachHist) {
+		t.Error("history JSONL differs between one batch and six")
+	}
+	if len(oneSeen) != 6 || !slices.Equal(oneSeen, eachSeen) {
+		t.Errorf("OnStep saw %d steps in one batch, %d in six, or they differ", len(oneSeen), len(eachSeen))
+	}
+	if one.VirtualSeconds != each.VirtualSeconds || one.TotalMsgs != each.TotalMsgs {
+		t.Errorf("machine state differs: virtual %g vs %g, %d vs %d messages",
+			one.VirtualSeconds, each.VirtualSeconds, one.TotalMsgs, each.TotalMsgs)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // purposes: the spectral discretization (K elements, order N, dimension) and
 // the target tolerance. Two runs with the same key see the same operator
 // conditioning, so the same variant wins. The rank count is not part of it:
-// a distributed run selects on its serial template, one worker, whatever P.
+// a distributed run selects on its serial template, whatever P.
 type PrecondKey struct {
 	K   int     // elements
 	N   int     // polynomial order

@@ -24,9 +24,9 @@
 #           golden digest; a grep that no hot path
 #           calls la.MulABt (tensor's r-direction applies take the operator
 #           pre-transposed; the per-call transpose-pack must not creep back);
-#           a grep that internal/sem starts no goroutine and imports no
-#           runtime, and that no Go file registers a finalizer (the one worker
-#           pool is ns's shared-memory machine's, stopped by Solver.Close);
+#           a grep that internal/sem and internal/ns start no goroutine and
+#           import no runtime (every element loop is a plain loop on the
+#           stepping goroutine), and that no Go file registers a finalizer;
 #           a grep that comm declares one receive, Recv (the network queues
 #           each (source, tag) stream at its receiver); a grep that no
 #           non-test file outside internal/comm calls Send or Recv (every
@@ -49,13 +49,15 @@
 #           of the line-count claims in ROADMAP.md
 #   tier2   go vet + race detector over the whole module. Long-running
 #           physics cases (multi-minute shear-layer roll-up) skip under
-#           -short; everything with concurrency (the shared-memory machine's
-#           worker pool, the session service, instrument metrics read while
-#           they record) still runs under -race.
+#           -short; everything with concurrency (the session service,
+#           instrument metrics read while they record) still runs under
+#           -race.
 #           The export ratchet (TestEveryExportHasACaller), which type-checks
 #           the standard library from source, skips under -short: tier1 runs
 #           it. The stepper tests run ten times more: a rank's state is
-#           re-entered by a new coroutine on every batch. So do the Schwarz
+#           re-entered by a new coroutine on every batch, and a session's
+#           progress and OnStep are written from rank 0's coroutine
+#           mid-batch. So do the Schwarz
 #           rank-equivalence test, whose border exchange is the one new
 #           cross-rank data path of the pressure preconditioner, and the SumN
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
@@ -152,13 +154,14 @@ nofma() {
     fi
 }
 
-# nopool — sem is goroutine-free operators over a mesh: the one element-loop
-# worker pool belongs to ns's shared-memory machine and is stopped by
-# Solver.Close, with no finalizer behind it.
+# nopool — sem's operators and ns's time step are goroutine-free: every
+# element loop is a plain loop over the solver's own elements on the stepping
+# goroutine (a worker pool measured slower at W = 2 and was deleted), and no
+# resource is released by a finalizer.
 nopool() {
     if git grep --untracked -n -e '^[[:space:]]*go[[:space:]]' -e '[{;][[:space:]]*go[[:space:]]' -e '"runtime"' \
-        -- 'internal/sem/*.go' ':!*_test.go'; then
-        echo "internal/sem starts a goroutine or imports runtime: element-loop parallelism is ns's shared-memory machine's" >&2
+        -- 'internal/sem/*.go' 'internal/ns/*.go' ':!*_test.go'; then
+        echo "internal/sem or internal/ns starts a goroutine or imports runtime: element loops run on the stepping goroutine" >&2
         return 1
     fi
     # The bracket keeps this line from matching itself.
@@ -285,7 +288,7 @@ tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
     stage "tier2/stepper" go test -race -count=10 \
-        -run 'TestStepper|TestDistributedSessionLifecycle|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
+        -run 'TestStepper|TestDistributedSessionLifecycle|TestDistributedStepNIsOneBatch|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
         -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestReturnWhileOthersWaitFailsEveryRank|TestRecvDeadlockFailsEveryRank|TestRankPanicLeavesRunOnCaller|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
@@ -569,7 +572,7 @@ EOF
     daemon_pid=$BG_PID
     daddr="$(poll_sed "$out/semflowd.log" 's|^semflowd: listening on http://\([^ ]*\).*|\1|p')"
     sid="$(curl -sf "http://$daddr/api/sessions" \
-        -d '{"case":"channel","steps":4,"n":5,"workers":2,"trace":true}' \
+        -d '{"case":"channel","steps":4,"n":5,"trace":true}' \
         | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
     if [ -z "$sid" ]; then
         echo "semflowd rejected the channel submission:" >&2
