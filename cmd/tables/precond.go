@@ -53,13 +53,18 @@ func precondExp(quick bool) error {
 	return hairpinPrecond(quick)
 }
 
-// printTrials prints the outcome of an auto tournament, one line per trial.
+// printTrials prints the outcome of an auto tournament, one line per trial;
+// a trial stopped once it could no longer win ends with "cut".
 func printTrials(sel solver.PrecondSelection) {
 	fmt.Printf("\n-precond auto selected %q (source %s)\n", sel.Name, sel.Source)
 	for _, tr := range sel.Trials {
-		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %9.4g Mflop  %7.4g Mflop/iter  %.3fs\n",
+		cut := ""
+		if tr.Cut {
+			cut = "  cut"
+		}
+		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %9.4g Mflop  %7.4g Mflop/iter  %.3fs%s\n",
 			tr.Name, tr.Iterations, tr.Converged, float64(tr.Flops)/1e6,
-			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)), tr.Seconds)
+			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)), tr.Seconds, cut)
 	}
 }
 

@@ -285,11 +285,18 @@ func (m *Mesh) classifyElements() {
 // with another element's node on a conforming mesh, so only those are binned
 // and matched; a node inside its element takes a fresh id in the same loop
 // order, which leaves every id what matching all nodes gives.
+//
+// A node matches an earlier one within tol in every coordinate. Bins are
+// 2·tol wide, so along each axis such a match lies in the node's own bin or
+// in the neighbour on the side of the half of the bin the node sits in: 2^dim
+// probes, the node's own bin first. Distinct global nodes lie a GLL spacing
+// apart, far more than tol, so a node matches at most one id and the probe
+// order cannot change it.
 func (m *Mesh) numberGlobally() {
-	type key struct{ a, b, c int64 }
 	type node struct {
-		gid int32
-		p   [3]float64
+		gid  int32
+		next int32 // the node numbered before it in its bin, or -1
+		p    [3]float64
 	}
 	// Scale-aware tolerance.
 	var scale float64
@@ -302,18 +309,23 @@ func (m *Mesh) numberGlobally() {
 		scale = 1
 	}
 	tol := scale * 1e-8
-	inv := 1 / tol
-	bins := make(map[key][]node) // bin -> the boundary nodes numbered in it
+	inv := 0.5 / tol
 	// onBoundary[l]: local node l has index 0 or N in some direction.
 	np1 := m.N + 1
 	onBoundary := make([]bool, m.Np)
+	nb := 0
 	for l := range onBoundary {
 		for a, stride := 0, 1; a < m.Dim; a, stride = a+1, stride*np1 {
 			if i := l / stride % np1; i == 0 || i == m.N {
 				onBoundary[l] = true
 			}
 		}
+		if onBoundary[l] {
+			nb++
+		}
 	}
+	nodes := make([]node, 0, m.K*nb)
+	bins := make(map[[3]int64]int32, m.K*nb) // bin -> the last node numbered in it
 	m.GID = make([]int64, m.K*m.Np)
 	wrap := m.spec.PeriodicWrap
 	next := int32(0)
@@ -327,32 +339,44 @@ func (m *Mesh) numberGlobally() {
 		if wrap != nil {
 			p = wrap(p)
 		}
-		qa := int64(math.Floor(p[0] * inv))
-		qb := int64(math.Floor(p[1] * inv))
 		// A 2-D mesh is matched in the one bin plane c = 0 (its z is 0).
-		qc, rc := int64(0), int64(0)
-		if m.Dim == 3 {
-			qc, rc = int64(math.Floor(p[2]*inv)), 1
+		var home, side [3]int64
+		for a := 0; a < m.Dim; a++ {
+			t := p[a] * inv
+			f := math.Floor(t)
+			home[a], side[a] = int64(f), 1
+			if t-f < 0.5 {
+				side[a] = -1
+			}
 		}
-		found := int32(-1)
+		found, head := int32(-1), int32(-1)
 	search:
-		for da := int64(-1); da <= 1; da++ {
-			for db := int64(-1); db <= 1; db++ {
-				for dc := -rc; dc <= rc; dc++ {
-					for _, q := range bins[key{qa + da, qb + db, qc + dc}] {
-						if math.Abs(q.p[0]-p[0]) < tol && math.Abs(q.p[1]-p[1]) < tol && math.Abs(q.p[2]-p[2]) < tol {
-							found = q.gid
-							break search
-						}
-					}
+		for d := 0; d < 1<<m.Dim; d++ {
+			k := home
+			for a := 0; a < m.Dim; a++ {
+				k[a] += side[a] * int64(d>>a&1)
+			}
+			j, ok := bins[k]
+			if !ok {
+				j = -1
+			}
+			if d == 0 {
+				head = j
+			}
+			for j >= 0 {
+				q := &nodes[j]
+				if math.Abs(q.p[0]-p[0]) < tol && math.Abs(q.p[1]-p[1]) < tol && math.Abs(q.p[2]-p[2]) < tol {
+					found = q.gid
+					break search
 				}
+				j = q.next
 			}
 		}
 		if found < 0 {
 			found = next
 			next++
-			k := key{qa, qb, qc}
-			bins[k] = append(bins[k], node{found, p})
+			bins[home] = int32(len(nodes))
+			nodes = append(nodes, node{found, head, p})
 		}
 		m.GID[li] = int64(found)
 	}

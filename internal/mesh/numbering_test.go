@@ -95,6 +95,15 @@ func TestNumberingMatchesAllBinsOracle(t *testing.T) {
 		{"doubly periodic Box2D", spec(mesh.Box2D(mesh.Box2DSpec{
 			Nx: 4, Ny: 2, X0: -1, X1: 1, Y0: 0, Y1: 3, PeriodicX: true, PeriodicY: true,
 		}))},
+		// Scale 1 and 2: every element face lies on a bin edge, a multiple
+		// of 2·tol = 2e-8·scale, and straddle puts the copies of a shared
+		// node 1e-12·scale to either side of it.
+		{"doubly periodic Box2D on bin edges", spec(straddle(mesh.Box2D(mesh.Box2DSpec{
+			Nx: 4, Ny: 2, X0: -1, X1: 1, Y0: -0.5, Y1: 0.5, PeriodicX: true, PeriodicY: true,
+		}), 1, 4, 2))},
+		{"Box3D on bin edges", spec(straddle(mesh.Box3D(mesh.Box3DSpec{
+			Nx: 4, Ny: 2, Nz: 2, X0: -2, X1: 0, Y0: -1, Y1: 1, Z0: 0, Z1: 1,
+		}), 2, 4, 2))},
 	}
 	for _, c := range cases {
 		for _, n := range []int{4, 7} {
@@ -114,4 +123,27 @@ func TestNumberingMatchesAllBinsOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// straddle moves every node of the nx × ny (× nz) box s by 1e-12·scale
+// along each axis, up or down with the parity of its element's grid index,
+// so the two copies of a node two elements share lie on either side of
+// where the unmoved node was, a bin edge when s is placed on one.
+func straddle(s *mesh.Spec, scale float64, nx, ny int) *mesh.Spec {
+	for e := range s.Elems {
+		el := &s.Elems[e]
+		d := 1e-12 * scale
+		if (e%nx+e/nx%ny+e/(nx*ny))%2 == 1 {
+			d = -d
+		}
+		f := el.Map
+		el.Map = func(r, sc, t float64) (float64, float64, float64) {
+			x, y, z := f(r, sc, t)
+			if s.Dim == 3 {
+				z += d
+			}
+			return x + d, y + d, z
+		}
+	}
+	return s
 }

@@ -341,3 +341,34 @@ func TestChebBoundsUniform(t *testing.T) {
 			min1, max1, d1, min2, max2, d2)
 	}
 }
+
+// TestPrecondAutoCutsHairpinLosers: on the hairpin box of the benchmark
+// (K = 72, N = 5, Re 850, the case's pressure tolerance) "auto" picks
+// schwarz on its full trial, 59 iterations and 222 666 956 flops, and stops
+// both Chebyshev trials once they have charged that much without
+// converging.
+func TestPrecondAutoCutsHairpinLosers(t *testing.T) {
+	solver.ResetPrecondTable()
+	defer solver.ResetPrecondTable()
+	cfg := eApplyCases[1].build(t)
+	cfg.PTol, cfg.PressurePrecond = 1e-6, PrecondAuto
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sel := s.PrecondSelection()
+	if sel.Source != "trial" || sel.Name != PrecondSchwarz || len(sel.Trials) != 3 {
+		t.Fatalf("selection = %+v, want a schwarz win over three trials", sel)
+	}
+	won := sel.Trials[0]
+	if won.Name != PrecondSchwarz || !won.Converged || won.Cut || won.Iterations != 59 || won.Flops != 222666956 {
+		t.Fatalf("schwarz trial = %+v, want converged in 59 iterations on 222666956 flops", won)
+	}
+	for _, tr := range sel.Trials[1:] {
+		if !tr.Cut || tr.Converged || tr.Flops < won.Flops {
+			t.Errorf("trial %+v, want cut unconverged at %d flops or more", tr, won.Flops)
+		}
+	}
+	t.Logf("trials %+v", sel.Trials)
+}

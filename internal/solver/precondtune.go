@@ -76,11 +76,14 @@ type PrecondCandidate struct {
 
 // PrecondTrial reports one candidate's trial solve: Flops is the work the
 // trial charged to the caller's meter, the quantity the tournament ranks on;
-// Seconds is measured and reported beside it, never ranked.
+// Seconds is measured and reported beside it, never ranked. Cut marks a
+// trial stopped unconverged once its work reached the best converged
+// trial's: Iterations and Flops are then what it did up to the stop.
 type PrecondTrial struct {
 	Name       string  `json:"name"`
 	Iterations int     `json:"iterations"`
 	Converged  bool    `json:"converged"`
+	Cut        bool    `json:"cut,omitempty"`
 	Flops      int64   `json:"flops"`
 	Seconds    float64 `json:"seconds"`
 }
@@ -101,6 +104,11 @@ type PrecondSelection struct {
 // first, so ties keep it. No wall-clock input enters the rule, so the winner
 // is a function of the operators alone. x and rhs are scratch the caller
 // owns; x is zeroed per trial.
+//
+// Once a trial has converged, a later trial that has not converged when its
+// work reaches the best converged trial's is cut there (Cut, not Converged):
+// to win it would have had to converge on strictly less work, so the cut
+// changes neither the winner nor the winner's trial, only what a loser costs.
 func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands []PrecondCandidate, work func() int64) (string, []PrecondTrial) {
 	trials := make([]PrecondTrial, 0, len(cands))
 	best := -1
@@ -111,11 +119,20 @@ func SelectPrecond(apply Operator, dot Dot, x, rhs []float64, opt Options, cands
 		o := opt
 		o.Precond = c.Precond
 		t0, w0 := time.Now(), work()
+		cut := false
+		if best >= 0 && trials[best].Converged {
+			budget := trials[best].Flops
+			o.stop = func() bool {
+				cut = work()-w0 >= budget
+				return cut
+			}
+		}
 		st := CG(apply, dot, x, rhs, o)
 		tr := PrecondTrial{
 			Name:       c.Name,
 			Iterations: st.Iterations,
 			Converged:  st.Converged,
+			Cut:        cut,
 			Flops:      work() - w0,
 			Seconds:    time.Since(t0).Seconds(),
 		}

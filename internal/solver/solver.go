@@ -89,6 +89,12 @@ type Options struct {
 	// repeated solves (e.g. one per time step) allocate nothing. A Scratch
 	// must not be shared by solves running concurrently.
 	Scratch *Scratch
+
+	// stop, when non-nil, is asked once per pass for every system that has
+	// not converged, after the convergence test and before the
+	// preconditioner; true ends that system there, unconverged, at its best
+	// iterate. SelectPrecond sets it to stop a trial that can no longer win.
+	stop func() bool
 }
 
 // Scratch holds the work vectors and bookkeeping of a batch of systems; it
@@ -280,6 +286,10 @@ func (w *Scratch) cg(apply BatchOperator, dot Dot, join Join, opt Options) {
 			} else if !(res <= 1e4*s.best) {
 				// Four orders above the best achieved (or NaN): diverging in
 				// roundoff. Hand back the best iterate.
+				s.giveUp(it)
+				continue
+			}
+			if opt.stop != nil && opt.stop() {
 				s.giveUp(it)
 				continue
 			}

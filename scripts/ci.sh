@@ -420,7 +420,9 @@ div_bound() {
 
 # trial_pick LOG — every "trial" line semflow printed must carry its charged
 # work (flops=N), and the "precond:" selection must be the converged trial
-# with the least of it, the first listed on a tie.
+# with the least of it, the first listed on a tie. A trial ending in "cut"
+# was stopped once it could no longer win: it must not report converged=true,
+# and must have charged at least the selected trial's flops.
 trial_pick() {
     awk '
         /^precond: / { sel = $2 }
@@ -428,11 +430,19 @@ trial_pick() {
             n++
             if (!match($0, /flops=[0-9]+/)) { bad = 1; next }
             f = substr($0, RSTART + 6, RLENGTH - 6) + 0
+            flops[$2] = f
+            if ($NF == "cut") {
+                if ($5 == "converged=true") bad = 1
+                cuts[$2] = f
+            }
             if ($5 == "converged=true" && (best == "" || f < low)) { best = $2; low = f }
         }
-        END { exit !(n > 0 && !bad && sel != "" && sel == best) }
+        END {
+            for (c in cuts) if (cuts[c] < flops[sel]) bad = 1
+            exit !(n > 0 && !bad && sel != "" && sel == best)
+        }
     ' "$1" || {
-        echo "-precond auto: selection is not the converged trial with the least flops:" >&2
+        echo "-precond auto: selection is not the converged trial with the least flops, or a cut trial could have won:" >&2
         grep -E '^(precond:|  trial )' "$1" >&2
         return 1
     }
