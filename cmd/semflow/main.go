@@ -46,7 +46,6 @@ import (
 	"repro/internal/ns"
 	"repro/internal/parrun"
 	"repro/internal/session"
-	"repro/internal/solver"
 )
 
 func main() {
@@ -169,7 +168,7 @@ func main() {
 	}
 	defer sess.Close()
 	s := sess.Solver()
-	reportPrecond(s.PrecondSelection())
+	s.PrecondSelection().Report(os.Stdout)
 	var obs net.Listener
 	if *listen != "" {
 		if obs, err = net.Listen("tcp", *listen); err != nil {
@@ -290,25 +289,5 @@ func writeArtifact(what, path string, write func(io.Writer) error) {
 	}
 	if err != nil {
 		log.Fatalf("%s: %v", what, err)
-	}
-}
-
-// reportPrecond prints the resolved pressure preconditioner and, after an
-// auto trial tournament, the per-candidate stats: the charged work the
-// tournament ranks on, and the wall time beside it; a trial stopped once it
-// could no longer win ends with "cut".
-func reportPrecond(sel solver.PrecondSelection) {
-	if sel.Name == "" {
-		return
-	}
-	fmt.Printf("precond: %s (%s)\n", sel.Name, sel.Source)
-	for _, tr := range sel.Trials {
-		cut := ""
-		if tr.Cut {
-			cut = "  cut"
-		}
-		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  flops=%-11d %9.4g/iter  %.3fs%s\n",
-			tr.Name, tr.Iterations, tr.Converged, tr.Flops,
-			float64(tr.Flops)/float64(max(tr.Iterations, 1)), tr.Seconds, cut)
 	}
 }

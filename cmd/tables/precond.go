@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/flowcases"
@@ -49,23 +50,9 @@ func precondExp(quick bool) error {
 	if err != nil {
 		return fmt.Errorf("channel under auto: %w", err)
 	}
-	printTrials(s.PrecondSelection())
+	fmt.Println()
+	s.PrecondSelection().Report(os.Stdout)
 	return hairpinPrecond(quick)
-}
-
-// printTrials prints the outcome of an auto tournament, one line per trial;
-// a trial stopped once it could no longer win ends with "cut".
-func printTrials(sel solver.PrecondSelection) {
-	fmt.Printf("\n-precond auto selected %q (source %s)\n", sel.Name, sel.Source)
-	for _, tr := range sel.Trials {
-		cut := ""
-		if tr.Cut {
-			cut = "  cut"
-		}
-		fmt.Printf("  trial %-12s %4d iters  converged=%-5v  %9.4g Mflop  %7.4g Mflop/iter  %.3fs%s\n",
-			tr.Name, tr.Iterations, tr.Converged, float64(tr.Flops)/1e6,
-			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)), tr.Seconds, cut)
-	}
 }
 
 // hairpinPrecond runs the tournament on the hairpin box (the hairpin3d
@@ -85,9 +72,9 @@ func hairpinPrecond(quick bool) error {
 	if err != nil {
 		return fmt.Errorf("hairpin under auto: %w", err)
 	}
-	fmt.Printf("\nHairpin box K=%d N=%d Re=850:", s.M.K, s.M.N)
+	fmt.Printf("\nHairpin box K=%d N=%d Re=850:\n", s.M.K, s.M.N)
 	sel := s.PrecondSelection()
-	printTrials(sel)
+	sel.Report(os.Stdout)
 	fmt.Printf("\n%d warm steps per variant after the projection basis wraps\n\n", timed)
 	fmt.Printf("%-12s %-11s %-11s %-11s %-8s\n", "precond", "iters/step", "Mflop/iter", "Mflop/step", "ms/step")
 	for _, tr := range sel.Trials {

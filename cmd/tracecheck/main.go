@@ -129,7 +129,8 @@ func checkMetrics(url string) error {
 }
 
 // checkProgress validates a live /progress scrape: a JSON object carrying
-// the step counter.
+// the step counter, the virtual clock and the step's pressure solve under
+// the history's keys.
 func checkProgress(url string) error {
 	body, ctype, err := scrape(url)
 	if err != nil {
@@ -142,7 +143,8 @@ func checkProgress(url string) error {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		return fmt.Errorf("not JSON: %w", err)
 	}
-	for _, key := range []string{"step", "time", "virtual_seconds"} {
+	for _, key := range []string{"step", "time", "virtual_seconds",
+		"pressure_iters", "pressure_converged", "pressure_res_final"} {
 		if _, okKey := snap[key]; !okKey {
 			return fmt.Errorf("missing key %q", key)
 		}

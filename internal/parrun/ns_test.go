@@ -498,8 +498,8 @@ func TestNavierStokesPrecondVariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, p, err)
 			}
-			if res.Precond != name || res.PrecondSel.Source != "forced" {
-				t.Fatalf("%s P=%d: resolved %q (source %q)", name, p, res.Precond, res.PrecondSel.Source)
+			if res.PrecondSel.Name != name || res.PrecondSel.Source != "forced" {
+				t.Fatalf("%s P=%d: resolved %q (source %q)", name, p, res.PrecondSel.Name, res.PrecondSel.Source)
 			}
 			if !res.Converged {
 				t.Fatalf("%s P=%d: %d steps did not converge", name, p, res.NonconvergedSteps)
@@ -529,21 +529,21 @@ func TestNavierStokesPrecondAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(ns.PrecondNames(), res.Precond) {
-		t.Fatalf("auto resolved to %q", res.Precond)
+	if !slices.Contains(ns.PrecondNames(), res.PrecondSel.Name) {
+		t.Fatalf("auto resolved to %q", res.PrecondSel.Name)
 	}
 	if res.PrecondSel.Source != "trial" || len(res.PrecondSel.Trials) == 0 {
 		t.Fatalf("selection = %+v, want a trial tournament", res.PrecondSel)
 	}
 	if !res.Converged {
-		t.Fatalf("auto-selected %q: %d steps did not converge", res.Precond, res.NonconvergedSteps)
+		t.Fatalf("auto-selected %q: %d steps did not converge", res.PrecondSel.Name, res.NonconvergedSteps)
 	}
 	// The serial template ran the tournament: the selection is keyed by the
 	// discretization alone, the key a shared-memory run of the problem reads.
 	tab := solver.InstalledPrecondTable()
 	key := solver.PrecondKey{K: cfg.Mesh.K, N: cfg.Mesh.N, Dim: cfg.Mesh.Dim, Tol: cfg.PTol}
-	if name, ok := tab.Lookup(key); !ok || name != res.Precond {
-		t.Fatalf("table lookup for the P-free key = %q, %v; want %q", name, ok, res.Precond)
+	if name, ok := tab.Lookup(key); !ok || name != res.PrecondSel.Name {
+		t.Fatalf("table lookup for the P-free key = %q, %v; want %q", name, ok, res.PrecondSel.Name)
 	}
 }
 

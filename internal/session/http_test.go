@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/instrument"
+	"repro/internal/ns"
+	"repro/internal/solver"
 )
 
 func newTestAPI(t *testing.T) (*Manager, *httptest.Server) {
@@ -597,5 +600,102 @@ func TestStatusGETWhileJobsStepOnOneProcessor(t *testing.T) {
 	t.Logf("status GET, from when it was due: median %v, max %v over %d", lat[gets/2], lat[gets-1], gets)
 	if lat[gets/2] >= 5*time.Millisecond {
 		t.Errorf("median status GET took %v while two jobs stepped, want < 5ms", lat[gets/2])
+	}
+}
+
+// jsonObject is v's JSON encoding read back as an object.
+func jsonObject(t *testing.T, v any) map[string]any {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]any
+	if err := json.Unmarshal(b, &obj); err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+// TestReportsCarryTheStepRecord: a finished auto job's status and
+// result.json carry the last history.jsonl record's ns.StepStats under its
+// keys with its values, and the session's preconditioner selection, trials
+// included; a /progress scrape mid-run carries the step's keys and values
+// too.
+func TestReportsCarryTheStepRecord(t *testing.T) {
+	solver.ResetPrecondTable() // an empty table: auto runs its trials
+	t.Cleanup(solver.ResetPrecondTable)
+	m, srv := newTestAPI(t)
+	var sub SubmitResponse
+	decodeJSON(t, postJSON(t, srv.URL+"/api/sessions",
+		Config{Case: "channel", Steps: 3, N: 5, Precond: "auto"}), &sub)
+	status := pollDone(t, srv.URL, sub.ID)
+	if status.State != StateDone {
+		t.Fatalf("job %s: %+v", sub.ID, status)
+	}
+	j, _ := m.Get(sub.ID)
+	sel := j.Session().Solver().PrecondSelection()
+	if sel.Source != "trial" || len(sel.Trials) == 0 {
+		t.Fatalf("selection %+v, want a trial tournament", sel)
+	}
+
+	hist := bytes.Split(bytes.TrimSpace(getBody(t, srv.URL+"/api/sessions/"+sub.ID+"/history", http.StatusOK)), []byte("\n"))
+	var last ns.StepStats
+	var lastRec map[string]any
+	if err := json.Unmarshal(hist[len(hist)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(hist[len(hist)-1], &lastRec); err != nil {
+		t.Fatal(err)
+	}
+	rawResult := getBody(t, srv.URL+"/api/sessions/"+sub.ID+"/artifacts/"+ArtifactResult, http.StatusOK)
+	var result Result
+	if err := json.Unmarshal(rawResult, &result); err != nil {
+		t.Fatal(err)
+	}
+	var resultObj map[string]any
+	if err := json.Unmarshal(rawResult, &resultObj); err != nil {
+		t.Fatal(err)
+	}
+	statusObj := jsonObject(t, status)
+	for key := range jsonObject(t, last) {
+		if !reflect.DeepEqual(resultObj[key], lastRec[key]) || !reflect.DeepEqual(statusObj[key], lastRec[key]) {
+			t.Errorf("%q: result.json %v, status %v, history %v", key, resultObj[key], statusObj[key], lastRec[key])
+		}
+	}
+	if result.StepStats != last || status.StepStats != last || last.Step != 3 {
+		t.Errorf("result.json %+v, status %+v, want the last history record %+v", result.StepStats, status.StepStats, last)
+	}
+	if !reflect.DeepEqual(result.Precond, sel) || !reflect.DeepEqual(status.Precond, sel) {
+		t.Errorf("result.json precond %+v, status precond %+v, want the session's %+v", result.Precond, status.Precond, sel)
+	}
+
+	var sess *Session
+	var at ns.StepStats
+	var prog map[string]any
+	sess, err := Create(Config{Case: "channel", Steps: 3, N: 5, OnStep: func(st ns.StepStats) {
+		if st.Step == 2 {
+			rec := httptest.NewRecorder()
+			sess.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/progress", nil))
+			at, prog = st, map[string]any{}
+			if err := json.Unmarshal(rec.Body.Bytes(), &prog); err != nil {
+				t.Error(err)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.StepN(3); err != nil {
+		t.Fatal(err)
+	}
+	if at.Step != 2 {
+		t.Fatal("no /progress scrape at step 2")
+	}
+	for key, want := range jsonObject(t, at) {
+		if !reflect.DeepEqual(prog[key], want) {
+			t.Errorf("/progress at step 2: %q = %v, want %v", key, prog[key], want)
+		}
 	}
 }

@@ -7,6 +7,8 @@ package solver
 // semflowd sessions can record selections without locking the solve path.
 
 import (
+	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 )
@@ -95,6 +97,27 @@ type PrecondSelection struct {
 	Name   string         `json:"name"`
 	Source string         `json:"source"`
 	Trials []PrecondTrial `json:"trials,omitempty"`
+}
+
+// Report prints the selection, "precond: name (source)", and after a trial
+// tournament one line per candidate: the charged work the tournament ranks
+// on, the work per iteration and the wall time beside it; a trial stopped
+// once it could no longer win ends with "cut". An empty selection prints
+// nothing.
+func (sel PrecondSelection) Report(w io.Writer) {
+	if sel.Name == "" {
+		return
+	}
+	fmt.Fprintf(w, "precond: %s (%s)\n", sel.Name, sel.Source)
+	for _, tr := range sel.Trials {
+		cut := ""
+		if tr.Cut {
+			cut = "  cut"
+		}
+		fmt.Fprintf(w, "  trial %-12s %4d iters  converged=%-5v  flops=%-11d %9.4g/iter  %.3fs%s\n",
+			tr.Name, tr.Iterations, tr.Converged, tr.Flops,
+			float64(tr.Flops)/float64(max(tr.Iterations, 1)), tr.Seconds, cut)
+	}
 }
 
 // SelectPrecond runs one trial CG per candidate against rhs from a zero

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -110,4 +112,42 @@ func TestSelectPrecondCutKeepsTheExhaustiveWinner(t *testing.T) {
 		t.Fatalf("fixture: %d cut trials and %d ties over the seeds, want some of each", cuts, ties)
 	}
 	t.Logf("%d cut trials, %d ties", cuts, ties)
+}
+
+// TestReportGolden pins the selection's text form byte for byte: the
+// "precond:" line, then per trial the name, iterations, converged= as the
+// fifth field, flops=N, work per iteration and seconds, and a trailing
+// "cut" on a trial stopped once it could no longer win. ci.sh's trial_pick
+// parses these lines.
+func TestReportGolden(t *testing.T) {
+	sel := PrecondSelection{Name: "schwarz", Source: "trial", Trials: []PrecondTrial{
+		{Name: "schwarz", Iterations: 59, Converged: true, Flops: 222666956, Seconds: 0.0344},
+		{Name: "none", Iterations: 500, Flops: 1234567890, Seconds: 1.5},
+		{Name: "chebjacobi", Iterations: 19, Cut: true, Flops: 231600000, Seconds: 0.0561},
+	}}
+	var buf bytes.Buffer
+	sel.Report(&buf)
+	want := "precond: schwarz (trial)\n" +
+		"  trial schwarz        59 iters  converged=true   flops=222666956   3.774e+06/iter  0.034s\n" +
+		"  trial none          500 iters  converged=false  flops=1234567890  2.469e+06/iter  1.500s\n" +
+		"  trial chebjacobi     19 iters  converged=false  flops=231600000   1.219e+07/iter  0.056s  cut\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("Report printed\n%s\nwant\n%s", got, want)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(want, "\n"), "\n")[1:] {
+		if f := strings.Fields(line); !strings.HasPrefix(f[4], "converged=") || !strings.HasPrefix(f[5], "flops=") {
+			t.Fatalf("fields of %q: converged= is not the fifth or flops= not the sixth", line)
+		}
+	}
+
+	buf.Reset()
+	PrecondSelection{Name: "chebjacobi", Source: "forced"}.Report(&buf)
+	if got := buf.String(); got != "precond: chebjacobi (forced)\n" {
+		t.Fatalf("forced selection printed %q", got)
+	}
+	buf.Reset()
+	PrecondSelection{}.Report(&buf)
+	if buf.Len() != 0 {
+		t.Fatalf("empty selection printed %q", buf.String())
+	}
 }
