@@ -878,3 +878,47 @@ func TestResumeRefusesAReachedTarget(t *testing.T) {
 		}
 	}
 }
+
+// A job whose step fails after the solver counted it (a NaN found at the
+// step's end) reports the last completed step in its status and result.json:
+// the last history record's, whose keys and values they carry.
+func TestFailedJobReportsItsLastRecordedStep(t *testing.T) {
+	m := NewManager(NewMemStore(), 1)
+	defer m.Close()
+	poison := make(chan *Session, 1)
+	cfg := testCfg(5)
+	cfg.OnStep = func(st ns.StepStats) {
+		if st.Step == 2 {
+			(<-poison).Solver().U[0][0] = math.NaN()
+		}
+	}
+	j, err := m.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison <- j.Session()
+	waitJob(t, j)
+	hist, err := m.Store().Get(j.ID, ArtifactHistory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(hist), []byte("\n"))
+	var last ns.StepStats
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := m.Store().Get(j.ID, ArtifactResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var result Result
+	if err := json.Unmarshal(raw, &result); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.State != StateFailed || !strings.Contains(st.Error, "NaN") {
+		t.Fatalf("status %+v, want failed on a NaN", st)
+	}
+	if last.Step != 2 || result.StepStats != last || j.Status().StepStats != last {
+		t.Fatalf("result.json %+v, status %+v, want the last history record %+v", result.StepStats, j.Status().StepStats, last)
+	}
+}
