@@ -168,7 +168,7 @@ func main() {
 	}
 	defer sess.Close()
 	s := sess.Solver()
-	s.PrecondSelection().Report(os.Stdout)
+	sess.PrecondSelection().Report(os.Stdout)
 	var obs net.Listener
 	if *listen != "" {
 		if obs, err = net.Listen("tcp", *listen); err != nil {

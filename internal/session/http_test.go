@@ -634,7 +634,7 @@ func TestReportsCarryTheStepRecord(t *testing.T) {
 		t.Fatalf("job %s: %+v", sub.ID, status)
 	}
 	j, _ := m.Get(sub.ID)
-	sel := j.Session().Solver().PrecondSelection()
+	sel := j.Session().PrecondSelection()
 	if sel.Source != "trial" || len(sel.Trials) == 0 {
 		t.Fatalf("selection %+v, want a trial tournament", sel)
 	}

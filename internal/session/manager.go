@@ -7,7 +7,8 @@ package session
 // releases, so long jobs cannot starve short ones. When a job reaches its
 // step target, is cancelled, or fails, the manager deposits its artifacts
 // in the Store (history.jsonl, checkpoint.gob, trace.json, result.json) and
-// closes the session.
+// closes the session, which lets go of its solver: the service's memory
+// follows the jobs it is running, not the jobs it has served.
 
 import (
 	"bytes"
@@ -78,7 +79,8 @@ type Job struct {
 
 // Status snapshots the job: its lifecycle state, the last step from the
 // session's progress, which StepN updates, and the session's preconditioner
-// selection.
+// selection. It takes neither the session's lock nor its solver, so a poll
+// never waits for a step in flight.
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	state, errMsg := j.state, j.err
@@ -87,13 +89,14 @@ func (j *Job) Status() Status {
 		ID: j.ID, State: state, Case: j.Cfg.Case, TotalSteps: j.Cfg.Steps,
 		Error: errMsg, ResumedFrom: j.resumedFrom,
 		StepStats: j.sess.prog.Snapshot().StepStats,
-		Precond:   j.sess.solver.PrecondSelection(),
+		Precond:   j.sess.PrecondSelection(),
 	}
 }
 
 // Session exposes the job's session (for per-job /metrics, /progress,
-// /history). Valid after the job finishes too — a closed session's
-// instruments stay readable.
+// /history). Valid after the job finishes too: the closed session has let
+// go of its solver but keeps its instruments, step count and preconditioner
+// selection; its final fields are the checkpoint.gob artifact.
 func (j *Job) Session() *Session { return j.sess }
 
 // Manager owns the job table, the scheduler, and the artifact store.

@@ -39,6 +39,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/ns"
 	"repro/internal/parrun"
+	"repro/internal/solver"
 )
 
 // ErrCancelled reports a StepN interrupted by Cancel. The session's state
@@ -271,14 +272,18 @@ func (m simulated) snapshot() *parrun.Checkpoint { return m.Checkpoint() }
 // Session is one live simulation: a stepping machine plus its per-session
 // instruments. Methods are safe for concurrent use; stepping itself is
 // serialized by the session's lock, so Checkpoint always observes a
-// between-steps state.
+// between-steps state. Close releases the machine and keeps the record.
 type Session struct {
 	cfg Config
+	sel solver.PrecondSelection // fixed when the stepper is built
 
-	mu     sync.Mutex // guards m and closed
-	m      machine
-	solver *ns.Solver // the shared-memory stepper, or the template the ranks forked
-	closed bool
+	mu    sync.Mutex // guards m and steps
+	m     machine    // nil once closed
+	steps int        // the completed steps when Close released m
+
+	// The shared-memory stepper, or the template the ranks forked; nil once
+	// closed. Atomic, not under mu: OnStep reads it in the middle of StepN.
+	solver atomic.Pointer[ns.Solver]
 
 	cancelled atomic.Bool
 
@@ -356,7 +361,8 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.m, s.solver = simulated{st, s}, st.Template()
+		s.m = simulated{st, s}
+		s.solver.Store(st.Template())
 	} else {
 		solver, err := flowcases.NewSolver(nscfg, init)
 		if err != nil {
@@ -370,14 +376,16 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 				return nil, err
 			}
 		}
-		s.m, s.solver = sharedMemory{solver, s}, solver
+		s.m = sharedMemory{solver, s}
+		s.solver.Store(solver)
 	}
+	sv := s.solver.Load()
+	s.sel = sv.PrecondSelection()
 	meta := instrument.RunMeta{
-		Case: cfg.Case, Ranks: cfg.Ranks, Elements: s.solver.M.K, Order: s.solver.M.N,
+		Case: cfg.Case, Ranks: cfg.Ranks, Elements: sv.M.K, Order: sv.M.N,
 		Steps: cfg.Steps, PIters: cfg.PIters, TraceSample: cfg.TraceSample,
+		Precond: s.sel.Name, PrecondSource: s.sel.Source,
 	}
-	sel := s.solver.PrecondSelection()
-	meta.Precond, meta.PrecondSource = sel.Name, sel.Source
 	if cfg.Faults != nil {
 		meta.FaultSeed = cfg.Faults.Seed
 	}
@@ -411,7 +419,7 @@ func (s *Session) Config() Config { return s.cfg }
 func (s *Session) StepN(n int) (ns.StepStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.m == nil {
 		return ns.StepStats{}, ErrClosed
 	}
 	return s.m.StepN(n)
@@ -438,7 +446,7 @@ func (s *Session) updateProgress(st ns.StepStats, vsec float64) {
 func (s *Session) Checkpoint() (*parrun.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.m == nil {
 		return nil, ErrClosed
 	}
 	return s.m.snapshot(), nil
@@ -486,28 +494,45 @@ func (s *Session) Cancelled() bool { return s.cancelled.Load() }
 func (s *Session) Step() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.m == nil {
+		return s.steps
+	}
 	return s.m.StepCount()
 }
 
-// Close ends the session. Idempotent. A closed session rejects
-// StepN/Checkpoint with ErrClosed; its instruments (History, Registry,
-// Progress, Tracer) stay readable.
+// Close ends the session and releases its stepping machine: the ns.Solver,
+// or the parrun.Stepper with its rank solvers and network. It waits for a
+// StepN in flight to finish its batch. Idempotent. A closed session rejects
+// StepN, Checkpoint and Deposit with ErrClosed; what a finished run answers
+// for stays: its Config, Step count, PrecondSelection and instruments
+// (History, Registry, Progress, Tracer, Handler). Its fields are in the
+// last snapshot deposited before Close.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
+	if s.m != nil {
+		s.steps = s.m.StepCount()
+		s.m = nil
+		s.solver.Store(nil)
+	}
 	return nil
 }
 
 // Solver exposes the underlying stepper for embedding drivers (semflow
-// prints kinetic energy, reports the preconditioner selection, meters
-// flops). Callers must not Step it directly while a Manager owns the
-// session. On the simulated machine it is the read-only template the ranks
-// forked, its fields still the initial condition; Distributed has the run's.
-func (s *Session) Solver() *ns.Solver { return s.solver }
+// prints kinetic energy, meters flops). Callers must not Step it directly
+// while a Manager owns the session. On the simulated machine it is the
+// read-only template the ranks forked, its fields still the initial
+// condition; Distributed has the run's. Nil once the session is closed.
+func (s *Session) Solver() *ns.Solver { return s.solver.Load() }
+
+// PrecondSelection reports the pressure preconditioner and how it was
+// chosen (an auto run's trials included). It is fixed when the stepper is
+// built, so reading it takes no lock and outlives Close.
+func (s *Session) PrecondSelection() solver.PrecondSelection { return s.sel }
 
 // Distributed reports the simulated machine's run so far (modelled clock,
-// traffic, reassembled fields); nil for a shared-memory session.
+// traffic, reassembled fields); nil for a shared-memory session and once
+// the session is closed.
 func (s *Session) Distributed() *parrun.NSResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()

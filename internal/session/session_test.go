@@ -56,6 +56,17 @@ func soloRun(t *testing.T, cfg Config) ([]byte, []float64, ns.StepStats) {
 	return historyJSONL(t, s), u, last
 }
 
+// storedU reads a finished job's final u-velocity where a client reads it:
+// Fields[0] of the job's checkpoint.gob.
+func storedU(t *testing.T, store Store, id string) []float64 {
+	t.Helper()
+	ck, err := LoadCheckpoint(store, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck.Ranks[0].State.Fields[0]
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	cfg := testCfg(8)
 	wantHist, wantU, wantLast := soloRun(t, cfg)
@@ -209,7 +220,7 @@ func TestManagerConcurrentBitwiseIdentical(t *testing.T) {
 		if !bytes.Equal(stored, hist) {
 			t.Fatalf("%s: concurrent per-step history differs from solo run", name)
 		}
-		got := j.Session().Solver().U[0]
+		got := storedU(t, m.Store(), j.ID)
 		for i := range got {
 			if got[i] != u[i] {
 				t.Fatalf("%s: u[%d] = %v, want %v (not bitwise identical)", name, i, got[i], u[i])
@@ -276,7 +287,7 @@ func TestManagerIsolatesPanickingSession(t *testing.T) {
 	if !bytes.Equal(stored, hist) {
 		t.Error("neighbour's per-step history differs from its solo run")
 	}
-	for i, v := range jobGood.Session().Solver().U[0] {
+	for i, v := range storedU(t, m.Store(), jobGood.ID) {
 		if v != u[i] {
 			t.Fatalf("neighbour's u[%d] = %v, want %v (not bitwise identical)", i, v, u[i])
 		}
@@ -316,7 +327,7 @@ func TestManagerResumeAcrossRestart(t *testing.T) {
 	if st.Step != wantLast.Step || st.Time != wantLast.Time || st.CFL != wantLast.CFL {
 		t.Fatalf("resumed final %+v, want %+v", st, wantLast)
 	}
-	got := j2.Session().Solver().U[0]
+	got := storedU(t, store, j2.ID)
 	for i := range got {
 		if got[i] != wantU[i] {
 			t.Fatalf("resumed u[%d] = %v, want %v", i, got[i], wantU[i])

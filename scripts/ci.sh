@@ -57,7 +57,9 @@
 #           it. The stepper tests run ten times more: a rank's state is
 #           re-entered by a new coroutine on every batch, and a session's
 #           progress and OnStep are written from rank 0's coroutine
-#           mid-batch. So do the Schwarz
+#           mid-batch. So does the closed-session test, whose poller reads
+#           a job's status, step and solver while Close releases the
+#           machine, on both machines. So do the Schwarz
 #           rank-equivalence test, whose border exchange is the one new
 #           cross-rank data path of the pressure preconditioner, and the SumN
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
@@ -291,7 +293,7 @@ tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
     stage "tier2/stepper" go test -race -count=10 \
-        -run 'TestStepper|TestDistributedSessionLifecycle|TestDistributedStepNIsOneBatch|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
+        -run 'TestStepper|TestDistributedSessionLifecycle|TestDistributedStepNIsOneBatch|TestClosedSessionKeepsItsRecord|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
         -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestReturnWhileOthersWaitFailsEveryRank|TestRecvDeadlockFailsEveryRank|TestRankPanicLeavesRunOnCaller|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
