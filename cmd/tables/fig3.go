@@ -24,7 +24,10 @@ func fig3(quick bool) error {
 	// unfiltered blow-up vs filtered survival at identical resolution —
 	// reproduces cleanly.
 	var cases []cse
-	steps := 500 // t = 1.0 at dt = 0.002 (the roll-up window)
+	// t = 2.0 at dt = 0.002: the roll-up window and as long again after
+	// it, so a run that only starts to fail late in the roll-up, as the
+	// default shear layer (row (d)) does at step 541, is reported as failed.
+	steps := 1000
 	if quick {
 		steps = 320
 		cases = []cse{

@@ -72,10 +72,14 @@ func main() {
 		}
 		h.Apply(mult, gs.Sum)
 
-		scratch := make([]float64, d.ElemScratchLen())
+		// One stiffness product per direction for each run of consecutive
+		// elements this rank owns.
+		runs := m.Runs(mine)
+		scratch := make([]float64, mesh.LongestRun(runs)*d.ElemScratchLen())
 		apply := func(out, in []float64) {
-			for li, e := range mine {
-				d.StiffnessElement(out[li*m.Np:(li+1)*m.Np], in[li*m.Np:(li+1)*m.Np], e, scratch)
+			for _, run := range runs {
+				i0, i1 := run.L*m.Np, (run.L+run.N)*m.Np
+				d.StiffnessElement(out[i0:i1], in[i0:i1], run.E, run.N, scratch)
 			}
 			h.Apply(out, gs.Sum)
 			for i := range out {

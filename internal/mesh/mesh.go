@@ -176,7 +176,8 @@ func Discretize(spec *Spec, n int) (*Mesh, error) {
 
 // computeMetrics differentiates the nodal coordinate fields to obtain the
 // Jacobian and the geometric factors of eq. (4): every ∂x_c/∂r_a by one
-// tensor-product derivative, then the inverse Jacobian by cofactors.
+// tensor-product derivative per run of up to RunPoints grid points, then the
+// inverse Jacobian by cofactors.
 func (m *Mesh) computeMetrics() error {
 	dim, np1, np := m.Dim, m.N+1, m.Np
 	m.Jac = make([]float64, m.K*np)
@@ -189,17 +190,19 @@ func (m *Mesh) computeMetrics() error {
 	for i := range m.RX {
 		m.RX[i] = make([]float64, m.K*np)
 	}
-	d := make([][]float64, dim*dim) // d[c*dim+a] = ∂x_c/∂r_a on one element
+	maxRun := runElems(np)
+	d := make([][]float64, dim*dim) // d[c*dim+a] = ∂x_c/∂r_a on one run of elements
 	for i := range d {
-		d[i] = make([]float64, np)
+		d[i] = make([]float64, min(maxRun, m.K)*np)
 	}
 	xyz := [3][]float64{m.X, m.Y, m.Zc}
 	var inv [9]float64 // ∂r_a/∂x_c at a*dim+c
-	for e := 0; e < m.K; e++ {
+	for e0 := 0; e0 < m.K; e0 += maxRun {
+		ne := min(maxRun, m.K-e0)
 		for k := range d {
-			tensor.ApplyDim(d[k], m.D, m.Dt, xyz[k/dim][e*np:(e+1)*np], np1, dim, k%dim)
+			tensor.ApplyDim(d[k], m.D, m.Dt, xyz[k/dim][e0*np:(e0+ne)*np], np1, dim, k%dim, ne)
 		}
-		for l := 0; l < np; l++ {
+		for l := 0; l < ne*np; l++ {
 			var jac float64
 			if dim == 2 {
 				xr, xs, yr, ys := d[0][l], d[1][l], d[2][l], d[3][l]
@@ -217,14 +220,14 @@ func (m *Mesh) computeMetrics() error {
 				}
 			}
 			if jac <= 0 {
-				return fmt.Errorf("mesh: non-positive Jacobian %g in element %d", jac, e)
+				return fmt.Errorf("mesh: non-positive Jacobian %g in element %d", jac, e0+l/np)
 			}
 			w := 1.0
 			for stride := 1; stride < np; stride *= np1 {
-				w *= m.Wt[l/stride%np1]
+				w *= m.Wt[l%np/stride%np1]
 			}
 			w *= jac
-			gi := e*np + l
+			gi := e0*np + l
 			m.Jac[gi] = jac
 			m.B[gi] = w
 			for k := range m.RX {
@@ -276,6 +279,52 @@ func (m *Mesh) classifyElements() {
 			}
 		}
 	}
+}
+
+// RunPoints caps the grid points of an element run. The kernels of a run
+// apply each tensor-product direction to all its elements in one product,
+// which on the channel (N = 9, 2-D) cuts the stiffness kernel's time per
+// pass by ~28 % in runs of 2–8 elements but by less (~18 %) in one run of
+// all 15; on the hairpin box (N = 5, 3-D) every run length measured within
+// the noise of one element at a time. 1 024 points keep a run's stiffness
+// scratch, 2·dim fields, at 32–48 KB: about a first-level data cache.
+const RunPoints = 1024
+
+// runElems is the most elements of np points each a run holds: RunPoints
+// worth, and one at the least.
+func runElems(np int) int { return max(1, RunPoints/np) }
+
+// Run is a stretch of N consecutive elements, global ids [E, E+N), held in
+// the owned blocks [L, L+N) of an element loop.
+type Run struct{ L, E, N int }
+
+// Runs splits elems, where owned block li holds global element elems[li],
+// into runs: maximal stretches of consecutive global ids that share one
+// RXPairs mask and hold at most RunPoints grid points (one element at the
+// least).
+func (m *Mesh) Runs(elems []int) []Run {
+	maxRun := runElems(m.Np)
+	var runs []Run
+	for li, e := range elems {
+		if k := len(runs) - 1; k >= 0 {
+			r := &runs[k]
+			if e == r.E+r.N && r.N < maxRun && m.RXPairs[e] == m.RXPairs[r.E] {
+				r.N++
+				continue
+			}
+		}
+		runs = append(runs, Run{L: li, E: e, N: 1})
+	}
+	return runs
+}
+
+// LongestRun returns the most elements any of runs holds (0 for none).
+func LongestRun(runs []Run) int {
+	n := 0
+	for _, r := range runs {
+		n = max(n, r.N)
+	}
+	return n
 }
 
 // numberGlobally assigns global ids to the local GLL nodes by geometric

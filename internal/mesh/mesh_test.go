@@ -387,3 +387,22 @@ func TestClassifyElements(t *testing.T) {
 	})
 	want("hairpin box", pairCounts(hairpin, 5), map[int]int{3: 24, 5: 48})
 }
+
+// TestRunsCutAtGapsMasksAndTheCap checks the three cuts of Runs: a gap in
+// the global ids, a change of metric-pair mask, and the RunPoints cap.
+func TestRunsCutAtGapsMasksAndTheCap(t *testing.T) {
+	m := box(t, 15, 2, 9, false, false) // Np = 100: ten elements to a run
+	m.RXPairs[13] |= 1 << 1             // as if element 13 were deformed
+	elems := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, 21, 23}
+	want := []Run{{0, 0, 10}, {10, 10, 3}, {13, 13, 1}, {14, 14, 1}, {15, 20, 2}, {17, 23, 1}}
+	got := m.Runs(elems)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Runs = %v, want %v", got, want)
+	}
+	if n := LongestRun(got); n != 10 {
+		t.Errorf("LongestRun = %d, want 10", n)
+	}
+	if got := m.Runs(nil); len(got) != 0 || LongestRun(got) != 0 {
+		t.Errorf("Runs(nil) = %v", got)
+	}
+}

@@ -63,15 +63,15 @@ func (s *Solver) releaseField(c [3][]float64) {
 // convective form; the once-per-step filter supplies the stabilization
 // (Sec. 2). The advecting field arrives in reference coordinates
 // (toContravariant): (c·∇)v = Σ_a chat[a]·∂v/∂r_a is dim derivative products
-// and no physical gradient. Element by element, the reference-coordinate
-// derivatives land in scratch and are combined on the spot.
+// and no physical gradient. Run by run, the reference-coordinate derivatives
+// land in scratch and are combined on the spot.
 func (s *Solver) convect(out, v []float64, chat [3][]float64) {
 	m, np, g := s.M, s.M.Np, &s.work.g
-	for li := range s.elems {
-		i0 := li * np
-		ve, oe := v[i0:i0+np], out[i0:i0+np]
+	for _, r := range s.runs {
+		i0, n := r.L*np, r.N*np
+		ve, oe := v[i0:i0+n], out[i0:i0+n]
 		for a := 0; a < s.dim; a++ {
-			tensor.ApplyDim(g[a][:np], m.D, m.Dt, ve, s.np1, s.dim, a)
+			tensor.ApplyDim(g[a][:n], m.D, m.Dt, ve, s.np1, s.dim, a, r.N)
 		}
 		// out = -(c0·vr + c1·vs [+ c2·vt]), summed in a's order, then negated.
 		la.Prod(oe, chat[0][i0:], g[0])
@@ -85,21 +85,23 @@ func (s *Solver) convect(out, v []float64, chat [3][]float64) {
 }
 
 // toContravariant turns the advecting field c into its reference-coordinate
-// components in place, chat[a] = Σ_c ∂r_a/∂x_c·c_c, over each element's
-// non-zero metric pairs (mesh.RXPairs; a component's first pair writes). Done
-// once per RK4 stage field, it serves every advected component and stage.
+// components in place, chat[a] = Σ_c ∂r_a/∂x_c·c_c, over each run's non-zero
+// metric pairs (mesh.RXPairs, one mask per run; a component's first pair
+// writes). Done once per RK4 stage field, it serves every advected component
+// and stage.
 func (s *Solver) toContravariant(c [3][]float64) {
 	m, np, dim, g := s.M, s.M.Np, s.dim, &s.work.g
-	for li, e := range s.elems {
-		i0, base := li*np, e*np
+	for _, r := range s.runs {
+		i0, base, n := r.L*np, r.E*np, r.N*np
+		pairs := m.RXPairs[r.E]
 		for a := 0; a < dim; a++ {
-			ga, first := g[a][:np], true
+			ga, first := g[a][:n], true
 			for d := 0; d < dim; d++ {
 				k := a*dim + d
-				if m.RXPairs[e]>>k&1 == 0 {
+				if pairs>>k&1 == 0 {
 					continue
 				}
-				rx, cd := m.RX[k][base:base+np], c[d][i0:i0+np]
+				rx, cd := m.RX[k][base:base+n], c[d][i0:i0+n]
 				if first {
 					la.Prod(ga, rx, cd)
 					first = false
@@ -109,7 +111,7 @@ func (s *Solver) toContravariant(c [3][]float64) {
 			}
 		}
 		for a := 0; a < dim; a++ {
-			copy(c[a][i0:i0+np], g[a])
+			copy(c[a][i0:i0+n], g[a][:n])
 		}
 	}
 	s.mach.Charge(0, s.contraFlops)

@@ -27,7 +27,7 @@ func TestConvectMatchesPhysicalGradientForm(t *testing.T) {
 		}
 		scratch := make([]float64, s.D.ElemScratchLen())
 		for e := 0; e < s.M.K; e++ {
-			s.D.GradElement(g[0], g[1], g[2], v[e*np:(e+1)*np], e, scratch)
+			s.D.GradElement(g[0], g[1], g[2], v[e*np:(e+1)*np], e, 1, scratch)
 			for l := 0; l < np; l++ {
 				i := e*np + l
 				var adv float64

@@ -1,6 +1,7 @@
 package ns
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -267,5 +268,77 @@ func TestEApplyTimer(t *testing.T) {
 	tm := reg.Timer("ns/pressure.eapply")
 	if tm.Count() != 3 || tm.Total() <= 0 {
 		t.Errorf("ns/pressure.eapply: %d calls, %v total, want 3 calls and a positive total", tm.Count(), tm.Total())
+	}
+}
+
+// randomRuns cuts the solver's owned elements into runs of random lengths,
+// each inside a stretch mesh.Runs may join (consecutive global ids, one
+// metric-pair mask) but with no cap on its points.
+func randomRuns(rng *rand.Rand, s *Solver) []mesh.Run {
+	var runs []mesh.Run
+	for li, e := range s.elems {
+		if k := len(runs) - 1; k >= 0 && rng.Intn(4) > 0 {
+			if r := &runs[k]; e == r.E+r.N && s.M.RXPairs[e] == s.M.RXPairs[r.E] {
+				r.N++
+				continue
+			}
+		}
+		runs = append(runs, mesh.Run{L: li, E: e, N: 1})
+	}
+	return runs
+}
+
+// TestRunKernelsAreTheirElementsBitwise holds the step's run loops of
+// GradientT, Divergence, toContravariant and convect to their one-element
+// runs, bit for bit, over random splits of the owned elements on the three
+// metric-pair mixes (every element undeformed, mixed, every one deformed).
+// Seeded, so a failure repeats.
+func TestRunKernelsAreTheirElementsBitwise(t *testing.T) {
+	for _, tc := range eApplyCases {
+		s := eApplySolver(t, tc.build(t))
+		one := make([]mesh.Run, len(s.elems))
+		for li, e := range s.elems {
+			one[li] = mesh.Run{L: li, E: e, N: 1}
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			p, v := normalVec(rng, len(s.P)), normalVec(rng, s.n)
+			u, _ := velocityVecs(rng, s)
+			apply := func(runs []mesh.Run) map[string][]float64 {
+				s.setRuns(runs)
+				out := map[string][]float64{}
+				gt := make([][]float64, s.dim)
+				for c := range gt {
+					gt[c] = make([]float64, s.n)
+				}
+				s.GradientT(gt, p)
+				div := make([]float64, len(s.P))
+				s.Divergence(div, u)
+				var chat [3][]float64
+				for c := 0; c < s.dim; c++ {
+					chat[c] = append([]float64(nil), u[c]...)
+				}
+				s.toContravariant(chat)
+				conv := make([]float64, s.n)
+				s.convect(conv, v, chat)
+				for c := 0; c < s.dim; c++ {
+					out[fmt.Sprintf("GradientT[%d]", c)] = gt[c]
+					out[fmt.Sprintf("toContravariant[%d]", c)] = chat[c]
+				}
+				out["Divergence"], out["convect"] = div, conv
+				return out
+			}
+			want := apply(one)
+			runs := randomRuns(rng, s)
+			got := apply(runs)
+			for name, w := range want {
+				for i := range w {
+					if math.Float64bits(got[name][i]) != math.Float64bits(w[i]) {
+						t.Fatalf("%s seed %d %s, %d runs: entry %d is %g, element by element %g",
+							tc.name, seed, name, len(runs), i, got[name][i], w[i])
+					}
+				}
+			}
+		}
 	}
 }

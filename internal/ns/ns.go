@@ -161,8 +161,9 @@ type template struct {
 type Solver struct {
 	*template
 	mach  Machine
-	elems []int // == mach.Elems()
-	n     int   // owned velocity dofs per component (len(elems)·Np)
+	elems []int      // == mach.Elems()
+	runs  []mesh.Run // elems in runs: the element kernels' loop
+	n     int        // owned velocity dofs per component (len(elems)·Np)
 	step  int
 	time  float64
 
@@ -231,13 +232,13 @@ type Solver struct {
 	history *instrument.TimeSeries // nil = off; per-step StepRecord rows
 }
 
-// elemWork is the scratch of the per-element kernels.
+// elemWork is the scratch of the element kernels, sized by the longest run.
 type elemWork struct {
-	interp []float64    // staggered-grid kernels (InterpWorkLen)
-	sem    []float64    // sem element kernels (ElemScratchLen)
+	interp []float64    // staggered-grid kernels (InterpWorkLen per element)
+	sem    []float64    // sem element kernels (ElemScratchLen per element)
 	tv, we []float64    // gradTElem
-	g      [3][]float64 // one element's gradient
-	blocks [][]float64  // headers over one element's dim blocks
+	g      [3][]float64 // one run's reference-coordinate derivatives
+	blocks [][]float64  // headers over one run's dim blocks
 	fdm    []float64    // Schwarz local solve
 }
 
@@ -563,15 +564,9 @@ func (s *Solver) initState(mach Machine) error {
 		s.x0 = make([]float64, m.NVert)
 		s.vsums = make([]float64, len(s.elems)<<m.Dim)
 	}
-	k := &s.work
-	k.interp = make([]float64, s.InterpWorkLen())
-	k.sem = make([]float64, s.D.ElemScratchLen())
-	k.tv, k.we = make([]float64, np), make([]float64, np)
-	for c := 0; c < s.dim; c++ {
-		k.g[c] = make([]float64, np)
-	}
-	k.blocks = make([][]float64, s.dim)
-	k.fdm = make([]float64, fdmLen)
+	s.setRuns(m.Runs(s.elems))
+	s.work.blocks = make([][]float64, s.dim)
+	s.work.fdm = make([]float64, fdmLen)
 
 	s.velHelm = s.helmholtzOps(1/cfg.Re, s.mask)
 	if sc := cfg.Scalar; sc != nil {
@@ -581,6 +576,19 @@ func (s *Solver) initState(mach Machine) error {
 	s.applyEs = solver.Operator(s.applyE).Batch()
 	s.jacobi = func(out, in []float64) { s.pointJacobi(out, in, s.helm.diag) }
 	return nil
+}
+
+// setRuns makes runs the element kernels' loop and sizes their scratch by
+// the longest.
+func (s *Solver) setRuns(runs []mesh.Run) {
+	k, run, np := &s.work, mesh.LongestRun(runs), s.M.Np
+	s.runs = runs
+	k.interp = make([]float64, run*s.InterpWorkLen())
+	k.sem = make([]float64, run*s.D.ElemScratchLen())
+	k.tv, k.we = make([]float64, run*np), make([]float64, run*np)
+	for c := 0; c < s.dim; c++ {
+		k.g[c] = make([]float64, run*np)
+	}
 }
 
 // Close does nothing: a solver holds no goroutine and nothing else to

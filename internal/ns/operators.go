@@ -16,26 +16,34 @@ import (
 )
 
 // InterpWorkLen returns the scratch length of the staggered-grid element
-// kernels (RestrictVPElem, ProlongPVElem, gradTElem, divElem): the two fields
-// divElem holds plus the < 2·Np the interpolation tensor products need beside
-// them.
+// kernels (RestrictVPElem, ProlongPVElem, gradTElem, divElem) per element of
+// their run: the two fields divElem holds plus the < 2·Np the interpolation
+// tensor products need beside them.
 func (t *template) InterpWorkLen() int { return 3 * t.M.Np }
 
 // ProlongPVElem applies J_pv (pressure grid → velocity grid, exact
 // polynomial interpolation of the degree-(N-2) pressure) on one element's
 // blocks: out has length Np, p length Npp, work length ≥ InterpWorkLen.
-func (t *template) ProlongPVElem(out, p, work []float64) {
-	tensor.Apply(out, t.pvt, t.interpPV, t.tOp(t.interpPV), p, work, t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1)
-}
+func (t *template) ProlongPVElem(out, p, work []float64) { t.prolongPV(out, p, work, 1) }
 
 // RestrictVPElem applies J_pvᵀ (velocity grid → pressure grid, the adjoint
 // of the prolongation) on one element's blocks: out has length Npp, u length
 // Np, work length ≥ InterpWorkLen.
-func (t *template) RestrictVPElem(out, u, work []float64) {
-	tensor.Apply(out, t.interpPV, t.pvt, t.tOp(t.pvt), u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1)
+func (t *template) RestrictVPElem(out, u, work []float64) { t.restrictVP(out, u, work, 1) }
+
+// prolongPV is ProlongPVElem on the blocks of a run of ne elements, one
+// product per direction; work length ≥ ne·InterpWorkLen.
+func (t *template) prolongPV(out, p, work []float64, ne int) {
+	tensor.ApplyRun(out, t.pvt, t.interpPV, t.tOp(t.interpPV), p, work, t.np1, t.nm1, t.np1, t.nm1, t.np1, t.nm1, ne)
 }
 
-// tOp returns op as the t-direction operator of a tensor.Apply on this
+// restrictVP is RestrictVPElem on the blocks of a run of ne elements, one
+// product per direction; work length ≥ ne·InterpWorkLen.
+func (t *template) restrictVP(out, u, work []float64, ne int) {
+	tensor.ApplyRun(out, t.interpPV, t.pvt, t.tOp(t.pvt), u, work, t.nm1, t.np1, t.nm1, t.np1, t.nm1, t.np1, ne)
+}
+
+// tOp returns op as the t-direction operator of a tensor.ApplyRun on this
 // template's elements: nil, no t apply, in 2-D.
 func (t *template) tOp(op []float64) []float64 {
 	if t.dim == 2 {
@@ -44,60 +52,63 @@ func (t *template) tOp(op []float64) []float64 {
 	return op
 }
 
-// gradTElem writes element e's block of the momentum pressure term Dᵀp,
+// gradTElem writes the blocks of the momentum pressure term Dᵀp of the run of
+// ne consecutive elements [e0, e0+ne),
 //
 //	outs[c] = Σ_a D_aᵀ (∂r_a/∂x_c · B · J_pv pe),
 //
-// into the velocity-grid blocks outs[0..dim) (length Np each) from the
-// pressure block pe (length Npp). Only the element's non-zero metric pairs
-// (a, c) are visited (mesh.RXPairs: dim of them on an undeformed element, up
-// to dim² on a deformed one), and the first pair of a component writes its
-// block instead of adding to a zeroed one. Scratch: work length ≥
-// InterpWorkLen, tv and we length Np.
-func (t *template) gradTElem(outs [][]float64, pe []float64, e int, work, tv, we []float64) {
+// into the velocity-grid blocks outs[0..dim) (ne·Np each) from the pressure
+// blocks pe (ne·Npp). Only the run's non-zero metric pairs (a, c) are visited
+// (mesh.RXPairs, one mask for the whole run: dim pairs on an undeformed
+// element, up to dim² on a deformed one), and the first pair of a component
+// writes its blocks instead of adding to zeroed ones. Scratch: work length ≥
+// ne·InterpWorkLen, tv and we length ne·Np.
+func (t *template) gradTElem(outs [][]float64, pe []float64, e0, ne int, work, tv, we []float64) {
 	m := t.M
-	np, dim := m.Np, t.dim
-	base := e * np
-	tv, we, buf := tv[:np], we[:np], work[:np]
-	t.ProlongPVElem(tv, pe, work)
+	dim := t.dim
+	n, base := ne*m.Np, e0*m.Np
+	tv, we, buf := tv[:n], we[:n], work[:n]
+	t.prolongPV(tv, pe, work, ne)
 	la.Prod(tv, tv, m.B[base:])
+	pairs := m.RXPairs[e0]
 	for c := 0; c < dim; c++ {
-		oc, first := outs[c][:np], true
+		oc, first := outs[c][:n], true
 		for a := 0; a < dim; a++ {
-			if m.RXPairs[e]>>(a*dim+c)&1 == 0 {
+			if pairs>>(a*dim+c)&1 == 0 {
 				continue
 			}
 			la.Prod(we, tv, m.RX[a*dim+c][base:])
 			if first {
-				tensor.ApplyDim(oc, m.Dt, m.D, we, t.np1, dim, a)
+				tensor.ApplyDim(oc, m.Dt, m.D, we, t.np1, dim, a, ne)
 				first = false
 				continue
 			}
-			tensor.ApplyDim(buf, m.Dt, m.D, we, t.np1, dim, a)
+			tensor.ApplyDim(buf, m.Dt, m.D, we, t.np1, dim, a, ne)
 			la.Axpy(1, buf, oc)
 		}
 	}
 }
 
-// divElem writes element e's block of the weak divergence D u,
+// divElem writes the blocks of the weak divergence D u of the run of ne
+// consecutive elements [e0, e0+ne),
 //
 //	out = J_pvᵀ B Σ_(a,c) ∂r_a/∂x_c · D_a us[c],
 //
-// into the pressure block out (length Npp) from the velocity blocks
-// us[0..dim) (length Np each): the adjoint of gradTElem over the same metric
-// pairs, one derivative product per pair — only the contraction the
-// divergence needs, not dim full gradients. work length ≥ InterpWorkLen.
-func (t *template) divElem(out []float64, us [][]float64, e int, work []float64) {
+// into the pressure blocks out (ne·Npp) from the velocity blocks us[0..dim)
+// (ne·Np each): the adjoint of gradTElem over the same metric pairs, one
+// derivative product per pair — only the contraction the divergence needs,
+// not dim full gradients. work length ≥ ne·InterpWorkLen.
+func (t *template) divElem(out []float64, us [][]float64, e0, ne int, work []float64) {
 	m := t.M
-	np, dim := m.Np, t.dim
-	base := e * np
-	div, du := work[:np], work[np:2*np]
-	first := true
+	dim := t.dim
+	n, base := ne*m.Np, e0*m.Np
+	div, du := work[:n], work[n:2*n]
+	pairs, first := m.RXPairs[e0], true
 	for k := 0; k < dim*dim; k++ { // k = a*dim+c
-		if m.RXPairs[e]>>k&1 == 0 {
+		if pairs>>k&1 == 0 {
 			continue
 		}
-		tensor.ApplyDim(du, m.D, m.Dt, us[k%dim], t.np1, dim, k/dim)
+		tensor.ApplyDim(du, m.D, m.Dt, us[k%dim], t.np1, dim, k/dim, ne)
 		if first {
 			la.Prod(div, du, m.RX[k][base:])
 			first = false
@@ -106,7 +117,7 @@ func (t *template) divElem(out []float64, us [][]float64, e int, work []float64)
 		la.AddProd(div, m.RX[k][base:], du)
 	}
 	la.Prod(div, div, m.B[base:])
-	t.RestrictVPElem(out, div, work[np:])
+	t.restrictVP(out, div, work[n:], ne)
 }
 
 // eApplyFlops returns the floating point operations gradTElem and divElem
@@ -129,14 +140,14 @@ func (t *template) eApplyFlops(e int) (gradT, div flops) {
 // D = J_pvᵀ B_v div — the exact weak form ∫ q ∇·u for the degree-(N-2)
 // pressure test functions (the quadrature is exact on affine elements,
 // which is what keeps the P_N–P_{N-2} pair inf-sup compatible discretely).
-// One pass of divElem over the owned elements.
+// One pass of divElem over the owned runs.
 func (s *Solver) Divergence(out []float64, u [3][]float64) {
 	np, npp, k := s.M.Np, s.npp, &s.work
-	for li, e := range s.elems {
+	for _, r := range s.runs {
 		for c := range k.blocks {
-			k.blocks[c] = u[c][li*np : (li+1)*np]
+			k.blocks[c] = u[c][r.L*np : (r.L+r.N)*np]
 		}
-		s.divElem(out[li*npp:(li+1)*npp], k.blocks, e, k.interp)
+		s.divElem(out[r.L*npp:(r.L+r.N)*npp], k.blocks, r.E, r.N, k.interp)
 	}
 	s.charge(s.divFlops)
 }
@@ -144,14 +155,14 @@ func (s *Solver) Divergence(out []float64, u [3][]float64) {
 // GradientT computes the momentum pressure term Dᵀ p: the (unassembled)
 // velocity-grid vector whose plain dot with any velocity u equals pᵀ (D u).
 // outs must hold dim slices of length n. One pass of gradTElem over the
-// owned elements.
+// owned runs.
 func (s *Solver) GradientT(outs [][]float64, p []float64) {
 	np, npp, k := s.M.Np, s.npp, &s.work
-	for li, e := range s.elems {
+	for _, r := range s.runs {
 		for c := range k.blocks {
-			k.blocks[c] = outs[c][li*np : (li+1)*np]
+			k.blocks[c] = outs[c][r.L*np : (r.L+r.N)*np]
 		}
-		s.gradTElem(k.blocks, p[li*npp:(li+1)*npp], e, k.interp, k.tv, k.we)
+		s.gradTElem(k.blocks, p[r.L*npp:(r.L+r.N)*npp], r.E, r.N, k.interp, k.tv, k.we)
 	}
 	s.charge(s.gradTFlops)
 }
@@ -262,13 +273,15 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 }
 
 // helmholtz applies outs[c] = M QQᵀ (h1·A + h2·B) ins[c], the operator H of
-// Sec. 4, with one direct stiffness sum for all of them.
+// Sec. 4, one StiffnessElement per owned run, with one direct stiffness sum
+// for all of them.
 func (s *Solver) helmholtz(outs, ins [][]float64, op *helmholtzOp) {
 	np := s.M.Np
 	for c, out := range outs {
 		in := ins[c]
-		for li, e := range s.elems {
-			s.D.StiffnessElement(out[li*np:(li+1)*np], in[li*np:(li+1)*np], e, s.work.sem)
+		for _, r := range s.runs {
+			i0, i1 := r.L*np, (r.L+r.N)*np
+			s.D.StiffnessElement(out[i0:i1], in[i0:i1], r.E, r.N, s.work.sem)
 		}
 		la.Scale(op.h1, out) // out = h1·out + (h2·B)⊙in
 		la.AddProd(out, op.h2B, in)

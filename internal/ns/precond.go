@@ -189,7 +189,7 @@ func (t *template) pressureDiagE() []float64 {
 		w := t.invBm[e*np : (e+1)*np]
 		for i := 0; i < t.npp; i++ {
 			pe[i] = 1
-			t.gradTElem(outs, pe, e, work, tv, we)
+			t.gradTElem(outs, pe, e, 1, work, tv, we)
 			pe[i] = 0
 			var v float64
 			for _, oc := range outs {

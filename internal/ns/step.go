@@ -346,11 +346,11 @@ func (s *Solver) setDirichlet(us [][]float64, t float64) {
 	}
 }
 
-// applyFilter filters a velocity-grid field in place, element by element.
+// applyFilter filters a velocity-grid field in place, run by run.
 func (s *Solver) applyFilter(u []float64) {
 	np := s.M.Np
-	for li := range s.elems {
-		s.D.FilterElement(s.filter, u[li*np:(li+1)*np], s.work.sem)
+	for _, r := range s.runs {
+		s.D.FilterElement(s.filter, u[r.L*np:(r.L+r.N)*np], s.work.sem)
 	}
 }
 

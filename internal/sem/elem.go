@@ -1,52 +1,55 @@
 package sem
 
 // elem.go holds the per-element operator kernels: the stiffness (sem.go),
-// gradient, filter and Helmholtz-diagonal kernels of one global element e on
-// local blocks of length Np, with caller scratch. The full-mesh loops of this
-// package and the time step of internal/ns (over the elements a solver owns)
-// both run them, so every backend
-// reproduces the same arithmetic element by element.
+// gradient, filter and Helmholtz-diagonal kernels on local blocks of length
+// Np, with caller scratch. The tensor-product kernels act on a run of ne
+// consecutive elements (mesh.Run) in one product per direction, bitwise the
+// element-by-element result. The full-mesh loops of this package and the time
+// step of internal/ns (over the runs of the elements a solver owns) both run
+// them, so every backend reproduces the same arithmetic element by element.
 
 import (
 	"repro/internal/la"
 	"repro/internal/tensor"
 )
 
-// GradElement computes element e's physical-space gradient of the local
-// nodal block ue (length Np), o_c = Σ_a ∂r_a/∂x_c · D_a ue, into the local
-// blocks o0, o1 (and o2 in 3D; pass nil in 2D); s is caller scratch of
-// length ≥ ElemScratchLen.
-func (d *Disc) GradElement(o0, o1, o2, ue []float64, e int, s []float64) {
+// GradElement computes the physical-space gradient of the run of ne
+// consecutive elements [e0, e0+ne) from their local nodal blocks ue (ne
+// blocks of length Np), o_c = Σ_a ∂r_a/∂x_c · D_a ue, into the local blocks
+// o0, o1 (and o2 in 3D; pass nil in 2D); s is caller scratch of length ≥
+// ne·ElemScratchLen.
+func (d *Disc) GradElement(o0, o1, o2, ue []float64, e0, ne int, s []float64) {
 	m := d.M
-	np, dim := m.Np, m.Dim
-	off := e * np
+	dim := m.Dim
+	n, off := ne*m.Np, e0*m.Np
 	for a := 0; a < dim; a++ {
-		tensor.ApplyDim(s[a*np:(a+1)*np], m.D, m.Dt, ue, m.N+1, dim, a)
+		tensor.ApplyDim(s[a*n:(a+1)*n], m.D, m.Dt, ue, m.N+1, dim, a, ne)
 	}
 	outs := [3][]float64{o0, o1, o2}
 	for c := 0; c < dim; c++ {
-		oc := outs[c][:np]
-		la.Prod(oc, m.RX[c][off:], s[:np])
+		oc := outs[c][:n]
+		la.Prod(oc, m.RX[c][off:], s[:n])
 		for a := 1; a < dim; a++ {
-			la.AddProd(oc, m.RX[a*dim+c][off:], s[a*np:(a+1)*np])
+			la.AddProd(oc, m.RX[a*dim+c][off:], s[a*n:(a+1)*n])
 		}
 	}
 }
 
-// FilterElement applies the tensor-product filter to the local block ue in
-// place (the element index is irrelevant: the filter is geometry-free); s is
-// caller scratch of length ≥ ElemScratchLen.
+// FilterElement applies the tensor-product filter in place to the local
+// blocks ue of a run of consecutive elements, len(ue)/Np of them (which ones
+// is irrelevant: the filter is geometry-free), one product per direction; s
+// is caller scratch of length ≥ ElemScratchLen per element of the run.
 func (d *Disc) FilterElement(f *Filter, ue []float64, s []float64) {
 	if f == nil || f.Alpha == 0 {
 		return
 	}
-	np, np1 := d.M.Np, f.np1
+	n, np1 := len(ue), f.np1
 	var ft []float64 // the t operator: none on a 2-D element
 	if d.M.Dim == 3 {
 		ft = f.F
 	}
-	tensor.Apply(s[:np], f.ft, f.F, ft, ue, s[np:], np1, np1, np1, np1, np1, np1)
-	copy(ue, s[:np])
+	tensor.ApplyRun(s[:n], f.ft, f.F, ft, ue, s[n:], np1, np1, np1, np1, np1, np1, n/d.M.Np)
+	copy(ue, s[:n])
 }
 
 // HelmholtzDiagElement writes element e's unassembled diagonal of

@@ -8,8 +8,9 @@
 // meter for the performance model.
 //
 // The package keeps no execution state: its full-mesh operators are plain
-// element loops, and its per-element kernels (StiffnessElement, GradElement,
-// FilterElement, HelmholtzDiagElement) only read the Disc.
+// loops over runs of consecutive elements (mesh.Run), and its per-element
+// kernels (StiffnessElement, GradElement and FilterElement on a run,
+// HelmholtzDiagElement on one element) only read the Disc.
 package sem
 
 import (
@@ -34,15 +35,30 @@ type Disc struct {
 
 	Dt      []float64 // transpose of the 1D derivative matrix
 	flops   atomic.Int64
-	scratch []float64 // ElemScratchLen long, for the full-mesh loops
+	runs    []mesh.Run // every element, in runs, for the full-mesh loops
+	scratch []float64  // theirs, made on first use (runScratch)
 }
 
 // New builds the operator set. mask may be nil (pure Neumann / periodic).
 func New(m *mesh.Mesh, mask []float64) *Disc {
 	d := &Disc{M: m, GS: gs.Init(m.GID), Mask: mask, Dt: m.Dt}
 	d.Mult = d.GS.Multiplicity()
-	d.scratch = make([]float64, d.ElemScratchLen())
+	all := make([]int, m.K)
+	for e := range all {
+		all[e] = e
+	}
+	d.runs = m.Runs(all)
 	return d
+}
+
+// runScratch returns the full-mesh loops' scratch, ElemScratchLen per
+// element of the longest run, made on the first call: a solver's step runs
+// the element kernels on scratch of its own and never needs it.
+func (d *Disc) runScratch() []float64 {
+	if d.scratch == nil {
+		d.scratch = make([]float64, mesh.LongestRun(d.runs)*d.ElemScratchLen())
+	}
+	return d.scratch
 }
 
 // Flops returns the cumulative analytic flop count of all operator
@@ -56,12 +72,13 @@ func (d *Disc) ResetFlops() { d.flops.Store(0) }
 func (d *Disc) CountFlops(n int64) { d.flops.Add(n) }
 
 // StiffnessLocal applies the unassembled element stiffness matrices:
-// out^k = A^k u^k per eq. (4). out must not alias u.
+// out^k = A^k u^k per eq. (4), one StiffnessElement per run. out must not
+// alias u.
 func (d *Disc) StiffnessLocal(out, u []float64) {
 	m := d.M
-	np := m.Np
-	for e := 0; e < m.K; e++ {
-		d.StiffnessElement(out[e*np:(e+1)*np], u[e*np:(e+1)*np], e, d.scratch)
+	for _, r := range d.runs {
+		i0, i1 := r.E*m.Np, (r.E+r.N)*m.Np
+		d.StiffnessElement(out[i0:i1], u[i0:i1], r.E, r.N, d.runScratch())
 	}
 	mm, vec := StiffnessFlops(m)
 	d.flops.Add(int64(m.K) * (mm + vec))
@@ -141,13 +158,13 @@ func (d *Disc) HelmholtzDiag(h1, h2 float64) []float64 {
 func (d *Disc) Grad(outs [][]float64, u []float64) {
 	m := d.M
 	np := m.Np
-	for e := 0; e < m.K; e++ {
-		i0, i1 := e*np, (e+1)*np
+	for _, r := range d.runs {
+		i0, i1 := r.E*np, (r.E+r.N)*np
 		var o2 []float64
 		if m.Dim == 3 {
 			o2 = outs[2][i0:i1]
 		}
-		d.GradElement(outs[0][i0:i1], outs[1][i0:i1], o2, u[i0:i1], e, d.scratch)
+		d.GradElement(outs[0][i0:i1], outs[1][i0:i1], o2, u[i0:i1], r.E, r.N, d.runScratch())
 	}
 	// dim derivative products, then per component dim products and dim − 1 sums.
 	dim := int64(m.Dim)
@@ -251,7 +268,7 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 			}
 			ue[j] = 1
 			// Apply the single-element stiffness.
-			d.StiffnessElement(oe, ue, e, d.scratch)
+			d.StiffnessElement(oe, ue, e, 1, d.runScratch())
 			gj := m.GID[e*np+j]
 			for i := 0; i < np; i++ {
 				if oe[i] == 0 {
@@ -274,44 +291,47 @@ func (d *Disc) BuildAssembledCSR() *la.CSR {
 }
 
 // ElemScratchLen is the scratch length the per-element kernels
-// (StiffnessElement, GradElement, FilterElement) need: 2·dim·Np.
+// (StiffnessElement, GradElement, FilterElement) need per element of their
+// run: 2·dim·Np.
 func (d *Disc) ElemScratchLen() int { return 2 * d.M.Dim * d.M.Np }
 
-// StiffnessElement applies element e's stiffness matrix to the local nodal
-// vector ue (length Np), writing into oe; s is caller scratch of length ≥
-// ElemScratchLen. Like every per-element kernel it only reads the Disc, so
+// StiffnessElement applies the stiffness matrices of the run of ne
+// consecutive elements [e0, e0+ne) to their local nodal vectors ue (ne blocks
+// of length Np), writing into oe; s is caller scratch of length ≥
+// ne·ElemScratchLen. Like every per-element kernel it only reads the Disc, so
 // goroutines holding their own scratch may share one. It computes
 // t_a = Σ_b G(a,b) ⊙ D_b ue, then oe = Σ_a D_aᵀ t_a with the terms past D_rᵀ t_r
-// summed before they are added.
-func (d *Disc) StiffnessElement(oe, ue []float64, e int, s []float64) {
+// summed before they are added: one tensor product per direction for the
+// whole run, bitwise the element-by-element result.
+func (d *Disc) StiffnessElement(oe, ue []float64, e0, ne int, s []float64) {
 	m := d.M
-	np1, np, dim := m.N+1, m.Np, m.Dim
+	np1, dim := m.N+1, m.Dim
 	nt := 1 // a 2-D element is one layer with no t apply
 	if dim == 3 {
 		nt = np1
 	}
-	off := e * np
-	du, t := s[:dim*np], s[dim*np:2*dim*np]
-	last := (dim - 1) * np // the slowest direction, s in 2-D: one ApplyT product
-	tensor.ApplyR(du[:np], m.Dt, ue, np1, np1, np1, nt)
-	tensor.ApplyT(du[last:], m.D, ue, np1, np1, np1, nt)
+	n, off := ne*m.Np, e0*m.Np
+	du, t := s[:dim*n], s[dim*n:2*dim*n]
+	last := (dim - 1) * n // the slowest direction, s in 2-D: one ApplyT product
+	tensor.ApplyR(du[:n], m.Dt, ue, np1, np1, np1, nt, ne)
+	tensor.ApplyT(du[last:], m.D, ue, np1, np1, np1, nt, ne)
 	if dim == 3 {
-		tensor.ApplyS(du[np:2*np], m.D, ue, np1, np1, np1, nt)
+		tensor.ApplyS(du[n:2*n], m.D, ue, np1, np1, np1, nt, ne)
 	}
 	for a := 0; a < dim; a++ {
-		ta := t[a*np : (a+1)*np]
-		la.Prod(ta, m.G[symPair(a, 0, dim)][off:], du[:np])
+		ta := t[a*n : (a+1)*n]
+		la.Prod(ta, m.G[symPair(a, 0, dim)][off:], du[:n])
 		for b := 1; b < dim; b++ {
-			la.AddProd(ta, m.G[symPair(a, b, dim)][off:], du[b*np:(b+1)*np])
+			la.AddProd(ta, m.G[symPair(a, b, dim)][off:], du[b*n:(b+1)*n])
 		}
 	}
-	tensor.ApplyR(oe, m.D, t[:np], np1, np1, np1, nt)
-	tensor.ApplyT(du[last:], d.Dt, t[last:], np1, np1, np1, nt)
+	tensor.ApplyR(oe, m.D, t[:n], np1, np1, np1, nt, ne)
+	tensor.ApplyT(du[last:], d.Dt, t[last:], np1, np1, np1, nt, ne)
 	if dim == 3 {
-		tensor.ApplyS(du[np:2*np], d.Dt, t[np:2*np], np1, np1, np1, nt)
-		la.Axpy(1, du[2*np:], du[np:2*np])
+		tensor.ApplyS(du[n:2*n], d.Dt, t[n:2*n], np1, np1, np1, nt, ne)
+		la.Axpy(1, du[2*n:3*n], du[n:2*n])
 	}
-	la.Axpy(1, du[np:2*np], oe[:np])
+	la.Axpy(1, du[n:2*n], oe[:n])
 }
 
 // symPair is the index in mesh.Mesh.G (pairs a ≤ b in row order) of G(a,b).

@@ -1,7 +1,9 @@
 package sem
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -454,7 +456,7 @@ func TestStiffnessElementConcurrent(t *testing.T) {
 			defer wg.Done()
 			scratch := make([]float64, d.ElemScratchLen())
 			for e := g; e < m.K; e += gor {
-				d.StiffnessElement(got[e*np:(e+1)*np], u[e*np:(e+1)*np], e, scratch)
+				d.StiffnessElement(got[e*np:(e+1)*np], u[e*np:(e+1)*np], e, 1, scratch)
 			}
 		}(g)
 	}
@@ -462,6 +464,125 @@ func TestStiffnessElementConcurrent(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("concurrent StiffnessElement differs at %d: %g vs %g", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunKernelsAreTheirElementsBitwise holds the run-form kernels —
+// StiffnessElement, GradElement and FilterElement on a run of consecutive
+// elements — to their one-element applications, bit for bit, over random
+// splits of the element list of a deformed 2-D and a deformed 3-D mesh.
+// Seeded, so a failure repeats.
+func TestRunKernelsAreTheirElementsBitwise(t *testing.T) {
+	specs := []struct {
+		spec *mesh.Spec
+		n    int
+	}{
+		{mesh.CylinderOGrid(mesh.CylinderOGridSpec{NTheta: 8, NLayer: 2, R: 0.5, H: 2, WallRatio: 4}), 7},
+		{mesh.HemisphereBox(mesh.HemisphereBoxSpec{Nx: 3, Ny: 2, Nz: 2, Lx: 3, Ly: 2, Lz: 1,
+			Cx: 1.5, Cy: 1, Radius: 0.5, Height: 0.4, WallRatio: 2}), 4},
+	}
+	for _, sp := range specs {
+		m, err := mesh.Discretize(sp.spec, sp.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, f := New(m, nil), NewFilter(m, 0.3)
+		np, k := m.Np, m.K
+		kernels := []struct {
+			name  string
+			apply func(outs [3][]float64, u []float64, e0, ne int, s []float64)
+		}{
+			{"StiffnessElement", func(outs [3][]float64, u []float64, e0, ne int, s []float64) {
+				d.StiffnessElement(outs[0], u, e0, ne, s)
+			}},
+			{"GradElement", func(outs [3][]float64, u []float64, e0, ne int, s []float64) {
+				d.GradElement(outs[0], outs[1], outs[2], u, e0, ne, s)
+			}},
+			{"FilterElement", func(outs [3][]float64, u []float64, _, _ int, s []float64) {
+				copy(outs[0], u)
+				d.FilterElement(f, outs[0], s)
+			}},
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			u := make([]float64, k*np)
+			for i := range u {
+				u[i] = rng.NormFloat64()
+			}
+			scratch := make([]float64, k*d.ElemScratchLen())
+			for _, kr := range kernels {
+				var want, got [3][]float64
+				for c := 0; c < m.Dim; c++ {
+					want[c], got[c] = make([]float64, k*np), make([]float64, k*np)
+				}
+				blocks := func(f [3][]float64, e0, ne int) (b [3][]float64) {
+					for c := 0; c < m.Dim; c++ {
+						b[c] = f[c][e0*np : (e0+ne)*np]
+					}
+					return b
+				}
+				for e := 0; e < k; e++ {
+					kr.apply(blocks(want, e, 1), u[e*np:(e+1)*np], e, 1, scratch)
+				}
+				var split []int
+				for e0 := 0; e0 < k; {
+					ne := 1 + rng.Intn(k-e0)
+					kr.apply(blocks(got, e0, ne), u[e0*np:(e0+ne)*np], e0, ne, scratch)
+					split = append(split, ne)
+					e0 += ne
+				}
+				for c := 0; c < m.Dim; c++ {
+					for i := range want[c] {
+						if math.Float64bits(got[c][i]) != math.Float64bits(want[c][i]) {
+							t.Fatalf("%d-D seed %d %s, runs %v: component %d entry %d is %g, element by element %g",
+								m.Dim, seed, kr.name, split, c, i, got[c][i], want[c][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStiffnessRuns times StiffnessElement over every element of the
+// benchmark's two meshes — the channel (K = 15, N = 9, 2-D) and the hairpin
+// box (K = 72, N = 5, 3-D) — in runs of ne consecutive elements, and reports
+// the time per element of one pass: the measurement behind mesh.RunPoints.
+func BenchmarkStiffnessRuns(b *testing.B) {
+	meshes := []struct {
+		name string
+		spec *mesh.Spec
+		n    int
+	}{
+		{"channel", mesh.Box2D(mesh.Box2DSpec{Nx: 5, Ny: 3, X0: 0, X1: 2 * math.Pi, Y0: -1, Y1: 1, PeriodicX: true}), 9},
+		{"hairpin", mesh.HemisphereBox(mesh.HemisphereBoxSpec{Nx: 6, Ny: 4, Nz: 3, Lx: 12, Ly: 6, Lz: 4,
+			Cx: 3, Cy: 3, Radius: 1, Height: 0.8, WallRatio: 3}), 5},
+	}
+	for _, mc := range meshes {
+		m, err := mesh.Discretize(mc.spec, mc.n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, np := New(m, nil), m.Np
+		u, out := make([]float64, m.K*np), make([]float64, m.K*np)
+		for i := range u {
+			u[i] = math.Sin(m.X[i]) * math.Cos(m.Y[i])
+		}
+		for _, ne := range []int{1, 2, 4, 8, 16, m.K} {
+			if ne > m.K || ne == 16 && m.K == 16 {
+				continue
+			}
+			scratch := make([]float64, ne*d.ElemScratchLen())
+			b.Run(fmt.Sprintf("%s/ne=%d", mc.name, ne), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for e0 := 0; e0 < m.K; e0 += ne {
+						r := min(ne, m.K-e0)
+						d.StiffnessElement(out[e0*np:(e0+r)*np], u[e0*np:(e0+r)*np], e0, r, scratch)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*m.K), "us/elem")
+			})
 		}
 	}
 }

@@ -203,11 +203,31 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	return m.launch(sess, fromID)
 }
 
-// launch registers a job for sess and starts its runner.
+// newID claims the next job id of the sequence that the store does not
+// hold yet (Store.Create), so a manager started over a used store, as after
+// a restart, continues the sequence instead of overwriting earlier jobs'
+// artifacts.
+func (m *Manager) newID(c string) (string, error) {
+	for {
+		m.mu.Lock()
+		m.seq++
+		id := fmt.Sprintf("s%04d-%s", m.seq, c)
+		m.mu.Unlock()
+		err := m.store.Create(id)
+		if !errors.Is(err, ErrExists) {
+			return id, err
+		}
+	}
+}
+
+// launch registers a job for sess under a new id and starts its runner.
 func (m *Manager) launch(sess *Session, resumedFrom string) (*Job, error) {
+	id, err := m.newID(sess.Config().Case)
+	if err != nil {
+		sess.Close()
+		return nil, fmt.Errorf("session: new job: %w", err)
+	}
 	m.mu.Lock()
-	m.seq++
-	id := fmt.Sprintf("s%04d-%s", m.seq, sess.Config().Case)
 	j := &Job{
 		ID: id, Cfg: sess.Config(), sess: sess,
 		resumedFrom: resumedFrom,

@@ -324,6 +324,9 @@ func TestManagerResumeAcrossRestart(t *testing.T) {
 	if st.State != StateDone || st.ResumedFrom != j1.ID {
 		t.Fatalf("resumed job status %+v", st)
 	}
+	if j2.ID == j1.ID {
+		t.Fatalf("the restarted manager gave the resumed job its source's id %s", j1.ID)
+	}
 	if st.Step != wantLast.Step || st.Time != wantLast.Time || st.CFL != wantLast.CFL {
 		t.Fatalf("resumed final %+v, want %+v", st, wantLast)
 	}
@@ -346,6 +349,71 @@ func TestManagerResumeAcrossRestart(t *testing.T) {
 	// Resuming a finished job without extending the target is an error.
 	if _, err := m2.ResumeJob(j2.ID, 10); err == nil {
 		t.Fatal("resume past the final step accepted")
+	}
+}
+
+// TestRestartedManagerKeepsEarlierJobs runs jobs under one manager, then
+// more under a second over the same filesystem store, as a restarted
+// semflowd does: the second manager's jobs take new ids and leave every
+// artifact of the first's byte for byte as it was.
+func TestRestartedManagerKeepsEarlierJobs(t *testing.T) {
+	root := t.TempDir()
+	store, err := NewFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runJobs := func(n int) []string {
+		m := NewManager(store, 1)
+		defer m.Close()
+		var ids []string
+		for i := 0; i < n; i++ {
+			j, err := m.Submit(testCfg(2 + i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJob(t, j)
+			if st := j.Status(); st.State != StateDone {
+				t.Fatalf("job %s: %+v", j.ID, st)
+			}
+			ids = append(ids, j.ID)
+		}
+		return ids
+	}
+	snapshot := func(ids []string) map[string][]byte {
+		files := map[string][]byte{}
+		for _, id := range ids {
+			names, err := store.List(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				b, err := store.Get(id, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[id+"/"+name] = b
+			}
+		}
+		return files
+	}
+	first := runJobs(2)
+	before := snapshot(first)
+	second := runJobs(2)
+	for _, id := range second {
+		for _, old := range first {
+			if id == old {
+				t.Fatalf("the second manager reused job id %s", id)
+			}
+		}
+	}
+	after := snapshot(first)
+	if len(after) != len(before) {
+		t.Fatalf("the first manager's jobs hold %d artifacts after the second ran, %d before", len(after), len(before))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Errorf("%s changed when the second manager ran", name)
+		}
 	}
 }
 

@@ -24,17 +24,25 @@ import (
 // ErrNotFound reports a missing session or artifact.
 var ErrNotFound = errors.New("session: artifact not found")
 
+// ErrExists reports a Create of a session the store already holds.
+var ErrExists = errors.New("session: session exists")
+
 // Store persists per-session artifacts (history JSONL, checkpoints, trace
 // JSON, result summaries) under (session id, artifact name) keys.
 // Implementations must make Put atomic: a reader never observes a
 // half-written artifact. All methods are safe for concurrent use.
 type Store interface {
-	// Put writes an artifact, replacing any previous content.
+	// Create makes a new, empty session, or fails with ErrExists when the
+	// store holds one under that id: the manager claims every job id with
+	// it, so no id is handed out twice, across restarts too.
+	Create(session string) error
+	// Put writes an artifact, replacing any previous content; it creates
+	// the session if need be.
 	Put(session, name string, data []byte) error
 	// Get reads an artifact (ErrNotFound if absent).
 	Get(session, name string) ([]byte, error)
 	// List returns the sorted artifact names of one session (ErrNotFound if
-	// it holds none).
+	// the store holds no such session).
 	List(session string) ([]string, error)
 }
 
@@ -87,6 +95,20 @@ func NewFSStore(root string) (*FSStore, error) {
 	return &FSStore{root: root}, nil
 }
 
+func (s *FSStore) Create(session string) error {
+	if err := checkKey(session); err != nil {
+		return err
+	}
+	err := s.mkdir(session)
+	if errors.Is(err, fs.ErrExist) {
+		return fmt.Errorf("%w: %s", ErrExists, session)
+	}
+	if err != nil {
+		return fmt.Errorf("session: store: %w", err)
+	}
+	return nil
+}
+
 func (s *FSStore) Put(session, name string, data []byte) error {
 	if err := checkKey(session); err != nil {
 		return err
@@ -94,14 +116,23 @@ func (s *FSStore) Put(session, name string, data []byte) error {
 	if err := checkKey(name); err != nil {
 		return err
 	}
-	dir := filepath.Join(s.root, session)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := s.mkdir(session); err != nil && !errors.Is(err, fs.ErrExist) {
 		return fmt.Errorf("session: store: %w", err)
 	}
-	if err := writeFile(filepath.Join(dir, name), data); err != nil {
+	if err := writeFile(filepath.Join(s.root, session, name), data); err != nil {
 		return fmt.Errorf("session: store: %w", err)
 	}
 	return nil
+}
+
+// mkdir creates the session's directory and fsyncs the root, so the new
+// directory's entry survives a crash as the files written into it do; an
+// existing directory is fs.ErrExist.
+func (s *FSStore) mkdir(session string) error {
+	if err := os.Mkdir(filepath.Join(s.root, session), 0o755); err != nil {
+		return err
+	}
+	return syncDir(s.root)
 }
 
 // writeFile replaces path with data so that no crash, reader or concurrent
@@ -142,6 +173,12 @@ func writeFile(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making its entries' creations and renames
+// durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -194,6 +231,19 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{data: map[string]map[string][]byte{}}
+}
+
+func (s *MemStore) Create(session string) error {
+	if err := checkKey(session); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.data[session]; ok {
+		return fmt.Errorf("%w: %s", ErrExists, session)
+	}
+	s.data[session] = map[string][]byte{}
+	return nil
 }
 
 func (s *MemStore) Put(session, name string, data []byte) error {

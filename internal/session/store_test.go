@@ -69,6 +69,26 @@ func TestStoreConformance(t *testing.T) {
 			if string(b2) != "alpha2" {
 				t.Fatalf("stored bytes aliased: %q", b2)
 			}
+
+			// Create claims a new session once, and refuses a held one
+			// without touching its artifacts.
+			if err := st.Create("s3"); err != nil {
+				t.Fatalf("Create(s3): %v", err)
+			}
+			for _, id := range []string{"s1", "s3"} {
+				if err := st.Create(id); !errors.Is(err, ErrExists) {
+					t.Fatalf("Create(%s) again: %v, want ErrExists", id, err)
+				}
+			}
+			if err := st.Create("../s1"); err == nil || errors.Is(err, ErrExists) {
+				t.Fatalf("Create(../s1): %v, want an invalid key", err)
+			}
+			if err := st.Put("s3", "c.json", []byte("gamma")); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := st.Get("s1", "a.json"); err != nil || string(b) != "alpha2" {
+				t.Fatalf("after Create(s1): Get = %q, %v; want alpha2", b, err)
+			}
 		})
 	}
 }

@@ -13,11 +13,18 @@
 // call. The s and t directions take their operators as they are.
 //
 // A 2-D field is the one-layer case nt = 1 with no t apply, so one set of
-// direction applies (ApplyR, ApplyS, ApplyT) and one Apply serve both
+// direction applies (ApplyR, ApplyS, ApplyT) and one ApplyRun serve both
 // dimensions. The slowest direction of a field (s in 2-D, t in 3-D) is a
-// single product over all faster points, ApplyT's, so every direction apply
-// of a 2-D field is one la.Mul; the s apply of a 3-D field is one
-// la.MulLayers call over its t layers.
+// single product over all faster points, ApplyT's; the s apply of a 3-D
+// field is one la.MulLayers call over its t layers.
+//
+// Every apply takes a run of ne consecutive fields (elements), stored one
+// after the other: the run is more rows of the r product (ne·ns·nt) and more
+// layers of the s (ne·nt) and t (ne) products, so a whole run costs one
+// product per direction, and ne = 1 is the one-element call (Apply, Apply2D,
+// Apply3D). la.MulLayers accumulates every entry in one sequential chain
+// whatever the shape or the layer count, so a run's result is bitwise the
+// concatenation of its elements' results.
 package tensor
 
 import "repro/internal/la"
@@ -34,42 +41,52 @@ func Transpose(a []float64, m, n int) []float64 {
 	return t
 }
 
-// ApplyR applies A (mr x nr), passed as at = Aᵀ, along r of the
-// nr x ns x nt field u (nt = 1: a 2-D field); out has shape mr x ns x nt and
+// ApplyR applies A (mr x nr), passed as at = Aᵀ, along r of ne consecutive
+// nr x ns x nt fields u (nt = 1: 2-D fields): one product whose rows are every
+// element's (s, t) lines. out holds ne mr x ns x nt fields and must not
+// alias u.
+func ApplyR(out, at, u []float64, mr, nr, ns, nt, ne int) {
+	// out[t][s][r'] = Σ_r u[t][s][r] A[r'][r]  =>  Out = U Aᵀ with U (ne·ns·nt x nr).
+	la.Mul(out, u, at, ne*ns*nt, nr, mr)
+}
+
+// ApplyS applies B (ms x ns) along s of ne consecutive nr x ns x nt fields u:
+// the product Out = B U of every t layer of every element, in one
+// la.MulLayers call over ne·nt layers. out holds ne nr x ms x nt fields and
 // must not alias u.
-func ApplyR(out, at, u []float64, mr, nr, ns, nt int) {
-	// out[t][s][r'] = Σ_r u[t][s][r] A[r'][r]  =>  Out = U Aᵀ with U (ns·nt x nr).
-	la.Mul(out, u, at, ns*nt, nr, mr)
+func ApplyS(out, b, u []float64, ms, ns, nr, nt, ne int) {
+	la.MulLayers(out, b, u, ms, ns, nr, ne*nt)
 }
 
-// ApplyS applies B (ms x ns) along s of the nr x ns x nt field u: the product
-// Out = B U of every t layer, in one la.MulLayers call. out has shape
-// nr x ms x nt and must not alias u.
-func ApplyS(out, b, u []float64, ms, ns, nr, nt int) {
-	la.MulLayers(out, b, u, ms, ns, nr, nt)
+// ApplyT applies C (mt x nt) along t of ne consecutive nr x ns x nt fields u,
+// one layer per element; out holds ne nr x ns x mt fields and must not alias
+// u.
+func ApplyT(out, c, u []float64, mt, nt, nr, ns, ne int) {
+	la.MulLayers(out, c, u, mt, nt, nr*ns, ne)
 }
 
-// ApplyT applies C (mt x nt) along t of the nr x ns x nt field u; out has
-// shape nr x ns x mt and must not alias u.
-func ApplyT(out, c, u []float64, mt, nt, nr, ns int) {
-	la.Mul(out, c, u, mt, nt, nr*ns)
-}
-
-// Apply computes out = (C ⊗ B ⊗ A) u from at = Aᵀ (A mr x nr), B (ms x ns)
-// and C (mt x nt) on the nr x ns x nt field u. A nil c means a 2-D field:
-// out = (B ⊗ A) u on the nr x ns field u, and mt, nt are not read. work must
-// have length at least Work3DLen(mr, nr, ms, ns, mt, nt) (with mt = nt = 1 in
-// 2-D); out must not alias u or work.
-func Apply(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt int) {
+// ApplyRun computes out = (C ⊗ B ⊗ A) u on each of ne consecutive
+// nr x ns x nt fields u, from at = Aᵀ (A mr x nr), B (ms x ns) and C
+// (mt x nt), one product per direction for the whole run. A nil c means 2-D
+// fields: out = (B ⊗ A) u on nr x ns fields, and mt, nt are not read. work
+// must have length at least ne·Work3DLen(mr, nr, ms, ns, mt, nt) (with
+// mt = nt = 1 in 2-D); out must not alias u or work.
+func ApplyRun(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt, ne int) {
 	if c == nil { // one layer: s is the slowest direction
-		ApplyR(work, at, u, mr, nr, ns, 1)
-		ApplyT(out, b, work, ms, ns, mr, 1)
+		ApplyR(work, at, u, mr, nr, ns, 1, ne)
+		ApplyT(out, b, work, ms, ns, mr, 1, ne)
 		return
 	}
-	w1, w2 := work[:mr*ns*nt], work[mr*ns*nt:mr*ns*nt+mr*ms*nt]
-	ApplyR(w1, at, u, mr, nr, ns, nt)
-	ApplyS(w2, b, w1, ms, ns, mr, nt)
-	ApplyT(out, c, w2, mt, nt, mr, ms)
+	n1, n2 := ne*mr*ns*nt, ne*mr*ms*nt
+	w1, w2 := work[:n1], work[n1:n1+n2]
+	ApplyR(w1, at, u, mr, nr, ns, nt, ne)
+	ApplyS(w2, b, w1, ms, ns, mr, nt, ne)
+	ApplyT(out, c, w2, mt, nt, mr, ms, ne)
+}
+
+// Apply is ApplyRun on one field.
+func Apply(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt int) {
+	ApplyRun(out, at, b, c, u, work, mr, nr, ms, ns, mt, nt, 1)
 }
 
 // Apply2D is Apply on a 2-D field.
@@ -83,24 +100,25 @@ func Apply3D(out, at, b, c, u, work []float64, mr, nr, ms, ns, mt, nt int) {
 }
 
 // ApplyDim applies the square operator A (n x n; at = Aᵀ) along reference
-// dimension dim (0 = r, 1 = s, 2 = t) of a field with extent n in each of
-// dims (2 or 3) dimensions. out must not alias u.
-func ApplyDim(out, a, at, u []float64, n, dims, dim int) {
+// dimension dim (0 = r, 1 = s, 2 = t) of ne consecutive fields with extent n
+// in each of dims (2 or 3) dimensions. out must not alias u.
+func ApplyDim(out, a, at, u []float64, n, dims, dim, ne int) {
 	nt := 1
 	if dims == 3 {
 		nt = n
 	}
 	switch dim {
 	case 0:
-		ApplyR(out, at, u, n, n, n, nt)
+		ApplyR(out, at, u, n, n, n, nt, ne)
 	case dims - 1: // the slowest direction: s in 2-D
-		ApplyT(out, a, u, n, n, n, nt)
+		ApplyT(out, a, u, n, n, n, nt, ne)
 	default:
-		ApplyS(out, a, u, n, n, n, nt)
+		ApplyS(out, a, u, n, n, n, nt, ne)
 	}
 }
 
-// Work3DLen returns the scratch length Apply needs for the given shape.
+// Work3DLen returns the scratch length Apply needs for the given shape, and
+// ApplyRun per field of its run.
 func Work3DLen(mr, nr, ms, ns, mt, nt int) int {
 	return mr*ns*nt + mr*ms*nt
 }

@@ -156,7 +156,7 @@ func TestSingleDimensionApplications(t *testing.T) {
 	// ApplyR == Apply with identity B, C.
 	wantFull := kron3Ref(a, id(ns), id(nt), u, 2, nr, ns, ns, nt, nt)
 	got := make([]float64, 2*ns*nt)
-	ApplyR(got, Transpose(a, 2, nr), u, 2, nr, ns, nt)
+	ApplyR(got, Transpose(a, 2, nr), u, 2, nr, ns, nt, 1)
 	for i := range wantFull {
 		if math.Abs(got[i]-wantFull[i]) > 1e-12 {
 			t.Fatalf("ApplyR mismatch at %d", i)
@@ -165,7 +165,7 @@ func TestSingleDimensionApplications(t *testing.T) {
 	b := randSlice(rng, 3*ns)
 	wantS := kron3Ref(id(nr), b, id(nt), u, nr, nr, 3, ns, nt, nt)
 	gotS := make([]float64, nr*3*nt)
-	ApplyS(gotS, b, u, 3, ns, nr, nt)
+	ApplyS(gotS, b, u, 3, ns, nr, nt, 1)
 	for i := range wantS {
 		if math.Abs(gotS[i]-wantS[i]) > 1e-12 {
 			t.Fatalf("ApplyS mismatch at %d", i)
@@ -174,7 +174,7 @@ func TestSingleDimensionApplications(t *testing.T) {
 	c := randSlice(rng, 2*nt)
 	wantT := kron3Ref(id(nr), id(ns), c, u, nr, nr, ns, ns, 2, nt)
 	gotT := make([]float64, nr*ns*2)
-	ApplyT(gotT, c, u, 2, nt, nr, ns)
+	ApplyT(gotT, c, u, 2, nt, nr, ns, 1)
 	for i := range wantT {
 		if math.Abs(gotT[i]-wantT[i]) > 1e-12 {
 			t.Fatalf("ApplyT mismatch at %d", i)
@@ -219,9 +219,9 @@ func TestApplyRIsBitwiseMulABt(t *testing.T) {
 				want, got := make([]float64, rows*mr), make([]float64, rows*mr)
 				la.MulABt(want, u, a, rows, nr, mr)
 				if dim == 2 {
-					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, rows, 1)
+					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, rows, 1, 1)
 				} else {
-					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, nr, rows/nr)
+					ApplyR(got, Transpose(a, mr, nr), u, mr, nr, nr, rows/nr, 1)
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -250,14 +250,14 @@ func TestApplyDimIsTheDirectionApply(t *testing.T) {
 		u := randSlice(rng, n*n*nt)
 		for dim := 0; dim < dims; dim++ {
 			got, want := make([]float64, len(u)), make([]float64, len(u))
-			ApplyDim(got, a, at, u, n, dims, dim)
+			ApplyDim(got, a, at, u, n, dims, dim, 1)
 			switch dim {
 			case 0:
-				ApplyR(want, at, u, n, n, n, nt)
+				ApplyR(want, at, u, n, n, n, nt, 1)
 			case 1:
-				ApplyS(want, a, u, n, n, n, nt)
+				ApplyS(want, a, u, n, n, n, nt, 1)
 			default:
-				ApplyT(want, a, u, n, n, n, n)
+				ApplyT(want, a, u, n, n, n, n, 1)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -281,9 +281,9 @@ func BenchmarkDirectionApplies(b *testing.B) {
 			name string
 			fn   func()
 		}{
-			{"r", func() { ApplyR(out, a, u, n, n, n, n) }},
-			{"s", func() { ApplyS(out, a, u, n, n, n, n) }},
-			{"t", func() { ApplyT(out, a, u, n, n, n, n) }},
+			{"r", func() { ApplyR(out, a, u, n, n, n, n, 1) }},
+			{"s", func() { ApplyS(out, a, u, n, n, n, n, 1) }},
+			{"t", func() { ApplyT(out, a, u, n, n, n, n, 1) }},
 		}
 		b.Run(fmt.Sprintf("N%d", order), func(b *testing.B) {
 			const block = 64
@@ -301,5 +301,83 @@ func BenchmarkDirectionApplies(b *testing.B) {
 				b.ReportMetric(float64(elapsed[j].Nanoseconds())/float64(block*b.N), ap.name+"-ns/call")
 			}
 		})
+	}
+}
+
+// randomSplit cuts ne consecutive elements into runs of random lengths that
+// add up to ne.
+func randomSplit(rng *rand.Rand, ne int) []int {
+	var runs []int
+	for ne > 0 {
+		n := 1 + rng.Intn(ne)
+		runs = append(runs, n)
+		ne -= n
+	}
+	return runs
+}
+
+// runKernel is one run-form kernel on fields of in points per element,
+// writing out points per element.
+type runKernel struct {
+	name    string
+	in, out int
+	apply   func(out, u []float64, ne int)
+}
+
+// TestRunsAreTheirElementsBitwise holds every run-form kernel — the
+// direction applies, ApplyDim and ApplyRun — to its one-element application,
+// element by element, bit for bit, over random splits of a random element
+// list: square operators and the rectangular J_pv (N-1 → N+1 points) and
+// J_pvᵀ (N+1 → N-1) shapes, 2-D and 3-D. Seeded, so a failure repeats.
+func TestRunsAreTheirElementsBitwise(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(8) // order N: 1-D operators on N+1 points
+		dims := 2 + rng.Intn(2)
+		ne := 1 + rng.Intn(16)
+		for _, sh := range [][2]int{{n + 1, n + 1}, {n + 1, n - 1}, {n - 1, n + 1}} {
+			m, k := sh[0], sh[1] // m output points from k input points per direction
+			a, b, c := randSlice(rng, m*k), randSlice(rng, m*k), randSlice(rng, m*k)
+			at := Transpose(a, m, k)
+			nt, mt, ct := 1, 1, []float64(nil) // 2-D: one layer, no t apply
+			if dims == 3 {
+				nt, mt, ct = k, m, c
+			}
+			work := make([]float64, ne*Work3DLen(m, k, m, k, mt, nt))
+			kernels := []runKernel{
+				{"ApplyR", k * k * nt, m * k * nt, func(out, u []float64, ne int) { ApplyR(out, at, u, m, k, k, nt, ne) }},
+				{"ApplyS", k * k * nt, k * m * nt, func(out, u []float64, ne int) { ApplyS(out, b, u, m, k, k, nt, ne) }},
+				// ApplyT along the slowest direction: s in 2-D, t in 3-D.
+				{"ApplyT", k * k * nt, k * m * nt, func(out, u []float64, ne int) { ApplyT(out, c, u, m, k, k, nt, ne) }},
+				{"ApplyRun", k * k * nt, m * m * mt, func(out, u []float64, ne int) {
+					ApplyRun(out, at, b, ct, u, work, m, k, m, k, mt, nt, ne)
+				}},
+			}
+			if m == k {
+				for dim := 0; dim < dims; dim++ {
+					kernels = append(kernels, runKernel{fmt.Sprintf("ApplyDim(%d)", dim), len(a) * nt, len(a) * nt,
+						func(out, u []float64, ne int) { ApplyDim(out, a, at, u, k, dims, dim, ne) }})
+				}
+			}
+			for _, kr := range kernels {
+				u := randSlice(rng, ne*kr.in)
+				u[rng.Intn(len(u))] = 0 // MatMulIKJ skips zero entries
+				want, got := make([]float64, ne*kr.out), make([]float64, ne*kr.out)
+				for e := 0; e < ne; e++ {
+					kr.apply(want[e*kr.out:(e+1)*kr.out], u[e*kr.in:(e+1)*kr.in], 1)
+				}
+				split, e0 := randomSplit(rng, ne), 0
+				for _, r := range split {
+					kr.apply(got[e0*kr.out:(e0+r)*kr.out], u[e0*kr.in:(e0+r)*kr.in], r)
+					e0 += r
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed %d, %d-D %dx%d %s, runs %v: entry %d is %g, element by element %g",
+							seed, dims, m, k, kr.name, split, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,6 +8,9 @@
 #           AVX-512 kernels, stated end to end, and the step's own tests on the loops
 #           the kernels replace; fdm's solves, schwarz's subdomains and mesh's
 #           metrics run their tensor products through tensor on the Go matmul);
+#           every benchmark of the root module once (-benchtime 1x, a few
+#           seconds: the tensor, sem and la micro-benchmarks, among them the
+#           stiffness run-length one behind mesh.RunPoints, keep running);
 #           a grep that no non-test Go file outside bench/ names a 2-D or 3-D
 #           copy of a tensor-product kernel (ApplyR2D, ApplyS2D, ApplyR3D,
 #           ApplyS3D, ApplyT3D, Solver2D, Solver3D, New2D, New3D, WorkLen2D,
@@ -273,6 +276,7 @@ tier1() {
     stage "tier1/purego" go test -tags purego ./internal/la ./internal/tensor \
         ./internal/ns ./internal/sem ./internal/solver ./internal/gs \
         ./internal/fdm ./internal/schwarz ./internal/mesh .
+    stage "tier1/benchsmoke" go test -run '^$' -bench . -benchtime 1x ./...
     stage "tier1/amd64vet" env GOARCH=amd64 go vet ./internal/la
     stage "tier1/arm64" env GOARCH=arm64 sh -c 'go build ./... && go vet ./internal/la'
     stage "tier1/nofma" nofma
