@@ -38,6 +38,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -52,13 +53,17 @@ func main() {
 	var cfg session.Config
 	flag.StringVar(&cfg.Case, "case", "shearlayer", "flow case: "+strings.Join(session.CaseNames(), ", "))
 	flag.IntVar(&cfg.Steps, "steps", 100, "time steps")
-	flag.IntVar(&cfg.N, "n", 8, "polynomial order")
-	flag.IntVar(&cfg.Nel, "nel", 8, "elements per direction (2D cases)")
-	flag.IntVar(&cfg.KX, "kx", 0, "channel case: elements along the channel (0: case default 5); with -ky this sizes the mesh for large -ranks runs")
-	flag.IntVar(&cfg.KY, "ky", 0, "channel case: elements across the channel (0: case default 3)")
+	flag.IntVar(&cfg.N, "n", 0, "polynomial order (unset: the case's)")
+	flag.IntVar(&cfg.Nel, "nel", 0, "elements per direction, shearlayer and convection (unset: the case's)")
+	flag.IntVar(&cfg.KX, "kx", 0, "channel: elements along the channel (unset: the case's); with -ky this sizes the mesh for large -ranks runs")
+	flag.IntVar(&cfg.KY, "ky", 0, "channel: elements across the channel (unset: the case's)")
 	flag.IntVar(&cfg.PIters, "piters", 0, "pressure CG iteration cap (0: case default; a small cap bounds the per-step message volume so large -ranks runs can be traced)")
-	flag.Float64Var(&cfg.Alpha, "alpha", 0.3, "filter strength")
-	flag.IntVar(&cfg.ProjectionL, "L", 20, "pressure projection basis size (0: no projection)")
+	flag.Func("alpha", "filter strength, 0 (unfiltered) to 1 (unset: the case's)", func(v string) error {
+		a, err := strconv.ParseFloat(v, 64)
+		cfg.Alpha = &a
+		return err
+	})
+	flag.IntVar(&cfg.ProjectionL, "L", 0, "pressure projection basis size, -1 for no projection (unset: the case's)")
 	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
 	every := flag.Int("report", 10, "report interval")
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
@@ -75,11 +80,9 @@ func main() {
 	historyOut := flag.String("history", "", "write per-step convergence telemetry (JSONL) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
+	flag.Usage = usage
 	flag.Parse()
 	cfg.Trace = *traceOut != ""
-	if cfg.ProjectionL == 0 { // -L defaults to 20, so 0 is asked for: projection off
-		cfg.ProjectionL = -1
-	}
 	// Warnings and notes go through slog; the log package's Fatal calls,
 	// which SetDefault routes through the same handler, are errors.
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
@@ -105,8 +108,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-report %d: want a report interval of at least 1 step\n", *every)
 		os.Exit(2)
 	}
-	if !(cfg.Alpha >= 0 && cfg.Alpha <= 1) {
-		fmt.Fprintf(os.Stderr, "-alpha %g: want a filter strength from 0 to 1\n", cfg.Alpha)
+	if a := cfg.Alpha; a != nil && !(*a >= 0 && *a <= 1) {
+		fmt.Fprintf(os.Stderr, "-alpha %g: want a filter strength from 0 to 1\n", *a)
 		os.Exit(2)
 	}
 
@@ -276,6 +279,19 @@ func main() {
 	if *memprofile != "" {
 		runtime.GC()
 		writeArtifact("memprofile", *memprofile, pprof.WriteHeapProfile)
+	}
+}
+
+// usage prints the flags, then what each case runs with a flag left unset
+// (0: a knob the case does not read).
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
+	flag.PrintDefaults()
+	for _, name := range session.CaseNames() {
+		c, _ := session.Config{Case: name}.Resolve()
+		fmt.Fprintf(out, "-case %-10s defaults: -n %d -nel %d -kx %d -ky %d -L %d -alpha %g\n",
+			name, c.N, c.Nel, c.KX, c.KY, c.ProjectionL, *c.Alpha)
 	}
 }
 

@@ -1,11 +1,19 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/session"
 )
@@ -100,5 +108,66 @@ func TestRefusedResumeIsAnError(t *testing.T) {
 	out, code := semflow(t, "-case", "channel", "-n", "5", "-kx", "2", "-ky", "2", "-steps", "2", "-resume")
 	if code != 1 || strings.Contains(out, "level=INFO") || !strings.Contains(out, "-resume needs -checkpoint") {
 		t.Errorf("exit status %d, want 1 with the refusal and no level=INFO line; output:\n%s", code, out)
+	}
+}
+
+// fieldsDigest hashes the fields and pressure of id's stored snapshot.
+func fieldsDigest(t *testing.T, store session.Store, id string) string {
+	t.Helper()
+	ck, err := session.LoadCheckpoint(store, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ck.Ranks[0].State
+	h := sha256.New()
+	for _, f := range append(st.Fields, st.P) {
+		for _, v := range f {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestNamedCasesRunAlikeFromEveryDriver: each named case stepped once from a
+// bare semflowd submit body and from semflow's flag defaults ends in one
+// fields digest, because both drivers start from the case table and keep no
+// defaults of their own (a bare hairpin submit once ran unfiltered where
+// semflow filtered it). cmd/tables' TestFig3RowDIsTheDefaultShearLayer holds
+// Fig. 3's row (d) to the same bare submit.
+func TestNamedCasesRunAlikeFromEveryDriver(t *testing.T) {
+	m := session.NewManager(session.NewMemStore(), 1)
+	srv := httptest.NewServer(session.HTTPHandler(m))
+	defer m.Close()
+	defer srv.Close()
+	for _, name := range session.CaseNames() {
+		resp, err := http.Post(srv.URL+"/api/sessions", "application/json",
+			strings.NewReader(`{"case":"`+name+`","steps":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub session.SubmitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: submit answered %d (%v)", name, resp.StatusCode, err)
+		}
+		j, _ := m.Get(sub.ID)
+		for j.Status().State == session.StateRunning {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if st := j.Status(); st.State != session.StateDone {
+			t.Fatalf("%s: submitted job %s (%s)", name, st.State, st.Error)
+		}
+		dir := t.TempDir()
+		if out, code := semflow(t, "-case", name, "-steps", "1", "-checkpoint", dir); code != 0 {
+			t.Fatalf("%s: semflow exit status %d; output:\n%s", name, code, out)
+		}
+		store, err := session.NewFSStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fieldsDigest(t, store, name), fieldsDigest(t, m.Store(), sub.ID); got != want {
+			t.Errorf("%s: semflow's defaults step to %s, a bare submit to %s", name, got[:16], want[:16])
+		}
 	}
 }

@@ -5,51 +5,66 @@ import (
 	"math"
 
 	"repro/internal/flowcases"
+	"repro/internal/ns"
+	"repro/internal/session"
 )
 
-// fig3 reproduces the shear-layer roll-up study: stability and vorticity
-// extrema for the (K, N, α) pairings of Fig. 3, for the "thick" (ρ=30,
-// Re=1e5) and "thin" (ρ=100, Re=4e4) layers.
-func fig3(quick bool) error {
-	type cse struct {
-		label   string
-		nel, n  int
-		rho, re float64
-		alpha   float64
+// fig3Row is one (K, N, α) pairing of Fig. 3: the shearlayer case's thick
+// layer, or the thin one (ρ = 100, Re = 4·10⁴).
+type fig3Row struct {
+	label  string
+	nel, n int
+	alpha  float64
+	thin   bool
+}
+
+// solver builds the row's run from the case table's shear layer.
+func (r fig3Row) solver() (*ns.Solver, error) {
+	p := session.ShearLayer()
+	p.Nel, p.N, p.Alpha = r.nel, r.n, r.alpha
+	if r.thin {
+		p.Rho, p.Re = 100, 4e4
 	}
-	// Our collocation-form OIFS convection is less robust than the paper's
-	// production operator at N=16 with convective CFL > 1 (see
-	// EXPERIMENTS.md); the filter-stabilization comparison is therefore run
-	// on the N=8 element family where the paper's qualitative result —
-	// unfiltered blow-up vs filtered survival at identical resolution —
-	// reproduces cleanly.
-	var cases []cse
+	return flowcases.ShearLayer(p)
+}
+
+// fig3Rows lists Fig. 3's rows and the steps each runs.
+//
+// Our collocation-form OIFS convection is less robust than the paper's
+// production operator at N=16 with convective CFL > 1 (see EXPERIMENTS.md);
+// the filter-stabilization comparison is therefore run on the N=8 element
+// family where the paper's qualitative result — unfiltered blow-up vs
+// filtered survival at identical resolution — reproduces cleanly.
+func fig3Rows(quick bool) ([]fig3Row, int) {
+	if quick {
+		return []fig3Row{
+			{"(a) thick, n=128, no filter", 16, 8, 0, false},
+			{"(b) thick, n=128, alpha=0.3", 16, 8, 0.3, false},
+			{"(d) thick, n=64,  alpha=0.3", 8, 8, 0.3, false},
+		}, 320
+	}
 	// t = 2.0 at dt = 0.002: the roll-up window and as long again after
 	// it, so a run that only starts to fail late in the roll-up, as the
 	// default shear layer (row (d)) does at step 541, is reported as failed.
-	steps := 1000
-	if quick {
-		steps = 320
-		cases = []cse{
-			{"(a) thick, n=128, no filter", 16, 8, 30, 1e5, 0},
-			{"(b) thick, n=128, alpha=0.3", 16, 8, 30, 1e5, 0.3},
-			{"(d) thick, n=64,  alpha=0.3", 8, 8, 30, 1e5, 0.3},
-		}
-	} else {
-		cases = []cse{
-			{"(a) thick, n=128, no filter ", 16, 8, 30, 1e5, 0},
-			{"(b) thick, n=128, alpha=0.3 ", 16, 8, 30, 1e5, 0.3},
-			{"(c) thick, n=128, alpha=1.0 ", 16, 8, 30, 1e5, 1.0},
-			{"(d) thick, n=64,  alpha=0.3 ", 8, 8, 30, 1e5, 0.3},
-			{"(e) thin,  n=128, alpha=0.3 ", 16, 8, 100, 4e4, 0.3},
-		}
-	}
+	return []fig3Row{
+		{"(a) thick, n=128, no filter ", 16, 8, 0, false},
+		{"(b) thick, n=128, alpha=0.3 ", 16, 8, 0.3, false},
+		{"(c) thick, n=128, alpha=1.0 ", 16, 8, 1.0, false},
+		{"(d) thick, n=64,  alpha=0.3 ", 8, 8, 0.3, false},
+		{"(e) thin,  n=128, alpha=0.3 ", 16, 8, 0.3, true},
+	}, 1000
+}
+
+// fig3 reproduces the shear-layer roll-up study: stability and vorticity
+// extrema for the (K, N, α) pairings of Fig. 3, for the "thick" (ρ=30,
+// Re=1e5) and "thin" (ρ=100, Re=4e4) layers. Row (d) is the default
+// shearlayer case.
+func fig3(quick bool) error {
+	cases, steps := fig3Rows(quick)
 	fmt.Println("Fig 3: shear layer roll-up, dt=0.002 (series: survival + vorticity extrema)")
 	fmt.Printf("%-30s %8s %10s %10s %10s\n", "case", "steps", "w_min", "w_max", "KE/KE0")
 	for _, c := range cases {
-		s, err := flowcases.ShearLayer(flowcases.ShearLayerConfig{
-			Nel: c.nel, N: c.n, Rho: c.rho, Re: c.re, Dt: 0.002, Alpha: c.alpha,
-		})
+		s, err := c.solver()
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.label, err)
 		}

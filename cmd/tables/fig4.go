@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flowcases"
+	"repro/internal/session"
 )
 
 // fig4 reproduces the projection study: pressure iteration count and
@@ -16,9 +17,9 @@ func fig4(quick bool) error {
 		nel, n, steps = 4, 5, 20
 	}
 	run := func(l int) (iters []int, res0 []float64, err error) {
-		s, err := flowcases.Convection(flowcases.ConvectionConfig{
-			Nel: nel, N: n, Ra: 1e4, Dt: 0.002, ProjectionL: l,
-		})
+		p := session.Convection()
+		p.Nel, p.N, p.ProjectionL = nel, n, l
+		s, err := flowcases.Convection(p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("convection L=%d: %w", l, err)
 		}

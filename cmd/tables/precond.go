@@ -14,8 +14,16 @@ import (
 
 	"repro/internal/flowcases"
 	"repro/internal/ns"
+	"repro/internal/session"
 	"repro/internal/solver"
 )
+
+// channel is the channel case's physics at order n under a preconditioner.
+func channel(n int, precond string) flowcases.ChannelConfig {
+	c := session.Channel()
+	c.N, c.Precond = n, precond
+	return c
+}
 
 func precondExp(quick bool) error {
 	n, steps := 9, 6
@@ -25,9 +33,7 @@ func precondExp(quick bool) error {
 	fmt.Printf("Channel (Table 1 case), N=%d, %d steps: pressure CG iterations per variant\n\n", n, steps)
 	fmt.Printf("%-12s %-10s %-14s %-10s\n", "precond", "iters", "per-step", "converged")
 	for _, name := range ns.PrecondNames() {
-		s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2, Precond: name,
-		})
+		s, _, err := flowcases.Channel(channel(n, name))
 		if err != nil {
 			return fmt.Errorf("channel under %s: %w", name, err)
 		}
@@ -44,9 +50,7 @@ func precondExp(quick bool) error {
 	}
 
 	solver.ResetPrecondTable()
-	s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2, Precond: ns.PrecondAuto,
-	})
+	s, _, err := flowcases.Channel(channel(n, ns.PrecondAuto))
 	if err != nil {
 		return fmt.Errorf("channel under auto: %w", err)
 	}
@@ -61,7 +65,8 @@ func precondExp(quick bool) error {
 // are the variant's trial work over its trial iterations, both from the
 // meter; Mflop/step is the metered work of a whole warm step.
 func hairpinPrecond(quick bool) error {
-	hc := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 850, Dt: 0.05, FilterA: 0.1}
+	hc := session.Hairpin()
+	hc.N, hc.Re, hc.FilterA = 5, 850, 0.1
 	timed := 20
 	if quick {
 		hc.Nx, hc.Ny, hc.Nz, timed = 3, 2, 2, 5

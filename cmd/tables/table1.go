@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/flowcases"
+	"repro/internal/session"
 )
 
 // table1 reproduces the Orr–Sommerfeld convergence study: growth-rate error
@@ -21,9 +22,9 @@ func table1(quick bool) error {
 	// that cannot be set up fails the table.
 	var setupErr error
 	measure := func(n int, dt float64, order int, alpha float64) (relErr float64, blew bool) {
-		s, osr, err := flowcases.Channel(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: n, Dt: dt, Order: order, Filter: alpha,
-		})
+		p := session.Channel()
+		p.N, p.Dt, p.Order, p.Filter = n, dt, order, alpha
+		s, osr, err := flowcases.Channel(p)
 		if err != nil {
 			setupErr = fmt.Errorf("channel N=%d dt=%g: %w", n, dt, err)
 			return math.NaN(), true
@@ -40,11 +41,12 @@ func table1(quick bool) error {
 		return math.Abs(g-ref) / math.Abs(ref), false
 	}
 
-	fmt.Println("Table 1 (spatial): Orr-Sommerfeld growth-rate relative error, K=15, dt=0.003125")
+	ch := session.Channel() // the spatial study runs the case's Δt and order
+	fmt.Printf("Table 1 (spatial): Orr-Sommerfeld growth-rate relative error, K=15, dt=%g\n", ch.Dt)
 	fmt.Printf("%4s  %12s  %12s\n", "N", "alpha=0.0", "alpha=0.2")
 	for _, n := range orders {
-		e0, b0 := measure(n, 0.003125, 2, 0)
-		e2, b2 := measure(n, 0.003125, 2, 0.2)
+		e0, b0 := measure(n, ch.Dt, ch.Order, 0)
+		e2, b2 := measure(n, ch.Dt, ch.Order, 0.2)
 		fmt.Printf("%4d  %12s  %12s\n", n, fmtErr(e0, b0), fmtErr(e2, b2))
 	}
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/ns"
 	"repro/internal/parrun"
+	"repro/internal/session"
 )
 
 // hairpinSteps is the paper's study length (Fig. 8): 26 steps.
@@ -182,9 +183,11 @@ func price(run *reducedRun, to shape, m comm.Machine) estimate {
 // K = 36 at N = 4, Re = 850, Δt = 0.05. Each takes about a second of host
 // time.
 func recordHairpin(quick bool) (*reducedRun, error) {
-	c := flowcases.HairpinConfig{Nx: 6, Ny: 4, Nz: 3, N: 5, Re: 1600, Dt: 0.025, FilterA: 0.05}
+	c := session.Hairpin()
+	c.N, c.Dt, c.FilterA = 5, 0.025, 0.05
 	if quick {
-		c = flowcases.HairpinConfig{Nx: 4, Ny: 3, Nz: 3, N: 4, Re: 850, Dt: 0.05, FilterA: 0.05}
+		c = session.Hairpin()
+		c.Nx, c.Ny, c.Nz, c.N, c.Re, c.FilterA = 4, 3, 3, 4, 850, 0.05
 	}
 	cfg, init, err := flowcases.HairpinSpec(c)
 	if err != nil {

@@ -98,12 +98,17 @@ func main() {
 		for i := range b {
 			b[i] *= lmask[i]
 		}
-		// Jacobi diagonal: HelmholtzDiag assembles the global diagonal (the
-		// shared mesh is read-only), restrict it to my elements.
-		diagFull := d.HelmholtzDiag(1, 0)
+		// Jacobi diagonal: my elements' stiffness diagonals, assembled like
+		// a residual, with unit Dirichlet rows.
 		diag := make([]float64, nloc)
 		for li, e := range mine {
-			copy(diag[li*m.Np:(li+1)*m.Np], diagFull[e*m.Np:(e+1)*m.Np])
+			d.StiffnessDiagElement(diag[li*m.Np:(li+1)*m.Np], e)
+		}
+		h.Apply(diag, gs.Sum)
+		for i, mk := range lmask {
+			if mk == 0 {
+				diag[i] = 1
+			}
 		}
 
 		// Jacobi-preconditioned CG, SPMD: every inner product is an allreduce.

@@ -5,9 +5,9 @@
 // convection of Fig. 4, and the impulsively-started boundary-layer box with
 // a hemispherical roughness element standing in for the hairpin-vortex
 // production run of Figs. 7–8 and Table 4.
-// It holds each case's physics, a *Spec over a per-case config, and the
-// diagnostics of a running solver; session.Config.Problem maps case names
-// and a run's knobs onto the specs.
+// It holds each case's problem, a *Spec over a per-case config, and the
+// diagnostics of a running solver; session's case table holds each named
+// case's parameters and maps a run's knobs onto the specs.
 package flowcases
 
 import (
@@ -39,9 +39,6 @@ type InitFunc = func(x, y, z float64) (u, v, w float64)
 // ShearLayerSpec builds the Fig. 3 problem definition without constructing
 // a solver.
 func ShearLayerSpec(c ShearLayerConfig) (ns.Config, InitFunc, error) {
-	if c.Dt == 0 {
-		c.Dt = 0.002
-	}
 	spec := mesh.Box2D(mesh.Box2DSpec{
 		Nx: c.Nel, Ny: c.Nel, X0: 0, X1: 1, Y0: 0, Y1: 1,
 		PeriodicX: true, PeriodicY: true,

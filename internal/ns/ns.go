@@ -122,7 +122,7 @@ type template struct {
 	Cfg Config
 	M   *mesh.Mesh
 	D   *sem.Disc // velocity-grid operators (masked)
-	DN  *sem.Disc // unmasked operators (pressure preconditioning)
+	DN  *sem.Disc // D without its mask (pressure preconditioning): one gather–scatter topology
 	dim int
 
 	maskV []float64 // velocity Dirichlet mask (nil = no Dirichlet boundary)
@@ -362,7 +362,7 @@ func New(cfg Config) (*Solver, error) {
 		t.maskV = m.BoundaryMask(cfg.DirichletMask)
 	}
 	t.D = sem.New(m, t.maskV)
-	t.DN = sem.New(m, nil)
+	t.DN = t.D.Unmasked()
 	s := &Solver{template: t}
 	if err := s.build(precondForced); err != nil {
 		return nil, err
@@ -568,9 +568,13 @@ func (s *Solver) initState(mach Machine) error {
 	s.work.blocks = make([][]float64, s.dim)
 	s.work.fdm = make([]float64, fdmLen)
 
-	s.velHelm = s.helmholtzOps(1/cfg.Re, s.mask)
+	stiff := make([]float64, s.n) // every Helmholtz diagonal scales it
+	for li, e := range s.elems {
+		s.D.StiffnessDiagElement(stiff[li*np:(li+1)*np], e)
+	}
+	s.velHelm = s.helmholtzOps(1/cfg.Re, s.mask, stiff)
 	if sc := cfg.Scalar; sc != nil {
-		s.scalarHelm = s.helmholtzOps(sc.Diffusivity, owned(s.maskS, np))
+		s.scalarHelm = s.helmholtzOps(sc.Diffusivity, owned(s.maskS, np), stiff)
 	}
 	s.helmOp = func(outs, ins [][]float64) { s.helmholtz(outs, ins, s.helm) }
 	s.applyEs = solver.Operator(s.applyE).Batch()

@@ -246,17 +246,18 @@ type helmholtzOp struct {
 	diag []float64
 }
 
-// helmholtzOps builds the operators h1·A + (β/Δt)·B of BDF orders 1…Order,
-// each diagonal with one direct stiffness sum and unit on the Dirichlet rows
-// of mask, so Jacobi inversion stays defined.
-func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
+// helmholtzOps builds the operators h1·A + (β/Δt)·B of BDF orders 1…Order
+// from stiff, the owned elements' unassembled stiffness diagonal, each
+// diagonal with one direct stiffness sum and unit on the Dirichlet rows of
+// mask, so Jacobi inversion stays defined.
+func (s *Solver) helmholtzOps(h1 float64, mask, stiff []float64) []helmholtzOp {
 	ops := make([]helmholtzOp, s.Cfg.Order)
 	for q := range ops {
 		beta, _ := bdf(q + 1)
 		h2 := beta / s.Cfg.Dt
-		d, np := make([]float64, s.n), s.M.Np
-		for li, e := range s.elems {
-			s.D.HelmholtzDiagElement(d[li*np:(li+1)*np], e, h1, h2)
+		d := make([]float64, s.n)
+		for i, a := range stiff {
+			d[i] = h1*a + h2*s.b[i]
 		}
 		s.assembleOne(d)
 		for i, mk := range mask {
@@ -264,7 +265,7 @@ func (s *Solver) helmholtzOps(h1 float64, mask []float64) []helmholtzOp {
 				d[i] = 1
 			}
 		}
-		s.charge(s.stiffF.times(len(s.elems)))
+		s.charge(s.stiffF.times(len(s.elems))) // the model prices each order's diagonal as one stiffness apply
 		h2B := append([]float64(nil), s.b...)
 		la.Scale(h2, h2B)
 		ops[q] = helmholtzOp{h1: h1, h2B: h2B, mask: mask, diag: d}

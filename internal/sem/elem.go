@@ -52,13 +52,13 @@ func (d *Disc) FilterElement(f *Filter, ue []float64, s []float64) {
 	copy(ue, s[:n])
 }
 
-// HelmholtzDiagElement writes element e's unassembled diagonal of
-// h1·A + h2·B into the local block de (length Np). The caller assembles the
-// blocks (distributed gs sum) and sets Dirichlet rows to one, mirroring the
-// serial HelmholtzDiag. It keeps a loop per dimension on purpose: the 3-D
-// loop interleaves its three p-sums where the 2-D one runs its two in turn,
-// and a shared loop would reorder one and move every golden digest.
-func (d *Disc) HelmholtzDiagElement(de []float64, e int, h1, h2 float64) {
+// StiffnessDiagElement writes element e's unassembled diagonal of the
+// stiffness A into the local block de (length Np); a Helmholtz diagonal is
+// h1·de + h2·B of it, entry by entry, for every (h1, h2). It keeps a loop per
+// dimension on purpose: the 3-D loop interleaves its three p-sums where the
+// 2-D one runs its two in turn, and a shared loop would reorder one and move
+// every golden digest.
+func (d *Disc) StiffnessDiagElement(de []float64, e int) {
 	m := d.M
 	np1 := m.N + 1
 	np := m.Np
@@ -76,8 +76,7 @@ func (d *Disc) HelmholtzDiagElement(de []float64, e int, h1, h2 float64) {
 					s += dpj * dpj * m.G[2][off+p*np1+i]
 				}
 				s += 2 * m.D[i*np1+i] * m.D[j*np1+j] * m.G[1][off+j*np1+i]
-				l := j*np1 + i
-				de[l] = h1*s + h2*m.B[off+l]
+				de[j*np1+i] = s
 			}
 		}
 		return
@@ -99,8 +98,7 @@ func (d *Disc) HelmholtzDiagElement(de []float64, e int, h1, h2 float64) {
 				s += 2 * dii * djj * m.G[1][idx(i, j, k)]
 				s += 2 * dii * dkk * m.G[2][idx(i, j, k)]
 				s += 2 * djj * dkk * m.G[4][idx(i, j, k)]
-				l := (k*np1+j)*np1 + i
-				de[l] = h1*s + h2*m.B[off+l]
+				de[(k*np1+j)*np1+i] = s
 			}
 		}
 	}

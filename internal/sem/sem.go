@@ -10,7 +10,7 @@
 // The package keeps no execution state: its full-mesh operators are plain
 // loops over runs of consecutive elements (mesh.Run), and its per-element
 // kernels (StiffnessElement, GradElement and FilterElement on a run,
-// HelmholtzDiagElement on one element) only read the Disc.
+// StiffnessDiagElement on one element) only read the Disc.
 package sem
 
 import (
@@ -49,6 +49,13 @@ func New(m *mesh.Mesh, mask []float64) *Disc {
 	}
 	d.runs = m.Runs(all)
 	return d
+}
+
+// Unmasked returns a view of d without its Dirichlet mask: the same mesh,
+// gather–scatter handle, multiplicity and runs, with a flop meter and
+// scratch of its own.
+func (d *Disc) Unmasked() *Disc {
+	return &Disc{M: d.M, GS: d.GS, Mult: d.Mult, Dt: d.Dt, runs: d.runs}
 }
 
 // runScratch returns the full-mesh loops' scratch, ElemScratchLen per
@@ -126,31 +133,6 @@ func (d *Disc) Helmholtz(out, u []float64, h1, h2 float64) {
 	}
 	d.flops.Add(3 * int64(len(out)))
 	d.Assemble(out)
-}
-
-// HelmholtzDiag returns the assembled diagonal of h1·A + h2·B, the Jacobi
-// preconditioner of the velocity solves.
-func (d *Disc) HelmholtzDiag(h1, h2 float64) []float64 {
-	m := d.M
-	np := m.Np
-	diag := make([]float64, m.K*np)
-	// Diagonal of the tensor stiffness: A_ll = Σ_q D_ql² G... computed
-	// exactly from the factorized form: for node l=(i,j[,k]),
-	// diag += Σ_p Dᵀ... Using the identity
-	// (A)_{ll} = Σ_m D[m][i]² Grr(m,j) + 2 D[i][i] D[j][j] Grs(i,j) + Σ_m D[m][j]² Gss(i,m).
-	for e := 0; e < m.K; e++ {
-		d.HelmholtzDiagElement(diag[e*np:(e+1)*np], e, h1, h2)
-	}
-	d.GS.Apply(diag, gs.Sum)
-	// Dirichlet rows: unit diagonal so Jacobi inversion stays defined.
-	if d.Mask != nil {
-		for i, mk := range d.Mask {
-			if mk == 0 {
-				diag[i] = 1
-			}
-		}
-	}
-	return diag
 }
 
 // Grad computes the physical-space gradient of u per element (unassembled):

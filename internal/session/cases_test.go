@@ -1,6 +1,10 @@
 package session
 
 import (
+	"encoding/json"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/flowcases"
@@ -12,7 +16,7 @@ import (
 func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
 	for _, name := range CaseNames() {
 		for _, alpha := range []float64{0, 0.3, 1} {
-			cfg, _, err := Config{Case: name, N: 4, Nel: 2, Alpha: alpha}.Problem()
+			cfg, _, err := Config{Case: name, N: 4, Nel: 2, Alpha: &alpha}.Problem()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -28,7 +32,7 @@ func TestNamedAppliesAlphaToEveryCase(t *testing.T) {
 // the table replaced both, so the one table is checked against them rather
 // than trusted.
 func TestNamedCaseTable(t *testing.T) {
-	p := Config{N: 6, Nel: 3, Alpha: 0.3, Precond: "chebjacobi"}
+	p := Config{N: 6, Nel: 3, Alpha: strength(0.3), Precond: "chebjacobi"}
 	named := func(name string) Config { c := p; c.Case = name; return c }
 	type scalars struct {
 		Re, Dt, Filter, PTol, VTol, SubCFL float64
@@ -125,5 +129,96 @@ func BenchmarkCaseSetUp(b *testing.B) {
 				s.Close()
 			}
 		})
+	}
+}
+
+// submitBody posts a raw submit body and waits for its job to finish.
+func submitBody(t *testing.T, m *Manager, url, body string) *Job {
+	t.Helper()
+	resp, err := http.Post(url+"/api/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s: %d %s", body, resp.StatusCode, b)
+	}
+	var sub SubmitResponse
+	decodeJSON(t, resp, &sub)
+	j, ok := m.Get(sub.ID)
+	if !ok {
+		t.Fatalf("job %s not found", sub.ID)
+	}
+	waitJob(t, j)
+	return j
+}
+
+// storedAlpha reads the filter strength a job's config.json records.
+func storedAlpha(t *testing.T, m *Manager, id string) *float64 {
+	t.Helper()
+	raw, err := m.Store().Get(id, ArtifactConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Config
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatal(err)
+	}
+	return c.Alpha
+}
+
+// TestSubmitTakesTheCaseDefaults: a submit that leaves a knob out runs the
+// case table's default, and one that sets it, "alpha": 0 included, runs what
+// it asks for; config.json records the filter strength the job ran. The
+// hairpin submit without alpha once ran unfiltered and failed at step 12
+// (CFL 7e+25) where semflow, filtering it, stepped on.
+func TestSubmitTakesTheCaseDefaults(t *testing.T) {
+	m, srv := newTestAPI(t)
+	for _, tc := range []struct {
+		body  string
+		state State
+		alpha float64
+	}{
+		{`{"case":"hairpin","n":5,"steps":20}`, StateDone, 0.3},
+		{`{"case":"hairpin","n":5,"steps":20,"alpha":0}`, StateFailed, 0},
+		{`{"case":"channel","n":4,"steps":1}`, StateDone, 0},
+	} {
+		j := submitBody(t, m, srv.URL, tc.body)
+		if st := j.Status(); st.State != tc.state {
+			t.Errorf("%s: %s at step %d (%q), want %s", tc.body, st.State, st.Step, st.Error, tc.state)
+		}
+		if a := storedAlpha(t, m, j.ID); a == nil || *a != tc.alpha {
+			t.Errorf("%s: config.json alpha %v, want %g", tc.body, a, tc.alpha)
+		}
+	}
+}
+
+// TestResumeOfAConfigWithoutAlphaRunsUnfiltered: a config.json stored before
+// it recorded the filter strength omitted it for an unfiltered job, so the
+// resumed job runs at 0, not at the case's default.
+func TestResumeOfAConfigWithoutAlphaRunsUnfiltered(t *testing.T) {
+	m, srv := newTestAPI(t)
+	j := submitBody(t, m, srv.URL, `{"case":"shearlayer","nel":2,"n":4,"steps":2,"alpha":0}`)
+	raw, err := m.Store().Get(j.ID, ArtifactConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored map[string]any
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	delete(stored, "alpha")
+	if raw, err = json.Marshal(stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store().Put(j.ID, ArtifactConfig, raw); err != nil {
+		t.Fatal(err)
+	}
+	r := submitBody(t, m, srv.URL, `{"resume_from":"`+j.ID+`","steps":4}`)
+	if st := r.Status(); st.State != StateDone || st.Step != 4 {
+		t.Fatalf("resumed job: %s at step %d (%q), want done at 4", st.State, st.Step, st.Error)
+	}
+	if a := r.Cfg.Alpha; a == nil || *a != 0 {
+		t.Errorf("resumed job's alpha %v, want 0", a)
 	}
 }

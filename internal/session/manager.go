@@ -135,12 +135,14 @@ func checkServable(cfg Config) error {
 }
 
 // checkBounds refuses a job larger than one tenant of the service may ask
-// for, an order below 3 or no steps. Zero is a field's default, and an
-// omitted n is checked as the order the job runs; negative sizes and the
-// filter range are every session's checks (Config.validate).
+// for, an order below 3 or no steps. An omitted field is checked as the
+// case default the job runs; negative sizes and the filter range are every
+// session's checks (Config.validate).
 func checkBounds(cfg Config) error {
-	run := cfg
-	run.applyDefaults()
+	run, err := cfg.Resolve()
+	if err != nil {
+		return err
+	}
 	if run.N < 3 || run.Steps < 1 {
 		return fmt.Errorf("session: n = %d, steps = %d: a job runs n ≥ 3 for steps ≥ 1", run.N, run.Steps)
 	}
@@ -173,7 +175,8 @@ func (m *Manager) Submit(cfg Config) (*Job, error) {
 }
 
 // ResumeJob builds a new job continuing a stored session: its config.json
-// fixes the case, its checkpoint.gob fixes the state. steps, when > 0,
+// fixes the case and its knobs (resolved when the job was launched), its
+// checkpoint.gob fixes the state. steps, when > 0,
 // replaces the step target (Resume refuses one the checkpoint has reached);
 // 0 keeps the original target. Works across manager (and process)
 // restarts — both artifacts live in the store.
@@ -185,6 +188,9 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	var cfg Config
 	if err := json.Unmarshal(rawCfg, &cfg); err != nil {
 		return nil, fmt.Errorf("session: resume %s: config: %w", fromID, err)
+	}
+	if cfg.Alpha == nil { // stored before config.json recorded it: the job ran unfiltered
+		cfg.Alpha = strength(0)
 	}
 	if steps > 0 {
 		cfg.Steps = steps

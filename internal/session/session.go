@@ -8,8 +8,9 @@
 // one code path from "flow case + config" to stepped fields.
 //
 // A run is described once, by Config: semflow's flags fill it, semflowd's
-// submit body decodes into it, the case table (Config.Problem) reads it, and
-// Resume (which Create calls) validates it for every session.
+// submit body decodes into it, the case table (cases.go) fills what it
+// leaves unset, and Resume (which Create calls) validates it for every
+// session.
 //
 // A Session steps one of two machines behind the same methods: the
 // shared-memory stepper (ns.Solver; Config.Ranks = 0) or the SPMD program on
@@ -28,8 +29,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,22 +49,22 @@ var ErrCancelled = errors.New("session: cancelled")
 var ErrClosed = errors.New("session: closed")
 
 // Config selects a flow case, its knobs and its machine — the JSON body of
-// semflowd's submit endpoint, and the struct semflow's flags fill. Zero
-// values mean "case default" (channel: KX=5, KY=3, each on its own; all
-// cases: N=8, Nel=8); negative ones are refused, but for ProjectionL = -1,
-// which turns pressure projection off.
+// semflowd's submit endpoint, and the struct semflow's flags fill. An unset
+// knob (zero; a nil Alpha) takes the case's default from the case table,
+// each on its own (Resolve); negative values are refused, but for
+// ProjectionL = -1, which turns pressure projection off.
 type Config struct {
 	Case  string `json:"case"`  // shearlayer, channel, convection, hairpin
 	Steps int    `json:"steps"` // job length (Manager); Create itself does not step
 
-	N           int     `json:"n,omitempty"`            // polynomial order
-	Nel         int     `json:"nel,omitempty"`          // elements per direction (shearlayer, convection)
-	KX          int     `json:"kx,omitempty"`           // channel: elements along the channel
-	KY          int     `json:"ky,omitempty"`           // channel: elements across the channel
-	Precond     string  `json:"precond,omitempty"`      // pressure preconditioner: schwarz (default), chebjacobi, chebschwarz, none, auto
-	Alpha       float64 `json:"alpha,omitempty"`        // filter strength (0 = unfiltered)
-	ProjectionL int     `json:"projection_l,omitempty"` // pressure projection basis size (0 = case default 20, -1 = off)
-	PIters      int     `json:"piters,omitempty"`       // pressure CG iteration cap (0 = case default)
+	N           int      `json:"n,omitempty"`            // polynomial order
+	Nel         int      `json:"nel,omitempty"`          // elements per direction (shearlayer, convection)
+	KX          int      `json:"kx,omitempty"`           // channel: elements along the channel
+	KY          int      `json:"ky,omitempty"`           // channel: elements across the channel
+	Precond     string   `json:"precond,omitempty"`      // pressure preconditioner: schwarz (default), chebjacobi, chebschwarz, none, auto
+	Alpha       *float64 `json:"alpha,omitempty"`        // filter strength, 0 (unfiltered) to 1; nil = case default
+	ProjectionL int      `json:"projection_l,omitempty"` // pressure projection basis size (-1 = off)
+	PIters      int      `json:"piters,omitempty"`       // pressure CG iteration cap (0 = case default)
 
 	// Ranks > 0 runs the time loop as an SPMD program on that many simulated
 	// ranks (clamped to the element count); Faults degrades that machine.
@@ -98,8 +97,8 @@ type Config struct {
 // or one without ranks, and a snapshot (ck) of a distributed run for shared
 // memory or at or past a non-zero Steps target.
 func (c Config) validate(ck *parrun.Checkpoint) error {
-	if !(c.Alpha >= 0 && c.Alpha <= 1) {
-		return fmt.Errorf("session: alpha = %g, want 0 to 1", c.Alpha)
+	if a := c.Alpha; a != nil && !(*a >= 0 && *a <= 1) {
+		return fmt.Errorf("session: alpha = %g, want 0 to 1", *a)
 	}
 	if c.ProjectionL < -1 {
 		return fmt.Errorf("session: projection_l = %d, want -1 (off), 0 (case default) or more", c.ProjectionL)
@@ -132,82 +131,6 @@ func (c Config) validate(ck *parrun.Checkpoint) error {
 		return fmt.Errorf("session: the snapshot is at step %d, at or past the target of %d steps", ck.Step(), c.Steps)
 	}
 	return nil
-}
-
-func (c *Config) applyDefaults() {
-	if c.N == 0 {
-		c.N = 8
-	}
-	if c.Nel == 0 {
-		c.Nel = 8
-	}
-	if c.BatchSteps < 1 {
-		c.BatchSteps = 1
-	}
-}
-
-// namedCases is the one mapping from a case name to the problem it runs: the
-// physics of each case, sized by the config's N, Nel, KX and KY.
-var namedCases = map[string]func(c Config) (ns.Config, flowcases.InitFunc, error){
-	"shearlayer": func(c Config) (ns.Config, flowcases.InitFunc, error) {
-		return flowcases.ShearLayerSpec(flowcases.ShearLayerConfig{
-			Nel: c.Nel, N: c.N, Rho: 30, Re: 1e5, Dt: 0.002,
-		})
-	},
-	"channel": func(c Config) (ns.Config, flowcases.InitFunc, error) {
-		cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: c.N, Dt: 0.003125, Order: 2, KX: c.KX, KY: c.KY,
-		})
-		return cfg, init, err
-	},
-	"convection": func(c Config) (ns.Config, flowcases.InitFunc, error) {
-		cfg, err := flowcases.ConvectionSpec(flowcases.ConvectionConfig{Nel: c.Nel, N: c.N, Ra: 1e4, Dt: 0.002, ProjectionL: 20})
-		return cfg, nil, err // the cell starts at rest
-	},
-	"hairpin": func(c Config) (ns.Config, flowcases.InitFunc, error) {
-		return flowcases.HairpinSpec(flowcases.HairpinConfig{
-			Nx: 6, Ny: 4, Nz: 3, N: c.N, Re: 1600, Dt: 0.05,
-		})
-	},
-}
-
-// CaseNames lists the named cases, sorted.
-func CaseNames() []string {
-	names := make([]string, 0, len(namedCases))
-	for name := range namedCases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Problem builds the problem definition the config names, defaults applied:
-// the table's physics, then the knobs every case takes the same way (Alpha,
-// Precond, and ProjectionL and PIters when set; ProjectionL = -1
-// sets a basis of 0, no projection). A nil InitFunc means the velocity starts
-// at rest.
-func (c Config) Problem() (ns.Config, flowcases.InitFunc, error) {
-	c.applyDefaults()
-	build, ok := namedCases[c.Case]
-	if !ok {
-		return ns.Config{}, nil, fmt.Errorf("session: unknown case %q (have %s)",
-			c.Case, strings.Join(CaseNames(), ", "))
-	}
-	cfg, init, err := build(c)
-	if err != nil {
-		return ns.Config{}, nil, fmt.Errorf("session: %w", err)
-	}
-	cfg.FilterAlpha, cfg.PressurePrecond = c.Alpha, c.Precond
-	switch {
-	case c.ProjectionL == -1:
-		cfg.ProjectionL = 0
-	case c.ProjectionL > 0:
-		cfg.ProjectionL = c.ProjectionL
-	}
-	if c.PIters > 0 {
-		cfg.PMaxIter = c.PIters
-	}
-	return cfg, init, nil
 }
 
 // machine is the seam between a session and what it steps. StepN advances
@@ -338,7 +261,10 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	if err := cfg.validate(ck); err != nil {
 		return nil, err
 	}
-	cfg.applyDefaults()
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	nscfg, init, err := cfg.Problem()
 	if err != nil {
 		return nil, err
@@ -409,7 +335,7 @@ func strideSample(p, r int) []int {
 	return out
 }
 
-// Config returns the session's configuration (defaults applied).
+// Config returns the session's configuration, resolved against the case table.
 func (s *Session) Config() Config { return s.cfg }
 
 // StepN advances the run up to n steps, stopping early on Cancel (with

@@ -24,7 +24,7 @@ import (
 func testCfg(steps int) Config {
 	return Config{
 		Case: "shearlayer", Steps: steps, Nel: 4, N: 5,
-		Alpha: 0.2,
+		Alpha: strength(0.2),
 	}
 }
 
@@ -185,7 +185,7 @@ func TestManagerConcurrentBitwiseIdentical(t *testing.T) {
 	cfgA := testCfg(8)
 	cfgA.BatchSteps = 2
 	cfgB := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2,
-		Alpha: 0.2, BatchSteps: 3}
+		Alpha: strength(0.2), BatchSteps: 3}
 
 	histA, uA, lastA := soloRun(t, cfgA)
 	histB, uB, lastB := soloRun(t, cfgB)
@@ -240,7 +240,7 @@ func TestManagerIsolatesPanickingSession(t *testing.T) {
 	good := testCfg(8)
 	hist, u, _ := soloRun(t, good)
 
-	bad := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2, Alpha: 0.2}
+	bad := Config{Case: "channel", Steps: 8, N: 5, KX: 3, KY: 2, Alpha: strength(0.2)}
 	bad.OnStep = func(st ns.StepStats) {
 		if st.Step == 3 {
 			panic("poisoned step")
@@ -656,7 +656,7 @@ func TestResultStoredBeforeStatePublished(t *testing.T) {
 	defer m.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
-		j, err := m.Submit(Config{Case: "channel", Steps: 1, N: 4, KX: 2, KY: 2, Alpha: 0.2})
+		j, err := m.Submit(Config{Case: "channel", Steps: 1, N: 4, KX: 2, KY: 2, Alpha: strength(0.2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -685,7 +685,7 @@ func TestResultStoredBeforeStatePublished(t *testing.T) {
 // contract is bitwise whether or not a solve converged.
 func distCfg(steps int) Config {
 	return Config{
-		Case: "channel", Steps: steps, N: 4, Alpha: 0.3, PIters: 25, Ranks: 4,
+		Case: "channel", Steps: steps, N: 4, Alpha: strength(0.3), PIters: 25, Ranks: 4,
 		Faults: &fault.Plan{
 			Seed:       13,
 			Stragglers: []fault.Straggler{{Rank: 1, Factor: 3}},
@@ -884,7 +884,7 @@ func TestDepositLoadResumesBothMachines(t *testing.T) {
 		return [][]float64{s.Solver().U[0], s.Solver().U[1], s.Solver().P}
 	}
 	for _, ranks := range []int{0, 3} {
-		cfg := Config{Case: "channel", Steps: 4, N: 5, KX: 3, KY: 2, Alpha: 0.2, Ranks: ranks}
+		cfg := Config{Case: "channel", Steps: 4, N: 5, KX: 3, KY: 2, Alpha: strength(0.2), Ranks: ranks}
 		full, err := Create(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -111,7 +111,9 @@
 #           plus a forced-variant divergence cross-check), and round-trip a
 #           channel job through the semflowd session service (submit, poll,
 #           fetch artifacts; an auto job's result.json carries its
-#           trials; a ranks > 0 submit is answered 400);
+#           trials; a ranks > 0 submit is answered 400; a hairpin submit
+#           without alpha stores "alpha": 0.3 in its config.json, the case
+#           table's default, and one with "alpha":0 stores 0);
 #           also runs the Table 3 kernel sweep once (tables -exp table3),
 #           which must print an avx2 column on a runner whose CPU has AVX2
 #           and an avx512 column on one with AVX-512F and VL,
@@ -616,10 +618,12 @@ EOF
     # final-step divergence bound as the Schwarz reference run, at the
     # Table-1 size (N=9) — whose cold Schwarz solves ran into the 500-iteration
     # cap until the preconditioner moved to the pressure grid (PR 19), so the
-    # Schwarz run must not warn about the cap once.
-    "$out/bin/semflow" -case channel -n 9 -steps 2 -report 1 \
+    # Schwarz run must not warn about the cap once. Both runs are filtered
+    # (-alpha 0.3): unfiltered, the channel's divergence sits at the rounding
+    # floor (~1e-13), where two solver paths cannot agree to 5%.
+    "$out/bin/semflow" -case channel -n 9 -alpha 0.3 -steps 2 -report 1 \
         -precond chebjacobi -history "$out/precond-cheb-history.jsonl"
-    "$out/bin/semflow" -case channel -n 9 -steps 2 -report 1 \
+    "$out/bin/semflow" -case channel -n 9 -alpha 0.3 -steps 2 -report 1 \
         -precond schwarz -history "$out/precond-schwarz-history.jsonl" \
         2> "$out/precond-schwarz.stderr"
     if grep -q "pressure solve hit the iteration cap" "$out/precond-schwarz.stderr"; then
@@ -683,6 +687,22 @@ EOF
         echo "ranks > 0 submit answered $code, want 400" >&2
         exit 1
     }
+    # A submit without alpha runs its case's default from the case table
+    # (the hairpin box: 0.3), and an explicit "alpha":0 runs unfiltered;
+    # config.json records the value the job ran.
+    for want in 0.3 0; do
+        body='{"case":"hairpin","n":4,"steps":2}'
+        [ "$want" = 0 ] && body='{"case":"hairpin","n":4,"steps":2,"alpha":0}'
+        hsid="$(curl -sf "http://$daddr/api/sessions" -d "$body" \
+            | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
+        state="$(poll_state "http://$daddr/api/sessions/$hsid")"
+        curl -sf "http://$daddr/api/sessions/$hsid/artifacts/config.json" > "$out/semflowd-hairpin-config.json"
+        if [ "$state" != "done" ] || ! grep -q "\"alpha\": $want,\?\$" "$out/semflowd-hairpin-config.json"; then
+            echo "submit $body ended '$state'; want done with \"alpha\": $want in config.json:" >&2
+            cat "$out/semflowd-hairpin-config.json" >&2
+            exit 1
+        fi
+    done
     stop_bg "$daemon_pid"
 
     echo "== smoke: checkpoint at step 2, resume to step 4, on both machines =="
