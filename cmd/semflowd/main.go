@@ -13,6 +13,12 @@
 //	curl -s localhost:8080/api/sessions/s0001-channel
 //	curl -s localhost:8080/api/sessions/s0001-channel/history
 //
+// A 201 answer to a submit means the job exists: its config is validated
+// and stored. Its solver is built afterwards, on the job's runner inside a
+// slot, so -max-active also bounds concurrent set-ups; a job still being
+// built reads "running" at step 0 (a resume: at its snapshot's step) with an
+// empty "precond".
+//
 // Each session's live routes — the ones the one-shot semflow CLI serves at /
 // with -listen — are mounted under it: /api/sessions/{id}/metrics,
 // /progress and /stats.
@@ -36,7 +42,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "host:port to serve the job API on (port 0 picks a free port)")
 	storeDSN := flag.String("store", "./semflowd-data", "artifact store: a directory path, file://path, or mem://")
-	maxActive := flag.Int("max-active", 2, "sessions allowed to step concurrently; queued jobs wait between step batches")
+	maxActive := flag.Int("max-active", 2, "sessions allowed to build or step concurrently; queued jobs wait between step batches")
 	flag.Parse()
 	// Warnings and notes go through slog; the log package's Fatal calls,
 	// which SetDefault routes through the same handler, are errors.

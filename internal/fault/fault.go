@@ -14,8 +14,10 @@
 package fault
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -103,8 +105,13 @@ func Load(path string) (*Plan, error) {
 	return p, nil
 }
 
-// Validate rejects physically meaningless entries.
+// Validate rejects physically meaningless entries, and plans whose draws
+// could leave the finite numbers: a rank slowed by more than a float64 holds
+// (the product of its factors above 1), links delayed by more (the sum of
+// every max_delay, which bounds any one link's), or a pause ending past
+// the largest time.
 func (p *Plan) Validate() error {
+	slowest := map[int]float64{}
 	for i, s := range p.Stragglers {
 		if s.Factor <= 0 {
 			return fmt.Errorf("fault: straggler %d: factor %g must be > 0", i, s.Factor)
@@ -112,10 +119,19 @@ func (p *Plan) Validate() error {
 		if s.Until != 0 && s.Until <= s.From {
 			return fmt.Errorf("fault: straggler %d: until %g <= from %g", i, s.Until, s.From)
 		}
+		if s.Factor > 1 {
+			if slowest[s.Rank] = cmp.Or(slowest[s.Rank], 1) * s.Factor; math.IsInf(slowest[s.Rank], 1) {
+				return fmt.Errorf("fault: straggler %d: rank %d's factors multiply past %g", i, s.Rank, math.MaxFloat64)
+			}
+		}
 	}
+	delay := 0.0
 	for i, l := range p.Links {
 		if l.MaxDelay < 0 {
 			return fmt.Errorf("fault: link %d: negative max_delay %g", i, l.MaxDelay)
+		}
+		if delay += l.MaxDelay; math.IsInf(delay, 1) {
+			return fmt.Errorf("fault: link %d: the max_delays add up past %g", i, math.MaxFloat64)
 		}
 	}
 	for i, d := range p.Drops {
@@ -126,6 +142,9 @@ func (p *Plan) Validate() error {
 	for i, ps := range p.Pauses {
 		if ps.Duration < 0 {
 			return fmt.Errorf("fault: pause %d: negative duration %g", i, ps.Duration)
+		}
+		if math.IsInf(ps.At+ps.Duration, 0) {
+			return fmt.Errorf("fault: pause %d: at + duration is past %g", i, math.MaxFloat64)
 		}
 	}
 	if p.RetryTimeout < 0 {

@@ -1,18 +1,37 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
+// examplePlan has one entry of each kind (TestParseAndDefaults).
+const examplePlan = `{
+	"seed": 7,
+	"stragglers": [{"rank": 1, "factor": 3, "from": 0.01, "until": 0.02}],
+	"links": [{"from": -1, "to": 2, "max_delay": 0.0002}],
+	"drops": [{"from": 0, "to": -1, "prob": 0.1}],
+	"pauses": [{"rank": 2, "at": 0.05, "duration": 0.01}]
+}`
+
+// badPlans are plans Parse refuses (TestParseRejectsBadPlans).
+var badPlans = []string{
+	`{"stragglers": [{"rank": 0, "factor": 0}]}`,
+	`{"stragglers": [{"rank": 0, "factor": 2, "from": 1, "until": 0.5}]}`,
+	`{"links": [{"from": 0, "to": 1, "max_delay": -1}]}`,
+	`{"drops": [{"from": 0, "to": 1, "prob": 1.5}]}`,
+	`{"pauses": [{"rank": 0, "at": 0, "duration": -1}]}`,
+	`{"retry_timeout": -1}`,
+	`not json`,
+	// Each value is finite, but a rank's slowdown or a link's delay is not.
+	`{"stragglers": [{"rank": 0, "factor": 1e300}, {"rank": 0, "factor": 1e300}]}`,
+	`{"links": [{"from": -1, "to": -1, "max_delay": 1e308}, {"from": 0, "to": -1, "max_delay": 1e308}]}`,
+	`{"pauses": [{"rank": 0, "at": 1e308, "duration": 1e308}]}`,
+}
+
 func TestParseAndDefaults(t *testing.T) {
-	p, err := Parse([]byte(`{
-		"seed": 7,
-		"stragglers": [{"rank": 1, "factor": 3, "from": 0.01, "until": 0.02}],
-		"links": [{"from": -1, "to": 2, "max_delay": 0.0002}],
-		"drops": [{"from": 0, "to": -1, "prob": 0.1}],
-		"pauses": [{"rank": 2, "at": 0.05, "duration": 0.01}]
-	}`))
+	p, err := Parse([]byte(examplePlan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,16 +41,7 @@ func TestParseAndDefaults(t *testing.T) {
 }
 
 func TestParseRejectsBadPlans(t *testing.T) {
-	bad := []string{
-		`{"stragglers": [{"rank": 0, "factor": 0}]}`,
-		`{"stragglers": [{"rank": 0, "factor": 2, "from": 1, "until": 0.5}]}`,
-		`{"links": [{"from": 0, "to": 1, "max_delay": -1}]}`,
-		`{"drops": [{"from": 0, "to": 1, "prob": 1.5}]}`,
-		`{"pauses": [{"rank": 0, "at": 0, "duration": -1}]}`,
-		`{"retry_timeout": -1}`,
-		`not json`,
-	}
-	for _, s := range bad {
+	for _, s := range badPlans {
 		if _, err := Parse([]byte(s)); err == nil {
 			t.Errorf("Parse(%s) accepted an invalid plan", s)
 		}
@@ -131,4 +141,43 @@ func TestWildcardMatching(t *testing.T) {
 	if !p.DropAttempt(0, 2, 0, 0) {
 		t.Fatal("prob-1 rule did not drop")
 	}
+}
+
+// FuzzParsePlan: whatever bytes a plan file holds, Parse returns an error or
+// a plan that passes Validate and whose every draw — ComputeFactor,
+// SendDelay, DropAttempt, PauseEnd — is finite for ranks 0–7 at a few
+// virtual times, never a panic. The seeds are the plans of
+// TestParseAndDefaults and TestParseRejectsBadPlans. go test runs the seeds;
+// explore with go test -run '^$' -fuzz FuzzParsePlan ./internal/fault.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range append([]string{examplePlan}, badPlans...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%s) returned a plan Validate refuses: %v", data, err)
+		}
+		finite := func(what string, v float64) {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Fatalf("Parse(%s): %s = %g", data, what, v)
+			}
+		}
+		for r := 0; r < 8; r++ {
+			for _, at := range []float64{0, 1e-3, 0.05, 1, 1e3} {
+				finite(fmt.Sprintf("ComputeFactor(%d, %g)", r, at), p.ComputeFactor(r, at))
+				end, _ := p.PauseEnd(r, at)
+				finite(fmt.Sprintf("PauseEnd(%d, %g)", r, at), end)
+			}
+			for to := 0; to < 8; to++ {
+				for seq := int64(0); seq < 3; seq++ {
+					finite(fmt.Sprintf("SendDelay(%d, %d, %d)", r, to, seq), p.SendDelay(r, to, seq))
+					p.DropAttempt(r, to, seq, int(seq))
+				}
+			}
+		}
+	})
 }

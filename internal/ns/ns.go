@@ -354,7 +354,7 @@ func New(cfg Config) (*Solver, error) {
 	if cfg.PressurePrecond == "" {
 		cfg.PressurePrecond = PrecondSchwarz
 	}
-	if !validPrecond(cfg.PressurePrecond) {
+	if !ValidPrecond(cfg.PressurePrecond) {
 		return nil, fmt.Errorf("ns: unknown pressure preconditioner %q (want schwarz, chebjacobi, chebschwarz, none or auto)", cfg.PressurePrecond)
 	}
 	t := &template{Cfg: cfg, M: m, dim: m.Dim, cheb: map[string]chebParams{}}

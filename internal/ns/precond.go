@@ -36,8 +36,9 @@ type chebParams struct {
 	degree     int
 }
 
-// validPrecond reports whether name is an accepted PressurePrecond value.
-func validPrecond(name string) bool {
+// ValidPrecond reports whether name is an accepted PressurePrecond value
+// ("" aside, which New reads as schwarz).
+func ValidPrecond(name string) bool {
 	switch name {
 	case PrecondSchwarz, PrecondNone, PrecondChebJacobi, PrecondChebSchwarz, PrecondAuto:
 		return true

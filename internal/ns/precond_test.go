@@ -158,7 +158,7 @@ func TestPrecondAutoTrialThenTable(t *testing.T) {
 	if len(sel1.Trials) != len(PrecondNames()) {
 		t.Fatalf("auto ran %d trials, want %d", len(sel1.Trials), len(PrecondNames()))
 	}
-	if !validPrecond(sel1.Name) || sel1.Name == PrecondAuto || sel1.Name == PrecondNone {
+	if !ValidPrecond(sel1.Name) || sel1.Name == PrecondAuto || sel1.Name == PrecondNone {
 		t.Fatalf("auto selected %q", sel1.Name)
 	}
 	// The winner must not charge more work than the schwarz reference trial.

@@ -111,7 +111,7 @@ func HTTPHandler(m *Manager) http.Handler {
 		switch {
 		case errors.Is(err, ErrNotFound):
 			code = http.StatusNotFound
-		case errors.Is(err, ErrClosed):
+		case errors.Is(err, ErrClosed), errors.Is(err, errNotStarted):
 			code = http.StatusConflict
 		}
 		writeJSON(w, code, map[string]string{"error": err.Error()})

@@ -370,6 +370,9 @@ var refusedSubmits = []string{
 	// what it should damp, above 1 it overshoots.
 	`{"case":"convection","steps":2,"alpha":-0.1}`,
 	`{"case":"channel","steps":2,"alpha":1.5}`,
+	// A job's solver is built after its submit returns: what set-up would
+	// refuse is refused here.
+	`{"case":"channel","steps":2,"precond":"bogus"}`,
 }
 
 // TestHTTPSubmitUnknownFieldNamesIt: a submit naming a field the service
@@ -560,10 +563,9 @@ var raceEnabled bool
 // client that polls as semflowd's do (sleep, then ask): its wake-up and the
 // handler get the processor at the next batch boundary because Manager.run
 // yields there; without the yield the median below is 18 ms. The handler is
-// called in-process on purpose. Over a socket each direction also waits for
-// the runtime to poll the network, which it does only every 10 ms while
-// goroutines are runnable (measured here: 80 ms without the yield, 20 ms with
-// it), and no code of ours moves that.
+// called in-process on purpose: over a socket each direction also waits for
+// the runtime to poll the network, which the yield makes it do
+// (TestHTTPAnswersWhileSlotsStep).
 func TestStatusGETWhileJobsStepOnOneProcessor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a step is no longer sub-millisecond under the race detector")

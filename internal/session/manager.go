@@ -1,26 +1,36 @@
 package session
 
 // manager.go multiplexes many concurrent sessions over a bounded number of
-// stepping slots. Only MaxActive sessions may be *stepping* at any instant,
-// each on its job's goroutine: the scheduler is a counting semaphore that
-// each job acquires for one batch of steps (Config.BatchSteps) and then
-// releases, so long jobs cannot starve short ones. When a job reaches its
-// step target, is cancelled, or fails, the manager deposits its artifacts
-// in the Store (history.jsonl, checkpoint.gob, trace.json, result.json) and
-// closes the session, which lets go of its solver: the service's memory
-// follows the jobs it is running, not the jobs it has served.
+// slots. Only MaxActive sessions may be *building or stepping* at any
+// instant, each on its job's goroutine (its runner): the scheduler is a
+// counting semaphore that a runner acquires once to build its session (the
+// solver, an auto run's tournament) and then once per batch of steps
+// (Config.BatchSteps), releasing it after each, so long jobs cannot starve
+// short ones and set-ups are bounded too. A submit returns once the job
+// exists. After every quantum the runner yields through the network poller
+// (yield), so a request waits for a batch of each stepping job, not for the
+// runtime's 10 ms network poll.
+// When a job reaches its step target, is cancelled, or fails, the manager
+// deposits its artifacts in the Store (history.jsonl, checkpoint.gob,
+// trace.json, result.json) and closes the session, which lets go of its
+// solver: the service's memory follows the jobs it is running, not the jobs
+// it has served.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/ns"
+	"repro/internal/parrun"
 	"repro/internal/solver"
 )
 
@@ -94,40 +104,120 @@ func (j *Job) Status() Status {
 }
 
 // Session exposes the job's session (for per-job /metrics, /progress,
-// /history). Valid after the job finishes too: the closed session has let
-// go of its solver but keeps its instruments, step count and preconditioner
-// selection; its final fields are the checkpoint.gob artifact.
+// /history). Valid from the submit on: until its runner has built it in a
+// slot, it has instruments but no solver, and reads step 0 (a resume's
+// snapshot step) with an empty preconditioner selection. Valid after the job
+// finishes too: the closed session has let go of its solver but keeps its
+// instruments, step count and preconditioner selection; its final fields are
+// the checkpoint.gob artifact.
 func (j *Job) Session() *Session { return j.sess }
 
-// Manager owns the job table, the scheduler, and the artifact store.
+// Manager owns the job table, the scheduler, the artifact store, and the
+// pipe and goroutine of the poller yield.
 type Manager struct {
 	store Store
-	slots chan struct{} // scheduler: one token per concurrently stepping session
+	slots chan struct{} // scheduler: one token per concurrently building or stepping session
 
 	mu   sync.Mutex
 	jobs map[string]*Job
 	seq  int
 
 	wg sync.WaitGroup
+
+	// The poller yield: a runner writes a byte to pw and waits on woken,
+	// which relay signals once per byte it reads from pr. Nil ends (no pipe
+	// could be made): the runner yields with runtime.Gosched.
+	pr, pw    *os.File
+	woken     chan struct{}
+	relayed   chan struct{} // closed when relay has returned
+	closePipe sync.Once
+	born      time.Time    // the clock of polled
+	polled    atomic.Int64 // when a runner last yielded through the poller, since born
 }
 
 // NewManager builds a manager multiplexing jobs over at most maxActive
-// concurrently stepping sessions (minimum 1).
+// concurrently building or stepping sessions (minimum 1). It owns a pipe and
+// one goroutine until Close.
 func NewManager(store Store, maxActive int) *Manager {
 	if maxActive < 1 {
 		maxActive = 1
 	}
-	return &Manager{
+	m := &Manager{
 		store: store,
 		slots: make(chan struct{}, maxActive),
 		jobs:  map[string]*Job{},
+		born:  time.Now(),
+	}
+	if pr, pw, err := os.Pipe(); err == nil {
+		m.pr, m.pw = pr, pw
+		m.woken, m.relayed = make(chan struct{}), make(chan struct{})
+		go m.relay()
+	}
+	return m
+}
+
+// relay wakes one yielding runner per byte it reads from the pipe. On Linux
+// both ends of an os.Pipe are registered with Go's network poller, so only a
+// poll wakes a read that found the pipe empty, and that poll also readies
+// every goroutine waiting for the network: a runner resumes only after the
+// requests that arrived while it stepped have reached their handlers. It
+// returns when Close closes the write end.
+func (m *Manager) relay() {
+	defer close(m.relayed)
+	buf := make([]byte, 64)
+	for {
+		n, err := m.pr.Read(buf)
+		for range n {
+			m.woken <- struct{}{}
+		}
+		if err != nil {
+			return
+		}
 	}
 }
 
-// checkServable refuses what the manager cannot run safely yet: nothing
-// bounds P. (A rank's panic leaves comm.Network.Run on the stepping
-// goroutine, so it reaches stepBatch's recover.)
+// minPollGap is the least time between two yields through the network
+// poller; in between, a runner yields with runtime.Gosched. One costs a
+// pipe write and reads, a poll and two goroutine switches: 2.3–3.5 µs on an
+// idle manager (BenchmarkManagerYield) and 4.5–7 µs between a job's steps
+// on a 2.1 GHz Xeon, 5–8 % of a channel step at N = 4 (65–85 µs). At most
+// one every 250 µs is 1.5–1.8 % of the stepping at N = 4 and at N = 9, whose
+// every step (300–400 µs) still ends in a poll. A 500 µs gap raised the
+// /healthz median of TestHTTPAnswersWhileSlotsStep at one processor from
+// 1.3 to 2.0–2.3 ms.
+const minPollGap = 250 * time.Microsecond
+
+// yield is a runner's step-boundary yield: it parks the runner until the
+// network poller has run once (relay), or within minPollGap of the last such
+// yield, Gosched. Gosched alone puts the runner straight back on the run
+// queue, and the scheduler polls the network only when no goroutine is
+// runnable or, from sysmon, every 10 ms: while every slot stepped, each
+// request waited that long. A parked runner leaves its processor idle, and
+// an idle processor polls at once; on one processor, once every stepping
+// runner is parked.
+func (m *Manager) yield() {
+	now := int64(time.Since(m.born))
+	if m.pw == nil || now-m.polled.Load() < int64(minPollGap) {
+		runtime.Gosched()
+		return
+	}
+	m.polled.Store(now)
+	if _, err := m.pw.Write([]byte{0}); err != nil { // closed: a job submitted after Close
+		runtime.Gosched()
+		return
+	}
+	<-m.woken
+}
+
+// checkServable is the job service's admission check, made before a job
+// exists: every session's validate, then what the manager cannot run safely
+// yet: nothing bounds P. (A rank's panic leaves comm.Network.Run on the
+// stepping goroutine, so it reaches inSlot's recover.) A config it accepts
+// builds (FuzzSubmitConfig).
 func checkServable(cfg Config) error {
+	if err := cfg.validate(nil); err != nil {
+		return err
+	}
 	if cfg.Ranks != 0 || cfg.Faults != nil {
 		return errors.New("session: the job service runs shared-memory sessions only (ranks, faults: use semflow -ranks)")
 	}
@@ -162,16 +252,18 @@ func checkBounds(cfg Config) error {
 	return nil
 }
 
-// Submit creates a session for cfg and schedules it for cfg.Steps steps.
+// Submit validates cfg, records its job and schedules it for cfg.Steps
+// steps. It returns once the job exists; the runner builds its solver in a
+// slot (checkServable and Config.validate refuse what set-up would).
 func (m *Manager) Submit(cfg Config) (*Job, error) {
 	if err := checkServable(cfg); err != nil {
 		return nil, err
 	}
-	sess, err := Create(cfg)
+	sess, err := newSession(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	return m.launch(sess, "")
+	return m.launch(sess, nil, "")
 }
 
 // ResumeJob builds a new job continuing a stored session: its config.json
@@ -202,11 +294,11 @@ func (m *Manager) ResumeJob(fromID string, steps int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess, err := Resume(cfg, ck)
+	sess, err := newSession(cfg, ck)
 	if err != nil {
 		return nil, err
 	}
-	return m.launch(sess, fromID)
+	return m.launch(sess, ck, fromID)
 }
 
 // newID claims the next job id of the sequence that the store does not
@@ -226,8 +318,9 @@ func (m *Manager) newID(c string) (string, error) {
 	}
 }
 
-// launch registers a job for sess under a new id and starts its runner.
-func (m *Manager) launch(sess *Session, resumedFrom string) (*Job, error) {
+// launch registers a job for the session record sess under a new id and
+// starts its runner, which builds it (restoring ck, when not nil).
+func (m *Manager) launch(sess *Session, ck *parrun.Checkpoint, resumedFrom string) (*Job, error) {
 	id, err := m.newID(sess.Config().Case)
 	if err != nil {
 		sess.Close()
@@ -256,44 +349,44 @@ func (m *Manager) launch(sess *Session, resumedFrom string) (*Job, error) {
 	}
 
 	m.wg.Add(1)
-	go m.run(j)
+	go m.run(j, ck)
 	return j, nil
 }
 
-// run is the job's scheduler loop: acquire a slot, step one batch,
-// release, until the target, a cancel, or an error — then deposit the
-// artifacts and close the session.
-func (m *Manager) run(j *Job) {
+// run is the job's runner: build the session in a slot, unless it was
+// cancelled first, then acquire a slot, step one batch, release, until the
+// target, a cancel, or an error — then deposit the artifacts and close the
+// session. Every quantum in a slot ends with a yield through the network
+// poller.
+func (m *Manager) run(j *Job, ck *parrun.Checkpoint) {
 	defer m.wg.Done()
 	defer close(j.done)
 
-	final := StateDone
+	err := m.inSlot(j, "building", func() error {
+		if j.sess.Cancelled() {
+			return ErrCancelled
+		}
+		return j.sess.build(ck)
+	})
+	m.yield()
 	errMsg := ""
 	due := false // a snapshot is due and not yet deposited
-	for {
+	for err == nil {
 		step := j.sess.Step()
 		if step >= j.Cfg.Steps {
 			break
 		}
 		if j.sess.Cancelled() {
-			final = StateCancelled
+			err = ErrCancelled
 			break
 		}
 		batch, snapshot := NextBatch(step, j.Cfg.Steps, j.Cfg.BatchSteps, j.Cfg.CheckpointEvery)
-		err := m.stepBatch(j, batch)
-		// The slot just released is free again at once (slots are sized to the
-		// processors), so nothing above ever blocks and a sub-millisecond step
-		// loop holds its processor until the runtime's 10 ms forced preemption
-		// — which an HTTP handler on the same processor then waits out. The
-		// batch boundary is the scheduler quantum: yield there.
-		runtime.Gosched()
-		if err == ErrCancelled {
-			final = StateCancelled
-			break
-		}
+		err = m.inSlot(j, "stepping", func() error {
+			_, err := j.sess.StepN(batch)
+			return err
+		})
+		m.yield()
 		if err != nil {
-			final = StateFailed
-			errMsg = err.Error()
 			break
 		}
 		// The final step's snapshot is finish's. A failed deposit is retried
@@ -311,6 +404,13 @@ func (m *Manager) run(j *Job) {
 				j.mu.Unlock()
 			}
 		}
+	}
+	final := StateDone
+	switch {
+	case errors.Is(err, ErrCancelled):
+		final = StateCancelled
+	case err != nil:
+		final, errMsg = StateFailed, err.Error()
 	}
 	m.finish(j, final, errMsg)
 }
@@ -334,35 +434,37 @@ func NextBatch(step, target, quantum, every int) (n int, snapshot bool) {
 	return n, end == target || every > 0 && end%every == 0
 }
 
-// stepBatch steps one scheduler quantum inside a slot. A panic under StepN
-// (the comm and poly packages have some, and a caller's OnStep may) is this
-// session's failure, not the process's: it comes back as an error, with value
-// and stack deposited as the panic.txt artifact, and the slot is released on
-// every path so the other tenants keep stepping.
-func (m *Manager) stepBatch(j *Job, batch int) (err error) {
+// inSlot runs one scheduler quantum of the job, its set-up or a batch of
+// steps, inside a slot. A panic under it (the comm and poly packages have
+// some, and a caller's OnStep may) is this session's failure, not the
+// process's: it comes back as an error naming what the job was doing, with
+// value and stack deposited as the panic.txt artifact, and the slot is
+// released on every path so the other tenants keep stepping.
+func (m *Manager) inSlot(j *Job, doing string, quantum func() error) (err error) {
 	m.slots <- struct{}{}
 	defer func() {
 		<-m.slots
 		if r := recover(); r != nil {
-			err = fmt.Errorf("session: panic while stepping: %v", r)
+			err = fmt.Errorf("session: panic while %s: %v", doing, r)
 			report := fmt.Sprintf("%v\n\n%s", err, debug.Stack())
 			if perr := m.store.Put(j.ID, ArtifactPanic, []byte(report)); perr != nil {
 				err = fmt.Errorf("%w (panic artifact: %v)", err, perr)
 			}
 		}
 	}()
-	_, err = j.sess.StepN(batch)
-	return err
+	return quantum()
 }
 
 // finish deposits the job's artifacts (result.json last), closes its
 // session, and only then publishes the final state. Failed sessions keep
 // their last checkpoint rather than a post-mortem one; done and cancelled
 // sessions get a final snapshot so they can be resumed (cancelled) or
-// extended (done).
+// extended (done), but for a job cancelled before its set-up, which has no
+// state to snapshot.
 func (m *Manager) finish(j *Job, final State, errMsg string) {
 	if final != StateFailed {
-		if err := j.sess.Deposit(m.store, j.ID); err != nil && errMsg == "" {
+		err := j.sess.Deposit(m.store, j.ID)
+		if err != nil && !errors.Is(err, errNotStarted) && errMsg == "" {
 			errMsg = fmt.Sprintf("checkpoint artifact: %v", err)
 		}
 	}
@@ -426,7 +528,8 @@ func (m *Manager) List() []Status {
 }
 
 // Checkpoint snapshots a running job into the store and returns the
-// completed step count of the snapshot.
+// completed step count of the snapshot. A job whose solver is not built yet
+// has nothing to snapshot: its error is the session's errNotStarted.
 func (m *Manager) Checkpoint(id string) (int, error) {
 	j, ok := m.Get(id)
 	if !ok {
@@ -441,8 +544,9 @@ func (m *Manager) Checkpoint(id string) (int, error) {
 // Store exposes the artifact store (the HTTP layer serves from it).
 func (m *Manager) Store() Store { return m.store }
 
-// Close cancels every running job and waits for all runners to deposit
-// their artifacts and release their sessions.
+// Close cancels every running job, waits for all runners to deposit their
+// artifacts and release their sessions, then closes the poller yield's pipe
+// and waits for its goroutine to return. A second Close is harmless.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	for _, j := range m.jobs {
@@ -450,4 +554,12 @@ func (m *Manager) Close() {
 	}
 	m.mu.Unlock()
 	m.wg.Wait()
+	m.closePipe.Do(func() {
+		if m.pw == nil {
+			return
+		}
+		m.pw.Close()
+		<-m.relayed
+		m.pr.Close()
+	})
 }

@@ -117,7 +117,7 @@ func closedJobKeepsStatus(t *testing.T, cfg Config) {
 	}
 	m := NewManager(NewMemStore(), 1)
 	defer m.Close()
-	j, err := m.launch(sess, "") // launch, not Submit: the service refuses ranks
+	j, err := m.launch(sess, nil, "") // launch, not Submit: the service refuses ranks
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,11 @@ var ErrCancelled = errors.New("session: cancelled")
 // ErrClosed reports an operation on a closed session.
 var ErrClosed = errors.New("session: closed")
 
+// errNotStarted reports an operation that needs the stepping machine on a
+// session whose machine is not built yet: a Manager job waiting for a slot
+// to set up in.
+var errNotStarted = errors.New("session: not started: its solver is not built yet")
+
 // Config selects a flow case, its knobs and its machine — the JSON body of
 // semflowd's submit endpoint, and the struct semflow's flags fill. An unset
 // knob (zero; a nil Alpha) takes the case's default from the case table,
@@ -92,13 +97,18 @@ type Config struct {
 }
 
 // validate is every session's one check of its config, whichever driver
-// built it: it refuses a filter strength outside [0, 1], a negative size or
-// count (projection_l also takes -1, projection off), an invalid fault plan
-// or one without ranks, and a snapshot (ck) of a distributed run for shared
-// memory or at or past a non-zero Steps target.
+// built it: it refuses an unknown pressure preconditioner, a filter strength
+// outside [0, 1], a negative size or count (projection_l also takes -1,
+// projection off), an invalid fault plan or one without ranks, and a
+// snapshot (ck) of a distributed run for shared memory or at or past a
+// non-zero Steps target. A Manager job's solver is built after its submit
+// has returned, so what set-up would refuse of a config belongs here.
 func (c Config) validate(ck *parrun.Checkpoint) error {
 	if a := c.Alpha; a != nil && !(*a >= 0 && *a <= 1) {
 		return fmt.Errorf("session: alpha = %g, want 0 to 1", *a)
+	}
+	if c.Precond != "" && !ns.ValidPrecond(c.Precond) {
+		return fmt.Errorf("session: precond = %q, want schwarz, chebjacobi, chebschwarz, none or auto", c.Precond)
 	}
 	if c.ProjectionL < -1 {
 		return fmt.Errorf("session: projection_l = %d, want -1 (off), 0 (case default) or more", c.ProjectionL)
@@ -198,11 +208,12 @@ func (m simulated) snapshot() *parrun.Checkpoint { return m.Checkpoint() }
 // between-steps state. Close releases the machine and keeps the record.
 type Session struct {
 	cfg Config
-	sel solver.PrecondSelection // fixed when the stepper is built
+	sel atomic.Pointer[solver.PrecondSelection] // fixed when the stepper is built
 
-	mu    sync.Mutex // guards m and steps
-	m     machine    // nil once closed
-	steps int        // the completed steps when Close released m
+	mu     sync.Mutex // guards m, steps and closed
+	m      machine    // nil until built, and once closed
+	steps  int        // the completed steps while m is nil: the snapshot's, or those when Close released m
+	closed bool
 
 	// The shared-memory stepper, or the template the ranks forked; nil once
 	// closed. Atomic, not under mu: OnStep reads it in the middle of StepN.
@@ -256,16 +267,28 @@ func Create(cfg Config) (*Session, error) { return Resume(cfg, nil) }
 // Resume builds a session of the same configuration and restores a snapshot
 // into it; stepping continues bitwise identically to the session the
 // snapshot was taken from (rank clocks and fault draws included). A nil
-// snapshot is Create.
+// snapshot is Create. It is the two halves a Manager job runs apart: the
+// record (newSession), then the machine (build).
 func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
+	s, err := newSession(cfg, ck)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.build(ck); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSession is a session's cheap half, its record: the validated config,
+// resolved against the case table, and the instruments, with progress at
+// the snapshot's step (0 without one). It has no machine yet: StepN and
+// Checkpoint answer errNotStarted until build has run.
+func newSession(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	if err := cfg.validate(ck); err != nil {
 		return nil, err
 	}
 	cfg, err := cfg.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	nscfg, init, err := cfg.Problem()
 	if err != nil {
 		return nil, err
 	}
@@ -277,6 +300,32 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 	if cfg.Trace {
 		s.tracer = instrument.NewTracer()
 	}
+	if ck != nil {
+		s.steps = ck.Step()
+		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, 0)
+	}
+	return s, nil
+}
+
+// build is a session's costly half: the problem, the solver or the
+// simulated ranks, the restored snapshot ck, the pressure preconditioner
+// selection (an auto run's trials included) and the run's metadata. A
+// session that has its machine already keeps it; one closed while it built
+// discards the machine and returns ErrClosed.
+func (s *Session) build(ck *parrun.Checkpoint) error {
+	s.mu.Lock()
+	built := s.m != nil
+	s.mu.Unlock()
+	if built {
+		return nil
+	}
+	cfg := s.cfg
+	nscfg, init, err := cfg.Problem()
+	if err != nil {
+		return err
+	}
+	var m machine
+	var sv *ns.Solver
 	if cfg.Ranks > 0 {
 		s.tracer.SampleVRanks(strideSample(cfg.Ranks, cfg.TraceSample))
 		st, err := parrun.Start(nscfg, parrun.NSConfig{
@@ -285,41 +334,47 @@ func Resume(cfg Config, ck *parrun.Checkpoint) (*Session, error) {
 			OnStep: s.stepped,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.m = simulated{st, s}
-		s.solver.Store(st.Template())
+		m, sv = simulated{st, s}, st.Template()
 	} else {
 		solver, err := flowcases.NewSolver(nscfg, init)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		solver.AttachMetrics(s.reg)
 		solver.AttachHistory(s.history)
 		solver.AttachTracer(s.tracer)
 		if ck != nil {
 			if err := solver.Restore(ck.Ranks[0].State); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		s.m = sharedMemory{solver, s}
-		s.solver.Store(solver)
+		m, sv = sharedMemory{solver, s}, solver
 	}
-	sv := s.solver.Load()
-	s.sel = sv.PrecondSelection()
+	sel := sv.PrecondSelection()
+	s.sel.Store(&sel)
 	meta := instrument.RunMeta{
 		Case: cfg.Case, Ranks: cfg.Ranks, Elements: sv.M.K, Order: sv.M.N,
 		Steps: cfg.Steps, PIters: cfg.PIters, TraceSample: cfg.TraceSample,
-		Precond: s.sel.Name, PrecondSource: s.sel.Source,
+		Precond: sel.Name, PrecondSource: sel.Source,
 	}
 	if cfg.Faults != nil {
 		meta.FaultSeed = cfg.Faults.Seed
 	}
 	s.reg.SetMeta(meta)
-	if ck != nil {
-		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, s.m.VirtualSeconds())
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	return s, nil
+	s.m = m
+	s.solver.Store(sv)
+	if ck != nil {
+		s.updateProgress(ns.StepStats{Step: ck.Step(), Time: ck.Time()}, m.VirtualSeconds())
+	}
+	return nil
 }
 
 // strideSample picks r evenly spaced ranks out of p, deterministically; nil
@@ -346,9 +401,18 @@ func (s *Session) StepN(n int) (ns.StepStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		return ns.StepStats{}, ErrClosed
+		return ns.StepStats{}, s.idle()
 	}
 	return s.m.StepN(n)
+}
+
+// idle is why a session without a machine cannot step or snapshot: it was
+// closed, or it is not built yet. The caller holds s.mu.
+func (s *Session) idle() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return errNotStarted
 }
 
 // stepped records one completed step: progress at vsec, the machine's
@@ -373,7 +437,7 @@ func (s *Session) Checkpoint() (*parrun.Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		return nil, ErrClosed
+		return nil, s.idle()
 	}
 	return s.m.snapshot(), nil
 }
@@ -436,6 +500,7 @@ func (s *Session) Step() int {
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	if s.m != nil {
 		s.steps = s.m.StepCount()
 		s.m = nil
@@ -452,9 +517,14 @@ func (s *Session) Close() error {
 func (s *Session) Solver() *ns.Solver { return s.solver.Load() }
 
 // PrecondSelection reports the pressure preconditioner and how it was
-// chosen (an auto run's trials included). It is fixed when the stepper is
-// built, so reading it takes no lock and outlives Close.
-func (s *Session) PrecondSelection() solver.PrecondSelection { return s.sel }
+// chosen (an auto run's trials included); empty until the stepper is built.
+// It is fixed then, so reading it takes no lock and outlives Close.
+func (s *Session) PrecondSelection() solver.PrecondSelection {
+	if sel := s.sel.Load(); sel != nil {
+		return *sel
+	}
+	return solver.PrecondSelection{}
+}
 
 // Distributed reports the simulated machine's run so far (modelled clock,
 // traffic, reassembled fields); nil for a shared-memory session and once

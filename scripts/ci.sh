@@ -62,7 +62,12 @@
 #           progress and OnStep are written from rank 0's coroutine
 #           mid-batch. So does the closed-session test, whose poller reads
 #           a job's status, step and solver while Close releases the
-#           machine, on both machines. So do the Schwarz
+#           machine, on both machines. So do the manager's poller-yield
+#           and set-up tests: /healthz answered over a socket while two
+#           slots step (runners parked on the yield's pipe at one processor
+#           and two), a submit answered while its job waits for a slot to
+#           build in, a cancel before set-up, and Close ending the yield's
+#           goroutine. So do the Schwarz
 #           rank-equivalence test, whose border exchange is the one new
 #           cross-rank data path of the pressure preconditioner, and the SumN
 #           and lockstep-CG rank-equivalence tests: the short-vector reduction
@@ -299,7 +304,7 @@ tier2() {
     stage "tier2/vet" go vet ./...
     stage "tier2/race" go test -race -short ./...
     stage "tier2/stepper" go test -race -count=10 \
-        -run 'TestStepper|TestDistributedSessionLifecycle|TestDistributedStepNIsOneBatch|TestClosedSessionKeepsItsRecord|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
+        -run 'TestStepper|TestDistributedSessionLifecycle|TestDistributedStepNIsOneBatch|TestClosedSessionKeepsItsRecord|TestHTTPAnswersWhileSlotsStep|TestSubmitReturnsBeforeSetUp|TestCancelBeforeSetUp|TestManagerCloseReleasesThePoller|TestSchwarzApplicationMatchesSerialOnRanks|TestSumNIsSumSlotBySlot|TestLockstepCGOnRanksIsOneAtATime' \
         ./internal/parrun ./internal/session
     stage "tier2/streams" go test -race -count=10 \
         -run 'TestRecvOutOfOrderStress|TestSendNeverBlocks|TestReplayMatchesMessageSchedule|TestCollectiveLossFailsEveryRank|TestExchangeMatchesMessageSchedule|TestExchangeLossFailsEveryRank|TestMismatchedCallsFailEveryRank|TestRouteMatchesCrystalRouterSchedule|TestRouteLossFailsEveryRank|TestRouteOutOfRangeFailsEveryRank|TestReturnWhileOthersWaitFailsEveryRank|TestRecvDeadlockFailsEveryRank|TestRankPanicLeavesRunOnCaller|TestParallelExchangeDeterministicLargeP|TestParApplyFieldsIsApplyPerField|TestParCopiesAgreeInRankOrder' \
