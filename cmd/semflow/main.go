@@ -64,7 +64,7 @@ func main() {
 		return err
 	})
 	flag.IntVar(&cfg.ProjectionL, "L", 0, "pressure projection basis size, -1 for no projection (unset: the case's)")
-	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves, once per process)")
+	flag.StringVar(&cfg.Precond, "precond", "", "pressure preconditioner: schwarz (reference), chebjacobi, chebschwarz, none, or auto (pick per mesh size, order and tolerance from short trial solves of schwarz and chebschwarz, once per process)")
 	every := flag.Int("report", 10, "report interval")
 	stats := flag.Bool("stats", false, "print the per-phase instrumentation report after the run")
 	statsJSON := flag.Bool("stats-json", false, "like -stats, but emit JSON")

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/flowcases"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/solver"
 )
 
-// channel is the channel case's physics at order n under a preconditioner.
+// channel is the channel case at order n under a preconditioner.
 func channel(n int, precond string) flowcases.ChannelConfig {
-	c := session.Channel()
+	c := channelCase()
 	c.N, c.Precond = n, precond
 	return c
 }
@@ -63,7 +64,8 @@ func precondExp(quick bool) error {
 // benchmark's problem at Re = 850) and then, per variant, steps until the
 // projection basis wraps and times the steps after it. Flops per iteration
 // are the variant's trial work over its trial iterations, both from the
-// meter; Mflop/step is the metered work of a whole warm step.
+// meter ("-" for chebjacobi, which auto does not trial); Mflop/step is the
+// metered work of a whole warm step.
 func hairpinPrecond(quick bool) error {
 	hc := session.Hairpin()
 	hc.N, hc.Re, hc.FilterA = 5, 850, 0.1
@@ -82,16 +84,16 @@ func hairpinPrecond(quick bool) error {
 	sel.Report(os.Stdout)
 	fmt.Printf("\n%d warm steps per variant after the projection basis wraps\n\n", timed)
 	fmt.Printf("%-12s %-11s %-11s %-11s %-8s\n", "precond", "iters/step", "Mflop/iter", "Mflop/step", "ms/step")
-	for _, tr := range sel.Trials {
-		hc.Precond = tr.Name
+	for _, name := range ns.PrecondNames() {
+		hc.Precond = name
 		s, err := flowcases.Hairpin(hc)
 		if err != nil {
-			return fmt.Errorf("hairpin under %s: %w", tr.Name, err)
+			return fmt.Errorf("hairpin under %s: %w", name, err)
 		}
 		for prev := 0; ; {
 			st, err := s.Step()
 			if err != nil {
-				return fmt.Errorf("hairpin under %s, until the basis wraps: %w", tr.Name, err)
+				return fmt.Errorf("hairpin under %s, until the basis wraps: %w", name, err)
 			}
 			if st.ProjectionBasis < prev {
 				break
@@ -102,13 +104,17 @@ func hairpinPrecond(quick bool) error {
 		for i := 0; i < timed; i++ {
 			st, err := s.Step()
 			if err != nil {
-				return fmt.Errorf("hairpin under %s, warm step %d: %w", tr.Name, i+1, err)
+				return fmt.Errorf("hairpin under %s, warm step %d: %w", name, i+1, err)
 			}
 			iters += st.PressureIters
 		}
+		perIter := "-"
+		if i := slices.IndexFunc(sel.Trials, func(tr solver.PrecondTrial) bool { return tr.Name == name }); i >= 0 {
+			tr := sel.Trials[i]
+			perIter = fmt.Sprintf("%.3f", float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)))
+		}
 		per := float64(timed)
-		fmt.Printf("%-12s %-11.1f %-11.3f %-11.2f %-8.2f\n", tr.Name, float64(iters)/per,
-			float64(tr.Flops)/1e6/float64(max(tr.Iterations, 1)),
+		fmt.Printf("%-12s %-11.1f %-11s %-11.2f %-8.2f\n", name, float64(iters)/per, perIter,
 			float64(s.Disc().Flops()-f0)/1e6/per, time.Since(t0).Seconds()*1e3/per)
 	}
 	return nil

@@ -8,6 +8,15 @@ import (
 	"repro/internal/session"
 )
 
+// channelCase is the channel case's physics on the case table's element
+// grid.
+func channelCase() flowcases.ChannelConfig {
+	d, _ := session.Config{Case: "channel"}.Resolve()
+	c := session.Channel()
+	c.KX, c.KY = d.KX, d.KY
+	return c
+}
+
 // table1 reproduces the Orr–Sommerfeld convergence study: growth-rate error
 // vs polynomial order N (spatial, Δt = 0.003125) and vs Δt for the 2nd- and
 // 3rd-order splittings, each with filter strength α = 0 and α = 0.2.
@@ -22,7 +31,7 @@ func table1(quick bool) error {
 	// that cannot be set up fails the table.
 	var setupErr error
 	measure := func(n int, dt float64, order int, alpha float64) (relErr float64, blew bool) {
-		p := session.Channel()
+		p := channelCase()
 		p.N, p.Dt, p.Order, p.Filter = n, dt, order, alpha
 		s, osr, err := flowcases.Channel(p)
 		if err != nil {
@@ -41,7 +50,7 @@ func table1(quick bool) error {
 		return math.Abs(g-ref) / math.Abs(ref), false
 	}
 
-	ch := session.Channel() // the spatial study runs the case's Δt and order
+	ch := channelCase() // the spatial study runs the case's Δt and order
 	fmt.Printf("Table 1 (spatial): Orr-Sommerfeld growth-rate relative error, K=15, dt=%g\n", ch.Dt)
 	fmt.Printf("%4s  %12s  %12s\n", "N", "alpha=0.0", "alpha=0.2")
 	for _, n := range orders {

@@ -10,7 +10,7 @@ import (
 func channelSolver(t testing.TB, workers int) *ns.Solver {
 	t.Helper()
 	s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 9, Dt: 0.003125, Order: 2, Workers: workers,
+		Re: 7500, Alpha: 1, N: 9, KX: 5, KY: 3, Dt: 0.003125, Order: 2, Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

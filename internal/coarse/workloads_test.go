@@ -32,7 +32,7 @@ func workloadCoarse(t testing.TB) map[string]*ns.Solver {
 		t.Cleanup(s.Close)
 		out[name] = s
 	}
-	cfg, _, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{Re: 7500, Alpha: 1, N: 9, Dt: 0.003125, Order: 2})
+	cfg, _, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{Re: 7500, Alpha: 1, N: 9, KX: 5, KY: 3, Dt: 0.003125, Order: 2})
 	add("channel2d", cfg, err)
 	cfg, _, _, err = flowcases.ChannelSpec(flowcases.ChannelConfig{Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, KX: 16, KY: 4})
 	add("dist_p64", cfg, err)

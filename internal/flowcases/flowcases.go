@@ -11,7 +11,6 @@
 package flowcases
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 
@@ -140,7 +139,7 @@ type ChannelConfig struct {
 	Re      float64 // paper: 7500
 	Alpha   float64 // streamwise wavenumber (paper: 1)
 	N       int     // polynomial order
-	KX, KY  int     // element grid (paper: K = 15, e.g. 5 x 3); 0 is 5 along, 3 across
+	KX, KY  int     // element grid, both at least 1 (paper: K = 15, e.g. 5 x 3)
 	Dt      float64
 	Order   int     // 2 or 3
 	Filter  float64 // filter strength (Table 1's α)
@@ -152,7 +151,9 @@ type ChannelConfig struct {
 // ChannelSpec builds the Table 1 problem definition without constructing a
 // solver.
 func ChannelSpec(c ChannelConfig) (ns.Config, InitFunc, *orrsomm.Result, error) {
-	c.KX, c.KY = cmp.Or(c.KX, 5), cmp.Or(c.KY, 3) // each on its own
+	if c.KX < 1 || c.KY < 1 {
+		return ns.Config{}, nil, nil, fmt.Errorf("flowcases: channel needs an element grid of at least 1 x 1, have %d x %d", c.KX, c.KY)
+	}
 	if c.Eps == 0 {
 		c.Eps = 1e-5
 	}

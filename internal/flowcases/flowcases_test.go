@@ -76,7 +76,7 @@ func TestChannelGrowthRateMatchesLinearTheory(t *testing.T) {
 	// Orr–Sommerfeld value as N increases.
 	rate := func(n int) (measured, reference float64) {
 		s, osr, err := Channel(ChannelConfig{
-			Re: 7500, Alpha: 1, N: n, Dt: 0.003125, Order: 2,
+			Re: 7500, Alpha: 1, N: n, KX: 5, KY: 3, Dt: 0.003125, Order: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +98,17 @@ func TestChannelGrowthRateMatchesLinearTheory(t *testing.T) {
 	t.Logf("N=7: rel err %g", err7)
 	if err9 > err7 && err7 > 0.01 {
 		t.Errorf("error did not shrink with N: N7 %g N9 %g", err7, err9)
+	}
+}
+
+// TestChannelSpecNeedsAGrid: the channel's element grid has one default,
+// the case table's; ChannelSpec refuses a grid it is not given.
+func TestChannelSpecNeedsAGrid(t *testing.T) {
+	for _, k := range [][2]int{{0, 0}, {0, 3}, {5, 0}} {
+		_, _, _, err := ChannelSpec(ChannelConfig{Re: 7500, Alpha: 1, N: 4, KX: k[0], KY: k[1], Dt: 0.003125, Order: 2})
+		if err == nil {
+			t.Errorf("ChannelSpec accepted a %d x %d grid", k[0], k[1])
+		}
 	}
 }
 
@@ -164,7 +175,7 @@ var setUpRuns atomic.Int32
 // untabulated wave's bit for bit.
 func TestConcurrentChannelSetUpsShareOneEigenpair(t *testing.T) {
 	const setUps = 8
-	cc := ChannelConfig{Re: 7000 + float64(setUpRuns.Add(1)), Alpha: 1, N: 7, Dt: 0.003125, Order: 2}
+	cc := ChannelConfig{Re: 7000 + float64(setUpRuns.Add(1)), Alpha: 1, N: 7, KX: 5, KY: 3, Dt: 0.003125, Order: 2}
 	osrs := make([]*orrsomm.Result, setUps)
 	fields := make([][3][]float64, setUps)
 	errs := make([]error, setUps)

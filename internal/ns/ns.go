@@ -73,7 +73,7 @@ type Config struct {
 	// PressurePrecond selects the E-preconditioner: "schwarz" (default),
 	// "chebjacobi", "chebschwarz", "none", or "auto" — which consults the
 	// installed solver.PrecondTable and falls back to a trial-solve
-	// tournament over the concrete variants (see precond.go).
+	// tournament of schwarz against chebschwarz (see precond.go).
 	PressurePrecond string
 }
 

@@ -4,15 +4,17 @@ package ns
 // Schwarz(FDM)+coarse preconditioner on the pressure grid (operators.go,
 // schwarz.Pressure) is the reference; this file adds the Chebyshev-accelerated
 // point-Jacobi and Schwarz-smoothing variants of Phillips et al. and the
-// "auto" mode that picks per (K, N, dim, tol) the short trial solve charging
-// the least work, recording the winner in solver's process-wide table, so a
-// process trials a configuration once. What is tuned or chosen here — the variant, the
-// Chebyshev bounds, diag(E) — lands in the template, so every solver forked
-// from it applies the same preconditioner.
+// "auto" mode that trials schwarz, then chebschwarz, per (K, N, dim, tol) and
+// picks the short trial solve charging the least work, recording the winner
+// in solver's process-wide table, so a process trials a configuration once;
+// chebjacobi runs only when forced or recorded (autoEntrants). What is tuned
+// or chosen here — the variant, the Chebyshev bounds, diag(E) — lands in the
+// template, so every solver forked from it applies the same preconditioner.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/schwarz"
 	"repro/internal/solver"
@@ -46,18 +48,24 @@ func ValidPrecond(name string) bool {
 	return false
 }
 
-// PrecondNames lists the concrete variants (no "auto") in tournament order:
-// the reference first, so selection ties keep it.
+// PrecondNames lists every concrete variant (no "auto"), the reference
+// first.
 func PrecondNames() []string {
 	return []string{PrecondSchwarz, PrecondChebJacobi, PrecondChebSchwarz}
 }
+
+// autoEntrants are the variants an "auto" tournament trials, in order: the
+// reference first, so selection ties keep it. chebjacobi is left out: its
+// cold trial and its warm steps charged more work than both entrants on the
+// channel and the hairpin box (TestColdTrialRankMatchesWarmWork holds that).
+var autoEntrants = []string{PrecondSchwarz, PrecondChebSchwarz}
 
 // buildPrecondOperators settles which variants this solver builds and
 // builds what they need before any solver state exists: the Schwarz
 // preconditioner with its FDM factors and coarse factor, and diag(E). A named
 // variant (forced records whether the caller named it, vs the "" → schwarz
 // default) is built alone, and so is the installed table's record for an
-// "auto" key; an "auto" key without one builds every candidate for the
+// "auto" key; an "auto" key without one builds the entrants of the
 // tournament resolvePrecond runs.
 func (s *Solver) buildPrecondOperators(forced bool) error {
 	s.precondSel = solver.PrecondSelection{Name: s.Cfg.PressurePrecond, Source: "forced"}
@@ -83,9 +91,10 @@ func (s *Solver) buildPrecondOperators(forced bool) error {
 }
 
 // builds reports whether variant name is built: it is the selection, or the
-// selection is still "auto" and every candidate enters the tournament.
+// selection is still "auto" and name enters the tournament.
 func (t *template) builds(name string) bool {
-	return t.precondSel.Name == name || t.precondSel.Name == PrecondAuto
+	return t.precondSel.Name == name ||
+		t.precondSel.Name == PrecondAuto && slices.Contains(autoEntrants, name)
 }
 
 // resolvePrecond tunes the Chebyshev bounds of the built variants, runs the
@@ -208,7 +217,7 @@ func (t *template) pressureDiagE() []float64 {
 }
 
 // autoSelectPrecond runs the tournament of an "auto" key the installed
-// table has no record for — one short CG per variant against a synthetic
+// table has no record for — one short CG per entrant against a synthetic
 // in-range right-hand side, each charging the flop meter — and records the
 // winner in the table for later sessions.
 func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
@@ -228,8 +237,8 @@ func (s *Solver) autoSelectPrecond() solver.PrecondSelection {
 			rhs[i] *= inv
 		}
 	}
-	cands := make([]solver.PrecondCandidate, 0, 3)
-	for _, name := range PrecondNames() {
+	cands := make([]solver.PrecondCandidate, 0, len(autoEntrants))
+	for _, name := range autoEntrants {
 		cands = append(cands, solver.PrecondCandidate{Name: name, Precond: s.precondOp(name)})
 	}
 	opt := solver.Options{Tol: s.Cfg.PTol, MaxIter: s.Cfg.PMaxIter, Scratch: s.cgScratch}

@@ -2,6 +2,7 @@ package ns
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/instrument"
@@ -139,7 +140,8 @@ func TestPrecondVariantsConverge(t *testing.T) {
 }
 
 // TestPrecondAutoTrialThenTable: with a clean table, "auto" must run the
-// trial tournament (source "trial"), record the winner, and a second
+// trial tournament (source "trial") over schwarz, then chebschwarz, building
+// neither diag(E) nor Jacobi bounds, record the winner, and a second
 // identical solver must hit the installed table (source "table") with the
 // same variant and no trials.
 func TestPrecondAutoTrialThenTable(t *testing.T) {
@@ -155,9 +157,7 @@ func TestPrecondAutoTrialThenTable(t *testing.T) {
 	if sel1.Source != "trial" {
 		t.Fatalf("first auto selection source = %q, want trial", sel1.Source)
 	}
-	if len(sel1.Trials) != len(PrecondNames()) {
-		t.Fatalf("auto ran %d trials, want %d", len(sel1.Trials), len(PrecondNames()))
-	}
+	checkAutoEntrants(t, s1)
 	if !ValidPrecond(sel1.Name) || sel1.Name == PrecondAuto || sel1.Name == PrecondNone {
 		t.Fatalf("auto selected %q", sel1.Name)
 	}
@@ -345,8 +345,7 @@ func TestChebBoundsUniform(t *testing.T) {
 // TestPrecondAutoCutsHairpinLosers: on the hairpin box of the benchmark
 // (K = 72, N = 5, Re 850, the case's pressure tolerance) "auto" picks
 // schwarz on its full trial, 59 iterations and 222 666 956 flops, and stops
-// both Chebyshev trials once they have charged that much without
-// converging.
+// the chebschwarz trial once it has charged that much without converging.
 func TestPrecondAutoCutsHairpinLosers(t *testing.T) {
 	solver.ResetPrecondTable()
 	defer solver.ResetPrecondTable()
@@ -358,9 +357,10 @@ func TestPrecondAutoCutsHairpinLosers(t *testing.T) {
 	}
 	defer s.Close()
 	sel := s.PrecondSelection()
-	if sel.Source != "trial" || sel.Name != PrecondSchwarz || len(sel.Trials) != 3 {
-		t.Fatalf("selection = %+v, want a schwarz win over three trials", sel)
+	if sel.Source != "trial" || sel.Name != PrecondSchwarz {
+		t.Fatalf("selection = %+v, want a schwarz win on a trial", sel)
 	}
+	checkAutoEntrants(t, s)
 	won := sel.Trials[0]
 	if won.Name != PrecondSchwarz || !won.Converged || won.Cut || won.Iterations != 59 || won.Flops != 222666956 {
 		t.Fatalf("schwarz trial = %+v, want converged in 59 iterations on 222666956 flops", won)
@@ -371,4 +371,25 @@ func TestPrecondAutoCutsHairpinLosers(t *testing.T) {
 		}
 	}
 	t.Logf("trials %+v", sel.Trials)
+}
+
+// checkAutoEntrants: an "auto" solver that ran its tournament trialled
+// schwarz, then chebschwarz, and nothing else, and so built no diag(E) and
+// tuned no Jacobi Chebyshev bounds.
+func checkAutoEntrants(t *testing.T, s *Solver) {
+	t.Helper()
+	trials := s.PrecondSelection().Trials
+	var names []string
+	for _, tr := range trials {
+		names = append(names, tr.Name)
+	}
+	if want := []string{PrecondSchwarz, PrecondChebSchwarz}; !slices.Equal(names, want) {
+		t.Fatalf("auto trialled %v, want %v in that order", names, want)
+	}
+	if s.PressureDiagE() != nil {
+		t.Error("auto built diag(E), which only chebjacobi applies")
+	}
+	if _, _, _, ok := s.ChebBounds(PrecondChebJacobi); ok {
+		t.Error("auto tuned chebjacobi bounds")
+	}
 }

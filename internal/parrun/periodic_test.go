@@ -26,7 +26,7 @@ import (
 //     accumulation) made the failure appear and vanish between processes.
 func TestNavierStokesChannelPeriodicMatchesSerial(t *testing.T) {
 	cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2,
+		Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestNavierStokesChannelPeriodicMatchesSerial(t *testing.T) {
 // channel and on the 3-D hairpin box with its open boundary.
 func TestSchwarzApplicationMatchesSerialOnRanks(t *testing.T) {
 	channel, _, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2,
+		Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

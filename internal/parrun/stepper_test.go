@@ -21,7 +21,7 @@ import (
 func channelCase(t *testing.T) (ns.Config, flowcases.InitFunc) {
 	t.Helper()
 	cfg, init, _, err := flowcases.ChannelSpec(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, Filter: 0.3,
+		Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2, Filter: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)

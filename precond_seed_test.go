@@ -29,7 +29,7 @@ func seedCase(t *testing.T, name, precond string) *ns.Solver {
 		})
 	case "channel":
 		cfg, init, _, err = flowcases.ChannelSpec(flowcases.ChannelConfig{
-			Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2,
+			Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2,
 		})
 	case "convection":
 		cfg, err = flowcases.ConvectionSpec(flowcases.ConvectionConfig{
@@ -99,7 +99,7 @@ func TestPrecondSelectionGateChannel(t *testing.T) {
 	solver.ResetPrecondTable()
 	defer solver.ResetPrecondTable()
 	s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-		Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, Precond: ns.PrecondAuto,
+		Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2, Precond: ns.PrecondAuto,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,8 @@ func TestPrecondSelectionGateChannel(t *testing.T) {
 // on: the variant whose cold trial charges the least work must also charge
 // the least work per warm step. On the N = 5 channel and on the hairpin box
 // of the benchmark, the auto winner's metered work over 10 projected steps
-// must not exceed any other variant's.
+// must not exceed any other variant's. It also guards why chebjacobi is no
+// entrant: it must charge strictly more warm work than each other variant.
 func TestColdTrialRankMatchesWarmWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steps the channel and the K = 72 hairpin box under every variant")
@@ -151,7 +152,7 @@ func TestColdTrialRankMatchesWarmWork(t *testing.T) {
 	}{
 		{"channel", func(precond string) (*ns.Solver, error) {
 			s, _, err := flowcases.Channel(flowcases.ChannelConfig{
-				Re: 7500, Alpha: 1, N: 5, Dt: 0.003125, Order: 2, Precond: precond,
+				Re: 7500, Alpha: 1, N: 5, KX: 5, KY: 3, Dt: 0.003125, Order: 2, Precond: precond,
 			})
 			return s, err
 		}},
@@ -184,6 +185,10 @@ func TestColdTrialRankMatchesWarmWork(t *testing.T) {
 			if w < work[winner] {
 				t.Errorf("%s: cold-trial winner %q charges %d flops over 10 warm steps, %q only %d",
 					c.name, winner, work[winner], pn, w)
+			}
+			if pn != ns.PrecondChebJacobi && work[ns.PrecondChebJacobi] <= w {
+				t.Errorf("%s: chebjacobi charges %d flops over 10 warm steps, %q %d: chebjacobi has to re-enter the auto tournament",
+					c.name, work[ns.PrecondChebJacobi], pn, w)
 			}
 		}
 		t.Logf("%s: winner %s, flops over 10 steps %v", c.name, winner, work)

@@ -112,8 +112,9 @@
 #           3-step run from its final snapshot on both machines, size the
 #           channel from -kx alone, refuse -report 0 and -nel -1,
 #           scrape the live -listen endpoint mid-run, walk the P=256
-#           trace's critical path, exercise -precond auto (trial → report,
-#           plus a forced-variant divergence cross-check), and round-trip a
+#           trace's critical path, exercise -precond auto (trials of
+#           schwarz then chebschwarz, no chebjacobi → report, plus a
+#           forced-variant divergence cross-check), and round-trip a
 #           channel job through the semflowd session service (submit, poll,
 #           fetch artifacts; an auto job's result.json carries its
 #           trials; a ranks > 0 submit is answered 400; a hairpin submit
@@ -619,6 +620,15 @@ EOF
     grep -q '"precond":' "$out/precond-auto.log"
     grep -q '"precond_source": *"trial"' "$out/precond-auto.log"
     trial_pick "$out/precond-auto.log"
+    # The tournament's entrants are schwarz, then chebschwarz: exactly two
+    # trial lines in that order, and none for chebjacobi, which only runs
+    # forced (below) or recorded.
+    trials=$(awk '/^  trial / { printf "%s ", $2 }' "$out/precond-auto.log")
+    if [ "$trials" != "schwarz chebschwarz " ]; then
+        echo "-precond auto trialled [${trials% }], want [schwarz chebschwarz]:" >&2
+        grep -E '^(precond:|  trial )' "$out/precond-auto.log" >&2
+        exit 1
+    fi
     # Forcing the Chebyshev-Jacobi variant must converge to the same
     # final-step divergence bound as the Schwarz reference run, at the
     # Table-1 size (N=9) — whose cold Schwarz solves ran into the 500-iteration
